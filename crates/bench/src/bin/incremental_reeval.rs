@@ -58,12 +58,13 @@ fn search(policy: ParallelismPolicy, primed: bool, incremental: bool) -> Run {
     let store = Arc::new(mlcask_storage::store::ChunkStore::in_memory());
     let reg = ComponentRegistry::new(store);
     w.register_all(&reg).expect("what-if components register");
-    let engine = MergeEngine::new(&reg, reg.store(), Arc::new(w.dag()))
+    let dag = Arc::new(w.dag());
+    let engine = MergeEngine::new(&reg, reg.store(), Arc::clone(&dag))
         .with_parallelism(policy)
         .with_incremental(incremental);
     let history = HistoryIndex::new();
     if primed {
-        let bound = engine.bind(&w.base).expect("base pipeline binds");
+        let bound = reg.bind(&dag, &w.base).expect("base pipeline binds");
         let clock = ClockLedger::new();
         Executor::new(reg.store())
             .run(&bound, &clock, Some(&history), ExecOptions::MLCASK)

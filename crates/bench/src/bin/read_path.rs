@@ -95,11 +95,12 @@ fn search_obs(store: Arc<ChunkStore>, policy: ParallelismPolicy) -> String {
     let w = whatif::build();
     let reg = ComponentRegistry::new(store.clone());
     w.register_all(&reg).expect("what-if components register");
-    let engine = MergeEngine::new(&reg, reg.store(), Arc::new(w.dag()))
+    let dag = Arc::new(w.dag());
+    let engine = MergeEngine::new(&reg, reg.store(), Arc::clone(&dag))
         .with_parallelism(policy)
         .with_incremental(true);
     let history = HistoryIndex::new();
-    let bound = engine.bind(&w.base).expect("base pipeline binds");
+    let bound = reg.bind(&dag, &w.base).expect("base pipeline binds");
     let clock = ClockLedger::new();
     Executor::new(reg.store())
         .run(&bound, &clock, Some(&history), ExecOptions::MLCASK)

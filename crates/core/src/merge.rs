@@ -21,9 +21,9 @@ use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
-use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
+use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{ExecOptions, Executor, MemoryCache, OutputCache};
+use mlcask_pipeline::executor::{Executor, MemoryCache, OutputCache};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::{Incremental, PrefixGate, ProvenanceSnapshot};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook};
@@ -144,15 +144,6 @@ impl<'a> MergeEngine<'a> {
         self
     }
 
-    /// Resolves a candidate (slot-ordered keys) into a bound pipeline.
-    pub fn bind(&self, keys: &[ComponentKey]) -> Result<BoundPipeline> {
-        let mut components: Vec<ComponentHandle> = Vec::with_capacity(keys.len());
-        for k in keys {
-            components.push(self.registry.resolve(k)?);
-        }
-        Ok(BoundPipeline::new(Arc::clone(&self.dag), components)?)
-    }
-
     /// Runs the merge search. `history` is consulted/extended only by the
     /// `Full` strategy (PR); the ablations run from scratch as the paper
     /// describes.
@@ -229,27 +220,14 @@ impl<'a> MergeEngine<'a> {
         };
 
         // Accounting policy per strategy. The from-scratch ablations pay
-        // every component for every candidate and only discover
-        // incompatibilities mid-run; Full/Naive reuse the shared history.
-        let (use_history, options): (bool, ExecOptions) = match strategy {
-            MergeStrategy::WithoutPcPr | MergeStrategy::WithoutPr => (
-                false,
-                ExecOptions {
-                    reuse: false,
-                    precheck: false,
-                    persist_outputs: true,
-                    parallelism: self.parallelism,
-                },
-            ),
-            MergeStrategy::Full | MergeStrategy::Naive => (
-                true,
-                ExecOptions::REUSE_ONLY.with_parallelism(self.parallelism),
-            ),
-        };
+        // every component for every candidate; Full/Naive reuse the shared
+        // history. No strategy prechecks: incompatibilities are either
+        // pruned from the tree (PC) or discovered mid-run.
+        let use_history = matches!(strategy, MergeStrategy::Full | MergeStrategy::Naive);
 
         let bound: Vec<BoundPipeline> = leaves
             .iter()
-            .map(|keys| self.bind(keys))
+            .map(|keys| self.registry.bind(&self.dag, keys))
             .collect::<Result<_>>()?;
 
         // Phase 1 — execute every candidate (possibly in parallel) for its
@@ -285,7 +263,7 @@ impl<'a> MergeEngine<'a> {
         // One gate per search: candidates sharing a prefix fingerprint
         // execute it once, whichever worker claims it first.
         let gate = PrefixGate::new();
-        let (outer, inner) = options.parallelism.split(bound.len());
+        let (outer, inner) = self.parallelism.split(bound.len());
         let traced = map_indexed(outer, &bound, |i, pipeline| {
             let _cand_span = mlcask_obs::span!("merge.candidate", "index" => i);
             let inc = prov_snapshot.as_ref().map(|snap| Incremental {
@@ -293,14 +271,7 @@ impl<'a> MergeEngine<'a> {
                 live: history.provenance(),
                 gate: Some(&gate),
             });
-            executor.run_traced_incremental(
-                pipeline,
-                phase_cache,
-                book,
-                options.precheck,
-                inner,
-                inc.as_ref(),
-            )
+            executor.trace(pipeline, phase_cache, book, inner, inc.as_ref())
         });
         // Frontier cuts are computed against the snapshot, so the per-
         // candidate skip counts are deterministic; `map_indexed` preserves
@@ -329,7 +300,6 @@ impl<'a> MergeEngine<'a> {
                 &mut sim,
                 &mut cursor,
                 &run_ledger,
-                options,
                 use_history,
             )?;
             let snap = run_ledger.snapshot();
@@ -399,6 +369,7 @@ pub fn naive_candidate(spaces: &SearchSpaces) -> Vec<ComponentKey> {
 mod tests {
     use super::*;
     use crate::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+    use mlcask_pipeline::executor::ExecOptions;
     use mlcask_pipeline::semver::SemVer;
 
     /// Builds a Fig.-3-like scenario:
@@ -528,7 +499,7 @@ mod tests {
             spaces.per_slot[1][0].clone(),
             spaces.per_slot[2][0].clone(),
         ];
-        let bound = engine.bind(&keys).unwrap();
+        let bound = reg.bind(&dag, &keys).unwrap();
         let clock = ClockLedger::new();
         Executor::new(reg.store())
             .run(&bound, &clock, Some(&history), ExecOptions::MLCASK)

@@ -18,9 +18,9 @@ use mlcask_ml::metrics::Score;
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{ExecOptions, Executor, TracedOutcome};
+use mlcask_pipeline::executor::{Executor, TracedOutcome};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{Incremental, PrefixGate, ProvenanceSnapshot};
+use mlcask_pipeline::provenance::{Incremental, PrefixGate};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -118,14 +118,6 @@ pub struct PrioritizedSearcher<'a> {
     parallelism: ParallelismPolicy,
 }
 
-/// Phase-1 record of one trial: the search order with phase-1 scores, and
-/// the bound pipelines to replay for accounting.
-struct TracedTrial {
-    searched: Vec<(Vec<ComponentKey>, Option<Score>)>,
-    bound: Vec<BoundPipeline>,
-    skipped_by_frontier: usize,
-}
-
 /// Mutable state of one in-flight trial, advanced one candidate at a time
 /// so the trial scheduler can interleave candidates from many trials on a
 /// single worker pool (divergent trial lengths then stop idling workers).
@@ -142,16 +134,6 @@ struct TrialState {
     skipped_by_frontier: usize,
     picked: usize,
     total: usize,
-}
-
-impl TrialState {
-    fn into_traced(self) -> TracedTrial {
-        TracedTrial {
-            searched: self.searched,
-            bound: self.bound,
-            skipped_by_frontier: self.skipped_by_frontier,
-        }
-    }
 }
 
 /// Folds one executed candidate back into its trial: scores drive the next
@@ -201,14 +183,6 @@ impl<'a> PrioritizedSearcher<'a> {
     pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    fn bind(&self, keys: &[ComponentKey]) -> Result<BoundPipeline> {
-        let mut components = Vec::with_capacity(keys.len());
-        for k in keys {
-            components.push(self.registry.resolve(k)?);
-        }
-        Ok(BoundPipeline::new(Arc::clone(&self.dag), components)?)
     }
 
     /// Builds the initial state of one trial: prune, fork the history,
@@ -290,57 +264,16 @@ impl<'a> PrioritizedSearcher<'a> {
         };
         state.picked += 1;
         let keys = state.tree.candidate(leaf);
-        let pipeline = self.bind(&keys)?;
+        let pipeline = self.registry.bind(&self.dag, &keys)?;
         Ok(Some((leaf, keys, pipeline)))
     }
 
-    /// Phase 1 of one trial: search *all* live candidates in the order
-    /// chosen by `method`, executing them (traced) against a trial-local
-    /// history fork. The descent is driven by phase-1 scores, which are
-    /// deterministic; accounting happens later in [`Self::replay_trial`].
-    /// `inner` is the DAG-internal worker budget each candidate's
-    /// wavefront may use. `prov` enables the provenance fast path: a
-    /// snapshot to cut frontiers against plus a gate deduplicating shared
-    /// prefixes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_trial_traced(
-        &self,
-        spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
-        method: SearchMethod,
-        seed: u64,
-        book: &ProfileBook,
-        inner: ParallelismPolicy,
-        prov: Option<(&Arc<ProvenanceSnapshot>, &PrefixGate)>,
-    ) -> Result<TracedTrial> {
-        let mut state = self.trial_state(spaces, base_history, initial_scores, method, seed)?;
-        let executor = Executor::new(self.registry.store());
-        while let Some((leaf, keys, pipeline)) = self.pick_next(&mut state)? {
-            let inc = prov.map(|(snap, gate)| Incremental {
-                snapshot: Arc::clone(snap),
-                live: state.history.provenance(),
-                gate: Some(gate),
-            });
-            let outcome = executor.run_traced_incremental(
-                &pipeline,
-                &state.history,
-                book,
-                false,
-                inner,
-                inc.as_ref(),
-            )?;
-            record_pick(&mut state, leaf, keys, pipeline, outcome);
-        }
-        Ok(state.into_traced())
-    }
-
     /// Phase 2 of one trial: the deterministic accounting replay in search
-    /// order, mirroring what a live sequential trial would have charged.
-    /// `cursor` carries chunk-dedup state across trials in trial order.
+    /// order — what a live one-candidate-at-a-time trial charges. `cursor`
+    /// carries chunk-dedup state across trials in trial order.
     fn replay_trial(
         &self,
-        trial: &TracedTrial,
+        trial: &TrialState,
         book: &ProfileBook,
         pre: &CacheSnapshot,
         cursor: &mut ReplayCursor,
@@ -350,17 +283,7 @@ impl<'a> PrioritizedSearcher<'a> {
         let mut sim = CacheSnapshot::new();
         let mut searched = Vec::with_capacity(trial.searched.len());
         for (idx, ((keys, _), pipeline)) in trial.searched.iter().zip(&trial.bound).enumerate() {
-            let report = replay_run(
-                store,
-                pipeline,
-                book,
-                pre,
-                &mut sim,
-                cursor,
-                &ledger,
-                ExecOptions::REUSE_ONLY,
-                true,
-            )?;
+            let report = replay_run(store, pipeline, book, pre, &mut sim, cursor, &ledger, true)?;
             searched.push(SearchedCandidate {
                 rank: idx + 1,
                 keys: keys.clone(),
@@ -384,6 +307,89 @@ impl<'a> PrioritizedSearcher<'a> {
         })
     }
 
+    /// Searches one trial per seed to completion (phase 1), then replays
+    /// their accounting in trial order (phase 2). Returns the per-trial
+    /// results and the frontier-skipped node count summed across trials.
+    ///
+    /// Trials advance in work-stealing rounds: each round takes the *next*
+    /// candidate from every still-active trial (a deterministic, sequential
+    /// pick — the descent is adaptive) and fans the whole batch across the
+    /// searcher's [`ParallelismPolicy`], so a long trial cannot idle the
+    /// workers a short trial has released; with one trial the whole pool
+    /// flows into each candidate's DAG. Trials share one [`PrefixGate`],
+    /// so a prefix common to several trials executes once per batch rather
+    /// than once per trial. A shared [`ProfileBook`] deduplicates
+    /// observations, and the accounting replay walks trials in index order,
+    /// so the results are identical for every worker count. An aborted
+    /// search (quota breach, storage fault) releases every unsettled
+    /// reservation before the error surfaces.
+    fn search(
+        &self,
+        spaces: &SearchSpaces,
+        base_history: &HistoryIndex,
+        initial_scores: &[(Vec<ComponentKey>, f64)],
+        method: SearchMethod,
+        seeds: &[u64],
+    ) -> Result<(Vec<TrialResult>, usize)> {
+        let book = ProfileBook::new();
+        book.reservation_scope(self.registry.store(), || {
+            // Provenance snapshot strictly before the key snapshot
+            // (pairing invariant — see `MergeEngine::search_with_book`);
+            // both shared so repeat trials copy nothing.
+            let prov = base_history.provenance().snapshot_shared();
+            let pre = base_history.snapshot_shared();
+            let gate = PrefixGate::new();
+            let executor = Executor::new(self.registry.store());
+            let mut states: Vec<TrialState> = seeds
+                .iter()
+                .map(|&seed| self.trial_state(spaces, base_history, initial_scores, method, seed))
+                .collect::<Result<_>>()?;
+            let mut round = 0usize;
+            loop {
+                // Pick phase: sequential and trial-local, so each trial's
+                // search order is the same for every worker count.
+                let mut picks = Vec::new();
+                for (t, state) in states.iter_mut().enumerate() {
+                    if let Some((leaf, keys, pipeline)) = self.pick_next(state)? {
+                        picks.push((t, leaf, keys, pipeline, state.history.clone()));
+                    }
+                }
+                if picks.is_empty() {
+                    break;
+                }
+                round += 1;
+                let _round_span = mlcask_obs::span!(
+                    "trials.round",
+                    "round" => round,
+                    "picks" => picks.len(),
+                );
+                // Execute phase: the round's batch fans across the pool;
+                // leftover workers run each candidate's DAG wavefront.
+                let (outer, inner) = self.parallelism.split(picks.len());
+                let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline, history)| {
+                    let inc = Incremental {
+                        snapshot: Arc::clone(&prov),
+                        live: history.provenance(),
+                        gate: Some(&gate),
+                    };
+                    executor.trace(pipeline, history, &book, inner, Some(&inc))
+                });
+                // Record phase: fold results back in trial order.
+                for ((t, leaf, keys, pipeline, _), outcome) in picks.into_iter().zip(outcomes) {
+                    record_pick(&mut states[t], leaf, keys, pipeline, outcome?);
+                }
+            }
+            let mut results = Vec::with_capacity(states.len());
+            let mut skipped = 0usize;
+            let mut cursor = book.replay_cursor();
+            for state in &states {
+                skipped += state.skipped_by_frontier;
+                results.push(self.replay_trial(state, &book, &pre, &mut cursor)?);
+            }
+            Ok((results, skipped))
+        })
+    }
+
     /// Runs one trial: searches *all* live candidates in the order chosen by
     /// `method`, reusing checkpoints within the trial exactly as a real
     /// merge would. `initial_scores` seeds leaf scores (the trained
@@ -396,46 +402,15 @@ impl<'a> PrioritizedSearcher<'a> {
         method: SearchMethod,
         seed: u64,
     ) -> Result<TrialResult> {
-        let book = ProfileBook::new();
-        // An aborted trial hands back its unsettled reservations.
-        book.reservation_scope(self.registry.store(), || {
-            // Provenance snapshot strictly before the key snapshot (pairing
-            // invariant — see `MergeEngine::search_with_book`); both shared
-            // so repeat trials over a quiescent base copy nothing.
-            let prov = base_history.provenance().snapshot_shared();
-            let pre = base_history.snapshot_shared();
-            let gate = PrefixGate::new();
-            // One trial: the whole pool is available to each candidate's DAG.
-            let (_, inner) = self.parallelism.split(1);
-            let trial = self.run_trial_traced(
-                spaces,
-                base_history,
-                initial_scores,
-                method,
-                seed,
-                &book,
-                inner,
-                Some((&prov, &gate)),
-            )?;
-            let mut cursor = book.replay_cursor();
-            self.replay_trial(&trial, &book, &pre, &mut cursor)
-        })
+        let (mut results, _) =
+            self.search(spaces, base_history, initial_scores, method, &[seed])?;
+        Ok(results.pop().expect("one seed yields one trial"))
     }
 
     /// Runs `trials` independent trials and aggregates Fig. 10 / Table I
-    /// statistics.
-    ///
-    /// Trials advance in work-stealing rounds: each round takes the *next*
-    /// candidate from every still-active trial (a deterministic, sequential
-    /// pick — the descent is adaptive) and fans the whole batch across the
-    /// searcher's [`ParallelismPolicy`], so a long trial cannot idle the
-    /// workers a short trial has released. Trials share one [`PrefixGate`],
-    /// so a prefix common to several trials executes once per batch rather
-    /// than once per trial. A shared [`ProfileBook`] deduplicates
-    /// observations, and the accounting replay walks trials in index order,
-    /// so the aggregated statistics are identical to a fully sequential
-    /// run. An aborted run (quota breach, storage fault) releases every
-    /// unsettled reservation before the error surfaces.
+    /// statistics. Trials advance in work-stealing rounds over one worker
+    /// pool, one prefix gate and one profile book; the aggregated statistics
+    /// are identical for every worker count.
     pub fn run_trials(
         &self,
         spaces: &SearchSpaces,
@@ -445,81 +420,13 @@ impl<'a> PrioritizedSearcher<'a> {
         trials: usize,
         seed: u64,
     ) -> Result<TrialStats> {
-        let book = ProfileBook::new();
-        let (results, skipped_by_frontier) = book.reservation_scope(
-            self.registry.store(),
-            || -> Result<(Vec<TrialResult>, usize)> {
-                // Provenance snapshot strictly before the key snapshot
-                // (pairing invariant — see `MergeEngine::search_with_book`);
-                // both shared so repeat trials copy nothing.
-                let prov = base_history.provenance().snapshot_shared();
-                let pre = base_history.snapshot_shared();
-                let gate = PrefixGate::new();
-                let executor = Executor::new(self.registry.store());
-                let mut states: Vec<TrialState> = (0..trials)
-                    .map(|t| {
-                        self.trial_state(
-                            spaces,
-                            base_history,
-                            initial_scores,
-                            method,
-                            seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15),
-                        )
-                    })
-                    .collect::<Result<_>>()?;
-                let mut round = 0usize;
-                loop {
-                    // Pick phase: sequential and trial-local, so each
-                    // trial's search order matches a sequential run.
-                    let mut picks = Vec::new();
-                    for (t, state) in states.iter_mut().enumerate() {
-                        if let Some((leaf, keys, pipeline)) = self.pick_next(state)? {
-                            picks.push((t, leaf, keys, pipeline, state.history.clone()));
-                        }
-                    }
-                    if picks.is_empty() {
-                        break;
-                    }
-                    round += 1;
-                    let _round_span = mlcask_obs::span!(
-                        "trials.round",
-                        "round" => round,
-                        "picks" => picks.len(),
-                    );
-                    // Execute phase: the round's batch fans across the pool;
-                    // leftover workers run each candidate's DAG wavefront.
-                    let (outer, inner) = self.parallelism.split(picks.len());
-                    let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline, history)| {
-                        let inc = Incremental {
-                            snapshot: Arc::clone(&prov),
-                            live: history.provenance(),
-                            gate: Some(&gate),
-                        };
-                        executor.run_traced_incremental(
-                            pipeline,
-                            history,
-                            &book,
-                            false,
-                            inner,
-                            Some(&inc),
-                        )
-                    });
-                    // Record phase: fold results back in trial order.
-                    for ((t, leaf, keys, pipeline, _), outcome) in picks.into_iter().zip(outcomes) {
-                        record_pick(&mut states[t], leaf, keys, pipeline, outcome?);
-                    }
-                }
-                let mut results = Vec::with_capacity(trials);
-                let mut skipped = 0usize;
-                let mut cursor = book.replay_cursor();
-                for state in states {
-                    let trial = state.into_traced();
-                    skipped += trial.skipped_by_frontier;
-                    results.push(self.replay_trial(&trial, &book, &pre, &mut cursor)?);
-                }
-                Ok((results, skipped))
-            },
-        )?;
+        // Trial 0 runs under `seed` itself, so `run_trial` is the one-trial
+        // case of this search.
+        let seeds: Vec<u64> = (0..trials)
+            .map(|t| seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15))
+            .collect();
+        let (results, skipped_by_frontier) =
+            self.search(spaces, base_history, initial_scores, method, &seeds)?;
         let n = results.first().map(|r| r.searched.len()).unwrap_or(0);
         let mut per_rank = Vec::with_capacity(n);
         for k in 0..n {

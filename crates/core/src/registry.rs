@@ -9,6 +9,7 @@
 
 use crate::errors::{CoreError, Result};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
+use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::metafile::LibraryMetafile;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
@@ -141,6 +142,15 @@ impl ComponentRegistry {
             .get(key)
             .map(|r| r.handle.clone())
             .ok_or_else(|| CoreError::UnknownComponent(key.clone()))
+    }
+
+    /// Resolves slot-ordered component keys to a pipeline bound over `dag`.
+    pub fn bind(&self, dag: &Arc<PipelineDag>, keys: &[ComponentKey]) -> Result<BoundPipeline> {
+        let components = keys
+            .iter()
+            .map(|k| self.resolve(k))
+            .collect::<Result<Vec<ComponentHandle>>>()?;
+        Ok(BoundPipeline::new(Arc::clone(dag), components)?)
     }
 
     /// The registered entry (handle + metafile) for a version.

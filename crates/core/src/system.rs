@@ -11,7 +11,7 @@ use crate::registry::ComponentRegistry;
 use crate::search_space::SearchSpaces;
 use crate::workspace::Workspace;
 use mlcask_pipeline::clock::ClockLedger;
-use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
+use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
@@ -221,11 +221,7 @@ impl MlCask {
 
     /// Resolves slot-ordered component keys to a bound pipeline.
     pub fn bind(&self, keys: &[ComponentKey]) -> Result<BoundPipeline> {
-        let mut components: Vec<ComponentHandle> = Vec::with_capacity(keys.len());
-        for k in keys {
-            components.push(self.registry.resolve(k)?);
-        }
-        Ok(BoundPipeline::new(Arc::clone(&self.dag), components)?)
+        self.registry.bind(&self.dag, keys)
     }
 
     /// Runs a pipeline under MLCask policy (reuse + precheck) and, on

@@ -309,10 +309,10 @@ impl Workspace {
     /// executables of every attached registry.
     ///
     /// The only writes this can reclaim are unattributed orphans — blobs
-    /// persisted by racing siblings of a dynamically failing node (see the
-    /// dynamic-failure caveat in `ARCHITECTURE.md`), or left behind by
-    /// quota-aborted evaluations — restoring byte-level parity with a
-    /// sequential run.
+    /// persisted by independent siblings of a dynamically failing node
+    /// (see "Dynamic failures" in `ARCHITECTURE.md`), or left behind by
+    /// evaluations a hard error aborted — restoring byte-level parity
+    /// between the backend and what the tenants were charged.
     ///
     /// **Quiescence required:** call between evaluations, not during one.
     /// A commit or merge search in flight has persisted traced outputs

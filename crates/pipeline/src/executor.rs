@@ -10,13 +10,16 @@
 //! * `precheck` — statically verify schema compatibility before running
 //!   anything (MLCask does; the baselines discover incompatibility only
 //!   when the failing component executes).
-//! * `persist_outputs` — archive every component output (all systems do,
-//!   into different storage backends/cost models).
 //! * `parallelism` — fan independent DAG nodes of one pipeline out onto a
-//!   worker pool (wavefront scheduling). Chains execute sequentially; any
-//!   pipeline with parallel width takes the two-phase traced-execute +
-//!   canonical-replay path, whose observables are byte-identical to
-//!   sequential execution (see [`crate::replay`]).
+//!   worker pool (wavefront scheduling).
+//!
+//! There is one engine. [`Executor::trace`] executes a pipeline's nodes for
+//! their results only — inline on the caller's thread at one worker, on a
+//! pool above that — recording execution profiles and write traces;
+//! [`Executor::run`] is `trace` followed by the accounting replay in
+//! canonical topological order (see [`crate::replay`]), so what a run
+//! charges never depends on how it was scheduled. Every component output is
+//! archived: the replay charges storage from the write traces.
 
 use crate::artifact::Artifact;
 use crate::clock::ClockLedger;
@@ -34,9 +37,7 @@ use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::ChunkStore;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 /// Key identifying "this component version applied to these exact inputs".
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,22 +111,19 @@ pub struct ExecOptions {
     pub reuse: bool,
     /// Statically verify schema compatibility before executing anything.
     pub precheck: bool,
-    /// Archive component outputs to the store.
-    pub persist_outputs: bool,
     /// Worker-pool size, applied at two levels: engines that evaluate many
     /// *candidate pipelines* fan candidates out across workers, and a
-    /// single [`Executor::run`] over a non-chain DAG fans its *independent
-    /// nodes* out (wavefront scheduling). Reports are byte-identical for
-    /// every worker count; see [`crate::replay`].
+    /// single [`Executor::run`] fans its *independent nodes* out (wavefront
+    /// scheduling). Reports are byte-identical for every worker count; see
+    /// [`crate::replay`].
     pub parallelism: ParallelismPolicy,
 }
 
 impl ExecOptions {
-    /// MLCask policy: reuse + precheck + persist.
+    /// MLCask policy: reuse + precheck.
     pub const MLCASK: ExecOptions = ExecOptions {
         reuse: true,
         precheck: true,
-        persist_outputs: true,
         parallelism: ParallelismPolicy::Sequential,
     };
 
@@ -133,7 +131,6 @@ impl ExecOptions {
     pub const REUSE_ONLY: ExecOptions = ExecOptions {
         reuse: true,
         precheck: false,
-        persist_outputs: true,
         parallelism: ParallelismPolicy::Sequential,
     };
 
@@ -141,7 +138,6 @@ impl ExecOptions {
     pub const RERUN_ALL: ExecOptions = ExecOptions {
         reuse: false,
         precheck: false,
-        persist_outputs: true,
         parallelism: ParallelismPolicy::Sequential,
     };
 
@@ -165,12 +161,12 @@ pub struct StageReport {
     pub exec_ns: u64,
     /// Virtual storage time charged (writes + any materialising reads).
     pub storage_ns: u64,
-    /// Archived output (null ref when persistence is off).
+    /// Archived output.
     pub output: ObjectRef,
     /// Content id of the output artifact.
     pub artifact_id: Hash256,
     /// Logical size of the output artifact in bytes (independent of the
-    /// persistence policy — used by archive-accounting harnesses).
+    /// persisted blob encoding — used by archive-accounting harnesses).
     pub artifact_bytes: u64,
 }
 
@@ -234,21 +230,16 @@ impl RunReport {
 }
 
 /// Runs bound pipelines against a [`ChunkStore`], implementing checkpoint
-/// reuse, output archiving, virtual-time accounting, and (for non-chain
-/// DAGs under a parallel [`ParallelismPolicy`]) wavefront execution of
-/// independent nodes. Stateless apart from the store reference — cheap to
-/// construct per run and safe to share across threads.
+/// reuse, output archiving, virtual-time accounting, and wavefront
+/// execution of independent nodes. Stateless apart from the store reference
+/// and an optional crash-recovery context — cheap to construct per run and
+/// safe to share across threads.
 pub struct Executor<'s> {
     store: &'s ChunkStore,
+    resume: Option<&'s ResumeCtx<'s>>,
 }
 
-/// Per-node output during execution: always the metadata, lazily the bytes.
-struct NodeOutput {
-    cached: CachedOutput,
-    in_memory: Option<Artifact>,
-}
-
-/// Phase-1 state of one completed wavefront node.
+/// Result of one completed node.
 struct WaveSlot {
     key: CacheKey,
     cached: CachedOutput,
@@ -258,8 +249,8 @@ struct WaveSlot {
     artifact: Option<std::sync::Arc<Artifact>>,
 }
 
-/// Everything phase 1 of a wavefront execution leaves behind for the
-/// canonical accounting replay.
+/// Everything executing a pipeline's nodes leaves behind for the canonical
+/// accounting replay.
 struct WavefrontRun {
     /// Per-node results, indexed by node id; `None` for nodes never reached
     /// (at or beyond a failure frontier).
@@ -274,7 +265,7 @@ struct WavefrontRun {
     skipped_by_frontier: usize,
 }
 
-/// Outcome of one traced (phase-1) evaluation.
+/// Outcome of one [`Executor::trace`].
 #[derive(Debug, Clone, Copy)]
 pub struct TracedOutcome {
     /// Final model score in canonical topological order; `None` when the
@@ -288,16 +279,14 @@ pub struct TracedOutcome {
 
 /// First node in canonical topological order whose declared input schema is
 /// incompatible with a predecessor's declared output schema — the node at
-/// which a sequential run of a schema-honest pipeline fails.
+/// which a run of a schema-honest pipeline fails.
 ///
-/// The wavefront scheduler stops short of this frontier so a parallel run
-/// executes (and persists) exactly the node set a sequential run would,
-/// keeping even the physical store contents identical across worker counts.
-/// Components whose run-time behaviour contradicts their declared schemas
-/// fail past this prediction; those are handled dynamically (see
-/// [`Executor::run_traced_with`]) with a weaker guarantee: all observables
-/// stay deterministic, but nodes independent of the failure may execute
-/// that a sequential run would have skipped.
+/// The scheduler stops short of this frontier, so the executed (and
+/// persisted) node set — and with it the physical store contents — is the
+/// same for every worker count. Components whose run-time behaviour
+/// contradicts their declared schemas fail past this prediction; those are
+/// handled dynamically: the failing node's descendants are pruned and every
+/// independent node still executes, which again depends only on the DAG.
 fn static_failure_node(pipeline: &BoundPipeline, order: &[usize]) -> Option<usize> {
     order
         .iter()
@@ -315,34 +304,47 @@ fn static_failure_node(pipeline: &BoundPipeline, order: &[usize]) -> Option<usiz
 impl<'s> Executor<'s> {
     /// Creates an executor over a store.
     pub fn new(store: &'s ChunkStore) -> Self {
-        Executor { store }
+        Executor {
+            store,
+            resume: None,
+        }
     }
 
-    /// Runs a bound pipeline under the given policy, charging `ledger`.
+    /// Attaches a crash-recovery context: completed component executions
+    /// adopted from `resume.snapshot` skip re-execution (their journaled
+    /// profiles feed the accounting replay verbatim), and newly completed
+    /// executions are appended to `resume.journal`, so a later attempt
+    /// resumes from the last completed operation instead of re-running the
+    /// whole DAG. The replay charges adopted and re-executed nodes
+    /// identically, which is what makes a resumed run's report, ledger,
+    /// store statistics, and tenant accounting byte-identical to an
+    /// uninterrupted run — see [`crate::resume`] for the recovery protocol
+    /// and `tests/crash_recovery.rs` for the kill-at-every-write matrix.
+    pub fn resuming(mut self, resume: &'s ResumeCtx<'s>) -> Self {
+        self.resume = Some(resume);
+        self
+    }
+
+    /// Runs a bound pipeline under the given policy, charging `ledger`:
+    /// [`Executor::trace`]'s node execution, then the accounting replay in
+    /// canonical topological order, then checkpoint publication into
+    /// `cache` — at every worker count and DAG shape, so the report, ledger
+    /// charges, store statistics, and cache side-state are byte-identical
+    /// however the nodes were scheduled (see [`crate::replay`]).
     ///
     /// The ledger is taken by shared reference — charging is atomic — so
     /// many executor runs may account concurrently, each into its own
     /// per-run ledger (or all into one shared ledger when per-candidate
     /// attribution is not needed).
     ///
-    /// Infrastructure failures (storage faults, malformed DAGs) surface as
-    /// `Err`; *expected* failures (schema incompatibility discovered mid-run)
-    /// are reported in [`RunOutcome`] so callers can account for the time the
+    /// *Expected* failures (schema incompatibility discovered mid-run) are
+    /// reported in [`RunOutcome`] so callers can account for the time the
     /// failed run consumed — exactly what Fig. 5's last iteration measures.
-    ///
-    /// When `options.parallelism` grants more than one worker and the DAG
-    /// has independent branches ([`crate::dag::PipelineDag::max_width`]
-    /// `> 1`), execution switches to the two-phase wavefront path: nodes run
-    /// concurrently for their results, then the accounting is replayed in
-    /// canonical topological order, so the report, ledger charges, store
-    /// statistics, and cache side-state are byte-identical to a sequential
-    /// run (see [`crate::replay`]). One caveat applies to components whose
-    /// `run` fails with a schema error *despite compatible declared schemas*
-    /// (a contract violation the static failure frontier cannot predict):
-    /// all of the above observables remain byte-identical, but sibling
-    /// nodes that a sequential run would not have reached may persist
-    /// orphan blobs, so the backend's raw physical bytes can exceed a
-    /// sequential run's.
+    /// Infrastructure failures (storage faults, quota breaches, malformed
+    /// DAGs) surface as `Err`. They strike while nodes execute, before the
+    /// replay charges anything, so an aborted run leaves no trace: nothing
+    /// is charged to the ledger or the tenant, no reservation stays open,
+    /// and `cache` receives no checkpoint.
     pub fn run(
         &self,
         pipeline: &BoundPipeline,
@@ -350,364 +352,13 @@ impl<'s> Executor<'s> {
         cache: Option<&dyn OutputCache>,
         options: ExecOptions,
     ) -> Result<RunReport> {
-        // The wavefront path needs write traces, which exist only when
-        // outputs are persisted; chains have no exploitable width.
-        if options.parallelism.workers() > 1
-            && options.persist_outputs
-            && pipeline.dag.max_width() > 1
-        {
-            return self.run_wavefront(pipeline, ledger, cache, options, None);
-        }
-        self.run_sequential(pipeline, ledger, cache, options)
-    }
-
-    /// [`Executor::run`] with crash recovery: completed component
-    /// executions adopted from `resume.snapshot` skip re-execution (their
-    /// journaled profiles feed the accounting replay verbatim), and newly
-    /// completed executions are appended to `resume.journal`, so a later
-    /// attempt resumes from the last completed operation instead of
-    /// re-running the whole DAG.
-    ///
-    /// Always takes the two-phase traced-execute + canonical-replay path
-    /// (any worker count, chains included): the replay charges adopted and
-    /// re-executed nodes identically in canonical topological order, which
-    /// is what makes a resumed run's report, ledger, store statistics, and
-    /// tenant accounting byte-identical to an uninterrupted run — see
-    /// [`crate::resume`] for the recovery protocol and
-    /// `tests/crash_recovery.rs` for the kill-at-every-write matrix.
-    ///
-    /// Requires `options.persist_outputs`: recovery validates journal
-    /// entries against persisted blobs, so there is nothing to resume from
-    /// without them.
-    pub fn run_resumable(
-        &self,
-        pipeline: &BoundPipeline,
-        ledger: &ClockLedger,
-        cache: Option<&dyn OutputCache>,
-        options: ExecOptions,
-        resume: &ResumeCtx<'_>,
-    ) -> Result<RunReport> {
-        if !options.persist_outputs {
-            return Err(PipelineError::InvalidDag(
-                "run_resumable requires persist_outputs (recovery validates journaled \
-                 operations against persisted blobs)"
-                    .into(),
-            ));
-        }
-        self.run_wavefront(pipeline, ledger, cache, options, Some(resume))
-    }
-
-    /// The classic strictly-sequential execution path: one node at a time in
-    /// canonical topological order, charging `ledger` as it goes.
-    fn run_sequential(
-        &self,
-        pipeline: &BoundPipeline,
-        ledger: &ClockLedger,
-        cache: Option<&dyn OutputCache>,
-        options: ExecOptions,
-    ) -> Result<RunReport> {
+        // One pass over the declared schemas serves both the precheck and
+        // the failure frontier (they are the same predicate; only which
+        // component a rejection names follows `precheck_compatibility`'s
+        // edge order).
         let order = pipeline.dag.topo_order()?;
-        let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
-
-        if options.precheck {
-            if let Err(PipelineError::IncompatibleSchema(detail)) =
-                pipeline.precheck_compatibility()
-            {
-                // Rejected before any execution: zero time charged.
-                return Ok(RunReport {
-                    stages,
-                    outcome: RunOutcome::RejectedByPrecheck {
-                        at: detail.component,
-                    },
-                });
-            }
-        }
-
-        let mut outputs: HashMap<usize, NodeOutput> = HashMap::new();
-        let mut final_score: Option<Score> = None;
-
-        for node in order {
-            let comp = &pipeline.components[node];
-            let preds = pipeline.dag.pre(node);
-            let input_ids: Vec<Hash256> = preds
-                .iter()
-                .map(|p| outputs[p].cached.artifact_id)
-                .collect();
-            let key = CacheKey {
-                component: comp.key(),
-                inputs: input_ids,
-            };
-
-            // Reuse path: checkpoint hit costs nothing to "run".
-            if options.reuse {
-                if let Some(hit) = cache.and_then(|c| c.lookup(&key)) {
-                    stages.push(StageReport {
-                        component: comp.key(),
-                        stage: comp.stage(),
-                        reused: true,
-                        exec_ns: 0,
-                        storage_ns: 0,
-                        output: hit.object,
-                        artifact_id: hit.artifact_id,
-                        artifact_bytes: hit.object.len,
-                    });
-                    if let Some(s) = hit.score {
-                        final_score = Some(s);
-                    }
-                    outputs.insert(
-                        node,
-                        NodeOutput {
-                            cached: hit,
-                            in_memory: None,
-                        },
-                    );
-                    continue;
-                }
-            }
-
-            // Materialise inputs that only exist as checkpoints.
-            let mut input_artifacts: Vec<Artifact> = Vec::with_capacity(preds.len());
-            let mut materialise_ns: u64 = 0;
-            for p in &preds {
-                let out = outputs.get_mut(p).expect("topological order");
-                if out.in_memory.is_none() {
-                    if out.cached.object.is_null() {
-                        return Err(PipelineError::Storage(
-                            mlcask_storage::errors::StorageError::NotFound(out.cached.artifact_id),
-                        ));
-                    }
-                    let bytes = self.store.get_blob(&out.cached.object)?;
-                    materialise_ns += self.store.read_cost(&out.cached.object).as_nanos() as u64;
-                    let artifact = Artifact::from_bytes(&bytes).map_err(|e| {
-                        PipelineError::Storage(mlcask_storage::errors::StorageError::Codec(
-                            e.to_string(),
-                        ))
-                    })?;
-                    out.in_memory = Some(artifact);
-                }
-                input_artifacts.push(out.in_memory.clone().expect("just materialised"));
-            }
-            if materialise_ns > 0 {
-                ledger.charge_storage(Duration::from_nanos(materialise_ns));
-            }
-
-            // Execute.
-            let work = comp.work_units(&input_artifacts);
-            let exec_ns = work.saturating_mul(comp.ns_per_unit());
-            match comp.run(&input_artifacts) {
-                Ok(artifact) => {
-                    ledger.charge_exec(comp.stage(), Duration::from_nanos(exec_ns));
-                    let artifact_id = artifact.content_id();
-                    let score = artifact.score();
-                    if let Some(s) = score {
-                        final_score = Some(s);
-                    }
-                    let (object, storage_ns) = if options.persist_outputs {
-                        let kind = match comp.stage() {
-                            StageKind::ModelTraining => ObjectKind::Model,
-                            _ => ObjectKind::Output,
-                        };
-                        let put = self.store.put_blob(kind, &artifact.to_bytes())?;
-                        ledger.charge_storage(put.cost);
-                        (put.object, put.cost.as_nanos() as u64)
-                    } else {
-                        (ObjectRef::null(ObjectKind::Output), 0)
-                    };
-                    let cached = CachedOutput {
-                        object,
-                        artifact_id,
-                        schema: artifact.schema,
-                        score,
-                    };
-                    if let Some(c) = cache {
-                        c.insert(key, cached.clone());
-                    }
-                    stages.push(StageReport {
-                        component: comp.key(),
-                        stage: comp.stage(),
-                        reused: false,
-                        exec_ns,
-                        storage_ns: storage_ns + materialise_ns,
-                        output: cached.object,
-                        artifact_id,
-                        artifact_bytes: artifact.byte_len(),
-                    });
-                    outputs.insert(
-                        node,
-                        NodeOutput {
-                            cached,
-                            in_memory: Some(artifact),
-                        },
-                    );
-                }
-                Err(PipelineError::IncompatibleSchema(detail)) => {
-                    // The failing component still consumed its execution
-                    // attempt time up to the failure point (the baselines
-                    // "run the pipeline until the compatibility error
-                    // occurs"); prior stages' costs are already charged.
-                    let at = detail.component.clone();
-                    return Ok(RunReport {
-                        stages,
-                        outcome: RunOutcome::Failed {
-                            reason: format!("schema incompatibility at {at}"),
-                            at,
-                        },
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        match final_score {
-            Some(score) => Ok(RunReport {
-                stages,
-                outcome: RunOutcome::Completed { score },
-            }),
-            None => Err(PipelineError::NoScore),
-        }
-    }
-
-    /// Runs a bound pipeline for its *results only*, recording execution
-    /// profiles into `book` instead of charging a ledger or store stats.
-    ///
-    /// This is phase 1 of the parallel evaluation protocol (see
-    /// [`crate::replay`]): many traced runs may execute concurrently against
-    /// a shared concurrent `cache`, deduplicating work across candidates;
-    /// the deterministic accounting happens afterwards via
-    /// [`crate::replay::replay_run`] in canonical candidate order.
-    ///
-    /// Nodes of this pipeline execute sequentially; use
-    /// [`Executor::run_traced_with`] to also fan independent DAG nodes out
-    /// on a worker pool.
-    pub fn run_traced(
-        &self,
-        pipeline: &BoundPipeline,
-        cache: &dyn OutputCache,
-        book: &ProfileBook,
-        precheck: bool,
-    ) -> Result<Option<Score>> {
-        self.run_traced_with(
-            pipeline,
-            cache,
-            book,
-            precheck,
-            ParallelismPolicy::Sequential,
-        )
-    }
-
-    /// [`Executor::run_traced`] with DAG-internal parallelism: independent
-    /// nodes of *this* pipeline execute concurrently on `policy`'s workers
-    /// (the wavefront scheduler), composing with the engines' candidate- and
-    /// trial-level fan-out via [`ParallelismPolicy::split`].
-    ///
-    /// Outputs are always persisted (the replay needs write traces).
-    /// `precheck` must match the policy the accounting replay will use, so
-    /// a prechecking policy leaves no phase-1 side-state for rejected
-    /// pipelines — exactly like the sequential executor.
-    ///
-    /// Returns the final model score, or `None` when the pipeline failed
-    /// (adaptive searchers need the score before accounting runs). Failures
-    /// are anticipated by a static walk over declared schemas (the failure
-    /// frontier), so the executed node set — and hence all recorded
-    /// side-state — is the same for every worker count.
-    pub fn run_traced_with(
-        &self,
-        pipeline: &BoundPipeline,
-        cache: &dyn OutputCache,
-        book: &ProfileBook,
-        precheck: bool,
-        policy: ParallelismPolicy,
-    ) -> Result<Option<Score>> {
-        self.run_traced_incremental(pipeline, cache, book, precheck, policy, None)
-            .map(|outcome| outcome.score)
-    }
-
-    /// [`Executor::run_traced_with`] with an optional incremental context
-    /// (see [`crate::provenance`]): the pipeline is fingerprinted, cut at
-    /// the deepest frontier cached in `inc.snapshot`, and only the dirty
-    /// region is scheduled; `inc.gate` additionally hoists prefixes shared
-    /// with concurrent evaluations so each executes once per search.
-    ///
-    /// The accounting replay still charges frontier-skipped nodes as
-    /// *reused* in canonical topological order — their `CacheKey`s resolve
-    /// against the paired history snapshot (the provenance pairing
-    /// invariant) — so reports, ledgers, and tenant accounting stay
-    /// byte-identical to a full re-evaluation at any worker count. `cache`
-    /// doubles as phase-1 lookup and live insert target, and every
-    /// checkpoint recorded through it is mirrored into `inc.live` under its
-    /// fingerprint.
-    pub fn run_traced_incremental(
-        &self,
-        pipeline: &BoundPipeline,
-        cache: &dyn OutputCache,
-        book: &ProfileBook,
-        precheck: bool,
-        policy: ParallelismPolicy,
-        inc: Option<&Incremental>,
-    ) -> Result<TracedOutcome> {
-        // Mirror the live executor: a prechecking policy rejects doomed
-        // pipelines before executing (or recording) anything, so replay's
-        // `RejectedByPrecheck` branch sees the same side-state a sequential
-        // run would have left.
-        if precheck
-            && matches!(
-                pipeline.precheck_compatibility(),
-                Err(PipelineError::IncompatibleSchema(_))
-            )
-        {
-            return Ok(TracedOutcome {
-                score: None,
-                skipped_by_frontier: 0,
-            });
-        }
-        let phase1 = self.wavefront_phase1(
-            pipeline,
-            Some(cache),
-            Some(cache),
-            book,
-            policy,
-            false,
-            inc,
-            None,
-        )?;
-        if phase1.failed {
-            return Ok(TracedOutcome {
-                score: None,
-                skipped_by_frontier: phase1.skipped_by_frontier,
-            });
-        }
-        // The final score is the last score in canonical topological order,
-        // exactly as the sequential traced walk would have observed it.
-        let mut final_score: Option<Score> = None;
-        for node in pipeline.dag.topo_order()? {
-            if let Some(slot) = phase1.slots[node].lock().as_ref() {
-                if let Some(s) = slot.cached.score {
-                    final_score = Some(s);
-                }
-            }
-        }
-        Ok(TracedOutcome {
-            score: final_score,
-            skipped_by_frontier: phase1.skipped_by_frontier,
-        })
-    }
-
-    /// DAG-parallel [`Executor::run`]: phase 1 executes independent nodes
-    /// concurrently (traced, uncharged), phase 2 replays the accounting in
-    /// canonical topological order so every observable — report, ledger,
-    /// store statistics, cache side-state — is byte-identical to
-    /// [`Executor::run_sequential`] (up to orphan physical bytes when a
-    /// schema-dishonest component fails dynamically; see
-    /// [`Executor::run`]).
-    fn run_wavefront(
-        &self,
-        pipeline: &BoundPipeline,
-        ledger: &ClockLedger,
-        cache: Option<&dyn OutputCache>,
-        options: ExecOptions,
-        resume: Option<&ResumeCtx<'_>>,
-    ) -> Result<RunReport> {
-        if options.precheck {
+        let fail_at = static_failure_node(pipeline, &order);
+        if options.precheck && fail_at.is_some() {
             if let Err(PipelineError::IncompatibleSchema(detail)) =
                 pipeline.precheck_compatibility()
             {
@@ -725,46 +376,39 @@ impl<'s> Executor<'s> {
         // writes whose reservations were never settled hand the quota
         // headroom back.
         book.reservation_scope(self.store, || {
-            // Lookups respect the reuse policy; checkpoint *inserts* are
-            // deferred to after the replay so the caller's cache receives
-            // exactly the entries a sequential run would have recorded, even
-            // on failure paths.
+            // Lookups respect the reuse policy; checkpoint *inserts* wait
+            // until the replay has said which stages the canonical order
+            // executed, so the caller's cache receives exactly those — and
+            // nothing at all on a hard error.
             let lookup = if options.reuse { cache } else { None };
-            let phase1 = self.wavefront_phase1(
+            let traced = self.trace_nodes(
                 pipeline,
+                &order,
+                fail_at,
                 lookup,
-                None,
+                false,
                 &book,
                 options.parallelism,
-                true,
                 None,
-                resume,
             )?;
-
-            let mut sim = CacheSnapshot::new();
-            let mut cursor = book.replay_cursor();
             let report = replay_run(
                 self.store,
                 pipeline,
                 &book,
-                &phase1.pre,
-                &mut sim,
-                &mut cursor,
+                &traced.pre,
+                &mut CacheSnapshot::new(),
+                &mut book.replay_cursor(),
                 ledger,
-                options,
                 options.reuse,
             )?;
-
-            // Canonical cache side-state: the sequential executor records a
-            // checkpoint for every stage it executed (whatever the reuse
-            // policy), and nothing beyond the stage it failed at.
+            // A checkpoint for every stage executed (whatever the reuse
+            // policy), and nothing beyond the stage a run failed at.
             if let Some(c) = cache {
-                let order = pipeline.dag.topo_order()?;
                 for (stage, node) in report.stages.iter().zip(&order) {
                     if stage.reused {
                         continue;
                     }
-                    if let Some(slot) = phase1.slots[*node].lock().take() {
+                    if let Some(slot) = traced.slots[*node].lock().take() {
                         c.insert(slot.key, slot.cached);
                     }
                 }
@@ -773,22 +417,87 @@ impl<'s> Executor<'s> {
         })
     }
 
-    /// Phase 1 of wavefront execution: runs the pipeline's nodes on
-    /// `policy`'s worker pool for their results only, recording execution
-    /// profiles and write traces into `book`.
+    /// Executes a bound pipeline for its *results only*, recording
+    /// execution profiles and write traces into `book` instead of charging
+    /// a ledger or store statistics: nodes run inline on the caller's
+    /// thread at one worker and on `policy`'s pool above that, composing
+    /// with the engines' candidate- and trial-level fan-out via
+    /// [`ParallelismPolicy::split`].
     ///
+    /// This is phase 1 of the evaluation protocol (see [`crate::replay`]):
+    /// many traces may execute concurrently against a shared concurrent
+    /// `cache` — phase-1 lookup and live insert target at once —
+    /// deduplicating work across candidates; the deterministic accounting
+    /// happens afterwards via [`crate::replay::replay_run`] in canonical
+    /// candidate order. A statically doomed pipeline executes up to its
+    /// failure frontier, which the replay then reports as the failed stage.
+    ///
+    /// With an incremental context (see [`crate::provenance`]) the pipeline
+    /// is fingerprinted, cut at the deepest frontier cached in
+    /// `inc.snapshot`, and only the dirty region is scheduled; `inc.gate`
+    /// additionally hoists prefixes shared with concurrent evaluations so
+    /// each executes once per search, and every checkpoint recorded through
+    /// `cache` is mirrored into `inc.live` under its fingerprint. The
+    /// replay still charges frontier-skipped nodes as *reused* — their
+    /// `CacheKey`s resolve against the paired history snapshot (the
+    /// provenance pairing invariant) — so reports, ledgers, and tenant
+    /// accounting stay byte-identical to a full re-evaluation.
+    ///
+    /// Returns the final model score, or `None` when the pipeline failed
+    /// (adaptive searchers need the score before accounting runs).
+    pub fn trace(
+        &self,
+        pipeline: &BoundPipeline,
+        cache: &dyn OutputCache,
+        book: &ProfileBook,
+        policy: ParallelismPolicy,
+        inc: Option<&Incremental>,
+    ) -> Result<TracedOutcome> {
+        let order = pipeline.dag.topo_order()?;
+        let fail_at = static_failure_node(pipeline, &order);
+        let traced = self.trace_nodes(
+            pipeline,
+            &order,
+            fail_at,
+            Some(cache),
+            true,
+            book,
+            policy,
+            inc,
+        )?;
+        // The final score is the last score in canonical topological order.
+        let mut score: Option<Score> = None;
+        if !traced.failed {
+            for &node in &order {
+                if let Some(slot) = traced.slots[node].lock().as_ref() {
+                    score = slot.cached.score.or(score);
+                }
+            }
+        }
+        Ok(TracedOutcome {
+            score,
+            skipped_by_frontier: traced.skipped_by_frontier,
+        })
+    }
+
+    /// The engine: executes the pipeline's nodes for their results only —
+    /// inline on the caller's thread at one worker, on `policy`'s pool
+    /// above that — recording execution profiles and write traces into
+    /// `book`.
+    ///
+    /// * `order`, `fail_at` — the canonical topological order and
+    ///   [`static_failure_node`] over it, computed once by the caller.
     /// * `lookup` — consulted before executing a node; hits skip execution.
-    /// * `live_insert` — receives checkpoints as nodes complete (the shared
-    ///   phase-1 cache of the candidate-evaluation engines); pass `None` to
-    ///   defer inserts to the caller.
-    /// * `track_pre` — record lookup hits into the returned `pre` snapshot
-    ///   (needed only by [`Executor::run_wavefront`]'s replay; the traced
-    ///   engine path skips the bookkeeping).
+    /// * `publish` — `true` ([`Executor::trace`]): `lookup` is the engines'
+    ///   shared phase-1 cache and receives checkpoints as nodes complete.
+    ///   `false` ([`Executor::run`]): inserts are left to the caller, and
+    ///   lookup hits are recorded into the returned `pre` snapshot for the
+    ///   replay's reuse simulation.
     ///
     /// Scheduling is bounded by the canonical failure frontier: nodes at or
-    /// after the first statically-incompatible node (in topological order)
-    /// are never dispatched, and the frontier node's failure is recorded in
-    /// `book` so the replay stops exactly where a sequential run would.
+    /// after `fail_at` (in topological order) are never dispatched, and the
+    /// frontier node's failure is recorded in `book` so the replay stops
+    /// exactly there.
     ///
     /// With an [`Incremental`] context, the pipeline is additionally cut at
     /// the deepest cached provenance frontier *before* scheduling: cut
@@ -797,28 +506,28 @@ impl<'s> Executor<'s> {
     /// computed against `inc.snapshot` — never the live index — so the
     /// skipped set is identical for every worker count.
     #[allow(clippy::too_many_arguments)]
-    fn wavefront_phase1(
+    fn trace_nodes(
         &self,
         pipeline: &BoundPipeline,
+        order: &[usize],
+        fail_at: Option<usize>,
         lookup: Option<&dyn OutputCache>,
-        live_insert: Option<&dyn OutputCache>,
+        publish: bool,
         book: &ProfileBook,
         policy: ParallelismPolicy,
-        track_pre: bool,
         inc: Option<&Incremental>,
-        resume: Option<&ResumeCtx<'_>>,
     ) -> Result<WavefrontRun> {
+        let live_insert = if publish { lookup } else { None };
+        let resume = self.resume;
         let _wave_span = mlcask_obs::span!(
             "exec.wavefront",
             "nodes" => pipeline.components.len(),
             "workers" => policy.workers(),
         );
-        let order = pipeline.dag.topo_order()?;
-        let fail_at = static_failure_node(pipeline, &order);
         let mut allowed = vec![true; order.len()];
         if let Some(fail) = fail_at {
             let mut beyond = false;
-            for &node in &order {
+            for &node in order {
                 beyond = beyond || node == fail;
                 if beyond {
                     allowed[node] = false;
@@ -836,7 +545,7 @@ impl<'s> Executor<'s> {
         // predecessor of a cut node is itself cut, so its artifact id is at
         // hand without touching the store.
         if let Some(cut) = &cut {
-            for &node in &order {
+            for &node in order {
                 let Some(cached) = &cut.cached[node] else {
                     continue;
                 };
@@ -888,11 +597,19 @@ impl<'s> Executor<'s> {
         let pre: Mutex<CacheSnapshot> = Mutex::new(CacheSnapshot::new());
         let dynamic_failure = AtomicBool::new(false);
 
+        // At most one node of the longest dependency chain is ready at any
+        // moment, so no pool keeps more than `nodes - longest + 1` workers
+        // busy. A chain therefore runs inline on the caller's thread
+        // whatever the policy grants — no idle threads, and its artifacts
+        // stay in the caller's allocator arena.
+        let priority = pipeline.dag.critical_path_lengths();
+        let longest = priority.iter().copied().max().unwrap_or(1) as usize;
+        let pool = policy.workers().min(order.len() + 1 - longest).max(1);
         run_dag(
-            policy,
+            ParallelismPolicy::Parallel(pool),
             indeg,
             &adjacency,
-            &pipeline.dag.critical_path_lengths(),
+            &priority,
             |node| -> Result<NodeVerdict> {
                 if !allowed[node] {
                     // Beyond the failure frontier: never executes, but its
@@ -920,7 +637,7 @@ impl<'s> Executor<'s> {
 
                 if let Some(cache) = lookup {
                     if let Some(hit) = cache.lookup(&key) {
-                        if track_pre {
+                        if !publish {
                             pre.lock().insert(key.clone(), hit.clone());
                         }
                         // The hit is already in the paired cache, so the
@@ -1159,7 +876,9 @@ mod tests {
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
     use crate::semver::SemVer;
+    use std::collections::HashMap;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn pipeline(scale_factor: f32, scaler_out: usize, model_in: usize) -> BoundPipeline {
         let dag =
@@ -1332,125 +1051,421 @@ mod tests {
         assert!(store.stats().total().logical_bytes >= 2 * physical_after_first / 2);
     }
 
-    /// Diamond DAG: source → {left, right} → join → model.
-    fn diamond(dim: usize, join_out: usize, model_in: usize) -> BoundPipeline {
+    /// Fan DAG: source → one branch per name → join → model, `dim` wide
+    /// throughout; the join *declares* `join_in`-dim inputs, so anything but
+    /// `dim` dooms it mid-DAG. Two branches make the classic diamond.
+    fn fan(
+        branches: &[&'static str],
+        dim: usize,
+        join_in: usize,
+        model: TestModel,
+    ) -> BoundPipeline {
         use crate::component::test_support::{TestBranch, TestJoin};
         let mut dag = PipelineDag::new();
-        for n in ["test_source", "left", "right", "test_join", "test_model"] {
-            dag.add_node(n).unwrap();
+        dag.add_node("test_source").unwrap();
+        for b in branches {
+            dag.add_node(b).unwrap();
         }
-        dag.add_edge("test_source", "left").unwrap();
-        dag.add_edge("test_source", "right").unwrap();
-        dag.add_edge("left", "test_join").unwrap();
-        dag.add_edge("right", "test_join").unwrap();
+        dag.add_node("test_join").unwrap();
+        dag.add_node("test_model").unwrap();
+        for b in branches {
+            dag.add_edge("test_source", b).unwrap();
+            dag.add_edge(b, "test_join").unwrap();
+        }
         dag.add_edge("test_join", "test_model").unwrap();
-        let comps: Vec<ComponentHandle> = vec![
-            Arc::new(TestSource {
+        let mut comps: Vec<ComponentHandle> = vec![Arc::new(TestSource {
+            version: SemVer::initial(),
+            dim,
+            rows: 8,
+        })];
+        for (i, &name) in branches.iter().enumerate() {
+            comps.push(Arc::new(TestBranch {
+                name,
                 version: SemVer::initial(),
                 dim,
-                rows: 8,
-            }),
-            Arc::new(TestBranch {
-                name: "left",
-                version: SemVer::initial(),
-                dim,
-                factor: 2.0,
+                factor: 2.0 + i as f32,
                 spin: 0,
-            }),
-            Arc::new(TestBranch {
-                name: "right",
-                version: SemVer::initial(),
-                dim,
-                factor: 3.0,
-                spin: 0,
-            }),
-            Arc::new(TestJoin {
-                version: SemVer::initial(),
-                dim_in: dim,
-                dim_out: join_out,
-            }),
-            Arc::new(TestModel {
-                version: SemVer::initial(),
-                dim_in: model_in,
-                quality: 0.3,
-            }),
-        ];
+            }));
+        }
+        comps.push(Arc::new(TestJoin {
+            version: SemVer::initial(),
+            dim_in: join_in,
+            dim_out: dim,
+        }));
+        comps.push(Arc::new(model));
         BoundPipeline::new(Arc::new(dag), comps).unwrap()
     }
 
-    /// Serialised observables of one run: report + ledger + store stats.
-    fn run_diamond_observables(
-        p: &BoundPipeline,
-        policy: ParallelismPolicy,
-        options: ExecOptions,
-        with_cache: bool,
-    ) -> (String, usize) {
-        let store = ChunkStore::in_memory_small();
-        let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
-        let clock = ClockLedger::new();
-        let report = exec
-            .run(
-                p,
-                &clock,
-                if with_cache { Some(&cache) } else { None },
-                options.with_parallelism(policy),
-            )
-            .unwrap();
-        (
-            format!(
-                "report={} clock={} stats={} physical={}",
-                serde_json::to_string(&report).unwrap(),
-                serde_json::to_string(&clock.snapshot()).unwrap(),
-                serde_json::to_string(&store.stats()).unwrap(),
-                store.physical_bytes(),
-            ),
-            cache.len(),
-        )
+    /// Per-node output of the reference walk: always the metadata, lazily
+    /// the bytes.
+    struct NodeOutput {
+        cached: CachedOutput,
+        in_memory: Option<Artifact>,
     }
 
-    #[test]
-    fn diamond_wavefront_matches_sequential() {
-        let p = diamond(3, 3, 3);
-        for options in [ExecOptions::MLCASK, ExecOptions::RERUN_ALL] {
-            for with_cache in [false, true] {
-                let (seq, seq_cache) =
-                    run_diamond_observables(&p, ParallelismPolicy::Sequential, options, with_cache);
-                for workers in [2, 8] {
-                    let (par, par_cache) = run_diamond_observables(
-                        &p,
-                        ParallelismPolicy::Parallel(workers),
-                        options,
-                        with_cache,
+    /// The oracle: the strictly sequential executor this crate shipped
+    /// before [`Executor::run`] became trace + replay — one node at a time
+    /// in canonical topological order, charging `ledger` and the store as
+    /// it goes. Kept verbatim so the accounting replay is checked against
+    /// an independent implementation of the same walk, not against itself.
+    fn reference_run(
+        store: &ChunkStore,
+        pipeline: &BoundPipeline,
+        ledger: &ClockLedger,
+        cache: Option<&dyn OutputCache>,
+        options: ExecOptions,
+    ) -> Result<RunReport> {
+        let order = pipeline.dag.topo_order()?;
+        let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
+
+        if options.precheck {
+            if let Err(PipelineError::IncompatibleSchema(detail)) =
+                pipeline.precheck_compatibility()
+            {
+                // Rejected before any execution: zero time charged.
+                return Ok(RunReport {
+                    stages,
+                    outcome: RunOutcome::RejectedByPrecheck {
+                        at: detail.component,
+                    },
+                });
+            }
+        }
+
+        let mut outputs: HashMap<usize, NodeOutput> = HashMap::new();
+        let mut final_score: Option<Score> = None;
+
+        for node in order {
+            let comp = &pipeline.components[node];
+            let preds = pipeline.dag.pre(node);
+            let input_ids: Vec<Hash256> = preds
+                .iter()
+                .map(|p| outputs[p].cached.artifact_id)
+                .collect();
+            let key = CacheKey {
+                component: comp.key(),
+                inputs: input_ids,
+            };
+
+            // Reuse path: checkpoint hit costs nothing to "run".
+            if options.reuse {
+                if let Some(hit) = cache.and_then(|c| c.lookup(&key)) {
+                    stages.push(StageReport {
+                        component: comp.key(),
+                        stage: comp.stage(),
+                        reused: true,
+                        exec_ns: 0,
+                        storage_ns: 0,
+                        output: hit.object,
+                        artifact_id: hit.artifact_id,
+                        artifact_bytes: hit.object.len,
+                    });
+                    if let Some(s) = hit.score {
+                        final_score = Some(s);
+                    }
+                    outputs.insert(
+                        node,
+                        NodeOutput {
+                            cached: hit,
+                            in_memory: None,
+                        },
                     );
-                    assert_eq!(seq, par, "{workers} workers diverged");
-                    assert_eq!(seq_cache, par_cache);
+                    continue;
+                }
+            }
+
+            // Materialise inputs that only exist as checkpoints.
+            let mut input_artifacts: Vec<Artifact> = Vec::with_capacity(preds.len());
+            let mut materialise_ns: u64 = 0;
+            for p in &preds {
+                let out = outputs.get_mut(p).expect("topological order");
+                if out.in_memory.is_none() {
+                    if out.cached.object.is_null() {
+                        return Err(PipelineError::Storage(
+                            mlcask_storage::errors::StorageError::NotFound(out.cached.artifact_id),
+                        ));
+                    }
+                    let bytes = store.get_blob(&out.cached.object)?;
+                    materialise_ns += store.read_cost(&out.cached.object).as_nanos() as u64;
+                    let artifact = Artifact::from_bytes(&bytes).map_err(|e| {
+                        PipelineError::Storage(mlcask_storage::errors::StorageError::Codec(
+                            e.to_string(),
+                        ))
+                    })?;
+                    out.in_memory = Some(artifact);
+                }
+                input_artifacts.push(out.in_memory.clone().expect("just materialised"));
+            }
+            if materialise_ns > 0 {
+                ledger.charge_storage(Duration::from_nanos(materialise_ns));
+            }
+
+            // Execute.
+            let work = comp.work_units(&input_artifacts);
+            let exec_ns = work.saturating_mul(comp.ns_per_unit());
+            match comp.run(&input_artifacts) {
+                Ok(artifact) => {
+                    ledger.charge_exec(comp.stage(), Duration::from_nanos(exec_ns));
+                    let artifact_id = artifact.content_id();
+                    let score = artifact.score();
+                    if let Some(s) = score {
+                        final_score = Some(s);
+                    }
+                    let kind = match comp.stage() {
+                        StageKind::ModelTraining => ObjectKind::Model,
+                        _ => ObjectKind::Output,
+                    };
+                    let put = store.put_blob(kind, &artifact.to_bytes())?;
+                    ledger.charge_storage(put.cost);
+                    let (object, storage_ns) = (put.object, put.cost.as_nanos() as u64);
+                    let cached = CachedOutput {
+                        object,
+                        artifact_id,
+                        schema: artifact.schema,
+                        score,
+                    };
+                    if let Some(c) = cache {
+                        c.insert(key, cached.clone());
+                    }
+                    stages.push(StageReport {
+                        component: comp.key(),
+                        stage: comp.stage(),
+                        reused: false,
+                        exec_ns,
+                        storage_ns: storage_ns + materialise_ns,
+                        output: cached.object,
+                        artifact_id,
+                        artifact_bytes: artifact.byte_len(),
+                    });
+                    outputs.insert(
+                        node,
+                        NodeOutput {
+                            cached,
+                            in_memory: Some(artifact),
+                        },
+                    );
+                }
+                Err(PipelineError::IncompatibleSchema(detail)) => {
+                    // The failing component still consumed its execution
+                    // attempt time up to the failure point (the baselines
+                    // "run the pipeline until the compatibility error
+                    // occurs"); prior stages' costs are already charged.
+                    let at = detail.component.clone();
+                    return Ok(RunReport {
+                        stages,
+                        outcome: RunOutcome::Failed {
+                            reason: format!("schema incompatibility at {at}"),
+                            at,
+                        },
+                    });
+                }
+                Err(e) => return Err(e),
+            }
+        }
+
+        match final_score {
+            Some(score) => Ok(RunReport {
+                stages,
+                outcome: RunOutcome::Completed { score },
+            }),
+            None => Err(PipelineError::NoScore),
+        }
+    }
+
+    /// One oracle-table pipeline: `shape` ending in `model`. Every variant
+    /// of one shape shares its whole prefix, so a cache warmed by one
+    /// variant serves the others' prefixes.
+    fn shaped(shape: &str, model: TestModel) -> BoundPipeline {
+        match shape {
+            "chain" => {
+                let dag = PipelineDag::chain(&["test_source", "test_scaler", "test_model"]);
+                let mut comps = pipeline(2.0, 3, 3).components;
+                comps[2] = Arc::new(model);
+                BoundPipeline::new(Arc::new(dag.unwrap()), comps).unwrap()
+            }
+            "diamond" => fan(&["left", "right"], 3, 3, model),
+            "fan8" => fan(
+                &["b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"],
+                3,
+                3,
+                model,
+            ),
+            other => panic!("unknown shape {other}"),
+        }
+    }
+
+    /// Every observable of one run of `subject` on a fresh store, through
+    /// the reference walk (`workers == None`) or [`Executor::run`]. `cache`
+    /// is `"none"`, `"cold"`, or `"warm"` (primed by a reference walk of
+    /// `primer`, so both sides start from the same bytes).
+    fn observe(
+        subject: &BoundPipeline,
+        primer: &BoundPipeline,
+        options: ExecOptions,
+        cache: &str,
+        workers: Option<usize>,
+    ) -> (String, RunOutcome) {
+        let store = ChunkStore::in_memory_small();
+        let checkpoints = MemoryCache::new();
+        if cache == "warm" {
+            let primed = reference_run(
+                &store,
+                primer,
+                &ClockLedger::new(),
+                Some(&checkpoints),
+                options,
+            );
+            assert!(primed.unwrap().outcome.is_completed());
+        }
+        let cache_arg: Option<&dyn OutputCache> = (cache != "none").then_some(&checkpoints);
+        let ledger = ClockLedger::new();
+        let report = match workers {
+            None => reference_run(&store, subject, &ledger, cache_arg, options),
+            Some(1) => Executor::new(&store).run(subject, &ledger, cache_arg, options),
+            Some(n) => Executor::new(&store).run(
+                subject,
+                &ledger,
+                cache_arg,
+                options.with_parallelism(ParallelismPolicy::Parallel(n)),
+            ),
+        }
+        .unwrap();
+        let observed = format!(
+            "report={} ledger={} stats={} physical={} cache_len={}",
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&ledger.snapshot()).unwrap(),
+            serde_json::to_string(&store.stats()).unwrap(),
+            store.physical_bytes(),
+            checkpoints.len(),
+        );
+        (observed, report.outcome)
+    }
+
+    /// The engine against the oracle, over every combination of DAG shape,
+    /// policy, cache state, and pipeline health, at workers {1, 2, 8}.
+    #[test]
+    fn run_matches_reference_walk_at_every_worker_count() {
+        let model = |inc: u32, dim_in: usize, quality: f64| TestModel {
+            version: SemVer::master(0, inc),
+            dim_in,
+            quality,
+        };
+        let policies = [
+            ("MLCASK", ExecOptions::MLCASK),
+            ("REUSE_ONLY", ExecOptions::REUSE_ONLY),
+            ("RERUN_ALL", ExecOptions::RERUN_ALL),
+        ];
+        let (mut completed, mut failed, mut rejected) = (0, 0, 0);
+        for shape in ["chain", "diamond", "fan8"] {
+            let primer = shaped(shape, model(1, 3, 0.9));
+            for (policy, options) in policies {
+                for cache in ["none", "cold", "warm"] {
+                    // Healthy, or doomed: a model declaring a 5-dim input
+                    // behind a 3-dim producer — a precheck rejection under
+                    // a prechecking policy, a static schema failure at the
+                    // model otherwise.
+                    for doomed in [false, true] {
+                        let subject = if doomed {
+                            shaped(shape, model(2, 5, 0.3))
+                        } else {
+                            shaped(shape, model(0, 3, 0.3))
+                        };
+                        let cell = format!("{shape}/{policy}/{cache}/doomed={doomed}");
+                        let (expected, outcome) = observe(&subject, &primer, options, cache, None);
+                        match (&outcome, doomed, options.precheck) {
+                            (RunOutcome::Completed { .. }, false, _) => completed += 1,
+                            (RunOutcome::Failed { .. }, true, false) => failed += 1,
+                            (RunOutcome::RejectedByPrecheck { .. }, true, true) => rejected += 1,
+                            other => panic!("{cell}: unexpected reference outcome {other:?}"),
+                        }
+                        for workers in [1, 2, 8] {
+                            let (got, _) =
+                                observe(&subject, &primer, options, cache, Some(workers));
+                            assert_eq!(got, expected, "{cell} diverged at {workers} workers");
+                        }
+                    }
                 }
             }
         }
+        assert_eq!((completed, failed, rejected), (27, 18, 9));
     }
 
+    /// A failure *inside* the DAG: the join declares 5-dim inputs behind
+    /// 3-dim branches, so both branches are charged, the join fails, and
+    /// the model behind it is never reached — at every worker count.
     #[test]
-    fn diamond_wavefront_failure_matches_sequential() {
-        // Join widens to 5 dims, model expects 3: the run fails at the model
-        // after both branches and the join executed (and were paid for).
-        let doomed = diamond(3, 5, 3);
-        let (seq, seq_cache) = run_diamond_observables(
-            &doomed,
-            ParallelismPolicy::Sequential,
-            ExecOptions::RERUN_ALL,
-            true,
-        );
-        for workers in [2, 8] {
-            let (par, par_cache) = run_diamond_observables(
-                &doomed,
-                ParallelismPolicy::Parallel(workers),
-                ExecOptions::RERUN_ALL,
-                true,
-            );
-            assert_eq!(seq, par, "failure path with {workers} workers diverged");
-            assert_eq!(seq_cache, par_cache, "cache side-state diverged");
+    fn diamond_mid_dag_failure_matches_reference_walk() {
+        let model = TestModel {
+            version: SemVer::initial(),
+            dim_in: 3,
+            quality: 0.3,
+        };
+        let doomed = fan(&["left", "right"], 3, 5, model);
+        let (expected, outcome) = observe(&doomed, &doomed, ExecOptions::RERUN_ALL, "cold", None);
+        match outcome {
+            RunOutcome::Failed { at, .. } => assert_eq!(at.name, "test_join"),
+            other => panic!("expected a failure at the join, got {other:?}"),
         }
+        for workers in [1, 2, 8] {
+            let (got, _) = observe(
+                &doomed,
+                &doomed,
+                ExecOptions::RERUN_ALL,
+                "cold",
+                Some(workers),
+            );
+            assert_eq!(
+                got, expected,
+                "failure path with {workers} workers diverged"
+            );
+        }
+    }
+
+    /// A chain never has two nodes ready at once, so it executes inline on
+    /// the caller's thread however many workers the policy grants.
+    #[test]
+    fn chain_runs_on_the_callers_thread_at_any_worker_count() {
+        struct Probe(TestScaler, Mutex<Vec<std::thread::ThreadId>>);
+        impl crate::component::Component for Probe {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn version(&self) -> SemVer {
+                self.0.version()
+            }
+            fn stage(&self) -> StageKind {
+                self.0.stage()
+            }
+            fn input_schema(&self) -> Option<SchemaId> {
+                self.0.input_schema()
+            }
+            fn output_schema(&self) -> SchemaId {
+                self.0.output_schema()
+            }
+            fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
+                self.1.lock().push(std::thread::current().id());
+                self.0.run(inputs)
+            }
+            fn work_units(&self, inputs: &[Artifact]) -> u64 {
+                self.0.work_units(inputs)
+            }
+        }
+        let scaler = TestScaler {
+            version: SemVer::initial(),
+            dim_in: 3,
+            dim_out: 3,
+            factor: 2.0,
+        };
+        let probe = Arc::new(Probe(scaler, Mutex::new(Vec::new())));
+        let mut p = pipeline(2.0, 3, 3);
+        p.components[1] = probe.clone();
+        let store = ChunkStore::in_memory_small();
+        let options = ExecOptions::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8));
+        let report = Executor::new(&store)
+            .run(&p, &ClockLedger::new(), None, options)
+            .unwrap();
+        assert!(report.outcome.is_completed());
+        assert_eq!(*probe.1.lock(), vec![std::thread::current().id()]);
     }
 
     #[test]
@@ -1459,7 +1474,12 @@ mod tests {
         let exec = Executor::new(&store);
         let cache = MemoryCache::new();
         let clock = ClockLedger::new();
-        let p = diamond(3, 3, 3);
+        let model = TestModel {
+            version: SemVer::initial(),
+            dim_in: 3,
+            quality: 0.3,
+        };
+        let p = shaped("diamond", model);
         let options = ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(4));
         let first = exec.run(&p, &clock, Some(&cache), options).unwrap();
         assert_eq!(first.executed_count(), 5);
@@ -1471,39 +1491,6 @@ mod tests {
             second.outcome.score().unwrap().raw,
             first.outcome.score().unwrap().raw
         );
-    }
-
-    #[test]
-    fn wavefront_gate_ignores_chains_and_unpersisted_runs() {
-        // A chain with a parallel policy must still take the sequential path
-        // (wavefront needs width); observables are identical either way, so
-        // pin the equality here.
-        let p = pipeline(2.0, 3, 3);
-        let store = ChunkStore::in_memory_small();
-        let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
-        let report = exec
-            .run(
-                &p,
-                &clock,
-                None,
-                ExecOptions::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8)),
-            )
-            .unwrap();
-        assert!(report.outcome.is_completed());
-        // persist_outputs=false runs must not hit the traced path (it would
-        // persist blobs the policy forbids).
-        let store2 = ChunkStore::in_memory_small();
-        let exec2 = Executor::new(&store2);
-        let no_persist = ExecOptions {
-            persist_outputs: false,
-            ..ExecOptions::RERUN_ALL
-        }
-        .with_parallelism(ParallelismPolicy::Parallel(8));
-        let d = diamond(3, 3, 3);
-        let report2 = exec2.run(&d, &clock, None, no_persist).unwrap();
-        assert!(report2.outcome.is_completed());
-        assert_eq!(store2.physical_bytes(), 0, "nothing persisted");
     }
 
     #[test]

@@ -1,50 +1,47 @@
 //! Deterministic replay of traced pipeline executions.
 //!
-//! The parallel engines split every evaluation into two phases:
+//! Every evaluation is split into two phases:
 //!
-//! 1. **Execute (parallel, racy order)** — work runs concurrently via
-//!    [`Executor::run_traced`](crate::executor::Executor::run_traced) /
-//!    [`run_traced_with`](crate::executor::Executor::run_traced_with).
-//!    Component outputs, scores, and chunk layouts are pure functions of the
+//! 1. **Execute (possibly parallel, racy order)** — work runs via
+//!    [`Executor::trace`](crate::executor::Executor::trace). Component
+//!    outputs, scores, and chunk layouts are pure functions of the
 //!    candidate, so the *results* are order-independent; only timing and
 //!    dedup attribution would be racy. Each distinct `(component, inputs)`
 //!    execution is recorded once in a shared [`ProfileBook`].
 //! 2. **Account (sequential, canonical order)** — [`replay_run`] walks the
-//!    work in canonical order and recomputes exactly what a fully
-//!    sequential engine would have charged: cache hits against the
-//!    sequentially-evolving checkpoint state, materialisation reads,
-//!    execution time from profiles, and storage writes replayed chunk-by-
-//!    chunk against a simulated "not yet persisted" set
-//!    ([`PutTrace::replay`]).
+//!    work in canonical order and computes what a strictly one-at-a-time
+//!    walk charges: cache hits against the sequentially-evolving
+//!    checkpoint state, materialisation reads, execution time from
+//!    profiles, and storage writes replayed chunk-by-chunk against a
+//!    simulated "not yet persisted" set ([`PutTrace::replay`]).
 //!
 //! The protocol is applied at two granularities:
 //!
 //! * **Across candidates** — `MergeEngine::search` and
 //!   `PrioritizedSearcher::run_trials` trace candidates concurrently, then
 //!   replay them in candidate-index order.
-//! * **Within one pipeline** — the executor's wavefront path
-//!   ([`Executor::run`](crate::executor::Executor::run) with a parallel
-//!   policy on a non-chain DAG) traces independent DAG nodes concurrently,
-//!   then replays that *single* candidate: [`replay_run`] walks its nodes
-//!   in canonical topological order, which is the per-node half of the same
-//!   argument.
+//! * **Within one pipeline** — [`Executor::run`](crate::executor::Executor::run)
+//!   traces one pipeline's nodes (concurrently when the policy grants
+//!   workers), then replays that *single* candidate: [`replay_run`] walks
+//!   its nodes in canonical topological order, which is the per-node half
+//!   of the same argument.
 //!
 //! The key order-independence argument: a chunk was present in the store
 //! *before* the whole evaluation iff **no** traced write observed it as new,
 //! which is invariant under phase-1 scheduling. Everything else the replay
 //! consumes (work units, artifact ids, blob layouts, failure points) is
-//! deterministic per candidate. Reports produced through this path are
-//! therefore byte-identical for `ParallelismPolicy::Sequential` and
-//! `ParallelismPolicy::Parallel(n)` — the property the
-//! `parallel_determinism` integration test pins down.
+//! deterministic per candidate. Reports are therefore byte-identical for
+//! `ParallelismPolicy::Sequential` and `ParallelismPolicy::Parallel(n)` —
+//! the property the `parallel_determinism` integration test pins down, and
+//! that the executor's unit tests check against a strictly sequential
+//! reference walk.
 
 use crate::clock::ClockLedger;
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
-use crate::executor::{CacheKey, CachedOutput, ExecOptions, RunOutcome, RunReport, StageReport};
+use crate::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
 use crate::parallel::ShardedMap;
 use mlcask_storage::hash::Hash256;
-use mlcask_storage::object::ObjectRef;
 use mlcask_storage::store::{ChunkStore, PutTrace};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -191,18 +188,21 @@ struct ReplayNode {
     in_memory: bool,
 }
 
-/// Replays one candidate's execution for accounting, mirroring
-/// [`Executor::run`](crate::executor::Executor::run) charge-for-charge.
+/// Replays one candidate's execution for accounting: the charged half of
+/// [`Executor::run`](crate::executor::Executor::run).
 ///
 /// * `pre` — checkpoints that existed before the whole search (sequential
 ///   runs would hit these from the first candidate on).
 /// * `sim` — checkpoints "created so far" in replay order; grown by this
-///   call when `use_cache` is set.
+///   call when `reuse` is set.
 /// * `cursor` — chunk-dedup state in replay order (shared across all
 ///   candidates of the search, in index order).
+/// * `reuse` — the policy's reuse knob: consult `sim`/`pre` before
+///   charging an execution. Whether a prechecking policy runs the
+///   pipeline at all is the caller's decision, made before phase 1.
 ///
-/// Charges land on `ledger`; stats deltas are recorded on `store` exactly
-/// as the sequential engine would have recorded them.
+/// Charges land on `ledger`; stats deltas are recorded on `store`, both in
+/// canonical order.
 #[allow(clippy::too_many_arguments)]
 pub fn replay_run(
     store: &ChunkStore,
@@ -212,23 +212,10 @@ pub fn replay_run(
     sim: &mut CacheSnapshot,
     cursor: &mut ReplayCursor,
     ledger: &ClockLedger,
-    options: ExecOptions,
-    use_cache: bool,
+    reuse: bool,
 ) -> Result<RunReport> {
     let order = pipeline.dag.topo_order()?;
     let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
-
-    if options.precheck {
-        if let Err(PipelineError::IncompatibleSchema(detail)) = pipeline.precheck_compatibility() {
-            return Ok(RunReport {
-                stages,
-                outcome: RunOutcome::RejectedByPrecheck {
-                    at: detail.component,
-                },
-            });
-        }
-    }
-
     let mut outputs: HashMap<usize, ReplayNode> = HashMap::new();
     let mut final_score = None;
 
@@ -245,7 +232,7 @@ pub fn replay_run(
         };
 
         // Reuse path under the *sequential* cache state.
-        if options.reuse && use_cache {
+        if reuse {
             let hit = sim.get(&key).or_else(|| pre.get(&key)).cloned();
             if let Some(hit) = hit {
                 stages.push(StageReport {
@@ -272,7 +259,8 @@ pub fn replay_run(
             }
         }
 
-        // Materialise checkpointed inputs, exactly like the live executor.
+        // Materialise checkpointed inputs (phase 1 did the reads; this
+        // charges them).
         let mut materialise_ns: u64 = 0;
         for p in &preds {
             let out = outputs.get_mut(p).expect("topological order");
@@ -314,28 +302,19 @@ pub fn replay_run(
         if let Some(s) = prof.cached.score {
             final_score = Some(s);
         }
-        let (cached, storage_ns) = if options.persist_outputs {
-            let trace = prof.write.as_ref().ok_or_else(|| {
-                PipelineError::InvalidDag(
-                    "replay invariant violated: phase 1 did not persist an output".into(),
-                )
-            })?;
-            let (cost, stats) = trace.replay(&store.cost_model(), &mut cursor.unseen);
-            ledger.charge_storage(cost);
-            // Stats *and* per-tenant attribution land here, in canonical
-            // replay order, so tenant usage is deterministic too.
-            store.record_replayed_write(trace, stats);
-            (prof.cached.clone(), cost.as_nanos() as u64)
-        } else {
-            (
-                CachedOutput {
-                    object: ObjectRef::null(mlcask_storage::object::ObjectKind::Output),
-                    ..prof.cached.clone()
-                },
-                0,
+        let trace = prof.write.as_ref().ok_or_else(|| {
+            PipelineError::InvalidDag(
+                "replay invariant violated: phase 1 did not persist an output".into(),
             )
-        };
-        if use_cache {
+        })?;
+        let (cost, stats) = trace.replay(&store.cost_model(), &mut cursor.unseen);
+        ledger.charge_storage(cost);
+        // Stats *and* per-tenant attribution land here, in canonical
+        // replay order, so tenant usage is deterministic too.
+        store.record_replayed_write(trace, stats);
+        let cached = prof.cached;
+        let storage_ns = cost.as_nanos() as u64;
+        if reuse {
             sim.insert(key, cached.clone());
         }
         stages.push(StageReport {
@@ -372,7 +351,7 @@ mod tests {
     use crate::component::ComponentKey;
     use crate::schema::Schema;
     use crate::semver::SemVer;
-    use mlcask_storage::object::ObjectKind;
+    use mlcask_storage::object::{ObjectKind, ObjectRef};
     use mlcask_storage::tenant::{QuotaPolicy, TenantId};
 
     /// Two phase-1 workers racing one cache key both take a reservation;

@@ -22,8 +22,9 @@
 //!    makes the resumed run's accounting byte-identical to an uninterrupted
 //!    one — a re-executed node must observe its chunks as *new*, exactly as
 //!    the uninterrupted run did, not find pre-crash leftovers.
-//! 4. [`Executor::run_resumable`](crate::executor::Executor::run_resumable)
-//!    takes the snapshot: journaled nodes are adopted without re-execution
+//! 4. An executor built with
+//!    [`Executor::resuming`](crate::executor::Executor::resuming) takes
+//!    the snapshot: journaled nodes are adopted without re-execution
 //!    (their profiles feed the accounting replay verbatim), the rest of the
 //!    DAG executes normally.
 //!
@@ -199,7 +200,7 @@ impl ResumeSnapshot {
     }
 }
 
-/// Everything [`Executor::run_resumable`](crate::executor::Executor::run_resumable)
+/// Everything [`Executor::resuming`](crate::executor::Executor::resuming)
 /// needs: the validated snapshot to adopt completed operations from, and
 /// (optionally) the journal to record this attempt's completions into.
 pub struct ResumeCtx<'a> {

@@ -110,7 +110,7 @@ impl Router {
     }
 
     /// A router over a fresh workspace whose store backend honours
-    /// `MLCASK_BACKEND` (`mem` default, `cask`, `file`).
+    /// `MLCASK_BACKEND` (`mem` default, `cask`).
     pub fn in_memory(workload: Workload, opts: ServerOptions) -> Router {
         use mlcask_storage::chunk::ChunkParams;
         use mlcask_storage::costmodel::StorageCostModel;

@@ -1,17 +1,14 @@
 //! Physical storage backends.
 //!
 //! The chunk store is generic over a [`StorageBackend`] so experiments can
-//! run entirely in memory (deterministic, fast) while a file backend proves
-//! the engine works against a real filesystem layout.
+//! run entirely in memory (deterministic, fast) while the append-only
+//! [`CaskBackend`](crate::cask::CaskBackend) makes the same store durable.
 
 use crate::errors::{Result, StorageError};
 use crate::hash::Hash256;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Key-value storage for content-addressed bytes.
@@ -39,7 +36,7 @@ pub trait StorageBackend: Send + Sync {
     fn remove(&self, key: Hash256) -> Result<Option<u64>>;
     /// Makes every acknowledged write durable: drains any in-flight write
     /// queue and fsyncs. A no-op for backends that are always consistent
-    /// (memory) or write-through (file).
+    /// (memory).
     fn flush(&self) -> Result<()> {
         Ok(())
     }
@@ -51,10 +48,10 @@ pub trait StorageBackend: Send + Sync {
 }
 
 /// Builds the backend named by the `MLCASK_BACKEND` environment variable:
-/// `mem` (default), `cask`, or `file`. On-disk backends live under a fresh
-/// uniquely-named directory in the system temp dir, tagged with `tag` for
-/// debuggability — CI's backend-matrix leg uses this to drive the whole
-/// integration suite over the durable backend.
+/// `mem` (default) or `cask`. The cask lives under a fresh uniquely-named
+/// directory in the system temp dir, tagged with `tag` for debuggability —
+/// CI's backend-matrix leg uses this to drive the whole integration suite
+/// over the durable backend.
 pub fn backend_from_env(tag: &str) -> Arc<dyn StorageBackend> {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let choice = std::env::var("MLCASK_BACKEND").unwrap_or_default();
@@ -69,7 +66,6 @@ pub fn backend_from_env(tag: &str) -> Arc<dyn StorageBackend> {
         "cask" => Arc::new(
             crate::cask::CaskBackend::open(root()).expect("cask backend opens in temp dir"),
         ),
-        "file" => Arc::new(FileBackend::open(root()).expect("file backend opens in temp dir")),
         _ => Arc::new(MemBackend::new()),
     }
 }
@@ -144,136 +140,6 @@ impl StorageBackend for MemBackend {
     }
 }
 
-/// Filesystem backend: objects live at `root/ab/cdef....` (two-level fanout
-/// keyed by digest prefix), written via a temp file + atomic rename.
-pub struct FileBackend {
-    root: PathBuf,
-    /// Index kept in memory to answer `contains`/`len` without directory
-    /// scans; rebuilt from disk on open.
-    index: RwLock<HashMap<Hash256, u64>>,
-}
-
-impl FileBackend {
-    /// Opens (creating if needed) a file backend rooted at `root`.
-    pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        let root = root.as_ref().to_path_buf();
-        fs::create_dir_all(&root)?;
-        let mut index = HashMap::new();
-        for fanout in fs::read_dir(&root)? {
-            let fanout = fanout?;
-            if !fanout.file_type()?.is_dir() {
-                continue;
-            }
-            let prefix = fanout.file_name().to_string_lossy().to_string();
-            for entry in fs::read_dir(fanout.path())? {
-                let entry = entry?;
-                let rest = entry.file_name().to_string_lossy().to_string();
-                if let Some(h) = Hash256::from_hex(&format!("{prefix}{rest}")) {
-                    index.insert(h, entry.metadata()?.len());
-                } else if rest.contains(".tmp.") {
-                    // Staging file orphaned by a crash mid-put; safe to drop
-                    // (its content was never committed to the index).
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
-        Ok(FileBackend {
-            root,
-            index: RwLock::new(index),
-        })
-    }
-
-    fn path_for(&self, key: Hash256) -> PathBuf {
-        let hex = key.to_hex();
-        self.root.join(&hex[..2]).join(&hex[2..])
-    }
-}
-
-impl StorageBackend for FileBackend {
-    fn put(&self, key: Hash256, data: &[u8]) -> Result<bool> {
-        {
-            if self.index.read().contains_key(&key) {
-                return Ok(false);
-            }
-        }
-        let path = self.path_for(key);
-        fs::create_dir_all(path.parent().expect("fanout dir"))?;
-        // Parallel candidate evaluation can race identical content-addressed
-        // writes; each writer stages through a unique temp file, and the
-        // rename + index insert commit under the write lock so exactly one
-        // writer reports the key as new.
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.sync_all()?;
-        }
-        let mut index = self.index.write();
-        if index.contains_key(&key) {
-            let _ = fs::remove_file(&tmp);
-            return Ok(false);
-        }
-        fs::rename(&tmp, &path)?;
-        index.insert(key, data.len() as u64);
-        Ok(true)
-    }
-
-    fn get(&self, key: Hash256) -> Result<Bytes> {
-        if !self.index.read().contains_key(&key) {
-            return Err(StorageError::NotFound(key));
-        }
-        let data = fs::read(self.path_for(key))?;
-        // Verify the content address on every read; corruption must never
-        // propagate into downstream pipeline reuse.
-        let actual = Hash256::of(&data);
-        if actual != key {
-            return Err(StorageError::Corrupt {
-                expected: key,
-                actual,
-            });
-        }
-        Ok(Bytes::from(data))
-    }
-
-    fn contains(&self, key: Hash256) -> bool {
-        self.index.read().contains_key(&key)
-    }
-
-    fn len(&self) -> usize {
-        self.index.read().len()
-    }
-
-    fn physical_bytes(&self) -> u64 {
-        self.index.read().values().sum()
-    }
-
-    fn keys(&self) -> Vec<Hash256> {
-        self.index.read().keys().copied().collect()
-    }
-
-    fn remove(&self, key: Hash256) -> Result<Option<u64>> {
-        let mut index = self.index.write();
-        let Some(&len) = index.get(&key) else {
-            return Ok(None);
-        };
-        // Delete the file before dropping the index entry: if the unlink
-        // fails, the entry stays and the index remains consistent with disk
-        // (a missing file is fine — the entry was the stale part).
-        match fs::remove_file(self.path_for(key)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        index.remove(&key);
-        Ok(Some(len))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,106 +177,6 @@ mod tests {
     #[test]
     fn mem_backend_basics() {
         exercise(&MemBackend::new());
-    }
-
-    #[test]
-    fn file_backend_basics() {
-        let dir = std::env::temp_dir().join(format!("mlcask-fb-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let be = FileBackend::open(&dir).unwrap();
-        exercise(&be);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_reopens_with_index() {
-        let dir = std::env::temp_dir().join(format!("mlcask-fb-reopen-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let key = Hash256::of(b"persist me");
-        {
-            let be = FileBackend::open(&dir).unwrap();
-            be.put(key, b"persist me").unwrap();
-        }
-        let be2 = FileBackend::open(&dir).unwrap();
-        assert!(be2.contains(key));
-        assert_eq!(be2.get(key).unwrap().as_ref(), b"persist me");
-        assert_eq!(be2.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_detects_corruption() {
-        let dir = std::env::temp_dir().join(format!("mlcask-fb-corrupt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let be = FileBackend::open(&dir).unwrap();
-        let key = Hash256::of(b"tamper");
-        be.put(key, b"tamper").unwrap();
-        // Overwrite the object file behind the backend's back.
-        let hex = key.to_hex();
-        let path = dir.join(&hex[..2]).join(&hex[2..]);
-        fs::write(&path, b"evil bytes").unwrap();
-        assert!(matches!(be.get(key), Err(StorageError::Corrupt { .. })));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_open_sweeps_orphaned_temp_files() {
-        let dir = std::env::temp_dir().join(format!("mlcask-fb-sweep-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let key = Hash256::of(b"content");
-        {
-            let be = FileBackend::open(&dir).unwrap();
-            be.put(key, b"content").unwrap();
-        }
-        // Simulate a crash mid-put: an orphaned staging file next to the
-        // committed object.
-        let hex = key.to_hex();
-        let orphan = dir
-            .join(&hex[..2])
-            .join(format!("{}.tmp.9999.3", &hex[2..]));
-        fs::write(&orphan, b"half-written").unwrap();
-        let be = FileBackend::open(&dir).unwrap();
-        assert!(!orphan.exists(), "open() sweeps orphaned temp files");
-        assert_eq!(be.get(key).unwrap().as_ref(), b"content");
-        assert_eq!(be.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_concurrent_identical_puts() {
-        use std::sync::Arc;
-        let dir = std::env::temp_dir().join(format!("mlcask-fb-race-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let be = Arc::new(FileBackend::open(&dir).unwrap());
-        let payload = vec![7u8; 4096];
-        let key = Hash256::of(&payload);
-        let mut new_count = 0usize;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let be = Arc::clone(&be);
-                    let payload = payload.clone();
-                    s.spawn(move || be.put(Hash256::of(&payload), &payload).unwrap())
-                })
-                .collect();
-            for h in handles {
-                if h.join().unwrap() {
-                    new_count += 1;
-                }
-            }
-        });
-        assert_eq!(new_count, 1, "exactly one writer persists the key");
-        assert_eq!(be.get(key).unwrap().as_ref(), &payload[..]);
-        // No stray temp files left behind.
-        let hex = key.to_hex();
-        let fanout = dir.join(&hex[..2]);
-        let leftovers: Vec<_> = fs::read_dir(&fanout)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
-            .filter(|n| n.contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum StorageError {
         /// The right the operation required.
         needed: ShareRight,
     },
-    /// Underlying I/O failure (file backend).
+    /// Underlying I/O failure (durable backend, journals).
     Io(std::io::Error),
     /// (De)serialisation failure for manifests/commits.
     Codec(String),

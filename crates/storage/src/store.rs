@@ -569,9 +569,9 @@ impl ChunkStore {
     ///
     /// Each root is the content address of a stored blob (a manifest); the
     /// manifest and all chunks it lists are live. Everything else —
-    /// typically blobs persisted by racing siblings of a dynamically
+    /// typically blobs persisted by independent siblings of a dynamically
     /// failing node, which no metafile or checkpoint ever came to reference
-    /// — is removed, restoring byte-level parity with a sequential run.
+    /// — is removed, restoring byte-level parity with what was charged.
     /// Roots not present in the backend are ignored (callers may pass
     /// references whose blobs were already swept).
     pub fn sweep_orphans(&self, roots: impl IntoIterator<Item = Hash256>) -> Result<SweepReport> {

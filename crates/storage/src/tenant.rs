@@ -356,7 +356,7 @@ impl TenantAccounts {
     /// only) and charges `delta` against `tenant`. Replaying one traced
     /// write several times — the no-reuse ablations replay a deduplicated
     /// execution once per candidate containing it — releases once and
-    /// charges every time, exactly like the sequential engine would.
+    /// charges every time, exactly as executing it every time would.
     pub fn settle(&self, id: ReservationId, tenant: TenantId, delta: TenantUsage) {
         let mut st = self.state.write();
         Self::release_locked(&mut st, id);

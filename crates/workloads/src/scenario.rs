@@ -121,7 +121,7 @@ fn advance_one(
 }
 
 /// Creates a fresh registry + MLCask system for a workload. The store
-/// backend honours `MLCASK_BACKEND` (`mem` default, `cask`, `file`) so the
+/// backend honours `MLCASK_BACKEND` (`mem` default, `cask`) so the
 /// same scenarios drive CI's durable-backend matrix leg.
 pub fn build_system(w: &Workload) -> Result<(Arc<ComponentRegistry>, MlCask)> {
     let store = Arc::new(ChunkStore::new(

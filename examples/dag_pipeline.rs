@@ -13,7 +13,7 @@
 //! vitals team and a labs team iterate on their own git branches, and merge
 //! both back with the metric-driven merge. Along the way it asserts the
 //! wavefront determinism contract: the parallel run's report is identical
-//! to a sequential run's.
+//! to a one-worker run's.
 //!
 //! Run with: `cargo run --release --example dag_pipeline`
 

@@ -1,6 +1,6 @@
 //! Crash-recovery matrix: kill the storage backend at every k-th write,
 //! reopen, recover, and assert the **resumed** run is byte-identical to an
-//! uninterrupted sequential run — report, ledger, store statistics, and
+//! uninterrupted one-worker run — report, ledger, store statistics, and
 //! physical bytes — at worker counts {1, 2, 8}, on both the durable
 //! [`CaskBackend`] (fault-injected torn/dropped writes, real reopen) and
 //! an in-memory store behind the trait-level [`FaultBackend`].
@@ -8,10 +8,11 @@
 //! Protocol under test (see `mlcask_pipeline::resume`): completed
 //! operations are journaled to a [`ResumeLog`]; recovery validates each
 //! journaled operation against the blobs that actually survived, sweeps
-//! unjournaled leftovers, and [`Executor::run_resumable`] adopts the
-//! validated operations without re-executing them. Crashed attempts run
-//! sequentially, so the journal always holds a canonical prefix of the
-//! run; the *resumed* attempt is exercised at every worker count.
+//! unjournaled leftovers, and an [`Executor::resuming`] run adopts the
+//! validated operations without re-executing them. Crashed attempts run at
+//! one worker (nodes execute inline in canonical order), so the journal
+//! always holds a canonical prefix of the run; the *resumed* attempt is
+//! exercised at every worker count.
 
 use mlcask::core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask::prelude::*;
@@ -71,12 +72,11 @@ fn run_once(
     resume: &ResumeCtx<'_>,
 ) -> PipelineResult<(RunReport, ClockLedger)> {
     let ledger = ClockLedger::new();
-    let report = Executor::new(store).run_resumable(
+    let report = Executor::new(store).resuming(resume).run(
         pipeline,
         &ledger,
         None,
         ExecOptions::RERUN_ALL.with_parallelism(policy),
-        resume,
     )?;
     Ok((report, ledger))
 }
@@ -92,7 +92,7 @@ fn observe(report: &RunReport, ledger: &ClockLedger, store: &ChunkStore) -> Stri
     )
 }
 
-/// Uninterrupted sequential run on a fresh in-memory store — the reference
+/// Uninterrupted one-worker run on a fresh in-memory store — the reference
 /// every crashed-and-resumed run must reproduce byte-for-byte.
 fn reference(pipeline: &BoundPipeline, params: ChunkParams) -> String {
     let store = ChunkStore::new(
@@ -148,7 +148,7 @@ fn fault_plan(k: u64, kind_sel: u64) -> FaultPlan {
     }
 }
 
-/// One cask matrix cell: crash the k-th segment append during a sequential
+/// One cask matrix cell: crash the k-th segment append during a one-worker
 /// attempt, reopen the directory (torn-tail truncation), recover from the
 /// journal, and finish the run under `policy`. Returns the resumed run's
 /// observables plus the recovery report and the journal size it validated.
@@ -163,7 +163,7 @@ fn crash_then_resume_cask(
     let root = base.join("store");
     let journal = base.join("resume.log");
 
-    // Attempt 1: journaled sequential run against the faulted backend.
+    // Attempt 1: journaled one-worker run against the faulted backend.
     {
         let be = Arc::new(
             CaskBackend::open_with(

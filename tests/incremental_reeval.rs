@@ -38,8 +38,7 @@ fn primed() -> Primed {
     let reg = ComponentRegistry::new(store);
     w.register_all(&reg).unwrap();
     let history = HistoryIndex::new();
-    let engine = MergeEngine::new(&reg, reg.store(), Arc::new(w.dag()));
-    let bound = engine.bind(&w.base).unwrap();
+    let bound = reg.bind(&Arc::new(w.dag()), &w.base).unwrap();
     Executor::new(reg.store())
         .run(
             &bound,
@@ -119,22 +118,21 @@ fn incremental_search_deterministic_across_worker_counts() {
 #[test]
 fn data_artifact_change_invalidates_the_frontier() {
     let p = primed();
-    let engine = MergeEngine::new(&p.reg, p.reg.store(), Arc::new(p.w.dag()));
+    let dag = Arc::new(p.w.dag());
     let executor = Executor::new(p.reg.store());
     let snapshot = Arc::new(p.history.provenance().snapshot());
     let run = |keys: &[ComponentKey]| {
-        let bound = engine.bind(keys).unwrap();
+        let bound = p.reg.bind(&dag, keys).unwrap();
         let inc = Incremental {
             snapshot: Arc::clone(&snapshot),
             live: p.history.provenance(),
             gate: None,
         };
         executor
-            .run_traced_incremental(
+            .trace(
                 &bound,
                 &p.history,
                 &ProfileBook::new(),
-                false,
                 ParallelismPolicy::Sequential,
                 Some(&inc),
             )

@@ -6,7 +6,10 @@
 //! These tests pin the resulting guarantee: for every strategy and worker
 //! count, the report — candidate order, scores, virtual end-times, storage
 //! accounting, ledger totals, and history side-state — is **byte-identical**
-//! (compared via JSON serialization) to the sequential engine's.
+//! (compared via JSON serialization) to the one-worker run's. There is one
+//! execution engine, so this file compares worker counts against each
+//! other; the engine is checked against an independent sequential walk by
+//! `mlcask_pipeline`'s executor unit tests.
 
 use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
@@ -76,8 +79,7 @@ fn run_search(
             spaces.per_slot[1][0].clone(),
             spaces.per_slot[2][0].clone(),
         ];
-        let engine = MergeEngine::new(&reg, reg.store(), dag.clone());
-        let bound = engine.bind(&keys).unwrap();
+        let bound = reg.bind(&dag, &keys).unwrap();
         let warm = ClockLedger::new();
         Executor::new(reg.store())
             .run(&bound, &warm, Some(&history), ExecOptions::MLCASK)
@@ -198,9 +200,9 @@ fn auto_policy_matches_sequential_too() {
 }
 
 // ---------------------------------------------------------------------------
-// Non-chain DAGs: the wavefront executor must be byte-identical to sequential
-// execution for every worker count, including interleaved traced writes from
-// sibling branches and mid-DAG failures.
+// Non-chain DAGs: the executor must be byte-identical to its one-worker
+// (inline, canonical-order) execution for every worker count, including
+// interleaved traced writes from sibling branches and mid-DAG failures.
 // ---------------------------------------------------------------------------
 
 mod dag {

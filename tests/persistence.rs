@@ -1,5 +1,5 @@
-//! Persistence integration: the storage substrate against a real
-//! filesystem backend, including artifact recovery after reopening the
+//! Persistence integration: the storage substrate against the durable
+//! on-disk cask backend, including artifact recovery after reopening the
 //! store — the durability property a deployed MLCask relies on.
 
 use mlcask::prelude::*;
@@ -18,60 +18,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-#[test]
-fn pipeline_artifacts_survive_store_reopen() {
-    let dir = temp_dir("reopen");
-    let workload = by_name("autolearn").unwrap();
-    let handle_for = |key: &ComponentKey| {
-        workload
-            .handles
-            .iter()
-            .find(|h| &h.key() == key)
-            .unwrap()
-            .clone()
-    };
-
-    // Session 1: run the initial pipeline against a file-backed store.
-    let (refs, ids) = {
-        let store = ChunkStore::new(
-            Arc::new(FileBackend::open(&dir).unwrap()),
-            ChunkParams::DEFAULT,
-            StorageCostModel::FORKBASE,
-        );
-        let dag = Arc::new(workload.dag());
-        let components = workload.initial.iter().map(&handle_for).collect();
-        let bound = BoundPipeline::new(dag, components).unwrap();
-        let clock = ClockLedger::new();
-        let report = Executor::new(&store)
-            .run(&bound, &clock, None, ExecOptions::RERUN_ALL)
-            .unwrap();
-        assert!(report.outcome.is_completed());
-        let refs: Vec<_> = report.stages.iter().map(|s| s.output).collect();
-        let ids: Vec<_> = report.stages.iter().map(|s| s.artifact_id).collect();
-        (refs, ids)
-    }; // store dropped — "process exits"
-
-    // Session 2: reopen the directory and recover every artifact.
-    let store = ChunkStore::new(
-        Arc::new(FileBackend::open(&dir).unwrap()),
-        ChunkParams::DEFAULT,
-        StorageCostModel::FORKBASE,
-    );
-    for (r, id) in refs.iter().zip(&ids) {
-        let bytes = store.get_blob(r).unwrap();
-        let artifact = mlcask::pipeline::artifact::Artifact::from_bytes(&bytes).unwrap();
-        assert_eq!(&artifact.content_id(), id, "artifact recovered bit-exact");
-    }
-    // The final model artifact still carries its score.
-    let bytes = store.get_blob(refs.last().unwrap()).unwrap();
-    let model = mlcask::pipeline::artifact::Artifact::from_bytes(&bytes).unwrap();
-    assert!(model.score().is_some());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The same reopen scenario against the append-only cask backend with its
-/// asynchronous writer pool: `flush` drains the pool and fsyncs, and a
-/// fresh process (new `CaskBackend::open`) recovers every artifact.
+/// Run a pipeline against the append-only cask backend with its
+/// asynchronous writer pool, let the "process" exit, and reopen: `flush`
+/// drains the pool and fsyncs, and a fresh `CaskBackend::open` recovers
+/// every artifact.
 #[test]
 fn pipeline_artifacts_survive_cask_reopen() {
     let dir = temp_dir("cask-reopen");
@@ -115,6 +65,10 @@ fn pipeline_artifacts_survive_cask_reopen() {
         let artifact = mlcask::pipeline::artifact::Artifact::from_bytes(&bytes).unwrap();
         assert_eq!(&artifact.content_id(), id, "artifact recovered bit-exact");
     }
+    // The final model artifact still carries its score.
+    let bytes = store.get_blob(refs.last().unwrap()).unwrap();
+    let model = mlcask::pipeline::artifact::Artifact::from_bytes(&bytes).unwrap();
+    assert!(model.score().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -139,7 +93,7 @@ fn durable_workspace_reopens_with_contents() {
 fn duplicate_writes_are_free_on_disk_too() {
     let dir = temp_dir("dedup");
     let store = ChunkStore::new(
-        Arc::new(FileBackend::open(&dir).unwrap()),
+        Arc::new(CaskBackend::open(&dir).unwrap()),
         ChunkParams::DEFAULT,
         StorageCostModel::FORKBASE,
     );

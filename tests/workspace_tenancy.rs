@@ -13,7 +13,13 @@ use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::errors::PipelineError;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
+use mlcask_storage::backend::{MemBackend, StorageBackend};
+use mlcask_storage::cask::CaskBackend;
+use mlcask_storage::chunk::ChunkParams;
+use mlcask_storage::costmodel::StorageCostModel;
 use mlcask_storage::errors::StorageError;
+use mlcask_storage::hash::Hash256;
+use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::QuotaPolicy;
 use mlcask_workloads::fusion;
 use mlcask_workloads::scenario::{build_multi_tenant, setup_nonlinear};
@@ -163,6 +169,112 @@ fn quota_breach_aborts_commit_and_search_without_corrupting_graph() {
         )
         .unwrap();
     assert!(merged.commit.is_some(), "raised quota unblocks the merge");
+}
+
+/// Everything a commit aborted by a hard error must leave exactly where it
+/// found it: tenant accounts, open reservations, store statistics, the
+/// checkpoint history, the provenance index, and the commit graph.
+fn commit_footprint(ws: &Arc<Workspace>, t: &Tenant) -> String {
+    let accounts = ws.store().tenant_accounts();
+    let mut provenance: Vec<Hash256> = ws.history().provenance().snapshot().into_keys().collect();
+    provenance.sort();
+    format!(
+        "usages={} reserved={:?} open={} stats={} history={} provenance={provenance:?} commits={}",
+        serde_json::to_string(&ws.usages()).unwrap(),
+        accounts.reserved(t.id()),
+        accounts.open_reservations(),
+        serde_json::to_string(&ws.store().stats()).unwrap(),
+        ws.history().len(),
+        ws.graph().len(),
+    )
+}
+
+/// A quota breach at node *k* of a commit — after earlier nodes of the same
+/// pipeline already executed and persisted — aborts the commit without a
+/// trace at every worker count: there is one engine, so one worker releases
+/// the completed prefix's reservations exactly as eight do.
+#[test]
+fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
+    /// Opens a pipeline for a tenant; returns it with an initial commit's
+    /// keys and a follow-up's that executes at least two new nodes.
+    type Open<'a> = &'a dyn Fn(&Tenant) -> (MlCask, Vec<ComponentKey>, Vec<ComponentKey>);
+    let chain: Open = &|t| {
+        let sys = toy_system(t);
+        let (first, second) = (keys(&sys, 0, 0), keys(&sys, 1, 2));
+        (sys, first, second)
+    };
+    let w = fusion::build();
+    let diamond: Open = &|t| {
+        let registry = Arc::new(ComponentRegistry::new(Arc::clone(t.store())));
+        w.register_all(&registry).unwrap();
+        let sys = t.open_pipeline(&w.name, w.dag(), registry);
+        (sys, w.initial.clone(), w.head_updates[0].clone())
+    };
+    // A workspace over `backend` with the initial commit landed.
+    let primed = |open: Open, backend: Arc<dyn StorageBackend>, workers: usize| {
+        let ws = Workspace::over(Arc::new(ChunkStore::new(
+            backend,
+            ChunkParams::DEFAULT,
+            StorageCostModel::FORKBASE,
+        )));
+        let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
+        let (sys, first, second) = open(&t);
+        let sys = sys.with_parallelism(ParallelismPolicy::Parallel(workers));
+        sys.commit_pipeline("master", &first, "initial", &ClockLedger::new())
+            .unwrap();
+        (ws, t, sys, second)
+    };
+    let clock = ClockLedger::new();
+    for (shape, open) in [("chain", chain), ("diamond", diamond)] {
+        // Unclamped twin: the logical bytes the follow-up's executed nodes
+        // write. One byte less of headroom breaches at the last of them.
+        let (_ws, _t, twin, second) = primed(open, Arc::new(MemBackend::new()), 1);
+        let report = twin
+            .commit_pipeline("master", &second, "twin", &clock)
+            .unwrap()
+            .report;
+        let executed = report.stages.iter().filter(|s| !s.reused);
+        assert!(
+            executed.clone().count() >= 2,
+            "{shape}: breach must follow a prefix"
+        );
+        let need: u64 = executed.map(|s| s.output.len).sum();
+
+        for backend in ["mem", "cask"] {
+            for workers in [1, 2, 8] {
+                let cell = format!("{shape}/{backend}/{workers} workers");
+                let dir = std::env::temp_dir().join(format!(
+                    "mlcask-quota-{shape}-{workers}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let be: Arc<dyn StorageBackend> = match backend {
+                    "cask" => Arc::new(CaskBackend::open(&dir).unwrap()),
+                    _ => Arc::new(MemBackend::new()),
+                };
+                let (ws, t, sys, second) = primed(open, be, workers);
+                let accounts = ws.store().tenant_accounts();
+                let clamp = QuotaPolicy::logical(t.usage().logical_bytes + need - 1);
+                accounts.register(t.id(), clamp);
+                let before = commit_footprint(&ws, &t);
+                let err = sys
+                    .commit_pipeline("master", &second, "over quota", &clock)
+                    .unwrap_err();
+                assert!(is_quota_error(&err), "{cell}: unexpected error: {err}");
+                assert_eq!(commit_footprint(&ws, &t), before, "{cell}");
+                // Nothing stale is left behind: the identical commit lands
+                // once the quota is raised.
+                accounts.register(t.id(), QuotaPolicy::UNLIMITED);
+                let landed = sys
+                    .commit_pipeline("master", &second, "raised", &clock)
+                    .unwrap();
+                assert!(landed.commit.is_some(), "{cell}");
+                assert_eq!(accounts.open_reservations(), 0, "{cell}");
+                drop((sys, t, ws));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }
 
 #[test]
@@ -339,9 +451,9 @@ fn batch_hard_error_commits_completed_prefix() {
     assert_eq!(sys.graph().append_ops(), 1);
 }
 
-/// Orphan GC: a schema-dishonest node failing mid-DAG under parallel
-/// execution lets racing siblings persist blobs a sequential run never
-/// writes; `Workspace::sweep_orphans` restores byte-level parity.
+/// Orphan GC: a schema-dishonest node failing mid-DAG leaves behind the
+/// blobs of independent siblings that the canonical accounting never
+/// charged; `Workspace::sweep_orphans` restores byte-level parity.
 mod orphan_gc {
     use super::*;
     use mlcask_ml::metrics::{MetricKind, Score};
@@ -554,8 +666,8 @@ mod orphan_gc {
     }
 
     /// `src → {liar, good_a, good_b} → join → model`, the liar listed
-    /// *before* its siblings in topological order: a sequential run stops at
-    /// the liar before touching the siblings, a parallel run races them.
+    /// *before* its siblings in topological order: the accounting stops at
+    /// the liar, but the siblings do not depend on it and execute anyway.
     fn open_system(t: &Tenant, policy: ParallelismPolicy) -> MlCask {
         let mut dag = PipelineDag::new();
         for n in ["src", "liar", "good_a", "good_b", "join", "model"] {
@@ -610,22 +722,32 @@ mod orphan_gc {
 
     #[test]
     fn sweep_restores_parity_after_dynamic_failure() {
-        let (_ws_seq, seq_bytes) = run_failing_commit(ParallelismPolicy::Sequential);
+        let (ws_one, one_bytes) = run_failing_commit(ParallelismPolicy::Sequential);
         let (ws_par, par_bytes) = run_failing_commit(ParallelismPolicy::Parallel(8));
-        assert!(
-            par_bytes > seq_bytes,
-            "racing siblings should have persisted orphans ({par_bytes} vs {seq_bytes})"
-        );
-        let report = ws_par.sweep_orphans().unwrap();
-        assert!(report.removed_objects > 0);
         assert_eq!(
-            ws_par.store().physical_bytes(),
-            seq_bytes,
-            "sweep restores byte-level parity with the sequential run"
+            one_bytes, par_bytes,
+            "one worker executes the same node set as eight"
         );
-        // Sweeping again finds nothing; live data still reads back.
-        let again = ws_par.sweep_orphans().unwrap();
-        assert_eq!(again.removed_objects, 0);
+        for ws in [ws_one, ws_par] {
+            // What the canonical order charged the tenant: the libraries
+            // and `src`'s checkpoint. The siblings' blobs were never
+            // charged, so the backend holds more than the accounts say.
+            let charged = ws.usages()["team"].physical_bytes;
+            assert!(
+                par_bytes > charged,
+                "the liar's siblings should have persisted orphans ({par_bytes} vs {charged})"
+            );
+            let report = ws.sweep_orphans().unwrap();
+            assert!(report.removed_objects > 0);
+            assert_eq!(
+                ws.store().physical_bytes(),
+                charged,
+                "sweep restores byte-level parity with what was charged"
+            );
+            // Sweeping again finds nothing; live data still reads back.
+            let again = ws.sweep_orphans().unwrap();
+            assert_eq!(again.removed_objects, 0);
+        }
     }
 
     #[test]
