@@ -16,7 +16,7 @@ use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_storage::commit::{Commit, CommitGraph};
+use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::ChunkStore;
@@ -462,7 +462,7 @@ impl MlCask {
     /// Builds the merge search spaces for merging `merging` into `base`
     /// (§V): versions developed since the common ancestor on either branch.
     pub fn merge_search_spaces(&self, base: &str, merging: &str) -> Result<SearchSpaces> {
-        self.merge_search_spaces_qualified(&self.ns(base), &self.ns(merging))
+        self.merge_search_spaces_qualified(&self.graph().view(), &self.ns(base), &self.ns(merging))
     }
 
     /// [`MlCask::merge_search_spaces`] over already-qualified (shared-graph)
@@ -471,14 +471,19 @@ impl MlCask {
     /// made since the fork point, exactly like the single-tenant case —
     /// cross-namespace parentage makes the common ancestor well defined.
     ///
+    /// The whole multi-step read (two heads, the LCA, both first-parent
+    /// paths) runs against the caller's frozen `view`: concurrent commits on
+    /// either branch can neither tear this computation nor block it.
+    ///
     /// Every component version referenced along either path must be
     /// registered in *this* system's registry (collaborating teams share
     /// component libraries the way they share the workload definition).
-    pub fn merge_search_spaces_qualified(&self, base: &str, merging: &str) -> Result<SearchSpaces> {
-        // One frozen view for the whole multi-step read (two heads, the
-        // LCA, both first-parent paths): concurrent commits on either
-        // branch can neither tear this computation nor block it.
-        let view = self.graph().view();
+    pub fn merge_search_spaces_qualified(
+        &self,
+        view: &GraphView,
+        base: &str,
+        merging: &str,
+    ) -> Result<SearchSpaces> {
         let base_head = view.head(base)?;
         let merge_head = view.head(merging)?;
         let ancestor = view
@@ -629,10 +634,15 @@ impl MlCask {
         if base == merging {
             return Err(CoreError::SelfMerge(base));
         }
-        let base_head = self.graph().head(&base)?;
-        let merge_head = self.graph().head(merging)?;
+        // One frozen view decides everything the merge reads off the graph:
+        // both heads, the fast-forward test, the common ancestor and the
+        // paths up from it. (The commit at the end re-resolves the base
+        // head under the writer lock.)
+        let view = self.graph().view();
+        let base_head = view.head(&base)?;
+        let merge_head = view.head(merging)?;
 
-        if self.graph().is_fast_forward(base_head.id, merge_head.id)? {
+        if view.is_fast_forward(base_head.id, merge_head.id)? {
             // "MLCask duplicates the latest version in MERGE_HEAD, changes
             // its branch to HEAD, creates a new commit on HEAD, and finally
             // sets its parents to both MERGE_HEAD and HEAD."
@@ -657,7 +667,7 @@ impl MlCask {
             });
         }
 
-        let spaces = self.merge_search_spaces_qualified(&base, merging)?;
+        let spaces = self.merge_search_spaces_qualified(&view, &base, merging)?;
         let engine = MergeEngine::new(&self.registry, self.store(), Arc::clone(&self.dag))
             .with_parallelism(self.parallelism)
             .with_incremental(self.incremental);
@@ -933,6 +943,38 @@ mod tests {
         );
         assert!(model_versions.contains(&f.m01));
         assert!(model_versions.contains(&f.m02));
+    }
+
+    #[test]
+    fn search_spaces_read_only_the_view_they_are_given() {
+        let f = fixture();
+        let clock = ClockLedger::new();
+        seed_master(&f, &clock);
+        f.sys.branch("master", "dev").unwrap();
+        let commit = |branch: &str, scaler: &ComponentKey, model: &ComponentKey| {
+            f.sys
+                .commit_pipeline(
+                    branch,
+                    &[f.src.clone(), scaler.clone(), model.clone()],
+                    "update",
+                    &clock,
+                )
+                .unwrap();
+        };
+        commit("master", &f.s01, &f.m00);
+        commit("dev", &f.s00, &f.m01);
+        let frozen = f.sys.graph().view();
+        // Lands after the view was taken: invisible to a search over it.
+        commit("dev", &f.s00, &f.m04);
+        let models = |view: &GraphView| {
+            let spaces = f
+                .sys
+                .merge_search_spaces_qualified(view, "master", "dev")
+                .unwrap();
+            spaces.per_slot[2].clone()
+        };
+        assert!(!models(&frozen).contains(&f.m04));
+        assert!(models(&f.sys.graph().view()).contains(&f.m04));
     }
 
     #[test]

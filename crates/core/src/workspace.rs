@@ -322,15 +322,10 @@ impl Workspace {
     pub fn sweep_orphans(&self) -> Result<SweepReport> {
         let mut roots: HashSet<Hash256> = HashSet::new();
         // Commit payloads + the outputs their metafiles reference, all read
-        // off one frozen graph view: every head resolves and every ancestor
-        // walk completes against the same publication point.
+        // off one frozen graph view by a single walk down from every branch
+        // head (history the branches share is crossed once).
         let view = self.graph.view();
-        let mut commit_ids: HashSet<Hash256> = HashSet::new();
-        for branch in view.branches() {
-            let head = view.head(&branch)?;
-            commit_ids.extend(view.ancestors(head.id)?);
-        }
-        for id in commit_ids {
+        for id in view.live_commits()? {
             let commit = view.get(id)?;
             roots.insert(commit.payload);
             let meta: PipelineMetafile = self.store.get_meta(&ObjectRef {
@@ -410,13 +405,7 @@ impl Tenant {
     /// listed under their caller-facing (prefix-stripped) names, sorted.
     /// Peers' branches never appear here, whatever grants exist.
     pub fn branches(&self) -> Vec<String> {
-        let prefix = format!("{}/", self.name);
-        self.workspace
-            .graph
-            .branches()
-            .into_iter()
-            .filter_map(|b| b.strip_prefix(&prefix).map(str::to_string))
-            .collect()
+        self.workspace.graph.view().branches_in(&self.name)
     }
 
     /// Grants `peer` the given [`ShareRight`] over this tenant's namespace.

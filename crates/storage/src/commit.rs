@@ -23,6 +23,20 @@
 //! an atomic counter advanced inside the writer section, so commit ids and
 //! ordering stay deterministic for any serial schedule.
 //!
+//! # Ticks order ancestry
+//!
+//! **Invariant:** every commit's tick is strictly greater than each of its
+//! parents' ticks (parents are published before the child's tick is drawn;
+//! commit creation `debug_assert!`s it). The ancestry queries lean on it so
+//! that their cost follows how far two commits have *diverged*, never how
+//! much history lies below them: [`GraphView::common_ancestor`] visits both
+//! ancestries merged in descending tick order, marking each commit with the
+//! side(s) it was reached from — a commit is visited only after every one of
+//! its descendants, so its marks are final, and the first commit visited
+//! carrying both marks is the common ancestor with the greatest tick.
+//! [`GraphView::is_ancestor`] runs the same walk from the descendant alone
+//! and gives up once the visit order drops below the candidate's tick.
+//!
 //! # Namespaced writes
 //!
 //! In a multi-tenant workspace many tenants share one graph, with each
@@ -45,7 +59,9 @@ use mlcask_obs::metrics::instance_label;
 use mlcask_obs::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,9 +118,10 @@ impl Commit {
 /// The graph contents at one publication point: immutable once published.
 struct Snapshot {
     commits: PMap<Hash256, Commit>,
-    /// Ordered so [`GraphView::branches`] is sorted for free; small enough
-    /// (one entry per branch, not per commit) to clone per write.
-    branches: BTreeMap<String, Hash256>,
+    /// Ordered so [`GraphView::branches`] is sorted and a namespace is one
+    /// contiguous range. Cloned per write: the shared `Arc<str>` names make
+    /// that a reference bump per branch, not a string allocation.
+    branches: BTreeMap<Arc<str>, Hash256>,
 }
 
 impl Snapshot {
@@ -113,6 +130,83 @@ impl Snapshot {
             commits: PMap::new(),
             branches: BTreeMap::new(),
         })
+    }
+
+    /// The successor generation: `commits`, and this generation's branch
+    /// table with `branch` pointing at `head`.
+    fn advance(&self, commits: PMap<Hash256, Commit>, branch: &str, head: Hash256) -> Snapshot {
+        let mut branches = self.branches.clone();
+        match branches.get_mut(branch) {
+            Some(slot) => *slot = head,
+            None => {
+                branches.insert(Arc::from(branch), head);
+            }
+        }
+        Snapshot { commits, branches }
+    }
+}
+
+/// Mark: reachable from a walk's first seed.
+const FROM_A: u8 = 1;
+/// Mark: reachable from a walk's second seed.
+const FROM_B: u8 = 2;
+
+/// An ancestry walk in descending tick order (see "Ticks order ancestry" in
+/// the module docs): seeds are `discover`ed, `pop` visits the discovered
+/// commit with the greatest tick, and `descend` discovers its parents.
+struct TickWalk<'a> {
+    commits: &'a PMap<Hash256, Commit>,
+    /// Discovered but not yet visited.
+    frontier: BinaryHeap<(u64, Hash256)>,
+    /// Every discovered commit with the seeds it is reachable from.
+    marks: HashMap<Hash256, (&'a Commit, u8)>,
+    /// Commits visited so far — what the scaling tests bound.
+    visited: usize,
+}
+
+impl<'a> TickWalk<'a> {
+    fn new(commits: &'a PMap<Hash256, Commit>) -> Self {
+        TickWalk {
+            commits,
+            frontier: BinaryHeap::new(),
+            marks: HashMap::new(),
+            visited: 0,
+        }
+    }
+
+    /// Adds `mark` to `id`, queueing it on first sight. `missing` names the
+    /// error for an id the graph does not hold (a seed or a parent).
+    fn discover(
+        &mut self,
+        id: Hash256,
+        mark: u8,
+        missing: fn(Hash256) -> StorageError,
+    ) -> Result<()> {
+        match self.marks.entry(id) {
+            Entry::Occupied(mut e) => e.get_mut().1 |= mark,
+            Entry::Vacant(e) => {
+                let c = self.commits.get(&id).ok_or_else(|| missing(id))?;
+                self.frontier.push((c.tick, id));
+                e.insert((c, mark));
+            }
+        }
+        Ok(())
+    }
+
+    /// Visits the discovered commit with the greatest tick. All of its
+    /// descendants in the walk were visited before it, so its marks are
+    /// final.
+    fn pop(&mut self) -> Option<(&'a Commit, u8)> {
+        let (_, id) = self.frontier.pop()?;
+        self.visited += 1;
+        Some(self.marks[&id])
+    }
+
+    /// Passes a visited commit's marks on to its parents.
+    fn descend(&mut self, c: &Commit, mark: u8) -> Result<()> {
+        c.parents
+            .iter()
+            .try_for_each(|p| self.discover(*p, mark, StorageError::MissingParent))
     }
 }
 
@@ -149,7 +243,20 @@ impl GraphView {
 
     /// All branch names (sorted for determinism).
     pub fn branches(&self) -> Vec<String> {
-        self.snap.branches.keys().cloned().collect()
+        self.snap.branches.keys().map(|b| b.to_string()).collect()
+    }
+
+    /// The branches of one namespace — the `"{namespace}/…"` range of the
+    /// ordered branch table — under their prefix-stripped names, sorted.
+    /// Costs the size of that namespace, not of the table.
+    pub fn branches_in(&self, namespace: &str) -> Vec<String> {
+        let prefix = format!("{namespace}/");
+        self.snap
+            .branches
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .map_while(|(name, _)| name.strip_prefix(&prefix))
+            .map(str::to_string)
+            .collect()
     }
 
     /// Number of commits in the view.
@@ -164,11 +271,25 @@ impl GraphView {
 
     /// Set of all ancestors of `id` (including `id` itself).
     pub fn ancestors(&self, id: Hash256) -> Result<HashSet<Hash256>> {
-        if !self.snap.commits.contains_key(&id) {
-            return Err(StorageError::NotFound(id));
+        self.reachable([id])
+    }
+
+    /// Every commit reachable from any branch head: one walk seeded with
+    /// all the heads, so history shared between branches is crossed once.
+    pub fn live_commits(&self) -> Result<HashSet<Hash256>> {
+        self.reachable(self.snap.branches.values().copied())
+    }
+
+    /// Union of the ancestor sets of `seeds` (each seed included).
+    fn reachable(&self, seeds: impl IntoIterator<Item = Hash256>) -> Result<HashSet<Hash256>> {
+        let mut queue = VecDeque::new();
+        for id in seeds {
+            if !self.snap.commits.contains_key(&id) {
+                return Err(StorageError::NotFound(id));
+            }
+            queue.push_back(id);
         }
         let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([id]);
         while let Some(cur) = queue.pop_front() {
             if !seen.insert(cur) {
                 continue;
@@ -187,20 +308,48 @@ impl GraphView {
 
     /// True if `ancestor` is reachable from `descendant` (inclusive).
     pub fn is_ancestor(&self, ancestor: Hash256, descendant: Hash256) -> Result<bool> {
-        Ok(self.ancestors(descendant)?.contains(&ancestor))
+        Ok(self.reaches(ancestor, descendant)?.0)
+    }
+
+    /// [`GraphView::is_ancestor`] plus the number of commits visited.
+    fn reaches(&self, ancestor: Hash256, descendant: Hash256) -> Result<(bool, usize)> {
+        let mut walk = TickWalk::new(&self.snap.commits);
+        walk.discover(descendant, FROM_A, StorageError::NotFound)?;
+        let Some(target) = self.snap.commits.get(&ancestor) else {
+            return Ok((false, 0));
+        };
+        while let Some((c, mark)) = walk.pop() {
+            if c.id == ancestor {
+                return Ok((true, walk.visited));
+            }
+            // Everything still unvisited is older than `c`, and `ancestor`
+            // could only be found at its own tick.
+            if c.tick < target.tick {
+                break;
+            }
+            walk.descend(c, mark)?;
+        }
+        Ok((false, walk.visited))
     }
 
     /// Lowest common ancestor of two commits: the common ancestor with the
     /// greatest logical tick (i.e. the most recent shared history point).
     pub fn common_ancestor(&self, a: Hash256, b: Hash256) -> Result<Option<Commit>> {
-        let aa = self.ancestors(a)?;
-        let bb = self.ancestors(b)?;
-        let best = aa
-            .intersection(&bb)
-            .filter_map(|id| self.snap.commits.get(id))
-            .max_by_key(|c| c.tick)
-            .cloned();
-        Ok(best)
+        Ok(self.merge_base(a, b)?.0.cloned())
+    }
+
+    /// [`GraphView::common_ancestor`] plus the number of commits visited.
+    fn merge_base(&self, a: Hash256, b: Hash256) -> Result<(Option<&Commit>, usize)> {
+        let mut walk = TickWalk::new(&self.snap.commits);
+        walk.discover(a, FROM_A, StorageError::NotFound)?;
+        walk.discover(b, FROM_B, StorageError::NotFound)?;
+        while let Some((c, mark)) = walk.pop() {
+            if mark == FROM_A | FROM_B {
+                return Ok((Some(c), walk.visited));
+            }
+            walk.descend(c, mark)?;
+        }
+        Ok((None, walk.visited))
     }
 
     /// Commits strictly between `ancestor` (exclusive) and `head`
@@ -357,6 +506,15 @@ impl CommitGraph {
         *self.state.published.write() = Arc::new(next);
     }
 
+    /// Publishes `cur` plus one commit `c` as `branch`'s new head — one
+    /// append operation. Caller must hold the writer lock.
+    fn append(&self, cur: &GraphView, branch: &str, c: Commit) -> Result<Commit> {
+        let commits = cur.snap.commits.insert(c.id, c.clone());
+        self.publish(cur.snap.advance(commits, branch, c.id));
+        self.state.appends.inc();
+        Ok(c)
+    }
+
     /// Checks that this view may append to / create `branch`. Writing into
     /// an owned namespace requires being the owner or holding a
     /// [`ShareRight::MergeInto`] grant from it.
@@ -383,8 +541,34 @@ impl CommitGraph {
         }
     }
 
-    fn next_tick(&self) -> u64 {
-        self.state.tick.fetch_add(1, Ordering::Relaxed) + 1
+    /// Builds the next commit: draws its tick, checks the tick invariant
+    /// against `commits` (which must hold every parent) and computes the
+    /// id. Caller must hold the writer lock.
+    fn seal(
+        &self,
+        commits: &PMap<Hash256, Commit>,
+        parents: Vec<Hash256>,
+        branch: &str,
+        seq: u32,
+        payload: Hash256,
+        message: &str,
+    ) -> Commit {
+        let tick = self.state.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        debug_assert!(
+            parents
+                .iter()
+                .all(|p| commits.get(p).is_some_and(|c| c.tick < tick)),
+            "a commit's tick must exceed its parents' (the ancestry walks rely on it)"
+        );
+        Commit {
+            id: Commit::compute_id(&parents, branch, seq, payload, message, tick),
+            parents,
+            branch: branch.to_string(),
+            seq,
+            payload,
+            message: message.to_string(),
+            tick,
+        }
     }
 
     /// Number of append operations performed so far. Batched commits count
@@ -403,25 +587,8 @@ impl CommitGraph {
         if cur.snap.branches.contains_key(branch) {
             return Err(StorageError::BranchExists(branch.to_string()));
         }
-        let tick = self.next_tick();
-        let id = Commit::compute_id(&[], branch, 0, payload, message, tick);
-        let c = Commit {
-            id,
-            parents: vec![],
-            branch: branch.to_string(),
-            seq: 0,
-            payload,
-            message: message.to_string(),
-            tick,
-        };
-        let mut branches = cur.snap.branches.clone();
-        branches.insert(branch.to_string(), id);
-        self.publish(Snapshot {
-            commits: cur.snap.commits.insert(id, c.clone()),
-            branches,
-        });
-        self.state.appends.inc();
-        Ok(c)
+        let c = self.seal(&cur.snap.commits, vec![], branch, 0, payload, message);
+        self.append(&cur, branch, c)
     }
 
     /// Appends a commit to `branch`'s head. Permission-checked against the
@@ -432,26 +599,15 @@ impl CommitGraph {
         let _w = self.state.writer.lock();
         let cur = self.view();
         let head = cur.head(branch)?;
-        let tick = self.next_tick();
-        let seq = head.seq + 1;
-        let id = Commit::compute_id(&[head.id], branch, seq, payload, message, tick);
-        let c = Commit {
-            id,
-            parents: vec![head.id],
-            branch: branch.to_string(),
-            seq,
+        let c = self.seal(
+            &cur.snap.commits,
+            vec![head.id],
+            branch,
+            head.seq + 1,
             payload,
-            message: message.to_string(),
-            tick,
-        };
-        let mut branches = cur.snap.branches.clone();
-        branches.insert(branch.to_string(), id);
-        self.publish(Snapshot {
-            commits: cur.snap.commits.insert(id, c.clone()),
-            branches,
-        });
-        self.state.appends.inc();
-        Ok(c)
+            message,
+        );
+        self.append(&cur, branch, c)
     }
 
     /// Appends several commits to `branch` in one graph transaction: one
@@ -478,28 +634,17 @@ impl CommitGraph {
         let mut commits = cur.snap.commits.clone();
         let mut out = Vec::with_capacity(entries.len());
         for (payload, message) in entries {
-            let tick = self.next_tick();
             let (parents, seq) = match &head {
                 Some(h) => (vec![h.id], h.seq + 1),
                 None => (vec![], 0),
             };
-            let id = Commit::compute_id(&parents, branch, seq, *payload, message, tick);
-            let c = Commit {
-                id,
-                parents,
-                branch: branch.to_string(),
-                seq,
-                payload: *payload,
-                message: message.clone(),
-                tick,
-            };
-            commits = commits.insert(id, c.clone());
+            let c = self.seal(&commits, parents, branch, seq, *payload, message);
+            commits = commits.insert(c.id, c.clone());
             head = Some(c.clone());
             out.push(c);
         }
-        let mut branches = cur.snap.branches.clone();
-        branches.insert(branch.to_string(), out.last().expect("non-empty batch").id);
-        self.publish(Snapshot { commits, branches });
+        let tip = out.last().expect("non-empty batch").id;
+        self.publish(cur.snap.advance(commits, branch, tip));
         self.state.appends.inc();
         Ok(out)
     }
@@ -522,48 +667,37 @@ impl CommitGraph {
         let _w = self.state.writer.lock();
         let cur = self.view();
         let head = cur.head(base_branch)?;
-        let merge_parent_branch = cur
+        let merge_parent = cur
             .snap
             .commits
             .get(&merge_head)
-            .ok_or(StorageError::MissingParent(merge_head))?
-            .branch
-            .clone();
-        // A commit that currently tips a branch the actor owns (or an open
-        // branch) is the actor's own history — e.g. the head of a fork
-        // taken under a since-revoked grant — and needs no Read grant from
-        // the namespace it was originally committed on.
-        let tips_own_branch = cur.snap.branches.iter().any(|(name, id)| {
-            *id == merge_head
-                && match self.state.shares.owner_of(name) {
-                    None => true,
-                    Some(owner) => self.actor.as_deref() == Some(owner.as_str()),
-                }
-        });
-        if !tips_own_branch {
-            self.authorize(&merge_parent_branch, ShareRight::Read)?;
+            .ok_or(StorageError::MissingParent(merge_head))?;
+        if let Err(denied) = self.authorize(&merge_parent.branch, ShareRight::Read) {
+            // A commit that currently tips a branch the actor owns (or an
+            // open branch) is the actor's own history — e.g. the head of a
+            // fork taken under a since-revoked grant — and needs no Read
+            // grant from the namespace it was originally committed on. Only
+            // a denial pays for this scan of the branch table.
+            let tips_own_branch = cur.snap.branches.iter().any(|(name, id)| {
+                *id == merge_head
+                    && match self.state.shares.owner_of(name) {
+                        None => true,
+                        Some(owner) => self.actor.as_deref() == Some(owner.as_str()),
+                    }
+            });
+            if !tips_own_branch {
+                return Err(denied);
+            }
         }
-        let tick = self.next_tick();
-        let seq = head.seq + 1;
-        let parents = vec![head.id, merge_head];
-        let id = Commit::compute_id(&parents, base_branch, seq, payload, message, tick);
-        let c = Commit {
-            id,
-            parents,
-            branch: base_branch.to_string(),
-            seq,
+        let c = self.seal(
+            &cur.snap.commits,
+            vec![head.id, merge_head],
+            base_branch,
+            head.seq + 1,
             payload,
-            message: message.to_string(),
-            tick,
-        };
-        let mut branches = cur.snap.branches.clone();
-        branches.insert(base_branch.to_string(), id);
-        self.publish(Snapshot {
-            commits: cur.snap.commits.insert(id, c.clone()),
-            branches,
-        });
-        self.state.appends.inc();
-        Ok(c)
+            message,
+        );
+        self.append(&cur, base_branch, c)
     }
 
     /// Creates `new_branch` pointing at `from`'s current head.
@@ -598,12 +732,7 @@ impl CommitGraph {
         if cur.snap.branches.contains_key(new_branch) {
             return Err(StorageError::BranchExists(new_branch.to_string()));
         }
-        let mut branches = cur.snap.branches.clone();
-        branches.insert(new_branch.to_string(), at);
-        self.publish(Snapshot {
-            commits: cur.snap.commits.clone(),
-            branches,
-        });
+        self.publish(cur.snap.advance(cur.snap.commits.clone(), new_branch, at));
         Ok(commit)
     }
 
@@ -772,6 +901,80 @@ mod tests {
         // After master moves, no longer fast-forward.
         let m = g.commit("master", payload(2), "master").unwrap();
         assert!(!g.is_fast_forward(m.id, d.id).unwrap());
+    }
+
+    /// Slide-back guard: below the fork point the ancestry queries must not
+    /// look at history at all. Counts, not timings, so it fails
+    /// deterministically.
+    #[test]
+    fn ancestry_walks_scale_with_divergence_not_history() {
+        let g = CommitGraph::new();
+        g.commit_root("master", payload(0), "init").unwrap();
+        for i in 1..5_000u32 {
+            g.commit("master", Hash256::of(&i.to_le_bytes()), "fill")
+                .unwrap();
+        }
+        let fork = g.branch("master", "dev").unwrap();
+        for i in 0..3u8 {
+            g.commit("dev", payload(i), "dev work").unwrap();
+        }
+        let m = g.commit("master", payload(9), "master moves").unwrap();
+        let d = g.head("dev").unwrap();
+        let view = g.view();
+        let (base, visited) = view.merge_base(m.id, d.id).unwrap();
+        assert_eq!(base.unwrap().id, fork.id);
+        assert!(visited <= 16, "merge-base walk visited {visited} commits");
+        for (anc, desc, expect) in [
+            (m.id, d.id, false),
+            (d.id, m.id, false),
+            (fork.id, d.id, true),
+            (fork.id, m.id, true),
+        ] {
+            let (found, visited) = view.reaches(anc, desc).unwrap();
+            assert_eq!(found, expect);
+            assert!(visited <= 16, "ancestor walk visited {visited} commits");
+        }
+    }
+
+    /// A parent id the graph does not hold (unconstructible through the
+    /// public API) surfaces as `MissingParent` from every walk that reaches
+    /// it.
+    #[test]
+    fn dangling_parent_is_reported_by_every_walk() {
+        let ghost = Hash256::of(b"ghost");
+        let mk = |n: u8, parents: Vec<Hash256>, tick: u64| Commit {
+            id: payload(n),
+            parents,
+            branch: "master".into(),
+            seq: 0,
+            payload: payload(n),
+            message: String::new(),
+            tick,
+        };
+        // old (a root), a -> ghost, b -> a, c -> ghost.
+        let old = mk(0, vec![], 1);
+        let a = mk(1, vec![ghost], 2);
+        let b = mk(2, vec![a.id], 3);
+        let c = mk(3, vec![ghost], 4);
+        let commits = [&old, &a, &b, &c]
+            .into_iter()
+            .fold(PMap::new(), |m, x| m.insert(x.id, x.clone()));
+        let view = GraphView {
+            snap: Arc::new(Snapshot {
+                commits,
+                branches: BTreeMap::from([(Arc::from("master"), b.id)]),
+            }),
+        };
+        let dangling =
+            |e: StorageError| assert!(matches!(e, StorageError::MissingParent(p) if p == ghost));
+        dangling(view.common_ancestor(b.id, c.id).unwrap_err());
+        dangling(view.is_ancestor(old.id, b.id).unwrap_err());
+        dangling(view.is_fast_forward(old.id, c.id).unwrap_err());
+        dangling(view.ancestors(b.id).unwrap_err());
+        dangling(view.live_commits().unwrap_err());
+        // Walks that end above the hole never see it.
+        assert!(view.is_ancestor(a.id, b.id).unwrap());
+        assert_eq!(view.common_ancestor(a.id, b.id).unwrap().unwrap().id, a.id);
     }
 
     #[test]
@@ -994,6 +1197,47 @@ mod tests {
         g.branch("master", "zeta").unwrap();
         g.branch("master", "alpha").unwrap();
         assert_eq!(g.branches(), vec!["alpha", "master", "zeta"]);
+    }
+
+    #[test]
+    fn branches_in_reads_one_namespace_range() {
+        let g = CommitGraph::new();
+        g.commit_root("master", payload(0), "init").unwrap();
+        // Neighbours in table order on both sides of "team/…": '.' and '/'
+        // sort below and at the separator, '0' just above it.
+        for b in [
+            "team/zeta",
+            "team/alpha",
+            "team.x/a",
+            "team0/b",
+            "tea/m",
+            "team",
+        ] {
+            g.branch("master", b).unwrap();
+        }
+        let v = g.view();
+        assert_eq!(v.branches_in("team"), vec!["alpha", "zeta"]);
+        assert_eq!(v.branches_in("tea"), vec!["m"]);
+        assert!(v.branches_in("master").is_empty());
+        assert!(v.branches_in("nobody").is_empty());
+    }
+
+    #[test]
+    fn live_commits_is_the_union_of_every_heads_ancestry() {
+        let g = CommitGraph::new();
+        g.commit_root("master", payload(0), "init").unwrap();
+        g.branch("master", "dev").unwrap();
+        g.commit("dev", payload(1), "dev").unwrap();
+        g.commit("master", payload(2), "master").unwrap();
+        g.commit_root("island", payload(3), "unrelated root")
+            .unwrap();
+        let v = g.view();
+        let mut union = HashSet::new();
+        for b in v.branches() {
+            union.extend(v.ancestors(v.head(&b).unwrap().id).unwrap());
+        }
+        assert_eq!(v.live_commits().unwrap(), union);
+        assert_eq!(union.len(), 4);
     }
 
     #[test]

@@ -113,6 +113,116 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Commit-graph ancestry against an independent model: the tick-ordered walks
+// behind `common_ancestor` / `is_ancestor` / `is_fast_forward` must agree
+// with whole-history ancestor sets on arbitrary DAGs.
+// ---------------------------------------------------------------------------
+
+mod graph_model {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Replays `ops` (one random word each) as graph writes over at least
+    /// three branches and returns every commit created. Merges take *any*
+    /// earlier commit as the second parent, so criss-cross shapes (a into b
+    /// and b into a, off heads that have since moved) come up constantly;
+    /// extra roots give pairs with no common ancestor.
+    fn build(graph: &CommitGraph, ops: &[u32]) -> Vec<Commit> {
+        let payload = |i: usize| Hash256::of(&(i as u64).to_le_bytes());
+        let mut commits = vec![graph.commit_root("b0", payload(0), "root").unwrap()];
+        let mut branches = vec!["b0".to_string()];
+        for name in ["b1", "b2"] {
+            graph.branch("b0", name).unwrap();
+            branches.push(name.to_string());
+        }
+        for (i, w) in ops.iter().map(|w| *w as usize).enumerate() {
+            let on = branches[(w >> 3) % branches.len()].clone();
+            let pick = (w >> 11) % commits.len();
+            let fresh = format!("b{}", branches.len());
+            match w % 8 {
+                0 if branches.len() < 6 => {
+                    commits.push(graph.commit_root(&fresh, payload(i + 1), "root").unwrap());
+                    branches.push(fresh);
+                }
+                1 if branches.len() < 6 => {
+                    graph.branch(&on, &fresh).unwrap();
+                    branches.push(fresh);
+                }
+                2..=4 => commits.push(
+                    graph
+                        .commit_merge(&on, commits[pick].id, payload(i + 1), "merge")
+                        .unwrap(),
+                ),
+                _ => commits.push(graph.commit(&on, payload(i + 1), "step").unwrap()),
+            }
+        }
+        commits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_ancestry_queries_match_ancestor_set_oracle(
+            ops in proptest::collection::vec(any::<u32>(), 4..48)
+        ) {
+            let graph = CommitGraph::new();
+            let commits = build(&graph, &ops);
+            let view = graph.view();
+            let sets: Vec<HashSet<Hash256>> = commits
+                .iter()
+                .map(|c| view.ancestors(c.id).unwrap())
+                .collect();
+            for (a, anc_a) in commits.iter().zip(&sets) {
+                for (b, anc_b) in commits.iter().zip(&sets) {
+                    // The oracle: intersect whole-history sets, take the
+                    // greatest tick.
+                    let expect = commits
+                        .iter()
+                        .filter(|c| anc_a.contains(&c.id) && anc_b.contains(&c.id))
+                        .max_by_key(|c| c.tick)
+                        .map(|c| c.id);
+                    let got = view.common_ancestor(a.id, b.id).unwrap().map(|c| c.id);
+                    prop_assert_eq!(got, expect);
+                    let below = anc_b.contains(&a.id);
+                    prop_assert_eq!(view.is_ancestor(a.id, b.id).unwrap(), below);
+                    prop_assert_eq!(view.is_fast_forward(a.id, b.id).unwrap(), below);
+                }
+            }
+        }
+    }
+
+    /// What the ancestry queries answer for ids the graph does not hold.
+    #[test]
+    fn ancestry_query_errors() {
+        let graph = CommitGraph::new();
+        let known = build(&graph, &[])[0].id;
+        let (x, y) = (Hash256::of(b"unknown x"), Hash256::of(b"unknown y"));
+        let not_found = |r: Result<bool, StorageError>, id: Hash256| {
+            assert!(
+                matches!(r, Err(StorageError::NotFound(got)) if got == id),
+                "{r:?}"
+            )
+        };
+        let lca = |a, b| graph.common_ancestor(a, b).map(|c| c.is_some());
+        not_found(lca(x, known), x);
+        not_found(lca(known, y), y);
+        not_found(lca(x, y), x);
+        type Query = fn(&CommitGraph, Hash256, Hash256) -> Result<bool, StorageError>;
+        for query in [
+            CommitGraph::is_ancestor as Query,
+            CommitGraph::is_fast_forward,
+        ] {
+            // An unknown descendant is an error; an unknown candidate
+            // ancestor is just not an ancestor.
+            not_found(query(&graph, known, y), y);
+            not_found(query(&graph, x, y), y);
+            assert!(!query(&graph, x, known).unwrap());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Durable (cask) backend properties: the segment codec, torn-tail recovery,
 // and compaction — the invariants `tests/crash_recovery.rs` leans on.
 // ---------------------------------------------------------------------------
