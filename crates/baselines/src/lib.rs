@@ -14,6 +14,7 @@
 //! scenario across all three systems; [`nonlinear`] drives the merge
 //! ablations (MLCask vs "w/o PCPR" vs "w/o PR").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod archive;

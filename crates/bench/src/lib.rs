@@ -16,6 +16,7 @@
 //! | `table1_optimal_found` | Table I — % trials with optimum found |
 //! | `fig11_distributed` | Fig. 11 — distributed training |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;

@@ -42,6 +42,7 @@
 //! assert_eq!(result.commit.unwrap().label(), "master.0");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod errors;

@@ -26,6 +26,7 @@
 //! the pipeline executor can charge virtual time proportional to real
 //! computational effort (see DESIGN.md §2 on the virtual clock).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Numeric kernels intentionally use index loops that mirror the math
 // notation; the iterator rewrites clippy suggests obscure them.

@@ -53,6 +53,7 @@
 //! | `MLCASK_OBS_SLOW_MS` | log spans slower than this threshold (default `0` = off) |
 //! | `MLCASK_TRACE` | path: dump the recorder as chrome-trace JSONL via [`trace::maybe_dump_env`] |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;

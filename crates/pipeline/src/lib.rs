@@ -30,6 +30,7 @@
 //! The versioning semantics themselves (branching, merging, search-tree
 //! pruning) live in `mlcask-core`, which builds on this crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifact;

@@ -10,6 +10,8 @@
 //! execution, in-memory store (honouring `MLCASK_BACKEND`), no limits.
 //! `--root DIR` opens (or creates) a durable cask workspace instead.
 
+#![forbid(unsafe_code)]
+
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_server::limits::{AdmissionControl, RateLimit};
 use mlcask_server::service::{Router, ServerOptions};

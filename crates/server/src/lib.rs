@@ -20,6 +20,8 @@
 //!   method dispatch;
 //! * [`transport`] — stdio and TCP loops.
 
+#![forbid(unsafe_code)]
+
 pub mod limits;
 pub mod protocol;
 pub mod service;

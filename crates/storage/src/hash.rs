@@ -5,6 +5,18 @@
 //! engine; every object here is likewise addressed by the SHA-256 digest of
 //! its bytes. The implementation is self-contained so the workspace needs no
 //! external cryptography crate.
+//!
+//! # One compression function, two instruction sets
+//!
+//! Every block goes through the private `compress_blocks`. On `x86_64` CPUs that
+//! report the `sha`, `sse4.1` and `ssse3` features it runs the SHA-NI kernel
+//! in `sha_ni`; on every other CPU and target it runs the portable scalar
+//! rounds. The choice depends on the CPU alone — there is no feature, flag
+//! or environment variable to set — and the digests are bit-identical, so
+//! no content address changes with the machine. The scalar rounds are the
+//! oracle: the tests run both paths over the same inputs and require equal
+//! state words, so the fallback must stay a straight transcription of the
+//! standard. The kernel holds the workspace's only `unsafe` code.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -80,47 +92,37 @@ impl Sha256 {
                 // All input absorbed into a still-partial block.
                 return;
             }
-            let block = self.buf;
-            self.compress(&block);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        // Whole blocks are compressed where they lie in the caller's slice.
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        let rem = chunks.remainder();
-        self.buf[..rem.len()].copy_from_slice(rem);
-        self.buf_len = rem.len();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append the 0x80 terminator, zero padding, and the 64-bit length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let pad_total = pad_len + 8;
-        self.update_no_len(&pad[..pad_total]);
+        // Pad in place: the 0x80 terminator, zeros, and the 64-bit length in
+        // the last eight bytes of a block. `update` leaves `buf_len < 64`.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf.fill(0);
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Hash256(out)
-    }
-
-    /// `update` without touching `total_len` (used for the final padding).
-    fn update_no_len(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
     }
 
     /// One-shot convenience digest.
@@ -129,9 +131,27 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    /// SHA-256 compression function over one 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The SHA-256 compression function over every 64-byte block of `blocks`
+/// (whose length is a multiple of 64), read in place.
+///
+/// Uses the CPU's SHA extensions where it has them and the scalar rounds
+/// everywhere else; both leave the same words in `state`.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// Portable compression function: FIPS 180-4 §6.2.2 as written. Runs where
+/// the CPU has no SHA extensions, and is what the tests hold the hardware
+/// kernel against.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes([
@@ -149,7 +169,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -170,16 +190,141 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(x);
+        }
     }
 }
+
+/// The compression function on the x86 SHA extensions (SHA-NI).
+///
+/// This module is the only place in the workspace allowed to use `unsafe`:
+/// the crate denies it, every other crate forbids it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses `blocks` into `state` on the SHA extensions and returns
+    /// `true`, or touches nothing and returns `false` when this CPU lacks
+    /// them (the caller then runs the scalar rounds).
+    #[inline]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !(is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3"))
+        {
+            return false;
+        }
+        // SAFETY: the running CPU reports every target feature `kernel` is
+        // compiled with (`sse2` is part of the x86_64 baseline).
+        unsafe { kernel(state, blocks) };
+        true
+    }
+
+    /// Rounds `4i..4i+4` on message words `w = W[4i..4i+4]`. `sha256rnds2`
+    /// does two rounds on the low two lanes of word-plus-constant and
+    /// returns the new `abef`; the old `abef` is the new `cdgh`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = &K[4 * i..4 * i + 4];
+        let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words `W[t..t+4]` from the sixteen before
+    /// them, `v0 = W[t-16..t-12]` up to `v3 = W[t-4..t]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(v0: __m128i, v1: __m128i, v2: __m128i, v3: __m128i) -> __m128i {
+        // W[t-16+j] + s0(W[t-15+j]), then + W[t-7+j], then + s1(W[t-2+j]).
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(v0, v1), _mm_alignr_epi8(v3, v2, 4));
+        _mm_sha256msg2_epu32(partial, v3)
+    }
+
+    /// The compression function proper. Safe to call only from a context
+    /// with its target features, hence the one `unsafe` call above.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
+        // Reverses the bytes of each 32-bit lane: message words are
+        // big-endian.
+        let be = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
+
+        let s = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 readable bytes and `loadu` needs no
+        // alignment, so `s` and `s + 1` each cover 16 bytes inside it.
+        let (dcba, hgfe) = unsafe { (_mm_loadu_si128(s), _mm_loadu_si128(s.add(1))) };
+        // The rounds instruction wants the words as (a,b,e,f) and (c,d,g,h).
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `chunks_exact(64)` yields 64 readable bytes, so the
+            // four unaligned 16-byte loads at `p..p + 4` stay inside them.
+            let (m0, m1, m2, m3) = unsafe {
+                (
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                )
+            };
+            let mut w0 = _mm_shuffle_epi8(m0, be);
+            let mut w1 = _mm_shuffle_epi8(m1, be);
+            let mut w2 = _mm_shuffle_epi8(m2, be);
+            let mut w3 = _mm_shuffle_epi8(m3, be);
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            // Each step replaces the oldest four words, so after four steps
+            // the names line up again.
+            for i in [4, 8, 12] {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        // SAFETY: as for the loads — two unaligned 16-byte stores covering
+        // exactly the 32 bytes of `state`, which we borrow mutably.
+        unsafe {
+            _mm_storeu_si128(s, _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(s.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        }
+    }
+}
+
+static HEX_DIGITS: [u8; 16] = *b"0123456789abcdef";
+
+/// Value of each ASCII hex digit (either case); `0xff` for every other byte.
+static HEX_NIBBLES: [u8; 256] = {
+    let mut table = [0xffu8; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX_DIGITS[v] as usize] = v as u8;
+        table[HEX_DIGITS[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
+    }
+    table
+};
 
 /// A 256-bit content address.
 ///
@@ -211,8 +356,8 @@ impl Hash256 {
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+            s.push(HEX_DIGITS[(b >> 4) as usize] as char);
+            s.push(HEX_DIGITS[(b & 0xf) as usize] as char);
         }
         s
     }
@@ -222,14 +367,21 @@ impl Hash256 {
         self.to_hex()[..8].to_string()
     }
 
-    /// Parses a 64-char hex string.
+    /// Parses a 64-char hex string (either case). Anything else — wrong
+    /// length, a sign, a non-ASCII character — is `None`: this is reached
+    /// from metafiles and journals read back from disk.
     pub fn from_hex(s: &str) -> Option<Hash256> {
-        if s.len() != 64 {
+        let bytes = s.as_bytes();
+        if bytes.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            let (hi, lo) = (HEX_NIBBLES[pair[0] as usize], HEX_NIBBLES[pair[1] as usize]);
+            if hi | lo > 0xf {
+                return None;
+            }
+            *byte = hi << 4 | lo;
         }
         Some(Hash256(out))
     }
@@ -268,39 +420,143 @@ impl Deserialize for Hash256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    // FIPS 180-4 / NIST test vectors.
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// Every compression path this machine can run: always the scalar
+    /// oracle, plus the SHA-NI kernel when the CPU has it. The skip is
+    /// printed so a green run says which paths it covered.
+    fn compress_paths() -> Vec<(&'static str, Compress)> {
+        let scalar: (&str, Compress) = ("scalar", compress_blocks_scalar);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::compress_blocks(&mut [0; 8], &[]) {
+            let sha_ni: Compress = |state, blocks| assert!(sha_ni::compress_blocks(state, blocks));
+            return vec![scalar, ("sha-ni", sha_ni)];
+        }
+        static NOTICE: std::sync::Once = std::sync::Once::new();
+        NOTICE.call_once(|| {
+            println!("NOTICE: this CPU has no SHA extensions; the sha-ni kernel is not exercised");
+        });
+        vec![scalar]
+    }
+
+    /// A digest that shares nothing with `Sha256` but the compression
+    /// function under test: pads the whole message up front and compresses
+    /// it in one call.
+    fn digest_with(compress: Compress, data: &[u8]) -> Hash256 {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &msg);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Hash256(out)
+    }
+
+    /// Checks one FIPS 180-4 / NIST vector on the public hasher and on each
+    /// compression path separately.
+    fn check_vector(data: &[u8], hex: &str) {
+        assert_eq!(Sha256::digest(data).to_hex(), hex, "Sha256::digest");
+        for (name, compress) in compress_paths() {
+            assert_eq!(digest_with(compress, data).to_hex(), hex, "{name} path");
+        }
+    }
+
     #[test]
     fn empty_vector() {
-        assert_eq!(
-            Sha256::digest(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            Sha256::digest(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            Sha256::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            Sha256::digest(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    /// Lengths on either side of the two padding cases (`buf_len < 56`: one
+    /// final block; otherwise two), for the hasher's in-place padding and
+    /// for every compression path.
+    #[test]
+    fn padding_boundaries() {
+        let data: Vec<u8> = (0..120u32).map(|i| (i * 7 + 1) as u8).collect();
+        for len in [55usize, 56, 63, 64, 65, 119, 120] {
+            let msg = &data[..len];
+            let want = digest_with(compress_blocks_scalar, msg);
+            assert_eq!(Sha256::digest(msg), want, "one-shot, {len} bytes");
+            let mut h = Sha256::new();
+            for b in msg {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), want, "byte at a time, {len} bytes");
+            for (name, compress) in compress_paths() {
+                assert_eq!(digest_with(compress, msg), want, "{name}, {len} bytes");
+            }
+        }
+    }
+
+    proptest! {
+        /// One-shot, incremental at random split points, and every
+        /// compression path agree with the scalar oracle — on a sub-slice at
+        /// a random offset, so the kernel's loads are unaligned.
+        #[test]
+        fn prop_paths_and_splits_agree(
+            buf in proptest::collection::vec(any::<u8>(), 0..4096),
+            offset in 0usize..64,
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let data = &buf[offset.min(buf.len())..];
+            let want = digest_with(compress_blocks_scalar, data);
+            prop_assert_eq!(Sha256::digest(data), want);
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            h.update(&data[from..]);
+            prop_assert_eq!(h.finalize(), want);
+
+            // The raw state words too, over the whole blocks alone.
+            let blocks = &data[..data.len() - data.len() % 64];
+            let mut oracle = H0;
+            compress_blocks_scalar(&mut oracle, blocks);
+            for (name, compress) in compress_paths() {
+                let mut state = H0;
+                compress(&mut state, blocks);
+                prop_assert_eq!(state, oracle, "{} path", name);
+            }
+        }
     }
 
     #[test]
@@ -330,6 +586,22 @@ mod tests {
         assert_eq!(Hash256::from_hex(&h.to_hex()), Some(h));
         assert_eq!(Hash256::from_hex("zz"), None);
         assert_eq!(Hash256::from_hex(&"0".repeat(63)), None);
+        assert_eq!(Hash256::from_hex(&h.to_hex().to_uppercase()), Some(h));
+    }
+
+    /// 64 *bytes* that are not 64 hex digits must be `None`, not a panic:
+    /// multi-byte characters off a pair boundary used to slice a `str`
+    /// mid-character, and `u8::from_str_radix` accepted a sign.
+    #[test]
+    fn from_hex_rejects_hostile_input() {
+        let off_boundary = format!("a{}b", "é".repeat(31));
+        assert_eq!(off_boundary.len(), 64);
+        assert_eq!(Hash256::from_hex(&off_boundary), None);
+        assert_eq!(Hash256::from_hex(&"é".repeat(32)), None);
+        assert_eq!(Hash256::from_hex(&"+f".repeat(32)), None);
+        assert_eq!(Hash256::from_hex(&format!("{}g", "0".repeat(63))), None);
+        let json = serde_json::to_string(&off_boundary).unwrap();
+        assert!(serde_json::from_str::<Hash256>(&json).is_err());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! rely on:
 //!
 //! * **Content addressing** — every object is identified by the SHA-256 of
-//!   its bytes ([`hash`], implemented from scratch).
+//!   its bytes ([`hash`], implemented from scratch; the compression function
+//!   runs on the CPU's SHA extensions where it has them and on portable
+//!   scalar rounds elsewhere, with identical digests).
 //! * **Content-defined chunking** — blobs split at Gear-hash boundaries so a
 //!   local edit re-stores only the touched chunks ([`chunk`]).
 //! * **Deduplicating store** — [`store::ChunkStore`] persists unseen chunks
@@ -38,6 +40,9 @@
 //! assert_eq!(v2.physical_bytes, 0);          // duplicate stored for free
 //! ```
 
+// The one exception is the SHA-NI kernel module in `hash`, which carries the
+// crate's only `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

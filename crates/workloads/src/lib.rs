@@ -23,6 +23,7 @@
 //! schema-changing update for the injected incompatibility, and the Fig. 3
 //! branch histories for the merge scenario ([`scenario`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autolearn;

@@ -82,6 +82,7 @@
 //! ownership, reservation-based tenant quotas and dedup attribution,
 //! permissioned cross-tenant fork/merge, batched commits, orphan GC).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mlcask_baselines as baselines;
