@@ -105,7 +105,7 @@ impl Component for HeavyBranch {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         // Deterministic logistic-regression epochs whose weights re-scale
@@ -175,7 +175,7 @@ impl Component for FuseModel {
         self.check_compatibility(inputs)?;
         let branches: Vec<&Features> = inputs
             .iter()
-            .map(|a| match &a.data {
+            .map(|a| match a.data() {
                 ArtifactData::Features(f) => f,
                 _ => unreachable!("schema-checked inputs are feature matrices"),
             })

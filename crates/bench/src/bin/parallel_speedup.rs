@@ -106,7 +106,7 @@ impl Component for HeavyScaler {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         let x = Matrix::from_fn(f.x.rows(), DIM, |r, c| f.x.get(r, c) * self.factor);
@@ -158,7 +158,7 @@ impl Component for HeavyModel {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         // Deterministic logistic-regression training.

@@ -11,10 +11,13 @@
 //! evaluators' concurrent lookups and checkpoint inserts do not serialize
 //! on one lock.
 
+use mlcask_pipeline::artifact::Artifact;
+use mlcask_pipeline::artifact_cache::ArtifactCache;
 use mlcask_pipeline::executor::{CacheKey, CachedOutput, OutputCache};
 use mlcask_pipeline::parallel::{ShardedMap, SnapshotCache};
 use mlcask_pipeline::provenance::ProvenanceIndex;
 use mlcask_pipeline::replay::CacheSnapshot;
+use mlcask_storage::hash::Hash256;
 use std::sync::Arc;
 
 /// Shared, cloneable history of checkpointed component outputs.
@@ -36,6 +39,11 @@ pub struct HistoryIndex {
     /// shared by shallow clones (they see the same map, so they can share
     /// the same snapshot), reset by [`HistoryIndex::deep_clone`].
     snap: Arc<SnapshotCache<CacheKey, CachedOutput>>,
+    /// Checkpointed artifacts already in memory, by blob id, so reusing a
+    /// checkpoint does not mean fetching and parsing it again. Content
+    /// addressed, hence shared by deep clones too: a trial's fork reads the
+    /// same blobs as the history it forked from.
+    decoded: Arc<ArtifactCache>,
 }
 
 impl HistoryIndex {
@@ -61,6 +69,7 @@ impl HistoryIndex {
             map: Arc::new(self.map.fork()),
             provenance: Arc::new(self.provenance.fork()),
             snap: Arc::new(SnapshotCache::new()),
+            decoded: Arc::clone(&self.decoded),
         }
     }
 
@@ -106,6 +115,14 @@ impl OutputCache for HistoryIndex {
     fn insert(&self, key: CacheKey, value: CachedOutput) {
         self.map.insert(key, value);
     }
+
+    fn decoded(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
+        self.decoded.get(blob)
+    }
+
+    fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
+        self.decoded.insert(blob, artifact);
+    }
 }
 
 #[cfg(test)]
@@ -115,7 +132,6 @@ mod tests {
     use mlcask_pipeline::component::ComponentKey;
     use mlcask_pipeline::schema::SchemaId;
     use mlcask_pipeline::semver::SemVer;
-    use mlcask_storage::hash::Hash256;
     use mlcask_storage::object::{ObjectKind, ObjectRef};
 
     fn key(n: u8) -> CacheKey {

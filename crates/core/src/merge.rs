@@ -20,13 +20,15 @@ use crate::registry::ComponentRegistry;
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
+use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{Executor, MemoryCache, OutputCache};
+use mlcask_pipeline::executor::{CacheKey, CachedOutput, Executor, MemoryCache, OutputCache};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::{Incremental, PrefixGate, ProvenanceSnapshot};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook};
+use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -241,7 +243,10 @@ impl<'a> MergeEngine<'a> {
         // first, and any leftover workers fan the independent DAG nodes
         // *inside* each candidate out (wavefront execution) — one budget,
         // never oversubscribed.
-        let scratch = MemoryCache::new();
+        let scratch = Scratch {
+            checkpoints: MemoryCache::new(),
+            history,
+        };
         // Provenance snapshot strictly *before* the key snapshot: the
         // pairing invariant (a fingerprint is recorded only after its
         // `CacheKey` insert) then guarantees every frontier hit is also a
@@ -346,6 +351,33 @@ impl<'a> MergeEngine<'a> {
             logical_bytes: stats_after.logical_bytes - stats_before.logical_bytes,
             physical_bytes: stats_after.physical_bytes - stats_before.physical_bytes,
         })
+    }
+}
+
+/// The from-scratch ablations' search-local checkpoint index. Only what a
+/// candidate is *charged* is from scratch; artifacts already in memory are
+/// still taken from (and offered to) the history's decoded-artifact cache,
+/// which is keyed by content and so cannot tell one search from another.
+struct Scratch<'h> {
+    checkpoints: MemoryCache,
+    history: &'h HistoryIndex,
+}
+
+impl OutputCache for Scratch<'_> {
+    fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
+        self.checkpoints.lookup(key)
+    }
+
+    fn insert(&self, key: CacheKey, value: CachedOutput) {
+        self.checkpoints.insert(key, value);
+    }
+
+    fn decoded(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
+        self.history.decoded(blob)
+    }
+
+    fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
+        self.history.keep_decoded(blob, artifact);
     }
 }
 

@@ -95,11 +95,11 @@ impl Component for ToyScaler {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let x = Matrix::from_fn(f.x.rows(), self.dim_out, |r, c| {
@@ -158,11 +158,11 @@ impl Component for ToyModel {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let mean = f.x.as_slice().iter().map(|v| v.abs() as f64).sum::<f64>()

@@ -109,13 +109,13 @@ pub trait Component: Send + Sync {
     fn check_compatibility(&self, inputs: &[Artifact]) -> Result<()> {
         if let Some(expected) = self.input_schema() {
             for (i, a) in inputs.iter().enumerate() {
-                if a.schema != expected {
+                if a.schema() != expected {
                     return Err(PipelineError::IncompatibleSchema(Box::new(
                         crate::errors::IncompatibleSchemaDetail {
                             component: self.key(),
                             input_index: i,
                             expected,
-                            actual: a.schema,
+                            actual: a.schema(),
                         },
                     )));
                 }
@@ -259,11 +259,11 @@ pub(crate) mod test_support {
         }
         fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 return Err(PipelineError::WrongArtifactKind {
                     component: self.key(),
                     expected: "features",
-                    actual: inputs[0].data.kind_label(),
+                    actual: inputs[0].data().kind_label(),
                 });
             };
             let x = Matrix::from_fn(f.x.rows(), self.dim_out, |r, c| {
@@ -322,11 +322,11 @@ pub(crate) mod test_support {
         }
         fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 return Err(PipelineError::WrongArtifactKind {
                     component: self.key(),
                     expected: "features",
-                    actual: inputs[0].data.kind_label(),
+                    actual: inputs[0].data().kind_label(),
                 });
             };
             let mut factor = self.factor;
@@ -387,7 +387,7 @@ pub(crate) mod test_support {
             self.check_compatibility(inputs)?;
             let features: Vec<&Features> = inputs
                 .iter()
-                .map(|a| match &a.data {
+                .map(|a| match a.data() {
                     ArtifactData::Features(f) => Ok(f),
                     other => Err(PipelineError::WrongArtifactKind {
                         component: self.key(),
@@ -452,11 +452,11 @@ pub(crate) mod test_support {
         }
         fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 return Err(PipelineError::WrongArtifactKind {
                     component: self.key(),
                     expected: "features",
-                    actual: inputs[0].data.kind_label(),
+                    actual: inputs[0].data().kind_label(),
                 });
             };
             // Score depends on the input (mean magnitude) and model quality,
@@ -510,7 +510,7 @@ mod tests {
             rows: 4,
         };
         let a = s.run(&[]).unwrap();
-        assert_eq!(a.schema, s.output_schema());
+        assert_eq!(a.schema(), s.output_schema());
         assert!(s.input_schema().is_none());
         assert!(s.work_units(&[]) > 0);
     }

@@ -38,6 +38,7 @@ use mlcask_storage::store::ChunkStore;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Key identifying "this component version applied to these exact inputs".
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,6 +68,17 @@ pub trait OutputCache: Send + Sync {
     fn lookup(&self, key: &CacheKey) -> Option<CachedOutput>;
     /// Records a checkpoint.
     fn insert(&self, key: CacheKey, value: CachedOutput);
+
+    /// The artifact stored in checkpoint blob `blob`, already decoded, if
+    /// this cache keeps decoded artifacts (see [`crate::artifact_cache`]).
+    /// The executor asks before fetching and parsing the blob.
+    fn decoded(&self, _blob: &Hash256) -> Option<Arc<Artifact>> {
+        None
+    }
+
+    /// Offers the decoded form of checkpoint blob `blob`: the executor
+    /// calls this with every artifact it produces or parses.
+    fn keep_decoded(&self, _blob: Hash256, _artifact: &Arc<Artifact>) {}
 }
 
 /// Sharded in-memory [`OutputCache`] safe for concurrent pipeline runs:
@@ -246,7 +258,7 @@ struct WaveSlot {
     /// In-memory output; `None` for cache hits until a successor
     /// materialises them from the store. Shared so sibling consumers can
     /// deep-copy it outside the slot lock.
-    artifact: Option<std::sync::Arc<Artifact>>,
+    artifact: Option<Arc<Artifact>>,
 }
 
 /// Everything executing a pipeline's nodes leaves behind for the canonical
@@ -478,6 +490,34 @@ impl<'s> Executor<'s> {
             score,
             skipped_by_frontier: traced.skipped_by_frontier,
         })
+    }
+
+    /// A checkpointed output as an in-memory artifact (results only; the
+    /// replay charges the read in canonical order): from `cache`'s decoded
+    /// artifacts when it holds this blob, else fetched from the store,
+    /// parsed, and offered to `cache` so the next consumer — another merge
+    /// candidate, a later commit — does neither.
+    fn materialise(
+        &self,
+        checkpoint: &CachedOutput,
+        cache: Option<&dyn OutputCache>,
+    ) -> Result<Arc<Artifact>> {
+        use mlcask_storage::errors::StorageError;
+        if checkpoint.object.is_null() {
+            return Err(StorageError::NotFound(checkpoint.artifact_id).into());
+        }
+        let blob = checkpoint.object.id;
+        if let Some(held) = cache.and_then(|c| c.decoded(&blob)) {
+            return Ok(held);
+        }
+        let bytes = self.store.get_blob(&checkpoint.object)?;
+        let artifact =
+            Artifact::from_bytes(&bytes).map_err(|e| StorageError::Codec(e.to_string()))?;
+        let artifact = Arc::new(artifact);
+        if let Some(c) = cache {
+            c.keep_decoded(blob, &artifact);
+        }
+        Ok(artifact)
     }
 
     /// The engine: executes the pipeline's nodes for their results only —
@@ -712,28 +752,14 @@ impl<'s> Executor<'s> {
                 // is held only to obtain the shared handle; the deep copy
                 // handed to the component happens outside it, so sibling
                 // consumers of one input do not serialize on its lock.
-                let mut input_handles: Vec<std::sync::Arc<Artifact>> =
-                    Vec::with_capacity(preds.len());
+                let mut input_handles: Vec<Arc<Artifact>> = Vec::with_capacity(preds.len());
                 for p in &preds {
                     let mut slot = slots[*p].lock();
                     let slot = slot.as_mut().expect("topological order");
                     if slot.artifact.is_none() {
-                        if slot.cached.object.is_null() {
-                            return Err(PipelineError::Storage(
-                                mlcask_storage::errors::StorageError::NotFound(
-                                    slot.cached.artifact_id,
-                                ),
-                            ));
-                        }
-                        let bytes = self.store.get_blob(&slot.cached.object)?;
-                        let artifact = Artifact::from_bytes(&bytes).map_err(|e| {
-                            PipelineError::Storage(mlcask_storage::errors::StorageError::Codec(
-                                e.to_string(),
-                            ))
-                        })?;
-                        slot.artifact = Some(std::sync::Arc::new(artifact));
+                        slot.artifact = Some(self.materialise(&slot.cached, lookup)?);
                     }
-                    input_handles.push(std::sync::Arc::clone(
+                    input_handles.push(Arc::clone(
                         slot.artifact.as_ref().expect("just materialised"),
                     ));
                 }
@@ -747,19 +773,24 @@ impl<'s> Executor<'s> {
                 let _node_span = mlcask_obs::span!("exec.node", "component" => comp.key());
                 match comp.run(&input_artifacts) {
                     Ok(artifact) => {
-                        let artifact_id = artifact.content_id();
                         let kind = match comp.stage() {
                             StageKind::ModelTraining => ObjectKind::Model,
                             _ => ObjectKind::Output,
                         };
+                        // The one encoding of this artifact: what is stored,
+                        // and what its id and length below are taken from.
                         let (put, trace) =
                             self.store.put_blob_traced(kind, &artifact.to_bytes())?;
+                        let artifact = Arc::new(artifact);
                         let cached = CachedOutput {
                             object: put.object,
-                            artifact_id,
-                            schema: artifact.schema,
+                            artifact_id: artifact.content_id(),
+                            schema: artifact.schema(),
                             score: artifact.score(),
                         };
+                        if let Some(c) = lookup {
+                            c.keep_decoded(cached.object.id, &artifact);
+                        }
                         if let Some(c) = live_insert {
                             c.insert(key.clone(), cached.clone());
                         }
@@ -799,7 +830,7 @@ impl<'s> Executor<'s> {
                         *slots[node].lock() = Some(WaveSlot {
                             key,
                             cached: cached.clone(),
-                            artifact: Some(std::sync::Arc::new(artifact)),
+                            artifact: Some(artifact),
                         });
                         if let Some(guard) = claim_guard.take() {
                             guard.complete(GateOutcome::Completed(cached));
@@ -872,12 +903,13 @@ impl<'s> Executor<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::codec_log;
+    use crate::artifact_cache::ArtifactCache;
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
     use crate::semver::SemVer;
     use std::collections::HashMap;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn pipeline(scale_factor: f32, scaler_out: usize, model_in: usize) -> BoundPipeline {
@@ -1221,7 +1253,7 @@ mod tests {
                     let cached = CachedOutput {
                         object,
                         artifact_id,
-                        schema: artifact.schema,
+                        schema: artifact.schema(),
                         score,
                     };
                     if let Some(c) = cache {
@@ -1294,27 +1326,68 @@ mod tests {
         }
     }
 
+    /// What `HistoryIndex` is to the engines: checkpoints, plus (with a
+    /// budget) the decoded-artifact cache behind [`OutputCache::decoded`].
+    struct TestCache {
+        checkpoints: MemoryCache,
+        decoded: Option<ArtifactCache>,
+    }
+
+    impl TestCache {
+        fn new(decoded_budget: Option<u64>) -> TestCache {
+            TestCache {
+                checkpoints: MemoryCache::new(),
+                decoded: decoded_budget.map(ArtifactCache::with_budget),
+            }
+        }
+    }
+
+    impl OutputCache for TestCache {
+        fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
+            self.checkpoints.lookup(key)
+        }
+        fn insert(&self, key: CacheKey, value: CachedOutput) {
+            self.checkpoints.insert(key, value)
+        }
+        fn decoded(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
+            self.decoded.as_ref()?.get(blob)
+        }
+        fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
+            if let Some(decoded) = &self.decoded {
+                decoded.insert(blob, artifact);
+            }
+        }
+    }
+
+    /// Room for every artifact a test makes.
+    const ROOMY: u64 = 1 << 20;
+    /// Room for two or three of the test artifacts (300–500 bytes each), so
+    /// the hand keeps evicting.
+    const CRAMPED: u64 = 1200;
+
     /// Every observable of one run of `subject` on a fresh store, through
     /// the reference walk (`workers == None`) or [`Executor::run`]. `cache`
-    /// is `"none"`, `"cold"`, or `"warm"` (primed by a reference walk of
-    /// `primer`, so both sides start from the same bytes).
+    /// is `"none"`, `"cold"`, or `"warm"`: primed by a run of `primer` — a
+    /// reference walk, or with a decoded-artifact cache of `decoded_budget`
+    /// bytes the engine itself, so that the cache starts out holding what
+    /// the primer produced. The second value is the cache's
+    /// `[hits, misses, evictions]`.
     fn observe(
         subject: &BoundPipeline,
         primer: &BoundPipeline,
         options: ExecOptions,
         cache: &str,
         workers: Option<usize>,
-    ) -> (String, RunOutcome) {
+        decoded_budget: Option<u64>,
+    ) -> (String, [u64; 3], RunOutcome) {
         let store = ChunkStore::in_memory_small();
-        let checkpoints = MemoryCache::new();
+        let checkpoints = TestCache::new(decoded_budget);
         if cache == "warm" {
-            let primed = reference_run(
-                &store,
-                primer,
-                &ClockLedger::new(),
-                Some(&checkpoints),
-                options,
-            );
+            let ledger = ClockLedger::new();
+            let primed = match decoded_budget {
+                None => reference_run(&store, primer, &ledger, Some(&checkpoints), options),
+                Some(_) => Executor::new(&store).run(primer, &ledger, Some(&checkpoints), options),
+            };
             assert!(primed.unwrap().outcome.is_completed());
         }
         let cache_arg: Option<&dyn OutputCache> = (cache != "none").then_some(&checkpoints);
@@ -1336,13 +1409,15 @@ mod tests {
             serde_json::to_string(&ledger.snapshot()).unwrap(),
             serde_json::to_string(&store.stats()).unwrap(),
             store.physical_bytes(),
-            checkpoints.len(),
+            checkpoints.checkpoints.len(),
         );
-        (observed, report.outcome)
+        let counts = checkpoints.decoded.map(|d| d.counts()).unwrap_or_default();
+        (observed, counts, report.outcome)
     }
 
     /// The engine against the oracle, over every combination of DAG shape,
-    /// policy, cache state, and pipeline health, at workers {1, 2, 8}.
+    /// policy, cache state, and pipeline health, at workers {1, 2, 8} — and
+    /// with the cache keeping no decoded artifacts, all of them, or too few.
     #[test]
     fn run_matches_reference_walk_at_every_worker_count() {
         let model = |inc: u32, dim_in: usize, quality: f64| TestModel {
@@ -1356,6 +1431,7 @@ mod tests {
             ("RERUN_ALL", ExecOptions::RERUN_ALL),
         ];
         let (mut completed, mut failed, mut rejected) = (0, 0, 0);
+        let (mut decoded_hits, mut decoded_evictions) = (0, 0);
         for shape in ["chain", "diamond", "fan8"] {
             let primer = shaped(shape, model(1, 3, 0.9));
             for (policy, options) in policies {
@@ -1371,7 +1447,8 @@ mod tests {
                             shaped(shape, model(0, 3, 0.3))
                         };
                         let cell = format!("{shape}/{policy}/{cache}/doomed={doomed}");
-                        let (expected, outcome) = observe(&subject, &primer, options, cache, None);
+                        let (expected, _, outcome) =
+                            observe(&subject, &primer, options, cache, None, None);
                         match (&outcome, doomed, options.precheck) {
                             (RunOutcome::Completed { .. }, false, _) => completed += 1,
                             (RunOutcome::Failed { .. }, true, false) => failed += 1,
@@ -1379,15 +1456,30 @@ mod tests {
                             other => panic!("{cell}: unexpected reference outcome {other:?}"),
                         }
                         for workers in [1, 2, 8] {
-                            let (got, _) =
-                                observe(&subject, &primer, options, cache, Some(workers));
-                            assert_eq!(got, expected, "{cell} diverged at {workers} workers");
+                            for decoded in [None, Some(ROOMY), Some(CRAMPED)] {
+                                let (got, [hits, _, evictions], _) = observe(
+                                    &subject,
+                                    &primer,
+                                    options,
+                                    cache,
+                                    Some(workers),
+                                    decoded,
+                                );
+                                assert_eq!(
+                                    got, expected,
+                                    "{cell} diverged at {workers} workers, decoded {decoded:?}"
+                                );
+                                decoded_hits += hits;
+                                decoded_evictions += evictions;
+                            }
                         }
                     }
                 }
             }
         }
         assert_eq!((completed, failed, rejected), (27, 18, 9));
+        // The table did cross both paths it exists for.
+        assert!(decoded_hits > 0 && decoded_evictions > 0);
     }
 
     /// A failure *inside* the DAG: the join declares 5-dim inputs behind
@@ -1401,23 +1493,143 @@ mod tests {
             quality: 0.3,
         };
         let doomed = fan(&["left", "right"], 3, 5, model);
-        let (expected, outcome) = observe(&doomed, &doomed, ExecOptions::RERUN_ALL, "cold", None);
+        let (expected, _, outcome) =
+            observe(&doomed, &doomed, ExecOptions::RERUN_ALL, "cold", None, None);
         match outcome {
             RunOutcome::Failed { at, .. } => assert_eq!(at.name, "test_join"),
             other => panic!("expected a failure at the join, got {other:?}"),
         }
         for workers in [1, 2, 8] {
-            let (got, _) = observe(
+            let (got, _, _) = observe(
                 &doomed,
                 &doomed,
                 ExecOptions::RERUN_ALL,
                 "cold",
                 Some(workers),
+                Some(CRAMPED),
             );
             assert_eq!(
                 got, expected,
                 "failure path with {workers} workers diverged"
             );
+        }
+    }
+
+    /// `shape` over a source no other test uses (`rows` picks it) and a
+    /// model weak enough that its score — hence its artifact — differs with
+    /// the data: every artifact of the pipeline is this caller's alone, so
+    /// the codec log counts only this caller's work on it.
+    fn private_pipeline(shape: &str, rows: usize, model_inc: u32) -> BoundPipeline {
+        let model = TestModel {
+            version: SemVer::master(0, model_inc),
+            dim_in: 3,
+            quality: 0.001 * (model_inc + 1) as f64,
+        };
+        let mut p = shaped(shape, model);
+        p.components[0] = Arc::new(TestSource {
+            version: SemVer::initial(),
+            dim: 3,
+            rows,
+        });
+        p
+    }
+
+    /// An artifact is encoded when it is produced and never again — not for
+    /// its id, not for its length, not by the `work_units` of the nodes that
+    /// consume it — and a checkpoint this process made is never parsed,
+    /// however many later runs reuse it.
+    #[test]
+    fn produced_artifacts_are_encoded_once_and_never_parsed() {
+        for (s, shape) in ["chain", "diamond", "fan8"].into_iter().enumerate() {
+            for (w, workers) in [1, 2, 8].into_iter().enumerate() {
+                let rows = 100 + 3 * s + w;
+                let store = ChunkStore::in_memory_small();
+                let cache = TestCache::new(Some(ROOMY));
+                let options =
+                    ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
+                let run = |model_inc| {
+                    Executor::new(&store)
+                        .run(
+                            &private_pipeline(shape, rows, model_inc),
+                            &ClockLedger::new(),
+                            Some(&cache),
+                            options,
+                        )
+                        .unwrap()
+                };
+                let first = run(0);
+                assert_eq!(first.executed_count(), first.stages.len());
+                // Two more models over the same prefix: each reuses every
+                // checkpoint but the last and feeds its model from one.
+                let later: Vec<RunReport> = vec![run(1), run(2)];
+                for report in later.iter().chain([&first]) {
+                    for stage in &report.stages {
+                        assert_eq!(
+                            codec_log::counts(&stage.artifact_id),
+                            [1, 0],
+                            "{shape} at {workers} workers: {} ({})",
+                            stage.component,
+                            if stage.reused { "reused" } else { "executed" },
+                        );
+                    }
+                }
+                assert!(later.iter().all(|r| r.executed_count() == 1));
+                let [hits, misses, _] = cache.decoded.as_ref().unwrap().counts();
+                assert_eq!((hits, misses), (2, 0), "{shape} at {workers} workers");
+            }
+        }
+    }
+
+    /// A checkpoint that exists only in the store — made by an earlier
+    /// process — is parsed by the first merge candidate that needs it and by
+    /// no other: once per process, not once per candidate. (Without the
+    /// decoded-artifact cache it is once per candidate, which is what the
+    /// `None` row shows this test can see.)
+    #[test]
+    fn a_stored_checkpoint_is_parsed_once_for_all_candidates() {
+        const CANDIDATES: u32 = 4;
+        for (w, workers) in [1, 2, 8].into_iter().enumerate() {
+            for (d, decoded_budget) in [None, Some(ROOMY)].into_iter().enumerate() {
+                let rows = 200 + 2 * w + d;
+                let store = ChunkStore::in_memory_small();
+                let cache = TestCache::new(decoded_budget);
+                // The earlier process: checkpoints land in the index, no
+                // artifact stays in memory.
+                let primer = private_pipeline("fan8", rows, 0);
+                let primed = reference_run(
+                    &store,
+                    &primer,
+                    &ClockLedger::new(),
+                    Some(&cache),
+                    ExecOptions::MLCASK,
+                )
+                .unwrap();
+                let join = &primed.stages[primed.stages.len() - 2];
+                assert_eq!(join.component.name, "test_join");
+                assert_eq!(codec_log::counts(&join.artifact_id)[codec_log::DECODED], 0);
+                let options =
+                    ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
+                for candidate in 1..=CANDIDATES {
+                    let report = Executor::new(&store)
+                        .run(
+                            &private_pipeline("fan8", rows, candidate),
+                            &ClockLedger::new(),
+                            Some(&cache),
+                            options,
+                        )
+                        .unwrap();
+                    assert_eq!(report.executed_count(), 1, "only the model is new");
+                }
+                assert_eq!(
+                    codec_log::counts(&join.artifact_id)[codec_log::DECODED],
+                    if decoded_budget.is_some() {
+                        1
+                    } else {
+                        CANDIDATES
+                    },
+                    "{workers} workers, decoded budget {decoded_budget:?}"
+                );
+            }
         }
     }
 

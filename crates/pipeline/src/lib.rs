@@ -14,7 +14,7 @@
 //! | Component / pipeline metafiles (§III) | [`metafile`] |
 //! | Components `y = f(x\|θ)` (Defs. 1, 3, 4) | [`component`] |
 //! | Pipeline DAG `G = (F, E)` (Defs. 1–2) | [`dag`] |
-//! | Execution, output archiving, reuse (§IV, C1) | [`executor`] |
+//! | Execution, output archiving, reuse (§IV, C1) | [`executor`], [`artifact_cache`] |
 //! | Execution vs storage time split (§VII-B) | [`clock`] |
 //!
 //! Beyond the paper, this crate supplies the parallel-execution substrate:
@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod artifact_cache;
 pub mod clock;
 pub mod component;
 pub mod dag;

@@ -131,6 +131,38 @@ mod tests {
             .contains("-32602"));
     }
 
+    /// Lines no honest client sends: each gets a well-formed `-32700` reply,
+    /// and the router goes on serving. (The first used to overflow the
+    /// parser's stack and abort the daemon; the second wrapped a subtraction
+    /// into a bogus character in release builds and panicked in debug ones.)
+    #[test]
+    fn hostile_json_gets_a_parse_error_and_the_router_keeps_serving() {
+        let r = router(false);
+        let hostile = [
+            "[".repeat(200_000),
+            r#"{"id":1,"method":"ping","params":"#.to_string() + &"{\"a\":".repeat(100_000),
+            r#"{"id":1,"method":"\uD800A"}"#.to_string(),
+            r#"{"id":"\uD800\u0041","method":"ping"}"#.to_string(),
+        ];
+        for line in &hostile {
+            let reply: Value = serde_json::from_str(&r.handle_text(line)).unwrap();
+            let m = reply.as_map().expect("reply is an object");
+            assert_eq!(serde::map_get(m, "id"), Some(&Value::Null));
+            let error = serde::map_get(m, "error").and_then(Value::as_map).unwrap();
+            assert_eq!(
+                serde::map_get(error, "code"),
+                Some(&Value::I64(crate::protocol::PARSE_ERROR))
+            );
+            assert!(matches!(
+                serde::map_get(error, "message"),
+                Some(Value::Str(_))
+            ));
+            assert!(r
+                .handle_text(r#"{"id":2,"method":"ping"}"#)
+                .contains("pong"));
+        }
+    }
+
     #[test]
     fn session_cap_refuses_with_admission_code() {
         let r = Router::in_memory(

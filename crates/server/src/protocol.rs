@@ -77,14 +77,26 @@ pub fn s(x: impl Into<String>) -> Value {
     Value::Str(x.into())
 }
 
-/// Parses one request line.
+/// Parses one request line. The fields are moved out of the parsed tree,
+/// not copied (`params` can be most of the line); of a repeated key the
+/// first occurrence counts.
 pub fn parse_request(line: &str) -> Result<Request, Failure> {
     let v: Value = serde_json::from_str(line).map_err(|e| Failure::new(PARSE_ERROR, e))?;
-    let m = v
-        .as_map()
-        .ok_or_else(|| Failure::new(INVALID_REQUEST, "request must be an object"))?;
-    let method = match serde::map_get(m, "method") {
-        Some(Value::Str(name)) => name.clone(),
+    let Value::Map(pairs) = v else {
+        return Err(Failure::new(INVALID_REQUEST, "request must be an object"));
+    };
+    let (mut id, mut method, mut params) = (None, None, None);
+    for (key, value) in pairs {
+        let field = match key.as_str() {
+            "id" => &mut id,
+            "method" => &mut method,
+            "params" => &mut params,
+            _ => continue,
+        };
+        field.get_or_insert(value);
+    }
+    let method = match method {
+        Some(Value::Str(name)) => name,
         Some(other) => {
             return Err(Failure::new(
                 INVALID_REQUEST,
@@ -93,9 +105,11 @@ pub fn parse_request(line: &str) -> Result<Request, Failure> {
         }
         None => return Err(Failure::new(INVALID_REQUEST, "missing `method`")),
     };
-    let id = serde::map_get(m, "id").cloned().unwrap_or(Value::Null);
-    let params = serde::map_get(m, "params").cloned().unwrap_or(Value::Null);
-    Ok(Request { id, method, params })
+    Ok(Request {
+        id: id.unwrap_or(Value::Null),
+        method,
+        params: params.unwrap_or(Value::Null),
+    })
 }
 
 /// A success response value.
@@ -236,6 +250,17 @@ mod tests {
             parse_request(r#"{"method": 3}"#).unwrap_err().code,
             INVALID_REQUEST
         );
+    }
+
+    #[test]
+    fn first_of_a_repeated_key_counts() {
+        let req = parse_request(
+            r#"{"id":1,"method":"a","params":{"k":1},"id":2,"method":"b","params":null}"#,
+        )
+        .unwrap();
+        assert_eq!(req.id, Value::U64(1));
+        assert_eq!(req.method, "a");
+        assert_eq!(Params::of(&req).unwrap().u64("k").unwrap(), 1);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! with a referenced bit set on every hit. Eviction sweeps the clock hand,
 //! clearing bits until it finds an unreferenced victim — LRU-approximating,
 //! O(1) amortized, and with none of LRU's list-splice work on the hit path
-//! (a hit is one hash-map probe and one store to a `bool`).
+//! (a hit is one hash-map probe and one store to a `bool`). The ring itself,
+//! [`ClockRing`], is generic over what it holds: the pipeline crate's
+//! decoded-artifact cache evicts with the same one.
 //!
 //! # Sharding
 //!
@@ -95,45 +97,122 @@ impl CacheOptions {
     }
 }
 
-/// One cached blob on a shard's clock ring.
-struct Entry {
+/// One entry on a clock ring.
+struct Entry<V> {
     key: Hash256,
-    data: Bytes,
+    value: V,
+    /// Bytes this entry counts against the ring's budget.
+    weight: u64,
     /// CLOCK reference bit: set on hit, cleared by a passing hand.
     referenced: bool,
 }
 
-/// One CLOCK ring: entries in insertion order, a hand, and a byte total.
-#[derive(Default)]
-struct Ring {
+/// What one [`ClockRing::insert`] pushed out to make room.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Evicted {
+    /// Entries evicted.
+    pub entries: u64,
+    /// Their combined weight.
+    pub bytes: u64,
+}
+
+/// One byte-budgeted CLOCK ring over content-addressed values: entries in
+/// insertion order, a hand, and a weight total. Unsynchronised — the owner
+/// wraps it in its own lock ([`BlobCache`] keeps one per shard).
+pub struct ClockRing<V> {
     /// key → index into `entries`.
     map: std::collections::HashMap<Hash256, usize>,
-    entries: Vec<Entry>,
+    entries: Vec<Entry<V>>,
     hand: usize,
     bytes: u64,
 }
 
-impl Ring {
+impl<V> Default for ClockRing<V> {
+    fn default() -> Self {
+        ClockRing {
+            map: std::collections::HashMap::new(),
+            entries: Vec::new(),
+            hand: 0,
+            bytes: 0,
+        }
+    }
+}
+
+impl<V: Clone> ClockRing<V> {
+    /// Looks `key` up, setting its reference bit on a hit.
+    pub fn get(&mut self, key: &Hash256) -> Option<V> {
+        let entry = &mut self.entries[*self.map.get(key)?];
+        entry.referenced = true;
+        Some(entry.value.clone())
+    }
+
+    /// Inserts `key → value` at `weight` bytes, sweeping the hand (second
+    /// chance: a referenced entry loses its bit, an unreferenced one is
+    /// evicted) until the ring fits `capacity`. `None` — nothing changed —
+    /// for a key already present or a weight above `capacity`.
+    pub fn insert(
+        &mut self,
+        key: Hash256,
+        value: V,
+        weight: u64,
+        capacity: u64,
+    ) -> Option<Evicted> {
+        if weight > capacity || self.map.contains_key(&key) {
+            return None;
+        }
+        let mut evicted = Evicted::default();
+        while self.bytes + weight > capacity && !self.entries.is_empty() {
+            let hand = self.hand;
+            if self.entries[hand].referenced {
+                self.entries[hand].referenced = false;
+                self.hand = (hand + 1) % self.entries.len();
+            } else {
+                evicted.bytes += self.remove_at(hand);
+                evicted.entries += 1;
+            }
+        }
+        self.map.insert(key, self.entries.len());
+        self.entries.push(Entry {
+            key,
+            value,
+            weight,
+            referenced: false,
+        });
+        self.bytes += weight;
+        Some(evicted)
+    }
+
+    /// Drops `key` if present, returning its weight.
+    pub fn remove(&mut self, key: &Hash256) -> Option<u64> {
+        let idx = *self.map.get(key)?;
+        Some(self.remove_at(idx))
+    }
+
+    /// Combined weight of the resident entries.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
     /// Removes the entry at `idx` (swap-remove, fixing the displaced
-    /// entry's map slot and the hand).
-    fn remove_at(&mut self, idx: usize) -> Entry {
+    /// entry's map slot and the hand), returning its weight.
+    fn remove_at(&mut self, idx: usize) -> u64 {
         let entry = self.entries.swap_remove(idx);
         self.map.remove(&entry.key);
-        self.bytes -= entry.data.len() as u64;
+        self.bytes -= entry.weight;
         if idx < self.entries.len() {
             self.map.insert(self.entries[idx].key, idx);
         }
         if self.hand >= self.entries.len() {
             self.hand = 0;
         }
-        entry
+        entry.weight
     }
 }
 
 /// Sharded CLOCK blob cache. See the [module docs](self) for the policy and
 /// the determinism argument.
 pub struct BlobCache {
-    shards: Vec<Mutex<Ring>>,
+    shards: Vec<Mutex<ClockRing<Bytes>>>,
     /// Per-shard byte budget.
     shard_capacity: u64,
     capacity_bytes: u64,
@@ -170,7 +249,7 @@ impl BlobCache {
         )
         .set(opts.capacity_bytes as f64);
         BlobCache {
-            shards: (0..n).map(|_| Mutex::new(Ring::default())).collect(),
+            shards: (0..n).map(|_| Mutex::new(ClockRing::default())).collect(),
             shard_capacity: opts.capacity_bytes / n as u64,
             capacity_bytes: opts.capacity_bytes,
             hits: counter("mlcask_blob_cache_hits_total", "Blob cache hits"),
@@ -201,27 +280,18 @@ impl BlobCache {
         }
     }
 
-    fn ring(&self, key: &Hash256) -> &Mutex<Ring> {
+    fn ring(&self, key: &Hash256) -> &Mutex<ClockRing<Bytes>> {
         &self.shards[key.0[0] as usize % self.shards.len()]
     }
 
     /// Looks `key` up, setting its reference bit on a hit.
     pub fn get(&self, key: &Hash256) -> Option<Bytes> {
-        let mut ring = self.ring(key).lock();
-        match ring.map.get(key).copied() {
-            Some(idx) => {
-                ring.entries[idx].referenced = true;
-                let data = ring.entries[idx].data.clone();
-                drop(ring);
-                self.hits.inc();
-                Some(data)
-            }
-            None => {
-                drop(ring);
-                self.misses.inc();
-                None
-            }
+        let found = self.ring(key).lock().get(key);
+        match &found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
     }
 
     /// Inserts `key → data`, evicting via the clock hand until it fits.
@@ -229,54 +299,29 @@ impl BlobCache {
     /// are no-ops.
     pub fn insert(&self, key: Hash256, data: Bytes) {
         let len = data.len() as u64;
-        if len > self.shard_capacity {
+        let Some(evicted) = self
+            .ring(&key)
+            .lock()
+            .insert(key, data, len, self.shard_capacity)
+        else {
             return;
-        }
-        let mut evicted = 0u64;
-        let mut evictions = 0u64;
-        {
-            let mut ring = self.ring(&key).lock();
-            if ring.map.contains_key(&key) {
-                return;
-            }
-            // Second-chance sweep: clear reference bits until an
-            // unreferenced victim frees enough budget.
-            while ring.bytes + len > self.shard_capacity && !ring.entries.is_empty() {
-                let hand = ring.hand;
-                if ring.entries[hand].referenced {
-                    ring.entries[hand].referenced = false;
-                    ring.hand = (hand + 1) % ring.entries.len();
-                } else {
-                    let victim = ring.remove_at(hand);
-                    evicted += victim.data.len() as u64;
-                    evictions += 1;
-                }
-            }
-            let idx = ring.entries.len();
-            ring.entries.push(Entry {
-                key,
-                data,
-                referenced: false,
-            });
-            ring.map.insert(key, idx);
-            ring.bytes += len;
-        }
+        };
         self.insertions.inc();
-        self.evictions.add(evictions);
+        self.evictions.add(evicted.entries);
         self.resident_bytes.fetch_add(len, Ordering::Relaxed);
-        let resident = self.resident_bytes.fetch_sub(evicted, Ordering::Relaxed) - evicted;
+        let resident = self
+            .resident_bytes
+            .fetch_sub(evicted.bytes, Ordering::Relaxed)
+            - evicted.bytes;
         self.resident_gauge.set(resident as f64);
     }
 
     /// Drops `key` if cached — called after a backend `remove` so a stale
     /// entry can never resurrect a deleted blob.
     pub fn invalidate(&self, key: &Hash256) {
-        let mut ring = self.ring(key).lock();
-        if let Some(idx) = ring.map.get(key).copied() {
-            let victim = ring.remove_at(idx);
-            drop(ring);
+        let removed = self.ring(key).lock().remove(key);
+        if let Some(len) = removed {
             self.invalidations.inc();
-            let len = victim.data.len() as u64;
             let resident = self.resident_bytes.fetch_sub(len, Ordering::Relaxed) - len;
             self.resident_gauge.set(resident as f64);
         }

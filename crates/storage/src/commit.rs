@@ -95,17 +95,16 @@ impl Commit {
         message: &str,
         tick: u64,
     ) -> Hash256 {
-        let mut parts: Vec<Vec<u8>> = Vec::new();
-        for p in parents {
-            parts.push(p.0.to_vec());
-        }
-        parts.push(branch.as_bytes().to_vec());
-        parts.push(seq.to_le_bytes().to_vec());
-        parts.push(payload.0.to_vec());
-        parts.push(message.as_bytes().to_vec());
-        parts.push(tick.to_le_bytes().to_vec());
-        let refs: Vec<&[u8]> = parts.iter().map(|v| v.as_slice()).collect();
-        Hash256::of_parts(&refs)
+        let (seq, tick) = (seq.to_le_bytes(), tick.to_le_bytes());
+        let mut parts: Vec<&[u8]> = parents.iter().map(|p| &p.0[..]).collect();
+        parts.extend([
+            branch.as_bytes(),
+            &seq[..],
+            &payload.0[..],
+            message.as_bytes(),
+            &tick[..],
+        ]);
+        Hash256::of_parts(&parts)
     }
 
     /// Human-readable `branch.seq` version label (the paper's notation, e.g.
@@ -796,6 +795,23 @@ impl CommitGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Commit ids computed by the tree before `compute_id` stopped copying
+    /// its parts (PR 14's commit): a root and a two-parent merge.
+    #[test]
+    fn commit_ids_are_pinned() {
+        let payload = Hash256::of(b"payload");
+        assert_eq!(
+            Commit::compute_id(&[], "master", 0, payload, "", 0).to_hex(),
+            "db3aac2fed5bdb4167ce0424f2c5cb98f3f5632a05d8f7c20412f859754e5d02"
+        );
+        let parents = [Hash256::of(b"p1"), Hash256::of(b"p2")];
+        assert_eq!(
+            Commit::compute_id(&parents, "alice/dev", 3, payload, "merge é \"x\"", u64::MAX)
+                .to_hex(),
+            "1d0492b2bade74a97126a609a68e42ba911adc5c831793a5a78ac5b60106ecc0"
+        );
+    }
 
     fn payload(n: u8) -> Hash256 {
         Hash256::of(&[n])

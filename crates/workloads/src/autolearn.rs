@@ -105,11 +105,11 @@ impl Component for ZernikeExtract {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Images(s) = &inputs[0].data else {
+        let ArtifactData::Images(s) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "images",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let dim = zernike_dim();
@@ -182,11 +182,11 @@ impl Component for AutolearnFeat {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let cfg = AutoFeatConfig {
@@ -272,11 +272,11 @@ impl Component for AdaModel {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         // Deterministic stratified train/eval split.

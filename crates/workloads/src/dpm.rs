@@ -110,11 +110,11 @@ impl Component for DpmClean {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Table(t) = &inputs[0].data else {
+        let ArtifactData::Table(t) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "table",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let numeric_cols: Vec<usize> = ["egfr", "creatinine", "potassium"]
@@ -190,11 +190,11 @@ impl Component for SeqExtract {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Table(t) = &inputs[0].data else {
+        let ArtifactData::Table(t) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "table",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let pid_col = t.col_index("patient_id").unwrap();
@@ -288,11 +288,11 @@ impl Component for HmmDebias {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Sequences(s) = &inputs[0].data else {
+        let ArtifactData::Sequences(s) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "sequences",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let states = self.states();
@@ -375,11 +375,11 @@ impl Component for DpmModel {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let model = train_eval_mlp(f, self.config.clone(), "dpm-dl");

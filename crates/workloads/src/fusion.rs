@@ -167,11 +167,11 @@ impl Component for FusionBranch {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         // Increments refine the normalisation, so every version produces a
@@ -235,7 +235,7 @@ impl Component for FusionJoin {
         self.check_compatibility(inputs)?;
         let features: Vec<&Features> = inputs
             .iter()
-            .map(|a| match &a.data {
+            .map(|a| match a.data() {
                 ArtifactData::Features(f) => Ok(f),
                 other => Err(PipelineError::WrongArtifactKind {
                     component: self.key(),
@@ -299,11 +299,11 @@ impl Component for RiskModel {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let model = train_eval_mlp(f, self.config.clone(), "fusion-risk");

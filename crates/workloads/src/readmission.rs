@@ -153,11 +153,11 @@ impl Component for DataCleanse {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Table(t) = &inputs[0].data else {
+        let ArtifactData::Table(t) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "table",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let filled = self.fill_table(t);
@@ -266,11 +266,11 @@ impl Component for FeatureExtract {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Table(t) = &inputs[0].data else {
+        let ArtifactData::Table(t) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "table",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         Ok(Artifact::new(
@@ -320,11 +320,11 @@ impl Component for Cnn {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let model = train_eval_mlp(f, self.config.clone(), "readmission-cnn");

@@ -94,11 +94,11 @@ impl Component for CorpusClean {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Docs(d) = &inputs[0].data else {
+        let ArtifactData::Docs(d) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "docs",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let dedup = self.version.increment >= 1;
@@ -165,11 +165,11 @@ impl Component for TokenFilter {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Docs(d) = &inputs[0].data else {
+        let ArtifactData::Docs(d) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "docs",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         // Thresholds scale with the corpus so each version filters a
@@ -247,11 +247,11 @@ impl Component for EmbedFeaturize {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Docs(d) = &inputs[0].data else {
+        let ArtifactData::Docs(d) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "docs",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let emb = Embedding::train(
@@ -339,11 +339,11 @@ impl Component for SaModel {
     }
     fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             return Err(PipelineError::WrongArtifactKind {
                 component: self.key(),
                 expected: "features",
-                actual: inputs[0].data.kind_label(),
+                actual: inputs[0].data().kind_label(),
             });
         };
         let model = train_eval_mlp(f, self.config.clone(), "sa-dl");

@@ -136,7 +136,7 @@ impl Component for WhatIfHeavy {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         Ok(Artifact::new(
@@ -179,7 +179,7 @@ impl Component for WhatIfSelect {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         let lr = 0.02 + self.version.increment as f32 * 0.015;
@@ -223,7 +223,7 @@ impl Component for WhatIfTrain {
     }
     fn run(&self, inputs: &[Artifact]) -> mlcask_pipeline::errors::Result<Artifact> {
         self.check_compatibility(inputs)?;
-        let ArtifactData::Features(f) = &inputs[0].data else {
+        let ArtifactData::Features(f) = inputs[0].data() else {
             unreachable!("schema-checked input is a feature matrix");
         };
         let mut correct = 0usize;

@@ -264,6 +264,36 @@ fn metrics_scrape_exposes_request_series() {
     );
 }
 
+/// The decoded-checkpoint cache reports through the same scrape: a script
+/// whose later commits and merge reuse checkpoints this process made moves
+/// its hit counter and leaves artifacts resident. (Sums over instances, and
+/// only "grew": the registry is global and other tests run beside this one.)
+#[test]
+fn artifact_cache_series_move_on_checkpoint_reuse() {
+    let scraper = router(1);
+    let scrape_sum = |family: &str| -> f64 {
+        let text = match result_of(&rpc(&scraper, "metrics.scrape", "{}")) {
+            Value::Str(s) => s,
+            other => panic!("scrape returns text: {other:?}"),
+        };
+        assert!(
+            text.contains(&format!("# TYPE {family} ")),
+            "scrape missing `{family}`"
+        );
+        text.lines()
+            .filter(|l| l.starts_with(&format!("{family}{{")))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+            .sum()
+    };
+    let hits_before = scrape_sum("mlcask_artifact_cache_hits_total");
+    served_script(1);
+    assert!(scrape_sum("mlcask_artifact_cache_hits_total") > hits_before);
+    assert!(scrape_sum("mlcask_artifact_cache_resident_bytes") > 0.0);
+    // Registered even while idle: nothing here misses or evicts.
+    scrape_sum("mlcask_artifact_cache_misses_total");
+    scrape_sum("mlcask_artifact_cache_evictions_total");
+}
+
 /// Golden scrape: exact Prometheus text for a hand-built (local, not
 /// global) registry — families sorted by name, series by label set,
 /// cumulative buckets with `+Inf`, and label values escaped.

@@ -281,7 +281,7 @@ mod dag {
         }
         fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 unreachable!("schema-checked input");
             };
             let x = Matrix::from_fn(f.x.rows(), DIM, |r, c| f.x.get(r, c) * self.factor);
@@ -325,7 +325,7 @@ mod dag {
             self.check_compatibility(inputs)?;
             let feats: Vec<&Features> = inputs
                 .iter()
-                .map(|a| match &a.data {
+                .map(|a| match a.data() {
                     ArtifactData::Features(f) => f,
                     _ => unreachable!("schema-checked input"),
                 })
@@ -377,7 +377,7 @@ mod dag {
         }
         fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 unreachable!("schema-checked input");
             };
             let mean = f.x.as_slice().iter().map(|v| *v as f64).sum::<f64>()

@@ -565,7 +565,7 @@ mod orphan_gc {
         }
         fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
             self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = &inputs[0].data else {
+            let ArtifactData::Features(f) = inputs[0].data() else {
                 unreachable!("schema-checked input");
             };
             let x = Matrix::from_fn(f.x.rows(), DIM, |r, c| f.x.get(r, c) * self.factor);
@@ -605,7 +605,7 @@ mod orphan_gc {
             self.check_compatibility(inputs)?;
             let feats: Vec<&Features> = inputs
                 .iter()
-                .map(|a| match &a.data {
+                .map(|a| match a.data() {
                     ArtifactData::Features(f) => f,
                     _ => unreachable!("schema-checked input"),
                 })
