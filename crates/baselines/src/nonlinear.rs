@@ -2,15 +2,15 @@
 //!
 //! For each merge strategy, a fresh system replays the Fig. 3 branch
 //! history and then performs the merge; the report isolates merge-only
-//! cumulative pipeline time (CPT), execution time (CET), storage time (CST),
-//! and storage size (CSS).
+//! cumulative pipeline time (CPT), execution time (CET) and storage size
+//! (CSS); storage time (CST) is the report's `clock.storage_ns`.
 //!
 //! CSS is reported on a consistent *logical-bytes* basis for all three
 //! systems: full MLCask executes (and therefore archives) every distinct
 //! tree node once — "saves the final optimal pipeline only once" — while
 //! the ablations re-archive every candidate's outputs from scratch. The
-//! additional chunk-level dedup of the ForkBase store is reported
-//! separately as `css_physical_bytes`.
+//! additional chunk-level dedup of the ForkBase store is the report's
+//! `physical_bytes`.
 
 use mlcask_core::errors::Result;
 use mlcask_core::merge::{MergeSearchReport, MergeStrategy};
@@ -22,20 +22,12 @@ use serde::{Deserialize, Serialize};
 /// Measurements of one merge under one strategy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MergeRunResult {
-    /// Workload name.
-    pub workload: String,
-    /// Strategy used.
-    pub strategy: MergeStrategy,
     /// Merge-only cumulative pipeline time in seconds (CPT).
     pub cpt_secs: f64,
     /// Merge-only cumulative execution time in seconds (CET).
     pub cet_secs: f64,
-    /// Merge-only cumulative storage time in seconds (CST).
-    pub cst_secs: f64,
     /// Merge-only cumulative storage size in bytes (CSS, logical basis).
     pub css_bytes: u64,
-    /// Physical bytes after chunk dedup (MLCask's additional saving).
-    pub css_physical_bytes: u64,
     /// The underlying search report.
     pub report: MergeSearchReport,
 }
@@ -48,13 +40,9 @@ pub fn run_merge(workload: &Workload, strategy: MergeStrategy) -> Result<MergeRu
     let outcome = sys.merge("master", "dev", strategy, &clock)?;
     let report = outcome.report.expect("diverged merge produces a report");
     Ok(MergeRunResult {
-        workload: workload.name.clone(),
-        strategy,
         cpt_secs: report.clock.total_secs(),
         cet_secs: report.clock.exec_ns() as f64 / 1e9,
-        cst_secs: report.clock.storage_ns as f64 / 1e9,
         css_bytes: report.logical_bytes,
-        css_physical_bytes: report.physical_bytes,
         report,
     })
 }
@@ -93,8 +81,8 @@ mod tests {
     fn headline_speedup_is_substantial() {
         // Abstract: "the proposed merge operation is up to 7.8x faster and
         // saves up to 11.9x storage" vs the no-history baseline. We assert
-        // the direction and a >2x margin for one workload here; the bench
-        // harness reports exact ratios for all four.
+        // the direction and a >2x margin for one workload here; the README
+        // records the ratios for all four.
         let w = readmission::build();
         let full = run_merge(&w, MergeStrategy::Full).unwrap();
         let no_pcpr = run_merge(&w, MergeStrategy::WithoutPcPr).unwrap();

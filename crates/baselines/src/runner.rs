@@ -78,8 +78,6 @@ pub struct IterationRecord {
 pub struct LinearRunResult {
     /// System under test.
     pub system: SystemKind,
-    /// Workload name.
-    pub workload: String,
     /// Per-iteration measurements.
     pub iterations: Vec<IterationRecord>,
 }
@@ -159,7 +157,6 @@ fn run_linear_mlcask(
     }
     Ok(LinearRunResult {
         system: SystemKind::MlCask,
-        workload: workload.name.clone(),
         iterations,
     })
 }
@@ -253,11 +250,7 @@ fn run_linear_baseline(
             score: report.outcome.score().map(|s| s.value),
         });
     }
-    Ok(LinearRunResult {
-        system,
-        workload: workload.name.clone(),
-        iterations,
-    })
+    Ok(LinearRunResult { system, iterations })
 }
 
 #[cfg(test)]

@@ -67,7 +67,6 @@ pub mod prelude {
     pub use crate::registry::{ComponentRegistry, RegisteredLibrary};
     pub use crate::search_space::{CompatLut, SearchSpaces};
     pub use crate::system::{CommitResult, MergeOutcome, MlCask};
-    pub use crate::testkit::env_store_small;
     pub use crate::tree::{NodeState, SearchTree, StateCounts, TreeNode};
     pub use crate::workspace::{Tenant, Workspace};
     pub use mlcask_storage::tenant::{SharePolicy, ShareRight};

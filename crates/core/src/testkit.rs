@@ -215,18 +215,6 @@ pub fn toy_slots() -> Vec<&'static str> {
     vec!["test_source", "test_scaler", "test_model"]
 }
 
-/// Small-chunk store over the backend named by `MLCASK_BACKEND` (`mem`
-/// default, `cask`, `file`). Integration tests build their stores through
-/// this so CI's backend-matrix leg runs the same assertions against the
-/// durable backend without any test changes.
-pub fn env_store_small(tag: &str) -> mlcask_storage::store::ChunkStore {
-    mlcask_storage::store::ChunkStore::new(
-        mlcask_storage::backend::backend_from_env(tag),
-        mlcask_storage::chunk::ChunkParams::SMALL,
-        mlcask_storage::costmodel::StorageCostModel::FORKBASE,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

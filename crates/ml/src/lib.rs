@@ -24,7 +24,8 @@
 //!
 //! Every training routine exposes a deterministic `work_units` estimate so
 //! the pipeline executor can charge virtual time proportional to real
-//! computational effort (see DESIGN.md §2 on the virtual clock).
+//! computational effort (see ARCHITECTURE.md, "Virtual time:
+//! `ClockLedger`").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

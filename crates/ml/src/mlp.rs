@@ -1,6 +1,7 @@
 //! Feed-forward neural network (multi-layer perceptron) trained with
 //! mini-batch SGD — the stand-in for the paper's deep-learning model slot
-//! (the Readmission "CNN", the DPM/SA DL models; see DESIGN.md §2).
+//! (the Readmission "CNN", the DPM/SA DL models; see ARCHITECTURE.md,
+//! "Virtual time: `ClockLedger`").
 //!
 //! The network is deliberately small but real: the merge machinery needs
 //! pipeline scores that genuinely depend on the interaction between

@@ -81,11 +81,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable underlying buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// `self @ other` (matrix product).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(

@@ -382,7 +382,6 @@ impl MetricsRegistry {
     /// A flat point-in-time snapshot: `("name{labels}", value)` per series,
     /// histograms contributing `_sum` and `_count` entries (buckets are
     /// omitted to keep embedded snapshots small). Sorted by series name.
-    /// This is what `write_bench_json` embeds into `BENCH_*.json`.
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         let names: Vec<String> = self.families.lock().keys().cloned().collect();
         let mut out = Vec::new();

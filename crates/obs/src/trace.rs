@@ -252,8 +252,7 @@ impl FlightRecorder {
 
 /// If `MLCASK_TRACE` names a path, dumps the global recorder there and
 /// returns `(path, spans written)`. Call at a natural end-of-run point
-/// (the daemon calls it when its transport loop exits; bench bins call it
-/// before exiting).
+/// (the daemon calls it when its transport loop exits).
 pub fn maybe_dump_env() -> Option<(String, usize)> {
     let path = std::env::var("MLCASK_TRACE").ok()?;
     if path.is_empty() {

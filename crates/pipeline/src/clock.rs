@@ -1,9 +1,9 @@
 //! Deterministic virtual time with thread-safe per-stage accounting.
 //!
-//! All reported times in the experiment harness come from this ledger, not
-//! wall time, so figures are identical across machines (DESIGN.md §2). The
-//! split between pre-processing, model training, and storage time is what
-//! Figs. 6 and 9 plot.
+//! All reported times in the experiments come from this ledger, not
+//! wall time, so figures are identical across machines (ARCHITECTURE.md,
+//! "Virtual time: `ClockLedger`"). The split between pre-processing, model
+//! training, and storage time is what Figs. 6 and 9 plot.
 //!
 //! [`ClockLedger`] replaces the old `SimClock`: charges go through `&self`
 //! (relaxed atomic adds), so an executor run no longer needs exclusive

@@ -9,8 +9,8 @@
 //! commit graph publishes immutable snapshots at commit points
 //! (`mlcask_storage::commit::GraphView`), so every read request resolves
 //! against a frozen view without holding any lock across the reply; the
-//! only coarse lock in this crate is the opt-in baseline mode the
-//! `serving_load` bench measures against.
+//! only coarse lock in this crate is the opt-in baseline mode caskbench
+//! (`bench/`) still names.
 //!
 //! Module map:
 //! * [`protocol`] — request/response encoding and error codes;

@@ -14,8 +14,8 @@
 //! is assembled, and a concurrent merge commit simply publishes the next
 //! snapshot pointer. The `coarse_lock` option recreates the pre-refactor
 //! design — one workspace-wide reader/writer lock, held in write mode for
-//! the full duration of every mutation — and exists purely as the baseline
-//! the `serving_load` bench measures against.
+//! the full duration of every mutation — and exists purely as a baseline
+//! to measure against (only caskbench, `bench/`, still names it).
 
 use crate::limits::{AdmissionControl, Limiter};
 use crate::protocol::{

@@ -77,16 +77,16 @@ impl CacheOptions {
     /// backend-matrix sweeps this to run the whole integration suite
     /// cache-off and cache-on.
     pub fn from_env() -> Option<CacheOptions> {
-        match std::env::var("MLCASK_CACHE_BYTES") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(0) => None,
-                Ok(n) => Some(CacheOptions {
-                    capacity_bytes: n,
-                    ..CacheOptions::default()
-                }),
-                Err(_) => Some(CacheOptions::default()),
-            },
-            Err(_) => Some(CacheOptions::default()),
+        Self::parse(std::env::var("MLCASK_CACHE_BYTES").ok().as_deref())
+    }
+
+    /// What a value of the knob means; pure, so tests need not touch the
+    /// process environment that sibling tests read.
+    fn parse(value: Option<&str>) -> Option<CacheOptions> {
+        match value.and_then(|v| v.trim().parse::<u64>().ok()) {
+            Some(0) => None,
+            Some(n) => Some(CacheOptions::default().with_capacity(n)),
+            None => Some(CacheOptions::default()),
         }
     }
 
@@ -426,21 +426,12 @@ mod tests {
 
     #[test]
     fn env_knob_parses() {
-        // Serialize access to the process-global env var.
-        std::env::set_var("MLCASK_CACHE_BYTES", "0");
-        assert!(CacheOptions::from_env().is_none(), "0 disables");
-        std::env::set_var("MLCASK_CACHE_BYTES", "4096");
-        assert_eq!(CacheOptions::from_env().unwrap().capacity_bytes, 4096);
-        std::env::set_var("MLCASK_CACHE_BYTES", "not a number");
-        assert_eq!(
-            CacheOptions::from_env().unwrap().capacity_bytes,
-            DEFAULT_CACHE_BYTES
-        );
-        std::env::remove_var("MLCASK_CACHE_BYTES");
-        assert_eq!(
-            CacheOptions::from_env().unwrap().capacity_bytes,
-            DEFAULT_CACHE_BYTES
-        );
+        let capacity = |v| CacheOptions::parse(v).map(|o| o.capacity_bytes);
+        assert_eq!(capacity(Some("0")), None, "0 disables");
+        assert_eq!(capacity(Some("4096")), Some(4096));
+        assert_eq!(capacity(Some(" 4096\n")), Some(4096));
+        assert_eq!(capacity(Some("not a number")), Some(DEFAULT_CACHE_BYTES));
+        assert_eq!(capacity(None), Some(DEFAULT_CACHE_BYTES));
     }
 
     #[test]

@@ -245,8 +245,8 @@ impl Default for CaskOptions {
 
 impl CaskOptions {
     /// Fully synchronous, fsync-per-append configuration: every `put`
-    /// returns only once durable. The baseline the `durable_overlap` bench
-    /// compares the writer pool against, and the mode crash tests use.
+    /// returns only once durable. The baseline the writer pool is compared
+    /// against, and the mode crash tests use.
     pub fn synchronous() -> Self {
         CaskOptions {
             shards: 8,
@@ -379,11 +379,13 @@ struct Inner {
     appends: Counter,
     /// Fsyncs performed on a caller's thread (inline appends + `flush`) —
     /// the durability work that *blocks* execution. The writer pool's whole
-    /// point is driving this down; `durable_overlap` gates on it.
+    /// point is driving this down
+    /// (`pool_mode_blocks_fewer_syncs_than_sync_mode` gates on it).
     blocking_syncs: Counter,
     /// Every segment fsync done for append durability — inline, group
     /// commit, or flush. `syncs_total / appends` is the fsyncs-per-append
-    /// metric the `read_path` bench gates below 1.
+    /// metric `group_commit_coalesces_fsyncs_below_one_per_append` gates
+    /// below 1.
     syncs_total: Counter,
     /// Batches the writer pool made durable with a single group commit.
     group_commits: Counter,
@@ -689,7 +691,8 @@ impl CaskBackend {
 
     /// Segment disk reads served by `get` (in-memory `Pending` hits don't
     /// count). The blob cache above this backend absorbs repeat reads, so
-    /// the `read_path` bench compares this counter cache-on vs cache-off.
+    /// `tests/storage_properties.rs` compares this counter cache-on vs
+    /// cache-off.
     pub fn read_ops(&self) -> u64 {
         self.inner.read_ops.get()
     }
@@ -1616,8 +1619,9 @@ mod tests {
         }
         sync.flush().unwrap();
         pool.flush().unwrap();
+        // One per append against at most one per shard, and only at flush.
         assert!(
-            pool.blocking_syncs() < sync.blocking_syncs(),
+            pool.blocking_syncs() * 4 <= sync.blocking_syncs(),
             "pool {} vs sync {}",
             pool.blocking_syncs(),
             sync.blocking_syncs()

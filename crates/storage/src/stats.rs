@@ -90,7 +90,7 @@ impl StorageStats {
 /// Deliberately **not** part of [`StorageStats`]: that table is serialized
 /// into determinism observables (reports, ledgers), and cache counters vary
 /// with worker scheduling and cache configuration. `CacheStats` is a
-/// read-only side channel for benches and scenario prints only.
+/// read-only side channel for tests and scenario prints only.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

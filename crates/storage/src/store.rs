@@ -181,7 +181,7 @@ impl ChunkStore {
     }
 
     /// Creates a store with an explicit cache configuration (`None`
-    /// disables caching), ignoring the environment knob. Benches use this
+    /// disables caching), ignoring the environment knob. Tests use this
     /// to compare cache-off vs cache-on deterministically.
     pub fn with_cache(
         backend: Arc<dyn StorageBackend>,

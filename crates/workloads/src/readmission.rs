@@ -4,7 +4,8 @@
 //! hospital readmission. Cleansing fills missing diagnosis codes and labs;
 //! extraction builds medical feature vectors (the `1.0` version widens the
 //! feature schema — the paper's compatibility-breaking update); the "CNN"
-//! slot trains the deep model (MLP stand-in — see DESIGN.md §2). Model
+//! slot trains the deep model (MLP stand-in, its cost charged in virtual
+//! time — see ARCHITECTURE.md, "Virtual time: `ClockLedger`"). Model
 //! training dominates this pipeline's cost, matching Fig. 6(a).
 
 use crate::common::{mlp_work_units, train_eval_mlp, Workload};

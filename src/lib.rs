@@ -75,8 +75,8 @@
 //! | [`baselines`] | ModelDB-like and MLflow-like comparison systems |
 //! | [`obs`] | metrics registry, span tracing, flight recorder, Prometheus scrape |
 //!
-//! The repository-level `README.md` covers building, benches, and the
-//! figure harness; `ARCHITECTURE.md` explains the parallel execution
+//! The repository-level `README.md` covers building, the benchmark, and
+//! the paper-figure checks; `ARCHITECTURE.md` explains the parallel execution
 //! engine (the traced-execute + deterministic-replay protocol and the DAG
 //! wavefront scheduler) and the multi-tenant workspace layer (shared-store
 //! ownership, reservation-based tenant quotas and dedup attribution,

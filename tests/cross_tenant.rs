@@ -18,7 +18,7 @@ use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::errors::StorageError;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::readmission;
-use mlcask_workloads::scenario::run_upstream_downstream;
+use mlcask_workloads::scenario::{build_system, run_upstream_downstream, setup_nonlinear};
 use std::sync::Arc;
 
 /// Opens the toy chain pipeline for a tenant (registry over its store view).
@@ -177,6 +177,22 @@ fn cross_tenant_merge_attribution_sums_to_store_totals() {
     );
     // Downstream reused upstream's bytes rather than re-materializing them.
     assert!(usage["downstream"].physical_bytes < usage["upstream"].physical_bytes);
+    // Without the shared workspace, collaborating means exporting
+    // upstream's history and re-importing it into a store downstream owns:
+    // the same workflow there pays again for every byte upstream stored.
+    let (_registry, isolated) = build_system(&w).unwrap();
+    let clock = setup_nonlinear(&isolated, &w).unwrap();
+    isolated
+        .merge("master", "dev", MergeStrategy::Full, &clock)
+        .unwrap();
+    let (reimported, forked) = (
+        isolated.store().physical_bytes(),
+        usage["downstream"].physical_bytes,
+    );
+    assert!(
+        reimported as f64 > 1.5 * forked as f64,
+        "downstream materialises {reimported} B by re-import, {forked} B by fork"
+    );
     // Both teams reference the shared chunks in the fair-share view.
     let shared = c.ws.shared_view();
     assert!(shared["downstream"].referenced_bytes > 0);

@@ -70,43 +70,6 @@ fn merged_pipeline_replays_from_checkpoints() {
     );
 }
 
-/// All strategies must agree on the optimal pipeline (they search the same
-/// space) while differing in cost.
-#[test]
-fn strategies_agree_on_optimum() {
-    let workload = by_name("dpm").unwrap();
-    let mut best_scores = Vec::new();
-    let mut times = Vec::new();
-    for strategy in FIG8_STRATEGIES {
-        let result = run_merge(&workload, strategy).unwrap();
-        best_scores.push(result.report.best.as_ref().unwrap().1.value);
-        times.push(result.cpt_secs);
-    }
-    assert!((best_scores[0] - best_scores[1]).abs() < 1e-12);
-    assert!((best_scores[0] - best_scores[2]).abs() < 1e-12);
-    // Full < w/o PR < w/o PCPR (times vector ordered per FIG8_STRATEGIES:
-    // Full, WithoutPcPr, WithoutPr).
-    assert!(times[0] < times[2]);
-    assert!(times[2] < times[1]);
-}
-
-/// Linear versioning across all three systems preserves paper orderings on
-/// a second workload (the runner's own tests cover readmission).
-#[test]
-fn linear_orderings_hold_for_autolearn() {
-    let workload = by_name("autolearn").unwrap();
-    let seq = linear_update_sequence(&workload, &LinearScenario::default());
-    let results: Vec<LinearRunResult> = SystemKind::ALL
-        .iter()
-        .map(|&s| run_linear(s, &workload, &seq).unwrap())
-        .collect();
-    let (modeldb, mlflow, mlcask) = (&results[0], &results[1], &results[2]);
-    assert!(modeldb.total_time_secs() > mlflow.total_time_secs());
-    assert!(mlflow.total_time_secs() >= mlcask.total_time_secs());
-    assert!(modeldb.final_css_mib() > mlflow.final_css_mib());
-    assert!(mlflow.final_css_mib() > mlcask.final_css_mib());
-}
-
 /// The commit graph records the full lineage: walking parents from the
 /// merge commit reaches both branch histories.
 #[test]

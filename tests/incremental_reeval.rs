@@ -18,6 +18,11 @@ use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::provenance::Incremental;
 use mlcask_pipeline::replay::ProfileBook;
 use mlcask_pipeline::semver::SemVer;
+use mlcask_storage::backend::{MemBackend, StorageBackend};
+use mlcask_storage::cache::CacheOptions;
+use mlcask_storage::cask::CaskBackend;
+use mlcask_storage::chunk::ChunkParams;
+use mlcask_storage::costmodel::StorageCostModel;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::whatif::{self, WhatIf};
@@ -33,8 +38,11 @@ struct Primed {
 }
 
 fn primed() -> Primed {
+    primed_on(Arc::new(ChunkStore::in_memory()))
+}
+
+fn primed_on(store: Arc<ChunkStore>) -> Primed {
     let w = whatif::build();
-    let store = Arc::new(ChunkStore::in_memory());
     let reg = ComponentRegistry::new(store);
     w.register_all(&reg).unwrap();
     let history = HistoryIndex::new();
@@ -54,7 +62,15 @@ fn primed() -> Primed {
 /// One what-if search on a *fresh* primed system — a search warms the
 /// history it runs over, so comparable runs each get their own.
 fn search(policy: ParallelismPolicy, incremental: bool) -> MergeSearchReport {
-    let p = primed();
+    search_on(Arc::new(ChunkStore::in_memory()), policy, incremental)
+}
+
+fn search_on(
+    store: Arc<ChunkStore>,
+    policy: ParallelismPolicy,
+    incremental: bool,
+) -> MergeSearchReport {
+    let p = primed_on(store);
     let engine = MergeEngine::new(&p.reg, p.reg.store(), Arc::new(p.w.dag()))
         .with_parallelism(policy)
         .with_incremental(incremental);
@@ -113,6 +129,47 @@ fn incremental_search_deterministic_across_worker_counts() {
             "frontier telemetry must be worker-count independent"
         );
     }
+    // Nor may the report depend on where the bytes live: memory or a cask,
+    // blob cache off or on. One cell per store (each store's own worker
+    // sweep is what CI's backend matrix runs `parallel_determinism` for).
+    let dir = std::env::temp_dir().join(format!("mlcask-whatif-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cask = |tag: &str| -> Arc<dyn StorageBackend> {
+        Arc::new(CaskBackend::open(dir.join(tag)).unwrap())
+    };
+    for (what, backend, cache, policy) in [
+        (
+            "mem, cache off",
+            Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
+            None,
+            ParallelismPolicy::Parallel(2),
+        ),
+        (
+            "cask, cache off",
+            cask("off"),
+            None,
+            ParallelismPolicy::Parallel(8),
+        ),
+        (
+            "cask, cache on",
+            cask("on"),
+            Some(CacheOptions::default()),
+            ParallelismPolicy::Sequential,
+        ),
+    ] {
+        let store = ChunkStore::with_cache(
+            backend,
+            ChunkParams::DEFAULT,
+            StorageCostModel::FORKBASE,
+            cache,
+        );
+        assert_eq!(
+            normalized(&search_on(Arc::new(store), policy, true)),
+            reference_obs,
+            "incremental search diverged on {what}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

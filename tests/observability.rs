@@ -9,10 +9,13 @@
 //! without perturbing a single served byte.
 
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask_core::workspace::Workspace;
 use mlcask_obs::{trace, MetricsRegistry};
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_server::limits::AdmissionControl;
 use mlcask_server::service::{Router, ServerOptions};
+use mlcask_storage::cache::CacheOptions;
+use mlcask_storage::cask::CaskOptions;
 use mlcask_workloads::common::Workload;
 use serde::Value;
 
@@ -231,7 +234,13 @@ fn served_bytes_identical_across_tracing_and_capacity() {
 /// instrumentation records.
 #[test]
 fn metrics_scrape_exposes_request_series() {
-    let r = router(1);
+    // Over a cask with the blob cache on, so the scrape also carries the
+    // storage layer's series.
+    let dir = std::env::temp_dir().join(format!("mlcask-obs-scrape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ws = Workspace::durable_with(&dir, CaskOptions::default(), Some(CacheOptions::default()))
+        .unwrap();
+    let r = Router::over(ws, toy_workload(), ServerOptions::default());
     rpc(&r, "session.open", r#"{"tenant":"scrape_tenant"}"#);
     // Find this router's session id (the registry is global; other tests
     // may have opened sessions first).
@@ -248,6 +257,9 @@ fn metrics_scrape_exposes_request_series() {
         "mlcask_server_request_seconds_bucket",
         "mlcask_server_request_seconds_sum",
         "mlcask_server_request_seconds_count",
+        "mlcask_cask_fsync_seconds",
+        "mlcask_graph_append_ops_total",
+        "mlcask_blob_cache_hit_rate",
     ] {
         assert!(text.contains(needle), "scrape missing `{needle}`:\n{text}");
     }
@@ -262,6 +274,8 @@ fn metrics_scrape_exposes_request_series() {
         text.contains(r#"tenant="scrape_tenant""#),
         "per-tenant series missing:\n{text}"
     );
+    drop(r);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The decoded-checkpoint cache reports through the same scrape: a script

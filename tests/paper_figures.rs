@@ -1,0 +1,207 @@
+//! The paper's evaluation (§VII, Fig. 5–10, Table I) as shape checks that
+//! fail.
+//!
+//! Every quantity here is virtual `ClockLedger` time or a byte count, so the
+//! checks are deterministic: the same on any machine, in debug and in
+//! release. [`TABLE`] says, per workload and figure, whether this
+//! reproduction shows the paper's shape; [`check`] measures each shape and
+//! fails when a cell and its measurement disagree — in either direction, so
+//! a deviation that stops deviating has to be taken out of the table.
+//!
+//! Fig. 11 is not here: the unit tests of `mlcask_ml::distributed` hold
+//! loss-vs-workers and the pipeline speed-up surface.
+
+use mlcask::prelude::*;
+
+/// Trials per search method (as in the paper) and the seed both methods
+/// share, so Fig. 10 and Table I read the same two runs.
+const TRIALS: usize = 100;
+const TRIAL_SEED: u64 = 11;
+
+/// Table I's columns: the share of searches done.
+const CUTOFFS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
+
+/// Whether a workload shows a figure's shape, or deviates from it and why.
+#[derive(Clone, Copy)]
+enum Shape {
+    Paper,
+    Deviates(&'static str),
+}
+use Shape::{Deviates, Paper};
+
+/// The columns of [`TABLE`], with the shape each asserts.
+const FIGURES: [&str; 7] = [
+    "Fig. 5: total time ModelDB > MLflow >= MLCask",
+    "Fig. 6: pre-processing time ModelDB > MLCask",
+    "Fig. 7: final CSS ModelDB > MLflow > MLCask",
+    "Fig. 8: CPT Full < w/o PR < w/o PCPR, equal best scores, PC prunes",
+    "Fig. 9: pre-processing gap > training gap (w/o PCPR vs Full)",
+    "Fig. 10: prioritized first-vs-last-third score spread > random's",
+    "Table I: prioritized >= random at every cutoff, 100 % at the last",
+];
+
+/// Workload × figure.
+const TABLE: [(&str, [Shape; 7]); 4] = [
+    (
+        "readmission",
+        [
+            Paper,
+            Paper,
+            Paper,
+            Paper,
+            Deviates(
+                "training-dominated, and PR reuses the *trained models* checkpointed \
+                 during branch development, so the ablation gap is in training time",
+            ),
+            Deviates(
+                "a flat score landscape: mean scores 0.611-0.626 at per-rank variance \
+                 ~5e-4, so rank order carries no score signal; Table I dominance \
+                 still holds and is asserted",
+            ),
+            Paper,
+        ],
+    ),
+    ("dpm", [Paper; 7]),
+    ("sa", [Paper; 7]),
+    ("autolearn", [Paper; 7]),
+];
+
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
+}
+
+/// Pre-processing time as Figs. 6 and 9 plot it (ingest included).
+fn preprocessing_secs(c: &ClockSnapshot) -> f64 {
+    secs(c.preprocess_ns + c.ingest_ns)
+}
+
+/// Runs the three scenarios of one workload, each once, and reduces them to
+/// one `(shape holds, the numbers behind it)` per column of [`FIGURES`].
+fn measure(workload: &Workload) -> [(bool, String); 7] {
+    // Linear versioning (Fig. 5-7): one update sequence through the three
+    // systems.
+    let sequence = linear_update_sequence(workload, &LinearScenario::default());
+    let [modeldb, mlflow, mlcask] =
+        SystemKind::ALL.map(|s| run_linear(s, workload, &sequence).expect("linear run"));
+    let [m, f, c] = [&modeldb, &mlflow, &mlcask].map(LinearRunResult::total_time_secs);
+    let fig5 = (m > f && f >= c, format!("{m:.2} / {f:.2} / {c:.2} s"));
+    let [m, c] = [&modeldb, &mlcask].map(|r| {
+        let last = r.iterations.last().expect("ten iterations");
+        preprocessing_secs(&last.cumulative)
+    });
+    let fig6 = (m > c, format!("{m:.2} / {c:.2} s"));
+    let [m, f, c] = [&modeldb, &mlflow, &mlcask].map(LinearRunResult::final_css_mib);
+    let fig7 = (m > f && f > c, format!("{m:.2} / {f:.2} / {c:.2} MiB"));
+
+    // The Fig. 3 merge under the three strategies (Fig. 8-9); legend order
+    // is Full, w/o PCPR, w/o PR.
+    let [full, no_pcpr, no_pr] =
+        FIG8_STRATEGIES.map(|s| run_merge(workload, s).expect("merge run"));
+    let best = |r: &MergeRunResult| r.report.best.as_ref().expect("a winner").1.value;
+    let fig8 = (
+        full.cpt_secs < no_pr.cpt_secs
+            && no_pr.cpt_secs < no_pcpr.cpt_secs
+            && (best(&full) - best(&no_pcpr)).abs() < 1e-12
+            && (best(&full) - best(&no_pr)).abs() < 1e-12
+            && full.report.candidates_pruned > 0,
+        format!(
+            "CPT {:.2} / {:.2} / {:.2} s, best {} / {} / {}, {} of {} pruned by PC",
+            full.cpt_secs,
+            no_pr.cpt_secs,
+            no_pcpr.cpt_secs,
+            best(&full),
+            best(&no_pr),
+            best(&no_pcpr),
+            full.report.candidates_pruned,
+            full.report.candidates_total,
+        ),
+    );
+    let (ablated, kept) = (no_pcpr.report.clock, full.report.clock);
+    let pre_gap = preprocessing_secs(&ablated) - preprocessing_secs(&kept);
+    let train_gap = (secs(ablated.training_ns) - secs(kept.training_ns)).abs();
+    let fig9 = (
+        pre_gap > train_gap,
+        format!("pre-processing gap {pre_gap:.2} s, training gap {train_gap:.2} s"),
+    );
+
+    // Prioritized vs random search over the same merge (Fig. 10, Table I).
+    let (registry, sys) = build_system(workload).expect("system");
+    setup_nonlinear(&sys, workload).expect("fig-3 history");
+    let spaces = sys.merge_search_spaces("master", "dev").expect("spaces");
+    let init = sys.initial_scores("master", "dev").expect("initial scores");
+    let searcher = PrioritizedSearcher::new(&registry, sys.dag().clone());
+    let [prioritized, random] = [SearchMethod::Prioritized, SearchMethod::Random].map(|method| {
+        searcher
+            .run_trials(&spaces, sys.history(), &init, method, TRIALS, TRIAL_SEED)
+            .expect("trials")
+    });
+    // Mean score of the first third of search ranks minus the last third's:
+    // prioritized search runs the promising candidates first, random ranks
+    // are exchangeable.
+    let spread = |stats: &TrialStats| {
+        let ranks = &stats.per_rank;
+        let third = (ranks.len() / 3).max(1);
+        let mean = |rs: &[RankStats]| rs.iter().map(|r| r.mean_score).sum::<f64>() / third as f64;
+        mean(&ranks[..third]) - mean(&ranks[ranks.len() - third..])
+    };
+    let (p, r) = (spread(&prioritized), spread(&random).abs());
+    let fig10 = (p > r, format!("spread {p:.4} vs random {r:.4}"));
+    let [p, r] = [&prioritized, &random].map(|s| CUTOFFS.map(|c| s.optimal_within(c)));
+    let table1 = (
+        p.iter().zip(&r).all(|(p, r)| p >= r) && p[CUTOFFS.len() - 1] == 1.0,
+        format!("optimum found: prioritized {p:?}, random {r:?}"),
+    );
+
+    [fig5, fig6, fig7, fig8, fig9, fig10, table1]
+}
+
+/// Fails unless every figure's measured shape is what [`TABLE`] says.
+fn check(name: &str) {
+    let (_, row) = TABLE
+        .iter()
+        .find(|(workload, _)| *workload == name)
+        .expect("a table row per workload");
+    let workload = by_name(name).expect("workload exists");
+    for ((figure, expected), (holds, numbers)) in FIGURES.iter().zip(row).zip(measure(&workload)) {
+        match expected {
+            Paper => assert!(
+                holds,
+                "{name}: no longer shows the paper's shape — {figure} ({numbers})"
+            ),
+            Deviates(why) => assert!(
+                !holds,
+                "{name}: now shows the paper's shape — {figure} ({numbers}); \
+                 drop the deviation from TABLE (it was: {why})"
+            ),
+        }
+    }
+}
+
+#[test]
+fn table_has_one_row_per_workload() {
+    let workloads: Vec<String> = all_workloads().into_iter().map(|w| w.name).collect();
+    let rows: Vec<&str> = TABLE.iter().map(|(workload, _)| *workload).collect();
+    assert_eq!(workloads, rows);
+}
+
+// One test per workload so cargo spreads the runs over cores.
+
+#[test]
+fn readmission() {
+    check("readmission");
+}
+
+#[test]
+fn dpm() {
+    check("dpm");
+}
+
+#[test]
+fn sa() {
+    check("sa");
+}
+
+#[test]
+fn autolearn() {
+    check("autolearn");
+}

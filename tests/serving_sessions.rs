@@ -8,6 +8,7 @@
 //! isolated read path are all in the loop.
 
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask_core::workspace::Workspace;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_server::limits::AdmissionControl;
@@ -56,19 +57,20 @@ fn toy_workload() -> Workload {
     }
 }
 
-fn router(workers: usize) -> Router {
-    Router::in_memory(
-        toy_workload(),
-        ServerOptions {
-            parallelism: if workers <= 1 {
-                ParallelismPolicy::Sequential
-            } else {
-                ParallelismPolicy::Parallel(workers)
-            },
-            coarse_lock: false,
-            admission: AdmissionControl::unlimited(),
+fn options(workers: usize) -> ServerOptions {
+    ServerOptions {
+        parallelism: if workers <= 1 {
+            ParallelismPolicy::Sequential
+        } else {
+            ParallelismPolicy::Parallel(workers)
         },
-    )
+        coarse_lock: false,
+        admission: AdmissionControl::unlimited(),
+    }
+}
+
+fn router(workers: usize) -> Router {
+    Router::in_memory(toy_workload(), options(workers))
 }
 
 /// Issues one request and asserts the response carries no error.
@@ -257,12 +259,12 @@ fn readers_never_tear_under_live_merge() {
 }
 
 /// The complete served script — setup, merge, log, usages — must produce
-/// byte-identical response lines at workers {1, 2, 8}: parallel merge
-/// search changes wall-clock only, never a served byte.
+/// byte-identical response lines at workers {1, 2, 8}, from memory and from
+/// a cask: parallel merge search and the durable store change wall-clock
+/// only, never a served byte.
 #[test]
 fn served_bytes_identical_across_worker_counts() {
-    let run = |workers: usize| -> Vec<String> {
-        let r = router(workers);
+    let run = |r: Router| -> Vec<String> {
         let w = toy_workload();
         let mut out = setup_collaboration(&r, &w);
         out.push(rpc(&r, "merge.into", MERGE));
@@ -276,12 +278,25 @@ fn served_bytes_identical_across_worker_counts() {
         out.push(rpc(&r, "workspace.usage", "{}"));
         out
     };
-    let reference = run(1);
-    for workers in [2usize, 8] {
+    let dir = std::env::temp_dir().join(format!("mlcask-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let on_cask = |workers: usize| {
+        let ws = Workspace::durable(dir.join(workers.to_string())).unwrap();
+        Router::over(ws, toy_workload(), options(workers))
+    };
+    let reference = run(router(1));
+    for (store, workers, r) in [
+        ("memory", 2, router(2)),
+        ("memory", 8, router(8)),
+        ("a cask", 1, on_cask(1)),
+        ("a cask", 2, on_cask(2)),
+        ("a cask", 8, on_cask(8)),
+    ] {
         assert_eq!(
-            run(workers),
+            run(r),
             reference,
-            "served bytes diverged at {workers} workers"
+            "served bytes diverged on {store} at {workers} workers"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -686,6 +686,59 @@ mod cache_props {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+
+    /// What the cache is for, in segment disk reads: a loop that re-reads
+    /// the same blobs from a cask pays for every round without the cache
+    /// and for the first round only with it.
+    #[test]
+    fn reread_loop_hits_the_cache_and_halves_cask_disk_reads() {
+        const ROUNDS: usize = 4;
+        let dir = temp_dir("reread");
+        let be = Arc::new(Cask::open_with(&dir, inline_opts()).unwrap());
+        let store = |cache| {
+            ChunkStore::with_cache(
+                be.clone(),
+                ChunkParams::SMALL,
+                StorageCostModel::FORKBASE,
+                cache,
+            )
+        };
+        let uncached = store(None);
+        let refs: Vec<ObjectRef> = (0..24u32)
+            .map(|i| {
+                let blob: Vec<u8> = (0..2048u32)
+                    .map(|j| (i * 2048 + j).wrapping_mul(2654435761).to_le_bytes()[3])
+                    .collect();
+                uncached
+                    .put_blob(ObjectKind::Library, &blob)
+                    .unwrap()
+                    .object
+            })
+            .collect();
+        uncached.flush().unwrap();
+        let disk_reads = |store: &ChunkStore| {
+            let before = be.read_ops();
+            for _ in 0..ROUNDS {
+                for r in &refs {
+                    assert_eq!(store.get_blob(r).unwrap().len() as u64, r.len);
+                }
+            }
+            be.read_ops() - before
+        };
+        let cold = disk_reads(&uncached);
+        let cached = store(Some(CacheOptions::default()));
+        let warm = disk_reads(&cached);
+        assert!(
+            cached.cache_stats().unwrap().hits > 0,
+            "the cache served hits"
+        );
+        assert!(
+            cold > 0 && warm * 2 <= cold,
+            "cached re-reads cost {warm} disk reads, uncached {cold}"
+        );
+        drop((uncached, cached, be));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Artifacts written through the executor can always be recovered from the

@@ -21,8 +21,8 @@ use mlcask_storage::errors::StorageError;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::QuotaPolicy;
-use mlcask_workloads::fusion;
-use mlcask_workloads::scenario::{build_multi_tenant, setup_nonlinear};
+use mlcask_workloads::scenario::{build_multi_tenant, build_system, setup_nonlinear};
+use mlcask_workloads::{fusion, readmission};
 use std::sync::Arc;
 
 /// Opens the toy chain pipeline for a tenant (registry over its store view).
@@ -110,6 +110,34 @@ fn dedup_attribution_across_two_tenants() {
     assert_eq!(
         sys_b.head_metafile("master").unwrap().label,
         "team_b/master.0"
+    );
+}
+
+/// The same economics on a real workload: four teams each build the Fig. 3
+/// history of Readmission. One shared store against one store per team —
+/// deterministic byte counts, not timings.
+#[test]
+fn shared_store_undercuts_isolated_stores_on_readmission() {
+    const TEAMS: [&str; 4] = ["team_a", "team_b", "team_c", "team_d"];
+    let w = readmission::build();
+    let (ws, teams) = build_multi_tenant(&w, &TEAMS).unwrap();
+    for t in &teams {
+        setup_nonlinear(&t.sys, &w).unwrap();
+    }
+    let shared = ws.store().physical_bytes();
+    // Every isolated store holds the same bytes (the scenario is
+    // deterministic), so one stands for all four.
+    let (_registry, alone) = build_system(&w).unwrap();
+    setup_nonlinear(&alone, &w).unwrap();
+    let isolated = TEAMS.len() as u64 * alone.store().physical_bytes();
+    assert!(
+        isolated as f64 > 1.5 * shared as f64,
+        "isolated stores hold {isolated} B, the shared store {shared} B"
+    );
+    let logical = ws.store().stats().total().logical_bytes;
+    assert!(
+        logical as f64 > 1.5 * shared as f64,
+        "dedup ratio: {logical} B logical over {shared} B physical"
     );
 }
 
