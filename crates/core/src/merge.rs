@@ -199,15 +199,15 @@ impl<'a> MergeEngine<'a> {
         match strategy {
             MergeStrategy::WithoutPcPr | MergeStrategy::Naive => {}
             MergeStrategy::WithoutPr => {
-                let lut = CompatLut::build(self.registry, spaces, &preds)?;
-                tree.prune_incompatible(&lut, &preds);
+                let lut = CompatLut::build(self.registry, spaces, preds)?;
+                tree.prune_incompatible(&lut, preds);
                 candidates_pruned = candidates_total - tree.live_leaves().len();
             }
             MergeStrategy::Full => {
-                let lut = CompatLut::build(self.registry, spaces, &preds)?;
-                tree.prune_incompatible(&lut, &preds);
+                let lut = CompatLut::build(self.registry, spaces, preds)?;
+                tree.prune_incompatible(&lut, preds);
                 candidates_pruned = candidates_total - tree.live_leaves().len();
-                tree.mark_checkpoints(history, &preds);
+                tree.mark_checkpoints(history, preds);
             }
         }
 
@@ -243,10 +243,6 @@ impl<'a> MergeEngine<'a> {
         // first, and any leftover workers fan the independent DAG nodes
         // *inside* each candidate out (wavefront execution) — one budget,
         // never oversubscribed.
-        let scratch = Scratch {
-            checkpoints: MemoryCache::new(),
-            history,
-        };
         // Provenance snapshot strictly *before* the key snapshot: the
         // pairing invariant (a fingerprint is recorded only after its
         // `CacheKey` insert) then guarantees every frontier hit is also a
@@ -258,11 +254,15 @@ impl<'a> MergeEngine<'a> {
             None
         };
         // Shared snapshots: concurrent searches over a quiescent history
-        // reuse one copy instead of each paying O(history).
-        let (pre, phase_cache): (Arc<CacheSnapshot>, &dyn OutputCache) = if use_history {
-            (history.snapshot_shared(), history)
-        } else {
-            (Arc::new(CacheSnapshot::new()), &scratch)
+        // reuse one copy instead of each paying O(history). Only the
+        // ablations consult (and so build) a scratch cache.
+        let scratch = (!use_history).then(|| Scratch {
+            checkpoints: MemoryCache::new(),
+            history,
+        });
+        let (pre, phase_cache): (Arc<CacheSnapshot>, &dyn OutputCache) = match &scratch {
+            None => (history.snapshot_shared(), history),
+            Some(scratch) => (Arc::new(CacheSnapshot::new()), scratch),
         };
         let executor = Executor::new(self.store);
         // One gate per search: candidates sharing a prefix fingerprint

@@ -197,10 +197,10 @@ impl<'a> PrioritizedSearcher<'a> {
     ) -> Result<TrialState> {
         let mut tree = SearchTree::build(spaces);
         let preds = self.dag.predecessors();
-        let lut = CompatLut::build(self.registry, spaces, &preds)?;
-        tree.prune_incompatible(&lut, &preds);
+        let lut = CompatLut::build(self.registry, spaces, preds)?;
+        tree.prune_incompatible(&lut, preds);
         let history = base_history.deep_clone();
-        tree.mark_checkpoints(&history, &preds);
+        tree.mark_checkpoints(&history, preds);
 
         let leaves = tree.live_leaves();
         let mut leaf_of: HashMap<Vec<ComponentKey>, usize> = HashMap::new();

@@ -9,7 +9,7 @@
 
 use crate::errors::{CoreError, Result};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
-use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
+use mlcask_pipeline::dag::{BoundPipeline, DeclaredSchemas, PipelineDag};
 use mlcask_pipeline::metafile::LibraryMetafile;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
@@ -48,6 +48,13 @@ pub fn simulated_executable(name: &str, version: &str, base_size: usize) -> Vec<
 }
 
 /// A registered library version: runnable handle + archived payload.
+///
+/// The metafile's `input_schema`/`output_schema` are the stored schema
+/// hashes the paper's compatibility pruning compares: computed from the
+/// handle once, here at registration, and read from here by every static
+/// check afterwards ([`ComponentRegistry::bind`],
+/// [`ComponentRegistry::declared_schemas`]) — nothing on a request path asks
+/// the component again.
 #[derive(Clone)]
 pub struct RegisteredLibrary {
     /// The runnable component.
@@ -56,6 +63,13 @@ pub struct RegisteredLibrary {
     pub metafile: LibraryMetafile,
     /// Stored executable payload.
     pub executable: ObjectRef,
+}
+
+impl RegisteredLibrary {
+    /// The `(input, output)` schema ids recorded at registration.
+    fn declared_schemas(&self) -> DeclaredSchemas {
+        (self.metafile.input_schema, self.metafile.output_schema)
+    }
 }
 
 /// The component registry: every library/dataset version the system knows,
@@ -135,22 +149,36 @@ impl ComponentRegistry {
         Ok((reg, put.cost))
     }
 
-    /// Resolves a component version to its runnable handle.
-    pub fn resolve(&self, key: &ComponentKey) -> Result<ComponentHandle> {
+    /// The `(input, output)` schema ids `key` declared when it was
+    /// registered.
+    pub(crate) fn declared_schemas(&self, key: &ComponentKey) -> Result<DeclaredSchemas> {
         self.by_key
             .read()
             .get(key)
-            .map(|r| r.handle.clone())
+            .map(RegisteredLibrary::declared_schemas)
             .ok_or_else(|| CoreError::UnknownComponent(key.clone()))
     }
 
-    /// Resolves slot-ordered component keys to a pipeline bound over `dag`.
+    /// Resolves slot-ordered component keys to a pipeline bound over `dag`,
+    /// handing it each slot's registered schema ids (one lock acquisition
+    /// for the whole pipeline, no call into any component).
     pub fn bind(&self, dag: &Arc<PipelineDag>, keys: &[ComponentKey]) -> Result<BoundPipeline> {
-        let components = keys
-            .iter()
-            .map(|k| self.resolve(k))
-            .collect::<Result<Vec<ComponentHandle>>>()?;
-        Ok(BoundPipeline::new(Arc::clone(dag), components)?)
+        let by_key = self.by_key.read();
+        let mut components = Vec::with_capacity(keys.len());
+        let mut schemas = Vec::with_capacity(keys.len());
+        for key in keys {
+            let lib = by_key
+                .get(key)
+                .ok_or_else(|| CoreError::UnknownComponent(key.clone()))?;
+            components.push(Arc::clone(&lib.handle));
+            schemas.push(lib.declared_schemas());
+        }
+        drop(by_key);
+        Ok(BoundPipeline::with_schemas(
+            Arc::clone(dag),
+            components,
+            schemas,
+        )?)
     }
 
     /// The registered entry (handle + metafile) for a version.
@@ -199,8 +227,9 @@ mod tests {
         let reg = registry();
         let c = toy_source(SemVer::initial(), 4, 8);
         let key = c.key();
+        let declared = (c.input_schema(), c.output_schema());
         reg.register(c).unwrap();
-        assert!(reg.resolve(&key).is_ok());
+        assert_eq!(reg.declared_schemas(&key).unwrap(), declared);
         assert_eq!(reg.versions_of("test_source"), vec![key.clone()]);
         assert_eq!(reg.len(), 1);
         let entry = reg.get(&key).unwrap();
@@ -213,7 +242,12 @@ mod tests {
         let reg = registry();
         let key = ComponentKey::new("ghost", SemVer::initial());
         assert!(matches!(
-            reg.resolve(&key),
+            reg.declared_schemas(&key),
+            Err(CoreError::UnknownComponent(_))
+        ));
+        let dag = Arc::new(PipelineDag::chain(&["ghost"]).unwrap());
+        assert!(matches!(
+            reg.bind(&dag, &[key]),
             Err(CoreError::UnknownComponent(_))
         ));
     }

@@ -10,7 +10,9 @@
 use crate::errors::Result;
 use crate::registry::ComponentRegistry;
 use mlcask_pipeline::component::ComponentKey;
+use mlcask_pipeline::dag::DeclaredSchemas;
 use mlcask_pipeline::metafile::PipelineMetafile;
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// Per-slot candidate versions for the merge search, in topological slot
@@ -25,18 +27,19 @@ pub struct SearchSpaces {
 
 impl SearchSpaces {
     /// Builds the search spaces from the pipeline metafiles on both branch
-    /// paths (each path must include the common ancestor's metafile).
-    pub fn build(
+    /// paths (each path must include the common ancestor's metafile), owned
+    /// or shared (`Arc`) alike.
+    pub fn build<M: Borrow<PipelineMetafile>>(
         slot_names: &[String],
-        head_path: &[PipelineMetafile],
-        merge_path: &[PipelineMetafile],
+        head_path: &[M],
+        merge_path: &[M],
     ) -> SearchSpaces {
         let mut per_slot = Vec::with_capacity(slot_names.len());
         for slot in slot_names {
             let mut seen: HashSet<ComponentKey> = HashSet::new();
             let mut versions: Vec<ComponentKey> = Vec::new();
             for meta in head_path.iter().chain(merge_path.iter()) {
-                if let Some(k) = meta.component_version(slot) {
+                if let Some(k) = meta.borrow().component_version(slot) {
                     if seen.insert(k.clone()) {
                         versions.push(k.clone());
                     }
@@ -88,8 +91,8 @@ pub struct CompatLut {
 
 impl CompatLut {
     /// Builds the LUT for every data-flow edge of the pipeline DAG, using
-    /// the declared input/output schemas from the registry ("evaluated
-    /// based on the pipelines' version history").
+    /// the declared input/output schema ids stored in the registry
+    /// ("evaluated based on the pipelines' version history").
     ///
     /// `preds[slot]` lists the slots feeding `slot`
     /// ([`mlcask_pipeline::dag::PipelineDag::predecessors`]); for the
@@ -100,18 +103,23 @@ impl CompatLut {
         spaces: &SearchSpaces,
         preds: &[Vec<usize>],
     ) -> Result<CompatLut> {
+        // Each version's registered schema ids, looked up once per version.
+        let declared: Vec<Vec<DeclaredSchemas>> = spaces
+            .per_slot
+            .iter()
+            .map(|versions| {
+                versions
+                    .iter()
+                    .map(|k| registry.declared_schemas(k))
+                    .collect::<Result<_>>()
+            })
+            .collect::<Result<_>>()?;
         let mut pairs = HashSet::new();
         for (slot, producers_slots) in preds.iter().enumerate() {
             for &p_slot in producers_slots {
-                for p in &spaces.per_slot[p_slot] {
-                    let ph = registry.resolve(p)?;
-                    for c in &spaces.per_slot[slot] {
-                        let ch = registry.resolve(c)?;
-                        let compatible = match ch.input_schema() {
-                            Some(expected) => ph.output_schema() == expected,
-                            None => true,
-                        };
-                        if compatible {
+                for (p, (_, produced)) in spaces.per_slot[p_slot].iter().zip(&declared[p_slot]) {
+                    for (c, (expected, _)) in spaces.per_slot[slot].iter().zip(&declared[slot]) {
+                        if expected.is_none_or(|e| e == *produced) {
                             pairs.insert((p.clone(), c.clone()));
                         }
                     }
@@ -227,7 +235,8 @@ mod tests {
 
     #[test]
     fn empty_paths_give_empty_spaces() {
-        let spaces = SearchSpaces::build(&slots(), &[], &[]);
+        let none: &[PipelineMetafile] = &[];
+        let spaces = SearchSpaces::build(&slots(), none, none);
         assert_eq!(spaces.candidate_upper_bound(), 1);
         assert!(spaces.per_slot.iter().all(|s| s.is_empty()));
         assert_eq!(spaces.len(), 3);

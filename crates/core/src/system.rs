@@ -18,10 +18,9 @@ use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
 use mlcask_storage::hash::Hash256;
-use mlcask_storage::object::{ObjectKind, ObjectRef};
+use mlcask_storage::object::ObjectKind;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::ShareRight;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,9 +71,6 @@ pub struct MlCask {
     /// this system's namespace and are permission-checked against the
     /// shared [`ShareTable`](mlcask_storage::tenant::ShareTable).
     graph: CommitGraph,
-    /// Pipeline metafiles by commit payload hash (in-memory cache over the
-    /// store's persisted copies).
-    metafiles: RwLock<HashMap<Hash256, PipelineMetafile>>,
     /// Worker pool for merge-search candidate evaluation.
     parallelism: ParallelismPolicy,
     /// Provenance-keyed incremental re-evaluation for merge searches
@@ -114,7 +110,6 @@ impl MlCask {
             workspace,
             namespace,
             graph,
-            metafiles: RwLock::new(HashMap::new()),
             parallelism: ParallelismPolicy::Sequential,
             incremental: true,
         }
@@ -313,7 +308,6 @@ impl MlCask {
         let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
         let metafile = self.build_metafile(&branch, next_seq, keys, report);
         let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
-        self.metafiles.write().insert(put.object.id, metafile);
         let commit = if let Some(mh) = merge_parent {
             self.graph()
                 .commit_merge(&branch, mh, put.object.id, message)?
@@ -322,6 +316,7 @@ impl MlCask {
         } else {
             self.graph().commit_root(&branch, put.object.id, message)?
         };
+        self.workspace.keep_metafile(put.object.id, metafile);
         Ok(commit)
     }
 
@@ -398,12 +393,6 @@ impl MlCask {
         let puts = self
             .store()
             .put_meta_batch(ObjectKind::Pipeline, &metafiles)?;
-        {
-            let mut cache = self.metafiles.write();
-            for (put, metafile) in puts.iter().zip(&metafiles) {
-                cache.insert(put.object.id, metafile.clone());
-            }
-        }
         // Phase 3: one commit-graph append for the whole batch.
         let entries: Vec<(Hash256, String)> = committable
             .iter()
@@ -411,6 +400,9 @@ impl MlCask {
             .map(|(&i, put)| (put.object.id, updates[i].1.clone()))
             .collect();
         let commits = self.graph().commit_batch(&ns_branch, &entries)?;
+        for (put, metafile) in puts.iter().zip(metafiles) {
+            self.workspace.keep_metafile(put.object.id, metafile);
+        }
         if let Some(e) = pending_err {
             return Err(e);
         }
@@ -434,27 +426,17 @@ impl MlCask {
         Ok(self.graph().branch(&self.ns(from), &self.ns(new_branch))?)
     }
 
-    /// The pipeline metafile committed at `commit`. Falls back to the
-    /// store's persisted copy when it is not in this system's in-memory
-    /// cache (e.g. a commit created by a sibling view of the workspace).
-    pub fn metafile_of(&self, commit: &Commit) -> Result<PipelineMetafile> {
-        if let Some(meta) = self.metafiles.read().get(&commit.payload) {
-            return Ok(meta.clone());
-        }
-        let meta: PipelineMetafile = self
-            .store()
-            .get_meta(&ObjectRef {
-                id: commit.payload,
-                kind: ObjectKind::Pipeline,
-                len: 0,
-            })
-            .map_err(|_| CoreError::MissingMetafile(commit.label()))?;
-        self.metafiles.write().insert(commit.payload, meta.clone());
-        Ok(meta)
+    /// The pipeline metafile committed at `commit`: the workspace's decoded
+    /// copy (shared with every sibling view, whichever wrote the commit),
+    /// read from the store only the first time anyone in the workspace asks.
+    pub fn metafile_of(&self, commit: &Commit) -> Result<Arc<PipelineMetafile>> {
+        self.workspace
+            .metafile(commit.payload)
+            .map_err(|_| CoreError::MissingMetafile(commit.label()))
     }
 
     /// The metafile at a branch head.
-    pub fn head_metafile(&self, branch: &str) -> Result<PipelineMetafile> {
+    pub fn head_metafile(&self, branch: &str) -> Result<Arc<PipelineMetafile>> {
         let head = self.graph().head(&self.ns(branch))?;
         self.metafile_of(&head)
     }
@@ -492,7 +474,7 @@ impl MlCask {
                 base: base.into(),
                 merging: merging.into(),
             })?;
-        let collect_path = |head: &Commit| -> Result<Vec<PipelineMetafile>> {
+        let collect_path = |head: &Commit| -> Result<Vec<Arc<PipelineMetafile>>> {
             let mut metas = vec![self.metafile_of(&ancestor)?];
             for c in view.path_from(ancestor.id, head.id)? {
                 metas.push(self.metafile_of(&c)?);

@@ -57,7 +57,7 @@ use mlcask_storage::tenant::{
     QuotaPolicy, SharePolicy, ShareRight, SharedUsage, TenantId, TenantUsage,
 };
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 struct WorkspaceState {
@@ -75,6 +75,13 @@ pub struct Workspace {
     store: Arc<ChunkStore>,
     graph: Arc<CommitGraph>,
     history: HistoryIndex,
+    /// Decoded pipeline metafiles by commit payload hash: a metafile is
+    /// parsed (or kept, by the commit that wrote it) once per workspace,
+    /// whichever tenant's system asks. Content addressed, so an entry is
+    /// right for every tenant and can never go stale. Entries exist only
+    /// for payloads of commits in the graph; those are GC roots of
+    /// [`Workspace::sweep_orphans`], so no entry outlives its blob.
+    metafiles: RwLock<HashMap<Hash256, Arc<PipelineMetafile>>>,
     state: RwLock<WorkspaceState>,
 }
 
@@ -85,6 +92,7 @@ impl Workspace {
             store,
             graph: Arc::new(CommitGraph::new()),
             history: HistoryIndex::new(),
+            metafiles: RwLock::new(HashMap::new()),
             state: RwLock::new(WorkspaceState {
                 tenants: BTreeMap::new(),
                 next_id: 0,
@@ -165,6 +173,38 @@ impl Workspace {
     /// cross-pipeline reuse).
     pub fn history(&self) -> &HistoryIndex {
         &self.history
+    }
+
+    /// The pipeline metafile a commit in the graph carries as `payload`:
+    /// from the workspace's decoded copies, else fetched and parsed once.
+    pub(crate) fn metafile(
+        &self,
+        payload: Hash256,
+    ) -> mlcask_storage::errors::Result<Arc<PipelineMetafile>> {
+        if let Some(held) = self.metafiles.read().get(&payload) {
+            return Ok(Arc::clone(held));
+        }
+        let meta: PipelineMetafile = self.store.get_meta(&ObjectRef {
+            id: payload,
+            kind: ObjectKind::Pipeline,
+            len: 0,
+        })?;
+        Ok(self.keep_metafile(payload, meta))
+    }
+
+    /// Keeps the decoded form of the metafile stored at `payload`, which a
+    /// commit in the graph must already carry (see the field's invariant).
+    pub(crate) fn keep_metafile(
+        &self,
+        payload: Hash256,
+        meta: PipelineMetafile,
+    ) -> Arc<PipelineMetafile> {
+        Arc::clone(
+            self.metafiles
+                .write()
+                .entry(payload)
+                .or_insert_with(|| Arc::new(meta)),
+        )
     }
 
     /// Registers a tenant under `name` with the given quota and returns its
@@ -453,11 +493,7 @@ impl Tenant {
         // then fork exactly the snapshot that was validated, immune to the
         // peer committing concurrently.
         let seen = self.graph.head(&from)?;
-        let meta: PipelineMetafile = self.workspace.store.get_meta(&ObjectRef {
-            id: seen.payload,
-            kind: ObjectKind::Pipeline,
-            len: 0,
-        })?;
+        let meta = self.workspace.metafile(seen.payload)?;
         let head = self.graph.branch_at(&from, &to, seen.id)?;
         // Refcount handoff: this tenant now depends on the forked head's
         // metafile and every output it references. Committed metafiles and

@@ -546,6 +546,11 @@ mod tests {
             assert_eq!(back.content_id().to_hex(), id, "{label}");
             assert_eq!(back.byte_len(), bytes.len() as u64);
             assert_eq!(back.to_bytes(), bytes.as_bytes(), "{label}");
+            // The same bytes again from the generic tree, handed to the
+            // codec directly (rendered in place, not from a copy).
+            let tree: serde::Value = serde_json::from_str(bytes).unwrap();
+            assert_eq!(serde_json::to_string(&tree).unwrap(), bytes, "{label}");
+            assert_eq!(serde_json::to_vec(&tree).unwrap(), bytes.as_bytes());
         }
     }
 

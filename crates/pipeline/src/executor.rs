@@ -289,30 +289,6 @@ pub struct TracedOutcome {
     pub skipped_by_frontier: usize,
 }
 
-/// First node in canonical topological order whose declared input schema is
-/// incompatible with a predecessor's declared output schema — the node at
-/// which a run of a schema-honest pipeline fails.
-///
-/// The scheduler stops short of this frontier, so the executed (and
-/// persisted) node set — and with it the physical store contents — is the
-/// same for every worker count. Components whose run-time behaviour
-/// contradicts their declared schemas fail past this prediction; those are
-/// handled dynamically: the failing node's descendants are pruned and every
-/// independent node still executes, which again depends only on the DAG.
-fn static_failure_node(pipeline: &BoundPipeline, order: &[usize]) -> Option<usize> {
-    order
-        .iter()
-        .copied()
-        .find(|&node| match pipeline.components[node].input_schema() {
-            None => false,
-            Some(expected) => pipeline
-                .dag
-                .pre(node)
-                .iter()
-                .any(|&p| pipeline.components[p].output_schema() != expected),
-        })
-}
-
 impl<'s> Executor<'s> {
     /// Creates an executor over a store.
     pub fn new(store: &'s ChunkStore) -> Self {
@@ -369,7 +345,7 @@ impl<'s> Executor<'s> {
         // component a rejection names follows `precheck_compatibility`'s
         // edge order).
         let order = pipeline.dag.topo_order()?;
-        let fail_at = static_failure_node(pipeline, &order);
+        let fail_at = pipeline.static_failure_node()?;
         if options.precheck && fail_at.is_some() {
             if let Err(PipelineError::IncompatibleSchema(detail)) =
                 pipeline.precheck_compatibility()
@@ -395,7 +371,7 @@ impl<'s> Executor<'s> {
             let lookup = if options.reuse { cache } else { None };
             let traced = self.trace_nodes(
                 pipeline,
-                &order,
+                order,
                 fail_at,
                 lookup,
                 false,
@@ -416,7 +392,7 @@ impl<'s> Executor<'s> {
             // A checkpoint for every stage executed (whatever the reuse
             // policy), and nothing beyond the stage a run failed at.
             if let Some(c) = cache {
-                for (stage, node) in report.stages.iter().zip(&order) {
+                for (stage, node) in report.stages.iter().zip(order) {
                     if stage.reused {
                         continue;
                     }
@@ -466,10 +442,10 @@ impl<'s> Executor<'s> {
         inc: Option<&Incremental>,
     ) -> Result<TracedOutcome> {
         let order = pipeline.dag.topo_order()?;
-        let fail_at = static_failure_node(pipeline, &order);
+        let fail_at = pipeline.static_failure_node()?;
         let traced = self.trace_nodes(
             pipeline,
-            &order,
+            order,
             fail_at,
             Some(cache),
             true,
@@ -480,7 +456,7 @@ impl<'s> Executor<'s> {
         // The final score is the last score in canonical topological order.
         let mut score: Option<Score> = None;
         if !traced.failed {
-            for &node in &order {
+            for &node in order {
                 if let Some(slot) = traced.slots[node].lock().as_ref() {
                     score = slot.cached.score.or(score);
                 }
@@ -526,7 +502,7 @@ impl<'s> Executor<'s> {
     /// `book`.
     ///
     /// * `order`, `fail_at` — the canonical topological order and
-    ///   [`static_failure_node`] over it, computed once by the caller.
+    ///   [`BoundPipeline::static_failure_node`], read once by the caller.
     /// * `lookup` — consulted before executing a node; hits skip execution.
     /// * `publish` — `true` ([`Executor::trace`]): `lookup` is the engines'
     ///   shared phase-1 cache and receives checkpoints as nodes complete.
@@ -561,7 +537,7 @@ impl<'s> Executor<'s> {
         let resume = self.resume;
         let _wave_span = mlcask_obs::span!(
             "exec.wavefront",
-            "nodes" => pipeline.components.len(),
+            "nodes" => pipeline.components().len(),
             "workers" => policy.workers(),
         );
         let mut allowed = vec![true; order.len()];
@@ -602,7 +578,7 @@ impl<'s> Executor<'s> {
                     .collect();
                 *slots[node].lock() = Some(WaveSlot {
                     key: CacheKey {
-                        component: pipeline.components[node].key(),
+                        component: pipeline.components()[node].key(),
                         inputs,
                     },
                     cached: cached.clone(),
@@ -613,7 +589,8 @@ impl<'s> Executor<'s> {
         // Induced dirty-region schedule: cut nodes are never dispatched
         // (sentinel indegree) and dirty nodes wait only on dirty
         // predecessors; edges touching cut nodes drop out entirely.
-        let (indeg, adjacency) = match &cut {
+        let induced: Vec<Vec<usize>>;
+        let (indeg, adjacency): (Vec<usize>, &[Vec<usize>]) = match &cut {
             Some(cut) if cut.skipped > 0 => {
                 let mut indeg = vec![0usize; order.len()];
                 let mut adj: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
@@ -622,16 +599,17 @@ impl<'s> Executor<'s> {
                         *deg = 1;
                         continue;
                     }
-                    for &p in &pipeline.dag.pre(node) {
+                    for &p in pipeline.dag.pre(node) {
                         if cut.cached[p].is_none() {
                             *deg += 1;
                             adj[p].push(node);
                         }
                     }
                 }
-                (indeg, adj)
+                induced = adj;
+                (indeg, &induced)
             }
-            _ => (pipeline.dag.indegrees(), pipeline.dag.adjacency()),
+            _ => (pipeline.dag.indegrees().to_vec(), pipeline.dag.adjacency()),
         };
         let fingerprints = cut.as_ref().map(|c| c.fingerprints.as_slice());
         let pre: Mutex<CacheSnapshot> = Mutex::new(CacheSnapshot::new());
@@ -648,8 +626,8 @@ impl<'s> Executor<'s> {
         run_dag(
             ParallelismPolicy::Parallel(pool),
             indeg,
-            &adjacency,
-            &priority,
+            adjacency,
+            priority,
             |node| -> Result<NodeVerdict> {
                 if !allowed[node] {
                     // Beyond the failure frontier: never executes, but its
@@ -657,7 +635,7 @@ impl<'s> Executor<'s> {
                     // so the scheduler drains.
                     return Ok(NodeVerdict::Continue);
                 }
-                let comp = &pipeline.components[node];
+                let comp = &pipeline.components()[node];
                 let preds = pipeline.dag.pre(node);
                 let input_ids: Vec<Hash256> = preds
                     .iter()
@@ -753,7 +731,7 @@ impl<'s> Executor<'s> {
                 // handed to the component happens outside it, so sibling
                 // consumers of one input do not serialize on its lock.
                 let mut input_handles: Vec<Arc<Artifact>> = Vec::with_capacity(preds.len());
-                for p in &preds {
+                for p in preds {
                     let mut slot = slots[*p].lock();
                     let slot = slot.as_mut().expect("topological order");
                     if slot.artifact.is_none() {
@@ -873,7 +851,7 @@ impl<'s> Executor<'s> {
                 .collect();
             if let Some(inputs) = inputs {
                 book.record_failure(CacheKey {
-                    component: pipeline.components[fail].key(),
+                    component: pipeline.components()[fail].key(),
                     inputs,
                 });
             }
@@ -995,8 +973,8 @@ mod tests {
         // re-executed from the materialised scaler output.
         let dag = Arc::clone(&p1.dag);
         let comps: Vec<ComponentHandle> = vec![
-            p1.components[0].clone(),
-            p1.components[1].clone(),
+            p1.components()[0].clone(),
+            p1.components()[1].clone(),
             Arc::new(TestModel {
                 version: SemVer::master(0, 1),
                 dim_in: 3,
@@ -1167,8 +1145,8 @@ mod tests {
         let mut outputs: HashMap<usize, NodeOutput> = HashMap::new();
         let mut final_score: Option<Score> = None;
 
-        for node in order {
-            let comp = &pipeline.components[node];
+        for &node in order {
+            let comp = &pipeline.components()[node];
             let preds = pipeline.dag.pre(node);
             let input_ids: Vec<Hash256> = preds
                 .iter()
@@ -1209,7 +1187,7 @@ mod tests {
             // Materialise inputs that only exist as checkpoints.
             let mut input_artifacts: Vec<Artifact> = Vec::with_capacity(preds.len());
             let mut materialise_ns: u64 = 0;
-            for p in &preds {
+            for p in preds {
                 let out = outputs.get_mut(p).expect("topological order");
                 if out.in_memory.is_none() {
                     if out.cached.object.is_null() {
@@ -1311,7 +1289,7 @@ mod tests {
         match shape {
             "chain" => {
                 let dag = PipelineDag::chain(&["test_source", "test_scaler", "test_model"]);
-                let mut comps = pipeline(2.0, 3, 3).components;
+                let mut comps = pipeline(2.0, 3, 3).components().to_vec();
                 comps[2] = Arc::new(model);
                 BoundPipeline::new(Arc::new(dag.unwrap()), comps).unwrap()
             }
@@ -1525,13 +1503,20 @@ mod tests {
             dim_in: 3,
             quality: 0.001 * (model_inc + 1) as f64,
         };
-        let mut p = shaped(shape, model);
-        p.components[0] = Arc::new(TestSource {
+        let source = TestSource {
             version: SemVer::initial(),
             dim: 3,
             rows,
-        });
-        p
+        };
+        replacing(&shaped(shape, model), 0, Arc::new(source))
+    }
+
+    /// `p` with `component` bound to `slot` instead (same name, so the
+    /// binding still lines up).
+    fn replacing(p: &BoundPipeline, slot: usize, component: ComponentHandle) -> BoundPipeline {
+        let mut comps = p.components().to_vec();
+        comps[slot] = component;
+        BoundPipeline::new(Arc::clone(&p.dag), comps).unwrap()
     }
 
     /// An artifact is encoded when it is produced and never again — not for
@@ -1669,8 +1654,7 @@ mod tests {
             factor: 2.0,
         };
         let probe = Arc::new(Probe(scaler, Mutex::new(Vec::new())));
-        let mut p = pipeline(2.0, 3, 3);
-        p.components[1] = probe.clone();
+        let p = replacing(&pipeline(2.0, 3, 3), 1, probe.clone());
         let store = ChunkStore::in_memory_small();
         let options = ExecOptions::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8));
         let report = Executor::new(&store)

@@ -59,9 +59,11 @@ pub fn node_fingerprint(component: &ComponentKey, input_fps: &[Hash256]) -> Hash
 pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
     let order = pipeline.dag.topo_order()?;
     let mut fps = vec![Hash256::ZERO; order.len()];
-    for node in order {
-        let input_fps: Vec<Hash256> = pipeline.dag.pre(node).iter().map(|&p| fps[p]).collect();
-        fps[node] = node_fingerprint(&pipeline.components[node].key(), &input_fps);
+    let mut input_fps: Vec<Hash256> = Vec::new();
+    for &node in order {
+        input_fps.clear();
+        input_fps.extend(pipeline.dag.pre(node).iter().map(|&p| fps[p]));
+        fps[node] = node_fingerprint(&pipeline.components()[node].key(), &input_fps);
     }
     Ok(fps)
 }
@@ -102,7 +104,15 @@ impl ProvenanceIndex {
     }
 
     /// Records a fingerprinted checkpoint (see the pairing invariant above).
+    ///
+    /// Recording what the index already holds is not a mutation: the map's
+    /// generation stays put, so a warm commit or a fully checkpointed search
+    /// (which re-record every node they touch) leave
+    /// [`ProvenanceIndex::snapshot_shared`]'s memo valid.
     pub fn record(&self, fp: Hash256, output: CachedOutput) {
+        if self.map.get(&fp).is_some_and(|held| held == output) {
+            return;
+        }
         self.map.insert(fp, output);
     }
 
@@ -150,7 +160,7 @@ impl ProvenanceIndex {
         let order = pipeline.dag.topo_order()?;
         let mut artifact_ids: Vec<Option<Hash256>> = vec![None; order.len()];
         let mut recorded = 0usize;
-        for node in order {
+        for &node in order {
             let inputs: Option<Vec<Hash256>> = pipeline
                 .dag
                 .pre(node)
@@ -159,7 +169,7 @@ impl ProvenanceIndex {
                 .collect();
             let Some(inputs) = inputs else { continue };
             let key = CacheKey {
-                component: pipeline.components[node].key(),
+                component: pipeline.components()[node].key(),
                 inputs,
             };
             if let Some(hit) = cache.lookup(&key) {
@@ -201,7 +211,7 @@ impl FrontierCut {
         let order = pipeline.dag.topo_order()?;
         let mut cached: Vec<Option<CachedOutput>> = vec![None; order.len()];
         let mut skipped = 0usize;
-        for node in order {
+        for &node in order {
             if !schedulable[node] {
                 continue;
             }
@@ -447,7 +457,7 @@ mod tests {
         // Simulate a completed run: walk the chain inserting checkpoints
         // whose inputs link through artifact ids.
         let mut prev_id: Option<Hash256> = None;
-        for (i, comp) in p.components.iter().enumerate() {
+        for (i, comp) in p.components().iter().enumerate() {
             let out = output(i as u8);
             let key = CacheKey {
                 component: comp.key(),
@@ -462,6 +472,27 @@ mod tests {
         let cut = FrontierCut::compute(&p, &snap, &[true; 3]).unwrap();
         assert_eq!(cut.skipped, 3, "fully absorbed pipeline cuts completely");
         assert!(fps.iter().all(|fp| snap.contains_key(fp)));
+    }
+
+    #[test]
+    fn re_recording_an_entry_keeps_the_shared_snapshot() {
+        let index = ProvenanceIndex::new();
+        let (a, b) = (Hash256::of(b"fp a"), Hash256::of(b"fp b"));
+        index.record(a, output(1));
+        let first = index.snapshot_shared();
+        // What a warm commit's absorb and a lookup hit do: the same pair
+        // again. Nothing changed, so nothing is copied.
+        index.record(a, output(1));
+        assert!(Arc::ptr_eq(&first, &index.snapshot_shared()));
+        // A new fingerprint, or a new output under an old one, is a change.
+        index.record(b, output(2));
+        let second = index.snapshot_shared();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!((first.len(), second.len()), (1, 2));
+        index.record(a, output(3));
+        let third = index.snapshot_shared();
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(third[&a], output(3));
     }
 
     #[test]

@@ -216,15 +216,18 @@ pub fn replay_run(
 ) -> Result<RunReport> {
     let order = pipeline.dag.topo_order()?;
     let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
-    let mut outputs: HashMap<usize, ReplayNode> = HashMap::new();
+    let mut outputs: Vec<Option<ReplayNode>> = (0..order.len()).map(|_| None).collect();
     let mut final_score = None;
 
-    for node in order {
-        let comp = &pipeline.components[node];
+    for &node in order {
+        let comp = &pipeline.components()[node];
         let preds = pipeline.dag.pre(node);
         let input_ids: Vec<Hash256> = preds
             .iter()
-            .map(|p| outputs[p].cached.artifact_id)
+            .map(|&p| {
+                let out = outputs[p].as_ref().expect("topological order");
+                out.cached.artifact_id
+            })
             .collect();
         let key = CacheKey {
             component: comp.key(),
@@ -248,13 +251,10 @@ pub fn replay_run(
                 if let Some(s) = hit.score {
                     final_score = Some(s);
                 }
-                outputs.insert(
-                    node,
-                    ReplayNode {
-                        cached: hit,
-                        in_memory: false,
-                    },
-                );
+                outputs[node] = Some(ReplayNode {
+                    cached: hit,
+                    in_memory: false,
+                });
                 continue;
             }
         }
@@ -262,8 +262,8 @@ pub fn replay_run(
         // Materialise checkpointed inputs (phase 1 did the reads; this
         // charges them).
         let mut materialise_ns: u64 = 0;
-        for p in &preds {
-            let out = outputs.get_mut(p).expect("topological order");
+        for &p in preds {
+            let out = outputs[p].as_mut().expect("topological order");
             if !out.in_memory {
                 if out.cached.object.is_null() {
                     return Err(PipelineError::Storage(
@@ -327,13 +327,10 @@ pub fn replay_run(
             artifact_id: cached.artifact_id,
             artifact_bytes: prof.artifact_bytes,
         });
-        outputs.insert(
-            node,
-            ReplayNode {
-                cached,
-                in_memory: true,
-            },
-        );
+        outputs[node] = Some(ReplayNode {
+            cached,
+            in_memory: true,
+        });
     }
 
     match final_score {

@@ -25,7 +25,7 @@ use mlcask_core::merge::MergeStrategy;
 use mlcask_core::system::{CommitResult, MergeOutcome, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_obs::metrics::LATENCY_SECONDS;
-use mlcask_obs::{trace, MetricsRegistry};
+use mlcask_obs::{trace, Counter, Histogram, MetricsRegistry};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::parallel::ParallelismPolicy;
@@ -38,8 +38,8 @@ use parking_lot::{Mutex, RwLock};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -72,11 +72,112 @@ pub struct TenantEntry {
     pub tenant: Tenant,
     /// The tenant's pipeline system over the shared workspace.
     pub sys: MlCask,
+    /// The request telemetry recorded under this tenant's label.
+    requests: RequestSeries,
 }
 
 struct Session {
-    tenant: String,
+    entry: Arc<TenantEntry>,
     ledger: ClockLedger,
+}
+
+/// Every method the router serves: the values the request series' `method`
+/// label takes. Whatever else a client sends is recorded as
+/// [`UNKNOWN_METHOD`], so a stream of made-up method names mints one series,
+/// not one per name.
+const METHODS: [&str; 19] = [
+    "ping",
+    "server.info",
+    "metrics.scrape",
+    "obs.spans",
+    "obs.slow",
+    "session.open",
+    "session.close",
+    "workspace.usage",
+    "branches",
+    "head",
+    "log",
+    "usage",
+    "commit",
+    "branch",
+    "grant",
+    "revoke",
+    "fork",
+    "merge",
+    "merge.into",
+];
+const UNKNOWN_METHOD: &str = "unknown";
+
+/// How a request ended, as the request counter labels it.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Ok,
+    Error,
+    Rejected,
+}
+const OUTCOMES: [&str; 3] = ["ok", "error", "rejected"];
+
+/// One method's series under one tenant label, each resolved from the
+/// registry when first needed and held from then on.
+#[derive(Default)]
+struct MethodSeries {
+    seconds: OnceLock<Histogram>,
+    /// Indexed by [`Outcome`], labelled by [`OUTCOMES`].
+    total: [OnceLock<Counter>; OUTCOMES.len()],
+}
+
+/// The request telemetry of one tenant label: a latency histogram per method
+/// and a counter per (method, outcome). A request pays a scan of
+/// [`METHODS`] and two atomic updates, not two registry look-ups.
+struct RequestSeries {
+    tenant: String,
+    /// Indexed like [`METHODS`], with [`UNKNOWN_METHOD`] last.
+    by_method: Vec<MethodSeries>,
+}
+
+impl RequestSeries {
+    fn new(tenant: &str) -> RequestSeries {
+        RequestSeries {
+            tenant: tenant.to_string(),
+            by_method: (0..=METHODS.len())
+                .map(|_| MethodSeries::default())
+                .collect(),
+        }
+    }
+
+    fn record(&self, method: &str, outcome: Outcome, elapsed: Duration) {
+        let index = METHODS
+            .iter()
+            .position(|m| *m == method)
+            .unwrap_or(METHODS.len());
+        let method = METHODS.get(index).copied().unwrap_or(UNKNOWN_METHOD);
+        let series = &self.by_method[index];
+        let reg = MetricsRegistry::global();
+        series
+            .seconds
+            .get_or_init(|| {
+                reg.histogram(
+                    "mlcask_server_request_seconds",
+                    "Server request latency by method and tenant",
+                    &[("method", method), ("tenant", &self.tenant)],
+                    LATENCY_SECONDS,
+                )
+            })
+            .observe_duration(elapsed);
+        series.total[outcome as usize]
+            .get_or_init(|| {
+                reg.counter(
+                    "mlcask_server_requests_total",
+                    "Server requests by method, tenant, and outcome",
+                    &[
+                        ("method", method),
+                        ("tenant", &self.tenant),
+                        ("outcome", OUTCOMES[outcome as usize]),
+                    ],
+                )
+            })
+            .inc();
+    }
 }
 
 /// The request router: a shared-workspace JSON-RPC service.
@@ -89,6 +190,8 @@ pub struct Router {
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_session: AtomicU64,
     ops_served: AtomicU64,
+    /// Telemetry of requests that resolve no session (tenant label `"-"`).
+    sessionless: RequestSeries,
     /// The coarse-lock baseline's single workspace-wide lock.
     coarse: RwLock<()>,
 }
@@ -105,6 +208,7 @@ impl Router {
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             ops_served: AtomicU64::new(0),
+            sessionless: RequestSeries::new("-"),
             coarse: RwLock::new(()),
         }
     }
@@ -158,43 +262,26 @@ impl Router {
     /// failed-before-session requests record under tenant `"-"`.
     fn dispatch(&self, req: &Request) -> Result<Value, Failure> {
         let start = Instant::now();
-        let mut tenant: Option<String> = None;
-        let result = self.dispatch_inner(req, &mut tenant);
-        let reg = MetricsRegistry::global();
-        let tenant = tenant.as_deref().unwrap_or("-");
+        let mut entry: Option<Arc<TenantEntry>> = None;
+        let result = self.dispatch_inner(req, &mut entry);
         let outcome = match &result {
-            Ok(_) => "ok",
+            Ok(_) => Outcome::Ok,
             Err(f) => match f.code {
                 protocol::ADMISSION_DENIED | protocol::RATE_LIMITED | protocol::OVERLOADED => {
-                    "rejected"
+                    Outcome::Rejected
                 }
-                _ => "error",
+                _ => Outcome::Error,
             },
         };
-        reg.histogram(
-            "mlcask_server_request_seconds",
-            "Server request latency by method and tenant",
-            &[("method", req.method.as_str()), ("tenant", tenant)],
-            LATENCY_SECONDS,
-        )
-        .observe_duration(start.elapsed());
-        reg.counter(
-            "mlcask_server_requests_total",
-            "Server requests by method, tenant, and outcome",
-            &[
-                ("method", req.method.as_str()),
-                ("tenant", tenant),
-                ("outcome", outcome),
-            ],
-        )
-        .inc();
+        let series = entry.as_ref().map_or(&self.sessionless, |e| &e.requests);
+        series.record(&req.method, outcome, start.elapsed());
         result
     }
 
     fn dispatch_inner(
         &self,
         req: &Request,
-        tenant_out: &mut Option<String>,
+        entry_out: &mut Option<Arc<TenantEntry>>,
     ) -> Result<Value, Failure> {
         self.ops_served.fetch_add(1, Ordering::Relaxed);
         let p = Params::of(req)?;
@@ -213,9 +300,9 @@ impl Router {
             }
             // Session-scoped methods: admission-checked, rate-limited.
             method => {
-                let (session, entry) = self.session(&p)?;
-                *tenant_out = Some(session.tenant.clone());
-                let _op = self.limiter.begin_op(&session.tenant)?;
+                let session = self.session(&p)?;
+                let entry = &**entry_out.insert(Arc::clone(&session.entry));
+                let _op = self.limiter.begin_op(entry.tenant.name())?;
                 match method {
                     "branches" => {
                         let _r = self.read_guard();
@@ -226,12 +313,12 @@ impl Router {
                     "head" => {
                         let _r = self.read_guard();
                         let branch = p.str("branch")?;
-                        let head = self.head_of(&entry, branch)?;
+                        let head = self.head_of(entry, branch)?;
                         Ok(commit_json(&head))
                     }
                     "log" => {
                         let _r = self.read_guard();
-                        self.log(&entry, &p)
+                        self.log(entry, &p)
                     }
                     "usage" => {
                         let _r = self.read_guard();
@@ -239,7 +326,7 @@ impl Router {
                     }
                     "commit" => {
                         let _w = self.write_guard();
-                        self.commit(&session, &entry, &p)
+                        self.commit(&session, entry, &p)
                     }
                     "branch" => {
                         let _w = self.write_guard();
@@ -364,7 +451,7 @@ impl Router {
         self.sessions.lock().insert(
             id,
             Arc::new(Session {
-                tenant: entry.tenant.name().to_string(),
+                entry,
                 ledger: ClockLedger::new(),
             }),
         );
@@ -385,22 +472,15 @@ impl Router {
         }
     }
 
-    /// Resolves the session id in `params` to its state and tenant entry.
-    fn session(&self, p: &Params<'_>) -> Result<(Arc<Session>, Arc<TenantEntry>), Failure> {
+    /// Resolves the session id in `params` to its state (ledger and tenant
+    /// entry).
+    fn session(&self, p: &Params<'_>) -> Result<Arc<Session>, Failure> {
         let id = p.u64("session")?;
-        let session = self
-            .sessions
+        self.sessions
             .lock()
             .get(&id)
             .cloned()
-            .ok_or_else(|| Failure::new(OP_FAILED, format!("no such session {id}")))?;
-        let entry = self
-            .tenants
-            .lock()
-            .get(&session.tenant)
-            .cloned()
-            .ok_or_else(|| Failure::new(OP_FAILED, "tenant entry vanished"))?;
-        Ok((session, entry))
+            .ok_or_else(|| Failure::new(OP_FAILED, format!("no such session {id}")))
     }
 
     /// The tenant's serving entry, registering it with the workspace (and
@@ -415,6 +495,7 @@ impl Router {
         let entry = Arc::new(TenantEntry {
             tenant: ts.tenant,
             sys: ts.sys.with_parallelism(self.opts.parallelism),
+            requests: RequestSeries::new(name),
         });
         tenants.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
@@ -647,4 +728,44 @@ fn workspace_usage_json(ws: &Workspace) -> Value {
             })
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every name in [`METHODS`] is one the router serves: with a live
+    /// session each gets past the method match (whatever it then says about
+    /// its missing parameters), and a name outside the list does not.
+    #[test]
+    fn the_method_label_set_is_the_served_set() {
+        let router = Router::in_memory(
+            mlcask_workloads::readmission::build(),
+            ServerOptions::default(),
+        );
+        let call = |method: &str| {
+            let params = obj(vec![("session", Value::U64(1)), ("tenant", s("t"))]);
+            router.handle(&Request {
+                id: Value::U64(0),
+                method: method.to_string(),
+                params,
+            })
+        };
+        let code = |reply: &Value| match serde::map_get(reply.as_map().unwrap(), "error") {
+            Some(err) => match serde::map_get(err.as_map().unwrap(), "code") {
+                Some(Value::I64(code)) => Some(*code),
+                other => panic!("error code: {other:?}"),
+            },
+            None => None,
+        };
+        // Opens session 1 (the first id a router hands out).
+        assert_eq!(code(&call("session.open")), None);
+        for method in METHODS {
+            if method != "session.close" {
+                assert_ne!(code(&call(method)), Some(METHOD_NOT_FOUND), "{method}");
+            }
+        }
+        assert_eq!(code(&call("no.such.method")), Some(METHOD_NOT_FOUND));
+        assert_eq!(code(&call("session.close")), None);
+    }
 }

@@ -6,7 +6,8 @@
 
 use crate::errors::{Result, StorageError};
 use crate::hash::Hash256;
-use bytes::Bytes;
+/// What [`StorageBackend::get`] returns, for implementors outside this crate.
+pub use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;

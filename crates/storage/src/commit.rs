@@ -10,9 +10,11 @@
 //! # Snapshot isolation
 //!
 //! The graph's contents live in one immutable [`GraphView`] published behind
-//! an `Arc`: the commit set is a persistent trie ([`crate::pmap::PMap`]) and
-//! the branch table a small ordered map, so deriving the next generation
-//! shares all untouched structure with the previous one. Readers call
+//! an `Arc`: the commit set and the branch heads are persistent tries
+//! ([`crate::pmap::PMap`]) and the sorted branch-name set is shared by every
+//! generation that created no branch, so deriving the next generation copies
+//! an O(log n) path and shares the rest with the previous one (only creating
+//! a branch copies the name set). Readers call
 //! [`CommitGraph::view`] (an `Arc` clone — no lock is held afterwards) and
 //! traverse a frozen, internally consistent graph: a branch head resolved
 //! from a view always points at a commit in that same view, however many
@@ -60,7 +62,7 @@ use mlcask_obs::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,34 +116,63 @@ impl Commit {
     }
 }
 
+/// The branch table of one generation.
+///
+/// A head move — most publishes — path-copies `heads` and shares `names`;
+/// creating a branch also copies the name set, O(branches).
+#[derive(Clone, Default)]
+struct Branches {
+    /// Head commit of every branch.
+    heads: PMap<Arc<str>, Hash256>,
+    /// Every branch name, ordered: [`GraphView::branches`] is sorted and a
+    /// namespace is one contiguous range.
+    names: Arc<BTreeSet<Arc<str>>>,
+}
+
+impl Branches {
+    fn head(&self, branch: &str) -> Option<Hash256> {
+        self.heads.get(branch).copied()
+    }
+
+    /// This table with `branch` (created if new) pointing at `head`.
+    fn with_head(&self, branch: &str, head: Hash256) -> Branches {
+        let (name, names) = match self.names.get(branch) {
+            Some(name) => (Arc::clone(name), Arc::clone(&self.names)),
+            None => {
+                let name: Arc<str> = Arc::from(branch);
+                let mut names = BTreeSet::clone(&self.names);
+                names.insert(Arc::clone(&name));
+                (name, Arc::new(names))
+            }
+        };
+        Branches {
+            heads: self.heads.insert(name, head),
+            names,
+        }
+    }
+}
+
 /// The graph contents at one publication point: immutable once published.
 struct Snapshot {
     commits: PMap<Hash256, Commit>,
-    /// Ordered so [`GraphView::branches`] is sorted and a namespace is one
-    /// contiguous range. Cloned per write: the shared `Arc<str>` names make
-    /// that a reference bump per branch, not a string allocation.
-    branches: BTreeMap<Arc<str>, Hash256>,
+    branches: Branches,
 }
 
 impl Snapshot {
     fn empty() -> Arc<Snapshot> {
         Arc::new(Snapshot {
             commits: PMap::new(),
-            branches: BTreeMap::new(),
+            branches: Branches::default(),
         })
     }
 
     /// The successor generation: `commits`, and this generation's branch
     /// table with `branch` pointing at `head`.
     fn advance(&self, commits: PMap<Hash256, Commit>, branch: &str, head: Hash256) -> Snapshot {
-        let mut branches = self.branches.clone();
-        match branches.get_mut(branch) {
-            Some(slot) => *slot = head,
-            None => {
-                branches.insert(Arc::from(branch), head);
-            }
+        Snapshot {
+            commits,
+            branches: self.branches.with_head(branch, head),
         }
-        Snapshot { commits, branches }
     }
 }
 
@@ -223,10 +254,10 @@ pub struct GraphView {
 impl GraphView {
     /// Current head commit of `branch` in this view.
     pub fn head(&self, branch: &str) -> Result<Commit> {
-        let id = *self
+        let id = self
             .snap
             .branches
-            .get(branch)
+            .head(branch)
             .ok_or_else(|| StorageError::UnknownBranch(branch.to_string()))?;
         self.get(id)
     }
@@ -242,18 +273,24 @@ impl GraphView {
 
     /// All branch names (sorted for determinism).
     pub fn branches(&self) -> Vec<String> {
-        self.snap.branches.keys().map(|b| b.to_string()).collect()
+        self.snap
+            .branches
+            .names
+            .iter()
+            .map(|b| b.to_string())
+            .collect()
     }
 
     /// The branches of one namespace — the `"{namespace}/…"` range of the
-    /// ordered branch table — under their prefix-stripped names, sorted.
+    /// ordered branch names — under their prefix-stripped names, sorted.
     /// Costs the size of that namespace, not of the table.
     pub fn branches_in(&self, namespace: &str) -> Vec<String> {
         let prefix = format!("{namespace}/");
         self.snap
             .branches
+            .names
             .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
-            .map_while(|(name, _)| name.strip_prefix(&prefix))
+            .map_while(|name| name.strip_prefix(&prefix))
             .map(str::to_string)
             .collect()
     }
@@ -276,7 +313,9 @@ impl GraphView {
     /// Every commit reachable from any branch head: one walk seeded with
     /// all the heads, so history shared between branches is crossed once.
     pub fn live_commits(&self) -> Result<HashSet<Hash256>> {
-        self.reachable(self.snap.branches.values().copied())
+        let mut heads = Vec::with_capacity(self.snap.branches.heads.len());
+        self.snap.branches.heads.for_each(|_, id| heads.push(*id));
+        self.reachable(heads)
     }
 
     /// Union of the ancestor sets of `seeds` (each seed included).
@@ -583,7 +622,7 @@ impl CommitGraph {
         self.authorize_write(branch)?;
         let _w = self.state.writer.lock();
         let cur = self.view();
-        if cur.snap.branches.contains_key(branch) {
+        if cur.snap.branches.head(branch).is_some() {
             return Err(StorageError::BranchExists(branch.to_string()));
         }
         let c = self.seal(&cur.snap.commits, vec![], branch, 0, payload, message);
@@ -626,8 +665,8 @@ impl CommitGraph {
         }
         let _w = self.state.writer.lock();
         let cur = self.view();
-        let mut head: Option<Commit> = match cur.snap.branches.get(branch) {
-            Some(id) => Some(cur.get(*id)?),
+        let mut head: Option<Commit> = match cur.snap.branches.head(branch) {
+            Some(id) => Some(cur.get(id)?),
             None => None,
         };
         let mut commits = cur.snap.commits.clone();
@@ -677,8 +716,9 @@ impl CommitGraph {
             // fork taken under a since-revoked grant — and needs no Read
             // grant from the namespace it was originally committed on. Only
             // a denial pays for this scan of the branch table.
-            let tips_own_branch = cur.snap.branches.iter().any(|(name, id)| {
-                *id == merge_head
+            let branches = &cur.snap.branches;
+            let tips_own_branch = branches.names.iter().any(|name| {
+                branches.head(name) == Some(merge_head)
                     && match self.state.shares.owner_of(name) {
                         None => true,
                         Some(owner) => self.actor.as_deref() == Some(owner.as_str()),
@@ -728,7 +768,7 @@ impl CommitGraph {
             return Err(StorageError::MissingParent(at));
         }
         let commit = cur.get(at)?;
-        if cur.snap.branches.contains_key(new_branch) {
+        if cur.snap.branches.head(new_branch).is_some() {
             return Err(StorageError::BranchExists(new_branch.to_string()));
         }
         self.publish(cur.snap.advance(cur.snap.commits.clone(), new_branch, at));
@@ -978,7 +1018,7 @@ mod tests {
         let view = GraphView {
             snap: Arc::new(Snapshot {
                 commits,
-                branches: BTreeMap::from([(Arc::from("master"), b.id)]),
+                branches: Branches::default().with_head("master", b.id),
             }),
         };
         let dangling =
@@ -1236,6 +1276,51 @@ mod tests {
         assert_eq!(v.branches_in("tea"), vec!["m"]);
         assert!(v.branches_in("master").is_empty());
         assert!(v.branches_in("nobody").is_empty());
+    }
+
+    /// Slide-back guard for the branch table: on a wide graph a head move
+    /// copies no names (the successor generation holds the very same name
+    /// set), only creating a branch does, and views taken before either
+    /// keep answering for their own generation. Pointer identity, not
+    /// timings, so it fails deterministically.
+    #[test]
+    fn head_moves_share_the_name_set_on_a_thousand_branch_graph() {
+        let g = CommitGraph::new();
+        g.commit_root("master", payload(0), "init").unwrap();
+        for i in 0..1_000 {
+            g.branch("master", &format!("team/b{i:04}")).unwrap();
+        }
+        let names = |v: &GraphView| Arc::clone(&v.snap.branches.names);
+        let before = g.view();
+        let old_head = before.head("team/b0500").unwrap();
+        let c = g.commit("team/b0500", payload(1), "move a head").unwrap();
+        let after_commit = g.view();
+        assert!(Arc::ptr_eq(&names(&before), &names(&after_commit)));
+        let m = g
+            .commit_merge("master", c.id, payload(2), "move another by merging")
+            .unwrap();
+        let after_merge = g.view();
+        assert!(Arc::ptr_eq(&names(&before), &names(&after_merge)));
+        let batch = g
+            .commit_batch("team/b0001", &[(payload(3), "batched".into())])
+            .unwrap();
+        assert!(Arc::ptr_eq(&names(&before), &names(&g.view())));
+        // Each generation answers for itself.
+        assert_eq!(before.head("team/b0500").unwrap(), old_head);
+        assert_eq!(before.head("master").unwrap().seq, 0);
+        assert_eq!(after_commit.head("team/b0500").unwrap().id, c.id);
+        assert_eq!(after_commit.head("master").unwrap().seq, 0);
+        assert_eq!(after_merge.head("master").unwrap().id, m.id);
+        assert_eq!(g.head("team/b0001").unwrap().id, batch[0].id);
+        // A new branch is a new name set — and only for views from then on.
+        g.branch("master", "team/b9999").unwrap();
+        let grown = g.view();
+        assert!(!Arc::ptr_eq(&names(&before), &names(&grown)));
+        assert_eq!(before.branches().len(), 1_001);
+        assert_eq!(grown.branches().len(), 1_002);
+        assert_eq!(grown.branches_in("team").len(), 1_001);
+        assert!(before.head("team/b9999").is_err());
+        assert_eq!(grown.head("team/b9999").unwrap().id, m.id);
     }
 
     #[test]

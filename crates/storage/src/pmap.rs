@@ -13,6 +13,7 @@
 //! full 64-bit collisions (vanishingly rare, but possible) fall back to a
 //! small bucket scanned linearly.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -23,7 +24,7 @@ const FAN: usize = 1 << BITS;
 /// Levels before the 64-bit hash is exhausted (collision bucket territory).
 const MAX_DEPTH: u32 = 64 / BITS;
 
-fn hash_of<K: Hash>(key: &K) -> u64 {
+fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     h.finish()
@@ -87,8 +88,14 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
         self.len == 0
     }
 
-    /// Reference to the value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Reference to the value for `key`, if present. Like `HashMap::get`,
+    /// the key may be any borrowed form of `K` that hashes and compares the
+    /// same (`&str` for `Arc<str>` keys), so a lookup never builds a `K`.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let hash = hash_of(key);
         let mut node = self.root.as_deref()?;
         let mut depth = 0;
@@ -96,7 +103,12 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
             match node {
                 Node::Leaf(h, entries) => {
                     return (*h == hash)
-                        .then(|| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+                        .then(|| {
+                            entries
+                                .iter()
+                                .find(|(k, _)| k.borrow() == key)
+                                .map(|(_, v)| v)
+                        })
                         .flatten();
                 }
                 Node::Branch(children) => {
@@ -107,8 +119,12 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
         }
     }
 
-    /// True if `key` has an entry.
-    pub fn contains_key(&self, key: &K) -> bool {
+    /// True if `key` (in any borrowed form, see [`PMap::get`]) has an entry.
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.get(key).is_some()
     }
 
@@ -207,7 +223,7 @@ mod tests {
     fn insert_get_replace() {
         let m0: PMap<String, u32> = PMap::new();
         assert!(m0.is_empty());
-        assert_eq!(m0.get(&"a".into()), None);
+        assert_eq!(m0.get("a"), None);
         let m1 = m0.insert("a".into(), 1);
         let m2 = m1.insert("b".into(), 2);
         let m3 = m2.insert("a".into(), 10);
@@ -216,10 +232,11 @@ mod tests {
         assert_eq!(m2.len(), 2);
         assert_eq!(m3.len(), 2, "replacement does not grow");
         // Old generations are untouched by newer inserts.
-        assert_eq!(m1.get(&"a".into()), Some(&1));
-        assert_eq!(m1.get(&"b".into()), None);
-        assert_eq!(m3.get(&"a".into()), Some(&10));
-        assert_eq!(m3.get(&"b".into()), Some(&2));
+        assert_eq!(m1.get("a"), Some(&1));
+        assert_eq!(m1.get("b"), None);
+        assert_eq!(m3.get("a"), Some(&10));
+        assert_eq!(m3.get(&"b".to_string()), Some(&2), "owned and borrowed");
+        assert!(m3.contains_key("b") && !m3.contains_key("c"));
     }
 
     #[test]

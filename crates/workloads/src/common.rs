@@ -103,9 +103,9 @@ impl Workload {
         // order (node ids equal slot indices; the merge-search tree indexes
         // per-level path state by predecessor slot). With in-order slots,
         // the canonical topo order is exactly 0..n.
-        let order = self.dag().topo_order().expect("workload DAG is acyclic");
+        let dag = self.dag();
         assert_eq!(
-            order,
+            dag.topo_order().expect("workload DAG is acyclic"),
             (0..self.slots.len()).collect::<Vec<_>>(),
             "workload slots must be listed in topological order"
         );

@@ -278,6 +278,56 @@ fn metrics_scrape_exposes_request_series() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `method` label takes only the names the router serves: a client that
+/// makes up a method name per request lands every one of them in the single
+/// `unknown` series instead of minting a histogram and a counter each time.
+/// (Counted under a tenant label of this test's own: the registry is global
+/// and other tests run beside this one.)
+#[test]
+fn made_up_method_names_share_one_request_series() {
+    let r = router(1);
+    let opened = result_of(&rpc(&r, "session.open", r#"{"tenant":"made_up_methods"}"#));
+    let session = match serde::map_get(opened.as_map().unwrap(), "session") {
+        Some(Value::U64(id)) => *id,
+        other => panic!("session id: {other:?}"),
+    };
+    let call = |method: &str| {
+        r.handle_text(&format!(
+            r#"{{"id":0,"method":"{method}","params":{{"session":{session}}}}}"#
+        ))
+    };
+    let mine = || -> Vec<(String, f64)> {
+        let all = MetricsRegistry::global().snapshot();
+        let of_tenant = all
+            .into_iter()
+            .filter(|(name, _)| name.contains(r#"tenant="made_up_methods""#));
+        of_tenant.collect()
+    };
+    assert!(call("x0").contains("unknown method `x0`"));
+    let after_first = mine().len();
+    for n in 1..1_000 {
+        assert!(call(&format!("x{n}")).contains("unknown method"));
+    }
+    let series = mine();
+    assert_eq!(series.len(), after_first, "{series:?}");
+    let counted = series.iter().find(|(name, _)| {
+        name.starts_with("mlcask_server_requests_total{")
+            && name.contains(r#"method="unknown""#)
+            && name.contains(r#"outcome="error""#)
+    });
+    assert_eq!(counted.map(|(_, n)| *n), Some(1_000.0), "{series:?}");
+    // Served methods keep their own names, asked for repeatedly or not.
+    for _ in 0..3 {
+        assert!(call("usage").contains("result"));
+    }
+    let series = mine();
+    let usage = series.iter().find(|(name, _)| {
+        name.starts_with("mlcask_server_requests_total{") && name.contains(r#"method="usage""#)
+    });
+    assert_eq!(usage.map(|(_, n)| *n), Some(3.0), "{series:?}");
+    assert!(!series.iter().any(|(name, _)| name.contains(r#"method="x"#)));
+}
+
 /// The decoded-checkpoint cache reports through the same scrape: a script
 /// whose later commits and merge reuse checkpoints this process made moves
 /// its hit counter and leaves artifacts resident. (Sums over instances, and

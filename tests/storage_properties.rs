@@ -120,7 +120,7 @@ proptest! {
 
 mod graph_model {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     /// Replays `ops` (one random word each) as graph writes over at least
     /// three branches and returns every commit created. Merges take *any*
@@ -188,6 +188,113 @@ mod graph_model {
                     prop_assert_eq!(view.is_ancestor(a.id, b.id).unwrap(), below);
                     prop_assert_eq!(view.is_fast_forward(a.id, b.id).unwrap(), below);
                 }
+            }
+        }
+    }
+
+    /// Branch names that crowd one another in table order: prefixes of each
+    /// other with and without the `/`, and the separator's neighbours (`.`
+    /// sorts below it, `0` above).
+    const NAMES: [&str; 12] = [
+        "t",
+        "tea",
+        "tea/m",
+        "tea/m/x",
+        "team",
+        "team.x/a",
+        "team/",
+        "team/alpha",
+        "team/beta",
+        "team0/b",
+        "teams/a",
+        "u/team/alpha",
+    ];
+    const NAMESPACES: [&str; 6] = ["t", "tea", "tea/m", "team", "u", "nobody"];
+
+    /// One generation of the branch table against the model's: the listing,
+    /// every namespace range and every head (absent names included).
+    fn check_branch_table(
+        view: &mlcask::storage::commit::GraphView,
+        model: &BTreeMap<String, Hash256>,
+    ) {
+        assert_eq!(view.branches(), model.keys().cloned().collect::<Vec<_>>());
+        for ns in NAMESPACES {
+            let prefix = format!("{ns}/");
+            let expect: Vec<String> = model
+                .keys()
+                .filter_map(|name| name.strip_prefix(&prefix))
+                .map(str::to_string)
+                .collect();
+            assert_eq!(view.branches_in(ns), expect, "namespace {ns}");
+        }
+        for name in NAMES {
+            let got = view.head(name).ok().map(|c| c.id);
+            assert_eq!(got, model.get(name).copied(), "head of {name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The persistent branch table (heads in a hash trie, names in a
+        /// shared ordered set) against a plain `BTreeMap`, after every
+        /// write — and the view taken before each write against the model
+        /// as it was, since generations share structure.
+        #[test]
+        fn prop_branch_table_matches_btreemap_model(
+            ops in proptest::collection::vec(any::<u32>(), 1..64)
+        ) {
+            let graph = CommitGraph::new();
+            let payload = |i: usize| Hash256::of(&(i as u64).to_le_bytes());
+            let mut model: BTreeMap<String, Hash256> = BTreeMap::new();
+            let mut commits: Vec<Hash256> = Vec::new();
+            for (i, w) in ops.iter().map(|w| *w as usize).enumerate() {
+                let (before, model_before) = (graph.view(), model.clone());
+                let name = NAMES[(w >> 3) % NAMES.len()];
+                let existing: Vec<&String> = model.keys().collect();
+                let on = existing.get((w >> 11) % existing.len().max(1)).map(|s| s.to_string());
+                match (w % 8, on) {
+                    // Creation: a root, or a branch off an existing head.
+                    (0 | 1, _) | (_, None) => match graph.commit_root(name, payload(i), "root") {
+                        Ok(c) => {
+                            prop_assert!(model.insert(name.to_string(), c.id).is_none());
+                            commits.push(c.id);
+                        }
+                        Err(e) => {
+                            prop_assert!(matches!(e, StorageError::BranchExists(_)));
+                            prop_assert!(model.contains_key(name));
+                        }
+                    },
+                    (2 | 3, Some(from)) => match graph.branch(&from, name) {
+                        Ok(c) => {
+                            prop_assert_eq!(c.id, model[&from]);
+                            prop_assert!(model.insert(name.to_string(), c.id).is_none());
+                        }
+                        Err(e) => {
+                            prop_assert!(matches!(e, StorageError::BranchExists(_)));
+                            prop_assert!(model.contains_key(name));
+                        }
+                    },
+                    // Head moves: append, merge, one-entry batch.
+                    (4, Some(on)) => {
+                        let second = commits[(w >> 17) % commits.len()];
+                        let c = graph.commit_merge(&on, second, payload(i), "merge").unwrap();
+                        commits.push(c.id);
+                        model.insert(on, c.id);
+                    }
+                    (5, Some(on)) => {
+                        let c = graph.commit_batch(&on, &[(payload(i), "batch".into())]).unwrap();
+                        commits.push(c[0].id);
+                        model.insert(on, c[0].id);
+                    }
+                    (_, Some(on)) => {
+                        let c = graph.commit(&on, payload(i), "step").unwrap();
+                        commits.push(c.id);
+                        model.insert(on, c.id);
+                    }
+                }
+                check_branch_table(&graph.view(), &model);
+                check_branch_table(&before, &model_before);
             }
         }
     }
