@@ -118,11 +118,7 @@ fn run_linear_mlcask(
 ) -> Result<LinearRunResult> {
     // Fresh ForkBase-like store; components registered on first use so
     // library storage lands in the iteration that introduces the version.
-    let store = Arc::new(ChunkStore::new(
-        Arc::new(mlcask_storage::backend::MemBackend::new()),
-        ChunkParams::DEFAULT,
-        StorageCostModel::FORKBASE,
-    ));
+    let store = Arc::new(ChunkStore::in_memory());
     let registry = Arc::new(ComponentRegistry::new(Arc::clone(&store)));
     let sys = MlCask::new(&workload.name, workload.dag(), Arc::clone(&registry));
     let handle_for = |key: &ComponentKey| {

@@ -47,8 +47,6 @@ pub enum CoreError {
     /// A cross-tenant operation was attempted on a solo (un-namespaced)
     /// pipeline system.
     NotATenant(String),
-    /// The pipeline system belongs to a different workspace.
-    ForeignSystem(String),
     /// Underlying pipeline failure.
     Pipeline(PipelineError),
     /// Underlying storage failure.
@@ -87,9 +85,6 @@ impl fmt::Display for CoreError {
                 "pipeline system '{s}' is not tenant-scoped (cross-tenant operations need a \
                  namespace)"
             ),
-            CoreError::ForeignSystem(s) => {
-                write!(f, "pipeline system '{s}' belongs to a different workspace")
-            }
             CoreError::Pipeline(e) => write!(f, "pipeline error: {e}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
         }

@@ -137,8 +137,8 @@ struct TrialState {
 }
 
 /// Folds one executed candidate back into its trial: scores drive the next
-/// descent, `remaining` shrinks along the leaf's path, and the leaf is
-/// marked run. Must be called in pick order for the trial (the descent is
+/// descent and `remaining` shrinks along the leaf's path, which is what
+/// keeps the descent off it. Must be called in pick order for the trial (the descent is
 /// adaptive), which the round-based scheduler guarantees — at most one
 /// candidate per trial is in flight.
 fn record_pick(
@@ -160,8 +160,6 @@ fn record_pick(
         .remaining
         .get_mut(&state.tree.root())
         .expect("counted") -= 1;
-    // Mark run so the prioritized descent skips it.
-    state.tree.node_mut(leaf).executed = true;
     state.skipped_by_frontier += outcome.skipped_by_frontier;
     state.searched.push((keys, outcome.score));
     state.bound.push(pipeline);
@@ -200,7 +198,6 @@ impl<'a> PrioritizedSearcher<'a> {
         let lut = CompatLut::build(self.registry, spaces, preds)?;
         tree.prune_incompatible(&lut, preds);
         let history = base_history.deep_clone();
-        tree.mark_checkpoints(&history, preds);
 
         let leaves = tree.live_leaves();
         let mut leaf_of: HashMap<Vec<ComponentKey>, usize> = HashMap::new();

@@ -53,7 +53,7 @@ pub fn simulated_executable(name: &str, version: &str, base_size: usize) -> Vec<
 /// hashes the paper's compatibility pruning compares: computed from the
 /// handle once, here at registration, and read from here by every static
 /// check afterwards ([`ComponentRegistry::bind`],
-/// [`ComponentRegistry::declared_schemas`]) — nothing on a request path asks
+/// `ComponentRegistry::declared_schemas`) — nothing on a request path asks
 /// the component again.
 #[derive(Clone)]
 pub struct RegisteredLibrary {

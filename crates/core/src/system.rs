@@ -115,14 +115,6 @@ impl MlCask {
         }
     }
 
-    /// Maps a caller-facing branch name into the shared graph's namespace.
-    fn ns(&self, branch: &str) -> String {
-        match &self.namespace {
-            Some(tenant) => format!("{tenant}/{branch}"),
-            None => branch.to_string(),
-        }
-    }
-
     /// Sets the worker pool used by this system's pipeline executions:
     /// merge-search candidates fan out across workers, and a single
     /// commit's non-chain DAG fans its independent nodes out (wavefront
@@ -140,16 +132,6 @@ impl MlCask {
     pub fn with_incremental(mut self, incremental: bool) -> MlCask {
         self.incremental = incremental;
         self
-    }
-
-    /// The MLCask execution policy carrying this system's worker pool.
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions::MLCASK.with_parallelism(self.parallelism)
-    }
-
-    /// The configured candidate-evaluation policy.
-    pub fn parallelism(&self) -> ParallelismPolicy {
-        self.parallelism
     }
 
     /// The pipeline's name.
@@ -184,34 +166,18 @@ impl MlCask {
         self.workspace.history()
     }
 
-    /// The workspace this system is a view of.
-    pub fn workspace(&self) -> &Arc<Workspace> {
-        &self.workspace
-    }
-
-    /// The branch namespace (tenant name) of this system, if any.
-    pub fn namespace(&self) -> Option<&str> {
-        self.namespace.as_deref()
-    }
-
     /// The shared-graph name of a caller-facing branch: `"{tenant}/{branch}"`
     /// for tenant systems, `branch` unchanged for solo systems.
     pub fn qualified_branch(&self, branch: &str) -> String {
-        self.ns(branch)
+        match &self.namespace {
+            Some(tenant) => format!("{tenant}/{branch}"),
+            None => branch.to_string(),
+        }
     }
 
     /// The pipeline shape.
     pub fn dag(&self) -> &Arc<PipelineDag> {
         &self.dag
-    }
-
-    /// Lifts a completed run's checkpoints into the provenance index so
-    /// later merge searches and trials can cut their frontier above them.
-    /// Only keys already checkpointed in the history are recorded (the
-    /// provenance pairing invariant).
-    fn absorb_provenance(&self, bound: &BoundPipeline) -> Result<()> {
-        self.history().provenance().absorb(bound, self.history())?;
-        Ok(())
     }
 
     /// Resolves slot-ordered component keys to a bound pipeline.
@@ -229,17 +195,51 @@ impl MlCask {
         message: &str,
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
+        self.run_and_commit(self.qualified_branch(branch), keys, message, None, ledger)
+    }
+
+    /// How a run becomes a commit, for plain commits and both merge arms:
+    /// bind `keys`, run them under MLCask policy against the shared history
+    /// and, if the run completes, absorb its provenance, store its metafile
+    /// and append the commit carrying it to `branch` — an already-qualified
+    /// (shared-graph) name, since the cross-tenant merge path commits onto a
+    /// *peer's* branch, which has no caller-facing name in this system's
+    /// namespace. A run the precheck rejects (or that fails) commits nothing.
+    fn run_and_commit(
+        &self,
+        branch: String,
+        keys: &[ComponentKey],
+        message: &str,
+        merge_parent: Option<Hash256>,
+        ledger: &ClockLedger,
+    ) -> Result<CommitResult> {
         let bound = self.bind(keys)?;
-        let executor = Executor::new(self.store());
-        let report = executor.run(&bound, ledger, Some(self.history()), self.exec_options())?;
+        let options = ExecOptions::MLCASK.with_parallelism(self.parallelism);
+        let report =
+            Executor::new(self.store()).run(&bound, ledger, Some(self.history()), options)?;
         if !report.outcome.is_completed() {
             return Ok(CommitResult {
                 commit: None,
                 report,
             });
         }
-        self.absorb_provenance(&bound)?;
-        let commit = self.record_commit(branch, keys, &report, message, None)?;
+        // Lift the run's checkpoints into the provenance index so later
+        // merge searches and trials can cut their frontier above them.
+        self.history().provenance().absorb(&bound, self.history())?;
+        // Next label: branch.seq (root = 0 when the branch does not exist).
+        let head = self.graph().head(&branch).ok();
+        let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
+        let metafile = self.build_metafile(&branch, next_seq, keys, &report);
+        let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
+        let commit = if let Some(mh) = merge_parent {
+            self.graph()
+                .commit_merge(&branch, mh, put.object.id, message)?
+        } else if head.is_some() {
+            self.graph().commit(&branch, put.object.id, message)?
+        } else {
+            self.graph().commit_root(&branch, put.object.id, message)?
+        };
+        self.workspace.keep_metafile(put.object.id, metafile);
         Ok(CommitResult {
             commit: Some(commit),
             report,
@@ -281,149 +281,13 @@ impl MlCask {
         }
     }
 
-    fn record_commit(
-        &self,
-        branch: &str,
-        keys: &[ComponentKey],
-        report: &RunReport,
-        message: &str,
-        merge_parent: Option<Hash256>,
-    ) -> Result<Commit> {
-        self.record_commit_qualified(self.ns(branch), keys, report, message, merge_parent)
-    }
-
-    /// [`MlCask::record_commit`] over an already-qualified (shared-graph)
-    /// branch name — the cross-tenant merge path commits onto a *peer's*
-    /// branch, which has no caller-facing name in this system's namespace.
-    fn record_commit_qualified(
-        &self,
-        branch: String,
-        keys: &[ComponentKey],
-        report: &RunReport,
-        message: &str,
-        merge_parent: Option<Hash256>,
-    ) -> Result<Commit> {
-        // Next label: branch.seq (root = 0 when the branch does not exist).
-        let head = self.graph().head(&branch).ok();
-        let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
-        let metafile = self.build_metafile(&branch, next_seq, keys, report);
-        let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
-        let commit = if let Some(mh) = merge_parent {
-            self.graph()
-                .commit_merge(&branch, mh, put.object.id, message)?
-        } else if head.is_some() {
-            self.graph().commit(&branch, put.object.id, message)?
-        } else {
-            self.graph().commit_root(&branch, put.object.id, message)?
-        };
-        self.workspace.keep_metafile(put.object.id, metafile);
-        Ok(commit)
-    }
-
-    /// Groups consecutive commits on one branch into a batch: each update
-    /// runs under the usual MLCask policy *in order* (so later updates reuse
-    /// earlier checkpoints), then the successful runs' metafiles are stored
-    /// through [`ChunkStore::put_meta_batch`] and appended to the graph in
-    /// **one** [`CommitGraph::commit_batch`] transaction.
-    ///
-    /// The produced heads, commit ids, labels, and history are identical to
-    /// calling [`MlCask::commit_pipeline`] once per update; only the cost is
-    /// amortized (one fixed store round-trip, one graph append). Updates the
-    /// precheck rejects (or that fail mid-run) yield a [`CommitResult`] with
-    /// no commit and consume no label, exactly like the unbatched path. A
-    /// *hard* error (unregistered component, storage fault, quota breach)
-    /// also mirrors the sequential driver: the updates that already
-    /// completed are committed first, then the error is returned — the
-    /// graph ends exactly where N sequential calls stopping at the same
-    /// error would leave it.
-    pub fn commit_pipeline_batch(
-        &self,
-        branch: &str,
-        updates: &[(Vec<ComponentKey>, String)],
-        ledger: &ClockLedger,
-    ) -> Result<Vec<CommitResult>> {
-        let ns_branch = self.ns(branch);
-        let executor = Executor::new(self.store());
-        // Phase 1: run everything in commit order against the shared
-        // history; collect the reports and which updates commit. A hard
-        // error stops the phase but not the batch — the completed prefix
-        // still commits below, exactly as sequential calls would have.
-        let mut reports: Vec<RunReport> = Vec::with_capacity(updates.len());
-        let mut committable: Vec<usize> = Vec::new();
-        let mut pending_err: Option<CoreError> = None;
-        for (keys, _) in updates {
-            let run = match self.bind(keys) {
-                Ok(bound) => executor
-                    .run(&bound, ledger, Some(self.history()), self.exec_options())
-                    .map_err(CoreError::from)
-                    .map(|report| (bound, report)),
-                Err(e) => Err(e),
-            };
-            match run {
-                Ok((bound, report)) => {
-                    if report.outcome.is_completed() {
-                        self.absorb_provenance(&bound)?;
-                        committable.push(reports.len());
-                    }
-                    reports.push(report);
-                }
-                Err(e) => {
-                    pending_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Phase 2: metafiles for the committable prefix-sequenced runs.
-        let base_seq = match self.graph().head(&ns_branch) {
-            Ok(h) => h.seq + 1,
-            Err(_) => 0,
-        };
-        let metafiles: Vec<PipelineMetafile> = committable
-            .iter()
-            .enumerate()
-            .map(|(offset, &i)| {
-                self.build_metafile(
-                    &ns_branch,
-                    base_seq + offset as u32,
-                    &updates[i].0,
-                    &reports[i],
-                )
-            })
-            .collect();
-        let puts = self
-            .store()
-            .put_meta_batch(ObjectKind::Pipeline, &metafiles)?;
-        // Phase 3: one commit-graph append for the whole batch.
-        let entries: Vec<(Hash256, String)> = committable
-            .iter()
-            .zip(&puts)
-            .map(|(&i, put)| (put.object.id, updates[i].1.clone()))
-            .collect();
-        let commits = self.graph().commit_batch(&ns_branch, &entries)?;
-        for (put, metafile) in puts.iter().zip(metafiles) {
-            self.workspace.keep_metafile(put.object.id, metafile);
-        }
-        if let Some(e) = pending_err {
-            return Err(e);
-        }
-        let mut commits = commits.into_iter();
-        Ok(reports
-            .into_iter()
-            .map(|report| CommitResult {
-                commit: if report.outcome.is_completed() {
-                    commits.next()
-                } else {
-                    None
-                },
-                report,
-            })
-            .collect())
-    }
-
     /// Creates a branch at `from`'s head (the paper's isolation of stable
     /// production pipelines from development pipelines).
     pub fn branch(&self, from: &str, new_branch: &str) -> Result<Commit> {
-        Ok(self.graph().branch(&self.ns(from), &self.ns(new_branch))?)
+        Ok(self.graph().branch(
+            &self.qualified_branch(from),
+            &self.qualified_branch(new_branch),
+        )?)
     }
 
     /// The pipeline metafile committed at `commit`: the workspace's decoded
@@ -437,14 +301,18 @@ impl MlCask {
 
     /// The metafile at a branch head.
     pub fn head_metafile(&self, branch: &str) -> Result<Arc<PipelineMetafile>> {
-        let head = self.graph().head(&self.ns(branch))?;
+        let head = self.graph().head(&self.qualified_branch(branch))?;
         self.metafile_of(&head)
     }
 
     /// Builds the merge search spaces for merging `merging` into `base`
     /// (§V): versions developed since the common ancestor on either branch.
     pub fn merge_search_spaces(&self, base: &str, merging: &str) -> Result<SearchSpaces> {
-        self.merge_search_spaces_qualified(&self.graph().view(), &self.ns(base), &self.ns(merging))
+        self.merge_search_spaces_qualified(
+            &self.graph().view(),
+            &self.qualified_branch(base),
+            &self.qualified_branch(merging),
+        )
     }
 
     /// [`MlCask::merge_search_spaces`] over already-qualified (shared-graph)
@@ -523,7 +391,13 @@ impl MlCask {
         if base == merging {
             return Err(CoreError::SelfMerge(base.into()));
         }
-        self.merge_qualified(self.ns(base), &self.ns(merging), merging, strategy, ledger)
+        self.merge_qualified(
+            self.qualified_branch(base),
+            &self.qualified_branch(merging),
+            merging,
+            strategy,
+            ledger,
+        )
     }
 
     /// Checks that this system is a tenant of its workspace and that `peer`
@@ -569,7 +443,7 @@ impl MlCask {
         ledger: &ClockLedger,
     ) -> Result<MergeOutcome> {
         self.require_grant(peer, ShareRight::MergeInto)?;
-        let merging_q = self.ns(merging);
+        let merging_q = self.qualified_branch(merging);
         self.merge_qualified(
             format!("{peer}/{peer_branch}"),
             &merging_q,
@@ -594,7 +468,7 @@ impl MlCask {
     ) -> Result<MergeOutcome> {
         self.require_grant(peer, ShareRight::Read)?;
         self.merge_qualified(
-            self.ns(base),
+            self.qualified_branch(base),
             &format!("{peer}/{peer_branch}"),
             &format!("{peer}/{peer_branch}"),
             strategy,
@@ -628,22 +502,17 @@ impl MlCask {
             // "MLCask duplicates the latest version in MERGE_HEAD, changes
             // its branch to HEAD, creates a new commit on HEAD, and finally
             // sets its parents to both MERGE_HEAD and HEAD."
-            let meta = self.metafile_of(&merge_head)?;
-            let keys = meta.component_keys();
-            let bound = self.bind(&keys)?;
-            let executor = Executor::new(self.store());
             // Fully checkpointed: zero-cost replay to assemble the metafile.
-            let report = executor.run(&bound, ledger, Some(self.history()), self.exec_options())?;
-            self.absorb_provenance(&bound)?;
-            let commit = self.record_commit_qualified(
+            let keys = self.metafile_of(&merge_head)?.component_keys();
+            let done = self.run_and_commit(
                 base,
                 &keys,
-                &report,
                 &format!("fast-forward merge of {merging_label}"),
                 Some(merge_head.id),
+                ledger,
             )?;
             return Ok(MergeOutcome {
-                commit: Some(commit),
+                commit: done.commit,
                 fast_forward: true,
                 report: None,
             });
@@ -659,23 +528,19 @@ impl MlCask {
         };
         // Replay the winner (fully checkpointed under Full/after search) to
         // assemble its metafile, then commit with both parents.
-        let bound = self.bind(&best_keys)?;
-        let executor = Executor::new(self.store());
-        let replay = executor.run(&bound, ledger, Some(self.history()), self.exec_options())?;
-        debug_assert!(matches!(replay.outcome, RunOutcome::Completed { .. }));
-        self.absorb_provenance(&bound)?;
-        let commit = self.record_commit_qualified(
+        let done = self.run_and_commit(
             base,
             &best_keys,
-            &replay,
             &format!(
                 "metric-driven merge of {merging_label} ({})",
                 strategy.label()
             ),
             Some(merge_head.id),
+            ledger,
         )?;
+        debug_assert!(matches!(done.report.outcome, RunOutcome::Completed { .. }));
         Ok(MergeOutcome {
-            commit: Some(commit),
+            commit: done.commit,
             fast_forward: false,
             report: Some(report),
         })

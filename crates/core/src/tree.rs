@@ -40,8 +40,6 @@ pub struct TreeNode {
     pub component: Option<ComponentKey>,
     /// Children arena indices.
     pub children: Vec<usize>,
-    /// Execution status flag (Algorithm 1 initialises the root to executed).
-    pub executed: bool,
     /// Reference to the component's output once known.
     pub output: Option<CachedOutput>,
     /// Classification after pruning/marking.
@@ -87,7 +85,6 @@ impl SearchTree {
             level: None,
             component: None,
             children: Vec::new(),
-            executed: true, // "TreeNode(component = virtual root, executed = True)"
             output: None,
             state: NodeState::Checkpointed,
             score: None,
@@ -104,7 +101,6 @@ impl SearchTree {
                         level: Some(level),
                         component: Some(v.clone()),
                         children: Vec::new(),
-                        executed: false,
                         output: None,
                         state: NodeState::Feasible,
                         score: None,
@@ -289,7 +285,6 @@ impl SearchTree {
                     inputs,
                 };
                 if let Some(hit) = history.get(&key) {
-                    self.nodes[c].executed = true;
                     self.nodes[c].output = Some(hit);
                     self.nodes[c].state = NodeState::Checkpointed;
                     marked += 1;
@@ -383,7 +378,6 @@ mod tests {
         // Nodes per level: 1 + 1 + 2 + 4 + 20, plus root.
         assert_eq!(tree.len(), 1 + 1 + 2 + 4 + 20);
         assert_eq!(tree.live_leaves().len(), 20);
-        assert!(tree.node(0).executed, "virtual root starts executed");
     }
 
     #[test]

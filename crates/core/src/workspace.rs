@@ -28,11 +28,6 @@
 //!   every (traced or live) write; a breach surfaces as
 //!   [`StorageError::QuotaExceeded`](mlcask_storage::errors::StorageError)
 //!   and aborts the offending commit/search without touching the graph.
-//! * **Batched commits** — [`Workspace::commit_batch`] folds N consecutive
-//!   commits on one branch into one metafile-blob batch and a single
-//!   commit-graph append, amortizing the per-object round-trip for CI-style
-//!   high-frequency updates while producing heads and history identical to
-//!   N sequential [`MlCask::commit_pipeline`] calls.
 //! * **Orphan GC** — [`Workspace::sweep_orphans`] walks every live root
 //!   (commit metafiles, checkpointed outputs, registered executables) and
 //!   drops unattributed blobs, e.g. those persisted by racing siblings of a
@@ -44,9 +39,7 @@
 use crate::errors::{CoreError, Result};
 use crate::history::HistoryIndex;
 use crate::registry::ComponentRegistry;
-use crate::system::{CommitResult, MlCask};
-use mlcask_pipeline::clock::ClockLedger;
-use mlcask_pipeline::component::ComponentKey;
+use crate::system::MlCask;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::metafile::PipelineMetafile;
 use mlcask_storage::commit::{Commit, CommitGraph};
@@ -112,21 +105,21 @@ impl Workspace {
     }
 
     /// Durable workspace over a cask (append-only log-segment) store rooted
-    /// at `root`. Reopening the same directory recovers every previously
-    /// synced blob; a torn final record from a crashed writer is truncated
-    /// away. Call [`Workspace::flush`] at commit points to drain the
-    /// asynchronous writer pool and fsync all segments.
+    /// at `root`, with default cask options and the default blob cache.
+    /// Reopening the same directory recovers every previously synced blob;
+    /// a torn final record from a crashed writer is truncated away. Call
+    /// [`Workspace::flush`] at commit points to drain the asynchronous
+    /// writer pool and fsync all segments.
     pub fn durable(root: impl AsRef<std::path::Path>) -> Result<Arc<Workspace>> {
         Self::durable_with(
             root,
             mlcask_storage::cask::CaskOptions::default(),
-            mlcask_storage::cache::CacheOptions::from_env(),
+            Some(mlcask_storage::cache::CacheOptions::default()),
         )
     }
 
     /// [`Workspace::durable`] with explicit cask options and blob-cache
-    /// configuration (`None` disables the read cache), instead of the
-    /// defaults plus the `MLCASK_CACHE_BYTES` environment knob. The cache
+    /// configuration (`None` disables the read cache). The cache
     /// is a read-through tier keyed by content hash — switching it on or
     /// off can never change any observable except wall-clock and the
     /// [`Workspace::cache_stats`] telemetry.
@@ -315,34 +308,6 @@ impl Workspace {
         }
     }
 
-    /// Groups `updates` — consecutive `(component keys, message)` commits on
-    /// one branch of `sys` — into a single batch: every pipeline runs under
-    /// the usual MLCask policy (reuse + precheck, in order, so later updates
-    /// reuse earlier checkpoints), successful runs' metafiles are stored as
-    /// one blob batch, and the commits land in **one** commit-graph append.
-    ///
-    /// Heads, commit ids, labels, and history are identical to calling
-    /// [`MlCask::commit_pipeline`] once per update; rejected/failed updates
-    /// produce a `CommitResult` with no commit, exactly as the unbatched
-    /// path would. What changes is cost: one fixed store round-trip and one
-    /// graph append amortized over the whole batch
-    /// ([`CommitGraph::append_ops`] advances by one).
-    ///
-    /// Fails with [`CoreError::ForeignSystem`] if `sys` belongs to a
-    /// different workspace.
-    pub fn commit_batch(
-        &self,
-        sys: &MlCask,
-        branch: &str,
-        updates: &[(Vec<ComponentKey>, String)],
-        ledger: &ClockLedger,
-    ) -> Result<Vec<CommitResult>> {
-        if !std::ptr::eq(Arc::as_ptr(sys.workspace()), self) {
-            return Err(CoreError::ForeignSystem(sys.name().to_string()));
-        }
-        sys.commit_pipeline_batch(branch, updates, ledger)
-    }
-
     /// Deletes every stored blob unreachable from the workspace's live
     /// roots: commit payload metafiles, the component outputs those
     /// metafiles reference, every checkpoint in the shared history, and the
@@ -421,11 +386,6 @@ impl Tenant {
     /// The tenant's accounting id.
     pub fn id(&self) -> TenantId {
         self.id
-    }
-
-    /// The workspace this tenant belongs to.
-    pub fn workspace(&self) -> &Arc<Workspace> {
-        &self.workspace
     }
 
     /// The tenant-scoped store view: same physical store, writes attributed
@@ -536,6 +496,8 @@ impl Tenant {
 mod tests {
     use super::*;
     use crate::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+    use mlcask_pipeline::clock::ClockLedger;
+    use mlcask_pipeline::component::ComponentKey;
     use mlcask_pipeline::semver::SemVer;
 
     fn tenant_system(t: &Tenant) -> MlCask {
@@ -670,18 +632,5 @@ mod tests {
         // Revocation stops further forks.
         up.revoke_from("down").unwrap();
         assert!(down.fork_from("up", "master", "feature2").is_err());
-    }
-
-    #[test]
-    fn foreign_system_rejected_by_commit_batch() {
-        let ws = Workspace::in_memory_small();
-        let other = Workspace::in_memory_small();
-        let t = other.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-        let sys = tenant_system(&t);
-        let clock = ClockLedger::new();
-        assert!(matches!(
-            ws.commit_batch(&sys, "master", &[], &clock),
-            Err(CoreError::ForeignSystem(_))
-        ));
     }
 }

@@ -13,7 +13,6 @@
 //! * [`tensor`] — minimal dense matrix algebra.
 //! * [`metrics`] — accuracy / MSE / AUC / F1 and the paper's score wrapper.
 //! * [`mlp`] — feed-forward networks with SGD (the "CNN"/DL-model slot).
-//! * [`linear`] — binary logistic regression (alternative model versions).
 //! * [`hmm`] — discrete HMM + Baum–Welch (DPM de-biasing stage).
 //! * [`adaboost`] — decision-stump boosting (Autolearn classifier).
 //! * [`embedding`] — PPMI co-occurrence embeddings (SA pre-processing).
@@ -38,7 +37,6 @@ pub mod autofeat;
 pub mod distributed;
 pub mod embedding;
 pub mod hmm;
-pub mod linear;
 pub mod metrics;
 pub mod mlp;
 pub mod tensor;
@@ -53,7 +51,6 @@ pub mod prelude {
     };
     pub use crate::embedding::{tokenize, Embedding, EmbeddingConfig};
     pub use crate::hmm::Hmm;
-    pub use crate::linear::{LogReg, LogRegConfig};
     pub use crate::metrics::{accuracy, auc, f1, log_loss, mse, MetricKind, Score};
     pub use crate::mlp::{synthetic_classification, Mlp, MlpConfig};
     pub use crate::tensor::Matrix;

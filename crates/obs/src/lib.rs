@@ -44,18 +44,16 @@
 //! assert!(text.contains("doc_cache_hits_total{shard=\"0\"} 1"));
 //! ```
 //!
-//! ## Environment knobs
+//! ## Environment
 //!
-//! | Variable | Effect |
-//! |---|---|
-//! | `MLCASK_OBS_SPANS` | `0`/`off`/`false` disables span recording (default on) |
-//! | `MLCASK_OBS_CAPACITY` | flight-recorder ring capacity (default 4096; `0` keeps histograms but retains no spans) |
-//! | `MLCASK_OBS_SLOW_MS` | log spans slower than this threshold (default `0` = off) |
-//! | `MLCASK_TRACE` | path: dump the recorder as chrome-trace JSONL via [`trace::maybe_dump_env`] |
+//! The telemetry here reads none: the recorder starts with spans on at
+//! [`trace::DEFAULT_CAPACITY`]. [`config`] is where a process's `MLCASK_*`
+//! variables become a typed [`config::Config`], once, at its boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod metrics;
 pub mod trace;
 

@@ -54,11 +54,6 @@ pub fn instance_label(prefix: &str) -> String {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not registered anywhere (still counts; never scraped).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);

@@ -20,9 +20,9 @@
 //! labels.
 //!
 //! The ring dumps as [chrome-trace JSONL](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
-//! (`chrome://tracing`, Perfetto) via [`FlightRecorder::dump_chrome_trace`],
-//! or automatically at a process's explicit dump point when `MLCASK_TRACE`
-//! names a path ([`maybe_dump_env`]).
+//! (`chrome://tracing`, Perfetto) via [`FlightRecorder::dump_chrome_trace`];
+//! the daemon does so when its transport loop exits, if `MLCASK_TRACE` named
+//! a path.
 
 use crate::metrics::{MetricsRegistry, LATENCY_SECONDS};
 use parking_lot::Mutex;
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime};
 
-/// Default flight-recorder capacity when `MLCASK_OBS_CAPACITY` is unset.
+/// Default flight-recorder capacity.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One completed span retained by the recorder.
@@ -65,11 +65,13 @@ pub struct FlightRecorder {
     slow_last_log: Mutex<HashMap<&'static str, Instant>>,
 }
 
-/// The process-wide recorder, configured from the environment on first
-/// access.
+/// The process-wide recorder: spans on, [`DEFAULT_CAPACITY`], no slow-span
+/// threshold, until someone calls [`FlightRecorder::configure`] or
+/// [`FlightRecorder::set_slow_threshold`] (the daemon does, from its
+/// [`Config`](crate::config::Config)).
 pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(FlightRecorder::from_env)
+    GLOBAL.get_or_init(FlightRecorder::new)
 }
 
 /// Whether span recording is currently enabled (the [`span!`](crate::span)
@@ -79,26 +81,12 @@ pub fn enabled() -> bool {
 }
 
 impl FlightRecorder {
-    /// A recorder honouring `MLCASK_OBS_SPANS`, `MLCASK_OBS_CAPACITY`, and
-    /// `MLCASK_OBS_SLOW_MS`.
-    fn from_env() -> FlightRecorder {
-        let enabled = !matches!(
-            std::env::var("MLCASK_OBS_SPANS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        let capacity = std::env::var("MLCASK_OBS_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        let slow_ms: u64 = std::env::var("MLCASK_OBS_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
+    fn new() -> FlightRecorder {
         FlightRecorder {
-            enabled: AtomicBool::new(enabled),
-            capacity: AtomicUsize::new(capacity),
+            enabled: AtomicBool::new(true),
+            capacity: AtomicUsize::new(DEFAULT_CAPACITY),
             seq: AtomicU64::new(0),
-            slow_threshold_nanos: AtomicU64::new(slow_ms.saturating_mul(1_000_000)),
+            slow_threshold_nanos: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
             slow_last_log: Mutex::new(HashMap::new()),
         }
@@ -250,23 +238,6 @@ impl FlightRecorder {
     }
 }
 
-/// If `MLCASK_TRACE` names a path, dumps the global recorder there and
-/// returns `(path, spans written)`. Call at a natural end-of-run point
-/// (the daemon calls it when its transport loop exits).
-pub fn maybe_dump_env() -> Option<(String, usize)> {
-    let path = std::env::var("MLCASK_TRACE").ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    match recorder().dump_chrome_trace(&path) {
-        Ok(n) => Some((path, n)),
-        Err(e) => {
-            eprintln!("[mlcask_obs] could not write trace to {path}: {e}");
-            None
-        }
-    }
-}
-
 fn json_escape(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
@@ -340,7 +311,7 @@ mod tests {
     use super::*;
 
     fn test_recorder(capacity: usize) -> FlightRecorder {
-        let r = FlightRecorder::from_env();
+        let r = FlightRecorder::new();
         r.configure(true, capacity);
         r
     }

@@ -156,11 +156,6 @@ impl ComponentFamily {
         self.versions.iter().find(|v| &v.key() == key).cloned()
     }
 
-    /// All registered versions.
-    pub fn versions(&self) -> &[ComponentHandle] {
-        &self.versions
-    }
-
     /// Number of versions.
     pub fn len(&self) -> usize {
         self.versions.len()

@@ -7,28 +7,23 @@
 //! ```
 //!
 //! Defaults: stdio transport, `readmission` workload, sequential
-//! execution, in-memory store (honouring `MLCASK_BACKEND`), no limits.
-//! `--root DIR` opens (or creates) a durable cask workspace instead.
+//! execution, in-memory store, no limits. `--root DIR` opens (or creates) a
+//! durable cask workspace instead. The environment is read once, here
+//! ([`Config::from_env`]; README → "Environment" lists what the daemon
+//! honours), and a value it cannot read is refused like a bad flag.
 
 #![forbid(unsafe_code)]
 
+use mlcask_core::workspace::Workspace;
+use mlcask_obs::config::Config;
+use mlcask_obs::trace::recorder;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_server::limits::{AdmissionControl, RateLimit};
 use mlcask_server::service::{Router, ServerOptions};
 use mlcask_server::transport::{serve_stdio, serve_tcp};
-use mlcask_workloads::common::Workload;
+use mlcask_storage::cache::CacheOptions;
+use mlcask_storage::cask::CaskOptions;
 use std::sync::Arc;
-
-fn workload_by_name(name: &str) -> Option<Workload> {
-    match name {
-        "readmission" => Some(mlcask_workloads::readmission::build()),
-        "dpm" => Some(mlcask_workloads::dpm::build()),
-        "sa" => Some(mlcask_workloads::sa::build()),
-        "autolearn" => Some(mlcask_workloads::autolearn::build()),
-        "fusion" => Some(mlcask_workloads::fusion::build()),
-        _ => None,
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -50,6 +45,12 @@ fn parse_or_usage<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
 }
 
 fn main() {
+    let config = Config::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    recorder().configure(config.spans, config.capacity);
+    recorder().set_slow_threshold(config.slow_threshold);
     let mut args = std::env::args().skip(1);
     let mut listen: Option<String> = None;
     let mut workload = "readmission".to_string();
@@ -89,7 +90,7 @@ fn main() {
             }
         }
     }
-    let w = match workload_by_name(&workload) {
+    let w = match mlcask_workloads::by_name(&workload) {
         Some(w) => w,
         None => {
             eprintln!("unknown workload `{workload}` (readmission|dpm|sa|autolearn|fusion)");
@@ -105,24 +106,30 @@ fn main() {
         coarse_lock: coarse,
         admission,
     };
-    let router = match &root {
-        Some(dir) => match mlcask_core::workspace::Workspace::durable(dir) {
-            Ok(ws) => Router::over(ws, w, opts),
-            Err(e) => {
+    let ws = match &root {
+        Some(dir) => {
+            let cache = config
+                .cache_bytes
+                .map(|bytes| CacheOptions::default().with_capacity(bytes));
+            Workspace::durable_with(dir, CaskOptions::default(), cache).unwrap_or_else(|e| {
                 eprintln!("cannot open durable workspace at {dir}: {e}");
                 std::process::exit(1);
-            }
-        },
-        None => Router::in_memory(w, opts),
+            })
+        }
+        None => Workspace::in_memory(),
     };
+    let router = Router::over(ws, w, opts);
     let result = match listen {
         Some(addr) => serve_tcp(Arc::new(router), &addr),
         None => serve_stdio(&router).map(|_| ()),
     };
-    // With MLCASK_TRACE=<path> set, leave a chrome-trace of the flight
-    // recorder's retained spans behind on shutdown.
-    if let Some((path, n)) = mlcask_obs::trace::maybe_dump_env() {
-        eprintln!("wrote {n} spans to {path}");
+    // Leave a chrome-trace of the flight recorder's retained spans behind
+    // on shutdown, if the environment named a place for it.
+    if let Some(path) = &config.trace_path {
+        match recorder().dump_chrome_trace(path) {
+            Ok(n) => eprintln!("wrote {n} spans to {path}"),
+            Err(e) => eprintln!("could not write trace to {path}: {e}"),
+        }
     }
     if let Err(e) = result {
         eprintln!("transport error: {e}");

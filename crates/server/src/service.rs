@@ -33,7 +33,7 @@ use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::commit::Commit;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight, TenantUsage};
 use mlcask_workloads::common::Workload;
-use mlcask_workloads::scenario::join_workspace;
+use mlcask_workloads::scenario::{harness_store, join_workspace};
 use parking_lot::{Mutex, RwLock};
 use serde::Value;
 use std::collections::HashMap;
@@ -213,17 +213,10 @@ impl Router {
         }
     }
 
-    /// A router over a fresh workspace whose store backend honours
-    /// `MLCASK_BACKEND` (`mem` default, `cask`).
+    /// A router over a fresh workspace on the test harness's store
+    /// ([`harness_store`]: memory unless the environment says cask).
     pub fn in_memory(workload: Workload, opts: ServerOptions) -> Router {
-        use mlcask_storage::chunk::ChunkParams;
-        use mlcask_storage::costmodel::StorageCostModel;
-        use mlcask_storage::store::ChunkStore;
-        let store = Arc::new(ChunkStore::new(
-            mlcask_storage::backend::backend_from_env(&workload.name),
-            ChunkParams::DEFAULT,
-            StorageCostModel::FORKBASE,
-        ));
+        let store = harness_store(&workload.name);
         Router::over(Workspace::over(store), workload, opts)
     }
 
@@ -273,6 +266,18 @@ impl Router {
                 _ => Outcome::Error,
             },
         };
+        // `METHODS` and the `match` in `dispatch_inner` are two hand-kept
+        // lists; a debug build holds every request to both. A name outside
+        // `METHODS` is never served (not an iff: with a dead session it fails
+        // on the session first), a name in it is never refused as unknown.
+        debug_assert!(
+            match &result {
+                Ok(_) => METHODS.contains(&req.method.as_str()),
+                Err(f) => f.code != METHOD_NOT_FOUND || !METHODS.contains(&req.method.as_str()),
+            },
+            "METHODS and dispatch_inner disagree about `{}`",
+            req.method
+        );
         let series = entry.as_ref().map_or(&self.sessionless, |e| &e.requests);
         series.record(&req.method, outcome, start.elapsed());
         result

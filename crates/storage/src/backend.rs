@@ -10,7 +10,6 @@ use crate::hash::Hash256;
 pub use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Key-value storage for content-addressed bytes.
 ///
@@ -45,29 +44,6 @@ pub trait StorageBackend: Send + Sync {
     /// bytes freed. A no-op for backends without dead space.
     fn compact(&self) -> Result<u64> {
         Ok(0)
-    }
-}
-
-/// Builds the backend named by the `MLCASK_BACKEND` environment variable:
-/// `mem` (default) or `cask`. The cask lives under a fresh uniquely-named
-/// directory in the system temp dir, tagged with `tag` for debuggability —
-/// CI's backend-matrix leg uses this to drive the whole integration suite
-/// over the durable backend.
-pub fn backend_from_env(tag: &str) -> Arc<dyn StorageBackend> {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let choice = std::env::var("MLCASK_BACKEND").unwrap_or_default();
-    let root = || {
-        std::env::temp_dir().join(format!(
-            "mlcask-env-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ))
-    };
-    match choice.as_str() {
-        "cask" => Arc::new(
-            crate::cask::CaskBackend::open(root()).expect("cask backend opens in temp dir"),
-        ),
-        _ => Arc::new(MemBackend::new()),
     }
 }
 

@@ -58,8 +58,7 @@ pub struct CacheOptions {
     pub shards: usize,
 }
 
-/// Default cache budget when `MLCASK_CACHE_BYTES` is unset: 128 MiB.
-pub const DEFAULT_CACHE_BYTES: u64 = 128 * 1024 * 1024;
+pub use mlcask_obs::config::DEFAULT_CACHE_BYTES;
 
 impl Default for CacheOptions {
     fn default() -> Self {
@@ -71,25 +70,6 @@ impl Default for CacheOptions {
 }
 
 impl CacheOptions {
-    /// Reads the `MLCASK_CACHE_BYTES` environment knob: unset (or
-    /// unparseable) means the default budget, `0` disables the cache
-    /// entirely (`None`), any other value becomes the byte budget. CI's
-    /// backend-matrix sweeps this to run the whole integration suite
-    /// cache-off and cache-on.
-    pub fn from_env() -> Option<CacheOptions> {
-        Self::parse(std::env::var("MLCASK_CACHE_BYTES").ok().as_deref())
-    }
-
-    /// What a value of the knob means; pure, so tests need not touch the
-    /// process environment that sibling tests read.
-    fn parse(value: Option<&str>) -> Option<CacheOptions> {
-        match value.and_then(|v| v.trim().parse::<u64>().ok()) {
-            Some(0) => None,
-            Some(n) => Some(CacheOptions::default().with_capacity(n)),
-            None => Some(CacheOptions::default()),
-        }
-    }
-
     /// Replaces the byte budget.
     pub fn with_capacity(mut self, capacity_bytes: u64) -> Self {
         self.capacity_bytes = capacity_bytes;
@@ -327,11 +307,6 @@ impl BlobCache {
         }
     }
 
-    /// Total byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// Point-in-time telemetry snapshot. Also refreshes the registry's
     /// hit-rate gauge, so callers that snapshot stats right before a
     /// `metrics.scrape` export a current rate.
@@ -422,16 +397,6 @@ mod tests {
         // Idempotent.
         cache.invalidate(&key(7));
         assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        let capacity = |v| CacheOptions::parse(v).map(|o| o.capacity_bytes);
-        assert_eq!(capacity(Some("0")), None, "0 disables");
-        assert_eq!(capacity(Some("4096")), Some(4096));
-        assert_eq!(capacity(Some(" 4096\n")), Some(4096));
-        assert_eq!(capacity(Some("not a number")), Some(DEFAULT_CACHE_BYTES));
-        assert_eq!(capacity(None), Some(DEFAULT_CACHE_BYTES));
     }
 
     #[test]

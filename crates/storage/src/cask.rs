@@ -264,12 +264,6 @@ impl CaskOptions {
         self
     }
 
-    /// Enables or disables group commit (see the field docs).
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
     /// Replaces the fault plan (forces `writer_threads == 0`).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);

@@ -20,8 +20,7 @@
 //! from a view always points at a commit in that same view, however many
 //! merges land concurrently. Writers serialize on a private mutex, build the
 //! successor generation off the current one, and publish it atomically —
-//! which also means multi-commit batches appear all-or-nothing and two
-//! racing `commit` calls can never lose an update. Logical ticks come from
+//! which also means two racing `commit` calls can never lose an update. Logical ticks come from
 //! an atomic counter advanced inside the writer section, so commit ids and
 //! ordering stay deterministic for any serial schedule.
 //!
@@ -435,11 +434,8 @@ struct GraphState {
     writer: Mutex<()>,
     /// Logical clock; advanced inside the writer section only.
     tick: AtomicU64,
-    /// Number of graph-append *operations* (publications), not commits:
-    /// a [`CommitGraph::commit_batch`] of N commits counts as one append.
-    /// Registry-backed (`mlcask_graph_append_ops_total{instance=...}`) with
-    /// a unique per-graph instance label, so [`CommitGraph::append_ops`]
-    /// keeps its per-graph semantics.
+    /// Graph appends (publications of a new commit):
+    /// `mlcask_graph_append_ops_total{instance=...}`, one label per graph.
     appends: Counter,
     /// Snapshot publications (append ops + share-table-only publishes).
     publishes: Counter,
@@ -609,13 +605,6 @@ impl CommitGraph {
         }
     }
 
-    /// Number of append operations performed so far. Batched commits count
-    /// once however many commits they append — the quantity the batched
-    /// commit path amortizes.
-    pub fn append_ops(&self) -> u64 {
-        self.state.appends.get()
-    }
-
     /// Creates a root commit on a new branch. Permission-checked against
     /// the branch's namespace.
     pub fn commit_root(&self, branch: &str, payload: Hash256, message: &str) -> Result<Commit> {
@@ -646,45 +635,6 @@ impl CommitGraph {
             message,
         );
         self.append(&cur, branch, c)
-    }
-
-    /// Appends several commits to `branch` in one graph transaction: one
-    /// writer section, one publication, and [`CommitGraph::append_ops`]
-    /// advances by one, however long the batch. Readers observe the whole
-    /// batch or none of it. The produced commits — ids, parents, sequence
-    /// numbers, ticks — are identical to appending the entries one at a
-    /// time with [`CommitGraph::commit`] (creating the branch's root commit
-    /// first if the branch does not exist yet).
-    pub fn commit_batch(&self, branch: &str, entries: &[(Hash256, String)]) -> Result<Vec<Commit>> {
-        // Authorization precedes the empty-batch shortcut so the permission
-        // surface is uniform: probing with zero entries denies like any
-        // other write.
-        self.authorize_write(branch)?;
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _w = self.state.writer.lock();
-        let cur = self.view();
-        let mut head: Option<Commit> = match cur.snap.branches.head(branch) {
-            Some(id) => Some(cur.get(id)?),
-            None => None,
-        };
-        let mut commits = cur.snap.commits.clone();
-        let mut out = Vec::with_capacity(entries.len());
-        for (payload, message) in entries {
-            let (parents, seq) = match &head {
-                Some(h) => (vec![h.id], h.seq + 1),
-                None => (vec![], 0),
-            };
-            let c = self.seal(&commits, parents, branch, seq, *payload, message);
-            commits = commits.insert(c.id, c.clone());
-            head = Some(c.clone());
-            out.push(c);
-        }
-        let tip = out.last().expect("non-empty batch").id;
-        self.publish(cur.snap.advance(commits, branch, tip));
-        self.state.appends.inc();
-        Ok(out)
     }
 
     /// Records a merge commit on `base_branch` with two parents.
@@ -1075,41 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_batch_matches_sequential_commits() {
-        let entries: Vec<(Hash256, String)> = (0..4u8)
-            .map(|n| (payload(n), format!("update {n}")))
-            .collect();
-        // Sequential reference.
-        let seq = CommitGraph::new();
-        let mut seq_commits = vec![seq
-            .commit_root("master", entries[0].0, &entries[0].1)
-            .unwrap()];
-        for (p, m) in &entries[1..] {
-            seq_commits.push(seq.commit("master", *p, m).unwrap());
-        }
-        // Batched: one append op, identical commits.
-        let batched = CommitGraph::new();
-        let out = batched.commit_batch("master", &entries).unwrap();
-        assert_eq!(out, seq_commits, "batch reproduces sequential commits");
-        assert_eq!(batched.append_ops(), 1);
-        assert_eq!(seq.append_ops(), 4);
-        assert_eq!(
-            batched.head("master").unwrap().id,
-            seq.head("master").unwrap().id
-        );
-        // A batch onto an existing head chains from it.
-        let more = batched
-            .commit_batch("master", &[(payload(9), "tail".into())])
-            .unwrap();
-        assert_eq!(more[0].seq, 4);
-        assert_eq!(more[0].parents, vec![out[3].id]);
-        assert_eq!(batched.append_ops(), 2);
-        // Empty batches are free.
-        assert!(batched.commit_batch("master", &[]).unwrap().is_empty());
-        assert_eq!(batched.append_ops(), 2);
-    }
-
-    #[test]
     fn namespaced_writes_require_grants() {
         let g = CommitGraph::new();
         g.shares().register_namespace("up");
@@ -1127,17 +1042,6 @@ mod tests {
             down.commit("up/master", payload(1), "hijack"),
             Err(StorageError::PermissionDenied { .. })
         ));
-        assert!(matches!(
-            down.commit_batch("up/master", &[(payload(1), "hijack".into())]),
-            Err(StorageError::PermissionDenied { .. })
-        ));
-        assert!(
-            matches!(
-                down.commit_batch("up/master", &[]),
-                Err(StorageError::PermissionDenied { .. })
-            ),
-            "even an empty batch reveals no write access"
-        );
         assert!(matches!(
             down.branch("up/master", "down/fork"),
             Err(StorageError::PermissionDenied {
@@ -1243,7 +1147,7 @@ mod tests {
         assert_eq!(v.len(), 1, "views see the same commits");
         v.commit("master", payload(1), "via view").unwrap();
         assert_eq!(g.head("master").unwrap().seq, 1);
-        assert_eq!(g.append_ops(), 2);
+        assert_eq!(g.state.appends.get(), 2);
     }
 
     #[test]
@@ -1301,17 +1205,12 @@ mod tests {
             .unwrap();
         let after_merge = g.view();
         assert!(Arc::ptr_eq(&names(&before), &names(&after_merge)));
-        let batch = g
-            .commit_batch("team/b0001", &[(payload(3), "batched".into())])
-            .unwrap();
-        assert!(Arc::ptr_eq(&names(&before), &names(&g.view())));
         // Each generation answers for itself.
         assert_eq!(before.head("team/b0500").unwrap(), old_head);
         assert_eq!(before.head("master").unwrap().seq, 0);
         assert_eq!(after_commit.head("team/b0500").unwrap().id, c.id);
         assert_eq!(after_commit.head("master").unwrap().seq, 0);
         assert_eq!(after_merge.head("master").unwrap().id, m.id);
-        assert_eq!(g.head("team/b0001").unwrap().id, batch[0].id);
         // A new branch is a new name set — and only for views from then on.
         g.branch("master", "team/b9999").unwrap();
         let grown = g.view();

@@ -62,7 +62,7 @@ pub mod tenant;
 
 /// Common imports for downstream crates.
 pub mod prelude {
-    pub use crate::backend::{backend_from_env, MemBackend, StorageBackend};
+    pub use crate::backend::{MemBackend, StorageBackend};
     pub use crate::cache::{BlobCache, CacheOptions};
     pub use crate::cask::{CaskBackend, CaskOptions, DurableLog};
     pub use crate::chunk::ChunkParams;

@@ -159,7 +159,7 @@ pub struct ChunkStore {
     stats: Arc<AtomicStats>,
     tenants: Arc<TenantAccounts>,
     /// Hot read path: content-hash-keyed blob cache in front of the
-    /// backend. `None` disables caching (`MLCASK_CACHE_BYTES=0`). Because
+    /// backend. `None` disables caching. Because
     /// entries are keyed by the hash of their bytes, a hit is always
     /// byte-identical to the backend read it replaces.
     cache: Option<Arc<BlobCache>>,
@@ -169,20 +169,18 @@ pub struct ChunkStore {
 }
 
 impl ChunkStore {
-    /// Creates a store over an arbitrary backend, with the blob cache
-    /// configured from the `MLCASK_CACHE_BYTES` environment knob (on by
-    /// default; see [`CacheOptions::from_env`]).
+    /// Creates a store over an arbitrary backend, with the blob cache at
+    /// its default budget ([`CacheOptions::default`]).
     pub fn new(
         backend: Arc<dyn StorageBackend>,
         params: ChunkParams,
         cost: StorageCostModel,
     ) -> Self {
-        Self::with_cache(backend, params, cost, CacheOptions::from_env())
+        Self::with_cache(backend, params, cost, Some(CacheOptions::default()))
     }
 
     /// Creates a store with an explicit cache configuration (`None`
-    /// disables caching), ignoring the environment knob. Tests use this
-    /// to compare cache-off vs cache-on deterministically.
+    /// disables caching).
     pub fn with_cache(
         backend: Arc<dyn StorageBackend>,
         params: ChunkParams,
@@ -218,11 +216,6 @@ impl ChunkStore {
         }
     }
 
-    /// The tenant this view writes as, if any.
-    pub fn tenant(&self) -> Option<TenantId> {
-        self.tenant
-    }
-
     /// The shared tenant accounting table.
     pub fn tenant_accounts(&self) -> &Arc<TenantAccounts> {
         &self.tenants
@@ -244,11 +237,6 @@ impl ChunkStore {
             ChunkParams::SMALL,
             StorageCostModel::FORKBASE,
         )
-    }
-
-    /// The chunking parameters in effect.
-    pub fn params(&self) -> ChunkParams {
-        self.params
     }
 
     /// The storage cost model in effect.
@@ -535,33 +523,6 @@ impl ChunkStore {
     pub fn get_meta<T: serde::de::DeserializeOwned>(&self, object: &ObjectRef) -> Result<T> {
         let bytes = self.get_blob(object)?;
         Ok(serde_json::from_slice(&bytes)?)
-    }
-
-    /// Stores a batch of metadata records in one store round-trip: every
-    /// record gets its usual content address (identical to what
-    /// [`ChunkStore::put_meta`] would produce), but the fixed per-object
-    /// latency of the cost model is charged **once** for the whole batch —
-    /// the amortization the batched commit path exploits for CI-style
-    /// high-frequency updates.
-    pub fn put_meta_batch<T: serde::Serialize>(
-        &self,
-        kind: ObjectKind,
-        values: &[T],
-    ) -> Result<Vec<PutOutcome>> {
-        let mut out = Vec::with_capacity(values.len());
-        for (i, value) in values.iter().enumerate() {
-            let bytes = serde_json::to_vec(value)?;
-            let (mut outcome, trace) = self.write_blob(kind, &bytes)?;
-            self.record_live_write(&trace, outcome.physical_bytes);
-            if i > 0 {
-                // Later records ride the batch's single round-trip.
-                outcome.cost = outcome
-                    .cost
-                    .saturating_sub(Duration::from_nanos(self.cost.latency_ns));
-            }
-            out.push(outcome);
-        }
-        Ok(out)
     }
 
     /// Deletes every backend object unreachable from `roots` and returns
@@ -936,40 +897,6 @@ mod tests {
         t.record_replayed_write(&trace2, stats);
         assert_eq!(accounts.reserved(TenantId(3)).logical, 0);
         assert_eq!(accounts.usage(TenantId(3)).logical_bytes, 30_000);
-    }
-
-    #[test]
-    fn put_meta_batch_matches_ids_and_amortizes_latency() {
-        #[derive(serde::Serialize, serde::Deserialize)]
-        struct Meta {
-            label: String,
-            n: u32,
-        }
-        let metas: Vec<Meta> = (0..4)
-            .map(|n| Meta {
-                label: format!("m{n}"),
-                n,
-            })
-            .collect();
-        let seq = ChunkStore::in_memory_small();
-        let seq_outs: Vec<PutOutcome> = metas
-            .iter()
-            .map(|m| seq.put_meta(ObjectKind::Pipeline, m).unwrap())
-            .collect();
-        let batched = ChunkStore::in_memory_small();
-        let batch_outs = batched
-            .put_meta_batch(ObjectKind::Pipeline, &metas)
-            .unwrap();
-        let latency = Duration::from_nanos(seq.cost_model().latency_ns);
-        for (i, (s, b)) in seq_outs.iter().zip(&batch_outs).enumerate() {
-            assert_eq!(s.object, b.object, "batched ids identical to put_meta");
-            if i == 0 {
-                assert_eq!(s.cost, b.cost);
-            } else {
-                assert_eq!(s.cost, b.cost + latency, "later records skip the latency");
-            }
-        }
-        assert_eq!(batched.stats().kind(ObjectKind::Pipeline).blobs_written, 4);
     }
 
     #[test]

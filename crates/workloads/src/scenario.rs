@@ -17,15 +17,22 @@ use mlcask_core::merge::MergeStrategy;
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{MergeOutcome, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
+use mlcask_obs::config::{Config, StoreKind};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_storage::backend::{Bytes, MemBackend, StorageBackend};
+use mlcask_storage::cache::CacheOptions;
+use mlcask_storage::cask::CaskBackend;
 use mlcask_storage::chunk::ChunkParams;
 use mlcask_storage::costmodel::StorageCostModel;
+use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Linear-versioning scenario parameters (paper defaults).
@@ -120,16 +127,96 @@ fn advance_one(
     true
 }
 
-/// Creates a fresh registry + MLCask system for a workload. The store
-/// backend honours `MLCASK_BACKEND` (`mem` default, `cask`) so the
-/// same scenarios drive CI's durable-backend matrix leg.
-pub fn build_system(w: &Workload) -> Result<(Arc<ComponentRegistry>, MlCask)> {
-    let store = Arc::new(ChunkStore::new(
-        mlcask_storage::backend::backend_from_env(&w.name),
+/// The store every scenario (and `Router::in_memory`) runs on. This is the
+/// test harness's process boundary, where it reads the environment:
+/// `MLCASK_BACKEND` picks memory (default) or a cask in a scratch directory
+/// named after `tag`, `MLCASK_CACHE_BYTES` the blob cache — how CI's
+/// backend-matrix leg drives the same suites over the durable backend.
+///
+/// # Panics
+/// On a value [`Config::parse`] rejects: a matrix cell that cannot be built
+/// must fail, not run the default instead.
+pub fn harness_store(tag: &str) -> Arc<ChunkStore> {
+    let config = Config::from_env().unwrap_or_else(|e| panic!("{e}"));
+    store_for(&config, tag)
+}
+
+fn store_for(config: &Config, tag: &str) -> Arc<ChunkStore> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let backend: Arc<dyn StorageBackend> = match config.store {
+        StoreKind::Mem => Arc::new(MemBackend::new()),
+        StoreKind::Cask => {
+            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("mlcask-env-{tag}-{}-{seq}", std::process::id()));
+            let cask = CaskBackend::open(&dir).expect("cask backend opens in temp dir");
+            Arc::new(ScratchCask {
+                cask,
+                _dir: ScratchDir(dir),
+            })
+        }
+    };
+    let cache = config
+        .cache_bytes
+        .map(|n| CacheOptions::default().with_capacity(n));
+    Arc::new(ChunkStore::with_cache(
+        backend,
         ChunkParams::DEFAULT,
         StorageCostModel::FORKBASE,
-    ));
-    let registry = Arc::new(ComponentRegistry::new(store));
+        cache,
+    ))
+}
+
+/// A cask whose scratch directory goes when the last handle on the backend
+/// does. Fields drop in declaration order: the cask first (its drop drains
+/// and joins the writer pool), then the directory.
+struct ScratchCask {
+    cask: CaskBackend,
+    _dir: ScratchDir,
+}
+
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl StorageBackend for ScratchCask {
+    fn put(&self, key: Hash256, data: &[u8]) -> mlcask_storage::errors::Result<bool> {
+        self.cask.put(key, data)
+    }
+    fn get(&self, key: Hash256) -> mlcask_storage::errors::Result<Bytes> {
+        self.cask.get(key)
+    }
+    fn contains(&self, key: Hash256) -> bool {
+        self.cask.contains(key)
+    }
+    fn len(&self) -> usize {
+        self.cask.len()
+    }
+    fn physical_bytes(&self) -> u64 {
+        self.cask.physical_bytes()
+    }
+    fn keys(&self) -> Vec<Hash256> {
+        self.cask.keys()
+    }
+    fn remove(&self, key: Hash256) -> mlcask_storage::errors::Result<Option<u64>> {
+        self.cask.remove(key)
+    }
+    fn flush(&self) -> mlcask_storage::errors::Result<()> {
+        self.cask.flush()
+    }
+    fn compact(&self) -> mlcask_storage::errors::Result<u64> {
+        self.cask.compact()
+    }
+}
+
+/// Creates a fresh registry + MLCask system for a workload over
+/// [`harness_store`].
+pub fn build_system(w: &Workload) -> Result<(Arc<ComponentRegistry>, MlCask)> {
+    let registry = Arc::new(ComponentRegistry::new(harness_store(&w.name)));
     w.register_all(&registry)?;
     let sys = MlCask::new(&w.name, w.dag(), Arc::clone(&registry));
     Ok((registry, sys))
@@ -178,11 +265,7 @@ pub fn build_multi_tenant(
     w: &Workload,
     teams: &[&str],
 ) -> Result<(Arc<Workspace>, Vec<TenantSystem>)> {
-    let ws = Workspace::over(Arc::new(ChunkStore::new(
-        mlcask_storage::backend::backend_from_env(&w.name),
-        ChunkParams::DEFAULT,
-        StorageCostModel::FORKBASE,
-    )));
+    let ws = Workspace::over(harness_store(&w.name));
     let systems = teams
         .iter()
         .map(|team| join_workspace(&ws, w, team, QuotaPolicy::UNLIMITED))
@@ -225,23 +308,15 @@ pub struct Collaboration {
 /// The same `policy` is applied to both systems; all observables (merge
 /// report, usages, commit ids) are byte-identical across worker counts.
 pub fn run_upstream_downstream(w: &Workload, policy: ParallelismPolicy) -> Result<Collaboration> {
-    let ws = Workspace::over(Arc::new(ChunkStore::new(
-        mlcask_storage::backend::backend_from_env(&w.name),
-        ChunkParams::DEFAULT,
-        StorageCostModel::FORKBASE,
-    )));
-    let with_policy = |t: TenantSystem| TenantSystem {
-        tenant: t.tenant,
-        registry: t.registry,
-        sys: t.sys.with_parallelism(policy),
+    let (ws, mut teams) = build_multi_tenant(w, &["upstream", "downstream"])?;
+    let mut next = || {
+        let team = teams.remove(0);
+        TenantSystem {
+            sys: team.sys.with_parallelism(policy),
+            ..team
+        }
     };
-    let upstream = with_policy(join_workspace(&ws, w, "upstream", QuotaPolicy::UNLIMITED)?);
-    let downstream = with_policy(join_workspace(
-        &ws,
-        w,
-        "downstream",
-        QuotaPolicy::UNLIMITED,
-    )?);
+    let (upstream, downstream) = (next(), next());
     let clock = ClockLedger::new();
     upstream
         .sys
@@ -308,6 +383,46 @@ mod tests {
     use super::*;
     use crate::readmission;
     use mlcask_core::merge::MergeStrategy;
+
+    /// The scratch directories `store_for` made under `tag` in this process.
+    fn scratch_dirs(tag: &str) -> Vec<PathBuf> {
+        let prefix = format!("mlcask-env-{tag}-{}-", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cask_harness_store_takes_its_directory_with_it() {
+        use mlcask_storage::object::ObjectKind;
+        use mlcask_storage::tenant::TenantId;
+        let cask = Config {
+            store: StoreKind::Cask,
+            ..Config::default()
+        };
+        let store = store_for(&cask, "scratch-guard");
+        let dirs = scratch_dirs("scratch-guard");
+        assert_eq!(dirs.len(), 1, "one cask, one directory: {dirs:?}");
+        let put = store.put_blob(ObjectKind::Output, &[7u8; 50_000]).unwrap();
+        // A tenant view is another handle on the same backend: the
+        // directory stays for as long as one of them is in use.
+        let view = store.for_tenant(TenantId(0));
+        drop(store);
+        assert!(dirs[0].is_dir(), "a store still in use keeps its cask");
+        assert_eq!(&view.get_blob(&put.object).unwrap()[..], &[7u8; 50_000][..]);
+        drop(view);
+        assert!(!dirs[0].exists(), "the last handle removes it");
+        // The default is memory: nothing on disk to begin with.
+        drop(store_for(&Config::default(), "scratch-none"));
+        assert!(scratch_dirs("scratch-none").is_empty());
+    }
 
     #[test]
     fn linear_sequence_structure() {

@@ -80,7 +80,7 @@
 //! engine (the traced-execute + deterministic-replay protocol and the DAG
 //! wavefront scheduler) and the multi-tenant workspace layer (shared-store
 //! ownership, reservation-based tenant quotas and dedup attribution,
-//! permissioned cross-tenant fork/merge, batched commits, orphan GC).
+//! permissioned cross-tenant fork/merge, orphan GC).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

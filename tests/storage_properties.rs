@@ -275,17 +275,12 @@ mod graph_model {
                             prop_assert!(model.contains_key(name));
                         }
                     },
-                    // Head moves: append, merge, one-entry batch.
+                    // Head moves: merge (4), append (5–7).
                     (4, Some(on)) => {
                         let second = commits[(w >> 17) % commits.len()];
                         let c = graph.commit_merge(&on, second, payload(i), "merge").unwrap();
                         commits.push(c.id);
                         model.insert(on, c.id);
-                    }
-                    (5, Some(on)) => {
-                        let c = graph.commit_batch(&on, &[(payload(i), "batch".into())]).unwrap();
-                        commits.push(c[0].id);
-                        model.insert(on, c[0].id);
                     }
                     (_, Some(on)) => {
                         let c = graph.commit(&on, payload(i), "step").unwrap();

@@ -329,156 +329,6 @@ fn quota_of_one_tenant_does_not_throttle_another() {
     assert_eq!(ws.graph().branches(), vec!["healthy/master"]);
 }
 
-#[test]
-fn batched_commits_equal_sequential_commits() {
-    let updates = |sys: &MlCask| -> Vec<(Vec<ComponentKey>, String)> {
-        vec![
-            (keys(sys, 0, 0), "initial".into()),
-            (keys(sys, 0, 1), "bump model".into()),
-            (keys(sys, 1, 1), "bump scaler".into()),
-            (keys(sys, 1, 2), "bump model again".into()),
-        ]
-    };
-    // Sequential reference.
-    let ws_seq = Workspace::in_memory_small();
-    let t_seq = ws_seq.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_seq = toy_system(&t_seq);
-    let clock_seq = ClockLedger::new();
-    for (k, m) in updates(&sys_seq) {
-        let res = sys_seq
-            .commit_pipeline("master", &k, &m, &clock_seq)
-            .unwrap();
-        assert!(res.commit.is_some());
-    }
-    // Batched.
-    let ws_b = Workspace::in_memory_small();
-    let t_b = ws_b.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_b = toy_system(&t_b);
-    let clock_b = ClockLedger::new();
-    let results = ws_b
-        .commit_batch(&sys_b, "master", &updates(&sys_b), &clock_b)
-        .unwrap();
-    assert!(results.iter().all(|r| r.commit.is_some()));
-
-    // Same heads, same history: commit ids (which cover parents, seq,
-    // payloads, messages, and ticks) match one for one.
-    let head_seq = sys_seq.graph().head("team/master").unwrap();
-    let head_b = sys_b.graph().head("team/master").unwrap();
-    assert_eq!(head_seq.id, head_b.id);
-    assert_eq!(head_seq.seq, 3);
-    let anc_seq = sys_seq.graph().ancestors(head_seq.id).unwrap();
-    let anc_b = sys_b.graph().ancestors(head_b.id).unwrap();
-    assert_eq!(anc_seq, anc_b);
-    // Same labels and metafiles at every commit.
-    for r in &results {
-        let c = r.commit.as_ref().unwrap();
-        let meta_b = sys_b.metafile_of(c).unwrap();
-        let meta_seq = sys_seq
-            .metafile_of(&sys_seq.graph().get(c.id).unwrap())
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&meta_b).unwrap(),
-            serde_json::to_string(&meta_seq).unwrap()
-        );
-    }
-    // Same store statistics and history side-state; fewer graph appends.
-    assert_eq!(
-        serde_json::to_string(&ws_seq.store().stats()).unwrap(),
-        serde_json::to_string(&ws_b.store().stats()).unwrap()
-    );
-    assert_eq!(
-        ws_seq.store().physical_bytes(),
-        ws_b.store().physical_bytes()
-    );
-    assert_eq!(sys_seq.history().len(), sys_b.history().len());
-    assert_eq!(sys_seq.graph().append_ops(), 4);
-    assert_eq!(sys_b.graph().append_ops(), 1, "one append for the batch");
-}
-
-#[test]
-fn batch_with_rejected_update_commits_the_rest() {
-    let ws = Workspace::in_memory_small();
-    let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-    // Add a schema-changing scaler without a matching model: statically
-    // doomed, so the precheck rejects that update inside the batch.
-    let registry = Arc::new(ComponentRegistry::with_exe_size(
-        Arc::clone(t.store()),
-        4096,
-    ));
-    for c in [
-        toy_source(SemVer::master(0, 0), 4, 16),
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(1, 0), 4, 6, 3.0),
-        toy_model(SemVer::master(0, 0), 4, 0.5),
-        toy_model(SemVer::master(0, 1), 4, 0.6),
-    ] {
-        registry.register(c).unwrap();
-    }
-    let dag = PipelineDag::chain(&toy_slots()).unwrap();
-    let sys = t.open_pipeline("toy", dag, registry);
-    let reg = sys.registry();
-    let src = reg.versions_of("test_source")[0].clone();
-    let s00 = reg.versions_of("test_scaler")[0].clone();
-    let s10 = reg.versions_of("test_scaler")[1].clone();
-    let m00 = reg.versions_of("test_model")[0].clone();
-    let m01 = reg.versions_of("test_model")[1].clone();
-    let clock = ClockLedger::new();
-    let updates = vec![
-        (
-            vec![src.clone(), s00.clone(), m00.clone()],
-            "ok 1".to_string(),
-        ),
-        (
-            vec![src.clone(), s10.clone(), m00.clone()],
-            "doomed".to_string(),
-        ),
-        (
-            vec![src.clone(), s00.clone(), m01.clone()],
-            "ok 2".to_string(),
-        ),
-    ];
-    let results = ws.commit_batch(&sys, "master", &updates, &clock).unwrap();
-    assert_eq!(results.len(), 3);
-    assert!(results[0].commit.is_some());
-    assert!(
-        results[1].commit.is_none(),
-        "rejected update commits nothing"
-    );
-    assert!(results[2].commit.is_some());
-    // The rejected update consumed no label: the survivors are seq 0 and 1.
-    assert_eq!(results[2].commit.as_ref().unwrap().seq, 1);
-    assert_eq!(sys.graph().head("team/master").unwrap().seq, 1);
-    assert_eq!(sys.graph().append_ops(), 1);
-}
-
-#[test]
-fn batch_hard_error_commits_completed_prefix() {
-    // A hard error mid-batch (unregistered component) must mirror the
-    // sequential driver: the updates that already completed land, then the
-    // error surfaces — the graph ends where N sequential calls would.
-    let ws = Workspace::in_memory_small();
-    let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-    let sys = toy_system(&t);
-    let clock = ClockLedger::new();
-    let ghost = ComponentKey::new("test_model", SemVer::master(9, 9));
-    let mut ghost_keys = keys(&sys, 0, 0);
-    ghost_keys[2] = ghost;
-    let updates = vec![
-        (keys(&sys, 0, 0), "ok 1".to_string()),
-        (keys(&sys, 0, 1), "ok 2".to_string()),
-        (ghost_keys, "unresolvable".to_string()),
-        (keys(&sys, 0, 2), "never reached".to_string()),
-    ];
-    let err = ws
-        .commit_batch(&sys, "master", &updates, &clock)
-        .unwrap_err();
-    assert!(matches!(err, CoreError::UnknownComponent(_)), "{err}");
-    let head = sys.graph().head("team/master").unwrap();
-    assert_eq!(head.seq, 1, "the completed prefix committed");
-    assert_eq!(head.message, "ok 2");
-    assert_eq!(sys.graph().append_ops(), 1);
-}
-
 /// Orphan GC: a schema-dishonest node failing mid-DAG leaves behind the
 /// blobs of independent siblings that the canonical accounting never
 /// charged; `Workspace::sweep_orphans` restores byte-level parity.
