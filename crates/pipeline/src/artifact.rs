@@ -201,6 +201,13 @@ impl Serialize for Artifact {
             ("schema".to_string(), self.schema.to_value()),
         ])
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"data\":");
+        self.data.write_json(out);
+        out.push_str(",\"schema\":");
+        self.schema.write_json(out);
+        out.push('}');
+    }
 }
 
 impl Deserialize for Artifact {

@@ -18,6 +18,18 @@ use std::collections::HashMap;
 pub trait StorageBackend: Send + Sync {
     /// Stores `data` under `key`. Returns `true` if the key was new.
     fn put(&self, key: Hash256, data: &[u8]) -> Result<bool>;
+    /// Stores every `(key, data)` pair in order and returns, per pair, what
+    /// [`put`](Self::put) would have: `true` if the key was new (a key
+    /// repeated within the call is new at most once). On error a prefix of
+    /// the pairs may be stored, as with the loop. A backend may treat the
+    /// call as one unit of work — the cask appends a blob's new records as
+    /// one group to one segment; this default is the per-key loop.
+    fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
+        items
+            .iter()
+            .map(|&(key, data)| self.put(key, data))
+            .collect()
+    }
     /// Fetches bytes for `key`.
     fn get(&self, key: Hash256) -> Result<Bytes>;
     /// True if `key` is present.
@@ -69,15 +81,29 @@ impl MemBackend {
     }
 }
 
+impl MemState {
+    fn put(&mut self, key: Hash256, data: &[u8]) -> bool {
+        if self.map.contains_key(&key) {
+            return false;
+        }
+        self.map.insert(key, Bytes::copy_from_slice(data));
+        self.bytes += data.len() as u64;
+        true
+    }
+}
+
 impl StorageBackend for MemBackend {
     fn put(&self, key: Hash256, data: &[u8]) -> Result<bool> {
+        Ok(self.state.write().put(key, data))
+    }
+
+    /// One write lock for the whole call.
+    fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
         let mut state = self.state.write();
-        if state.map.contains_key(&key) {
-            return Ok(false);
-        }
-        state.map.insert(key, Bytes::copy_from_slice(data));
-        state.bytes += data.len() as u64;
-        Ok(true)
+        Ok(items
+            .iter()
+            .map(|&(key, data)| state.put(key, data))
+            .collect())
     }
 
     fn get(&self, key: Hash256) -> Result<Bytes> {

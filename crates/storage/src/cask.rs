@@ -3,10 +3,8 @@
 //!
 //! # Segment format
 //!
-//! Objects live in `shards` append-only segment files (`shard-NNN.log`),
-//! selected by the first byte of the content address (hash-prefix sharding,
-//! so concurrent writers touch different files). Every record is a CRC-framed
-//! block:
+//! Objects live in `shards` append-only segment files (`shard-NNN.log`).
+//! Every record is a CRC-framed block:
 //!
 //! ```text
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
@@ -21,23 +19,47 @@
 //! (re-scanning a truncated file truncates nothing further). Tombstones
 //! keep removals durable across reopen.
 //!
+//! # Routing: a blob is one group in one segment
+//!
+//! [`StorageBackend::put_many`] is the write path: `ChunkStore` hands it a
+//! blob's chunks and then its manifest in one call. Dedup for the whole
+//! call is resolved under one index write lock, and every *new* record is
+//! appended to one segment — the shard of the call's last key
+//! (`key[0] % shards`), i.e. the blob's manifest — chunks first, manifest
+//! last. `put` is `put_many` of one key, so a lone record lands where
+//! hash-prefix sharding always put it. A tombstone goes to the segment
+//! holding the record it kills.
+//!
+//! Because a record's segment follows its blob, not its own hash, one key
+//! can end up live in two segments: a sweep's tombstone for K queued in one
+//! shard and lost in a crash, while K, re-put by another blob, became
+//! durable in another. Both records hold the same bytes (content
+//! addressing), so recovery keeps the lowest shard's record live and books
+//! the other as that shard's dead bytes; `len` and `physical_bytes` count
+//! K once and the next compaction drops the duplicate.
+//!
 //! # Write offloading and group commit
 //!
-//! With `writer_threads > 0`, `put` resolves dedup synchronously (the index
-//! gains a `Pending` entry holding the bytes, so reads and `contains` see
-//! the key immediately) and hands the framed record to a small writer pool;
-//! durability overlaps component execution and [`CaskBackend::flush`]
-//! drains the queue and fsyncs every shard. A pool worker drains its
-//! shard's queue in **batches** (bounded by `max_batch_bytes`): one
-//! contiguous write lands the whole batch, and with `group_commit` set
-//! (the default) one `sync_data` makes it durable — so fsyncs-per-append
-//! drops below 1 under any concurrency, while `blocking_syncs` (fsyncs a
-//! *caller* waited on) keeps its meaning unchanged: group commits happen on
-//! pool threads and never block execution. The traced-execute/replay
-//! protocol already decouples accounting from write timing, so the engines
-//! need no changes. With `writer_threads == 0` every append happens on the
-//! caller's thread (and fsyncs inline when `sync_every_append` is set) —
-//! the deterministic mode the crash-injection tests use.
+//! With `writer_threads > 0`, `put_many` inserts a `Pending` index entry
+//! per new key (holding the bytes, so reads and `contains` see the key
+//! immediately) and enqueues the call's new records as **one group** on
+//! their shard; durability overlaps component execution and
+//! [`CaskBackend::flush`] drains the queue and fsyncs every shard. A queued
+//! record is its 41-byte header (CRC folded over flag, key and data in
+//! place) beside the very `Bytes` its `Pending` entry holds — the data is
+//! never copied again. A pool worker drains its shard's queue in
+//! **batches** of whole groups (bounded by `max_batch_bytes`, at least one
+//! group, never a partial one): one vectored write lands the batch, and
+//! with `group_commit` set (the default) one `sync_data` makes it durable.
+//! So a blob costs one enqueue, one wake-up, one write and at most one
+//! fsync, and its manifest is never durable without its new chunks.
+//! `blocking_syncs` (fsyncs a *caller* waited on) keeps its meaning: group
+//! commits happen on pool threads and never block execution. The
+//! traced-execute/replay protocol already decouples accounting from write
+//! timing, so the engines need no changes. With `writer_threads == 0` every
+//! record is its own append on the caller's thread (routed the same way,
+//! and fsynced inline when `sync_every_append` is set) — the deterministic
+//! mode the crash-injection tests use.
 //!
 //! # Compaction
 //!
@@ -54,11 +76,14 @@
 //!
 //! # Fault injection
 //!
-//! A [`FaultPlan`] (deterministic, seeded) makes
-//! the backend crash at a chosen append — tearing the record at a byte cut,
-//! completing it, or dropping everything unsynced — after which every
-//! operation fails until the directory is reopened. Plans require
-//! `writer_threads == 0` so the crash point is reproducible.
+//! A [`FaultPlan`] (deterministic, seeded) makes the backend crash at a
+//! chosen append — tearing the record at a byte cut, completing it, or
+//! dropping everything unsynced — after which every operation fails until
+//! the directory is reopened; those plans require `writer_threads == 0` so
+//! the crash point is reproducible. [`FaultKind::GroupCommitError`] instead
+//! requires the pool: it fails the n-th batch's write or `sync_data`,
+//! which poisons the backend before any record of the batch is swung to
+//! `Durable`.
 
 use crate::backend::StorageBackend;
 use crate::errors::{Result, StorageError};
@@ -68,9 +93,10 @@ use bytes::Bytes;
 use mlcask_obs::metrics::{instance_label, LATENCY_SECONDS, SIZE_BYTES};
 use mlcask_obs::{Counter, Histogram, MetricsRegistry};
 use parking_lot::{Mutex as PlMutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::Read;
+use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,8 +154,13 @@ static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// Folds `data` into a CRC-32 register (pre- and post-inversion are the
+/// caller's), so a record's CRC runs over its parts without joining them.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -146,7 +177,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
 // ---------------------------------------------------------------------------
@@ -187,18 +218,42 @@ pub fn scan_frames(buf: &[u8]) -> (Vec<(usize, usize)>, usize) {
     (frames, off)
 }
 
-/// Frames one segment record (`flag + key + data`).
-fn record_frame(flag: u8, key: Hash256, data: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(RECORD_OVERHEAD + data.len());
-    payload.push(flag);
-    payload.extend_from_slice(&key.0);
-    payload.extend_from_slice(data);
-    frame(&payload)
+/// Bytes of a segment record before its data: frame header, flag, key.
+const RECORD_HEADER: usize = FRAME_HEADER + RECORD_OVERHEAD;
+
+/// Everything of one segment record's frame but its data
+/// (`[len][crc][flag][key]`); the CRC is folded over flag, key and data in
+/// place, so the record is never assembled in one buffer.
+fn record_header(flag: u8, key: &Hash256, data: &[u8]) -> [u8; RECORD_HEADER] {
+    let mut h = [0u8; RECORD_HEADER];
+    h[FRAME_HEADER] = flag;
+    h[FRAME_HEADER + 1..].copy_from_slice(&key.0);
+    let crc = !crc32_update(crc32_update(!0, &h[FRAME_HEADER..]), data);
+    h[..4].copy_from_slice(&((RECORD_OVERHEAD + data.len()) as u32).to_le_bytes());
+    h[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    h
 }
 
 /// On-disk frame size of a record holding `data_len` payload bytes.
 fn record_file_len(data_len: u64) -> u64 {
-    (FRAME_HEADER + RECORD_OVERHEAD) as u64 + data_len
+    RECORD_HEADER as u64 + data_len
+}
+
+/// Writes `parts` back to back at `off` — vectored, so a whole batch is
+/// one `writev` unless the kernel takes less. Empty parts are not allowed
+/// (a write of nothing would read as "no progress").
+fn write_all_vectored_at(file: &File, off: u64, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    let mut file = file;
+    file.seek(SeekFrom::Start(off))?;
+    while !parts.is_empty() {
+        match file.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -223,10 +278,10 @@ pub struct CaskOptions {
     /// one per append). Ignored when `writer_threads == 0`.
     pub group_commit: bool,
     /// Upper bound on the bytes a pool worker drains into one group-commit
-    /// batch — bounds both commit latency and the memory the concatenated
-    /// write buffer can take.
+    /// batch (at least one queued group, which is never split) — bounds
+    /// commit latency.
     pub max_batch_bytes: usize,
-    /// Deterministic crash injection (tests only).
+    /// Deterministic fault injection (tests only).
     pub fault: Option<FaultPlan>,
 }
 
@@ -264,10 +319,14 @@ impl CaskOptions {
         self
     }
 
-    /// Replaces the fault plan (forces `writer_threads == 0`).
+    /// Replaces the fault plan. Forces `writer_threads == 0` unless the
+    /// plan faults the writer pool's group commits
+    /// ([`FaultKind::GroupCommitError`]), which needs a pool.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
+        if fault.kind != FaultKind::GroupCommitError {
+            self.writer_threads = 0;
+        }
         self.fault = Some(fault);
-        self.writer_threads = 0;
         self
     }
 }
@@ -318,8 +377,8 @@ struct ShardIo {
 struct Shard {
     path: PathBuf,
     io: RwLock<ShardIo>,
-    queue: PlMutex<VecDeque<Job>>,
-    /// Claimed by at most one pool worker at a time, so each shard's jobs
+    queue: PlMutex<VecDeque<Group>>,
+    /// Claimed by at most one pool worker at a time, so each shard's groups
     /// land in FIFO order (a tombstone must never overtake the put it
     /// supersedes).
     busy: AtomicBool,
@@ -327,15 +386,63 @@ struct Shard {
     dead_bytes: AtomicU64,
 }
 
+/// One record on its way to a segment.
 struct Job {
     /// `Some` for a put (converted to `Durable` once written), `None` for a
     /// tombstone (immediately dead bytes).
     key: Option<Hash256>,
-    frame: Vec<u8>,
-    data_len: u32,
+    header: [u8; RECORD_HEADER],
+    /// The record's data — for a put, the very `Bytes` its `Pending` slot
+    /// holds (a shared `Arc`, not a copy); empty for a tombstone.
+    data: Bytes,
+}
+
+impl Job {
+    fn new(flag: u8, key: Hash256, data: Bytes) -> Job {
+        Job {
+            key: (flag == FLAG_PUT).then_some(key),
+            header: record_header(flag, &key, &data),
+            data,
+        }
+    }
+
+    /// On-disk frame size.
+    fn len(&self) -> usize {
+        RECORD_HEADER + self.data.len()
+    }
+
+    /// The frame's parts, for a vectored write.
+    fn push_slices<'a>(&'a self, out: &mut Vec<IoSlice<'a>>) {
+        out.push(IoSlice::new(&self.header));
+        if !self.data.is_empty() {
+            out.push(IoSlice::new(&self.data));
+        }
+    }
+
+    /// The frame in one buffer — only fault injection needs it, to cut it.
+    fn frame(&self) -> Vec<u8> {
+        [&self.header[..], &self.data].concat()
+    }
+}
+
+/// Records queued as one unit — a `put_many`'s new records, chunks first and
+/// manifest last, or one tombstone. A pool worker never splits a group
+/// across batches, so it lands with one write and one `sync_data`.
+struct Group {
+    jobs: Vec<Job>,
+    /// Sum of the jobs' frame sizes.
+    bytes: usize,
+}
+
+impl Group {
+    fn new(jobs: Vec<Job>) -> Group {
+        let bytes = jobs.iter().map(Job::len).sum();
+        Group { jobs, bytes }
+    }
 }
 
 struct PoolCtl {
+    /// Groups queued or being landed.
     pending: usize,
     shutdown: bool,
 }
@@ -350,7 +457,17 @@ struct Pool {
 
 struct FaultState {
     plan: FaultPlan,
-    appends: AtomicU64,
+    /// Events counted toward the plan's trigger: inline appends, or — for
+    /// [`FaultKind::GroupCommitError`] — batches the pool lands.
+    count: AtomicU64,
+}
+
+impl FaultState {
+    /// Counts one event; true if the plan fires at it.
+    fn fires(&self) -> bool {
+        let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+        self.plan.crash_at_append != 0 && n >= self.plan.crash_at_append
+    }
 }
 
 struct Inner {
@@ -395,10 +512,11 @@ struct Inner {
     group_commit_bytes: Histogram,
 }
 
-/// Append-only log-segment storage backend with hash-prefix sharding,
-/// CRC-framed records, an index rebuilt on open (truncating torn tails),
-/// write offloading to a small writer pool, and tombstone-based removal
-/// with compaction. See the [module docs](self) for the format.
+/// Append-only log-segment storage backend with per-blob routing over
+/// sharded segments, CRC-framed records, an index rebuilt on open
+/// (truncating torn tails), write offloading to a small writer pool with
+/// group commit, and tombstone-based removal with compaction. See the
+/// [module docs](self) for the format.
 pub struct CaskBackend {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
@@ -443,12 +561,11 @@ where
         .collect()
 }
 
-/// One shard's recovery-scan result: the shard state plus its slice of the
-/// index (hash-prefix sharding keeps shards' key sets disjoint).
+/// One shard's recovery-scan result: the shard state plus the records live
+/// in its segment.
 struct ShardScan {
     shard: Shard,
     map: HashMap<Hash256, Slot>,
-    live_bytes: u64,
 }
 
 /// Opens and scans one shard segment, truncating its torn tail (idempotent:
@@ -464,7 +581,6 @@ fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
     let mut buf = Vec::new();
     (&file).read_to_end(&mut buf)?;
     let mut map: HashMap<Hash256, Slot> = HashMap::new();
-    let mut live_bytes = 0u64;
     let mut dead = 0u64;
     let (frames, mut valid) = scan_frames(&buf);
     for (off, len) in frames {
@@ -490,15 +606,12 @@ fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
                 if let Some(prev) = map.insert(key, slot) {
                     // A duplicate append (same content address): the
                     // earlier record is dead.
-                    live_bytes -= prev.len();
                     dead += record_file_len(prev.len());
                 }
-                live_bytes += data_len;
             }
             FLAG_TOMBSTONE => {
                 dead += record_file_len(data_len);
                 if let Some(prev) = map.remove(&key) {
-                    live_bytes -= prev.len();
                     dead += record_file_len(prev.len());
                 }
             }
@@ -525,7 +638,6 @@ fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
             dead_bytes: AtomicU64::new(dead),
         },
         map,
-        live_bytes,
     })
 }
 
@@ -540,10 +652,15 @@ impl CaskBackend {
     /// directory's shard count comes from its manifest; `opts.shards` only
     /// applies on creation.
     pub fn open_with(root: impl AsRef<Path>, opts: CaskOptions) -> Result<Self> {
-        if opts.fault.is_some() && opts.writer_threads > 0 {
-            return Err(StorageError::Io(std::io::Error::other(
-                "fault injection requires writer_threads == 0 (deterministic appends)",
-            )));
+        if let Some(plan) = &opts.fault {
+            let pooled = plan.kind == FaultKind::GroupCommitError;
+            if pooled != (opts.writer_threads > 0) {
+                return Err(StorageError::Io(std::io::Error::other(if pooled {
+                    "a group-commit fault requires writer_threads > 0"
+                } else {
+                    "fault injection requires writer_threads == 0 (deterministic appends)"
+                })));
+            }
         }
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
@@ -561,19 +678,33 @@ impl CaskBackend {
             n
         };
 
-        // Shards are independent files and hash-prefix sharding keeps their
-        // key sets disjoint, so recovery scans them concurrently; each task
-        // truncates its own torn tail (idempotent per shard) and builds a
-        // local index to merge below.
+        // Shards are independent files, so recovery scans them
+        // concurrently; each task truncates its own torn tail (idempotent
+        // per shard) and builds a local index to merge below.
         let mut index = CaskIndex::default();
         let mut shard_states = Vec::with_capacity(shards);
         for scan in scoped_sharded(shards, |s| scan_shard(&root, s)) {
             let scan = scan?;
+            for (key, slot) in scan.map {
+                match index.map.entry(key) {
+                    Entry::Vacant(e) => {
+                        index.live_bytes += slot.len();
+                        e.insert(slot);
+                    }
+                    // Live in two segments: records go where their blob's
+                    // manifest routes them, so a re-put can land in one
+                    // shard while the tombstone that killed the key's old
+                    // record in another was lost in a crash. Both hold the
+                    // same bytes (content addressing); the lowest shard's
+                    // record stays live and this one is dead.
+                    Entry::Occupied(_) => {
+                        scan.shard
+                            .dead_bytes
+                            .fetch_add(record_file_len(slot.len()), Ordering::Relaxed);
+                    }
+                }
+            }
             shard_states.push(scan.shard);
-            // The manifest pins the shard count, so a key can never appear
-            // in two shards' local maps — the merge is a plain union.
-            index.map.extend(scan.map);
-            index.live_bytes += scan.live_bytes;
         }
 
         let pool = (opts.writer_threads > 0).then(|| Pool {
@@ -606,7 +737,7 @@ impl CaskBackend {
             pool,
             fault: opts.fault.map(|plan| FaultState {
                 plan,
-                appends: AtomicU64::new(0),
+                count: AtomicU64::new(0),
             }),
             crashed: AtomicBool::new(false),
             poison: PlMutex::new(None),
@@ -750,55 +881,57 @@ impl Inner {
         Ok(())
     }
 
-    /// Appends one frame to `shard` on the calling thread, honoring the
+    /// Appends one record to `shard` on the calling thread, honoring the
     /// fault plan. Returns the frame's start offset.
-    fn append_inline(&self, sid: usize, fr: &[u8], blocking: bool) -> Result<u64> {
+    fn append_inline(&self, sid: usize, job: &Job, blocking: bool) -> Result<u64> {
         let shard = &self.shards[sid];
         let mut io = shard.io.write();
         self.appends.inc();
-        if let Some(f) = &self.fault {
-            let n = f.appends.fetch_add(1, Ordering::Relaxed) + 1;
-            if f.plan.crash_at_append != 0 && n >= f.plan.crash_at_append {
-                self.crashed.store(true, Ordering::SeqCst);
-                match f.plan.kind {
-                    FaultKind::Torn => {
-                        // Part of the record reaches the disk; the torn tail
-                        // is what recovery must truncate.
-                        let cut = f.plan.torn_cut(fr.len());
-                        io.file.write_all_at(&fr[..cut], io.tail)?;
-                        io.file.sync_data()?;
-                    }
-                    FaultKind::AfterWrite => {
-                        // The record is fully durable but the caller never
-                        // learns it succeeded (death between write and ack).
-                        io.file.write_all_at(fr, io.tail)?;
-                        io.file.sync_data()?;
-                    }
-                    FaultKind::DropUnsynced => {
-                        // The record lands in the page cache, then the
-                        // machine dies: everything unsynced is lost.
-                        io.file.write_all_at(fr, io.tail)?;
-                        let synced = io.synced;
-                        io.file.set_len(synced)?;
-                        drop(io);
-                        for (i, other) in self.shards.iter().enumerate() {
-                            if i == sid {
-                                continue;
-                            }
-                            let mut oio = other.io.write();
-                            let osynced = oio.synced;
-                            oio.file.set_len(osynced)?;
-                            oio.tail = osynced;
+        if let Some(f) = self.fault.as_ref().filter(|f| f.fires()) {
+            self.crashed.store(true, Ordering::SeqCst);
+            let fr = job.frame();
+            match f.plan.kind {
+                FaultKind::Torn => {
+                    // Part of the record reaches the disk; the torn tail
+                    // is what recovery must truncate.
+                    let cut = f.plan.torn_cut(fr.len());
+                    io.file.write_all_at(&fr[..cut], io.tail)?;
+                    io.file.sync_data()?;
+                }
+                FaultKind::AfterWrite => {
+                    // The record is fully durable but the caller never
+                    // learns it succeeded (death between write and ack).
+                    io.file.write_all_at(&fr, io.tail)?;
+                    io.file.sync_data()?;
+                }
+                FaultKind::DropUnsynced => {
+                    // The record lands in the page cache, then the
+                    // machine dies: everything unsynced is lost.
+                    io.file.write_all_at(&fr, io.tail)?;
+                    let synced = io.synced;
+                    io.file.set_len(synced)?;
+                    drop(io);
+                    for (i, other) in self.shards.iter().enumerate() {
+                        if i == sid {
+                            continue;
                         }
-                        return Err(injected_crash());
+                        let mut oio = other.io.write();
+                        let osynced = oio.synced;
+                        oio.file.set_len(osynced)?;
+                        oio.tail = osynced;
                     }
                 }
-                return Err(injected_crash());
+                // `open_with` admits this kind only with a writer pool,
+                // whose batches never come through here.
+                FaultKind::GroupCommitError => {}
             }
+            return Err(injected_crash());
         }
-        io.file.write_all_at(fr, io.tail)?;
+        let mut parts = Vec::with_capacity(2);
+        job.push_slices(&mut parts);
+        write_all_vectored_at(&io.file, io.tail, &mut parts)?;
         let start = io.tail;
-        io.tail += fr.len() as u64;
+        io.tail += job.len() as u64;
         if self.sync_every_append {
             let t = Instant::now();
             io.file.sync_data()?;
@@ -812,8 +945,46 @@ impl Inner {
         Ok(start)
     }
 
-    fn enqueue(&self, sid: usize, job: Job) {
-        self.shards[sid].queue.lock().push_back(job);
+    /// Appends a group's records on the calling thread, one append each
+    /// (so fault plans count records, not groups), and swings the landed
+    /// ones to `Durable`. On a failed append the records not yet landed
+    /// leave the index: the caller must not observe a key the log never
+    /// durably gained.
+    fn append_group_inline(&self, sid: usize, group: &Group) -> Result<()> {
+        let mut landed = Vec::with_capacity(group.jobs.len());
+        let mut failure = None;
+        for job in &group.jobs {
+            match self.append_inline(sid, job, true) {
+                Ok(start) => landed.push(start),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut idx = self.index.write();
+        for (job, start) in group.jobs.iter().zip(&landed) {
+            if let Some(slot) = job.key.and_then(|key| idx.map.get_mut(&key)) {
+                *slot = Slot::Durable {
+                    shard: sid as u32,
+                    off: start + RECORD_HEADER as u64,
+                    len: job.data.len() as u32,
+                };
+            }
+        }
+        let Some(e) = failure else {
+            return Ok(());
+        };
+        for job in &group.jobs[landed.len()..] {
+            if job.key.and_then(|key| idx.map.remove(&key)).is_some() {
+                idx.live_bytes -= job.data.len() as u64;
+            }
+        }
+        Err(e)
+    }
+
+    fn enqueue(&self, sid: usize, group: Group) {
+        self.shards[sid].queue.lock().push_back(group);
         let pool = self.pool.as_ref().expect("enqueue requires a pool");
         let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         ctl.pending += 1;
@@ -821,11 +992,14 @@ impl Inner {
         pool.work.notify_one();
     }
 
-    /// Group commit: lands a whole drained batch with one contiguous write
-    /// and — when `group_commit` is on — one `sync_data`, then swings every
-    /// job's index entry to its offset within the batch. Runs on a pool
-    /// thread, so its fsync never counts as a `blocking_sync`.
-    fn process_batch(&self, sid: usize, jobs: Vec<Job>) {
+    /// Group commit: lands a whole drained batch of groups with one
+    /// vectored write (each job's header and its shared data, no
+    /// concatenation buffer) and — when `group_commit` is on — one
+    /// `sync_data`, then swings every job's index entry to its offset
+    /// within the batch. Runs on a pool thread, so its fsync never counts
+    /// as a `blocking_sync`. A write or sync error poisons the backend
+    /// before any of the batch's records is swung to `Durable`.
+    fn process_batch(&self, sid: usize, batch: Vec<Group>) {
         if self.crashed.load(Ordering::SeqCst) || self.poison.lock().is_some() {
             return;
         }
@@ -835,23 +1009,46 @@ impl Inner {
                 *poison = Some(e);
             }
         };
-        let total: usize = jobs.iter().map(|j| j.frame.len()).sum();
-        let mut buf = Vec::with_capacity(total);
-        for job in &jobs {
-            buf.extend_from_slice(&job.frame);
-        }
+        let jobs = || batch.iter().flat_map(|g| &g.jobs);
+        let njobs = jobs().count();
+        let total: usize = batch.iter().map(|g| g.bytes).sum();
+        let fault = self.fault.as_ref().filter(|f| f.fires());
         let start = {
             let shard = &self.shards[sid];
             let mut io = shard.io.write();
             let start = io.tail;
-            if let Err(e) = io.file.write_all_at(&buf, start) {
+            let written = match fault {
+                // ENOSPC mid-write: a seeded prefix of the batch reaches the
+                // file, the rest never does.
+                Some(f) if f.plan.seed % 2 == 0 => {
+                    let buf: Vec<u8> = jobs().flat_map(Job::frame).collect();
+                    let cut = f.plan.torn_cut(buf.len());
+                    io.file
+                        .write_all_at(&buf[..cut], start)
+                        .and(Err(io::Error::other(
+                            "injected fault: group commit write failed (no space left on device)",
+                        )))
+                }
+                _ => {
+                    let mut parts = Vec::with_capacity(2 * njobs);
+                    jobs().for_each(|job| job.push_slices(&mut parts));
+                    write_all_vectored_at(&io.file, start, &mut parts)
+                }
+            };
+            if let Err(e) = written {
                 poison_with(e.to_string());
                 return;
             }
-            io.tail += buf.len() as u64;
+            io.tail += total as u64;
             if self.group_commit || self.sync_every_append {
                 let t = Instant::now();
-                if let Err(e) = io.file.sync_data() {
+                let synced = match fault {
+                    Some(_) => Err(io::Error::other(
+                        "injected fault: group commit sync_data failed (EIO)",
+                    )),
+                    None => io.file.sync_data(),
+                };
+                if let Err(e) = synced {
                     poison_with(e.to_string());
                     return;
                 }
@@ -859,33 +1056,26 @@ impl Inner {
                 io.synced = io.tail;
                 self.syncs_total.inc();
                 self.group_commits.inc();
-                self.group_commit_bytes.observe(buf.len() as f64);
+                self.group_commit_bytes.observe(total as f64);
             }
             start
         };
-        self.appends.add(jobs.len() as u64);
+        self.appends.add(njobs as u64);
         let mut off = start;
         let mut idx = self.index.write();
-        for job in &jobs {
-            let frame_len = job.frame.len() as u64;
-            match job.key {
-                Some(key) => match idx.map.get_mut(&key) {
-                    Some(slot @ Slot::Pending(_)) => {
-                        *slot = Slot::Durable {
-                            shard: sid as u32,
-                            off: off + (FRAME_HEADER + RECORD_OVERHEAD) as u64,
-                            len: job.data_len,
-                        };
-                    }
-                    // Removed (or replaced) while queued: the record is
-                    // dead on arrival.
-                    _ => {
-                        self.shards[sid]
-                            .dead_bytes
-                            .fetch_add(frame_len, Ordering::Relaxed);
-                    }
-                },
-                None => {
+        for job in jobs() {
+            let frame_len = job.len() as u64;
+            match job.key.and_then(|key| idx.map.get_mut(&key)) {
+                Some(slot @ Slot::Pending(_)) => {
+                    *slot = Slot::Durable {
+                        shard: sid as u32,
+                        off: off + RECORD_HEADER as u64,
+                        len: job.data.len() as u32,
+                    };
+                }
+                // A tombstone, or a put removed (or replaced) while
+                // queued: dead on arrival.
+                _ => {
                     self.shards[sid]
                         .dead_bytes
                         .fetch_add(frame_len, Ordering::Relaxed);
@@ -907,18 +1097,17 @@ impl Inner {
                     continue;
                 }
                 loop {
-                    // Drain a bounded batch: everything queued, up to
-                    // `max_batch_bytes` (always at least one job).
+                    // Drain a bounded batch: whole groups, up to
+                    // `max_batch_bytes` (always at least one group).
                     let batch = {
                         let mut q = shard.queue.lock();
                         let mut batch = Vec::new();
                         let mut bytes = 0usize;
-                        while let Some(job) = q.front() {
-                            if !batch.is_empty() && bytes + job.frame.len() > inner.max_batch_bytes
-                            {
+                        while let Some(group) = q.front() {
+                            if !batch.is_empty() && bytes + group.bytes > inner.max_batch_bytes {
                                 break;
                             }
-                            bytes += job.frame.len();
+                            bytes += group.bytes;
                             batch.push(q.pop_front().expect("front exists"));
                         }
                         batch
@@ -1021,14 +1210,15 @@ impl Inner {
         for (key, off, len) in entries {
             let mut data = vec![0u8; len as usize];
             io.file.read_exact_at(&mut data, off)?;
-            let new_off = (out.len() + FRAME_HEADER + RECORD_OVERHEAD) as u64;
-            out.extend_from_slice(&record_frame(FLAG_PUT, key, &data));
+            let new_off = (out.len() + RECORD_HEADER) as u64;
+            out.extend_from_slice(&record_header(FLAG_PUT, &key, &data));
+            out.extend_from_slice(&data);
             moved.push((key, off, new_off, len));
         }
         let tmp = shard.path.with_extension("log.compact");
         {
             let mut f = File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &out)?;
+            f.write_all(&out)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, &shard.path)?;
@@ -1066,55 +1256,51 @@ impl Inner {
 
 impl StorageBackend for CaskBackend {
     fn put(&self, key: Hash256, data: &[u8]) -> Result<bool> {
+        Ok(self.put_many(&[(key, data)])?[0])
+    }
+
+    /// Resolves dedup for the whole call under one index write lock (new
+    /// keys gain `Pending` slots, so reads see them at once), then appends
+    /// every new record to one segment — the last key's shard, which for a
+    /// blob is its manifest's. With the writer pool that is one queued
+    /// group: one wake-up, one write, one `sync_data`.
+    fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
         let inner = &*self.inner;
         inner.check_up()?;
-        if inner.index.read().map.contains_key(&key) {
-            return Ok(false);
-        }
-        let sid = (key.0[0] as usize) % inner.shards.len();
+        let Some(&(route, _)) = items.last() else {
+            return Ok(Vec::new());
+        };
+        let sid = (route.0[0] as usize) % inner.shards.len();
+        let mut fresh = vec![false; items.len()];
+        let mut new_records = Vec::new();
         {
             let mut idx = inner.index.write();
-            if idx.map.contains_key(&key) {
-                return Ok(false);
+            for (&(key, data), fresh) in items.iter().zip(&mut fresh) {
+                if idx.map.contains_key(&key) {
+                    continue;
+                }
+                let data = Bytes::copy_from_slice(data);
+                idx.live_bytes += data.len() as u64;
+                idx.map.insert(key, Slot::Pending(data.clone()));
+                new_records.push((key, data));
+                *fresh = true;
             }
-            idx.map
-                .insert(key, Slot::Pending(Bytes::copy_from_slice(data)));
-            idx.live_bytes += data.len() as u64;
         }
-        let fr = record_frame(FLAG_PUT, key, data);
+        if new_records.is_empty() {
+            return Ok(fresh);
+        }
+        let group = Group::new(
+            new_records
+                .into_iter()
+                .map(|(key, data)| Job::new(FLAG_PUT, key, data))
+                .collect(),
+        );
         if inner.pool.is_some() {
-            inner.enqueue(
-                sid,
-                Job {
-                    key: Some(key),
-                    frame: fr,
-                    data_len: data.len() as u32,
-                },
-            );
-            return Ok(true);
+            inner.enqueue(sid, group);
+        } else {
+            inner.append_group_inline(sid, &group)?;
         }
-        match inner.append_inline(sid, &fr, true) {
-            Ok(start) => {
-                let mut idx = inner.index.write();
-                if let Some(slot) = idx.map.get_mut(&key) {
-                    *slot = Slot::Durable {
-                        shard: sid as u32,
-                        off: start + (FRAME_HEADER + RECORD_OVERHEAD) as u64,
-                        len: data.len() as u32,
-                    };
-                }
-                Ok(true)
-            }
-            Err(e) => {
-                // Roll the index back: the caller must not observe a key the
-                // log never durably gained.
-                let mut idx = inner.index.write();
-                if idx.map.remove(&key).is_some() {
-                    idx.live_bytes -= data.len() as u64;
-                }
-                Err(e)
-            }
-        }
+        Ok(fresh)
     }
 
     fn get(&self, key: Hash256) -> Result<Bytes> {
@@ -1193,22 +1379,14 @@ impl StorageBackend for CaskBackend {
         inner.shards[sid]
             .dead_bytes
             .fetch_add(record_file_len(len), Ordering::Relaxed);
-        let fr = record_frame(FLAG_TOMBSTONE, key, &[]);
+        let tombstone = Job::new(FLAG_TOMBSTONE, key, Bytes::new());
         if inner.pool.is_some() {
-            inner.enqueue(
-                sid,
-                Job {
-                    key: None,
-                    frame: fr,
-                    data_len: 0,
-                },
-            );
+            inner.enqueue(sid, Group::new(vec![tombstone]));
         } else {
-            let fr_len = fr.len() as u64;
-            inner.append_inline(sid, &fr, true)?;
+            inner.append_inline(sid, &tombstone, true)?;
             inner.shards[sid]
                 .dead_bytes
-                .fetch_add(fr_len, Ordering::Relaxed);
+                .fetch_add(tombstone.len() as u64, Ordering::Relaxed);
         }
         Ok(Some(len))
     }
@@ -1360,6 +1538,7 @@ impl DurableLog {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use std::collections::HashSet;
 
     fn temp_root(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1744,6 +1923,186 @@ mod tests {
         assert_eq!(log.entries().unwrap().len(), 3);
         drop(log);
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The record layout did not move when framing went from one joined
+    /// buffer to a header beside the data: the header plus the data is the
+    /// public frame codec applied to `flag + key + data`.
+    #[test]
+    fn record_header_is_the_frame_of_flag_key_and_data() {
+        for (flag, data) in [(FLAG_PUT, &b"payload"[..]), (FLAG_TOMBSTONE, &[][..])] {
+            let key = Hash256::of(data);
+            let mut payload = vec![flag];
+            payload.extend_from_slice(&key.0);
+            payload.extend_from_slice(data);
+            let job = Job::new(flag, key, Bytes::copy_from_slice(data));
+            assert_eq!(job.frame(), frame(&payload));
+            assert_eq!(job.len() as u64, record_file_len(data.len() as u64));
+        }
+    }
+
+    /// Every new record of one `put_many` lands in one segment — the last
+    /// key's shard — inline and as one pool group commit; a single-key
+    /// call lands where `key[0] % shards` puts it.
+    #[test]
+    fn put_many_lands_in_the_last_keys_shard() {
+        let blobs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40 + i as usize]).collect();
+        let items: Vec<(Hash256, &[u8])> = blobs.iter().map(|b| (Hash256::of(b), &b[..])).collect();
+        let route = (items.last().unwrap().0 .0[0] as usize) % 4;
+        let spread = items
+            .iter()
+            .map(|(k, _)| k.0[0] % 4)
+            .collect::<HashSet<_>>();
+        assert!(spread.len() > 1, "the keys alone would spread over shards");
+        for writer_threads in [0, 2] {
+            let root = temp_root("route");
+            let opts = CaskOptions {
+                shards: 4,
+                writer_threads,
+                ..CaskOptions::default()
+            };
+            let be = CaskBackend::open_with(&root, opts).unwrap();
+            assert_eq!(be.put_many(&items).unwrap(), vec![true; items.len()]);
+            be.flush().unwrap();
+            let sizes: Vec<u64> = (0..4)
+                .map(|s| {
+                    fs::metadata(root.join(format!("shard-{s:03}.log")))
+                        .unwrap()
+                        .len()
+                })
+                .collect();
+            let total: u64 = blobs.iter().map(|b| record_file_len(b.len() as u64)).sum();
+            assert_eq!(sizes[route], total, "threads {writer_threads}: {sizes:?}");
+            assert_eq!(sizes.iter().sum::<u64>(), total);
+            if writer_threads > 0 {
+                assert_eq!(be.group_commit_batches(), 1, "one group, one commit");
+                assert_eq!(be.sync_count(), 1);
+            }
+            assert_eq!(be.append_count(), items.len() as u64);
+            drop(be);
+            let be = CaskBackend::open(&root).unwrap();
+            for (k, d) in &items {
+                assert_eq!(be.get(*k).unwrap().as_ref(), *d);
+            }
+            let (key, data) = (Hash256::of(b"alone"), b"alone");
+            be.put(key, data).unwrap();
+            be.flush().unwrap();
+            let alone = root.join(format!("shard-{:03}.log", key.0[0] % 4));
+            assert_eq!(
+                fs::metadata(alone).unwrap().len(),
+                sizes[(key.0[0] % 4) as usize] + record_file_len(data.len() as u64)
+            );
+            drop(be);
+            fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    /// A failed group commit — its write (even seed) or its `sync_data`
+    /// (odd seed), at the n-th batch — surfaces from the next `put_many`
+    /// and from `flush`, never swings a record of the failed group to
+    /// `Durable`, and a reopen serves every group flushed before it
+    /// byte-exact and no torn record.
+    #[test]
+    fn group_commit_fault_surfaces_and_keeps_flushed_groups() {
+        let groups: Vec<Vec<Vec<u8>>> = (0..5u8)
+            .map(|g| {
+                (0..3u8)
+                    .map(|r| vec![g * 16 + r; 200 + r as usize])
+                    .collect()
+            })
+            .collect();
+        let keyed = |group: &[Vec<u8>]| -> Vec<(Hash256, Vec<u8>)> {
+            group.iter().map(|b| (Hash256::of(b), b.clone())).collect()
+        };
+        for seed in [0u64, 1, 6, 7] {
+            for n in 1..=4u64 {
+                let root = temp_root("group-fault");
+                let plan = FaultPlan {
+                    crash_at_append: n,
+                    kind: FaultKind::GroupCommitError,
+                    seed,
+                };
+                let mut flushed = Vec::new();
+                {
+                    let opts = CaskOptions {
+                        shards: 3,
+                        ..CaskOptions::default()
+                    }
+                    .with_fault(plan);
+                    let be = CaskBackend::open_with(&root, opts).unwrap();
+                    // One flush per group makes batch k exactly group k.
+                    for group in &groups[..n as usize - 1] {
+                        let items = keyed(group);
+                        let refs: Vec<(Hash256, &[u8])> =
+                            items.iter().map(|(k, d)| (*k, &d[..])).collect();
+                        be.put_many(&refs).unwrap();
+                        be.flush().unwrap();
+                        flushed.extend(items);
+                    }
+                    let failed = keyed(&groups[n as usize - 1]);
+                    let refs: Vec<(Hash256, &[u8])> =
+                        failed.iter().map(|(k, d)| (*k, &d[..])).collect();
+                    be.put_many(&refs).unwrap();
+                    assert!(be.flush().is_err(), "seed {seed} n {n}: flush reports it");
+                    let next = keyed(&groups[n as usize]);
+                    assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
+                    assert!(be.flush().is_err(), "and keeps reporting it");
+                    let idx = be.inner.index.read();
+                    for (k, _) in &failed {
+                        assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
+                    }
+                    drop(idx);
+                    assert_eq!(be.group_commit_batches(), n - 1);
+                }
+                let be = CaskBackend::open(&root).unwrap();
+                for (k, d) in &flushed {
+                    assert_eq!(be.get(*k).unwrap().as_ref(), &d[..]);
+                }
+                let known: HashSet<Hash256> = groups
+                    .iter()
+                    .flat_map(|g| keyed(g))
+                    .map(|(k, _)| k)
+                    .collect();
+                for k in be.keys() {
+                    assert!(known.contains(&k));
+                    be.get(k).unwrap(); // hash-verified: nothing torn
+                }
+                drop(be);
+                fs::remove_dir_all(&root).unwrap();
+            }
+        }
+        // The kind needs the pool the others must not have.
+        let root = temp_root("group-fault-guard");
+        let plan = FaultPlan {
+            crash_at_append: 1,
+            kind: FaultKind::GroupCommitError,
+            seed: 0,
+        };
+        let opts = CaskOptions {
+            fault: Some(plan),
+            ..CaskOptions::synchronous()
+        };
+        assert!(CaskBackend::open_with(&root, opts).is_err());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `cask.json` through `write_json` is what the tree renders.
+    #[test]
+    fn cask_manifest_writes_the_bytes_of_its_tree() {
+        for (version, shards) in [(1, 8), (0, 0), (u32::MAX, 3)] {
+            let m = CaskManifest { version, shards };
+            let mut tree = String::new();
+            serde::write_value(&mut tree, &serde::Serialize::to_value(&m), None, 0);
+            assert_eq!(serde_json::to_string(&m).unwrap(), tree);
+        }
+        let m = CaskManifest {
+            version: 1,
+            shards: 8,
+        };
+        assert_eq!(
+            serde_json::to_vec(&m).unwrap(),
+            br#"{"version":1,"shards":8}"#
+        );
     }
 
     #[test]

@@ -37,16 +37,24 @@ pub enum FaultKind {
     /// The write lands only in the page cache and the machine dies: every
     /// unsynced byte (all shards) is lost.
     DropUnsynced,
+    /// Writer-pool mode only: the `crash_at_append`-th batch the pool lands
+    /// fails with an I/O error — its write (even `seed`: a seeded prefix of
+    /// the batch reaches the file, as on ENOSPC) or, with group commit on,
+    /// its `sync_data` (odd `seed`). The backend is poisoned: no record of
+    /// the batch becomes durable in the index, and the error surfaces from
+    /// the next write and from `flush` until the directory is reopened.
+    GroupCommitError,
 }
 
 /// A deterministic crash plan for [`CaskBackend`](crate::cask::CaskBackend).
 ///
 /// Requires `writer_threads == 0` so append order — and therefore the crash
-/// point — is reproducible.
+/// point — is reproducible; [`FaultKind::GroupCommitError`] is the one kind
+/// that requires a writer pool instead.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Crash when the 1-based append counter reaches this value (`0` =
-    /// never).
+    /// never); for [`FaultKind::GroupCommitError`], the batch counter.
     pub crash_at_append: u64,
     /// What the crash does to the in-flight record.
     pub kind: FaultKind,

@@ -355,11 +355,18 @@ impl Hash256 {
     /// Lowercase hex encoding.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push(HEX_DIGITS[(b >> 4) as usize] as char);
-            s.push(HEX_DIGITS[(b & 0xf) as usize] as char);
-        }
+        self.push_hex(&mut s);
         s
+    }
+
+    /// Appends the 64 lowercase hex digits to `out`.
+    fn push_hex(&self, out: &mut String) {
+        let mut hex = [0u8; 64];
+        for (pair, b) in hex.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX_DIGITS[(b >> 4) as usize];
+            pair[1] = HEX_DIGITS[(b & 0xf) as usize];
+        }
+        out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
     }
 
     /// Short 8-hex-char prefix for display.
@@ -407,6 +414,12 @@ impl fmt::Display for Hash256 {
 impl Serialize for Hash256 {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.to_hex())
+    }
+    // Hex digits need no escaping: the quotes and the digits, no copy.
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        self.push_hex(out);
+        out.push('"');
     }
 }
 

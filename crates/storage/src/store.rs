@@ -86,6 +86,17 @@ impl serde::Serialize for PutTrace {
             ("manifest".into(), self.manifest.to_value()),
         ])
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"kind\":");
+        self.kind.write_json(out);
+        out.push_str(",\"logical\":");
+        self.logical.write_json(out);
+        out.push_str(",\"chunks\":");
+        self.chunks.write_json(out);
+        out.push_str(",\"manifest\":");
+        self.manifest.write_json(out);
+        out.push('}');
+    }
 }
 
 impl serde::Deserialize for PutTrace {
@@ -370,27 +381,18 @@ impl ChunkStore {
         } else {
             None
         };
-        let persist = || -> Result<(u64, Vec<WriteObs>, bool)> {
-            let mut new_bytes = 0u64;
-            let mut obs = Vec::with_capacity(chunks.len());
-            for c in &chunks {
+        // The blob is one backend call: its chunks in order, then its
+        // manifest, so a backend can land them as one unit.
+        let mut items: Vec<(Hash256, &[u8])> = chunks
+            .iter()
+            .map(|c| {
                 let s = c.offset as usize;
-                let e = s + c.len as usize;
-                let was_new = self.backend.put(c.hash, &data[s..e])?;
-                if was_new {
-                    new_bytes += c.len as u64;
-                }
-                obs.push(WriteObs {
-                    hash: c.hash,
-                    len: c.len as u64,
-                    was_new,
-                });
-            }
-            let manifest_new = self.backend.put(id, &enc)?;
-            Ok((new_bytes, obs, manifest_new))
-        };
-        let (new_bytes, obs, manifest_new) = match persist() {
-            Ok(v) => v,
+                (c.hash, &data[s..s + c.len as usize])
+            })
+            .collect();
+        items.push((id, &enc));
+        let fresh = match self.backend.put_many(&items) {
+            Ok(fresh) => fresh,
             Err(e) => {
                 // A backend fault mid-write must not strand the headroom.
                 if let Some(r) = reservation {
@@ -399,8 +401,18 @@ impl ChunkStore {
                 return Err(e);
             }
         };
-        let manifest_bytes = if manifest_new { enc.len() as u64 } else { 0 };
-        let physical = new_bytes + manifest_bytes;
+        let obs: Vec<WriteObs> = chunks
+            .iter()
+            .zip(&fresh)
+            .map(|(c, &was_new)| WriteObs {
+                hash: c.hash,
+                len: c.len as u64,
+                was_new,
+            })
+            .collect();
+        let manifest_new = fresh[chunks.len()];
+        let physical = obs.iter().filter(|o| o.was_new).map(|o| o.len).sum::<u64>()
+            + if manifest_new { enc.len() as u64 } else { 0 };
         let trace = PutTrace {
             kind,
             logical: data.len() as u64,

@@ -465,3 +465,131 @@ fn cask_uninterrupted_matches_mem_and_survives_reopen() {
         let _ = std::fs::remove_dir_all(&base);
     }
 }
+
+/// Per-blob routing makes one state reachable that hash-prefix routing
+/// never produced: a key live in two segments. A sweep's tombstone for K is
+/// queued in one shard and lost in a crash while K, re-put by another blob,
+/// became durable in another. Recovery counts K once — the lowest shard's
+/// record stays live, the other is that shard's dead bytes — and
+/// compaction reclaims exactly that one record.
+#[test]
+fn a_key_live_in_two_segments_is_counted_once_and_compacted_away() {
+    use mlcask::storage::backend::StorageBackend;
+    use mlcask::storage::cask::frame;
+
+    let base = temp_base("dup-key");
+    let root = base.join("store");
+    // An empty two-shard directory: the manifest pins the shard count.
+    drop(
+        CaskBackend::open_with(
+            &root,
+            CaskOptions {
+                shards: 2,
+                ..CaskOptions::synchronous()
+            },
+        )
+        .unwrap(),
+    );
+    let data = vec![42u8; 100];
+    let key = Hash256::of(&data);
+    let mut payload = vec![0u8]; // FLAG_PUT
+    payload.extend_from_slice(&key.0);
+    payload.extend_from_slice(&data);
+    let record = frame(&payload);
+    let shard = |s: usize| root.join(format!("shard-{s:03}.log"));
+    for s in 0..2 {
+        std::fs::write(shard(s), &record).unwrap();
+    }
+    let rec = record.len() as u64;
+
+    let be = CaskBackend::open(&root).unwrap();
+    assert_eq!(be.len(), 1);
+    assert_eq!(be.physical_bytes(), data.len() as u64, "live bytes once");
+    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
+    assert_eq!(be.dead_bytes(), rec, "the duplicate is dead");
+    assert_eq!(be.compact().unwrap(), rec, "compaction reclaims one record");
+    assert_eq!(
+        std::fs::metadata(shard(0)).unwrap().len(),
+        rec,
+        "lowest kept"
+    );
+    assert_eq!(std::fs::metadata(shard(1)).unwrap().len(), 0);
+    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
+    drop(be);
+
+    let be = CaskBackend::open(&root).unwrap();
+    assert_eq!((be.len(), be.physical_bytes()), (1, data.len() as u64));
+    assert_eq!(be.dead_bytes(), 0);
+    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
+    drop(be);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A blob is one durability unit in writer-pool mode: its new chunks and
+/// its manifest are one group in one segment, landed by one write and one
+/// `sync_data`. Crash the pool (`simulate_crash`: queued groups dropped,
+/// unsynced bytes truncated) after every prefix of a run of blob writes;
+/// after reopen, every blob whose chunks were all new and whose manifest
+/// survived reads back byte-exact. With chunk and manifest in different
+/// segments under independent fsyncs, a manifest could outlive its chunks.
+#[test]
+fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
+    use mlcask::storage::object::ObjectKind;
+
+    let blobs: Vec<Vec<u8>> = (0..12u32)
+        .map(|b| {
+            (0..3000u32)
+                .map(|i| (b * 7919 + i).wrapping_mul(2654435761).to_le_bytes()[2])
+                .collect()
+        })
+        .collect();
+    let mut checked = 0;
+    for crash_after in 0..=blobs.len() {
+        let base = temp_base("blob-unit");
+        let root = base.join("store");
+        let mut written = Vec::new();
+        {
+            let be = Arc::new(
+                CaskBackend::open_with(
+                    &root,
+                    CaskOptions {
+                        shards: 8,
+                        writer_threads: 2,
+                        ..CaskOptions::default()
+                    },
+                )
+                .unwrap(),
+            );
+            let store = ChunkStore::new(be.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
+            for (i, blob) in blobs[..crash_after].iter().enumerate() {
+                let (out, trace) = store.put_blob_traced(ObjectKind::Output, blob).unwrap();
+                let all_new = trace.manifest.was_new && trace.chunks.iter().all(|c| c.was_new);
+                written.push((out.object, blob, all_new));
+                if i == 0 {
+                    store.flush().unwrap(); // one blob always survives
+                }
+                // Let the pool land some of the rest before the crash.
+                std::thread::sleep(std::time::Duration::from_micros(300));
+            }
+            be.simulate_crash();
+        }
+        let be = Arc::new(CaskBackend::open(&root).unwrap());
+        let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        for (object, blob, all_new) in &written {
+            if *all_new && store.contains(object.id) {
+                checked += 1;
+                assert_eq!(
+                    store.get_blob(object).unwrap().as_ref(),
+                    &blob[..],
+                    "a manifest survived without its chunks (crash after {crash_after} blobs)"
+                );
+            }
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+    assert!(
+        checked > 0,
+        "no manifest ever survived: the sweep checked nothing"
+    );
+}

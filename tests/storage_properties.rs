@@ -331,12 +331,15 @@ mod graph_model {
 
 mod cask_props {
     use super::*;
-    use mlcask::storage::backend::StorageBackend;
+    use mlcask::storage::backend::{MemBackend, StorageBackend};
     use mlcask::storage::cask::{frame, scan_frames, FRAME_HEADER};
     use std::collections::{HashMap, HashSet};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     const SHARDS: usize = 4;
+
+    type Backend = Arc<dyn StorageBackend>;
 
     /// Per-call-unique temp dir (pid alone collides across matrix cells).
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -524,6 +527,189 @@ mod cask_props {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        /// `put_many` is the per-key loop, observably, on every backend: an
+        /// instance taking whole calls and a twin taking one `put` per key
+        /// return the same `Vec<bool>` (a key repeated inside one call is new
+        /// once, one already stored is not new) and show the same `len` and
+        /// `physical_bytes` after every call — across removals, and on the
+        /// cask in pool, synchronous and inline modes across a reopen.
+        #[test]
+        fn prop_put_many_equals_the_per_key_loop(
+            calls in proptest::collection::vec(
+                proptest::collection::vec(0usize..12, 1..7), 1..8
+            ),
+            removals in proptest::collection::vec(any::<bool>(), 8),
+        ) {
+            let blobs: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 1 + 37 * i as usize]).collect();
+            let mem = || -> Backend { Arc::new(MemBackend::new()) };
+            let mut twins: Vec<(String, Backend, Backend)> = vec![
+                ("mem".into(), mem(), mem()),
+                (
+                    "fault".into(),
+                    Arc::new(FaultBackend::new(mem(), 0)),
+                    Arc::new(FaultBackend::new(mem(), 0)),
+                ),
+            ];
+            let modes = [
+                ("pool", CaskOptions { shards: SHARDS, ..CaskOptions::default() }),
+                ("sync", CaskOptions::synchronous().with_shards(SHARDS)),
+                ("inline", inline_opts()),
+            ];
+            let mut dirs = Vec::new();
+            for (mode, opts) in &modes {
+                let (a, b) = (temp_dir(mode), temp_dir(mode));
+                twins.push((
+                    mode.to_string(),
+                    Arc::new(CaskBackend::open_with(&a, opts.clone()).unwrap()),
+                    Arc::new(CaskBackend::open_with(&b, opts.clone()).unwrap()),
+                ));
+                dirs.push((a, b));
+            }
+            for (label, many, single) in &twins {
+                let mut stored = HashSet::new();
+                for (c, call) in calls.iter().enumerate() {
+                    let items: Vec<(Hash256, &[u8])> =
+                        call.iter().map(|&i| (Hash256::of(&blobs[i]), &blobs[i][..])).collect();
+                    let got = many.put_many(&items).unwrap();
+                    let looped: Vec<bool> =
+                        items.iter().map(|&(k, d)| single.put(k, d).unwrap()).collect();
+                    let model: Vec<bool> = items.iter().map(|(k, _)| stored.insert(*k)).collect();
+                    prop_assert_eq!(&got, &looped, "{}: call {}", label, c);
+                    prop_assert_eq!(&got, &model, "{}: call {}", label, c);
+                    prop_assert_eq!(many.len(), single.len(), "{}", label);
+                    prop_assert_eq!(many.physical_bytes(), single.physical_bytes(), "{}", label);
+                    if removals[c % removals.len()] {
+                        let k = items[0].0;
+                        prop_assert_eq!(many.remove(k).unwrap(), single.remove(k).unwrap());
+                        stored.remove(&k);
+                    }
+                }
+                many.flush().unwrap();
+                prop_assert_eq!(many.len(), stored.len(), "{}", label);
+                for b in &blobs {
+                    let k = Hash256::of(b);
+                    prop_assert_eq!(many.contains(k), stored.contains(&k), "{}", label);
+                    if stored.contains(&k) {
+                        prop_assert_eq!(many.get(k).unwrap().as_ref(), &b[..]);
+                    }
+                }
+            }
+            let physical = twins[0].1.physical_bytes();
+            drop(twins);
+            for (a, b) in dirs {
+                let (ra, rb) = (CaskBackend::open(&a).unwrap(), CaskBackend::open(&b).unwrap());
+                prop_assert_eq!(ra.len(), rb.len());
+                prop_assert_eq!(ra.physical_bytes(), physical);
+                prop_assert_eq!(rb.physical_bytes(), physical);
+                drop((ra, rb));
+                let _ = std::fs::remove_dir_all(&a);
+                let _ = std::fs::remove_dir_all(&b);
+            }
+        }
+    }
+
+    /// A trait-level crash point fails `put_many` at the same put as the
+    /// loop, with the same prefix stored (the default `put_many` is the
+    /// loop, and `FaultBackend` counts puts exactly as before).
+    #[test]
+    fn fault_backend_put_many_fails_where_the_loop_does() {
+        let blobs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 10]).collect();
+        let items: Vec<(Hash256, &[u8])> = blobs.iter().map(|b| (Hash256::of(b), &b[..])).collect();
+        for crash_at in 1..=items.len() as u64 {
+            let (a, b) = (Arc::new(MemBackend::new()), Arc::new(MemBackend::new()));
+            let many = FaultBackend::new(a.clone(), crash_at);
+            let single = FaultBackend::new(b.clone(), crash_at);
+            assert!(many.put_many(&items).is_err());
+            assert!(items.iter().any(|&(k, d)| single.put(k, d).is_err()));
+            assert_eq!((many.puts(), a.len()), (single.puts(), b.len()));
+            assert_eq!(a.len() as u64, crash_at - 1);
+        }
+    }
+
+    /// Counted, not timed: N small blobs through `ChunkStore` on a
+    /// pool-mode cask cost at most one group-commit fsync each plus one
+    /// flush fsync per shard — a blob is one group in one segment — and
+    /// exactly the appends (and bytes) of the per-key path on the same
+    /// input.
+    #[test]
+    fn a_blob_is_one_group_commit() {
+        /// The per-key path: the trait's default `put_many`.
+        struct PerKey(Arc<CaskBackend>);
+        impl StorageBackend for PerKey {
+            fn put(&self, key: Hash256, data: &[u8]) -> mlcask::storage::errors::Result<bool> {
+                self.0.put(key, data)
+            }
+            fn get(
+                &self,
+                key: Hash256,
+            ) -> mlcask::storage::errors::Result<mlcask::storage::backend::Bytes> {
+                self.0.get(key)
+            }
+            fn contains(&self, key: Hash256) -> bool {
+                self.0.contains(key)
+            }
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn physical_bytes(&self) -> u64 {
+                self.0.physical_bytes()
+            }
+            fn keys(&self) -> Vec<Hash256> {
+                self.0.keys()
+            }
+            fn remove(&self, key: Hash256) -> mlcask::storage::errors::Result<Option<u64>> {
+                self.0.remove(key)
+            }
+            fn flush(&self) -> mlcask::storage::errors::Result<()> {
+                self.0.flush()
+            }
+        }
+
+        const N: u64 = 24;
+        let blob = |i: u64| -> Vec<u8> {
+            (0..200 + 40 * (i % 7))
+                .map(|j| (i * 977 + j).wrapping_mul(2654435761).to_le_bytes()[1])
+                .collect()
+        };
+        let (da, db) = (temp_dir("group-a"), temp_dir("group-b"));
+        let opts = CaskOptions {
+            shards: SHARDS,
+            ..CaskOptions::default()
+        };
+        let grouped = Arc::new(CaskBackend::open_with(&da, opts.clone()).unwrap());
+        let per_key = Arc::new(CaskBackend::open_with(&db, opts).unwrap());
+        let store_a = ChunkStore::new(
+            grouped.clone(),
+            ChunkParams::SMALL,
+            StorageCostModel::FORKBASE,
+        );
+        let store_b = ChunkStore::new(
+            Arc::new(PerKey(per_key.clone())),
+            ChunkParams::SMALL,
+            StorageCostModel::FORKBASE,
+        );
+        for i in 0..N {
+            // Every third blob repeats an earlier one: the all-duplicate path.
+            let data = blob(if i % 3 == 2 { i - 1 } else { i });
+            let a = store_a.put_blob(ObjectKind::Output, &data).unwrap();
+            let b = store_b.put_blob(ObjectKind::Output, &data).unwrap();
+            assert_eq!(a.object, b.object);
+            assert_eq!(a.physical_bytes, b.physical_bytes);
+        }
+        store_a.flush().unwrap();
+        store_b.flush().unwrap();
+        assert!(
+            grouped.sync_count() <= N + SHARDS as u64,
+            "{} fsyncs for {N} blobs",
+            grouped.sync_count()
+        );
+        assert_eq!(grouped.append_count(), per_key.append_count());
+        assert_eq!(grouped.len(), per_key.len());
+        assert_eq!(grouped.physical_bytes(), per_key.physical_bytes());
+        drop((store_a, store_b, grouped, per_key));
+        let _ = std::fs::remove_dir_all(&da);
+        let _ = std::fs::remove_dir_all(&db);
     }
 }
 
