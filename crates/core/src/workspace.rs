@@ -108,27 +108,22 @@ impl Workspace {
     /// at `root`, with default cask options and the default blob cache.
     /// Reopening the same directory recovers every previously synced blob;
     /// a torn final record from a crashed writer is truncated away. Call
-    /// [`Workspace::flush`] at commit points to drain the asynchronous
-    /// writer pool and fsync all segments.
+    /// [`Workspace::flush`] at commit points to wait until the asynchronous
+    /// writer pool has landed (and synced) every queued write.
     pub fn durable(root: impl AsRef<std::path::Path>) -> Result<Arc<Workspace>> {
-        Self::durable_with(
-            root,
-            mlcask_storage::cask::CaskOptions::default(),
-            Some(mlcask_storage::cache::CacheOptions::default()),
-        )
+        Self::durable_with(root, Some(mlcask_storage::cache::CacheOptions::default()))
     }
 
-    /// [`Workspace::durable`] with explicit cask options and blob-cache
-    /// configuration (`None` disables the read cache). The cache
+    /// [`Workspace::durable`] with an explicit blob-cache configuration
+    /// (`None` disables the read cache). The cache
     /// is a read-through tier keyed by content hash — switching it on or
     /// off can never change any observable except wall-clock and the
     /// [`Workspace::cache_stats`] telemetry.
     pub fn durable_with(
         root: impl AsRef<std::path::Path>,
-        opts: mlcask_storage::cask::CaskOptions,
         cache: Option<mlcask_storage::cache::CacheOptions>,
     ) -> Result<Arc<Workspace>> {
-        let backend = mlcask_storage::cask::CaskBackend::open_with(root, opts)?;
+        let backend = mlcask_storage::cask::CaskBackend::open(root)?;
         Ok(Self::over(Arc::new(ChunkStore::with_cache(
             Arc::new(backend),
             mlcask_storage::chunk::ChunkParams::DEFAULT,

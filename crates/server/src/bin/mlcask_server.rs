@@ -22,7 +22,6 @@ use mlcask_server::limits::{AdmissionControl, RateLimit};
 use mlcask_server::service::{Router, ServerOptions};
 use mlcask_server::transport::{serve_stdio, serve_tcp};
 use mlcask_storage::cache::CacheOptions;
-use mlcask_storage::cask::CaskOptions;
 use std::sync::Arc;
 
 fn usage() -> ! {
@@ -111,7 +110,7 @@ fn main() {
             let cache = config
                 .cache_bytes
                 .map(|bytes| CacheOptions::default().with_capacity(bytes));
-            Workspace::durable_with(dir, CaskOptions::default(), cache).unwrap_or_else(|e| {
+            Workspace::durable_with(dir, cache).unwrap_or_else(|e| {
                 eprintln!("cannot open durable workspace at {dir}: {e}");
                 std::process::exit(1);
             })

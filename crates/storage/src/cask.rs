@@ -38,28 +38,28 @@
 //! the other as that shard's dead bytes; `len` and `physical_bytes` count
 //! K once and the next compaction drops the duplicate.
 //!
-//! # Write offloading and group commit
+//! # One write discipline: a batch lands with one write and one fsync
 //!
-//! With `writer_threads > 0`, `put_many` inserts a `Pending` index entry
-//! per new key (holding the bytes, so reads and `contains` see the key
-//! immediately) and enqueues the call's new records as **one group** on
-//! their shard; durability overlaps component execution and
-//! [`CaskBackend::flush`] drains the queue and fsyncs every shard. A queued
-//! record is its 41-byte header (CRC folded over flag, key and data in
-//! place) beside the very `Bytes` its `Pending` entry holds — the data is
-//! never copied again. A pool worker drains its shard's queue in
-//! **batches** of whole groups (bounded by `max_batch_bytes`, at least one
-//! group, never a partial one): one vectored write lands the batch, and
-//! with `group_commit` set (the default) one `sync_data` makes it durable.
-//! So a blob costs one enqueue, one wake-up, one write and at most one
+//! `put_many` inserts a `Pending` index entry per new key (holding the
+//! bytes, so reads and `contains` see the key immediately) and makes the
+//! call's new records **one group** on their shard; `remove` makes its
+//! tombstone a group of one. A record is its 41-byte header (CRC folded
+//! over flag, key and data in place) beside the very `Bytes` its `Pending`
+//! entry holds — the data is never copied again. Every group reaches the
+//! disk through one function, `land`: one vectored write of a batch of
+//! whole groups at the shard's tail, one `sync_data`, then each record's
+//! index entry swings to its offset. So a blob costs one write and one
 //! fsync, and its manifest is never durable without its new chunks.
-//! `blocking_syncs` (fsyncs a *caller* waited on) keeps its meaning: group
-//! commits happen on pool threads and never block execution. The
-//! traced-execute/replay protocol already decouples accounting from write
-//! timing, so the engines need no changes. With `writer_threads == 0` every
-//! record is its own append on the caller's thread (routed the same way,
-//! and fsynced inline when `sync_every_append` is set) — the deterministic
-//! mode the crash-injection tests use.
+//!
+//! Only the thread differs. With `writer_threads > 0` (the default) a group
+//! is queued on its shard and a pool worker drains the queue in batches
+//! (whole groups up to 1 MiB, at least one); durability overlaps component
+//! execution, and [`CaskBackend::flush`] waits for the queues to drain.
+//! With `writer_threads == 0` ([`CaskOptions::synchronous`]) the caller
+//! lands its own group before `put_many` returns, so records land in call
+//! order. `blocking_syncs` counts the fsyncs a *caller* waited on, so only
+//! this mode pays any. The traced-execute/replay protocol already
+//! decouples accounting from write timing, so the engines need no changes.
 //!
 //! # Compaction
 //!
@@ -76,14 +76,15 @@
 //!
 //! # Fault injection
 //!
-//! A [`FaultPlan`] (deterministic, seeded) makes the backend crash at a
-//! chosen append — tearing the record at a byte cut, completing it, or
-//! dropping everything unsynced — after which every operation fails until
-//! the directory is reopened; those plans require `writer_threads == 0` so
-//! the crash point is reproducible. [`FaultKind::GroupCommitError`] instead
-//! requires the pool: it fails the n-th batch's write or `sync_data`,
-//! which poisons the backend before any record of the batch is swung to
-//! `Durable`.
+//! A [`FaultPlan`] (deterministic, seeded) fires inside `land` at the k-th
+//! record landed, whichever thread lands it: the batch is written up to a
+//! byte cut inside that record, or through its end, or every segment drops
+//! back to its length at the last flush, or the batch's write or
+//! `sync_data` fails ([`FaultKind`]). The backend then goes **down** — the
+//! one state an injected crash, [`CaskBackend::simulate_crash`] and a real
+//! failed write or sync all set — before any record of the batch is swung,
+//! and every operation fails until the directory is reopened. Without a
+//! pool the crash point is reproducible byte for byte.
 
 use crate::backend::StorageBackend;
 use crate::errors::{Result, StorageError};
@@ -92,7 +93,7 @@ use crate::hash::Hash256;
 use bytes::Bytes;
 use mlcask_obs::metrics::{instance_label, LATENCY_SECONDS, SIZE_BYTES};
 use mlcask_obs::{Counter, Histogram, MetricsRegistry};
-use parking_lot::{Mutex as PlMutex, RwLock};
+use parking_lot::{Mutex as PlMutex, RwLock, RwLockWriteGuard};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
@@ -100,7 +101,7 @@ use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -266,21 +267,8 @@ pub struct CaskOptions {
     /// Number of shard segment files. Fixed at directory creation; reopening
     /// uses the manifest's count and ignores this field.
     pub shards: usize,
-    /// Writer-pool size. `0` appends on the caller's thread (deterministic;
-    /// required when `fault` is set).
+    /// Writer-pool size. `0` lands every group on the caller's thread.
     pub writer_threads: usize,
-    /// Fsync after every append instead of only at [`CaskBackend::flush`].
-    pub sync_every_append: bool,
-    /// Group commit: each batch a pool worker drains is made durable with
-    /// one `sync_data` as soon as it lands, instead of staying in the page
-    /// cache until the next `flush`. Narrows the crash-loss window to the
-    /// in-flight batch while *reducing* total fsyncs (one per batch, not
-    /// one per append). Ignored when `writer_threads == 0`.
-    pub group_commit: bool,
-    /// Upper bound on the bytes a pool worker drains into one group-commit
-    /// batch (at least one queued group, which is never split) — bounds
-    /// commit latency.
-    pub max_batch_bytes: usize,
     /// Deterministic fault injection (tests only).
     pub fault: Option<FaultPlan>,
 }
@@ -290,26 +278,21 @@ impl Default for CaskOptions {
         CaskOptions {
             shards: 8,
             writer_threads: 2,
-            sync_every_append: false,
-            group_commit: true,
-            max_batch_bytes: 1 << 20,
             fault: None,
         }
     }
 }
 
 impl CaskOptions {
-    /// Fully synchronous, fsync-per-append configuration: every `put`
-    /// returns only once durable. The baseline the writer pool is compared
-    /// against, and the mode crash tests use.
+    /// No writer pool: `put_many` and `remove` land their group — one
+    /// write, one `sync_data` — on the caller's thread and return only once
+    /// it is durable. The baseline the writer pool is compared against, and
+    /// the mode crash tests use: records land in call order, so a fault
+    /// plan's crash point is reproducible.
     pub fn synchronous() -> Self {
         CaskOptions {
-            shards: 8,
             writer_threads: 0,
-            sync_every_append: true,
-            group_commit: false,
-            max_batch_bytes: 1 << 20,
-            fault: None,
+            ..Self::default()
         }
     }
 
@@ -319,17 +302,16 @@ impl CaskOptions {
         self
     }
 
-    /// Replaces the fault plan. Forces `writer_threads == 0` unless the
-    /// plan faults the writer pool's group commits
-    /// ([`FaultKind::GroupCommitError`]), which needs a pool.
+    /// Replaces the fault plan; the writer-pool size stays as set.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        if fault.kind != FaultKind::GroupCommitError {
-            self.writer_threads = 0;
-        }
         self.fault = Some(fault);
         self
     }
 }
+
+/// Upper bound on the bytes a pool worker drains into one batch (at least
+/// one queued group, which is never split) — bounds commit latency.
+const MAX_BATCH_BYTES: usize = 1 << 20;
 
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CaskManifest {
@@ -368,10 +350,11 @@ struct CaskIndex {
 
 struct ShardIo {
     file: File,
-    /// End of the written region.
+    /// End of the landed region: every byte before it is written and synced.
     tail: u64,
-    /// End of the fsynced region (`<= tail`).
-    synced: u64,
+    /// `tail` at the last flush or open — what a dropped page cache
+    /// ([`FaultKind::DropUnsynced`]) rolls the segment back to.
+    flushed: u64,
 }
 
 struct Shard {
@@ -425,9 +408,9 @@ impl Job {
     }
 }
 
-/// Records queued as one unit — a `put_many`'s new records, chunks first and
-/// manifest last, or one tombstone. A pool worker never splits a group
-/// across batches, so it lands with one write and one `sync_data`.
+/// Records landed as one unit — a `put_many`'s new records, chunks first
+/// and manifest last, or one tombstone. A batch holds whole groups only, so
+/// a group lands with one write and one `sync_data`.
 struct Group {
     jobs: Vec<Job>,
     /// Sum of the jobs' frame sizes.
@@ -457,16 +440,17 @@ struct Pool {
 
 struct FaultState {
     plan: FaultPlan,
-    /// Events counted toward the plan's trigger: inline appends, or — for
-    /// [`FaultKind::GroupCommitError`] — batches the pool lands.
-    count: AtomicU64,
+    /// Records counted toward the plan's trigger, in landing order.
+    records: AtomicU64,
 }
 
 impl FaultState {
-    /// Counts one event; true if the plan fires at it.
-    fn fires(&self) -> bool {
-        let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-        self.plan.crash_at_append != 0 && n >= self.plan.crash_at_append
+    /// Counts a batch of `n` records; the index within it of the record
+    /// the plan fires at, if the batch holds it.
+    fn hit(&self, n: usize) -> Option<usize> {
+        let before = self.records.fetch_add(n as u64, Ordering::Relaxed);
+        let k = self.plan.crash_at_append;
+        (k > before && k - before <= n as u64).then(|| (k - before - 1) as usize)
     }
 }
 
@@ -475,40 +459,34 @@ struct Inner {
     index: RwLock<CaskIndex>,
     pool: Option<Pool>,
     fault: Option<FaultState>,
-    /// Set by an injected crash or [`CaskBackend::simulate_crash`]; every
-    /// subsequent operation fails until the directory is reopened.
-    crashed: AtomicBool,
-    /// First background write error; surfaces from `flush`/`put`.
-    poison: PlMutex<Option<String>>,
-    sync_every_append: bool,
-    group_commit: bool,
-    max_batch_bytes: usize,
+    /// Why the backend is down — an injected crash, `simulate_crash`, or a
+    /// failed write or sync. Set once; every later operation fails with it
+    /// until the directory is reopened.
+    down: OnceLock<String>,
     /// Registry-backed telemetry (`mlcask_cask_*{instance=...}` series in
     /// the global [`MetricsRegistry`]). The counters keep their pre-registry
     /// accessor semantics — each backend instance owns distinct series, so
     /// tests comparing two backends still see independent counts.
     appends: Counter,
-    /// Fsyncs performed on a caller's thread (inline appends + `flush`) —
-    /// the durability work that *blocks* execution. The writer pool's whole
-    /// point is driving this down
+    /// Fsyncs performed on a caller's thread (landings without a writer
+    /// pool) — the durability work that *blocks* execution. The writer
+    /// pool's whole point is driving this down
     /// (`pool_mode_blocks_fewer_syncs_than_sync_mode` gates on it).
     blocking_syncs: Counter,
-    /// Every segment fsync done for append durability — inline, group
-    /// commit, or flush. `syncs_total / appends` is the fsyncs-per-append
-    /// metric `group_commit_coalesces_fsyncs_below_one_per_append` gates
-    /// below 1.
+    /// Every segment fsync done for append durability, one per landed
+    /// batch. `syncs_total / appends` is the fsyncs-per-append metric
+    /// `group_commit_coalesces_fsyncs_below_one_per_append` gates below 1.
     syncs_total: Counter,
-    /// Batches the writer pool made durable with a single group commit.
+    /// Batches landed, each with a single group commit.
     group_commits: Counter,
     /// Segment reads served by `get` (Pending hits don't count). The blob
     /// cache sits above this backend, so the read-path bench compares this
     /// counter cache-on vs cache-off.
     read_ops: Counter,
-    /// `sync_data` latency by call site (`kind` ∈ inline/group/flush).
-    fsync_inline: Histogram,
-    fsync_group: Histogram,
-    fsync_flush: Histogram,
-    /// Bytes made durable per group-commit batch.
+    /// `sync_data` latency of a landing (`kind` = `inline` on the caller's
+    /// thread, `group` on a pool worker).
+    fsync: Histogram,
+    /// Bytes made durable per landed batch.
     group_commit_bytes: Histogram,
 }
 
@@ -522,9 +500,7 @@ pub struct CaskBackend {
     workers: Vec<JoinHandle<()>>,
 }
 
-fn injected_crash() -> StorageError {
-    StorageError::Io(std::io::Error::other("injected crash: backend is down"))
-}
+const INJECTED_CRASH: &str = "injected crash: backend is down";
 
 /// Runs `f(0)..f(count-1)` on a scoped thread pool (work-stealing by atomic
 /// index; at most one OS thread per hardware thread) and returns the
@@ -631,7 +607,7 @@ fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
             io: RwLock::new(ShardIo {
                 file,
                 tail: valid as u64,
-                synced: valid as u64,
+                flushed: valid as u64,
             }),
             queue: PlMutex::new(VecDeque::new()),
             busy: AtomicBool::new(false),
@@ -652,16 +628,6 @@ impl CaskBackend {
     /// directory's shard count comes from its manifest; `opts.shards` only
     /// applies on creation.
     pub fn open_with(root: impl AsRef<Path>, opts: CaskOptions) -> Result<Self> {
-        if let Some(plan) = &opts.fault {
-            let pooled = plan.kind == FaultKind::GroupCommitError;
-            if pooled != (opts.writer_threads > 0) {
-                return Err(StorageError::Io(std::io::Error::other(if pooled {
-                    "a group-commit fault requires writer_threads > 0"
-                } else {
-                    "fault injection requires writer_threads == 0 (deterministic appends)"
-                })));
-            }
-        }
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
         let manifest_path = root.join("cask.json");
@@ -723,27 +689,16 @@ impl CaskBackend {
         let instance = instance_label("cask");
         let ilabel = [("instance", instance.as_str())];
         let counter = |name: &str, help: &str| reg.counter(name, help, &ilabel);
-        let fsync = |kind: &str| {
-            reg.histogram(
-                "mlcask_cask_fsync_seconds",
-                "Segment sync_data latency by call site",
-                &[("kind", kind)],
-                LATENCY_SECONDS,
-            )
-        };
+        let fsync_kind = if pool.is_some() { "group" } else { "inline" };
         let inner = Arc::new(Inner {
             shards: shard_states,
             index: RwLock::new(index),
             pool,
             fault: opts.fault.map(|plan| FaultState {
                 plan,
-                count: AtomicU64::new(0),
+                records: AtomicU64::new(0),
             }),
-            crashed: AtomicBool::new(false),
-            poison: PlMutex::new(None),
-            sync_every_append: opts.sync_every_append,
-            group_commit: opts.group_commit,
-            max_batch_bytes: opts.max_batch_bytes.max(1),
+            down: OnceLock::new(),
             appends: counter(
                 "mlcask_cask_appends_total",
                 "Cask appends attempted (puts + tombstones)",
@@ -764,9 +719,12 @@ impl CaskBackend {
                 "mlcask_cask_read_ops_total",
                 "Segment disk reads served by get",
             ),
-            fsync_inline: fsync("inline"),
-            fsync_group: fsync("group"),
-            fsync_flush: fsync("flush"),
+            fsync: reg.histogram(
+                "mlcask_cask_fsync_seconds",
+                "Segment sync_data latency by call site",
+                &[("kind", fsync_kind)],
+                LATENCY_SECONDS,
+            ),
             group_commit_bytes: reg.histogram(
                 "mlcask_cask_group_commit_bytes",
                 "Bytes made durable per group-commit batch",
@@ -788,28 +746,27 @@ impl CaskBackend {
         self.inner.shards.len()
     }
 
-    /// Total appends attempted (puts + tombstones), including a crashing
-    /// one. The crash-matrix tests size their sweep with this.
+    /// Records (puts + tombstones) handed to a landing, including those of
+    /// a failed one. The crash-matrix tests size their sweep with this.
     pub fn append_count(&self) -> u64 {
         self.inner.appends.get()
     }
 
-    /// Fsyncs that blocked a caller's thread (inline appends and `flush`).
-    /// With the writer pool, durability overlaps execution and this stays
-    /// near the shard count; synchronous mode pays one per append.
+    /// Fsyncs that blocked a caller's thread: one per landed group without
+    /// a writer pool, none with one (durability overlaps execution).
     pub fn blocking_syncs(&self) -> u64 {
         self.inner.blocking_syncs.get()
     }
 
-    /// Every segment fsync performed for append durability — inline
-    /// appends, background group commits, and flushes. Divide by
-    /// [`CaskBackend::append_count`] for fsyncs-per-append: 1.0 in
-    /// synchronous mode, below 1 once group commit coalesces batches.
+    /// Every segment fsync performed for append durability: one per landed
+    /// batch. Divide by [`CaskBackend::append_count`] for fsyncs-per-append:
+    /// one per `put_many` in synchronous mode, lower still once the pool
+    /// coalesces queued groups into one batch.
     pub fn sync_count(&self) -> u64 {
         self.inner.syncs_total.get()
     }
 
-    /// Batches the writer pool made durable with one group commit each.
+    /// Batches landed, each made durable with one group commit.
     pub fn group_commit_batches(&self) -> u64 {
         self.inner.group_commits.get()
     }
@@ -837,14 +794,13 @@ impl CaskBackend {
             .sum()
     }
 
-    /// Simulates a process death in writer-pool mode: queued-but-unwritten
-    /// records are discarded, unsynced file bytes are truncated away, and
-    /// every subsequent operation fails. Reopen the directory to recover —
-    /// exactly what a real crash leaves behind under a strict
-    /// no-sync-no-durability model.
+    /// Simulates a process death: the backend goes down, queued groups are
+    /// discarded, a landing in flight finishes, and whatever a failed
+    /// landing left past a segment's tail is truncated away. Reopen the
+    /// directory to recover — every landed group survives, nothing else.
     pub fn simulate_crash(&self) {
-        self.inner.crashed.store(true, Ordering::SeqCst);
-        // Discard queued jobs (workers skip jobs once crashed, but the
+        self.inner.go_down(INJECTED_CRASH.into());
+        // Discard queued groups (workers skip them once down, but the
         // queue must drain so `pending` reaches zero for anyone flushing).
         let mut discarded = 0usize;
         for shard in &self.inner.shards {
@@ -853,217 +809,87 @@ impl CaskBackend {
         if let Some(pool) = &self.inner.pool {
             let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
             ctl.pending -= discarded.min(ctl.pending);
-            // Wait out any in-flight job so truncation does not race a write.
+            // Wait out any in-flight batch so truncation does not race a write.
             while ctl.pending > 0 {
                 ctl = pool.drained.wait(ctl).unwrap_or_else(|e| e.into_inner());
             }
             pool.drained.notify_all();
         }
         for shard in &self.inner.shards {
-            let mut io = shard.io.write();
-            let synced = io.synced;
-            let _ = io.file.set_len(synced);
-            io.tail = synced;
+            let io = shard.io.write();
+            let _ = io.file.set_len(io.tail);
         }
     }
 }
 
 impl Inner {
     fn check_up(&self) -> Result<()> {
-        if self.crashed.load(Ordering::SeqCst) {
-            return Err(injected_crash());
+        match self.down.get() {
+            Some(why) => Err(StorageError::Io(io::Error::other(why.clone()))),
+            None => Ok(()),
         }
-        if let Some(msg) = self.poison.lock().clone() {
-            return Err(StorageError::Io(std::io::Error::other(format!(
-                "cask writer pool failed: {msg}"
-            ))));
-        }
-        Ok(())
     }
 
-    /// Appends one record to `shard` on the calling thread, honoring the
-    /// fault plan. Returns the frame's start offset.
-    fn append_inline(&self, sid: usize, job: &Job, blocking: bool) -> Result<u64> {
-        let shard = &self.shards[sid];
-        let mut io = shard.io.write();
-        self.appends.inc();
-        if let Some(f) = self.fault.as_ref().filter(|f| f.fires()) {
-            self.crashed.store(true, Ordering::SeqCst);
-            let fr = job.frame();
-            match f.plan.kind {
-                FaultKind::Torn => {
-                    // Part of the record reaches the disk; the torn tail
-                    // is what recovery must truncate.
-                    let cut = f.plan.torn_cut(fr.len());
-                    io.file.write_all_at(&fr[..cut], io.tail)?;
-                    io.file.sync_data()?;
-                }
-                FaultKind::AfterWrite => {
-                    // The record is fully durable but the caller never
-                    // learns it succeeded (death between write and ack).
-                    io.file.write_all_at(&fr, io.tail)?;
-                    io.file.sync_data()?;
-                }
-                FaultKind::DropUnsynced => {
-                    // The record lands in the page cache, then the
-                    // machine dies: everything unsynced is lost.
-                    io.file.write_all_at(&fr, io.tail)?;
-                    let synced = io.synced;
-                    io.file.set_len(synced)?;
-                    drop(io);
-                    for (i, other) in self.shards.iter().enumerate() {
-                        if i == sid {
-                            continue;
-                        }
-                        let mut oio = other.io.write();
-                        let osynced = oio.synced;
-                        oio.file.set_len(osynced)?;
-                        oio.tail = osynced;
-                    }
-                }
-                // `open_with` admits this kind only with a writer pool,
-                // whose batches never come through here.
-                FaultKind::GroupCommitError => {}
-            }
-            return Err(injected_crash());
-        }
-        let mut parts = Vec::with_capacity(2);
-        job.push_slices(&mut parts);
-        write_all_vectored_at(&io.file, io.tail, &mut parts)?;
-        let start = io.tail;
-        io.tail += job.len() as u64;
-        if self.sync_every_append {
-            let t = Instant::now();
-            io.file.sync_data()?;
-            self.fsync_inline.observe_duration(t.elapsed());
-            io.synced = io.tail;
-            self.syncs_total.inc();
-            if blocking {
-                self.blocking_syncs.inc();
-            }
-        }
-        Ok(start)
+    /// Takes the backend down (the first reason sticks) and returns the
+    /// error the failing operation surfaces.
+    fn go_down(&self, why: String) -> StorageError {
+        let err = StorageError::Io(io::Error::other(why.clone()));
+        let _ = self.down.set(why);
+        err
     }
 
-    /// Appends a group's records on the calling thread, one append each
-    /// (so fault plans count records, not groups), and swings the landed
-    /// ones to `Durable`. On a failed append the records not yet landed
-    /// leave the index: the caller must not observe a key the log never
-    /// durably gained.
-    fn append_group_inline(&self, sid: usize, group: &Group) -> Result<()> {
-        let mut landed = Vec::with_capacity(group.jobs.len());
-        let mut failure = None;
-        for job in &group.jobs {
-            match self.append_inline(sid, job, true) {
-                Ok(start) => landed.push(start),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut idx = self.index.write();
-        for (job, start) in group.jobs.iter().zip(&landed) {
-            if let Some(slot) = job.key.and_then(|key| idx.map.get_mut(&key)) {
-                *slot = Slot::Durable {
-                    shard: sid as u32,
-                    off: start + RECORD_HEADER as u64,
-                    len: job.data.len() as u32,
-                };
-            }
-        }
-        let Some(e) = failure else {
-            return Ok(());
+    /// Hands a group to the writer pool, or lands it on the calling thread
+    /// when there is none.
+    fn submit(&self, sid: usize, group: Group) -> Result<()> {
+        let Some(pool) = &self.pool else {
+            return self.land(sid, &[group]);
         };
-        for job in &group.jobs[landed.len()..] {
-            if job.key.and_then(|key| idx.map.remove(&key)).is_some() {
-                idx.live_bytes -= job.data.len() as u64;
-            }
-        }
-        Err(e)
-    }
-
-    fn enqueue(&self, sid: usize, group: Group) {
         self.shards[sid].queue.lock().push_back(group);
-        let pool = self.pool.as_ref().expect("enqueue requires a pool");
         let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         ctl.pending += 1;
         drop(ctl);
         pool.work.notify_one();
+        Ok(())
     }
 
-    /// Group commit: lands a whole drained batch of groups with one
-    /// vectored write (each job's header and its shared data, no
-    /// concatenation buffer) and — when `group_commit` is on — one
-    /// `sync_data`, then swings every job's index entry to its offset
-    /// within the batch. Runs on a pool thread, so its fsync never counts
-    /// as a `blocking_sync`. A write or sync error poisons the backend
-    /// before any of the batch's records is swung to `Durable`.
-    fn process_batch(&self, sid: usize, batch: Vec<Group>) {
-        if self.crashed.load(Ordering::SeqCst) || self.poison.lock().is_some() {
-            return;
-        }
-        let poison_with = |e: String| {
-            let mut poison = self.poison.lock();
-            if poison.is_none() {
-                *poison = Some(e);
-            }
-        };
-        let jobs = || batch.iter().flat_map(|g| &g.jobs);
-        let njobs = jobs().count();
+    /// Lands `batch` — whole groups, oldest first — at the tail of shard
+    /// `sid`: one vectored write (each record's header beside its shared
+    /// data, no concatenation buffer), one `sync_data`, then every put's
+    /// index entry swings from `Pending` to its offset. The one write path:
+    /// pool workers call it on drained batches, the caller's thread on its
+    /// own group when there is no pool. A fault plan fires here, at the
+    /// record it counts to; it, or a failed write or sync, takes the backend
+    /// down before any record of the batch is swung.
+    fn land(&self, sid: usize, batch: &[Group]) -> Result<()> {
+        self.check_up()?;
+        let jobs: Vec<&Job> = batch.iter().flat_map(|g| &g.jobs).collect();
         let total: usize = batch.iter().map(|g| g.bytes).sum();
-        let fault = self.fault.as_ref().filter(|f| f.fires());
-        let start = {
-            let shard = &self.shards[sid];
-            let mut io = shard.io.write();
-            let start = io.tail;
-            let written = match fault {
-                // ENOSPC mid-write: a seeded prefix of the batch reaches the
-                // file, the rest never does.
-                Some(f) if f.plan.seed % 2 == 0 => {
-                    let buf: Vec<u8> = jobs().flat_map(Job::frame).collect();
-                    let cut = f.plan.torn_cut(buf.len());
-                    io.file
-                        .write_all_at(&buf[..cut], start)
-                        .and(Err(io::Error::other(
-                            "injected fault: group commit write failed (no space left on device)",
-                        )))
-                }
-                _ => {
-                    let mut parts = Vec::with_capacity(2 * njobs);
-                    jobs().for_each(|job| job.push_slices(&mut parts));
-                    write_all_vectored_at(&io.file, start, &mut parts)
-                }
-            };
-            if let Err(e) = written {
-                poison_with(e.to_string());
-                return;
+        self.appends.add(jobs.len() as u64);
+        let mut io = self.shards[sid].io.write();
+        if let Some(f) = &self.fault {
+            if let Some(at) = f.hit(jobs.len()) {
+                return Err(self.inject(io, &jobs, f.plan, at));
             }
-            io.tail += total as u64;
-            if self.group_commit || self.sync_every_append {
-                let t = Instant::now();
-                let synced = match fault {
-                    Some(_) => Err(io::Error::other(
-                        "injected fault: group commit sync_data failed (EIO)",
-                    )),
-                    None => io.file.sync_data(),
-                };
-                if let Err(e) = synced {
-                    poison_with(e.to_string());
-                    return;
-                }
-                self.fsync_group.observe_duration(t.elapsed());
-                io.synced = io.tail;
-                self.syncs_total.inc();
-                self.group_commits.inc();
-                self.group_commit_bytes.observe(total as f64);
-            }
-            start
-        };
-        self.appends.add(njobs as u64);
+        }
+        let failed = |e: io::Error| self.go_down(format!("cask write failed: {e}"));
+        let start = io.tail;
+        let mut parts = Vec::with_capacity(2 * jobs.len());
+        jobs.iter().for_each(|job| job.push_slices(&mut parts));
+        write_all_vectored_at(&io.file, start, &mut parts).map_err(failed)?;
+        let t = Instant::now();
+        io.file.sync_data().map_err(failed)?;
+        self.fsync.observe_duration(t.elapsed());
+        io.tail += total as u64;
+        drop(io);
+        self.syncs_total.inc();
+        self.group_commits.inc();
+        self.group_commit_bytes.observe(total as f64);
+        if self.pool.is_none() {
+            self.blocking_syncs.inc();
+        }
         let mut off = start;
         let mut idx = self.index.write();
-        for job in jobs() {
+        for job in jobs {
             let frame_len = job.len() as u64;
             match job.key.and_then(|key| idx.map.get_mut(&key)) {
                 Some(slot @ Slot::Pending(_)) => {
@@ -1083,6 +909,64 @@ impl Inner {
             }
             off += frame_len;
         }
+        Ok(())
+    }
+
+    /// Plays the fault `plan` fires at record `at` of a batch about to land
+    /// at `io`'s tail, then takes the backend down. Returns the error the
+    /// landing surfaces.
+    fn inject(
+        &self,
+        io: RwLockWriteGuard<'_, ShardIo>,
+        jobs: &[&Job],
+        plan: FaultPlan,
+        at: usize,
+    ) -> StorageError {
+        let frames = |n: usize| -> Vec<u8> { jobs[..n].iter().flat_map(|j| j.frame()).collect() };
+        let start = io.tail;
+        let (why, played) = match plan.kind {
+            // Record `at` is cut at a seeded byte behind the whole records
+            // before it: the torn tail recovery truncates.
+            FaultKind::Torn => {
+                let mut buf = frames(at);
+                let frame = jobs[at].frame();
+                buf.extend_from_slice(&frame[..plan.torn_cut(frame.len())]);
+                let torn = io.file.write_all_at(&buf, start);
+                (INJECTED_CRASH, torn.and_then(|()| io.file.sync_data()))
+            }
+            // Record `at` is durable, but its caller never hears back.
+            FaultKind::AfterWrite => {
+                let written = io.file.write_all_at(&frames(at + 1), start);
+                (INJECTED_CRASH, written.and_then(|()| io.file.sync_data()))
+            }
+            // The machine dies with its page cache: every segment is back
+            // at its length at the last flush (or open).
+            FaultKind::DropUnsynced => {
+                drop(io);
+                let rolled_back = self.shards.iter().try_for_each(|shard| {
+                    let mut io = shard.io.write();
+                    io.file.set_len(io.flushed)?;
+                    io.tail = io.flushed;
+                    Ok(())
+                });
+                (INJECTED_CRASH, rolled_back)
+            }
+            // ENOSPC mid-write: a seeded prefix of the batch reaches the file.
+            FaultKind::GroupCommitError if plan.seed.is_multiple_of(2) => {
+                let buf = frames(jobs.len());
+                let cut = plan.torn_cut(buf.len());
+                (
+                    "injected fault: write failed (no space left on device)",
+                    io.file.write_all_at(&buf[..cut], start),
+                )
+            }
+            // EIO from `sync_data`: the whole batch reached the file.
+            FaultKind::GroupCommitError => (
+                "injected fault: sync_data failed (EIO)",
+                io.file.write_all_at(&frames(jobs.len()), start),
+            ),
+        };
+        self.go_down(played.map_or_else(|e| e.to_string(), |()| why.into()))
     }
 
     fn worker_loop(inner: Arc<Inner>) {
@@ -1098,13 +982,13 @@ impl Inner {
                 }
                 loop {
                     // Drain a bounded batch: whole groups, up to
-                    // `max_batch_bytes` (always at least one group).
+                    // `MAX_BATCH_BYTES` (always at least one group).
                     let batch = {
                         let mut q = shard.queue.lock();
                         let mut batch = Vec::new();
                         let mut bytes = 0usize;
                         while let Some(group) = q.front() {
-                            if !batch.is_empty() && bytes + group.bytes > inner.max_batch_bytes {
+                            if !batch.is_empty() && bytes + group.bytes > MAX_BATCH_BYTES {
                                 break;
                             }
                             bytes += group.bytes;
@@ -1116,7 +1000,9 @@ impl Inner {
                         break;
                     }
                     let n = batch.len();
-                    inner.process_batch(sid, batch);
+                    // A failure took the backend down; `flush` and the next
+                    // write report it.
+                    let _ = inner.land(sid, &batch);
                     let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
                     ctl.pending -= n;
                     if ctl.pending == 0 {
@@ -1148,8 +1034,9 @@ impl Inner {
         }
     }
 
-    /// Waits for the queue to drain, surfaces pool errors, then fsyncs every
-    /// shard with unsynced bytes.
+    /// The commit barrier: waits until every queued group has landed (a
+    /// landing syncs its own bytes), surfaces a failure, and records each
+    /// segment's tail as flushed.
     fn flush_all(&self) -> Result<()> {
         self.check_up()?;
         if let Some(pool) = &self.pool {
@@ -1166,14 +1053,7 @@ impl Inner {
         self.check_up()?;
         for shard in &self.shards {
             let mut io = shard.io.write();
-            if io.synced < io.tail {
-                let t = Instant::now();
-                io.file.sync_data()?;
-                self.fsync_flush.observe_duration(t.elapsed());
-                io.synced = io.tail;
-                self.blocking_syncs.inc();
-                self.syncs_total.inc();
-            }
+            io.flushed = io.tail;
         }
         Ok(())
     }
@@ -1229,7 +1109,7 @@ impl Inner {
         let reclaimed = io.tail.saturating_sub(out.len() as u64);
         io.file = new_file;
         io.tail = out.len() as u64;
-        io.synced = out.len() as u64;
+        io.flushed = out.len() as u64;
         {
             let mut idx = self.index.write();
             for (key, old_off, new_off, len) in moved {
@@ -1260,10 +1140,9 @@ impl StorageBackend for CaskBackend {
     }
 
     /// Resolves dedup for the whole call under one index write lock (new
-    /// keys gain `Pending` slots, so reads see them at once), then appends
-    /// every new record to one segment — the last key's shard, which for a
-    /// blob is its manifest's. With the writer pool that is one queued
-    /// group: one wake-up, one write, one `sync_data`.
+    /// keys gain `Pending` slots, so reads see them at once), then submits
+    /// every new record as one group to one segment — the last key's shard,
+    /// which for a blob is its manifest's: one write, one `sync_data`.
     fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
         let inner = &*self.inner;
         inner.check_up()?;
@@ -1295,11 +1174,7 @@ impl StorageBackend for CaskBackend {
                 .map(|(key, data)| Job::new(FLAG_PUT, key, data))
                 .collect(),
         );
-        if inner.pool.is_some() {
-            inner.enqueue(sid, group);
-        } else {
-            inner.append_group_inline(sid, &group)?;
-        }
+        inner.submit(sid, group)?;
         Ok(fresh)
     }
 
@@ -1352,7 +1227,7 @@ impl StorageBackend for CaskBackend {
         let inner = &*self.inner;
         inner.check_up()?;
         // A pending record must land before its tombstone or the log would
-        // replay them in the wrong order on reopen; drain the pool first.
+        // replay them in the wrong order on reopen; drain the queues first.
         while matches!(inner.index.read().map.get(&key), Some(Slot::Pending(_))) {
             inner.flush_all()?;
         }
@@ -1380,14 +1255,7 @@ impl StorageBackend for CaskBackend {
             .dead_bytes
             .fetch_add(record_file_len(len), Ordering::Relaxed);
         let tombstone = Job::new(FLAG_TOMBSTONE, key, Bytes::new());
-        if inner.pool.is_some() {
-            inner.enqueue(sid, Group::new(vec![tombstone]));
-        } else {
-            inner.append_inline(sid, &tombstone, true)?;
-            inner.shards[sid]
-                .dead_bytes
-                .fetch_add(tombstone.len() as u64, Ordering::Relaxed);
-        }
+        inner.submit(sid, Group::new(vec![tombstone]))?;
         Ok(Some(len))
     }
 
@@ -1750,36 +1618,6 @@ mod tests {
     }
 
     #[test]
-    fn cask_simulate_crash_drops_unsynced_pool_writes() {
-        let root = temp_root("simcrash");
-        let key_a = Hash256::of(b"synced");
-        let key_b = Hash256::of(b"unsynced");
-        {
-            // Group commit off: with it on, the pool may have synced key_b's
-            // batch before the crash, making the loss window racy.
-            let be = CaskBackend::open_with(
-                &root,
-                CaskOptions {
-                    writer_threads: 2,
-                    group_commit: false,
-                    ..CaskOptions::default()
-                },
-            )
-            .unwrap();
-            be.put(key_a, b"synced").unwrap();
-            be.flush().unwrap();
-            be.put(key_b, b"unsynced").unwrap();
-            be.simulate_crash();
-            assert!(be.put(Hash256::of(b"x"), b"x").is_err());
-        }
-        let be = CaskBackend::open(&root).unwrap();
-        assert!(be.contains(key_a), "flushed write survives the crash");
-        assert!(!be.contains(key_b), "unsynced write is lost");
-        drop(be);
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn pool_mode_blocks_fewer_syncs_than_sync_mode() {
         let payloads: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 256]).collect();
         let root_s = temp_root("syncs-s");
@@ -1792,7 +1630,8 @@ mod tests {
         }
         sync.flush().unwrap();
         pool.flush().unwrap();
-        // One per append against at most one per shard, and only at flush.
+        // One per landed put on the caller's thread against none: the pool
+        // lands (and syncs) every group on its own threads.
         assert!(
             pool.blocking_syncs() * 4 <= sync.blocking_syncs(),
             "pool {} vs sync {}",
@@ -1942,8 +1781,8 @@ mod tests {
     }
 
     /// Every new record of one `put_many` lands in one segment — the last
-    /// key's shard — inline and as one pool group commit; a single-key
-    /// call lands where `key[0] % shards` puts it.
+    /// key's shard — as one group commit, on the caller's thread or a pool
+    /// worker; a single-key call lands where `key[0] % shards` puts it.
     #[test]
     fn put_many_lands_in_the_last_keys_shard() {
         let blobs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40 + i as usize]).collect();
@@ -1974,10 +1813,8 @@ mod tests {
             let total: u64 = blobs.iter().map(|b| record_file_len(b.len() as u64)).sum();
             assert_eq!(sizes[route], total, "threads {writer_threads}: {sizes:?}");
             assert_eq!(sizes.iter().sum::<u64>(), total);
-            if writer_threads > 0 {
-                assert_eq!(be.group_commit_batches(), 1, "one group, one commit");
-                assert_eq!(be.sync_count(), 1);
-            }
+            assert_eq!(be.group_commit_batches(), 1, "one group, one commit");
+            assert_eq!(be.sync_count(), 1);
             assert_eq!(be.append_count(), items.len() as u64);
             drop(be);
             let be = CaskBackend::open(&root).unwrap();
@@ -1998,8 +1835,10 @@ mod tests {
     }
 
     /// A failed group commit — its write (even seed) or its `sync_data`
-    /// (odd seed), at the n-th batch — surfaces from the next `put_many`
-    /// and from `flush`, never swings a record of the failed group to
+    /// (odd seed), in the batch holding the k-th record — takes the backend
+    /// down on the pool and on the caller's thread alike: the error surfaces
+    /// from `flush` (and, without a pool, from the `put_many` itself) and
+    /// from the next `put_many`, no record of the failed group is swung to
     /// `Durable`, and a reopen serves every group flushed before it
     /// byte-exact and no torn record.
     #[test]
@@ -2014,76 +1853,67 @@ mod tests {
         let keyed = |group: &[Vec<u8>]| -> Vec<(Hash256, Vec<u8>)> {
             group.iter().map(|b| (Hash256::of(b), b.clone())).collect()
         };
-        for seed in [0u64, 1, 6, 7] {
-            for n in 1..=4u64 {
-                let root = temp_root("group-fault");
-                let plan = FaultPlan {
-                    crash_at_append: n,
-                    kind: FaultKind::GroupCommitError,
-                    seed,
-                };
-                let mut flushed = Vec::new();
-                {
-                    let opts = CaskOptions {
-                        shards: 3,
-                        ..CaskOptions::default()
-                    }
-                    .with_fault(plan);
-                    let be = CaskBackend::open_with(&root, opts).unwrap();
-                    // One flush per group makes batch k exactly group k.
-                    for group in &groups[..n as usize - 1] {
-                        let items = keyed(group);
+        for writer_threads in [2, 0] {
+            for seed in [0u64, 1, 6, 7] {
+                for n in 1..=4u64 {
+                    let root = temp_root("group-fault");
+                    // Group n holds records 3n-2..=3n; vary which one fires.
+                    let plan = FaultPlan {
+                        crash_at_append: 3 * (n - 1) + 1 + n % 3,
+                        kind: FaultKind::GroupCommitError,
+                        seed,
+                    };
+                    let cell = format!("threads {writer_threads} seed {seed} n {n}");
+                    let mut flushed = Vec::new();
+                    {
+                        let opts = CaskOptions {
+                            shards: 3,
+                            writer_threads,
+                            fault: Some(plan),
+                        };
+                        let be = CaskBackend::open_with(&root, opts).unwrap();
+                        // One flush per group makes batch k exactly group k.
+                        for group in &groups[..n as usize - 1] {
+                            let items = keyed(group);
+                            let refs: Vec<(Hash256, &[u8])> =
+                                items.iter().map(|(k, d)| (*k, &d[..])).collect();
+                            be.put_many(&refs).unwrap();
+                            be.flush().unwrap();
+                            flushed.extend(items);
+                        }
+                        let failed = keyed(&groups[n as usize - 1]);
                         let refs: Vec<(Hash256, &[u8])> =
-                            items.iter().map(|(k, d)| (*k, &d[..])).collect();
-                        be.put_many(&refs).unwrap();
-                        be.flush().unwrap();
-                        flushed.extend(items);
+                            failed.iter().map(|(k, d)| (*k, &d[..])).collect();
+                        assert_eq!(be.put_many(&refs).is_err(), writer_threads == 0, "{cell}");
+                        assert!(be.flush().is_err(), "{cell}: flush reports it");
+                        let next = keyed(&groups[n as usize]);
+                        assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
+                        assert!(be.flush().is_err(), "{cell}: and keeps reporting it");
+                        let idx = be.inner.index.read();
+                        for (k, _) in &failed {
+                            assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
+                        }
+                        drop(idx);
+                        assert_eq!(be.group_commit_batches(), n - 1, "{cell}");
                     }
-                    let failed = keyed(&groups[n as usize - 1]);
-                    let refs: Vec<(Hash256, &[u8])> =
-                        failed.iter().map(|(k, d)| (*k, &d[..])).collect();
-                    be.put_many(&refs).unwrap();
-                    assert!(be.flush().is_err(), "seed {seed} n {n}: flush reports it");
-                    let next = keyed(&groups[n as usize]);
-                    assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
-                    assert!(be.flush().is_err(), "and keeps reporting it");
-                    let idx = be.inner.index.read();
-                    for (k, _) in &failed {
-                        assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
+                    let be = CaskBackend::open(&root).unwrap();
+                    for (k, d) in &flushed {
+                        assert_eq!(be.get(*k).unwrap().as_ref(), &d[..]);
                     }
-                    drop(idx);
-                    assert_eq!(be.group_commit_batches(), n - 1);
+                    let known: HashSet<Hash256> = groups
+                        .iter()
+                        .flat_map(|g| keyed(g))
+                        .map(|(k, _)| k)
+                        .collect();
+                    for k in be.keys() {
+                        assert!(known.contains(&k));
+                        be.get(k).unwrap(); // hash-verified: nothing torn
+                    }
+                    drop(be);
+                    fs::remove_dir_all(&root).unwrap();
                 }
-                let be = CaskBackend::open(&root).unwrap();
-                for (k, d) in &flushed {
-                    assert_eq!(be.get(*k).unwrap().as_ref(), &d[..]);
-                }
-                let known: HashSet<Hash256> = groups
-                    .iter()
-                    .flat_map(|g| keyed(g))
-                    .map(|(k, _)| k)
-                    .collect();
-                for k in be.keys() {
-                    assert!(known.contains(&k));
-                    be.get(k).unwrap(); // hash-verified: nothing torn
-                }
-                drop(be);
-                fs::remove_dir_all(&root).unwrap();
             }
         }
-        // The kind needs the pool the others must not have.
-        let root = temp_root("group-fault-guard");
-        let plan = FaultPlan {
-            crash_at_append: 1,
-            kind: FaultKind::GroupCommitError,
-            seed: 0,
-        };
-        let opts = CaskOptions {
-            fault: Some(plan),
-            ..CaskOptions::synchronous()
-        };
-        assert!(CaskBackend::open_with(&root, opts).is_err());
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// `cask.json` through `write_json` is what the tree renders.

@@ -2,12 +2,13 @@
 //!
 //! Two layers, matching the two backends under test:
 //!
-//! * [`FaultPlan`] is interpreted *inside* [`CaskBackend`](crate::cask::CaskBackend):
-//!   at a chosen append the backend dies mid-write (torn record at a seeded
-//!   byte cut), right after the write (durable but unacknowledged), or with
-//!   its page cache dropped (everything unsynced is lost). After the crash
-//!   every operation fails until the directory is reopened — exactly a
-//!   process death.
+//! * [`FaultPlan`] is interpreted *inside* [`CaskBackend`](crate::cask::CaskBackend),
+//!   where every batch of records lands: at a chosen record the backend dies
+//!   mid-write (torn record at a seeded byte cut), right after the write
+//!   (durable but unacknowledged), with its page cache dropped (everything
+//!   since the last flush is lost), or with a failed write or `sync_data`.
+//!   After the crash every operation fails until the directory is reopened
+//!   — exactly a process death.
 //! * [`FaultBackend`] wraps any [`StorageBackend`] at the trait level and
 //!   fails every operation once N puts have gone through, with a
 //!   [`heal`](FaultBackend::heal) hook standing in for "reopen" when the
@@ -15,7 +16,9 @@
 //!   kill-at-every-write sweep against `MemBackend`.
 //!
 //! All crash points are seeded and replayable: the same plan against the
-//! same write sequence tears the same record at the same byte.
+//! same write sequence tears the same record at the same byte
+//! (`tests/crash_recovery.rs` replays each kind twice and compares the
+//! segment files).
 
 use crate::backend::StorageBackend;
 use crate::errors::{Result, StorageError};
@@ -24,37 +27,39 @@ use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What happens at the crash point.
+/// What happens at the crash point — the k-th record landed — to the batch
+/// that holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The record is cut at a seeded byte offset: a torn write the reopen
-    /// scan must truncate away.
+    /// The batch is written up to a seeded byte cut inside record k, then
+    /// synced: a torn write the reopen scan must truncate away.
     Torn,
-    /// The record reaches the disk intact but the caller never hears back —
-    /// death between write and acknowledgement. Recovery must tolerate state
-    /// that is *ahead* of what any caller observed.
+    /// The batch is written and synced through the end of record k, but the
+    /// caller never hears back — death between write and acknowledgement.
+    /// Recovery must tolerate state that is *ahead* of what any caller
+    /// observed.
     AfterWrite,
-    /// The write lands only in the page cache and the machine dies: every
-    /// unsynced byte (all shards) is lost.
+    /// The machine dies with its page cache: every shard goes back to its
+    /// length at the last flush (or open), as a writer-pool crash leaves it
+    /// when nothing queued since then had landed.
     DropUnsynced,
-    /// Writer-pool mode only: the `crash_at_append`-th batch the pool lands
-    /// fails with an I/O error — its write (even `seed`: a seeded prefix of
-    /// the batch reaches the file, as on ENOSPC) or, with group commit on,
-    /// its `sync_data` (odd `seed`). The backend is poisoned: no record of
-    /// the batch becomes durable in the index, and the error surfaces from
-    /// the next write and from `flush` until the directory is reopened.
+    /// The batch fails with an I/O error — its write (even `seed`: a seeded
+    /// prefix of the batch reaches the file, as on ENOSPC) or its
+    /// `sync_data` (odd `seed`). No record of the batch becomes durable in
+    /// the index, and the error surfaces from the next write and from
+    /// `flush` until the directory is reopened.
     GroupCommitError,
 }
 
 /// A deterministic crash plan for [`CaskBackend`](crate::cask::CaskBackend).
 ///
-/// Requires `writer_threads == 0` so append order — and therefore the crash
-/// point — is reproducible; [`FaultKind::GroupCommitError`] is the one kind
-/// that requires a writer pool instead.
+/// Records are counted in landing order on whichever thread lands them;
+/// with `writer_threads == 0` that is call order, so the crash point is
+/// reproducible byte for byte.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
-    /// Crash when the 1-based append counter reaches this value (`0` =
-    /// never); for [`FaultKind::GroupCommitError`], the batch counter.
+    /// Crash at the batch holding the record that brings the 1-based record
+    /// counter to this value (`0` = never).
     pub crash_at_append: u64,
     /// What the crash does to the in-flight record.
     pub kind: FaultKind,

@@ -114,18 +114,8 @@ fn reference(pipeline: &BoundPipeline, params: ChunkParams) -> String {
 /// total number of segment appends the workload issues.
 fn cask_total_appends(pipeline: &BoundPipeline, params: ChunkParams) -> u64 {
     let base = temp_base("count");
-    let be = Arc::new(
-        CaskBackend::open_with(
-            base.join("store"),
-            CaskOptions {
-                shards: 8,
-                writer_threads: 0,
-                sync_every_append: false,
-                ..CaskOptions::default()
-            },
-        )
-        .unwrap(),
-    );
+    let be =
+        Arc::new(CaskBackend::open_with(base.join("store"), CaskOptions::synchronous()).unwrap());
     let store = ChunkStore::new(be.clone(), params, StorageCostModel::FORKBASE);
     let empty = ResumeSnapshot::empty();
     let ctx = ResumeCtx {
@@ -168,7 +158,7 @@ fn crash_then_resume_cask(
         let be = Arc::new(
             CaskBackend::open_with(
                 &root,
-                CaskOptions::default().with_fault(fault_plan(k, kind_sel)),
+                CaskOptions::synchronous().with_fault(fault_plan(k, kind_sel)),
             )
             .unwrap(),
         );
@@ -216,7 +206,7 @@ fn cask_crash_at_every_append_resumes_byte_identical() {
     let total = cask_total_appends(&pipeline, ChunkParams::SMALL);
     assert!(total > 8, "toy chain must issue enough writes to matter");
 
-    let mut adopted_any = false;
+    let (mut adopted_any, mut discarded_any) = (false, false);
     for k in 1..=total {
         // Rotate fault kind and resumed worker count so every append gets
         // killed under some combination while the matrix stays affordable.
@@ -229,6 +219,7 @@ fn cask_crash_at_every_append_resumes_byte_identical() {
             "every journaled operation is either adopted or discarded (k={k})"
         );
         adopted_any |= rec.recovered_operations > 0;
+        discarded_any |= rec.discarded_operations > 0;
         assert_eq!(
             obs, expected,
             "resumed run diverged after crash at append {k} ({policy:?})"
@@ -238,6 +229,69 @@ fn cask_crash_at_every_append_resumes_byte_identical() {
         adopted_any,
         "matrix never exercised adoption — journal validation is vacuous"
     );
+    // Dropped page cache: an operation journaled while its blob sat unsynced
+    // must be discarded on recovery, not adopted.
+    assert!(
+        discarded_any,
+        "matrix never lost a journaled operation's blob — the discard path is untested"
+    );
+}
+
+/// `FaultPlan`'s promise — the same plan against the same write sequence
+/// tears the same record at the same byte — checked on the files: the toy
+/// chain run twice on a synchronous cask under one plan leaves every
+/// `shard-*.log` byte-identical, for every fault kind at several k.
+#[test]
+fn cask_fault_replays_byte_identical() {
+    let pipeline = bound_toy();
+    let total = cask_total_appends(&pipeline, ChunkParams::SMALL);
+    let segments = |plan: FaultPlan| -> Vec<(String, Vec<u8>)> {
+        let base = temp_base("replay");
+        let root = base.join("store");
+        {
+            let opts = CaskOptions::synchronous().with_fault(plan);
+            let be = Arc::new(CaskBackend::open_with(&root, opts).unwrap());
+            let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
+            let empty = ResumeSnapshot::empty();
+            let ctx = ResumeCtx {
+                snapshot: &empty,
+                journal: None,
+            };
+            let run = run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx);
+            assert!(run.is_err(), "{plan:?} fires");
+        }
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("shard-"))
+            .map(|name| {
+                let bytes = std::fs::read(root.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&base);
+        files
+    };
+    for k in [1, total / 2, total - 1, total] {
+        for kind in [
+            FaultKind::Torn,
+            FaultKind::AfterWrite,
+            FaultKind::DropUnsynced,
+            FaultKind::GroupCommitError,
+        ] {
+            for seed in [6, 7] {
+                let plan = FaultPlan {
+                    crash_at_append: k,
+                    kind,
+                    seed,
+                };
+                let first = segments(plan);
+                assert_eq!(first.len(), 8, "every shard file is there");
+                assert!(first == segments(plan), "{plan:?} replayed differently");
+            }
+        }
+    }
 }
 
 #[test]
@@ -338,8 +392,8 @@ fn mem_fault_crash_at_every_put_resumes_byte_identical() {
 /// per-append torn-tail protocol applied to a batched write.
 ///
 /// Killing a live writer pool mid-batch is inherently racy, so the batch is
-/// hand-crafted: three records framed exactly as `process_batch` lays them
-/// out, appended to the shard file with the last frame cut short.
+/// hand-crafted: three records framed exactly as the cask lays a batch out,
+/// appended to the shard file with the last frame cut short.
 #[test]
 fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
     use mlcask::storage::backend::StorageBackend;
@@ -354,16 +408,7 @@ fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
     let base_blob = vec![7u8; 96];
     let base_key = Hash256::of(&base_blob);
     {
-        let be = CaskBackend::open_with(
-            &root,
-            CaskOptions {
-                shards: 1,
-                writer_threads: 0,
-                sync_every_append: false,
-                ..CaskOptions::default()
-            },
-        )
-        .unwrap();
+        let be = CaskBackend::open_with(&root, CaskOptions::synchronous().with_shards(1)).unwrap();
         be.put(base_key, &base_blob).unwrap();
         be.flush().unwrap();
     }

@@ -15,7 +15,6 @@ use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_server::limits::AdmissionControl;
 use mlcask_server::service::{Router, ServerOptions};
 use mlcask_storage::cache::CacheOptions;
-use mlcask_storage::cask::CaskOptions;
 use mlcask_workloads::common::Workload;
 use serde::Value;
 
@@ -238,8 +237,7 @@ fn metrics_scrape_exposes_request_series() {
     // storage layer's series.
     let dir = std::env::temp_dir().join(format!("mlcask-obs-scrape-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let ws = Workspace::durable_with(&dir, CaskOptions::default(), Some(CacheOptions::default()))
-        .unwrap();
+    let ws = Workspace::durable_with(&dir, Some(CacheOptions::default())).unwrap();
     let r = Router::over(ws, toy_workload(), ServerOptions::default());
     rpc(&r, "session.open", r#"{"tenant":"scrape_tenant"}"#);
     // Find this router's session id (the registry is global; other tests

@@ -353,15 +353,6 @@ mod cask_props {
         dir
     }
 
-    fn inline_opts() -> CaskOptions {
-        CaskOptions {
-            shards: SHARDS,
-            writer_threads: 0,
-            sync_every_append: false,
-            ..CaskOptions::default()
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -438,7 +429,8 @@ mod cask_props {
         ) {
             let dir = temp_dir("torn");
             {
-                let be = CaskBackend::open_with(&dir, inline_opts()).unwrap();
+                let opts = CaskOptions::synchronous().with_shards(SHARDS);
+                let be = CaskBackend::open_with(&dir, opts).unwrap();
                 for b in &blobs {
                     be.put(Hash256::of(b), b).unwrap();
                 }
@@ -493,7 +485,8 @@ mod cask_props {
             kill_mask in proptest::collection::vec(any::<bool>(), 10),
         ) {
             let dir = temp_dir("compact");
-            let be = CaskBackend::open_with(&dir, inline_opts()).unwrap();
+            let opts = CaskOptions::synchronous().with_shards(SHARDS);
+            let be = CaskBackend::open_with(&dir, opts).unwrap();
             let mut live: HashMap<Hash256, Vec<u8>> = HashMap::new();
             for b in &blobs {
                 be.put(Hash256::of(b), b).unwrap();
@@ -533,7 +526,7 @@ mod cask_props {
         /// return the same `Vec<bool>` (a key repeated inside one call is new
         /// once, one already stored is not new) and show the same `len` and
         /// `physical_bytes` after every call — across removals, and on the
-        /// cask in pool, synchronous and inline modes across a reopen.
+        /// cask with and without a writer pool across a reopen.
         #[test]
         fn prop_put_many_equals_the_per_key_loop(
             calls in proptest::collection::vec(
@@ -554,7 +547,6 @@ mod cask_props {
             let modes = [
                 ("pool", CaskOptions { shards: SHARDS, ..CaskOptions::default() }),
                 ("sync", CaskOptions::synchronous().with_shards(SHARDS)),
-                ("inline", inline_opts()),
             ];
             let mut dirs = Vec::new();
             for (mode, opts) in &modes {
@@ -628,8 +620,8 @@ mod cask_props {
     }
 
     /// Counted, not timed: N small blobs through `ChunkStore` on a
-    /// pool-mode cask cost at most one group-commit fsync each plus one
-    /// flush fsync per shard — a blob is one group in one segment — and
+    /// pool-mode cask cost at most one group-commit fsync each, and the
+    /// flush none — a blob is one group in one segment — and
     /// exactly the appends (and bytes) of the per-key path on the same
     /// input.
     #[test]
@@ -700,7 +692,7 @@ mod cask_props {
         store_a.flush().unwrap();
         store_b.flush().unwrap();
         assert!(
-            grouped.sync_count() <= N + SHARDS as u64,
+            grouped.sync_count() <= N,
             "{} fsyncs for {N} blobs",
             grouped.sync_count()
         );
@@ -741,15 +733,6 @@ mod cache_props {
         dir
     }
 
-    fn inline_opts() -> CaskOptions {
-        CaskOptions {
-            shards: SHARDS,
-            writer_threads: 0,
-            sync_every_append: false,
-            ..CaskOptions::default()
-        }
-    }
-
     /// Deliberately tiny cache so randomized workloads actually evict.
     fn small_cache() -> CacheOptions {
         CacheOptions {
@@ -759,7 +742,8 @@ mod cache_props {
     }
 
     fn cask_store(dir: &std::path::Path, cache: Option<CacheOptions>) -> ChunkStore {
-        let be = Arc::new(Cask::open_with(dir, inline_opts()).unwrap());
+        let be =
+            Arc::new(Cask::open_with(dir, CaskOptions::synchronous().with_shards(SHARDS)).unwrap());
         ChunkStore::with_cache(be, ChunkParams::SMALL, StorageCostModel::FORKBASE, cache)
     }
 
@@ -916,7 +900,7 @@ mod cache_props {
                 let be = Arc::new(
                     Cask::open_with(
                         &dir,
-                        inline_opts().with_fault(FaultPlan::seeded(seed, 24)),
+                        CaskOptions::synchronous().with_shards(SHARDS).with_fault(FaultPlan::seeded(seed, 24)),
                     )
                     .unwrap(),
                 );
@@ -982,7 +966,9 @@ mod cache_props {
     fn reread_loop_hits_the_cache_and_halves_cask_disk_reads() {
         const ROUNDS: usize = 4;
         let dir = temp_dir("reread");
-        let be = Arc::new(Cask::open_with(&dir, inline_opts()).unwrap());
+        let be = Arc::new(
+            Cask::open_with(&dir, CaskOptions::synchronous().with_shards(SHARDS)).unwrap(),
+        );
         let store = |cache| {
             ChunkStore::with_cache(
                 be.clone(),
