@@ -24,9 +24,13 @@ use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{CacheKey, CachedOutput, Executor, MemoryCache, OutputCache};
+use mlcask_pipeline::executor::{
+    CacheKey, CachedOutput, Executor, MemoryCache, OutputCache, RunReport,
+};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{Incremental, PrefixGate, ProvenanceSnapshot};
+use mlcask_pipeline::provenance::{
+    count_frontier_skipped, FrontierCut, Incremental, PrefixGate, ProvenanceSnapshot,
+};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
@@ -130,9 +134,11 @@ impl<'a> MergeEngine<'a> {
         }
     }
 
-    /// Enables or disables the provenance fast path (frontier cuts plus the
-    /// shared-prefix gate) for history-backed strategies. On by default;
-    /// reports are byte-identical either way — only wall-clock changes.
+    /// Enables or disables the provenance fast path (frontier cuts, the
+    /// lookup of fully cut candidates, and the shared-prefix gate) for
+    /// history-backed strategies. On by default; reports are byte-identical
+    /// either way — only wall-clock changes — which makes the disabled
+    /// engine the reference the fast path is tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self
@@ -154,7 +160,12 @@ impl<'a> MergeEngine<'a> {
     /// phases — parallel traced execution, then a sequential accounting
     /// replay in candidate-index order (see [`mlcask_pipeline::replay`]) —
     /// so the returned report (records, scores, virtual end-times, storage
-    /// accounting) is identical whatever the worker count.
+    /// accounting) is identical whatever the worker count. With the
+    /// incremental fast path on, history-backed strategies first cut every
+    /// candidate against one provenance snapshot: a candidate every node of
+    /// which is a provenance hit is a lookup — its report is the cut's
+    /// ([`FrontierCut::report`]), in its place in candidate order — and
+    /// only the others go through the two phases.
     ///
     /// Tenant-attributed stores take quota *reservations* during phase 1 and
     /// settle them in the phase-2 replay; if the search aborts — a
@@ -195,23 +206,17 @@ impl<'a> MergeEngine<'a> {
         let preds = self.dag.predecessors();
 
         // Strategy-specific pruning/marking.
-        let mut candidates_pruned = 0usize;
-        match strategy {
-            MergeStrategy::WithoutPcPr | MergeStrategy::Naive => {}
-            MergeStrategy::WithoutPr => {
-                let lut = CompatLut::build(self.registry, spaces, preds)?;
-                tree.prune_incompatible(&lut, preds);
-                candidates_pruned = candidates_total - tree.live_leaves().len();
-            }
-            MergeStrategy::Full => {
-                let lut = CompatLut::build(self.registry, spaces, preds)?;
-                tree.prune_incompatible(&lut, preds);
-                candidates_pruned = candidates_total - tree.live_leaves().len();
-                tree.mark_checkpoints(history, preds);
-            }
+        let pc = matches!(strategy, MergeStrategy::WithoutPr | MergeStrategy::Full);
+        if pc {
+            let lut = CompatLut::build(self.registry, spaces, preds)?;
+            tree.prune_incompatible(&lut, preds);
+        }
+        if strategy == MergeStrategy::Full {
+            tree.mark_checkpoints(history, preds);
         }
 
-        // Candidate list per strategy.
+        // Candidate list per strategy (marking never prunes, so the live
+        // leaves are the ones pruning left).
         let leaves: Vec<Vec<ComponentKey>> = match strategy {
             MergeStrategy::Naive => vec![naive_candidate(spaces)],
             _ => tree
@@ -219,6 +224,11 @@ impl<'a> MergeEngine<'a> {
                 .into_iter()
                 .map(|l| tree.candidate(l))
                 .collect(),
+        };
+        let candidates_pruned = if pc {
+            candidates_total - leaves.len()
+        } else {
+            0
         };
 
         // Accounting policy per strategy. The from-scratch ablations pay
@@ -264,27 +274,48 @@ impl<'a> MergeEngine<'a> {
             None => (history.snapshot_shared(), history),
             Some(scratch) => (Arc::new(CacheSnapshot::new()), scratch),
         };
+        // Each candidate's frontier cut, once, against the snapshot. A cut
+        // covering the whole candidate is its report (see
+        // `FrontierCut::report`): such a candidate is neither traced nor
+        // replayed, which is what its trace and replay would have amounted
+        // to. Only the rest are evaluated.
+        let cuts: Vec<Option<FrontierCut>> = bound
+            .iter()
+            .map(|pipeline| {
+                prov_snapshot
+                    .as_ref()
+                    .map(|snap| FrontierCut::of(pipeline, |fp| snap.get(fp).cloned()))
+                    .transpose()
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        let mut known: Vec<Option<RunReport>> = cuts
+            .iter()
+            .zip(&bound)
+            .map(|(cut, pipeline)| cut.as_ref()?.report(pipeline))
+            .collect();
+        let pending: Vec<usize> = (0..bound.len()).filter(|&i| known[i].is_none()).collect();
         let executor = Executor::new(self.store);
         // One gate per search: candidates sharing a prefix fingerprint
         // execute it once, whichever worker claims it first.
         let gate = PrefixGate::new();
-        let (outer, inner) = self.parallelism.split(bound.len());
-        let traced = map_indexed(outer, &bound, |i, pipeline| {
+        let (outer, inner) = self.parallelism.split(pending.len());
+        let traced = map_indexed(outer, &pending, |_, &i| {
             let _cand_span = mlcask_obs::span!("merge.candidate", "index" => i);
-            let inc = prov_snapshot.as_ref().map(|snap| Incremental {
-                snapshot: Arc::clone(snap),
+            let inc = cuts[i].as_ref().map(|cut| Incremental {
+                cut,
                 live: history.provenance(),
                 gate: Some(&gate),
             });
-            executor.trace(pipeline, phase_cache, book, inner, inc.as_ref())
+            executor.trace(&bound[i], phase_cache, book, inner, inc.as_ref())
         });
         // Frontier cuts are computed against the snapshot, so the per-
         // candidate skip counts are deterministic; `map_indexed` preserves
         // candidate order, so the sum is too.
-        let mut skipped_by_frontier = 0usize;
+        let mut skipped_by_frontier: usize = known.iter().flatten().map(|r| r.stages.len()).sum();
         for t in traced {
             skipped_by_frontier += t?.skipped_by_frontier;
         }
+        count_frontier_skipped(skipped_by_frontier);
 
         // Phase 2 — deterministic accounting replay in candidate order.
         let mut sim = CacheSnapshot::new();
@@ -295,18 +326,21 @@ impl<'a> MergeEngine<'a> {
         let mut reused = 0usize;
         let mut failed = 0usize;
         let mut best: Option<(Vec<ComponentKey>, Score)> = None;
-        for (keys, pipeline) in leaves.into_iter().zip(&bound) {
+        for ((keys, pipeline), known) in leaves.into_iter().zip(&bound).zip(&mut known) {
             let run_ledger = ClockLedger::new();
-            let report = replay_run(
-                self.store,
-                pipeline,
-                book,
-                &pre,
-                &mut sim,
-                &mut cursor,
-                &run_ledger,
-                use_history,
-            )?;
+            let report = match known.take() {
+                Some(report) => report,
+                None => replay_run(
+                    self.store,
+                    pipeline,
+                    book,
+                    &pre,
+                    &mut sim,
+                    &mut cursor,
+                    &run_ledger,
+                    use_history,
+                )?,
+            };
             let snap = run_ledger.snapshot();
             merge_clock = merge_clock.plus(&snap);
             ledger.merge(&snap);

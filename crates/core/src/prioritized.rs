@@ -20,7 +20,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{Executor, TracedOutcome};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{Incremental, PrefixGate};
+use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut, Incremental, PrefixGate};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -364,8 +364,9 @@ impl<'a> PrioritizedSearcher<'a> {
                 // leftover workers run each candidate's DAG wavefront.
                 let (outer, inner) = self.parallelism.split(picks.len());
                 let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline, history)| {
+                    let cut = FrontierCut::of(pipeline, |fp| prov.get(fp).cloned())?;
                     let inc = Incremental {
-                        snapshot: Arc::clone(&prov),
+                        cut: &cut,
                         live: history.provenance(),
                         gate: Some(&gate),
                     };
@@ -383,6 +384,7 @@ impl<'a> PrioritizedSearcher<'a> {
                 skipped += state.skipped_by_frontier;
                 results.push(self.replay_trial(state, &book, &pre, &mut cursor)?);
             }
+            count_frontier_skipped(skipped);
             Ok((results, skipped))
         })
     }

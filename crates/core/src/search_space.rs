@@ -13,7 +13,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::DeclaredSchemas;
 use mlcask_pipeline::metafile::PipelineMetafile;
 use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Per-slot candidate versions for the merge search, in topological slot
 /// order.
@@ -83,10 +83,11 @@ impl SearchSpaces {
 }
 
 /// Compatibility look-up table: the set of `(producer version, consumer
-/// version)` pairs that can legally be adjacent (§VI-A).
+/// version)` pairs that can legally be adjacent (§VI-A), keyed by producer
+/// so a check borrows both keys instead of building a pair.
 #[derive(Debug, Default, Clone)]
 pub struct CompatLut {
-    pairs: HashSet<(ComponentKey, ComponentKey)>,
+    consumers: HashMap<ComponentKey, HashSet<ComponentKey>>,
 }
 
 impl CompatLut {
@@ -114,34 +115,37 @@ impl CompatLut {
                     .collect::<Result<_>>()
             })
             .collect::<Result<_>>()?;
-        let mut pairs = HashSet::new();
+        let mut consumers: HashMap<ComponentKey, HashSet<ComponentKey>> = HashMap::new();
         for (slot, producers_slots) in preds.iter().enumerate() {
             for &p_slot in producers_slots {
                 for (p, (_, produced)) in spaces.per_slot[p_slot].iter().zip(&declared[p_slot]) {
-                    for (c, (expected, _)) in spaces.per_slot[slot].iter().zip(&declared[slot]) {
-                        if expected.is_none_or(|e| e == *produced) {
-                            pairs.insert((p.clone(), c.clone()));
-                        }
-                    }
+                    let fits = spaces.per_slot[slot]
+                        .iter()
+                        .zip(&declared[slot])
+                        .filter(|(_, (expected, _))| expected.is_none_or(|e| e == *produced))
+                        .map(|(c, _)| c.clone());
+                    consumers.entry(p.clone()).or_default().extend(fits);
                 }
             }
         }
-        Ok(CompatLut { pairs })
+        Ok(CompatLut { consumers })
     }
 
     /// True if `consumer` can follow `producer`.
     pub fn compatible(&self, producer: &ComponentKey, consumer: &ComponentKey) -> bool {
-        self.pairs.contains(&(producer.clone(), consumer.clone()))
+        self.consumers
+            .get(producer)
+            .is_some_and(|fits| fits.contains(consumer))
     }
 
     /// Number of compatible pairs recorded.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.consumers.values().map(HashSet::len).sum()
     }
 
     /// True if the LUT is empty.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.len() == 0
     }
 }
 

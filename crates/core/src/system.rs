@@ -16,6 +16,7 @@ use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::provenance::FrontierCut;
 use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::ObjectKind;
@@ -74,8 +75,9 @@ pub struct MlCask {
     /// Worker pool for merge-search candidate evaluation.
     parallelism: ParallelismPolicy,
     /// Provenance-keyed incremental re-evaluation for merge searches
-    /// (frontier cuts + shared-prefix hoisting). On by default; reports
-    /// and accounting are identical either way, only wall-clock changes.
+    /// (frontier cuts + shared-prefix hoisting) and commits (a fully known
+    /// pipeline is not run). On by default; reports and accounting are
+    /// identical either way, only wall-clock changes.
     incremental: bool,
 }
 
@@ -125,10 +127,13 @@ impl MlCask {
         self
     }
 
-    /// Toggles provenance-keyed incremental re-evaluation for this system's
-    /// merge searches (see [`mlcask_pipeline::provenance`]). On by default;
-    /// turning it off is an accounting-identity escape hatch — every report,
-    /// ledger charge, and tenant account is byte-identical either way.
+    /// Toggles provenance-keyed incremental re-evaluation (see
+    /// [`mlcask_pipeline::provenance`]) for this system's merge searches
+    /// and commits — plain commits, fast-forwards and merge winners alike.
+    /// On by default. Off, every pipeline is traced and replayed by the
+    /// executor: that is the reference the fast path is tested against, and
+    /// every report, ledger charge, tenant account and commit is
+    /// byte-identical either way.
     pub fn with_incremental(mut self, incremental: bool) -> MlCask {
         self.incremental = incremental;
         self
@@ -205,6 +210,11 @@ impl MlCask {
     /// (shared-graph) name, since the cross-tenant merge path commits onto a
     /// *peer's* branch, which has no caller-facing name in this system's
     /// namespace. A run the precheck rejects (or that fails) commits nothing.
+    ///
+    /// With incremental re-evaluation on, a pipeline the live provenance
+    /// index resolves end to end — a warm commit, a fast-forward, a merge
+    /// winner the search just evaluated — is not run: its report is the
+    /// cut's ([`FrontierCut::report`]), and there is nothing new to absorb.
     fn run_and_commit(
         &self,
         branch: String,
@@ -214,18 +224,35 @@ impl MlCask {
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
         let bound = self.bind(keys)?;
-        let options = ExecOptions::MLCASK.with_parallelism(self.parallelism);
-        let report =
-            Executor::new(self.store()).run(&bound, ledger, Some(self.history()), options)?;
-        if !report.outcome.is_completed() {
-            return Ok(CommitResult {
-                commit: None,
-                report,
-            });
-        }
-        // Lift the run's checkpoints into the provenance index so later
-        // merge searches and trials can cut their frontier above them.
-        self.history().provenance().absorb(&bound, self.history())?;
+        let provenance = self.history().provenance();
+        let known = if self.incremental {
+            FrontierCut::of(&bound, |fp| provenance.get(fp))?.report(&bound)
+        } else {
+            None
+        };
+        let report = match known {
+            Some(report) => report,
+            None => {
+                let options = ExecOptions::MLCASK.with_parallelism(self.parallelism);
+                let report = Executor::new(self.store()).run(
+                    &bound,
+                    ledger,
+                    Some(self.history()),
+                    options,
+                )?;
+                if !report.outcome.is_completed() {
+                    return Ok(CommitResult {
+                        commit: None,
+                        report,
+                    });
+                }
+                // Lift the run's checkpoints into the provenance index so
+                // later merge searches, trials and commits can cut their
+                // frontier above them.
+                provenance.absorb(&bound, self.history())?;
+                report
+            }
+        };
         // Next label: branch.seq (root = 0 when the branch does not exist).
         let head = self.graph().head(&branch).ok();
         let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
@@ -502,7 +529,7 @@ impl MlCask {
             // "MLCask duplicates the latest version in MERGE_HEAD, changes
             // its branch to HEAD, creates a new commit on HEAD, and finally
             // sets its parents to both MERGE_HEAD and HEAD."
-            // Fully checkpointed: zero-cost replay to assemble the metafile.
+            // Fully checkpointed: a lookup assembles the metafile.
             let keys = self.metafile_of(&merge_head)?.component_keys();
             let done = self.run_and_commit(
                 base,
@@ -526,8 +553,9 @@ impl MlCask {
         let Some((best_keys, _)) = report.best.clone() else {
             return Err(CoreError::NoViableCandidate);
         };
-        // Replay the winner (fully checkpointed under Full/after search) to
-        // assemble its metafile, then commit with both parents.
+        // Commit the winner with both parents. The search just evaluated
+        // it, so with incremental re-evaluation on and a history-backed
+        // strategy its report is a lookup.
         let done = self.run_and_commit(
             base,
             &best_keys,

@@ -203,8 +203,9 @@ impl SearchTree {
         assert_topological(preds);
         let mut pruned = 0;
         // DFS with explicit enter/exit steps so the per-level path state is
-        // maintained by push/pop instead of cloned per node.
-        let mut path: Vec<ComponentKey> = Vec::new();
+        // maintained by push/pop instead of cloned per node; the path holds
+        // node ids, whose keys the LUT borrows.
+        let mut path: Vec<usize> = Vec::new();
         let mut stack: Vec<WalkStep> = self.nodes[0]
             .children
             .iter()
@@ -219,17 +220,17 @@ impl SearchTree {
                 }
                 WalkStep::Enter(c) => c,
             };
-            let child = self.nodes[c].component.clone().expect("non-root");
+            let key = |id: usize| self.nodes[id].component.as_ref().expect("non-root");
             let level = self.nodes[c].level.expect("non-root");
             let incompatible = preds[level]
                 .iter()
-                .any(|&j| !lut.compatible(&path[j], &child));
+                .any(|&j| !lut.compatible(key(path[j]), key(c)));
             if incompatible {
                 self.nodes[c].state = NodeState::Incompatible;
                 pruned += 1;
                 continue; // do not descend
             }
-            path.push(child);
+            path.push(c);
             stack.push(WalkStep::Exit);
             stack.extend(
                 self.nodes[c]

@@ -23,11 +23,11 @@
 
 use crate::artifact::Artifact;
 use crate::clock::ClockLedger;
-use crate::component::{ComponentKey, StageKind};
+use crate::component::{ComponentHandle, ComponentKey, StageKind};
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
-use crate::provenance::{Claim, ClaimGuard, FrontierCut, GateOutcome, Incremental};
+use crate::provenance::{schedulable, Claim, ClaimGuard, GateOutcome, Incremental};
 use crate::replay::{replay_run, CacheSnapshot, ProfileBook, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
@@ -180,6 +180,31 @@ pub struct StageReport {
     /// Logical size of the output artifact in bytes (independent of the
     /// persisted blob encoding — used by archive-accounting harnesses).
     pub artifact_bytes: u64,
+}
+
+impl StageReport {
+    /// The report of `comp` satisfied by checkpoint `hit` without running:
+    /// no execution or storage time, the hit's output. Folds the hit's
+    /// score into `score`, where the last score in topological order wins.
+    pub(crate) fn reused(
+        comp: &ComponentHandle,
+        hit: &CachedOutput,
+        score: &mut Option<Score>,
+    ) -> StageReport {
+        if let Some(s) = hit.score {
+            *score = Some(s);
+        }
+        StageReport {
+            component: comp.key(),
+            stage: comp.stage(),
+            reused: true,
+            exec_ns: 0,
+            storage_ns: 0,
+            output: hit.object,
+            artifact_id: hit.artifact_id,
+            artifact_bytes: hit.object.len,
+        }
+    }
 }
 
 /// Outcome of a pipeline run.
@@ -420,16 +445,21 @@ impl<'s> Executor<'s> {
     /// candidate order. A statically doomed pipeline executes up to its
     /// failure frontier, which the replay then reports as the failed stage.
     ///
-    /// With an incremental context (see [`crate::provenance`]) the pipeline
-    /// is fingerprinted, cut at the deepest frontier cached in
-    /// `inc.snapshot`, and only the dirty region is scheduled; `inc.gate`
+    /// With an incremental context (see [`crate::provenance`]) only the
+    /// dirty region below `inc.cut` — the caller's
+    /// [`FrontierCut`](crate::provenance::FrontierCut) of this pipeline
+    /// against its search's snapshot — is scheduled; `inc.gate`
     /// additionally hoists prefixes shared with concurrent evaluations so
     /// each executes once per search, and every checkpoint recorded through
     /// `cache` is mirrored into `inc.live` under its fingerprint. The
     /// replay still charges frontier-skipped nodes as *reused* — their
     /// `CacheKey`s resolve against the paired history snapshot (the
     /// provenance pairing invariant) — so reports, ledgers, and tenant
-    /// accounting stay byte-identical to a full re-evaluation.
+    /// accounting stay byte-identical to a full re-evaluation. A cut that
+    /// covers the whole pipeline leaves nothing to schedule or replay: it
+    /// is the pipeline's report
+    /// ([`FrontierCut::report`](crate::provenance::FrontierCut::report)),
+    /// and the engines answer it without calling this at all.
     ///
     /// Returns the final model score, or `None` when the pipeline failed
     /// (adaptive searchers need the score before accounting runs).
@@ -517,9 +547,9 @@ impl<'s> Executor<'s> {
     ///
     /// With an [`Incremental`] context, the pipeline is additionally cut at
     /// the deepest cached provenance frontier *before* scheduling: cut
-    /// nodes' slots are pre-filled from the snapshot and only the dirty
-    /// region is dispatched (an induced sub-DAG schedule). The cut is
-    /// computed against `inc.snapshot` — never the live index — so the
+    /// nodes' slots are pre-filled from `inc.cut` and only the dirty region
+    /// is dispatched (an induced sub-DAG schedule). The caller computed the
+    /// cut against its search's snapshot — never the live index — so the
     /// skipped set is identical for every worker count.
     #[allow(clippy::too_many_arguments)]
     fn trace_nodes(
@@ -540,27 +570,15 @@ impl<'s> Executor<'s> {
             "nodes" => pipeline.components().len(),
             "workers" => policy.workers(),
         );
-        let mut allowed = vec![true; order.len()];
-        if let Some(fail) = fail_at {
-            let mut beyond = false;
-            for &node in order {
-                beyond = beyond || node == fail;
-                if beyond {
-                    allowed[node] = false;
-                }
-            }
-        }
-        let cut = match inc {
-            Some(inc) => Some(FrontierCut::compute(pipeline, &inc.snapshot, &allowed)?),
-            None => None,
-        };
+        let allowed = schedulable(order, fail_at);
+        let cut = inc.map(|inc| inc.cut);
         let slots: Vec<Mutex<Option<WaveSlot>>> =
             (0..order.len()).map(|_| Mutex::new(None)).collect();
         // Pre-fill frontier-skipped nodes' results. Their `CacheKey`s are
         // reconstructible because the cut is downward-closed: every
         // predecessor of a cut node is itself cut, so its artifact id is at
         // hand without touching the store.
-        if let Some(cut) = &cut {
+        if let Some(cut) = cut {
             for &node in order {
                 let Some(cached) = &cut.cached[node] else {
                     continue;
@@ -590,7 +608,7 @@ impl<'s> Executor<'s> {
         // (sentinel indegree) and dirty nodes wait only on dirty
         // predecessors; edges touching cut nodes drop out entirely.
         let induced: Vec<Vec<usize>>;
-        let (indeg, adjacency): (Vec<usize>, &[Vec<usize>]) = match &cut {
+        let (indeg, adjacency): (Vec<usize>, &[Vec<usize>]) = match cut {
             Some(cut) if cut.skipped > 0 => {
                 let mut indeg = vec![0usize; order.len()];
                 let mut adj: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
@@ -611,7 +629,7 @@ impl<'s> Executor<'s> {
             }
             _ => (pipeline.dag.indegrees().to_vec(), pipeline.dag.adjacency()),
         };
-        let fingerprints = cut.as_ref().map(|c| c.fingerprints.as_slice());
+        let fingerprints = cut.map(|c| c.fingerprints.as_slice());
         let pre: Mutex<CacheSnapshot> = Mutex::new(CacheSnapshot::new());
         let dynamic_failure = AtomicBool::new(false);
 
@@ -856,24 +874,11 @@ impl<'s> Executor<'s> {
                 });
             }
         }
-        let skipped_by_frontier = cut.map(|c| c.skipped).unwrap_or(0);
-        if skipped_by_frontier > 0 {
-            // Process-wide telemetry twin of the per-report field: the
-            // deterministic report keeps its own count, the registry series
-            // aggregates across evaluations for `metrics.scrape`.
-            mlcask_obs::MetricsRegistry::global()
-                .counter(
-                    "mlcask_frontier_skipped_total",
-                    "Pipeline nodes skipped by provenance frontier cuts",
-                    &[],
-                )
-                .add(skipped_by_frontier as u64);
-        }
         Ok(WavefrontRun {
             slots,
             pre: pre.into_inner(),
             failed,
-            skipped_by_frontier,
+            skipped_by_frontier: cut.map_or(0, |c| c.skipped),
         })
     }
 }

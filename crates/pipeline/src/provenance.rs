@@ -23,22 +23,30 @@
 //!   downward-closed set of nodes whose fingerprints hit a point-in-time
 //!   [`ProvenanceSnapshot`]. The executor pre-fills those nodes' results
 //!   and schedules only the dirty region.
+//! * A cut that covers every node *is* the pipeline's run report
+//!   ([`FrontierCut::report`]): every stage reused at zero cost, nothing
+//!   charged, nothing recorded — what tracing and replaying it would
+//!   produce. Merge searches and commits answer such a pipeline by lookup
+//!   and hand only the rest to the executor.
 //! * [`PrefixGate`] hoists shared candidate prefixes: concurrent
 //!   evaluations that reach the same fingerprint execute it once — one
 //!   owner runs the component, waiters adopt its output.
 //!
-//! Cuts are always computed against a snapshot taken once per search (never
-//! the concurrently-growing live index), so the number of frontier-skipped
-//! nodes is deterministic for every worker count.
+//! Searches compute their cuts against a snapshot taken once per search
+//! (never the concurrently-growing live index), so the number of
+//! frontier-skipped nodes is deterministic for every worker count. A commit
+//! cuts against the live index, and only to ask whether the whole pipeline
+//! is known: the index only grows, so the answer cannot be torn.
 
 use crate::component::ComponentKey;
 use crate::dag::BoundPipeline;
 use crate::errors::Result;
-use crate::executor::{CacheKey, CachedOutput, OutputCache};
+use crate::executor::{CacheKey, CachedOutput, OutputCache, RunOutcome, RunReport, StageReport};
 use crate::parallel::{ShardedMap, SnapshotCache};
+use mlcask_obs::{Counter, MetricsRegistry};
 use mlcask_storage::hash::Hash256;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Computes the provenance fingerprint of one node from its component key
 /// and its predecessors' fingerprints (in edge order).
@@ -198,13 +206,25 @@ pub struct FrontierCut {
 }
 
 impl FrontierCut {
-    /// Computes the cut of `pipeline` against a provenance snapshot.
-    /// `schedulable[node]` masks nodes the caller would dispatch (nodes at
-    /// or beyond a static failure frontier are never cached — a sequential
-    /// run never reaches them, so skipping them would change observables).
-    pub fn compute(
+    /// Computes the cut of `pipeline` against a provenance lookup (a
+    /// search's [`ProvenanceSnapshot`], or the live [`ProvenanceIndex`]),
+    /// over the nodes a run dispatches: those before the pipeline's static
+    /// failure frontier. Nodes at or beyond it are never cached — a
+    /// sequential run never reaches them, so skipping them would change
+    /// observables.
+    pub fn of(
         pipeline: &BoundPipeline,
-        snapshot: &ProvenanceSnapshot,
+        lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
+    ) -> Result<FrontierCut> {
+        let order = pipeline.dag.topo_order()?;
+        let schedulable = schedulable(order, pipeline.static_failure_node()?);
+        Self::compute(pipeline, lookup, &schedulable)
+    }
+
+    /// [`FrontierCut::of`] over the nodes `schedulable` marks.
+    fn compute(
+        pipeline: &BoundPipeline,
+        lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
         schedulable: &[bool],
     ) -> Result<FrontierCut> {
         let fingerprints = pipeline_fingerprints(pipeline)?;
@@ -219,8 +239,8 @@ impl FrontierCut {
             if !closed {
                 continue;
             }
-            if let Some(hit) = snapshot.get(&fingerprints[node]) {
-                cached[node] = Some(hit.clone());
+            if let Some(hit) = lookup(&fingerprints[node]) {
+                cached[node] = Some(hit);
                 skipped += 1;
             }
         }
@@ -230,17 +250,83 @@ impl FrontierCut {
             skipped,
         })
     }
+
+    /// The run report of a pipeline this cut covers completely, or `None`
+    /// when any node is dirty (or, degenerately, no stage carries a score).
+    ///
+    /// A full cut has no static failure (those nodes are never cut), and by
+    /// the pairing invariant every node's `CacheKey` hits the paired
+    /// history, so executing and replaying the pipeline would reuse every
+    /// stage: each reported `reused` at zero execution and storage cost,
+    /// with the hit's output, artifact id and size, and the last score in
+    /// topological order as the outcome — exactly what
+    /// [`crate::replay::replay_run`] reports for it. Nothing is charged to
+    /// a ledger, the store statistics or a tenant, and nothing is recorded
+    /// in any index, so answering the pipeline with this report instead is
+    /// unobservable.
+    pub fn report(&self, pipeline: &BoundPipeline) -> Option<RunReport> {
+        if self.skipped != self.cached.len() {
+            return None;
+        }
+        let mut score = None;
+        let stages = pipeline
+            .dag
+            .topo_order()
+            .ok()?
+            .iter()
+            .map(|&node| {
+                let hit = self.cached[node]
+                    .as_ref()
+                    .expect("a full cut caches every node");
+                StageReport::reused(&pipeline.components()[node], hit, &mut score)
+            })
+            .collect();
+        Some(RunReport {
+            stages,
+            outcome: RunOutcome::Completed { score: score? },
+        })
+    }
+}
+
+/// Which nodes a run dispatches: those before `fail_at` (the pipeline's
+/// static failure node, if any) in canonical topological `order`.
+pub(crate) fn schedulable(order: &[usize], fail_at: Option<usize>) -> Vec<bool> {
+    let mut schedulable = vec![true; order.len()];
+    if let Some(beyond) = fail_at.and_then(|fail| order.iter().position(|&node| node == fail)) {
+        for &node in &order[beyond..] {
+            schedulable[node] = false;
+        }
+    }
+    schedulable
+}
+
+/// Adds `nodes` to the process-wide `mlcask_frontier_skipped_total`: the
+/// telemetry twin of a search report's `skipped_by_frontier`, so searches
+/// call it once with their total, however each candidate was answered.
+pub fn count_frontier_skipped(nodes: usize) {
+    static SKIPPED: OnceLock<Counter> = OnceLock::new();
+    if nodes > 0 {
+        SKIPPED
+            .get_or_init(|| {
+                MetricsRegistry::global().counter(
+                    "mlcask_frontier_skipped_total",
+                    "Pipeline nodes skipped by provenance frontier cuts",
+                    &[],
+                )
+            })
+            .add(nodes as u64);
+    }
 }
 
 /// Everything the executor needs to run one evaluation incrementally:
-/// the search-wide snapshot that cuts are computed against, the live index
-/// new checkpoints are recorded into, and (optionally) the search-wide
-/// prefix gate.
+/// the evaluation's frontier cut, the live index new checkpoints are
+/// recorded into, and (optionally) the search-wide prefix gate.
 pub struct Incremental<'a> {
-    /// Point-in-time provenance the whole search cuts against. Taken once,
-    /// **before** the history snapshot the accounting replay uses, so the
-    /// pairing invariant carries over to the snapshots.
-    pub snapshot: Arc<ProvenanceSnapshot>,
+    /// This evaluation's cut ([`FrontierCut::of`]), computed against the
+    /// point-in-time provenance the whole search cuts against. That
+    /// snapshot is taken **before** the history snapshot the accounting
+    /// replay uses, so the pairing invariant carries over to the snapshots.
+    pub cut: &'a FrontierCut,
     /// Live index receiving `(fingerprint, output)` pairs as nodes complete.
     pub live: &'a ProvenanceIndex,
     /// Shared-prefix hoisting gate, if the search wants common prefixes
@@ -425,11 +511,11 @@ mod tests {
         // Only the *middle* node cached: without its source it must stay
         // dirty (no way to reconstruct its CacheKey or inputs).
         snap.insert(fps[1], output(1));
-        let cut = FrontierCut::compute(&p, &snap, &[true; 3]).unwrap();
+        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
         assert_eq!(cut.skipped, 0);
         // Source + scaler cached → both skipped, model dirty.
         snap.insert(fps[0], output(0));
-        let cut = FrontierCut::compute(&p, &snap, &[true; 3]).unwrap();
+        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
         assert_eq!(cut.skipped, 2);
         assert!(cut.cached[0].is_some() && cut.cached[1].is_some());
         assert!(cut.cached[2].is_none());
@@ -443,7 +529,8 @@ mod tests {
         for (i, fp) in fps.iter().enumerate() {
             snap.insert(*fp, output(i as u8));
         }
-        let cut = FrontierCut::compute(&p, &snap, &[true, false, false]).unwrap();
+        let cut =
+            FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true, false, false]).unwrap();
         assert_eq!(cut.skipped, 1, "unschedulable nodes never count as cached");
     }
 
@@ -469,9 +556,61 @@ mod tests {
         assert_eq!(index.absorb(&p, &cache).unwrap(), 3);
         let fps = pipeline_fingerprints(&p).unwrap();
         let snap = index.snapshot();
-        let cut = FrontierCut::compute(&p, &snap, &[true; 3]).unwrap();
+        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
         assert_eq!(cut.skipped, 3, "fully absorbed pipeline cuts completely");
         assert!(fps.iter().all(|fp| snap.contains_key(fp)));
+    }
+
+    /// A full cut's report is the engine's report for the same pipeline
+    /// against the paired cache; a partial cut, or a static failure, has
+    /// none.
+    #[test]
+    fn a_full_cut_reports_what_the_engine_reports() {
+        use crate::clock::ClockLedger;
+        use crate::executor::{ExecOptions, Executor};
+        use mlcask_storage::store::ChunkStore;
+        let store = ChunkStore::in_memory_small();
+        let cache = MemoryCache::new();
+        let index = ProvenanceIndex::new();
+        let p = chain(SemVer::master(0, 0));
+        let run = |p: &BoundPipeline| {
+            let ledger = ClockLedger::new();
+            let report = Executor::new(&store)
+                .run(p, &ledger, Some(&cache), ExecOptions::MLCASK)
+                .unwrap();
+            (report, ledger.snapshot().total_ns())
+        };
+        assert!(FrontierCut::of(&p, |fp| index.get(fp))
+            .unwrap()
+            .report(&p)
+            .is_none());
+        let (cold, cold_ns) = run(&p);
+        assert!(cold_ns > 0 && cold.executed_count() == 3);
+        index.absorb(&p, &cache).unwrap();
+        let cut = FrontierCut::of(&p, |fp| index.get(fp)).unwrap();
+        let known = cut.report(&p).expect("every node is indexed");
+        let (warm, warm_ns) = run(&p);
+        assert_eq!(warm_ns, 0);
+        assert_eq!(
+            serde_json::to_string(&known).unwrap(),
+            serde_json::to_string(&warm).unwrap()
+        );
+        // A new model: its prefix is known, the model is not.
+        let q = chain(SemVer::master(0, 1));
+        let cut = FrontierCut::of(&q, |fp| index.get(fp)).unwrap();
+        assert_eq!((cut.skipped, cut.report(&q).is_none()), (2, true));
+        // A doomed model: nothing at or past the failure is ever cut.
+        let doomed = {
+            let mut comps = p.components().to_vec();
+            comps[2] = Arc::new(TestModel {
+                version: SemVer::master(0, 2),
+                dim_in: 5,
+                quality: 0.3,
+            });
+            BoundPipeline::new(Arc::clone(&p.dag), comps).unwrap()
+        };
+        let cut = FrontierCut::of(&doomed, |fp| index.get(fp)).unwrap();
+        assert_eq!((cut.skipped, cut.report(&doomed).is_none()), (2, true));
     }
 
     #[test]

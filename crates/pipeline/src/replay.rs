@@ -238,19 +238,7 @@ pub fn replay_run(
         if reuse {
             let hit = sim.get(&key).or_else(|| pre.get(&key)).cloned();
             if let Some(hit) = hit {
-                stages.push(StageReport {
-                    component: comp.key(),
-                    stage: comp.stage(),
-                    reused: true,
-                    exec_ns: 0,
-                    storage_ns: 0,
-                    output: hit.object,
-                    artifact_id: hit.artifact_id,
-                    artifact_bytes: hit.object.len,
-                });
-                if let Some(s) = hit.score {
-                    final_score = Some(s);
-                }
+                stages.push(StageReport::reused(comp, &hit, &mut final_score));
                 outputs[node] = Some(ReplayNode {
                     cached: hit,
                     in_memory: false,

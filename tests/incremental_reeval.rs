@@ -15,7 +15,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::{ExecOptions, Executor};
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::provenance::Incremental;
+use mlcask_pipeline::provenance::{FrontierCut, Incremental};
 use mlcask_pipeline::replay::ProfileBook;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::backend::{MemBackend, StorageBackend};
@@ -177,11 +177,12 @@ fn data_artifact_change_invalidates_the_frontier() {
     let p = primed();
     let dag = Arc::new(p.w.dag());
     let executor = Executor::new(p.reg.store());
-    let snapshot = Arc::new(p.history.provenance().snapshot());
+    let snapshot = p.history.provenance().snapshot();
     let run = |keys: &[ComponentKey]| {
         let bound = p.reg.bind(&dag, keys).unwrap();
+        let cut = FrontierCut::of(&bound, |fp| snapshot.get(fp).cloned()).unwrap();
         let inc = Incremental {
-            snapshot: Arc::clone(&snapshot),
+            cut: &cut,
             live: p.history.provenance(),
             gate: None,
         };

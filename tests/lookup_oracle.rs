@@ -1,0 +1,448 @@
+//! A fully checkpointed pipeline is a lookup, and the lookup is invisible.
+//!
+//! Merge searches and commits answer a pipeline every node of which is a
+//! provenance hit with the frontier cut's report instead of tracing,
+//! replaying and re-absorbing it; prioritized trials trace it with nothing
+//! left to schedule. This suite holds that fast path to the executor it
+//! replaces: `with_incremental(false)` (or, for the trials, a history
+//! without provenance) is the reference, and every search report, commit,
+//! ledger, tenant account, store statistic and served byte must equal it —
+//! on the paper's four workloads, under every merge strategy, at workers
+//! {1, 2, 8}. It also pins that the path fires: a warm commit and a warm
+//! merge schedule nothing.
+
+use mlcask_core::history::HistoryIndex;
+use mlcask_core::merge::MergeStrategy;
+use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
+use mlcask_core::registry::ComponentRegistry;
+use mlcask_core::system::{CommitResult, MergeOutcome, MlCask};
+use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask_obs::{trace, MetricsRegistry};
+use mlcask_pipeline::clock::ClockLedger;
+use mlcask_pipeline::component::ComponentKey;
+use mlcask_pipeline::dag::PipelineDag;
+use mlcask_pipeline::executor::OutputCache;
+use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::semver::SemVer;
+use mlcask_server::service::{Router, ServerOptions};
+use mlcask_storage::hash::Hash256;
+use mlcask_storage::store::ChunkStore;
+use mlcask_storage::tenant::ShareRight;
+use mlcask_workloads::common::Workload;
+use mlcask_workloads::scenario::{build_multi_tenant, TenantSystem};
+use std::sync::{Arc, RwLock};
+
+/// The flight recorder and the metrics registry are process-wide: the tests
+/// that count spans or a counter take this exclusively, the others share it.
+static GLOBALS: RwLock<()> = RwLock::new(());
+
+fn policy(workers: usize) -> ParallelismPolicy {
+    match workers {
+        1 => ParallelismPolicy::Sequential,
+        n => ParallelismPolicy::Parallel(n),
+    }
+}
+
+/// The same checkpoints, no provenance: nothing can be cut, so every
+/// candidate is traced and replayed.
+fn without_provenance(history: &HistoryIndex) -> HistoryIndex {
+    let copy = HistoryIndex::new();
+    for (key, output) in history.snapshot() {
+        copy.insert(key, output);
+    }
+    copy
+}
+
+/// Records every observable of one commit or merge, with the ledger after it.
+struct Observer {
+    ledger: ClockLedger,
+    seen: Vec<String>,
+}
+
+impl Observer {
+    fn commit(&mut self, sys: &MlCask, branch: &str, keys: &[ComponentKey], message: &str) {
+        let result = sys.commit_pipeline(branch, keys, message, &self.ledger);
+        let seen = match result {
+            Ok(CommitResult { commit, report }) => format!(
+                "commit {branch}: {} {}",
+                serde_json::to_string(&commit).unwrap(),
+                serde_json::to_string(&report).unwrap(),
+            ),
+            Err(e) => format!("commit {branch}: error {e}"),
+        };
+        self.push(seen);
+    }
+
+    fn merge(&mut self, what: &str, merged: mlcask_core::errors::Result<MergeOutcome>) {
+        let seen = match merged {
+            Ok(outcome) => {
+                let report = outcome.report.map(|mut r| {
+                    // The one field allowed to differ from the reference.
+                    r.skipped_by_frontier = 0;
+                    r
+                });
+                format!(
+                    "merge {what}: ff={} {} {}",
+                    outcome.fast_forward,
+                    serde_json::to_string(&outcome.commit).unwrap(),
+                    serde_json::to_string(&report).unwrap(),
+                )
+            }
+            Err(e) => format!("merge {what}: error {e}"),
+        };
+        self.push(seen);
+    }
+
+    fn push(&mut self, what: String) {
+        let ledger = serde_json::to_string(&self.ledger.snapshot()).unwrap();
+        self.seen.push(format!("{what} ledger={ledger}"));
+    }
+}
+
+const STRATEGIES: [(&str, MergeStrategy); 4] = [
+    ("without_pc_pr", MergeStrategy::WithoutPcPr),
+    ("without_pr", MergeStrategy::WithoutPr),
+    ("naive", MergeStrategy::Naive),
+    ("full", MergeStrategy::Full),
+];
+
+/// Two tenants evolve `w` and merge it back and forth: a cold history, a
+/// round of trials, a merge under every strategy, the history-backed ones
+/// again once warm, warm re-commits, and a fast-forward. Returns every
+/// observable in order, and the frontier-skipped nodes the trials reported.
+fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String>, usize) {
+    let (ws, teams) = build_multi_tenant(w, &["up", "down"]).unwrap();
+    let mut teams = teams.into_iter().map(|t| TenantSystem {
+        sys: t
+            .sys
+            .with_parallelism(policy(workers))
+            .with_incremental(incremental),
+        ..t
+    });
+    let (up, down) = (teams.next().unwrap(), teams.next().unwrap());
+    let mut o = Observer {
+        ledger: ClockLedger::new(),
+        seen: Vec::new(),
+    };
+
+    o.commit(&up.sys, "master", &w.initial, "initial");
+    up.tenant.grant_to("down", ShareRight::MergeInto).unwrap();
+    down.tenant.fork_from("up", "master", "feature").unwrap();
+    for keys in &w.head_updates {
+        o.commit(&up.sys, "master", keys, "head");
+    }
+    for keys in &w.dev_updates {
+        o.commit(&down.sys, "feature", keys, "dev");
+    }
+
+    // Trials over the cold history: the committed pipelines are cut whole,
+    // the rest only partly, interleaved in one trial.
+    let spaces = down
+        .sys
+        .merge_search_spaces_qualified(&ws.graph().view(), "up/master", "down/feature")
+        .unwrap();
+    let history = if incremental {
+        down.sys.history().clone()
+    } else {
+        without_provenance(down.sys.history())
+    };
+    let searcher = PrioritizedSearcher::new(&down.registry, Arc::new(w.dag()))
+        .with_parallelism(policy(workers));
+    let mut trial_skips = 0;
+    for method in [SearchMethod::Prioritized, SearchMethod::Random] {
+        let mut stats = searcher
+            .run_trials(&spaces, &history, &[], method, 2, 5)
+            .unwrap();
+        trial_skips += stats.skipped_by_frontier;
+        stats.skipped_by_frontier = 0;
+        o.push(format!("trials {}", serde_json::to_string(&stats).unwrap()));
+    }
+
+    // Every strategy merges the same diverged pair of heads, cold; the
+    // history-backed ones again, over what the first pass checkpointed.
+    for (pass, strategies) in [("cold", &STRATEGIES[..]), ("warm", &STRATEGIES[2..])] {
+        for (name, strategy) in strategies {
+            let (base, feature) = (format!("{pass}_{name}"), format!("f_{pass}_{name}"));
+            up.sys.branch("master", &base).unwrap();
+            down.sys.branch("feature", &feature).unwrap();
+            let merged = down
+                .sys
+                .merge_into("up", &base, &feature, *strategy, &o.ledger);
+            o.merge(&format!("{pass} {name}"), merged);
+        }
+    }
+
+    // Warm re-commits, then a fast-forward of a fork that only re-commits.
+    o.commit(&up.sys, "master", &w.initial, "again");
+    for keys in &w.dev_updates {
+        o.commit(&down.sys, "feature", keys, "again");
+    }
+    down.tenant.fork_from("up", "master", "ff").unwrap();
+    o.commit(&down.sys, "ff", &w.dev_updates[0], "ff");
+    let merged = down
+        .sys
+        .merge_into("up", "master", "ff", MergeStrategy::Full, &o.ledger);
+    o.merge("fast-forward", merged);
+
+    let store = ws.store();
+    o.seen.push(format!(
+        "usages={} shared={} stats={} physical={} reserved={} checkpoints={}",
+        serde_json::to_string(&ws.usages()).unwrap(),
+        serde_json::to_string(&ws.shared_view()).unwrap(),
+        serde_json::to_string(&store.stats()).unwrap(),
+        store.physical_bytes(),
+        store.tenant_accounts().open_reservations(),
+        down.sys.history().len(),
+    ));
+    (o.seen, trial_skips)
+}
+
+/// The fast path at workers {1, 2, 8} against the reference, line by line.
+fn oracle(name: &str) {
+    let _shared = GLOBALS.read().unwrap_or_else(|e| e.into_inner());
+    let w = mlcask_workloads::by_name(name).unwrap();
+    let (reference, reference_skips) = collaboration(&w, 1, false);
+    assert_eq!(reference_skips, 0, "{name}: the reference never cuts");
+    for workers in [1, 2, 8] {
+        let (fast, skips) = collaboration(&w, workers, true);
+        assert!(skips > 0, "{name}: no trial candidate was cut");
+        assert_eq!(fast.len(), reference.len());
+        for (got, want) in fast.iter().zip(&reference) {
+            assert_eq!(got, want, "{name} diverged at {workers} workers");
+        }
+    }
+}
+
+#[test]
+fn readmission_lookups_match_the_executor() {
+    oracle("readmission");
+}
+
+#[test]
+fn dpm_lookups_match_the_executor() {
+    oracle("dpm");
+}
+
+#[test]
+fn sa_lookups_match_the_executor() {
+    oracle("sa");
+}
+
+#[test]
+fn autolearn_lookups_match_the_executor() {
+    oracle("autolearn");
+}
+
+/// The toy chain with two scalers and three models.
+fn toy_system() -> MlCask {
+    let store = Arc::new(ChunkStore::in_memory_small());
+    let registry = ComponentRegistry::with_exe_size(store, 2048);
+    for c in [
+        toy_source(SemVer::master(0, 0), 4, 16),
+        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
+        toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
+        toy_model(SemVer::master(0, 0), 4, 0.5),
+        toy_model(SemVer::master(0, 1), 4, 0.6),
+        toy_model(SemVer::master(0, 2), 4, 0.7),
+    ] {
+        registry.register(c).unwrap();
+    }
+    let dag = PipelineDag::chain(&toy_slots()).unwrap();
+    MlCask::new("toy", dag, Arc::new(registry))
+}
+
+fn toy(scaler: u32, model: u32) -> Vec<ComponentKey> {
+    vec![
+        ComponentKey::new("test_source", SemVer::master(0, 0)),
+        ComponentKey::new("test_scaler", SemVer::master(0, scaler)),
+        ComponentKey::new("test_model", SemVer::master(0, model)),
+    ]
+}
+
+/// `exec.wavefront` spans recorded while `f` runs (callers hold `GLOBALS`
+/// exclusively, so every span in the window is theirs).
+fn wavefronts(f: impl FnOnce()) -> usize {
+    let rec = trace::recorder();
+    let before = rec.recorded();
+    f();
+    let recorded = (rec.recorded() - before) as usize;
+    assert!(recorded < rec.capacity(), "the ring kept every span");
+    rec.recent(recorded)
+        .iter()
+        .filter(|s| s.name == "exec.wavefront")
+        .count()
+}
+
+/// Nodes `mlcask_frontier_skipped_total` counted while `f` ran.
+fn frontier_counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let counter = MetricsRegistry::global().counter(
+        "mlcask_frontier_skipped_total",
+        "Pipeline nodes skipped by provenance frontier cuts",
+        &[],
+    );
+    let before = counter.get();
+    let out = f();
+    (out, counter.get() - before)
+}
+
+#[test]
+fn a_warm_commit_and_a_warm_merge_schedule_nothing() {
+    let _alone = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
+    let rec = trace::recorder();
+    let restore = (rec.is_enabled(), rec.capacity());
+    rec.configure(true, trace::DEFAULT_CAPACITY);
+    let sys = toy_system();
+    let ledger = ClockLedger::new();
+    let commit = |branch: &str, keys: Vec<ComponentKey>| {
+        let done = sys.commit_pipeline(branch, &keys, "step", &ledger).unwrap();
+        assert!(done.commit.is_some());
+        done.report
+    };
+    let round = |dev: &str| {
+        sys.branch("master", dev).unwrap();
+        commit(dev, toy(0, 1));
+        commit("master", toy(1, 0));
+        let (merged, counted) = frontier_counted(|| {
+            sys.merge("master", dev, MergeStrategy::Full, &ledger)
+                .unwrap()
+        });
+        let report = merged.report.expect("diverged branches search");
+        assert_eq!(counted, report.skipped_by_frontier as u64);
+        report
+    };
+
+    let cold = wavefronts(|| {
+        commit("master", toy(0, 0));
+        let report = round("dev0");
+        assert!(report.executed_components > 0);
+    });
+    assert!(cold > 0, "a cold run schedules its nodes");
+
+    let warm_commit = wavefronts(|| {
+        assert_eq!(commit("master", toy(0, 0)).reused_count(), 3);
+    });
+    assert_eq!(warm_commit, 0, "a warm commit is a lookup");
+
+    let mut warm = None;
+    let warm_round = wavefronts(|| warm = Some(round("dev1")));
+    let warm = warm.unwrap();
+    assert_eq!(warm_round, 0, "a warm round is lookups end to end");
+    assert_eq!(warm.executed_components, 0);
+    assert_eq!(
+        warm.skipped_by_frontier,
+        3 * warm.candidates_evaluated,
+        "every candidate was answered whole"
+    );
+    rec.configure(restore.0, restore.1);
+}
+
+/// Two tenants of the toy workload, a cold episode, then warm rounds of
+/// fork → re-commit → merge → reads, through the router.
+fn served_session(workers: usize) -> String {
+    let _shared = GLOBALS.read().unwrap_or_else(|e| e.into_inner());
+    let source = toy_source(SemVer::master(0, 0), 4, 32);
+    let scalers = [
+        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
+        toy_scaler(SemVer::master(0, 1), 4, 4, 1.5),
+    ];
+    let models = [
+        toy_model(SemVer::master(0, 0), 4, 0.6),
+        toy_model(SemVer::master(0, 1), 4, 0.8),
+    ];
+    let pipeline = |s: usize, m: usize| vec![source.key(), scalers[s].key(), models[m].key()];
+    let workload = Workload {
+        name: "lookup_toy".to_string(),
+        slots: toy_slots().into_iter().map(String::from).collect(),
+        handles: [source.clone()]
+            .into_iter()
+            .chain(scalers.iter().cloned())
+            .chain(models.iter().cloned())
+            .collect(),
+        initial: pipeline(0, 0),
+        chains: vec![
+            vec![source.key()],
+            scalers.iter().map(|h| h.key()).collect(),
+            models.iter().map(|h| h.key()).collect(),
+        ],
+        model_slot: 2,
+        incompat_update: (1, scalers[1].key()),
+        head_updates: vec![pipeline(0, 1)],
+        dev_updates: vec![pipeline(1, 0)],
+        edges: vec![],
+    };
+    let router = Router::in_memory(
+        workload,
+        ServerOptions {
+            parallelism: policy(workers),
+            ..ServerOptions::default()
+        },
+    );
+    let spec = |keys: &[ComponentKey]| {
+        let items: Vec<String> = keys
+            .iter()
+            .map(|k| format!(r#""{}@{}""#, k.name, k.version))
+            .collect();
+        format!("[{}]", items.join(","))
+    };
+    let mut served = Vec::new();
+    let mut rpc = |method: &str, params: String| {
+        let reply = router.handle_text(&format!(
+            r#"{{"id":{},"method":"{method}","params":{params}}}"#,
+            served.len()
+        ));
+        assert!(!reply.contains(r#""error""#), "{method}: {reply}");
+        served.push(reply);
+    };
+    let commit = |session: u8, branch: &str, keys: &[ComponentKey]| {
+        format!(
+            r#"{{"session":{session},"branch":"{branch}","components":{},"message":"m"}}"#,
+            spec(keys)
+        )
+    };
+    rpc("session.open", r#"{"tenant":"up"}"#.into());
+    rpc("session.open", r#"{"tenant":"down"}"#.into());
+    rpc("commit", commit(1, "master", &pipeline(0, 0)));
+    rpc(
+        "grant",
+        r#"{"session":1,"peer":"down","right":"merge_into"}"#.into(),
+    );
+    for round in 0..4 {
+        let branch = format!("f{round}");
+        rpc(
+            "fork",
+            format!(r#"{{"session":2,"peer":"up","branch":"master","new_branch":"{branch}"}}"#),
+        );
+        rpc("commit", commit(2, &branch, &pipeline(1, round % 2)));
+        rpc("commit", commit(1, "master", &pipeline(0, 1 - round % 2)));
+        rpc(
+            "merge.into",
+            format!(
+                r#"{{"session":2,"peer":"up","peer_branch":"master","merging":"{branch}","strategy":"full"}}"#
+            ),
+        );
+        rpc("log", r#"{"session":1,"branch":"master","limit":5}"#.into());
+        rpc("head", r#"{"session":1,"branch":"master"}"#.into());
+        rpc("usage", r#"{"session":2}"#.into());
+    }
+    rpc("workspace.usage", "{}".into());
+    served.join("\n")
+}
+
+/// The SHA-256 of what the router served for [`served_session`] when every
+/// commit and merge candidate went through the executor — the daemon has no
+/// switch for the lookups, so the reference is recorded: taken from the
+/// executor-only build, identical at workers {1, 2, 8}.
+const SERVED_BY_THE_EXECUTOR: &str =
+    "f39904a111137bce4c944d7a8342341c1596b5bf9c361a4b5f24d88312b29dc5";
+
+#[test]
+fn a_warm_daemon_session_serves_what_the_executor_served() {
+    for workers in [1, 2, 8] {
+        let served = served_session(workers);
+        assert_eq!(
+            Hash256::of(served.as_bytes()).to_hex(),
+            SERVED_BY_THE_EXECUTOR,
+            "served at {workers} workers:\n{served}"
+        );
+    }
+}
