@@ -14,7 +14,7 @@
 use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::artifact_cache::ArtifactCache;
 use mlcask_pipeline::executor::{CacheKey, CachedOutput, OutputCache};
-use mlcask_pipeline::parallel::{ShardedMap, SnapshotCache};
+use mlcask_pipeline::parallel::ShardedMap;
 use mlcask_pipeline::provenance::ProvenanceIndex;
 use mlcask_pipeline::replay::CacheSnapshot;
 use mlcask_storage::hash::Hash256;
@@ -28,17 +28,18 @@ use std::sync::Arc;
 ///
 /// Alongside the `CacheKey`-keyed checkpoints, the history carries a
 /// [`ProvenanceIndex`] keyed by static sub-DAG fingerprints. The pairing
-/// invariant: a fingerprint is recorded only after the same output is
-/// inserted under its `CacheKey` here, so a provenance hit always implies a
-/// history hit for the deterministic replay.
+/// invariant: every fingerprint's output is also filed under its
+/// `CacheKey` here, so a provenance hit is what a full re-evaluation's
+/// lookup would find.
+///
+/// Engines read the live index: what an evaluation reuses is what its
+/// phase 1 found here (see `mlcask_pipeline::replay`), never a copy taken
+/// beforehand, so checkpoints other writers land mid-evaluation are reused
+/// as found.
 #[derive(Clone, Default)]
 pub struct HistoryIndex {
     map: Arc<ShardedMap<CacheKey, CachedOutput>>,
     provenance: Arc<ProvenanceIndex>,
-    /// Generation-validated memo behind [`HistoryIndex::snapshot_shared`];
-    /// shared by shallow clones (they see the same map, so they can share
-    /// the same snapshot), reset by [`HistoryIndex::deep_clone`].
-    snap: Arc<SnapshotCache<CacheKey, CachedOutput>>,
     /// Checkpointed artifacts already in memory, by blob id, so reusing a
     /// checkpoint does not mean fetching and parsing it again. Content
     /// addressed, hence shared by deep clones too: a trial's fork reads the
@@ -68,7 +69,6 @@ impl HistoryIndex {
         HistoryIndex {
             map: Arc::new(self.map.fork()),
             provenance: Arc::new(self.provenance.fork()),
-            snap: Arc::new(SnapshotCache::new()),
             decoded: Arc::clone(&self.decoded),
         }
     }
@@ -78,22 +78,9 @@ impl HistoryIndex {
         &self.provenance
     }
 
-    /// Point-in-time copy of every checkpoint, keyed for the deterministic
-    /// accounting replay (`mlcask_pipeline::replay`).
+    /// Point-in-time copy of every checkpoint.
     pub fn snapshot(&self) -> CacheSnapshot {
         self.map.to_hashmap()
-    }
-
-    /// Like [`HistoryIndex::snapshot`], but shared: while no checkpoint
-    /// lands, every caller gets the same `Arc` back instead of an O(n)
-    /// copy. This is what lets many concurrent sessions start merge
-    /// searches against one quiescent history without each paying a full
-    /// snapshot; the first insert invalidates the memo and the next caller
-    /// rebuilds. The contents are indistinguishable from
-    /// [`HistoryIndex::snapshot`] taken at the same point, so replay-based
-    /// determinism is unaffected.
-    pub fn snapshot_shared(&self) -> Arc<CacheSnapshot> {
-        self.snap.snapshot(&self.map)
     }
 
     /// Direct lookup (non-trait convenience).
@@ -213,30 +200,6 @@ mod tests {
         // Snapshot is a copy: later inserts don't appear.
         h.insert(key(51), output(51));
         assert_eq!(snap.len(), 50);
-    }
-
-    #[test]
-    fn snapshot_shared_memoizes_until_mutation() {
-        let h = HistoryIndex::new();
-        for n in 0..20u8 {
-            h.insert(key(n), output(n));
-        }
-        let a = h.snapshot_shared();
-        let b = h.snapshot_shared();
-        assert!(Arc::ptr_eq(&a, &b), "quiescent history shares one snapshot");
-        assert_eq!(*a, h.snapshot(), "shared contents match a fresh copy");
-        // Shallow clones see the same map, so they share the memo too.
-        assert!(Arc::ptr_eq(&h.clone().snapshot_shared(), &a));
-        // A mutation invalidates; the rebuilt snapshot has the new entry.
-        h.insert(key(42), output(42));
-        let c = h.snapshot_shared();
-        assert!(!Arc::ptr_eq(&a, &c), "insert invalidates the memo");
-        assert_eq!(c.len(), 21);
-        assert_eq!(a.len(), 20, "old snapshot is frozen");
-        // Deep clones get their own memo (their map is independent).
-        let fork = h.deep_clone();
-        assert!(!Arc::ptr_eq(&fork.snapshot_shared(), &c));
-        assert_eq!(*fork.snapshot_shared(), *c);
     }
 
     #[test]

@@ -28,9 +28,7 @@ use mlcask_pipeline::executor::{
     CacheKey, CachedOutput, Executor, MemoryCache, OutputCache, RunReport,
 };
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{
-    count_frontier_skipped, FrontierCut, Incremental, PrefixGate, ProvenanceSnapshot,
-};
+use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut, Incremental, PrefixGate};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
@@ -162,7 +160,7 @@ impl<'a> MergeEngine<'a> {
     /// so the returned report (records, scores, virtual end-times, storage
     /// accounting) is identical whatever the worker count. With the
     /// incremental fast path on, history-backed strategies first cut every
-    /// candidate against one provenance snapshot: a candidate every node of
+    /// candidate against the provenance index: a candidate every node of
     /// which is a provenance hit is a lookup — its report is the cut's
     /// ([`FrontierCut::report`]), in its place in candidate order — and
     /// only the others go through the two phases.
@@ -253,38 +251,26 @@ impl<'a> MergeEngine<'a> {
         // first, and any leftover workers fan the independent DAG nodes
         // *inside* each candidate out (wavefront execution) — one budget,
         // never oversubscribed.
-        // Provenance snapshot strictly *before* the key snapshot: the
-        // pairing invariant (a fingerprint is recorded only after its
-        // `CacheKey` insert) then guarantees every frontier hit is also a
-        // `pre` hit, so the replay below marks skipped nodes as reused and
-        // the report stays byte-identical to a non-incremental run.
-        let prov_snapshot: Option<Arc<ProvenanceSnapshot>> = if use_history && self.incremental {
-            Some(history.provenance().snapshot_shared())
-        } else {
-            None
-        };
-        // Shared snapshots: concurrent searches over a quiescent history
-        // reuse one copy instead of each paying O(history). Only the
-        // ablations consult (and so build) a scratch cache.
         let scratch = (!use_history).then(|| Scratch {
             checkpoints: MemoryCache::new(),
             history,
         });
-        let (pre, phase_cache): (Arc<CacheSnapshot>, &dyn OutputCache) = match &scratch {
-            None => (history.snapshot_shared(), history),
-            Some(scratch) => (Arc::new(CacheSnapshot::new()), scratch),
+        let phase_cache: &dyn OutputCache = match &scratch {
+            None => history,
+            Some(scratch) => scratch,
         };
-        // Each candidate's frontier cut, once, against the snapshot. A cut
-        // covering the whole candidate is its report (see
-        // `FrontierCut::report`): such a candidate is neither traced nor
-        // replayed, which is what its trace and replay would have amounted
-        // to. Only the rest are evaluated.
+        // Each candidate's frontier cut, once, against the live provenance
+        // index — all of them before any candidate is traced, so this
+        // search's own checkpoints cannot move a cut. A cut covering the
+        // whole candidate is its report (see `FrontierCut::report`): such a
+        // candidate is neither traced nor replayed, which is what its trace
+        // and replay would have amounted to. Only the rest are evaluated.
+        let provenance = (use_history && self.incremental).then(|| history.provenance());
         let cuts: Vec<Option<FrontierCut>> = bound
             .iter()
             .map(|pipeline| {
-                prov_snapshot
-                    .as_ref()
-                    .map(|snap| FrontierCut::of(pipeline, |fp| snap.get(fp).cloned()))
+                provenance
+                    .map(|index| FrontierCut::of(pipeline, |fp| index.get(fp)))
                     .transpose()
             })
             .collect::<std::result::Result<_, _>>()?;
@@ -308,16 +294,17 @@ impl<'a> MergeEngine<'a> {
             });
             executor.trace(&bound[i], phase_cache, book, inner, inc.as_ref())
         });
-        // Frontier cuts are computed against the snapshot, so the per-
-        // candidate skip counts are deterministic; `map_indexed` preserves
-        // candidate order, so the sum is too.
+        // Frontier cuts are computed before phase 1, so the per-candidate
+        // skip counts are deterministic; `map_indexed` preserves candidate
+        // order, so the sum is too.
         let mut skipped_by_frontier: usize = known.iter().flatten().map(|r| r.stages.len()).sum();
         for t in traced {
             skipped_by_frontier += t?.skipped_by_frontier;
         }
         count_frontier_skipped(skipped_by_frontier);
 
-        // Phase 2 — deterministic accounting replay in candidate order.
+        // Phase 2 — deterministic accounting replay in candidate order,
+        // reusing what phase 1 found and did not produce.
         let mut sim = CacheSnapshot::new();
         let mut cursor = book.replay_cursor();
         let mut merge_clock = ClockSnapshot::default();
@@ -334,7 +321,6 @@ impl<'a> MergeEngine<'a> {
                     self.store,
                     pipeline,
                     book,
-                    &pre,
                     &mut sim,
                     &mut cursor,
                     &run_ledger,

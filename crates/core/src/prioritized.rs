@@ -272,7 +272,6 @@ impl<'a> PrioritizedSearcher<'a> {
         &self,
         trial: &TrialState,
         book: &ProfileBook,
-        pre: &CacheSnapshot,
         cursor: &mut ReplayCursor,
     ) -> Result<TrialResult> {
         let store = self.registry.store();
@@ -280,7 +279,7 @@ impl<'a> PrioritizedSearcher<'a> {
         let mut sim = CacheSnapshot::new();
         let mut searched = Vec::with_capacity(trial.searched.len());
         for (idx, ((keys, _), pipeline)) in trial.searched.iter().zip(&trial.bound).enumerate() {
-            let report = replay_run(store, pipeline, book, pre, &mut sim, cursor, &ledger, true)?;
+            let report = replay_run(store, pipeline, book, &mut sim, cursor, &ledger, true)?;
             searched.push(SearchedCandidate {
                 rank: idx + 1,
                 keys: keys.clone(),
@@ -330,11 +329,10 @@ impl<'a> PrioritizedSearcher<'a> {
     ) -> Result<(Vec<TrialResult>, usize)> {
         let book = ProfileBook::new();
         book.reservation_scope(self.registry.store(), || {
-            // Provenance snapshot strictly before the key snapshot
-            // (pairing invariant — see `MergeEngine::search_with_book`);
-            // both shared so repeat trials copy nothing.
-            let prov = base_history.provenance().snapshot_shared();
-            let pre = base_history.snapshot_shared();
+            // Candidates cut against the base history's provenance, which no
+            // trial writes (each writes its own fork), so a cut never
+            // depends on how far other trials have got.
+            let base = base_history.provenance();
             let gate = PrefixGate::new();
             let executor = Executor::new(self.registry.store());
             let mut states: Vec<TrialState> = seeds
@@ -364,7 +362,7 @@ impl<'a> PrioritizedSearcher<'a> {
                 // leftover workers run each candidate's DAG wavefront.
                 let (outer, inner) = self.parallelism.split(picks.len());
                 let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline, history)| {
-                    let cut = FrontierCut::of(pipeline, |fp| prov.get(fp).cloned())?;
+                    let cut = FrontierCut::of(pipeline, |fp| base.get(fp))?;
                     let inc = Incremental {
                         cut: &cut,
                         live: history.provenance(),
@@ -382,7 +380,7 @@ impl<'a> PrioritizedSearcher<'a> {
             let mut cursor = book.replay_cursor();
             for state in &states {
                 skipped += state.skipped_by_frontier;
-                results.push(self.replay_trial(state, &book, &pre, &mut cursor)?);
+                results.push(self.replay_trial(state, &book, &mut cursor)?);
             }
             count_frontier_skipped(skipped);
             Ok((results, skipped))

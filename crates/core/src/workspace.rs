@@ -341,7 +341,7 @@ impl Workspace {
         }
         // Every checkpoint in the shared history (losing merge candidates
         // included — they are legitimately reusable).
-        for cached in self.history.snapshot_shared().values() {
+        for cached in self.history.snapshot().values() {
             if !cached.object.is_null() {
                 roots.insert(cached.object.id);
             }

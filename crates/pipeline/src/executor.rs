@@ -292,9 +292,6 @@ struct WavefrontRun {
     /// Per-node results, indexed by node id; `None` for nodes never reached
     /// (at or beyond a failure frontier).
     slots: Vec<Mutex<Option<WaveSlot>>>,
-    /// Checkpoints that already existed in the lookup cache before this run
-    /// — the `pre` state the replay's reuse simulation consults.
-    pre: CacheSnapshot,
     /// True if any node failed (statically predicted or observed live).
     failed: bool,
     /// Nodes the incremental frontier cut never scheduled (0 without an
@@ -408,7 +405,6 @@ impl<'s> Executor<'s> {
                 self.store,
                 pipeline,
                 &book,
-                &traced.pre,
                 &mut CacheSnapshot::new(),
                 &mut book.replay_cursor(),
                 ledger,
@@ -447,15 +443,16 @@ impl<'s> Executor<'s> {
     ///
     /// With an incremental context (see [`crate::provenance`]) only the
     /// dirty region below `inc.cut` — the caller's
-    /// [`FrontierCut`](crate::provenance::FrontierCut) of this pipeline
-    /// against its search's snapshot — is scheduled; `inc.gate`
-    /// additionally hoists prefixes shared with concurrent evaluations so
-    /// each executes once per search, and every checkpoint recorded through
-    /// `cache` is mirrored into `inc.live` under its fingerprint. The
-    /// replay still charges frontier-skipped nodes as *reused* — their
-    /// `CacheKey`s resolve against the paired history snapshot (the
-    /// provenance pairing invariant) — so reports, ledgers, and tenant
-    /// accounting stay byte-identical to a full re-evaluation. A cut that
+    /// [`FrontierCut`](crate::provenance::FrontierCut) of this pipeline,
+    /// computed before its search traced anything — is scheduled;
+    /// `inc.gate` additionally hoists prefixes shared with concurrent
+    /// evaluations so each executes once per search, and every checkpoint
+    /// recorded through `cache` is mirrored into `inc.live` under its
+    /// fingerprint. Frontier-skipped nodes are recorded in `book` as found,
+    /// so the replay still charges them as *reused*, and by the provenance
+    /// pairing invariant a full re-evaluation would have found the same
+    /// outputs under their `CacheKey`s: reports, ledgers, and tenant
+    /// accounting stay byte-identical to it. A cut that
     /// covers the whole pipeline leaves nothing to schedule or replay: it
     /// is the pipeline's report
     /// ([`FrontierCut::report`](crate::provenance::FrontierCut::report)),
@@ -536,9 +533,11 @@ impl<'s> Executor<'s> {
     /// * `lookup` — consulted before executing a node; hits skip execution.
     /// * `publish` — `true` ([`Executor::trace`]): `lookup` is the engines'
     ///   shared phase-1 cache and receives checkpoints as nodes complete.
-    ///   `false` ([`Executor::run`]): inserts are left to the caller, and
-    ///   lookup hits are recorded into the returned `pre` snapshot for the
-    ///   replay's reuse simulation.
+    ///   `false` ([`Executor::run`]): inserts are left to the caller.
+    ///
+    /// In both modes every lookup hit and every frontier-cut node is
+    /// recorded in `book` as found, which is all the replay's reuse
+    /// simulation consults (see [`ProfileBook::pre_existing`]).
     ///
     /// Scheduling is bounded by the canonical failure frontier: nodes at or
     /// after `fail_at` (in topological order) are never dispatched, and the
@@ -549,8 +548,8 @@ impl<'s> Executor<'s> {
     /// the deepest cached provenance frontier *before* scheduling: cut
     /// nodes' slots are pre-filled from `inc.cut` and only the dirty region
     /// is dispatched (an induced sub-DAG schedule). The caller computed the
-    /// cut against its search's snapshot — never the live index — so the
-    /// skipped set is identical for every worker count.
+    /// cut before its search traced anything, so the skipped set is
+    /// identical for every worker count.
     #[allow(clippy::too_many_arguments)]
     fn trace_nodes(
         &self,
@@ -594,11 +593,13 @@ impl<'s> Executor<'s> {
                             .artifact_id
                     })
                     .collect();
+                let key = CacheKey {
+                    component: pipeline.components()[node].key(),
+                    inputs,
+                };
+                book.record_found(key.clone(), cached.clone());
                 *slots[node].lock() = Some(WaveSlot {
-                    key: CacheKey {
-                        component: pipeline.components()[node].key(),
-                        inputs,
-                    },
+                    key,
                     cached: cached.clone(),
                     artifact: None,
                 });
@@ -630,7 +631,6 @@ impl<'s> Executor<'s> {
             _ => (pipeline.dag.indegrees().to_vec(), pipeline.dag.adjacency()),
         };
         let fingerprints = cut.map(|c| c.fingerprints.as_slice());
-        let pre: Mutex<CacheSnapshot> = Mutex::new(CacheSnapshot::new());
         let dynamic_failure = AtomicBool::new(false);
 
         // At most one node of the longest dependency chain is ready at any
@@ -673,9 +673,7 @@ impl<'s> Executor<'s> {
 
                 if let Some(cache) = lookup {
                     if let Some(hit) = cache.lookup(&key) {
-                        if !publish {
-                            pre.lock().insert(key.clone(), hit.clone());
-                        }
+                        book.record_found(key.clone(), hit.clone());
                         // The hit is already in the paired cache, so the
                         // provenance pairing invariant lets it be recorded
                         // directly.
@@ -876,7 +874,6 @@ impl<'s> Executor<'s> {
         }
         Ok(WavefrontRun {
             slots,
-            pre: pre.into_inner(),
             failed,
             skipped_by_frontier: cut.map_or(0, |c| c.skipped),
         })

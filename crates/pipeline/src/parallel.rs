@@ -27,8 +27,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Condvar as StdCondvar;
 use std::sync::Mutex as StdMutex;
 
@@ -313,8 +312,6 @@ const MAP_SHARDS: usize = 16;
 /// core crate's `HistoryIndex`.
 pub struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
-    /// Bumped after every mutation; see [`ShardedMap::generation`].
-    gen: AtomicU64,
 }
 
 impl<K, V> Default for ShardedMap<K, V> {
@@ -323,7 +320,6 @@ impl<K, V> Default for ShardedMap<K, V> {
             shards: (0..MAP_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            gen: AtomicU64::new(0),
         }
     }
 }
@@ -348,36 +344,19 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
     /// Inserts (last writer wins).
     pub fn insert(&self, key: K, value: V) {
         self.shards[self.shard_of(&key)].write().insert(key, value);
-        self.gen.fetch_add(1, Ordering::Release);
     }
 
     /// Inserts only if absent (first writer wins). Returns the rejected
     /// `value` when an entry already existed, so callers can dispose of a
     /// racing duplicate's side-state (e.g. release its quota reservation).
     pub fn insert_if_absent(&self, key: K, value: V) -> Option<V> {
-        let rejected = match self.shards[self.shard_of(&key)].write().entry(key) {
+        match self.shards[self.shard_of(&key)].write().entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => Some(value),
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(value);
                 None
             }
-        };
-        if rejected.is_none() {
-            self.gen.fetch_add(1, Ordering::Release);
         }
-        rejected
-    }
-
-    /// Mutation generation: advances (at least) once per completed insert,
-    /// never otherwise. Observing an unchanged generation across two reads
-    /// proves no mutation landed in between, which is what
-    /// [`SnapshotCache`] uses to reuse a previously built snapshot. The
-    /// bump is ordered *after* the mutation (`Release`; pair reads with
-    /// `Acquire` via this method), so a snapshot built after observing
-    /// generation `g` contains every mutation counted by `g` — the cache
-    /// can over-invalidate but never serve stale contents.
-    pub fn generation(&self) -> u64 {
-        self.gen.load(Ordering::Acquire)
     }
 
     /// Number of entries across all shards.
@@ -428,7 +407,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedMap<K, V> {
                 .iter()
                 .map(|s| RwLock::new(s.read().clone()))
                 .collect(),
-            gen: AtomicU64::new(0),
         }
     }
 
@@ -441,55 +419,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedMap<K, V> {
             }
         }
         out
-    }
-}
-
-/// Generation-validated snapshot memo for a [`ShardedMap`].
-///
-/// `to_hashmap` is O(n) per call; search entry points that snapshot an
-/// unchanged history on every request (the serving read path, repeated
-/// merge trials against a quiescent base) were paying that copy each time.
-/// This cache keys one shared `Arc<HashMap>` by the map's mutation
-/// generation: while nothing mutates, every caller gets the same `Arc`
-/// back in O(1); any insert invalidates it and the next caller rebuilds.
-/// Concurrent rebuilds serialize on the memo lock so the O(n) copy runs
-/// once per generation, not once per racing caller.
-pub struct SnapshotCache<K, V> {
-    /// `(generation stamp, shared snapshot)` once first built.
-    cached: Mutex<Option<Memo<K, V>>>,
-}
-
-type Memo<K, V> = (u64, Arc<HashMap<K, V>>);
-
-impl<K, V> Default for SnapshotCache<K, V> {
-    fn default() -> Self {
-        SnapshotCache {
-            cached: Mutex::new(None),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> SnapshotCache<K, V> {
-    /// Empty memo (first call always builds).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The snapshot of `map` at its current generation — reused if nothing
-    /// mutated since the last call, rebuilt otherwise. An insert that races
-    /// the rebuild bumps the generation past the stamp recorded here, so
-    /// the next call rebuilds again: never stale, at worst re-copied.
-    pub fn snapshot(&self, map: &ShardedMap<K, V>) -> Arc<HashMap<K, V>> {
-        let gen = map.generation();
-        let mut memo = self.cached.lock();
-        if let Some((stamp, snap)) = memo.as_ref() {
-            if *stamp == gen {
-                return Arc::clone(snap);
-            }
-        }
-        let snap = Arc::new(map.to_hashmap());
-        *memo = Some((gen, Arc::clone(&snap)));
-        snap
     }
 }
 

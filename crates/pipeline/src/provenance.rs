@@ -14,15 +14,14 @@
 //!   contract), a node's fingerprint fully determines its output.
 //! * [`ProvenanceIndex`] maps fingerprints of already-evaluated sub-DAGs to
 //!   their [`CachedOutput`]s, alongside the existing `CacheKey` history.
-//!   Entries are recorded only *after* the same output is inserted under
-//!   its `CacheKey` into the paired output cache — the **pairing
-//!   invariant** — so a fingerprint hit implies a history hit, and the
-//!   accounting replay charges the node as `reused` exactly as a full
-//!   re-evaluation would.
+//!   Every fingerprint's output is also filed under its `CacheKey` in the
+//!   paired output cache — the **pairing invariant** — so a fingerprint hit
+//!   is what a full re-evaluation's lookup would have found.
 //! * [`FrontierCut`] cuts a pipeline at the deepest cached frontier: the
-//!   downward-closed set of nodes whose fingerprints hit a point-in-time
-//!   [`ProvenanceSnapshot`]. The executor pre-fills those nodes' results
-//!   and schedules only the dirty region.
+//!   downward-closed set of nodes whose fingerprints hit the index. The
+//!   executor pre-fills those nodes' results, records them as found for
+//!   the accounting replay (which charges them as `reused`, exactly as a
+//!   full re-evaluation would), and schedules only the dirty region.
 //! * A cut that covers every node *is* the pipeline's run report
 //!   ([`FrontierCut::report`]): every stage reused at zero cost, nothing
 //!   charged, nothing recorded — what tracing and replaying it would
@@ -32,21 +31,24 @@
 //!   evaluations that reach the same fingerprint execute it once — one
 //!   owner runs the component, waiters adopt its output.
 //!
-//! Searches compute their cuts against a snapshot taken once per search
-//! (never the concurrently-growing live index), so the number of
-//! frontier-skipped nodes is deterministic for every worker count. A commit
-//! cuts against the live index, and only to ask whether the whole pipeline
-//! is known: the index only grows, so the answer cannot be torn.
+//! Every evaluation cuts against the live index, before phase 1 starts: a
+//! merge search cuts all its candidates before tracing any of them, and
+//! prioritized-search trials cut against the base history, which they
+//! never write (each trial writes its own fork). What a search's own
+//! tracing records can therefore never move a cut, so the number of
+//! frontier-skipped nodes is deterministic for every worker count. The
+//! index only grows, so a cut cannot be torn either: a checkpoint another
+//! writer lands meanwhile is simply found, by the cut or by a lookup.
 
 use crate::component::ComponentKey;
 use crate::dag::BoundPipeline;
 use crate::errors::Result;
 use crate::executor::{CacheKey, CachedOutput, OutputCache, RunOutcome, RunReport, StageReport};
-use crate::parallel::{ShardedMap, SnapshotCache};
+use crate::parallel::ShardedMap;
 use mlcask_obs::{Counter, MetricsRegistry};
 use mlcask_storage::hash::Hash256;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Computes the provenance fingerprint of one node from its component key
 /// and its predecessors' fingerprints (in edge order).
@@ -76,23 +78,20 @@ pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
     Ok(fps)
 }
 
-/// Point-in-time copy of a [`ProvenanceIndex`], used to compute
-/// deterministic [`FrontierCut`]s for one whole search.
+/// Point-in-time copy of a [`ProvenanceIndex`].
 pub type ProvenanceSnapshot = HashMap<Hash256, CachedOutput>;
 
 /// Concurrent map from sub-DAG provenance fingerprints to checkpointed
 /// outputs. Sharded like the `CacheKey` history so parallel evaluators do
 /// not serialize on one lock.
 ///
-/// **Pairing invariant**: callers must record an entry only after inserting
-/// the same output under its `CacheKey` into the paired [`OutputCache`].
-/// Every consumer of a [`ProvenanceSnapshot`] relies on "fingerprint hit ⟹
-/// history hit" to keep incremental reports byte-identical to full
-/// re-evaluation.
+/// **Pairing invariant**: every fingerprint's output is also filed under
+/// its `CacheKey` in the paired [`OutputCache`]; callers record an entry
+/// only after inserting it there. Incremental reports rely on "fingerprint
+/// hit ⟹ history hit" to stay byte-identical to full re-evaluation.
 #[derive(Default)]
 pub struct ProvenanceIndex {
     map: ShardedMap<Hash256, CachedOutput>,
-    snap: SnapshotCache<Hash256, CachedOutput>,
 }
 
 impl ProvenanceIndex {
@@ -113,10 +112,9 @@ impl ProvenanceIndex {
 
     /// Records a fingerprinted checkpoint (see the pairing invariant above).
     ///
-    /// Recording what the index already holds is not a mutation: the map's
-    /// generation stays put, so a warm commit or a fully checkpointed search
-    /// (which re-record every node they touch) leave
-    /// [`ProvenanceIndex::snapshot_shared`]'s memo valid.
+    /// Re-recording what the index already holds — every lookup hit does —
+    /// takes only a shard's read lock, so warm evaluations do not contend
+    /// on write locks.
     pub fn record(&self, fp: Hash256, output: CachedOutput) {
         if self.map.get(&fp).is_some_and(|held| held == output) {
             return;
@@ -124,8 +122,7 @@ impl ProvenanceIndex {
         self.map.insert(fp, output);
     }
 
-    /// Looks up the live index (snapshot-free; prefer [`ProvenanceIndex::snapshot`]
-    /// plus [`FrontierCut`] when determinism across workers matters).
+    /// Looks up the live index.
     pub fn get(&self, fp: &Hash256) -> Option<CachedOutput> {
         self.map.get(fp)
     }
@@ -135,22 +132,12 @@ impl ProvenanceIndex {
     pub fn fork(&self) -> ProvenanceIndex {
         ProvenanceIndex {
             map: self.map.fork(),
-            snap: SnapshotCache::new(),
         }
     }
 
-    /// Point-in-time copy used to compute cuts for one whole search.
+    /// Point-in-time copy of every entry.
     pub fn snapshot(&self) -> ProvenanceSnapshot {
         self.map.to_hashmap()
-    }
-
-    /// Like [`ProvenanceIndex::snapshot`], but shared: repeated calls
-    /// against an unmutated index return the same `Arc` instead of copying
-    /// every entry again. The serving read path and back-to-back searches
-    /// over a quiescent base history hit this cache; any
-    /// [`ProvenanceIndex::record`] invalidates it.
-    pub fn snapshot_shared(&self) -> Arc<ProvenanceSnapshot> {
-        self.snap.snapshot(&self.map)
     }
 
     /// Lifts an already-evaluated pipeline into the index post-hoc: walks
@@ -191,8 +178,8 @@ impl ProvenanceIndex {
 }
 
 /// A pipeline cut at its deepest cached frontier: the downward-closed set
-/// of nodes whose fingerprints hit a [`ProvenanceSnapshot`] (a node counts
-/// as cached only if all its predecessors are), restricted to nodes the
+/// of nodes whose fingerprints hit a provenance lookup (a node counts as
+/// cached only if all its predecessors are), restricted to nodes the
 /// scheduler would dispatch at all. Everything else is the *dirty region*
 /// the executor actually schedules.
 pub struct FrontierCut {
@@ -206,12 +193,12 @@ pub struct FrontierCut {
 }
 
 impl FrontierCut {
-    /// Computes the cut of `pipeline` against a provenance lookup (a
-    /// search's [`ProvenanceSnapshot`], or the live [`ProvenanceIndex`]),
-    /// over the nodes a run dispatches: those before the pipeline's static
-    /// failure frontier. Nodes at or beyond it are never cached — a
-    /// sequential run never reaches them, so skipping them would change
-    /// observables.
+    /// Computes the cut of `pipeline` against a provenance lookup — the
+    /// live [`ProvenanceIndex`], read before the evaluation's phase 1
+    /// starts — over the nodes a run dispatches: those before the
+    /// pipeline's static failure frontier. Nodes at or beyond it are never
+    /// cached — a sequential run never reaches them, so skipping them would
+    /// change observables.
     pub fn of(
         pipeline: &BoundPipeline,
         lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
@@ -322,10 +309,10 @@ pub fn count_frontier_skipped(nodes: usize) {
 /// the evaluation's frontier cut, the live index new checkpoints are
 /// recorded into, and (optionally) the search-wide prefix gate.
 pub struct Incremental<'a> {
-    /// This evaluation's cut ([`FrontierCut::of`]), computed against the
-    /// point-in-time provenance the whole search cuts against. That
-    /// snapshot is taken **before** the history snapshot the accounting
-    /// replay uses, so the pairing invariant carries over to the snapshots.
+    /// This evaluation's cut ([`FrontierCut::of`]), computed before its
+    /// search traced anything. The executor records every cut node in the
+    /// book as found, which is how the accounting replay knows to charge it
+    /// as reused.
     pub cut: &'a FrontierCut,
     /// Live index receiving `(fingerprint, output)` pairs as nodes complete.
     pub live: &'a ProvenanceIndex,
@@ -611,27 +598,6 @@ mod tests {
         };
         let cut = FrontierCut::of(&doomed, |fp| index.get(fp)).unwrap();
         assert_eq!((cut.skipped, cut.report(&doomed).is_none()), (2, true));
-    }
-
-    #[test]
-    fn re_recording_an_entry_keeps_the_shared_snapshot() {
-        let index = ProvenanceIndex::new();
-        let (a, b) = (Hash256::of(b"fp a"), Hash256::of(b"fp b"));
-        index.record(a, output(1));
-        let first = index.snapshot_shared();
-        // What a warm commit's absorb and a lookup hit do: the same pair
-        // again. Nothing changed, so nothing is copied.
-        index.record(a, output(1));
-        assert!(Arc::ptr_eq(&first, &index.snapshot_shared()));
-        // A new fingerprint, or a new output under an old one, is a change.
-        index.record(b, output(2));
-        let second = index.snapshot_shared();
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!((first.len(), second.len()), (1, 2));
-        index.record(a, output(3));
-        let third = index.snapshot_shared();
-        assert!(!Arc::ptr_eq(&second, &third));
-        assert_eq!(third[&a], output(3));
     }
 
     #[test]

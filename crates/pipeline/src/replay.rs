@@ -28,9 +28,17 @@
 //!
 //! The key order-independence argument: a chunk was present in the store
 //! *before* the whole evaluation iff **no** traced write observed it as new,
-//! which is invariant under phase-1 scheduling. Everything else the replay
-//! consumes (work units, artifact ids, blob layouts, failure points) is
-//! deterministic per candidate. Reports are therefore byte-identical for
+//! which is invariant under phase-1 scheduling. Checkpoints follow the same
+//! rule: one counts as **pre-existing** iff phase 1 *found* it — a lookup hit
+//! or a node its frontier cut skipped — and the book holds no profile for
+//! it, i.e. this evaluation did not produce it. A checkpoint found because a
+//! sibling candidate of the same search produced it first has a profile, so
+//! the replay charges it wherever the canonical order executes it. The rule
+//! reads only what phase 1 recorded, never a copy of the history, so a
+//! checkpoint another writer lands mid-evaluation counts as the reuse the
+//! trace actually did. Everything else the replay consumes (work units,
+//! artifact ids, blob layouts, failure points) is deterministic per
+//! candidate. Reports are therefore byte-identical for
 //! `ParallelismPolicy::Sequential` and `ParallelismPolicy::Parallel(n)` —
 //! the property the `parallel_determinism` integration test pins down, and
 //! that the executor's unit tests check against a strictly sequential
@@ -67,13 +75,15 @@ pub struct StageProfile {
     pub write: Option<PutTrace>,
 }
 
-/// Concurrent record of phase-1 executions, shared by all workers of one
-/// search. Profile inserts are first-wins (racing executions of the same
-/// key produce identical profiles up to `was_new` flags, which are
-/// aggregated separately in `new_chunks`).
+/// Concurrent record of phase 1, shared by all workers of one search: the
+/// executions it performed and the checkpoints it found. Profile inserts
+/// are first-wins (racing executions of the same key produce identical
+/// profiles up to `was_new` flags, which are aggregated separately in
+/// `new_chunks`).
 #[derive(Default)]
 pub struct ProfileBook {
     profiles: ShardedMap<CacheKey, StageProfile>,
+    found: ShardedMap<CacheKey, CachedOutput>,
     failures: RwLock<HashSet<CacheKey>>,
     new_chunks: Mutex<HashSet<Hash256>>,
 }
@@ -94,6 +104,18 @@ impl ProfileBook {
             self.observe_write(w);
         }
         self.profiles.insert_if_absent(key, profile)
+    }
+
+    /// Records that phase 1 found `key`'s checkpoint instead of executing
+    /// it: a lookup hit, or a node its frontier cut skipped.
+    pub fn record_found(&self, key: CacheKey, cached: CachedOutput) {
+        self.found.insert(key, cached);
+    }
+
+    /// The checkpoint `key` had before this evaluation: phase 1 found it,
+    /// and no execution recorded in this book produced it.
+    pub fn pre_existing(&self, key: &CacheKey) -> Option<CachedOutput> {
+        self.found.get(key).filter(|_| !self.profiles.contains(key))
     }
 
     /// Records that executing `key` fails with a schema incompatibility.
@@ -191,24 +213,24 @@ struct ReplayNode {
 /// Replays one candidate's execution for accounting: the charged half of
 /// [`Executor::run`](crate::executor::Executor::run).
 ///
-/// * `pre` — checkpoints that existed before the whole search (sequential
-///   runs would hit these from the first candidate on).
+/// * `book` — what phase 1 recorded; its
+///   [`pre_existing`](ProfileBook::pre_existing) checkpoints are the ones
+///   a sequential run would hit from the first candidate on.
 /// * `sim` — checkpoints "created so far" in replay order; grown by this
 ///   call when `reuse` is set.
 /// * `cursor` — chunk-dedup state in replay order (shared across all
 ///   candidates of the search, in index order).
-/// * `reuse` — the policy's reuse knob: consult `sim`/`pre` before
-///   charging an execution. Whether a prechecking policy runs the
-///   pipeline at all is the caller's decision, made before phase 1.
+/// * `reuse` — the policy's reuse knob: consult `sim` and the pre-existing
+///   checkpoints before charging an execution. Whether a prechecking
+///   policy runs the pipeline at all is the caller's decision, made before
+///   phase 1.
 ///
 /// Charges land on `ledger`; stats deltas are recorded on `store`, both in
 /// canonical order.
-#[allow(clippy::too_many_arguments)]
 pub fn replay_run(
     store: &ChunkStore,
     pipeline: &BoundPipeline,
     book: &ProfileBook,
-    pre: &CacheSnapshot,
     sim: &mut CacheSnapshot,
     cursor: &mut ReplayCursor,
     ledger: &ClockLedger,
@@ -236,7 +258,7 @@ pub fn replay_run(
 
         // Reuse path under the *sequential* cache state.
         if reuse {
-            let hit = sim.get(&key).or_else(|| pre.get(&key)).cloned();
+            let hit = sim.get(&key).cloned().or_else(|| book.pre_existing(&key));
             if let Some(hit) = hit {
                 stages.push(StageReport::reused(comp, &hit, &mut final_score));
                 outputs[node] = Some(ReplayNode {
@@ -440,5 +462,106 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(accounts.open_reservations(), 0, "error path releases");
         assert_eq!(accounts.usage(TenantId(2)).logical_bytes, 0);
+    }
+
+    /// `test_source → test_scaler → test_model@0.{model}`: every model
+    /// shares the source and scaler checkpoints.
+    fn chain(model: u32) -> BoundPipeline {
+        use crate::component::test_support::{TestModel, TestScaler, TestSource};
+        use crate::dag::PipelineDag;
+        use std::sync::Arc;
+        let dag = PipelineDag::chain(&["test_source", "test_scaler", "test_model"]).unwrap();
+        let comps: Vec<crate::component::ComponentHandle> = vec![
+            Arc::new(TestSource {
+                version: SemVer::initial(),
+                dim: 3,
+                rows: 8,
+            }),
+            Arc::new(TestScaler {
+                version: SemVer::initial(),
+                dim_in: 3,
+                dim_out: 3,
+                factor: 2.0,
+            }),
+            Arc::new(TestModel {
+                version: SemVer::master(0, model),
+                dim_in: 3,
+                quality: 0.1 * (model + 1) as f64,
+            }),
+        ];
+        BoundPipeline::new(Arc::new(dag), comps).unwrap()
+    }
+
+    /// Traces two candidates sharing a prefix in `phase1` order (after a
+    /// run of `primer`, if any), replays them in canonical order, and
+    /// returns the reports and ledger, plus whether the book counts the
+    /// shared source checkpoint as pre-existing.
+    fn found_or_produced(phase1: [u32; 2], primer: Option<u32>) -> (String, bool) {
+        use crate::executor::{ExecOptions, Executor, MemoryCache};
+        use crate::parallel::ParallelismPolicy;
+        let store = ChunkStore::in_memory_small();
+        let cache = MemoryCache::new();
+        let exec = Executor::new(&store);
+        if let Some(model) = primer {
+            let primed = exec.run(
+                &chain(model),
+                &ClockLedger::new(),
+                Some(&cache),
+                ExecOptions::MLCASK,
+            );
+            assert!(primed.unwrap().outcome.is_completed());
+        }
+        let book = ProfileBook::new();
+        for model in phase1 {
+            let policy = ParallelismPolicy::Sequential;
+            exec.trace(&chain(model), &cache, &book, policy, None)
+                .unwrap();
+        }
+        let (mut sim, mut cursor, ledger) = (
+            CacheSnapshot::new(),
+            book.replay_cursor(),
+            ClockLedger::new(),
+        );
+        let reports: Vec<RunReport> = [0, 1]
+            .map(|model| {
+                let p = chain(model);
+                replay_run(&store, &p, &book, &mut sim, &mut cursor, &ledger, true).unwrap()
+            })
+            .into();
+        let source = CacheKey {
+            component: chain(0).components()[0].key(),
+            inputs: vec![],
+        };
+        let observed = format!(
+            "executed={:?} reports={} ledger={}",
+            reports
+                .iter()
+                .map(RunReport::executed_count)
+                .collect::<Vec<_>>(),
+            serde_json::to_string(&reports).unwrap(),
+            serde_json::to_string(&ledger.snapshot()).unwrap(),
+        );
+        (observed, book.pre_existing(&source).is_some())
+    }
+
+    /// A checkpoint phase 1 found counts as pre-existing only if no
+    /// execution recorded in the book produced it. Tracing candidate 1
+    /// before candidate 0 makes candidate 0's prefix lookups hit what
+    /// candidate 1 just produced — found, but profiled — so the replay
+    /// charges the prefix to candidate 0, first in canonical order, exactly
+    /// as when phase 1 runs in that order. A prefix a primer checkpointed
+    /// was found with no profile: both candidates reuse it.
+    #[test]
+    fn found_checkpoints_are_pre_existing_unless_this_book_produced_them() {
+        let (canonical, pre) = found_or_produced([0, 1], None);
+        assert!(!pre, "nothing was checkpointed before phase 1");
+        assert!(canonical.starts_with("executed=[3, 1] "), "{canonical}");
+        let (reversed, pre) = found_or_produced([1, 0], None);
+        assert!(!pre, "a sibling's checkpoint is not pre-existing");
+        assert_eq!(reversed, canonical);
+
+        let (primed, pre) = found_or_produced([1, 0], Some(9));
+        assert!(pre, "found, and produced by no execution in the book");
+        assert!(primed.starts_with("executed=[1, 1] "), "{primed}");
     }
 }

@@ -81,30 +81,143 @@ struct Session {
     ledger: ClockLedger,
 }
 
-/// Every method the router serves: the values the request series' `method`
-/// label takes. Whatever else a client sends is recorded as
+type Reply = Result<Value, Failure>;
+
+/// Which side of the coarse-lock baseline's workspace lock a method holds
+/// while it runs (see [`ServerOptions::coarse_lock`]).
+#[derive(Clone, Copy)]
+enum Guard {
+    None,
+    Read,
+    Write,
+}
+
+/// A method's scope and handler. Control-plane methods run without a
+/// session or admission and see the parameters only; session-scoped ones
+/// run once their session resolves and admission lets them in, and see the
+/// session too.
+#[derive(Clone, Copy)]
+enum Scope {
+    Control(fn(&Router, &Params<'_>) -> Reply),
+    Session(fn(&Router, &Session, &Params<'_>) -> Reply),
+}
+
+/// One served method: its wire name, its scope and handler, and its guard.
+struct Route {
+    name: &'static str,
+    scope: Scope,
+    guard: Guard,
+}
+
+const fn control(
+    name: &'static str,
+    guard: Guard,
+    handler: fn(&Router, &Params<'_>) -> Reply,
+) -> Route {
+    Route {
+        name,
+        scope: Scope::Control(handler),
+        guard,
+    }
+}
+
+const fn session(
+    name: &'static str,
+    guard: Guard,
+    handler: fn(&Router, &Session, &Params<'_>) -> Reply,
+) -> Route {
+    Route {
+        name,
+        scope: Scope::Session(handler),
+        guard,
+    }
+}
+
+/// Every method the router serves, and the values the request series'
+/// `method` label takes. Whatever else a client sends is recorded as
 /// [`UNKNOWN_METHOD`], so a stream of made-up method names mints one series,
 /// not one per name.
-const METHODS: [&str; 19] = [
-    "ping",
-    "server.info",
-    "metrics.scrape",
-    "obs.spans",
-    "obs.slow",
-    "session.open",
-    "session.close",
-    "workspace.usage",
-    "branches",
-    "head",
-    "log",
-    "usage",
-    "commit",
-    "branch",
-    "grant",
-    "revoke",
-    "fork",
-    "merge",
-    "merge.into",
+static ROUTES: [Route; 19] = [
+    control("ping", Guard::None, |_, _| Ok(s("pong"))),
+    control("server.info", Guard::None, |router, _| Ok(router.info())),
+    control("metrics.scrape", Guard::None, |router, _| {
+        Ok(router.metrics_scrape())
+    }),
+    control("obs.spans", Guard::None, |_, p| obs_spans(p)),
+    control("obs.slow", Guard::None, |_, p| obs_slow(p)),
+    control("session.open", Guard::None, Router::session_open),
+    control("session.close", Guard::None, Router::session_close),
+    control("workspace.usage", Guard::Read, |router, _| {
+        Ok(workspace_usage_json(&router.ws))
+    }),
+    session("branches", Guard::Read, |_, session, _| {
+        let branches = session.entry.tenant.branches();
+        Ok(Value::Seq(branches.into_iter().map(s).collect()))
+    }),
+    session("head", Guard::Read, |router, session, p| {
+        let head = router.head_of(&session.entry, p.str("branch")?)?;
+        Ok(commit_json(&head))
+    }),
+    session("log", Guard::Read, |router, session, p| {
+        router.log(&session.entry, p)
+    }),
+    session("usage", Guard::Read, |_, session, _| {
+        Ok(usage_json(&session.entry.tenant.usage()))
+    }),
+    session("commit", Guard::Write, |router, session, p| {
+        router.commit(session, p)
+    }),
+    session("branch", Guard::Write, |_, session, p| {
+        let (from, to) = (p.str("from")?, p.str("to")?);
+        let c = session.entry.sys.branch(from, to).map_err(Failure::op)?;
+        Ok(commit_json(&c))
+    }),
+    session("grant", Guard::Write, |_, session, p| {
+        let peer = p.str("peer")?;
+        let right = parse_right(p.str("right")?)?;
+        let tenant = &session.entry.tenant;
+        tenant.grant_to(peer, right).map_err(Failure::op)?;
+        Ok(Value::Bool(true))
+    }),
+    session("revoke", Guard::Write, |_, session, p| {
+        let peer = p.str("peer")?;
+        let tenant = &session.entry.tenant;
+        tenant.revoke_from(peer).map_err(Failure::op)?;
+        Ok(Value::Bool(true))
+    }),
+    session("fork", Guard::Write, |_, session, p| {
+        let peer = p.str("peer")?;
+        let branch = p.str("branch")?;
+        let new_branch = p.str("new_branch")?;
+        let tenant = &session.entry.tenant;
+        let c = tenant
+            .fork_from(peer, branch, new_branch)
+            .map_err(Failure::op)?;
+        Ok(commit_json(&c))
+    }),
+    session("merge", Guard::Write, |_, session, p| {
+        let base = p.str("base")?;
+        let merging = p.str("merging")?;
+        let strategy = parse_strategy(p.str_opt("strategy")?)?;
+        let outcome = session
+            .entry
+            .sys
+            .merge(base, merging, strategy, &session.ledger)
+            .map_err(Failure::op)?;
+        Ok(merge_json(&outcome))
+    }),
+    session("merge.into", Guard::Write, |_, session, p| {
+        let peer = p.str("peer")?;
+        let peer_branch = p.str("peer_branch")?;
+        let merging = p.str("merging")?;
+        let strategy = parse_strategy(p.str_opt("strategy")?)?;
+        let outcome = session
+            .entry
+            .sys
+            .merge_into(peer, peer_branch, merging, strategy, &session.ledger)
+            .map_err(Failure::op)?;
+        Ok(merge_json(&outcome))
+    }),
 ];
 const UNKNOWN_METHOD: &str = "unknown";
 
@@ -127,11 +240,11 @@ struct MethodSeries {
 }
 
 /// The request telemetry of one tenant label: a latency histogram per method
-/// and a counter per (method, outcome). A request pays a scan of
-/// [`METHODS`] and two atomic updates, not two registry look-ups.
+/// and a counter per (method, outcome). A request pays two atomic updates,
+/// not two registry look-ups.
 struct RequestSeries {
     tenant: String,
-    /// Indexed like [`METHODS`], with [`UNKNOWN_METHOD`] last.
+    /// Indexed like [`ROUTES`], with [`UNKNOWN_METHOD`] last.
     by_method: Vec<MethodSeries>,
 }
 
@@ -139,18 +252,17 @@ impl RequestSeries {
     fn new(tenant: &str) -> RequestSeries {
         RequestSeries {
             tenant: tenant.to_string(),
-            by_method: (0..=METHODS.len())
+            by_method: (0..=ROUTES.len())
                 .map(|_| MethodSeries::default())
                 .collect(),
         }
     }
 
-    fn record(&self, method: &str, outcome: Outcome, elapsed: Duration) {
-        let index = METHODS
-            .iter()
-            .position(|m| *m == method)
-            .unwrap_or(METHODS.len());
-        let method = METHODS.get(index).copied().unwrap_or(UNKNOWN_METHOD);
+    /// Records one request to the method at `route` in [`ROUTES`] (`None`
+    /// for a name the router does not serve).
+    fn record(&self, route: Option<usize>, outcome: Outcome, elapsed: Duration) {
+        let index = route.unwrap_or(ROUTES.len());
+        let method = route.map_or(UNKNOWN_METHOD, |i| ROUTES[i].name);
         let series = &self.by_method[index];
         let reg = MetricsRegistry::global();
         series
@@ -255,8 +367,9 @@ impl Router {
     /// failed-before-session requests record under tenant `"-"`.
     fn dispatch(&self, req: &Request) -> Result<Value, Failure> {
         let start = Instant::now();
+        let route = ROUTES.iter().position(|r| r.name == req.method);
         let mut entry: Option<Arc<TenantEntry>> = None;
-        let result = self.dispatch_inner(req, &mut entry);
+        let result = self.dispatch_inner(req, route.map(|i| &ROUTES[i]), &mut entry);
         let outcome = match &result {
             Ok(_) => Outcome::Ok,
             Err(f) => match f.code {
@@ -266,133 +379,44 @@ impl Router {
                 _ => Outcome::Error,
             },
         };
-        // `METHODS` and the `match` in `dispatch_inner` are two hand-kept
-        // lists; a debug build holds every request to both. A name outside
-        // `METHODS` is never served (not an iff: with a dead session it fails
-        // on the session first), a name in it is never refused as unknown.
-        debug_assert!(
-            match &result {
-                Ok(_) => METHODS.contains(&req.method.as_str()),
-                Err(f) => f.code != METHOD_NOT_FOUND || !METHODS.contains(&req.method.as_str()),
-            },
-            "METHODS and dispatch_inner disagree about `{}`",
-            req.method
-        );
         let series = entry.as_ref().map_or(&self.sessionless, |e| &e.requests);
-        series.record(&req.method, outcome, start.elapsed());
+        series.record(route, outcome, start.elapsed());
         result
     }
 
+    /// Serves `req` by its `route`: a control-plane method directly; a
+    /// session-scoped one — or a name the router does not serve — only once
+    /// its session resolves and admission lets it in, so an unknown method
+    /// is refused as such under its tenant's label.
     fn dispatch_inner(
         &self,
         req: &Request,
+        route: Option<&Route>,
         entry_out: &mut Option<Arc<TenantEntry>>,
-    ) -> Result<Value, Failure> {
+    ) -> Reply {
         self.ops_served.fetch_add(1, Ordering::Relaxed);
         let p = Params::of(req)?;
-        match req.method.as_str() {
-            // Control-plane methods: no session, no admission.
-            "ping" => Ok(s("pong")),
-            "server.info" => Ok(self.info()),
-            "metrics.scrape" => Ok(self.metrics_scrape()),
-            "obs.spans" => Ok(obs_spans(&p)?),
-            "obs.slow" => Ok(obs_slow(&p)?),
-            "session.open" => self.session_open(&p),
-            "session.close" => self.session_close(&p),
-            "workspace.usage" => {
-                let _r = self.read_guard();
-                Ok(workspace_usage_json(&self.ws))
-            }
-            // Session-scoped methods: admission-checked, rate-limited.
-            method => {
-                let session = self.session(&p)?;
-                let entry = &**entry_out.insert(Arc::clone(&session.entry));
-                let _op = self.limiter.begin_op(entry.tenant.name())?;
-                match method {
-                    "branches" => {
-                        let _r = self.read_guard();
-                        Ok(Value::Seq(
-                            entry.tenant.branches().into_iter().map(s).collect(),
-                        ))
-                    }
-                    "head" => {
-                        let _r = self.read_guard();
-                        let branch = p.str("branch")?;
-                        let head = self.head_of(entry, branch)?;
-                        Ok(commit_json(&head))
-                    }
-                    "log" => {
-                        let _r = self.read_guard();
-                        self.log(entry, &p)
-                    }
-                    "usage" => {
-                        let _r = self.read_guard();
-                        Ok(usage_json(&entry.tenant.usage()))
-                    }
-                    "commit" => {
-                        let _w = self.write_guard();
-                        self.commit(&session, entry, &p)
-                    }
-                    "branch" => {
-                        let _w = self.write_guard();
-                        let from = p.str("from")?;
-                        let to = p.str("to")?;
-                        let c = entry.sys.branch(from, to).map_err(Failure::op)?;
-                        Ok(commit_json(&c))
-                    }
-                    "grant" => {
-                        let _w = self.write_guard();
-                        let peer = p.str("peer")?;
-                        let right = parse_right(p.str("right")?)?;
-                        entry.tenant.grant_to(peer, right).map_err(Failure::op)?;
-                        Ok(Value::Bool(true))
-                    }
-                    "revoke" => {
-                        let _w = self.write_guard();
-                        let peer = p.str("peer")?;
-                        entry.tenant.revoke_from(peer).map_err(Failure::op)?;
-                        Ok(Value::Bool(true))
-                    }
-                    "fork" => {
-                        let _w = self.write_guard();
-                        let peer = p.str("peer")?;
-                        let branch = p.str("branch")?;
-                        let new_branch = p.str("new_branch")?;
-                        let c = entry
-                            .tenant
-                            .fork_from(peer, branch, new_branch)
-                            .map_err(Failure::op)?;
-                        Ok(commit_json(&c))
-                    }
-                    "merge" => {
-                        let _w = self.write_guard();
-                        let base = p.str("base")?;
-                        let merging = p.str("merging")?;
-                        let strategy = parse_strategy(p.str_opt("strategy")?)?;
-                        let outcome = entry
-                            .sys
-                            .merge(base, merging, strategy, &session.ledger)
-                            .map_err(Failure::op)?;
-                        Ok(merge_json(&outcome))
-                    }
-                    "merge.into" => {
-                        let _w = self.write_guard();
-                        let peer = p.str("peer")?;
-                        let peer_branch = p.str("peer_branch")?;
-                        let merging = p.str("merging")?;
-                        let strategy = parse_strategy(p.str_opt("strategy")?)?;
-                        let outcome = entry
-                            .sys
-                            .merge_into(peer, peer_branch, merging, strategy, &session.ledger)
-                            .map_err(Failure::op)?;
-                        Ok(merge_json(&outcome))
-                    }
-                    other => Err(Failure::new(
-                        METHOD_NOT_FOUND,
-                        format!("unknown method `{other}`"),
-                    )),
-                }
-            }
+        if let Some(Route {
+            scope: Scope::Control(handler),
+            guard,
+            ..
+        }) = route
+        {
+            return self.holding(*guard, || handler(self, &p));
+        }
+        let session = self.session(&p)?;
+        let entry = entry_out.insert(Arc::clone(&session.entry));
+        let _op = self.limiter.begin_op(entry.tenant.name())?;
+        match route {
+            Some(Route {
+                scope: Scope::Session(handler),
+                guard,
+                ..
+            }) => self.holding(*guard, || handler(self, &session, &p)),
+            _ => Err(Failure::new(
+                METHOD_NOT_FOUND,
+                format!("unknown method `{}`", req.method),
+            )),
         }
     }
 
@@ -534,12 +558,7 @@ impl Router {
         Ok(Value::Seq(out))
     }
 
-    fn commit(
-        &self,
-        session: &Session,
-        entry: &TenantEntry,
-        p: &Params<'_>,
-    ) -> Result<Value, Failure> {
+    fn commit(&self, session: &Session, p: &Params<'_>) -> Result<Value, Failure> {
         let branch = p.str("branch")?;
         let message = p.str_opt("message")?.unwrap_or("serving commit");
         let keys = p
@@ -547,21 +566,30 @@ impl Router {
             .into_iter()
             .map(parse_component)
             .collect::<Result<Vec<_>, _>>()?;
-        let result = entry
+        let result = session
+            .entry
             .sys
             .commit_pipeline(branch, &keys, message, &session.ledger)
             .map_err(Failure::op)?;
         Ok(commit_result_json(&result))
     }
 
-    // -- coarse-lock baseline guards ----------------------------------
+    // -- coarse-lock baseline guard ------------------------------------
 
-    fn read_guard(&self) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
-        self.opts.coarse_lock.then(|| self.coarse.read())
-    }
-
-    fn write_guard(&self) -> Option<parking_lot::RwLockWriteGuard<'_, ()>> {
-        self.opts.coarse_lock.then(|| self.coarse.write())
+    /// Runs `f` holding the side of the coarse-lock baseline's workspace
+    /// lock that `guard` names (nothing unless the baseline is on).
+    fn holding<T>(&self, guard: Guard, f: impl FnOnce() -> T) -> T {
+        match (self.opts.coarse_lock, guard) {
+            (false, _) | (_, Guard::None) => f(),
+            (true, Guard::Read) => {
+                let _r = self.coarse.read();
+                f()
+            }
+            (true, Guard::Write) => {
+                let _w = self.coarse.write();
+                f()
+            }
+        }
     }
 }
 
@@ -739,9 +767,9 @@ fn workspace_usage_json(ws: &Workspace) -> Value {
 mod tests {
     use super::*;
 
-    /// Every name in [`METHODS`] is one the router serves: with a live
-    /// session each gets past the method match (whatever it then says about
-    /// its missing parameters), and a name outside the list does not.
+    /// Every name in [`ROUTES`] is one the router serves: with a live
+    /// session each gets past the method lookup (whatever it then says about
+    /// its missing parameters), and a name outside the table does not.
     #[test]
     fn the_method_label_set_is_the_served_set() {
         let router = Router::in_memory(
@@ -765,8 +793,9 @@ mod tests {
         };
         // Opens session 1 (the first id a router hands out).
         assert_eq!(code(&call("session.open")), None);
-        for method in METHODS {
-            if method != "session.close" {
+        for route in &ROUTES {
+            if route.name != "session.close" {
+                let method = route.name;
                 assert_ne!(code(&call(method)), Some(METHOD_NOT_FOUND), "{method}");
             }
         }

@@ -554,3 +554,233 @@ mod dag {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// A second writer: a commit lands while a merge search is in phase 1. The
+// replay charges what the trace found, so the merge reuses the commit's
+// checkpoint exactly as if the commit had landed before the merge began.
+// ---------------------------------------------------------------------------
+
+mod second_writer {
+    use super::*;
+    use mlcask_core::system::MlCask;
+    use mlcask_pipeline::artifact::Artifact;
+    use mlcask_pipeline::component::{Component, ComponentHandle, StageKind};
+    use mlcask_pipeline::errors::Result as PipelineResult;
+    use mlcask_pipeline::schema::SchemaId;
+    use mlcask_workloads::scenario::harness_store;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ScopedJoinHandle;
+    use std::time::Duration;
+
+    /// Holds a [`Gated`] component's second run until the test opens it.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        runs: u32,
+        reached: bool,
+        open: bool,
+    }
+
+    impl Gate {
+        /// Waits until the second run is held at the gate; panics if
+        /// `merge` finishes without getting there.
+        fn await_reached<T>(&self, merge: &ScopedJoinHandle<'_, T>) {
+            let mut state = self.state.lock().unwrap();
+            while !state.reached {
+                assert!(!merge.is_finished(), "the merge never reached the gate");
+                state = self
+                    .changed
+                    .wait_timeout(state, Duration::from_millis(10))
+                    .unwrap()
+                    .0;
+            }
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().open = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// `inner`, except that its second run waits at `gate`.
+    struct Gated {
+        inner: ComponentHandle,
+        gate: Arc<Gate>,
+    }
+
+    impl Component for Gated {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn version(&self) -> SemVer {
+            self.inner.version()
+        }
+        fn stage(&self) -> StageKind {
+            self.inner.stage()
+        }
+        fn input_schema(&self) -> Option<SchemaId> {
+            self.inner.input_schema()
+        }
+        fn output_schema(&self) -> SchemaId {
+            self.inner.output_schema()
+        }
+        fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
+            let mut state = self.gate.state.lock().unwrap();
+            state.runs += 1;
+            if state.runs == 2 {
+                state.reached = true;
+                self.gate.changed.notify_all();
+                while !state.open {
+                    state = self.gate.changed.wait(state).unwrap();
+                }
+            }
+            drop(state);
+            self.inner.run(inputs)
+        }
+        fn work_units(&self, inputs: &[Artifact]) -> u64 {
+            self.inner.work_units(inputs)
+        }
+        fn ns_per_unit(&self) -> u64 {
+            self.inner.ns_per_unit()
+        }
+    }
+
+    fn keys(scaler: u32, model: u32) -> Vec<ComponentKey> {
+        vec![
+            ComponentKey::new("test_source", SemVer::master(0, 0)),
+            ComponentKey::new("test_scaler", SemVer::master(0, scaler)),
+            ComponentKey::new("test_model", SemVer::master(0, model)),
+        ]
+    }
+
+    /// Everything one scenario leaves behind.
+    struct Observed {
+        report: MergeSearchReport,
+        ledger: String,
+        stats: String,
+        /// Logical and physical bytes the `other` commit wrote while the
+        /// merge ran (none when it landed first).
+        beside: (u64, u64),
+    }
+
+    /// The toy chain with scalers 0.0/0.1 and models 0.0–0.2, model 0.1
+    /// gated. `master` and `dev` diverge, and `other` commits
+    /// `[src, s0.1, m0.2]` — a candidate of their merge — either before the
+    /// merge starts or, with `race`, while the merge executes its
+    /// `[src, s0.1, m0.1]` candidate (model 0.1's second run), after it cut
+    /// its candidates and before it traces `[src, s0.1, m0.2]`.
+    fn merge_beside_a_commit(workers: usize, race: bool) -> Observed {
+        let gate = Arc::new(Gate::default());
+        if !race {
+            gate.open();
+        }
+        let registry = ComponentRegistry::with_exe_size(harness_store("second_writer"), 2048);
+        let gated: ComponentHandle = Arc::new(Gated {
+            inner: toy_model(SemVer::master(0, 1), 4, 0.6),
+            gate: Arc::clone(&gate),
+        });
+        for c in [
+            toy_source(SemVer::master(0, 0), 4, 16),
+            toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
+            toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
+            toy_model(SemVer::master(0, 0), 4, 0.5),
+            gated,
+            toy_model(SemVer::master(0, 2), 4, 0.7),
+        ] {
+            registry.register(c).unwrap();
+        }
+        let policy = match workers {
+            1 => ParallelismPolicy::Sequential,
+            n => ParallelismPolicy::Parallel(n),
+        };
+        let dag = PipelineDag::chain(&toy_slots()).unwrap();
+        let sys = MlCask::new("toy", dag, Arc::new(registry)).with_parallelism(policy);
+        let ledger = ClockLedger::new();
+        let commit = |branch: &str, scaler: u32, model: u32| {
+            let done = sys.commit_pipeline(branch, &keys(scaler, model), "step", &ledger);
+            assert!(done.unwrap().commit.is_some(), "{branch} commits");
+        };
+        commit("master", 0, 0);
+        sys.branch("master", "dev").unwrap();
+        sys.branch("master", "other").unwrap();
+        commit("master", 1, 0);
+        commit("dev", 0, 1);
+        commit("dev", 0, 2);
+        let other = || {
+            let before = sys.store().stats().total();
+            commit("other", 1, 2);
+            let after = sys.store().stats().total();
+            (
+                after.logical_bytes - before.logical_bytes,
+                after.physical_bytes - before.physical_bytes,
+            )
+        };
+
+        let mut beside = (0, 0);
+        let merged = std::thread::scope(|scope| {
+            if !race {
+                other();
+            }
+            let merge = scope.spawn(|| sys.merge("master", "dev", MergeStrategy::Full, &ledger));
+            if race {
+                gate.await_reached(&merge);
+                beside = other();
+                gate.open();
+            }
+            merge.join().unwrap()
+        });
+        let merged = merged.unwrap_or_else(|e| panic!("merge beside a commit: {e}"));
+        assert!(merged.commit.is_some());
+        Observed {
+            report: merged.report.expect("diverged branches search"),
+            ledger: serde_json::to_string(&ledger.snapshot()).unwrap(),
+            stats: serde_json::to_string(&sys.store().stats()).unwrap(),
+            beside,
+        }
+    }
+
+    /// What the merge charged, leaving out what it saw of the commit that
+    /// landed beside it: its frontier skips and the checkpoints it marked
+    /// green when it started, and the commit's bytes inside its byte window.
+    fn charged(observed: &Observed) -> String {
+        let mut report = observed.report.clone();
+        report.skipped_by_frontier = 0;
+        report.state_counts = Default::default();
+        report.logical_bytes -= observed.beside.0;
+        report.physical_bytes -= observed.beside.1;
+        serde_json::to_string(&report).unwrap()
+    }
+
+    /// The commit's checkpoint lands after the merge cut its candidates and
+    /// before it traces the candidate the checkpoint belongs to: the trace
+    /// finds it, so the replay reuses it — and the merge charges exactly
+    /// what it charges when the commit lands first.
+    #[test]
+    fn a_commit_landing_mid_merge_is_reused_as_found() {
+        let raced = merge_beside_a_commit(1, true);
+        let (executed, reused) = (
+            raced.report.executed_components,
+            raced.report.reused_components,
+        );
+        assert_eq!((executed, reused), (1, 17));
+        assert!(raced.beside.0 > 0, "the commit wrote while the merge ran");
+        let twin = merge_beside_a_commit(1, false);
+        assert_eq!(
+            raced.report.state_counts.checkpointed + 1,
+            twin.report.state_counts.checkpointed,
+            "landing first, the commit's checkpoint is green from the start"
+        );
+        assert_eq!(charged(&raced), charged(&twin));
+        assert_eq!(raced.ledger, twin.ledger);
+        assert_eq!(raced.stats, twin.stats);
+
+        let raced = merge_beside_a_commit(2, true);
+        assert_eq!(raced.report.best, twin.report.best, "same winner");
+    }
+}
