@@ -12,7 +12,7 @@
 
 use crate::archive::FolderArchive;
 use mlcask_core::errors::Result;
-use mlcask_core::registry::{simulated_executable, ComponentRegistry};
+use mlcask_core::registry::{simulated_executable_len, ComponentRegistry};
 use mlcask_core::system::MlCask;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
@@ -196,13 +196,8 @@ fn run_linear_baseline(
         // appears.
         for key in keys {
             if libs_seen.insert(key.clone()) {
-                let size = simulated_executable(
-                    &key.name,
-                    &key.version.to_string(),
-                    ComponentRegistry::DEFAULT_EXE_SIZE,
-                )
-                .len() as u64;
-                clock.charge_storage(archive.archive(size));
+                let size = simulated_executable_len(ComponentRegistry::DEFAULT_EXE_SIZE);
+                clock.charge_storage(archive.archive(size as u64));
             }
         }
         let components = keys.iter().map(&handle_for).collect();

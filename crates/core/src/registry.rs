@@ -11,7 +11,7 @@ use crate::errors::{CoreError, Result};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
 use mlcask_pipeline::dag::{BoundPipeline, DeclaredSchemas, PipelineDag};
 use mlcask_pipeline::metafile::LibraryMetafile;
-use mlcask_storage::hash::Hash256;
+use mlcask_storage::hash::{digest_many, Hash256};
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::ChunkStore;
 use parking_lot::RwLock;
@@ -19,32 +19,70 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// Bytes of one hash, the unit a simulated executable is made of.
+const HASH_LEN: usize = 32;
+
+/// Hashes in the version-specific patch region of a simulated executable.
+const PATCH_BLOCKS: u64 = 128;
+
+/// Messages hashed per [`digest_many`] call while synthesising: a fixed
+/// number, so the synthesiser's working memory (a few KiB) does not grow
+/// with the payload. Larger batches measured no faster.
+const BATCH: usize = 64;
+
 /// Deterministically synthesises an "executable" payload for a library
 /// version: a large base blob shared by all versions of the same library
 /// plus a small version-specific patch region. Consecutive versions thus
 /// share most chunks — the property the paper's chunk-level library dedup
 /// exploits.
+///
+/// The base region is `Hash256::of_parts(&[b"lib-base", name, i])` for
+/// `i = 0, 1, ..` (little-endian `u64`), truncated to `base_size`; the
+/// patch region is `of_parts(&[b"lib-patch", name, version, i])` for
+/// `i = 0..128`.
 pub fn simulated_executable(name: &str, version: &str, base_size: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(base_size + 4096);
+    let mut out = Vec::with_capacity(simulated_executable_len(base_size));
     // Base region: keyed by library name only (identical across versions).
-    let mut counter = 0u64;
-    while out.len() < base_size {
-        let block = Hash256::of_parts(&[b"lib-base", name.as_bytes(), &counter.to_le_bytes()]);
-        out.extend_from_slice(&block.0);
-        counter += 1;
-    }
+    let base_blocks = base_size.div_ceil(HASH_LEN) as u64;
+    extend_counted(&mut out, &[b"lib-base", name.as_bytes()], base_blocks);
     out.truncate(base_size);
     // Patch region: keyed by (name, version).
-    for i in 0u64..128 {
-        let block = Hash256::of_parts(&[
-            b"lib-patch",
-            name.as_bytes(),
-            version.as_bytes(),
-            &i.to_le_bytes(),
-        ]);
-        out.extend_from_slice(&block.0);
-    }
+    extend_counted(
+        &mut out,
+        &[b"lib-patch", name.as_bytes(), version.as_bytes()],
+        PATCH_BLOCKS,
+    );
     out
+}
+
+/// The length of every [`simulated_executable`] of base size `base_size`,
+/// without synthesising one.
+pub fn simulated_executable_len(base_size: usize) -> usize {
+    base_size + PATCH_BLOCKS as usize * HASH_LEN
+}
+
+/// Appends `Hash256::of_parts(parts ++ [i.to_le_bytes()])` for `i` in
+/// `0..count`. The message is built once and each counter stamped into
+/// its last eight bytes; a batch of stamped copies is hashed at a time.
+fn extend_counted(out: &mut Vec<u8>, parts: &[&[u8]], count: u64) {
+    let counter = 0u64.to_le_bytes();
+    let template = Hash256::parts_message(&[parts, &[&counter[..]]].concat());
+    let stamp = template.len() - counter.len();
+    let mut batch = template.repeat(BATCH);
+    let mut digests = Vec::with_capacity(BATCH);
+    for first in (0..count).step_by(BATCH) {
+        let n = (count - first).min(BATCH as u64) as usize;
+        let messages = &mut batch[..n * template.len()];
+        for (msg, i) in messages.chunks_exact_mut(template.len()).zip(first..) {
+            msg[stamp..].copy_from_slice(&i.to_le_bytes());
+        }
+        let messages: Vec<&[u8]> = messages.chunks_exact(template.len()).collect();
+        digests.clear();
+        digest_many(&messages, &mut digests);
+        for digest in &digests {
+            out.extend_from_slice(&digest.0);
+        }
+    }
 }
 
 /// A registered library version: runnable handle + archived payload.
@@ -302,6 +340,59 @@ mod tests {
         // Shared base region.
         assert_eq!(&a[..4096], &b[..4096]);
         assert!(a.len() > 4096);
+    }
+
+    /// The reference synthesiser: one `of_parts` call per 32 bytes.
+    fn simulated_executable_per_block(name: &str, version: &str, base_size: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut counter = 0u64;
+        while out.len() < base_size {
+            let block = Hash256::of_parts(&[b"lib-base", name.as_bytes(), &counter.to_le_bytes()]);
+            out.extend_from_slice(&block.0);
+            counter += 1;
+        }
+        out.truncate(base_size);
+        for i in 0u64..128 {
+            let block = Hash256::of_parts(&[
+                b"lib-patch",
+                name.as_bytes(),
+                version.as_bytes(),
+                &i.to_le_bytes(),
+            ]);
+            out.extend_from_slice(&block.0);
+        }
+        out
+    }
+
+    /// Batched synthesis writes the reference's bytes. A base message is
+    /// 40 bytes plus the name, so names of 15 and 16 bytes sit on either
+    /// side of the one-block padding limit. The sizes cover an empty base,
+    /// a truncated last hash, whole batches (128 hashes) and a last batch
+    /// of one odd hash (129).
+    #[test]
+    fn batched_synthesis_equals_per_block_synthesis() {
+        for name_len in [0, 1, 15, 16, 40] {
+            let name = "n".repeat(name_len);
+            for size in [0, 1, 31, 32, 4096, 4097] {
+                let got = simulated_executable(&name, "0.1", size);
+                assert_eq!(
+                    got,
+                    simulated_executable_per_block(&name, "0.1", size),
+                    "name of {name_len} bytes, base of {size}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn simulated_executable_len_is_the_payload_len() {
+        for size in [0, 1, 31, 32, 4097, ComponentRegistry::DEFAULT_EXE_SIZE] {
+            assert_eq!(
+                simulated_executable_len(size),
+                simulated_executable("lib", "0.0", size).len(),
+                "base of {size}"
+            );
+        }
     }
 
     /// Put/get round trips pass under any self-consistent hash, so pin the

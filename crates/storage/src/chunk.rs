@@ -8,7 +8,7 @@
 //! at a time, and a boundary is declared when the hash matches a mask whose
 //! popcount controls the expected chunk size.
 
-use crate::hash::Hash256;
+use crate::hash::{digest_many, Hash256};
 
 /// Parameters controlling chunk-boundary selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,9 +99,18 @@ fn gear_table() -> &'static [u64; 256] {
 ///
 /// Returns the byte ranges only; [`chunk_blob`] additionally hashes each
 /// chunk. Empty input yields no chunks.
+///
+/// Only the last 64 bytes read can move a boundary: each step shifts the
+/// rolling hash left by one bit, so a byte's table entry has left the 64-bit
+/// word 64 steps after it went in. The first boundary test in a chunk is at
+/// offset `min_size - 1`, so the hash starts rolling 64 bytes before that,
+/// at `min_size - 64`, rather than at the chunk start — the same boundaries
+/// as rolling over the whole chunk, from fewer bytes read.
 pub fn boundaries(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
     let table = gear_table();
     let mask = params.mask();
+    let first_test = params.min_size.saturating_sub(1);
+    let warm_up = params.min_size.saturating_sub(64);
     let mut out = Vec::new();
     let mut start = 0usize;
     while start < data.len() {
@@ -110,30 +119,36 @@ pub fn boundaries(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
             out.push((start, data.len()));
             break;
         }
-        let limit = remaining.min(params.max_size);
+        let chunk = &data[start..start + remaining.min(params.max_size)];
         let mut hash: u64 = 0;
-        let mut cut = limit;
-        // The window before min_size still feeds the rolling hash so the
-        // boundary decision depends on full chunk content.
-        for (i, &b) in data[start..start + limit].iter().enumerate() {
+        for &b in &chunk[warm_up..first_test] {
             hash = (hash << 1).wrapping_add(table[b as usize]);
-            if i + 1 >= params.min_size && (hash & mask) == 0 {
-                cut = i + 1;
-                break;
-            }
         }
+        let cut = chunk[first_test..]
+            .iter()
+            .position(|&b| {
+                hash = (hash << 1).wrapping_add(table[b as usize]);
+                hash & mask == 0
+            })
+            .map_or(chunk.len(), |i| first_test + i + 1);
         out.push((start, start + cut));
         start += cut;
     }
     out
 }
 
-/// Chunks a blob and content-addresses each piece.
+/// Chunks a blob and content-addresses each piece, two chunks at a time
+/// (see [`digest_many`]).
 pub fn chunk_blob(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
-    boundaries(data, params)
+    let ranges = boundaries(data, params);
+    let chunks: Vec<&[u8]> = ranges.iter().map(|&(s, e)| &data[s..e]).collect();
+    let mut hashes = Vec::with_capacity(chunks.len());
+    digest_many(&chunks, &mut hashes);
+    ranges
         .into_iter()
-        .map(|(s, e)| ChunkRef {
-            hash: Hash256::of(&data[s..e]),
+        .zip(hashes)
+        .map(|((s, e), hash)| ChunkRef {
+            hash,
             offset: s as u64,
             len: (e - s) as u32,
         })
@@ -150,6 +165,35 @@ mod tests {
     fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen()).collect()
+    }
+
+    /// The reference `boundaries`: the rolling hash runs over every byte
+    /// from the chunk start.
+    fn boundaries_full_window(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
+        let table = gear_table();
+        let mask = params.mask();
+        let mut out = Vec::new();
+        let mut start = 0usize;
+        while start < data.len() {
+            let remaining = data.len() - start;
+            if remaining <= params.min_size {
+                out.push((start, data.len()));
+                break;
+            }
+            let limit = remaining.min(params.max_size);
+            let mut hash: u64 = 0;
+            let mut cut = limit;
+            for (i, &b) in data[start..start + limit].iter().enumerate() {
+                hash = (hash << 1).wrapping_add(table[b as usize]);
+                if i + 1 >= params.min_size && (hash & mask) == 0 {
+                    cut = i + 1;
+                    break;
+                }
+            }
+            out.push((start, start + cut));
+            start += cut;
+        }
+        out
     }
 
     #[test]
@@ -254,6 +298,31 @@ mod tests {
     }
 
     proptest! {
+        /// Starting the rolling hash 64 bytes before the first boundary
+        /// test finds what rolling from the chunk start finds: under
+        /// `SMALL` (`min_size` 64, so nothing is skipped), `DEFAULT`, and a
+        /// `min_size` that is not a multiple of 64. Alphabets of 1 to 256
+        /// symbols: small ones make long runs, where boundaries fall at
+        /// `min_size` or `max_size`.
+        #[test]
+        fn prop_boundaries_match_the_full_window(
+            seed in any::<u64>(),
+            len in 0usize..100_000,
+            alphabet_bits in 0u32..9,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let symbols = ((1u16 << alphabet_bits) - 1) as u8;
+            let data: Vec<u8> = (0..len).map(|_| rng.gen::<u8>() & symbols).collect();
+            for params in [ChunkParams::SMALL, ChunkParams::DEFAULT, ChunkParams::new(100, 256, 1024)] {
+                prop_assert_eq!(
+                    boundaries(&data, params),
+                    boundaries_full_window(&data, params),
+                    "{:?}",
+                    params
+                );
+            }
+        }
+
         #[test]
         fn prop_chunks_reassemble(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
             let bs = boundaries(&data, ChunkParams::SMALL);

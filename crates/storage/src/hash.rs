@@ -6,17 +6,23 @@
 //! its bytes. The implementation is self-contained so the workspace needs no
 //! external cryptography crate.
 //!
-//! # One compression function, two instruction sets
+//! # One compression function, two instruction sets, one or two lanes
 //!
-//! Every block goes through the private `compress_blocks`. On `x86_64` CPUs that
-//! report the `sha`, `sse4.1` and `ssse3` features it runs the SHA-NI kernel
-//! in `sha_ni`; on every other CPU and target it runs the portable scalar
-//! rounds. The choice depends on the CPU alone — there is no feature, flag
-//! or environment variable to set — and the digests are bit-identical, so
-//! no content address changes with the machine. The scalar rounds are the
-//! oracle: the tests run both paths over the same inputs and require equal
-//! state words, so the fallback must stay a straight transcription of the
-//! standard. The kernel holds the workspace's only `unsafe` code.
+//! Every block goes through one compression path, picked once per process:
+//! on `x86_64` CPUs that report the `sha`, `sse4.1` and `ssse3` features it
+//! is the SHA-NI kernel in `sha_ni`; on every other CPU and target it is the
+//! portable scalar rounds. The choice depends on the CPU alone — there is no
+//! feature, flag or environment variable to set — and the digests are
+//! bit-identical, so no content address changes with the machine.
+//!
+//! A path compresses one message ([`Sha256`]) or two in step
+//! ([`digest_many`], which hashes independent messages a pair at a time).
+//! On SHA-NI the two lanes' rounds are issued interleaved, so one lane's
+//! `sha256rnds2` latency hides behind the other's; the scalar path simply
+//! runs the two one after the other. The scalar rounds are the oracle: the
+//! tests run every path, one lane and two, over the same inputs and require
+//! equal state words, so the fallback must stay a straight transcription of
+//! the standard. The kernel holds the workspace's only `unsafe` code.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -106,45 +112,154 @@ impl Sha256 {
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Pad in place: the 0x80 terminator, zeros, and the 64-bit length in
-        // the last eight bytes of a block. `update` leaves `buf_len < 64`.
-        self.buf[self.buf_len] = 0x80;
-        self.buf[self.buf_len + 1..].fill(0);
-        if self.buf_len >= 56 {
-            // No room left for the length: it goes in a block of its own.
-            compress_blocks(&mut self.state, &self.buf);
-            self.buf.fill(0);
-        }
-        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress_blocks(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Hash256(out)
+        // `update` leaves `buf_len < 64`.
+        let (tail, len) = pad(&self.buf[..self.buf_len], self.total_len);
+        compress_blocks(&mut self.state, &tail[..len]);
+        Hash256::from_state(self.state)
     }
 
     /// One-shot convenience digest.
     pub fn digest(data: &[u8]) -> Hash256 {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        digest_on(path(), data)
     }
 }
 
-/// The SHA-256 compression function over every 64-byte block of `blocks`
-/// (whose length is a multiple of 64), read in place.
+/// One message's digest on `path`, in one lane.
+fn digest_on(path: Path, msg: &[u8]) -> Hash256 {
+    let mut state = H0;
+    path.compress_runs(&mut state, Padded::new(msg).runs());
+    Hash256::from_state(state)
+}
+
+/// Hashes each of `messages`, appending the digests to `out` in order:
+/// exactly [`Sha256::digest`] of each, computed a pair of messages at a
+/// time in two interleaved lanes where the CPU has SHA-NI.
 ///
-/// Uses the CPU's SHA extensions where it has them and the scalar rounds
-/// everywhere else; both leave the same words in `state`.
+/// ```
+/// use mlcask_storage::hash::{digest_many, Sha256};
+/// let mut out = Vec::new();
+/// digest_many(&[b"abc", b"", b"xyz"], &mut out);
+/// assert_eq!(out, [Sha256::digest(b"abc"), Sha256::digest(b""), Sha256::digest(b"xyz")]);
+/// ```
+pub fn digest_many(messages: &[&[u8]], out: &mut Vec<Hash256>) {
+    digest_many_on(path(), messages, out);
+}
+
+fn digest_many_on(path: Path, messages: &[&[u8]], out: &mut Vec<Hash256>) {
+    out.reserve(messages.len());
+    let mut pairs = messages.chunks_exact(2);
+    for pair in &mut pairs {
+        let (a, b) = (Padded::new(pair[0]), Padded::new(pair[1]));
+        let (mut sa, mut sb) = (H0, H0);
+        // The blocks not compressed yet; a run is emptied as it is used.
+        let (mut left_a, mut left_b) = (a.runs(), b.runs());
+        let next = |runs: &[&[u8]; 2]| runs.iter().position(|r| !r.is_empty());
+        // Both lanes in step while both messages have blocks left...
+        while let (Some(i), Some(j)) = (next(&left_a), next(&left_b)) {
+            let n = left_a[i].len().min(left_b[j].len());
+            (path.two)(&mut sa, &left_a[i][..n], &mut sb, &left_b[j][..n]);
+            left_a[i] = &left_a[i][n..];
+            left_b[j] = &left_b[j][n..];
+        }
+        // ...then whatever is left of the longer one alone.
+        path.compress_runs(&mut sa, left_a);
+        path.compress_runs(&mut sb, left_b);
+        out.extend([Hash256::from_state(sa), Hash256::from_state(sb)]);
+    }
+    if let [last] = pairs.remainder() {
+        out.push(digest_on(path, last));
+    }
+}
+
+/// The end of a message of `len` bytes whose last `tail.len() < 64` bytes
+/// are `tail`, padded: the 0x80 terminator, zeros, and the bit length in
+/// the last eight bytes — one block, or two when the length does not fit
+/// after the terminator. Returns the buffer and how many bytes of it count.
+fn pad(tail: &[u8], len: u64) -> ([u8; 128], usize) {
+    let mut out = [0u8; 128];
+    out[..tail.len()].copy_from_slice(tail);
+    out[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    out[end - 8..end].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    (out, end)
+}
+
+/// A whole message as the compression function reads it: its whole blocks
+/// in place, then its padded tail.
+struct Padded<'a> {
+    body: &'a [u8],
+    tail: [u8; 128],
+    tail_len: usize,
+}
+
+impl<'a> Padded<'a> {
+    fn new(msg: &'a [u8]) -> Self {
+        let (body, rest) = msg.split_at(msg.len() - msg.len() % 64);
+        let (tail, tail_len) = pad(rest, msg.len() as u64);
+        Padded {
+            body,
+            tail,
+            tail_len,
+        }
+    }
+
+    /// The message's blocks as two runs that each lie in one piece (the
+    /// body may be empty).
+    fn runs(&self) -> [&[u8]; 2] {
+        [self.body, &self.tail[..self.tail_len]]
+    }
+}
+
+/// Compresses every 64-byte block of a run (a multiple of 64 bytes, read in
+/// place) into a state.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// [`Compress`] on two states at once; both runs have the same length.
+type CompressTwo = fn(&mut [u32; 8], &[u8], &mut [u32; 8], &[u8]);
+
+/// One way to run the compression function: over one state, or over two
+/// states in step. Both leave the words the scalar rounds would.
+#[derive(Clone, Copy)]
+struct Path {
+    one: Compress,
+    two: CompressTwo,
+}
+
+impl Path {
+    /// `one` over each run in order, skipping empty ones.
+    fn compress_runs(self, state: &mut [u32; 8], runs: [&[u8]; 2]) {
+        for run in runs {
+            if !run.is_empty() {
+                (self.one)(state, run);
+            }
+        }
+    }
+}
+
+/// The portable path: the scalar rounds, one lane after the other.
+const SCALAR: Path = Path {
+    one: compress_blocks_scalar,
+    two: |sa, a, sb, b| {
+        compress_blocks_scalar(sa, a);
+        compress_blocks_scalar(sb, b);
+    },
+};
+
+/// The path this CPU runs: the SHA extensions where it has them, the scalar
+/// rounds everywhere else.
+fn path() -> Path {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(path) = sha_ni::path() {
+        return path;
+    }
+    SCALAR
+}
+
+/// The compression function over every 64-byte block of `blocks` (whose
+/// length is a multiple of 64), read in place, on this CPU's path.
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
-    #[cfg(target_arch = "x86_64")]
-    if sha_ni::compress_blocks(state, blocks) {
-        return;
-    }
-    compress_blocks_scalar(state, blocks);
+    (path().one)(state, blocks);
 }
 
 /// Portable compression function: FIPS 180-4 §6.2.2 as written. Runs where
@@ -196,91 +311,136 @@ fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-/// The compression function on the x86 SHA extensions (SHA-NI).
+/// The compression function on the x86 SHA extensions (SHA-NI), over one
+/// state or two in step.
 ///
 /// This module is the only place in the workspace allowed to use `unsafe`:
 /// the crate denies it, every other crate forbids it.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
+// Lane loops index several per-lane arrays by the same lane number.
+#[allow(clippy::needless_range_loop)]
 mod sha_ni {
-    use super::K;
+    use super::{Path, K};
     use std::arch::x86_64::*;
+    use std::sync::OnceLock;
 
-    /// Compresses `blocks` into `state` on the SHA extensions and returns
-    /// `true`, or touches nothing and returns `false` when this CPU lacks
-    /// them (the caller then runs the scalar rounds).
-    #[inline]
-    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
-        if !(is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("sse4.1")
-            && is_x86_feature_detected!("ssse3"))
-        {
-            return false;
-        }
-        // SAFETY: the running CPU reports every target feature `kernel` is
-        // compiled with (`sse2` is part of the x86_64 baseline).
-        unsafe { kernel(state, blocks) };
-        true
+    /// The SHA-NI path, or `None` when this CPU lacks the extensions. The
+    /// CPU is asked once per process, for both lane counts; `one` and `two`
+    /// are handed out from here only, which is what makes their `unsafe`
+    /// calls sound.
+    pub(super) fn path() -> Option<Path> {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        let detected = *DETECTED.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse4.1")
+                && is_x86_feature_detected!("ssse3")
+        });
+        detected.then_some(Path { one, two })
     }
 
-    /// Rounds `4i..4i+4` on message words `w = W[4i..4i+4]`. `sha256rnds2`
-    /// does two rounds on the low two lanes of word-plus-constant and
-    /// returns the new `abef`; the old `abef` is the new `cdgh`.
+    fn one(state: &mut [u32; 8], blocks: &[u8]) {
+        // SAFETY: reachable only through `path`, which hands it out once the
+        // running CPU has reported every target feature `kernel` is compiled
+        // with (`sse2` is part of the x86_64 baseline).
+        unsafe { kernel([state], [blocks]) }
+    }
+
+    fn two(sa: &mut [u32; 8], a: &[u8], sb: &mut [u32; 8], b: &[u8]) {
+        // SAFETY: as for `one`.
+        unsafe { kernel([sa, sb], [a, b]) }
+    }
+
+    /// Rounds `4i..4i+4` of every lane on its message words
+    /// `w = W[4i..4i+4]`. `sha256rnds2` does two rounds on the low two
+    /// lanes of word-plus-constant and returns the new `abef`; the old
+    /// `abef` is the new `cdgh`. Each instruction is issued for every lane
+    /// before the next one is, so the lanes' latencies overlap.
     #[inline]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+    fn rounds4<const N: usize>(
+        abef: &mut [__m128i; N],
+        cdgh: &mut [__m128i; N],
+        w: [__m128i; N],
+        i: usize,
+    ) {
         let k = &K[4 * i..4 * i + 4];
         let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
-        let wk = _mm_add_epi32(w, k);
-        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
-        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        let mut wk = w;
+        for l in 0..N {
+            wk[l] = _mm_add_epi32(w[l], k);
+        }
+        for l in 0..N {
+            cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
+        }
+        for l in 0..N {
+            abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk[l], 0x0E));
+        }
     }
 
-    /// The next four schedule words `W[t..t+4]` from the sixteen before
-    /// them, `v0 = W[t-16..t-12]` up to `v3 = W[t-4..t]`.
+    /// Every lane's next four schedule words `W[t..t+4]` from the sixteen
+    /// before them, `v0 = W[t-16..t-12]` up to `v3 = W[t-4..t]`.
     #[inline]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn schedule(v0: __m128i, v1: __m128i, v2: __m128i, v3: __m128i) -> __m128i {
-        // W[t-16+j] + s0(W[t-15+j]), then + W[t-7+j], then + s1(W[t-2+j]).
-        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(v0, v1), _mm_alignr_epi8(v3, v2, 4));
-        _mm_sha256msg2_epu32(partial, v3)
+    fn schedule<const N: usize>(
+        v0: [__m128i; N],
+        v1: [__m128i; N],
+        v2: [__m128i; N],
+        v3: [__m128i; N],
+    ) -> [__m128i; N] {
+        let mut next = v0;
+        for l in 0..N {
+            // W[t-16+j] + s0(W[t-15+j]), then + W[t-7+j], then + s1(W[t-2+j]).
+            let partial = _mm_add_epi32(
+                _mm_sha256msg1_epu32(v0[l], v1[l]),
+                _mm_alignr_epi8(v3[l], v2[l], 4),
+            );
+            next[l] = _mm_sha256msg2_epu32(partial, v3[l]);
+        }
+        next
     }
 
-    /// The compression function proper. Safe to call only from a context
-    /// with its target features, hence the one `unsafe` call above.
+    /// The compression function proper, in `N` lanes: lane `l` compresses
+    /// `blocks[l]` into `states[l]`, and every lane has as many blocks.
+    /// Safe to call only from a context with its target features, hence
+    /// the `unsafe` calls above.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
+    fn kernel<const N: usize>(states: [&mut [u32; 8]; N], blocks: [&[u8]; N]) {
+        let runs = blocks.map(|run| run.as_chunks::<64>().0);
+        let blocks_per_lane = runs[0].len();
+        assert!(runs.iter().all(|run| run.len() == blocks_per_lane));
         // Reverses the bytes of each 32-bit lane: message words are
         // big-endian.
         let be = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
 
-        let s = state.as_mut_ptr().cast::<__m128i>();
-        // SAFETY: `state` is 32 readable bytes and `loadu` needs no
-        // alignment, so `s` and `s + 1` each cover 16 bytes inside it.
-        let (dcba, hgfe) = unsafe { (_mm_loadu_si128(s), _mm_loadu_si128(s.add(1))) };
-        // The rounds instruction wants the words as (a,b,e,f) and (c,d,g,h).
-        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let zero = _mm_setzero_si128();
+        let (mut abef, mut cdgh) = ([zero; N], [zero; N]);
+        for l in 0..N {
+            let s = states[l].as_ptr().cast::<__m128i>();
+            // SAFETY: a state is 32 readable bytes and `loadu` needs no
+            // alignment, so `s` and `s + 1` each cover 16 bytes inside it.
+            let (dcba, hgfe) = unsafe { (_mm_loadu_si128(s), _mm_loadu_si128(s.add(1))) };
+            // The rounds instruction wants the words as (a,b,e,f) and
+            // (c,d,g,h).
+            let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+            let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+            abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
+            cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xF0);
+        }
 
-        for block in blocks.chunks_exact(64) {
+        for b in 0..blocks_per_lane {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let p = block.as_ptr().cast::<__m128i>();
-            // SAFETY: `chunks_exact(64)` yields 64 readable bytes, so the
-            // four unaligned 16-byte loads at `p..p + 4` stay inside them.
-            let (m0, m1, m2, m3) = unsafe {
-                (
-                    _mm_loadu_si128(p),
-                    _mm_loadu_si128(p.add(1)),
-                    _mm_loadu_si128(p.add(2)),
-                    _mm_loadu_si128(p.add(3)),
-                )
-            };
-            let mut w0 = _mm_shuffle_epi8(m0, be);
-            let mut w1 = _mm_shuffle_epi8(m1, be);
-            let mut w2 = _mm_shuffle_epi8(m2, be);
-            let mut w3 = _mm_shuffle_epi8(m3, be);
+            let mut w = [[zero; N]; 4];
+            for l in 0..N {
+                let p = runs[l][b].as_ptr().cast::<__m128i>();
+                for (j, w) in w.iter_mut().enumerate() {
+                    // SAFETY: a block is 64 readable bytes, so the
+                    // unaligned 16-byte load at `p + j`, `j < 4`, stays
+                    // inside it.
+                    w[l] = _mm_shuffle_epi8(unsafe { _mm_loadu_si128(p.add(j)) }, be);
+                }
+            }
+            let [mut w0, mut w1, mut w2, mut w3] = w;
             rounds4(&mut abef, &mut cdgh, w0, 0);
             rounds4(&mut abef, &mut cdgh, w1, 1);
             rounds4(&mut abef, &mut cdgh, w2, 2);
@@ -297,17 +457,22 @@ mod sha_ni {
                 w3 = schedule(w3, w0, w1, w2);
                 rounds4(&mut abef, &mut cdgh, w3, i + 3);
             }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            for l in 0..N {
+                abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+                cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+            }
         }
 
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        // SAFETY: as for the loads — two unaligned 16-byte stores covering
-        // exactly the 32 bytes of `state`, which we borrow mutably.
-        unsafe {
-            _mm_storeu_si128(s, _mm_blend_epi16(feba, dchg, 0xF0));
-            _mm_storeu_si128(s.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        for l in 0..N {
+            let feba = _mm_shuffle_epi32(abef[l], 0x1B);
+            let dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
+            let s = states[l].as_mut_ptr().cast::<__m128i>();
+            // SAFETY: as for the loads — two unaligned 16-byte stores
+            // covering exactly the 32 bytes of a state we borrow mutably.
+            unsafe {
+                _mm_storeu_si128(s, _mm_blend_epi16(feba, dchg, 0xF0));
+                _mm_storeu_si128(s.add(1), _mm_alignr_epi8(dchg, feba, 8));
+            }
         }
     }
 }
@@ -350,6 +515,28 @@ impl Hash256 {
             h.update(p);
         }
         h.finalize()
+    }
+
+    /// The message [`Hash256::of_parts`] hashes: each part after its length
+    /// as a little-endian `u64`. `Hash256::of(&parts_message(p))` equals
+    /// `of_parts(p)`; callers hashing many messages of one shape build one
+    /// and stamp it.
+    pub fn parts_message(parts: &[&[u8]]) -> Vec<u8> {
+        let mut msg = Vec::with_capacity(parts.iter().map(|p| 8 + p.len()).sum());
+        for p in parts {
+            msg.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            msg.extend_from_slice(p);
+        }
+        msg
+    }
+
+    /// The digest of a finished state: its words, big-endian.
+    fn from_state(state: [u32; 8]) -> Hash256 {
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Hash256(out)
     }
 
     /// Lowercase hex encoding.
@@ -435,23 +622,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    type Compress = fn(&mut [u32; 8], &[u8]);
-
     /// Every compression path this machine can run: always the scalar
-    /// oracle, plus the SHA-NI kernel when the CPU has it. The skip is
-    /// printed so a green run says which paths it covered.
-    fn compress_paths() -> Vec<(&'static str, Compress)> {
-        let scalar: (&str, Compress) = ("scalar", compress_blocks_scalar);
+    /// oracle, plus the SHA-NI kernel (one lane and two) when the CPU has
+    /// it. The skip is printed so a green run says which paths it covered.
+    fn compress_paths() -> Vec<(&'static str, Path)> {
         #[cfg(target_arch = "x86_64")]
-        if sha_ni::compress_blocks(&mut [0; 8], &[]) {
-            let sha_ni: Compress = |state, blocks| assert!(sha_ni::compress_blocks(state, blocks));
-            return vec![scalar, ("sha-ni", sha_ni)];
+        if let Some(sha_ni) = sha_ni::path() {
+            return vec![("scalar", SCALAR), ("sha-ni", sha_ni)];
         }
         static NOTICE: std::sync::Once = std::sync::Once::new();
         NOTICE.call_once(|| {
             println!("NOTICE: this CPU has no SHA extensions; the sha-ni kernel is not exercised");
         });
-        vec![scalar]
+        vec![("scalar", SCALAR)]
     }
 
     /// A digest that shares nothing with `Sha256` but the compression
@@ -477,8 +660,12 @@ mod tests {
     /// compression path separately.
     fn check_vector(data: &[u8], hex: &str) {
         assert_eq!(Sha256::digest(data).to_hex(), hex, "Sha256::digest");
-        for (name, compress) in compress_paths() {
-            assert_eq!(digest_with(compress, data).to_hex(), hex, "{name} path");
+        for (name, path) in compress_paths() {
+            assert_eq!(digest_with(path.one, data).to_hex(), hex, "{name} path");
+            let mut both = Vec::new();
+            digest_many_on(path, &[data, data], &mut both);
+            assert_eq!(both[0].to_hex(), hex, "{name} path, lane 0 of 2");
+            assert_eq!(both[1].to_hex(), hex, "{name} path, lane 1 of 2");
         }
     }
 
@@ -529,8 +716,8 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), want, "byte at a time, {len} bytes");
-            for (name, compress) in compress_paths() {
-                assert_eq!(digest_with(compress, msg), want, "{name}, {len} bytes");
+            for (name, path) in compress_paths() {
+                assert_eq!(digest_with(path.one, msg), want, "{name}, {len} bytes");
             }
         }
     }
@@ -560,14 +747,55 @@ mod tests {
             h.update(&data[from..]);
             prop_assert_eq!(h.finalize(), want);
 
-            // The raw state words too, over the whole blocks alone.
+            // The raw state words too, over the whole blocks alone, in one
+            // lane and in two: beside the same blocks, and beside the
+            // blocks reversed from a state that has already moved.
             let blocks = &data[..data.len() - data.len() % 64];
             let mut oracle = H0;
             compress_blocks_scalar(&mut oracle, blocks);
-            for (name, compress) in compress_paths() {
+            let reversed: Vec<u8> = blocks.iter().rev().copied().collect();
+            let mut other_oracle = oracle;
+            compress_blocks_scalar(&mut other_oracle, &reversed);
+            for (name, path) in compress_paths() {
                 let mut state = H0;
-                compress(&mut state, blocks);
+                (path.one)(&mut state, blocks);
                 prop_assert_eq!(state, oracle, "{} path", name);
+                let (mut a, mut b) = (H0, H0);
+                (path.two)(&mut a, blocks, &mut b, blocks);
+                prop_assert_eq!([a, b], [oracle, oracle], "{} path, two lanes", name);
+                let (mut a, mut b) = (H0, oracle);
+                (path.two)(&mut a, blocks, &mut b, &reversed);
+                prop_assert_eq!([a, b], [oracle, other_oracle], "{} path, two lanes", name);
+            }
+        }
+
+        /// `digest_many` is `Sha256::digest` per message on every path:
+        /// any count (odd ones leave a message without a partner), pairs of
+        /// unequal lengths, the padding-boundary lengths, and sub-slices at
+        /// unaligned offsets of one buffer.
+        #[test]
+        fn prop_digest_many_is_digest_per_message(
+            buf in proptest::collection::vec(any::<u8>(), 364),
+            count in 0usize..40,
+            lens in proptest::collection::vec(0usize..300, 40),
+            picks in proptest::collection::vec(0usize..12, 40),
+            offsets in proptest::collection::vec(0usize..64, 40),
+        ) {
+            const EDGES: [usize; 6] = [55, 56, 63, 64, 119, 120];
+            let messages: Vec<&[u8]> = (0..count)
+                .map(|i| {
+                    let len = EDGES.get(picks[i]).copied().unwrap_or(lens[i]);
+                    &buf[offsets[i]..offsets[i] + len]
+                })
+                .collect();
+            let want: Vec<Hash256> = messages.iter().map(|m| Sha256::digest(m)).collect();
+            let mut got = vec![Hash256::ZERO];
+            digest_many(&messages, &mut got);
+            prop_assert_eq!(&got[1..], &want[..], "appended after what was there");
+            for (name, path) in compress_paths() {
+                got.clear();
+                digest_many_on(path, &messages, &mut got);
+                prop_assert_eq!(&got, &want, "{} path", name);
             }
         }
     }
@@ -624,6 +852,19 @@ mod tests {
         assert_ne!(a, b);
         // And differs from plain concatenation.
         assert_ne!(a, Hash256::of(b"abc"));
+    }
+
+    #[test]
+    fn parts_message_is_what_of_parts_hashes() {
+        for parts in [
+            &[][..],
+            &[b"".as_slice()],
+            &[b"lib-base", b"name", &7u64.to_le_bytes()],
+        ] {
+            let msg = Hash256::parts_message(parts);
+            assert_eq!(msg.len(), parts.iter().map(|p| 8 + p.len()).sum::<usize>());
+            assert_eq!(Hash256::of(&msg), Hash256::of_parts(parts));
+        }
     }
 
     #[test]

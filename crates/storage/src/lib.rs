@@ -12,7 +12,8 @@
 //! * **Content addressing** — every object is identified by the SHA-256 of
 //!   its bytes ([`hash`], implemented from scratch; the compression function
 //!   runs on the CPU's SHA extensions where it has them and on portable
-//!   scalar rounds elsewhere, with identical digests).
+//!   scalar rounds elsewhere, with identical digests; independent messages
+//!   hash two at a time through [`hash::digest_many`]).
 //! * **Content-defined chunking** — blobs split at Gear-hash boundaries so a
 //!   local edit re-stores only the touched chunks ([`chunk`]).
 //! * **Deduplicating store** — [`store::ChunkStore`] persists unseen chunks
