@@ -32,10 +32,11 @@ pub enum CoreError {
     InvalidTenantName(String),
     /// No tenant with this name is registered in the workspace.
     UnknownTenant(String),
-    /// A cross-tenant operation was attempted without a sufficient
-    /// [`ShareRight`] grant from the owning tenant. Raised *before* any
-    /// execution or graph access, so a denial leaves the commit graph and
-    /// every tenant's accounts untouched.
+    /// A cross-tenant fork or merge was attempted without a sufficient
+    /// [`ShareRight`] grant from the owning tenant. Raised by
+    /// [`Workspace::require_grant`](crate::workspace::Workspace::require_grant)
+    /// *before* any execution or graph access, so a denial leaves the commit
+    /// graph and every tenant's accounts untouched.
     ShareDenied {
         /// The tenant whose namespace the operation targeted.
         owner: String,

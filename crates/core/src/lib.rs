@@ -66,8 +66,8 @@ pub mod prelude {
     };
     pub use crate::registry::{ComponentRegistry, RegisteredLibrary};
     pub use crate::search_space::{CompatLut, SearchSpaces};
-    pub use crate::system::{CommitResult, MergeOutcome, MlCask};
+    pub use crate::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
     pub use crate::tree::{NodeState, SearchTree, StateCounts, TreeNode};
     pub use crate::workspace::{Tenant, Workspace};
-    pub use mlcask_storage::tenant::{SharePolicy, ShareRight};
+    pub use mlcask_storage::tenant::ShareRight;
 }

@@ -3,6 +3,9 @@
 //! Ties together the repositories (§III), version-control semantics (§IV),
 //! branching/merging (§V) and the optimized merge search (§VI) behind the
 //! API a deployment would script against: `commit` / `branch` / `merge`.
+//! A merge names its two sides with [`BranchRef`]s, so merging a peer
+//! tenant's branch — or into one — is the same operation as merging two of
+//! one's own.
 
 use crate::errors::{CoreError, Result};
 use crate::history::HistoryIndex;
@@ -44,6 +47,48 @@ pub struct MergeOutcome {
     pub fast_forward: bool,
     /// Search details (empty/default for fast-forward merges).
     pub report: Option<MergeSearchReport>,
+}
+
+/// A branch as a merge names it: one of the caller's own branches (what a
+/// plain `&str` converts to) or a peer tenant's ([`BranchRef::peer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchRef<'a> {
+    /// The owning tenant when it is not the caller.
+    peer: Option<&'a str>,
+    /// The branch name inside its owner's namespace.
+    branch: &'a str,
+}
+
+impl<'a> BranchRef<'a> {
+    /// Tenant `tenant`'s branch `branch`.
+    pub fn peer(tenant: &'a str, branch: &'a str) -> BranchRef<'a> {
+        BranchRef {
+            peer: Some(tenant),
+            branch,
+        }
+    }
+
+    /// The branch's name in the shared commit graph, for a caller whose
+    /// own namespace is `home` (`None` for a solo system): the one place a
+    /// `"{tenant}/{branch}"` name is spelled.
+    pub(crate) fn qualified(&self, home: Option<&str>) -> String {
+        match self.peer.or(home) {
+            Some(tenant) => format!("{tenant}/{}", self.branch),
+            None => self.branch.to_string(),
+        }
+    }
+}
+
+impl<'a> From<&'a str> for BranchRef<'a> {
+    fn from(branch: &'a str) -> Self {
+        BranchRef { peer: None, branch }
+    }
+}
+
+impl<'a> From<&'a String> for BranchRef<'a> {
+    fn from(branch: &'a String) -> Self {
+        BranchRef::from(branch.as_str())
+    }
 }
 
 /// A version-controlled ML pipeline: MLCask's user-facing object.
@@ -171,13 +216,11 @@ impl MlCask {
         self.workspace.history()
     }
 
-    /// The shared-graph name of a caller-facing branch: `"{tenant}/{branch}"`
-    /// for tenant systems, `branch` unchanged for solo systems.
-    pub fn qualified_branch(&self, branch: &str) -> String {
-        match &self.namespace {
-            Some(tenant) => format!("{tenant}/{branch}"),
-            None => branch.to_string(),
-        }
+    /// The shared-graph name of a branch reference: `"{tenant}/{branch}"`
+    /// for a peer's branch or a tenant system's own, `branch` unchanged for
+    /// a solo system's own.
+    pub fn qualified_branch<'a>(&self, branch: impl Into<BranchRef<'a>>) -> String {
+        branch.into().qualified(self.namespace.as_deref())
     }
 
     /// The pipeline shape.
@@ -327,14 +370,23 @@ impl MlCask {
     }
 
     /// The metafile at a branch head.
-    pub fn head_metafile(&self, branch: &str) -> Result<Arc<PipelineMetafile>> {
+    pub fn head_metafile<'a>(
+        &self,
+        branch: impl Into<BranchRef<'a>>,
+    ) -> Result<Arc<PipelineMetafile>> {
         let head = self.graph().head(&self.qualified_branch(branch))?;
         self.metafile_of(&head)
     }
 
     /// Builds the merge search spaces for merging `merging` into `base`
     /// (§V): versions developed since the common ancestor on either branch.
-    pub fn merge_search_spaces(&self, base: &str, merging: &str) -> Result<SearchSpaces> {
+    /// Either side may be a peer tenant's branch ([`BranchRef::peer`]);
+    /// reading a history needs no grant.
+    pub fn merge_search_spaces<'a, 'b>(
+        &self,
+        base: impl Into<BranchRef<'a>>,
+        merging: impl Into<BranchRef<'b>>,
+    ) -> Result<SearchSpaces> {
         self.merge_search_spaces_qualified(
             &self.graph().view(),
             &self.qualified_branch(base),
@@ -355,7 +407,7 @@ impl MlCask {
     /// Every component version referenced along either path must be
     /// registered in *this* system's registry (collaborating teams share
     /// component libraries the way they share the workload definition).
-    pub fn merge_search_spaces_qualified(
+    fn merge_search_spaces_qualified(
         &self,
         view: &GraphView,
         base: &str,
@@ -387,13 +439,13 @@ impl MlCask {
 
     /// Initial leaf scores for prioritized search: the already-trained
     /// pipelines on both heads with their recorded metrics (§VII-E).
-    pub fn initial_scores(
+    pub fn initial_scores<'a, 'b>(
         &self,
-        base: &str,
-        merging: &str,
+        base: impl Into<BranchRef<'a>>,
+        merging: impl Into<BranchRef<'b>>,
     ) -> Result<Vec<(Vec<ComponentKey>, f64)>> {
         let mut out = Vec::new();
-        for b in [base, merging] {
+        for b in [base.into(), merging.into()] {
             let meta = self.head_metafile(b)?;
             if let Some(score) = meta.score {
                 out.push((meta.component_keys(), score.value));
@@ -403,127 +455,56 @@ impl MlCask {
     }
 
     /// Merges `merging` into `base` with the given strategy (§V–§VI).
+    /// Either side may name a peer tenant's branch ([`BranchRef::peer`]):
+    /// merging into a peer's branch is the downstream team contributing its
+    /// fork back upstream and needs [`ShareRight::MergeInto`] from the
+    /// peer; merging a peer's branch in is pulling upstream work and needs
+    /// [`ShareRight::Read`] — the rule [`CommitGraph::commit_merge`]
+    /// applies at commit time, checked here before any execution or graph
+    /// access so a denial leaves the graph and every account untouched.
     ///
     /// Fast-forward merges duplicate the `MERGE_HEAD` pipeline onto the base
     /// branch without any search. Diverged branches trigger the
-    /// metric-driven merge: the best-scoring candidate is committed with
-    /// both heads as parents.
-    pub fn merge(
-        &self,
-        base: &str,
-        merging: &str,
-        strategy: MergeStrategy,
-        ledger: &ClockLedger,
-    ) -> Result<MergeOutcome> {
-        if base == merging {
-            return Err(CoreError::SelfMerge(base.into()));
-        }
-        self.merge_qualified(
-            self.qualified_branch(base),
-            &self.qualified_branch(merging),
-            merging,
-            strategy,
-            ledger,
-        )
-    }
-
-    /// Checks that this system is a tenant of its workspace and that `peer`
-    /// is a registered tenant granting this tenant at least `needed`.
-    /// Performed *before* any execution or graph access, so a denial leaves
-    /// the commit graph and every tenant's accounts untouched.
-    fn require_grant(&self, peer: &str, needed: ShareRight) -> Result<&str> {
-        let me = self
-            .namespace
-            .as_deref()
-            .ok_or_else(|| CoreError::NotATenant(self.name.clone()))?;
-        if !self.workspace.has_tenant(peer) {
-            return Err(CoreError::UnknownTenant(peer.to_string()));
-        }
-        if !self.graph.shares().allows(peer, me, needed) {
-            return Err(CoreError::ShareDenied {
-                owner: peer.to_string(),
-                peer: me.to_string(),
-                needed,
-            });
-        }
-        Ok(me)
-    }
-
-    /// Merges this tenant's branch `merging` **into a peer tenant's** branch
-    /// `peer_branch` — the downstream team contributing its fork back
-    /// upstream. Requires a [`ShareRight::MergeInto`] grant from `peer`.
-    ///
-    /// The merge search runs over both tenants' histories since the fork
-    /// point, reusing the peer's cached component outputs through the shared
-    /// history (dedup makes re-deriving them nearly free); any **newly**
-    /// materialized candidate outputs are charged to *this* (merging)
+    /// metric-driven merge over both histories since the common ancestor:
+    /// the best-scoring candidate is committed with both heads as parents.
+    /// Candidates reuse every tenant's cached outputs through the shared
+    /// history; any *newly* materialized output is charged to this system's
     /// tenant, byte-deterministically across worker counts, because writes
-    /// go through this system's tenant-scoped store view and ride the
-    /// traced-execute/replay protocol. The merge commit lands on the peer's
-    /// branch with both heads as parents.
-    pub fn merge_into(
+    /// go through its tenant-scoped store view and ride the
+    /// traced-execute/replay protocol.
+    pub fn merge<'a, 'b>(
         &self,
-        peer: &str,
-        peer_branch: &str,
-        merging: &str,
+        base: impl Into<BranchRef<'a>>,
+        merging: impl Into<BranchRef<'b>>,
         strategy: MergeStrategy,
         ledger: &ClockLedger,
     ) -> Result<MergeOutcome> {
-        self.require_grant(peer, ShareRight::MergeInto)?;
-        let merging_q = self.qualified_branch(merging);
-        self.merge_qualified(
-            format!("{peer}/{peer_branch}"),
-            &merging_q,
-            &merging_q,
-            strategy,
-            ledger,
-        )
-    }
-
-    /// Merges a peer tenant's branch `peer_branch` **into this tenant's**
-    /// branch `base` — the downstream team pulling upstream work. Requires a
-    /// [`ShareRight::Read`] grant from `peer`; the merge commit lands on
-    /// this tenant's branch and every newly materialized byte is charged to
-    /// this tenant.
-    pub fn merge_from(
-        &self,
-        base: &str,
-        peer: &str,
-        peer_branch: &str,
-        strategy: MergeStrategy,
-        ledger: &ClockLedger,
-    ) -> Result<MergeOutcome> {
-        self.require_grant(peer, ShareRight::Read)?;
-        self.merge_qualified(
-            self.qualified_branch(base),
-            &format!("{peer}/{peer_branch}"),
-            &format!("{peer}/{peer_branch}"),
-            strategy,
-            ledger,
-        )
-    }
-
-    /// The merge driver over already-qualified (shared-graph) branch names;
-    /// `merging_label` is the name used in commit messages (caller-facing
-    /// for same-tenant merges, qualified for cross-tenant ones).
-    fn merge_qualified(
-        &self,
-        base: String,
-        merging: &str,
-        merging_label: &str,
-        strategy: MergeStrategy,
-        ledger: &ClockLedger,
-    ) -> Result<MergeOutcome> {
-        if base == merging {
-            return Err(CoreError::SelfMerge(base));
+        let (base, merging) = (base.into(), merging.into());
+        for (side, needed) in [(base, ShareRight::MergeInto), (merging, ShareRight::Read)] {
+            if let Some(owner) = side.peer {
+                let me = self
+                    .namespace
+                    .as_deref()
+                    .ok_or_else(|| CoreError::NotATenant(self.name.clone()))?;
+                self.workspace.require_grant(owner, me, needed)?;
+            }
         }
+        // Errors and commit messages name the branches as the caller does
+        // when both are its own, else by their shared-graph names.
+        let own = base.peer.is_none() && merging.peer.is_none();
+        let (base_q, merging_q) = (self.qualified_branch(base), self.qualified_branch(merging));
+        if base_q == merging_q {
+            let name = if own { base.branch.to_string() } else { base_q };
+            return Err(CoreError::SelfMerge(name));
+        }
+        let merging_label = if own { merging.branch } else { &merging_q };
         // One frozen view decides everything the merge reads off the graph:
         // both heads, the fast-forward test, the common ancestor and the
         // paths up from it. (The commit at the end re-resolves the base
         // head under the writer lock.)
         let view = self.graph().view();
-        let base_head = view.head(&base)?;
-        let merge_head = view.head(merging)?;
+        let base_head = view.head(&base_q)?;
+        let merge_head = view.head(&merging_q)?;
 
         if view.is_fast_forward(base_head.id, merge_head.id)? {
             // "MLCask duplicates the latest version in MERGE_HEAD, changes
@@ -532,7 +513,7 @@ impl MlCask {
             // Fully checkpointed: a lookup assembles the metafile.
             let keys = self.metafile_of(&merge_head)?.component_keys();
             let done = self.run_and_commit(
-                base,
+                base_q,
                 &keys,
                 &format!("fast-forward merge of {merging_label}"),
                 Some(merge_head.id),
@@ -545,7 +526,7 @@ impl MlCask {
             });
         }
 
-        let spaces = self.merge_search_spaces_qualified(&view, &base, merging)?;
+        let spaces = self.merge_search_spaces_qualified(&view, &base_q, &merging_q)?;
         let engine = MergeEngine::new(&self.registry, self.store(), Arc::clone(&self.dag))
             .with_parallelism(self.parallelism)
             .with_incremental(self.incremental);
@@ -557,7 +538,7 @@ impl MlCask {
         // it, so with incremental re-evaluation on and a history-backed
         // strategy its report is a lookup.
         let done = self.run_and_commit(
-            base,
+            base_q,
             &best_keys,
             &format!(
                 "metric-driven merge of {merging_label} ({})",

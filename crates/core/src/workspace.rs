@@ -20,9 +20,10 @@
 //!   `MergeInto` rights ([`Workspace::grant_share`], [`Tenant::grant_to`]);
 //!   a granted peer forks the owner's branch into its own namespace
 //!   ([`Tenant::fork_from`] — references handed over, no bytes copied) and
-//!   later merges its work back with
-//!   [`MlCask::merge_into`](crate::system::MlCask::merge_into), paying only
-//!   for newly materialized outputs. A denial aborts before any graph or
+//!   later merges its work back with [`MlCask::merge`] onto a
+//!   [`BranchRef::peer`](crate::system::BranchRef::peer), paying only for
+//!   newly materialized outputs. Both check the grant through
+//!   [`Workspace::require_grant`], so a denial aborts before any graph or
 //!   accounting access.
 //! * **Quotas** — each tenant's [`QuotaPolicy`] is enforced by the store on
 //!   every (traced or live) write; a breach surfaces as
@@ -39,16 +40,14 @@
 use crate::errors::{CoreError, Result};
 use crate::history::HistoryIndex;
 use crate::registry::ComponentRegistry;
-use crate::system::MlCask;
+use crate::system::{BranchRef, MlCask};
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::metafile::PipelineMetafile;
 use mlcask_storage::commit::{Commit, CommitGraph};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::{ChunkStore, SweepReport};
-use mlcask_storage::tenant::{
-    QuotaPolicy, SharePolicy, ShareRight, SharedUsage, TenantId, TenantUsage,
-};
+use mlcask_storage::tenant::{QuotaPolicy, ShareRight, SharedUsage, TenantId, TenantUsage};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -260,9 +259,23 @@ impl Workspace {
         Ok(())
     }
 
-    /// Point-in-time copy of the grants `owner` has extended.
-    pub fn share_policy(&self, owner: &str) -> SharePolicy {
-        self.graph.shares().policy_of(owner)
+    /// Checks that `owner` is a registered tenant granting `actor` at least
+    /// `needed` over its namespace (an owner always may act on its own).
+    /// The one precheck every cross-tenant fork and merge runs before any
+    /// execution or graph access, so a denial leaves the commit graph and
+    /// every tenant's accounts untouched.
+    pub fn require_grant(&self, owner: &str, actor: &str, needed: ShareRight) -> Result<()> {
+        if !self.has_tenant(owner) {
+            return Err(CoreError::UnknownTenant(owner.to_string()));
+        }
+        if !self.graph.shares().allows(owner, actor, needed) {
+            return Err(CoreError::ShareDenied {
+                owner: owner.to_string(),
+                peer: actor.to_string(),
+                needed,
+            });
+        }
+        Ok(())
     }
 
     /// Point-in-time copy of the tenant roster. Taken under one short read
@@ -427,22 +440,10 @@ impl Tenant {
     /// planner bills), while first-writer-pays attribution stays with the
     /// peer. Nothing is copied — dedup makes the fork physically free.
     pub fn fork_from(&self, peer: &str, branch: &str, new_branch: &str) -> Result<Commit> {
-        if !self.workspace.has_tenant(peer) {
-            return Err(CoreError::UnknownTenant(peer.to_string()));
-        }
-        if !self
-            .graph
-            .shares()
-            .allows(peer, &self.name, ShareRight::Fork)
-        {
-            return Err(CoreError::ShareDenied {
-                owner: peer.to_string(),
-                peer: self.name.clone(),
-                needed: ShareRight::Fork,
-            });
-        }
-        let from = format!("{peer}/{branch}");
-        let to = format!("{}/{new_branch}", self.name);
+        self.workspace
+            .require_grant(peer, &self.name, ShareRight::Fork)?;
+        let from = BranchRef::peer(peer, branch).qualified(None);
+        let to = BranchRef::from(new_branch).qualified(Some(&self.name));
         // Resolve the peer head's metafile *before* creating the branch —
         // every fallible read happens while the graph is still untouched —
         // then fork exactly the snapshot that was validated, immune to the
@@ -617,7 +618,7 @@ mod tests {
         // Granted: the fork points at the peer's head and the forker now
         // references (but did not pay for) the head's bytes.
         up.grant_to("down", ShareRight::Fork).unwrap();
-        assert!(ws.share_policy("up").allows("down", ShareRight::Read));
+        assert!(ws.require_grant("up", "down", ShareRight::Read).is_ok());
         let head = down.fork_from("up", "master", "feature").unwrap();
         assert_eq!(head.branch, "up/master");
         assert_eq!(down.branches(), vec!["feature"]);

@@ -22,7 +22,7 @@ use crate::protocol::{
     self, obj, s, Failure, Params, Request, INVALID_PARAMS, METHOD_NOT_FOUND, OP_FAILED,
 };
 use mlcask_core::merge::MergeStrategy;
-use mlcask_core::system::{CommitResult, MergeOutcome, MlCask};
+use mlcask_core::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_obs::metrics::LATENCY_SECONDS;
 use mlcask_obs::{trace, Counter, Histogram, MetricsRegistry};
@@ -214,7 +214,12 @@ static ROUTES: [Route; 19] = [
         let outcome = session
             .entry
             .sys
-            .merge_into(peer, peer_branch, merging, strategy, &session.ledger)
+            .merge(
+                BranchRef::peer(peer, peer_branch),
+                merging,
+                strategy,
+                &session.ledger,
+            )
             .map_err(Failure::op)?;
         Ok(merge_json(&outcome))
     }),

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::stats::{AtomicStats, CacheStats, KindStats, StorageStats};
     pub use crate::store::{ChunkStore, PutOutcome, PutTrace, SweepReport, WriteObs};
     pub use crate::tenant::{
-        QuotaPolicy, ReservationId, ReservedBytes, SharePolicy, ShareRight, ShareTable,
-        SharedUsage, TenantAccounts, TenantId, TenantUsage,
+        QuotaPolicy, ReservationId, ReservedBytes, ShareRight, ShareTable, SharedUsage,
+        TenantAccounts, TenantId, TenantUsage,
     };
 }

@@ -27,11 +27,11 @@
 //!    (converted into usage) when the write is attributed — immediately for
 //!    live writes, at canonical replay time for traced ones — and *released*
 //!    when its evaluation aborts, leaving the accounts exactly as before.
-//! 4. **May a tenant read, fork, or merge into a peer's namespace?** A
-//!    [`SharePolicy`] records the [`ShareRight`]s an owner has granted each
-//!    peer; the shared [`ShareTable`] is consulted by the commit graph's
-//!    permission-checked entry points (see [`crate::commit`]) and by the
-//!    workspace layer's cross-tenant fork/merge operations.
+//! 4. **May a tenant read, fork, or merge into a peer's namespace?** The
+//!    shared [`ShareTable`] records the [`ShareRight`]s each owner has
+//!    granted each peer; [`ShareTable::allows`] is consulted by the commit
+//!    graph's permission-checked entry points (see [`crate::commit`]) and by
+//!    the workspace layer's one cross-tenant precheck.
 //!
 //! All bookkeeping lives in [`TenantAccounts`], shared (via `Arc`) by every
 //! tenant-scoped view of one store (see
@@ -456,22 +456,6 @@ impl fmt::Display for ShareRight {
     }
 }
 
-/// The grants one owner namespace has extended: peer tenant name → the
-/// strongest right granted. A point-in-time copy produced by
-/// [`ShareTable::policy_of`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SharePolicy {
-    /// Peer name → granted right (each right implies the weaker ones).
-    pub grants: BTreeMap<String, ShareRight>,
-}
-
-impl SharePolicy {
-    /// True if `peer` holds at least `needed` under this policy.
-    pub fn allows(&self, peer: &str, needed: ShareRight) -> bool {
-        self.grants.get(peer).is_some_and(|r| *r >= needed)
-    }
-}
-
 #[derive(Default)]
 struct ShareState {
     /// Registered branch namespaces (tenant names). A branch `ns/rest`
@@ -507,11 +491,6 @@ impl ShareTable {
         self.state.write().namespaces.insert(ns.to_string());
     }
 
-    /// True if `ns` is a registered namespace.
-    pub fn is_namespace(&self, ns: &str) -> bool {
-        self.state.read().namespaces.contains(ns)
-    }
-
     /// The owning namespace of a branch name: the prefix before the first
     /// `/` when that prefix is a registered namespace, else `None` (the
     /// branch is unowned/open). A slash-less branch is never owned, even
@@ -544,7 +523,7 @@ impl ShareTable {
     }
 
     /// The strongest right `peer` holds over `owner`'s namespace, if any.
-    pub fn right_of(&self, owner: &str, peer: &str) -> Option<ShareRight> {
+    fn right_of(&self, owner: &str, peer: &str) -> Option<ShareRight> {
         self.state
             .read()
             .grants
@@ -560,19 +539,6 @@ impl ShareTable {
             return true;
         }
         self.right_of(owner, actor).is_some_and(|r| r >= needed)
-    }
-
-    /// Point-in-time copy of the grants extended by `owner`.
-    pub fn policy_of(&self, owner: &str) -> SharePolicy {
-        SharePolicy {
-            grants: self
-                .state
-                .read()
-                .grants
-                .get(owner)
-                .cloned()
-                .unwrap_or_default(),
-        }
     }
 }
 
@@ -751,8 +717,8 @@ mod tests {
         let t = ShareTable::new();
         t.register_namespace("up");
         t.register_namespace("down");
-        assert!(t.is_namespace("up"));
         assert_eq!(t.owner_of("up/master").as_deref(), Some("up"));
+        assert_eq!(t.owner_of("down/dev").as_deref(), Some("down"));
         assert_eq!(t.owner_of("master"), None, "unowned branches are open");
         assert_eq!(t.owner_of("ghost/master"), None);
         assert_eq!(
@@ -768,14 +734,12 @@ mod tests {
         assert!(t.allows("up", "down", ShareRight::Read));
         assert!(t.allows("up", "down", ShareRight::Fork));
         assert!(!t.allows("up", "down", ShareRight::MergeInto));
-        assert!(t.policy_of("up").allows("down", ShareRight::Read));
         // Latest grant wins; revocation removes everything.
         t.grant("up", "down", ShareRight::MergeInto);
         assert_eq!(t.right_of("up", "down"), Some(ShareRight::MergeInto));
         assert!(t.revoke("up", "down"));
         assert!(!t.revoke("up", "down"));
         assert!(!t.allows("up", "down", ShareRight::Read));
-        assert_eq!(t.policy_of("up"), SharePolicy::default());
     }
 
     #[test]

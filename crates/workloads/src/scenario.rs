@@ -15,7 +15,7 @@ use crate::common::Workload;
 use crate::errors::Result;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::{MergeOutcome, MlCask};
+use mlcask_core::system::{BranchRef, MergeOutcome, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_obs::config::{Config, StoreKind};
 use mlcask_pipeline::clock::ClockLedger;
@@ -187,6 +187,9 @@ impl StorageBackend for ScratchCask {
     fn put(&self, key: Hash256, data: &[u8]) -> mlcask_storage::errors::Result<bool> {
         self.cask.put(key, data)
     }
+    fn put_many(&self, items: &[(Hash256, &[u8])]) -> mlcask_storage::errors::Result<Vec<bool>> {
+        self.cask.put_many(items)
+    }
     fn get(&self, key: Hash256) -> mlcask_storage::errors::Result<Bytes> {
         self.cask.get(key)
     }
@@ -346,10 +349,12 @@ pub fn run_upstream_downstream(w: &Workload, policy: ParallelismPolicy) -> Resul
             "feature update {i} must be committable"
         );
     }
-    let merge =
-        downstream
-            .sys
-            .merge_into("upstream", "master", "feature", MergeStrategy::Full, &clock)?;
+    let merge = downstream.sys.merge(
+        BranchRef::peer("upstream", "master"),
+        "feature",
+        MergeStrategy::Full,
+        &clock,
+    )?;
     Ok(Collaboration {
         ws,
         upstream,
@@ -422,6 +427,40 @@ mod tests {
         // The default is memory: nothing on disk to begin with.
         drop(store_for(&Config::default(), "scratch-none"));
         assert!(scratch_dirs("scratch-none").is_empty());
+    }
+
+    /// The harness cask lands a blob the way the daemon's does: all of its
+    /// chunks and its manifest as one group in one segment.
+    #[test]
+    fn a_cask_harness_store_writes_a_blob_as_one_group() {
+        use mlcask_storage::object::ObjectKind;
+        let cask = Config {
+            store: StoreKind::Cask,
+            ..Config::default()
+        };
+        let store = store_for(&cask, "one-group");
+        let dirs = scratch_dirs("one-group");
+        assert_eq!(dirs.len(), 1, "{dirs:?}");
+        let mut rng = StdRng::seed_from_u64(7);
+        let blob: Vec<u8> = (0..200_000).map(|_| rng.gen()).collect();
+        store.put_blob(ObjectKind::Output, &blob).unwrap();
+        store.flush().unwrap();
+        let segments: Vec<(String, u64)> = std::fs::read_dir(&dirs[0])
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| entry.file_name().to_string_lossy().ends_with(".log"))
+            .map(|entry| {
+                let len = entry.metadata().unwrap().len();
+                (entry.file_name().to_string_lossy().into_owned(), len)
+            })
+            .collect();
+        let written: Vec<_> = segments.iter().filter(|(_, len)| *len > 0).collect();
+        assert!(store.backend().len() > 2, "a multi-chunk blob");
+        assert_eq!(
+            written.len(),
+            1,
+            "every record in one segment: {segments:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use mlcask_core::errors::CoreError;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::MlCask;
+use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
@@ -69,58 +69,176 @@ fn accounting_fingerprint(ws: &Arc<Workspace>) -> String {
     )
 }
 
-#[test]
-fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
+/// Two tenants whose histories diverge on both sides of one fork point:
+/// `up` owns `master` and `dev`, `down` owns `master` (forked from
+/// `up/master`) and `feature`, so any two of them merge by a real search.
+/// `up` ends up granting `down` exactly `grant`.
+struct Peers {
+    ws: Arc<Workspace>,
+    down: Tenant,
+    sys_down: MlCask,
+}
+
+fn peers(grant: Option<ShareRight>) -> Peers {
     let ws = Workspace::in_memory_small();
     let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
     let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_up = toy_system(&up);
-    let sys_down = toy_system(&down);
+    let (sys_up, sys_down) = (toy_system(&up), toy_system(&down));
     let clock = ClockLedger::new();
-    sys_up
-        .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
-        .unwrap();
-    sys_down
-        .commit_pipeline("master", &keys(&sys_down, 0, 1), "down initial", &clock)
-        .unwrap();
-
-    let before = accounting_fingerprint(&ws);
-    // No grant at all: fork denied.
-    assert!(matches!(
-        down.fork_from("up", "master", "feature"),
-        Err(CoreError::ShareDenied {
-            needed: ShareRight::Fork,
-            ..
-        })
-    ));
-    // Fork grant is not enough to merge into the owner.
+    let commit = |sys: &MlCask, branch: &str, scaler: usize, model: usize| {
+        let keys = keys(sys, scaler, model);
+        let done = sys.commit_pipeline(branch, &keys, branch, &clock).unwrap();
+        assert!(done.commit.is_some());
+    };
+    commit(&sys_up, "master", 0, 0);
     up.grant_to("down", ShareRight::Fork).unwrap();
-    assert!(matches!(
-        sys_down.merge_into("up", "master", "master", MergeStrategy::Full, &clock),
-        Err(CoreError::ShareDenied {
-            needed: ShareRight::MergeInto,
-            ..
-        })
-    ));
-    up.revoke_from("down").unwrap();
-    // Read is required even to pull a peer's branch into one's own.
-    assert!(matches!(
-        sys_down.merge_from("master", "up", "master", MergeStrategy::Full, &clock),
-        Err(CoreError::ShareDenied {
-            needed: ShareRight::Read,
-            ..
-        })
-    ));
+    down.fork_from("up", "master", "master").unwrap();
+    sys_up.branch("master", "dev").unwrap();
+    sys_down.branch("master", "feature").unwrap();
+    commit(&sys_up, "master", 1, 0);
+    commit(&sys_up, "dev", 0, 1);
+    commit(&sys_down, "master", 0, 2);
+    commit(&sys_down, "feature", 1, 1);
+    match grant {
+        Some(right) => up.grant_to("down", right),
+        None => up.revoke_from("down"),
+    }
+    .unwrap();
+    Peers { ws, down, sys_down }
+}
+
+/// Every fork and merge `down` can ask of `up`'s namespace, under every
+/// grant: the precheck admits exactly what the commit graph would, an
+/// admitted merge commits, and a refused one is refused by the graph too
+/// and moves neither graph nor accounts by a single byte.
+#[test]
+fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
+    const GRANTS: [Option<ShareRight>; 4] = [
+        None,
+        Some(ShareRight::Read),
+        Some(ShareRight::Fork),
+        Some(ShareRight::MergeInto),
+    ];
+    let (own_base, own_merging): (BranchRef, BranchRef) = ("master".into(), "feature".into());
+    let (peer_base, peer_merging) = (
+        BranchRef::peer("up", "master"),
+        BranchRef::peer("up", "dev"),
+    );
+    // A peer base is written to, a peer merging branch only read.
+    let rows: [(BranchRef, BranchRef, &[ShareRight]); 4] = [
+        (own_base, own_merging, &[]),
+        (own_base, peer_merging, &[ShareRight::Read]),
+        (peer_base, own_merging, &[ShareRight::MergeInto]),
+        (
+            peer_base,
+            peer_merging,
+            &[ShareRight::MergeInto, ShareRight::Read],
+        ),
+    ];
+    let clock = ClockLedger::new();
+    for grant in GRANTS {
+        for (base, merging, needs) in rows {
+            let row = format!("grant {grant:?}: {base:?} <- {merging:?}");
+            let refused = needs.iter().copied().find(|&n| grant < Some(n));
+            let p = peers(grant);
+            let before = accounting_fingerprint(&p.ws);
+            let merged = p.sys_down.merge(base, merging, MergeStrategy::Full, &clock);
+            let Some(needed) = refused else {
+                let merged = merged.unwrap_or_else(|e| panic!("{row}: {e}"));
+                assert!(merged.commit.is_some(), "{row}: admitted but not committed");
+                continue;
+            };
+            assert!(
+                matches!(
+                    &merged,
+                    Err(CoreError::ShareDenied { owner, peer, needed: n })
+                        if owner == "up" && peer == "down" && *n == needed
+                ),
+                "{row}: {:?}",
+                merged.map(|m| m.commit)
+            );
+            assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
+            // The graph refuses the same merge commit for the same right.
+            let merge_head =
+                p.ws.graph()
+                    .head(&p.sys_down.qualified_branch(merging))
+                    .unwrap();
+            let probe = p.sys_down.graph().commit_merge(
+                &p.sys_down.qualified_branch(base),
+                merge_head.id,
+                merge_head.payload,
+                "probe",
+            );
+            assert!(
+                matches!(probe, Err(StorageError::PermissionDenied { needed: n, .. }) if n == needed),
+                "{row}: the graph would have taken it: {probe:?}"
+            );
+            assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
+        }
+        // A fork goes through the same precheck with `Fork`.
+        let p = peers(grant);
+        let before = accounting_fingerprint(&p.ws);
+        let forked = p.down.fork_from("up", "master", "probe");
+        if grant >= Some(ShareRight::Fork) {
+            forked.unwrap();
+            assert!(p.down.branches().contains(&"probe".to_string()));
+            continue;
+        }
+        assert!(
+            matches!(
+                forked,
+                Err(CoreError::ShareDenied {
+                    needed: ShareRight::Fork,
+                    ..
+                })
+            ),
+            "fork under {grant:?}"
+        );
+        assert!(matches!(
+            p.sys_down.graph().branch("up/master", "down/probe"),
+            Err(StorageError::PermissionDenied {
+                needed: ShareRight::Fork,
+                ..
+            })
+        ));
+        assert_eq!(
+            accounting_fingerprint(&p.ws),
+            before,
+            "fork under {grant:?}"
+        );
+    }
+
     // Unknown peers and solo systems are rejected up front.
+    let p = peers(Some(ShareRight::MergeInto));
+    let before = accounting_fingerprint(&p.ws);
     assert!(matches!(
-        sys_down.merge_into("ghost", "master", "master", MergeStrategy::Full, &clock),
+        p.sys_down.merge(
+            BranchRef::peer("ghost", "master"),
+            "master",
+            MergeStrategy::Full,
+            &clock
+        ),
         Err(CoreError::UnknownTenant(_))
     ));
-    assert_eq!(
-        accounting_fingerprint(&ws),
-        before,
-        "denied operations must not move graph or accounts by a single byte"
+    assert!(matches!(
+        p.down.fork_from("ghost", "master", "probe"),
+        Err(CoreError::UnknownTenant(_))
+    ));
+    assert_eq!(accounting_fingerprint(&p.ws), before);
+    let solo = MlCask::new(
+        "toy",
+        PipelineDag::chain(&toy_slots()).unwrap(),
+        Arc::clone(p.sys_down.registry()),
     );
+    assert!(matches!(
+        solo.merge(
+            "master",
+            BranchRef::peer("up", "master"),
+            MergeStrategy::Full,
+            &clock
+        ),
+        Err(CoreError::NotATenant(_))
+    ));
 }
 
 #[test]
@@ -278,7 +396,12 @@ fn quota_breach_mid_cross_merge_releases_reservations_and_leaves_accounts() {
             .open_pipeline("toy", dag, Arc::clone(sys_down.registry()))
             .with_parallelism(policy);
         let err = sys
-            .merge_into("up", "master", "feature", MergeStrategy::Full, &clock)
+            .merge(
+                BranchRef::peer("up", "master"),
+                "feature",
+                MergeStrategy::Full,
+                &clock,
+            )
             .unwrap_err();
         assert!(
             matches!(
@@ -298,7 +421,12 @@ fn quota_breach_mid_cross_merge_releases_reservations_and_leaves_accounts() {
         .tenant_accounts()
         .register(down.id(), QuotaPolicy::UNLIMITED);
     let merged = sys_down
-        .merge_into("up", "master", "feature", MergeStrategy::Full, &clock)
+        .merge(
+            BranchRef::peer("up", "master"),
+            "feature",
+            MergeStrategy::Full,
+            &clock,
+        )
         .unwrap();
     assert!(merged.commit.is_some());
     assert_eq!(ws.store().tenant_accounts().open_reservations(), 0);
@@ -326,7 +454,12 @@ fn merge_from_pulls_peer_work_into_own_namespace() {
     // Fork implies Read, so downstream can pull upstream's advance into its
     // own branch; the commit lands in *downstream's* namespace.
     let out = sys_down
-        .merge_from("main", "up", "master", MergeStrategy::Full, &clock)
+        .merge(
+            "main",
+            BranchRef::peer("up", "master"),
+            MergeStrategy::Full,
+            &clock,
+        )
         .unwrap();
     let commit = out.commit.unwrap();
     assert_eq!(commit.branch, "down/main");

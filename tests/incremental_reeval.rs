@@ -7,7 +7,7 @@
 use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::MlCask;
+use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
@@ -260,7 +260,12 @@ fn cross_tenant_fingerprint(incremental: bool) -> (String, usize) {
         .commit_pipeline("feature", &keys(&sys_down, 0, 1), "down model", &clock)
         .unwrap();
     let merged = sys_down
-        .merge_into("up", "master", "feature", MergeStrategy::Full, &clock)
+        .merge(
+            BranchRef::peer("up", "master"),
+            "feature",
+            MergeStrategy::Full,
+            &clock,
+        )
         .unwrap();
     let mut report = merged.report.unwrap();
     let skipped = report.skipped_by_frontier;

@@ -15,7 +15,7 @@ use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::{CommitResult, MergeOutcome, MlCask};
+use mlcask_core::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_obs::{trace, MetricsRegistry};
 use mlcask_pipeline::clock::ClockLedger;
@@ -139,7 +139,7 @@ fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String
     // the rest only partly, interleaved in one trial.
     let spaces = down
         .sys
-        .merge_search_spaces_qualified(&ws.graph().view(), "up/master", "down/feature")
+        .merge_search_spaces(BranchRef::peer("up", "master"), "feature")
         .unwrap();
     let history = if incremental {
         down.sys.history().clone()
@@ -165,9 +165,9 @@ fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String
             let (base, feature) = (format!("{pass}_{name}"), format!("f_{pass}_{name}"));
             up.sys.branch("master", &base).unwrap();
             down.sys.branch("feature", &feature).unwrap();
-            let merged = down
-                .sys
-                .merge_into("up", &base, &feature, *strategy, &o.ledger);
+            let merged =
+                down.sys
+                    .merge(BranchRef::peer("up", &base), &feature, *strategy, &o.ledger);
             o.merge(&format!("{pass} {name}"), merged);
         }
     }
@@ -179,9 +179,12 @@ fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String
     }
     down.tenant.fork_from("up", "master", "ff").unwrap();
     o.commit(&down.sys, "ff", &w.dev_updates[0], "ff");
-    let merged = down
-        .sys
-        .merge_into("up", "master", "ff", MergeStrategy::Full, &o.ledger);
+    let merged = down.sys.merge(
+        BranchRef::peer("up", "master"),
+        "ff",
+        MergeStrategy::Full,
+        &o.ledger,
+    );
     o.merge("fast-forward", merged);
 
     let store = ws.store();

@@ -5,7 +5,7 @@
 
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::MlCask;
+use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::artifact::Artifact;
@@ -294,7 +294,12 @@ fn cross_tenant_round_reads_no_metafile(cache: Option<CacheOptions>) {
         commit(&sys_down, &branch, &pipeline((0, 0), 1 + round as u32 % 2));
         commit(&sys_up, "master", &pipeline((0, 1), round as u32 % 2));
         let merged = sys_down
-            .merge_into("up", "master", &branch, MergeStrategy::Full, &ledger)
+            .merge(
+                BranchRef::peer("up", "master"),
+                &branch,
+                MergeStrategy::Full,
+                &ledger,
+            )
             .unwrap();
         assert!(merged.report.is_some(), "diverged: a real search");
         assert_eq!(merged.commit.unwrap().branch, "up/master");
