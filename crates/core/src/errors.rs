@@ -33,10 +33,10 @@ pub enum CoreError {
     /// No tenant with this name is registered in the workspace.
     UnknownTenant(String),
     /// A cross-tenant fork or merge was attempted without a sufficient
-    /// [`ShareRight`] grant from the owning tenant. Raised by
-    /// [`Workspace::require_grant`](crate::workspace::Workspace::require_grant)
-    /// *before* any execution or graph access, so a denial leaves the commit
-    /// graph and every tenant's accounts untouched.
+    /// [`ShareRight`] grant from the owning tenant. Raised by the
+    /// workspace's access rule *before* any execution or graph access, so a
+    /// denial leaves the commit graph and every tenant's accounts untouched
+    /// — and again at the graph write, when a grant is revoked meanwhile.
     ShareDenied {
         /// The tenant whose namespace the operation targeted.
         owner: String,

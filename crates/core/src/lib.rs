@@ -18,6 +18,7 @@
 //! | Metric-driven merge, Algorithm 2 (§V–§VI) | [`merge`] |
 //! | Prioritized pipeline search (§VII-E) | [`prioritized`] |
 //! | End-to-end system (commit/branch/merge) | [`system`] |
+//! | Shared workspace, tenants and their access rule | [`workspace`] |
 //!
 //! ```
 //! use mlcask_core::prelude::*;

@@ -5,14 +5,16 @@
 //! API a deployment would script against: `commit` / `branch` / `merge`.
 //! A merge names its two sides with [`BranchRef`]s, so merging a peer
 //! tenant's branch — or into one — is the same operation as merging two of
-//! one's own.
+//! one's own. A system only reads the commit graph ([`MlCask::graph`] is a
+//! snapshot); its commits and branches are written by the [`Workspace`],
+//! which applies the one access rule at the write.
 
 use crate::errors::{CoreError, Result};
 use crate::history::HistoryIndex;
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use crate::registry::ComponentRegistry;
 use crate::search_space::SearchSpaces;
-use crate::workspace::Workspace;
+use crate::workspace::{Parents, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
@@ -20,7 +22,7 @@ use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::provenance::FrontierCut;
-use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
+use mlcask_storage::commit::{Commit, GraphView};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::ObjectKind;
 use mlcask_storage::store::ChunkStore;
@@ -54,9 +56,9 @@ pub struct MergeOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchRef<'a> {
     /// The owning tenant when it is not the caller.
-    peer: Option<&'a str>,
+    pub(crate) peer: Option<&'a str>,
     /// The branch name inside its owner's namespace.
-    branch: &'a str,
+    pub(crate) branch: &'a str,
 }
 
 impl<'a> BranchRef<'a> {
@@ -111,12 +113,9 @@ pub struct MlCask {
     dag: Arc<PipelineDag>,
     registry: Arc<ComponentRegistry>,
     workspace: Arc<Workspace>,
-    /// Branch namespace (the tenant name); `None` for solo systems.
+    /// Branch namespace (the tenant name) — the actor this system's graph
+    /// writes act as; `None` for solo systems.
     namespace: Option<String>,
-    /// Actor-scoped view of the workspace's commit graph: writes act as
-    /// this system's namespace and are permission-checked against the
-    /// shared [`ShareTable`](mlcask_storage::tenant::ShareTable).
-    graph: CommitGraph,
     /// Worker pool for merge-search candidate evaluation.
     parallelism: ParallelismPolicy,
     /// Provenance-keyed incremental re-evaluation for merge searches
@@ -146,17 +145,12 @@ impl MlCask {
         dag: PipelineDag,
         registry: Arc<ComponentRegistry>,
     ) -> MlCask {
-        let graph = match &namespace {
-            Some(ns) => workspace.graph().for_namespace(ns),
-            None => workspace.graph().root_view(),
-        };
         MlCask {
             name: name.to_string(),
             dag: Arc::new(dag),
             registry,
             workspace,
             namespace,
-            graph,
             parallelism: ParallelismPolicy::Sequential,
             incremental: true,
         }
@@ -199,15 +193,20 @@ impl MlCask {
         &self.registry
     }
 
-    /// The commit graph (pipeline repository) — shared across every tenant
-    /// of the workspace; this system's branches appear under their
-    /// namespaced names. The returned view *acts as* this system's
-    /// namespace: reads see the whole graph, writes are permission-checked
-    /// (a tenant cannot touch a peer's `team/…` branches without a
-    /// [`ShareRight`] grant, even
-    /// through these raw string APIs).
-    pub fn graph(&self) -> &CommitGraph {
-        &self.graph
+    /// The latest snapshot of the commit graph (pipeline repository) —
+    /// shared across every tenant of the workspace; this system's branches
+    /// appear under their namespaced names. It is read-only: commits and
+    /// branches are written through [`MlCask::commit_pipeline`],
+    /// [`MlCask::branch`] and [`MlCask::merge`], which the workspace checks
+    /// against its access rule, and there is no other writer.
+    ///
+    /// ```compile_fail
+    /// fn raw_write(sys: &mlcask_core::system::MlCask, payload: mlcask_storage::hash::Hash256) {
+    ///     let _ = sys.graph().commit("master", payload, "no public writer");
+    /// }
+    /// ```
+    pub fn graph(&self) -> GraphView {
+        self.workspace.graph()
     }
 
     /// The reusable-output history — shared across every tenant of the
@@ -263,7 +262,7 @@ impl MlCask {
         branch: String,
         keys: &[ComponentKey],
         message: &str,
-        merge_parent: Option<Hash256>,
+        merging: Option<(&str, Hash256)>,
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
         let bound = self.bind(keys)?;
@@ -301,14 +300,18 @@ impl MlCask {
         let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
         let metafile = self.build_metafile(&branch, next_seq, keys, &report);
         let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
-        let commit = if let Some(mh) = merge_parent {
-            self.graph()
-                .commit_merge(&branch, mh, put.object.id, message)?
-        } else if head.is_some() {
-            self.graph().commit(&branch, put.object.id, message)?
-        } else {
-            self.graph().commit_root(&branch, put.object.id, message)?
+        let parents = match (merging, head) {
+            (Some((merging, merge_head)), _) => Parents::Merge(merging, merge_head),
+            (None, Some(_)) => Parents::Head,
+            (None, None) => Parents::Root,
         };
+        let commit = self.workspace.commit(
+            self.namespace.as_deref(),
+            &branch,
+            parents,
+            put.object.id,
+            message,
+        )?;
         self.workspace.keep_metafile(put.object.id, metafile);
         Ok(CommitResult {
             commit: Some(commit),
@@ -354,10 +357,14 @@ impl MlCask {
     /// Creates a branch at `from`'s head (the paper's isolation of stable
     /// production pipelines from development pipelines).
     pub fn branch(&self, from: &str, new_branch: &str) -> Result<Commit> {
-        Ok(self.graph().branch(
-            &self.qualified_branch(from),
+        let from = self.qualified_branch(from);
+        let head = self.graph().head(&from)?;
+        self.workspace.branch_at(
+            self.namespace.as_deref(),
+            &from,
             &self.qualified_branch(new_branch),
-        )?)
+            head.id,
+        )
     }
 
     /// The pipeline metafile committed at `commit`: the workspace's decoded
@@ -388,7 +395,7 @@ impl MlCask {
         merging: impl Into<BranchRef<'b>>,
     ) -> Result<SearchSpaces> {
         self.merge_search_spaces_qualified(
-            &self.graph().view(),
+            &self.graph(),
             &self.qualified_branch(base),
             &self.qualified_branch(merging),
         )
@@ -459,9 +466,10 @@ impl MlCask {
     /// merging into a peer's branch is the downstream team contributing its
     /// fork back upstream and needs [`ShareRight::MergeInto`] from the
     /// peer; merging a peer's branch in is pulling upstream work and needs
-    /// [`ShareRight::Read`] — the rule [`CommitGraph::commit_merge`]
-    /// applies at commit time, checked here before any execution or graph
-    /// access so a denial leaves the graph and every account untouched.
+    /// [`ShareRight::Read`]. The workspace's access rule is applied before
+    /// any execution or graph access, so a denial leaves the graph and
+    /// every account untouched, and again when the merge commit is written,
+    /// so a grant revoked during the search still refuses it.
     ///
     /// Fast-forward merges duplicate the `MERGE_HEAD` pipeline onto the base
     /// branch without any search. Diverged branches trigger the
@@ -481,12 +489,12 @@ impl MlCask {
     ) -> Result<MergeOutcome> {
         let (base, merging) = (base.into(), merging.into());
         for (side, needed) in [(base, ShareRight::MergeInto), (merging, ShareRight::Read)] {
-            if let Some(owner) = side.peer {
+            if side.peer.is_some() {
                 let me = self
                     .namespace
                     .as_deref()
                     .ok_or_else(|| CoreError::NotATenant(self.name.clone()))?;
-                self.workspace.require_grant(owner, me, needed)?;
+                self.workspace.authorize(side, Some(me), needed)?;
             }
         }
         // Errors and commit messages name the branches as the caller does
@@ -502,7 +510,7 @@ impl MlCask {
         // both heads, the fast-forward test, the common ancestor and the
         // paths up from it. (The commit at the end re-resolves the base
         // head under the writer lock.)
-        let view = self.graph().view();
+        let view = self.graph();
         let base_head = view.head(&base_q)?;
         let merge_head = view.head(&merging_q)?;
 
@@ -516,7 +524,7 @@ impl MlCask {
                 base_q,
                 &keys,
                 &format!("fast-forward merge of {merging_label}"),
-                Some(merge_head.id),
+                Some((&merging_q, merge_head.id)),
                 ledger,
             )?;
             return Ok(MergeOutcome {
@@ -544,7 +552,7 @@ impl MlCask {
                 "metric-driven merge of {merging_label} ({})",
                 strategy.label()
             ),
-            Some(merge_head.id),
+            Some((&merging_q, merge_head.id)),
             ledger,
         )?;
         debug_assert!(matches!(done.report.outcome, RunOutcome::Completed { .. }));
@@ -819,7 +827,7 @@ mod tests {
         };
         commit("master", &f.s01, &f.m00);
         commit("dev", &f.s00, &f.m01);
-        let frozen = f.sys.graph().view();
+        let frozen = f.sys.graph();
         // Lands after the view was taken: invisible to a search over it.
         commit("dev", &f.s00, &f.m04);
         let models = |view: &GraphView| {
@@ -830,7 +838,7 @@ mod tests {
             spaces.per_slot[2].clone()
         };
         assert!(!models(&frozen).contains(&f.m04));
-        assert!(models(&f.sys.graph().view()).contains(&f.m04));
+        assert!(models(&f.sys.graph()).contains(&f.m04));
     }
 
     #[test]

@@ -14,17 +14,21 @@
 //! * **Tenant-namespaced branches** — tenant `team_a`'s branch `master`
 //!   lives in the shared commit graph as `team_a/master`, so the graph is
 //!   one auditable history while tenants stay isolated: a namespace is
-//!   writable only by its owner or by peers holding a [`ShareRight`] grant,
-//!   enforced by the graph itself on every entry point.
+//!   writable only by its owner or by peers holding a [`ShareRight`] grant.
 //! * **Cross-tenant collaboration** — an owner grants peers `Read`/`Fork`/
 //!   `MergeInto` rights ([`Workspace::grant_share`], [`Tenant::grant_to`]);
 //!   a granted peer forks the owner's branch into its own namespace
 //!   ([`Tenant::fork_from`] — references handed over, no bytes copied) and
 //!   later merges its work back with [`MlCask::merge`] onto a
-//!   [`BranchRef::peer`](crate::system::BranchRef::peer), paying only for
-//!   newly materialized outputs. Both check the grant through
-//!   [`Workspace::require_grant`], so a denial aborts before any graph or
-//!   accounting access.
+//!   [`BranchRef::peer`], paying only for newly materialized outputs.
+//! * **One access rule, kept here** — the workspace holds the tenant roster
+//!   and the grants under one lock, and one function decides who may act
+//!   on a branch. It is the graph's only writer: [`Workspace::graph`] hands
+//!   out a read-only [`GraphView`], and every commit and branch creation
+//!   passes through the workspace, which applies the rule at the write —
+//!   so a grant revoked while a merge searched still refuses its commit.
+//!   Forks and merges also apply it before any work, so a denial leaves
+//!   the graph and every account untouched.
 //! * **Quotas** — each tenant's [`QuotaPolicy`] is enforced by the store on
 //!   every (traced or live) write; a breach surfaces as
 //!   [`StorageError::QuotaExceeded`](mlcask_storage::errors::StorageError)
@@ -43,7 +47,8 @@ use crate::registry::ComponentRegistry;
 use crate::system::{BranchRef, MlCask};
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::metafile::PipelineMetafile;
-use mlcask_storage::commit::{Commit, CommitGraph};
+use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
+use mlcask_storage::errors::StorageError;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::{ChunkStore, SweepReport};
@@ -55,17 +60,73 @@ use std::sync::Arc;
 struct WorkspaceState {
     /// Tenant name → id, in registration order.
     tenants: BTreeMap<String, TenantId>,
+    /// Owner tenant → peer → the right the owner granted it (the latest
+    /// grant wins; rights imply the weaker ones).
+    grants: BTreeMap<String, BTreeMap<String, ShareRight>>,
     next_id: u32,
     /// Registries opened against this workspace — GC roots for
     /// [`Workspace::sweep_orphans`].
     registries: Vec<Arc<ComponentRegistry>>,
 }
 
+impl WorkspaceState {
+    /// The workspace's one access rule: may `actor` act on `branch` at
+    /// level `needed`? A [`BranchRef::peer`] names a tenant's branch, and
+    /// that tenant must be registered. A plain name is a shared-graph name:
+    /// its owner is the prefix before the first `/` when that prefix is a
+    /// registered tenant; any other branch (a solo system's) is open to
+    /// every writer. An owner may always act on its own branches, a peer
+    /// only under a grant of at least `needed`, and an actor outside every
+    /// namespace (`None`) holds no grant.
+    fn authorize(
+        &self,
+        branch: BranchRef<'_>,
+        actor: Option<&str>,
+        needed: ShareRight,
+    ) -> Result<()> {
+        let owner = match branch.peer {
+            Some(peer) if !self.tenants.contains_key(peer) => {
+                return Err(CoreError::UnknownTenant(peer.to_string()))
+            }
+            Some(peer) => peer,
+            None => match branch.branch.split_once('/') {
+                Some((ns, _)) if self.tenants.contains_key(ns) => ns,
+                _ => return Ok(()),
+            },
+        };
+        let granted = |peer: &str| {
+            let right = self.grants.get(owner).and_then(|g| g.get(peer));
+            right.is_some_and(|r| *r >= needed)
+        };
+        match actor {
+            Some(me) if me == owner || granted(me) => Ok(()),
+            _ => Err(CoreError::ShareDenied {
+                owner: owner.to_string(),
+                peer: actor.unwrap_or_default().to_string(),
+                needed,
+            }),
+        }
+    }
+}
+
+/// How a commit written through [`Workspace::commit`] attaches to its
+/// branch.
+pub(crate) enum Parents<'a> {
+    /// None: the root commit of a new branch.
+    Root,
+    /// The branch's head.
+    Head,
+    /// The branch's head and `.1`, the head of shared-graph branch `.0`.
+    Merge(&'a str, Hash256),
+}
+
 /// Shared ownership of store, commit graph, and reusable-output history for
 /// many tenant pipeline systems. See the module docs for the full picture.
 pub struct Workspace {
     store: Arc<ChunkStore>,
-    graph: Arc<CommitGraph>,
+    /// Written only through [`Workspace::commit`] and
+    /// [`Workspace::branch_at`], which apply the access rule.
+    graph: CommitGraph,
     history: HistoryIndex,
     /// Decoded pipeline metafiles by commit payload hash: a metafile is
     /// parsed (or kept, by the commit that wrote it) once per workspace,
@@ -82,11 +143,12 @@ impl Workspace {
     pub fn over(store: Arc<ChunkStore>) -> Arc<Workspace> {
         Arc::new(Workspace {
             store,
-            graph: Arc::new(CommitGraph::new()),
+            graph: CommitGraph::new(),
             history: HistoryIndex::new(),
             metafiles: RwLock::new(HashMap::new()),
             state: RwLock::new(WorkspaceState {
                 tenants: BTreeMap::new(),
+                grants: BTreeMap::new(),
                 next_id: 0,
                 registries: Vec::new(),
             }),
@@ -149,10 +211,61 @@ impl Workspace {
         &self.store
     }
 
-    /// The shared commit graph. Tenant branches appear namespaced
-    /// (`tenant/branch`).
-    pub fn graph(&self) -> &Arc<CommitGraph> {
-        &self.graph
+    /// The latest snapshot of the shared commit graph. Tenant branches
+    /// appear namespaced (`tenant/branch`). Read-only: only the workspace
+    /// writes the graph.
+    pub fn graph(&self) -> GraphView {
+        self.graph.view()
+    }
+
+    /// Commits `payload` onto shared-graph branch `branch` as `actor`: the
+    /// one way a commit enters the graph. The access rule is applied at the
+    /// write, under the lock grants change under — `MergeInto` on `branch`
+    /// and, for a merge, `Read` on the merging branch, whose history must
+    /// hold the merge head — so a grant revoked while the caller ran its
+    /// pipeline still refuses the commit.
+    pub(crate) fn commit(
+        &self,
+        actor: Option<&str>,
+        branch: &str,
+        parents: Parents<'_>,
+        payload: Hash256,
+        message: &str,
+    ) -> Result<Commit> {
+        let state = self.state.read();
+        state.authorize(branch.into(), actor, ShareRight::MergeInto)?;
+        Ok(match parents {
+            Parents::Root => self.graph.commit_root(branch, payload, message)?,
+            Parents::Head => self.graph.commit(branch, payload, message)?,
+            Parents::Merge(merging, head) => {
+                state.authorize(merging.into(), actor, ShareRight::Read)?;
+                // The grant covers `merging`'s history only: its head, or
+                // an ancestor when it moved on since the caller looked.
+                let view = self.graph.view();
+                let tip = view.head(merging)?.id;
+                if head != tip && !view.is_ancestor(head, tip)? {
+                    return Err(StorageError::MissingParent(head).into());
+                }
+                self.graph.commit_merge(branch, head, payload, message)?
+            }
+        })
+    }
+
+    /// Creates shared-graph branch `to` at `at` — `from`'s head or one of
+    /// its ancestors — as `actor`, which needs `Fork` on `from` and
+    /// `MergeInto` on `to`, checked at the write as in
+    /// [`Workspace::commit`].
+    pub(crate) fn branch_at(
+        &self,
+        actor: Option<&str>,
+        from: &str,
+        to: &str,
+        at: Hash256,
+    ) -> Result<Commit> {
+        let state = self.state.read();
+        state.authorize(from.into(), actor, ShareRight::Fork)?;
+        state.authorize(to.into(), actor, ShareRight::MergeInto)?;
+        Ok(self.graph.branch_at(from, to, at)?)
     }
 
     /// The shared reusable-output history: checkpoints recorded by one
@@ -197,8 +310,8 @@ impl Workspace {
     /// Registers a tenant under `name` with the given quota and returns its
     /// handle. Fails if the name is taken. The name becomes an *owned*
     /// branch namespace in the shared commit graph: `name/…` branches are
-    /// henceforth writable only through this tenant's own views or by peers
-    /// it grants a [`ShareRight`].
+    /// henceforth writable only by this tenant or by peers it grants a
+    /// [`ShareRight`].
     pub fn add_tenant(self: &Arc<Self>, name: &str, quota: QuotaPolicy) -> Result<Tenant> {
         // Branch ownership resolves on the prefix before the first `/`, so
         // a name containing one would leave its own branches unprotected
@@ -217,13 +330,11 @@ impl Workspace {
             id
         };
         self.store.tenant_accounts().register(id, quota);
-        self.graph.shares().register_namespace(name);
         Ok(Tenant {
             workspace: Arc::clone(self),
             name: name.to_string(),
             id,
             store: Arc::new(self.store.for_tenant(id)),
-            graph: self.graph.for_namespace(name),
         })
     }
 
@@ -232,50 +343,45 @@ impl Workspace {
         self.state.read().tenants.keys().cloned().collect()
     }
 
-    /// True if a tenant named `name` is registered.
-    pub fn has_tenant(&self, name: &str) -> bool {
-        self.state.read().tenants.contains_key(name)
-    }
-
     /// Grants `peer` the given [`ShareRight`] over `owner`'s namespace
     /// (replacing any earlier grant; rights imply the weaker ones). Both
     /// must be registered tenants.
     pub fn grant_share(&self, owner: &str, peer: &str, right: ShareRight) -> Result<()> {
+        let mut state = self.state.write();
         for t in [owner, peer] {
-            if !self.has_tenant(t) {
+            if !state.tenants.contains_key(t) {
                 return Err(CoreError::UnknownTenant(t.to_string()));
             }
         }
-        self.graph.shares().grant(owner, peer, right);
+        let peers = state.grants.entry(owner.to_string()).or_default();
+        peers.insert(peer.to_string(), right);
         Ok(())
     }
 
     /// Revokes whatever right `peer` held over `owner`'s namespace.
     pub fn revoke_share(&self, owner: &str, peer: &str) -> Result<()> {
-        if !self.has_tenant(owner) {
+        let mut state = self.state.write();
+        if !state.tenants.contains_key(owner) {
             return Err(CoreError::UnknownTenant(owner.to_string()));
         }
-        self.graph.shares().revoke(owner, peer);
+        if let Some(peers) = state.grants.get_mut(owner) {
+            peers.remove(peer);
+        }
         Ok(())
     }
 
-    /// Checks that `owner` is a registered tenant granting `actor` at least
-    /// `needed` over its namespace (an owner always may act on its own).
-    /// The one precheck every cross-tenant fork and merge runs before any
-    /// execution or graph access, so a denial leaves the commit graph and
-    /// every tenant's accounts untouched.
-    pub fn require_grant(&self, owner: &str, actor: &str, needed: ShareRight) -> Result<()> {
-        if !self.has_tenant(owner) {
-            return Err(CoreError::UnknownTenant(owner.to_string()));
-        }
-        if !self.graph.shares().allows(owner, actor, needed) {
-            return Err(CoreError::ShareDenied {
-                owner: owner.to_string(),
-                peer: actor.to_string(),
-                needed,
-            });
-        }
-        Ok(())
+    /// Applies the workspace's one access rule (see the module docs) to
+    /// `branch` as the shared graph names it. Forks and merges call it
+    /// before any execution or graph access, so a denial leaves the commit
+    /// graph and every tenant's accounts untouched; the graph writes apply
+    /// it again.
+    pub(crate) fn authorize(
+        &self,
+        branch: BranchRef<'_>,
+        actor: Option<&str>,
+        needed: ShareRight,
+    ) -> Result<()> {
+        self.state.read().authorize(branch, actor, needed)
     }
 
     /// Point-in-time copy of the tenant roster. Taken under one short read
@@ -381,8 +487,6 @@ pub struct Tenant {
     name: String,
     id: TenantId,
     store: Arc<ChunkStore>,
-    /// Actor-scoped graph view: writes act as this tenant's namespace.
-    graph: CommitGraph,
 }
 
 impl Tenant {
@@ -440,17 +544,18 @@ impl Tenant {
     /// planner bills), while first-writer-pays attribution stays with the
     /// peer. Nothing is copied — dedup makes the fork physically free.
     pub fn fork_from(&self, peer: &str, branch: &str, new_branch: &str) -> Result<Commit> {
-        self.workspace
-            .require_grant(peer, &self.name, ShareRight::Fork)?;
-        let from = BranchRef::peer(peer, branch).qualified(None);
-        let to = BranchRef::from(new_branch).qualified(Some(&self.name));
+        let me = Some(self.name.as_str());
+        let source = BranchRef::peer(peer, branch);
+        self.workspace.authorize(source, me, ShareRight::Fork)?;
+        let from = source.qualified(None);
+        let to = BranchRef::from(new_branch).qualified(me);
         // Resolve the peer head's metafile *before* creating the branch —
         // every fallible read happens while the graph is still untouched —
         // then fork exactly the snapshot that was validated, immune to the
         // peer committing concurrently.
-        let seen = self.graph.head(&from)?;
+        let seen = self.workspace.graph().head(&from)?;
         let meta = self.workspace.metafile(seen.payload)?;
-        let head = self.graph.branch_at(&from, &to, seen.id)?;
+        let head = self.workspace.branch_at(me, &from, &to, seen.id)?;
         // Refcount handoff: this tenant now depends on the forked head's
         // metafile and every output it references. Committed metafiles and
         // their outputs are GC roots, so these adoptions cannot hit swept
@@ -618,7 +723,13 @@ mod tests {
         // Granted: the fork points at the peer's head and the forker now
         // references (but did not pay for) the head's bytes.
         up.grant_to("down", ShareRight::Fork).unwrap();
-        assert!(ws.require_grant("up", "down", ShareRight::Read).is_ok());
+        assert!(ws
+            .authorize(
+                BranchRef::peer("up", "master"),
+                Some("down"),
+                ShareRight::Read
+            )
+            .is_ok());
         let head = down.fork_from("up", "master", "feature").unwrap();
         assert_eq!(head.branch, "up/master");
         assert_eq!(down.branches(), vec!["feature"]);
@@ -628,5 +739,201 @@ mod tests {
         // Revocation stops further forks.
         up.revoke_from("down").unwrap();
         assert!(down.fork_from("up", "master", "feature2").is_err());
+    }
+
+    fn payload(n: u8) -> Hash256 {
+        Hash256::of(&[n])
+    }
+
+    /// A workspace with tenants `up` and `down` and `up/master` rooted.
+    fn up_and_down() -> (Arc<Workspace>, Commit) {
+        let ws = Workspace::in_memory_small();
+        for t in ["up", "down"] {
+            ws.add_tenant(t, QuotaPolicy::UNLIMITED).unwrap();
+        }
+        let root = ws
+            .commit(Some("up"), "up/master", Parents::Root, payload(0), "init")
+            .unwrap();
+        (ws, root)
+    }
+
+    fn denied<T>(r: Result<T>, owner: &str, peer: &str, needed: ShareRight) -> bool {
+        matches!(r, Err(CoreError::ShareDenied { owner: o, peer: p, needed: n })
+            if o == owner && p == peer && n == needed)
+    }
+
+    #[test]
+    fn namespaced_writes_require_grants() {
+        let (ws, root) = up_and_down();
+        let (up, down) = (Some("up"), Some("down"));
+        // A branch belongs to the registered tenant its prefix before the
+        // first `/` names; every other branch is open (solo compatibility).
+        for open in ["master", "ghost/master", "up", "upx/master"] {
+            ws.commit(down, open, Parents::Root, payload(1), "open")
+                .unwrap();
+        }
+        ws.commit(down, "master", Parents::Head, payload(2), "open")
+            .unwrap();
+        // A writer outside every namespace holds no grant.
+        assert!(denied(
+            ws.commit(None, "up/evil", Parents::Root, payload(1), "raw"),
+            "up",
+            "",
+            ShareRight::MergeInto
+        ));
+        // A peer without a grant can neither append nor fork.
+        assert!(denied(
+            ws.commit(down, "up/master", Parents::Head, payload(1), "hijack"),
+            "up",
+            "down",
+            ShareRight::MergeInto
+        ));
+        assert!(denied(
+            ws.branch_at(down, "up/master", "down/fork", root.id),
+            "up",
+            "down",
+            ShareRight::Fork
+        ));
+        // A Fork grant unlocks branching but not merging into the owner.
+        ws.grant_share("up", "down", ShareRight::Fork).unwrap();
+        let head = ws
+            .branch_at(down, "up/master", "down/fork", root.id)
+            .unwrap();
+        assert_eq!(head.seq, 0);
+        let d1 = ws
+            .commit(down, "down/fork", Parents::Head, payload(4), "diverge")
+            .unwrap();
+        let u1 = ws
+            .commit(up, "up/master", Parents::Head, payload(5), "advance")
+            .unwrap();
+        let contribute = || {
+            let parents = Parents::Merge("down/fork", d1.id);
+            ws.commit(down, "up/master", parents, payload(6), "contribute")
+        };
+        assert!(denied(contribute(), "up", "down", ShareRight::MergeInto));
+        // MergeInto unlocks the contribution; the owner can read the peer's
+        // fork as a merge parent only with a Read grant back.
+        ws.grant_share("up", "down", ShareRight::MergeInto).unwrap();
+        assert_eq!(contribute().unwrap().parents, vec![u1.id, d1.id]);
+        let pull = || {
+            let parents = Parents::Merge("down/fork", d1.id);
+            ws.commit(up, "up/master", parents, payload(7), "pull")
+        };
+        assert!(denied(pull(), "down", "up", ShareRight::Read));
+        ws.grant_share("down", "up", ShareRight::Read).unwrap();
+        pull().unwrap();
+        assert_eq!(ws.graph().head("up/master").unwrap().seq, 3);
+        // A peer named by a caller must be a registered tenant.
+        assert!(matches!(
+            ws.authorize(BranchRef::peer("ghost", "master"), down, ShareRight::Read),
+            Err(CoreError::UnknownTenant(t)) if t == "ghost"
+        ));
+    }
+
+    #[test]
+    fn own_fork_tip_usable_after_grant_revocation() {
+        let (ws, root) = up_and_down();
+        let down = Some("down");
+        ws.grant_share("up", "down", ShareRight::Fork).unwrap();
+        let fork_head = ws
+            .branch_at(down, "up/master", "down/fork", root.id)
+            .unwrap();
+        ws.commit(down, "down/main", Parents::Root, payload(1), "own root")
+            .unwrap();
+        ws.revoke_share("up", "down").unwrap();
+        // The fork is down's own branch: merging it needs no grant from
+        // up, even though its head was committed on up/master.
+        let merged = ws
+            .commit(
+                down,
+                "down/main",
+                Parents::Merge("down/fork", fork_head.id),
+                payload(2),
+                "pull own fork",
+            )
+            .unwrap();
+        assert_eq!(merged.parents[1], fork_head.id);
+        // up's later commits are reachable only through up's branch, which
+        // needs the grant, and not by naming down's fork instead.
+        let u1 = ws
+            .commit(
+                Some("up"),
+                "up/master",
+                Parents::Head,
+                payload(3),
+                "advance",
+            )
+            .unwrap();
+        for (merging, refused) in [("up/master", true), ("down/fork", false)] {
+            let parents = Parents::Merge(merging, u1.id);
+            let r = ws.commit(down, "down/main", parents, payload(5), "steal");
+            if refused {
+                assert!(denied(r, "up", "down", ShareRight::Read));
+            } else {
+                assert!(matches!(
+                    r,
+                    Err(CoreError::Storage(StorageError::MissingParent(h))) if h == u1.id
+                ));
+            }
+        }
+        assert_eq!(ws.graph().head("down/main").unwrap().id, merged.id);
+    }
+
+    /// The graph writes apply exactly the rule the fork and merge prechecks
+    /// apply — same verdict, same error — under every grant `up` can give
+    /// `down`, for a merge with either side down's own or up's, and a fork.
+    #[test]
+    fn the_write_time_rule_is_the_precheck() {
+        let down = Some("down");
+        let (own_base, own_merging) = (BranchRef::from("master"), BranchRef::from("feature"));
+        let (peer_base, peer_merging) = (
+            BranchRef::peer("up", "master"),
+            BranchRef::peer("up", "dev"),
+        );
+        for grant in [
+            None,
+            Some(ShareRight::Read),
+            Some(ShareRight::Fork),
+            Some(ShareRight::MergeInto),
+        ] {
+            let (ws, root) = up_and_down();
+            let up = Some("up");
+            ws.branch_at(up, "up/master", "up/dev", root.id).unwrap();
+            ws.commit(up, "up/dev", Parents::Head, payload(1), "dev")
+                .unwrap();
+            ws.grant_share("up", "down", ShareRight::Fork).unwrap();
+            for b in ["down/master", "down/feature"] {
+                ws.branch_at(down, "up/master", b, root.id).unwrap();
+                ws.commit(down, b, Parents::Head, payload(2), b).unwrap();
+            }
+            match grant {
+                Some(right) => ws.grant_share("up", "down", right),
+                None => ws.revoke_share("up", "down"),
+            }
+            .unwrap();
+            let verdict = |r: Result<()>| r.err().map(|e| format!("{e:?}"));
+            for (base, merging) in [
+                (own_base, own_merging),
+                (own_base, peer_merging),
+                (peer_base, own_merging),
+                (peer_base, peer_merging),
+            ] {
+                let row = format!("grant {grant:?}: {base:?} <- {merging:?}");
+                let precheck = [(base, ShareRight::MergeInto), (merging, ShareRight::Read)]
+                    .into_iter()
+                    .filter(|(side, _)| side.peer.is_some())
+                    .try_for_each(|(side, needed)| ws.authorize(side, down, needed));
+                let (base, merging) = (base.qualified(down), merging.qualified(down));
+                let head = ws.graph().head(&merging).unwrap().id;
+                let parents = Parents::Merge(&merging, head);
+                let written = ws.commit(down, &base, parents, payload(3), "probe");
+                let written = verdict(written.map(drop));
+                assert_eq!(verdict(precheck), written, "{row}");
+            }
+            let precheck = ws.authorize(BranchRef::peer("up", "master"), down, ShareRight::Fork);
+            let written = ws.branch_at(down, "up/master", "down/probe", root.id);
+            let row = format!("fork under {grant:?}");
+            assert_eq!(verdict(precheck), verdict(written.map(drop)), "{row}");
+        }
     }
 }

@@ -537,7 +537,7 @@ impl Router {
 
     fn head_of(&self, entry: &TenantEntry, branch: &str) -> Result<Commit, Failure> {
         let q = entry.sys.qualified_branch(branch);
-        entry.sys.graph().view().head(&q).map_err(Failure::op)
+        entry.sys.graph().head(&q).map_err(Failure::op)
     }
 
     /// Walks the first-parent chain from the branch head — all of it
@@ -546,7 +546,7 @@ impl Router {
     fn log(&self, entry: &TenantEntry, p: &Params<'_>) -> Result<Value, Failure> {
         let branch = p.str("branch")?;
         let limit = p.u64_opt("limit")?.unwrap_or(50) as usize;
-        let view = entry.sys.graph().view();
+        let view = entry.sys.graph();
         let q = entry.sys.qualified_branch(branch);
         let mut commit = view.head(&q).map_err(Failure::op)?;
         let mut out = Vec::new();

@@ -1,5 +1,4 @@
-//! Git-like commit graph with branches, common-ancestor queries, and
-//! permission-checked namespaced writes.
+//! Git-like commit graph with branches and common-ancestor queries.
 //!
 //! Commits are immutable, content-addressed records forming a Merkle DAG
 //! (each commit id covers its payload and parent ids). Branches are mutable
@@ -38,24 +37,18 @@
 //! [`GraphView::is_ancestor`] runs the same walk from the descendant alone
 //! and gives up once the visit order drops below the candidate's tick.
 //!
-//! # Namespaced writes
+//! # Branch names carry no rights
 //!
-//! In a multi-tenant workspace many tenants share one graph, with each
-//! tenant's branches living under a `"{tenant}/"` prefix. A `CommitGraph`
-//! value is a *view* over shared state: [`CommitGraph::for_namespace`]
-//! produces a view acting as one tenant, and every write entry point
-//! (commit, branch creation, merge) checks the acting namespace against the
-//! shared [`ShareTable`] — a branch in a registered namespace is writable
-//! only by its owner or by a peer holding a sufficient [`ShareRight`]
-//! grant, whichever view (including raw string APIs) the write arrives
-//! through. Reads are unrestricted: the graph is one auditable history.
-//! Graphs with no registered namespaces (the single-tenant case) behave
-//! exactly as before.
+//! The graph is a plain version DAG: every read and every write is
+//! unrestricted, and a branch name is only a name. In a multi-tenant
+//! workspace each tenant's branches live under a `"{tenant}/"` prefix of one
+//! shared graph, and who may write which of them is decided by the
+//! workspace (`mlcask_core::workspace`), which owns that graph and is its
+//! only writer.
 
 use crate::errors::{Result, StorageError};
 use crate::hash::Hash256;
 use crate::pmap::PMap;
-use crate::tenant::{ShareRight, ShareTable};
 use mlcask_obs::metrics::instance_label;
 use mlcask_obs::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -424,8 +417,8 @@ impl GraphView {
     }
 }
 
-/// The state every view of one graph shares.
-struct GraphState {
+/// Mutable branch table + immutable commit set — see the module docs.
+pub struct CommitGraph {
     /// The latest published generation. The write lock is held only for the
     /// pointer swap; readers clone the `Arc` and get out.
     published: RwLock<Arc<Snapshot>>,
@@ -437,18 +430,16 @@ struct GraphState {
     /// Graph appends (publications of a new commit):
     /// `mlcask_graph_append_ops_total{instance=...}`, one label per graph.
     appends: Counter,
-    /// Snapshot publications (append ops + share-table-only publishes).
+    /// Snapshot publications (appends and branch creations).
     publishes: Counter,
-    /// Namespace ownership + share grants consulted on every write.
-    shares: ShareTable,
 }
 
-impl Default for GraphState {
+impl Default for CommitGraph {
     fn default() -> Self {
         let reg = MetricsRegistry::global();
         let instance = instance_label("graph");
         let ilabel = [("instance", instance.as_str())];
-        GraphState {
+        CommitGraph {
             published: RwLock::new(Snapshot::empty()),
             writer: Mutex::new(()),
             tick: AtomicU64::new(0),
@@ -462,65 +453,14 @@ impl Default for GraphState {
                 "Commit-graph snapshot publications",
                 &ilabel,
             ),
-            shares: ShareTable::default(),
-        }
-    }
-}
-
-/// Mutable branch table + immutable commit set, acted on through
-/// (possibly namespace-scoped) views — see the module docs.
-pub struct CommitGraph {
-    state: Arc<GraphState>,
-    /// The namespace this view writes as; `None` is the un-namespaced root
-    /// view (sufficient for graphs without registered namespaces).
-    actor: Option<String>,
-}
-
-impl Default for CommitGraph {
-    fn default() -> Self {
-        CommitGraph {
-            state: Arc::new(GraphState::default()),
-            actor: None,
         }
     }
 }
 
 impl CommitGraph {
-    /// Empty graph (root view).
+    /// Empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A view over the same graph whose writes act as namespace `ns`:
-    /// allowed on `ns`'s own branches, on unowned branches, and on peer
-    /// namespaces that granted `ns` a sufficient [`ShareRight`].
-    pub fn for_namespace(&self, ns: &str) -> CommitGraph {
-        CommitGraph {
-            state: Arc::clone(&self.state),
-            actor: Some(ns.to_string()),
-        }
-    }
-
-    /// A view over the same graph with no acting namespace. Sufficient for
-    /// graphs without registered namespaces; on a multi-tenant graph its
-    /// writes into owned namespaces are rejected (reads are unrestricted).
-    pub fn root_view(&self) -> CommitGraph {
-        CommitGraph {
-            state: Arc::clone(&self.state),
-            actor: None,
-        }
-    }
-
-    /// The namespace this view acts as, if any.
-    pub fn actor(&self) -> Option<&str> {
-        self.actor.as_deref()
-    }
-
-    /// The shared namespace-ownership and grant table. Register a namespace
-    /// here to make its branches permission-checked; grants are managed by
-    /// the workspace layer.
-    pub fn shares(&self) -> &ShareTable {
-        &self.state.shares
     }
 
     /// The latest published snapshot of the whole graph. Cheap (one `Arc`
@@ -530,14 +470,14 @@ impl CommitGraph {
     /// and run every step against it.
     pub fn view(&self) -> GraphView {
         GraphView {
-            snap: self.state.published.read().clone(),
+            snap: self.published.read().clone(),
         }
     }
 
     /// Swaps in the successor generation. Caller must hold the writer lock.
     fn publish(&self, next: Snapshot) {
-        self.state.publishes.inc();
-        *self.state.published.write() = Arc::new(next);
+        self.publishes.inc();
+        *self.published.write() = Arc::new(next);
     }
 
     /// Publishes `cur` plus one commit `c` as `branch`'s new head — one
@@ -545,34 +485,8 @@ impl CommitGraph {
     fn append(&self, cur: &GraphView, branch: &str, c: Commit) -> Result<Commit> {
         let commits = cur.snap.commits.insert(c.id, c.clone());
         self.publish(cur.snap.advance(commits, branch, c.id));
-        self.state.appends.inc();
+        self.appends.inc();
         Ok(c)
-    }
-
-    /// Checks that this view may append to / create `branch`. Writing into
-    /// an owned namespace requires being the owner or holding a
-    /// [`ShareRight::MergeInto`] grant from it.
-    fn authorize_write(&self, branch: &str) -> Result<()> {
-        self.authorize(branch, ShareRight::MergeInto)
-    }
-
-    fn authorize(&self, branch: &str, needed: ShareRight) -> Result<()> {
-        let Some(owner) = self.state.shares.owner_of(branch) else {
-            return Ok(());
-        };
-        let allowed = match &self.actor {
-            Some(actor) => self.state.shares.allows(&owner, actor, needed),
-            None => false,
-        };
-        if allowed {
-            Ok(())
-        } else {
-            Err(StorageError::PermissionDenied {
-                actor: self.actor.clone(),
-                branch: branch.to_string(),
-                needed,
-            })
-        }
     }
 
     /// Builds the next commit: draws its tick, checks the tick invariant
@@ -587,7 +501,7 @@ impl CommitGraph {
         payload: Hash256,
         message: &str,
     ) -> Commit {
-        let tick = self.state.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         debug_assert!(
             parents
                 .iter()
@@ -605,11 +519,9 @@ impl CommitGraph {
         }
     }
 
-    /// Creates a root commit on a new branch. Permission-checked against
-    /// the branch's namespace.
+    /// Creates a root commit on a new branch.
     pub fn commit_root(&self, branch: &str, payload: Hash256, message: &str) -> Result<Commit> {
-        self.authorize_write(branch)?;
-        let _w = self.state.writer.lock();
+        let _w = self.writer.lock();
         let cur = self.view();
         if cur.snap.branches.head(branch).is_some() {
             return Err(StorageError::BranchExists(branch.to_string()));
@@ -618,12 +530,11 @@ impl CommitGraph {
         self.append(&cur, branch, c)
     }
 
-    /// Appends a commit to `branch`'s head. Permission-checked against the
-    /// branch's namespace. The head is re-resolved inside the writer
-    /// section, so two racing appends chain rather than losing one.
+    /// Appends a commit to `branch`'s head. The head is re-resolved inside
+    /// the writer section, so two racing appends chain rather than losing
+    /// one.
     pub fn commit(&self, branch: &str, payload: Hash256, message: &str) -> Result<Commit> {
-        self.authorize_write(branch)?;
-        let _w = self.state.writer.lock();
+        let _w = self.writer.lock();
         let cur = self.view();
         let head = cur.head(branch)?;
         let c = self.seal(
@@ -637,13 +548,8 @@ impl CommitGraph {
         self.append(&cur, branch, c)
     }
 
-    /// Records a merge commit on `base_branch` with two parents.
-    ///
-    /// Permission-checked twice: writing `base_branch` needs
-    /// [`ShareRight::MergeInto`] from its owner, and taking `merge_head` as
-    /// a parent needs [`ShareRight::Read`] from the owner of the branch it
-    /// was committed on (one's own history, and unowned branches, always
-    /// pass).
+    /// Records a merge commit on `base_branch` with two parents: its head
+    /// and `merge_head`, which must be in the graph.
     pub fn commit_merge(
         &self,
         base_branch: &str,
@@ -651,32 +557,11 @@ impl CommitGraph {
         payload: Hash256,
         message: &str,
     ) -> Result<Commit> {
-        self.authorize_write(base_branch)?;
-        let _w = self.state.writer.lock();
+        let _w = self.writer.lock();
         let cur = self.view();
         let head = cur.head(base_branch)?;
-        let merge_parent = cur
-            .snap
-            .commits
-            .get(&merge_head)
-            .ok_or(StorageError::MissingParent(merge_head))?;
-        if let Err(denied) = self.authorize(&merge_parent.branch, ShareRight::Read) {
-            // A commit that currently tips a branch the actor owns (or an
-            // open branch) is the actor's own history — e.g. the head of a
-            // fork taken under a since-revoked grant — and needs no Read
-            // grant from the namespace it was originally committed on. Only
-            // a denial pays for this scan of the branch table.
-            let branches = &cur.snap.branches;
-            let tips_own_branch = branches.names.iter().any(|name| {
-                branches.head(name) == Some(merge_head)
-                    && match self.state.shares.owner_of(name) {
-                        None => true,
-                        Some(owner) => self.actor.as_deref() == Some(owner.as_str()),
-                    }
-            });
-            if !tips_own_branch {
-                return Err(denied);
-            }
+        if !cur.snap.commits.contains_key(&merge_head) {
+            return Err(StorageError::MissingParent(merge_head));
         }
         let c = self.seal(
             &cur.snap.commits,
@@ -690,11 +575,6 @@ impl CommitGraph {
     }
 
     /// Creates `new_branch` pointing at `from`'s current head.
-    ///
-    /// Permission-checked twice: creating `new_branch` needs write access
-    /// to its namespace, and branching *from* an owned namespace needs a
-    /// [`ShareRight::Fork`] grant from its owner — the cross-tenant fork
-    /// that makes `from`'s head a parent in the forker's history.
     pub fn branch(&self, from: &str, new_branch: &str) -> Result<Commit> {
         let head = self.head(from)?;
         self.branch_at(from, new_branch, head.id)
@@ -702,14 +582,11 @@ impl CommitGraph {
 
     /// [`CommitGraph::branch`] pinned to a snapshot: creates `new_branch`
     /// pointing at `at`, which must be `from`'s current head or one of its
-    /// ancestors. Same permission checks as `branch`. Callers that
-    /// pre-validate state against a head they read earlier (e.g. the
-    /// workspace's fork handoff) use this to fork exactly that snapshot,
-    /// immune to the source branch advancing concurrently.
+    /// ancestors. Callers that pre-validate state against a head they read
+    /// earlier (e.g. the workspace's fork handoff) use this to fork exactly
+    /// that snapshot, immune to the source branch advancing concurrently.
     pub fn branch_at(&self, from: &str, new_branch: &str, at: Hash256) -> Result<Commit> {
-        self.authorize(from, ShareRight::Fork)?;
-        self.authorize_write(new_branch)?;
-        let _w = self.state.writer.lock();
+        let _w = self.writer.lock();
         let cur = self.view();
         let head = cur.head(from)?;
         // `at == head` is the common (plain `branch`) case — skip the
@@ -730,55 +607,10 @@ impl CommitGraph {
         self.view().head(branch)
     }
 
-    /// Fetches a commit by id.
-    pub fn get(&self, id: Hash256) -> Result<Commit> {
-        self.view().get(id)
-    }
-
-    /// All branch names (sorted for determinism).
-    pub fn branches(&self) -> Vec<String> {
-        self.view().branches()
-    }
-
-    /// Number of commits in the graph.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// True if the graph has no commits.
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// Set of all ancestors of `id` (including `id` itself).
-    pub fn ancestors(&self, id: Hash256) -> Result<HashSet<Hash256>> {
-        self.view().ancestors(id)
-    }
-
-    /// True if `ancestor` is reachable from `descendant` (inclusive).
-    pub fn is_ancestor(&self, ancestor: Hash256, descendant: Hash256) -> Result<bool> {
-        self.view().is_ancestor(ancestor, descendant)
-    }
-
     /// Lowest common ancestor of two commits: the common ancestor with the
     /// greatest logical tick (i.e. the most recent shared history point).
     pub fn common_ancestor(&self, a: Hash256, b: Hash256) -> Result<Option<Commit>> {
         self.view().common_ancestor(a, b)
-    }
-
-    /// Commits strictly between `ancestor` (exclusive) and `head`
-    /// (inclusive), following first-parent history, oldest first.
-    ///
-    /// This is the path the merge machinery walks to collect component
-    /// versions developed since the common ancestor.
-    pub fn path_from(&self, ancestor: Hash256, head: Hash256) -> Result<Vec<Commit>> {
-        self.view().path_from(ancestor, head)
-    }
-
-    /// Whether a merge of `merge_head` into `base_head` is a fast-forward
-    /// (i.e. `base_head` is an ancestor of `merge_head`).
-    pub fn is_fast_forward(&self, base_head: Hash256, merge_head: Hash256) -> Result<bool> {
-        self.view().is_fast_forward(base_head, merge_head)
     }
 }
 
@@ -819,7 +651,7 @@ mod tests {
     #[test]
     fn root_and_linear_commits() {
         let (g, cs) = linear_graph();
-        assert_eq!(g.len(), 4);
+        assert_eq!(g.view().len(), 4);
         assert_eq!(g.head("master").unwrap().id, cs[3].id);
         assert_eq!(cs[3].seq, 3);
         assert_eq!(cs[3].label(), "master.3");
@@ -869,11 +701,14 @@ mod tests {
     #[test]
     fn ancestors_and_is_ancestor() {
         let (g, cs) = linear_graph();
-        let anc = g.ancestors(cs[3].id).unwrap();
+        let anc = g.view().ancestors(cs[3].id).unwrap();
         assert_eq!(anc.len(), 4);
-        assert!(g.is_ancestor(cs[0].id, cs[3].id).unwrap());
-        assert!(!g.is_ancestor(cs[3].id, cs[0].id).unwrap());
-        assert!(g.is_ancestor(cs[2].id, cs[2].id).unwrap(), "inclusive");
+        assert!(g.view().is_ancestor(cs[0].id, cs[3].id).unwrap());
+        assert!(!g.view().is_ancestor(cs[3].id, cs[0].id).unwrap());
+        assert!(
+            g.view().is_ancestor(cs[2].id, cs[2].id).unwrap(),
+            "inclusive"
+        );
     }
 
     #[test]
@@ -889,7 +724,7 @@ mod tests {
         assert_eq!(lca.id, fork.id);
         assert_ne!(lca.id, root.id);
         // Path from ancestor to dev head.
-        let path = g.path_from(fork.id, d2.id).unwrap();
+        let path = g.view().path_from(fork.id, d2.id).unwrap();
         assert_eq!(
             path.iter().map(|c| c.id).collect::<Vec<_>>(),
             vec![d1.id, d2.id]
@@ -903,10 +738,10 @@ mod tests {
         g.branch("master", "dev").unwrap();
         let d = g.commit("dev", payload(1), "dev").unwrap();
         let base = g.head("master").unwrap();
-        assert!(g.is_fast_forward(base.id, d.id).unwrap());
+        assert!(g.view().is_fast_forward(base.id, d.id).unwrap());
         // After master moves, no longer fast-forward.
         let m = g.commit("master", payload(2), "master").unwrap();
-        assert!(!g.is_fast_forward(m.id, d.id).unwrap());
+        assert!(!g.view().is_fast_forward(m.id, d.id).unwrap());
     }
 
     /// Slide-back guard: below the fork point the ancestry queries must not
@@ -1021,104 +856,7 @@ mod tests {
     #[test]
     fn path_from_self_is_empty() {
         let (g, cs) = linear_graph();
-        assert!(g.path_from(cs[3].id, cs[3].id).unwrap().is_empty());
-    }
-
-    #[test]
-    fn namespaced_writes_require_grants() {
-        let g = CommitGraph::new();
-        g.shares().register_namespace("up");
-        g.shares().register_namespace("down");
-        let up = g.for_namespace("up");
-        let down = g.for_namespace("down");
-        up.commit_root("up/master", payload(0), "init").unwrap();
-        // Raw root-view writes into an owned namespace are rejected.
-        assert!(matches!(
-            g.commit_root("up/evil", payload(1), "raw bypass"),
-            Err(StorageError::PermissionDenied { actor: None, .. })
-        ));
-        // A peer without a grant can neither append nor fork.
-        assert!(matches!(
-            down.commit("up/master", payload(1), "hijack"),
-            Err(StorageError::PermissionDenied { .. })
-        ));
-        assert!(matches!(
-            down.branch("up/master", "down/fork"),
-            Err(StorageError::PermissionDenied {
-                needed: ShareRight::Fork,
-                ..
-            })
-        ));
-        // Unowned branches stay open to everyone (solo compatibility).
-        g.commit_root("master", payload(2), "solo").unwrap();
-        down.commit("master", payload(3), "solo too").unwrap();
-        // A Fork grant unlocks branching but not merging into the owner.
-        g.shares().grant("up", "down", ShareRight::Fork);
-        let head = down.branch("up/master", "down/fork").unwrap();
-        assert_eq!(head.seq, 0);
-        let d1 = down.commit("down/fork", payload(4), "diverge").unwrap();
-        let u1 = up.commit("up/master", payload(5), "advance").unwrap();
-        assert!(matches!(
-            down.commit_merge("up/master", d1.id, payload(6), "contribute"),
-            Err(StorageError::PermissionDenied {
-                needed: ShareRight::MergeInto,
-                ..
-            })
-        ));
-        // MergeInto unlocks the contribution; the owner can also read the
-        // peer's fork head as a merge parent only with a Read grant back.
-        g.shares().grant("up", "down", ShareRight::MergeInto);
-        let merged = down
-            .commit_merge("up/master", d1.id, payload(6), "contribute")
-            .unwrap();
-        assert_eq!(merged.parents, vec![u1.id, d1.id]);
-        assert!(matches!(
-            up.commit_merge("up/master", d1.id, payload(7), "pull"),
-            Err(StorageError::PermissionDenied {
-                needed: ShareRight::Read,
-                ..
-            })
-        ));
-        g.shares().grant("down", "up", ShareRight::Read);
-        up.commit_merge("up/master", d1.id, payload(7), "pull")
-            .unwrap();
-        // Reads stay open to every view.
-        assert_eq!(g.head("up/master").unwrap().seq, 3);
-        assert!(down.ancestors(merged.id).is_ok());
-    }
-
-    #[test]
-    fn own_fork_tip_usable_after_grant_revocation() {
-        let g = CommitGraph::new();
-        g.shares().register_namespace("up");
-        g.shares().register_namespace("down");
-        let up = g.for_namespace("up");
-        let down = g.for_namespace("down");
-        up.commit_root("up/master", payload(0), "init").unwrap();
-        g.shares().grant("up", "down", ShareRight::Fork);
-        let fork_head = down.branch("up/master", "down/fork").unwrap();
-        down.commit_root("down/main", payload(1), "own root")
-            .unwrap();
-        g.shares().revoke("up", "down");
-        // The fork tip is the head of down's own branch: merging it into
-        // another of down's branches needs no Read grant from up, even
-        // though the commit was originally created on up/master.
-        let merged = down
-            .commit_merge("down/main", fork_head.id, payload(2), "pull own fork")
-            .unwrap();
-        assert_eq!(merged.parents[1], fork_head.id);
-        // A commit that only lives interior to up's history still does.
-        let u1 = up.commit("up/master", payload(3), "advance").unwrap();
-        let u2 = up.commit("up/master", payload(4), "advance again").unwrap();
-        for foreign in [u1.id, u2.id] {
-            assert!(matches!(
-                down.commit_merge("down/main", foreign, payload(5), "steal"),
-                Err(StorageError::PermissionDenied {
-                    needed: ShareRight::Read,
-                    ..
-                })
-            ));
-        }
+        assert!(g.view().path_from(cs[3].id, cs[3].id).unwrap().is_empty());
     }
 
     #[test]
@@ -1140,14 +878,18 @@ mod tests {
     #[test]
     fn views_share_one_graph() {
         let g = CommitGraph::new();
-        let v = g.for_namespace("team");
-        assert_eq!(v.actor(), Some("team"));
-        assert_eq!(g.actor(), None);
         g.commit_root("master", payload(0), "init").unwrap();
-        assert_eq!(v.len(), 1, "views see the same commits");
-        v.commit("master", payload(1), "via view").unwrap();
-        assert_eq!(g.head("master").unwrap().seq, 1);
-        assert_eq!(g.state.appends.get(), 2);
+        // Views taken with no write between them are one generation.
+        let (a, b) = (g.view(), g.view());
+        assert!(Arc::ptr_eq(&a.snap, &b.snap));
+        g.commit("master", payload(1), "via graph").unwrap();
+        g.branch("master", "dev").unwrap();
+        let c = g.view();
+        assert!(!Arc::ptr_eq(&a.snap, &c.snap));
+        assert_eq!(c.head("master").unwrap().seq, 1);
+        // Two appends and a branch creation: three publications.
+        assert_eq!(g.appends.get(), 2);
+        assert_eq!(g.publishes.get(), 3);
     }
 
     #[test]
@@ -1156,7 +898,7 @@ mod tests {
         g.commit_root("master", payload(0), "init").unwrap();
         g.branch("master", "zeta").unwrap();
         g.branch("master", "alpha").unwrap();
-        assert_eq!(g.branches(), vec!["alpha", "master", "zeta"]);
+        assert_eq!(g.view().branches(), vec!["alpha", "master", "zeta"]);
     }
 
     #[test]
@@ -1294,7 +1036,7 @@ mod tests {
             h.join().unwrap();
         }
         // No lost updates: 1 root + 4*40 racing appends all landed.
-        assert_eq!(g.len(), 161);
+        assert_eq!(g.view().len(), 161);
         assert_eq!(g.head("master").unwrap().seq, 160);
     }
 }

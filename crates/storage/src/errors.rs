@@ -1,7 +1,7 @@
 //! Error type for the storage engine.
 
 use crate::hash::Hash256;
-use crate::tenant::{ShareRight, TenantId};
+use crate::tenant::TenantId;
 use std::fmt;
 
 /// Errors surfaced by storage operations.
@@ -33,16 +33,6 @@ pub enum StorageError {
         /// Which axis was breached ("logical bytes" / "physical bytes").
         resource: &'static str,
     },
-    /// A branch operation targeted an owned namespace without a sufficient
-    /// [`ShareRight`] grant (see [`crate::tenant::ShareTable`]).
-    PermissionDenied {
-        /// The acting namespace (`None` for the un-namespaced root view).
-        actor: Option<String>,
-        /// The branch the operation targeted.
-        branch: String,
-        /// The right the operation required.
-        needed: ShareRight,
-    },
     /// Underlying I/O failure (durable backend, journals).
     Io(std::io::Error),
     /// (De)serialisation failure for manifests/commits.
@@ -70,15 +60,6 @@ impl fmt::Display for StorageError {
             } => write!(
                 f,
                 "{tenant} quota exceeded: write needs {needed} {resource} (limit {limit})"
-            ),
-            StorageError::PermissionDenied {
-                actor,
-                branch,
-                needed,
-            } => write!(
-                f,
-                "'{}' lacks the {needed} right on branch '{branch}'",
-                actor.as_deref().unwrap_or("<root>")
             ),
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::Codec(m) => write!(f, "codec error: {m}"),
@@ -137,13 +118,6 @@ mod tests {
         };
         let msg = q.to_string();
         assert!(msg.contains("tenant#3") && msg.contains("120") && msg.contains("100"));
-        let p = StorageError::PermissionDenied {
-            actor: Some("down".into()),
-            branch: "up/master".into(),
-            needed: ShareRight::MergeInto,
-        };
-        let msg = p.to_string();
-        assert!(msg.contains("down") && msg.contains("up/master") && msg.contains("merge-into"));
     }
 
     #[test]

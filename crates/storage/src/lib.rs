@@ -19,10 +19,9 @@
 //! * **Deduplicating store** — [`store::ChunkStore`] persists unseen chunks
 //!   only, with per-[`object::ObjectKind`] accounting in [`stats`].
 //! * **Branches + merges** — [`commit::CommitGraph`] is a Merkle commit DAG
-//!   with branch heads, fast-forward detection, LCA, and first-parent paths;
-//!   namespaced branches are permission-checked against the shared
-//!   [`tenant::ShareTable`] so cross-tenant forks and merges require
-//!   explicit [`tenant::ShareRight`] grants.
+//!   with branch heads, fast-forward detection, LCA, and first-parent paths.
+//!   It checks no rights: which tenant may write which namespaced branch
+//!   (the [`tenant::ShareRight`] levels) is the workspace layer's to decide.
 //! * **Multi-tenant accounting** — [`tenant::TenantAccounts`] attributes
 //!   dedup'd writes (first-writer-pays + fair-share views) and enforces
 //!   [`tenant::QuotaPolicy`] caps through an atomic reserve/settle/release
@@ -77,7 +76,7 @@ pub mod prelude {
     pub use crate::stats::{AtomicStats, CacheStats, KindStats, StorageStats};
     pub use crate::store::{ChunkStore, PutOutcome, PutTrace, SweepReport, WriteObs};
     pub use crate::tenant::{
-        QuotaPolicy, ReservationId, ReservedBytes, ShareRight, ShareTable, SharedUsage,
-        TenantAccounts, TenantId, TenantUsage,
+        QuotaPolicy, ReservationId, ReservedBytes, ShareRight, SharedUsage, TenantAccounts,
+        TenantId, TenantUsage,
     };
 }

@@ -27,11 +27,10 @@
 //!    (converted into usage) when the write is attributed — immediately for
 //!    live writes, at canonical replay time for traced ones — and *released*
 //!    when its evaluation aborts, leaving the accounts exactly as before.
-//! 4. **May a tenant read, fork, or merge into a peer's namespace?** The
-//!    shared [`ShareTable`] records the [`ShareRight`]s each owner has
-//!    granted each peer; [`ShareTable::allows`] is consulted by the commit
-//!    graph's permission-checked entry points (see [`crate::commit`]) and by
-//!    the workspace layer's one cross-tenant precheck.
+//! 4. **May a tenant read, fork, or merge into a peer's namespace?** This
+//!    crate only names the levels, as [`ShareRight`]s; which peer holds
+//!    which right, and the check itself, live in the workspace layer
+//!    (`mlcask_core::workspace`) — the commit graph is a plain version DAG.
 //!
 //! All bookkeeping lives in [`TenantAccounts`], shared (via `Arc`) by every
 //! tenant-scoped view of one store (see
@@ -41,7 +40,7 @@ use crate::errors::{Result, StorageError};
 use crate::hash::Hash256;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifies one tenant of a shared store. Handed out by the workspace
@@ -456,92 +455,6 @@ impl fmt::Display for ShareRight {
     }
 }
 
-#[derive(Default)]
-struct ShareState {
-    /// Registered branch namespaces (tenant names). A branch `ns/rest`
-    /// whose `ns` is registered is *owned*; all other branches are open.
-    namespaces: BTreeSet<String>,
-    /// Owner namespace → peer → strongest granted right.
-    grants: BTreeMap<String, BTreeMap<String, ShareRight>>,
-}
-
-/// Shared access-control table for namespaced branches: who owns which
-/// namespace, and which [`ShareRight`]s each owner has granted.
-///
-/// One table is shared by the commit graph (whose permission-checked entry
-/// points consult it on every write — see [`crate::commit`]) and the
-/// workspace layer (which registers namespaces and mutates grants). A graph
-/// with no registered namespaces — the single-tenant case — is entirely
-/// unrestricted.
-#[derive(Default)]
-pub struct ShareTable {
-    state: RwLock<ShareState>,
-}
-
-impl ShareTable {
-    /// Empty table (no namespaces, no grants).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `ns` as an owned branch namespace: branches named
-    /// `"{ns}/…"` are henceforth writable only by `ns` itself or by peers
-    /// holding a sufficient grant.
-    pub fn register_namespace(&self, ns: &str) {
-        self.state.write().namespaces.insert(ns.to_string());
-    }
-
-    /// The owning namespace of a branch name: the prefix before the first
-    /// `/` when that prefix is a registered namespace, else `None` (the
-    /// branch is unowned/open). A slash-less branch is never owned, even
-    /// if its whole name coincides with a namespace.
-    pub fn owner_of(&self, branch: &str) -> Option<String> {
-        let (ns, _) = branch.split_once('/')?;
-        let st = self.state.read();
-        st.namespaces.contains(ns).then(|| ns.to_string())
-    }
-
-    /// Grants `peer` the given right over `owner`'s namespace (replacing any
-    /// earlier grant — grants don't accumulate, the latest wins).
-    pub fn grant(&self, owner: &str, peer: &str, right: ShareRight) {
-        self.state
-            .write()
-            .grants
-            .entry(owner.to_string())
-            .or_default()
-            .insert(peer.to_string(), right);
-    }
-
-    /// Revokes whatever right `peer` held over `owner`'s namespace. Returns
-    /// true if a grant existed.
-    pub fn revoke(&self, owner: &str, peer: &str) -> bool {
-        self.state
-            .write()
-            .grants
-            .get_mut(owner)
-            .is_some_and(|g| g.remove(peer).is_some())
-    }
-
-    /// The strongest right `peer` holds over `owner`'s namespace, if any.
-    fn right_of(&self, owner: &str, peer: &str) -> Option<ShareRight> {
-        self.state
-            .read()
-            .grants
-            .get(owner)
-            .and_then(|g| g.get(peer))
-            .copied()
-    }
-
-    /// True if `actor` may act on `owner`'s namespace at level `needed`:
-    /// owners always may; peers need a grant of at least `needed`.
-    pub fn allows(&self, owner: &str, actor: &str, needed: ShareRight) -> bool {
-        if owner == actor {
-            return true;
-        }
-        self.right_of(owner, actor).is_some_and(|r| r >= needed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,32 +627,7 @@ mod tests {
     fn share_rights_are_ordered_and_imply_weaker() {
         assert!(ShareRight::MergeInto > ShareRight::Fork);
         assert!(ShareRight::Fork > ShareRight::Read);
-        let t = ShareTable::new();
-        t.register_namespace("up");
-        t.register_namespace("down");
-        assert_eq!(t.owner_of("up/master").as_deref(), Some("up"));
-        assert_eq!(t.owner_of("down/dev").as_deref(), Some("down"));
-        assert_eq!(t.owner_of("master"), None, "unowned branches are open");
-        assert_eq!(t.owner_of("ghost/master"), None);
-        assert_eq!(
-            t.owner_of("up"),
-            None,
-            "a slash-less branch is open even when it collides with a namespace name"
-        );
-        // Owners always pass; strangers never do.
-        assert!(t.allows("up", "up", ShareRight::MergeInto));
-        assert!(!t.allows("up", "down", ShareRight::Read));
-        // A Fork grant implies Read but not MergeInto.
-        t.grant("up", "down", ShareRight::Fork);
-        assert!(t.allows("up", "down", ShareRight::Read));
-        assert!(t.allows("up", "down", ShareRight::Fork));
-        assert!(!t.allows("up", "down", ShareRight::MergeInto));
-        // Latest grant wins; revocation removes everything.
-        t.grant("up", "down", ShareRight::MergeInto);
-        assert_eq!(t.right_of("up", "down"), Some(ShareRight::MergeInto));
-        assert!(t.revoke("up", "down"));
-        assert!(!t.revoke("up", "down"));
-        assert!(!t.allows("up", "down", ShareRight::Read));
+        assert_eq!(ShareRight::MergeInto.to_string(), "merge-into");
     }
 
     #[test]

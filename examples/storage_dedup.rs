@@ -57,6 +57,9 @@ fn main() {
     );
     println!(
         "fast-forward possible: {}",
-        graph.is_fast_forward(master_head.id, dev_head.id).unwrap()
+        graph
+            .view()
+            .is_fast_forward(master_head.id, dev_head.id)
+            .unwrap()
     );
 }

@@ -9,20 +9,27 @@ use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
+use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::clock::ClockLedger;
-use mlcask_pipeline::component::ComponentKey;
+use mlcask_pipeline::component::{Component, ComponentHandle, ComponentKey, StageKind};
 use mlcask_pipeline::dag::PipelineDag;
-use mlcask_pipeline::errors::PipelineError;
+use mlcask_pipeline::errors::{PipelineError, Result as PipelineResult};
 use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::schema::SchemaId;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::errors::StorageError;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::readmission;
 use mlcask_workloads::scenario::{build_system, run_upstream_downstream, setup_nonlinear};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Opens the toy chain pipeline for a tenant (registry over its store view).
 fn toy_system(t: &Tenant) -> MlCask {
+    toy_system_with(t, toy_model(SemVer::master(0, 2), 4, 0.7))
+}
+
+/// [`toy_system`] with `model_02` as its model 0.2.
+fn toy_system_with(t: &Tenant, model_02: ComponentHandle) -> MlCask {
     let registry = Arc::new(ComponentRegistry::with_exe_size(
         Arc::clone(t.store()),
         4096,
@@ -33,12 +40,66 @@ fn toy_system(t: &Tenant) -> MlCask {
         toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
         toy_model(SemVer::master(0, 0), 4, 0.5),
         toy_model(SemVer::master(0, 1), 4, 0.6),
-        toy_model(SemVer::master(0, 2), 4, 0.7),
+        model_02,
     ] {
         registry.register(c).unwrap();
     }
     let dag = PipelineDag::chain(&toy_slots()).unwrap();
     t.open_pipeline("toy", dag, registry)
+}
+
+/// `inner`, except that once armed its next run first calls the hook.
+struct Tripwire {
+    inner: ComponentHandle,
+    hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl Tripwire {
+    fn new(inner: ComponentHandle) -> Arc<Tripwire> {
+        Arc::new(Tripwire {
+            inner,
+            hook: Mutex::new(None),
+        })
+    }
+
+    fn arm(&self, hook: impl FnOnce() + Send + 'static) {
+        *self.hook.lock().unwrap() = Some(Box::new(hook));
+    }
+
+    fn fired(&self) -> bool {
+        self.hook.lock().unwrap().is_none()
+    }
+}
+
+impl Component for Tripwire {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn version(&self) -> SemVer {
+        self.inner.version()
+    }
+    fn stage(&self) -> StageKind {
+        self.inner.stage()
+    }
+    fn input_schema(&self) -> Option<SchemaId> {
+        self.inner.input_schema()
+    }
+    fn output_schema(&self) -> SchemaId {
+        self.inner.output_schema()
+    }
+    fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
+        let hook = self.hook.lock().unwrap().take();
+        if let Some(hook) = hook {
+            hook();
+        }
+        self.inner.run(inputs)
+    }
+    fn work_units(&self, inputs: &[Artifact]) -> u64 {
+        self.inner.work_units(inputs)
+    }
+    fn ns_per_unit(&self) -> u64 {
+        self.inner.ns_per_unit()
+    }
 }
 
 fn keys(sys: &MlCask, scaler_inc: usize, model_inc: usize) -> Vec<ComponentKey> {
@@ -54,19 +115,24 @@ fn keys(sys: &MlCask, scaler_inc: usize, model_inc: usize) -> Vec<ComponentKey> 
 /// branch heads, commit count, per-tenant usages, fair-share view, and
 /// open reservations.
 fn accounting_fingerprint(ws: &Arc<Workspace>) -> String {
-    let heads: Vec<String> = ws
-        .graph()
-        .branches()
-        .iter()
-        .map(|b| format!("{b}={}", ws.graph().head(b).unwrap().id.short()))
-        .collect();
     format!(
-        "commits={} heads={heads:?} usages={} shared={} reserved={}",
-        ws.graph().len(),
+        "{} usages={} shared={} reserved={}",
+        graph_fingerprint(ws),
         serde_json::to_string(&ws.usages()).unwrap(),
         serde_json::to_string(&ws.shared_view()).unwrap(),
         ws.store().tenant_accounts().open_reservations(),
     )
+}
+
+/// Every branch head and the commit count.
+fn graph_fingerprint(ws: &Arc<Workspace>) -> String {
+    let graph = ws.graph();
+    let heads: Vec<String> = graph
+        .branches()
+        .iter()
+        .map(|b| format!("{b}={}", graph.head(b).unwrap().id.short()))
+        .collect();
+    format!("commits={} heads={heads:?}", graph.len())
 }
 
 /// Two tenants whose histories diverge on both sides of one fork point:
@@ -108,9 +174,10 @@ fn peers(grant: Option<ShareRight>) -> Peers {
 }
 
 /// Every fork and merge `down` can ask of `up`'s namespace, under every
-/// grant: the precheck admits exactly what the commit graph would, an
-/// admitted merge commits, and a refused one is refused by the graph too
-/// and moves neither graph nor accounts by a single byte.
+/// grant: an admitted merge commits, and a refused one moves neither graph
+/// nor accounts by a single byte. (That the graph writes apply the very
+/// rule the precheck does is `mlcask_core`'s
+/// `workspace::tests::the_write_time_rule_is_the_precheck`.)
 #[test]
 fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
     const GRANTS: [Option<ShareRight>; 4] = [
@@ -158,22 +225,6 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
                 merged.map(|m| m.commit)
             );
             assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
-            // The graph refuses the same merge commit for the same right.
-            let merge_head =
-                p.ws.graph()
-                    .head(&p.sys_down.qualified_branch(merging))
-                    .unwrap();
-            let probe = p.sys_down.graph().commit_merge(
-                &p.sys_down.qualified_branch(base),
-                merge_head.id,
-                merge_head.payload,
-                "probe",
-            );
-            assert!(
-                matches!(probe, Err(StorageError::PermissionDenied { needed: n, .. }) if n == needed),
-                "{row}: the graph would have taken it: {probe:?}"
-            );
-            assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
         }
         // A fork goes through the same precheck with `Fork`.
         let p = peers(grant);
@@ -194,13 +245,6 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
             ),
             "fork under {grant:?}"
         );
-        assert!(matches!(
-            p.sys_down.graph().branch("up/master", "down/probe"),
-            Err(StorageError::PermissionDenied {
-                needed: ShareRight::Fork,
-                ..
-            })
-        ));
         assert_eq!(
             accounting_fingerprint(&p.ws),
             before,
@@ -241,6 +285,11 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
     ));
 }
 
+/// There is no public graph writer (`MlCask::graph` and
+/// `Workspace::graph` hand out read-only views — a `compile_fail` doctest
+/// on `MlCask::graph` holds that), and every public API that takes a
+/// branch name resolves it inside the caller's own namespace: a name that
+/// spells a peer's branch is a branch of one's own.
 #[test]
 fn raw_string_apis_cannot_touch_foreign_namespaces() {
     let ws = Workspace::in_memory_small();
@@ -252,34 +301,194 @@ fn raw_string_apis_cannot_touch_foreign_namespaces() {
     sys_up
         .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
         .unwrap();
-    let head = ws.graph().head("up/master").unwrap();
+    let up_head = ws.graph().head("up/master").unwrap();
     let before = accounting_fingerprint(&ws);
-    // Tenant views hitting a peer's namespace through the raw graph APIs.
+    // Branching off "up/master" looks for down's own `down/up/master`.
     assert!(matches!(
-        sys_down.graph().commit("up/master", head.payload, "hijack"),
-        Err(StorageError::PermissionDenied { .. })
+        sys_down.branch("up/master", "steal"),
+        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
     ));
     assert!(matches!(
-        sys_down
-            .graph()
-            .commit_root("up/evil", head.payload, "squat"),
-        Err(StorageError::PermissionDenied { .. })
-    ));
-    assert!(matches!(
-        sys_down.graph().branch("up/master", "down/steal"),
-        Err(StorageError::PermissionDenied { .. })
-    ));
-    // The un-namespaced root view is equally powerless.
-    assert!(matches!(
-        ws.graph()
-            .commit_root("up/evil", head.payload, "root bypass"),
-        Err(StorageError::PermissionDenied { actor: None, .. })
+        sys_down.merge("up/master", "master", MergeStrategy::Full, &clock),
+        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
     ));
     assert_eq!(accounting_fingerprint(&ws), before);
-    // A matching grant opens exactly the granted operation.
+    // Committing to "up/master" roots a branch in down's namespace.
+    let squat = sys_down
+        .commit_pipeline("up/master", &keys(&sys_down, 0, 0), "squat", &clock)
+        .unwrap()
+        .commit
+        .unwrap();
+    assert_eq!(squat.branch, "down/up/master");
+    assert_eq!(ws.graph().head("up/master").unwrap(), up_head);
+    assert_eq!(down.branches(), vec!["up/master"]);
+    assert_eq!(up.branches(), vec!["master"]);
+    // Only a grant reaches up's namespace, and only what it grants.
+    assert!(matches!(
+        down.fork_from("up", "master", "fork"),
+        Err(CoreError::ShareDenied { .. })
+    ));
     up.grant_to("down", ShareRight::Fork).unwrap();
-    sys_down.graph().branch("up/master", "down/fork").unwrap();
-    assert_eq!(down.branches(), vec!["fork"]);
+    down.fork_from("up", "master", "fork").unwrap();
+    assert_eq!(down.branches(), vec!["fork", "up/master"]);
+}
+
+/// Three teams in a chain: `up` grants `mid` Fork; `mid` forks `up/master`
+/// twice, as `fork` at `up`'s first commit and as `fork2` at its second;
+/// `mid` grants `down` Fork; `down` forks `mid/fork2` as `main` and commits
+/// on it. `mid/fork` still tips a commit made on `up/master`.
+struct Chain {
+    ws: Arc<Workspace>,
+    mid: Tenant,
+    down: Tenant,
+    sys_down: MlCask,
+    clock: ClockLedger,
+}
+
+fn chain() -> Chain {
+    let ws = Workspace::in_memory_small();
+    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+    let mid = ws.add_tenant("mid", QuotaPolicy::UNLIMITED).unwrap();
+    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+    let (sys_up, sys_down) = (toy_system(&up), toy_system(&down));
+    let clock = ClockLedger::new();
+    let commit = |sys: &MlCask, branch: &str, scaler: usize, model: usize| {
+        let keys = keys(sys, scaler, model);
+        let done = sys.commit_pipeline(branch, &keys, branch, &clock).unwrap();
+        assert!(done.commit.is_some());
+    };
+    commit(&sys_up, "master", 0, 0);
+    up.grant_to("mid", ShareRight::Fork).unwrap();
+    mid.fork_from("up", "master", "fork").unwrap();
+    commit(&sys_up, "master", 1, 0);
+    mid.fork_from("up", "master", "fork2").unwrap();
+    mid.grant_to("down", ShareRight::Fork).unwrap();
+    down.fork_from("mid", "fork2", "main").unwrap();
+    commit(&sys_down, "main", 1, 1);
+    Chain {
+        ws,
+        mid,
+        down,
+        sys_down,
+        clock,
+    }
+}
+
+/// What a merge into `down/main` left behind that both routes must share.
+fn merged_state(c: &Chain, out: &mlcask_core::system::MergeOutcome) -> String {
+    let meta = c.sys_down.head_metafile("main").unwrap();
+    format!(
+        "report={} keys={:?} score={:?} down={}",
+        serde_json::to_string(&out.report).unwrap(),
+        meta.component_keys(),
+        meta.score,
+        serde_json::to_string(&c.down.usage()).unwrap(),
+    )
+}
+
+/// Merging a peer's branch needs `Read` from that peer and nothing from
+/// whoever made the commits on it: `down` merges `mid/fork`, whose head was
+/// committed on `up/master`, on `mid`'s grant alone — with the result of
+/// forking it first and merging the fork — and without `mid`'s grant it is
+/// refused before anything is charged.
+#[test]
+fn a_peers_branch_is_merged_on_the_peers_grant_alone() {
+    let c = chain();
+    let out = c
+        .sys_down
+        .merge(
+            "main",
+            BranchRef::peer("mid", "fork"),
+            MergeStrategy::Full,
+            &c.clock,
+        )
+        .unwrap_or_else(|e| panic!("refused after its search: {e}"));
+    assert!(!out.fast_forward);
+    let commit = out.commit.as_ref().unwrap();
+    assert_eq!(commit.branch, "down/main");
+    let peer_route = merged_state(&c, &out);
+
+    let c = chain();
+    c.down.fork_from("mid", "fork", "pulled").unwrap();
+    let out = c
+        .sys_down
+        .merge("main", "pulled", MergeStrategy::Full, &c.clock)
+        .unwrap();
+    assert_eq!(merged_state(&c, &out), peer_route);
+
+    let c = chain();
+    c.mid.revoke_from("down").unwrap();
+    let before = accounting_fingerprint(&c.ws);
+    let refused = c.sys_down.merge(
+        "main",
+        BranchRef::peer("mid", "fork"),
+        MergeStrategy::Full,
+        &c.clock,
+    );
+    assert!(
+        matches!(
+            &refused,
+            Err(CoreError::ShareDenied { owner, peer, needed: ShareRight::Read })
+                if owner == "mid" && peer == "down"
+        ),
+        "{:?}",
+        refused.map(|m| m.commit)
+    );
+    assert_eq!(accounting_fingerprint(&c.ws), before);
+}
+
+/// The rule is applied again when the merge commit is written: a grant
+/// revoked while the search runs refuses the commit, and the graph does
+/// not move. A component `down` committed revokes the grant the first time
+/// the merge search runs it.
+#[test]
+fn a_grant_revoked_mid_search_refuses_the_merge_commit() {
+    let rows = [
+        // Contributing to up's branch, then pulling it into down's own.
+        (ShareRight::MergeInto, true),
+        (ShareRight::Fork, false),
+    ];
+    for (grant, into_peer) in rows {
+        let ws = Workspace::in_memory_small();
+        let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+        let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+        let wire = Tripwire::new(toy_model(SemVer::master(0, 2), 4, 0.7));
+        let sys_up = toy_system(&up);
+        let sys_down = toy_system_with(&down, Arc::clone(&wire) as ComponentHandle);
+        let clock = ClockLedger::new();
+        sys_up
+            .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
+            .unwrap();
+        up.grant_to("down", grant).unwrap();
+        down.fork_from("up", "master", "feature").unwrap();
+        sys_up
+            .commit_pipeline("master", &keys(&sys_up, 1, 0), "up scaler", &clock)
+            .unwrap();
+        sys_down
+            .commit_pipeline("feature", &keys(&sys_down, 0, 2), "down model", &clock)
+            .unwrap();
+        let revoker = Arc::clone(&ws);
+        wire.arm(move || revoker.revoke_share("up", "down").unwrap());
+        let before = graph_fingerprint(&ws);
+        let (peer, own) = (BranchRef::peer("up", "master"), BranchRef::from("feature"));
+        let (base, merging, needed) = if into_peer {
+            (peer, own, ShareRight::MergeInto)
+        } else {
+            (own, peer, ShareRight::Read)
+        };
+        let merged = sys_down.merge(base, merging, MergeStrategy::Full, &clock);
+        assert!(wire.fired(), "the search never ran model 0.2");
+        assert!(
+            matches!(
+                &merged,
+                Err(CoreError::ShareDenied { owner, peer, needed: n })
+                    if owner == "up" && peer == "down" && *n == needed
+            ),
+            "{grant:?}: {:?}",
+            merged.map(|m| m.commit)
+        );
+        assert_eq!(graph_fingerprint(&ws), before, "{grant:?}");
+    }
 }
 
 #[test]

@@ -86,7 +86,7 @@ proptest! {
         let merged = graph
             .commit_merge("master", dev_head.id, Hash256::of(b"m"), "merge")
             .unwrap();
-        let ancestors = graph.ancestors(merged.id).unwrap();
+        let ancestors = graph.view().ancestors(merged.id).unwrap();
         // init + head commits + dev commits + merge commit.
         prop_assert_eq!(ancestors.len(), 1 + head_commits + dev_commits + 1);
         prop_assert!(ancestors.contains(&dev_head.id));
@@ -310,16 +310,14 @@ mod graph_model {
         not_found(lca(x, known), x);
         not_found(lca(known, y), y);
         not_found(lca(x, y), x);
-        type Query = fn(&CommitGraph, Hash256, Hash256) -> Result<bool, StorageError>;
-        for query in [
-            CommitGraph::is_ancestor as Query,
-            CommitGraph::is_fast_forward,
-        ] {
+        type Query = fn(&GraphView, Hash256, Hash256) -> Result<bool, StorageError>;
+        let view = graph.view();
+        for query in [GraphView::is_ancestor as Query, GraphView::is_fast_forward] {
             // An unknown descendant is an error; an unknown candidate
             // ancestor is just not an ancestor.
-            not_found(query(&graph, known, y), y);
-            not_found(query(&graph, x, y), y);
-            assert!(!query(&graph, x, known).unwrap());
+            not_found(query(&view, known, y), y);
+            not_found(query(&view, x, y), y);
+            assert!(!query(&view, x, known).unwrap());
         }
     }
 }

@@ -308,7 +308,7 @@ fn cross_tenant_round_reads_no_metafile(cache: Option<CacheOptions>) {
 
     // Every committed metafile: its manifest (the commit payload) and the
     // chunks holding its JSON.
-    let view = ws.graph().view();
+    let view = ws.graph();
     let mut manifests = HashSet::new();
     let mut chunks = HashSet::new();
     for id in view.live_commits().unwrap() {
