@@ -8,8 +8,10 @@
 //! (challenge C1: skipping unchanged pre-processing steps).
 //!
 //! The index is sharded (like `MemoryCache`) so the parallel candidate
-//! evaluators' concurrent lookups and checkpoint inserts do not serialize
-//! on one lock.
+//! evaluators' concurrent lookups do not serialize on one lock. Its one
+//! writer is the accounting replay's publication
+//! (`mlcask_pipeline::replay::replay_run`): a checkpoint enters the history
+//! only once its blob has been charged.
 
 use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::artifact_cache::ArtifactCache;
@@ -20,11 +22,8 @@ use mlcask_pipeline::replay::CacheSnapshot;
 use mlcask_storage::hash::Hash256;
 use std::sync::Arc;
 
-/// Shared, cloneable history of checkpointed component outputs.
-///
-/// Cloning is shallow (`Arc`); use [`HistoryIndex::deep_clone`] to fork an
-/// independent copy (the prioritized-search trial harness forks the
-/// pre-merge history for every trial).
+/// Shared, cloneable history of checkpointed component outputs. Cloning is
+/// shallow (`Arc`).
 ///
 /// Alongside the `CacheKey`-keyed checkpoints, the history carries a
 /// [`ProvenanceIndex`] keyed by static sub-DAG fingerprints. The pairing
@@ -42,8 +41,7 @@ pub struct HistoryIndex {
     provenance: Arc<ProvenanceIndex>,
     /// Checkpointed artifacts already in memory, by blob id, so reusing a
     /// checkpoint does not mean fetching and parsing it again. Content
-    /// addressed, hence shared by deep clones too: a trial's fork reads the
-    /// same blobs as the history it forked from.
+    /// addressed, hence shared with [`HistoryIndex::decoded_only`] views.
     decoded: Arc<ArtifactCache>,
 }
 
@@ -63,13 +61,14 @@ impl HistoryIndex {
         self.len() == 0
     }
 
-    /// Forks an independent copy with the same contents (checkpoints and
-    /// provenance fingerprints both).
-    pub fn deep_clone(&self) -> HistoryIndex {
+    /// A view holding none of this history's checkpoints, only its decoded
+    /// artifacts: what the from-scratch merge ablations trace against, so
+    /// that what a candidate is charged is from scratch while artifacts
+    /// already in memory are not parsed again.
+    pub fn decoded_only(&self) -> HistoryIndex {
         HistoryIndex {
-            map: Arc::new(self.map.fork()),
-            provenance: Arc::new(self.provenance.fork()),
             decoded: Arc::clone(&self.decoded),
+            ..HistoryIndex::default()
         }
     }
 
@@ -109,6 +108,10 @@ impl OutputCache for HistoryIndex {
 
     fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
         self.decoded.insert(blob, artifact);
+    }
+
+    fn paired_provenance(&self) -> Option<&ProvenanceIndex> {
+        Some(&self.provenance)
     }
 }
 
@@ -161,16 +164,6 @@ mod tests {
         let h2 = h.clone();
         h.insert(key(1), output(1));
         assert!(h2.contains(&key(1)), "shallow clones share the map");
-    }
-
-    #[test]
-    fn deep_clone_is_independent() {
-        let h = HistoryIndex::new();
-        h.insert(key(1), output(1));
-        let fork = h.deep_clone();
-        fork.insert(key(2), output(2));
-        assert!(!h.contains(&key(2)), "fork writes must not leak back");
-        assert!(fork.contains(&key(1)), "fork keeps pre-existing entries");
     }
 
     #[test]

@@ -20,17 +20,13 @@ use crate::registry::ComponentRegistry;
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
-use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{
-    CacheKey, CachedOutput, Executor, MemoryCache, OutputCache, RunReport,
-};
+use mlcask_pipeline::executor::{Executor, RunReport};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut, Incremental, PrefixGate};
-use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook};
-use mlcask_storage::hash::Hash256;
+use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, Publication};
 use mlcask_storage::store::ChunkStore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -150,9 +146,11 @@ impl<'a> MergeEngine<'a> {
         self
     }
 
-    /// Runs the merge search. `history` is consulted/extended only by the
-    /// `Full` strategy (PR); the ablations run from scratch as the paper
-    /// describes.
+    /// Runs the merge search. `history` is consulted and extended only by
+    /// the history-backed strategies (`Full`, which is PR, and `Naive`); the
+    /// ablations run from scratch as the paper describes. Checkpoints enter
+    /// `history` only through the phase-2 replay, which publishes each
+    /// candidate's charged executions after charging them.
     ///
     /// Candidates are evaluated by the engine's [`ParallelismPolicy`] in two
     /// phases — parallel traced execution, then a sequential accounting
@@ -166,10 +164,12 @@ impl<'a> MergeEngine<'a> {
     /// only the others go through the two phases.
     ///
     /// Tenant-attributed stores take quota *reservations* during phase 1 and
-    /// settle them in the phase-2 replay; if the search aborts — a
-    /// mid-evaluation quota breach, an unresolvable component, a storage
+    /// settle them in the phase-2 replay; if the search aborts in phase 1 —
+    /// a mid-evaluation quota breach, an unresolvable component, a storage
     /// fault — every unsettled reservation is released before the error
-    /// surfaces, so the tenant's accounts end exactly where they started.
+    /// surfaces and nothing has been published, so the tenant's accounts
+    /// and the history end exactly where they started. Blobs phase 1
+    /// persisted are then unreferenced, for `Workspace::sweep_orphans`.
     pub fn search(
         &self,
         spaces: &SearchSpaces,
@@ -241,23 +241,21 @@ impl<'a> MergeEngine<'a> {
             .collect::<Result<_>>()?;
 
         // Phase 1 — execute every candidate (possibly in parallel) for its
-        // results, deduplicating shared work through a concurrent cache.
-        // For reuse strategies the cache *is* the live history, so
-        // checkpoints land there exactly as in a sequential run; the
-        // ablations get a search-local scratch cache (work dedup only —
-        // their accounting below still pays every execution).
+        // results, deduplicating shared work through the book. Reuse
+        // strategies look checkpoints up in the live history; the ablations
+        // in a view of it holding none (their accounting below pays every
+        // execution anyway).
         //
         // The worker pool splits across two levels: candidates fan out
         // first, and any leftover workers fan the independent DAG nodes
         // *inside* each candidate out (wavefront execution) — one budget,
         // never oversubscribed.
-        let scratch = (!use_history).then(|| Scratch {
-            checkpoints: MemoryCache::new(),
-            history,
-        });
-        let phase_cache: &dyn OutputCache = match &scratch {
-            None => history,
-            Some(scratch) => scratch,
+        let from_scratch;
+        let phase_cache = if use_history {
+            history
+        } else {
+            from_scratch = history.decoded_only();
+            &from_scratch
         };
         // Each candidate's frontier cut, once, against the live provenance
         // index — all of them before any candidate is traced, so this
@@ -289,7 +287,6 @@ impl<'a> MergeEngine<'a> {
             let _cand_span = mlcask_obs::span!("merge.candidate", "index" => i);
             let inc = cuts[i].as_ref().map(|cut| Incremental {
                 cut,
-                live: history.provenance(),
                 gate: Some(&gate),
             });
             executor.trace(&bound[i], phase_cache, book, inner, inc.as_ref())
@@ -304,7 +301,8 @@ impl<'a> MergeEngine<'a> {
         count_frontier_skipped(skipped_by_frontier);
 
         // Phase 2 — deterministic accounting replay in candidate order,
-        // reusing what phase 1 found and did not produce.
+        // reusing what phase 1 found and did not produce, and publishing
+        // into the history what it charged as executed.
         let mut sim = CacheSnapshot::new();
         let mut cursor = book.replay_cursor();
         let mut merge_clock = ClockSnapshot::default();
@@ -313,7 +311,9 @@ impl<'a> MergeEngine<'a> {
         let mut reused = 0usize;
         let mut failed = 0usize;
         let mut best: Option<(Vec<ComponentKey>, Score)> = None;
-        for ((keys, pipeline), known) in leaves.into_iter().zip(&bound).zip(&mut known) {
+        for (((keys, pipeline), known), cut) in
+            leaves.into_iter().zip(&bound).zip(&mut known).zip(&cuts)
+        {
             let run_ledger = ClockLedger::new();
             let report = match known.take() {
                 Some(report) => report,
@@ -321,10 +321,13 @@ impl<'a> MergeEngine<'a> {
                     self.store,
                     pipeline,
                     book,
-                    &mut sim,
+                    use_history.then_some(&mut sim),
                     &mut cursor,
                     &run_ledger,
-                    use_history,
+                    use_history.then(|| Publication {
+                        index: history,
+                        fingerprints: cut.as_ref().map(|cut| cut.fingerprints.as_slice()),
+                    }),
                 )?,
             };
             let snap = run_ledger.snapshot();
@@ -371,33 +374,6 @@ impl<'a> MergeEngine<'a> {
             logical_bytes: stats_after.logical_bytes - stats_before.logical_bytes,
             physical_bytes: stats_after.physical_bytes - stats_before.physical_bytes,
         })
-    }
-}
-
-/// The from-scratch ablations' search-local checkpoint index. Only what a
-/// candidate is *charged* is from scratch; artifacts already in memory are
-/// still taken from (and offered to) the history's decoded-artifact cache,
-/// which is keyed by content and so cannot tell one search from another.
-struct Scratch<'h> {
-    checkpoints: MemoryCache,
-    history: &'h HistoryIndex,
-}
-
-impl OutputCache for Scratch<'_> {
-    fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
-        self.checkpoints.lookup(key)
-    }
-
-    fn insert(&self, key: CacheKey, value: CachedOutput) {
-        self.checkpoints.insert(key, value);
-    }
-
-    fn decoded(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
-        self.history.decoded(blob)
-    }
-
-    fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
-        self.history.keep_decoded(blob, artifact);
     }
 }
 

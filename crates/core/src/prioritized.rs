@@ -8,6 +8,13 @@
 //! highest-scoring child until it reaches an un-run leaf. Under a time
 //! budget this returns better pipelines earlier; with an unlimited budget it
 //! finds the same optimum as the exhaustive pruned search.
+//!
+//! Trials read the base history and never write it: a node one trial
+//! executed is adopted by the others from the shared
+//! [`ProfileBook`](mlcask_pipeline::replay::ProfileBook), not from a copy of
+//! the history per trial. Each trial's accounting replay reuses what that
+//! trial executed earlier in its own search order — what a live
+//! one-candidate-at-a-time trial would pay — and publishes nothing.
 
 use crate::errors::Result;
 use crate::history::HistoryIndex;
@@ -127,8 +134,6 @@ struct TrialState {
     rng: StdRng,
     /// Pre-drawn search order (`Random`); `None` means adaptive descent.
     order: Option<Vec<usize>>,
-    /// Trial-local history fork (checkpoints within a trial reuse normally).
-    history: HistoryIndex,
     searched: Vec<(Vec<ComponentKey>, Option<Score>)>,
     bound: Vec<BoundPipeline>,
     skipped_by_frontier: usize,
@@ -183,12 +188,11 @@ impl<'a> PrioritizedSearcher<'a> {
         self
     }
 
-    /// Builds the initial state of one trial: prune, fork the history,
-    /// seed initial scores, and draw the search order for `Random`.
+    /// Builds the initial state of one trial: prune, seed initial scores,
+    /// and draw the search order for `Random`.
     fn trial_state(
         &self,
         spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
         initial_scores: &[(Vec<ComponentKey>, f64)],
         method: SearchMethod,
         seed: u64,
@@ -197,7 +201,6 @@ impl<'a> PrioritizedSearcher<'a> {
         let preds = self.dag.predecessors();
         let lut = CompatLut::build(self.registry, spaces, preds)?;
         tree.prune_incompatible(&lut, preds);
-        let history = base_history.deep_clone();
 
         let leaves = tree.live_leaves();
         let mut leaf_of: HashMap<Vec<ComponentKey>, usize> = HashMap::new();
@@ -236,7 +239,6 @@ impl<'a> PrioritizedSearcher<'a> {
             remaining,
             rng,
             order,
-            history,
             searched: Vec::with_capacity(total),
             bound: Vec::with_capacity(total),
             skipped_by_frontier: 0,
@@ -266,8 +268,10 @@ impl<'a> PrioritizedSearcher<'a> {
     }
 
     /// Phase 2 of one trial: the deterministic accounting replay in search
-    /// order — what a live one-candidate-at-a-time trial charges. `cursor`
-    /// carries chunk-dedup state across trials in trial order.
+    /// order — what a live one-candidate-at-a-time trial charges, reusing
+    /// within the trial what it executed. `cursor` carries chunk-dedup state
+    /// across trials in trial order. Trials publish nothing: the base
+    /// history is the same for every trial.
     fn replay_trial(
         &self,
         trial: &TrialState,
@@ -279,7 +283,7 @@ impl<'a> PrioritizedSearcher<'a> {
         let mut sim = CacheSnapshot::new();
         let mut searched = Vec::with_capacity(trial.searched.len());
         for (idx, ((keys, _), pipeline)) in trial.searched.iter().zip(&trial.bound).enumerate() {
-            let report = replay_run(store, pipeline, book, &mut sim, cursor, &ledger, true)?;
+            let report = replay_run(store, pipeline, book, Some(&mut sim), cursor, &ledger, None)?;
             searched.push(SearchedCandidate {
                 rank: idx + 1,
                 keys: keys.clone(),
@@ -329,15 +333,15 @@ impl<'a> PrioritizedSearcher<'a> {
     ) -> Result<(Vec<TrialResult>, usize)> {
         let book = ProfileBook::new();
         book.reservation_scope(self.registry.store(), || {
-            // Candidates cut against the base history's provenance, which no
-            // trial writes (each writes its own fork), so a cut never
-            // depends on how far other trials have got.
+            // Candidates cut against the base history, which no trial
+            // writes, so a cut never depends on how far other trials have
+            // got.
             let base = base_history.provenance();
             let gate = PrefixGate::new();
             let executor = Executor::new(self.registry.store());
             let mut states: Vec<TrialState> = seeds
                 .iter()
-                .map(|&seed| self.trial_state(spaces, base_history, initial_scores, method, seed))
+                .map(|&seed| self.trial_state(spaces, initial_scores, method, seed))
                 .collect::<Result<_>>()?;
             let mut round = 0usize;
             loop {
@@ -346,7 +350,7 @@ impl<'a> PrioritizedSearcher<'a> {
                 let mut picks = Vec::new();
                 for (t, state) in states.iter_mut().enumerate() {
                     if let Some((leaf, keys, pipeline)) = self.pick_next(state)? {
-                        picks.push((t, leaf, keys, pipeline, state.history.clone()));
+                        picks.push((t, leaf, keys, pipeline));
                     }
                 }
                 if picks.is_empty() {
@@ -361,17 +365,16 @@ impl<'a> PrioritizedSearcher<'a> {
                 // Execute phase: the round's batch fans across the pool;
                 // leftover workers run each candidate's DAG wavefront.
                 let (outer, inner) = self.parallelism.split(picks.len());
-                let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline, history)| {
+                let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline)| {
                     let cut = FrontierCut::of(pipeline, |fp| base.get(fp))?;
                     let inc = Incremental {
                         cut: &cut,
-                        live: history.provenance(),
                         gate: Some(&gate),
                     };
-                    executor.trace(pipeline, history, &book, inner, Some(&inc))
+                    executor.trace(pipeline, base_history, &book, inner, Some(&inc))
                 });
                 // Record phase: fold results back in trial order.
-                for ((t, leaf, keys, pipeline, _), outcome) in picks.into_iter().zip(outcomes) {
+                for ((t, leaf, keys, pipeline), outcome) in picks.into_iter().zip(outcomes) {
                     record_pick(&mut states[t], leaf, keys, pipeline, outcome?);
                 }
             }

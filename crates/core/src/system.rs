@@ -247,8 +247,9 @@ impl MlCask {
 
     /// How a run becomes a commit, for plain commits and both merge arms:
     /// bind `keys`, run them under MLCask policy against the shared history
-    /// and, if the run completes, absorb its provenance, store its metafile
-    /// and append the commit carrying it to `branch` — an already-qualified
+    /// (whose replay publishes the checkpoints, and their fingerprints, of
+    /// what it executed) and, if the run completes, store its metafile and
+    /// append the commit carrying it to `branch` — an already-qualified
     /// (shared-graph) name, since the cross-tenant merge path commits onto a
     /// *peer's* branch, which has no caller-facing name in this system's
     /// namespace. A run the precheck rejects (or that fails) commits nothing.
@@ -256,7 +257,7 @@ impl MlCask {
     /// With incremental re-evaluation on, a pipeline the live provenance
     /// index resolves end to end — a warm commit, a fast-forward, a merge
     /// winner the search just evaluated — is not run: its report is the
-    /// cut's ([`FrontierCut::report`]), and there is nothing new to absorb.
+    /// cut's ([`FrontierCut::report`]), and there is nothing new to publish.
     fn run_and_commit(
         &self,
         branch: String,
@@ -288,10 +289,6 @@ impl MlCask {
                         report,
                     });
                 }
-                // Lift the run's checkpoints into the provenance index so
-                // later merge searches, trials and commits can cut their
-                // frontier above them.
-                provenance.absorb(&bound, self.history())?;
                 report
             }
         };

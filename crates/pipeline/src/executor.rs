@@ -15,11 +15,12 @@
 //!
 //! There is one engine. [`Executor::trace`] executes a pipeline's nodes for
 //! their results only — inline on the caller's thread at one worker, on a
-//! pool above that — recording execution profiles and write traces;
-//! [`Executor::run`] is `trace` followed by the accounting replay in
-//! canonical topological order (see [`crate::replay`]), so what a run
-//! charges never depends on how it was scheduled. Every component output is
-//! archived: the replay charges storage from the write traces.
+//! pool above that — recording execution profiles and write traces, and
+//! only reading the [`OutputCache`] it is given; [`Executor::run`] is
+//! `trace` followed by the accounting replay in canonical topological order
+//! (see [`crate::replay`]), so what a run charges never depends on how it
+//! was scheduled. Every component output is archived: the replay charges
+//! storage from the write traces, and publishes the checkpoints it charged.
 
 use crate::artifact::Artifact;
 use crate::clock::ClockLedger;
@@ -27,8 +28,10 @@ use crate::component::{ComponentHandle, ComponentKey, StageKind};
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
-use crate::provenance::{schedulable, Claim, ClaimGuard, GateOutcome, Incremental};
-use crate::replay::{replay_run, CacheSnapshot, ProfileBook, StageProfile};
+use crate::provenance::{
+    schedulable, Claim, ClaimGuard, GateOutcome, Incremental, ProvenanceIndex,
+};
+use crate::replay::{replay_run, CacheSnapshot, ProfileBook, Publication, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
 use mlcask_ml::metrics::Score;
@@ -66,8 +69,17 @@ pub struct CachedOutput {
 pub trait OutputCache: Send + Sync {
     /// Looks up a checkpoint.
     fn lookup(&self, key: &CacheKey) -> Option<CachedOutput>;
-    /// Records a checkpoint.
+    /// Records a checkpoint. Only the accounting replay's publication calls
+    /// this (see [`crate::replay::replay_run`]).
     fn insert(&self, key: CacheKey, value: CachedOutput);
+
+    /// The provenance index paired with this cache, if it keeps one: the
+    /// replay records each checkpoint it publishes there under its
+    /// fingerprint, after inserting it here (the pairing invariant of
+    /// [`crate::provenance`]).
+    fn paired_provenance(&self) -> Option<&ProvenanceIndex> {
+        None
+    }
 
     /// The artifact stored in checkpoint blob `blob`, already decoded, if
     /// this cache keeps decoded artifacts (see [`crate::artifact_cache`]).
@@ -278,7 +290,6 @@ pub struct Executor<'s> {
 
 /// Result of one completed node.
 struct WaveSlot {
-    key: CacheKey,
     cached: CachedOutput,
     /// In-memory output; `None` for cache hits until a successor
     /// materialises them from the store. Shared so sibling consumers can
@@ -337,10 +348,11 @@ impl<'s> Executor<'s> {
 
     /// Runs a bound pipeline under the given policy, charging `ledger`:
     /// [`Executor::trace`]'s node execution, then the accounting replay in
-    /// canonical topological order, then checkpoint publication into
-    /// `cache` — at every worker count and DAG shape, so the report, ledger
-    /// charges, store statistics, and cache side-state are byte-identical
-    /// however the nodes were scheduled (see [`crate::replay`]).
+    /// canonical topological order, which publishes the stages it charged
+    /// as executed into `cache` — at every worker count and DAG shape, so
+    /// the report, ledger charges, store statistics, and cache side-state
+    /// are byte-identical however the nodes were scheduled (see
+    /// [`crate::replay`]).
     ///
     /// The ledger is taken by shared reference — charging is atomic — so
     /// many executor runs may account concurrently, each into its own
@@ -386,43 +398,31 @@ impl<'s> Executor<'s> {
         // writes whose reservations were never settled hand the quota
         // headroom back.
         book.reservation_scope(self.store, || {
-            // Lookups respect the reuse policy; checkpoint *inserts* wait
-            // until the replay has said which stages the canonical order
-            // executed, so the caller's cache receives exactly those — and
-            // nothing at all on a hard error.
+            // Lookups respect the reuse policy; the replay publishes into
+            // `cache` whatever it charged as executed, whatever the policy.
             let lookup = if options.reuse { cache } else { None };
-            let traced = self.trace_nodes(
+            self.trace_nodes(
                 pipeline,
                 order,
                 fail_at,
                 lookup,
-                false,
                 &book,
                 options.parallelism,
                 None,
             )?;
-            let report = replay_run(
+            let mut created = CacheSnapshot::new();
+            replay_run(
                 self.store,
                 pipeline,
                 &book,
-                &mut CacheSnapshot::new(),
+                options.reuse.then_some(&mut created),
                 &mut book.replay_cursor(),
                 ledger,
-                options.reuse,
-            )?;
-            // A checkpoint for every stage executed (whatever the reuse
-            // policy), and nothing beyond the stage a run failed at.
-            if let Some(c) = cache {
-                for (stage, node) in report.stages.iter().zip(order) {
-                    if stage.reused {
-                        continue;
-                    }
-                    if let Some(slot) = traced.slots[*node].lock().take() {
-                        c.insert(slot.key, slot.cached);
-                    }
-                }
-            }
-            Ok(report)
+                cache.map(|index| Publication {
+                    index,
+                    fingerprints: None,
+                }),
+            )
         })
     }
 
@@ -434,27 +434,28 @@ impl<'s> Executor<'s> {
     /// [`ParallelismPolicy::split`].
     ///
     /// This is phase 1 of the evaluation protocol (see [`crate::replay`]):
-    /// many traces may execute concurrently against a shared concurrent
-    /// `cache` — phase-1 lookup and live insert target at once —
-    /// deduplicating work across candidates; the deterministic accounting
-    /// happens afterwards via [`crate::replay::replay_run`] in canonical
-    /// candidate order. A statically doomed pipeline executes up to its
-    /// failure frontier, which the replay then reports as the failed stage.
+    /// many traces may execute concurrently against one `book`, which is
+    /// all they write — `cache` is only read. A node another trace of the
+    /// same book already executed adopts that execution's output
+    /// ([`ProfileBook::produced`]), which deduplicates work across
+    /// candidates; the deterministic accounting, and the publication of
+    /// checkpoints, happen afterwards via [`crate::replay::replay_run`] in
+    /// canonical candidate order. A statically doomed pipeline executes up
+    /// to its failure frontier, which the replay then reports as the failed
+    /// stage.
     ///
     /// With an incremental context (see [`crate::provenance`]) only the
     /// dirty region below `inc.cut` — the caller's
     /// [`FrontierCut`](crate::provenance::FrontierCut) of this pipeline,
     /// computed before its search traced anything — is scheduled;
     /// `inc.gate` additionally hoists prefixes shared with concurrent
-    /// evaluations so each executes once per search, and every checkpoint
-    /// recorded through `cache` is mirrored into `inc.live` under its
-    /// fingerprint. Frontier-skipped nodes are recorded in `book` as found,
-    /// so the replay still charges them as *reused*, and by the provenance
-    /// pairing invariant a full re-evaluation would have found the same
-    /// outputs under their `CacheKey`s: reports, ledgers, and tenant
-    /// accounting stay byte-identical to it. A cut that
-    /// covers the whole pipeline leaves nothing to schedule or replay: it
-    /// is the pipeline's report
+    /// evaluations so each executes once per search. Frontier-skipped nodes
+    /// are recorded in `book` as found, so the replay still charges them as
+    /// *reused*, and by the provenance pairing invariant a full
+    /// re-evaluation would have found the same outputs under their
+    /// `CacheKey`s: reports, ledgers, and tenant accounting stay
+    /// byte-identical to it. A cut that covers the whole pipeline leaves
+    /// nothing to schedule or replay: it is the pipeline's report
     /// ([`FrontierCut::report`](crate::provenance::FrontierCut::report)),
     /// and the engines answer it without calling this at all.
     ///
@@ -470,16 +471,7 @@ impl<'s> Executor<'s> {
     ) -> Result<TracedOutcome> {
         let order = pipeline.dag.topo_order()?;
         let fail_at = pipeline.static_failure_node()?;
-        let traced = self.trace_nodes(
-            pipeline,
-            order,
-            fail_at,
-            Some(cache),
-            true,
-            book,
-            policy,
-            inc,
-        )?;
+        let traced = self.trace_nodes(pipeline, order, fail_at, Some(cache), book, policy, inc)?;
         // The final score is the last score in canonical topological order.
         let mut score: Option<Score> = None;
         if !traced.failed {
@@ -530,14 +522,12 @@ impl<'s> Executor<'s> {
     ///
     /// * `order`, `fail_at` — the canonical topological order and
     ///   [`BoundPipeline::static_failure_node`], read once by the caller.
-    /// * `lookup` — consulted before executing a node; hits skip execution.
-    /// * `publish` — `true` ([`Executor::trace`]): `lookup` is the engines'
-    ///   shared phase-1 cache and receives checkpoints as nodes complete.
-    ///   `false` ([`Executor::run`]): inserts are left to the caller.
+    /// * `lookup` — consulted (never written) before executing a node; hits
+    ///   skip execution, and so do keys `book` already holds a profile for.
     ///
-    /// In both modes every lookup hit and every frontier-cut node is
-    /// recorded in `book` as found, which is all the replay's reuse
-    /// simulation consults (see [`ProfileBook::pre_existing`]).
+    /// Every lookup hit and every frontier-cut node is recorded in `book` as
+    /// found, which is all the replay's reuse simulation consults (see
+    /// [`ProfileBook::pre_existing`]).
     ///
     /// Scheduling is bounded by the canonical failure frontier: nodes at or
     /// after `fail_at` (in topological order) are never dispatched, and the
@@ -557,12 +547,10 @@ impl<'s> Executor<'s> {
         order: &[usize],
         fail_at: Option<usize>,
         lookup: Option<&dyn OutputCache>,
-        publish: bool,
         book: &ProfileBook,
         policy: ParallelismPolicy,
         inc: Option<&Incremental>,
     ) -> Result<WavefrontRun> {
-        let live_insert = if publish { lookup } else { None };
         let resume = self.resume;
         let _wave_span = mlcask_obs::span!(
             "exec.wavefront",
@@ -597,9 +585,8 @@ impl<'s> Executor<'s> {
                     component: pipeline.components()[node].key(),
                     inputs,
                 };
-                book.record_found(key.clone(), cached.clone());
+                book.record_found(key, cached.clone());
                 *slots[node].lock() = Some(WaveSlot {
-                    key,
                     cached: cached.clone(),
                     artifact: None,
                 });
@@ -671,22 +658,22 @@ impl<'s> Executor<'s> {
                     inputs: input_ids,
                 };
 
-                if let Some(cache) = lookup {
-                    if let Some(hit) = cache.lookup(&key) {
-                        book.record_found(key.clone(), hit.clone());
-                        // The hit is already in the paired cache, so the
-                        // provenance pairing invariant lets it be recorded
-                        // directly.
-                        if let (Some(inc), Some(fps)) = (inc, fingerprints) {
-                            inc.live.record(fps[node], hit.clone());
-                        }
-                        *slots[node].lock() = Some(WaveSlot {
-                            key,
-                            cached: hit,
-                            artifact: None,
-                        });
-                        return Ok(NodeVerdict::Continue);
-                    }
+                if let Some(hit) = lookup.and_then(|cache| cache.lookup(&key)) {
+                    book.record_found(key, hit.clone());
+                    *slots[node].lock() = Some(WaveSlot {
+                        cached: hit,
+                        artifact: None,
+                    });
+                    return Ok(NodeVerdict::Continue);
+                }
+                // Executed already by another trace of this book (a sibling
+                // candidate, or another trial): adopt its output.
+                if let Some(produced) = book.produced(&key) {
+                    *slots[node].lock() = Some(WaveSlot {
+                        cached: produced,
+                        artifact: None,
+                    });
+                    return Ok(NodeVerdict::Continue);
                 }
 
                 // Crash recovery: a journaled completed execution is adopted
@@ -702,7 +689,6 @@ impl<'s> Executor<'s> {
                             }
                         }
                         *slots[node].lock() = Some(WaveSlot {
-                            key,
                             cached: prof.cached.clone(),
                             artifact: None,
                         });
@@ -712,7 +698,8 @@ impl<'s> Executor<'s> {
 
                 // Shared-prefix hoisting: claim this node's fingerprint so
                 // concurrent evaluations reaching the same sub-DAG execute
-                // it exactly once — waiters adopt the owner's checkpoint
+                // it exactly once — waiters adopt the owner's checkpoint,
+                // whose profile the owner recorded in the book first
                 // (components are deterministic, so whose execution wins is
                 // unobservable in the replayed accounting).
                 let mut claim_guard: Option<ClaimGuard> = None;
@@ -720,12 +707,7 @@ impl<'s> Executor<'s> {
                     if let Some(gate) = inc.gate {
                         match gate.claim(fps[node]) {
                             Claim::Ready(GateOutcome::Completed(cached)) => {
-                                if let Some(c) = live_insert {
-                                    c.insert(key.clone(), cached.clone());
-                                }
-                                inc.live.record(fps[node], cached.clone());
                                 *slots[node].lock() = Some(WaveSlot {
-                                    key,
                                     cached,
                                     artifact: None,
                                 });
@@ -785,14 +767,6 @@ impl<'s> Executor<'s> {
                         if let Some(c) = lookup {
                             c.keep_decoded(cached.object.id, &artifact);
                         }
-                        if let Some(c) = live_insert {
-                            c.insert(key.clone(), cached.clone());
-                        }
-                        // Pairing invariant: the live-cache insert above
-                        // precedes the provenance record.
-                        if let (Some(inc), Some(fps)) = (inc, fingerprints) {
-                            inc.live.record(fps[node], cached.clone());
-                        }
                         // A sibling racing this exact key may have recorded
                         // first; the displaced duplicate's reservation must
                         // be released here or it would outlive the search
@@ -822,7 +796,6 @@ impl<'s> Executor<'s> {
                             }
                         }
                         *slots[node].lock() = Some(WaveSlot {
-                            key,
                             cached: cached.clone(),
                             artifact: Some(artifact),
                         });

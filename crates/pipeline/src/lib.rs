@@ -69,7 +69,9 @@ pub mod prelude {
         pipeline_fingerprints, FrontierCut, Incremental, PrefixGate, ProvenanceIndex,
         ProvenanceSnapshot,
     };
-    pub use crate::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor, StageProfile};
+    pub use crate::replay::{
+        replay_run, CacheSnapshot, ProfileBook, Publication, ReplayCursor, StageProfile,
+    };
     pub use crate::resume::{RecoveryReport, ResumeCtx, ResumeEntry, ResumeLog, ResumeSnapshot};
     pub use crate::schema::{Schema, SchemaId};
     pub use crate::semver::SemVer;

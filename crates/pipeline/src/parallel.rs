@@ -359,6 +359,12 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         }
     }
 
+    /// `f` applied to the value for `key`, if present, under the shard's
+    /// read lock: reads part of a large value without cloning all of it.
+    pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+        self.shards[self.shard_of(key)].read().get(key).map(f)
+    }
+
     /// Number of entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
@@ -373,7 +379,7 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Cloned value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_of(key)].read().get(key).cloned()
+        self.get_with(key, V::clone)
     }
 
     /// Point-in-time copy of every value (unspecified order).
@@ -399,17 +405,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> ShardedMap<K, V> {
-    /// Independent deep copy with the same contents.
-    pub fn fork(&self) -> ShardedMap<K, V> {
-        ShardedMap {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(s.read().clone()))
-                .collect(),
-        }
-    }
-
     /// Point-in-time copy of every entry as one `HashMap`.
     pub fn to_hashmap(&self) -> HashMap<K, V> {
         let mut out = HashMap::with_capacity(self.len());
@@ -439,9 +434,6 @@ mod tests {
         assert!(!m.contains(&1000));
         m.insert_if_absent(42, "clobber".into());
         assert_eq!(m.get(&42).as_deref(), Some("42"), "first writer wins");
-        let fork = m.fork();
-        fork.insert(1000, "x".into());
-        assert!(!m.contains(&1000), "fork is independent");
         assert_eq!(m.to_hashmap().len(), 100);
     }
 

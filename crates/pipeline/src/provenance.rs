@@ -16,7 +16,9 @@
 //!   their [`CachedOutput`]s, alongside the existing `CacheKey` history.
 //!   Every fingerprint's output is also filed under its `CacheKey` in the
 //!   paired output cache — the **pairing invariant** — so a fingerprint hit
-//!   is what a full re-evaluation's lookup would have found.
+//!   is what a full re-evaluation's lookup would have found. One function
+//!   writes both, in that order: the accounting replay's publication (see
+//!   [`crate::replay::replay_run`]).
 //! * [`FrontierCut`] cuts a pipeline at the deepest cached frontier: the
 //!   downward-closed set of nodes whose fingerprints hit the index. The
 //!   executor pre-fills those nodes' results, records them as found for
@@ -34,16 +36,16 @@
 //! Every evaluation cuts against the live index, before phase 1 starts: a
 //! merge search cuts all its candidates before tracing any of them, and
 //! prioritized-search trials cut against the base history, which they
-//! never write (each trial writes its own fork). What a search's own
-//! tracing records can therefore never move a cut, so the number of
-//! frontier-skipped nodes is deterministic for every worker count. The
-//! index only grows, so a cut cannot be torn either: a checkpoint another
-//! writer lands meanwhile is simply found, by the cut or by a lookup.
+//! never write. Tracing writes no index at all, so what a search executes
+//! can never move one of its own cuts, and the number of frontier-skipped
+//! nodes is deterministic for every worker count. The index only grows, so
+//! a cut cannot be torn either: a checkpoint another writer lands meanwhile
+//! is simply found, by the cut or by a lookup.
 
 use crate::component::ComponentKey;
 use crate::dag::BoundPipeline;
 use crate::errors::Result;
-use crate::executor::{CacheKey, CachedOutput, OutputCache, RunOutcome, RunReport, StageReport};
+use crate::executor::{CachedOutput, RunOutcome, RunReport, StageReport};
 use crate::parallel::ShardedMap;
 use mlcask_obs::{Counter, MetricsRegistry};
 use mlcask_storage::hash::Hash256;
@@ -86,9 +88,11 @@ pub type ProvenanceSnapshot = HashMap<Hash256, CachedOutput>;
 /// not serialize on one lock.
 ///
 /// **Pairing invariant**: every fingerprint's output is also filed under
-/// its `CacheKey` in the paired [`OutputCache`]; callers record an entry
-/// only after inserting it there. Incremental reports rely on "fingerprint
-/// hit ⟹ history hit" to stay byte-identical to full re-evaluation.
+/// its `CacheKey` in the paired
+/// [`OutputCache`](crate::executor::OutputCache) — the replay's publication
+/// records an entry only after inserting it there. Incremental reports rely
+/// on "fingerprint hit ⟹ history hit" to stay byte-identical to full
+/// re-evaluation.
 #[derive(Default)]
 pub struct ProvenanceIndex {
     map: ShardedMap<Hash256, CachedOutput>,
@@ -111,14 +115,7 @@ impl ProvenanceIndex {
     }
 
     /// Records a fingerprinted checkpoint (see the pairing invariant above).
-    ///
-    /// Re-recording what the index already holds — every lookup hit does —
-    /// takes only a shard's read lock, so warm evaluations do not contend
-    /// on write locks.
     pub fn record(&self, fp: Hash256, output: CachedOutput) {
-        if self.map.get(&fp).is_some_and(|held| held == output) {
-            return;
-        }
         self.map.insert(fp, output);
     }
 
@@ -127,53 +124,9 @@ impl ProvenanceIndex {
         self.map.get(fp)
     }
 
-    /// Forks an independent copy with the same contents (pairs with the
-    /// history index's `deep_clone`).
-    pub fn fork(&self) -> ProvenanceIndex {
-        ProvenanceIndex {
-            map: self.map.fork(),
-        }
-    }
-
     /// Point-in-time copy of every entry.
     pub fn snapshot(&self) -> ProvenanceSnapshot {
         self.map.to_hashmap()
-    }
-
-    /// Lifts an already-evaluated pipeline into the index post-hoc: walks
-    /// the DAG in topological order, reconstructing each node's `CacheKey`
-    /// from its predecessors' cached artifact ids, and records a
-    /// fingerprint entry for every node whose key hits `cache`. Stops
-    /// fingerprinting any node with an unresolvable (missing) predecessor.
-    /// Returns the number of nodes recorded.
-    ///
-    /// This is how commit paths prime provenance from runs executed by the
-    /// plain (non-incremental) executor: the cache hits guarantee the
-    /// pairing invariant by construction.
-    pub fn absorb(&self, pipeline: &BoundPipeline, cache: &dyn OutputCache) -> Result<usize> {
-        let fps = pipeline_fingerprints(pipeline)?;
-        let order = pipeline.dag.topo_order()?;
-        let mut artifact_ids: Vec<Option<Hash256>> = vec![None; order.len()];
-        let mut recorded = 0usize;
-        for &node in order {
-            let inputs: Option<Vec<Hash256>> = pipeline
-                .dag
-                .pre(node)
-                .iter()
-                .map(|&p| artifact_ids[p])
-                .collect();
-            let Some(inputs) = inputs else { continue };
-            let key = CacheKey {
-                component: pipeline.components()[node].key(),
-                inputs,
-            };
-            if let Some(hit) = cache.lookup(&key) {
-                artifact_ids[node] = Some(hit.artifact_id);
-                self.record(fps[node], hit);
-                recorded += 1;
-            }
-        }
-        Ok(recorded)
     }
 }
 
@@ -306,16 +259,14 @@ pub fn count_frontier_skipped(nodes: usize) {
 }
 
 /// Everything the executor needs to run one evaluation incrementally:
-/// the evaluation's frontier cut, the live index new checkpoints are
-/// recorded into, and (optionally) the search-wide prefix gate.
+/// the evaluation's frontier cut and (optionally) the search-wide prefix
+/// gate.
 pub struct Incremental<'a> {
     /// This evaluation's cut ([`FrontierCut::of`]), computed before its
     /// search traced anything. The executor records every cut node in the
     /// book as found, which is how the accounting replay knows to charge it
     /// as reused.
     pub cut: &'a FrontierCut,
-    /// Live index receiving `(fingerprint, output)` pairs as nodes complete.
-    pub live: &'a ProvenanceIndex,
     /// Shared-prefix hoisting gate, if the search wants common prefixes
     /// executed once across concurrent evaluations.
     pub gate: Option<&'a PrefixGate>,
@@ -431,7 +382,7 @@ mod tests {
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
-    use crate::executor::MemoryCache;
+    use crate::executor::{CacheKey, MemoryCache, OutputCache};
     use crate::schema::SchemaId;
     use crate::semver::SemVer;
     use mlcask_storage::object::{ObjectKind, ObjectRef};
@@ -521,31 +472,60 @@ mod tests {
         assert_eq!(cut.skipped, 1, "unschedulable nodes never count as cached");
     }
 
+    /// A checkpoint cache with a paired provenance index, as the core
+    /// crate's history keeps one.
+    #[derive(Default)]
+    struct Paired {
+        checkpoints: MemoryCache,
+        provenance: ProvenanceIndex,
+    }
+
+    impl OutputCache for Paired {
+        fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
+            self.checkpoints.lookup(key)
+        }
+        fn insert(&self, key: CacheKey, value: CachedOutput) {
+            self.checkpoints.insert(key, value)
+        }
+        fn paired_provenance(&self) -> Option<&ProvenanceIndex> {
+            Some(&self.provenance)
+        }
+    }
+
+    /// A run publishes what it executed into the paired index under each
+    /// stage's fingerprint, and each fingerprint's output under its
+    /// `CacheKey` too: the published pipeline cuts completely.
     #[test]
-    fn absorb_lifts_completed_runs() {
+    fn a_run_publishes_its_fingerprints_beside_its_checkpoints() {
+        use crate::clock::ClockLedger;
+        use crate::executor::{ExecOptions, Executor};
+        use mlcask_storage::store::ChunkStore;
+        let store = ChunkStore::in_memory_small();
+        let cache = Paired::default();
+        let run = |p: &BoundPipeline| {
+            Executor::new(&store)
+                .run(p, &ClockLedger::new(), Some(&cache), ExecOptions::MLCASK)
+                .unwrap()
+                .executed_count()
+        };
         let p = chain(SemVer::master(0, 0));
-        let cache = MemoryCache::new();
-        let index = ProvenanceIndex::new();
-        // Nothing checkpointed → nothing absorbed.
-        assert_eq!(index.absorb(&p, &cache).unwrap(), 0);
-        // Simulate a completed run: walk the chain inserting checkpoints
-        // whose inputs link through artifact ids.
-        let mut prev_id: Option<Hash256> = None;
-        for (i, comp) in p.components().iter().enumerate() {
-            let out = output(i as u8);
+        assert_eq!(run(&p), 3);
+        let fps = pipeline_fingerprints(&p).unwrap();
+        let mut inputs = Vec::new();
+        for (node, comp) in p.components().iter().enumerate() {
+            let out = cache.provenance.get(&fps[node]).expect("fingerprinted");
             let key = CacheKey {
                 component: comp.key(),
-                inputs: prev_id.into_iter().collect(),
+                inputs,
             };
-            prev_id = Some(out.artifact_id);
-            cache.insert(key, out);
+            assert_eq!(cache.checkpoints.lookup(&key), Some(out.clone()));
+            inputs = vec![out.artifact_id];
         }
-        assert_eq!(index.absorb(&p, &cache).unwrap(), 3);
-        let fps = pipeline_fingerprints(&p).unwrap();
-        let snap = index.snapshot();
-        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
-        assert_eq!(cut.skipped, 3, "fully absorbed pipeline cuts completely");
-        assert!(fps.iter().all(|fp| snap.contains_key(fp)));
+        let cut = FrontierCut::of(&p, |fp| cache.provenance.get(fp)).unwrap();
+        assert_eq!(cut.skipped, 3, "a published pipeline cuts completely");
+        // A new model: only the stage it executes is published.
+        assert_eq!(run(&chain(SemVer::master(0, 1))), 1);
+        assert_eq!((cache.checkpoints.len(), cache.provenance.len()), (4, 4));
     }
 
     /// A full cut's report is the engine's report for the same pipeline
@@ -557,8 +537,8 @@ mod tests {
         use crate::executor::{ExecOptions, Executor};
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
-        let cache = MemoryCache::new();
-        let index = ProvenanceIndex::new();
+        let cache = Paired::default();
+        let index = &cache.provenance;
         let p = chain(SemVer::master(0, 0));
         let run = |p: &BoundPipeline| {
             let ledger = ClockLedger::new();
@@ -573,7 +553,6 @@ mod tests {
             .is_none());
         let (cold, cold_ns) = run(&p);
         assert!(cold_ns > 0 && cold.executed_count() == 3);
-        index.absorb(&p, &cache).unwrap();
         let cut = FrontierCut::of(&p, |fp| index.get(fp)).unwrap();
         let known = cut.report(&p).expect("every node is indexed");
         let (warm, warm_ns) = run(&p);

@@ -7,13 +7,18 @@
 //!    outputs, scores, and chunk layouts are pure functions of the
 //!    candidate, so the *results* are order-independent; only timing and
 //!    dedup attribution would be racy. Each distinct `(component, inputs)`
-//!    execution is recorded once in a shared [`ProfileBook`].
+//!    execution is recorded once in a shared [`ProfileBook`], which is all
+//!    phase 1 writes: its checkpoint lookups are read-only, and a node a
+//!    sibling candidate already executed adopts that execution's recorded
+//!    output ([`ProfileBook::produced`]).
 //! 2. **Account (sequential, canonical order)** — [`replay_run`] walks the
 //!    work in canonical order and computes what a strictly one-at-a-time
 //!    walk charges: cache hits against the sequentially-evolving
 //!    checkpoint state, materialisation reads, execution time from
 //!    profiles, and storage writes replayed chunk-by-chunk against a
-//!    simulated "not yet persisted" set ([`PutTrace::replay`]).
+//!    simulated "not yet persisted" set ([`PutTrace::replay`]). Then it
+//!    **publishes** the stages it charged as executed, and only those,
+//!    into the caller's checkpoint index ([`Publication`]).
 //!
 //! The protocol is applied at two granularities:
 //!
@@ -31,24 +36,32 @@
 //! which is invariant under phase-1 scheduling. Checkpoints follow the same
 //! rule: one counts as **pre-existing** iff phase 1 *found* it — a lookup hit
 //! or a node its frontier cut skipped — and the book holds no profile for
-//! it, i.e. this evaluation did not produce it. A checkpoint found because a
-//! sibling candidate of the same search produced it first has a profile, so
-//! the replay charges it wherever the canonical order executes it. The rule
-//! reads only what phase 1 recorded, never a copy of the history, so a
-//! checkpoint another writer lands mid-evaluation counts as the reuse the
-//! trace actually did. Everything else the replay consumes (work units,
-//! artifact ids, blob layouts, failure points) is deterministic per
-//! candidate. Reports are therefore byte-identical for
-//! `ParallelismPolicy::Sequential` and `ParallelismPolicy::Parallel(n)` —
-//! the property the `parallel_determinism` integration test pins down, and
-//! that the executor's unit tests check against a strictly sequential
-//! reference walk.
+//! it, i.e. this evaluation did not produce it. A checkpoint a sibling
+//! candidate of the same search produced has a profile, so the replay
+//! charges it wherever the canonical order executes it. The rule reads only
+//! what phase 1 recorded, never a copy of the history, so a checkpoint
+//! another writer lands mid-evaluation counts as the reuse the trace
+//! actually did. Everything else the replay consumes (work units, artifact
+//! ids, blob layouts, failure points) is deterministic per candidate.
+//! Reports are therefore byte-identical for `ParallelismPolicy::Sequential`
+//! and `ParallelismPolicy::Parallel(n)` — the property the
+//! `parallel_determinism` integration test pins down, and that the
+//! executor's unit tests check against a strictly sequential reference
+//! walk.
+//!
+//! The replay being the only writer of checkpoints, a checkpoint is shared
+//! exactly when its blob has been charged: an evaluation that aborts
+//! publishes nothing, and outputs phase 1 persisted that the canonical
+//! order never charged (siblings past a dynamic failure) stay unreferenced,
+//! for `sweep_orphans` to reclaim. Publication is also the one place the
+//! **pairing invariant** of [`crate::provenance`] is kept.
 
 use crate::clock::ClockLedger;
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
-use crate::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
+use crate::executor::{CacheKey, CachedOutput, OutputCache, RunOutcome, RunReport, StageReport};
 use crate::parallel::ShardedMap;
+use crate::provenance::pipeline_fingerprints;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::{ChunkStore, PutTrace};
 use parking_lot::{Mutex, RwLock};
@@ -110,6 +123,14 @@ impl ProfileBook {
     /// it: a lookup hit, or a node its frontier cut skipped.
     pub fn record_found(&self, key: CacheKey, cached: CachedOutput) {
         self.found.insert(key, cached);
+    }
+
+    /// The checkpoint an execution recorded in this book produced for
+    /// `key` — without the profile's write trace. Phase 1 adopts it instead
+    /// of executing `key` again.
+    pub fn produced(&self, key: &CacheKey) -> Option<CachedOutput> {
+        self.profiles
+            .get_with(key, |profile| profile.cached.clone())
     }
 
     /// The checkpoint `key` had before this evaluation: phase 1 found it,
@@ -210,20 +231,36 @@ struct ReplayNode {
     in_memory: bool,
 }
 
-/// Replays one candidate's execution for accounting: the charged half of
-/// [`Executor::run`](crate::executor::Executor::run).
+/// Where a replay publishes the stages it charged as executed.
+pub struct Publication<'a> {
+    /// The caller's checkpoint index.
+    pub index: &'a dyn OutputCache,
+    /// The candidate's provenance fingerprints, taken from its frontier cut
+    /// when the caller has one; computed from the pipeline otherwise, if
+    /// the index has a provenance index to record them in.
+    pub fingerprints: Option<&'a [Hash256]>,
+}
+
+/// Replays one candidate's execution for accounting, then publishes it: the
+/// charged half of [`Executor::run`](crate::executor::Executor::run).
 ///
 /// * `book` — what phase 1 recorded; its
 ///   [`pre_existing`](ProfileBook::pre_existing) checkpoints are the ones
 ///   a sequential run would hit from the first candidate on.
-/// * `sim` — checkpoints "created so far" in replay order; grown by this
-///   call when `reuse` is set.
+/// * `reuse` — `Some` under a policy that reuses checkpoints: the ones
+///   "created so far" in replay order, consulted with the pre-existing ones
+///   before charging an execution, and grown by this call. `None` charges
+///   every stage as executed. Whether a prechecking policy runs the
+///   pipeline at all is the caller's decision, made before phase 1.
 /// * `cursor` — chunk-dedup state in replay order (shared across all
 ///   candidates of the search, in index order).
-/// * `reuse` — the policy's reuse knob: consult `sim` and the pre-existing
-///   checkpoints before charging an execution. Whether a prechecking
-///   policy runs the pipeline at all is the caller's decision, made before
-///   phase 1.
+/// * `publish` — the caller's checkpoint index, if any. After a replay that
+///   returns a report (completed or failed), every stage it charged as
+///   executed is inserted there — whatever the reuse policy — and then
+///   recorded under its fingerprint in the index's
+///   [`paired_provenance`](OutputCache::paired_provenance), if it has one.
+///   Nothing else inserts checkpoints, and a replay that errors publishes
+///   nothing.
 ///
 /// Charges land on `ledger`; stats deltas are recorded on `store`, both in
 /// canonical order.
@@ -231,15 +268,18 @@ pub fn replay_run(
     store: &ChunkStore,
     pipeline: &BoundPipeline,
     book: &ProfileBook,
-    sim: &mut CacheSnapshot,
+    mut reuse: Option<&mut CacheSnapshot>,
     cursor: &mut ReplayCursor,
     ledger: &ClockLedger,
-    reuse: bool,
+    publish: Option<Publication<'_>>,
 ) -> Result<RunReport> {
     let order = pipeline.dag.topo_order()?;
     let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
     let mut outputs: Vec<Option<ReplayNode>> = (0..order.len()).map(|_| None).collect();
     let mut final_score = None;
+    let mut failed = None;
+    // Stages charged as executed, by node, for the publication.
+    let mut charged: Vec<(usize, CacheKey, CachedOutput)> = Vec::new();
 
     for &node in order {
         let comp = &pipeline.components()[node];
@@ -257,7 +297,7 @@ pub fn replay_run(
         };
 
         // Reuse path under the *sequential* cache state.
-        if reuse {
+        if let Some(sim) = reuse.as_deref() {
             let hit = sim.get(&key).cloned().or_else(|| book.pre_existing(&key));
             if let Some(hit) = hit {
                 stages.push(StageReport::reused(comp, &hit, &mut final_score));
@@ -292,13 +332,11 @@ pub fn replay_run(
         // paid for) but the component never charged execution time.
         if book.is_failure(&key) {
             let at = comp.key();
-            return Ok(RunReport {
-                stages,
-                outcome: RunOutcome::Failed {
-                    reason: format!("schema incompatibility at {at}"),
-                    at,
-                },
+            failed = Some(RunOutcome::Failed {
+                reason: format!("schema incompatibility at {at}"),
+                at,
             });
+            break;
         }
 
         let prof = book.profile(&key).ok_or_else(|| {
@@ -324,8 +362,8 @@ pub fn replay_run(
         store.record_replayed_write(trace, stats);
         let cached = prof.cached;
         let storage_ns = cost.as_nanos() as u64;
-        if reuse {
-            sim.insert(key, cached.clone());
+        if let Some(sim) = reuse.as_deref_mut() {
+            sim.insert(key.clone(), cached.clone());
         }
         stages.push(StageReport {
             component: comp.key(),
@@ -337,19 +375,41 @@ pub fn replay_run(
             artifact_id: cached.artifact_id,
             artifact_bytes: prof.artifact_bytes,
         });
+        if publish.is_some() {
+            charged.push((node, key, cached.clone()));
+        }
         outputs[node] = Some(ReplayNode {
             cached,
             in_memory: true,
         });
     }
 
-    match final_score {
-        Some(score) => Ok(RunReport {
-            stages,
-            outcome: RunOutcome::Completed { score },
-        }),
-        None => Err(PipelineError::NoScore),
+    let outcome = match (failed, final_score) {
+        (Some(failed), _) => failed,
+        (None, Some(score)) => RunOutcome::Completed { score },
+        (None, None) => return Err(PipelineError::NoScore),
+    };
+    if let Some(Publication {
+        index,
+        fingerprints,
+    }) = publish
+    {
+        let provenance = index.paired_provenance();
+        let computed = match (provenance, fingerprints) {
+            (Some(_), None) if !charged.is_empty() => pipeline_fingerprints(pipeline)?,
+            _ => Vec::new(),
+        };
+        let fingerprints = fingerprints.unwrap_or(&computed);
+        for (node, key, cached) in charged {
+            // The pairing invariant of `crate::provenance`: a fingerprint
+            // is recorded only after its checkpoint.
+            index.insert(key, cached.clone());
+            if let Some(provenance) = provenance {
+                provenance.record(fingerprints[node], cached);
+            }
+        }
     }
+    Ok(RunReport { stages, outcome })
 }
 
 #[cfg(test)]
@@ -525,7 +585,16 @@ mod tests {
         let reports: Vec<RunReport> = [0, 1]
             .map(|model| {
                 let p = chain(model);
-                replay_run(&store, &p, &book, &mut sim, &mut cursor, &ledger, true).unwrap()
+                replay_run(
+                    &store,
+                    &p,
+                    &book,
+                    Some(&mut sim),
+                    &mut cursor,
+                    &ledger,
+                    None,
+                )
+                .unwrap()
             })
             .into();
         let source = CacheKey {
@@ -546,11 +615,11 @@ mod tests {
 
     /// A checkpoint phase 1 found counts as pre-existing only if no
     /// execution recorded in the book produced it. Tracing candidate 1
-    /// before candidate 0 makes candidate 0's prefix lookups hit what
-    /// candidate 1 just produced — found, but profiled — so the replay
-    /// charges the prefix to candidate 0, first in canonical order, exactly
-    /// as when phase 1 runs in that order. A prefix a primer checkpointed
-    /// was found with no profile: both candidates reuse it.
+    /// before candidate 0 makes candidate 0 adopt the prefix candidate 1
+    /// just produced — from the book, since tracing publishes nothing — so
+    /// the replay charges the prefix to candidate 0, first in canonical
+    /// order, exactly as when phase 1 runs in that order. A prefix a primer
+    /// checkpointed was found with no profile: both candidates reuse it.
     #[test]
     fn found_checkpoints_are_pre_existing_unless_this_book_produced_them() {
         let (canonical, pre) = found_or_produced([0, 1], None);

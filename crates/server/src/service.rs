@@ -706,10 +706,10 @@ fn commit_result_json(r: &CommitResult) -> Value {
     obj(pairs)
 }
 
-/// Merge outcome; `skipped_by_frontier` is deliberately excluded — it is
-/// the one search statistic that may vary with worker count (see the
-/// read-path bench's normalization), and serving responses must stay
-/// byte-identical across workers.
+/// Merge outcome; `skipped_by_frontier` is deliberately excluded — it
+/// counts nodes the provenance fast path answered by lookup, which the
+/// executor-only reference (`with_incremental(false)`) reports as 0, and
+/// `lookup_oracle` holds served bytes to that reference.
 fn merge_json(o: &MergeOutcome) -> Value {
     let mut pairs = vec![
         ("committed", Value::Bool(o.commit.is_some())),

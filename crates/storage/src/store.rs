@@ -328,17 +328,10 @@ impl ChunkStore {
         self.write_blob(kind, data)
     }
 
-    /// Applies a replayed stats delta (the replay half of the traced-write
-    /// protocol).
-    pub fn record_stats(&self, kind: ObjectKind, delta: KindStats) {
-        self.stats.record(kind, delta);
-    }
-
-    /// The replay half of the traced-write protocol with tenant attribution:
-    /// applies the stats delta *and* charges this view's tenant the
-    /// canonical (replay-order) bytes. Parallel engines call this instead of
-    /// [`ChunkStore::record_stats`] so per-tenant accounting stays
-    /// deterministic whatever the phase-1 schedule.
+    /// The replay half of the traced-write protocol: applies the stats delta
+    /// *and* charges this view's tenant the canonical (replay-order) bytes,
+    /// so per-tenant accounting stays deterministic whatever the phase-1
+    /// schedule.
     pub fn record_replayed_write(&self, trace: &PutTrace, delta: KindStats) {
         self.stats.record(trace.kind, delta);
         self.attribute_tenant(trace, delta.physical_bytes);
@@ -769,7 +762,7 @@ mod tests {
         for (t, live_cost) in traces.iter().zip(&live_costs) {
             let (cost, stats) = t.replay(&traced.cost_model(), &mut unseen);
             assert_eq!(cost, *live_cost, "replayed cost equals live cost");
-            traced.record_stats(t.kind, stats);
+            traced.record_replayed_write(t, stats);
         }
         assert_eq!(traced.stats(), live.stats(), "replayed stats equal live");
         assert_eq!(traced.physical_bytes(), live.physical_bytes());

@@ -28,9 +28,9 @@ use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::whatif::{self, WhatIf};
 use std::sync::Arc;
 
-/// A primed what-if system: the base pipeline committed to history and
-/// lifted into the provenance index, exactly as `MlCask::commit_pipeline`
-/// leaves it.
+/// A primed what-if system: the base pipeline run into the history, which
+/// publishes its checkpoints and their provenance fingerprints, exactly as
+/// `MlCask::commit_pipeline` leaves it.
 struct Primed {
     w: WhatIf,
     reg: ComponentRegistry,
@@ -55,7 +55,6 @@ fn primed_on(store: Arc<ChunkStore>) -> Primed {
             ExecOptions::MLCASK,
         )
         .unwrap();
-    history.provenance().absorb(&bound, &history).unwrap();
     Primed { w, reg, history }
 }
 
@@ -183,7 +182,6 @@ fn data_artifact_change_invalidates_the_frontier() {
         let cut = FrontierCut::of(&bound, |fp| snapshot.get(fp).cloned()).unwrap();
         let inc = Incremental {
             cut: &cut,
-            live: p.history.provenance(),
             gate: None,
         };
         executor

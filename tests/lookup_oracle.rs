@@ -1,9 +1,9 @@
 //! A fully checkpointed pipeline is a lookup, and the lookup is invisible.
 //!
 //! Merge searches and commits answer a pipeline every node of which is a
-//! provenance hit with the frontier cut's report instead of tracing,
-//! replaying and re-absorbing it; prioritized trials trace it with nothing
-//! left to schedule. This suite holds that fast path to the executor it
+//! provenance hit with the frontier cut's report instead of tracing and
+//! replaying it; prioritized trials trace it with nothing left to
+//! schedule. This suite holds that fast path to the executor it
 //! replaces: `with_incremental(false)` (or, for the trials, a history
 //! without provenance) is the reference, and every search report, commit,
 //! ledger, tenant account, store statistic and served byte must equal it —

@@ -3,7 +3,9 @@
 //! determinism of a multi-tenant workload.
 
 use mlcask_core::errors::CoreError;
+use mlcask_core::merge::{MergeEngine, MergeStrategy};
 use mlcask_core::registry::ComponentRegistry;
+use mlcask_core::search_space::SearchSpaces;
 use mlcask_core::system::MlCask;
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
@@ -220,7 +222,9 @@ fn commit_footprint(ws: &Arc<Workspace>, t: &Tenant) -> String {
 /// A quota breach at node *k* of a commit — after earlier nodes of the same
 /// pipeline already executed and persisted — aborts the commit without a
 /// trace at every worker count: there is one engine, so one worker releases
-/// the completed prefix's reservations exactly as eight do.
+/// the completed prefix's reservations exactly as eight do. A merge search
+/// breaching in phase 1 leaves none either: what it persisted is published
+/// by no one, so the sweep reclaims it and the retried merge pays for it.
 #[test]
 fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
     /// Opens a pipeline for a tenant; returns it with an initial commit's
@@ -301,6 +305,85 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
                 drop((sys, t, ws));
                 let _ = std::fs::remove_dir_all(&dir);
             }
+        }
+    }
+
+    // The merge-search row: `master` trains scaler 0.1, `dev` models 0.1 and
+    // 0.2, so the `Full` search executes two new models, independent of
+    // each other; one byte less of headroom than both need breaches at
+    // whichever writes second.
+    let diverged = |backend: Arc<dyn StorageBackend>, workers: usize| {
+        let ws = Workspace::over(Arc::new(ChunkStore::new(
+            backend,
+            ChunkParams::DEFAULT,
+            StorageCostModel::FORKBASE,
+        )));
+        let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
+        let sys = toy_system(&t).with_parallelism(ParallelismPolicy::Parallel(workers));
+        let clock = ClockLedger::new();
+        sys.commit_pipeline("master", &keys(&sys, 0, 0), "initial", &clock)
+            .unwrap();
+        sys.branch("master", "dev").unwrap();
+        for (branch, scaler, model) in [("master", 1, 0), ("dev", 0, 1), ("dev", 0, 2)] {
+            sys.commit_pipeline(branch, &keys(&sys, scaler, model), "diverge", &clock)
+                .unwrap();
+        }
+        (ws, t, sys)
+    };
+    let merge = |sys: &MlCask| sys.merge("master", "dev", MergeStrategy::Full, &clock);
+    let (twin_ws, _t, twin) = diverged(Arc::new(MemBackend::new()), 1);
+    let twin_report = merge(&twin).unwrap().report.expect("a searched merge");
+    assert_eq!(twin_report.executed_components, 2, "two new models");
+    let need = twin_report.logical_bytes;
+    let twin_report = serde_json::to_string(&twin_report).unwrap();
+    let twin_usages = serde_json::to_string(&twin_ws.usages()).unwrap();
+    for backend in ["mem", "cask"] {
+        for workers in [1, 2, 8] {
+            let cell = format!("merge/{backend}/{workers} workers");
+            let dir = std::env::temp_dir().join(format!(
+                "mlcask-quota-merge-{workers}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let be: Arc<dyn StorageBackend> = match backend {
+                "cask" => Arc::new(CaskBackend::open(&dir).unwrap()),
+                _ => Arc::new(MemBackend::new()),
+            };
+            let (ws, t, sys) = diverged(be, workers);
+            let accounts = ws.store().tenant_accounts();
+            accounts.register(
+                t.id(),
+                QuotaPolicy::logical(t.usage().logical_bytes + need - 1),
+            );
+            let before = commit_footprint(&ws, &t);
+            let physical_before = ws.store().physical_bytes();
+            let err = merge(&sys).unwrap_err();
+            assert!(is_quota_error(&err), "{cell}: unexpected error: {err}");
+            assert!(
+                ws.store().physical_bytes() > physical_before,
+                "{cell}: the breach must follow a persisted model"
+            );
+            assert_eq!(commit_footprint(&ws, &t), before, "{cell}");
+            // What phase 1 persisted was never charged, and nothing refers
+            // to it: the sweep restores byte-level parity.
+            ws.sweep_orphans().unwrap();
+            let charged: u64 = ws.usages().values().map(|u| u.physical_bytes).sum();
+            assert_eq!(ws.store().physical_bytes(), charged, "{cell}");
+            // The retried merge pays what a merge that never aborted pays.
+            accounts.register(t.id(), QuotaPolicy::UNLIMITED);
+            let retried = merge(&sys).unwrap().report.expect("a searched merge");
+            assert_eq!(
+                serde_json::to_string(&retried).unwrap(),
+                twin_report,
+                "{cell}"
+            );
+            assert_eq!(
+                serde_json::to_string(&ws.usages()).unwrap(),
+                twin_usages,
+                "{cell}"
+            );
+            drop((sys, t, ws));
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -581,50 +664,69 @@ mod orphan_gc {
             .with_parallelism(policy)
     }
 
-    fn run_failing_commit(policy: ParallelismPolicy) -> (Arc<Workspace>, u64) {
+    /// Evaluates the liar diamond on a fresh workspace — as a commit, or as
+    /// the one candidate of a `Full` merge search — and returns the
+    /// workspace and the backend's physical bytes.
+    fn run_failing(policy: ParallelismPolicy, search: bool) -> (Arc<Workspace>, u64) {
         let ws = Workspace::in_memory_small();
         let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
         let sys = open_system(&t, policy);
-        let keys: Vec<ComponentKey> = ["src", "liar", "good_a", "good_b", "join", "model"]
+        let slots = ["src", "liar", "good_a", "good_b", "join", "model"];
+        let keys: Vec<ComponentKey> = slots
             .iter()
             .map(|n| sys.registry().versions_of(n)[0].clone())
             .collect();
         let clock = ClockLedger::new();
-        let res = sys
-            .commit_pipeline("master", &keys, "doomed", &clock)
-            .unwrap();
-        assert!(res.commit.is_none(), "dynamic failure must not commit");
+        if search {
+            let spaces = SearchSpaces {
+                slot_names: slots.iter().map(|s| s.to_string()).collect(),
+                per_slot: keys.iter().map(|k| vec![k.clone()]).collect(),
+            };
+            let report = MergeEngine::new(sys.registry(), t.store(), Arc::clone(sys.dag()))
+                .with_parallelism(policy)
+                .search(&spaces, ws.history(), MergeStrategy::Full, &clock)
+                .unwrap();
+            assert_eq!(report.failed_candidates, 1, "the liar fails its candidate");
+        } else {
+            let res = sys
+                .commit_pipeline("master", &keys, "doomed", &clock)
+                .unwrap();
+            assert!(res.commit.is_none(), "dynamic failure must not commit");
+        }
         let physical = ws.store().physical_bytes();
         (ws, physical)
     }
 
     #[test]
     fn sweep_restores_parity_after_dynamic_failure() {
-        let (ws_one, one_bytes) = run_failing_commit(ParallelismPolicy::Sequential);
-        let (ws_par, par_bytes) = run_failing_commit(ParallelismPolicy::Parallel(8));
-        assert_eq!(
-            one_bytes, par_bytes,
-            "one worker executes the same node set as eight"
-        );
-        for ws in [ws_one, ws_par] {
-            // What the canonical order charged the tenant: the libraries
-            // and `src`'s checkpoint. The siblings' blobs were never
-            // charged, so the backend holds more than the accounts say.
-            let charged = ws.usages()["team"].physical_bytes;
-            assert!(
-                par_bytes > charged,
-                "the liar's siblings should have persisted orphans ({par_bytes} vs {charged})"
-            );
-            let report = ws.sweep_orphans().unwrap();
-            assert!(report.removed_objects > 0);
+        for search in [false, true] {
+            let (ws_one, one_bytes) = run_failing(ParallelismPolicy::Sequential, search);
+            let (ws_par, par_bytes) = run_failing(ParallelismPolicy::Parallel(8), search);
             assert_eq!(
-                ws.store().physical_bytes(),
-                charged,
-                "sweep restores byte-level parity with what was charged"
+                one_bytes, par_bytes,
+                "one worker executes the same node set as eight"
             );
-            // Sweeping again finds nothing; live data still reads back.
-            let again = ws.sweep_orphans().unwrap();
-            assert_eq!(again.removed_objects, 0);
+            for ws in [ws_one, ws_par] {
+                // What the canonical order charged the tenant: the
+                // libraries and `src`'s checkpoint. The siblings' blobs were
+                // never charged, so the backend holds more than the
+                // accounts say.
+                let charged = ws.usages()["team"].physical_bytes;
+                assert!(
+                    par_bytes > charged,
+                    "the liar's siblings should have persisted orphans ({par_bytes} vs {charged})"
+                );
+                let report = ws.sweep_orphans().unwrap();
+                assert!(report.removed_objects > 0, "search: {search}");
+                assert_eq!(
+                    ws.store().physical_bytes(),
+                    charged,
+                    "sweep restores byte-level parity with what was charged (search: {search})"
+                );
+                // Sweeping again finds nothing; live data still reads back.
+                let again = ws.sweep_orphans().unwrap();
+                assert_eq!(again.removed_objects, 0);
+            }
         }
     }
 
