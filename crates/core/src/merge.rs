@@ -25,7 +25,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{Executor, RunReport};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut, Incremental, PrefixGate};
+use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, Publication};
 use mlcask_storage::store::ChunkStore;
 use serde::{Deserialize, Serialize};
@@ -128,9 +128,10 @@ impl<'a> MergeEngine<'a> {
         }
     }
 
-    /// Enables or disables the provenance fast path (frontier cuts, the
-    /// lookup of fully cut candidates, and the shared-prefix gate) for
-    /// history-backed strategies. On by default; reports are byte-identical
+    /// Enables or disables the provenance fast path (frontier cuts and the
+    /// lookup of fully cut candidates) for history-backed strategies.
+    /// Shared prefixes execute once either way: candidates claim their
+    /// keys in one profile book. On by default; reports are byte-identical
     /// either way — only wall-clock changes — which makes the disabled
     /// engine the reference the fast path is tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
@@ -279,17 +280,12 @@ impl<'a> MergeEngine<'a> {
             .collect();
         let pending: Vec<usize> = (0..bound.len()).filter(|&i| known[i].is_none()).collect();
         let executor = Executor::new(self.store);
-        // One gate per search: candidates sharing a prefix fingerprint
-        // execute it once, whichever worker claims it first.
-        let gate = PrefixGate::new();
+        // Candidates share `book`, so a prefix common to several executes
+        // once, whichever worker claims it first.
         let (outer, inner) = self.parallelism.split(pending.len());
         let traced = map_indexed(outer, &pending, |_, &i| {
             let _cand_span = mlcask_obs::span!("merge.candidate", "index" => i);
-            let inc = cuts[i].as_ref().map(|cut| Incremental {
-                cut,
-                gate: Some(&gate),
-            });
-            executor.trace(&bound[i], phase_cache, book, inner, inc.as_ref())
+            executor.trace(&bound[i], phase_cache, book, inner, cuts[i].as_ref())
         });
         // Frontier cuts are computed before phase 1, so the per-candidate
         // skip counts are deterministic; `map_indexed` preserves candidate

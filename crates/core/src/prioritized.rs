@@ -10,11 +10,11 @@
 //! finds the same optimum as the exhaustive pruned search.
 //!
 //! Trials read the base history and never write it: a node one trial
-//! executed is adopted by the others from the shared
-//! [`ProfileBook`](mlcask_pipeline::replay::ProfileBook), not from a copy of
-//! the history per trial. Each trial's accounting replay reuses what that
-//! trial executed earlier in its own search order — what a live
-//! one-candidate-at-a-time trial would pay — and publishes nothing.
+//! executes is adopted by the others through the shared [`ProfileBook`]'s
+//! claim, not from a copy of the history per trial. Each trial's
+//! accounting replay reuses what that trial executed earlier in its own
+//! search order — what a live one-candidate-at-a-time trial would pay —
+//! and publishes nothing.
 
 use crate::errors::Result;
 use crate::history::HistoryIndex;
@@ -27,7 +27,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{Executor, TracedOutcome};
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut, Incremental, PrefixGate};
+use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -316,11 +316,11 @@ impl<'a> PrioritizedSearcher<'a> {
     /// pick — the descent is adaptive) and fans the whole batch across the
     /// searcher's [`ParallelismPolicy`], so a long trial cannot idle the
     /// workers a short trial has released; with one trial the whole pool
-    /// flows into each candidate's DAG. Trials share one [`PrefixGate`],
-    /// so a prefix common to several trials executes once per batch rather
-    /// than once per trial. A shared [`ProfileBook`] deduplicates
-    /// observations, and the accounting replay walks trials in index order,
-    /// so the results are identical for every worker count. An aborted
+    /// flows into each candidate's DAG. Trials share one [`ProfileBook`],
+    /// whose claim executes each `(component, inputs)` key once, so a
+    /// prefix common to several trials executes once rather than once per
+    /// trial; the accounting replay walks trials in index order, so the
+    /// results are identical for every worker count. An aborted
     /// search (quota breach, storage fault) releases every unsettled
     /// reservation before the error surfaces.
     fn search(
@@ -337,7 +337,6 @@ impl<'a> PrioritizedSearcher<'a> {
             // writes, so a cut never depends on how far other trials have
             // got.
             let base = base_history.provenance();
-            let gate = PrefixGate::new();
             let executor = Executor::new(self.registry.store());
             let mut states: Vec<TrialState> = seeds
                 .iter()
@@ -367,11 +366,7 @@ impl<'a> PrioritizedSearcher<'a> {
                 let (outer, inner) = self.parallelism.split(picks.len());
                 let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline)| {
                     let cut = FrontierCut::of(pipeline, |fp| base.get(fp))?;
-                    let inc = Incremental {
-                        cut: &cut,
-                        gate: Some(&gate),
-                    };
-                    executor.trace(pipeline, base_history, &book, inner, Some(&inc))
+                    executor.trace(pipeline, base_history, &book, inner, Some(&cut))
                 });
                 // Record phase: fold results back in trial order.
                 for ((t, leaf, keys, pipeline), outcome) in picks.into_iter().zip(outcomes) {
@@ -409,8 +404,8 @@ impl<'a> PrioritizedSearcher<'a> {
 
     /// Runs `trials` independent trials and aggregates Fig. 10 / Table I
     /// statistics. Trials advance in work-stealing rounds over one worker
-    /// pool, one prefix gate and one profile book; the aggregated statistics
-    /// are identical for every worker count.
+    /// pool and one profile book; the aggregated statistics are identical
+    /// for every worker count.
     pub fn run_trials(
         &self,
         spaces: &SearchSpaces,

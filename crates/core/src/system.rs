@@ -119,8 +119,7 @@ pub struct MlCask {
     /// Worker pool for merge-search candidate evaluation.
     parallelism: ParallelismPolicy,
     /// Provenance-keyed incremental re-evaluation for merge searches
-    /// (frontier cuts + shared-prefix hoisting) and commits (a fully known
-    /// pipeline is not run). On by default; reports and accounting are
+    /// (frontier cuts) and commits (a fully known pipeline is not run). On by default; reports and accounting are
     /// identical either way, only wall-clock changes.
     incremental: bool,
 }

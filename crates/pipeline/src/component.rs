@@ -128,45 +128,6 @@ pub trait Component: Send + Sync {
 /// Shared handle to a component implementation.
 pub type ComponentHandle = Arc<dyn Component>;
 
-/// A library of component versions: the per-component slice of the paper's
-/// library repository, from which search spaces draw candidate versions.
-#[derive(Default)]
-pub struct ComponentFamily {
-    versions: Vec<ComponentHandle>,
-}
-
-impl ComponentFamily {
-    /// Empty family.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a version (rejects duplicates of the same key).
-    pub fn register(&mut self, c: ComponentHandle) {
-        assert!(
-            !self.versions.iter().any(|v| v.key() == c.key()),
-            "duplicate component version {}",
-            c.key()
-        );
-        self.versions.push(c);
-    }
-
-    /// Finds a specific version.
-    pub fn get(&self, key: &ComponentKey) -> Option<ComponentHandle> {
-        self.versions.iter().find(|v| &v.key() == key).cloned()
-    }
-
-    /// Number of versions.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// True if no versions registered.
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     //! Tiny concrete components reused by pipeline/executor tests.
@@ -560,39 +521,5 @@ mod tests {
         let c = model.run(std::slice::from_ref(&b)).unwrap();
         assert!(c.score().is_some());
         assert!(c.score().unwrap().value > 0.0);
-    }
-
-    #[test]
-    fn family_register_and_lookup() {
-        let mut fam = ComponentFamily::new();
-        assert!(fam.is_empty());
-        fam.register(Arc::new(TestModel {
-            version: SemVer::master(0, 0),
-            dim_in: 3,
-            quality: 0.1,
-        }));
-        fam.register(Arc::new(TestModel {
-            version: SemVer::master(0, 1),
-            dim_in: 3,
-            quality: 0.2,
-        }));
-        assert_eq!(fam.len(), 2);
-        let key = ComponentKey::new("test_model", SemVer::master(0, 1));
-        assert!(fam.get(&key).is_some());
-        let missing = ComponentKey::new("test_model", SemVer::master(9, 9));
-        assert!(fam.get(&missing).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate component version")]
-    fn family_rejects_duplicates() {
-        let mut fam = ComponentFamily::new();
-        for _ in 0..2 {
-            fam.register(Arc::new(TestModel {
-                version: SemVer::master(0, 0),
-                dim_in: 3,
-                quality: 0.1,
-            }));
-        }
     }
 }

@@ -28,10 +28,8 @@ use crate::component::{ComponentHandle, ComponentKey, StageKind};
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
-use crate::provenance::{
-    schedulable, Claim, ClaimGuard, GateOutcome, Incremental, ProvenanceIndex,
-};
-use crate::replay::{replay_run, CacheSnapshot, ProfileBook, Publication, StageProfile};
+use crate::provenance::{schedulable, FrontierCut, ProvenanceIndex};
+use crate::replay::{replay_run, CacheSnapshot, Claim, ProfileBook, Publication, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
 use mlcask_ml::metrics::Score;
@@ -305,8 +303,7 @@ struct WavefrontRun {
     slots: Vec<Mutex<Option<WaveSlot>>>,
     /// True if any node failed (statically predicted or observed live).
     failed: bool,
-    /// Nodes the incremental frontier cut never scheduled (0 without an
-    /// [`Incremental`] context).
+    /// Nodes the frontier cut never scheduled (0 without a cut).
     skipped_by_frontier: usize,
 }
 
@@ -435,29 +432,27 @@ impl<'s> Executor<'s> {
     ///
     /// This is phase 1 of the evaluation protocol (see [`crate::replay`]):
     /// many traces may execute concurrently against one `book`, which is
-    /// all they write — `cache` is only read. A node another trace of the
-    /// same book already executed adopts that execution's output
-    /// ([`ProfileBook::produced`]), which deduplicates work across
-    /// candidates; the deterministic accounting, and the publication of
-    /// checkpoints, happen afterwards via [`crate::replay::replay_run`] in
-    /// canonical candidate order. A statically doomed pipeline executes up
-    /// to its failure frontier, which the replay then reports as the failed
-    /// stage.
+    /// all they write — `cache` is only read. Each `(component, inputs)`
+    /// key executes at most once per book: a node whose key another trace
+    /// of the same book is executing, or already executed, adopts that
+    /// execution's outcome ([`ProfileBook::claim`]), which hoists prefixes
+    /// shared across candidates; the deterministic accounting, and the
+    /// publication of checkpoints, happen afterwards via
+    /// [`crate::replay::replay_run`] in canonical candidate order. A
+    /// statically doomed pipeline executes up to its failure frontier,
+    /// which the replay then reports as the failed stage.
     ///
-    /// With an incremental context (see [`crate::provenance`]) only the
-    /// dirty region below `inc.cut` — the caller's
-    /// [`FrontierCut`](crate::provenance::FrontierCut) of this pipeline,
-    /// computed before its search traced anything — is scheduled;
-    /// `inc.gate` additionally hoists prefixes shared with concurrent
-    /// evaluations so each executes once per search. Frontier-skipped nodes
-    /// are recorded in `book` as found, so the replay still charges them as
-    /// *reused*, and by the provenance pairing invariant a full
-    /// re-evaluation would have found the same outputs under their
-    /// `CacheKey`s: reports, ledgers, and tenant accounting stay
-    /// byte-identical to it. A cut that covers the whole pipeline leaves
-    /// nothing to schedule or replay: it is the pipeline's report
-    /// ([`FrontierCut::report`](crate::provenance::FrontierCut::report)),
-    /// and the engines answer it without calling this at all.
+    /// With a `cut` (see [`crate::provenance`]) — the caller's
+    /// [`FrontierCut`] of this pipeline, computed before its search traced
+    /// anything — only the dirty region below it is scheduled.
+    /// Frontier-skipped nodes are recorded in `book` as found, so the
+    /// replay still charges them as *reused*, and by the provenance pairing
+    /// invariant a full re-evaluation would have found the same outputs
+    /// under their `CacheKey`s: reports, ledgers, and tenant accounting
+    /// stay byte-identical to it. A cut that covers the whole pipeline
+    /// leaves nothing to schedule or replay: it is the pipeline's report
+    /// ([`FrontierCut::report`]), and the engines answer it without calling
+    /// this at all.
     ///
     /// Returns the final model score, or `None` when the pipeline failed
     /// (adaptive searchers need the score before accounting runs).
@@ -467,11 +462,11 @@ impl<'s> Executor<'s> {
         cache: &dyn OutputCache,
         book: &ProfileBook,
         policy: ParallelismPolicy,
-        inc: Option<&Incremental>,
+        cut: Option<&FrontierCut>,
     ) -> Result<TracedOutcome> {
         let order = pipeline.dag.topo_order()?;
         let fail_at = pipeline.static_failure_node()?;
-        let traced = self.trace_nodes(pipeline, order, fail_at, Some(cache), book, policy, inc)?;
+        let traced = self.trace_nodes(pipeline, order, fail_at, Some(cache), book, policy, cut)?;
         // The final score is the last score in canonical topological order.
         let mut score: Option<Score> = None;
         if !traced.failed {
@@ -522,8 +517,11 @@ impl<'s> Executor<'s> {
     ///
     /// * `order`, `fail_at` — the canonical topological order and
     ///   [`BoundPipeline::static_failure_node`], read once by the caller.
-    /// * `lookup` — consulted (never written) before executing a node; hits
-    ///   skip execution, and so do keys `book` already holds a profile for.
+    /// * `lookup` — consulted (never written) before executing a node; a
+    ///   hit skips execution. A miss claims the key in `book`
+    ///   ([`ProfileBook::claim`]): a sibling's outcome is adopted, and the
+    ///   owner records a journaled profile when `resume` holds one and
+    ///   executes the component otherwise.
     ///
     /// Every lookup hit and every frontier-cut node is recorded in `book` as
     /// found, which is all the replay's reuse simulation consults (see
@@ -534,12 +532,12 @@ impl<'s> Executor<'s> {
     /// frontier node's failure is recorded in `book` so the replay stops
     /// exactly there.
     ///
-    /// With an [`Incremental`] context, the pipeline is additionally cut at
-    /// the deepest cached provenance frontier *before* scheduling: cut
-    /// nodes' slots are pre-filled from `inc.cut` and only the dirty region
-    /// is dispatched (an induced sub-DAG schedule). The caller computed the
-    /// cut before its search traced anything, so the skipped set is
-    /// identical for every worker count.
+    /// With a `cut`, the pipeline is additionally cut at the deepest cached
+    /// provenance frontier *before* scheduling: cut nodes' slots are
+    /// pre-filled from it and only the dirty region is dispatched (an
+    /// induced sub-DAG schedule). The caller computed the cut before its
+    /// search traced anything, so the skipped set is identical for every
+    /// worker count.
     #[allow(clippy::too_many_arguments)]
     fn trace_nodes(
         &self,
@@ -549,7 +547,7 @@ impl<'s> Executor<'s> {
         lookup: Option<&dyn OutputCache>,
         book: &ProfileBook,
         policy: ParallelismPolicy,
-        inc: Option<&Incremental>,
+        cut: Option<&FrontierCut>,
     ) -> Result<WavefrontRun> {
         let resume = self.resume;
         let _wave_span = mlcask_obs::span!(
@@ -558,7 +556,6 @@ impl<'s> Executor<'s> {
             "workers" => policy.workers(),
         );
         let allowed = schedulable(order, fail_at);
-        let cut = inc.map(|inc| inc.cut);
         let slots: Vec<Mutex<Option<WaveSlot>>> =
             (0..order.len()).map(|_| Mutex::new(None)).collect();
         // Pre-fill frontier-skipped nodes' results. Their `CacheKey`s are
@@ -617,7 +614,6 @@ impl<'s> Executor<'s> {
             }
             _ => (pipeline.dag.indegrees().to_vec(), pipeline.dag.adjacency()),
         };
-        let fingerprints = cut.map(|c| c.fingerprints.as_slice());
         let dynamic_failure = AtomicBool::new(false);
 
         // At most one node of the longest dependency chain is ready at any
@@ -666,61 +662,36 @@ impl<'s> Executor<'s> {
                     });
                     return Ok(NodeVerdict::Continue);
                 }
-                // Executed already by another trace of this book (a sibling
-                // candidate, or another trial): adopt its output.
-                if let Some(produced) = book.produced(&key) {
-                    *slots[node].lock() = Some(WaveSlot {
-                        cached: produced,
-                        artifact: None,
-                    });
-                    return Ok(NodeVerdict::Continue);
-                }
+                // One execution per key: another trace of this book (a
+                // sibling candidate, or another trial) that executes, or
+                // executed, the key hands over its outcome.
+                let owner = match book.claim(&key) {
+                    Claim::Produced(cached) => {
+                        *slots[node].lock() = Some(WaveSlot {
+                            cached,
+                            artifact: None,
+                        });
+                        return Ok(NodeVerdict::Continue);
+                    }
+                    Claim::Failed => {
+                        dynamic_failure.store(true, Ordering::Relaxed);
+                        return Ok(NodeVerdict::SkipSuccessors);
+                    }
+                    Claim::Owner(owner) => owner,
+                };
 
                 // Crash recovery: a journaled completed execution is adopted
                 // verbatim — its recorded profile (write trace included)
                 // feeds the accounting replay exactly as the pre-crash
                 // attempt recorded it, so the replay charges this node as
                 // *executed*, byte-identically to an uninterrupted run.
-                if let Some(res) = resume {
-                    if let Some(prof) = res.snapshot.get(&key) {
-                        if let Some(lost) = book.record_profile(key.clone(), prof.clone()) {
-                            if let Some(t) = &lost.write {
-                                self.store.release_trace(t);
-                            }
-                        }
-                        *slots[node].lock() = Some(WaveSlot {
-                            cached: prof.cached.clone(),
-                            artifact: None,
-                        });
-                        return Ok(NodeVerdict::Continue);
-                    }
-                }
-
-                // Shared-prefix hoisting: claim this node's fingerprint so
-                // concurrent evaluations reaching the same sub-DAG execute
-                // it exactly once — waiters adopt the owner's checkpoint,
-                // whose profile the owner recorded in the book first
-                // (components are deterministic, so whose execution wins is
-                // unobservable in the replayed accounting).
-                let mut claim_guard: Option<ClaimGuard> = None;
-                if let (Some(inc), Some(fps)) = (inc, fingerprints) {
-                    if let Some(gate) = inc.gate {
-                        match gate.claim(fps[node]) {
-                            Claim::Ready(GateOutcome::Completed(cached)) => {
-                                *slots[node].lock() = Some(WaveSlot {
-                                    cached,
-                                    artifact: None,
-                                });
-                                return Ok(NodeVerdict::Continue);
-                            }
-                            Claim::Ready(GateOutcome::Failed) => {
-                                book.record_failure(key);
-                                dynamic_failure.store(true, Ordering::Relaxed);
-                                return Ok(NodeVerdict::SkipSuccessors);
-                            }
-                            Claim::Owner(guard) => claim_guard = Some(guard),
-                        }
-                    }
+                if let Some(prof) = resume.and_then(|res| res.snapshot.get(&key)) {
+                    *slots[node].lock() = Some(WaveSlot {
+                        cached: prof.cached.clone(),
+                        artifact: None,
+                    });
+                    owner.record(prof.clone());
+                    return Ok(NodeVerdict::Continue);
                 }
 
                 // Materialise checkpointed inputs (results only; the replay
@@ -767,40 +738,26 @@ impl<'s> Executor<'s> {
                         if let Some(c) = lookup {
                             c.keep_decoded(cached.object.id, &artifact);
                         }
-                        // A sibling racing this exact key may have recorded
-                        // first; the displaced duplicate's reservation must
-                        // be released here or it would outlive the search
-                        // (only book-kept traces are settled by the replay).
                         let profile = StageProfile {
                             cached: cached.clone(),
                             artifact_bytes: artifact.byte_len(),
                             exec_ns,
                             write: Some(trace),
                         };
-                        match book.record_profile(key.clone(), profile.clone()) {
-                            Some(lost) => {
-                                if let Some(t) = &lost.write {
-                                    self.store.release_trace(t);
-                                }
-                            }
-                            // The kept execution is this run's completed
-                            // operation: journal it so a crashed attempt
-                            // resumes from here. (Durability of the blob may
-                            // still be in flight on an async backend;
-                            // recovery validates the entry against what
-                            // actually survived.)
-                            None => {
-                                if let Some(journal) = resume.and_then(|r| r.journal) {
-                                    journal.record(&key, &profile)?;
-                                }
-                            }
-                        }
                         *slots[node].lock() = Some(WaveSlot {
-                            cached: cached.clone(),
+                            cached,
                             artifact: Some(artifact),
                         });
-                        if let Some(guard) = claim_guard.take() {
-                            guard.complete(GateOutcome::Completed(cached));
+                        // Recorded before it is journaled, so the book holds
+                        // the trace's reservation whatever the journal does.
+                        owner.record(profile.clone());
+                        // This run's completed operation: journal it so a
+                        // crashed attempt resumes from here. (Durability of
+                        // the blob may still be in flight on an async
+                        // backend; recovery validates the entry against what
+                        // actually survived.)
+                        if let Some(journal) = resume.and_then(|r| r.journal) {
+                            journal.record(&key, &profile)?;
                         }
                         Ok(NodeVerdict::Continue)
                     }
@@ -810,16 +767,12 @@ impl<'s> Executor<'s> {
                         // frontier. Record it and prune its descendants;
                         // independent nodes keep running so the executed set
                         // stays deterministic.
-                        book.record_failure(key);
+                        owner.fail();
                         dynamic_failure.store(true, Ordering::Relaxed);
-                        if let Some(guard) = claim_guard.take() {
-                            guard.complete(GateOutcome::Failed);
-                        }
                         Ok(NodeVerdict::SkipSuccessors)
                     }
-                    // A hard error drops `claim_guard` un-completed, which
-                    // un-claims the fingerprint so a waiter re-claims and
-                    // executes the node itself.
+                    // A hard error drops `owner` unsettled, which un-claims
+                    // the key so a waiter claims and executes it itself.
                     Err(e) => Err(e),
                 }
             },
@@ -1637,6 +1590,129 @@ mod tests {
             .unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(*probe.1.lock(), vec![std::thread::current().id()]);
+    }
+
+    /// Holds its component's first run until the test opens it, and counts
+    /// every run.
+    struct Held {
+        inner: TestSource,
+        hold: Mutex<Hold>,
+        changed: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct Hold {
+        runs: u32,
+        held: bool,
+        open: bool,
+    }
+
+    impl Held {
+        fn await_held(&self) {
+            let mut hold = self.hold.lock();
+            while !hold.held {
+                hold = self.changed.wait(hold).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.hold.lock().open = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl crate::component::Component for Held {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn version(&self) -> SemVer {
+            self.inner.version()
+        }
+        fn stage(&self) -> StageKind {
+            self.inner.stage()
+        }
+        fn input_schema(&self) -> Option<SchemaId> {
+            self.inner.input_schema()
+        }
+        fn output_schema(&self) -> SchemaId {
+            self.inner.output_schema()
+        }
+        fn run(&self, inputs: &[Artifact]) -> Result<Artifact> {
+            let mut hold = self.hold.lock();
+            hold.runs += 1;
+            if hold.runs == 1 {
+                hold.held = true;
+                self.changed.notify_all();
+                while !hold.open {
+                    hold = self.changed.wait(hold).unwrap();
+                }
+            }
+            drop(hold);
+            self.inner.run(inputs)
+        }
+        fn work_units(&self, inputs: &[Artifact]) -> u64 {
+            self.inner.work_units(inputs)
+        }
+    }
+
+    /// Traces `p` twice into one book — on two threads, the second started
+    /// while `held` holds the first inside its source, or else one after
+    /// the other on this thread — then replays both traces in order.
+    fn trace_twice(p: &BoundPipeline, held: Option<&Held>) -> String {
+        let store = ChunkStore::in_memory_small();
+        let exec = Executor::new(&store);
+        let (cache, book) = (MemoryCache::new(), ProfileBook::new());
+        let trace = || {
+            exec.trace(p, &cache, &book, ParallelismPolicy::Sequential, None)
+                .unwrap()
+        };
+        match held {
+            Some(held) => std::thread::scope(|scope| {
+                let first = scope.spawn(trace);
+                held.await_held();
+                let second = scope.spawn(trace);
+                // Time for the second trace to reach the source's claim; the
+                // outcome does not depend on whether it got there.
+                std::thread::sleep(Duration::from_millis(20));
+                held.open();
+                first.join().unwrap();
+                second.join().unwrap();
+            }),
+            None => {
+                trace();
+                trace();
+            }
+        }
+        let (mut created, mut cursor) = (CacheSnapshot::new(), book.replay_cursor());
+        let ledger = ClockLedger::new();
+        let reports: Vec<RunReport> = (0..2)
+            .map(|_| {
+                let sim = Some(&mut created);
+                replay_run(&store, p, &book, sim, &mut cursor, &ledger, None).unwrap()
+            })
+            .collect();
+        serde_json::to_string(&(reports, ledger.snapshot())).unwrap()
+    }
+
+    /// Two traces of one book, without a cut, reach a key while the first
+    /// is still executing it: the second waits and adopts the first's
+    /// checkpoint instead of running the component again, and the replayed
+    /// reports are those of the two traces run one after the other.
+    #[test]
+    fn a_key_a_sibling_is_executing_is_adopted_not_rerun() {
+        let p = pipeline(2.0, 3, 3);
+        let held = Arc::new(Held {
+            inner: TestSource {
+                version: SemVer::initial(),
+                dim: 3,
+                rows: 8,
+            },
+            hold: Mutex::default(),
+            changed: std::sync::Condvar::new(),
+        });
+        let raced = trace_twice(&replacing(&p, 0, held.clone()), Some(&held));
+        assert_eq!(held.hold.lock().runs, 1, "the second trace ran the source");
+        assert_eq!(raced, trace_twice(&p, None));
     }
 
     #[test]

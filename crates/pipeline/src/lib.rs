@@ -54,9 +54,7 @@ pub mod prelude {
         Artifact, ArtifactData, Cell, Docs, Features, ImageSet, ModelArtifact, SequenceSet, Table,
     };
     pub use crate::clock::{ClockLedger, ClockSnapshot};
-    pub use crate::component::{
-        Component, ComponentFamily, ComponentHandle, ComponentKey, StageKind,
-    };
+    pub use crate::component::{Component, ComponentHandle, ComponentKey, StageKind};
     pub use crate::dag::{BoundPipeline, PipelineDag};
     pub use crate::errors::{PipelineError, Result as PipelineResult};
     pub use crate::executor::{
@@ -66,8 +64,7 @@ pub mod prelude {
     pub use crate::metafile::{DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot};
     pub use crate::parallel::{map_indexed, run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
     pub use crate::provenance::{
-        pipeline_fingerprints, FrontierCut, Incremental, PrefixGate, ProvenanceIndex,
-        ProvenanceSnapshot,
+        pipeline_fingerprints, FrontierCut, ProvenanceIndex, ProvenanceSnapshot,
     };
     pub use crate::replay::{
         replay_run, CacheSnapshot, ProfileBook, Publication, ReplayCursor, StageProfile,

@@ -346,19 +346,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         self.shards[self.shard_of(&key)].write().insert(key, value);
     }
 
-    /// Inserts only if absent (first writer wins). Returns the rejected
-    /// `value` when an entry already existed, so callers can dispose of a
-    /// racing duplicate's side-state (e.g. release its quota reservation).
-    pub fn insert_if_absent(&self, key: K, value: V) -> Option<V> {
-        match self.shards[self.shard_of(&key)].write().entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => Some(value),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(value);
-                None
-            }
-        }
-    }
-
     /// `f` applied to the value for `key`, if present, under the shard's
     /// read lock: reads part of a large value without cloning all of it.
     pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
@@ -432,8 +419,6 @@ mod tests {
         assert_eq!(m.get(&42).as_deref(), Some("42"));
         assert!(m.contains(&7));
         assert!(!m.contains(&1000));
-        m.insert_if_absent(42, "clobber".into());
-        assert_eq!(m.get(&42).as_deref(), Some("42"), "first writer wins");
         assert_eq!(m.to_hashmap().len(), 100);
     }
 

@@ -1,10 +1,10 @@
 //! Provenance-keyed incremental re-evaluation.
 //!
 //! The executor's checkpoint reuse (see [`crate::executor`]) is *dynamic*:
-//! a node's [`CacheKey`] contains its input artifact ids, so reuse is
-//! discovered node-by-node at runtime — every candidate pipeline is still
-//! fully scheduled, and every node pays a key construction plus a sharded
-//! lookup even when the whole prefix is a hit. This module adds the
+//! a node's [`CacheKey`](crate::executor::CacheKey) contains its input
+//! artifact ids, so reuse is discovered node-by-node at runtime — every
+//! candidate pipeline is still fully scheduled, and every node pays a key
+//! construction plus a sharded lookup even when the whole prefix is a hit. This module adds the
 //! *static* complement:
 //!
 //! * [`pipeline_fingerprints`] lifts a [`BoundPipeline`] to per-node
@@ -29,9 +29,6 @@
 //!   charged, nothing recorded — what tracing and replaying it would
 //!   produce. Merge searches and commits answer such a pipeline by lookup
 //!   and hand only the rest to the executor.
-//! * [`PrefixGate`] hoists shared candidate prefixes: concurrent
-//!   evaluations that reach the same fingerprint execute it once — one
-//!   owner runs the component, waiters adopt its output.
 //!
 //! Every evaluation cuts against the live index, before phase 1 starts: a
 //! merge search cuts all its candidates before tracing any of them, and
@@ -50,7 +47,7 @@ use crate::parallel::ShardedMap;
 use mlcask_obs::{Counter, MetricsRegistry};
 use mlcask_storage::hash::Hash256;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Computes the provenance fingerprint of one node from its component key
 /// and its predecessors' fingerprints (in edge order).
@@ -258,124 +255,6 @@ pub fn count_frontier_skipped(nodes: usize) {
     }
 }
 
-/// Everything the executor needs to run one evaluation incrementally:
-/// the evaluation's frontier cut and (optionally) the search-wide prefix
-/// gate.
-pub struct Incremental<'a> {
-    /// This evaluation's cut ([`FrontierCut::of`]), computed before its
-    /// search traced anything. The executor records every cut node in the
-    /// book as found, which is how the accounting replay knows to charge it
-    /// as reused.
-    pub cut: &'a FrontierCut,
-    /// Shared-prefix hoisting gate, if the search wants common prefixes
-    /// executed once across concurrent evaluations.
-    pub gate: Option<&'a PrefixGate>,
-}
-
-/// Result of a gated execution, adopted by waiters.
-#[derive(Clone)]
-pub enum GateOutcome {
-    /// The owner executed the node and checkpointed this output.
-    Completed(CachedOutput),
-    /// The owner observed a dynamic schema failure at this node.
-    Failed,
-}
-
-enum GateState {
-    Pending,
-    Done(GateOutcome),
-}
-
-/// What [`PrefixGate::claim`] resolved to.
-pub enum Claim<'g> {
-    /// This caller owns the fingerprint: execute the node, then call
-    /// [`ClaimGuard::complete`]. Dropping the guard without completing
-    /// (panic, hard error) un-claims the fingerprint so a waiter can
-    /// execute it instead — the gate never deadlocks on a dead owner.
-    Owner(ClaimGuard<'g>),
-    /// Another evaluation already produced this fingerprint's outcome.
-    Ready(GateOutcome),
-}
-
-/// Concurrent once-per-fingerprint execution gate: the first evaluation to
-/// claim a fingerprint executes it, every concurrent evaluation that
-/// reaches the same fingerprint blocks until the owner completes and then
-/// adopts the result. Correct because components are deterministic: any
-/// owner produces the identical output, so *who* executes is unobservable
-/// in the replayed accounting.
-#[derive(Default)]
-pub struct PrefixGate {
-    inner: Mutex<HashMap<Hash256, GateState>>,
-    ready: Condvar,
-}
-
-impl PrefixGate {
-    /// Empty gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Claims `fp`: returns [`Claim::Owner`] if this caller should execute
-    /// the node, or blocks until the owner finishes and returns
-    /// [`Claim::Ready`] with the adopted outcome.
-    pub fn claim(&self, fp: Hash256) -> Claim<'_> {
-        let mut map = self.inner.lock().expect("gate lock");
-        loop {
-            match map.get(&fp) {
-                None => {
-                    map.insert(fp, GateState::Pending);
-                    return Claim::Owner(ClaimGuard {
-                        gate: self,
-                        fp,
-                        completed: false,
-                    });
-                }
-                Some(GateState::Done(outcome)) => return Claim::Ready(outcome.clone()),
-                Some(GateState::Pending) => {
-                    map = self.ready.wait(map).expect("gate lock");
-                }
-            }
-        }
-    }
-}
-
-/// Owner-side token of a pending [`PrefixGate`] claim.
-pub struct ClaimGuard<'g> {
-    gate: &'g PrefixGate,
-    fp: Hash256,
-    completed: bool,
-}
-
-impl ClaimGuard<'_> {
-    /// Publishes the owner's outcome and wakes every waiter.
-    pub fn complete(mut self, outcome: GateOutcome) {
-        let mut map = self.gate.inner.lock().expect("gate lock");
-        map.insert(self.fp, GateState::Done(outcome));
-        self.completed = true;
-        drop(map);
-        self.gate.ready.notify_all();
-    }
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        // Owner died without publishing (panic or hard error): un-claim so
-        // a waiter re-claims and executes the node itself. A poisoned lock
-        // means another owner panicked while publishing; un-claiming is
-        // still the right recovery.
-        let mut map = match self.gate.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        map.remove(&self.fp);
-        drop(map);
-        self.gate.ready.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,45 +456,5 @@ mod tests {
         };
         let cut = FrontierCut::of(&doomed, |fp| index.get(fp)).unwrap();
         assert_eq!((cut.skipped, cut.report(&doomed).is_none()), (2, true));
-    }
-
-    #[test]
-    fn gate_owner_publishes_and_waiters_adopt() {
-        let gate = Arc::new(PrefixGate::new());
-        let fp = Hash256::of(b"shared-prefix");
-        let Claim::Owner(guard) = gate.claim(fp) else {
-            panic!("first claim owns");
-        };
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || match gate.claim(fp) {
-                Claim::Ready(GateOutcome::Completed(out)) => out.artifact_id,
-                _ => panic!("waiter must adopt the completed outcome"),
-            })
-        };
-        // Give the waiter time to block, then publish.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        guard.complete(GateOutcome::Completed(output(7)));
-        assert_eq!(waiter.join().unwrap(), Hash256::of(&[7, 7]));
-    }
-
-    #[test]
-    fn gate_unclaims_on_dropped_owner() {
-        let gate = PrefixGate::new();
-        let fp = Hash256::of(b"poisoned");
-        {
-            let Claim::Owner(_guard) = gate.claim(fp) else {
-                panic!("first claim owns");
-            };
-            // Guard dropped without completing (owner hit a hard error).
-        }
-        match gate.claim(fp) {
-            Claim::Owner(guard) => guard.complete(GateOutcome::Failed),
-            Claim::Ready(_) => panic!("dropped owner must un-claim"),
-        }
-        match gate.claim(fp) {
-            Claim::Ready(GateOutcome::Failed) => {}
-            _ => panic!("published outcome sticks"),
-        };
     }
 }

@@ -7,10 +7,10 @@
 //!    outputs, scores, and chunk layouts are pure functions of the
 //!    candidate, so the *results* are order-independent; only timing and
 //!    dedup attribution would be racy. Each distinct `(component, inputs)`
-//!    execution is recorded once in a shared [`ProfileBook`], which is all
-//!    phase 1 writes: its checkpoint lookups are read-only, and a node a
-//!    sibling candidate already executed adopts that execution's recorded
-//!    output ([`ProfileBook::produced`]).
+//!    key executes at most once per shared [`ProfileBook`], which is all
+//!    phase 1 writes: its checkpoint lookups are read-only, and a node
+//!    whose key a sibling candidate executes, or already executed, adopts
+//!    that execution's outcome ([`ProfileBook::claim`]).
 //! 2. **Account (sequential, canonical order)** — [`replay_run`] walks the
 //!    work in canonical order and computes what a strictly one-at-a-time
 //!    walk charges: cache hits against the sequentially-evolving
@@ -66,6 +66,7 @@ use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::{ChunkStore, PutTrace};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::sync::{Condvar, PoisonError};
 use std::time::Duration;
 
 /// Everything the accounting replay needs to know about one component
@@ -89,16 +90,62 @@ pub struct StageProfile {
 }
 
 /// Concurrent record of phase 1, shared by all workers of one search: the
-/// executions it performed and the checkpoints it found. Profile inserts
-/// are first-wins (racing executions of the same key produce identical
-/// profiles up to `was_new` flags, which are aggregated separately in
-/// `new_chunks`).
+/// executions it performed and the checkpoints it found. It also decides
+/// who executes a key: [`ProfileBook::claim`] admits one owner per key,
+/// so the book holds at most one profile per key by construction.
 #[derive(Default)]
 pub struct ProfileBook {
     profiles: ShardedMap<CacheKey, StageProfile>,
     found: ShardedMap<CacheKey, CachedOutput>,
     failures: RwLock<HashSet<CacheKey>>,
     new_chunks: Mutex<HashSet<Hash256>>,
+    /// Keys an owner is executing right now.
+    executing: Mutex<HashSet<CacheKey>>,
+    /// Signalled whenever an owner settles or drops its key.
+    settled: Condvar,
+}
+
+/// What [`ProfileBook::claim`] resolved a key to.
+pub enum Claim<'b> {
+    /// A sibling's execution recorded this checkpoint.
+    Produced(CachedOutput),
+    /// A sibling saw this key fail with a schema incompatibility.
+    Failed,
+    /// The caller executes the key and settles it through the token.
+    Owner(KeyOwner<'b>),
+}
+
+/// The one execution of a claimed key. [`KeyOwner::record`] or
+/// [`KeyOwner::fail`] settles the key and wakes its waiters; dropping the
+/// token unsettled (a hard error, a panic) un-claims the key, so the next
+/// claimant owns it instead — a dead owner never strands a waiter.
+pub struct KeyOwner<'b> {
+    book: &'b ProfileBook,
+    key: CacheKey,
+}
+
+impl KeyOwner<'_> {
+    /// Records the execution's profile: the book keeps its write trace, so
+    /// the replay settles its reservation or `reservation_scope` releases
+    /// it.
+    pub fn record(self, profile: StageProfile) {
+        if let Some(w) = &profile.write {
+            self.book.observe_write(w);
+        }
+        self.book.profiles.insert(self.key.clone(), profile);
+    }
+
+    /// Records that executing the key fails with a schema incompatibility.
+    pub fn fail(self) {
+        self.book.record_failure(self.key.clone());
+    }
+}
+
+impl Drop for KeyOwner<'_> {
+    fn drop(&mut self) {
+        self.book.executing.lock().remove(&self.key);
+        self.book.settled.notify_all();
+    }
 }
 
 impl ProfileBook {
@@ -107,30 +154,37 @@ impl ProfileBook {
         ProfileBook::default()
     }
 
-    /// Records an execution profile (first writer wins). When a racing
-    /// execution of the same key already recorded one, the rejected profile
-    /// is returned so the caller can release its write trace's quota
-    /// reservation — the book will never settle a trace it did not keep.
-    #[must_use = "a rejected duplicate's reservation must be released"]
-    pub fn record_profile(&self, key: CacheKey, profile: StageProfile) -> Option<StageProfile> {
-        if let Some(w) = &profile.write {
-            self.observe_write(w);
+    /// Decides who executes `key`: a sibling's recorded checkpoint or
+    /// failure if there is one; otherwise, while a sibling is executing the
+    /// key, blocks until it settles or drops its claim; otherwise the
+    /// caller owns the key. Components are deterministic, so which claimant
+    /// executes is unobservable in the replayed accounting.
+    pub fn claim(&self, key: &CacheKey) -> Claim<'_> {
+        let mut executing = self.executing.lock();
+        loop {
+            if let Some(cached) = self.profiles.get_with(key, |p| p.cached.clone()) {
+                return Claim::Produced(cached);
+            }
+            if self.is_failure(key) {
+                return Claim::Failed;
+            }
+            if executing.insert(key.clone()) {
+                return Claim::Owner(KeyOwner {
+                    book: self,
+                    key: key.clone(),
+                });
+            }
+            executing = self
+                .settled
+                .wait(executing)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        self.profiles.insert_if_absent(key, profile)
     }
 
     /// Records that phase 1 found `key`'s checkpoint instead of executing
     /// it: a lookup hit, or a node its frontier cut skipped.
     pub fn record_found(&self, key: CacheKey, cached: CachedOutput) {
         self.found.insert(key, cached);
-    }
-
-    /// The checkpoint an execution recorded in this book produced for
-    /// `key` — without the profile's write trace. Phase 1 adopts it instead
-    /// of executing `key` again.
-    pub fn produced(&self, key: &CacheKey) -> Option<CachedOutput> {
-        self.profiles
-            .get_with(key, |profile| profile.cached.clone())
     }
 
     /// The checkpoint `key` had before this evaluation: phase 1 found it,
@@ -200,8 +254,8 @@ impl ProfileBook {
     /// Traces the replay charged are already settled, so releasing them is
     /// a no-op; what this scope actually reclaims are the traces the
     /// canonical order never replays: nodes past a dynamic failure
-    /// frontier (a run that *completes* with `RunOutcome::Failed`),
-    /// racing duplicates, and everything recorded before a hard error.
+    /// frontier (a run that *completes* with `RunOutcome::Failed`) and
+    /// everything recorded before a hard error.
     /// The invariant engines get for free by wrapping their evaluation
     /// here: **no reservation outlives the evaluation that took it.**
     pub fn reservation_scope<T, E>(
@@ -421,52 +475,127 @@ mod tests {
     use mlcask_storage::object::{ObjectKind, ObjectRef};
     use mlcask_storage::tenant::{QuotaPolicy, TenantId};
 
-    /// Two phase-1 workers racing one cache key both take a reservation;
-    /// the book keeps one profile and returns the duplicate, whose
-    /// reservation the caller releases — nothing may leak.
+    fn key(name: &str) -> CacheKey {
+        CacheKey {
+            component: ComponentKey::new(name, SemVer::master(0, 0)),
+            inputs: vec![],
+        }
+    }
+
+    /// A profile of `cached`, written as `write`.
+    fn profile(cached: CachedOutput, write: Option<PutTrace>) -> StageProfile {
+        StageProfile {
+            cached,
+            artifact_bytes: 1,
+            exec_ns: 1,
+            write,
+        }
+    }
+
+    fn cached(tag: u8) -> CachedOutput {
+        CachedOutput {
+            object: ObjectRef::null(ObjectKind::Output),
+            artifact_id: Hash256::of(&[tag]),
+            schema: Schema::FeatureMatrix {
+                dim: 2,
+                n_classes: 2,
+            }
+            .id(),
+            score: None,
+        }
+    }
+
+    fn owner<'b>(book: &'b ProfileBook, key: &CacheKey) -> KeyOwner<'b> {
+        match book.claim(key) {
+            Claim::Owner(owner) => owner,
+            _ => panic!("an unsettled, unclaimed key is owned"),
+        }
+    }
+
+    /// Runs `settle` on the owner of a fresh key while a second thread
+    /// claims the key; returns what the second claim resolved to once it
+    /// stopped blocking (`None` when it was handed the key).
+    fn settled_under_a_waiter(settle: impl FnOnce(KeyOwner<'_>)) -> Option<Claim<'static>> {
+        let book = ProfileBook::new();
+        let key = key("shared-prefix");
+        let first = owner(&book, &key);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match book.claim(&key) {
+                Claim::Produced(out) => Some(Claim::Produced(out)),
+                Claim::Failed => Some(Claim::Failed),
+                Claim::Owner(_) => None,
+            });
+            // Give the waiter time to block; the outcome does not depend on
+            // whether it did.
+            std::thread::sleep(Duration::from_millis(10));
+            settle(first);
+            waiter.join().unwrap()
+        })
+    }
+
     #[test]
-    fn duplicate_profile_reservation_can_be_released() {
+    fn the_owner_records_and_a_waiter_adopts() {
+        let adopted = settled_under_a_waiter(|owner| owner.record(profile(cached(7), None)));
+        let Some(Claim::Produced(out)) = adopted else {
+            panic!("the waiter adopts the recorded checkpoint");
+        };
+        assert_eq!(out, cached(7));
+    }
+
+    #[test]
+    fn a_recorded_failure_is_adopted_not_rerun() {
+        let adopted = settled_under_a_waiter(|owner| owner.fail());
+        assert!(matches!(adopted, Some(Claim::Failed)));
+    }
+
+    #[test]
+    fn a_dropped_owner_unclaims_the_key() {
+        let adopted = settled_under_a_waiter(|owner| drop(owner));
+        assert!(adopted.is_none(), "the next claimant owns the key");
+        let book = ProfileBook::new();
+        let key = key("poisoned");
+        drop(owner(&book, &key));
+        owner(&book, &key).record(profile(cached(1), None));
+        assert!(matches!(book.claim(&key), Claim::Produced(_)));
+    }
+
+    /// One owner per key: its write trace is the only one the book holds
+    /// for the key, settled by the replay or released by
+    /// `reservation_scope` — a second trace of the key adopts, so no
+    /// duplicate's reservation is ever taken.
+    #[test]
+    fn an_owners_trace_is_settled_by_the_replay_or_released() {
+        use crate::executor::{Executor, MemoryCache};
+        use crate::parallel::ParallelismPolicy;
         let root = ChunkStore::in_memory_small();
         let t = root.for_tenant(TenantId(1));
         root.tenant_accounts()
             .register(TenantId(1), QuotaPolicy::logical(1_000_000));
-        let book = ProfileBook::new();
-        let key = CacheKey {
-            component: ComponentKey::new("c", SemVer::master(0, 0)),
-            inputs: vec![],
-        };
-        let profile = |data: &[u8]| {
-            let (put, trace) = t.put_blob_traced(ObjectKind::Output, data).unwrap();
-            StageProfile {
-                cached: CachedOutput {
-                    object: put.object,
-                    artifact_id: put.object.id,
-                    schema: Schema::FeatureMatrix {
-                        dim: 2,
-                        n_classes: 2,
-                    }
-                    .id(),
-                    score: None,
-                },
-                artifact_bytes: data.len() as u64,
-                exec_ns: 1,
-                write: Some(trace),
-            }
-        };
         let accounts = root.tenant_accounts();
-        assert!(book
-            .record_profile(key.clone(), profile(b"racing twin"))
-            .is_none());
-        let lost = book
-            .record_profile(key.clone(), profile(b"racing twin"))
-            .expect("second writer is rejected");
-        assert_eq!(accounts.open_reservations(), 2);
-        t.release_trace(lost.write.as_ref().unwrap());
-        assert_eq!(accounts.open_reservations(), 1, "duplicate released");
-        // The kept profile's reservation is the abort path's business.
-        book.release_reservations(&t);
-        assert_eq!(accounts.open_reservations(), 0);
-        assert_eq!(accounts.usage(TenantId(1)).logical_bytes, 0);
+        let (exec, cache, p) = (Executor::new(&t), MemoryCache::new(), chain(0));
+        for replayed in [false, true] {
+            let book = ProfileBook::new();
+            let report = book.reservation_scope(&t, || {
+                for _ in 0..2 {
+                    exec.trace(&p, &cache, &book, ParallelismPolicy::Sequential, None)?;
+                }
+                assert_eq!(accounts.open_reservations(), 3, "one per key");
+                if !replayed {
+                    return Ok(None);
+                }
+                let (mut cursor, ledger) = (book.replay_cursor(), ClockLedger::new());
+                replay_run(&t, &p, &book, None, &mut cursor, &ledger, None).map(Some)
+            });
+            assert_eq!(accounts.open_reservations(), 0);
+            let usage = accounts.usage(TenantId(1)).logical_bytes;
+            match report.unwrap() {
+                Some(report) => {
+                    assert_eq!(report.executed_count(), 3);
+                    assert!(usage > 0, "the replay settled the owner's traces");
+                }
+                None => assert_eq!(usage, 0, "the scope released them"),
+            }
+        }
     }
 
     /// `reservation_scope` releases unsettled traces on every exit path —
@@ -481,28 +610,7 @@ mod tests {
         let accounts = root.tenant_accounts();
         let record = |book: &ProfileBook, tag: &[u8]| {
             let (_, trace) = t.put_blob_traced(ObjectKind::Output, tag).unwrap();
-            let rejected = book.record_profile(
-                CacheKey {
-                    component: ComponentKey::new("c", SemVer::master(0, 0)),
-                    inputs: vec![],
-                },
-                StageProfile {
-                    cached: CachedOutput {
-                        object: ObjectRef::null(ObjectKind::Output),
-                        artifact_id: Hash256::ZERO,
-                        schema: Schema::FeatureMatrix {
-                            dim: 2,
-                            n_classes: 2,
-                        }
-                        .id(),
-                        score: None,
-                    },
-                    artifact_bytes: tag.len() as u64,
-                    exec_ns: 1,
-                    write: Some(trace),
-                },
-            );
-            assert!(rejected.is_none());
+            owner(book, &key("c")).record(profile(cached(0), Some(trace)));
         };
         // Success path: an unreplayed trace (e.g. a sibling past a dynamic
         // failure frontier in a run reported as Ok(Failed)) is released.

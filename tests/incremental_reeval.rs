@@ -15,7 +15,7 @@ use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::{ExecOptions, Executor};
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::provenance::{FrontierCut, Incremental};
+use mlcask_pipeline::provenance::FrontierCut;
 use mlcask_pipeline::replay::ProfileBook;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::backend::{MemBackend, StorageBackend};
@@ -180,17 +180,13 @@ fn data_artifact_change_invalidates_the_frontier() {
     let run = |keys: &[ComponentKey]| {
         let bound = p.reg.bind(&dag, keys).unwrap();
         let cut = FrontierCut::of(&bound, |fp| snapshot.get(fp).cloned()).unwrap();
-        let inc = Incremental {
-            cut: &cut,
-            gate: None,
-        };
         executor
             .trace(
                 &bound,
                 &p.history,
                 &ProfileBook::new(),
                 ParallelismPolicy::Sequential,
-                Some(&inc),
+                Some(&cut),
             )
             .unwrap()
     };
