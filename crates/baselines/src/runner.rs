@@ -17,7 +17,8 @@ use mlcask_core::system::MlCask;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::BoundPipeline;
-use mlcask_pipeline::executor::{ExecOptions, Executor, MemoryCache, RunOutcome};
+use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_storage::chunk::ChunkParams;
 use mlcask_storage::costmodel::StorageCostModel;
 use mlcask_storage::store::ChunkStore;
@@ -171,7 +172,7 @@ fn run_linear_baseline(
         StorageCostModel::FREE,
     );
     let executor = Executor::new(&store);
-    let cache = MemoryCache::new();
+    let history = HistoryIndex::new();
     let dag = Arc::new(workload.dag());
     let handle_for = |key: &ComponentKey| {
         workload
@@ -202,13 +203,7 @@ fn run_linear_baseline(
         }
         let components = keys.iter().map(&handle_for).collect();
         let bound = BoundPipeline::new(Arc::clone(&dag), components)?;
-        let cache_ref = if options.reuse { Some(&cache) } else { None };
-        let report = executor.run(
-            &bound,
-            &clock,
-            cache_ref.map(|c| c as &dyn mlcask_pipeline::executor::OutputCache),
-            options,
-        )?;
+        let report = executor.run(&bound, &clock, options.reuse.then_some(&history), options)?;
         // Output archiving per policy.
         for stage in &report.stages {
             if stage.reused {

@@ -11,7 +11,7 @@
 //! | Paper section | Module |
 //! |---|---|
 //! | Repositories (§III) | [`registry`] |
-//! | Reusable outputs / challenge C1 (§IV) | [`history`] |
+//! | Reusable outputs / challenge C1 (§IV) | [`mlcask_pipeline::history`] |
 //! | Search space `S(f)` (§V) | [`search_space`] |
 //! | Compatibility LUT / PC (§VI-A) | [`search_space`] |
 //! | Pipeline search tree, Algorithm 1 (§V, Fig. 4) | [`tree`] |
@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod errors;
-pub mod history;
 pub mod merge;
 pub mod prioritized;
 pub mod registry;
@@ -60,7 +59,6 @@ pub mod workspace;
 /// Common imports for downstream crates.
 pub mod prelude {
     pub use crate::errors::{CoreError, Result as CoreResult};
-    pub use crate::history::HistoryIndex;
     pub use crate::merge::{CandidateRecord, MergeEngine, MergeSearchReport, MergeStrategy};
     pub use crate::prioritized::{
         PrioritizedSearcher, RankStats, SearchMethod, SearchedCandidate, TrialResult, TrialStats,
@@ -70,5 +68,6 @@ pub mod prelude {
     pub use crate::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
     pub use crate::tree::{NodeState, SearchTree, StateCounts, TreeNode};
     pub use crate::workspace::{Tenant, Workspace};
+    pub use mlcask_pipeline::history::HistoryIndex;
     pub use mlcask_storage::tenant::ShareRight;
 }

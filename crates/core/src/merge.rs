@@ -15,7 +15,6 @@
 //!   shown in §V to be both failure-prone and metric-blind.
 
 use crate::errors::Result;
-use crate::history::HistoryIndex;
 use crate::registry::ComponentRegistry;
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
@@ -24,6 +23,7 @@ use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{Executor, RunReport};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, Publication};
@@ -159,8 +159,8 @@ impl<'a> MergeEngine<'a> {
     /// so the returned report (records, scores, virtual end-times, storage
     /// accounting) is identical whatever the worker count. With the
     /// incremental fast path on, history-backed strategies first cut every
-    /// candidate against the provenance index: a candidate every node of
-    /// which is a provenance hit is a lookup — its report is the cut's
+    /// candidate against the history's fingerprints: a candidate every node
+    /// of which is a fingerprint hit is a lookup — its report is the cut's
     /// ([`FrontierCut::report`]), in its place in candidate order — and
     /// only the others go through the two phases.
     ///
@@ -258,18 +258,18 @@ impl<'a> MergeEngine<'a> {
             from_scratch = history.decoded_only();
             &from_scratch
         };
-        // Each candidate's frontier cut, once, against the live provenance
-        // index — all of them before any candidate is traced, so this
+        // Each candidate's frontier cut, once, against the live history's
+        // fingerprints — all of them before any candidate is traced, so this
         // search's own checkpoints cannot move a cut. A cut covering the
         // whole candidate is its report (see `FrontierCut::report`): such a
         // candidate is neither traced nor replayed, which is what its trace
         // and replay would have amounted to. Only the rest are evaluated.
-        let provenance = (use_history && self.incremental).then(|| history.provenance());
+        let cutting = use_history && self.incremental;
         let cuts: Vec<Option<FrontierCut>> = bound
             .iter()
             .map(|pipeline| {
-                provenance
-                    .map(|index| FrontierCut::of(pipeline, |fp| index.get(fp)))
+                cutting
+                    .then(|| FrontierCut::of(pipeline, history))
                     .transpose()
             })
             .collect::<std::result::Result<_, _>>()?;

@@ -17,7 +17,6 @@
 //! and publishes nothing.
 
 use crate::errors::Result;
-use crate::history::HistoryIndex;
 use crate::registry::ComponentRegistry;
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{NodeState, SearchTree};
@@ -26,6 +25,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{Executor, TracedOutcome};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor};
@@ -336,7 +336,6 @@ impl<'a> PrioritizedSearcher<'a> {
             // Candidates cut against the base history, which no trial
             // writes, so a cut never depends on how far other trials have
             // got.
-            let base = base_history.provenance();
             let executor = Executor::new(self.registry.store());
             let mut states: Vec<TrialState> = seeds
                 .iter()
@@ -365,7 +364,7 @@ impl<'a> PrioritizedSearcher<'a> {
                 // leftover workers run each candidate's DAG wavefront.
                 let (outer, inner) = self.parallelism.split(picks.len());
                 let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline)| {
-                    let cut = FrontierCut::of(pipeline, |fp| base.get(fp))?;
+                    let cut = FrontierCut::of(pipeline, base_history)?;
                     executor.trace(pipeline, base_history, &book, inner, Some(&cut))
                 });
                 // Record phase: fold results back in trial order.

@@ -10,7 +10,6 @@
 //! which applies the one access rule at the write.
 
 use crate::errors::{CoreError, Result};
-use crate::history::HistoryIndex;
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use crate::registry::ComponentRegistry;
 use crate::search_space::SearchSpaces;
@@ -19,6 +18,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::provenance::FrontierCut;
@@ -253,8 +253,8 @@ impl MlCask {
     /// *peer's* branch, which has no caller-facing name in this system's
     /// namespace. A run the precheck rejects (or that fails) commits nothing.
     ///
-    /// With incremental re-evaluation on, a pipeline the live provenance
-    /// index resolves end to end — a warm commit, a fast-forward, a merge
+    /// With incremental re-evaluation on, a pipeline the live history's
+    /// fingerprints resolve end to end — a warm commit, a fast-forward, a merge
     /// winner the search just evaluated — is not run: its report is the
     /// cut's ([`FrontierCut::report`]), and there is nothing new to publish.
     fn run_and_commit(
@@ -266,9 +266,8 @@ impl MlCask {
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
         let bound = self.bind(keys)?;
-        let provenance = self.history().provenance();
         let known = if self.incremental {
-            FrontierCut::of(&bound, |fp| provenance.get(fp))?.report(&bound)
+            FrontierCut::of(&bound, self.history())?.report(&bound)
         } else {
             None
         };
@@ -633,7 +632,11 @@ mod tests {
         assert_eq!(meta.label, "master.0");
         assert_eq!(meta.slots.len(), 3);
         assert!(meta.score.is_some());
-        assert_eq!(f.sys.history().len(), 3, "three checkpoints recorded");
+        assert_eq!(
+            f.sys.history().snapshot().len(),
+            3,
+            "three checkpoints recorded"
+        );
     }
 
     #[test]

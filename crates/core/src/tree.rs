@@ -10,10 +10,10 @@
 //!   parent's output schema (PC, §VI-A);
 //! * **Feasible** (orange) — remaining nodes that must be executed.
 
-use crate::history::HistoryIndex;
 use crate::search_space::{CompatLut, SearchSpaces};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::executor::{CacheKey, CachedOutput};
+use mlcask_pipeline::history::HistoryIndex;
 use serde::{Deserialize, Serialize};
 
 /// Node classification mirroring Fig. 4's colours.

@@ -42,10 +42,10 @@
 //! private workspace under the hood, so existing callers are unaffected.
 
 use crate::errors::{CoreError, Result};
-use crate::history::HistoryIndex;
 use crate::registry::ComponentRegistry;
 use crate::system::{BranchRef, MlCask};
 use mlcask_pipeline::dag::PipelineDag;
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::metafile::PipelineMetafile;
 use mlcask_storage::commit::{Commit, CommitGraph, GraphView};
 use mlcask_storage::errors::StorageError;

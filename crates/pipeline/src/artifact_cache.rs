@@ -5,9 +5,9 @@
 //! parse costs more than most components take to run. A merge search reloads
 //! the same few checkpoints once per candidate, usually minutes after this
 //! very process produced them. The executor therefore offers every artifact
-//! it produces or decodes to the [`OutputCache`](crate::executor::OutputCache)
-//! it runs against, and asks it before going to the store; the workspace's
-//! history index answers from one of these.
+//! it produces or decodes to the [`HistoryIndex`](crate::history::HistoryIndex)
+//! it runs against, and asks it before going to the store; each history
+//! owns one of these, shared with its `decoded_only` views.
 //!
 //! Like the blob cache underneath ([`mlcask_storage::cache`]) it is keyed by
 //! content address, so a hit can only change where an artifact comes from,
@@ -36,7 +36,7 @@ use std::sync::Arc;
 const BUDGET_BYTES: u64 = 64 << 20;
 
 /// See the [module docs](self).
-pub struct ArtifactCache {
+pub(crate) struct ArtifactCache {
     ring: Mutex<ClockRing<Arc<Artifact>>>,
     budget: u64,
     hits: Counter,
@@ -83,7 +83,7 @@ impl ArtifactCache {
     }
 
     /// The decoded artifact stored in blob `blob`, if held.
-    pub fn get(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
+    pub(crate) fn get(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
         let found = self.ring.lock().get(blob);
         match &found {
             Some(_) => self.hits.inc(),
@@ -99,7 +99,7 @@ impl ArtifactCache {
     }
 
     /// Offers the decoded form of blob `blob`.
-    pub fn insert(&self, blob: Hash256, artifact: &Arc<Artifact>) {
+    pub(crate) fn insert(&self, blob: Hash256, artifact: &Arc<Artifact>) {
         let weight = artifact.byte_len();
         let mut ring = self.ring.lock();
         let inserted = ring.insert(blob, Arc::clone(artifact), weight, self.budget);

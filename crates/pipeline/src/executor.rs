@@ -5,7 +5,7 @@
 //! shares; the *policies* differ per system and are expressed through
 //! [`ExecOptions`]:
 //!
-//! * `reuse` — consult an [`OutputCache`] before running a component
+//! * `reuse` — consult the [`HistoryIndex`] before running a component
 //!   (MLCask and MLflow do; ModelDB does not).
 //! * `precheck` — statically verify schema compatibility before running
 //!   anything (MLCask does; the baselines discover incompatibility only
@@ -16,19 +16,21 @@
 //! There is one engine. [`Executor::trace`] executes a pipeline's nodes for
 //! their results only — inline on the caller's thread at one worker, on a
 //! pool above that — recording execution profiles and write traces, and
-//! only reading the [`OutputCache`] it is given; [`Executor::run`] is
+//! only reading the [`HistoryIndex`] it is given; [`Executor::run`] is
 //! `trace` followed by the accounting replay in canonical topological order
 //! (see [`crate::replay`]), so what a run charges never depends on how it
 //! was scheduled. Every component output is archived: the replay charges
-//! storage from the write traces, and publishes the checkpoints it charged.
+//! storage from the write traces, and publishes the checkpoints it charged
+//! into the history (`HistoryIndex::publish` is its one write).
 
 use crate::artifact::Artifact;
 use crate::clock::ClockLedger;
 use crate::component::{ComponentHandle, ComponentKey, StageKind};
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
-use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
-use crate::provenance::{schedulable, FrontierCut, ProvenanceIndex};
+use crate::history::HistoryIndex;
+use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
+use crate::provenance::{schedulable, FrontierCut};
 use crate::replay::{replay_run, CacheSnapshot, Claim, ProfileBook, Publication, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
@@ -63,73 +65,10 @@ pub struct CachedOutput {
     pub score: Option<Score>,
 }
 
-/// Reusable-output index consulted by the executor.
-pub trait OutputCache: Send + Sync {
-    /// Looks up a checkpoint.
-    fn lookup(&self, key: &CacheKey) -> Option<CachedOutput>;
-    /// Records a checkpoint. Only the accounting replay's publication calls
-    /// this (see [`crate::replay::replay_run`]).
-    fn insert(&self, key: CacheKey, value: CachedOutput);
-
-    /// The provenance index paired with this cache, if it keeps one: the
-    /// replay records each checkpoint it publishes there under its
-    /// fingerprint, after inserting it here (the pairing invariant of
-    /// [`crate::provenance`]).
-    fn paired_provenance(&self) -> Option<&ProvenanceIndex> {
-        None
-    }
-
-    /// The artifact stored in checkpoint blob `blob`, already decoded, if
-    /// this cache keeps decoded artifacts (see [`crate::artifact_cache`]).
-    /// The executor asks before fetching and parsing the blob.
-    fn decoded(&self, _blob: &Hash256) -> Option<Arc<Artifact>> {
-        None
-    }
-
-    /// Offers the decoded form of checkpoint blob `blob`: the executor
-    /// calls this with every artifact it produces or parses.
-    fn keep_decoded(&self, _blob: Hash256, _artifact: &Arc<Artifact>) {}
-}
-
-/// Sharded in-memory [`OutputCache`] safe for concurrent pipeline runs:
-/// independent shard locks keep parallel executors from serializing on one
-/// cache-wide lock.
-#[derive(Default)]
-pub struct MemoryCache {
-    map: ShardedMap<CacheKey, CachedOutput>,
-}
-
-impl MemoryCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of checkpoints.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no checkpoints recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl OutputCache for MemoryCache {
-    fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
-        self.map.get(key)
-    }
-
-    fn insert(&self, key: CacheKey, value: CachedOutput) {
-        self.map.insert(key, value);
-    }
-}
-
 /// Execution policy knobs distinguishing MLCask from the baselines.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Consult the output cache and skip already-executed components.
+    /// Consult the checkpoint history and skip already-executed components.
     pub reuse: bool,
     /// Statically verify schema compatibility before executing anything.
     pub precheck: bool,
@@ -346,10 +285,11 @@ impl<'s> Executor<'s> {
     /// Runs a bound pipeline under the given policy, charging `ledger`:
     /// [`Executor::trace`]'s node execution, then the accounting replay in
     /// canonical topological order, which publishes the stages it charged
-    /// as executed into `cache` — at every worker count and DAG shape, so
-    /// the report, ledger charges, store statistics, and cache side-state
-    /// are byte-identical however the nodes were scheduled (see
-    /// [`crate::replay`]).
+    /// as executed into the `history`, checkpoints with their fingerprints
+    /// — at every worker count and DAG shape, so the report, ledger
+    /// charges, store statistics, and history are byte-identical however
+    /// the nodes were scheduled (see [`crate::replay`]). Without a history
+    /// nothing is looked up or published.
     ///
     /// The ledger is taken by shared reference — charging is atomic — so
     /// many executor runs may account concurrently, each into its own
@@ -363,12 +303,12 @@ impl<'s> Executor<'s> {
     /// DAGs) surface as `Err`. They strike while nodes execute, before the
     /// replay charges anything, so an aborted run leaves no trace: nothing
     /// is charged to the ledger or the tenant, no reservation stays open,
-    /// and `cache` receives no checkpoint.
+    /// and the `history` receives no checkpoint.
     pub fn run(
         &self,
         pipeline: &BoundPipeline,
         ledger: &ClockLedger,
-        cache: Option<&dyn OutputCache>,
+        history: Option<&HistoryIndex>,
         options: ExecOptions,
     ) -> Result<RunReport> {
         // One pass over the declared schemas serves both the precheck and
@@ -396,8 +336,8 @@ impl<'s> Executor<'s> {
         // headroom back.
         book.reservation_scope(self.store, || {
             // Lookups respect the reuse policy; the replay publishes into
-            // `cache` whatever it charged as executed, whatever the policy.
-            let lookup = if options.reuse { cache } else { None };
+            // `history` whatever it charged as executed, whatever the policy.
+            let lookup = if options.reuse { history } else { None };
             self.trace_nodes(
                 pipeline,
                 order,
@@ -415,7 +355,7 @@ impl<'s> Executor<'s> {
                 options.reuse.then_some(&mut created),
                 &mut book.replay_cursor(),
                 ledger,
-                cache.map(|index| Publication {
+                history.map(|index| Publication {
                     index,
                     fingerprints: None,
                 }),
@@ -432,7 +372,7 @@ impl<'s> Executor<'s> {
     ///
     /// This is phase 1 of the evaluation protocol (see [`crate::replay`]):
     /// many traces may execute concurrently against one `book`, which is
-    /// all they write — `cache` is only read. Each `(component, inputs)`
+    /// all they write — `history` is only read. Each `(component, inputs)`
     /// key executes at most once per book: a node whose key another trace
     /// of the same book is executing, or already executed, adopts that
     /// execution's outcome ([`ProfileBook::claim`]), which hoists prefixes
@@ -446,7 +386,7 @@ impl<'s> Executor<'s> {
     /// [`FrontierCut`] of this pipeline, computed before its search traced
     /// anything — only the dirty region below it is scheduled.
     /// Frontier-skipped nodes are recorded in `book` as found, so the
-    /// replay still charges them as *reused*, and by the provenance pairing
+    /// replay still charges them as *reused*, and by the history's pairing
     /// invariant a full re-evaluation would have found the same outputs
     /// under their `CacheKey`s: reports, ledgers, and tenant accounting
     /// stay byte-identical to it. A cut that covers the whole pipeline
@@ -459,14 +399,15 @@ impl<'s> Executor<'s> {
     pub fn trace(
         &self,
         pipeline: &BoundPipeline,
-        cache: &dyn OutputCache,
+        history: &HistoryIndex,
         book: &ProfileBook,
         policy: ParallelismPolicy,
         cut: Option<&FrontierCut>,
     ) -> Result<TracedOutcome> {
         let order = pipeline.dag.topo_order()?;
         let fail_at = pipeline.static_failure_node()?;
-        let traced = self.trace_nodes(pipeline, order, fail_at, Some(cache), book, policy, cut)?;
+        let traced =
+            self.trace_nodes(pipeline, order, fail_at, Some(history), book, policy, cut)?;
         // The final score is the last score in canonical topological order.
         let mut score: Option<Score> = None;
         if !traced.failed {
@@ -483,29 +424,29 @@ impl<'s> Executor<'s> {
     }
 
     /// A checkpointed output as an in-memory artifact (results only; the
-    /// replay charges the read in canonical order): from `cache`'s decoded
+    /// replay charges the read in canonical order): from `history`'s decoded
     /// artifacts when it holds this blob, else fetched from the store,
-    /// parsed, and offered to `cache` so the next consumer — another merge
-    /// candidate, a later commit — does neither.
+    /// parsed, and offered to `history` so the next consumer — another
+    /// merge candidate, a later commit — does neither.
     fn materialise(
         &self,
         checkpoint: &CachedOutput,
-        cache: Option<&dyn OutputCache>,
+        history: Option<&HistoryIndex>,
     ) -> Result<Arc<Artifact>> {
         use mlcask_storage::errors::StorageError;
         if checkpoint.object.is_null() {
             return Err(StorageError::NotFound(checkpoint.artifact_id).into());
         }
         let blob = checkpoint.object.id;
-        if let Some(held) = cache.and_then(|c| c.decoded(&blob)) {
+        if let Some(held) = history.and_then(|h| h.decoded(&blob)) {
             return Ok(held);
         }
         let bytes = self.store.get_blob(&checkpoint.object)?;
         let artifact =
             Artifact::from_bytes(&bytes).map_err(|e| StorageError::Codec(e.to_string()))?;
         let artifact = Arc::new(artifact);
-        if let Some(c) = cache {
-            c.keep_decoded(blob, &artifact);
+        if let Some(h) = history {
+            h.keep_decoded(blob, &artifact);
         }
         Ok(artifact)
     }
@@ -544,7 +485,7 @@ impl<'s> Executor<'s> {
         pipeline: &BoundPipeline,
         order: &[usize],
         fail_at: Option<usize>,
-        lookup: Option<&dyn OutputCache>,
+        lookup: Option<&HistoryIndex>,
         book: &ProfileBook,
         policy: ParallelismPolicy,
         cut: Option<&FrontierCut>,
@@ -654,7 +595,7 @@ impl<'s> Executor<'s> {
                     inputs: input_ids,
                 };
 
-                if let Some(hit) = lookup.and_then(|cache| cache.lookup(&key)) {
+                if let Some(hit) = lookup.and_then(|history| history.get(&key)) {
                     book.record_found(key, hit.clone());
                     *slots[node].lock() = Some(WaveSlot {
                         cached: hit,
@@ -735,8 +676,8 @@ impl<'s> Executor<'s> {
                             schema: artifact.schema(),
                             score: artifact.score(),
                         };
-                        if let Some(c) = lookup {
-                            c.keep_decoded(cached.object.id, &artifact);
+                        if let Some(h) = lookup {
+                            h.keep_decoded(cached.object.id, &artifact);
                         }
                         let profile = StageProfile {
                             cached: cached.clone(),
@@ -810,7 +751,6 @@ impl<'s> Executor<'s> {
 mod tests {
     use super::*;
     use crate::artifact::codec_log;
-    use crate::artifact_cache::ArtifactCache;
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
@@ -863,7 +803,7 @@ mod tests {
     fn reuse_skips_execution_on_second_run() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let clock = ClockLedger::new();
         let p = pipeline(2.0, 3, 3);
         let first = exec
@@ -892,7 +832,7 @@ mod tests {
     fn partial_reuse_materialises_from_store() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let clock = ClockLedger::new();
         let p1 = pipeline(2.0, 3, 3);
         exec.run(&p1, &clock, Some(&cache), ExecOptions::MLCASK)
@@ -963,7 +903,7 @@ mod tests {
     fn no_reuse_policy_ignores_cache() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let clock = ClockLedger::new();
         let p = pipeline(2.0, 3, 3);
         exec.run(&p, &clock, Some(&cache), ExecOptions::RERUN_ALL)
@@ -1050,7 +990,7 @@ mod tests {
         store: &ChunkStore,
         pipeline: &BoundPipeline,
         ledger: &ClockLedger,
-        cache: Option<&dyn OutputCache>,
+        cache: Option<&HistoryIndex>,
         options: ExecOptions,
     ) -> Result<RunReport> {
         let order = pipeline.dag.topo_order()?;
@@ -1087,7 +1027,7 @@ mod tests {
 
             // Reuse path: checkpoint hit costs nothing to "run".
             if options.reuse {
-                if let Some(hit) = cache.and_then(|c| c.lookup(&key)) {
+                if let Some(hit) = cache.and_then(|c| c.get(&key)) {
                     stages.push(StageReport {
                         component: comp.key(),
                         stage: comp.stage(),
@@ -1232,39 +1172,6 @@ mod tests {
         }
     }
 
-    /// What `HistoryIndex` is to the engines: checkpoints, plus (with a
-    /// budget) the decoded-artifact cache behind [`OutputCache::decoded`].
-    struct TestCache {
-        checkpoints: MemoryCache,
-        decoded: Option<ArtifactCache>,
-    }
-
-    impl TestCache {
-        fn new(decoded_budget: Option<u64>) -> TestCache {
-            TestCache {
-                checkpoints: MemoryCache::new(),
-                decoded: decoded_budget.map(ArtifactCache::with_budget),
-            }
-        }
-    }
-
-    impl OutputCache for TestCache {
-        fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
-            self.checkpoints.lookup(key)
-        }
-        fn insert(&self, key: CacheKey, value: CachedOutput) {
-            self.checkpoints.insert(key, value)
-        }
-        fn decoded(&self, blob: &Hash256) -> Option<Arc<Artifact>> {
-            self.decoded.as_ref()?.get(blob)
-        }
-        fn keep_decoded(&self, blob: Hash256, artifact: &Arc<Artifact>) {
-            if let Some(decoded) = &self.decoded {
-                decoded.insert(blob, artifact);
-            }
-        }
-    }
-
     /// Room for every artifact a test makes.
     const ROOMY: u64 = 1 << 20;
     /// Room for two or three of the test artifacts (300–500 bytes each), so
@@ -1276,8 +1183,8 @@ mod tests {
     /// is `"none"`, `"cold"`, or `"warm"`: primed by a run of `primer` — a
     /// reference walk, or with a decoded-artifact cache of `decoded_budget`
     /// bytes the engine itself, so that the cache starts out holding what
-    /// the primer produced. The second value is the cache's
-    /// `[hits, misses, evictions]`.
+    /// the primer produced (`None` keeps no decoded artifacts). The second
+    /// value is the decoded-artifact cache's `[hits, misses, evictions]`.
     fn observe(
         subject: &BoundPipeline,
         primer: &BoundPipeline,
@@ -1287,7 +1194,7 @@ mod tests {
         decoded_budget: Option<u64>,
     ) -> (String, [u64; 3], RunOutcome) {
         let store = ChunkStore::in_memory_small();
-        let checkpoints = TestCache::new(decoded_budget);
+        let checkpoints = HistoryIndex::with_decoded_budget(decoded_budget.unwrap_or(0));
         if cache == "warm" {
             let ledger = ClockLedger::new();
             let primed = match decoded_budget {
@@ -1296,7 +1203,7 @@ mod tests {
             };
             assert!(primed.unwrap().outcome.is_completed());
         }
-        let cache_arg: Option<&dyn OutputCache> = (cache != "none").then_some(&checkpoints);
+        let cache_arg = (cache != "none").then_some(&checkpoints);
         let ledger = ClockLedger::new();
         let report = match workers {
             None => reference_run(&store, subject, &ledger, cache_arg, options),
@@ -1315,10 +1222,9 @@ mod tests {
             serde_json::to_string(&ledger.snapshot()).unwrap(),
             serde_json::to_string(&store.stats()).unwrap(),
             store.physical_bytes(),
-            checkpoints.checkpoints.len(),
+            checkpoints.snapshot().len(),
         );
-        let counts = checkpoints.decoded.map(|d| d.counts()).unwrap_or_default();
-        (observed, counts, report.outcome)
+        (observed, checkpoints.decoded_counts(), report.outcome)
     }
 
     /// The engine against the oracle, over every combination of DAG shape,
@@ -1457,7 +1363,7 @@ mod tests {
             for (w, workers) in [1, 2, 8].into_iter().enumerate() {
                 let rows = 100 + 3 * s + w;
                 let store = ChunkStore::in_memory_small();
-                let cache = TestCache::new(Some(ROOMY));
+                let cache = HistoryIndex::with_decoded_budget(ROOMY);
                 let options =
                     ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
                 let run = |model_inc| {
@@ -1487,7 +1393,7 @@ mod tests {
                     }
                 }
                 assert!(later.iter().all(|r| r.executed_count() == 1));
-                let [hits, misses, _] = cache.decoded.as_ref().unwrap().counts();
+                let [hits, misses, _] = cache.decoded_counts();
                 assert_eq!((hits, misses), (2, 0), "{shape} at {workers} workers");
             }
         }
@@ -1505,7 +1411,7 @@ mod tests {
             for (d, decoded_budget) in [None, Some(ROOMY)].into_iter().enumerate() {
                 let rows = 200 + 2 * w + d;
                 let store = ChunkStore::in_memory_small();
-                let cache = TestCache::new(decoded_budget);
+                let cache = HistoryIndex::with_decoded_budget(decoded_budget.unwrap_or(0));
                 // The earlier process: checkpoints land in the index, no
                 // artifact stays in memory.
                 let primer = private_pipeline("fan8", rows, 0);
@@ -1661,7 +1567,7 @@ mod tests {
     fn trace_twice(p: &BoundPipeline, held: Option<&Held>) -> String {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let (cache, book) = (MemoryCache::new(), ProfileBook::new());
+        let (cache, book) = (HistoryIndex::new(), ProfileBook::new());
         let trace = || {
             exec.trace(p, &cache, &book, ParallelismPolicy::Sequential, None)
                 .unwrap()
@@ -1719,7 +1625,7 @@ mod tests {
     fn diamond_wavefront_reuses_checkpoints() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let clock = ClockLedger::new();
         let model = TestModel {
             version: SemVer::initial(),

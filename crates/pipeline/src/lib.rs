@@ -14,7 +14,8 @@
 //! | Component / pipeline metafiles (§III) | [`metafile`] |
 //! | Components `y = f(x\|θ)` (Defs. 1, 3, 4) | [`component`] |
 //! | Pipeline DAG `G = (F, E)` (Defs. 1–2) | [`dag`] |
-//! | Execution, output archiving, reuse (§IV, C1) | [`executor`], [`artifact_cache`] |
+//! | Execution, output archiving (§IV) | [`executor`] |
+//! | Reusable outputs: checkpoints by key and fingerprint (§IV C1, §VI-B) | [`history`] |
 //! | Execution vs storage time split (§VII-B) | [`clock`] |
 //!
 //! Beyond the paper, this crate supplies the parallel-execution substrate:
@@ -34,12 +35,13 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod artifact_cache;
+mod artifact_cache;
 pub mod clock;
 pub mod component;
 pub mod dag;
 pub mod errors;
 pub mod executor;
+pub mod history;
 pub mod metafile;
 pub mod parallel;
 pub mod provenance;
@@ -58,14 +60,12 @@ pub mod prelude {
     pub use crate::dag::{BoundPipeline, PipelineDag};
     pub use crate::errors::{PipelineError, Result as PipelineResult};
     pub use crate::executor::{
-        CacheKey, CachedOutput, ExecOptions, Executor, MemoryCache, OutputCache, RunOutcome,
-        RunReport, StageReport,
+        CacheKey, CachedOutput, ExecOptions, Executor, RunOutcome, RunReport, StageReport,
     };
+    pub use crate::history::HistoryIndex;
     pub use crate::metafile::{DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot};
-    pub use crate::parallel::{map_indexed, run_dag, NodeVerdict, ParallelismPolicy, ShardedMap};
-    pub use crate::provenance::{
-        pipeline_fingerprints, FrontierCut, ProvenanceIndex, ProvenanceSnapshot,
-    };
+    pub use crate::parallel::{map_indexed, run_dag, NodeVerdict, ParallelismPolicy};
+    pub use crate::provenance::{pipeline_fingerprints, FrontierCut};
     pub use crate::replay::{
         replay_run, CacheSnapshot, ProfileBook, Publication, ReplayCursor, StageProfile,
     };

@@ -308,9 +308,8 @@ const MAP_SHARDS: usize = 16;
 
 /// A concurrent hash map split into independently locked shards, so many
 /// worker threads can look up and insert without serializing on one lock.
-/// Backs the executor's `MemoryCache`, the replay `ProfileBook`, and the
-/// core crate's `HistoryIndex`.
-pub struct ShardedMap<K, V> {
+/// Backs the replay's `ProfileBook` and both maps of the `HistoryIndex`.
+pub(crate) struct ShardedMap<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
 }
 
@@ -325,11 +324,6 @@ impl<K, V> Default for ShardedMap<K, V> {
 }
 
 impl<K: Eq + Hash, V> ShardedMap<K, V> {
-    /// Empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn shard_of(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -356,26 +350,12 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
-
-    /// True if no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Cloned value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<V> {
         self.get_with(key, V::clone)
-    }
-
-    /// Point-in-time copy of every value (unspecified order).
-    pub fn values(&self) -> Vec<V> {
-        let mut out = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            out.extend(s.read().values().cloned());
-        }
-        out
     }
 }
 
@@ -410,8 +390,8 @@ mod tests {
 
     #[test]
     fn sharded_map_basics() {
-        let m: ShardedMap<u32, String> = ShardedMap::new();
-        assert!(m.is_empty());
+        let m: ShardedMap<u32, String> = ShardedMap::default();
+        assert_eq!(m.len(), 0);
         for i in 0..100u32 {
             m.insert(i, i.to_string());
         }
@@ -424,7 +404,7 @@ mod tests {
 
     #[test]
     fn sharded_map_concurrent_inserts() {
-        let m: ShardedMap<u32, u32> = ShardedMap::new();
+        let m: ShardedMap<u32, u32> = ShardedMap::default();
         std::thread::scope(|s| {
             for t in 0..4u32 {
                 let m = &m;

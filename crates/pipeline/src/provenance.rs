@@ -12,15 +12,13 @@
 //!   — computable from the DAG alone, no artifact bytes and no execution.
 //!   Because components are deterministic (a documented [`crate::component::Component`]
 //!   contract), a node's fingerprint fully determines its output.
-//! * [`ProvenanceIndex`] maps fingerprints of already-evaluated sub-DAGs to
-//!   their [`CachedOutput`]s, alongside the existing `CacheKey` history.
-//!   Every fingerprint's output is also filed under its `CacheKey` in the
-//!   paired output cache — the **pairing invariant** — so a fingerprint hit
-//!   is what a full re-evaluation's lookup would have found. One function
-//!   writes both, in that order: the accounting replay's publication (see
-//!   [`crate::replay::replay_run`]).
+//! * The [`HistoryIndex`] files every published checkpoint under its
+//!   fingerprint as well as its `CacheKey`, the checkpoint first — the
+//!   **pairing invariant** — so a fingerprint hit is what a full
+//!   re-evaluation's lookup would have found. The accounting replay's
+//!   publication is its one writer (see [`crate::replay::replay_run`]).
 //! * [`FrontierCut`] cuts a pipeline at the deepest cached frontier: the
-//!   downward-closed set of nodes whose fingerprints hit the index. The
+//!   downward-closed set of nodes whose fingerprints hit the history. The
 //!   executor pre-fills those nodes' results, records them as found for
 //!   the accounting replay (which charges them as `reused`, exactly as a
 //!   full re-evaluation would), and schedules only the dirty region.
@@ -30,12 +28,12 @@
 //!   produce. Merge searches and commits answer such a pipeline by lookup
 //!   and hand only the rest to the executor.
 //!
-//! Every evaluation cuts against the live index, before phase 1 starts: a
+//! Every evaluation cuts against the live history, before phase 1 starts: a
 //! merge search cuts all its candidates before tracing any of them, and
 //! prioritized-search trials cut against the base history, which they
-//! never write. Tracing writes no index at all, so what a search executes
+//! never write. Tracing writes no history at all, so what a search executes
 //! can never move one of its own cuts, and the number of frontier-skipped
-//! nodes is deterministic for every worker count. The index only grows, so
+//! nodes is deterministic for every worker count. The history only grows, so
 //! a cut cannot be torn either: a checkpoint another writer lands meanwhile
 //! is simply found, by the cut or by a lookup.
 
@@ -43,10 +41,9 @@ use crate::component::ComponentKey;
 use crate::dag::BoundPipeline;
 use crate::errors::Result;
 use crate::executor::{CachedOutput, RunOutcome, RunReport, StageReport};
-use crate::parallel::ShardedMap;
+use crate::history::HistoryIndex;
 use mlcask_obs::{Counter, MetricsRegistry};
 use mlcask_storage::hash::Hash256;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Computes the provenance fingerprint of one node from its component key
@@ -77,58 +74,8 @@ pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
     Ok(fps)
 }
 
-/// Point-in-time copy of a [`ProvenanceIndex`].
-pub type ProvenanceSnapshot = HashMap<Hash256, CachedOutput>;
-
-/// Concurrent map from sub-DAG provenance fingerprints to checkpointed
-/// outputs. Sharded like the `CacheKey` history so parallel evaluators do
-/// not serialize on one lock.
-///
-/// **Pairing invariant**: every fingerprint's output is also filed under
-/// its `CacheKey` in the paired
-/// [`OutputCache`](crate::executor::OutputCache) — the replay's publication
-/// records an entry only after inserting it there. Incremental reports rely
-/// on "fingerprint hit ⟹ history hit" to stay byte-identical to full
-/// re-evaluation.
-#[derive(Default)]
-pub struct ProvenanceIndex {
-    map: ShardedMap<Hash256, CachedOutput>,
-}
-
-impl ProvenanceIndex {
-    /// Empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of fingerprinted checkpoints.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no fingerprints are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Records a fingerprinted checkpoint (see the pairing invariant above).
-    pub fn record(&self, fp: Hash256, output: CachedOutput) {
-        self.map.insert(fp, output);
-    }
-
-    /// Looks up the live index.
-    pub fn get(&self, fp: &Hash256) -> Option<CachedOutput> {
-        self.map.get(fp)
-    }
-
-    /// Point-in-time copy of every entry.
-    pub fn snapshot(&self) -> ProvenanceSnapshot {
-        self.map.to_hashmap()
-    }
-}
-
 /// A pipeline cut at its deepest cached frontier: the downward-closed set
-/// of nodes whose fingerprints hit a provenance lookup (a node counts as
+/// of nodes whose fingerprints hit the history (a node counts as
 /// cached only if all its predecessors are), restricted to nodes the
 /// scheduler would dispatch at all. Everything else is the *dirty region*
 /// the executor actually schedules.
@@ -143,22 +90,20 @@ pub struct FrontierCut {
 }
 
 impl FrontierCut {
-    /// Computes the cut of `pipeline` against a provenance lookup — the
-    /// live [`ProvenanceIndex`], read before the evaluation's phase 1
-    /// starts — over the nodes a run dispatches: those before the
-    /// pipeline's static failure frontier. Nodes at or beyond it are never
-    /// cached — a sequential run never reaches them, so skipping them would
-    /// change observables.
-    pub fn of(
-        pipeline: &BoundPipeline,
-        lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
-    ) -> Result<FrontierCut> {
+    /// Computes the cut of `pipeline` against the fingerprints of the live
+    /// `history` ([`HistoryIndex::by_fingerprint`]), read before the
+    /// evaluation's phase 1 starts, over the nodes a run dispatches: those
+    /// before the pipeline's static failure frontier. Nodes at or beyond it
+    /// are never cached — a sequential run never reaches them, so skipping
+    /// them would change observables.
+    pub fn of(pipeline: &BoundPipeline, history: &HistoryIndex) -> Result<FrontierCut> {
         let order = pipeline.dag.topo_order()?;
         let schedulable = schedulable(order, pipeline.static_failure_node()?);
-        Self::compute(pipeline, lookup, &schedulable)
+        Self::compute(pipeline, |fp| history.by_fingerprint(fp), &schedulable)
     }
 
-    /// [`FrontierCut::of`] over the nodes `schedulable` marks.
+    /// [`FrontierCut::of`] over the nodes `schedulable` marks, against any
+    /// fingerprint `lookup`.
     fn compute(
         pipeline: &BoundPipeline,
         lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
@@ -192,14 +137,14 @@ impl FrontierCut {
     /// when any node is dirty (or, degenerately, no stage carries a score).
     ///
     /// A full cut has no static failure (those nodes are never cut), and by
-    /// the pairing invariant every node's `CacheKey` hits the paired
-    /// history, so executing and replaying the pipeline would reuse every
+    /// the history's pairing invariant every node's `CacheKey` hits it too,
+    /// so executing and replaying the pipeline would reuse every
     /// stage: each reported `reused` at zero execution and storage cost,
     /// with the hit's output, artifact id and size, and the last score in
     /// topological order as the outcome — exactly what
     /// [`crate::replay::replay_run`] reports for it. Nothing is charged to
     /// a ledger, the store statistics or a tenant, and nothing is recorded
-    /// in any index, so answering the pipeline with this report instead is
+    /// in the history, so answering the pipeline with this report instead is
     /// unobservable.
     pub fn report(&self, pipeline: &BoundPipeline) -> Option<RunReport> {
         if self.skipped != self.cached.len() {
@@ -261,10 +206,11 @@ mod tests {
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
-    use crate::executor::{CacheKey, MemoryCache, OutputCache};
+    use crate::executor::CacheKey;
     use crate::schema::SchemaId;
     use crate::semver::SemVer;
     use mlcask_storage::object::{ObjectKind, ObjectRef};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn chain(model_version: SemVer) -> BoundPipeline {
@@ -324,7 +270,7 @@ mod tests {
     fn frontier_cut_is_downward_closed() {
         let p = chain(SemVer::master(0, 0));
         let fps = pipeline_fingerprints(&p).unwrap();
-        let mut snap = ProvenanceSnapshot::new();
+        let mut snap = HashMap::new();
         // Only the *middle* node cached: without its source it must stay
         // dirty (no way to reconstruct its CacheKey or inputs).
         snap.insert(fps[1], output(1));
@@ -342,7 +288,7 @@ mod tests {
     fn frontier_cut_respects_schedulable_mask() {
         let p = chain(SemVer::master(0, 0));
         let fps = pipeline_fingerprints(&p).unwrap();
-        let mut snap = ProvenanceSnapshot::new();
+        let mut snap = HashMap::new();
         for (i, fp) in fps.iter().enumerate() {
             snap.insert(*fp, output(i as u8));
         }
@@ -351,36 +297,16 @@ mod tests {
         assert_eq!(cut.skipped, 1, "unschedulable nodes never count as cached");
     }
 
-    /// A checkpoint cache with a paired provenance index, as the core
-    /// crate's history keeps one.
-    #[derive(Default)]
-    struct Paired {
-        checkpoints: MemoryCache,
-        provenance: ProvenanceIndex,
-    }
-
-    impl OutputCache for Paired {
-        fn lookup(&self, key: &CacheKey) -> Option<CachedOutput> {
-            self.checkpoints.lookup(key)
-        }
-        fn insert(&self, key: CacheKey, value: CachedOutput) {
-            self.checkpoints.insert(key, value)
-        }
-        fn paired_provenance(&self) -> Option<&ProvenanceIndex> {
-            Some(&self.provenance)
-        }
-    }
-
-    /// A run publishes what it executed into the paired index under each
-    /// stage's fingerprint, and each fingerprint's output under its
-    /// `CacheKey` too: the published pipeline cuts completely.
+    /// A run publishes what it executed into the history under each stage's
+    /// fingerprint, and each fingerprint's output under its `CacheKey` too:
+    /// the published pipeline cuts completely.
     #[test]
     fn a_run_publishes_its_fingerprints_beside_its_checkpoints() {
         use crate::clock::ClockLedger;
         use crate::executor::{ExecOptions, Executor};
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
-        let cache = Paired::default();
+        let cache = HistoryIndex::new();
         let run = |p: &BoundPipeline| {
             Executor::new(&store)
                 .run(p, &ClockLedger::new(), Some(&cache), ExecOptions::MLCASK)
@@ -392,23 +318,23 @@ mod tests {
         let fps = pipeline_fingerprints(&p).unwrap();
         let mut inputs = Vec::new();
         for (node, comp) in p.components().iter().enumerate() {
-            let out = cache.provenance.get(&fps[node]).expect("fingerprinted");
+            let out = cache.by_fingerprint(&fps[node]).expect("fingerprinted");
             let key = CacheKey {
                 component: comp.key(),
                 inputs,
             };
-            assert_eq!(cache.checkpoints.lookup(&key), Some(out.clone()));
+            assert_eq!(cache.get(&key), Some(out.clone()));
             inputs = vec![out.artifact_id];
         }
-        let cut = FrontierCut::of(&p, |fp| cache.provenance.get(fp)).unwrap();
+        let cut = FrontierCut::of(&p, &cache).unwrap();
         assert_eq!(cut.skipped, 3, "a published pipeline cuts completely");
         // A new model: only the stage it executes is published.
         assert_eq!(run(&chain(SemVer::master(0, 1))), 1);
-        assert_eq!((cache.checkpoints.len(), cache.provenance.len()), (4, 4));
+        assert_eq!((cache.snapshot().len(), cache.fingerprints().len()), (4, 4));
     }
 
     /// A full cut's report is the engine's report for the same pipeline
-    /// against the paired cache; a partial cut, or a static failure, has
+    /// against the same history; a partial cut, or a static failure, has
     /// none.
     #[test]
     fn a_full_cut_reports_what_the_engine_reports() {
@@ -416,8 +342,7 @@ mod tests {
         use crate::executor::{ExecOptions, Executor};
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
-        let cache = Paired::default();
-        let index = &cache.provenance;
+        let cache = HistoryIndex::new();
         let p = chain(SemVer::master(0, 0));
         let run = |p: &BoundPipeline| {
             let ledger = ClockLedger::new();
@@ -426,13 +351,10 @@ mod tests {
                 .unwrap();
             (report, ledger.snapshot().total_ns())
         };
-        assert!(FrontierCut::of(&p, |fp| index.get(fp))
-            .unwrap()
-            .report(&p)
-            .is_none());
+        assert!(FrontierCut::of(&p, &cache).unwrap().report(&p).is_none());
         let (cold, cold_ns) = run(&p);
         assert!(cold_ns > 0 && cold.executed_count() == 3);
-        let cut = FrontierCut::of(&p, |fp| index.get(fp)).unwrap();
+        let cut = FrontierCut::of(&p, &cache).unwrap();
         let known = cut.report(&p).expect("every node is indexed");
         let (warm, warm_ns) = run(&p);
         assert_eq!(warm_ns, 0);
@@ -442,7 +364,7 @@ mod tests {
         );
         // A new model: its prefix is known, the model is not.
         let q = chain(SemVer::master(0, 1));
-        let cut = FrontierCut::of(&q, |fp| index.get(fp)).unwrap();
+        let cut = FrontierCut::of(&q, &cache).unwrap();
         assert_eq!((cut.skipped, cut.report(&q).is_none()), (2, true));
         // A doomed model: nothing at or past the failure is ever cut.
         let doomed = {
@@ -454,7 +376,7 @@ mod tests {
             });
             BoundPipeline::new(Arc::clone(&p.dag), comps).unwrap()
         };
-        let cut = FrontierCut::of(&doomed, |fp| index.get(fp)).unwrap();
+        let cut = FrontierCut::of(&doomed, &cache).unwrap();
         assert_eq!((cut.skipped, cut.report(&doomed).is_none()), (2, true));
     }
 }

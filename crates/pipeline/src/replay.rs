@@ -18,7 +18,7 @@
 //!    profiles, and storage writes replayed chunk-by-chunk against a
 //!    simulated "not yet persisted" set ([`PutTrace::replay`]). Then it
 //!    **publishes** the stages it charged as executed, and only those,
-//!    into the caller's checkpoint index ([`Publication`]).
+//!    into the caller's [`HistoryIndex`] ([`Publication`]).
 //!
 //! The protocol is applied at two granularities:
 //!
@@ -53,13 +53,15 @@
 //! exactly when its blob has been charged: an evaluation that aborts
 //! publishes nothing, and outputs phase 1 persisted that the canonical
 //! order never charged (siblings past a dynamic failure) stay unreferenced,
-//! for `sweep_orphans` to reclaim. Publication is also the one place the
-//! **pairing invariant** of [`crate::provenance`] is kept.
+//! for `sweep_orphans` to reclaim. Its one write is
+//! `HistoryIndex::publish`, which keeps the history's **pairing
+//! invariant**: a fingerprint only after its checkpoint.
 
 use crate::clock::ClockLedger;
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
-use crate::executor::{CacheKey, CachedOutput, OutputCache, RunOutcome, RunReport, StageReport};
+use crate::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
+use crate::history::HistoryIndex;
 use crate::parallel::ShardedMap;
 use crate::provenance::pipeline_fingerprints;
 use mlcask_storage::hash::Hash256;
@@ -276,8 +278,8 @@ pub struct ReplayCursor {
     pub unseen: HashSet<Hash256>,
 }
 
-/// Checkpoint contents keyed like an `OutputCache`, used for the replay's
-/// sequential cache simulation.
+/// Checkpoints by `CacheKey`: the replay's sequential cache simulation, and
+/// a point-in-time copy of a [`HistoryIndex`].
 pub type CacheSnapshot = HashMap<CacheKey, CachedOutput>;
 
 struct ReplayNode {
@@ -287,11 +289,10 @@ struct ReplayNode {
 
 /// Where a replay publishes the stages it charged as executed.
 pub struct Publication<'a> {
-    /// The caller's checkpoint index.
-    pub index: &'a dyn OutputCache,
+    /// The caller's checkpoint history.
+    pub index: &'a HistoryIndex,
     /// The candidate's provenance fingerprints, taken from its frontier cut
-    /// when the caller has one; computed from the pipeline otherwise, if
-    /// the index has a provenance index to record them in.
+    /// when the caller has one; computed from the pipeline otherwise.
     pub fingerprints: Option<&'a [Hash256]>,
 }
 
@@ -308,13 +309,12 @@ pub struct Publication<'a> {
 ///   pipeline at all is the caller's decision, made before phase 1.
 /// * `cursor` — chunk-dedup state in replay order (shared across all
 ///   candidates of the search, in index order).
-/// * `publish` — the caller's checkpoint index, if any. After a replay that
-///   returns a report (completed or failed), every stage it charged as
-///   executed is inserted there — whatever the reuse policy — and then
-///   recorded under its fingerprint in the index's
-///   [`paired_provenance`](OutputCache::paired_provenance), if it has one.
-///   Nothing else inserts checkpoints, and a replay that errors publishes
-///   nothing.
+/// * `publish` — the caller's history, if any. After a replay that returns
+///   a report (completed or failed), every stage it charged as executed is
+///   published there — whatever the reuse policy — by
+///   `HistoryIndex::publish`: under its `CacheKey`, then under its
+///   fingerprint. This is the history's one writer, and a replay that
+///   errors publishes nothing.
 ///
 /// Charges land on `ledger`; stats deltas are recorded on `store`, both in
 /// canonical order.
@@ -448,19 +448,13 @@ pub fn replay_run(
         fingerprints,
     }) = publish
     {
-        let provenance = index.paired_provenance();
-        let computed = match (provenance, fingerprints) {
-            (Some(_), None) if !charged.is_empty() => pipeline_fingerprints(pipeline)?,
+        let computed = match fingerprints {
+            None if !charged.is_empty() => pipeline_fingerprints(pipeline)?,
             _ => Vec::new(),
         };
         let fingerprints = fingerprints.unwrap_or(&computed);
         for (node, key, cached) in charged {
-            // The pairing invariant of `crate::provenance`: a fingerprint
-            // is recorded only after its checkpoint.
-            index.insert(key, cached.clone());
-            if let Some(provenance) = provenance {
-                provenance.record(fingerprints[node], cached);
-            }
+            index.publish(key, fingerprints[node], cached);
         }
     }
     Ok(RunReport { stages, outcome })
@@ -565,14 +559,14 @@ mod tests {
     /// duplicate's reservation is ever taken.
     #[test]
     fn an_owners_trace_is_settled_by_the_replay_or_released() {
-        use crate::executor::{Executor, MemoryCache};
+        use crate::executor::Executor;
         use crate::parallel::ParallelismPolicy;
         let root = ChunkStore::in_memory_small();
         let t = root.for_tenant(TenantId(1));
         root.tenant_accounts()
             .register(TenantId(1), QuotaPolicy::logical(1_000_000));
         let accounts = root.tenant_accounts();
-        let (exec, cache, p) = (Executor::new(&t), MemoryCache::new(), chain(0));
+        let (exec, cache, p) = (Executor::new(&t), HistoryIndex::new(), chain(0));
         for replayed in [false, true] {
             let book = ProfileBook::new();
             let report = book.reservation_scope(&t, || {
@@ -665,10 +659,10 @@ mod tests {
     /// returns the reports and ledger, plus whether the book counts the
     /// shared source checkpoint as pre-existing.
     fn found_or_produced(phase1: [u32; 2], primer: Option<u32>) -> (String, bool) {
-        use crate::executor::{ExecOptions, Executor, MemoryCache};
+        use crate::executor::{ExecOptions, Executor};
         use crate::parallel::ParallelismPolicy;
         let store = ChunkStore::in_memory_small();
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let exec = Executor::new(&store);
         if let Some(model) = primer {
             let primed = exec.run(

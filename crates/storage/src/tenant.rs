@@ -289,17 +289,6 @@ impl TenantAccounts {
         Ok(())
     }
 
-    /// Checks whether a write of `logical_delta` logical and (an upper bound
-    /// of) `physical_delta` physical bytes would breach the tenant's quota,
-    /// counting both settled usage and open reservations.
-    pub fn check(&self, tenant: TenantId, logical_delta: u64, physical_delta: u64) -> Result<()> {
-        let st = self.state.read();
-        match st.tenants.get(&tenant) {
-            Some(state) => Self::quota_check(state, tenant, logical_delta, physical_delta),
-            None => Ok(()),
-        }
-    }
-
     /// Atomically checks the quota and reserves `logical`/`physical` bytes
     /// for an in-flight write. The physical amount is a conservative upper
     /// bound computed before the write; because every concurrent writer
@@ -500,23 +489,26 @@ mod tests {
                 physical_bytes: 30,
             },
         );
-        assert!(acc.check(A, 10, 10).is_ok());
+        // Within the cap on both axes: reserved, and released again so the
+        // next reservation sees the same headroom.
+        acc.release(acc.reserve(A, 10, 10).unwrap());
         assert!(matches!(
-            acc.check(A, 11, 0),
+            acc.reserve(A, 11, 0),
             Err(StorageError::QuotaExceeded {
                 resource: "logical bytes",
                 ..
             })
         ));
         assert!(matches!(
-            acc.check(A, 0, 11),
+            acc.reserve(A, 0, 11),
             Err(StorageError::QuotaExceeded {
                 resource: "physical bytes",
                 ..
             })
         ));
         // Unregistered tenants are unlimited.
-        assert!(acc.check(B, u64::MAX / 2, u64::MAX / 2).is_ok());
+        acc.release(acc.reserve(B, u64::MAX / 2, u64::MAX / 2).unwrap());
+        assert_eq!(acc.open_reservations(), 0);
     }
 
     #[test]

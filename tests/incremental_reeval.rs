@@ -4,7 +4,6 @@
 //! and cross-tenant accounting cannot move by a byte when a peer's cached
 //! prefix is reused.
 
-use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, MlCask};
@@ -14,6 +13,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::{ExecOptions, Executor};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::provenance::FrontierCut;
 use mlcask_pipeline::replay::ProfileBook;
@@ -176,10 +176,9 @@ fn data_artifact_change_invalidates_the_frontier() {
     let p = primed();
     let dag = Arc::new(p.w.dag());
     let executor = Executor::new(p.reg.store());
-    let snapshot = p.history.provenance().snapshot();
     let run = |keys: &[ComponentKey]| {
         let bound = p.reg.bind(&dag, keys).unwrap();
-        let cut = FrontierCut::of(&bound, |fp| snapshot.get(fp).cloned()).unwrap();
+        let cut = FrontierCut::of(&bound, &p.history).unwrap();
         executor
             .trace(
                 &bound,

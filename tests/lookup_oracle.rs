@@ -11,7 +11,6 @@
 //! {1, 2, 8}. It also pins that the path fires: a warm commit and a warm
 //! merge schedule nothing.
 
-use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
 use mlcask_core::registry::ComponentRegistry;
@@ -21,7 +20,7 @@ use mlcask_obs::{trace, MetricsRegistry};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
-use mlcask_pipeline::executor::OutputCache;
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_server::service::{Router, ServerOptions};
@@ -51,6 +50,18 @@ fn without_provenance(history: &HistoryIndex) -> HistoryIndex {
         copy.insert(key, output);
     }
     copy
+}
+
+/// The history's pairing invariant, seen from outside: every fingerprinted
+/// output is also one of its checkpoints.
+fn assert_paired(history: &HistoryIndex, what: &str) {
+    let checkpoints = history.snapshot();
+    for (fp, output) in history.fingerprints() {
+        assert!(
+            checkpoints.values().any(|c| *c == output),
+            "{what}: fingerprint {fp} has no checkpoint"
+        );
+    }
 }
 
 /// Records every observable of one commit or merge, with the ledger after it.
@@ -195,8 +206,12 @@ fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String
         serde_json::to_string(&store.stats()).unwrap(),
         store.physical_bytes(),
         store.tenant_accounts().open_reservations(),
-        down.sys.history().len(),
+        down.sys.history().snapshot().len(),
     ));
+    assert_paired(
+        down.sys.history(),
+        &format!("{} at {workers} workers, incremental {incremental}", w.name),
+    );
     (o.seen, trial_skips)
 }
 

@@ -11,7 +11,6 @@
 //! other; the engine is checked against an independent sequential walk by
 //! `mlcask_pipeline`'s executor unit tests.
 
-use mlcask_core::history::HistoryIndex;
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
 use mlcask_core::registry::ComponentRegistry;
@@ -21,6 +20,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::{ExecOptions, Executor};
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::store::ChunkStore;
@@ -93,7 +93,7 @@ fn run_search(
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&ledger.snapshot()).unwrap(),
         serde_json::to_string(&reg.store().stats()).unwrap(),
-        history.len(),
+        history.snapshot().len(),
     );
     (report, observables)
 }
@@ -213,7 +213,6 @@ mod dag {
     use mlcask_pipeline::component::{Component, ComponentHandle, StageKind};
     use mlcask_pipeline::dag::BoundPipeline;
     use mlcask_pipeline::errors::Result as PipelineResult;
-    use mlcask_pipeline::executor::MemoryCache;
     use mlcask_pipeline::schema::{Schema, SchemaId};
 
     const DIM: usize = 6;
@@ -435,7 +434,7 @@ mod dag {
         let p = fan_pipeline(join_out, model_in);
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let cache = MemoryCache::new();
+        let cache = HistoryIndex::new();
         let ledger = ClockLedger::new();
         let options = ExecOptions::RERUN_ALL.with_parallelism(policy);
         let first = exec.run(&p, &ledger, Some(&cache), options).unwrap();
@@ -447,7 +446,7 @@ mod dag {
             serde_json::to_string(&ledger.snapshot()).unwrap(),
             serde_json::to_string(&store.stats()).unwrap(),
             store.physical_bytes(),
-            cache.len(),
+            cache.snapshot().len(),
         )
     }
 
@@ -498,7 +497,7 @@ mod dag {
             serde_json::to_string(&meta).unwrap(),
             serde_json::to_string(&clock.snapshot()).unwrap(),
             serde_json::to_string(&reg.store().stats()).unwrap(),
-            sys.history().len(),
+            sys.history().snapshot().len(),
         )
     }
 

@@ -182,7 +182,7 @@ fn re_recording_a_warm_run_leaves_both_indexes_unchanged() {
     };
     let snapshots = || {
         let history = sys.history();
-        (history.provenance().snapshot(), history.snapshot())
+        (history.fingerprints(), history.snapshot())
     };
     // One round of fork, diverge, merge: trains every candidate.
     let round = |dev: &str| {

@@ -206,7 +206,7 @@ fn quota_breach_aborts_commit_and_search_without_corrupting_graph() {
 /// checkpoint history, the provenance index, and the commit graph.
 fn commit_footprint(ws: &Arc<Workspace>, t: &Tenant) -> String {
     let accounts = ws.store().tenant_accounts();
-    let mut provenance: Vec<Hash256> = ws.history().provenance().snapshot().into_keys().collect();
+    let mut provenance: Vec<Hash256> = ws.history().fingerprints().into_keys().collect();
     provenance.sort();
     format!(
         "usages={} reserved={:?} open={} stats={} history={} provenance={provenance:?} commits={}",
@@ -214,7 +214,7 @@ fn commit_footprint(ws: &Arc<Workspace>, t: &Tenant) -> String {
         accounts.reserved(t.id()),
         accounts.open_reservations(),
         serde_json::to_string(&ws.store().stats()).unwrap(),
-        ws.history().len(),
+        ws.history().snapshot().len(),
         ws.graph().len(),
     )
 }
@@ -364,6 +364,13 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
                 "{cell}: the breach must follow a persisted model"
             );
             assert_eq!(commit_footprint(&ws, &t), before, "{cell}");
+            let checkpoints = ws.history().snapshot();
+            for (fp, output) in ws.history().fingerprints() {
+                assert!(
+                    checkpoints.values().any(|c| *c == output),
+                    "{cell}: fingerprint {fp} has no checkpoint"
+                );
+            }
             // What phase 1 persisted was never charged, and nothing refers
             // to it: the sweep restores byte-level parity.
             ws.sweep_orphans().unwrap();
@@ -792,7 +799,7 @@ fn multi_tenant_workload_deterministic_across_worker_counts() {
             serde_json::to_string(&ws.shared_view()).unwrap(),
             serde_json::to_string(&ws.store().stats()).unwrap(),
             ws.store().physical_bytes(),
-            ws.history().len(),
+            ws.history().snapshot().len(),
             teams
                 .iter()
                 .map(|t| serde_json::to_string(&t.sys.head_metafile("master").unwrap()).unwrap())
