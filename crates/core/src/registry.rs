@@ -6,6 +6,16 @@
 //! *stored* side is a simulated executable payload archived in the chunk
 //! store so library-storage accounting (Fig. 7's dedup advantage on library
 //! versions) behaves like the real system.
+//!
+//! One path archives executables, [`ComponentRegistry::register_many`]
+//! (`register` is a batch of one). A batch synthesises a library's base
+//! region once for a run of its versions, in one reused buffer. The
+//! repository is shared the way the paper shares it: the tenant registries
+//! of one workspace (`Tenant::registry`) share a library archive, so a
+//! version one tenant stored is never synthesised, chunked or written
+//! again — the next tenant is charged from the stored manifest, exactly
+//! what a duplicate write of the bytes would charge
+//! ([`ChunkStore::put_stored`]).
 
 use crate::errors::{CoreError, Result};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
@@ -14,7 +24,7 @@ use mlcask_pipeline::metafile::LibraryMetafile;
 use mlcask_storage::hash::{digest_many, Hash256};
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::ChunkStore;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -110,10 +120,65 @@ impl RegisteredLibrary {
     }
 }
 
+/// Which stored blob holds a library version's simulated executable at a
+/// base size. The tenant registries of one workspace share one archive, so
+/// a version every tenant registers is synthesised and chunked once: later
+/// registrations charge the stored blob through [`ChunkStore::put_stored`],
+/// which costs exactly what writing its bytes again would. An entry whose
+/// blob was since swept is passed over and rewritten.
+#[derive(Default)]
+pub(crate) struct LibraryArchive {
+    stored: RwLock<HashMap<(ComponentKey, usize), ObjectRef>>,
+}
+
+/// Synthesises the executables of one registration batch into one reused
+/// buffer: a library's base region is made once for a run of its versions,
+/// and each version only truncates back to it and appends its patch. The
+/// bytes are [`simulated_executable`]'s.
+struct Synthesiser {
+    base_size: usize,
+    buf: Vec<u8>,
+    /// The library whose base region `buf` starts with.
+    base_of: Option<String>,
+}
+
+impl Synthesiser {
+    fn new(base_size: usize) -> Self {
+        Synthesiser {
+            base_size,
+            buf: Vec::new(),
+            base_of: None,
+        }
+    }
+
+    /// The executable of `name` at `version`.
+    fn payload(&mut self, name: &str, version: &str) -> &[u8] {
+        if self.base_of.as_deref() != Some(name) {
+            self.buf.clear();
+            self.buf.reserve(simulated_executable_len(self.base_size));
+            let base_blocks = self.base_size.div_ceil(HASH_LEN) as u64;
+            extend_counted(&mut self.buf, &[b"lib-base", name.as_bytes()], base_blocks);
+            self.base_of = Some(name.to_string());
+        }
+        self.buf.truncate(self.base_size);
+        extend_counted(
+            &mut self.buf,
+            &[b"lib-patch", name.as_bytes(), version.as_bytes()],
+            PATCH_BLOCKS,
+        );
+        &self.buf
+    }
+}
+
 /// The component registry: every library/dataset version the system knows,
 /// addressable by `(name, version)`.
 pub struct ComponentRegistry {
     store: Arc<ChunkStore>,
+    archive: Arc<LibraryArchive>,
+    /// Held for a whole registration batch, so a key is archived and
+    /// charged once however many threads register it; readers only take
+    /// the short map locks below.
+    registering: Mutex<()>,
     by_key: RwLock<HashMap<ComponentKey, RegisteredLibrary>>,
     /// Versions per component name, in registration order.
     by_name: RwLock<BTreeMap<String, Vec<ComponentKey>>>,
@@ -134,8 +199,20 @@ impl ComponentRegistry {
     /// Creates a registry with a custom simulated executable size (tests use
     /// small sizes).
     pub fn with_exe_size(store: Arc<ChunkStore>, exe_base_size: usize) -> Self {
+        Self::over_archive(store, exe_base_size, Arc::default())
+    }
+
+    /// A registry sharing `archive` with other registries over views of
+    /// the same physical store (a workspace's tenants).
+    pub(crate) fn over_archive(
+        store: Arc<ChunkStore>,
+        exe_base_size: usize,
+        archive: Arc<LibraryArchive>,
+    ) -> Self {
         ComponentRegistry {
             store,
+            archive,
+            registering: Mutex::new(()),
             by_key: RwLock::new(HashMap::new()),
             by_name: RwLock::new(BTreeMap::new()),
             exe_base_size,
@@ -155,36 +232,75 @@ impl ComponentRegistry {
         &self,
         handle: ComponentHandle,
     ) -> Result<(RegisteredLibrary, std::time::Duration)> {
-        let key = handle.key();
-        if let Some(existing) = self.by_key.read().get(&key) {
-            return Ok((existing.clone(), std::time::Duration::ZERO));
-        }
-        let version_str = key.version.to_string();
-        let payload = simulated_executable(&key.name, &version_str, self.exe_base_size);
-        let put = self.store.put_blob(ObjectKind::Library, &payload)?;
-        let metafile = LibraryMetafile {
-            name: key.name.clone(),
-            version: key.version.clone(),
-            stage: handle.stage(),
-            entry_point: format!("{}::main", key.name),
-            input_schema: handle.input_schema(),
-            output_schema: handle.output_schema(),
-            hyperparams: BTreeMap::new(),
-            executable: put.object,
-        };
-        let reg = RegisteredLibrary {
-            handle,
-            metafile,
-            executable: put.object,
-        };
-        self.by_key.write().insert(key.clone(), reg.clone());
-        match self.by_name.write().entry(key.name.clone()) {
-            Entry::Vacant(v) => {
-                v.insert(vec![key]);
+        let mut one = self.register_many(std::slice::from_ref(&handle))?;
+        Ok(one.pop().expect("one handle registers one version"))
+    }
+
+    /// Registers component versions in order, as [`register_timed`]
+    /// would one at a time, returning each version's entry and archiving
+    /// time. The one path that archives executables: a run of consecutive
+    /// versions of one library synthesises its base region once, and a
+    /// version another registry over the same archive already stored is
+    /// charged from its manifest instead of written. Versions archived
+    /// before an error stay registered; the shared archive learns the
+    /// batch's blobs only when the whole batch succeeded.
+    ///
+    /// [`register_timed`]: ComponentRegistry::register_timed
+    pub fn register_many(
+        &self,
+        handles: &[ComponentHandle],
+    ) -> Result<Vec<(RegisteredLibrary, std::time::Duration)>> {
+        let _registering = self.registering.lock();
+        let mut synth = Synthesiser::new(self.exe_base_size);
+        let mut archived = Vec::new();
+        let mut out = Vec::with_capacity(handles.len());
+        for handle in handles {
+            let key = handle.key();
+            if let Some(existing) = self.get(&key) {
+                out.push((existing, std::time::Duration::ZERO));
+                continue;
             }
-            Entry::Occupied(mut o) => o.get_mut().push(key),
+            let archive_key = (key.clone(), self.exe_base_size);
+            let stored = self.archive.stored.read().get(&archive_key).copied();
+            let charged = match stored {
+                Some(object) => self.store.put_stored(&object)?,
+                None => None,
+            };
+            let put = match charged {
+                Some(put) => put,
+                None => {
+                    let payload = synth.payload(&key.name, &key.version.to_string());
+                    let put = self.store.put_blob(ObjectKind::Library, payload)?;
+                    archived.push((archive_key, put.object));
+                    put
+                }
+            };
+            let metafile = LibraryMetafile {
+                name: key.name.clone(),
+                version: key.version.clone(),
+                stage: handle.stage(),
+                entry_point: format!("{}::main", key.name),
+                input_schema: handle.input_schema(),
+                output_schema: handle.output_schema(),
+                hyperparams: BTreeMap::new(),
+                executable: put.object,
+            };
+            let reg = RegisteredLibrary {
+                handle: Arc::clone(handle),
+                metafile,
+                executable: put.object,
+            };
+            self.by_key.write().insert(key.clone(), reg.clone());
+            match self.by_name.write().entry(key.name.clone()) {
+                Entry::Vacant(v) => {
+                    v.insert(vec![key]);
+                }
+                Entry::Occupied(mut o) => o.get_mut().push(key),
+            }
+            out.push((reg, put.cost));
         }
-        Ok((reg, put.cost))
+        self.archive.stored.write().extend(archived);
+        Ok(out)
     }
 
     /// The `(input, output)` schema ids `key` declared when it was
@@ -381,6 +497,142 @@ mod tests {
                     "name of {name_len} bytes, base of {size}"
                 );
             }
+        }
+    }
+
+    /// One reused buffer writes each version's [`simulated_executable`],
+    /// through runs of one library, a change of library and a return to
+    /// an earlier one, for bases with and without a truncated last hash.
+    #[test]
+    fn the_batch_synthesiser_writes_simulated_executables() {
+        let versions = [
+            ("lib", "0.0"),
+            ("lib", "0.1"),
+            ("lib", "1.0"),
+            ("other", "0.0"),
+            ("lib", "0.2"),
+            ("lib", "0.2"),
+        ];
+        for size in [0, 31, 4096, 4097] {
+            let mut synth = Synthesiser::new(size);
+            for (name, version) in versions {
+                assert_eq!(
+                    synth.payload(name, version),
+                    &simulated_executable(name, version, size)[..],
+                    "{name}@{version}, base of {size}"
+                );
+            }
+        }
+    }
+
+    fn tenant_view(root: &ChunkStore, id: u32) -> Arc<ChunkStore> {
+        use mlcask_storage::tenant::{QuotaPolicy, TenantId};
+        root.tenant_accounts()
+            .register(TenantId(id), QuotaPolicy::UNLIMITED);
+        Arc::new(root.for_tenant(TenantId(id)))
+    }
+
+    /// Threads racing to register one key archive and charge it once, and
+    /// list it once.
+    #[test]
+    fn concurrent_registrations_of_one_key_register_it_once() {
+        use mlcask_storage::tenant::TenantId;
+        let handles: Vec<ComponentHandle> = (0..3)
+            .map(|inc| toy_model(SemVer::master(0, inc), 4, 0.5))
+            .collect();
+        let once = ChunkStore::in_memory_small();
+        let single = ComponentRegistry::with_exe_size(tenant_view(&once, 1), 8 * 1024);
+        single.register_many(&handles).unwrap();
+        let root = ChunkStore::in_memory_small();
+        let reg = ComponentRegistry::with_exe_size(tenant_view(&root, 1), 8 * 1024);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (reg, handles, start) = (&reg, &handles, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for h in handles.iter().cycle().skip(t % 3).take(3) {
+                        reg.register(Arc::clone(h)).unwrap();
+                    }
+                });
+            }
+        });
+        let listed = reg.versions_of("test_model");
+        let distinct: std::collections::HashSet<_> = listed.iter().collect();
+        assert_eq!(listed.len(), 3, "{listed:?}");
+        assert_eq!(distinct.len(), 3, "{listed:?}");
+        let usage = |store: &ChunkStore| store.tenant_accounts().usage(TenantId(1));
+        assert_eq!(usage(&root), usage(&once));
+        assert_eq!(root.stats(), once.stats());
+    }
+
+    /// Registries over two tenants' views sharing an archive: the second
+    /// charges each version from the stored blob — what writing it again
+    /// would charge — and a version whose blob was swept is written anew.
+    #[test]
+    fn a_shared_archive_stores_each_version_once() {
+        use mlcask_storage::tenant::TenantId;
+        let handles: Vec<ComponentHandle> = vec![
+            toy_source(SemVer::initial(), 4, 8),
+            toy_model(SemVer::master(0, 0), 4, 0.5),
+            toy_model(SemVer::master(0, 1), 4, 0.6),
+        ];
+        // `shared`'s second registry uses the first's archive; `private`'s
+        // writes every executable itself.
+        let run = |shared: bool| {
+            let root = ChunkStore::in_memory_small();
+            let archive = Arc::new(LibraryArchive::default());
+            let first =
+                ComponentRegistry::over_archive(tenant_view(&root, 1), 4097, Arc::clone(&archive));
+            let first_out = first.register_many(&handles).unwrap();
+            let second_archive = if shared { archive } else { Arc::default() };
+            let second =
+                ComponentRegistry::over_archive(tenant_view(&root, 2), 4097, second_archive);
+            let second_out = second.register_many(&handles).unwrap();
+            let objects = |out: &[(RegisteredLibrary, std::time::Duration)]| {
+                out.iter()
+                    .map(|(lib, cost)| (lib.executable, *cost))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                first_out
+                    .iter()
+                    .map(|(l, _)| l.executable)
+                    .collect::<Vec<_>>(),
+                second_out
+                    .iter()
+                    .map(|(l, _)| l.executable)
+                    .collect::<Vec<_>>()
+            );
+            let accounts = root.tenant_accounts();
+            let seen = format!(
+                "{:?} {:?} {:?} {:?}",
+                objects(&second_out),
+                accounts.usage(TenantId(2)),
+                accounts.shared_view(),
+                root.stats()
+            );
+            (root, second, seen)
+        };
+        let (root, second, shared) = run(true);
+        assert_eq!(shared, run(false).2);
+        // Swept blobs leave stale archive entries; a third registry passes
+        // over them and writes the bytes again.
+        root.sweep_orphans(std::iter::empty()).unwrap();
+        assert_eq!(root.physical_bytes(), 0);
+        let archive = Arc::clone(&second.archive);
+        let third = ComponentRegistry::over_archive(tenant_view(&root, 3), 4097, archive);
+        third.register_many(&handles).unwrap();
+        for h in &handles {
+            let key = h.key();
+            let lib = third.get(&key).unwrap();
+            assert_eq!(lib.executable, second.get(&key).unwrap().executable);
+            let bytes = root.get_blob(&lib.executable).unwrap();
+            let version = key.version.to_string();
+            assert_eq!(
+                bytes.as_ref(),
+                &simulated_executable(&key.name, &version, 4097)[..]
+            );
         }
     }
 

@@ -42,7 +42,7 @@
 //! private workspace under the hood, so existing callers are unaffected.
 
 use crate::errors::{CoreError, Result};
-use crate::registry::ComponentRegistry;
+use crate::registry::{ComponentRegistry, LibraryArchive};
 use crate::system::{BranchRef, MlCask};
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::history::HistoryIndex;
@@ -135,6 +135,9 @@ pub struct Workspace {
     /// for payloads of commits in the graph; those are GC roots of
     /// [`Workspace::sweep_orphans`], so no entry outlives its blob.
     metafiles: RwLock<HashMap<Hash256, Arc<PipelineMetafile>>>,
+    /// The library archive every [`Tenant::registry`] shares: a version
+    /// any tenant stored is charged to the next from its manifest.
+    archive: Arc<LibraryArchive>,
     state: RwLock<WorkspaceState>,
 }
 
@@ -146,6 +149,7 @@ impl Workspace {
             graph: CommitGraph::new(),
             history: HistoryIndex::new(),
             metafiles: RwLock::new(HashMap::new()),
+            archive: Arc::default(),
             state: RwLock::new(WorkspaceState {
                 tenants: BTreeMap::new(),
                 grants: BTreeMap::new(),
@@ -313,29 +317,65 @@ impl Workspace {
     /// henceforth writable only by this tenant or by peers it grants a
     /// [`ShareRight`].
     pub fn add_tenant(self: &Arc<Self>, name: &str, quota: QuotaPolicy) -> Result<Tenant> {
+        self.join(name, quota, |_| Ok::<_, CoreError>(()))
+            .map(|(tenant, ())| tenant)
+    }
+
+    /// Registers tenant `name` as [`Workspace::add_tenant`] does, once
+    /// `setup` — typically registering the tenant's components through
+    /// [`Tenant::registry`] — has succeeded on its handle, and returns the
+    /// handle with what `setup` returned.
+    ///
+    /// A join is all or nothing. No other caller sees the name before
+    /// `setup` succeeds. If it fails (a quota refusal, say), or the name
+    /// was taken meanwhile, the tenant's usage, reservations and chunk
+    /// references are dropped, the name stays free for a retry, and the
+    /// bytes its writes persisted are unattributed orphans that
+    /// [`Workspace::sweep_orphans`] reclaims.
+    pub fn join<T, E: From<CoreError>>(
+        self: &Arc<Self>,
+        name: &str,
+        quota: QuotaPolicy,
+        setup: impl FnOnce(&Tenant) -> std::result::Result<T, E>,
+    ) -> std::result::Result<(Tenant, T), E> {
         // Branch ownership resolves on the prefix before the first `/`, so
         // a name containing one would leave its own branches unprotected
         // (or claimable by whoever registers the prefix).
         if name.is_empty() || name.contains('/') {
-            return Err(CoreError::InvalidTenantName(name.to_string()));
+            return Err(CoreError::InvalidTenantName(name.to_string()).into());
         }
+        let taken = || CoreError::TenantExists(name.to_string());
         let id = {
             let mut state = self.state.write();
             if state.tenants.contains_key(name) {
-                return Err(CoreError::TenantExists(name.to_string()));
+                return Err(taken().into());
             }
             let id = TenantId(state.next_id);
             state.next_id += 1;
-            state.tenants.insert(name.to_string(), id);
             id
         };
         self.store.tenant_accounts().register(id, quota);
-        Ok(Tenant {
+        let tenant = Tenant {
             workspace: Arc::clone(self),
             name: name.to_string(),
             id,
             store: Arc::new(self.store.for_tenant(id)),
-        })
+        };
+        let joined = setup(&tenant).and_then(|value| {
+            let mut state = self.state.write();
+            if state.tenants.contains_key(name) {
+                return Err(taken().into());
+            }
+            state.tenants.insert(name.to_string(), id);
+            Ok(value)
+        });
+        match joined {
+            Ok(value) => Ok((tenant, value)),
+            Err(e) => {
+                tenant.store.forget_tenant();
+                Err(e)
+            }
+        }
     }
 
     /// Registered tenant names, sorted.
@@ -501,11 +541,23 @@ impl Tenant {
     }
 
     /// The tenant-scoped store view: same physical store, writes attributed
-    /// (and quota-checked) against this tenant. Build the tenant's
-    /// [`ComponentRegistry`] over this store so library archives are
+    /// (and quota-checked) against this tenant. [`Tenant::registry`] builds
+    /// the tenant's [`ComponentRegistry`] over it, so library archives are
     /// attributed too.
     pub fn store(&self) -> &Arc<ChunkStore> {
         &self.store
+    }
+
+    /// A component registry over [`Tenant::store`] that shares the
+    /// workspace's library archive: a version another tenant already
+    /// stored is charged from its manifest — what writing its bytes again
+    /// would charge — without being synthesised, chunked or written.
+    pub fn registry(&self) -> Arc<ComponentRegistry> {
+        Arc::new(ComponentRegistry::over_archive(
+            Arc::clone(&self.store),
+            ComponentRegistry::DEFAULT_EXE_SIZE,
+            Arc::clone(&self.workspace.archive),
+        ))
     }
 
     /// This tenant's first-writer-pays usage.
@@ -573,9 +625,10 @@ impl Tenant {
     /// The system's branches are namespaced `"{tenant}/{branch}"` in the
     /// shared commit graph; callers keep using plain branch names.
     ///
-    /// `registry` should be built over [`Tenant::store`] so every archived
-    /// executable is attributed to this tenant; it is also recorded as a GC
-    /// root provider for [`Workspace::sweep_orphans`].
+    /// `registry` should be built over [`Tenant::store`] (as
+    /// [`Tenant::registry`] builds it) so every archived executable is
+    /// attributed to this tenant; it is also recorded as a GC root provider
+    /// for [`Workspace::sweep_orphans`].
     pub fn open_pipeline(
         &self,
         pipeline_name: &str,

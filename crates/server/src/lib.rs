@@ -204,6 +204,36 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// A `session.open` whose quota refuses the tenant's join leaves no
+    /// tenant behind: a retry with room succeeds, nobody is charged for
+    /// the library the refused join archived (the sweep reclaims it), and
+    /// the retry is charged what a first-time join is.
+    #[test]
+    fn a_refused_join_can_be_retried() {
+        let r = router(false);
+        let refused = r.handle_text(
+            r#"{"id":1,"method":"session.open","params":{"tenant":"a","max_logical_bytes":1000000}}"#,
+        );
+        assert!(refused.contains("quota exceeded"), "{refused}");
+        let ws = r.workspace();
+        let accounts = ws.store().tenant_accounts();
+        assert!(ws.tenant_names().is_empty());
+        assert!(accounts.usages().is_empty());
+        assert_eq!(accounts.open_reservations(), 0);
+        let orphaned = ws.store().physical_bytes();
+        assert_eq!(ws.sweep_orphans().unwrap().removed_bytes, orphaned);
+        assert!(
+            ws.usages().is_empty(),
+            "no tenant is charged for swept bytes"
+        );
+        let open = r#"{"id":2,"method":"session.open","params":{"tenant":"a"}}"#;
+        assert_eq!(u64_field(&result_of(&r.handle_text(open)), "session"), 1);
+        let fresh = router(false);
+        result_of(&fresh.handle_text(open));
+        assert_eq!(ws.usages(), fresh.workspace().usages());
+        assert_eq!(accounts.open_reservations(), 0);
+    }
+
     #[test]
     fn cross_tenant_grant_fork_merge_via_rpc() {
         let r = router(false);

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Outcome of a blob write: the reference plus accounting for this write.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutOutcome {
     /// Handle to the stored blob.
     pub object: ObjectRef,
@@ -232,6 +232,17 @@ impl ChunkStore {
         &self.tenants
     }
 
+    /// Drops this view's tenant from the shared accounts — its quota,
+    /// usage, open reservations and chunk references — as if it had never
+    /// written: the undo of a tenant whose join was refused. The bytes its
+    /// writes persisted stay, unattributed, until an orphan sweep reclaims
+    /// them. A no-op on untenanted views.
+    pub fn forget_tenant(&self) {
+        if let Some(tenant) = self.tenant {
+            self.tenants.forget(tenant);
+        }
+    }
+
     /// In-memory store with default (ForkBase-like) parameters.
     pub fn in_memory() -> Self {
         Self::new(
@@ -429,6 +440,65 @@ impl ChunkStore {
             },
             trace,
         ))
+    }
+
+    /// Charges this view for writing the bytes of the stored blob `object`
+    /// again, without the bytes: exactly what a fully duplicate
+    /// [`ChunkStore::put_blob`] of them charges — the same outcome, stats
+    /// delta, quota check, usage and chunk references — for one index
+    /// probe per chunk and no chunking, hashing or backend write.
+    ///
+    /// The manifest is read from the backend, not through the blob cache,
+    /// so a registration leaves the cache as a duplicate write would.
+    /// Returns `None` when the manifest or any chunk it lists is missing
+    /// (swept, or never stored); the caller then writes the bytes.
+    pub fn put_stored(&self, object: &ObjectRef) -> Result<Option<PutOutcome>> {
+        let enc = match self.backend.get(object.id) {
+            Ok(enc) => enc,
+            Err(StorageError::NotFound(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let manifest = Manifest::decode(&enc)
+            .ok_or_else(|| StorageError::Codec("invalid manifest encoding".into()))?;
+        if !manifest
+            .chunks
+            .iter()
+            .all(|c| self.backend.contains(c.hash))
+        {
+            return Ok(None);
+        }
+        // A duplicate's physical estimate: every chunk and the manifest
+        // are present, so nothing new.
+        let reservation = match self.tenant {
+            Some(tenant) => Some(self.tenants.reserve(tenant, manifest.len, 0)?),
+            None => None,
+        };
+        let obs = |hash, len| WriteObs {
+            hash,
+            len,
+            was_new: false,
+        };
+        let trace = PutTrace {
+            kind: object.kind,
+            logical: manifest.len,
+            chunks: manifest
+                .chunks
+                .iter()
+                .map(|c| obs(c.hash, c.len as u64))
+                .collect(),
+            manifest: obs(object.id, enc.len() as u64),
+            reservation,
+        };
+        self.record_live_write(&trace, 0);
+        Ok(Some(PutOutcome {
+            object: ObjectRef {
+                id: object.id,
+                kind: object.kind,
+                len: manifest.len,
+            },
+            physical_bytes: 0,
+            cost: self.cost.write_cost(manifest.len, 0),
+        }))
     }
 
     /// Reads one backend object (manifest or chunk) through the blob cache.
@@ -947,6 +1017,108 @@ mod tests {
         assert!(store.get_blob(&orphan.object).is_err());
     }
 
+    /// What tenant B's write of `data` leaves observable, in a store where
+    /// tenant A already wrote `data` and B wrote `data[..split]`, then got
+    /// the quota `quota` makes of its usage; `second` is B's write, handed
+    /// A's outcome.
+    fn second_tenant_write(
+        data: &[u8],
+        split: usize,
+        quota: impl Fn(TenantUsage) -> crate::tenant::QuotaPolicy,
+        second: impl Fn(&ChunkStore, &PutOutcome) -> Result<PutOutcome>,
+    ) -> String {
+        use crate::tenant::{QuotaPolicy, TenantId};
+        let (a, b) = (TenantId(1), TenantId(2));
+        let root = ChunkStore::in_memory_small();
+        let accounts = root.tenant_accounts();
+        accounts.register(a, QuotaPolicy::UNLIMITED);
+        accounts.register(b, QuotaPolicy::UNLIMITED);
+        let first = root
+            .for_tenant(a)
+            .put_blob(ObjectKind::Library, data)
+            .unwrap();
+        let view = root.for_tenant(b);
+        view.put_blob(ObjectKind::Output, &data[..split]).unwrap();
+        accounts.register(b, quota(accounts.usage(b)));
+        let before = root.stats();
+        let outcome = second(&view, &first);
+        let after = root.stats();
+        let delta = |k: ObjectKind| {
+            let (x, y) = (before.kind(k), after.kind(k));
+            [
+                y.blobs_written - x.blobs_written,
+                y.logical_bytes - x.logical_bytes,
+                y.physical_bytes - x.physical_bytes,
+                y.chunks_seen - x.chunks_seen,
+                y.chunks_deduped - x.chunks_deduped,
+            ]
+        };
+        format!(
+            "{outcome:?} {:?} {:?} {:?} {:?} {} {}",
+            delta(ObjectKind::Library),
+            accounts.usage(b),
+            accounts.reserved(b),
+            accounts.shared_view(),
+            accounts.open_reservations(),
+            root.physical_bytes(),
+        )
+    }
+
+    #[test]
+    fn put_stored_passes_over_a_missing_manifest_or_chunk() {
+        use crate::tenant::{QuotaPolicy, TenantId};
+        let data = random_bytes(70, 20_000);
+        let manifest_of = |store: &ChunkStore, object: &ObjectRef| {
+            Manifest::decode(&store.backend().get(object.id).unwrap()).unwrap()
+        };
+        type Remove = fn(&Manifest, &ObjectRef) -> Hash256;
+        let removals: [(&str, Remove); 3] = [
+            ("the manifest", |_, object| object.id),
+            ("the first chunk", |m, _| m.chunks[0].hash),
+            ("the last chunk", |m, _| m.chunks[m.chunks.len() - 1].hash),
+        ];
+        for (what, victim) in removals {
+            let root = ChunkStore::in_memory_small();
+            let tenant = root.for_tenant(TenantId(1));
+            root.tenant_accounts()
+                .register(TenantId(1), QuotaPolicy::logical(100_000));
+            let put = root.put_blob(ObjectKind::Library, &data).unwrap();
+            let victim = victim(&manifest_of(&root, &put.object), &put.object);
+            root.backend().remove(victim).unwrap().unwrap();
+            let stats = root.stats();
+            assert_eq!(tenant.put_stored(&put.object).unwrap(), None, "{what}");
+            assert_eq!(root.stats(), stats, "{what}: nothing recorded");
+            let accounts = root.tenant_accounts();
+            assert_eq!(accounts.usage(TenantId(1)), TenantUsage::default());
+            assert_eq!(accounts.open_reservations(), 0);
+            assert_eq!(accounts.tracked_chunks(), 0);
+        }
+        // A blob never stored is missing too.
+        let fake = ObjectRef {
+            id: Hash256::of(b"nope"),
+            kind: ObjectKind::Library,
+            len: 4,
+        };
+        assert_eq!(
+            ChunkStore::in_memory_small().put_stored(&fake).unwrap(),
+            None
+        );
+    }
+
+    /// `put_stored` reads the manifest past the blob cache: it leaves the
+    /// cache as the duplicate write it stands for would.
+    #[test]
+    fn put_stored_leaves_the_blob_cache_alone() {
+        let store = ChunkStore::in_memory_small();
+        let put = store
+            .put_blob(ObjectKind::Library, &random_bytes(71, 20_000))
+            .unwrap();
+        let cache = store.cache_stats();
+        let again = store.put_stored(&put.object).unwrap().unwrap();
+        assert_eq!(again.object, put.object);
+        assert_eq!(store.cache_stats(), cache);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
@@ -955,6 +1127,35 @@ mod tests {
             let out = store.put_blob(ObjectKind::Output, &data).unwrap();
             let blob = store.get_blob(&out.object).unwrap();
             prop_assert_eq!(blob.as_ref(), &data[..]);
+        }
+
+        /// Tenant B's `put_stored` of the blob tenant A wrote equals B's
+        /// `put_blob` of the same bytes: outcome (cost included), stats
+        /// delta, B's usage and reservations, the shared view, and a quota
+        /// refusal (same error, nothing charged, no reservation left).
+        #[test]
+        fn prop_put_stored_is_a_duplicate_put_blob(
+            data in proptest::collection::vec(any::<u8>(), 1..12_000),
+            split in 0usize..12_000,
+            limit in 0u8..3,
+            cap in 0u64..24_000
+        ) {
+            use crate::tenant::QuotaPolicy;
+            let split = split % data.len();
+            // Logical headroom below and above the blob's length; physical
+            // headroom of none or one byte, which a duplicate needs none of.
+            let quota = |used: TenantUsage| match limit {
+                0 => QuotaPolicy::UNLIMITED,
+                1 => QuotaPolicy::logical(used.logical_bytes + cap),
+                _ => QuotaPolicy::physical(used.physical_bytes + cap % 2),
+            };
+            let stored = second_tenant_write(&data, split, quota, |b, first| {
+                b.put_stored(&first.object).map(|put| put.expect("stored"))
+            });
+            let written = second_tenant_write(&data, split, quota, |b, _| {
+                b.put_blob(ObjectKind::Library, &data)
+            });
+            prop_assert_eq!(stored, written);
         }
 
         #[test]

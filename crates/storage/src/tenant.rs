@@ -380,6 +380,23 @@ impl TenantAccounts {
         }
     }
 
+    /// Removes every trace of `tenant`: its quota and usage, its open
+    /// reservations, and its name on every chunk it references (a chunk
+    /// left with no referencing tenant leaves the ledger).
+    pub(crate) fn forget(&self, tenant: TenantId) {
+        {
+            let mut st = self.state.write();
+            st.tenants.remove(&tenant);
+            st.open.retain(|_, r| r.tenant != tenant);
+        }
+        for shard in &self.chunks {
+            shard.write().retain(|_, entry| {
+                entry.owners.retain(|&t| t != tenant);
+                !entry.owners.is_empty()
+            });
+        }
+    }
+
     /// Drops a chunk from the shared-refcount ledger (orphan GC).
     pub fn drop_chunk(&self, hash: &Hash256) {
         self.chunks[self.shard_of(hash)].write().remove(hash);
@@ -533,6 +550,39 @@ mod tests {
         assert_eq!(acc.tracked_chunks(), 2);
         acc.drop_chunk(&solo);
         assert_eq!(acc.tracked_chunks(), 1);
+    }
+
+    #[test]
+    fn forget_drops_usage_reservations_and_references() {
+        let acc = TenantAccounts::new();
+        acc.register(A, QuotaPolicy::logical(1_000));
+        acc.register(B, QuotaPolicy::UNLIMITED);
+        let (shared, solo) = (Hash256::of(b"shared"), Hash256::of(b"solo"));
+        acc.add_chunk_ref(shared, 100, A);
+        acc.add_chunk_ref(shared, 100, B);
+        acc.add_chunk_ref(solo, 40, A);
+        acc.charge(
+            A,
+            TenantUsage {
+                blobs_written: 1,
+                logical_bytes: 140,
+                physical_bytes: 140,
+            },
+        );
+        acc.reserve(A, 50, 10).unwrap();
+        let kept = acc.reserve(B, 20, 0).unwrap();
+        acc.forget(A);
+        assert_eq!(acc.usages().keys().collect::<Vec<_>>(), vec![&B]);
+        assert_eq!(acc.usage(A), TenantUsage::default());
+        assert_eq!(acc.reserved(A), ReservedBytes::default());
+        assert_eq!(acc.quota(A), QuotaPolicy::UNLIMITED);
+        assert_eq!(acc.open_reservations(), 1, "B's reservation stays");
+        // The chunk only A referenced leaves the ledger; B keeps all of
+        // the shared one.
+        assert_eq!(acc.tracked_chunks(), 1);
+        assert_eq!(acc.shared_view()[&B].amortized_bytes, 100.0);
+        acc.release(kept);
+        assert_eq!(acc.open_reservations(), 0);
     }
 
     #[test]

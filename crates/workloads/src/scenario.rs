@@ -12,7 +12,7 @@
 //! reproduced with the Fig. 3 histories each workload carries.
 
 use crate::common::Workload;
-use crate::errors::Result;
+use crate::errors::{CoreError, Result};
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, MergeOutcome, MlCask};
@@ -238,18 +238,23 @@ pub struct TenantSystem {
 }
 
 /// Registers one team as a tenant of `ws` and opens its pipeline system for
-/// workload `w`: the registry is built over the tenant-scoped store view so
-/// the team's library archives are attributed (and quota-checked) to it,
-/// while deduplicating against every other team's chunks.
+/// workload `w`: the registry is [`Tenant::registry`], over the
+/// tenant-scoped store view, so the team's library archives are attributed
+/// (and quota-checked) to it while deduplicating against every other
+/// team's chunks — a version another team stored is charged from its
+/// manifest, not rewritten. All or nothing ([`Workspace::join`]): a
+/// refused registration leaves no tenant behind.
 pub fn join_workspace(
     ws: &Arc<Workspace>,
     w: &Workload,
     team: &str,
     quota: QuotaPolicy,
 ) -> Result<TenantSystem> {
-    let tenant = ws.add_tenant(team, quota)?;
-    let registry = Arc::new(ComponentRegistry::new(Arc::clone(tenant.store())));
-    w.register_all(&registry)?;
+    let (tenant, registry) = ws.join(team, quota, |tenant| {
+        let registry = tenant.registry();
+        w.register_all(&registry)?;
+        Ok::<_, CoreError>(registry)
+    })?;
     let sys = tenant.open_pipeline(&w.name, w.dag(), Arc::clone(&registry));
     Ok(TenantSystem {
         tenant,

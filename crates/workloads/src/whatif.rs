@@ -275,11 +275,10 @@ impl WhatIf {
         PipelineDag::chain(&self.slots).expect("what-if slots form a valid chain")
     }
 
-    /// Registers every component version with a registry.
+    /// Registers every component version with a registry, as one batch
+    /// ([`ComponentRegistry::register_many`]).
     pub fn register_all(&self, registry: &ComponentRegistry) -> Result<()> {
-        for h in &self.handles {
-            registry.register(h.clone())?;
-        }
+        registry.register_many(&self.handles)?;
         Ok(())
     }
 

@@ -15,7 +15,7 @@ use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::errors::PipelineError;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
-use mlcask_storage::backend::{MemBackend, StorageBackend};
+use mlcask_storage::backend::{Bytes, MemBackend, StorageBackend};
 use mlcask_storage::cask::CaskBackend;
 use mlcask_storage::chunk::ChunkParams;
 use mlcask_storage::costmodel::StorageCostModel;
@@ -23,8 +23,11 @@ use mlcask_storage::errors::StorageError;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::QuotaPolicy;
-use mlcask_workloads::scenario::{build_multi_tenant, build_system, setup_nonlinear};
-use mlcask_workloads::{fusion, readmission};
+use mlcask_workloads::scenario::{
+    build_multi_tenant, build_system, join_workspace, setup_nonlinear,
+};
+use mlcask_workloads::{autolearn, dpm, fusion, readmission, sa};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Opens the toy chain pipeline for a tenant (registry over its store view).
@@ -814,4 +817,139 @@ fn multi_tenant_workload_deterministic_across_worker_counts() {
             "multi-tenant workload with {workers} workers diverged"
         );
     }
+}
+
+/// `Workload::register_all` — one `register_many` batch — registers what
+/// one `register` per handle does on every workload: the same executables,
+/// versions in the same order, the same store statistics.
+#[test]
+fn register_many_registers_what_register_does_on_every_workload() {
+    for w in [
+        autolearn::build(),
+        dpm::build(),
+        fusion::build(),
+        readmission::build(),
+        sa::build(),
+    ] {
+        let registry = || ComponentRegistry::with_exe_size(Arc::new(ChunkStore::in_memory()), 4097);
+        let (batch, single) = (registry(), registry());
+        w.register_all(&batch).unwrap();
+        for h in &w.handles {
+            single.register(Arc::clone(h)).unwrap();
+        }
+        assert_eq!(batch.names(), single.names(), "{}", w.name);
+        for name in single.names() {
+            let versions = single.versions_of(&name);
+            assert_eq!(batch.versions_of(&name), versions, "{}: {name}", w.name);
+            for key in &versions {
+                let exe = |r: &ComponentRegistry| r.get(key).unwrap().executable;
+                assert_eq!(exe(&batch), exe(&single), "{}: {key}", w.name);
+            }
+        }
+        assert_eq!(batch.store().stats(), single.store().stats(), "{}", w.name);
+    }
+}
+
+/// A memory backend counting the writes that reach it.
+#[derive(Default)]
+struct CountingBackend {
+    inner: MemBackend,
+    writes: AtomicUsize,
+}
+
+impl StorageBackend for CountingBackend {
+    fn put(&self, key: Hash256, data: &[u8]) -> mlcask_storage::errors::Result<bool> {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.put(key, data)
+    }
+    fn put_many(&self, items: &[(Hash256, &[u8])]) -> mlcask_storage::errors::Result<Vec<bool>> {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.put_many(items)
+    }
+    fn get(&self, key: Hash256) -> mlcask_storage::errors::Result<Bytes> {
+        self.inner.get(key)
+    }
+    fn contains(&self, key: Hash256) -> bool {
+        self.inner.contains(key)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn physical_bytes(&self) -> u64 {
+        self.inner.physical_bytes()
+    }
+    fn keys(&self) -> Vec<Hash256> {
+        self.inner.keys()
+    }
+    fn remove(&self, key: Hash256) -> mlcask_storage::errors::Result<Option<u64>> {
+        self.inner.remove(key)
+    }
+}
+
+/// A second team joining a workspace makes no backend write — every
+/// library is charged from the first team's manifests — and is charged
+/// the first team's logical bytes and no physical ones.
+#[test]
+fn a_second_team_joins_without_a_backend_write() {
+    let w = readmission::build();
+    let backend = Arc::new(CountingBackend::default());
+    let ws = Workspace::over(Arc::new(ChunkStore::new(
+        Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        ChunkParams::DEFAULT,
+        StorageCostModel::FORKBASE,
+    )));
+    let a = join_workspace(&ws, &w, "team_a", QuotaPolicy::UNLIMITED).unwrap();
+    let writes = backend.writes.load(Ordering::SeqCst);
+    assert!(writes > 0);
+    let physical = ws.store().physical_bytes();
+    let b = join_workspace(&ws, &w, "team_b", QuotaPolicy::UNLIMITED).unwrap();
+    assert_eq!(backend.writes.load(Ordering::SeqCst), writes);
+    assert_eq!(ws.store().physical_bytes(), physical);
+    let (ua, ub) = (a.tenant.usage(), b.tenant.usage());
+    assert_eq!(
+        (ub.blobs_written, ub.logical_bytes),
+        (ua.blobs_written, ua.logical_bytes)
+    );
+    assert_eq!(ub.physical_bytes, 0);
+    let shared = ws.shared_view();
+    assert_eq!(shared["team_a"], shared["team_b"]);
+}
+
+/// A join its quota refuses leaves no tenant behind: the name is free, no
+/// reservation or chunk reference remains, no tenant is charged for the
+/// library it archived — which the sweep reclaims — and a retry with room
+/// is charged what a first-time join is.
+#[test]
+fn a_refused_join_leaves_no_trace() {
+    let w = readmission::build();
+    let ws = Workspace::over(Arc::new(ChunkStore::in_memory()));
+    let refused = join_workspace(&ws, &w, "a", QuotaPolicy::logical(1_000_000))
+        .err()
+        .expect("the second library breaches the quota");
+    assert!(
+        matches!(
+            refused,
+            CoreError::Storage(StorageError::QuotaExceeded { .. })
+        ),
+        "{refused:?}"
+    );
+    let accounts = ws.store().tenant_accounts();
+    assert!(ws.tenant_names().is_empty());
+    assert!(accounts.usages().is_empty());
+    assert_eq!(accounts.open_reservations(), 0);
+    assert_eq!(accounts.tracked_chunks(), 0);
+    let orphaned = ws.store().physical_bytes();
+    assert!(orphaned > 0, "one library was archived");
+    assert_eq!(ws.sweep_orphans().unwrap().removed_bytes, orphaned);
+    assert!(
+        ws.usages().is_empty(),
+        "no tenant is charged for swept bytes"
+    );
+    let retry = join_workspace(&ws, &w, "a", QuotaPolicy::UNLIMITED).unwrap();
+    let fresh = Workspace::over(Arc::new(ChunkStore::in_memory()));
+    let first = join_workspace(&fresh, &w, "a", QuotaPolicy::UNLIMITED).unwrap();
+    assert_eq!(retry.tenant.usage(), first.tenant.usage());
+    assert_eq!(ws.shared_view(), fresh.shared_view());
+    assert_eq!(ws.store().physical_bytes(), fresh.store().physical_bytes());
+    assert_eq!(accounts.open_reservations(), 0);
 }
