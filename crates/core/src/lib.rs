@@ -50,6 +50,7 @@ pub mod errors;
 pub mod merge;
 pub mod prioritized;
 pub mod registry;
+mod search;
 pub mod search_space;
 pub mod system;
 pub mod testkit;
@@ -61,7 +62,7 @@ pub mod prelude {
     pub use crate::errors::{CoreError, Result as CoreResult};
     pub use crate::merge::{CandidateRecord, MergeEngine, MergeSearchReport, MergeStrategy};
     pub use crate::prioritized::{
-        PrioritizedSearcher, RankStats, SearchMethod, SearchedCandidate, TrialResult, TrialStats,
+        RankStats, SearchMethod, SearchedCandidate, TrialResult, TrialStats,
     };
     pub use crate::registry::{ComponentRegistry, RegisteredLibrary};
     pub use crate::search_space::{CompatLut, SearchSpaces};

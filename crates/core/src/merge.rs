@@ -15,19 +15,18 @@
 //!   shown in §V to be both failure-prone and metric-blind.
 
 use crate::errors::Result;
+use crate::prioritized::{SearchMethod, Trial, TrialResult, TrialStats};
 use crate::registry::ComponentRegistry;
+use crate::search::{self, Policy};
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
-use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{Executor, RunReport};
+use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::history::HistoryIndex;
-use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
-use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, Publication};
-use mlcask_storage::store::ChunkStore;
+use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::provenance::count_frontier_skipped;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -103,25 +102,21 @@ pub struct MergeSearchReport {
     pub physical_bytes: u64,
 }
 
-/// Executes merge searches against a registry/store/history triple.
+/// Executes merge searches — and the prioritized-search trials over the
+/// same candidate tree (§VII-E) — against a registry and a history.
 pub struct MergeEngine<'a> {
     registry: &'a ComponentRegistry,
-    store: &'a ChunkStore,
     dag: Arc<PipelineDag>,
     parallelism: ParallelismPolicy,
     incremental: bool,
 }
 
 impl<'a> MergeEngine<'a> {
-    /// Creates an engine for one pipeline shape (sequential evaluation).
-    pub fn new(
-        registry: &'a ComponentRegistry,
-        store: &'a ChunkStore,
-        dag: Arc<PipelineDag>,
-    ) -> Self {
+    /// Creates an engine for one pipeline shape (sequential evaluation),
+    /// writing through the registry's store.
+    pub fn new(registry: &'a ComponentRegistry, dag: Arc<PipelineDag>) -> Self {
         MergeEngine {
             registry,
-            store,
             dag,
             parallelism: ParallelismPolicy::Sequential,
             incremental: true,
@@ -129,22 +124,35 @@ impl<'a> MergeEngine<'a> {
     }
 
     /// Enables or disables the provenance fast path (frontier cuts and the
-    /// lookup of fully cut candidates) for history-backed strategies.
-    /// Shared prefixes execute once either way: candidates claim their
-    /// keys in one profile book. On by default; reports are byte-identical
-    /// either way — only wall-clock changes — which makes the disabled
-    /// engine the reference the fast path is tested against.
+    /// lookup of fully cut candidates) for history-backed strategies and
+    /// trials. Shared prefixes execute once either way: candidates claim
+    /// their keys in one profile book. On by default; reports are
+    /// byte-identical either way — only wall-clock changes — which makes
+    /// the disabled engine the reference the fast path is tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self
     }
 
-    /// Sets the candidate-evaluation worker pool. Reports are identical for
-    /// every policy (see [`mlcask_pipeline::replay`]); only wall-clock time
-    /// changes.
+    /// Sets the worker pool for candidates and trials. Reports and trial
+    /// statistics are identical for every policy (see
+    /// [`mlcask_pipeline::replay`]); only wall-clock time changes.
     pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> Self {
         self.parallelism = parallelism;
         self
+    }
+
+    /// The search tree over `spaces`, PC-pruned (§VI-A) when `pc`.
+    fn tree(&self, spaces: &SearchSpaces, pc: bool) -> Result<SearchTree> {
+        let mut tree = SearchTree::build(spaces);
+        if pc {
+            // Real DAG in-edges per slot: PC follows the pipeline shape,
+            // which need not be a chain.
+            let preds = self.dag.predecessors();
+            let lut = CompatLut::build(self.registry, spaces, preds)?;
+            tree.prune_incompatible(&lut, preds);
+        }
+        Ok(tree)
     }
 
     /// Runs the merge search. `history` is consulted and extended only by
@@ -153,16 +161,18 @@ impl<'a> MergeEngine<'a> {
     /// `history` only through the phase-2 replay, which publishes each
     /// candidate's charged executions after charging them.
     ///
-    /// Candidates are evaluated by the engine's [`ParallelismPolicy`] in two
-    /// phases — parallel traced execution, then a sequential accounting
-    /// replay in candidate-index order (see [`mlcask_pipeline::replay`]) —
-    /// so the returned report (records, scores, virtual end-times, storage
-    /// accounting) is identical whatever the worker count. With the
-    /// incremental fast path on, history-backed strategies first cut every
-    /// candidate against the history's fingerprints: a candidate every node
-    /// of which is a fingerprint hit is a lookup — its report is the cut's
-    /// ([`FrontierCut::report`]), in its place in candidate order — and
-    /// only the others go through the two phases.
+    /// Candidates go through the one evaluation loop (see
+    /// [`mlcask_pipeline::replay`] for its two phases) on the engine's
+    /// [`ParallelismPolicy`], so the returned report (records, scores,
+    /// virtual end-times, storage accounting) is identical whatever the
+    /// worker count. With the incremental fast path on, history-backed
+    /// strategies cut every candidate against the history's fingerprints
+    /// before tracing any: a candidate every node of which is a fingerprint
+    /// hit is a lookup — its report is the cut's
+    /// ([`FrontierCut::report`](mlcask_pipeline::provenance::FrontierCut::report)),
+    /// in its place in candidate order — and only the others are traced and
+    /// replayed. No strategy prechecks: incompatibilities are either pruned
+    /// from the tree (PC) or discovered mid-run.
     ///
     /// Tenant-attributed stores take quota *reservations* during phase 1 and
     /// settle them in the phase-2 replay; if the search aborts in phase 1 —
@@ -178,204 +188,187 @@ impl<'a> MergeEngine<'a> {
         strategy: MergeStrategy,
         ledger: &ClockLedger,
     ) -> Result<MergeSearchReport> {
-        let book = ProfileBook::new();
-        book.reservation_scope(self.store, || {
-            self.search_with_book(spaces, history, strategy, ledger, &book)
-        })
-    }
-
-    fn search_with_book(
-        &self,
-        spaces: &SearchSpaces,
-        history: &HistoryIndex,
-        strategy: MergeStrategy,
-        ledger: &ClockLedger,
-        book: &ProfileBook,
-    ) -> Result<MergeSearchReport> {
         let _search_span = mlcask_obs::span!(
             "merge.search",
             "strategy" => format!("{strategy:?}"),
             "candidates" => spaces.candidate_upper_bound(),
         );
-        let stats_before = self.store.stats().total();
-        let mut tree = SearchTree::build(spaces);
-        let candidates_total = spaces.candidate_upper_bound();
-        // Real DAG in-edges per slot: PC/PR follow the pipeline shape, which
-        // need not be a chain.
-        let preds = self.dag.predecessors();
-
-        // Strategy-specific pruning/marking.
+        let store = self.registry.store();
+        let stats_before = store.stats().total();
         let pc = matches!(strategy, MergeStrategy::WithoutPr | MergeStrategy::Full);
-        if pc {
-            let lut = CompatLut::build(self.registry, spaces, preds)?;
-            tree.prune_incompatible(&lut, preds);
-        }
+        let mut tree = self.tree(spaces, pc)?;
         if strategy == MergeStrategy::Full {
-            tree.mark_checkpoints(history, preds);
+            tree.mark_checkpoints(history, self.dag.predecessors());
         }
-
-        // Candidate list per strategy (marking never prunes, so the live
-        // leaves are the ones pruning left).
-        let leaves: Vec<Vec<ComponentKey>> = match strategy {
-            MergeStrategy::Naive => vec![naive_candidate(spaces)],
+        // Marking never prunes, so the live leaves are the ones pruning
+        // left; a naive merge with an empty slot has no candidate at all.
+        let candidates: Vec<Vec<ComponentKey>> = match strategy {
+            MergeStrategy::Naive => naive_candidate(spaces).into_iter().collect(),
             _ => tree
                 .live_leaves()
                 .into_iter()
                 .map(|l| tree.candidate(l))
                 .collect(),
         };
-        let candidates_pruned = if pc {
-            candidates_total - leaves.len()
-        } else {
-            0
-        };
-
-        // Accounting policy per strategy. The from-scratch ablations pay
-        // every component for every candidate; Full/Naive reuse the shared
-        // history. No strategy prechecks: incompatibilities are either
-        // pruned from the tree (PC) or discovered mid-run.
-        let use_history = matches!(strategy, MergeStrategy::Full | MergeStrategy::Naive);
-
-        let bound: Vec<BoundPipeline> = leaves
-            .iter()
-            .map(|keys| self.registry.bind(&self.dag, keys))
-            .collect::<Result<_>>()?;
-
-        // Phase 1 — execute every candidate (possibly in parallel) for its
-        // results, deduplicating shared work through the book. Reuse
-        // strategies look checkpoints up in the live history; the ablations
-        // in a view of it holding none (their accounting below pays every
-        // execution anyway).
-        //
-        // The worker pool splits across two levels: candidates fan out
-        // first, and any leftover workers fan the independent DAG nodes
-        // *inside* each candidate out (wavefront execution) — one budget,
-        // never oversubscribed.
-        let from_scratch;
-        let phase_cache = if use_history {
-            history
-        } else {
-            from_scratch = history.decoded_only();
-            &from_scratch
-        };
-        // Each candidate's frontier cut, once, against the live history's
-        // fingerprints — all of them before any candidate is traced, so this
-        // search's own checkpoints cannot move a cut. A cut covering the
-        // whole candidate is its report (see `FrontierCut::report`): such a
-        // candidate is neither traced nor replayed, which is what its trace
-        // and replay would have amounted to. Only the rest are evaluated.
-        let cutting = use_history && self.incremental;
-        let cuts: Vec<Option<FrontierCut>> = bound
-            .iter()
-            .map(|pipeline| {
-                cutting
-                    .then(|| FrontierCut::of(pipeline, history))
-                    .transpose()
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        let mut known: Vec<Option<RunReport>> = cuts
-            .iter()
-            .zip(&bound)
-            .map(|(cut, pipeline)| cut.as_ref()?.report(pipeline))
-            .collect();
-        let pending: Vec<usize> = (0..bound.len()).filter(|&i| known[i].is_none()).collect();
-        let executor = Executor::new(self.store);
-        // Candidates share `book`, so a prefix common to several executes
-        // once, whichever worker claims it first.
-        let (outer, inner) = self.parallelism.split(pending.len());
-        let traced = map_indexed(outer, &pending, |_, &i| {
-            let _cand_span = mlcask_obs::span!("merge.candidate", "index" => i);
-            executor.trace(&bound[i], phase_cache, book, inner, cuts[i].as_ref())
-        });
-        // Frontier cuts are computed before phase 1, so the per-candidate
-        // skip counts are deterministic; `map_indexed` preserves candidate
-        // order, so the sum is too.
-        let mut skipped_by_frontier: usize = known.iter().flatten().map(|r| r.stages.len()).sum();
-        for t in traced {
-            skipped_by_frontier += t?.skipped_by_frontier;
-        }
-        count_frontier_skipped(skipped_by_frontier);
-
-        // Phase 2 — deterministic accounting replay in candidate order,
-        // reusing what phase 1 found and did not produce, and publishing
-        // into the history what it charged as executed.
-        let mut sim = CacheSnapshot::new();
-        let mut cursor = book.replay_cursor();
-        let mut merge_clock = ClockSnapshot::default();
-        let mut records: Vec<CandidateRecord> = Vec::with_capacity(leaves.len());
-        let mut executed = 0usize;
-        let mut reused = 0usize;
-        let mut failed = 0usize;
-        let mut best: Option<(Vec<ComponentKey>, Score)> = None;
-        for (((keys, pipeline), known), cut) in
-            leaves.into_iter().zip(&bound).zip(&mut known).zip(&cuts)
-        {
-            let run_ledger = ClockLedger::new();
-            let report = match known.take() {
-                Some(report) => report,
-                None => replay_run(
-                    self.store,
-                    pipeline,
-                    book,
-                    use_history.then_some(&mut sim),
-                    &mut cursor,
-                    &run_ledger,
-                    use_history.then(|| Publication {
-                        index: history,
-                        fingerprints: cut.as_ref().map(|cut| cut.fingerprints.as_slice()),
-                    }),
-                )?,
-            };
-            let snap = run_ledger.snapshot();
-            merge_clock = merge_clock.plus(&snap);
-            ledger.merge(&snap);
-            executed += report.executed_count();
-            reused += report.reused_count();
-            let score = report.outcome.score();
-            let is_failure = !report.outcome.is_completed();
-            if is_failure {
-                failed += 1;
-            }
-            if let Some(s) = score {
-                let better = match &best {
-                    Some((_, b)) => s.total_cmp(b) == std::cmp::Ordering::Greater,
-                    None => true,
-                };
-                if better {
-                    best = Some((keys.clone(), s));
-                }
-            }
-            records.push(CandidateRecord {
-                keys,
-                score,
-                failed: is_failure,
-                end_time_ns: merge_clock.total_ns(),
-            });
-        }
-
-        let stats_after = self.store.stats().total();
-        Ok(MergeSearchReport {
+        let candidates_total = spaces.candidate_upper_bound();
+        let mut report = MergeSearchReport {
             strategy,
             candidates_total,
-            candidates_evaluated: records.len(),
-            candidates_pruned,
+            candidates_evaluated: candidates.len(),
+            candidates_pruned: if pc {
+                candidates_total - candidates.len()
+            } else {
+                0
+            },
             state_counts: tree.state_counts(),
-            executed_components: executed,
-            reused_components: reused,
-            skipped_by_frontier,
-            failed_candidates: failed,
-            best,
-            candidates: records,
-            clock: merge_clock,
-            logical_bytes: stats_after.logical_bytes - stats_before.logical_bytes,
-            physical_bytes: stats_after.physical_bytes - stats_before.physical_bytes,
-        })
+            executed_components: 0,
+            reused_components: 0,
+            skipped_by_frontier: 0,
+            failed_candidates: 0,
+            best: None,
+            candidates: Vec::with_capacity(candidates.len()),
+            clock: ClockSnapshot::default(),
+            logical_bytes: 0,
+            physical_bytes: 0,
+        };
+        // The from-scratch ablations pay every component for every
+        // candidate; Full and Naive reuse and extend the shared history.
+        let use_history = matches!(strategy, MergeStrategy::Full | MergeStrategy::Naive);
+        let policy = Policy {
+            use_history,
+            cut: use_history && self.incremental,
+            publish: use_history,
+            precheck: false,
+            round_span: None,
+            candidate_span: Some("merge.candidate"),
+        };
+        let evaluated = search::evaluate(
+            self.registry,
+            &self.dag,
+            history,
+            policy,
+            self.parallelism,
+            &mut [candidates],
+        )?;
+        for e in evaluated.into_iter().flatten() {
+            ledger.merge(&e.clock);
+            report.clock = report.clock.plus(&e.clock);
+            report.executed_components += e.report.executed_count();
+            report.reused_components += e.report.reused_count();
+            report.skipped_by_frontier += e.skipped;
+            let score = e.report.outcome.score();
+            let failed = !e.report.outcome.is_completed();
+            report.failed_candidates += failed as usize;
+            if let Some(s) = score {
+                if report
+                    .best
+                    .as_ref()
+                    .is_none_or(|(_, b)| s.total_cmp(b).is_gt())
+                {
+                    report.best = Some((e.keys.clone(), s));
+                }
+            }
+            report.candidates.push(CandidateRecord {
+                keys: e.keys,
+                score,
+                failed,
+                end_time_ns: report.clock.total_ns(),
+            });
+        }
+        count_frontier_skipped(report.skipped_by_frontier);
+        let stats_after = store.stats().total();
+        report.logical_bytes = stats_after.logical_bytes - stats_before.logical_bytes;
+        report.physical_bytes = stats_after.physical_bytes - stats_before.physical_bytes;
+        Ok(report)
+    }
+
+    /// Runs `trials` independent prioritized or random trials over the
+    /// PC-pruned candidate tree and aggregates Fig. 10 / Table I
+    /// statistics. Each trial searches *all* live candidates in the order
+    /// chosen by `method`, reusing within the trial what it executed
+    /// earlier — what a live one-candidate-at-a-time trial would pay;
+    /// `initial_scores` seeds leaf scores (the trained pipelines on both
+    /// heads).
+    ///
+    /// Trials read `base_history` and never write it: a pick it holds
+    /// whole is a lookup. They advance in rounds of the evaluation loop,
+    /// one candidate per trial per round, so a long trial cannot idle the
+    /// workers a short trial has released, and share one profile book, so
+    /// a prefix common to several executes once. The statistics are
+    /// identical for every worker count.
+    pub fn run_trials(
+        &self,
+        spaces: &SearchSpaces,
+        base_history: &HistoryIndex,
+        initial_scores: &[(Vec<ComponentKey>, f64)],
+        method: SearchMethod,
+        trials: usize,
+        seed: u64,
+    ) -> Result<TrialStats> {
+        // Trial 0 runs under `seed` itself, so `run_trial` is the one-trial
+        // case of this search.
+        let seeds: Vec<u64> = (0..trials)
+            .map(|t| seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15))
+            .collect();
+        let (results, skipped) =
+            self.trials(spaces, base_history, initial_scores, method, &seeds)?;
+        Ok(TrialStats::of(method, &results, skipped))
+    }
+
+    /// Runs one trial of [`MergeEngine::run_trials`] under `seed`.
+    pub fn run_trial(
+        &self,
+        spaces: &SearchSpaces,
+        base_history: &HistoryIndex,
+        initial_scores: &[(Vec<ComponentKey>, f64)],
+        method: SearchMethod,
+        seed: u64,
+    ) -> Result<TrialResult> {
+        let (mut results, _) =
+            self.trials(spaces, base_history, initial_scores, method, &[seed])?;
+        Ok(results.pop().expect("one seed yields one trial"))
+    }
+
+    /// One trial per seed, and the frontier-skipped nodes summed across them.
+    fn trials(
+        &self,
+        spaces: &SearchSpaces,
+        base_history: &HistoryIndex,
+        initial_scores: &[(Vec<ComponentKey>, f64)],
+        method: SearchMethod,
+        seeds: &[u64],
+    ) -> Result<(Vec<TrialResult>, usize)> {
+        let tree = self.tree(spaces, true)?;
+        let mut trials = Trial::seeded(tree, initial_scores, method, seeds);
+        let policy = Policy {
+            use_history: true,
+            cut: self.incremental,
+            publish: false,
+            precheck: false,
+            round_span: Some("trials.round"),
+            candidate_span: None,
+        };
+        let evaluated = search::evaluate(
+            self.registry,
+            &self.dag,
+            base_history,
+            policy,
+            self.parallelism,
+            &mut trials,
+        )?;
+        let skipped = evaluated.iter().flatten().map(|e| e.skipped).sum();
+        count_frontier_skipped(skipped);
+        Ok((
+            evaluated.into_iter().map(TrialResult::of).collect(),
+            skipped,
+        ))
     }
 }
 
 /// The naive merge candidate: the newest version of every component across
-/// both branches (what Git-style merging would pick).
-pub fn naive_candidate(spaces: &SearchSpaces) -> Vec<ComponentKey> {
+/// both branches (what Git-style merging would pick), or `None` when a slot
+/// has no version at all.
+pub fn naive_candidate(spaces: &SearchSpaces) -> Option<Vec<ComponentKey>> {
     spaces
         .per_slot
         .iter()
@@ -383,8 +376,7 @@ pub fn naive_candidate(spaces: &SearchSpaces) -> Vec<ComponentKey> {
             versions
                 .iter()
                 .max_by_key(|k| (k.version.schema, k.version.increment))
-                .expect("non-empty slot")
-                .clone()
+                .cloned()
         })
         .collect()
 }
@@ -393,8 +385,9 @@ pub fn naive_candidate(spaces: &SearchSpaces) -> Vec<ComponentKey> {
 mod tests {
     use super::*;
     use crate::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
-    use mlcask_pipeline::executor::ExecOptions;
+    use mlcask_pipeline::executor::{ExecOptions, Executor};
     use mlcask_pipeline::semver::SemVer;
+    use mlcask_storage::store::ChunkStore;
 
     /// Builds a Fig.-3-like scenario:
     /// * source: one version (dim 4)
@@ -433,7 +426,7 @@ mod tests {
     #[test]
     fn exhaustive_evaluates_upper_bound() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag);
+        let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine
@@ -451,7 +444,7 @@ mod tests {
     #[test]
     fn compat_pruning_removes_doomed_candidates() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag);
+        let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine
@@ -466,7 +459,7 @@ mod tests {
     #[test]
     fn full_strategy_executes_each_node_once() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag.clone());
+        let engine = MergeEngine::new(&reg, dag.clone());
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine
@@ -495,7 +488,7 @@ mod tests {
         let mut bests = Vec::new();
         for s in strategies {
             let (reg, dag, spaces) = scenario(); // fresh store per strategy
-            let engine = MergeEngine::new(&reg, reg.store(), dag);
+            let engine = MergeEngine::new(&reg, dag);
             let history = HistoryIndex::new();
             let clock = ClockLedger::new();
             let r = engine.search(&spaces, &history, s, &clock).unwrap();
@@ -514,7 +507,7 @@ mod tests {
     #[test]
     fn full_reuses_prior_history() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag.clone());
+        let engine = MergeEngine::new(&reg, dag.clone());
         let history = HistoryIndex::new();
         // Pre-train one pipeline (the common ancestor's, say) so its prefix
         // is checkpointed.
@@ -542,12 +535,12 @@ mod tests {
     #[test]
     fn naive_candidate_picks_latest_and_fails_here() {
         let (reg, dag, spaces) = scenario();
-        let cand = naive_candidate(&spaces);
+        let cand = naive_candidate(&spaces).unwrap();
         // Latest scaler is 1.0 (dim 6), latest model is 0.4 (expects dim 4):
         // exactly the paper's incompatibility example.
         assert_eq!(cand[1].version, SemVer::master(1, 0));
         assert_eq!(cand[2].version, SemVer::master(0, 4));
-        let engine = MergeEngine::new(&reg, reg.store(), dag);
+        let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine
@@ -559,9 +552,29 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_slot_leaves_every_strategy_without_a_candidate() {
+        let (reg, dag, mut spaces) = scenario();
+        spaces.per_slot[2].clear();
+        assert!(naive_candidate(&spaces).is_none());
+        let engine = MergeEngine::new(&reg, dag);
+        for strategy in [
+            MergeStrategy::Naive,
+            MergeStrategy::WithoutPcPr,
+            MergeStrategy::WithoutPr,
+            MergeStrategy::Full,
+        ] {
+            let report = engine
+                .search(&spaces, &HistoryIndex::new(), strategy, &ClockLedger::new())
+                .unwrap();
+            assert_eq!(report.candidates_evaluated, 0, "{strategy:?}");
+            assert!(report.best.is_none(), "{strategy:?}");
+        }
+    }
+
+    #[test]
     fn candidate_end_times_are_monotone() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag);
+        let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine
@@ -579,7 +592,7 @@ mod tests {
     #[test]
     fn best_score_is_global_max() {
         let (reg, dag, spaces) = scenario();
-        let engine = MergeEngine::new(&reg, reg.store(), dag);
+        let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let clock = ClockLedger::new();
         let report = engine

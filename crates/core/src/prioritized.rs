@@ -9,32 +9,21 @@
 //! budget this returns better pipelines earlier; with an unlimited budget it
 //! finds the same optimum as the exhaustive pruned search.
 //!
-//! Trials read the base history and never write it: a node one trial
-//! executes is adopted by the others through the shared [`ProfileBook`]'s
-//! claim, not from a copy of the history per trial. Each trial's
-//! accounting replay reuses what that trial executed earlier in its own
-//! search order — what a live one-candidate-at-a-time trial would pay —
-//! and publishes nothing.
+//! A trial is a picker of the evaluation loop merge searches and
+//! commits also go through; `MergeEngine::run_trials` runs them over the
+//! merge's PC-pruned tree. Trials read the base history and never write
+//! it; a node one trial executes is adopted by the others through the
+//! loop's shared profile book.
 
-use crate::errors::Result;
-use crate::registry::ComponentRegistry;
-use crate::search_space::{CompatLut, SearchSpaces};
+use crate::search::{Evaluated, Picker};
 use crate::tree::{NodeState, SearchTree};
 use mlcask_ml::metrics::Score;
-use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
-use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{Executor, TracedOutcome};
-use mlcask_pipeline::history::HistoryIndex;
-use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
-use mlcask_pipeline::provenance::{count_frontier_skipped, FrontierCut};
-use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, ReplayCursor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Candidate ordering policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,181 +107,24 @@ impl TrialStats {
     }
 }
 
-/// Prioritized/random search driver over one merge scenario.
-pub struct PrioritizedSearcher<'a> {
-    registry: &'a ComponentRegistry,
-    dag: Arc<PipelineDag>,
-    parallelism: ParallelismPolicy,
-}
-
-/// Mutable state of one in-flight trial, advanced one candidate at a time
-/// so the trial scheduler can interleave candidates from many trials on a
-/// single worker pool (divergent trial lengths then stop idling workers).
-struct TrialState {
-    tree: SearchTree,
-    remaining: HashMap<usize, usize>,
-    rng: StdRng,
-    /// Pre-drawn search order (`Random`); `None` means adaptive descent.
-    order: Option<Vec<usize>>,
-    searched: Vec<(Vec<ComponentKey>, Option<Score>)>,
-    bound: Vec<BoundPipeline>,
-    skipped_by_frontier: usize,
-    picked: usize,
-    total: usize,
-}
-
-/// Folds one executed candidate back into its trial: scores drive the next
-/// descent and `remaining` shrinks along the leaf's path, which is what
-/// keeps the descent off it. Must be called in pick order for the trial (the descent is
-/// adaptive), which the round-based scheduler guarantees — at most one
-/// candidate per trial is in flight.
-fn record_pick(
-    state: &mut TrialState,
-    leaf: usize,
-    keys: Vec<ComponentKey>,
-    pipeline: BoundPipeline,
-    outcome: TracedOutcome,
-) {
-    if let Some(s) = outcome.score {
-        state.tree.node_mut(leaf).score = Some(s.value);
-        propagate_up(&mut state.tree, leaf);
-    }
-    // Decrement remaining along the path.
-    for id in state.tree.path(leaf) {
-        *state.remaining.get_mut(&id).expect("counted") -= 1;
-    }
-    *state
-        .remaining
-        .get_mut(&state.tree.root())
-        .expect("counted") -= 1;
-    state.skipped_by_frontier += outcome.skipped_by_frontier;
-    state.searched.push((keys, outcome.score));
-    state.bound.push(pipeline);
-}
-
-impl<'a> PrioritizedSearcher<'a> {
-    /// Creates a searcher (sequential trial evaluation).
-    pub fn new(registry: &'a ComponentRegistry, dag: Arc<PipelineDag>) -> Self {
-        PrioritizedSearcher {
-            registry,
-            dag,
-            parallelism: ParallelismPolicy::Sequential,
-        }
-    }
-
-    /// Sets the worker pool used by [`PrioritizedSearcher::run_trials`].
-    /// Trials are independent, so they fan out across workers; the replayed
-    /// statistics are identical for every policy.
-    pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Builds the initial state of one trial: prune, seed initial scores,
-    /// and draw the search order for `Random`.
-    fn trial_state(
-        &self,
-        spaces: &SearchSpaces,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
-        method: SearchMethod,
-        seed: u64,
-    ) -> Result<TrialState> {
-        let mut tree = SearchTree::build(spaces);
-        let preds = self.dag.predecessors();
-        let lut = CompatLut::build(self.registry, spaces, preds)?;
-        tree.prune_incompatible(&lut, preds);
-
-        let leaves = tree.live_leaves();
-        let mut leaf_of: HashMap<Vec<ComponentKey>, usize> = HashMap::new();
-        for &l in &leaves {
-            leaf_of.insert(tree.candidate(l), l);
-        }
-        // Seed initial scores and propagate averages upward.
-        for (keys, value) in initial_scores {
-            if let Some(&leaf) = leaf_of.get(keys) {
-                tree.node_mut(leaf).score = Some(*value);
-                propagate_up(&mut tree, leaf);
-            }
-        }
-
-        // Remaining un-run leaf counts per subtree.
-        let mut remaining: HashMap<usize, usize> = HashMap::new();
-        for &l in &leaves {
-            for id in tree.path(l) {
-                *remaining.entry(id).or_insert(0) += 1;
-            }
-            *remaining.entry(tree.root()).or_insert(0) += 1;
-        }
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let order: Option<Vec<usize>> = match method {
-            SearchMethod::Random => {
-                let mut o = leaves.clone();
-                o.shuffle(&mut rng);
-                Some(o)
-            }
-            SearchMethod::Prioritized => None, // chosen adaptively
-        };
-        let total = leaves.len();
-        Ok(TrialState {
-            tree,
-            remaining,
-            rng,
-            order,
-            searched: Vec::with_capacity(total),
-            bound: Vec::with_capacity(total),
-            skipped_by_frontier: 0,
-            picked: 0,
-            total,
-        })
-    }
-
-    /// Picks and binds the trial's next candidate, or `None` when the trial
-    /// has searched every live leaf. Deterministic: the descent depends only
-    /// on the trial's own rng and the scores recorded so far.
-    fn pick_next(
-        &self,
-        state: &mut TrialState,
-    ) -> Result<Option<(usize, Vec<ComponentKey>, BoundPipeline)>> {
-        if state.picked == state.total {
-            return Ok(None);
-        }
-        let leaf = match &state.order {
-            Some(o) => o[state.picked],
-            None => descend_best(&state.tree, &state.remaining, &mut state.rng),
-        };
-        state.picked += 1;
-        let keys = state.tree.candidate(leaf);
-        let pipeline = self.registry.bind(&self.dag, &keys)?;
-        Ok(Some((leaf, keys, pipeline)))
-    }
-
-    /// Phase 2 of one trial: the deterministic accounting replay in search
-    /// order — what a live one-candidate-at-a-time trial charges, reusing
-    /// within the trial what it executed. `cursor` carries chunk-dedup state
-    /// across trials in trial order. Trials publish nothing: the base
-    /// history is the same for every trial.
-    fn replay_trial(
-        &self,
-        trial: &TrialState,
-        book: &ProfileBook,
-        cursor: &mut ReplayCursor,
-    ) -> Result<TrialResult> {
-        let store = self.registry.store();
-        let ledger = ClockLedger::new();
-        let mut sim = CacheSnapshot::new();
-        let mut searched = Vec::with_capacity(trial.searched.len());
-        for (idx, ((keys, _), pipeline)) in trial.searched.iter().zip(&trial.bound).enumerate() {
-            let report = replay_run(store, pipeline, book, Some(&mut sim), cursor, &ledger, None)?;
-            searched.push(SearchedCandidate {
-                rank: idx + 1,
-                keys: keys.clone(),
-                score: report.outcome.score(),
-                end_time_ns: ledger.snapshot().total_ns(),
-            });
-        }
-
-        // Identify the global optimum and the rank at which it appeared.
+impl TrialResult {
+    /// Folds one trial's evaluated candidates, in search order: cumulative
+    /// end times, and the rank at which the global optimum appeared.
+    pub(crate) fn of(evaluated: Vec<Evaluated>) -> TrialResult {
+        let mut end_time_ns = 0;
+        let searched: Vec<SearchedCandidate> = evaluated
+            .into_iter()
+            .enumerate()
+            .map(|(idx, e)| {
+                end_time_ns += e.clock.total_ns();
+                SearchedCandidate {
+                    rank: idx + 1,
+                    keys: e.keys,
+                    score: e.report.outcome.score(),
+                    end_time_ns,
+                }
+            })
+            .collect();
         let best = searched
             .iter()
             .filter_map(|s| s.score.map(|v| v.value))
@@ -301,126 +133,22 @@ impl<'a> PrioritizedSearcher<'a> {
             .iter()
             .find(|s| s.score.map(|v| v.value) == Some(best))
             .map(|s| s.rank);
-        Ok(TrialResult {
+        TrialResult {
             searched,
             optimal_rank,
-        })
+        }
     }
+}
 
-    /// Searches one trial per seed to completion (phase 1), then replays
-    /// their accounting in trial order (phase 2). Returns the per-trial
-    /// results and the frontier-skipped node count summed across trials.
-    ///
-    /// Trials advance in work-stealing rounds: each round takes the *next*
-    /// candidate from every still-active trial (a deterministic, sequential
-    /// pick — the descent is adaptive) and fans the whole batch across the
-    /// searcher's [`ParallelismPolicy`], so a long trial cannot idle the
-    /// workers a short trial has released; with one trial the whole pool
-    /// flows into each candidate's DAG. Trials share one [`ProfileBook`],
-    /// whose claim executes each `(component, inputs)` key once, so a
-    /// prefix common to several trials executes once rather than once per
-    /// trial; the accounting replay walks trials in index order, so the
-    /// results are identical for every worker count. An aborted
-    /// search (quota breach, storage fault) releases every unsettled
-    /// reservation before the error surfaces.
-    fn search(
-        &self,
-        spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
+impl TrialStats {
+    /// Aggregates per-trial results (in trial order) into per-rank means
+    /// and variances and the optimum-found CDF.
+    pub(crate) fn of(
         method: SearchMethod,
-        seeds: &[u64],
-    ) -> Result<(Vec<TrialResult>, usize)> {
-        let book = ProfileBook::new();
-        book.reservation_scope(self.registry.store(), || {
-            // Candidates cut against the base history, which no trial
-            // writes, so a cut never depends on how far other trials have
-            // got.
-            let executor = Executor::new(self.registry.store());
-            let mut states: Vec<TrialState> = seeds
-                .iter()
-                .map(|&seed| self.trial_state(spaces, initial_scores, method, seed))
-                .collect::<Result<_>>()?;
-            let mut round = 0usize;
-            loop {
-                // Pick phase: sequential and trial-local, so each trial's
-                // search order is the same for every worker count.
-                let mut picks = Vec::new();
-                for (t, state) in states.iter_mut().enumerate() {
-                    if let Some((leaf, keys, pipeline)) = self.pick_next(state)? {
-                        picks.push((t, leaf, keys, pipeline));
-                    }
-                }
-                if picks.is_empty() {
-                    break;
-                }
-                round += 1;
-                let _round_span = mlcask_obs::span!(
-                    "trials.round",
-                    "round" => round,
-                    "picks" => picks.len(),
-                );
-                // Execute phase: the round's batch fans across the pool;
-                // leftover workers run each candidate's DAG wavefront.
-                let (outer, inner) = self.parallelism.split(picks.len());
-                let outcomes = map_indexed(outer, &picks, |_, (_, _, _, pipeline)| {
-                    let cut = FrontierCut::of(pipeline, base_history)?;
-                    executor.trace(pipeline, base_history, &book, inner, Some(&cut))
-                });
-                // Record phase: fold results back in trial order.
-                for ((t, leaf, keys, pipeline), outcome) in picks.into_iter().zip(outcomes) {
-                    record_pick(&mut states[t], leaf, keys, pipeline, outcome?);
-                }
-            }
-            let mut results = Vec::with_capacity(states.len());
-            let mut skipped = 0usize;
-            let mut cursor = book.replay_cursor();
-            for state in &states {
-                skipped += state.skipped_by_frontier;
-                results.push(self.replay_trial(state, &book, &mut cursor)?);
-            }
-            count_frontier_skipped(skipped);
-            Ok((results, skipped))
-        })
-    }
-
-    /// Runs one trial: searches *all* live candidates in the order chosen by
-    /// `method`, reusing checkpoints within the trial exactly as a real
-    /// merge would. `initial_scores` seeds leaf scores (the trained
-    /// pipelines on both heads).
-    pub fn run_trial(
-        &self,
-        spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
-        method: SearchMethod,
-        seed: u64,
-    ) -> Result<TrialResult> {
-        let (mut results, _) =
-            self.search(spaces, base_history, initial_scores, method, &[seed])?;
-        Ok(results.pop().expect("one seed yields one trial"))
-    }
-
-    /// Runs `trials` independent trials and aggregates Fig. 10 / Table I
-    /// statistics. Trials advance in work-stealing rounds over one worker
-    /// pool and one profile book; the aggregated statistics are identical
-    /// for every worker count.
-    pub fn run_trials(
-        &self,
-        spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
-        method: SearchMethod,
-        trials: usize,
-        seed: u64,
-    ) -> Result<TrialStats> {
-        // Trial 0 runs under `seed` itself, so `run_trial` is the one-trial
-        // case of this search.
-        let seeds: Vec<u64> = (0..trials)
-            .map(|t| seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15))
-            .collect();
-        let (results, skipped_by_frontier) =
-            self.search(spaces, base_history, initial_scores, method, &seeds)?;
+        results: &[TrialResult],
+        skipped_by_frontier: usize,
+    ) -> TrialStats {
+        let trials = results.len();
         let n = results.first().map(|r| r.searched.len()).unwrap_or(0);
         let mut per_rank = Vec::with_capacity(n);
         for k in 0..n {
@@ -443,7 +171,7 @@ impl<'a> PrioritizedSearcher<'a> {
             });
         }
         let mut cdf = vec![0.0; n];
-        for r in &results {
+        for r in results {
             if let Some(rank) = r.optimal_rank {
                 for slot in cdf.iter_mut().skip(rank - 1) {
                     *slot += 1.0;
@@ -453,13 +181,107 @@ impl<'a> PrioritizedSearcher<'a> {
         for v in &mut cdf {
             *v /= trials.max(1) as f64;
         }
-        Ok(TrialStats {
+        TrialStats {
             method,
             trials,
             per_rank,
             optimal_found_cdf: cdf,
             skipped_by_frontier,
-        })
+        }
+    }
+}
+
+/// One trial as a picker of the evaluation loop: one candidate per round,
+/// the next chosen from the scores handed back so far. Deterministic: the
+/// descent depends only on the trial's own rng and its recorded scores.
+pub(crate) struct Trial {
+    tree: SearchTree,
+    /// Un-run live leaves per subtree (and at the root, in all).
+    remaining: HashMap<usize, usize>,
+    rng: StdRng,
+    /// The rest of a pre-drawn search order (`Random`); `None` means
+    /// adaptive descent.
+    order: Option<Vec<usize>>,
+    /// The leaf picked this round, until its score comes back.
+    pending: Option<usize>,
+}
+
+impl Trial {
+    /// One trial per seed over the PC-pruned `tree`, seeded with
+    /// `initial_scores`.
+    pub(crate) fn seeded(
+        mut tree: SearchTree,
+        initial_scores: &[(Vec<ComponentKey>, f64)],
+        method: SearchMethod,
+        seeds: &[u64],
+    ) -> Vec<Trial> {
+        let leaves = tree.live_leaves();
+        let leaf_of: HashMap<Vec<ComponentKey>, usize> =
+            leaves.iter().map(|&l| (tree.candidate(l), l)).collect();
+        // Seed initial scores and propagate averages upward.
+        for (keys, value) in initial_scores {
+            if let Some(&leaf) = leaf_of.get(keys) {
+                tree.node_mut(leaf).score = Some(*value);
+                propagate_up(&mut tree, leaf);
+            }
+        }
+        let mut remaining: HashMap<usize, usize> = HashMap::new();
+        for &l in &leaves {
+            for id in tree.path(l) {
+                *remaining.entry(id).or_insert(0) += 1;
+            }
+            *remaining.entry(tree.root()).or_insert(0) += 1;
+        }
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let order = (method == SearchMethod::Random).then(|| {
+                    let mut o = leaves.clone();
+                    o.shuffle(&mut rng);
+                    o.reverse();
+                    o
+                });
+                Trial {
+                    tree: tree.clone(),
+                    remaining: remaining.clone(),
+                    rng,
+                    order,
+                    pending: None,
+                }
+            })
+            .collect()
+    }
+}
+
+impl Picker for Trial {
+    fn pick(&mut self) -> Vec<Vec<ComponentKey>> {
+        if self
+            .remaining
+            .get(&self.tree.root())
+            .is_none_or(|&n| n == 0)
+        {
+            return Vec::new();
+        }
+        let leaf = match &mut self.order {
+            Some(order) => order.pop().expect("one drawn leaf per un-run leaf"),
+            None => descend_best(&self.tree, &self.remaining, &mut self.rng),
+        };
+        self.pending = Some(leaf);
+        vec![self.tree.candidate(leaf)]
+    }
+
+    /// Scores drive the next descent, and `remaining` shrinks along the
+    /// leaf's path, which keeps the descent off it.
+    fn scored(&mut self, score: Option<Score>) {
+        let leaf = self.pending.take().expect("one pick awaits its score");
+        if let Some(s) = score {
+            self.tree.node_mut(leaf).score = Some(s.value);
+            propagate_up(&mut self.tree, leaf);
+        }
+        for id in self.tree.path(leaf).into_iter().chain([self.tree.root()]) {
+            *self.remaining.get_mut(&id).expect("counted") -= 1;
+        }
     }
 }
 
@@ -534,9 +356,15 @@ fn descend_best(tree: &SearchTree, remaining: &HashMap<usize, usize>, rng: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::MergeEngine;
+    use crate::registry::ComponentRegistry;
+    use crate::search_space::SearchSpaces;
     use crate::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+    use mlcask_pipeline::dag::PipelineDag;
+    use mlcask_pipeline::history::HistoryIndex;
     use mlcask_pipeline::semver::SemVer;
     use mlcask_storage::store::ChunkStore;
+    use std::sync::Arc;
 
     /// Registry with 1 source × 2 scalers × 4 models, all compatible, with
     /// monotonically increasing model quality.
@@ -595,7 +423,7 @@ mod tests {
     #[test]
     fn trial_searches_every_candidate_once() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let res = searcher
             .run_trial(
@@ -622,7 +450,7 @@ mod tests {
     #[test]
     fn prioritized_finds_optimum_earlier_on_average() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let init = initial_scores(&spaces);
         let pri = searcher
@@ -646,7 +474,7 @@ mod tests {
     #[test]
     fn prioritized_early_ranks_score_higher() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let stats = searcher
             .run_trials(
@@ -669,7 +497,7 @@ mod tests {
     #[test]
     fn random_scores_flat_across_ranks() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let stats = searcher
             .run_trials(
@@ -694,7 +522,7 @@ mod tests {
     #[test]
     fn cdf_is_monotone() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         for method in [SearchMethod::Prioritized, SearchMethod::Random] {
             let stats = searcher
@@ -710,7 +538,7 @@ mod tests {
     #[test]
     fn trials_are_deterministic_given_seed() {
         let (reg, dag, spaces) = scenario();
-        let searcher = PrioritizedSearcher::new(&reg, dag);
+        let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let init = initial_scores(&spaces);
         let a = searcher

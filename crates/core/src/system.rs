@@ -12,16 +12,16 @@
 use crate::errors::{CoreError, Result};
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use crate::registry::ComponentRegistry;
+use crate::search::{self, Policy};
 use crate::search_space::SearchSpaces;
 use crate::workspace::{Parents, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome, RunReport};
+use mlcask_pipeline::executor::{RunOutcome, RunReport};
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::provenance::FrontierCut;
 use mlcask_storage::commit::{Commit, GraphView};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::ObjectKind;
@@ -245,18 +245,20 @@ impl MlCask {
     }
 
     /// How a run becomes a commit, for plain commits and both merge arms:
-    /// bind `keys`, run them under MLCask policy against the shared history
-    /// (whose replay publishes the checkpoints, and their fingerprints, of
-    /// what it executed) and, if the run completes, store its metafile and
-    /// append the commit carrying it to `branch` — an already-qualified
-    /// (shared-graph) name, since the cross-tenant merge path commits onto a
-    /// *peer's* branch, which has no caller-facing name in this system's
-    /// namespace. A run the precheck rejects (or that fails) commits nothing.
+    /// evaluate `keys` as the one candidate of the evaluation loop under
+    /// MLCask's commit policy — reuse, precheck, and publish into the shared
+    /// history the checkpoints (and their fingerprints) of what it executed
+    /// — and, if the run completes, store its metafile and append the
+    /// commit carrying it to `branch`: an already-qualified (shared-graph)
+    /// name, since the cross-tenant merge path commits onto a *peer's*
+    /// branch, which has no caller-facing name in this system's namespace.
+    /// A run the precheck rejects (or that fails) commits nothing.
     ///
-    /// With incremental re-evaluation on, a pipeline the live history's
-    /// fingerprints resolve end to end — a warm commit, a fast-forward, a merge
-    /// winner the search just evaluated — is not run: its report is the
-    /// cut's ([`FrontierCut::report`]), and there is nothing new to publish.
+    /// With incremental re-evaluation on, the pipeline is cut against the
+    /// live history before it is prechecked: one its fingerprints resolve
+    /// end to end — a warm commit, a fast-forward, a merge winner the search
+    /// just evaluated — is not run, its report is the cut's, and there is
+    /// nothing new to publish.
     fn run_and_commit(
         &self,
         branch: String,
@@ -265,31 +267,31 @@ impl MlCask {
         merging: Option<(&str, Hash256)>,
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
-        let bound = self.bind(keys)?;
-        let known = if self.incremental {
-            FrontierCut::of(&bound, self.history())?.report(&bound)
-        } else {
-            None
+        let policy = Policy {
+            cut: self.incremental,
+            ..Policy::COMMIT
         };
-        let report = match known {
-            Some(report) => report,
-            None => {
-                let options = ExecOptions::MLCASK.with_parallelism(self.parallelism);
-                let report = Executor::new(self.store()).run(
-                    &bound,
-                    ledger,
-                    Some(self.history()),
-                    options,
-                )?;
-                if !report.outcome.is_completed() {
-                    return Ok(CommitResult {
-                        commit: None,
-                        report,
-                    });
-                }
-                report
-            }
-        };
+        let evaluated = search::evaluate(
+            &self.registry,
+            &self.dag,
+            self.history(),
+            policy,
+            self.parallelism,
+            &mut [vec![keys.to_vec()]],
+        )?;
+        let run = evaluated
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("one candidate");
+        ledger.merge(&run.clock);
+        let report = run.report;
+        if !report.outcome.is_completed() {
+            return Ok(CommitResult {
+                commit: None,
+                report,
+            });
+        }
         // Next label: branch.seq (root = 0 when the branch does not exist).
         let head = self.graph().head(&branch).ok();
         let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
@@ -530,7 +532,7 @@ impl MlCask {
         }
 
         let spaces = self.merge_search_spaces_qualified(&view, &base_q, &merging_q)?;
-        let engine = MergeEngine::new(&self.registry, self.store(), Arc::clone(&self.dag))
+        let engine = MergeEngine::new(&self.registry, Arc::clone(&self.dag))
             .with_parallelism(self.parallelism)
             .with_incremental(self.incremental);
         let report = engine.search(&spaces, self.history(), strategy, ledger)?;

@@ -215,6 +215,21 @@ impl RunReport {
     }
 }
 
+/// MLCask's precheck: the report of a pipeline whose declared schemas
+/// cannot line up, rejected before anything executes (zero time charged),
+/// or `None` when it may run. Prechecking policies ask it before tracing.
+pub fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
+    let Err(PipelineError::IncompatibleSchema(detail)) = pipeline.precheck_compatibility() else {
+        return None;
+    };
+    Some(RunReport {
+        stages: Vec::new(),
+        outcome: RunOutcome::RejectedByPrecheck {
+            at: detail.component,
+        },
+    })
+}
+
 /// Runs bound pipelines against a [`ChunkStore`], implementing checkpoint
 /// reuse, output archiving, virtual-time accounting, and wavefront
 /// execution of independent nodes. Stateless apart from the store reference
@@ -318,16 +333,8 @@ impl<'s> Executor<'s> {
         let order = pipeline.dag.topo_order()?;
         let fail_at = pipeline.static_failure_node()?;
         if options.precheck && fail_at.is_some() {
-            if let Err(PipelineError::IncompatibleSchema(detail)) =
-                pipeline.precheck_compatibility()
-            {
-                // Rejected before any execution: zero time charged.
-                return Ok(RunReport {
-                    stages: Vec::new(),
-                    outcome: RunOutcome::RejectedByPrecheck {
-                        at: detail.component,
-                    },
-                });
+            if let Some(rejected) = precheck(pipeline) {
+                return Ok(rejected);
             }
         }
         let book = ProfileBook::new();

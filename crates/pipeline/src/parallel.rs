@@ -2,8 +2,8 @@
 //!
 //! Two fan-out shapes share one pool budget:
 //!
-//! * **Across pipelines** — the merge search and the prioritized-search
-//!   trial harness evaluate many *independent* pipelines; [`map_indexed`]
+//! * **Across pipelines** — merge searches and prioritized-search trials
+//!   evaluate many *independent* pipelines; [`map_indexed`]
 //!   fans that work out over scoped threads while keeping results in input
 //!   order so downstream accounting is deterministic.
 //! * **Within one pipeline** — independent DAG nodes of a *single* pipeline
@@ -11,7 +11,7 @@
 //!   node is dispatched the moment its last predecessor completes.
 //!
 //! [`ParallelismPolicy`] is the user-facing knob, exposed on `ExecOptions`,
-//! `MergeEngine`, `PrioritizedSearcher`, and `MlCask`;
+//! `MergeEngine`, and `MlCask`;
 //! [`ParallelismPolicy::split`] divides one budget between the two levels
 //! without oversubscribing.
 //!

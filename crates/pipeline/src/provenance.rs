@@ -25,8 +25,8 @@
 //! * A cut that covers every node *is* the pipeline's run report
 //!   ([`FrontierCut::report`]): every stage reused at zero cost, nothing
 //!   charged, nothing recorded — what tracing and replaying it would
-//!   produce. Merge searches and commits answer such a pipeline by lookup
-//!   and hand only the rest to the executor.
+//!   produce. Commits, merge searches and prioritized trials answer such
+//!   a pipeline by lookup and hand only the rest to the executor.
 //!
 //! Every evaluation cuts against the live history, before phase 1 starts: a
 //! merge search cuts all its candidates before tracing any of them, and

@@ -22,9 +22,9 @@
 //!
 //! The protocol is applied at two granularities:
 //!
-//! * **Across candidates** — `MergeEngine::search` and
-//!   `PrioritizedSearcher::run_trials` trace candidates concurrently, then
-//!   replay them in candidate-index order.
+//! * **Across candidates** — `mlcask_core`'s one evaluation loop (behind
+//!   commits, `MergeEngine::search` and `MergeEngine::run_trials`) traces
+//!   candidates concurrently, then replays them in pick order.
 //! * **Within one pipeline** — [`Executor::run`](crate::executor::Executor::run)
 //!   traces one pipeline's nodes (concurrently when the policy grants
 //!   workers), then replays that *single* candidate: [`replay_run`] walks

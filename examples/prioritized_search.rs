@@ -25,10 +25,12 @@ fn main() {
         init_scores.len()
     );
 
-    let searcher = PrioritizedSearcher::new(&registry, sys.dag().clone());
+    // Trials walk the merge's own PC-pruned candidate tree, so they run on
+    // the merge engine.
+    let engine = MergeEngine::new(&registry, sys.dag().clone());
     let trials = 40;
     for method in [SearchMethod::Prioritized, SearchMethod::Random] {
-        let stats = searcher
+        let stats = engine
             .run_trials(&spaces, sys.history(), &init_scores, method, trials, 7)
             .expect("trials");
         println!("{} search ({} trials):", method.label(), trials);

@@ -70,7 +70,7 @@ fn search_on(
     incremental: bool,
 ) -> MergeSearchReport {
     let p = primed_on(store);
-    let engine = MergeEngine::new(&p.reg, p.reg.store(), Arc::new(p.w.dag()))
+    let engine = MergeEngine::new(&p.reg, Arc::new(p.w.dag()))
         .with_parallelism(policy)
         .with_incremental(incremental);
     engine

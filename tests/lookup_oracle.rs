@@ -1,18 +1,18 @@
 //! A fully checkpointed pipeline is a lookup, and the lookup is invisible.
 //!
-//! Merge searches and commits answer a pipeline every node of which is a
-//! provenance hit with the frontier cut's report instead of tracing and
-//! replaying it; prioritized trials trace it with nothing left to
-//! schedule. This suite holds that fast path to the executor it
-//! replaces: `with_incremental(false)` (or, for the trials, a history
-//! without provenance) is the reference, and every search report, commit,
-//! ledger, tenant account, store statistic and served byte must equal it —
-//! on the paper's four workloads, under every merge strategy, at workers
-//! {1, 2, 8}. It also pins that the path fires: a warm commit and a warm
-//! merge schedule nothing.
+//! Commits, merge searches and prioritized trials — one evaluation loop —
+//! answer a pipeline every node of which is a provenance hit with the
+//! frontier cut's report instead of tracing and replaying it. This suite
+//! holds that fast path to the executor it replaces:
+//! `with_incremental(false)` (or, for the trials, a history without
+//! provenance) is the reference, and every search report, commit, ledger,
+//! tenant account, store statistic and served byte must equal it — on the
+//! paper's four workloads, under every merge strategy, at workers
+//! {1, 2, 8}. It also pins that the path fires: a warm commit, a warm merge
+//! and a warm trial schedule nothing.
 
-use mlcask_core::merge::MergeStrategy;
-use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
+use mlcask_core::merge::{MergeEngine, MergeStrategy};
+use mlcask_core::prioritized::SearchMethod;
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
@@ -157,8 +157,8 @@ fn collaboration(w: &Workload, workers: usize, incremental: bool) -> (Vec<String
     } else {
         without_provenance(down.sys.history())
     };
-    let searcher = PrioritizedSearcher::new(&down.registry, Arc::new(w.dag()))
-        .with_parallelism(policy(workers));
+    let searcher =
+        MergeEngine::new(&down.registry, Arc::new(w.dag())).with_parallelism(policy(workers));
     let mut trial_skips = 0;
     for method in [SearchMethod::Prioritized, SearchMethod::Random] {
         let mut stats = searcher
@@ -351,6 +351,52 @@ fn a_warm_commit_and_a_warm_merge_schedule_nothing() {
         3 * warm.candidates_evaluated,
         "every candidate was answered whole"
     );
+    rec.configure(restore.0, restore.1);
+}
+
+#[test]
+fn a_warm_trial_is_lookups_end_to_end() {
+    let _alone = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
+    let rec = trace::recorder();
+    let restore = (rec.is_enabled(), rec.capacity());
+    rec.configure(true, trace::DEFAULT_CAPACITY);
+    let sys = toy_system();
+    let ledger = ClockLedger::new();
+    let commit = |branch: &str, keys: Vec<ComponentKey>| {
+        let done = sys.commit_pipeline(branch, &keys, "step", &ledger).unwrap();
+        assert!(done.commit.is_some());
+    };
+    commit("master", toy(0, 0));
+    sys.branch("master", "dev").unwrap();
+    commit("dev", toy(0, 1));
+    commit("master", toy(1, 0));
+    let spaces = sys.merge_search_spaces("master", "dev").unwrap();
+    // The merge's search checkpoints every candidate the trials pick.
+    sys.merge("master", "dev", MergeStrategy::Full, &ledger)
+        .unwrap();
+
+    let engine = MergeEngine::new(sys.registry(), Arc::clone(sys.dag()));
+    let trials = |history: &HistoryIndex| {
+        [SearchMethod::Prioritized, SearchMethod::Random].map(|method| {
+            engine
+                .run_trials(&spaces, history, &[], method, 3, 5)
+                .unwrap()
+        })
+    };
+    let mut warm = None;
+    let scheduled = wavefronts(|| warm = Some(trials(sys.history())));
+    assert_eq!(scheduled, 0, "a warm trial is lookups end to end");
+    let reference = trials(&without_provenance(sys.history()));
+    for (mut got, want) in warm.unwrap().into_iter().zip(reference) {
+        let picks: usize = got.per_rank.len() * got.trials;
+        assert_eq!(got.skipped_by_frontier, 3 * picks, "every pick was whole");
+        assert_eq!(want.skipped_by_frontier, 0, "the reference never cuts");
+        got.skipped_by_frontier = 0;
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            serde_json::to_string(&want).unwrap()
+        );
+    }
     rec.configure(restore.0, restore.1);
 }
 

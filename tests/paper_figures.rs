@@ -75,9 +75,34 @@ fn preprocessing_secs(c: &ClockSnapshot) -> f64 {
     secs(c.preprocess_ns + c.ingest_ns)
 }
 
+/// The numbers behind Figs. 8-10 and Table I as recorded, per workload: the
+/// SHA-256 of the three Fig. 8 merge reports (legend order) and the
+/// prioritized and random trial statistics, serialized and joined by
+/// newlines. The shapes above hold for many numbers; these pin the numbers
+/// themselves, so a change that moves them has to say so and re-record.
+const RECORDED: [(&str, &str); 4] = [
+    (
+        "readmission",
+        "2759884771fe774f9e88d28e8786218f91ca13909dd2ca33ffc1816358b6d6ca",
+    ),
+    (
+        "dpm",
+        "daecf15cda7cff4f738db8d88a331356743d01d1f86f4f1ce58767244071bcdb",
+    ),
+    (
+        "sa",
+        "9a940ea4823f0007925ff8fcf900b21791809359226bd09ce8a3460d07c0664f",
+    ),
+    (
+        "autolearn",
+        "56eebc35167a1572a89c85d74cb8527c872c8f269e0d76817c5702c3cc868416",
+    ),
+];
+
 /// Runs the three scenarios of one workload, each once, and reduces them to
-/// one `(shape holds, the numbers behind it)` per column of [`FIGURES`].
-fn measure(workload: &Workload) -> [(bool, String); 7] {
+/// one `(shape holds, the numbers behind it)` per column of [`FIGURES`],
+/// and the digest [`RECORDED`] pins.
+fn measure(workload: &Workload) -> ([(bool, String); 7], String) {
     // Linear versioning (Fig. 5-7): one update sequence through the three
     // systems.
     let sequence = linear_update_sequence(workload, &LinearScenario::default());
@@ -129,7 +154,7 @@ fn measure(workload: &Workload) -> [(bool, String); 7] {
     setup_nonlinear(&sys, workload).expect("fig-3 history");
     let spaces = sys.merge_search_spaces("master", "dev").expect("spaces");
     let init = sys.initial_scores("master", "dev").expect("initial scores");
-    let searcher = PrioritizedSearcher::new(&registry, sys.dag().clone());
+    let searcher = MergeEngine::new(&registry, sys.dag().clone());
     let [prioritized, random] = [SearchMethod::Prioritized, SearchMethod::Random].map(|method| {
         searcher
             .run_trials(&spaces, sys.history(), &init, method, TRIALS, TRIAL_SEED)
@@ -152,7 +177,16 @@ fn measure(workload: &Workload) -> [(bool, String); 7] {
         format!("optimum found: prioritized {p:?}, random {r:?}"),
     );
 
-    [fig5, fig6, fig7, fig8, fig9, fig10, table1]
+    let mut folded = Vec::new();
+    for run in [&full, &no_pcpr, &no_pr] {
+        folded.push(serde_json::to_string(&run.report).expect("report serializes"));
+    }
+    for stats in [&prioritized, &random] {
+        folded.push(serde_json::to_string(stats).expect("stats serialize"));
+    }
+    let digest = Hash256::of(folded.join("\n").as_bytes()).to_hex();
+
+    ([fig5, fig6, fig7, fig8, fig9, fig10, table1], digest)
 }
 
 /// Fails unless every figure's measured shape is what [`TABLE`] says.
@@ -161,8 +195,13 @@ fn check(name: &str) {
         .iter()
         .find(|(workload, _)| *workload == name)
         .expect("a table row per workload");
+    let (_, recorded) = RECORDED
+        .iter()
+        .find(|(workload, _)| *workload == name)
+        .expect("a recorded digest per workload");
     let workload = by_name(name).expect("workload exists");
-    for ((figure, expected), (holds, numbers)) in FIGURES.iter().zip(row).zip(measure(&workload)) {
+    let (shapes, digest) = measure(&workload);
+    for ((figure, expected), (holds, numbers)) in FIGURES.iter().zip(row).zip(shapes) {
         match expected {
             Paper => assert!(
                 holds,
@@ -175,6 +214,10 @@ fn check(name: &str) {
             ),
         }
     }
+    assert_eq!(
+        &digest, recorded,
+        "{name}: the merge reports or trial statistics moved"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Determinism of the parallel candidate-evaluation engines.
 //!
-//! `MergeEngine::search` and `PrioritizedSearcher::run_trials` evaluate
+//! `MergeEngine::search` and `MergeEngine::run_trials` evaluate
 //! candidates in two phases: parallel traced execution, then a sequential
 //! accounting replay in canonical order (see `mlcask_pipeline::replay`).
 //! These tests pin the resulting guarantee: for every strategy and worker
@@ -12,7 +12,7 @@
 //! `mlcask_pipeline`'s executor unit tests.
 
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
-use mlcask_core::prioritized::{PrioritizedSearcher, SearchMethod};
+use mlcask_core::prioritized::SearchMethod;
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::search_space::SearchSpaces;
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
@@ -85,7 +85,7 @@ fn run_search(
             .run(&bound, &warm, Some(&history), ExecOptions::MLCASK)
             .unwrap();
     }
-    let engine = MergeEngine::new(&reg, reg.store(), dag).with_parallelism(policy);
+    let engine = MergeEngine::new(&reg, dag).with_parallelism(policy);
     let ledger = ClockLedger::new();
     let report = engine.search(&spaces, &history, strategy, &ledger).unwrap();
     let observables = format!(
@@ -167,7 +167,7 @@ fn initial_scores(spaces: &SearchSpaces) -> Vec<(Vec<ComponentKey>, f64)> {
 fn run_trials(policy: ParallelismPolicy, method: SearchMethod) -> String {
     let (reg, dag, spaces) = scenario();
     let history = HistoryIndex::new();
-    let searcher = PrioritizedSearcher::new(&reg, dag).with_parallelism(policy);
+    let searcher = MergeEngine::new(&reg, dag).with_parallelism(policy);
     let stats = searcher
         .run_trials(&spaces, &history, &initial_scores(&spaces), method, 12, 42)
         .unwrap();
@@ -522,8 +522,8 @@ mod dag {
             setup_nonlinear(&sys, &w).unwrap();
             let spaces = sys.merge_search_spaces("master", "dev").unwrap();
             let init = sys.initial_scores("master", "dev").unwrap();
-            let searcher = PrioritizedSearcher::new(sys.registry(), Arc::clone(sys.dag()))
-                .with_parallelism(policy);
+            let searcher =
+                MergeEngine::new(sys.registry(), Arc::clone(sys.dag())).with_parallelism(policy);
             let stats = searcher
                 .run_trials(
                     &spaces,

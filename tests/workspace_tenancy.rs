@@ -692,7 +692,7 @@ mod orphan_gc {
                 slot_names: slots.iter().map(|s| s.to_string()).collect(),
                 per_slot: keys.iter().map(|k| vec![k.clone()]).collect(),
             };
-            let report = MergeEngine::new(sys.registry(), t.store(), Arc::clone(sys.dag()))
+            let report = MergeEngine::new(sys.registry(), Arc::clone(sys.dag()))
                 .with_parallelism(policy)
                 .search(&spaces, ws.history(), MergeStrategy::Full, &clock)
                 .unwrap();
