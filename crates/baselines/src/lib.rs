@@ -10,8 +10,8 @@
 //!
 //! Both are *policy-faithful simulators* built on the same executor as
 //! MLCask so measured differences isolate exactly the policies the paper
-//! compares (see ARCHITECTURE.md, "Layering" and "Virtual time:
-//! `ClockLedger`"). [`runner`] drives the linear-versioning
+//! compares (see ARCHITECTURE.md, "Layering" and "Virtual time: a field of
+//! the report"). [`runner`] drives the linear-versioning
 //! scenario across all three systems; [`nonlinear`] drives the merge
 //! ablations (MLCask vs "w/o PCPR" vs "w/o PR").
 

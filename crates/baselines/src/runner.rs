@@ -135,15 +135,17 @@ fn run_linear_mlcask(
     let mut iterations = Vec::with_capacity(sequence.len());
     for (it, keys) in sequence.iter().enumerate() {
         let before = clock.snapshot();
+        let mut registration = ClockSnapshot::default();
         for key in keys {
             let (_, cost) = registry.register_timed(handle_for(key))?;
-            clock.charge_storage(cost);
+            registration.charge_storage(cost);
         }
+        clock.merge(&registration);
         let result = sys.commit_pipeline("master", keys, &format!("iteration {it}"), &clock)?;
         let completed = result.report.outcome.is_completed();
         iterations.push(IterationRecord {
             iteration: it,
-            delta: clock.delta_since(&before),
+            delta: clock.snapshot().minus(&before),
             cumulative: clock.snapshot(),
             cumulative_storage_bytes: store.stats().total().physical_bytes,
             completed,
@@ -189,21 +191,22 @@ fn run_linear_baseline(
 
     let mut archive = FolderArchive::new();
     let mut libs_seen: HashSet<ComponentKey> = HashSet::new();
-    let clock = ClockLedger::new();
+    let mut cumulative = ClockSnapshot::default();
     let mut iterations = Vec::with_capacity(sequence.len());
     for (it, keys) in sequence.iter().enumerate() {
-        let before = clock.snapshot();
+        let mut delta = ClockSnapshot::default();
         // Library archiving: full folder copy the first time a version
         // appears.
         for key in keys {
             if libs_seen.insert(key.clone()) {
                 let size = simulated_executable_len(ComponentRegistry::DEFAULT_EXE_SIZE);
-                clock.charge_storage(archive.archive(size as u64));
+                delta.charge_storage(archive.archive(size as u64));
             }
         }
         let components = keys.iter().map(&handle_for).collect();
         let bound = BoundPipeline::new(Arc::clone(&dag), components)?;
-        let report = executor.run(&bound, &clock, options.reuse.then_some(&history), options)?;
+        let report = executor.run(&bound, options.reuse.then_some(&history), options)?;
+        delta = delta.plus(&report.clock);
         // Output archiving per policy.
         for stage in &report.stages {
             if stage.reused {
@@ -214,8 +217,9 @@ fn run_linear_baseline(
                 SystemKind::Mlflow => archive.archive_once(stage.artifact_id, stage.artifact_bytes),
                 SystemKind::MlCask => unreachable!(),
             };
-            clock.charge_storage(t);
+            delta.charge_storage(t);
         }
+        cumulative = cumulative.plus(&delta);
         // ModelDB re-archives previously produced outputs of reused... no:
         // ModelDB never reuses, so every stage re-executes and re-archives —
         // exactly the linear CSS growth of Fig. 7.
@@ -227,8 +231,8 @@ fn run_linear_baseline(
         );
         iterations.push(IterationRecord {
             iteration: it,
-            delta: clock.delta_since(&before),
-            cumulative: clock.snapshot(),
+            delta,
+            cumulative,
             cumulative_storage_bytes: archive.bytes(),
             completed,
             executed_components: report.executed_count(),

@@ -61,14 +61,13 @@ pub mod workspace;
 pub mod prelude {
     pub use crate::errors::{CoreError, Result as CoreResult};
     pub use crate::merge::{CandidateRecord, MergeEngine, MergeSearchReport, MergeStrategy};
-    pub use crate::prioritized::{
-        RankStats, SearchMethod, SearchedCandidate, TrialResult, TrialStats,
-    };
+    pub use crate::prioritized::{RankStats, SearchMethod, TrialStats};
     pub use crate::registry::{ComponentRegistry, RegisteredLibrary};
     pub use crate::search_space::{CompatLut, SearchSpaces};
     pub use crate::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
     pub use crate::tree::{NodeState, SearchTree, StateCounts, TreeNode};
     pub use crate::workspace::{Tenant, Workspace};
+    pub use mlcask_pipeline::clock::ClockLedger;
     pub use mlcask_pipeline::history::HistoryIndex;
     pub use mlcask_storage::tenant::ShareRight;
 }

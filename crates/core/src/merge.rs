@@ -17,11 +17,11 @@
 use crate::errors::Result;
 use crate::prioritized::{SearchMethod, Trial, TrialResult, TrialStats};
 use crate::registry::ComponentRegistry;
-use crate::search::{self, Policy};
+use crate::search::{self, Evaluated, Policy};
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
-use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
+use mlcask_pipeline::clock::ClockSnapshot;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::history::HistoryIndex;
@@ -186,7 +186,6 @@ impl<'a> MergeEngine<'a> {
         spaces: &SearchSpaces,
         history: &HistoryIndex,
         strategy: MergeStrategy,
-        ledger: &ClockLedger,
     ) -> Result<MergeSearchReport> {
         let _search_span = mlcask_obs::span!(
             "merge.search",
@@ -251,8 +250,7 @@ impl<'a> MergeEngine<'a> {
             &mut [candidates],
         )?;
         for e in evaluated.into_iter().flatten() {
-            ledger.merge(&e.clock);
-            report.clock = report.clock.plus(&e.clock);
+            report.clock = report.clock.plus(&e.report.clock);
             report.executed_components += e.report.executed_count();
             report.reused_components += e.report.reused_count();
             report.skipped_by_frontier += e.skipped;
@@ -305,39 +303,27 @@ impl<'a> MergeEngine<'a> {
         trials: usize,
         seed: u64,
     ) -> Result<TrialStats> {
-        // Trial 0 runs under `seed` itself, so `run_trial` is the one-trial
-        // case of this search.
+        // Trial 0 runs under `seed` itself.
         let seeds: Vec<u64> = (0..trials)
             .map(|t| seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15))
             .collect();
-        let (results, skipped) =
-            self.trials(spaces, base_history, initial_scores, method, &seeds)?;
+        let evaluated = self.trials(spaces, base_history, initial_scores, method, &seeds)?;
+        let skipped = evaluated.iter().flatten().map(|e| e.skipped).sum();
+        count_frontier_skipped(skipped);
+        let results: Vec<TrialResult> = evaluated.into_iter().map(TrialResult::of).collect();
         Ok(TrialStats::of(method, &results, skipped))
     }
 
-    /// Runs one trial of [`MergeEngine::run_trials`] under `seed`.
-    pub fn run_trial(
-        &self,
-        spaces: &SearchSpaces,
-        base_history: &HistoryIndex,
-        initial_scores: &[(Vec<ComponentKey>, f64)],
-        method: SearchMethod,
-        seed: u64,
-    ) -> Result<TrialResult> {
-        let (mut results, _) =
-            self.trials(spaces, base_history, initial_scores, method, &[seed])?;
-        Ok(results.pop().expect("one seed yields one trial"))
-    }
-
-    /// One trial per seed, and the frontier-skipped nodes summed across them.
-    fn trials(
+    /// One trial per seed: its candidates in search order, as the
+    /// evaluation loop evaluated them.
+    pub(crate) fn trials(
         &self,
         spaces: &SearchSpaces,
         base_history: &HistoryIndex,
         initial_scores: &[(Vec<ComponentKey>, f64)],
         method: SearchMethod,
         seeds: &[u64],
-    ) -> Result<(Vec<TrialResult>, usize)> {
+    ) -> Result<Vec<Vec<Evaluated>>> {
         let tree = self.tree(spaces, true)?;
         let mut trials = Trial::seeded(tree, initial_scores, method, seeds);
         let policy = Policy {
@@ -348,20 +334,14 @@ impl<'a> MergeEngine<'a> {
             round_span: Some("trials.round"),
             candidate_span: None,
         };
-        let evaluated = search::evaluate(
+        search::evaluate(
             self.registry,
             &self.dag,
             base_history,
             policy,
             self.parallelism,
             &mut trials,
-        )?;
-        let skipped = evaluated.iter().flatten().map(|e| e.skipped).sum();
-        count_frontier_skipped(skipped);
-        Ok((
-            evaluated.into_iter().map(TrialResult::of).collect(),
-            skipped,
-        ))
+        )
     }
 }
 
@@ -428,9 +408,8 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::WithoutPcPr, &clock)
+            .search(&spaces, &history, MergeStrategy::WithoutPcPr)
             .unwrap();
         assert_eq!(report.candidates_total, 15);
         assert_eq!(report.candidates_evaluated, 15);
@@ -446,9 +425,8 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::WithoutPr, &clock)
+            .search(&spaces, &history, MergeStrategy::WithoutPr)
             .unwrap();
         assert_eq!(report.candidates_pruned, 7);
         assert_eq!(report.candidates_evaluated, 8);
@@ -461,9 +439,8 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let engine = MergeEngine::new(&reg, dag.clone());
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::Full, &clock)
+            .search(&spaces, &history, MergeStrategy::Full)
             .unwrap();
         assert_eq!(report.candidates_evaluated, 8);
         // Distinct tree nodes along live paths: 1 source + 3 scalers +
@@ -490,8 +467,7 @@ mod tests {
             let (reg, dag, spaces) = scenario(); // fresh store per strategy
             let engine = MergeEngine::new(&reg, dag);
             let history = HistoryIndex::new();
-            let clock = ClockLedger::new();
-            let r = engine.search(&spaces, &history, s, &clock).unwrap();
+            let r = engine.search(&spaces, &history, s).unwrap();
             times.push(r.clock.total_ns());
             bytes.push(r.physical_bytes);
             bests.push(r.best.clone().unwrap());
@@ -517,14 +493,13 @@ mod tests {
             spaces.per_slot[2][0].clone(),
         ];
         let bound = reg.bind(&dag, &keys).unwrap();
-        let clock = ClockLedger::new();
-        Executor::new(reg.store())
-            .run(&bound, &clock, Some(&history), ExecOptions::MLCASK)
-            .unwrap();
-        let pre_train_ns = clock.snapshot().total_ns();
-        let merge_clock = ClockLedger::new();
+        let pre_train_ns = Executor::new(reg.store())
+            .run(&bound, Some(&history), ExecOptions::MLCASK)
+            .unwrap()
+            .clock
+            .total_ns();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::Full, &merge_clock)
+            .search(&spaces, &history, MergeStrategy::Full)
             .unwrap();
         // The pre-trained path's three nodes are green → fewer executions.
         assert_eq!(report.executed_components, 9);
@@ -542,9 +517,8 @@ mod tests {
         assert_eq!(cand[2].version, SemVer::master(0, 4));
         let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::Naive, &clock)
+            .search(&spaces, &history, MergeStrategy::Naive)
             .unwrap();
         assert_eq!(report.candidates_evaluated, 1);
         assert_eq!(report.failed_candidates, 1);
@@ -564,7 +538,7 @@ mod tests {
             MergeStrategy::Full,
         ] {
             let report = engine
-                .search(&spaces, &HistoryIndex::new(), strategy, &ClockLedger::new())
+                .search(&spaces, &HistoryIndex::new(), strategy)
                 .unwrap();
             assert_eq!(report.candidates_evaluated, 0, "{strategy:?}");
             assert!(report.best.is_none(), "{strategy:?}");
@@ -576,9 +550,8 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::Full, &clock)
+            .search(&spaces, &history, MergeStrategy::Full)
             .unwrap();
         for w in report.candidates.windows(2) {
             assert!(w[1].end_time_ns >= w[0].end_time_ns);
@@ -594,9 +567,8 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let engine = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let report = engine
-            .search(&spaces, &history, MergeStrategy::Full, &clock)
+            .search(&spaces, &history, MergeStrategy::Full)
             .unwrap();
         let (_, best) = report.best.clone().unwrap();
         for c in &report.candidates {

@@ -45,12 +45,9 @@ impl SearchMethod {
 }
 
 /// One candidate evaluation within a trial, in search order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SearchedCandidate {
+pub(crate) struct SearchedCandidate {
     /// 1-based position in the search order.
     pub rank: usize,
-    /// The candidate's component versions.
-    pub keys: Vec<ComponentKey>,
     /// Its score (None if it failed).
     pub score: Option<Score>,
     /// Cumulative virtual time (ns) when this candidate finished.
@@ -58,8 +55,7 @@ pub struct SearchedCandidate {
 }
 
 /// Result of searching all candidates once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrialResult {
+pub(crate) struct TrialResult {
     /// Candidates in the order they were searched.
     pub searched: Vec<SearchedCandidate>,
     /// 1-based rank at which the global optimum was found.
@@ -116,10 +112,9 @@ impl TrialResult {
             .into_iter()
             .enumerate()
             .map(|(idx, e)| {
-                end_time_ns += e.clock.total_ns();
+                end_time_ns += e.report.clock.total_ns();
                 SearchedCandidate {
                     rank: idx + 1,
-                    keys: e.keys,
                     score: e.report.outcome.score(),
                     end_time_ns,
                 }
@@ -425,18 +420,21 @@ mod tests {
         let (reg, dag, spaces) = scenario();
         let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
-        let res = searcher
-            .run_trial(
+        let trial = searcher
+            .trials(
                 &spaces,
                 &history,
                 &initial_scores(&spaces),
                 SearchMethod::Random,
-                7,
+                &[7],
             )
+            .unwrap()
+            .pop()
             .unwrap();
-        assert_eq!(res.searched.len(), 8);
         // Every candidate distinct.
-        let mut keys: Vec<_> = res.searched.iter().map(|s| s.keys.clone()).collect();
+        let mut keys: Vec<_> = trial.iter().map(|e| e.keys.clone()).collect();
+        let res = TrialResult::of(trial);
+        assert_eq!(res.searched.len(), 8);
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 8);
@@ -541,15 +539,13 @@ mod tests {
         let searcher = MergeEngine::new(&reg, dag);
         let history = HistoryIndex::new();
         let init = initial_scores(&spaces);
-        let a = searcher
-            .run_trial(&spaces, &history, &init, SearchMethod::Random, 42)
-            .unwrap();
-        let b = searcher
-            .run_trial(&spaces, &history, &init, SearchMethod::Random, 42)
-            .unwrap();
-        let order_a: Vec<_> = a.searched.iter().map(|s| s.keys.clone()).collect();
-        let order_b: Vec<_> = b.searched.iter().map(|s| s.keys.clone()).collect();
-        assert_eq!(order_a, order_b);
+        let order = || {
+            let trials = searcher
+                .trials(&spaces, &history, &init, SearchMethod::Random, &[42])
+                .unwrap();
+            trials[0].iter().map(|e| e.keys.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(order(), order());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::errors::Result;
 use crate::registry::ComponentRegistry;
 use mlcask_ml::metrics::Score;
-use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
 use mlcask_pipeline::executor::{precheck, Executor, RunReport};
@@ -83,8 +82,6 @@ pub(crate) struct Evaluated {
     /// The cut's report for a lookup, the precheck's for a rejection, the
     /// replay's otherwise.
     pub report: RunReport,
-    /// What the replay charged.
-    pub clock: ClockSnapshot,
     /// Nodes the frontier cut never scheduled.
     pub skipped: usize,
 }
@@ -192,7 +189,6 @@ pub(crate) fn evaluate<P: Picker>(
             let mut sim = CacheSnapshot::new();
             let mut records = Vec::with_capacity(picks.len());
             for pick in picks {
-                let ledger = ClockLedger::new();
                 let report = match pick.known {
                     Some(report) => report,
                     None => replay_run(
@@ -201,7 +197,6 @@ pub(crate) fn evaluate<P: Picker>(
                         &book,
                         policy.use_history.then_some(&mut sim),
                         &mut cursor,
-                        &ledger,
                         policy.publish.then(|| Publication {
                             index: history,
                             fingerprints: pick.cut.as_ref().map(|c| c.fingerprints.as_slice()),
@@ -211,7 +206,6 @@ pub(crate) fn evaluate<P: Picker>(
                 records.push(Evaluated {
                     keys: pick.keys,
                     report,
-                    clock: ledger.snapshot(),
                     skipped: pick.skipped,
                 });
             }
@@ -294,12 +288,12 @@ mod tests {
         };
         let cold = commit(&history);
         assert_eq!(cold.report.executed_count(), 3);
-        assert!(cold.clock.total_ns() > 0);
+        assert!(cold.report.clock.total_ns() > 0);
         assert_eq!(history.fingerprints().len(), 3, "a commit publishes");
         let stats = reg.store().stats();
         let warm = commit(&history);
         assert_eq!(warm.report.reused_count(), 3);
-        assert_eq!(warm.clock.total_ns(), 0);
+        assert_eq!(warm.report.clock.total_ns(), 0);
         assert_eq!(warm.skipped, 3, "answered whole by its cut");
         assert_eq!(warm.report.outcome.score(), cold.report.outcome.score());
         assert_eq!(reg.store().stats(), stats, "a lookup writes nothing");
@@ -324,7 +318,7 @@ mod tests {
             rejected.report.outcome,
             RunOutcome::RejectedByPrecheck { .. }
         ));
-        assert_eq!(rejected.clock.total_ns(), 0);
+        assert_eq!(rejected.report.clock.total_ns(), 0);
         assert_eq!(reg.store().physical_bytes(), physical, "nothing executed");
         assert!(history.snapshot().is_empty());
     }
@@ -349,7 +343,7 @@ mod tests {
         for (a, b) in two[0].iter().zip(&two[1]) {
             assert_eq!(a.keys, b.keys);
             assert_eq!(a.report.executed_count(), b.report.executed_count());
-            assert_eq!(a.clock.exec_ns(), b.clock.exec_ns());
+            assert_eq!(a.report.clock.exec_ns(), b.report.clock.exec_ns());
         }
         assert_eq!(two[1][0].report.executed_count(), 3);
     }

@@ -233,7 +233,9 @@ impl MlCask {
 
     /// Runs a pipeline under MLCask policy (reuse + precheck) and, on
     /// success, commits it to `branch` (creating the branch's root commit if
-    /// the graph is empty).
+    /// the graph is empty). The run's time, which is also its report's
+    /// `clock`, is added to `ledger`, the caller's running total, before the
+    /// commit is written.
     pub fn commit_pipeline(
         &self,
         branch: &str,
@@ -284,8 +286,8 @@ impl MlCask {
             .flatten()
             .next()
             .expect("one candidate");
-        ledger.merge(&run.clock);
         let report = run.report;
+        ledger.merge(&report.clock);
         if !report.outcome.is_completed() {
             return Ok(CommitResult {
                 commit: None,
@@ -477,6 +479,11 @@ impl MlCask {
     /// tenant, byte-deterministically across worker counts, because writes
     /// go through its tenant-scoped store view and ride the
     /// traced-execute/replay protocol.
+    ///
+    /// `ledger`, the caller's running total, gains the time of each run the
+    /// merge makes: the search's (its report's `clock`) as soon as the
+    /// search returns, then that of committing the winner (which the
+    /// from-scratch strategies re-execute) or the fast-forward.
     pub fn merge<'a, 'b>(
         &self,
         base: impl Into<BranchRef<'a>>,
@@ -535,7 +542,8 @@ impl MlCask {
         let engine = MergeEngine::new(&self.registry, Arc::clone(&self.dag))
             .with_parallelism(self.parallelism)
             .with_incremental(self.incremental);
-        let report = engine.search(&spaces, self.history(), strategy, ledger)?;
+        let report = engine.search(&spaces, self.history(), strategy)?;
+        ledger.merge(&report.clock);
         let Some((best_keys, _)) = report.best.clone() else {
             return Err(CoreError::NoViableCandidate);
         };

@@ -23,8 +23,8 @@
 //!
 //! Every training routine exposes a deterministic `work_units` estimate so
 //! the pipeline executor can charge virtual time proportional to real
-//! computational effort (see ARCHITECTURE.md, "Virtual time:
-//! `ClockLedger`").
+//! computational effort (see ARCHITECTURE.md, "Virtual time: a field of
+//! the report").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

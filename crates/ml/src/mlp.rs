@@ -1,7 +1,7 @@
 //! Feed-forward neural network (multi-layer perceptron) trained with
 //! mini-batch SGD — the stand-in for the paper's deep-learning model slot
 //! (the Readmission "CNN", the DPM/SA DL models; see ARCHITECTURE.md,
-//! "Virtual time: `ClockLedger`").
+//! "Virtual time: a field of the report").
 //!
 //! The network is deliberately small but real: the merge machinery needs
 //! pipeline scores that genuinely depend on the interaction between

@@ -1,31 +1,25 @@
-//! Deterministic virtual time with thread-safe per-stage accounting.
+//! Deterministic virtual time, split by stage category.
 //!
-//! All reported times in the experiments come from this ledger, not
-//! wall time, so figures are identical across machines (ARCHITECTURE.md,
-//! "Virtual time: `ClockLedger`"). The split between pre-processing, model
-//! training, and storage time is what Figs. 6 and 9 plot.
+//! All reported times in the experiments are virtual, not wall time, so
+//! figures are identical across machines (ARCHITECTURE.md, "Virtual
+//! time"). The split between pre-processing, model training, and storage
+//! time is what Figs. 6 and 9 plot.
 //!
-//! [`ClockLedger`] replaces the old `SimClock`: charges go through `&self`
-//! (relaxed atomic adds), so an executor run no longer needs exclusive
-//! access to the time state and many runs can account concurrently into
-//! per-run ledgers. [`ClockSnapshot`] is the immutable, mergeable view: the
-//! parallel candidate-evaluation engines assign virtual end-times by a
-//! deterministic reduction over per-candidate snapshots (see
-//! `mlcask_pipeline::replay`), which keeps reports byte-identical between
-//! sequential and parallel execution.
+//! Time is a field of the report: the accounting replay charges one run
+//! into a [`ClockSnapshot`] and returns it as the run's
+//! `RunReport::clock`, and every fold over reports (a merge search, a
+//! trial) sums those snapshots. A [`ClockLedger`] is only a caller's
+//! running total across operations.
 
 use crate::component::StageKind;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Accumulating, thread-safe virtual clock.
+/// A caller's running total of the time its operations charged.
 #[derive(Debug, Default)]
 pub struct ClockLedger {
-    ingest_ns: AtomicU64,
-    preprocess_ns: AtomicU64,
-    training_ns: AtomicU64,
-    storage_ns: AtomicU64,
+    total: Mutex<ClockSnapshot>,
 }
 
 impl ClockLedger {
@@ -34,93 +28,19 @@ impl ClockLedger {
         Self::default()
     }
 
-    /// A ledger pre-loaded with a snapshot's charges.
-    pub fn from_snapshot(snap: &ClockSnapshot) -> Self {
-        let ledger = Self::new();
-        ledger.merge(snap);
-        ledger
-    }
-
-    /// Charges execution time to a stage category.
-    pub fn charge_exec(&self, stage: StageKind, d: Duration) {
-        let ns = d.as_nanos() as u64;
-        match stage {
-            StageKind::Ingest => self.ingest_ns.fetch_add(ns, Ordering::Relaxed),
-            StageKind::PreProcess => self.preprocess_ns.fetch_add(ns, Ordering::Relaxed),
-            StageKind::ModelTraining => self.training_ns.fetch_add(ns, Ordering::Relaxed),
-        };
-    }
-
-    /// Charges storage (data preparation/transfer) time.
-    pub fn charge_storage(&self, d: Duration) {
-        self.storage_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Adds a snapshot's charges into this ledger (the deterministic
-    /// reduction step of the parallel engines).
+    /// Adds a snapshot's charges into this ledger.
     pub fn merge(&self, snap: &ClockSnapshot) {
-        self.ingest_ns.fetch_add(snap.ingest_ns, Ordering::Relaxed);
-        self.preprocess_ns
-            .fetch_add(snap.preprocess_ns, Ordering::Relaxed);
-        self.training_ns
-            .fetch_add(snap.training_ns, Ordering::Relaxed);
-        self.storage_ns
-            .fetch_add(snap.storage_ns, Ordering::Relaxed);
+        let mut total = self.total.lock();
+        *total = total.plus(snap);
     }
 
-    /// Total execution time across stages (the paper's "execution time").
-    pub fn exec_total(&self) -> Duration {
-        Duration::from_nanos(self.snapshot().exec_ns())
-    }
-
-    /// Execution time attributed to one stage kind.
-    pub fn exec_for(&self, stage: StageKind) -> Duration {
-        let ns = match stage {
-            StageKind::Ingest => self.ingest_ns.load(Ordering::Relaxed),
-            StageKind::PreProcess => self.preprocess_ns.load(Ordering::Relaxed),
-            StageKind::ModelTraining => self.training_ns.load(Ordering::Relaxed),
-        };
-        Duration::from_nanos(ns)
-    }
-
-    /// Storage time (the paper's "storage time").
-    pub fn storage_total(&self) -> Duration {
-        Duration::from_nanos(self.storage_ns.load(Ordering::Relaxed))
-    }
-
-    /// Pipeline time = execution + storage (the paper's "pipeline time").
-    pub fn pipeline_total(&self) -> Duration {
-        Duration::from_nanos(self.snapshot().total_ns())
-    }
-
-    /// Immutable snapshot for reports.
-    ///
-    /// The four counters are read individually with relaxed ordering; take
-    /// snapshots at quiescent points (no concurrent charging) when exact
-    /// cross-field consistency matters — that is how the engines use it.
+    /// The total so far.
     pub fn snapshot(&self) -> ClockSnapshot {
-        ClockSnapshot {
-            ingest_ns: self.ingest_ns.load(Ordering::Relaxed),
-            preprocess_ns: self.preprocess_ns.load(Ordering::Relaxed),
-            training_ns: self.training_ns.load(Ordering::Relaxed),
-            storage_ns: self.storage_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Difference `self - earlier` as a snapshot (for per-iteration deltas).
-    pub fn delta_since(&self, earlier: &ClockSnapshot) -> ClockSnapshot {
-        self.snapshot().minus(earlier)
+        *self.total.lock()
     }
 }
 
-impl Clone for ClockLedger {
-    fn clone(&self) -> Self {
-        ClockLedger::from_snapshot(&self.snapshot())
-    }
-}
-
-/// Serialisable clock state in nanoseconds.
+/// Virtual time in nanoseconds, per stage category.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClockSnapshot {
     /// Data-ingest execution time.
@@ -134,6 +54,21 @@ pub struct ClockSnapshot {
 }
 
 impl ClockSnapshot {
+    /// Charges execution time to a stage category.
+    pub fn charge_exec(&mut self, stage: StageKind, d: Duration) {
+        let ns = d.as_nanos() as u64;
+        match stage {
+            StageKind::Ingest => self.ingest_ns += ns,
+            StageKind::PreProcess => self.preprocess_ns += ns,
+            StageKind::ModelTraining => self.training_ns += ns,
+        }
+    }
+
+    /// Charges storage (data preparation/transfer) time.
+    pub fn charge_storage(&mut self, d: Duration) {
+        self.storage_ns += d.as_nanos() as u64;
+    }
+
     /// Total pipeline time in nanoseconds.
     pub fn total_ns(&self) -> u64 {
         self.ingest_ns + self.preprocess_ns + self.training_ns + self.storage_ns
@@ -176,25 +111,25 @@ mod tests {
 
     #[test]
     fn charges_accumulate_per_stage() {
-        let c = ClockLedger::new();
+        let mut c = ClockSnapshot::default();
         c.charge_exec(StageKind::PreProcess, Duration::from_millis(10));
         c.charge_exec(StageKind::PreProcess, Duration::from_millis(5));
         c.charge_exec(StageKind::ModelTraining, Duration::from_millis(20));
         c.charge_storage(Duration::from_millis(3));
-        assert_eq!(c.exec_for(StageKind::PreProcess), Duration::from_millis(15));
-        assert_eq!(c.exec_total(), Duration::from_millis(35));
-        assert_eq!(c.storage_total(), Duration::from_millis(3));
-        assert_eq!(c.pipeline_total(), Duration::from_millis(38));
+        assert_eq!(c.preprocess_ns, 15_000_000);
+        assert_eq!(c.exec_ns(), 35_000_000);
+        assert_eq!(c.storage_ns, 3_000_000);
+        assert_eq!(c.total_ns(), 38_000_000);
     }
 
     #[test]
     fn snapshot_and_delta() {
-        let c = ClockLedger::new();
+        let mut c = ClockSnapshot::default();
         c.charge_exec(StageKind::Ingest, Duration::from_nanos(100));
-        let earlier = c.snapshot();
+        let earlier = c;
         c.charge_exec(StageKind::ModelTraining, Duration::from_nanos(50));
         c.charge_storage(Duration::from_nanos(7));
-        let d = c.delta_since(&earlier);
+        let d = c.minus(&earlier);
         assert_eq!(d.ingest_ns, 0);
         assert_eq!(d.training_ns, 50);
         assert_eq!(d.storage_ns, 7);
@@ -218,9 +153,7 @@ mod tests {
 
     #[test]
     fn zero_ledger() {
-        let c = ClockLedger::new();
-        assert_eq!(c.pipeline_total(), Duration::ZERO);
-        assert_eq!(c.snapshot().total_ns(), 0);
+        assert_eq!(ClockLedger::new().snapshot(), ClockSnapshot::default());
     }
 
     #[test]
@@ -246,15 +179,17 @@ mod tests {
 
     #[test]
     fn concurrent_charging_is_lossless() {
-        use std::sync::Arc;
-        let c = Arc::new(ClockLedger::new());
+        let c = ClockLedger::new();
+        let charge = ClockSnapshot {
+            training_ns: 3,
+            storage_ns: 1,
+            ..ClockSnapshot::default()
+        };
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..1000 {
-                        c.charge_exec(StageKind::ModelTraining, Duration::from_nanos(3));
-                        c.charge_storage(Duration::from_nanos(1));
+                        c.merge(&charge);
                     }
                 });
             }

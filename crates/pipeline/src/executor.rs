@@ -24,7 +24,7 @@
 //! into the history (`HistoryIndex::publish` is its one write).
 
 use crate::artifact::Artifact;
-use crate::clock::ClockLedger;
+use crate::clock::ClockSnapshot;
 use crate::component::{ComponentHandle, ComponentKey, StageKind};
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
@@ -201,6 +201,8 @@ pub struct RunReport {
     pub stages: Vec<StageReport>,
     /// Final outcome.
     pub outcome: RunOutcome,
+    /// Virtual time the run charged: zero for a lookup or a rejection.
+    pub clock: ClockSnapshot,
 }
 
 impl RunReport {
@@ -227,6 +229,7 @@ pub fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
         outcome: RunOutcome::RejectedByPrecheck {
             at: detail.component,
         },
+        clock: ClockSnapshot::default(),
     })
 }
 
@@ -288,28 +291,24 @@ impl<'s> Executor<'s> {
     /// executions are appended to `resume.journal`, so a later attempt
     /// resumes from the last completed operation instead of re-running the
     /// whole DAG. The replay charges adopted and re-executed nodes
-    /// identically, which is what makes a resumed run's report, ledger,
-    /// store statistics, and tenant accounting byte-identical to an
-    /// uninterrupted run — see [`crate::resume`] for the recovery protocol
+    /// identically, which is what makes a resumed run's report (its clock
+    /// included), store statistics, and tenant accounting byte-identical to
+    /// an uninterrupted run — see [`crate::resume`] for the recovery protocol
     /// and `tests/crash_recovery.rs` for the kill-at-every-write matrix.
     pub fn resuming(mut self, resume: &'s ResumeCtx<'s>) -> Self {
         self.resume = Some(resume);
         self
     }
 
-    /// Runs a bound pipeline under the given policy, charging `ledger`:
+    /// Runs a bound pipeline under the given policy:
     /// [`Executor::trace`]'s node execution, then the accounting replay in
-    /// canonical topological order, which publishes the stages it charged
-    /// as executed into the `history`, checkpoints with their fingerprints
-    /// — at every worker count and DAG shape, so the report, ledger
-    /// charges, store statistics, and history are byte-identical however
-    /// the nodes were scheduled (see [`crate::replay`]). Without a history
-    /// nothing is looked up or published.
-    ///
-    /// The ledger is taken by shared reference — charging is atomic — so
-    /// many executor runs may account concurrently, each into its own
-    /// per-run ledger (or all into one shared ledger when per-candidate
-    /// attribution is not needed).
+    /// canonical topological order, which charges the report's `clock` and
+    /// publishes the stages it charged as executed into the `history`,
+    /// checkpoints with their fingerprints — at every worker count and DAG
+    /// shape, so the report (its clock included), store statistics, and
+    /// history are byte-identical however the nodes were scheduled (see
+    /// [`crate::replay`]). Without a history nothing is looked up or
+    /// published.
     ///
     /// *Expected* failures (schema incompatibility discovered mid-run) are
     /// reported in [`RunOutcome`] so callers can account for the time the
@@ -317,12 +316,11 @@ impl<'s> Executor<'s> {
     /// Infrastructure failures (storage faults, quota breaches, malformed
     /// DAGs) surface as `Err`. They strike while nodes execute, before the
     /// replay charges anything, so an aborted run leaves no trace: nothing
-    /// is charged to the ledger or the tenant, no reservation stays open,
-    /// and the `history` receives no checkpoint.
+    /// is charged to the tenant, no reservation stays open, and the
+    /// `history` receives no checkpoint.
     pub fn run(
         &self,
         pipeline: &BoundPipeline,
-        ledger: &ClockLedger,
         history: Option<&HistoryIndex>,
         options: ExecOptions,
     ) -> Result<RunReport> {
@@ -361,7 +359,6 @@ impl<'s> Executor<'s> {
                 &book,
                 options.reuse.then_some(&mut created),
                 &mut book.replay_cursor(),
-                ledger,
                 history.map(|index| Publication {
                     index,
                     fingerprints: None,
@@ -372,7 +369,7 @@ impl<'s> Executor<'s> {
 
     /// Executes a bound pipeline for its *results only*, recording
     /// execution profiles and write traces into `book` instead of charging
-    /// a ledger or store statistics: nodes run inline on the caller's
+    /// a clock or store statistics: nodes run inline on the caller's
     /// thread at one worker and on `policy`'s pool above that, composing
     /// with the engines' candidate- and trial-level fan-out via
     /// [`ParallelismPolicy::split`].
@@ -395,11 +392,11 @@ impl<'s> Executor<'s> {
     /// Frontier-skipped nodes are recorded in `book` as found, so the
     /// replay still charges them as *reused*, and by the history's pairing
     /// invariant a full re-evaluation would have found the same outputs
-    /// under their `CacheKey`s: reports, ledgers, and tenant accounting
-    /// stay byte-identical to it. A cut that covers the whole pipeline
-    /// leaves nothing to schedule or replay: it is the pipeline's report
-    /// ([`FrontierCut::report`]), and the engines answer it without calling
-    /// this at all.
+    /// under their `CacheKey`s: reports (their clocks included) and tenant
+    /// accounting stay byte-identical to it. A cut that covers the whole
+    /// pipeline leaves nothing to schedule or replay: it is the pipeline's
+    /// report ([`FrontierCut::report`]), and the engines answer it without
+    /// calling this at all.
     ///
     /// Returns the final model score, or `None` when the pipeline failed
     /// (adaptive searchers need the score before accounting runs).
@@ -793,15 +790,14 @@ mod tests {
     fn completes_and_scores() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         let report = exec
-            .run(&pipeline(2.0, 3, 3), &clock, None, ExecOptions::RERUN_ALL)
+            .run(&pipeline(2.0, 3, 3), None, ExecOptions::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(report.stages.len(), 3);
         assert_eq!(report.executed_count(), 3);
-        assert!(clock.exec_total() > Duration::ZERO);
-        assert!(clock.storage_total() > Duration::ZERO);
+        assert!(report.clock.exec_ns() > 0);
+        assert!(report.clock.storage_ns > 0);
         // Each stage archived an output.
         assert!(report.stages.iter().all(|s| !s.output.is_null()));
     }
@@ -811,21 +807,15 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let p = pipeline(2.0, 3, 3);
-        let first = exec
-            .run(&p, &clock, Some(&cache), ExecOptions::MLCASK)
-            .unwrap();
+        let first = exec.run(&p, Some(&cache), ExecOptions::MLCASK).unwrap();
         assert_eq!(first.executed_count(), 3);
-        let t_after_first = clock.pipeline_total();
-        let second = exec
-            .run(&p, &clock, Some(&cache), ExecOptions::MLCASK)
-            .unwrap();
+        let second = exec.run(&p, Some(&cache), ExecOptions::MLCASK).unwrap();
         assert_eq!(second.executed_count(), 0);
         assert_eq!(second.reused_count(), 3);
         assert_eq!(
-            clock.pipeline_total(),
-            t_after_first,
+            second.clock.total_ns(),
+            0,
             "full reuse charges zero additional time"
         );
         // Scores propagate through reuse.
@@ -840,10 +830,8 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let p1 = pipeline(2.0, 3, 3);
-        exec.run(&p1, &clock, Some(&cache), ExecOptions::MLCASK)
-            .unwrap();
+        exec.run(&p1, Some(&cache), ExecOptions::MLCASK).unwrap();
         // Same source+scaler, different model quality → prefix reused, model
         // re-executed from the materialised scaler output.
         let dag = Arc::clone(&p1.dag);
@@ -857,14 +845,11 @@ mod tests {
             }),
         ];
         let p2 = BoundPipeline::new(dag, comps).unwrap();
-        let before_storage = clock.storage_total();
-        let report = exec
-            .run(&p2, &clock, Some(&cache), ExecOptions::MLCASK)
-            .unwrap();
+        let report = exec.run(&p2, Some(&cache), ExecOptions::MLCASK).unwrap();
         assert_eq!(report.reused_count(), 2);
         assert_eq!(report.executed_count(), 1);
         assert!(
-            clock.storage_total() > before_storage,
+            report.clock.storage_ns > 0,
             "materialising the checkpointed input costs storage time"
         );
         assert!(report.outcome.is_completed());
@@ -874,36 +859,102 @@ mod tests {
     fn precheck_rejects_without_charging_time() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         // Scaler widens to 5 dims, model expects 3 → statically doomed.
         let doomed = pipeline(1.0, 5, 3);
-        let report = exec
-            .run(&doomed, &clock, None, ExecOptions::MLCASK)
-            .unwrap();
+        let report = exec.run(&doomed, None, ExecOptions::MLCASK).unwrap();
         assert!(matches!(
             report.outcome,
             RunOutcome::RejectedByPrecheck { .. }
         ));
         assert!(report.stages.is_empty());
-        assert_eq!(clock.pipeline_total(), Duration::ZERO);
+        assert_eq!(report.clock, ClockSnapshot::default());
     }
 
     #[test]
     fn without_precheck_fails_midway_after_spending_time() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         let doomed = pipeline(1.0, 5, 3);
-        let report = exec
-            .run(&doomed, &clock, None, ExecOptions::RERUN_ALL)
-            .unwrap();
+        let report = exec.run(&doomed, None, ExecOptions::RERUN_ALL).unwrap();
         match &report.outcome {
             RunOutcome::Failed { at, .. } => assert_eq!(at.name, "test_model"),
             o => panic!("expected failure, got {o:?}"),
         }
         // Source and scaler ran (and were paid for) before the failure.
         assert_eq!(report.stages.len(), 2);
-        assert!(clock.exec_total() > Duration::ZERO);
+        assert!(report.clock.exec_ns() > 0);
+    }
+
+    /// A report's clock is what its stages charged, per stage kind. A run
+    /// that fails mid-way also paid to materialise the failing stage's
+    /// inputs, which no stage reports; a rejection and a full cut charged
+    /// nothing.
+    #[test]
+    fn a_reports_clock_is_what_its_stages_charged() {
+        let staged = |report: &RunReport| {
+            let mut sum = ClockSnapshot::default();
+            for s in &report.stages {
+                sum.charge_exec(s.stage, Duration::from_nanos(s.exec_ns));
+                sum.charge_storage(Duration::from_nanos(s.storage_ns));
+            }
+            sum
+        };
+        let store = ChunkStore::in_memory_small();
+        let exec = Executor::new(&store);
+        let cache = HistoryIndex::new();
+        let p = pipeline(2.0, 3, 3);
+        let cold = exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
+        assert_eq!(cold.executed_count(), 3);
+        // A new model over the checkpointed prefix reads the scaler's output.
+        let model = TestModel {
+            version: SemVer::master(0, 1),
+            dim_in: 3,
+            quality: 0.9,
+        };
+        let partial = replacing(&p, 2, Arc::new(model));
+        let partial = exec
+            .run(&partial, Some(&cache), ExecOptions::MLCASK)
+            .unwrap();
+        assert_eq!(partial.reused_count(), 2);
+        for report in [&cold, &partial] {
+            assert!(report.outcome.is_completed());
+            assert_eq!(report.clock, staged(report));
+        }
+
+        // The doomed model's input is in memory on the first run, and read
+        // from the scaler's checkpoint on the second.
+        let doomed = pipeline(1.0, 5, 3);
+        let doomed_cache = HistoryIndex::new();
+        for warm in [false, true] {
+            let report = exec
+                .run(&doomed, Some(&doomed_cache), ExecOptions::REUSE_ONLY)
+                .unwrap();
+            assert!(matches!(report.outcome, RunOutcome::Failed { .. }));
+            assert_eq!(report.stages.len(), 2);
+            assert!(report.stages.iter().all(|s| s.reused == warm));
+            let materialised = match warm {
+                true => store.read_cost(&report.stages[1].output).as_nanos() as u64,
+                false => 0,
+            };
+            let sum = staged(&report);
+            let expected = ClockSnapshot {
+                storage_ns: sum.storage_ns + materialised,
+                ..sum
+            };
+            assert!(report.clock.storage_ns > 0);
+            assert_eq!(report.clock, expected, "warm={warm}");
+        }
+
+        let rejected = exec.run(&doomed, None, ExecOptions::MLCASK).unwrap();
+        assert!(matches!(
+            rejected.outcome,
+            RunOutcome::RejectedByPrecheck { .. }
+        ));
+        let cut = FrontierCut::of(&p, &cache).unwrap();
+        let looked_up = cut.report(&p).expect("the cold run published every stage");
+        for report in [rejected, looked_up] {
+            assert_eq!(report.clock, ClockSnapshot::default());
+        }
     }
 
     #[test]
@@ -911,13 +962,9 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let p = pipeline(2.0, 3, 3);
-        exec.run(&p, &clock, Some(&cache), ExecOptions::RERUN_ALL)
-            .unwrap();
-        let second = exec
-            .run(&p, &clock, Some(&cache), ExecOptions::RERUN_ALL)
-            .unwrap();
+        exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
+        let second = exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
         assert_eq!(second.executed_count(), 3, "ModelDB reruns everything");
     }
 
@@ -925,11 +972,10 @@ mod tests {
     fn duplicate_outputs_dedup_in_store() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         let p = pipeline(2.0, 3, 3);
-        exec.run(&p, &clock, None, ExecOptions::RERUN_ALL).unwrap();
+        exec.run(&p, None, ExecOptions::RERUN_ALL).unwrap();
         let physical_after_first = store.physical_bytes();
-        exec.run(&p, &clock, None, ExecOptions::RERUN_ALL).unwrap();
+        exec.run(&p, None, ExecOptions::RERUN_ALL).unwrap();
         // Identical outputs → chunk store stores nothing new.
         assert_eq!(store.physical_bytes(), physical_after_first);
         // But logical bytes doubled (ModelDB-style accounting).
@@ -990,18 +1036,19 @@ mod tests {
 
     /// The oracle: the strictly sequential executor this crate shipped
     /// before [`Executor::run`] became trace + replay — one node at a time
-    /// in canonical topological order, charging `ledger` and the store as
-    /// it goes. Kept verbatim so the accounting replay is checked against
-    /// an independent implementation of the same walk, not against itself.
+    /// in canonical topological order, charging the report's clock and the
+    /// store as it goes. Kept verbatim so the accounting replay is checked
+    /// against an independent implementation of the same walk, not against
+    /// itself.
     fn reference_run(
         store: &ChunkStore,
         pipeline: &BoundPipeline,
-        ledger: &ClockLedger,
         cache: Option<&HistoryIndex>,
         options: ExecOptions,
     ) -> Result<RunReport> {
         let order = pipeline.dag.topo_order()?;
         let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
+        let mut clock = ClockSnapshot::default();
 
         if options.precheck {
             if let Err(PipelineError::IncompatibleSchema(detail)) =
@@ -1013,6 +1060,7 @@ mod tests {
                     outcome: RunOutcome::RejectedByPrecheck {
                         at: detail.component,
                     },
+                    clock,
                 });
             }
         }
@@ -1082,7 +1130,7 @@ mod tests {
                 input_artifacts.push(out.in_memory.clone().expect("just materialised"));
             }
             if materialise_ns > 0 {
-                ledger.charge_storage(Duration::from_nanos(materialise_ns));
+                clock.charge_storage(Duration::from_nanos(materialise_ns));
             }
 
             // Execute.
@@ -1090,7 +1138,7 @@ mod tests {
             let exec_ns = work.saturating_mul(comp.ns_per_unit());
             match comp.run(&input_artifacts) {
                 Ok(artifact) => {
-                    ledger.charge_exec(comp.stage(), Duration::from_nanos(exec_ns));
+                    clock.charge_exec(comp.stage(), Duration::from_nanos(exec_ns));
                     let artifact_id = artifact.content_id();
                     let score = artifact.score();
                     if let Some(s) = score {
@@ -1101,7 +1149,7 @@ mod tests {
                         _ => ObjectKind::Output,
                     };
                     let put = store.put_blob(kind, &artifact.to_bytes())?;
-                    ledger.charge_storage(put.cost);
+                    clock.charge_storage(put.cost);
                     let (object, storage_ns) = (put.object, put.cost.as_nanos() as u64);
                     let cached = CachedOutput {
                         object,
@@ -1142,6 +1190,7 @@ mod tests {
                             reason: format!("schema incompatibility at {at}"),
                             at,
                         },
+                        clock,
                     });
                 }
                 Err(e) => return Err(e),
@@ -1152,6 +1201,7 @@ mod tests {
             Some(score) => Ok(RunReport {
                 stages,
                 outcome: RunOutcome::Completed { score },
+                clock,
             }),
             None => Err(PipelineError::NoScore),
         }
@@ -1203,30 +1253,26 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let checkpoints = HistoryIndex::with_decoded_budget(decoded_budget.unwrap_or(0));
         if cache == "warm" {
-            let ledger = ClockLedger::new();
             let primed = match decoded_budget {
-                None => reference_run(&store, primer, &ledger, Some(&checkpoints), options),
-                Some(_) => Executor::new(&store).run(primer, &ledger, Some(&checkpoints), options),
+                None => reference_run(&store, primer, Some(&checkpoints), options),
+                Some(_) => Executor::new(&store).run(primer, Some(&checkpoints), options),
             };
             assert!(primed.unwrap().outcome.is_completed());
         }
         let cache_arg = (cache != "none").then_some(&checkpoints);
-        let ledger = ClockLedger::new();
         let report = match workers {
-            None => reference_run(&store, subject, &ledger, cache_arg, options),
-            Some(1) => Executor::new(&store).run(subject, &ledger, cache_arg, options),
+            None => reference_run(&store, subject, cache_arg, options),
+            Some(1) => Executor::new(&store).run(subject, cache_arg, options),
             Some(n) => Executor::new(&store).run(
                 subject,
-                &ledger,
                 cache_arg,
                 options.with_parallelism(ParallelismPolicy::Parallel(n)),
             ),
         }
         .unwrap();
         let observed = format!(
-            "report={} ledger={} stats={} physical={} cache_len={}",
+            "report={} stats={} physical={} cache_len={}",
             serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&ledger.snapshot()).unwrap(),
             serde_json::to_string(&store.stats()).unwrap(),
             store.physical_bytes(),
             checkpoints.snapshot().len(),
@@ -1377,7 +1423,6 @@ mod tests {
                     Executor::new(&store)
                         .run(
                             &private_pipeline(shape, rows, model_inc),
-                            &ClockLedger::new(),
                             Some(&cache),
                             options,
                         )
@@ -1422,14 +1467,8 @@ mod tests {
                 // The earlier process: checkpoints land in the index, no
                 // artifact stays in memory.
                 let primer = private_pipeline("fan8", rows, 0);
-                let primed = reference_run(
-                    &store,
-                    &primer,
-                    &ClockLedger::new(),
-                    Some(&cache),
-                    ExecOptions::MLCASK,
-                )
-                .unwrap();
+                let primed =
+                    reference_run(&store, &primer, Some(&cache), ExecOptions::MLCASK).unwrap();
                 let join = &primed.stages[primed.stages.len() - 2];
                 assert_eq!(join.component.name, "test_join");
                 assert_eq!(codec_log::counts(&join.artifact_id)[codec_log::DECODED], 0);
@@ -1439,7 +1478,6 @@ mod tests {
                     let report = Executor::new(&store)
                         .run(
                             &private_pipeline("fan8", rows, candidate),
-                            &ClockLedger::new(),
                             Some(&cache),
                             options,
                         )
@@ -1498,9 +1536,7 @@ mod tests {
         let p = replacing(&pipeline(2.0, 3, 3), 1, probe.clone());
         let store = ChunkStore::in_memory_small();
         let options = ExecOptions::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8));
-        let report = Executor::new(&store)
-            .run(&p, &ClockLedger::new(), None, options)
-            .unwrap();
+        let report = Executor::new(&store).run(&p, None, options).unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(*probe.1.lock(), vec![std::thread::current().id()]);
     }
@@ -1597,14 +1633,13 @@ mod tests {
             }
         }
         let (mut created, mut cursor) = (CacheSnapshot::new(), book.replay_cursor());
-        let ledger = ClockLedger::new();
         let reports: Vec<RunReport> = (0..2)
             .map(|_| {
                 let sim = Some(&mut created);
-                replay_run(&store, p, &book, sim, &mut cursor, &ledger, None).unwrap()
+                replay_run(&store, p, &book, sim, &mut cursor, None).unwrap()
             })
             .collect();
-        serde_json::to_string(&(reports, ledger.snapshot())).unwrap()
+        serde_json::to_string(&reports).unwrap()
     }
 
     /// Two traces of one book, without a cut, reach a key while the first
@@ -1633,7 +1668,6 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let clock = ClockLedger::new();
         let model = TestModel {
             version: SemVer::initial(),
             dim_in: 3,
@@ -1641,12 +1675,11 @@ mod tests {
         };
         let p = shaped("diamond", model);
         let options = ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(4));
-        let first = exec.run(&p, &clock, Some(&cache), options).unwrap();
+        let first = exec.run(&p, Some(&cache), options).unwrap();
         assert_eq!(first.executed_count(), 5);
-        let t_after_first = clock.pipeline_total();
-        let second = exec.run(&p, &clock, Some(&cache), options).unwrap();
+        let second = exec.run(&p, Some(&cache), options).unwrap();
         assert_eq!(second.reused_count(), 5, "full reuse through the wavefront");
-        assert_eq!(clock.pipeline_total(), t_after_first);
+        assert_eq!(second.clock.total_ns(), 0);
         assert_eq!(
             second.outcome.score().unwrap().raw,
             first.outcome.score().unwrap().raw
@@ -1657,10 +1690,10 @@ mod tests {
     fn stage_time_attribution() {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
-        exec.run(&pipeline(2.0, 3, 3), &clock, None, ExecOptions::RERUN_ALL)
-            .unwrap();
-        let snap = clock.snapshot();
+        let snap = exec
+            .run(&pipeline(2.0, 3, 3), None, ExecOptions::RERUN_ALL)
+            .unwrap()
+            .clock;
         assert!(snap.ingest_ns > 0);
         assert!(snap.preprocess_ns > 0);
         assert!(snap.training_ns > 0);

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::artifact::{
         Artifact, ArtifactData, Cell, Docs, Features, ImageSet, ModelArtifact, SequenceSet, Table,
     };
-    pub use crate::clock::{ClockLedger, ClockSnapshot};
+    pub use crate::clock::ClockSnapshot;
     pub use crate::component::{Component, ComponentHandle, ComponentKey, StageKind};
     pub use crate::dag::{BoundPipeline, PipelineDag};
     pub use crate::errors::{PipelineError, Result as PipelineResult};

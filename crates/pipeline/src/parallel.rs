@@ -16,9 +16,9 @@
 //! without oversubscribing.
 //!
 //! Determinism contract: callers must make worker closures *pure up to
-//! commutative side effects* (content-addressed stores, output caches, and
-//! `ClockLedger` charges all commute); every ordering-sensitive computation
-//! (virtual end-times, storage accounting, best-candidate selection) is then
+//! commutative side effects* (content-addressed stores and output caches
+//! commute); every ordering-sensitive computation (virtual time, virtual
+//! end-times, storage accounting, best-candidate selection) is then
 //! performed by a sequential reduction over the index-ordered results — see
 //! `mlcask_pipeline::replay`.
 

@@ -37,6 +37,7 @@
 //! a cut cannot be torn either: a checkpoint another writer lands meanwhile
 //! is simply found, by the cut or by a lookup.
 
+use crate::clock::ClockSnapshot;
 use crate::component::ComponentKey;
 use crate::dag::BoundPipeline;
 use crate::errors::Result;
@@ -142,10 +143,10 @@ impl FrontierCut {
     /// stage: each reported `reused` at zero execution and storage cost,
     /// with the hit's output, artifact id and size, and the last score in
     /// topological order as the outcome — exactly what
-    /// [`crate::replay::replay_run`] reports for it. Nothing is charged to
-    /// a ledger, the store statistics or a tenant, and nothing is recorded
-    /// in the history, so answering the pipeline with this report instead is
-    /// unobservable.
+    /// [`crate::replay::replay_run`] reports for it, a zero clock included.
+    /// Nothing is charged to the store statistics or a tenant, and nothing
+    /// is recorded in the history, so answering the pipeline with this
+    /// report instead is unobservable.
     pub fn report(&self, pipeline: &BoundPipeline) -> Option<RunReport> {
         if self.skipped != self.cached.len() {
             return None;
@@ -166,6 +167,7 @@ impl FrontierCut {
         Some(RunReport {
             stages,
             outcome: RunOutcome::Completed { score: score? },
+            clock: ClockSnapshot::default(),
         })
     }
 }
@@ -302,14 +304,13 @@ mod tests {
     /// the published pipeline cuts completely.
     #[test]
     fn a_run_publishes_its_fingerprints_beside_its_checkpoints() {
-        use crate::clock::ClockLedger;
         use crate::executor::{ExecOptions, Executor};
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
         let run = |p: &BoundPipeline| {
             Executor::new(&store)
-                .run(p, &ClockLedger::new(), Some(&cache), ExecOptions::MLCASK)
+                .run(p, Some(&cache), ExecOptions::MLCASK)
                 .unwrap()
                 .executed_count()
         };
@@ -338,26 +339,23 @@ mod tests {
     /// none.
     #[test]
     fn a_full_cut_reports_what_the_engine_reports() {
-        use crate::clock::ClockLedger;
         use crate::executor::{ExecOptions, Executor};
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
         let p = chain(SemVer::master(0, 0));
         let run = |p: &BoundPipeline| {
-            let ledger = ClockLedger::new();
-            let report = Executor::new(&store)
-                .run(p, &ledger, Some(&cache), ExecOptions::MLCASK)
-                .unwrap();
-            (report, ledger.snapshot().total_ns())
+            Executor::new(&store)
+                .run(p, Some(&cache), ExecOptions::MLCASK)
+                .unwrap()
         };
         assert!(FrontierCut::of(&p, &cache).unwrap().report(&p).is_none());
-        let (cold, cold_ns) = run(&p);
-        assert!(cold_ns > 0 && cold.executed_count() == 3);
+        let cold = run(&p);
+        assert!(cold.clock.total_ns() > 0 && cold.executed_count() == 3);
         let cut = FrontierCut::of(&p, &cache).unwrap();
         let known = cut.report(&p).expect("every node is indexed");
-        let (warm, warm_ns) = run(&p);
-        assert_eq!(warm_ns, 0);
+        let warm = run(&p);
+        assert_eq!(warm.clock.total_ns(), 0);
         assert_eq!(
             serde_json::to_string(&known).unwrap(),
             serde_json::to_string(&warm).unwrap()

@@ -57,7 +57,7 @@
 //! `HistoryIndex::publish`, which keeps the history's **pairing
 //! invariant**: a fingerprint only after its checkpoint.
 
-use crate::clock::ClockLedger;
+use crate::clock::ClockSnapshot;
 use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
 use crate::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
@@ -316,15 +316,14 @@ pub struct Publication<'a> {
 ///   fingerprint. This is the history's one writer, and a replay that
 ///   errors publishes nothing.
 ///
-/// Charges land on `ledger`; stats deltas are recorded on `store`, both in
-/// canonical order.
+/// Charges land on the report's `clock`; stats deltas are recorded on
+/// `store`, both in canonical order.
 pub fn replay_run(
     store: &ChunkStore,
     pipeline: &BoundPipeline,
     book: &ProfileBook,
     mut reuse: Option<&mut CacheSnapshot>,
     cursor: &mut ReplayCursor,
-    ledger: &ClockLedger,
     publish: Option<Publication<'_>>,
 ) -> Result<RunReport> {
     let order = pipeline.dag.topo_order()?;
@@ -332,6 +331,7 @@ pub fn replay_run(
     let mut outputs: Vec<Option<ReplayNode>> = (0..order.len()).map(|_| None).collect();
     let mut final_score = None;
     let mut failed = None;
+    let mut clock = ClockSnapshot::default();
     // Stages charged as executed, by node, for the publication.
     let mut charged: Vec<(usize, CacheKey, CachedOutput)> = Vec::new();
 
@@ -379,7 +379,7 @@ pub fn replay_run(
             }
         }
         if materialise_ns > 0 {
-            ledger.charge_storage(Duration::from_nanos(materialise_ns));
+            clock.charge_storage(Duration::from_nanos(materialise_ns));
         }
 
         // Failure point observed in phase 1: inputs were materialised (and
@@ -400,7 +400,7 @@ pub fn replay_run(
             ))
         })?;
 
-        ledger.charge_exec(comp.stage(), Duration::from_nanos(prof.exec_ns));
+        clock.charge_exec(comp.stage(), Duration::from_nanos(prof.exec_ns));
         if let Some(s) = prof.cached.score {
             final_score = Some(s);
         }
@@ -410,7 +410,7 @@ pub fn replay_run(
             )
         })?;
         let (cost, stats) = trace.replay(&store.cost_model(), &mut cursor.unseen);
-        ledger.charge_storage(cost);
+        clock.charge_storage(cost);
         // Stats *and* per-tenant attribution land here, in canonical
         // replay order, so tenant usage is deterministic too.
         store.record_replayed_write(trace, stats);
@@ -457,7 +457,11 @@ pub fn replay_run(
             index.publish(key, fingerprints[node], cached);
         }
     }
-    Ok(RunReport { stages, outcome })
+    Ok(RunReport {
+        stages,
+        outcome,
+        clock,
+    })
 }
 
 #[cfg(test)]
@@ -577,8 +581,7 @@ mod tests {
                 if !replayed {
                     return Ok(None);
                 }
-                let (mut cursor, ledger) = (book.replay_cursor(), ClockLedger::new());
-                replay_run(&t, &p, &book, None, &mut cursor, &ledger, None).map(Some)
+                replay_run(&t, &p, &book, None, &mut book.replay_cursor(), None).map(Some)
             });
             assert_eq!(accounts.open_reservations(), 0);
             let usage = accounts.usage(TenantId(1)).logical_bytes;
@@ -656,8 +659,8 @@ mod tests {
 
     /// Traces two candidates sharing a prefix in `phase1` order (after a
     /// run of `primer`, if any), replays them in canonical order, and
-    /// returns the reports and ledger, plus whether the book counts the
-    /// shared source checkpoint as pre-existing.
+    /// returns the reports (their clocks included), plus whether the book
+    /// counts the shared source checkpoint as pre-existing.
     fn found_or_produced(phase1: [u32; 2], primer: Option<u32>) -> (String, bool) {
         use crate::executor::{ExecOptions, Executor};
         use crate::parallel::ParallelismPolicy;
@@ -665,12 +668,7 @@ mod tests {
         let cache = HistoryIndex::new();
         let exec = Executor::new(&store);
         if let Some(model) = primer {
-            let primed = exec.run(
-                &chain(model),
-                &ClockLedger::new(),
-                Some(&cache),
-                ExecOptions::MLCASK,
-            );
+            let primed = exec.run(&chain(model), Some(&cache), ExecOptions::MLCASK);
             assert!(primed.unwrap().outcome.is_completed());
         }
         let book = ProfileBook::new();
@@ -679,24 +677,11 @@ mod tests {
             exec.trace(&chain(model), &cache, &book, policy, None)
                 .unwrap();
         }
-        let (mut sim, mut cursor, ledger) = (
-            CacheSnapshot::new(),
-            book.replay_cursor(),
-            ClockLedger::new(),
-        );
+        let (mut sim, mut cursor) = (CacheSnapshot::new(), book.replay_cursor());
         let reports: Vec<RunReport> = [0, 1]
             .map(|model| {
                 let p = chain(model);
-                replay_run(
-                    &store,
-                    &p,
-                    &book,
-                    Some(&mut sim),
-                    &mut cursor,
-                    &ledger,
-                    None,
-                )
-                .unwrap()
+                replay_run(&store, &p, &book, Some(&mut sim), &mut cursor, None).unwrap()
             })
             .into();
         let source = CacheKey {
@@ -704,13 +689,12 @@ mod tests {
             inputs: vec![],
         };
         let observed = format!(
-            "executed={:?} reports={} ledger={}",
+            "executed={:?} reports={}",
             reports
                 .iter()
                 .map(RunReport::executed_count)
                 .collect::<Vec<_>>(),
             serde_json::to_string(&reports).unwrap(),
-            serde_json::to_string(&ledger.snapshot()).unwrap(),
         );
         (observed, book.pre_existing(&source).is_some())
     }

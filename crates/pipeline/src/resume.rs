@@ -30,10 +30,10 @@
 //!
 //! Because the accounting replay charges every node in canonical
 //! topological order from recorded profiles — never from wall-clock
-//! observations — a resumed run's report, ledger, store statistics, and
-//! per-tenant accounting are byte-identical to an uninterrupted run at any
-//! worker count. `tests/crash_recovery.rs` pins this down by killing the
-//! backend at every k-th write.
+//! observations — a resumed run's report (its clock included), store
+//! statistics, and per-tenant accounting are byte-identical to an
+//! uninterrupted run at any worker count. `tests/crash_recovery.rs` pins
+//! this down by killing the backend at every k-th write.
 
 use crate::errors::Result;
 use crate::executor::CacheKey;

@@ -2,10 +2,9 @@
 //! shared [`Workspace`].
 //!
 //! Every connection (or in-process caller) opens *sessions*; a session is
-//! bound to one tenant and carries its own virtual-clock ledger. All
-//! sessions of a tenant share one pipeline system ([`MlCask`]) — and all
-//! tenants share one workspace: one deduplicating store, one
-//! snapshot-published commit graph, one checkpoint history.
+//! bound to one tenant. All sessions of a tenant share one pipeline system
+//! ([`MlCask`]) — and all tenants share one workspace: one deduplicating
+//! store, one snapshot-published commit graph, one checkpoint history.
 //!
 //! **Why reads scale under live merges.** Read methods (`branches`, `log`,
 //! `head`, `usage`) resolve everything against one frozen
@@ -76,11 +75,6 @@ pub struct TenantEntry {
     requests: RequestSeries,
 }
 
-struct Session {
-    entry: Arc<TenantEntry>,
-    ledger: ClockLedger,
-}
-
 type Reply = Result<Value, Failure>;
 
 /// Which side of the coarse-lock baseline's workspace lock a method holds
@@ -95,11 +89,11 @@ enum Guard {
 /// A method's scope and handler. Control-plane methods run without a
 /// session or admission and see the parameters only; session-scoped ones
 /// run once their session resolves and admission lets them in, and see the
-/// session too.
+/// session's tenant entry too.
 #[derive(Clone, Copy)]
 enum Scope {
     Control(fn(&Router, &Params<'_>) -> Reply),
-    Session(fn(&Router, &Session, &Params<'_>) -> Reply),
+    Session(fn(&Router, &TenantEntry, &Params<'_>) -> Reply),
 }
 
 /// One served method: its wire name, its scope and handler, and its guard.
@@ -124,7 +118,7 @@ const fn control(
 const fn session(
     name: &'static str,
     guard: Guard,
-    handler: fn(&Router, &Session, &Params<'_>) -> Reply,
+    handler: fn(&Router, &TenantEntry, &Params<'_>) -> Reply,
 ) -> Route {
     Route {
         name,
@@ -150,75 +144,71 @@ static ROUTES: [Route; 19] = [
     control("workspace.usage", Guard::Read, |router, _| {
         Ok(workspace_usage_json(&router.ws))
     }),
-    session("branches", Guard::Read, |_, session, _| {
-        let branches = session.entry.tenant.branches();
+    session("branches", Guard::Read, |_, entry, _| {
+        let branches = entry.tenant.branches();
         Ok(Value::Seq(branches.into_iter().map(s).collect()))
     }),
-    session("head", Guard::Read, |router, session, p| {
-        let head = router.head_of(&session.entry, p.str("branch")?)?;
+    session("head", Guard::Read, |router, entry, p| {
+        let head = router.head_of(entry, p.str("branch")?)?;
         Ok(commit_json(&head))
     }),
-    session("log", Guard::Read, |router, session, p| {
-        router.log(&session.entry, p)
+    session("log", Guard::Read, |router, entry, p| router.log(entry, p)),
+    session("usage", Guard::Read, |_, entry, _| {
+        Ok(usage_json(&entry.tenant.usage()))
     }),
-    session("usage", Guard::Read, |_, session, _| {
-        Ok(usage_json(&session.entry.tenant.usage()))
+    session("commit", Guard::Write, |router, entry, p| {
+        router.commit(entry, p)
     }),
-    session("commit", Guard::Write, |router, session, p| {
-        router.commit(session, p)
-    }),
-    session("branch", Guard::Write, |_, session, p| {
+    session("branch", Guard::Write, |_, entry, p| {
         let (from, to) = (p.str("from")?, p.str("to")?);
-        let c = session.entry.sys.branch(from, to).map_err(Failure::op)?;
+        let c = entry.sys.branch(from, to).map_err(Failure::op)?;
         Ok(commit_json(&c))
     }),
-    session("grant", Guard::Write, |_, session, p| {
+    session("grant", Guard::Write, |_, entry, p| {
         let peer = p.str("peer")?;
         let right = parse_right(p.str("right")?)?;
-        let tenant = &session.entry.tenant;
+        let tenant = &entry.tenant;
         tenant.grant_to(peer, right).map_err(Failure::op)?;
         Ok(Value::Bool(true))
     }),
-    session("revoke", Guard::Write, |_, session, p| {
+    session("revoke", Guard::Write, |_, entry, p| {
         let peer = p.str("peer")?;
-        let tenant = &session.entry.tenant;
+        let tenant = &entry.tenant;
         tenant.revoke_from(peer).map_err(Failure::op)?;
         Ok(Value::Bool(true))
     }),
-    session("fork", Guard::Write, |_, session, p| {
+    session("fork", Guard::Write, |_, entry, p| {
         let peer = p.str("peer")?;
         let branch = p.str("branch")?;
         let new_branch = p.str("new_branch")?;
-        let tenant = &session.entry.tenant;
+        let tenant = &entry.tenant;
         let c = tenant
             .fork_from(peer, branch, new_branch)
             .map_err(Failure::op)?;
         Ok(commit_json(&c))
     }),
-    session("merge", Guard::Write, |_, session, p| {
+    session("merge", Guard::Write, |_, entry, p| {
         let base = p.str("base")?;
         let merging = p.str("merging")?;
         let strategy = parse_strategy(p.str_opt("strategy")?)?;
-        let outcome = session
-            .entry
+        let outcome = entry
             .sys
-            .merge(base, merging, strategy, &session.ledger)
+            .merge(base, merging, strategy, &ClockLedger::new())
             .map_err(Failure::op)?;
         Ok(merge_json(&outcome))
     }),
-    session("merge.into", Guard::Write, |_, session, p| {
+    session("merge.into", Guard::Write, |_, entry, p| {
         let peer = p.str("peer")?;
         let peer_branch = p.str("peer_branch")?;
         let merging = p.str("merging")?;
         let strategy = parse_strategy(p.str_opt("strategy")?)?;
-        let outcome = session
-            .entry
+        let outcome = entry
             .sys
             .merge(
                 BranchRef::peer(peer, peer_branch),
                 merging,
                 strategy,
-                &session.ledger,
+                &ClockLedger::new(),
             )
             .map_err(Failure::op)?;
         Ok(merge_json(&outcome))
@@ -304,7 +294,7 @@ pub struct Router {
     opts: ServerOptions,
     limiter: Limiter,
     tenants: Mutex<HashMap<String, Arc<TenantEntry>>>,
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    sessions: Mutex<HashMap<u64, Arc<TenantEntry>>>,
     next_session: AtomicU64,
     ops_served: AtomicU64,
     /// Telemetry of requests that resolve no session (tenant label `"-"`).
@@ -409,15 +399,14 @@ impl Router {
         {
             return self.holding(*guard, || handler(self, &p));
         }
-        let session = self.session(&p)?;
-        let entry = entry_out.insert(Arc::clone(&session.entry));
+        let entry: &TenantEntry = entry_out.insert(self.session(&p)?);
         let _op = self.limiter.begin_op(entry.tenant.name())?;
         match route {
             Some(Route {
                 scope: Scope::Session(handler),
                 guard,
                 ..
-            }) => self.holding(*guard, || handler(self, &session, &p)),
+            }) => self.holding(*guard, || handler(self, entry, &p)),
             _ => Err(Failure::new(
                 METHOD_NOT_FOUND,
                 format!("unknown method `{}`", req.method),
@@ -482,13 +471,7 @@ impl Router {
             }
         };
         let id = self.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-        self.sessions.lock().insert(
-            id,
-            Arc::new(Session {
-                entry,
-                ledger: ClockLedger::new(),
-            }),
-        );
+        self.sessions.lock().insert(id, entry);
         Ok(obj(vec![
             ("session", Value::U64(id)),
             ("tenant", s(tenant)),
@@ -506,9 +489,8 @@ impl Router {
         }
     }
 
-    /// Resolves the session id in `params` to its state (ledger and tenant
-    /// entry).
-    fn session(&self, p: &Params<'_>) -> Result<Arc<Session>, Failure> {
+    /// Resolves the session id in `params` to its tenant's entry.
+    fn session(&self, p: &Params<'_>) -> Result<Arc<TenantEntry>, Failure> {
         let id = p.u64("session")?;
         self.sessions
             .lock()
@@ -563,7 +545,7 @@ impl Router {
         Ok(Value::Seq(out))
     }
 
-    fn commit(&self, session: &Session, p: &Params<'_>) -> Result<Value, Failure> {
+    fn commit(&self, entry: &TenantEntry, p: &Params<'_>) -> Result<Value, Failure> {
         let branch = p.str("branch")?;
         let message = p.str_opt("message")?.unwrap_or("serving commit");
         let keys = p
@@ -571,10 +553,9 @@ impl Router {
             .into_iter()
             .map(parse_component)
             .collect::<Result<Vec<_>, _>>()?;
-        let result = session
-            .entry
+        let result = entry
             .sys
-            .commit_pipeline(branch, &keys, message, &session.ledger)
+            .commit_pipeline(branch, &keys, message, &ClockLedger::new())
             .map_err(Failure::op)?;
         Ok(commit_result_json(&result))
     }

@@ -436,12 +436,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcask_pipeline::clock::ClockLedger;
+    use mlcask_pipeline::clock::ClockSnapshot;
     use mlcask_pipeline::dag::BoundPipeline;
     use mlcask_pipeline::executor::{ExecOptions, Executor};
     use mlcask_storage::store::ChunkStore;
 
-    fn run_pipeline(w: &Workload, keys: &[ComponentKey]) -> (f64, ClockLedger) {
+    fn run_pipeline(w: &Workload, keys: &[ComponentKey]) -> (f64, ClockSnapshot) {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let handles: Vec<ComponentHandle> = keys
@@ -449,11 +449,8 @@ mod tests {
             .map(|k| w.handles.iter().find(|h| &h.key() == k).unwrap().clone())
             .collect();
         let bound = BoundPipeline::new(Arc::new(w.dag()), handles).unwrap();
-        let clock = ClockLedger::new();
-        let report = exec
-            .run(&bound, &clock, None, ExecOptions::RERUN_ALL)
-            .unwrap();
-        (report.outcome.score().expect("completed").raw, clock)
+        let report = exec.run(&bound, None, ExecOptions::RERUN_ALL).unwrap();
+        (report.outcome.score().expect("completed").raw, report.clock)
     }
 
     #[test]
@@ -467,10 +464,9 @@ mod tests {
     #[test]
     fn initial_pipeline_classifies_digits() {
         let w = build();
-        let (score, clock) = run_pipeline(&w, &w.initial);
+        let (score, snap) = run_pipeline(&w, &w.initial);
         assert!(score > 0.6, "Autolearn accuracy {score}");
         // Pre-processing dominates (Fig. 6d).
-        let snap = clock.snapshot();
         assert!(snap.preprocess_ns > snap.training_ns);
     }
 

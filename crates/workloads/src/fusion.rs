@@ -458,7 +458,6 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcask_pipeline::clock::ClockLedger;
     use mlcask_pipeline::component::ComponentKey;
     use mlcask_pipeline::dag::BoundPipeline;
     use mlcask_pipeline::executor::{ExecOptions, Executor};
@@ -495,9 +494,8 @@ mod tests {
         let w = build();
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         let report = exec
-            .run(&bind(&w, &w.initial), &clock, None, ExecOptions::RERUN_ALL)
+            .run(&bind(&w, &w.initial), None, ExecOptions::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         let score = report.outcome.score().unwrap().raw;
@@ -511,19 +509,16 @@ mod tests {
         let run = |policy: ParallelismPolicy| {
             let store = ChunkStore::in_memory_small();
             let exec = Executor::new(&store);
-            let clock = ClockLedger::new();
             let report = exec
                 .run(
                     &bind(&w, &w.initial),
-                    &clock,
                     None,
                     ExecOptions::RERUN_ALL.with_parallelism(policy),
                 )
                 .unwrap();
             format!(
-                "{} {} {}",
+                "{} {}",
                 serde_json::to_string(&report).unwrap(),
-                serde_json::to_string(&clock.snapshot()).unwrap(),
                 serde_json::to_string(&store.stats()).unwrap(),
             )
         };
@@ -541,17 +536,16 @@ mod tests {
         keys[slot] = wide.clone();
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
-        let clock = ClockLedger::new();
         // MLCask's precheck refuses statically.
         let report = exec
-            .run(&bind(&w, &keys), &clock, None, ExecOptions::MLCASK)
+            .run(&bind(&w, &keys), None, ExecOptions::MLCASK)
             .unwrap();
         assert!(!report.outcome.is_completed());
         assert!(report.stages.is_empty());
         // Without precheck the run fails at the fusion node, after the
         // independent labs branch already executed.
         let report = exec
-            .run(&bind(&w, &keys), &clock, None, ExecOptions::RERUN_ALL)
+            .run(&bind(&w, &keys), None, ExecOptions::RERUN_ALL)
             .unwrap();
         assert!(!report.outcome.is_completed());
         assert_eq!(report.stages.len(), 3, "source + both branches ran");
@@ -563,8 +557,7 @@ mod tests {
         let score_of = |keys: &[ComponentKey]| {
             let store = ChunkStore::in_memory_small();
             let exec = Executor::new(&store);
-            let clock = ClockLedger::new();
-            exec.run(&bind(&w, keys), &clock, None, ExecOptions::RERUN_ALL)
+            exec.run(&bind(&w, keys), None, ExecOptions::RERUN_ALL)
                 .unwrap()
                 .outcome
                 .score()

@@ -5,8 +5,8 @@
 //! extraction builds medical feature vectors (the `1.0` version widens the
 //! feature schema — the paper's compatibility-breaking update); the "CNN"
 //! slot trains the deep model (MLP stand-in, its cost charged in virtual
-//! time — see ARCHITECTURE.md, "Virtual time: `ClockLedger`"). Model
-//! training dominates this pipeline's cost, matching Fig. 6(a).
+//! time — see ARCHITECTURE.md, "Virtual time: a field of the report").
+//! Model training dominates this pipeline's cost, matching Fig. 6(a).
 
 use crate::common::{mlp_work_units, train_eval_mlp, Workload};
 use crate::data::ehr;
@@ -482,12 +482,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcask_pipeline::clock::ClockLedger;
+    use mlcask_pipeline::clock::ClockSnapshot;
     use mlcask_pipeline::dag::BoundPipeline;
     use mlcask_pipeline::executor::{ExecOptions, Executor};
     use mlcask_storage::store::ChunkStore;
 
-    fn run_pipeline(w: &Workload, keys: &[ComponentKey]) -> (f64, ClockLedger) {
+    fn run_pipeline(w: &Workload, keys: &[ComponentKey]) -> (f64, ClockSnapshot) {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let handles: Vec<ComponentHandle> = keys
@@ -501,11 +501,8 @@ mod tests {
             })
             .collect();
         let bound = BoundPipeline::new(Arc::new(w.dag()), handles).unwrap();
-        let clock = ClockLedger::new();
-        let report = exec
-            .run(&bound, &clock, None, ExecOptions::RERUN_ALL)
-            .unwrap();
-        (report.outcome.score().expect("completed").raw, clock)
+        let report = exec.run(&bound, None, ExecOptions::RERUN_ALL).unwrap();
+        (report.outcome.score().expect("completed").raw, report.clock)
     }
 
     #[test]
@@ -520,10 +517,9 @@ mod tests {
     #[test]
     fn initial_pipeline_learns() {
         let w = build();
-        let (score, clock) = run_pipeline(&w, &w.initial);
+        let (score, snap) = run_pipeline(&w, &w.initial);
         assert!(score > 0.55, "readmission accuracy {score}");
         // Model training dominates (Fig. 6a).
-        let snap = clock.snapshot();
         assert!(
             snap.training_ns > snap.preprocess_ns,
             "training {} vs preproc {}",
@@ -553,8 +549,7 @@ mod tests {
             .map(|k| w.handles.iter().find(|h| &h.key() == k).unwrap().clone())
             .collect();
         let bound = BoundPipeline::new(Arc::new(w.dag()), handles).unwrap();
-        let clock = ClockLedger::new();
-        let report = exec.run(&bound, &clock, None, ExecOptions::MLCASK).unwrap();
+        let report = exec.run(&bound, None, ExecOptions::MLCASK).unwrap();
         assert!(!report.outcome.is_completed());
     }
 

@@ -76,10 +76,11 @@ fn main() {
         outcome.commit.as_ref().unwrap().label(),
         outcome.commit.as_ref().unwrap().parents.len()
     );
+    let time = clock.snapshot();
     println!(
         "\nvirtual pipeline time so far: {:.2}s (storage {:.2}s)",
-        clock.pipeline_total().as_secs_f64(),
-        clock.storage_total().as_secs_f64()
+        time.total_secs(),
+        time.storage_ns as f64 / 1e9
     );
     let stats = sys.store().stats();
     println!(

@@ -1,9 +1,9 @@
 //! Crash-recovery matrix: kill the storage backend at every k-th write,
 //! reopen, recover, and assert the **resumed** run is byte-identical to an
-//! uninterrupted one-worker run — report, ledger, store statistics, and
-//! physical bytes — at worker counts {1, 2, 8}, on both the durable
-//! [`CaskBackend`] (fault-injected torn/dropped writes, real reopen) and
-//! an in-memory store behind the trait-level [`FaultBackend`].
+//! uninterrupted one-worker run — report (its clock included), store
+//! statistics, and physical bytes — at worker counts {1, 2, 8}, on both
+//! the durable [`CaskBackend`] (fault-injected torn/dropped writes, real
+//! reopen) and an in-memory store behind the trait-level [`FaultBackend`].
 //!
 //! Protocol under test (see `mlcask_pipeline::resume`): completed
 //! operations are journaled to a [`ResumeLog`]; recovery validates each
@@ -70,23 +70,19 @@ fn run_once(
     store: &ChunkStore,
     policy: ParallelismPolicy,
     resume: &ResumeCtx<'_>,
-) -> PipelineResult<(RunReport, ClockLedger)> {
-    let ledger = ClockLedger::new();
-    let report = Executor::new(store).resuming(resume).run(
+) -> PipelineResult<RunReport> {
+    Executor::new(store).resuming(resume).run(
         pipeline,
-        &ledger,
         None,
         ExecOptions::RERUN_ALL.with_parallelism(policy),
-    )?;
-    Ok((report, ledger))
+    )
 }
 
 /// Every observable the determinism contract covers.
-fn observe(report: &RunReport, ledger: &ClockLedger, store: &ChunkStore) -> String {
+fn observe(report: &RunReport, store: &ChunkStore) -> String {
     format!(
-        "report={} ledger={} stats={} physical={}",
+        "report={} stats={} physical={}",
         serde_json::to_string(report).unwrap(),
-        serde_json::to_string(&ledger.snapshot()).unwrap(),
         serde_json::to_string(&store.stats()).unwrap(),
         store.physical_bytes(),
     )
@@ -105,9 +101,9 @@ fn reference(pipeline: &BoundPipeline, params: ChunkParams) -> String {
         snapshot: &empty,
         journal: None,
     };
-    let (report, ledger) = run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+    let report = run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
     assert!(report.outcome.is_completed());
-    observe(&report, &ledger, &store)
+    observe(&report, &store)
 }
 
 /// Runs the pipeline once against a clean synchronous cask to learn the
@@ -186,9 +182,9 @@ fn crash_then_resume_cask(
         snapshot: &snap,
         journal: Some(&log),
     };
-    let (report, ledger) = run_once(pipeline, &store, policy, &ctx).unwrap();
+    let report = run_once(pipeline, &store, policy, &ctx).unwrap();
     assert!(report.outcome.is_completed());
-    let obs = observe(&report, &ledger, &store);
+    let obs = observe(&report, &store);
     let _ = std::fs::remove_dir_all(&base);
     (obs, rec, journaled)
 }
@@ -350,9 +346,9 @@ fn crash_then_resume_mem(
         snapshot: &snap,
         journal: Some(&log),
     };
-    let (report, ledger) = run_once(pipeline, &store, policy, &ctx).unwrap();
+    let report = run_once(pipeline, &store, policy, &ctx).unwrap();
     assert!(report.outcome.is_completed());
-    (observe(&report, &ledger, &store), rec)
+    (observe(&report, &store), rec)
 }
 
 #[test]
@@ -492,9 +488,8 @@ fn cask_uninterrupted_matches_mem_and_survives_reopen() {
             snapshot: &empty,
             journal: None,
         };
-        let (report, ledger) =
-            run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
-        assert_eq!(observe(&report, &ledger, &store), expected);
+        let report = run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+        assert_eq!(observe(&report, &store), expected);
         store.flush().unwrap();
         let outputs: Vec<_> = report.stages.iter().map(|s| s.output).collect();
         drop(store);

@@ -48,12 +48,7 @@ fn primed_on(store: Arc<ChunkStore>) -> Primed {
     let history = HistoryIndex::new();
     let bound = reg.bind(&Arc::new(w.dag()), &w.base).unwrap();
     Executor::new(reg.store())
-        .run(
-            &bound,
-            &ClockLedger::new(),
-            Some(&history),
-            ExecOptions::MLCASK,
-        )
+        .run(&bound, Some(&history), ExecOptions::MLCASK)
         .unwrap();
     Primed { w, reg, history }
 }
@@ -74,12 +69,7 @@ fn search_on(
         .with_parallelism(policy)
         .with_incremental(incremental);
     engine
-        .search(
-            &p.w.spaces(),
-            &p.history,
-            MergeStrategy::Full,
-            &ClockLedger::new(),
-        )
+        .search(&p.w.spaces(), &p.history, MergeStrategy::Full)
         .unwrap()
 }
 

@@ -1,8 +1,8 @@
 //! The paper's evaluation (§VII, Fig. 5–10, Table I) as shape checks that
 //! fail.
 //!
-//! Every quantity here is virtual `ClockLedger` time or a byte count, so the
-//! checks are deterministic: the same on any machine, in debug and in
+//! Every quantity here is virtual time (a `ClockSnapshot`) or a byte count,
+//! so the checks are deterministic: the same on any machine, in debug and in
 //! release. [`TABLE`] says, per workload and figure, whether this
 //! reproduction shows the paper's shape; [`check`] measures each shape and
 //! fails when a cell and its measurement disagree — in either direction, so

@@ -63,7 +63,7 @@ fn scenario() -> (ComponentRegistry, Arc<PipelineDag>, SearchSpaces) {
 }
 
 /// Runs a fresh merge search under `policy` and returns every observable:
-/// the full report plus ledger totals, store stats, and history size.
+/// the full report (its clock included), store stats, and history size.
 fn run_search(
     strategy: MergeStrategy,
     policy: ParallelismPolicy,
@@ -80,18 +80,15 @@ fn run_search(
             spaces.per_slot[2][0].clone(),
         ];
         let bound = reg.bind(&dag, &keys).unwrap();
-        let warm = ClockLedger::new();
         Executor::new(reg.store())
-            .run(&bound, &warm, Some(&history), ExecOptions::MLCASK)
+            .run(&bound, Some(&history), ExecOptions::MLCASK)
             .unwrap();
     }
     let engine = MergeEngine::new(&reg, dag).with_parallelism(policy);
-    let ledger = ClockLedger::new();
-    let report = engine.search(&spaces, &history, strategy, &ledger).unwrap();
+    let report = engine.search(&spaces, &history, strategy).unwrap();
     let observables = format!(
-        "report={} ledger={} stats={} history_len={}",
+        "report={} stats={} history_len={}",
         serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&ledger.snapshot()).unwrap(),
         serde_json::to_string(&reg.store().stats()).unwrap(),
         history.snapshot().len(),
     );
@@ -435,15 +432,13 @@ mod dag {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let ledger = ClockLedger::new();
         let options = ExecOptions::RERUN_ALL.with_parallelism(policy);
-        let first = exec.run(&p, &ledger, Some(&cache), options).unwrap();
-        let second = exec.run(&p, &ledger, Some(&cache), options).unwrap();
+        let first = exec.run(&p, Some(&cache), options).unwrap();
+        let second = exec.run(&p, Some(&cache), options).unwrap();
         format!(
-            "first={} second={} ledger={} stats={} physical={} cache_len={}",
+            "first={} second={} stats={} physical={} cache_len={}",
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
-            serde_json::to_string(&ledger.snapshot()).unwrap(),
             serde_json::to_string(&store.stats()).unwrap(),
             store.physical_bytes(),
             cache.snapshot().len(),

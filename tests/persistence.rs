@@ -44,9 +44,8 @@ fn pipeline_artifacts_survive_cask_reopen() {
         let dag = Arc::new(workload.dag());
         let components = workload.initial.iter().map(&handle_for).collect();
         let bound = BoundPipeline::new(dag, components).unwrap();
-        let clock = ClockLedger::new();
         let report = Executor::new(&store)
-            .run(&bound, &clock, None, ExecOptions::RERUN_ALL)
+            .run(&bound, None, ExecOptions::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         store.flush().unwrap();

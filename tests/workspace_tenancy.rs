@@ -694,7 +694,7 @@ mod orphan_gc {
             };
             let report = MergeEngine::new(sys.registry(), Arc::clone(sys.dag()))
                 .with_parallelism(policy)
-                .search(&spaces, ws.history(), MergeStrategy::Full, &clock)
+                .search(&spaces, ws.history(), MergeStrategy::Full)
                 .unwrap();
             assert_eq!(report.failed_candidates, 1, "the liar fails its candidate");
         } else {
