@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod errors;
+mod memo;
 pub mod merge;
 pub mod prioritized;
 pub mod registry;

@@ -15,6 +15,7 @@
 //!   shown in §V to be both failure-prone and metric-blind.
 
 use crate::errors::Result;
+use crate::memo::MemoTree;
 use crate::prioritized::{SearchMethod, Trial, TrialResult, TrialStats};
 use crate::registry::ComponentRegistry;
 use crate::search::{self, Evaluated, Policy};
@@ -127,8 +128,10 @@ impl<'a> MergeEngine<'a> {
     /// lookup of fully cut candidates) for history-backed strategies and
     /// trials. Shared prefixes execute once either way: candidates claim
     /// their keys in one profile book. On by default; reports are
-    /// byte-identical either way — only wall-clock changes — which makes
-    /// the disabled engine the reference the fast path is tested against.
+    /// byte-identical either way but for `skipped_by_frontier`, which
+    /// counts the nodes the fast path cut (none when it is off) — otherwise
+    /// only wall-clock changes — which makes the disabled engine the
+    /// reference the fast path is tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self
@@ -142,17 +145,21 @@ impl<'a> MergeEngine<'a> {
         self
     }
 
-    /// The search tree over `spaces`, PC-pruned (§VI-A) when `pc`.
-    fn tree(&self, spaces: &SearchSpaces, pc: bool) -> Result<SearchTree> {
-        let mut tree = SearchTree::build(spaces);
-        if pc {
-            // Real DAG in-edges per slot: PC follows the pipeline shape,
-            // which need not be a chain.
-            let preds = self.dag.predecessors();
-            let lut = CompatLut::build(self.registry, spaces, preds)?;
-            tree.prune_incompatible(&lut, preds);
-        }
-        Ok(tree)
+    /// The search tree over `spaces`, PC-pruned (§VI-A) when `pc`: built
+    /// here on the first request for this DAG shape, search spaces and
+    /// `pc`, and read from the registry's memo after (see [`crate::memo`]).
+    fn tree(&self, spaces: &SearchSpaces, pc: bool) -> Result<Arc<MemoTree>> {
+        self.registry.memo(&self.dag).tree(spaces, pc, || {
+            let mut tree = SearchTree::build(spaces);
+            if pc {
+                // Real DAG in-edges per slot: PC follows the pipeline
+                // shape, which need not be a chain.
+                let preds = self.dag.predecessors();
+                let lut = CompatLut::build(self.registry, spaces, preds)?;
+                tree.prune_incompatible(&lut, preds);
+            }
+            Ok(tree)
+        })
     }
 
     /// Runs the merge search. `history` is consulted and extended only by
@@ -195,19 +202,20 @@ impl<'a> MergeEngine<'a> {
         let store = self.registry.store();
         let stats_before = store.stats().total();
         let pc = matches!(strategy, MergeStrategy::WithoutPr | MergeStrategy::Full);
-        let mut tree = self.tree(spaces, pc)?;
+        let tree = self.tree(spaces, pc)?;
+        // PR marking reads the history, so it is the one per-search pass
+        // over the tree: it turns feasible nodes green.
+        let mut state_counts = tree.counts;
         if strategy == MergeStrategy::Full {
-            tree.mark_checkpoints(history, self.dag.predecessors());
+            let marked = tree.tree.checkpoints(history, self.dag.predecessors());
+            state_counts.checkpointed += marked;
+            state_counts.feasible -= marked;
         }
         // Marking never prunes, so the live leaves are the ones pruning
         // left; a naive merge with an empty slot has no candidate at all.
         let candidates: Vec<Vec<ComponentKey>> = match strategy {
             MergeStrategy::Naive => naive_candidate(spaces).into_iter().collect(),
-            _ => tree
-                .live_leaves()
-                .into_iter()
-                .map(|l| tree.candidate(l))
-                .collect(),
+            _ => tree.candidates.clone(),
         };
         let candidates_total = spaces.candidate_upper_bound();
         let mut report = MergeSearchReport {
@@ -219,7 +227,7 @@ impl<'a> MergeEngine<'a> {
             } else {
                 0
             },
-            state_counts: tree.state_counts(),
+            state_counts,
             executed_components: 0,
             reused_components: 0,
             skipped_by_frontier: 0,
@@ -324,7 +332,7 @@ impl<'a> MergeEngine<'a> {
         method: SearchMethod,
         seeds: &[u64],
     ) -> Result<Vec<Vec<Evaluated>>> {
-        let tree = self.tree(spaces, true)?;
+        let tree = self.tree(spaces, true)?.tree.clone();
         let mut trials = Trial::seeded(tree, initial_scores, method, seeds);
         let policy = Policy {
             use_history: true,
@@ -503,7 +511,10 @@ mod tests {
             .unwrap();
         // The pre-trained path's three nodes are green → fewer executions.
         assert_eq!(report.executed_components, 9);
-        assert!(report.state_counts.checkpointed >= 3);
+        assert_eq!(
+            report.state_counts.checkpointed, 3,
+            "exactly its path is green"
+        );
         assert!(pre_train_ns > 0);
     }
 

@@ -18,6 +18,7 @@
 //! ([`ChunkStore::put_stored`]).
 
 use crate::errors::{CoreError, Result};
+use crate::memo::{SearchMemo, ShapeMemo};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
 use mlcask_pipeline::dag::{BoundPipeline, DeclaredSchemas, PipelineDag};
 use mlcask_pipeline::metafile::LibraryMetafile;
@@ -28,6 +29,8 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+pub use crate::memo::MemoStats;
 
 /// Bytes of one hash, the unit a simulated executable is made of.
 const HASH_LEN: usize = 32;
@@ -184,6 +187,10 @@ pub struct ComponentRegistry {
     by_name: RwLock<BTreeMap<String, Vec<ComponentKey>>>,
     /// Size of the simulated executable base region.
     exe_base_size: usize,
+    /// What evaluations derived from registered versions alone: bound
+    /// candidates, their fingerprints, pruned search trees
+    /// ([`crate::memo`]).
+    memo: SearchMemo,
 }
 
 impl ComponentRegistry {
@@ -216,6 +223,7 @@ impl ComponentRegistry {
             by_key: RwLock::new(HashMap::new()),
             by_name: RwLock::new(BTreeMap::new()),
             exe_base_size,
+            memo: SearchMemo::default(),
         }
     }
 
@@ -333,6 +341,18 @@ impl ComponentRegistry {
             components,
             schemas,
         )?)
+    }
+
+    /// The search memo of `dag`'s shape: the history-independent half of
+    /// every commit, merge search and trial over it, derived once.
+    pub(crate) fn memo(&self, dag: &Arc<PipelineDag>) -> Arc<ShapeMemo> {
+        self.memo.shape(dag)
+    }
+
+    /// What this registry's search memo has derived so far: DAG shapes,
+    /// search trees and bound, fingerprinted candidates, each once.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     /// The registered entry (handle + metafile) for a version.

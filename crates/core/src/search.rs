@@ -16,16 +16,17 @@
 //! trials, which publish nothing, cut against the base history.
 
 use crate::errors::Result;
+use crate::memo::Candidate;
 use crate::registry::ComponentRegistry;
 use mlcask_ml::metrics::Score;
 use mlcask_pipeline::component::ComponentKey;
-use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
+use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::{precheck, Executor, RunReport};
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::{map_indexed, ParallelismPolicy};
 use mlcask_pipeline::provenance::FrontierCut;
 use mlcask_pipeline::replay::{replay_run, CacheSnapshot, ProfileBook, Publication};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The strategy's choices, as data.
 #[derive(Clone, Copy)]
@@ -89,7 +90,8 @@ pub(crate) struct Evaluated {
 /// A picked candidate, from its round to its replay.
 struct Pick {
     keys: Vec<ComponentKey>,
-    pipeline: BoundPipeline,
+    /// Its bound pipeline and provenance, from the registry's memo.
+    candidate: Arc<Candidate>,
     cut: Option<FrontierCut>,
     /// The report when nothing needs tracing: a full cut or a rejection.
     known: Option<RunReport>,
@@ -103,6 +105,12 @@ struct Pick {
 /// every worker count. A hard error (an unresolvable component, a quota
 /// breach, a storage fault) surfaces with nothing charged or published and
 /// every reservation released.
+///
+/// Each candidate's bound pipeline and provenance come from the registry's
+/// memo ([`crate::memo`]), so only the history is read per evaluation. The
+/// profile book — and with it the reservation scope and the replay cursor
+/// — is made by the first pick that needs a trace: an evaluation whose
+/// every pick is a lookup or a rejection makes none.
 pub(crate) fn evaluate<P: Picker>(
     registry: &ComponentRegistry,
     dag: &Arc<PipelineDag>,
@@ -112,8 +120,9 @@ pub(crate) fn evaluate<P: Picker>(
     pickers: &mut [P],
 ) -> Result<Vec<Vec<Evaluated>>> {
     let store = registry.store();
-    let book = ProfileBook::new();
-    book.reservation_scope(store, || {
+    let book: OnceLock<ProfileBook> = OnceLock::new();
+    let evaluated = (|| -> Result<Vec<Vec<Evaluated>>> {
+        let memo = registry.memo(dag);
         // The ablations trace against a view holding no checkpoints.
         let from_scratch;
         let lookup = if policy.use_history {
@@ -128,13 +137,14 @@ pub(crate) fn evaluate<P: Picker>(
             let mut batch: Vec<(usize, Pick)> = Vec::new();
             for (p, picker) in pickers.iter_mut().enumerate() {
                 for keys in picker.pick() {
-                    let pipeline = registry.bind(dag, &keys)?;
+                    let candidate = memo.candidate(registry, &keys)?;
+                    let (pipeline, provenance) = (&candidate.pipeline, &candidate.provenance);
                     let cut = policy
                         .cut
-                        .then(|| FrontierCut::of(&pipeline, history))
+                        .then(|| FrontierCut::against(pipeline, provenance, history))
                         .transpose()?;
-                    let known = match cut.as_ref().and_then(|cut| cut.report(&pipeline)) {
-                        None if policy.precheck => precheck(&pipeline),
+                    let known = match cut.as_ref().and_then(|cut| cut.report(pipeline)) {
+                        None if policy.precheck => precheck(pipeline),
                         known => known,
                     };
                     let score = known.as_ref().and_then(|r| r.outcome.score());
@@ -142,7 +152,7 @@ pub(crate) fn evaluate<P: Picker>(
                     let skipped = known.as_ref().map_or(0, |r| r.stages.len());
                     let pick = Pick {
                         keys,
-                        pipeline,
+                        candidate,
                         cut,
                         known,
                         score,
@@ -162,18 +172,22 @@ pub(crate) fn evaluate<P: Picker>(
             let pending: Vec<usize> = (0..batch.len())
                 .filter(|&i| batch[i].1.known.is_none())
                 .collect();
-            let (outer, inner) = parallelism.split(pending.len());
-            let traced = map_indexed(outer, &pending, |_, &i| {
-                let _candidate_span = policy
-                    .candidate_span
-                    .map(|name| mlcask_obs::span!(name, "index" => i));
-                let pick = &batch[i].1;
-                executor.trace(&pick.pipeline, lookup, &book, inner, pick.cut.as_ref())
-            });
-            for (&i, outcome) in pending.iter().zip(traced) {
-                let outcome = outcome?;
-                batch[i].1.score = outcome.score;
-                batch[i].1.skipped = outcome.skipped_by_frontier;
+            if !pending.is_empty() {
+                let book = book.get_or_init(ProfileBook::new);
+                let (outer, inner) = parallelism.split(pending.len());
+                let traced = map_indexed(outer, &pending, |_, &i| {
+                    let _candidate_span = policy
+                        .candidate_span
+                        .map(|name| mlcask_obs::span!(name, "index" => i));
+                    let pick = &batch[i].1;
+                    let pipeline = &pick.candidate.pipeline;
+                    executor.trace(pipeline, lookup, book, inner, pick.cut.as_ref())
+                });
+                for (&i, outcome) in pending.iter().zip(traced) {
+                    let outcome = outcome?;
+                    batch[i].1.score = outcome.score;
+                    batch[i].1.skipped = outcome.skipped_by_frontier;
+                }
             }
             for (p, pick) in batch {
                 pickers[p].scored(pick.score);
@@ -181,9 +195,9 @@ pub(crate) fn evaluate<P: Picker>(
             }
         }
 
-        // Phase 2: each picker replays with its own reuse simulation, all
-        // of them through one chunk cursor.
-        let mut cursor = book.replay_cursor();
+        // Phase 2: each picker replays with its own reuse simulation, all of
+        // them through one chunk cursor, taken once every trace is done.
+        let mut cursor = None;
         let mut evaluated = Vec::with_capacity(picked.len());
         for picks in picked {
             let mut sim = CacheSnapshot::new();
@@ -191,17 +205,20 @@ pub(crate) fn evaluate<P: Picker>(
             for pick in picks {
                 let report = match pick.known {
                     Some(report) => report,
-                    None => replay_run(
-                        store,
-                        &pick.pipeline,
-                        &book,
-                        policy.use_history.then_some(&mut sim),
-                        &mut cursor,
-                        policy.publish.then(|| Publication {
-                            index: history,
-                            fingerprints: pick.cut.as_ref().map(|c| c.fingerprints.as_slice()),
-                        }),
-                    )?,
+                    None => {
+                        let book = book.get().expect("a traced pick made the book");
+                        replay_run(
+                            store,
+                            &pick.candidate.pipeline,
+                            book,
+                            policy.use_history.then_some(&mut sim),
+                            cursor.get_or_insert_with(|| book.replay_cursor()),
+                            policy.publish.then(|| Publication {
+                                index: history,
+                                fingerprints: Some(&pick.candidate.provenance.fingerprints),
+                            }),
+                        )?
+                    }
                 };
                 records.push(Evaluated {
                     keys: pick.keys,
@@ -212,7 +229,12 @@ pub(crate) fn evaluate<P: Picker>(
             evaluated.push(records);
         }
         Ok(evaluated)
-    })
+    })();
+    // The reservation scope: release whatever the replay did not settle.
+    if let Some(book) = book.get() {
+        book.release_reservations(store);
+    }
+    evaluated
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Per-slot candidate versions for the merge search, in topological slot
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SearchSpaces {
     /// Slot names in topological order.
     pub slot_names: Vec<String>,
@@ -28,29 +28,37 @@ pub struct SearchSpaces {
 impl SearchSpaces {
     /// Builds the search spaces from the pipeline metafiles on both branch
     /// paths (each path must include the common ancestor's metafile), owned
-    /// or shared (`Arc`) alike.
+    /// or shared (`Arc`) alike: one pass over the metafiles gathers each
+    /// slot's versions by reference, and each distinct version is cloned
+    /// once.
     pub fn build<M: Borrow<PipelineMetafile>>(
         slot_names: &[String],
         head_path: &[M],
         merge_path: &[M],
     ) -> SearchSpaces {
-        let mut per_slot = Vec::with_capacity(slot_names.len());
-        for slot in slot_names {
-            let mut seen: HashSet<ComponentKey> = HashSet::new();
-            let mut versions: Vec<ComponentKey> = Vec::new();
-            for meta in head_path.iter().chain(merge_path.iter()) {
-                if let Some(k) = meta.borrow().component_version(slot) {
-                    if seen.insert(k.clone()) {
-                        versions.push(k.clone());
+        let mut seen: Vec<Vec<&ComponentKey>> = vec![Vec::new(); slot_names.len()];
+        for meta in head_path.iter().chain(merge_path) {
+            let meta = meta.borrow();
+            for (slot, versions) in slot_names.iter().zip(&mut seen) {
+                // Consecutive commits mostly keep a slot's version.
+                if let Some(key) = meta.component_version(slot) {
+                    if versions.last() != Some(&key) {
+                        versions.push(key);
                     }
                 }
             }
-            // Deterministic order: sort by semantic version (branch, schema,
-            // increment); the paper enumerates "all available component
-            // versions" without prescribing order.
-            versions.sort();
-            per_slot.push(versions);
         }
+        // Deterministic order: sort by semantic version (branch, schema,
+        // increment); the paper enumerates "all available component
+        // versions" without prescribing order.
+        let per_slot = seen
+            .into_iter()
+            .map(|mut versions| {
+                versions.sort_unstable();
+                versions.dedup();
+                versions.into_iter().cloned().collect()
+            })
+            .collect();
         SearchSpaces {
             slot_names: slot_names.to_vec(),
             per_slot,

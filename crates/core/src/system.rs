@@ -170,7 +170,8 @@ impl MlCask {
     /// and commits — plain commits, fast-forwards and merge winners alike.
     /// On by default. Off, every pipeline is traced and replayed by the
     /// executor: that is the reference the fast path is tested against, and
-    /// every report, ledger charge, tenant account and commit is
+    /// every report (but a search's `skipped_by_frontier`, the nodes the
+    /// fast path cut), ledger charge, tenant account and commit is
     /// byte-identical either way.
     pub fn with_incremental(mut self, incremental: bool) -> MlCask {
         self.incremental = incremental;
@@ -393,11 +394,10 @@ impl MlCask {
         base: impl Into<BranchRef<'a>>,
         merging: impl Into<BranchRef<'b>>,
     ) -> Result<SearchSpaces> {
-        self.merge_search_spaces_qualified(
-            &self.graph(),
-            &self.qualified_branch(base),
-            &self.qualified_branch(merging),
-        )
+        let view = self.graph();
+        let (base, merging) = (self.qualified_branch(base), self.qualified_branch(merging));
+        let heads = (view.head(&base)?, view.head(&merging)?);
+        self.merge_search_spaces_qualified(&view, (&base, &heads.0), (&merging, &heads.1))
     }
 
     /// [`MlCask::merge_search_spaces`] over already-qualified (shared-graph)
@@ -406,9 +406,10 @@ impl MlCask {
     /// made since the fork point, exactly like the single-tenant case —
     /// cross-namespace parentage makes the common ancestor well defined.
     ///
-    /// The whole multi-step read (two heads, the LCA, both first-parent
-    /// paths) runs against the caller's frozen `view`: concurrent commits on
-    /// either branch can neither tear this computation nor block it.
+    /// Each side is a branch name with the head the caller resolved in
+    /// `view`. The whole multi-step read (the LCA, both first-parent paths)
+    /// runs against that frozen view: concurrent commits on either branch
+    /// can neither tear this computation nor block it.
     ///
     /// Every component version referenced along either path must be
     /// registered in *this* system's registry (collaborating teams share
@@ -416,26 +417,25 @@ impl MlCask {
     fn merge_search_spaces_qualified(
         &self,
         view: &GraphView,
-        base: &str,
-        merging: &str,
+        (base, base_head): (&str, &Commit),
+        (merging, merge_head): (&str, &Commit),
     ) -> Result<SearchSpaces> {
-        let base_head = view.head(base)?;
-        let merge_head = view.head(merging)?;
         let ancestor = view
             .common_ancestor(base_head.id, merge_head.id)?
             .ok_or_else(|| CoreError::NoCommonAncestor {
                 base: base.into(),
                 merging: merging.into(),
             })?;
+        let ancestor_meta = self.metafile_of(&ancestor)?;
         let collect_path = |head: &Commit| -> Result<Vec<Arc<PipelineMetafile>>> {
-            let mut metas = vec![self.metafile_of(&ancestor)?];
+            let mut metas = vec![Arc::clone(&ancestor_meta)];
             for c in view.path_from(ancestor.id, head.id)? {
                 metas.push(self.metafile_of(&c)?);
             }
             Ok(metas)
         };
-        let head_path = collect_path(&base_head)?;
-        let merge_path = collect_path(&merge_head)?;
+        let head_path = collect_path(base_head)?;
+        let merge_path = collect_path(merge_head)?;
         Ok(SearchSpaces::build(
             self.dag.node_names(),
             &head_path,
@@ -538,7 +538,11 @@ impl MlCask {
             });
         }
 
-        let spaces = self.merge_search_spaces_qualified(&view, &base_q, &merging_q)?;
+        let spaces = self.merge_search_spaces_qualified(
+            &view,
+            (&base_q, &base_head),
+            (&merging_q, &merge_head),
+        )?;
         let engine = MergeEngine::new(&self.registry, Arc::clone(&self.dag))
             .with_parallelism(self.parallelism)
             .with_incremental(self.incremental);
@@ -840,9 +844,10 @@ mod tests {
         // Lands after the view was taken: invisible to a search over it.
         commit("dev", &f.s00, &f.m04);
         let models = |view: &GraphView| {
+            let heads = (view.head("master").unwrap(), view.head("dev").unwrap());
             let spaces = f
                 .sys
-                .merge_search_spaces_qualified(view, "master", "dev")
+                .merge_search_spaces_qualified(view, ("master", &heads.0), ("dev", &heads.1))
                 .unwrap();
             spaces.per_slot[2].clone()
         };

@@ -9,6 +9,11 @@
 //! * **Incompatible** (red) — the node's component cannot consume its
 //!   parent's output schema (PC, §VI-A);
 //! * **Feasible** (orange) — remaining nodes that must be executed.
+//!
+//! PC is a function of the search spaces and the registered schemas, so
+//! pruning marks the tree itself. PR reads the history, so
+//! [`SearchTree::checkpoints`] reports the green nodes instead of marking
+//! them: one pruned tree serves every history it is asked about.
 
 use crate::search_space::{CompatLut, SearchSpaces};
 use mlcask_pipeline::component::ComponentKey;
@@ -20,6 +25,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeState {
     /// Output already exists in the history (green): no need to re-execute.
+    /// Counted from [`SearchTree::checkpoints`]; only the virtual root
+    /// carries it in the tree.
     Checkpointed,
     /// Must be executed (orange).
     Feasible,
@@ -40,9 +47,7 @@ pub struct TreeNode {
     pub component: Option<ComponentKey>,
     /// Children arena indices.
     pub children: Vec<usize>,
-    /// Reference to the component's output once known.
-    pub output: Option<CachedOutput>,
-    /// Classification after pruning/marking.
+    /// Classification after pruning.
     pub state: NodeState,
     /// Prioritized-search score (§VII-E).
     pub score: Option<f64>,
@@ -85,7 +90,6 @@ impl SearchTree {
             level: None,
             component: None,
             children: Vec::new(),
-            output: None,
             state: NodeState::Checkpointed,
             score: None,
         }];
@@ -101,7 +105,6 @@ impl SearchTree {
                         level: Some(level),
                         component: Some(v.clone()),
                         children: Vec::new(),
-                        output: None,
                         state: NodeState::Feasible,
                         score: None,
                     });
@@ -243,15 +246,15 @@ impl SearchTree {
         pruned
     }
 
-    /// PR marking (§VI-B): flags nodes whose output already exists in the
-    /// history as [`NodeState::Checkpointed`] (green) and records the output
-    /// reference. A node can only be checkpointed when the outputs of *all*
-    /// its DAG-predecessor slots are known (the cache key lists their
-    /// artifact ids in edge order); `preds` is as in
-    /// [`SearchTree::prune_incompatible`]. Returns the count marked.
-    pub fn mark_checkpoints(&mut self, history: &HistoryIndex, preds: &[Vec<usize>]) -> usize {
+    /// PR marking (§VI-B): counts the live nodes whose output already
+    /// exists in the history (green). A node can only be checkpointed when
+    /// the outputs of *all* its DAG-predecessor slots are known (the cache
+    /// key lists their artifact ids in edge order); `preds` is as in
+    /// [`SearchTree::prune_incompatible`]. The tree is left as it was, so
+    /// one tree serves every history.
+    pub fn checkpoints(&self, history: &HistoryIndex, preds: &[Vec<usize>]) -> usize {
         assert_topological(preds);
-        let mut marked = 0;
+        let mut checkpointed = 0;
         // DFS with explicit enter/exit steps; the per-level known outputs
         // are maintained by push/pop instead of cloned per node.
         let mut outs: Vec<Option<CachedOutput>> = Vec::new();
@@ -280,18 +283,14 @@ impl SearchTree {
                 .iter()
                 .map(|&j| outs[j].as_ref().map(|o| o.artifact_id))
                 .collect();
-            if let Some(inputs) = inputs {
-                let key = CacheKey {
+            let hit = inputs.and_then(|inputs| {
+                history.get(&CacheKey {
                     component: self.nodes[c].component.clone().expect("non-root"),
                     inputs,
-                };
-                if let Some(hit) = history.get(&key) {
-                    self.nodes[c].output = Some(hit);
-                    self.nodes[c].state = NodeState::Checkpointed;
-                    marked += 1;
-                }
-            }
-            outs.push(self.nodes[c].output.clone());
+                })
+            });
+            checkpointed += hit.is_some() as usize;
+            outs.push(hit);
             stack.push(WalkStep::Exit);
             stack.extend(
                 self.nodes[c]
@@ -301,7 +300,7 @@ impl SearchTree {
                     .map(|&g| WalkStep::Enter(g)),
             );
         }
-        marked
+        checkpointed
     }
 
     /// Counts nodes per state (the Fig. 4 summary).

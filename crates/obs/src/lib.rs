@@ -65,7 +65,9 @@ pub use trace::{FlightRecorder, Span, SpanRecord};
 /// The first argument is the span name (`&'static str`); optional
 /// `"key" => value` pairs attach labels (values via `ToString`). When span
 /// recording is disabled the macro skips label construction entirely and
-/// returns an inert guard.
+/// returns an inert guard. Each call site resolves its
+/// `mlcask_span_seconds` histogram once ([`trace::SpanSite`]), however
+/// many spans it records.
 ///
 /// ```
 /// let _span = mlcask_obs::span!("merge.search", "tenant" => "alice");
@@ -74,14 +76,17 @@ pub use trace::{FlightRecorder, Span, SpanRecord};
 macro_rules! span {
     ($name:expr) => {
         if $crate::trace::enabled() {
-            $crate::trace::Span::begin($name, ::std::vec::Vec::new())
+            static SITE: $crate::trace::SpanSite = $crate::trace::SpanSite::new();
+            $crate::trace::Span::begin(&SITE, $name, ::std::vec::Vec::new())
         } else {
             $crate::trace::Span::disabled()
         }
     };
     ($name:expr, $($k:expr => $v:expr),+ $(,)?) => {
         if $crate::trace::enabled() {
+            static SITE: $crate::trace::SpanSite = $crate::trace::SpanSite::new();
             $crate::trace::Span::begin(
+                &SITE,
                 $name,
                 ::std::vec![$(($k, ::std::string::ToString::to_string(&$v))),+],
             )

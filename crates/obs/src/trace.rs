@@ -24,7 +24,7 @@
 //! the daemon does so when its transport loop exits, if `MLCASK_TRACE` named
 //! a path.
 
-use crate::metrics::{MetricsRegistry, LATENCY_SECONDS};
+use crate::metrics::{Histogram, MetricsRegistry, LATENCY_SECONDS};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -133,17 +133,25 @@ impl FlightRecorder {
         labels: Vec<(&'static str, String)>,
         duration: Duration,
     ) {
+        self.record_at(None, name, labels, duration);
+    }
+
+    /// [`FlightRecorder::record`] from a [`span!`](crate::span) call site,
+    /// whose histogram the site resolves once.
+    fn record_at(
+        &self,
+        site: Option<&SpanSite>,
+        name: &'static str,
+        labels: Vec<(&'static str, String)>,
+        duration: Duration,
+    ) {
         if !self.is_enabled() {
             return;
         }
-        MetricsRegistry::global()
-            .histogram(
-                "mlcask_span_seconds",
-                "Span durations by span name",
-                &[("span", name)],
-                LATENCY_SECONDS,
-            )
-            .observe_duration(duration);
+        match site {
+            Some(site) => site.observe(name, duration),
+            None => span_histogram(name).observe_duration(duration),
+        }
         let threshold = self.slow_threshold_nanos.load(Ordering::Relaxed);
         let duration_nanos = duration.as_nanos().min(u64::MAX as u128) as u64;
         if threshold > 0 && duration_nanos >= threshold {
@@ -266,6 +274,49 @@ fn thread_id() -> u64 {
     })
 }
 
+/// The `mlcask_span_seconds{span="<name>"}` histogram, looked up by name.
+fn span_histogram(name: &'static str) -> Histogram {
+    MetricsRegistry::global().histogram(
+        "mlcask_span_seconds",
+        "Span durations by span name",
+        &[("span", name)],
+        LATENCY_SECONDS,
+    )
+}
+
+/// One [`span!`](crate::span) call site: the histogram of the first name it
+/// records, resolved then and read from here after, so a span's drop looks
+/// nothing up by name. A site whose name is a runtime value observes any
+/// other name through a lookup, as [`FlightRecorder::record`] does.
+#[derive(Debug)]
+pub struct SpanSite {
+    histogram: OnceLock<(&'static str, Histogram)>,
+}
+
+impl SpanSite {
+    /// A site that has resolved nothing yet (the macro's `static`).
+    pub const fn new() -> SpanSite {
+        SpanSite {
+            histogram: OnceLock::new(),
+        }
+    }
+
+    fn observe(&self, name: &'static str, duration: Duration) {
+        let (resolved, histogram) = self.histogram.get_or_init(|| (name, span_histogram(name)));
+        if *resolved == name {
+            histogram.observe_duration(duration);
+        } else {
+            span_histogram(name).observe_duration(duration);
+        }
+    }
+}
+
+impl Default for SpanSite {
+    fn default() -> Self {
+        SpanSite::new()
+    }
+}
+
 /// A scope guard reporting its lifetime to the flight recorder on drop.
 /// Open via the [`span!`](crate::span) macro.
 #[derive(Debug)]
@@ -275,16 +326,23 @@ pub struct Span {
 
 #[derive(Debug)]
 struct ActiveSpan {
+    site: &'static SpanSite,
     name: &'static str,
     labels: Vec<(&'static str, String)>,
     start: Instant,
 }
 
 impl Span {
-    /// Starts a live span.
-    pub fn begin(name: &'static str, labels: Vec<(&'static str, String)>) -> Span {
+    /// Starts a live span at a [`span!`](crate::span) call site, which
+    /// resolves its histogram once.
+    pub fn begin(
+        site: &'static SpanSite,
+        name: &'static str,
+        labels: Vec<(&'static str, String)>,
+    ) -> Span {
         Span {
             active: Some(ActiveSpan {
+                site,
                 name,
                 labels,
                 start: Instant::now(),
@@ -301,7 +359,8 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(active) = self.active.take() {
-            recorder().record(active.name, active.labels, active.start.elapsed());
+            let elapsed = active.start.elapsed();
+            recorder().record_at(Some(active.site), active.name, active.labels, elapsed);
         }
     }
 }
@@ -365,6 +424,20 @@ mod tests {
         let last = r.recent(1).pop().expect("span retained");
         assert_eq!(last.name, "t.guard");
         assert_eq!(last.labels, vec![("k", "42".to_string())]);
+    }
+
+    /// A site keeps the first name's histogram; a runtime name that differs
+    /// still lands in its own.
+    #[test]
+    fn a_span_site_keeps_its_first_histogram_and_names_apart() {
+        static SITE: SpanSite = SpanSite::new();
+        for name in ["t.site.first", "t.site.second", "t.site.first"] {
+            SITE.observe(name, Duration::from_micros(3));
+        }
+        let count = |name| span_histogram(name).count();
+        assert_eq!((count("t.site.first"), count("t.site.second")), (2, 1));
+        let resolved = SITE.histogram.get().map(|(name, _)| *name);
+        assert_eq!(resolved, Some("t.site.first"));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::history::HistoryIndex;
     pub use crate::metafile::{DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot};
     pub use crate::parallel::{map_indexed, run_dag, NodeVerdict, ParallelismPolicy};
-    pub use crate::provenance::{pipeline_fingerprints, FrontierCut};
+    pub use crate::provenance::{pipeline_fingerprints, FrontierCut, Provenance};
     pub use crate::replay::{
         replay_run, CacheSnapshot, ProfileBook, Publication, ReplayCursor, StageProfile,
     };

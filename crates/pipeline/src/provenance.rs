@@ -22,6 +22,10 @@
 //!   executor pre-fills those nodes' results, records them as found for
 //!   the accounting replay (which charges them as `reused`, exactly as a
 //!   full re-evaluation would), and schedules only the dirty region.
+//! * A pipeline's [`Provenance`] — its fingerprints and the nodes a run
+//!   dispatches — depends on no history, so a caller that evaluates the
+//!   same pipeline again keeps it and cuts with [`FrontierCut::against`],
+//!   which only reads the history.
 //! * A cut that covers every node *is* the pipeline's run report
 //!   ([`FrontierCut::report`]): every stage reused at zero cost, nothing
 //!   charged, nothing recorded — what tracing and replaying it would
@@ -75,14 +79,36 @@ pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
     Ok(fps)
 }
 
+/// What a frontier cut needs of a pipeline that no history can change: its
+/// per-node fingerprints and the nodes a run dispatches at all (those
+/// before its static failure frontier). A pure function of the bound
+/// pipeline — component keys, declared schemas and DAG edges — so a caller
+/// that evaluates the same pipeline again may keep it and cut against any
+/// later history with [`FrontierCut::against`].
+pub struct Provenance {
+    /// Per-node fingerprints (index = node id).
+    pub fingerprints: Vec<Hash256>,
+    /// Per-node: does a run dispatch it?
+    pub schedulable: Vec<bool>,
+}
+
+impl Provenance {
+    /// Derives `pipeline`'s fingerprints and schedulable mask.
+    pub fn of(pipeline: &BoundPipeline) -> Result<Provenance> {
+        let order = pipeline.dag.topo_order()?;
+        Ok(Provenance {
+            fingerprints: pipeline_fingerprints(pipeline)?,
+            schedulable: schedulable(order, pipeline.static_failure_node()?),
+        })
+    }
+}
+
 /// A pipeline cut at its deepest cached frontier: the downward-closed set
 /// of nodes whose fingerprints hit the history (a node counts as
 /// cached only if all its predecessors are), restricted to nodes the
 /// scheduler would dispatch at all. Everything else is the *dirty region*
 /// the executor actually schedules.
 pub struct FrontierCut {
-    /// Per-node fingerprints (index = node id).
-    pub fingerprints: Vec<Hash256>,
     /// Cached output for every frontier-skipped node; `None` for dirty
     /// nodes.
     pub cached: Vec<Option<CachedOutput>>,
@@ -98,40 +124,43 @@ impl FrontierCut {
     /// are never cached — a sequential run never reaches them, so skipping
     /// them would change observables.
     pub fn of(pipeline: &BoundPipeline, history: &HistoryIndex) -> Result<FrontierCut> {
-        let order = pipeline.dag.topo_order()?;
-        let schedulable = schedulable(order, pipeline.static_failure_node()?);
-        Self::compute(pipeline, |fp| history.by_fingerprint(fp), &schedulable)
+        Self::against(pipeline, &Provenance::of(pipeline)?, history)
     }
 
-    /// [`FrontierCut::of`] over the nodes `schedulable` marks, against any
-    /// fingerprint `lookup`.
+    /// [`FrontierCut::of`] with the pipeline's [`Provenance`] already at
+    /// hand: only the history is read.
+    pub fn against(
+        pipeline: &BoundPipeline,
+        provenance: &Provenance,
+        history: &HistoryIndex,
+    ) -> Result<FrontierCut> {
+        Self::compute(pipeline, provenance, |fp| history.by_fingerprint(fp))
+    }
+
+    /// The cut of `pipeline` over the nodes `provenance` marks schedulable,
+    /// against any fingerprint `lookup`.
     fn compute(
         pipeline: &BoundPipeline,
+        provenance: &Provenance,
         lookup: impl Fn(&Hash256) -> Option<CachedOutput>,
-        schedulable: &[bool],
     ) -> Result<FrontierCut> {
-        let fingerprints = pipeline_fingerprints(pipeline)?;
         let order = pipeline.dag.topo_order()?;
         let mut cached: Vec<Option<CachedOutput>> = vec![None; order.len()];
         let mut skipped = 0usize;
         for &node in order {
-            if !schedulable[node] {
+            if !provenance.schedulable[node] {
                 continue;
             }
             let closed = pipeline.dag.pre(node).iter().all(|&p| cached[p].is_some());
             if !closed {
                 continue;
             }
-            if let Some(hit) = lookup(&fingerprints[node]) {
+            if let Some(hit) = lookup(&provenance.fingerprints[node]) {
                 cached[node] = Some(hit);
                 skipped += 1;
             }
         }
-        Ok(FrontierCut {
-            fingerprints,
-            cached,
-            skipped,
-        })
+        Ok(FrontierCut { cached, skipped })
     }
 
     /// The run report of a pipeline this cut covers completely, or `None`
@@ -276,11 +305,15 @@ mod tests {
         // Only the *middle* node cached: without its source it must stay
         // dirty (no way to reconstruct its CacheKey or inputs).
         snap.insert(fps[1], output(1));
-        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
+        let all = Provenance {
+            fingerprints: fps.clone(),
+            schedulable: vec![true; 3],
+        };
+        let cut = FrontierCut::compute(&p, &all, |fp| snap.get(fp).cloned()).unwrap();
         assert_eq!(cut.skipped, 0);
         // Source + scaler cached → both skipped, model dirty.
         snap.insert(fps[0], output(0));
-        let cut = FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true; 3]).unwrap();
+        let cut = FrontierCut::compute(&p, &all, |fp| snap.get(fp).cloned()).unwrap();
         assert_eq!(cut.skipped, 2);
         assert!(cut.cached[0].is_some() && cut.cached[1].is_some());
         assert!(cut.cached[2].is_none());
@@ -294,9 +327,48 @@ mod tests {
         for (i, fp) in fps.iter().enumerate() {
             snap.insert(*fp, output(i as u8));
         }
-        let cut =
-            FrontierCut::compute(&p, |fp| snap.get(fp).cloned(), &[true, false, false]).unwrap();
+        let source_only = Provenance {
+            fingerprints: fps,
+            schedulable: vec![true, false, false],
+        };
+        let cut = FrontierCut::compute(&p, &source_only, |fp| snap.get(fp).cloned()).unwrap();
         assert_eq!(cut.skipped, 1, "unschedulable nodes never count as cached");
+    }
+
+    /// A kept provenance cuts exactly as a fresh one against a history
+    /// that grew after it was derived; a doomed pipeline's mask stops at
+    /// its static failure.
+    #[test]
+    fn a_kept_provenance_cuts_like_a_fresh_one() {
+        use crate::executor::{ExecOptions, Executor};
+        use mlcask_storage::store::ChunkStore;
+        let store = ChunkStore::in_memory_small();
+        let cache = HistoryIndex::new();
+        let p = chain(SemVer::master(0, 0));
+        let kept = Provenance::of(&p).unwrap();
+        assert_eq!(kept.fingerprints, pipeline_fingerprints(&p).unwrap());
+        assert_eq!(kept.schedulable, vec![true; 3]);
+        let skipped = |history: &HistoryIndex| {
+            let fresh = FrontierCut::of(&p, history).unwrap();
+            let reused = FrontierCut::against(&p, &kept, history).unwrap();
+            assert_eq!(fresh.cached, reused.cached);
+            reused.skipped
+        };
+        assert_eq!(skipped(&cache), 0);
+        Executor::new(&store)
+            .run(&p, Some(&cache), ExecOptions::MLCASK)
+            .unwrap();
+        assert_eq!(skipped(&cache), 3);
+        let mut comps = p.components().to_vec();
+        comps[1] = Arc::new(TestScaler {
+            version: SemVer::master(1, 0),
+            dim_in: 3,
+            dim_out: 5,
+            factor: 2.0,
+        });
+        let doomed = BoundPipeline::new(Arc::clone(&p.dag), comps).unwrap();
+        let mask = Provenance::of(&doomed).unwrap().schedulable;
+        assert_eq!(mask, vec![true, true, false]);
     }
 
     /// A run publishes what it executed into the history under each stage's

@@ -291,8 +291,9 @@ struct ReplayNode {
 pub struct Publication<'a> {
     /// The caller's checkpoint history.
     pub index: &'a HistoryIndex,
-    /// The candidate's provenance fingerprints, taken from its frontier cut
-    /// when the caller has one; computed from the pipeline otherwise.
+    /// The candidate's provenance fingerprints when the caller keeps them
+    /// ([`crate::provenance::Provenance`]); computed from the pipeline
+    /// otherwise.
     pub fingerprints: Option<&'a [Hash256]>,
 }
 

@@ -1,10 +1,13 @@
 //! The warm path reads what cannot change instead of deriving it again.
 //! Counts, not timings: after registration nothing asks a component for its
 //! schemas, a metafile is decoded once per workspace whichever tenant wrote
-//! it, and re-recording what the indexes already hold changes neither.
+//! it, re-recording what the indexes already hold changes neither, and no
+//! search tree, compatibility table or fingerprint is derived twice for the
+//! same inputs.
 
+use mlcask_core::errors::CoreError;
 use mlcask_core::merge::MergeStrategy;
-use mlcask_core::registry::ComponentRegistry;
+use mlcask_core::registry::{ComponentRegistry, MemoStats};
 use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
@@ -13,6 +16,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::{Component, ComponentHandle, ComponentKey, StageKind};
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::executor::RunOutcome;
+use mlcask_pipeline::provenance::pipeline_fingerprints;
 use mlcask_pipeline::schema::SchemaId;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::backend::{Bytes, MemBackend, StorageBackend};
@@ -219,6 +223,106 @@ fn re_recording_a_warm_run_leaves_both_indexes_unchanged() {
     let (prov_after, keys_after) = snapshots();
     assert!(prov_after.len() > prov.len());
     assert!(keys_after.len() > keys.len());
+}
+
+/// A second identical warm merge builds no search tree, no compatibility
+/// table and no fingerprint — its registry's memo derives nothing — and
+/// reports byte for byte what the first did, with the incremental fast
+/// path on and off alike.
+#[test]
+fn a_second_identical_warm_merge_derives_nothing() {
+    for incremental in [true, false] {
+        let store = Arc::new(ChunkStore::in_memory_small());
+        let registry = registry_over(&store, None);
+        let sys =
+            MlCask::new("toy", toy_dag(), Arc::clone(&registry)).with_incremental(incremental);
+        let ledger = ClockLedger::new();
+        let commit = |branch: &str, keys: &[ComponentKey]| {
+            let result = sys.commit_pipeline(branch, keys, "step", &ledger).unwrap();
+            assert!(result.commit.is_some());
+        };
+        let round = |dev: &str| {
+            sys.branch("master", dev).unwrap();
+            commit(dev, &pipeline((0, 0), 1));
+            commit("master", &pipeline((0, 1), 0));
+            let spaces = sys.merge_search_spaces("master", dev).unwrap();
+            let merged = sys
+                .merge("master", dev, MergeStrategy::Full, &ledger)
+                .unwrap();
+            let report = merged.report.expect("diverged branches search");
+            (spaces, serde_json::to_string(&report).unwrap())
+        };
+        commit("master", &pipeline((0, 0), 0));
+        round("dev0"); // trains every candidate
+        let (spaces, first) = round("dev1");
+        let derived = registry.memo_stats();
+        assert!(derived.trees > 0 && derived.candidates > 0);
+        let (same_spaces, second) = round("dev2");
+        assert_eq!(same_spaces, spaces, "the same search-space pair");
+        assert_eq!(
+            registry.memo_stats(),
+            derived,
+            "a warm round derived something again (incremental={incremental})"
+        );
+        assert_eq!(second, first, "incremental={incremental}");
+    }
+}
+
+/// The memo files entries under the DAG's shape: one registry serving two
+/// shapes over the same component names binds and fingerprints a key list
+/// once per shape, and each system publishes its own shape's fingerprints.
+/// A key list that failed to bind is not kept: once its version is
+/// registered, it is bound fresh.
+#[test]
+fn the_memo_keeps_shapes_apart_and_binds_new_versions_fresh() {
+    let store = Arc::new(ChunkStore::in_memory_small());
+    let registry = registry_over(&store, None);
+    let chain = MlCask::new("chain", toy_dag(), Arc::clone(&registry));
+    // The chain's names, other edges: the model reads the source.
+    let slots = toy_slots();
+    let mut forked_dag = PipelineDag::new();
+    for slot in &slots {
+        forked_dag.add_node(slot).unwrap();
+    }
+    forked_dag.add_edge(slots[0], slots[1]).unwrap();
+    forked_dag.add_edge(slots[0], slots[2]).unwrap();
+    let forked = MlCask::new("forked", forked_dag, Arc::clone(&registry));
+    let ledger = ClockLedger::new();
+    let keys = pipeline((0, 0), 0);
+    for sys in [&chain, &forked] {
+        let result = sys
+            .commit_pipeline("master", &keys, "step", &ledger)
+            .unwrap();
+        assert_eq!(result.report.executed_count(), 3);
+    }
+    let two_shapes = MemoStats {
+        shapes: 2,
+        trees: 0,
+        candidates: 2,
+    };
+    assert_eq!(registry.memo_stats(), two_shapes);
+    let fingerprints = |sys: &MlCask| pipeline_fingerprints(&sys.bind(&keys).unwrap()).unwrap();
+    let (chain_fps, forked_fps) = (fingerprints(&chain), fingerprints(&forked));
+    assert_ne!(chain_fps[2], forked_fps[2], "the model reads other inputs");
+    for (sys, fps) in [(&chain, &chain_fps), (&forked, &forked_fps)] {
+        let published = sys.history().fingerprints();
+        assert!(fps.iter().all(|fp| published.contains_key(fp)));
+    }
+
+    let newer = pipeline((0, 0), 3);
+    assert!(matches!(
+        chain.commit_pipeline("master", &newer, "step", &ledger),
+        Err(CoreError::UnknownComponent(_))
+    ));
+    registry
+        .register(toy_model(SemVer::master(0, 3), 4, 0.8))
+        .unwrap();
+    let result = chain
+        .commit_pipeline("master", &newer, "step", &ledger)
+        .unwrap();
+    assert!(result.commit.is_some());
+    assert_eq!(result.report.executed_count(), 1, "only the new model runs");
+    assert_eq!(registry.memo_stats().candidates, 3);
 }
 
 /// A backend that logs the key of every `get`.
