@@ -258,6 +258,9 @@ impl SearchTree {
         // DFS with explicit enter/exit steps; the per-level known outputs
         // are maintained by push/pop instead of cloned per node.
         let mut outs: Vec<Option<CachedOutput>> = Vec::new();
+        // One probe key, reassigned per node: its strings and its input list
+        // keep their buffers, so a probe allocates nothing.
+        let mut probe: Option<CacheKey> = None;
         let mut stack: Vec<WalkStep> = self.nodes[0]
             .children
             .iter()
@@ -279,16 +282,21 @@ impl SearchTree {
             // Inputs = predecessor outputs in edge order; unknown
             // predecessor output (not checkpointed) → prefix unknown →
             // cannot have a checkpoint.
-            let inputs: Option<Vec<_>> = preds[level]
-                .iter()
-                .map(|&j| outs[j].as_ref().map(|o| o.artifact_id))
-                .collect();
-            let hit = inputs.and_then(|inputs| {
-                history.get(&CacheKey {
-                    component: self.nodes[c].component.clone().expect("non-root"),
-                    inputs,
-                })
+            let component = self.nodes[c].component.as_ref().expect("non-root");
+            let key = probe.get_or_insert_with(|| CacheKey {
+                component: component.clone(),
+                inputs: Vec::new(),
             });
+            key.component.clone_from(component);
+            key.inputs.clear();
+            let known = preds[level].iter().all(|&j| match &outs[j] {
+                Some(o) => {
+                    key.inputs.push(o.artifact_id);
+                    true
+                }
+                None => false,
+            });
+            let hit = if known { history.get(key) } else { None };
             checkpointed += hit.is_some() as usize;
             outs.push(hit);
             stack.push(WalkStep::Exit);

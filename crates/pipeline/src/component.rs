@@ -40,12 +40,29 @@ impl StageKind {
 
 /// Identity of a component version: `(name, semver)`. This is the key used
 /// by search spaces, compatibility LUTs, and history records.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ComponentKey {
     /// Component name, e.g. `feature_extract`.
     pub name: String,
     /// Semantic version.
     pub version: SemVer,
+}
+
+impl Clone for ComponentKey {
+    fn clone(&self) -> Self {
+        ComponentKey {
+            name: self.name.clone(),
+            version: self.version.clone(),
+        }
+    }
+
+    /// Field by field, so both names keep their buffers: a key reassigned
+    /// per lookup allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let ComponentKey { name, version } = source;
+        self.name.clone_from(name);
+        self.version.clone_from(version);
+    }
 }
 
 impl ComponentKey {

@@ -16,7 +16,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// A `branch@schema.increment` semantic version.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SemVer {
     /// Branch name (defaults to `master`).
     pub branch: String,
@@ -24,6 +24,29 @@ pub struct SemVer {
     pub schema: u32,
     /// Schema-preserving update counter.
     pub increment: u32,
+}
+
+impl Clone for SemVer {
+    fn clone(&self) -> Self {
+        SemVer {
+            branch: self.branch.clone(),
+            schema: self.schema,
+            increment: self.increment,
+        }
+    }
+
+    /// Field by field, so the branch name keeps its buffer: a key
+    /// reassigned per lookup allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let SemVer {
+            branch,
+            schema,
+            increment,
+        } = source;
+        self.branch.clone_from(branch);
+        self.schema = *schema;
+        self.increment = *increment;
+    }
 }
 
 impl SemVer {

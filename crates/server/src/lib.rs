@@ -13,7 +13,8 @@
 //! (`bench/`) still names.
 //!
 //! Module map:
-//! * [`protocol`] — request/response encoding and error codes;
+//! * [`protocol`] — request reading, response writing and error codes;
+//! * [`reply`] — the typed replies of the session-scoped methods;
 //! * [`limits`] — admission control (session cap, in-flight cap,
 //!   per-tenant token buckets);
 //! * [`service`] — the [`Router`](service::Router): sessions, tenants,
@@ -24,6 +25,7 @@
 
 pub mod limits;
 pub mod protocol;
+pub mod reply;
 pub mod service;
 pub mod transport;
 

@@ -1,13 +1,22 @@
-//! Line-delimited JSON-RPC protocol: request parsing and response
-//! rendering over the vendored [`serde::Value`] tree.
+//! Line-delimited JSON-RPC protocol: requests read off their line with a
+//! pull reader, responses written straight onto it.
 //!
 //! One request per line, one response per line. Requests carry an opaque
 //! `id` (echoed verbatim), a `method` string, and an optional `params`
 //! object. Responses carry either a `result` value or an `error` object
 //! `{code, message}` with JSON-RPC style codes (negative integers; the
 //! `-3205x` range is the daemon's admission-control band).
+//!
+//! The served path builds no [`Value`] tree: [`read_request`] borrows the
+//! method and the params from the line, and [`write_ok`]/[`write_error`]
+//! render a reply with [`Serialize::write_json`]. The tree forms —
+//! [`parse_request`], [`ok_response`], [`error_response`] — stay for
+//! in-process callers of `Router::handle`, and say byte for byte what the
+//! served path says.
 
-use serde::Value;
+use serde::{Serialize, Value};
+use serde_json::Reader;
+use std::borrow::Cow;
 
 /// Malformed request line (invalid JSON).
 pub const PARSE_ERROR: i64 = -32700;
@@ -26,15 +35,29 @@ pub const RATE_LIMITED: i64 = -32051;
 /// Too many operations in flight (server-wide backpressure).
 pub const OVERLOADED: i64 = -32052;
 
-/// A parsed request.
+/// A parsed request, owning its fields.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Caller-chosen correlation id, echoed back verbatim.
     pub id: Value,
     /// Method name (e.g. `"session.open"`).
     pub method: String,
-    /// Parameter object (`Value::Null` when omitted).
-    pub params: Value,
+    /// The `params` value's JSON text as it stood on the line; empty when
+    /// the request had none.
+    pub params: String,
+}
+
+/// A request read off its line, borrowing from it: the method and the
+/// params' strings are slices of the line unless they hold an escape.
+pub struct LineRequest<'a> {
+    /// Caller-chosen correlation id, echoed back verbatim.
+    pub id: Value,
+    /// Method name.
+    pub method: Cow<'a, str>,
+    /// The params object, or what [`Params::of`] refuses a non-object with.
+    pub params: Result<Params<'a>, Failure>,
+    /// The params' text (empty when the request had none).
+    params_text: &'a str,
 }
 
 /// A method failure: the error code plus a human-readable message.
@@ -66,6 +89,13 @@ impl Failure {
     }
 }
 
+/// Text the JSON reader refuses: a `-32700` parse error.
+impl From<serde_json::Error> for Failure {
+    fn from(e: serde_json::Error) -> Failure {
+        Failure::new(PARSE_ERROR, e)
+    }
+}
+
 /// Builds an object value from key/value pairs (insertion-ordered, so the
 /// rendered JSON is deterministic).
 pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
@@ -77,26 +107,36 @@ pub fn s(x: impl Into<String>) -> Value {
     Value::Str(x.into())
 }
 
-/// Parses one request line. The fields are moved out of the parsed tree,
-/// not copied (`params` can be most of the line); of a repeated key the
-/// first occurrence counts.
-pub fn parse_request(line: &str) -> Result<Request, Failure> {
-    let v: Value = serde_json::from_str(line).map_err(|e| Failure::new(PARSE_ERROR, e))?;
-    let Value::Map(pairs) = v else {
+/// Reads one request line without building its tree. Of a repeated key
+/// the first occurrence counts. A line `serde_json` would not parse fails
+/// with its message; the envelope is checked only once the whole line
+/// parsed.
+pub fn read_request(line: &str) -> Result<LineRequest<'_>, Failure> {
+    let mut r = Reader::new(line);
+    if r.peek() != Some(b'{') {
+        r.skip()?;
+        r.finish()?;
         return Err(Failure::new(INVALID_REQUEST, "request must be an object"));
-    };
-    let (mut id, mut method, mut params) = (None, None, None);
-    for (key, value) in pairs {
-        let field = match key.as_str() {
-            "id" => &mut id,
-            "method" => &mut method,
-            "params" => &mut params,
-            _ => continue,
-        };
-        field.get_or_insert(value);
     }
+    let (mut id, mut method, mut params) = (None, None, None);
+    r.object(|r, key| {
+        match key.as_ref() {
+            "id" if id.is_none() => id = Some(r.value()?),
+            "method" if method.is_none() => method = Some(Field::read(r)?),
+            "params" if params.is_none() => {
+                let start = r.offset();
+                let read = Params::read(r)?;
+                params = Some((read, &line[start..r.offset()]));
+            }
+            _ => {
+                r.skip()?;
+            }
+        }
+        Ok::<_, Failure>(())
+    })?;
+    r.finish()?;
     let method = match method {
-        Some(Value::Str(name)) => name,
+        Some(Field::Str(name)) => name,
         Some(other) => {
             return Err(Failure::new(
                 INVALID_REQUEST,
@@ -105,10 +145,23 @@ pub fn parse_request(line: &str) -> Result<Request, Failure> {
         }
         None => return Err(Failure::new(INVALID_REQUEST, "missing `method`")),
     };
-    Ok(Request {
+    let (params, params_text) = params.unwrap_or((Ok(Params::default()), ""));
+    Ok(LineRequest {
         id: id.unwrap_or(Value::Null),
         method,
-        params: params.unwrap_or(Value::Null),
+        params,
+        params_text,
+    })
+}
+
+/// Parses one request line into an owned [`Request`]: [`read_request`],
+/// with the params kept as their text.
+pub fn parse_request(line: &str) -> Result<Request, Failure> {
+    let req = read_request(line)?;
+    Ok(Request {
+        id: req.id,
+        method: req.method.into_owned(),
+        params: req.params_text.to_string(),
     })
 }
 
@@ -131,33 +184,113 @@ pub fn error_response(id: &Value, failure: &Failure) -> Value {
     ])
 }
 
-/// Typed parameter accessors over the request's `params` object.
+/// Appends a success response: the bytes [`ok_response`] renders to, with
+/// `result` written by [`Serialize::write_json`].
+pub fn write_ok(out: &mut String, id: &Value, result: &(impl Serialize + ?Sized)) {
+    out.push_str("{\"id\":");
+    id.write_json(out);
+    out.push_str(",\"result\":");
+    result.write_json(out);
+    out.push('}');
+}
+
+/// Appends an error response: the bytes [`error_response`] renders to.
+pub fn write_error(out: &mut String, id: &Value, failure: &Failure) {
+    out.push_str("{\"id\":");
+    id.write_json(out);
+    out.push_str(",\"error\":{\"code\":");
+    failure.code.write_json(out);
+    out.push_str(",\"message\":");
+    failure.msg.write_json(out);
+    out.push_str("}}");
+}
+
+/// One params value as read off the line.
+enum Field<'a> {
+    Str(Cow<'a, str>),
+    /// `null`, a boolean or a number.
+    Scalar(Value),
+    /// An array, kept as its text until an accessor reads it.
+    Seq(&'a str),
+    Object,
+}
+
+impl<'a> Field<'a> {
+    fn read(r: &mut Reader<'a>) -> serde_json::Result<Field<'a>> {
+        Ok(match r.peek() {
+            Some(b'"') => Field::Str(r.str()?),
+            Some(b'[') => Field::Seq(r.skip()?),
+            Some(b'{') => {
+                r.skip()?;
+                Field::Object
+            }
+            _ => Field::Scalar(r.value()?),
+        })
+    }
+
+    /// What [`Value::type_name`] calls this value.
+    fn type_name(&self) -> &'static str {
+        match self {
+            Field::Str(_) => "string",
+            Field::Scalar(v) => v.type_name(),
+            Field::Seq(_) => "array",
+            Field::Object => "object",
+        }
+    }
+}
+
+/// Typed parameter accessors over a request's `params` object, whose keys
+/// and strings borrow from the request line.
+#[derive(Default)]
 pub struct Params<'a> {
-    map: &'a [(String, Value)],
+    /// Every entry in line order, repeated keys included.
+    entries: Vec<(Cow<'a, str>, Field<'a>)>,
 }
 
 impl<'a> Params<'a> {
-    /// Wraps the request's params; errors unless it is an object.
+    /// The params of an owned request; errors unless they are an object.
     pub fn of(req: &'a Request) -> Result<Params<'a>, Failure> {
-        match &req.params {
-            Value::Map(m) => Ok(Params { map: m }),
-            Value::Null => Ok(Params { map: &[] }),
-            other => Err(Failure::params(format!(
-                "params must be an object, got {}",
-                other.type_name()
-            ))),
+        if req.params.is_empty() {
+            return Ok(Params::default());
         }
+        let mut r = Reader::new(&req.params);
+        let params = Params::read(&mut r)?;
+        r.finish()?;
+        params
     }
 
-    /// Raw field lookup.
-    pub fn get(&self, key: &str) -> Option<&'a Value> {
-        serde::map_get(self.map, key)
+    /// Reads a params value: an object's entries, none for `null`, or, for
+    /// any other value, the failure [`Params::of`] reports.
+    fn read(r: &mut Reader<'a>) -> serde_json::Result<Result<Params<'a>, Failure>> {
+        if r.peek() != Some(b'{') {
+            return Ok(match Field::read(r)? {
+                Field::Scalar(Value::Null) => Ok(Params::default()),
+                other => Err(Failure::params(format!(
+                    "params must be an object, got {}",
+                    other.type_name()
+                ))),
+            });
+        }
+        let mut entries = Vec::new();
+        r.object(|r, key| {
+            entries.push((key, Field::read(r)?));
+            Ok::<_, serde_json::Error>(())
+        })?;
+        Ok(Ok(Params { entries }))
+    }
+
+    /// The first value under `key`.
+    fn get(&self, key: &str) -> Option<&Field<'a>> {
+        self.entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, field)| field)
     }
 
     /// Required string field.
-    pub fn str(&self, key: &str) -> Result<&'a str, Failure> {
+    pub fn str(&self, key: &str) -> Result<&str, Failure> {
         match self.get(key) {
-            Some(Value::Str(v)) => Ok(v),
+            Some(Field::Str(v)) => Ok(v),
             Some(other) => Err(Failure::params(format!(
                 "`{key}` must be a string, got {}",
                 other.type_name()
@@ -167,22 +300,18 @@ impl<'a> Params<'a> {
     }
 
     /// Optional string field.
-    pub fn str_opt(&self, key: &str) -> Result<Option<&'a str>, Failure> {
+    pub fn str_opt(&self, key: &str) -> Result<Option<&str>, Failure> {
         match self.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(Value::Str(v)) => Ok(Some(v)),
-            Some(other) => Err(Failure::params(format!(
-                "`{key}` must be a string, got {}",
-                other.type_name()
-            ))),
+            None | Some(Field::Scalar(Value::Null)) => Ok(None),
+            _ => self.str(key).map(Some),
         }
     }
 
     /// Required unsigned integer field.
     pub fn u64(&self, key: &str) -> Result<u64, Failure> {
         match self.get(key) {
-            Some(Value::U64(v)) => Ok(*v),
-            Some(Value::I64(v)) if *v >= 0 => Ok(*v as u64),
+            Some(Field::Scalar(Value::U64(v))) => Ok(*v),
+            Some(Field::Scalar(Value::I64(v))) if *v >= 0 => Ok(*v as u64),
             Some(other) => Err(Failure::params(format!(
                 "`{key}` must be a non-negative integer, got {}",
                 other.type_name()
@@ -194,15 +323,15 @@ impl<'a> Params<'a> {
     /// Optional unsigned integer field.
     pub fn u64_opt(&self, key: &str) -> Result<Option<u64>, Failure> {
         match self.get(key) {
-            None | Some(Value::Null) => Ok(None),
+            None | Some(Field::Scalar(Value::Null)) => Ok(None),
             _ => self.u64(key).map(Some),
         }
     }
 
     /// Required array-of-strings field.
-    pub fn str_seq(&self, key: &str) -> Result<Vec<&'a str>, Failure> {
-        let seq = match self.get(key) {
-            Some(Value::Seq(items)) => items,
+    pub fn str_seq(&self, key: &str) -> Result<Vec<Cow<'a, str>>, Failure> {
+        let text = match self.get(key) {
+            Some(Field::Seq(text)) => *text,
             Some(other) => {
                 return Err(Failure::params(format!(
                     "`{key}` must be an array, got {}",
@@ -211,15 +340,18 @@ impl<'a> Params<'a> {
             }
             None => return Err(Failure::params(format!("missing `{key}`"))),
         };
-        seq.iter()
-            .map(|v| match v {
-                Value::Str(x) => Ok(x.as_str()),
-                other => Err(Failure::params(format!(
-                    "`{key}` items must be strings, got {}",
-                    other.type_name()
-                ))),
-            })
-            .collect()
+        let mut items = Vec::new();
+        Reader::new(text).array(|r| match Field::read(r)? {
+            Field::Str(item) => {
+                items.push(item);
+                Ok(())
+            }
+            other => Err(Failure::params(format!(
+                "`{key}` items must be strings, got {}",
+                other.type_name()
+            ))),
+        })?;
+        Ok(items)
     }
 }
 

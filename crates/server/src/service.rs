@@ -18,10 +18,12 @@
 
 use crate::limits::{AdmissionControl, Limiter};
 use crate::protocol::{
-    self, obj, s, Failure, Params, Request, INVALID_PARAMS, METHOD_NOT_FOUND, OP_FAILED,
+    self, obj, s, Failure, LineRequest, Params, Request, INVALID_PARAMS, METHOD_NOT_FOUND,
+    OP_FAILED,
 };
+use crate::reply::{CommitReply, CommitResultReply, MergeReply, SessionReply, UsageReply};
 use mlcask_core::merge::MergeStrategy;
-use mlcask_core::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
+use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_obs::metrics::LATENCY_SECONDS;
 use mlcask_obs::{trace, Counter, Histogram, MetricsRegistry};
@@ -29,12 +31,11 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
-use mlcask_storage::commit::Commit;
-use mlcask_storage::tenant::{QuotaPolicy, ShareRight, TenantUsage};
+use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::common::Workload;
 use mlcask_workloads::scenario::{harness_store, join_workspace};
 use parking_lot::{Mutex, RwLock};
-use serde::Value;
+use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -75,7 +76,29 @@ pub struct TenantEntry {
     requests: RequestSeries,
 }
 
-type Reply = Result<Value, Failure>;
+/// A handler's outcome: its reply went to the [`ReplyTo`], or it has none
+/// and says why.
+type Served = Result<(), Failure>;
+
+/// Where a handler sends its reply, which is the last thing it does.
+enum ReplyTo<'r> {
+    /// Written onto the response line, in the envelope echoing `id`: the
+    /// served path ([`Router::handle_text`]).
+    Line { out: &'r mut String, id: &'r Value },
+    /// Made a tree, for [`Router::handle`] — the one place a served reply
+    /// becomes a [`Value`].
+    Tree(&'r mut Value),
+}
+
+impl ReplyTo<'_> {
+    fn send(&mut self, result: &(impl Serialize + ?Sized)) -> Served {
+        match self {
+            ReplyTo::Line { out, id } => protocol::write_ok(out, id, result),
+            ReplyTo::Tree(tree) => **tree = result.to_value(),
+        }
+        Ok(())
+    }
+}
 
 /// Which side of the coarse-lock baseline's workspace lock a method holds
 /// while it runs (see [`ServerOptions::coarse_lock`]).
@@ -92,8 +115,8 @@ enum Guard {
 /// session's tenant entry too.
 #[derive(Clone, Copy)]
 enum Scope {
-    Control(fn(&Router, &Params<'_>) -> Reply),
-    Session(fn(&Router, &TenantEntry, &Params<'_>) -> Reply),
+    Control(fn(&Router, &Params<'_>, &mut ReplyTo<'_>) -> Served),
+    Session(fn(&Router, &TenantEntry, &Params<'_>, &mut ReplyTo<'_>) -> Served),
 }
 
 /// One served method: its wire name, its scope and handler, and its guard.
@@ -106,7 +129,7 @@ struct Route {
 const fn control(
     name: &'static str,
     guard: Guard,
-    handler: fn(&Router, &Params<'_>) -> Reply,
+    handler: fn(&Router, &Params<'_>, &mut ReplyTo<'_>) -> Served,
 ) -> Route {
     Route {
         name,
@@ -118,7 +141,7 @@ const fn control(
 const fn session(
     name: &'static str,
     guard: Guard,
-    handler: fn(&Router, &TenantEntry, &Params<'_>) -> Reply,
+    handler: fn(&Router, &TenantEntry, &Params<'_>, &mut ReplyTo<'_>) -> Served,
 ) -> Route {
     Route {
         name,
@@ -132,52 +155,55 @@ const fn session(
 /// [`UNKNOWN_METHOD`], so a stream of made-up method names mints one series,
 /// not one per name.
 static ROUTES: [Route; 19] = [
-    control("ping", Guard::None, |_, _| Ok(s("pong"))),
-    control("server.info", Guard::None, |router, _| Ok(router.info())),
-    control("metrics.scrape", Guard::None, |router, _| {
-        Ok(router.metrics_scrape())
+    control("ping", Guard::None, |_, _, out| out.send("pong")),
+    control("server.info", Guard::None, |router, _, out| {
+        out.send(&router.info())
     }),
-    control("obs.spans", Guard::None, |_, p| obs_spans(p)),
-    control("obs.slow", Guard::None, |_, p| obs_slow(p)),
+    control("metrics.scrape", Guard::None, |router, _, out| {
+        out.send(&router.metrics_scrape())
+    }),
+    control("obs.spans", Guard::None, |_, p, out| {
+        out.send(&obs_spans(p)?)
+    }),
+    control("obs.slow", Guard::None, |_, p, out| out.send(&obs_slow(p)?)),
     control("session.open", Guard::None, Router::session_open),
     control("session.close", Guard::None, Router::session_close),
-    control("workspace.usage", Guard::Read, |router, _| {
-        Ok(workspace_usage_json(&router.ws))
+    control("workspace.usage", Guard::Read, |router, _, out| {
+        out.send(&workspace_usage_json(&router.ws))
     }),
-    session("branches", Guard::Read, |_, entry, _| {
-        let branches = entry.tenant.branches();
-        Ok(Value::Seq(branches.into_iter().map(s).collect()))
+    session("branches", Guard::Read, |_, entry, _, out| {
+        out.send(&entry.tenant.branches())
     }),
-    session("head", Guard::Read, |router, entry, p| {
-        let head = router.head_of(entry, p.str("branch")?)?;
-        Ok(commit_json(&head))
+    session("head", Guard::Read, |_, entry, p, out| {
+        let view = entry.sys.graph();
+        let q = entry.sys.qualified_branch(p.str("branch")?);
+        let head = view.head_commit(&q).map_err(Failure::op)?;
+        out.send(&CommitReply(head))
     }),
-    session("log", Guard::Read, |router, entry, p| router.log(entry, p)),
-    session("usage", Guard::Read, |_, entry, _| {
-        Ok(usage_json(&entry.tenant.usage()))
+    session("log", Guard::Read, Router::log),
+    session("usage", Guard::Read, |_, entry, _, out| {
+        out.send(&UsageReply(&entry.tenant.usage()))
     }),
-    session("commit", Guard::Write, |router, entry, p| {
-        router.commit(entry, p)
-    }),
-    session("branch", Guard::Write, |_, entry, p| {
+    session("commit", Guard::Write, Router::commit),
+    session("branch", Guard::Write, |_, entry, p, out| {
         let (from, to) = (p.str("from")?, p.str("to")?);
         let c = entry.sys.branch(from, to).map_err(Failure::op)?;
-        Ok(commit_json(&c))
+        out.send(&CommitReply(&c))
     }),
-    session("grant", Guard::Write, |_, entry, p| {
+    session("grant", Guard::Write, |_, entry, p, out| {
         let peer = p.str("peer")?;
         let right = parse_right(p.str("right")?)?;
         let tenant = &entry.tenant;
         tenant.grant_to(peer, right).map_err(Failure::op)?;
-        Ok(Value::Bool(true))
+        out.send(&true)
     }),
-    session("revoke", Guard::Write, |_, entry, p| {
+    session("revoke", Guard::Write, |_, entry, p, out| {
         let peer = p.str("peer")?;
         let tenant = &entry.tenant;
         tenant.revoke_from(peer).map_err(Failure::op)?;
-        Ok(Value::Bool(true))
+        out.send(&true)
     }),
-    session("fork", Guard::Write, |_, entry, p| {
+    session("fork", Guard::Write, |_, entry, p, out| {
         let peer = p.str("peer")?;
         let branch = p.str("branch")?;
         let new_branch = p.str("new_branch")?;
@@ -185,9 +211,9 @@ static ROUTES: [Route; 19] = [
         let c = tenant
             .fork_from(peer, branch, new_branch)
             .map_err(Failure::op)?;
-        Ok(commit_json(&c))
+        out.send(&CommitReply(&c))
     }),
-    session("merge", Guard::Write, |_, entry, p| {
+    session("merge", Guard::Write, |_, entry, p, out| {
         let base = p.str("base")?;
         let merging = p.str("merging")?;
         let strategy = parse_strategy(p.str_opt("strategy")?)?;
@@ -195,9 +221,9 @@ static ROUTES: [Route; 19] = [
             .sys
             .merge(base, merging, strategy, &ClockLedger::new())
             .map_err(Failure::op)?;
-        Ok(merge_json(&outcome))
+        out.send(&MergeReply(&outcome))
     }),
-    session("merge.into", Guard::Write, |_, entry, p| {
+    session("merge.into", Guard::Write, |_, entry, p, out| {
         let peer = p.str("peer")?;
         let peer_branch = p.str("peer_branch")?;
         let merging = p.str("merging")?;
@@ -211,10 +237,14 @@ static ROUTES: [Route; 19] = [
                 &ClockLedger::new(),
             )
             .map_err(Failure::op)?;
-        Ok(merge_json(&outcome))
+        out.send(&MergeReply(&outcome))
     }),
 ];
 const UNKNOWN_METHOD: &str = "unknown";
+
+/// Where a response line's buffer starts: most replies fit, a long `log`
+/// grows it by doubling.
+const REPLY_CAPACITY: usize = 512;
 
 /// How a request ended, as the request counter labels it.
 #[derive(Clone, Copy)]
@@ -337,20 +367,43 @@ impl Router {
         self.ops_served.load(Ordering::Relaxed)
     }
 
-    /// Serves one raw request line, returning one response line (no
-    /// trailing newline).
-    pub fn handle_text(&self, line: &str) -> String {
-        let response = match protocol::parse_request(line) {
-            Ok(req) => self.handle(&req),
-            Err(failure) => protocol::error_response(&Value::Null, &failure),
-        };
-        serde_json::to_string(&response).expect("response values always render")
+    /// The name of every method the router serves.
+    pub fn methods() -> impl Iterator<Item = &'static str> {
+        ROUTES.iter().map(|route| route.name)
     }
 
-    /// Serves one parsed request.
+    /// Serves one raw request line, returning one response line (no
+    /// trailing newline). The request is read without a tree and the reply
+    /// written straight onto the line: the bytes `handle` renders to.
+    pub fn handle_text(&self, line: &str) -> String {
+        let mut out = String::with_capacity(REPLY_CAPACITY);
+        match protocol::read_request(line) {
+            Ok(LineRequest {
+                id, method, params, ..
+            }) => {
+                let mut reply = ReplyTo::Line {
+                    out: &mut out,
+                    id: &id,
+                };
+                if let Err(failure) = self.dispatch(&method, params, &mut reply) {
+                    protocol::write_error(&mut out, &id, &failure);
+                }
+            }
+            Err(failure) => protocol::write_error(&mut out, &Value::Null, &failure),
+        }
+        out
+    }
+
+    /// Serves one parsed request: what [`Router::handle_text`] serves, as
+    /// the response's tree.
     pub fn handle(&self, req: &Request) -> Value {
-        match self.dispatch(req) {
-            Ok(result) => protocol::ok_response(&req.id, result),
+        let mut result = Value::Null;
+        match self.dispatch(
+            &req.method,
+            Params::of(req),
+            &mut ReplyTo::Tree(&mut result),
+        ) {
+            Ok(()) => protocol::ok_response(&req.id, result),
             Err(failure) => protocol::error_response(&req.id, &failure),
         }
     }
@@ -360,13 +413,19 @@ impl Router {
     /// outside the response (admission rejections count too). The tenant
     /// label is known only once the session resolves; control-plane and
     /// failed-before-session requests record under tenant `"-"`.
-    fn dispatch(&self, req: &Request) -> Result<Value, Failure> {
+    fn dispatch(
+        &self,
+        method: &str,
+        params: Result<Params<'_>, Failure>,
+        out: &mut ReplyTo<'_>,
+    ) -> Served {
         let start = Instant::now();
-        let route = ROUTES.iter().position(|r| r.name == req.method);
+        let route = ROUTES.iter().position(|r| r.name == method);
         let mut entry: Option<Arc<TenantEntry>> = None;
-        let result = self.dispatch_inner(req, route.map(|i| &ROUTES[i]), &mut entry);
+        let result =
+            self.dispatch_inner(method, params, route.map(|i| &ROUTES[i]), &mut entry, out);
         let outcome = match &result {
-            Ok(_) => Outcome::Ok,
+            Ok(()) => Outcome::Ok,
             Err(f) => match f.code {
                 protocol::ADMISSION_DENIED | protocol::RATE_LIMITED | protocol::OVERLOADED => {
                     Outcome::Rejected
@@ -385,19 +444,21 @@ impl Router {
     /// is refused as such under its tenant's label.
     fn dispatch_inner(
         &self,
-        req: &Request,
+        method: &str,
+        params: Result<Params<'_>, Failure>,
         route: Option<&Route>,
         entry_out: &mut Option<Arc<TenantEntry>>,
-    ) -> Reply {
+        out: &mut ReplyTo<'_>,
+    ) -> Served {
         self.ops_served.fetch_add(1, Ordering::Relaxed);
-        let p = Params::of(req)?;
+        let p = params?;
         if let Some(Route {
             scope: Scope::Control(handler),
             guard,
             ..
         }) = route
         {
-            return self.holding(*guard, || handler(self, &p));
+            return self.holding(*guard, || handler(self, &p, out));
         }
         let entry: &TenantEntry = entry_out.insert(self.session(&p)?);
         let _op = self.limiter.begin_op(entry.tenant.name())?;
@@ -406,10 +467,10 @@ impl Router {
                 scope: Scope::Session(handler),
                 guard,
                 ..
-            }) => self.holding(*guard, || handler(self, entry, &p)),
+            }) => self.holding(*guard, || handler(self, entry, &p, out)),
             _ => Err(Failure::new(
                 METHOD_NOT_FOUND,
-                format!("unknown method `{}`", req.method),
+                format!("unknown method `{method}`"),
             )),
         }
     }
@@ -456,7 +517,7 @@ impl Router {
         s(MetricsRegistry::global().render_prometheus())
     }
 
-    fn session_open(&self, p: &Params<'_>) -> Result<Value, Failure> {
+    fn session_open(&self, p: &Params<'_>, out: &mut ReplyTo<'_>) -> Served {
         let tenant = p.str("tenant")?;
         let quota = QuotaPolicy {
             max_logical_bytes: p.u64_opt("max_logical_bytes")?,
@@ -472,18 +533,18 @@ impl Router {
         };
         let id = self.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         self.sessions.lock().insert(id, entry);
-        Ok(obj(vec![
-            ("session", Value::U64(id)),
-            ("tenant", s(tenant)),
-        ]))
+        out.send(&SessionReply {
+            session: id,
+            tenant,
+        })
     }
 
-    fn session_close(&self, p: &Params<'_>) -> Result<Value, Failure> {
+    fn session_close(&self, p: &Params<'_>, out: &mut ReplyTo<'_>) -> Served {
         let id = p.u64("session")?;
         match self.sessions.lock().remove(&id) {
             Some(_) => {
                 self.limiter.close_session();
-                Ok(Value::Bool(true))
+                out.send(&true)
             }
             None => Err(Failure::new(OP_FAILED, format!("no such session {id}"))),
         }
@@ -517,47 +578,40 @@ impl Router {
         Ok(entry)
     }
 
-    fn head_of(&self, entry: &TenantEntry, branch: &str) -> Result<Commit, Failure> {
-        let q = entry.sys.qualified_branch(branch);
-        entry.sys.graph().head(&q).map_err(Failure::op)
-    }
-
     /// Walks the first-parent chain from the branch head — all of it
     /// resolved against **one** frozen graph view, so a merge landing
-    /// mid-walk can never produce a torn lineage.
-    fn log(&self, entry: &TenantEntry, p: &Params<'_>) -> Result<Value, Failure> {
+    /// mid-walk can never produce a torn lineage — and writes the commits
+    /// from where the view holds them.
+    fn log(&self, entry: &TenantEntry, p: &Params<'_>, out: &mut ReplyTo<'_>) -> Served {
         let branch = p.str("branch")?;
         let limit = p.u64_opt("limit")?.unwrap_or(50) as usize;
         let view = entry.sys.graph();
         let q = entry.sys.qualified_branch(branch);
-        let mut commit = view.head(&q).map_err(Failure::op)?;
-        let mut out = Vec::new();
-        loop {
-            if out.len() >= limit {
-                break;
-            }
-            out.push(commit_json(&commit));
+        let mut commit = view.head_commit(&q).map_err(Failure::op)?;
+        let mut lineage = Vec::new();
+        while lineage.len() < limit {
+            lineage.push(CommitReply(commit));
             match commit.parents.first() {
-                Some(&parent) => commit = view.get(parent).map_err(Failure::op)?,
+                Some(&parent) => commit = view.commit(parent).map_err(Failure::op)?,
                 None => break,
             }
         }
-        Ok(Value::Seq(out))
+        out.send(&lineage)
     }
 
-    fn commit(&self, entry: &TenantEntry, p: &Params<'_>) -> Result<Value, Failure> {
+    fn commit(&self, entry: &TenantEntry, p: &Params<'_>, out: &mut ReplyTo<'_>) -> Served {
         let branch = p.str("branch")?;
         let message = p.str_opt("message")?.unwrap_or("serving commit");
         let keys = p
             .str_seq("components")?
-            .into_iter()
-            .map(parse_component)
+            .iter()
+            .map(|spec| parse_component(spec))
             .collect::<Result<Vec<_>, _>>()?;
         let result = entry
             .sys
             .commit_pipeline(branch, &keys, message, &ClockLedger::new())
             .map_err(Failure::op)?;
-        Ok(commit_result_json(&result))
+        out.send(&CommitResultReply(&result))
     }
 
     // -- coarse-lock baseline guard ------------------------------------
@@ -579,7 +633,7 @@ impl Router {
     }
 }
 
-// -- parameter parsing ------------------------------------------------
+// -- control-plane methods and parameter parsing -----------------------
 
 /// `obs.spans`: the most recent `n` (default 64) flight-recorder spans.
 /// Introspection only — span payloads carry wall-clock times and must never
@@ -661,73 +715,7 @@ fn parse_strategy(name: Option<&str>) -> Result<MergeStrategy, Failure> {
     }
 }
 
-// -- response rendering -----------------------------------------------
-
-fn commit_json(c: &Commit) -> Value {
-    obj(vec![
-        ("id", s(c.id.to_hex())),
-        ("branch", s(&c.branch)),
-        ("seq", Value::U64(c.seq as u64)),
-        ("message", s(&c.message)),
-        (
-            "parents",
-            Value::Seq(c.parents.iter().map(|p| s(p.to_hex())).collect()),
-        ),
-        ("tick", Value::U64(c.tick)),
-    ])
-}
-
-fn commit_result_json(r: &CommitResult) -> Value {
-    let mut pairs = vec![("committed", Value::Bool(r.commit.is_some()))];
-    if let Some(c) = &r.commit {
-        pairs.push(("commit", commit_json(c)));
-    }
-    pairs.push(("executed", Value::U64(r.report.executed_count() as u64)));
-    pairs.push(("reused", Value::U64(r.report.reused_count() as u64)));
-    obj(pairs)
-}
-
-/// Merge outcome; `skipped_by_frontier` is deliberately excluded — it
-/// counts nodes the provenance fast path answered by lookup, which the
-/// executor-only reference (`with_incremental(false)`) reports as 0, and
-/// `lookup_oracle` holds served bytes to that reference.
-fn merge_json(o: &MergeOutcome) -> Value {
-    let mut pairs = vec![
-        ("committed", Value::Bool(o.commit.is_some())),
-        ("fast_forward", Value::Bool(o.fast_forward)),
-    ];
-    if let Some(c) = &o.commit {
-        pairs.push(("commit", commit_json(c)));
-    }
-    if let Some(r) = &o.report {
-        pairs.push((
-            "search",
-            obj(vec![
-                ("candidates_total", Value::U64(r.candidates_total as u64)),
-                (
-                    "candidates_evaluated",
-                    Value::U64(r.candidates_evaluated as u64),
-                ),
-                ("candidates_pruned", Value::U64(r.candidates_pruned as u64)),
-                (
-                    "executed_components",
-                    Value::U64(r.executed_components as u64),
-                ),
-                ("reused_components", Value::U64(r.reused_components as u64)),
-                ("failed_candidates", Value::U64(r.failed_candidates as u64)),
-            ]),
-        ));
-    }
-    obj(pairs)
-}
-
-fn usage_json(u: &TenantUsage) -> Value {
-    obj(vec![
-        ("blobs_written", Value::U64(u.blobs_written)),
-        ("logical_bytes", Value::U64(u.logical_bytes)),
-        ("physical_bytes", Value::U64(u.physical_bytes)),
-    ])
-}
+// -- control-plane rendering -------------------------------------------
 
 fn workspace_usage_json(ws: &Workspace) -> Value {
     let usages = ws.usages();
@@ -736,7 +724,7 @@ fn workspace_usage_json(ws: &Workspace) -> Value {
         usages
             .into_iter()
             .map(|(name, u)| {
-                let mut fields = usage_json(&u);
+                let mut fields = UsageReply(&u).to_value();
                 if let (Value::Map(pairs), Some(sh)) = (&mut fields, shared.get(&name)) {
                     pairs.push((
                         "referenced_bytes".to_string(),
@@ -763,11 +751,10 @@ mod tests {
             ServerOptions::default(),
         );
         let call = |method: &str| {
-            let params = obj(vec![("session", Value::U64(1)), ("tenant", s("t"))]);
             router.handle(&Request {
                 id: Value::U64(0),
                 method: method.to_string(),
-                params,
+                params: r#"{"session":1,"tenant":"t"}"#.to_string(),
             })
         };
         let code = |reply: &Value| match serde::map_get(reply.as_map().unwrap(), "error") {

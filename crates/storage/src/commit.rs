@@ -246,21 +246,28 @@ pub struct GraphView {
 impl GraphView {
     /// Current head commit of `branch` in this view.
     pub fn head(&self, branch: &str) -> Result<Commit> {
+        self.head_commit(branch).cloned()
+    }
+
+    /// Fetches a commit by id.
+    pub fn get(&self, id: Hash256) -> Result<Commit> {
+        self.commit(id).cloned()
+    }
+
+    /// The head commit of `branch`, borrowed from this view.
+    pub fn head_commit(&self, branch: &str) -> Result<&Commit> {
         let id = self
             .snap
             .branches
             .head(branch)
             .ok_or_else(|| StorageError::UnknownBranch(branch.to_string()))?;
-        self.get(id)
+        self.commit(id)
     }
 
-    /// Fetches a commit by id.
-    pub fn get(&self, id: Hash256) -> Result<Commit> {
-        self.snap
-            .commits
-            .get(&id)
-            .cloned()
-            .ok_or(StorageError::NotFound(id))
+    /// The commit `id`, borrowed from this view: a walk over many commits
+    /// (a log) copies none of them.
+    pub fn commit(&self, id: Hash256) -> Result<&Commit> {
+        self.snap.commits.get(&id).ok_or(StorageError::NotFound(id))
     }
 
     /// All branch names (sorted for determinism).

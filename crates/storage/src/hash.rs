@@ -547,7 +547,7 @@ impl Hash256 {
     }
 
     /// Appends the 64 lowercase hex digits to `out`.
-    fn push_hex(&self, out: &mut String) {
+    pub fn push_hex(&self, out: &mut String) {
         let mut hex = [0u8; 64];
         for (pair, b) in hex.chunks_exact_mut(2).zip(self.0) {
             pair[0] = HEX_DIGITS[(b >> 4) as usize];

@@ -10,14 +10,17 @@
 //! non-finite floats (rendered `null`), `-0.0`, widened `f32`s, integer
 //! extremes, empty and absent containers.
 
+use mlcask::core::merge::{MergeSearchReport, MergeStrategy};
+use mlcask::core::system::{CommitResult, MergeOutcome};
 use mlcask::ml::metrics::{MetricKind, Score};
 use mlcask::ml::tensor::Matrix;
 use mlcask::ml::zernike::Image;
 use mlcask::pipeline::artifact::{
     Artifact, ArtifactData, Cell, Docs, Features, ImageSet, ModelArtifact, SequenceSet, Table,
 };
+use mlcask::pipeline::clock::ClockSnapshot;
 use mlcask::pipeline::component::{ComponentKey, StageKind};
-use mlcask::pipeline::executor::{CacheKey, CachedOutput};
+use mlcask::pipeline::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
 use mlcask::pipeline::metafile::{
     DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot,
 };
@@ -25,9 +28,12 @@ use mlcask::pipeline::replay::StageProfile;
 use mlcask::pipeline::resume::ResumeEntry;
 use mlcask::pipeline::schema::{Schema, SchemaId};
 use mlcask::pipeline::semver::SemVer;
+use mlcask::storage::commit::Commit;
 use mlcask::storage::hash::Hash256;
 use mlcask::storage::object::{ObjectKind, ObjectRef};
 use mlcask::storage::store::{PutTrace, WriteObs};
+use mlcask::storage::tenant::TenantUsage;
+use mlcask_server::reply::{CommitReply, CommitResultReply, MergeReply, SessionReply, UsageReply};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -323,6 +329,65 @@ impl Gen {
         }
     }
 
+    fn commit(&mut self) -> Commit {
+        Commit {
+            id: self.hash(),
+            parents: self.vec(2, Gen::hash),
+            branch: self.text(),
+            seq: self.0.gen(),
+            payload: self.hash(),
+            message: self.text(),
+            tick: self.u64(),
+        }
+    }
+
+    fn commit_result(&mut self) -> CommitResult {
+        CommitResult {
+            commit: self.0.gen::<bool>().then(|| self.commit()),
+            report: RunReport {
+                stages: self.vec(4, |g| StageReport {
+                    component: g.component(),
+                    stage: g.stage(),
+                    reused: g.0.gen(),
+                    exec_ns: g.u64(),
+                    storage_ns: g.u64(),
+                    output: g.object(),
+                    artifact_id: g.hash(),
+                    artifact_bytes: g.u64(),
+                }),
+                outcome: RunOutcome::RejectedByPrecheck {
+                    at: self.component(),
+                },
+                clock: ClockSnapshot::default(),
+            },
+        }
+    }
+
+    fn merge_outcome(&mut self) -> MergeOutcome {
+        let mut count = || self.u64() as usize;
+        let search = MergeSearchReport {
+            strategy: MergeStrategy::Full,
+            candidates_total: count(),
+            candidates_evaluated: count(),
+            candidates_pruned: count(),
+            state_counts: Default::default(),
+            executed_components: count(),
+            reused_components: count(),
+            skipped_by_frontier: count(),
+            failed_candidates: count(),
+            best: None,
+            candidates: Vec::new(),
+            clock: ClockSnapshot::default(),
+            logical_bytes: 0,
+            physical_bytes: 0,
+        };
+        MergeOutcome {
+            commit: self.0.gen::<bool>().then(|| self.commit()),
+            fast_forward: self.0.gen(),
+            report: self.0.gen::<bool>().then_some(search),
+        }
+    }
+
     fn resume_entry(&mut self) -> ResumeEntry {
         ResumeEntry {
             key: CacheKey {
@@ -379,5 +444,27 @@ proptest! {
         let mut g = Gen(StdRng::seed_from_u64(seed));
         assert_matches_tree(&g.put_trace());
         assert_matches_tree(&g.resume_entry());
+    }
+
+    /// The daemon's typed replies: what a session-scoped method writes onto
+    /// the response line, against the tree `Router::handle` returns.
+    #[test]
+    fn replies_write_the_bytes_of_their_tree(seed in any::<u64>()) {
+        let mut g = Gen(StdRng::seed_from_u64(seed));
+        let commits = g.vec(3, Gen::commit);
+        assert_matches_tree(&commits.iter().map(CommitReply).collect::<Vec<_>>());
+        assert_matches_tree(&CommitResultReply(&g.commit_result()));
+        assert_matches_tree(&MergeReply(&g.merge_outcome()));
+        let usage = TenantUsage {
+            blobs_written: g.u64(),
+            logical_bytes: g.u64(),
+            physical_bytes: g.u64(),
+        };
+        assert_matches_tree(&UsageReply(&usage));
+        let tenant = g.text();
+        assert_matches_tree(&SessionReply {
+            session: g.u64(),
+            tenant: &tenant,
+        });
     }
 }
