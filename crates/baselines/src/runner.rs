@@ -2,13 +2,14 @@
 //!
 //! Replays one update sequence through each system under test and collects
 //! per-iteration time composition and cumulative storage. The three systems
-//! differ only in their policies:
+//! run through the one evaluation loop (`mlcask_pipeline::search`) and
+//! differ only in their policies — values of one `Policy` — and storage:
 //!
-//! | System | Intermediate reuse | Incompat. precheck | Storage |
-//! |---|---|---|---|
-//! | ModelDB | no | no | folder archive, re-archives every output every iteration |
-//! | MLflow | yes | no | folder archive, archives each distinct output once |
-//! | MLCask | yes | yes | ForkBase chunk store (dedup, physical bytes) |
+//! | System | Policy | Intermediate reuse | Incompat. precheck | Storage |
+//! |---|---|---|---|---|
+//! | ModelDB | `RERUN_ALL` | no | no | folder archive, re-archives every output every iteration |
+//! | MLflow | `REUSE_ONLY` | yes | no | folder archive, archives each distinct output once |
+//! | MLCask | `MLCASK` | yes | yes | ForkBase chunk store (dedup, physical bytes) |
 
 use crate::archive::FolderArchive;
 use mlcask_core::errors::Result;
@@ -17,8 +18,9 @@ use mlcask_core::system::MlCask;
 use mlcask_pipeline::clock::{ClockLedger, ClockSnapshot};
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::BoundPipeline;
-use mlcask_pipeline::executor::{ExecOptions, Executor, RunOutcome};
+use mlcask_pipeline::executor::{Executor, RunOutcome};
 use mlcask_pipeline::history::HistoryIndex;
+use mlcask_pipeline::search::Policy;
 use mlcask_storage::chunk::ChunkParams;
 use mlcask_storage::costmodel::StorageCostModel;
 use mlcask_storage::store::ChunkStore;
@@ -184,9 +186,9 @@ fn run_linear_baseline(
             .cloned()
             .expect("sequence references a known version")
     };
-    let options = match system {
-        SystemKind::Mlflow => ExecOptions::REUSE_ONLY,
-        _ => ExecOptions::RERUN_ALL,
+    let policy = match system {
+        SystemKind::Mlflow => Policy::REUSE_ONLY,
+        _ => Policy::RERUN_ALL,
     };
 
     let mut archive = FolderArchive::new();
@@ -205,7 +207,7 @@ fn run_linear_baseline(
         }
         let components = keys.iter().map(&handle_for).collect();
         let bound = BoundPipeline::new(Arc::clone(&dag), components)?;
-        let report = executor.run(&bound, options.reuse.then_some(&history), options)?;
+        let report = executor.run(&bound, Some(&history), policy)?;
         delta = delta.plus(&report.clock);
         // Output archiving per policy.
         for stage in &report.stages {

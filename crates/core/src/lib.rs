@@ -51,7 +51,6 @@ mod memo;
 pub mod merge;
 pub mod prioritized;
 pub mod registry;
-mod search;
 pub mod search_space;
 pub mod system;
 pub mod testkit;

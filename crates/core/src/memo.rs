@@ -6,8 +6,8 @@
 //!
 //! * per search-space pair and PC on/off, the search tree, PC-pruned when
 //!   asked, with its live candidates and its node-state counts;
-//! * per candidate key list, the bound pipeline and its [`Provenance`]
-//!   (fingerprints and schedulable mask).
+//! * per candidate key list, its [`Candidate`]: the bound pipeline and its
+//!   provenance (fingerprints and schedulable mask).
 //!
 //! The second half is a function of the DAG's shape, the component keys and
 //! the schemas the registry recorded for them, and a registered key's
@@ -29,8 +29,8 @@ use crate::registry::ComponentRegistry;
 use crate::search_space::SearchSpaces;
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_pipeline::component::ComponentKey;
-use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
-use mlcask_pipeline::provenance::Provenance;
+use mlcask_pipeline::dag::PipelineDag;
+use mlcask_pipeline::search::Candidate;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,14 +95,6 @@ impl SearchMemo {
     }
 }
 
-/// One candidate's history-independent half.
-pub(crate) struct Candidate {
-    /// The keys bound over the shape's DAG, with their registered schemas.
-    pub pipeline: BoundPipeline,
-    /// Its fingerprints and the nodes a run dispatches.
-    pub provenance: Provenance,
-}
-
 /// A search tree over one search-space pair, PC-pruned when it was asked
 /// for pruned; never marked, so it serves every history.
 pub(crate) struct MemoTree {
@@ -135,13 +127,8 @@ impl ShapeMemo {
         if let Some(known) = self.candidates.read().get(keys) {
             return Ok(Arc::clone(known));
         }
-        let pipeline = registry.bind(&self.dag, keys)?;
-        let provenance = Provenance::of(&pipeline)?;
+        let derived = Arc::new(Candidate::of(registry.bind(&self.dag, keys)?)?);
         self.candidates_built.fetch_add(1, Ordering::Relaxed);
-        let derived = Arc::new(Candidate {
-            pipeline,
-            provenance,
-        });
         // A concurrent evaluation may have derived the same entry first.
         let mut candidates = self.candidates.write();
         Ok(Arc::clone(

@@ -18,7 +18,6 @@ use crate::errors::Result;
 use crate::memo::MemoTree;
 use crate::prioritized::{SearchMethod, Trial, TrialResult, TrialStats};
 use crate::registry::ComponentRegistry;
-use crate::search::{self, Evaluated, Policy};
 use crate::search_space::{CompatLut, SearchSpaces};
 use crate::tree::{SearchTree, StateCounts};
 use mlcask_ml::metrics::Score;
@@ -28,6 +27,7 @@ use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::provenance::count_frontier_skipped;
+use mlcask_pipeline::search::{Evaluated, Policy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -240,23 +240,19 @@ impl<'a> MergeEngine<'a> {
         };
         // The from-scratch ablations pay every component for every
         // candidate; Full and Naive reuse and extend the shared history.
-        let use_history = matches!(strategy, MergeStrategy::Full | MergeStrategy::Naive);
+        let reuse = matches!(strategy, MergeStrategy::Full | MergeStrategy::Naive);
         let policy = Policy {
-            use_history,
-            cut: use_history && self.incremental,
-            publish: use_history,
+            reuse,
+            cut: reuse && self.incremental,
+            publish: reuse,
             precheck: false,
+            parallelism: self.parallelism,
             round_span: None,
             candidate_span: Some("merge.candidate"),
         };
-        let evaluated = search::evaluate(
-            self.registry,
-            &self.dag,
-            history,
-            policy,
-            self.parallelism,
-            &mut [candidates],
-        )?;
+        let evaluated = self
+            .registry
+            .evaluate(&self.dag, history, policy, &mut [candidates])?;
         for e in evaluated.into_iter().flatten() {
             report.clock = report.clock.plus(&e.report.clock);
             report.executed_components += e.report.executed_count();
@@ -335,21 +331,16 @@ impl<'a> MergeEngine<'a> {
         let tree = self.tree(spaces, true)?.tree.clone();
         let mut trials = Trial::seeded(tree, initial_scores, method, seeds);
         let policy = Policy {
-            use_history: true,
+            reuse: true,
             cut: self.incremental,
             publish: false,
             precheck: false,
+            parallelism: self.parallelism,
             round_span: Some("trials.round"),
             candidate_span: None,
         };
-        search::evaluate(
-            self.registry,
-            &self.dag,
-            base_history,
-            policy,
-            self.parallelism,
-            &mut trials,
-        )
+        self.registry
+            .evaluate(&self.dag, base_history, policy, &mut trials)
     }
 }
 
@@ -373,7 +364,7 @@ pub fn naive_candidate(spaces: &SearchSpaces) -> Option<Vec<ComponentKey>> {
 mod tests {
     use super::*;
     use crate::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
-    use mlcask_pipeline::executor::{ExecOptions, Executor};
+    use mlcask_pipeline::executor::Executor;
     use mlcask_pipeline::semver::SemVer;
     use mlcask_storage::store::ChunkStore;
 
@@ -502,7 +493,7 @@ mod tests {
         ];
         let bound = reg.bind(&dag, &keys).unwrap();
         let pre_train_ns = Executor::new(reg.store())
-            .run(&bound, Some(&history), ExecOptions::MLCASK)
+            .run(&bound, Some(&history), Policy::MLCASK)
             .unwrap()
             .clock
             .total_ns();

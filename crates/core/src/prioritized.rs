@@ -15,10 +15,10 @@
 //! it; a node one trial executes is adopted by the others through the
 //! loop's shared profile book.
 
-use crate::search::{Evaluated, Picker};
 use crate::tree::{NodeState, SearchTree};
 use mlcask_ml::metrics::Score;
 use mlcask_pipeline::component::ComponentKey;
+use mlcask_pipeline::search::{Evaluated, Picker};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

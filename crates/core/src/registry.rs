@@ -21,7 +21,10 @@ use crate::errors::{CoreError, Result};
 use crate::memo::{SearchMemo, ShapeMemo};
 use mlcask_pipeline::component::{ComponentHandle, ComponentKey};
 use mlcask_pipeline::dag::{BoundPipeline, DeclaredSchemas, PipelineDag};
+use mlcask_pipeline::executor::Executor;
+use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::metafile::LibraryMetafile;
+use mlcask_pipeline::search::{self, Evaluated, Picker, Policy};
 use mlcask_storage::hash::{digest_many, Hash256};
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use mlcask_storage::store::ChunkStore;
@@ -347,6 +350,27 @@ impl ComponentRegistry {
     /// every commit, merge search and trial over it, derived once.
     pub(crate) fn memo(&self, dag: &Arc<PipelineDag>) -> Arc<ShapeMemo> {
         self.memo.shape(dag)
+    }
+
+    /// Evaluates everything `pickers` pick over `dag` through the one
+    /// evaluation loop ([`search::evaluate`]) on this registry's store,
+    /// each candidate bound and fingerprinted once by the memo of `dag`'s
+    /// shape.
+    pub(crate) fn evaluate<P: Picker>(
+        &self,
+        dag: &Arc<PipelineDag>,
+        history: &HistoryIndex,
+        policy: Policy,
+        pickers: &mut [P],
+    ) -> Result<Vec<Vec<Evaluated>>> {
+        let memo = self.memo(dag);
+        search::evaluate(
+            &Executor::new(self.store()),
+            history,
+            policy,
+            pickers,
+            |keys| memo.candidate(self, keys),
+        )
     }
 
     /// What this registry's search memo has derived so far: DAG shapes,

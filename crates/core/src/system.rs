@@ -12,7 +12,6 @@
 use crate::errors::{CoreError, Result};
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use crate::registry::ComponentRegistry;
-use crate::search::{self, Policy};
 use crate::search_space::SearchSpaces;
 use crate::workspace::{Parents, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
@@ -22,6 +21,7 @@ use mlcask_pipeline::executor::{RunOutcome, RunReport};
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::metafile::{PipelineMetafile, PipelineSlot};
 use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::search::Policy;
 use mlcask_storage::commit::{Commit, GraphView};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::ObjectKind;
@@ -272,14 +272,13 @@ impl MlCask {
     ) -> Result<CommitResult> {
         let policy = Policy {
             cut: self.incremental,
-            ..Policy::COMMIT
+            parallelism: self.parallelism,
+            ..Policy::MLCASK
         };
-        let evaluated = search::evaluate(
-            &self.registry,
+        let evaluated = self.registry.evaluate(
             &self.dag,
             self.history(),
             policy,
-            self.parallelism,
             &mut [vec![keys.to_vec()]],
         )?;
         let run = evaluated

@@ -324,26 +324,6 @@ impl SearchTree {
         }
         counts
     }
-
-    /// Count of *reachable* feasible nodes: feasible nodes not hidden under
-    /// an incompatible ancestor. These are the executions the merge must pay
-    /// for ("only 6 components ... are needed to be executed" in Fig. 4).
-    pub fn reachable_feasible(&self) -> usize {
-        let mut count = 0;
-        let mut queue = vec![0usize];
-        while let Some(id) = queue.pop() {
-            for &c in &self.nodes[id].children {
-                if self.nodes[c].state == NodeState::Incompatible {
-                    continue;
-                }
-                if self.nodes[c].state == NodeState::Feasible {
-                    count += 1;
-                }
-                queue.push(c);
-            }
-        }
-        count
-    }
 }
 
 /// Node-state summary.
@@ -432,15 +412,5 @@ mod tests {
         tree.prune_incompatible(&lut, &s.chain_predecessors());
         let c = tree.state_counts();
         assert_eq!(c.checkpointed + c.feasible + c.incompatible, tree.len() - 1);
-    }
-
-    #[test]
-    fn reachable_feasible_excludes_hidden_nodes() {
-        let s = spaces(&[2, 3]);
-        let mut tree = SearchTree::build(&s);
-        // Empty LUT prunes all level-1 children... and level-0 nodes have no
-        // predecessors, so they stay feasible.
-        tree.prune_incompatible(&CompatLut::default(), &s.chain_predecessors());
-        assert_eq!(tree.reachable_feasible(), 2, "only the two level-0 nodes");
     }
 }

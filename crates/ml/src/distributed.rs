@@ -140,12 +140,6 @@ pub fn pipeline_speedup(p: f64, k: f64) -> f64 {
     1.0 / ((1.0 - p) + p / k)
 }
 
-/// Measured training speedup of `k` workers relative to 1 worker, from the
-/// cost model (throughput ratio at fixed global batch).
-pub fn training_speedup(cost: GpuCostModel, batch: usize, k: usize) -> f64 {
-    cost.step_ns(batch, 1) as f64 / cost.step_ns(batch, k) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,15 +224,6 @@ mod tests {
     #[should_panic(expected = "p must be a fraction")]
     fn speedup_rejects_bad_p() {
         pipeline_speedup(1.5, 2.0);
-    }
-
-    #[test]
-    fn training_speedup_bounded_by_k() {
-        let c = GpuCostModel::default();
-        for k in [2usize, 4, 8] {
-            let s = training_speedup(c, 512, k);
-            assert!(s > 1.0 && s <= k as f64, "speedup {s} for k={k}");
-        }
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Mlp {
         }
     }
 
-    /// Number of layers (weight matrices).
-    pub fn n_layers(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Total trainable parameter count.
     pub fn n_params(&self) -> usize {
         self.weights
@@ -305,7 +300,6 @@ mod tests {
             },
         );
         assert!(big.n_params() > small.n_params());
-        assert_eq!(big.n_layers(), 3);
         assert!(big.training_work_units(100) > small.training_work_units(100));
     }
 
@@ -348,7 +342,6 @@ mod tests {
             },
         );
         m.fit(&x, &y);
-        assert_eq!(m.n_layers(), 1);
         assert!(m.evaluate(&x, &y) > 0.85);
     }
 }

@@ -154,11 +154,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Row-wise softmax (numerically stabilised).
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
@@ -325,7 +320,6 @@ mod tests {
     fn col_sums_and_norm() {
         let m = Matrix::from_vec(2, 2, vec![3., 0., 4., 0.]);
         assert_eq!(m.col_sums(), vec![7., 0.]);
-        assert!((m.frob_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -2,24 +2,17 @@
 //! checkpointed results, and accounts virtual time per stage.
 //!
 //! The executor implements the mechanics every system in the evaluation
-//! shares; the *policies* differ per system and are expressed through
-//! [`ExecOptions`]:
+//! shares; the *policies* differ per system and are values of one
+//! [`Policy`].
 //!
-//! * `reuse` — consult the [`HistoryIndex`] before running a component
-//!   (MLCask and MLflow do; ModelDB does not).
-//! * `precheck` — statically verify schema compatibility before running
-//!   anything (MLCask does; the baselines discover incompatibility only
-//!   when the failing component executes).
-//! * `parallelism` — fan independent DAG nodes of one pipeline out onto a
-//!   worker pool (wavefront scheduling).
-//!
-//! There is one engine. [`Executor::trace`] executes a pipeline's nodes for
+//! There is one engine. `Executor::trace` executes a pipeline's nodes for
 //! their results only — inline on the caller's thread at one worker, on a
 //! pool above that — recording execution profiles and write traces, and
-//! only reading the [`HistoryIndex`] it is given; [`Executor::run`] is
-//! `trace` followed by the accounting replay in canonical topological order
-//! (see [`crate::replay`]), so what a run charges never depends on how it
-//! was scheduled. Every component output is archived: the replay charges
+//! only reading the [`HistoryIndex`] it is given; the evaluation loop
+//! ([`crate::search`]) follows it with the accounting replay in canonical
+//! order (see [`crate::replay`]), so what a run charges never depends on
+//! how it was scheduled, and [`Executor::run`] is that loop with one
+//! candidate. Every component output is archived: the replay charges
 //! storage from the write traces, and publishes the checkpoints it charged
 //! into the history (`HistoryIndex::publish` is its one write).
 
@@ -31,9 +24,10 @@ use crate::errors::{PipelineError, Result};
 use crate::history::HistoryIndex;
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
 use crate::provenance::{schedulable, FrontierCut};
-use crate::replay::{replay_run, CacheSnapshot, Claim, ProfileBook, Publication, StageProfile};
+use crate::replay::{Claim, ProfileBook, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
+use crate::search::{self, Candidate, Policy};
 use mlcask_ml::metrics::Score;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
@@ -63,50 +57,6 @@ pub struct CachedOutput {
     pub schema: SchemaId,
     /// Score if the artifact was a trained model.
     pub score: Option<Score>,
-}
-
-/// Execution policy knobs distinguishing MLCask from the baselines.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Consult the checkpoint history and skip already-executed components.
-    pub reuse: bool,
-    /// Statically verify schema compatibility before executing anything.
-    pub precheck: bool,
-    /// Worker-pool size, applied at two levels: engines that evaluate many
-    /// *candidate pipelines* fan candidates out across workers, and a
-    /// single [`Executor::run`] fans its *independent nodes* out (wavefront
-    /// scheduling). Reports are byte-identical for every worker count; see
-    /// [`crate::replay`].
-    pub parallelism: ParallelismPolicy,
-}
-
-impl ExecOptions {
-    /// MLCask policy: reuse + precheck.
-    pub const MLCASK: ExecOptions = ExecOptions {
-        reuse: true,
-        precheck: true,
-        parallelism: ParallelismPolicy::Sequential,
-    };
-
-    /// MLflow-like policy: reuse, no precheck.
-    pub const REUSE_ONLY: ExecOptions = ExecOptions {
-        reuse: true,
-        precheck: false,
-        parallelism: ParallelismPolicy::Sequential,
-    };
-
-    /// ModelDB-like policy: no reuse, no precheck.
-    pub const RERUN_ALL: ExecOptions = ExecOptions {
-        reuse: false,
-        precheck: false,
-        parallelism: ParallelismPolicy::Sequential,
-    };
-
-    /// The same policy with a different candidate-evaluation pool size.
-    pub fn with_parallelism(mut self, parallelism: ParallelismPolicy) -> ExecOptions {
-        self.parallelism = parallelism;
-        self
-    }
 }
 
 /// Per-stage record of one pipeline run.
@@ -220,7 +170,7 @@ impl RunReport {
 /// MLCask's precheck: the report of a pipeline whose declared schemas
 /// cannot line up, rejected before anything executes (zero time charged),
 /// or `None` when it may run. Prechecking policies ask it before tracing.
-pub fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
+pub(crate) fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
     let Err(PipelineError::IncompatibleSchema(detail)) = pipeline.precheck_compatibility() else {
         return None;
     };
@@ -239,7 +189,7 @@ pub fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
 /// and an optional crash-recovery context — cheap to construct per run and
 /// safe to share across threads.
 pub struct Executor<'s> {
-    store: &'s ChunkStore,
+    pub(crate) store: &'s ChunkStore,
     resume: Option<&'s ResumeCtx<'s>>,
 }
 
@@ -260,20 +210,6 @@ struct WavefrontRun {
     slots: Vec<Mutex<Option<WaveSlot>>>,
     /// True if any node failed (statically predicted or observed live).
     failed: bool,
-    /// Nodes the frontier cut never scheduled (0 without a cut).
-    skipped_by_frontier: usize,
-}
-
-/// Outcome of one [`Executor::trace`].
-#[derive(Debug, Clone, Copy)]
-pub struct TracedOutcome {
-    /// Final model score in canonical topological order; `None` when the
-    /// pipeline failed or was rejected by precheck.
-    pub score: Option<Score>,
-    /// Nodes the incremental fast path statically cut at the cached
-    /// provenance frontier — never scheduled, yet still charged as reused
-    /// by the accounting replay. Always 0 for non-incremental runs.
-    pub skipped_by_frontier: usize,
 }
 
 impl<'s> Executor<'s> {
@@ -300,71 +236,34 @@ impl<'s> Executor<'s> {
         self
     }
 
-    /// Runs a bound pipeline under the given policy:
-    /// [`Executor::trace`]'s node execution, then the accounting replay in
-    /// canonical topological order, which charges the report's `clock` and
-    /// publishes the stages it charged as executed into the `history`,
-    /// checkpoints with their fingerprints — at every worker count and DAG
-    /// shape, so the report (its clock included), store statistics, and
-    /// history are byte-identical however the nodes were scheduled (see
-    /// [`crate::replay`]). Without a history nothing is looked up or
-    /// published.
+    /// Runs a bound pipeline under `policy`: the evaluation loop
+    /// ([`search::evaluate`]) with this one candidate, so a run is cut,
+    /// prechecked, traced, replayed and published, as `policy` says,
+    /// exactly as one candidate of a commit or a merge search is — at every
+    /// worker count and DAG shape the report (its clock included), store
+    /// statistics, and history are byte-identical however the nodes were
+    /// scheduled (see [`crate::replay`]). Without a history nothing is
+    /// looked up or published.
     ///
     /// *Expected* failures (schema incompatibility discovered mid-run) are
     /// reported in [`RunOutcome`] so callers can account for the time the
     /// failed run consumed — exactly what Fig. 5's last iteration measures.
     /// Infrastructure failures (storage faults, quota breaches, malformed
-    /// DAGs) surface as `Err`. They strike while nodes execute, before the
-    /// replay charges anything, so an aborted run leaves no trace: nothing
-    /// is charged to the tenant, no reservation stays open, and the
-    /// `history` receives no checkpoint.
+    /// DAGs) surface as `Err`, and leave no trace: nothing is charged to the
+    /// tenant, no reservation stays open, and the `history` receives no
+    /// checkpoint.
     pub fn run(
         &self,
         pipeline: &BoundPipeline,
         history: Option<&HistoryIndex>,
-        options: ExecOptions,
+        policy: Policy,
     ) -> Result<RunReport> {
-        // One pass over the declared schemas serves both the precheck and
-        // the failure frontier (they are the same predicate; only which
-        // component a rejection names follows `precheck_compatibility`'s
-        // edge order).
-        let order = pipeline.dag.topo_order()?;
-        let fail_at = pipeline.static_failure_node()?;
-        if options.precheck && fail_at.is_some() {
-            if let Some(rejected) = precheck(pipeline) {
-                return Ok(rejected);
-            }
-        }
-        let book = ProfileBook::new();
-        // A hard error aborts the run before (or during) its replay: traced
-        // writes whose reservations were never settled hand the quota
-        // headroom back.
-        book.reservation_scope(self.store, || {
-            // Lookups respect the reuse policy; the replay publishes into
-            // `history` whatever it charged as executed, whatever the policy.
-            let lookup = if options.reuse { history } else { None };
-            self.trace_nodes(
-                pipeline,
-                order,
-                fail_at,
-                lookup,
-                &book,
-                options.parallelism,
-                None,
-            )?;
-            let mut created = CacheSnapshot::new();
-            replay_run(
-                self.store,
-                pipeline,
-                &book,
-                options.reuse.then_some(&mut created),
-                &mut book.replay_cursor(),
-                history.map(|index| Publication {
-                    index,
-                    fingerprints: None,
-                }),
-            )
-        })
+        let history = history.cloned().unwrap_or_default();
+        let candidate = Arc::new(Candidate::of(pipeline.clone())?);
+        let keys = pipeline.components().iter().map(|c| c.key()).collect();
+        let resolve = |_: &[ComponentKey]| Ok::<_, PipelineError>(Arc::clone(&candidate));
+        let mut evaluated = search::evaluate(self, &history, policy, &mut [vec![keys]], resolve)?;
+        Ok(evaluated.swap_remove(0).swap_remove(0).report)
     }
 
     /// Executes a bound pipeline for its *results only*, recording
@@ -395,23 +294,23 @@ impl<'s> Executor<'s> {
     /// under their `CacheKey`s: reports (their clocks included) and tenant
     /// accounting stay byte-identical to it. A cut that covers the whole
     /// pipeline leaves nothing to schedule or replay: it is the pipeline's
-    /// report ([`FrontierCut::report`]), and the engines answer it without
+    /// report ([`FrontierCut::report`]), and the loop answers it without
     /// calling this at all.
     ///
-    /// Returns the final model score, or `None` when the pipeline failed
-    /// (adaptive searchers need the score before accounting runs).
-    pub fn trace(
+    /// Returns the final model score in canonical topological order, or
+    /// `None` when the pipeline failed (adaptive searchers need the score
+    /// before accounting runs).
+    pub(crate) fn trace(
         &self,
         pipeline: &BoundPipeline,
         history: &HistoryIndex,
         book: &ProfileBook,
         policy: ParallelismPolicy,
         cut: Option<&FrontierCut>,
-    ) -> Result<TracedOutcome> {
+    ) -> Result<Option<Score>> {
         let order = pipeline.dag.topo_order()?;
         let fail_at = pipeline.static_failure_node()?;
-        let traced =
-            self.trace_nodes(pipeline, order, fail_at, Some(history), book, policy, cut)?;
+        let traced = self.trace_nodes(pipeline, order, fail_at, history, book, policy, cut)?;
         // The final score is the last score in canonical topological order.
         let mut score: Option<Score> = None;
         if !traced.failed {
@@ -421,10 +320,7 @@ impl<'s> Executor<'s> {
                 }
             }
         }
-        Ok(TracedOutcome {
-            score,
-            skipped_by_frontier: traced.skipped_by_frontier,
-        })
+        Ok(score)
     }
 
     /// A checkpointed output as an in-memory artifact (results only; the
@@ -435,23 +331,21 @@ impl<'s> Executor<'s> {
     fn materialise(
         &self,
         checkpoint: &CachedOutput,
-        history: Option<&HistoryIndex>,
+        history: &HistoryIndex,
     ) -> Result<Arc<Artifact>> {
         use mlcask_storage::errors::StorageError;
         if checkpoint.object.is_null() {
             return Err(StorageError::NotFound(checkpoint.artifact_id).into());
         }
         let blob = checkpoint.object.id;
-        if let Some(held) = history.and_then(|h| h.decoded(&blob)) {
+        if let Some(held) = history.decoded(&blob) {
             return Ok(held);
         }
         let bytes = self.store.get_blob(&checkpoint.object)?;
         let artifact =
             Artifact::from_bytes(&bytes).map_err(|e| StorageError::Codec(e.to_string()))?;
         let artifact = Arc::new(artifact);
-        if let Some(h) = history {
-            h.keep_decoded(blob, &artifact);
-        }
+        history.keep_decoded(blob, &artifact);
         Ok(artifact)
     }
 
@@ -489,7 +383,7 @@ impl<'s> Executor<'s> {
         pipeline: &BoundPipeline,
         order: &[usize],
         fail_at: Option<usize>,
-        lookup: Option<&HistoryIndex>,
+        lookup: &HistoryIndex,
         book: &ProfileBook,
         policy: ParallelismPolicy,
         cut: Option<&FrontierCut>,
@@ -599,7 +493,7 @@ impl<'s> Executor<'s> {
                     inputs: input_ids,
                 };
 
-                if let Some(hit) = lookup.and_then(|history| history.get(&key)) {
+                if let Some(hit) = lookup.get(&key) {
                     book.record_found(key, hit.clone());
                     *slots[node].lock() = Some(WaveSlot {
                         cached: hit,
@@ -680,9 +574,7 @@ impl<'s> Executor<'s> {
                             schema: artifact.schema(),
                             score: artifact.score(),
                         };
-                        if let Some(h) = lookup {
-                            h.keep_decoded(cached.object.id, &artifact);
-                        }
+                        lookup.keep_decoded(cached.object.id, &artifact);
                         let profile = StageProfile {
                             cached: cached.clone(),
                             artifact_bytes: artifact.byte_len(),
@@ -743,11 +635,7 @@ impl<'s> Executor<'s> {
                 });
             }
         }
-        Ok(WavefrontRun {
-            slots,
-            failed,
-            skipped_by_frontier: cut.map_or(0, |c| c.skipped),
-        })
+        Ok(WavefrontRun { slots, failed })
     }
 }
 
@@ -758,6 +646,7 @@ mod tests {
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
+    use crate::replay::{replay_run, CacheSnapshot};
     use crate::semver::SemVer;
     use std::collections::HashMap;
     use std::time::Duration;
@@ -791,7 +680,7 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let report = exec
-            .run(&pipeline(2.0, 3, 3), None, ExecOptions::RERUN_ALL)
+            .run(&pipeline(2.0, 3, 3), None, Policy::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(report.stages.len(), 3);
@@ -808,9 +697,9 @@ mod tests {
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
         let p = pipeline(2.0, 3, 3);
-        let first = exec.run(&p, Some(&cache), ExecOptions::MLCASK).unwrap();
+        let first = exec.run(&p, Some(&cache), Policy::MLCASK).unwrap();
         assert_eq!(first.executed_count(), 3);
-        let second = exec.run(&p, Some(&cache), ExecOptions::MLCASK).unwrap();
+        let second = exec.run(&p, Some(&cache), Policy::MLCASK).unwrap();
         assert_eq!(second.executed_count(), 0);
         assert_eq!(second.reused_count(), 3);
         assert_eq!(
@@ -831,7 +720,7 @@ mod tests {
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
         let p1 = pipeline(2.0, 3, 3);
-        exec.run(&p1, Some(&cache), ExecOptions::MLCASK).unwrap();
+        exec.run(&p1, Some(&cache), Policy::MLCASK).unwrap();
         // Same source+scaler, different model quality → prefix reused, model
         // re-executed from the materialised scaler output.
         let dag = Arc::clone(&p1.dag);
@@ -845,7 +734,7 @@ mod tests {
             }),
         ];
         let p2 = BoundPipeline::new(dag, comps).unwrap();
-        let report = exec.run(&p2, Some(&cache), ExecOptions::MLCASK).unwrap();
+        let report = exec.run(&p2, Some(&cache), Policy::MLCASK).unwrap();
         assert_eq!(report.reused_count(), 2);
         assert_eq!(report.executed_count(), 1);
         assert!(
@@ -861,7 +750,7 @@ mod tests {
         let exec = Executor::new(&store);
         // Scaler widens to 5 dims, model expects 3 → statically doomed.
         let doomed = pipeline(1.0, 5, 3);
-        let report = exec.run(&doomed, None, ExecOptions::MLCASK).unwrap();
+        let report = exec.run(&doomed, None, Policy::MLCASK).unwrap();
         assert!(matches!(
             report.outcome,
             RunOutcome::RejectedByPrecheck { .. }
@@ -875,7 +764,7 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let doomed = pipeline(1.0, 5, 3);
-        let report = exec.run(&doomed, None, ExecOptions::RERUN_ALL).unwrap();
+        let report = exec.run(&doomed, None, Policy::RERUN_ALL).unwrap();
         match &report.outcome {
             RunOutcome::Failed { at, .. } => assert_eq!(at.name, "test_model"),
             o => panic!("expected failure, got {o:?}"),
@@ -903,7 +792,11 @@ mod tests {
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
         let p = pipeline(2.0, 3, 3);
-        let cold = exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
+        let published = Policy {
+            publish: true,
+            ..Policy::RERUN_ALL
+        };
+        let cold = exec.run(&p, Some(&cache), published).unwrap();
         assert_eq!(cold.executed_count(), 3);
         // A new model over the checkpointed prefix reads the scaler's output.
         let model = TestModel {
@@ -912,9 +805,7 @@ mod tests {
             quality: 0.9,
         };
         let partial = replacing(&p, 2, Arc::new(model));
-        let partial = exec
-            .run(&partial, Some(&cache), ExecOptions::MLCASK)
-            .unwrap();
+        let partial = exec.run(&partial, Some(&cache), Policy::MLCASK).unwrap();
         assert_eq!(partial.reused_count(), 2);
         for report in [&cold, &partial] {
             assert!(report.outcome.is_completed());
@@ -927,7 +818,7 @@ mod tests {
         let doomed_cache = HistoryIndex::new();
         for warm in [false, true] {
             let report = exec
-                .run(&doomed, Some(&doomed_cache), ExecOptions::REUSE_ONLY)
+                .run(&doomed, Some(&doomed_cache), Policy::REUSE_ONLY)
                 .unwrap();
             assert!(matches!(report.outcome, RunOutcome::Failed { .. }));
             assert_eq!(report.stages.len(), 2);
@@ -945,7 +836,7 @@ mod tests {
             assert_eq!(report.clock, expected, "warm={warm}");
         }
 
-        let rejected = exec.run(&doomed, None, ExecOptions::MLCASK).unwrap();
+        let rejected = exec.run(&doomed, None, Policy::MLCASK).unwrap();
         assert!(matches!(
             rejected.outcome,
             RunOutcome::RejectedByPrecheck { .. }
@@ -963,8 +854,8 @@ mod tests {
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
         let p = pipeline(2.0, 3, 3);
-        exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
-        let second = exec.run(&p, Some(&cache), ExecOptions::RERUN_ALL).unwrap();
+        exec.run(&p, Some(&cache), Policy::RERUN_ALL).unwrap();
+        let second = exec.run(&p, Some(&cache), Policy::RERUN_ALL).unwrap();
         assert_eq!(second.executed_count(), 3, "ModelDB reruns everything");
     }
 
@@ -973,9 +864,9 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let p = pipeline(2.0, 3, 3);
-        exec.run(&p, None, ExecOptions::RERUN_ALL).unwrap();
+        exec.run(&p, None, Policy::RERUN_ALL).unwrap();
         let physical_after_first = store.physical_bytes();
-        exec.run(&p, None, ExecOptions::RERUN_ALL).unwrap();
+        exec.run(&p, None, Policy::RERUN_ALL).unwrap();
         // Identical outputs → chunk store stores nothing new.
         assert_eq!(store.physical_bytes(), physical_after_first);
         // But logical bytes doubled (ModelDB-style accounting).
@@ -1044,7 +935,7 @@ mod tests {
         store: &ChunkStore,
         pipeline: &BoundPipeline,
         cache: Option<&HistoryIndex>,
-        options: ExecOptions,
+        options: Policy,
     ) -> Result<RunReport> {
         let order = pipeline.dag.topo_order()?;
         let mut stages: Vec<StageReport> = Vec::with_capacity(order.len());
@@ -1236,37 +1127,49 @@ mod tests {
     const CRAMPED: u64 = 1200;
 
     /// Every observable of one run of `subject` on a fresh store, through
-    /// the reference walk (`workers == None`) or [`Executor::run`]. `cache`
-    /// is `"none"`, `"cold"`, or `"warm"`: primed by a run of `primer` — a
-    /// reference walk, or with a decoded-artifact cache of `decoded_budget`
-    /// bytes the engine itself, so that the cache starts out holding what
-    /// the primer produced (`None` keeps no decoded artifacts). The second
-    /// value is the decoded-artifact cache's `[hits, misses, evictions]`.
+    /// the reference walk (`workers == None`) or [`Executor::run`], the
+    /// evaluation loop. `cache` is `"none"`, `"cold"`, or `"warm"`: primed by
+    /// a run of `primer` — a reference walk, or with a decoded-artifact cache
+    /// of `decoded_budget` bytes the engine itself, so that the cache starts
+    /// out holding what the primer produced (`None` keeps no decoded
+    /// artifacts; only an engine primer publishes fingerprints, so only it
+    /// gives a cut anything to cut). The reference walk records what it
+    /// executes into any cache it is given, so the engine publishes there
+    /// too. The second value is the decoded-artifact cache's `[hits,
+    /// misses, evictions]`, the fourth the nodes the subject's frontier cut
+    /// skips under `options`.
     fn observe(
         subject: &BoundPipeline,
         primer: &BoundPipeline,
-        options: ExecOptions,
+        options: Policy,
         cache: &str,
         workers: Option<usize>,
         decoded_budget: Option<u64>,
-    ) -> (String, [u64; 3], RunOutcome) {
+    ) -> (String, [u64; 3], RunOutcome, usize) {
         let store = ChunkStore::in_memory_small();
         let checkpoints = HistoryIndex::with_decoded_budget(decoded_budget.unwrap_or(0));
+        let engine = Policy {
+            publish: true,
+            ..options
+        };
         if cache == "warm" {
             let primed = match decoded_budget {
                 None => reference_run(&store, primer, Some(&checkpoints), options),
-                Some(_) => Executor::new(&store).run(primer, Some(&checkpoints), options),
+                Some(_) => Executor::new(&store).run(primer, Some(&checkpoints), engine),
             };
             assert!(primed.unwrap().outcome.is_completed());
         }
         let cache_arg = (cache != "none").then_some(&checkpoints);
+        let cut_nodes = match cache_arg {
+            Some(history) if options.cut => FrontierCut::of(subject, history).unwrap().skipped,
+            _ => 0,
+        };
         let report = match workers {
             None => reference_run(&store, subject, cache_arg, options),
-            Some(1) => Executor::new(&store).run(subject, cache_arg, options),
             Some(n) => Executor::new(&store).run(
                 subject,
                 cache_arg,
-                options.with_parallelism(ParallelismPolicy::Parallel(n)),
+                engine.with_parallelism(ParallelismPolicy::Parallel(n)),
             ),
         }
         .unwrap();
@@ -1277,12 +1180,19 @@ mod tests {
             store.physical_bytes(),
             checkpoints.snapshot().len(),
         );
-        (observed, checkpoints.decoded_counts(), report.outcome)
+        (
+            observed,
+            checkpoints.decoded_counts(),
+            report.outcome,
+            cut_nodes,
+        )
     }
 
-    /// The engine against the oracle, over every combination of DAG shape,
-    /// policy, cache state, and pipeline health, at workers {1, 2, 8} — and
-    /// with the cache keeping no decoded artifacts, all of them, or too few.
+    /// The evaluation loop against the oracle, over every combination of
+    /// DAG shape, policy, cache state, and pipeline health, at workers
+    /// {1, 2, 8} — with the cache keeping no decoded artifacts, all of
+    /// them, or too few, and the two history-backed policies both with and
+    /// without their frontier cut.
     #[test]
     fn run_matches_reference_walk_at_every_worker_count() {
         let model = |inc: u32, dim_in: usize, quality: f64| TestModel {
@@ -1291,12 +1201,13 @@ mod tests {
             quality,
         };
         let policies = [
-            ("MLCASK", ExecOptions::MLCASK),
-            ("REUSE_ONLY", ExecOptions::REUSE_ONLY),
-            ("RERUN_ALL", ExecOptions::RERUN_ALL),
+            ("MLCASK", Policy::MLCASK),
+            ("REUSE_ONLY", Policy::REUSE_ONLY),
+            ("RERUN_ALL", Policy::RERUN_ALL),
         ];
         let (mut completed, mut failed, mut rejected) = (0, 0, 0);
-        let (mut decoded_hits, mut decoded_evictions) = (0, 0);
+        let mut census_cut = (0, 0, 0);
+        let (mut decoded_hits, mut decoded_evictions, mut cut_nodes) = (0, 0, 0);
         for shape in ["chain", "diamond", "fan8"] {
             let primer = shaped(shape, model(1, 3, 0.9));
             for (policy, options) in policies {
@@ -1312,30 +1223,50 @@ mod tests {
                             shaped(shape, model(0, 3, 0.3))
                         };
                         let cell = format!("{shape}/{policy}/{cache}/doomed={doomed}");
-                        let (expected, _, outcome) =
+                        let (expected, _, outcome, _) =
                             observe(&subject, &primer, options, cache, None, None);
-                        match (&outcome, doomed, options.precheck) {
-                            (RunOutcome::Completed { .. }, false, _) => completed += 1,
-                            (RunOutcome::Failed { .. }, true, false) => failed += 1,
-                            (RunOutcome::RejectedByPrecheck { .. }, true, true) => rejected += 1,
+                        let census = |(completed, failed, rejected): &mut (i32, i32, i32)| match (
+                            &outcome,
+                            doomed,
+                            options.precheck,
+                        ) {
+                            (RunOutcome::Completed { .. }, false, _) => *completed += 1,
+                            (RunOutcome::Failed { .. }, true, false) => *failed += 1,
+                            (RunOutcome::RejectedByPrecheck { .. }, true, true) => *rejected += 1,
                             other => panic!("{cell}: unexpected reference outcome {other:?}"),
-                        }
-                        for workers in [1, 2, 8] {
-                            for decoded in [None, Some(ROOMY), Some(CRAMPED)] {
-                                let (got, [hits, _, evictions], _) = observe(
-                                    &subject,
-                                    &primer,
-                                    options,
-                                    cache,
-                                    Some(workers),
-                                    decoded,
-                                );
-                                assert_eq!(
-                                    got, expected,
-                                    "{cell} diverged at {workers} workers, decoded {decoded:?}"
-                                );
-                                decoded_hits += hits;
-                                decoded_evictions += evictions;
+                        };
+                        let mut uncut = (completed, failed, rejected);
+                        census(&mut uncut);
+                        (completed, failed, rejected) = uncut;
+                        // The reference walk never cuts; the loop must match
+                        // it whether or not it cuts first.
+                        let cuts: &[bool] = if options.reuse {
+                            census(&mut census_cut);
+                            &[false, true]
+                        } else {
+                            &[false]
+                        };
+                        for &cut in cuts {
+                            let options = Policy { cut, ..options };
+                            for workers in [1, 2, 8] {
+                                for decoded in [None, Some(ROOMY), Some(CRAMPED)] {
+                                    let (got, [hits, _, evictions], _, skipped) = observe(
+                                        &subject,
+                                        &primer,
+                                        options,
+                                        cache,
+                                        Some(workers),
+                                        decoded,
+                                    );
+                                    assert_eq!(
+                                        got, expected,
+                                        "{cell} diverged at {workers} workers, decoded \
+                                         {decoded:?}, cut={cut}"
+                                    );
+                                    decoded_hits += hits;
+                                    decoded_evictions += evictions;
+                                    cut_nodes += skipped;
+                                }
                             }
                         }
                     }
@@ -1343,8 +1274,10 @@ mod tests {
             }
         }
         assert_eq!((completed, failed, rejected), (27, 18, 9));
-        // The table did cross both paths it exists for.
+        assert_eq!(census_cut, (18, 9, 9), "the cells run with the cut too");
+        // The table did cross every path it exists for.
         assert!(decoded_hits > 0 && decoded_evictions > 0);
+        assert!(cut_nodes > 0, "no cell cut anything");
     }
 
     /// A failure *inside* the DAG: the join declares 5-dim inputs behind
@@ -1358,17 +1291,17 @@ mod tests {
             quality: 0.3,
         };
         let doomed = fan(&["left", "right"], 3, 5, model);
-        let (expected, _, outcome) =
-            observe(&doomed, &doomed, ExecOptions::RERUN_ALL, "cold", None, None);
+        let (expected, _, outcome, _) =
+            observe(&doomed, &doomed, Policy::RERUN_ALL, "cold", None, None);
         match outcome {
             RunOutcome::Failed { at, .. } => assert_eq!(at.name, "test_join"),
             other => panic!("expected a failure at the join, got {other:?}"),
         }
         for workers in [1, 2, 8] {
-            let (got, _, _) = observe(
+            let (got, _, _, _) = observe(
                 &doomed,
                 &doomed,
-                ExecOptions::RERUN_ALL,
+                Policy::RERUN_ALL,
                 "cold",
                 Some(workers),
                 Some(CRAMPED),
@@ -1417,8 +1350,7 @@ mod tests {
                 let rows = 100 + 3 * s + w;
                 let store = ChunkStore::in_memory_small();
                 let cache = HistoryIndex::with_decoded_budget(ROOMY);
-                let options =
-                    ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
+                let options = Policy::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
                 let run = |model_inc| {
                     Executor::new(&store)
                         .run(
@@ -1467,13 +1399,11 @@ mod tests {
                 // The earlier process: checkpoints land in the index, no
                 // artifact stays in memory.
                 let primer = private_pipeline("fan8", rows, 0);
-                let primed =
-                    reference_run(&store, &primer, Some(&cache), ExecOptions::MLCASK).unwrap();
+                let primed = reference_run(&store, &primer, Some(&cache), Policy::MLCASK).unwrap();
                 let join = &primed.stages[primed.stages.len() - 2];
                 assert_eq!(join.component.name, "test_join");
                 assert_eq!(codec_log::counts(&join.artifact_id)[codec_log::DECODED], 0);
-                let options =
-                    ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
+                let options = Policy::MLCASK.with_parallelism(ParallelismPolicy::Parallel(workers));
                 for candidate in 1..=CANDIDATES {
                     let report = Executor::new(&store)
                         .run(
@@ -1535,7 +1465,7 @@ mod tests {
         let probe = Arc::new(Probe(scaler, Mutex::new(Vec::new())));
         let p = replacing(&pipeline(2.0, 3, 3), 1, probe.clone());
         let store = ChunkStore::in_memory_small();
-        let options = ExecOptions::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8));
+        let options = Policy::RERUN_ALL.with_parallelism(ParallelismPolicy::Parallel(8));
         let report = Executor::new(&store).run(&p, None, options).unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(*probe.1.lock(), vec![std::thread::current().id()]);
@@ -1674,7 +1604,7 @@ mod tests {
             quality: 0.3,
         };
         let p = shaped("diamond", model);
-        let options = ExecOptions::MLCASK.with_parallelism(ParallelismPolicy::Parallel(4));
+        let options = Policy::MLCASK.with_parallelism(ParallelismPolicy::Parallel(4));
         let first = exec.run(&p, Some(&cache), options).unwrap();
         assert_eq!(first.executed_count(), 5);
         let second = exec.run(&p, Some(&cache), options).unwrap();
@@ -1691,7 +1621,7 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let snap = exec
-            .run(&pipeline(2.0, 3, 3), None, ExecOptions::RERUN_ALL)
+            .run(&pipeline(2.0, 3, 3), None, Policy::RERUN_ALL)
             .unwrap()
             .clock;
         assert!(snap.ingest_ns > 0);

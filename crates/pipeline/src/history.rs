@@ -13,7 +13,7 @@
 //! under its `CacheKey`, so a fingerprint hit is what a full re-evaluation's
 //! lookup would find. `HistoryIndex::publish` keeps it — the checkpoint
 //! first, then the fingerprint — and is the accounting replay's one write
-//! ([`crate::replay::replay_run`]): a checkpoint enters the history only
+//! (`replay::replay_run`): a checkpoint enters the history only
 //! once its blob has been charged. No public method records a fingerprint.
 //!
 //! Both maps are sharded so the parallel candidate evaluators' concurrent
@@ -63,10 +63,10 @@ impl HistoryIndex {
     }
 
     /// A view holding none of this history's checkpoints or fingerprints,
-    /// only its decoded artifacts: what the from-scratch merge ablations
-    /// trace against, so that what a candidate is charged is from scratch
-    /// while artifacts already in memory are not parsed again.
-    pub fn decoded_only(&self) -> HistoryIndex {
+    /// only its decoded artifacts: what a policy without reuse traces
+    /// against, so that what a candidate is charged is from scratch while
+    /// artifacts already in memory are not parsed again.
+    pub(crate) fn decoded_only(&self) -> HistoryIndex {
         HistoryIndex {
             decoded: Arc::clone(&self.decoded),
             ..HistoryIndex::default()

@@ -22,7 +22,9 @@
 //! [`parallel`] (worker pools, the DAG wavefront scheduler, and the
 //! [`parallel::ParallelismPolicy`] knob), [`replay`] (the
 //! traced-execute/deterministic-replay protocol that keeps parallel
-//! reports byte-identical to sequential ones), [`provenance`]
+//! reports byte-identical to sequential ones), [`search`] (the one
+//! evaluation loop composing the two phases, behind commits, merge
+//! searches, trials and the baselines' runs), [`provenance`]
 //! (static per-node fingerprints, frontier cuts, and the shared-prefix
 //! gate behind incremental re-evaluation), and [`resume`] (the durable
 //! journal + recovery protocol that resumes a crashed execution from its
@@ -48,6 +50,7 @@ pub mod provenance;
 pub mod replay;
 pub mod resume;
 pub mod schema;
+pub mod search;
 pub mod semver;
 
 /// Common imports for downstream crates.
@@ -60,16 +63,15 @@ pub mod prelude {
     pub use crate::dag::{BoundPipeline, PipelineDag};
     pub use crate::errors::{PipelineError, Result as PipelineResult};
     pub use crate::executor::{
-        CacheKey, CachedOutput, ExecOptions, Executor, RunOutcome, RunReport, StageReport,
+        CacheKey, CachedOutput, Executor, RunOutcome, RunReport, StageReport,
     };
     pub use crate::history::HistoryIndex;
     pub use crate::metafile::{DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot};
-    pub use crate::parallel::{map_indexed, run_dag, NodeVerdict, ParallelismPolicy};
+    pub use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
     pub use crate::provenance::{pipeline_fingerprints, FrontierCut, Provenance};
-    pub use crate::replay::{
-        replay_run, CacheSnapshot, ProfileBook, Publication, ReplayCursor, StageProfile,
-    };
+    pub use crate::replay::{CacheSnapshot, StageProfile};
     pub use crate::resume::{RecoveryReport, ResumeCtx, ResumeEntry, ResumeLog, ResumeSnapshot};
     pub use crate::schema::{Schema, SchemaId};
+    pub use crate::search::Policy;
     pub use crate::semver::SemVer;
 }

@@ -3,15 +3,15 @@
 //! Two fan-out shapes share one pool budget:
 //!
 //! * **Across pipelines** — merge searches and prioritized-search trials
-//!   evaluate many *independent* pipelines; [`map_indexed`]
+//!   evaluate many *independent* pipelines; `map_indexed`
 //!   fans that work out over scoped threads while keeping results in input
 //!   order so downstream accounting is deterministic.
 //! * **Within one pipeline** — independent DAG nodes of a *single* pipeline
 //!   run concurrently via [`run_dag`], a ready-set (wavefront) scheduler: a
 //!   node is dispatched the moment its last predecessor completes.
 //!
-//! [`ParallelismPolicy`] is the user-facing knob, exposed on `ExecOptions`,
-//! `MergeEngine`, and `MlCask`;
+//! [`ParallelismPolicy`] is the user-facing knob, exposed on
+//! [`Policy`](crate::search::Policy), `MergeEngine`, and `MlCask`;
 //! [`ParallelismPolicy::split`] divides one budget between the two levels
 //! without oversubscribing.
 //!
@@ -91,7 +91,7 @@ impl ParallelismPolicy {
 /// input order. Work is distributed dynamically (an atomic cursor), so
 /// heterogeneous item costs balance across workers. Panics in workers
 /// propagate to the caller.
-pub fn map_indexed<T, R, F>(policy: ParallelismPolicy, items: &[T], f: F) -> Vec<R>
+pub(crate) fn map_indexed<T, R, F>(policy: ParallelismPolicy, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -16,7 +16,7 @@
 //!   fingerprint as well as its `CacheKey`, the checkpoint first — the
 //!   **pairing invariant** — so a fingerprint hit is what a full
 //!   re-evaluation's lookup would have found. The accounting replay's
-//!   publication is its one writer (see [`crate::replay::replay_run`]).
+//!   publication is its one writer (see `replay::replay_run`).
 //! * [`FrontierCut`] cuts a pipeline at the deepest cached frontier: the
 //!   downward-closed set of nodes whose fingerprints hit the history. The
 //!   executor pre-fills those nodes' results, records them as found for
@@ -172,7 +172,7 @@ impl FrontierCut {
     /// stage: each reported `reused` at zero execution and storage cost,
     /// with the hit's output, artifact id and size, and the last score in
     /// topological order as the outcome — exactly what
-    /// [`crate::replay::replay_run`] reports for it, a zero clock included.
+    /// `replay::replay_run` reports for it, a zero clock included.
     /// Nothing is charged to the store statistics or a tenant, and nothing
     /// is recorded in the history, so answering the pipeline with this
     /// report instead is unobservable.
@@ -340,7 +340,8 @@ mod tests {
     /// its static failure.
     #[test]
     fn a_kept_provenance_cuts_like_a_fresh_one() {
-        use crate::executor::{ExecOptions, Executor};
+        use crate::executor::Executor;
+        use crate::search::Policy;
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
@@ -356,7 +357,7 @@ mod tests {
         };
         assert_eq!(skipped(&cache), 0);
         Executor::new(&store)
-            .run(&p, Some(&cache), ExecOptions::MLCASK)
+            .run(&p, Some(&cache), Policy::MLCASK)
             .unwrap();
         assert_eq!(skipped(&cache), 3);
         let mut comps = p.components().to_vec();
@@ -376,13 +377,14 @@ mod tests {
     /// the published pipeline cuts completely.
     #[test]
     fn a_run_publishes_its_fingerprints_beside_its_checkpoints() {
-        use crate::executor::{ExecOptions, Executor};
+        use crate::executor::Executor;
+        use crate::search::Policy;
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
         let run = |p: &BoundPipeline| {
             Executor::new(&store)
-                .run(p, Some(&cache), ExecOptions::MLCASK)
+                .run(p, Some(&cache), Policy::MLCASK)
                 .unwrap()
                 .executed_count()
         };
@@ -407,20 +409,21 @@ mod tests {
     }
 
     /// A full cut's report is the engine's report for the same pipeline
-    /// against the same history; a partial cut, or a static failure, has
-    /// none.
+    /// against the same history, found node by node (no cut); a partial
+    /// cut, or a static failure, has none.
     #[test]
     fn a_full_cut_reports_what_the_engine_reports() {
-        use crate::executor::{ExecOptions, Executor};
+        use crate::executor::Executor;
+        use crate::search::Policy;
         use mlcask_storage::store::ChunkStore;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
         let p = chain(SemVer::master(0, 0));
-        let run = |p: &BoundPipeline| {
-            Executor::new(&store)
-                .run(p, Some(&cache), ExecOptions::MLCASK)
-                .unwrap()
+        let uncut = Policy {
+            cut: false,
+            ..Policy::MLCASK
         };
+        let run = |p: &BoundPipeline| Executor::new(&store).run(p, Some(&cache), uncut).unwrap();
         assert!(FrontierCut::of(&p, &cache).unwrap().report(&p).is_none());
         let cold = run(&p);
         assert!(cold.clock.total_ns() > 0 && cold.executed_count() == 3);

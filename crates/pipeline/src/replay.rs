@@ -3,33 +3,35 @@
 //! Every evaluation is split into two phases:
 //!
 //! 1. **Execute (possibly parallel, racy order)** — work runs via
-//!    [`Executor::trace`](crate::executor::Executor::trace). Component
-//!    outputs, scores, and chunk layouts are pure functions of the
-//!    candidate, so the *results* are order-independent; only timing and
-//!    dedup attribution would be racy. Each distinct `(component, inputs)`
-//!    key executes at most once per shared [`ProfileBook`], which is all
-//!    phase 1 writes: its checkpoint lookups are read-only, and a node
-//!    whose key a sibling candidate executes, or already executed, adopts
-//!    that execution's outcome ([`ProfileBook::claim`]).
-//! 2. **Account (sequential, canonical order)** — [`replay_run`] walks the
+//!    `Executor::trace`. Component outputs, scores, and chunk layouts are
+//!    pure functions of the candidate, so the *results* are
+//!    order-independent; only timing and dedup attribution would be racy.
+//!    Each distinct `(component, inputs)` key executes at most once per
+//!    shared `ProfileBook`, which is all phase 1 writes: its checkpoint
+//!    lookups are read-only, and a node whose key a sibling candidate
+//!    executes, or already executed, adopts that execution's outcome
+//!    (`ProfileBook::claim`).
+//! 2. **Account (sequential, canonical order)** — `replay_run` walks the
 //!    work in canonical order and computes what a strictly one-at-a-time
 //!    walk charges: cache hits against the sequentially-evolving
 //!    checkpoint state, materialisation reads, execution time from
 //!    profiles, and storage writes replayed chunk-by-chunk against a
 //!    simulated "not yet persisted" set ([`PutTrace::replay`]). Then it
 //!    **publishes** the stages it charged as executed, and only those,
-//!    into the caller's [`HistoryIndex`] ([`Publication`]).
+//!    into the caller's [`HistoryIndex`] (`Publication`).
 //!
-//! The protocol is applied at two granularities:
+//! The protocol is applied at two granularities, both by the one
+//! evaluation loop ([`crate::search`]):
 //!
-//! * **Across candidates** — `mlcask_core`'s one evaluation loop (behind
-//!   commits, `MergeEngine::search` and `MergeEngine::run_trials`) traces
-//!   candidates concurrently, then replays them in pick order.
-//! * **Within one pipeline** — [`Executor::run`](crate::executor::Executor::run)
-//!   traces one pipeline's nodes (concurrently when the policy grants
-//!   workers), then replays that *single* candidate: [`replay_run`] walks
-//!   its nodes in canonical topological order, which is the per-node half
-//!   of the same argument.
+//! * **Across candidates** — the loop (behind commits,
+//!   `MergeEngine::search`, `MergeEngine::run_trials` and
+//!   [`Executor::run`](crate::executor::Executor::run)) traces candidates
+//!   concurrently, then replays them in pick order.
+//! * **Within one pipeline** — each trace runs one pipeline's nodes
+//!   (concurrently when the policy leaves it workers), and `replay_run`
+//!   walks that candidate's nodes in canonical topological order, which is
+//!   the per-node half of the same argument; `Executor::run` is the loop
+//!   with one candidate.
 //!
 //! The key order-independence argument: a chunk was present in the store
 //! *before* the whole evaluation iff **no** traced write observed it as new,
@@ -63,7 +65,6 @@ use crate::errors::{PipelineError, Result};
 use crate::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
 use crate::history::HistoryIndex;
 use crate::parallel::ShardedMap;
-use crate::provenance::pipeline_fingerprints;
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::{ChunkStore, PutTrace};
 use parking_lot::{Mutex, RwLock};
@@ -96,7 +97,7 @@ pub struct StageProfile {
 /// who executes a key: [`ProfileBook::claim`] admits one owner per key,
 /// so the book holds at most one profile per key by construction.
 #[derive(Default)]
-pub struct ProfileBook {
+pub(crate) struct ProfileBook {
     profiles: ShardedMap<CacheKey, StageProfile>,
     found: ShardedMap<CacheKey, CachedOutput>,
     failures: RwLock<HashSet<CacheKey>>,
@@ -108,7 +109,7 @@ pub struct ProfileBook {
 }
 
 /// What [`ProfileBook::claim`] resolved a key to.
-pub enum Claim<'b> {
+pub(crate) enum Claim<'b> {
     /// A sibling's execution recorded this checkpoint.
     Produced(CachedOutput),
     /// A sibling saw this key fail with a schema incompatibility.
@@ -121,15 +122,15 @@ pub enum Claim<'b> {
 /// [`KeyOwner::fail`] settles the key and wakes its waiters; dropping the
 /// token unsettled (a hard error, a panic) un-claims the key, so the next
 /// claimant owns it instead — a dead owner never strands a waiter.
-pub struct KeyOwner<'b> {
+pub(crate) struct KeyOwner<'b> {
     book: &'b ProfileBook,
     key: CacheKey,
 }
 
 impl KeyOwner<'_> {
     /// Records the execution's profile: the book keeps its write trace, so
-    /// the replay settles its reservation or `reservation_scope` releases
-    /// it.
+    /// the replay settles its reservation or
+    /// [`ProfileBook::release_reservations`] releases it.
     pub fn record(self, profile: StageProfile) {
         if let Some(w) = &profile.write {
             self.book.observe_write(w);
@@ -236,11 +237,15 @@ impl ProfileBook {
     /// Releases the quota reservations of every traced write recorded in
     /// this book that has not been settled by a replay.
     ///
-    /// Engines call this when an evaluation aborts before (or during) its
-    /// accounting replay — a quota breach, an unresolvable component, a
-    /// storage fault — so in-flight reservations never outlive the
-    /// evaluation that took them: tenant accounts end exactly where they
-    /// started. Safe to call unconditionally; settled traces are no-ops.
+    /// The evaluation loop calls this once its evaluation ends, success and
+    /// failure alike. Traces the replay charged are already settled, so
+    /// releasing them is a no-op; what this reclaims are the traces the
+    /// canonical order never replays: nodes past a dynamic failure frontier
+    /// (a run that *completes* with `RunOutcome::Failed`) and everything
+    /// recorded before a hard error — a quota breach, an unresolvable
+    /// component, a storage fault. So **no reservation outlives the
+    /// evaluation that took it**: tenant accounts end exactly where they
+    /// started.
     pub fn release_reservations(&self, store: &ChunkStore) {
         self.profiles.for_each_value(|profile| {
             if let Some(trace) = &profile.write {
@@ -248,32 +253,11 @@ impl ProfileBook {
             }
         });
     }
-
-    /// Runs one evaluation (phase 1 and its accounting replay) against this
-    /// book, then releases whatever reservations remain unsettled —
-    /// unconditionally, success and failure alike.
-    ///
-    /// Traces the replay charged are already settled, so releasing them is
-    /// a no-op; what this scope actually reclaims are the traces the
-    /// canonical order never replays: nodes past a dynamic failure
-    /// frontier (a run that *completes* with `RunOutcome::Failed`) and
-    /// everything recorded before a hard error.
-    /// The invariant engines get for free by wrapping their evaluation
-    /// here: **no reservation outlives the evaluation that took it.**
-    pub fn reservation_scope<T, E>(
-        &self,
-        store: &ChunkStore,
-        f: impl FnOnce() -> std::result::Result<T, E>,
-    ) -> std::result::Result<T, E> {
-        let result = f();
-        self.release_reservations(store);
-        result
-    }
 }
 
 /// Mutable chunk-dedup state threaded through a replay in canonical order.
 #[derive(Debug, Clone)]
-pub struct ReplayCursor {
+pub(crate) struct ReplayCursor {
     /// Chunks phase 1 persisted that the replay has not yet attributed.
     pub unseen: HashSet<Hash256>,
 }
@@ -288,17 +272,16 @@ struct ReplayNode {
 }
 
 /// Where a replay publishes the stages it charged as executed.
-pub struct Publication<'a> {
+pub(crate) struct Publication<'a> {
     /// The caller's checkpoint history.
     pub index: &'a HistoryIndex,
-    /// The candidate's provenance fingerprints when the caller keeps them
-    /// ([`crate::provenance::Provenance`]); computed from the pipeline
-    /// otherwise.
-    pub fingerprints: Option<&'a [Hash256]>,
+    /// The candidate's provenance fingerprints
+    /// ([`crate::provenance::Provenance`]).
+    pub fingerprints: &'a [Hash256],
 }
 
 /// Replays one candidate's execution for accounting, then publishes it: the
-/// charged half of [`Executor::run`](crate::executor::Executor::run).
+/// charged half of the evaluation loop ([`crate::search::evaluate`]).
 ///
 /// * `book` — what phase 1 recorded; its
 ///   [`pre_existing`](ProfileBook::pre_existing) checkpoints are the ones
@@ -310,16 +293,16 @@ pub struct Publication<'a> {
 ///   pipeline at all is the caller's decision, made before phase 1.
 /// * `cursor` — chunk-dedup state in replay order (shared across all
 ///   candidates of the search, in index order).
-/// * `publish` — the caller's history, if any. After a replay that returns
-///   a report (completed or failed), every stage it charged as executed is
-///   published there — whatever the reuse policy — by
+/// * `publish` — the caller's history, if the policy publishes. After a
+///   replay that returns a report (completed or failed), every stage it
+///   charged as executed is published there by
 ///   `HistoryIndex::publish`: under its `CacheKey`, then under its
 ///   fingerprint. This is the history's one writer, and a replay that
 ///   errors publishes nothing.
 ///
 /// Charges land on the report's `clock`; stats deltas are recorded on
 /// `store`, both in canonical order.
-pub fn replay_run(
+pub(crate) fn replay_run(
     store: &ChunkStore,
     pipeline: &BoundPipeline,
     book: &ProfileBook,
@@ -449,11 +432,6 @@ pub fn replay_run(
         fingerprints,
     }) = publish
     {
-        let computed = match fingerprints {
-            None if !charged.is_empty() => pipeline_fingerprints(pipeline)?,
-            _ => Vec::new(),
-        };
-        let fingerprints = fingerprints.unwrap_or(&computed);
         for (node, key, cached) in charged {
             index.publish(key, fingerprints[node], cached);
         }
@@ -560,7 +538,7 @@ mod tests {
 
     /// One owner per key: its write trace is the only one the book holds
     /// for the key, settled by the replay or released by
-    /// `reservation_scope` — a second trace of the key adopts, so no
+    /// `release_reservations` — a second trace of the key adopts, so no
     /// duplicate's reservation is ever taken.
     #[test]
     fn an_owners_trace_is_settled_by_the_replay_or_released() {
@@ -574,60 +552,24 @@ mod tests {
         let (exec, cache, p) = (Executor::new(&t), HistoryIndex::new(), chain(0));
         for replayed in [false, true] {
             let book = ProfileBook::new();
-            let report = book.reservation_scope(&t, || {
-                for _ in 0..2 {
-                    exec.trace(&p, &cache, &book, ParallelismPolicy::Sequential, None)?;
-                }
-                assert_eq!(accounts.open_reservations(), 3, "one per key");
-                if !replayed {
-                    return Ok(None);
-                }
-                replay_run(&t, &p, &book, None, &mut book.replay_cursor(), None).map(Some)
-            });
+            for _ in 0..2 {
+                exec.trace(&p, &cache, &book, ParallelismPolicy::Sequential, None)
+                    .unwrap();
+            }
+            assert_eq!(accounts.open_reservations(), 3, "one per key");
+            let report = replayed
+                .then(|| replay_run(&t, &p, &book, None, &mut book.replay_cursor(), None).unwrap());
+            book.release_reservations(&t);
             assert_eq!(accounts.open_reservations(), 0);
             let usage = accounts.usage(TenantId(1)).logical_bytes;
-            match report.unwrap() {
+            match report {
                 Some(report) => {
                     assert_eq!(report.executed_count(), 3);
                     assert!(usage > 0, "the replay settled the owner's traces");
                 }
-                None => assert_eq!(usage, 0, "the scope released them"),
+                None => assert_eq!(usage, 0, "the release reclaimed them"),
             }
         }
-    }
-
-    /// `reservation_scope` releases unsettled traces on every exit path —
-    /// a run that *completes* with a failure outcome (`Ok`) leaves
-    /// unreplayed sibling traces behind just like a hard error does.
-    #[test]
-    fn reservation_scope_releases_on_success_and_error() {
-        let root = ChunkStore::in_memory_small();
-        let t = root.for_tenant(TenantId(2));
-        root.tenant_accounts()
-            .register(TenantId(2), QuotaPolicy::logical(1_000_000));
-        let accounts = root.tenant_accounts();
-        let record = |book: &ProfileBook, tag: &[u8]| {
-            let (_, trace) = t.put_blob_traced(ObjectKind::Output, tag).unwrap();
-            owner(book, &key("c")).record(profile(cached(0), Some(trace)));
-        };
-        // Success path: an unreplayed trace (e.g. a sibling past a dynamic
-        // failure frontier in a run reported as Ok(Failed)) is released.
-        let book = ProfileBook::new();
-        let ok: Result<u32> = book.reservation_scope(&t, || {
-            record(&book, b"ok-path");
-            Ok(7)
-        });
-        assert_eq!(ok.unwrap(), 7);
-        assert_eq!(accounts.open_reservations(), 0, "success releases too");
-        // Error path likewise.
-        let book = ProfileBook::new();
-        let err: Result<u32> = book.reservation_scope(&t, || {
-            record(&book, b"err-path");
-            Err(PipelineError::NoScore)
-        });
-        assert!(err.is_err());
-        assert_eq!(accounts.open_reservations(), 0, "error path releases");
-        assert_eq!(accounts.usage(TenantId(2)).logical_bytes, 0);
     }
 
     /// `test_source → test_scaler → test_model@0.{model}`: every model
@@ -663,13 +605,14 @@ mod tests {
     /// returns the reports (their clocks included), plus whether the book
     /// counts the shared source checkpoint as pre-existing.
     fn found_or_produced(phase1: [u32; 2], primer: Option<u32>) -> (String, bool) {
-        use crate::executor::{ExecOptions, Executor};
+        use crate::executor::Executor;
         use crate::parallel::ParallelismPolicy;
+        use crate::search::Policy;
         let store = ChunkStore::in_memory_small();
         let cache = HistoryIndex::new();
         let exec = Executor::new(&store);
         if let Some(model) = primer {
-            let primed = exec.run(&chain(model), Some(&cache), ExecOptions::MLCASK);
+            let primed = exec.run(&chain(model), Some(&cache), Policy::MLCASK);
             assert!(primed.unwrap().outcome.is_completed());
         }
         let book = ProfileBook::new();

@@ -111,20 +111,6 @@ impl Workload {
     }
 }
 
-/// Deterministic train/eval split: every `k`-th sample held out.
-pub fn holdout_split(n: usize, every_k: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut train = Vec::with_capacity(n);
-    let mut eval = Vec::with_capacity(n / every_k + 1);
-    for i in 0..n {
-        if i % every_k == 0 {
-            eval.push(i);
-        } else {
-            train.push(i);
-        }
-    }
-    (train, eval)
-}
-
 /// Deterministic *stratified* split: within each class, every `k`-th member
 /// is held out. Generators emit labels in cyclic patterns, so a plain
 /// every-`k`-th split can collapse the eval set onto a single class; the
@@ -191,16 +177,6 @@ pub fn mlp_work_units(input_dim: usize, config: &MlpConfig, n_samples: usize) ->
 mod tests {
     use super::*;
     use mlcask_ml::mlp::synthetic_classification;
-
-    #[test]
-    fn holdout_split_partitions() {
-        let (train, eval) = holdout_split(10, 4);
-        assert_eq!(eval, vec![0, 4, 8]);
-        assert_eq!(train.len(), 7);
-        let mut all: Vec<usize> = train.iter().chain(eval.iter()).copied().collect();
-        all.sort();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
 
     #[test]
     fn train_eval_mlp_produces_score() {

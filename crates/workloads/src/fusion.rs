@@ -460,8 +460,9 @@ mod tests {
     use super::*;
     use mlcask_pipeline::component::ComponentKey;
     use mlcask_pipeline::dag::BoundPipeline;
-    use mlcask_pipeline::executor::{ExecOptions, Executor};
+    use mlcask_pipeline::executor::Executor;
     use mlcask_pipeline::parallel::ParallelismPolicy;
+    use mlcask_pipeline::search::Policy;
     use mlcask_storage::store::ChunkStore;
 
     fn bind(w: &Workload, keys: &[ComponentKey]) -> BoundPipeline {
@@ -495,7 +496,7 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let report = exec
-            .run(&bind(&w, &w.initial), None, ExecOptions::RERUN_ALL)
+            .run(&bind(&w, &w.initial), None, Policy::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         let score = report.outcome.score().unwrap().raw;
@@ -513,7 +514,7 @@ mod tests {
                 .run(
                     &bind(&w, &w.initial),
                     None,
-                    ExecOptions::RERUN_ALL.with_parallelism(policy),
+                    Policy::RERUN_ALL.with_parallelism(policy),
                 )
                 .unwrap();
             format!(
@@ -537,16 +538,12 @@ mod tests {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         // MLCask's precheck refuses statically.
-        let report = exec
-            .run(&bind(&w, &keys), None, ExecOptions::MLCASK)
-            .unwrap();
+        let report = exec.run(&bind(&w, &keys), None, Policy::MLCASK).unwrap();
         assert!(!report.outcome.is_completed());
         assert!(report.stages.is_empty());
         // Without precheck the run fails at the fusion node, after the
         // independent labs branch already executed.
-        let report = exec
-            .run(&bind(&w, &keys), None, ExecOptions::RERUN_ALL)
-            .unwrap();
+        let report = exec.run(&bind(&w, &keys), None, Policy::RERUN_ALL).unwrap();
         assert!(!report.outcome.is_completed());
         assert_eq!(report.stages.len(), 3, "source + both branches ran");
     }
@@ -557,7 +554,7 @@ mod tests {
         let score_of = |keys: &[ComponentKey]| {
             let store = ChunkStore::in_memory_small();
             let exec = Executor::new(&store);
-            exec.run(&bind(&w, keys), None, ExecOptions::RERUN_ALL)
+            exec.run(&bind(&w, keys), None, Policy::RERUN_ALL)
                 .unwrap()
                 .outcome
                 .score()

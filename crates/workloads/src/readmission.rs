@@ -484,7 +484,8 @@ mod tests {
     use super::*;
     use mlcask_pipeline::clock::ClockSnapshot;
     use mlcask_pipeline::dag::BoundPipeline;
-    use mlcask_pipeline::executor::{ExecOptions, Executor};
+    use mlcask_pipeline::executor::Executor;
+    use mlcask_pipeline::search::Policy;
     use mlcask_storage::store::ChunkStore;
 
     fn run_pipeline(w: &Workload, keys: &[ComponentKey]) -> (f64, ClockSnapshot) {
@@ -501,7 +502,7 @@ mod tests {
             })
             .collect();
         let bound = BoundPipeline::new(Arc::new(w.dag()), handles).unwrap();
-        let report = exec.run(&bound, None, ExecOptions::RERUN_ALL).unwrap();
+        let report = exec.run(&bound, None, Policy::RERUN_ALL).unwrap();
         (report.outcome.score().expect("completed").raw, report.clock)
     }
 
@@ -549,7 +550,7 @@ mod tests {
             .map(|k| w.handles.iter().find(|h| &h.key() == k).unwrap().clone())
             .collect();
         let bound = BoundPipeline::new(Arc::new(w.dag()), handles).unwrap();
-        let report = exec.run(&bound, None, ExecOptions::MLCASK).unwrap();
+        let report = exec.run(&bound, None, Policy::MLCASK).unwrap();
         assert!(!report.outcome.is_completed());
     }
 

@@ -74,7 +74,7 @@ fn run_once(
     Executor::new(store).resuming(resume).run(
         pipeline,
         None,
-        ExecOptions::RERUN_ALL.with_parallelism(policy),
+        Policy::RERUN_ALL.with_parallelism(policy),
     )
 }
 

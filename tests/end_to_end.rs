@@ -58,7 +58,7 @@ fn merged_pipeline_replays_from_checkpoints() {
     let bound = sys.bind(&keys).unwrap();
     let executor = Executor::new(sys.store());
     let report = executor
-        .run(&bound, Some(sys.history()), ExecOptions::MLCASK)
+        .run(&bound, Some(sys.history()), Policy::MLCASK)
         .unwrap();
     assert_eq!(report.executed_count(), 0, "everything checkpointed");
     assert_eq!(report.clock.exec_ns(), 0, "no execution time");

@@ -12,11 +12,11 @@ use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
-use mlcask_pipeline::executor::{ExecOptions, Executor};
+use mlcask_pipeline::errors::PipelineError;
+use mlcask_pipeline::executor::Executor;
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::provenance::FrontierCut;
-use mlcask_pipeline::replay::ProfileBook;
+use mlcask_pipeline::search::{self, Candidate, Policy};
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::backend::{MemBackend, StorageBackend};
 use mlcask_storage::cache::CacheOptions;
@@ -48,7 +48,7 @@ fn primed_on(store: Arc<ChunkStore>) -> Primed {
     let history = HistoryIndex::new();
     let bound = reg.bind(&Arc::new(w.dag()), &w.base).unwrap();
     Executor::new(reg.store())
-        .run(&bound, Some(&history), ExecOptions::MLCASK)
+        .run(&bound, Some(&history), Policy::MLCASK)
         .unwrap();
     Primed { w, reg, history }
 }
@@ -166,27 +166,35 @@ fn data_artifact_change_invalidates_the_frontier() {
     let p = primed();
     let dag = Arc::new(p.w.dag());
     let executor = Executor::new(p.reg.store());
+    // Cut and reuse, publishing nothing, so both runs cut the primed history.
+    let policy = Policy {
+        publish: false,
+        ..Policy::MLCASK
+    };
     let run = |keys: &[ComponentKey]| {
-        let bound = p.reg.bind(&dag, keys).unwrap();
-        let cut = FrontierCut::of(&bound, &p.history).unwrap();
-        executor
-            .trace(
-                &bound,
-                &p.history,
-                &ProfileBook::new(),
-                ParallelismPolicy::Sequential,
-                Some(&cut),
-            )
-            .unwrap()
+        let resolve = |keys: &[ComponentKey]| {
+            let bound = p.reg.bind(&dag, keys).unwrap();
+            Candidate::of(bound).map(Arc::new)
+        };
+        let mut picked = [vec![keys.to_vec()]];
+        let mut evaluated = search::evaluate::<_, PipelineError>(
+            &executor,
+            &p.history,
+            policy,
+            &mut picked,
+            resolve,
+        )
+        .unwrap();
+        evaluated.remove(0).remove(0)
     };
     // Re-evaluating the committed pipeline verbatim: everything is cut.
     let cached = run(&p.w.base);
-    assert_eq!(cached.skipped_by_frontier, p.w.base.len());
+    assert_eq!(cached.skipped, p.w.base.len());
     // Swapping the ingest version produces *different data*, so every
     // downstream fingerprint changes and nothing may be reused statically.
     let invalidated = run(&p.w.swap_ingest());
     assert_eq!(
-        invalidated.skipped_by_frontier, 0,
+        invalidated.skipped, 0,
         "a data-artifact change must invalidate the whole frontier"
     );
 }

@@ -19,9 +19,10 @@ use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
-use mlcask_pipeline::executor::{ExecOptions, Executor};
+use mlcask_pipeline::executor::Executor;
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
+use mlcask_pipeline::search::Policy;
 use mlcask_pipeline::semver::SemVer;
 use mlcask_storage::store::ChunkStore;
 use std::sync::Arc;
@@ -81,7 +82,7 @@ fn run_search(
         ];
         let bound = reg.bind(&dag, &keys).unwrap();
         Executor::new(reg.store())
-            .run(&bound, Some(&history), ExecOptions::MLCASK)
+            .run(&bound, Some(&history), Policy::MLCASK)
             .unwrap();
     }
     let engine = MergeEngine::new(&reg, dag).with_parallelism(policy);
@@ -432,7 +433,11 @@ mod dag {
         let store = ChunkStore::in_memory_small();
         let exec = Executor::new(&store);
         let cache = HistoryIndex::new();
-        let options = ExecOptions::RERUN_ALL.with_parallelism(policy);
+        // Without reuse, and published, so the history is observed too.
+        let options = Policy {
+            publish: true,
+            ..Policy::RERUN_ALL.with_parallelism(policy)
+        };
         let first = exec.run(&p, Some(&cache), options).unwrap();
         let second = exec.run(&p, Some(&cache), options).unwrap();
         format!(

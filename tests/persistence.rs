@@ -45,7 +45,7 @@ fn pipeline_artifacts_survive_cask_reopen() {
         let components = workload.initial.iter().map(&handle_for).collect();
         let bound = BoundPipeline::new(dag, components).unwrap();
         let report = Executor::new(&store)
-            .run(&bound, None, ExecOptions::RERUN_ALL)
+            .run(&bound, None, Policy::RERUN_ALL)
             .unwrap();
         assert!(report.outcome.is_completed());
         store.flush().unwrap();
