@@ -16,27 +16,25 @@ use std::time::Duration;
 #[derive(Debug, Default)]
 pub struct FolderArchive {
     bytes: u64,
-    objects: u64,
     seen: HashSet<Hash256>,
 }
 
 impl FolderArchive {
     /// Empty archive.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Archives an object unconditionally (ModelDB semantics). Returns the
     /// modeled copy time.
-    pub fn archive(&mut self, len: u64) -> Duration {
+    pub(crate) fn archive(&mut self, len: u64) -> Duration {
         self.bytes += len;
-        self.objects += 1;
         StorageCostModel::FOLDER_COPY.write_cost(len, len)
     }
 
     /// Archives an object only if its content id is new (MLflow reuse
     /// semantics). Returns the copy time (zero when skipped).
-    pub fn archive_once(&mut self, id: Hash256, len: u64) -> Duration {
+    pub(crate) fn archive_once(&mut self, id: Hash256, len: u64) -> Duration {
         if self.seen.insert(id) {
             self.archive(len)
         } else {
@@ -45,13 +43,8 @@ impl FolderArchive {
     }
 
     /// Total bytes archived (the CSS contribution).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Number of archived objects.
-    pub fn objects(&self) -> u64 {
-        self.objects
     }
 }
 
@@ -65,7 +58,6 @@ mod tests {
         let t1 = a.archive(1000);
         let t2 = a.archive(1000);
         assert_eq!(a.bytes(), 2000);
-        assert_eq!(a.objects(), 2);
         assert_eq!(t1, t2);
         assert!(t1 > Duration::ZERO);
     }

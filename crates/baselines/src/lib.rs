@@ -16,7 +16,6 @@
 //! ablations (MLCask vs "w/o PCPR" vs "w/o PR").
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod archive;
 pub mod nonlinear;

@@ -25,9 +25,9 @@ pub struct MergeRunResult {
     /// Merge-only cumulative pipeline time in seconds (CPT).
     pub cpt_secs: f64,
     /// Merge-only cumulative execution time in seconds (CET).
-    pub cet_secs: f64,
+    pub(crate) cet_secs: f64,
     /// Merge-only cumulative storage size in bytes (CSS, logical basis).
-    pub css_bytes: u64,
+    pub(crate) css_bytes: u64,
     /// The underlying search report.
     pub report: MergeSearchReport,
 }

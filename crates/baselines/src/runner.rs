@@ -42,15 +42,6 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// Legend label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SystemKind::ModelDb => "ModelDB",
-            SystemKind::Mlflow => "MLflow",
-            SystemKind::MlCask => "MLCask",
-        }
-    }
-
     /// All three systems in figure order.
     pub const ALL: [SystemKind; 3] = [SystemKind::ModelDb, SystemKind::Mlflow, SystemKind::MlCask];
 }
@@ -59,28 +50,28 @@ impl SystemKind {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IterationRecord {
     /// Iteration number (0-based; iteration 0 is the initial training).
-    pub iteration: usize,
+    pub(crate) iteration: usize,
     /// This iteration's time composition.
-    pub delta: ClockSnapshot,
+    pub(crate) delta: ClockSnapshot,
     /// Cumulative time composition up to and including this iteration.
     pub cumulative: ClockSnapshot,
     /// Cumulative storage size (CSS) in bytes after this iteration.
-    pub cumulative_storage_bytes: u64,
+    pub(crate) cumulative_storage_bytes: u64,
     /// Whether the pipeline completed (false at the incompatible iteration).
-    pub completed: bool,
+    pub(crate) completed: bool,
     /// Component executions performed.
-    pub executed_components: usize,
+    pub(crate) executed_components: usize,
     /// Component executions skipped via reuse.
-    pub reused_components: usize,
+    pub(crate) reused_components: usize,
     /// Final metric score when completed.
-    pub score: Option<f64>,
+    pub(crate) score: Option<f64>,
 }
 
 /// Result of replaying a full update sequence through one system.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearRunResult {
     /// System under test.
-    pub system: SystemKind,
+    pub(crate) system: SystemKind,
     /// Per-iteration measurements.
     pub iterations: Vec<IterationRecord>,
 }
@@ -263,7 +254,7 @@ mod tests {
     #[test]
     fn all_systems_complete_ten_iterations() {
         for r in run_all() {
-            assert_eq!(r.iterations.len(), 10, "{}", r.system.label());
+            assert_eq!(r.iterations.len(), 10, "{:?}", r.system);
             // Cumulative time monotone.
             for w in r.iterations.windows(2) {
                 assert!(w[1].cumulative.total_ns() >= w[0].cumulative.total_ns());
@@ -303,7 +294,7 @@ mod tests {
         let rs = run_all();
         for r in &rs {
             let last = r.iterations.last().unwrap();
-            assert!(!last.completed, "{}", r.system.label());
+            assert!(!last.completed, "{:?}", r.system);
             match r.system {
                 SystemKind::MlCask => {
                     // Precheck: zero execution time spent.

@@ -44,7 +44,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod errors;
 mod memo;

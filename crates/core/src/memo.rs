@@ -99,11 +99,11 @@ impl SearchMemo {
 /// for pruned; never marked, so it serves every history.
 pub(crate) struct MemoTree {
     /// The tree itself (prioritized trials start from a copy).
-    pub tree: SearchTree,
+    pub(crate) tree: SearchTree,
     /// The key lists of its live leaves, in DFS order.
-    pub candidates: Vec<Vec<ComponentKey>>,
+    pub(crate) candidates: Vec<Vec<ComponentKey>>,
     /// Its node states before PR marking.
-    pub counts: StateCounts,
+    pub(crate) counts: StateCounts,
 }
 
 /// The memo entries of one DAG shape.

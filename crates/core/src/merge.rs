@@ -60,11 +60,11 @@ impl MergeStrategy {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CandidateRecord {
     /// Component versions in slot order.
-    pub keys: Vec<ComponentKey>,
+    pub(crate) keys: Vec<ComponentKey>,
     /// Score if the candidate completed.
-    pub score: Option<Score>,
+    pub(crate) score: Option<Score>,
     /// True if the candidate failed (mid-run incompatibility).
-    pub failed: bool,
+    pub(crate) failed: bool,
     /// Cumulative merge virtual time (ns) when this candidate finished.
     pub end_time_ns: u64,
 }
@@ -347,7 +347,7 @@ impl<'a> MergeEngine<'a> {
 /// The naive merge candidate: the newest version of every component across
 /// both branches (what Git-style merging would pick), or `None` when a slot
 /// has no version at all.
-pub fn naive_candidate(spaces: &SearchSpaces) -> Option<Vec<ComponentKey>> {
+pub(crate) fn naive_candidate(spaces: &SearchSpaces) -> Option<Vec<ComponentKey>> {
     spaces
         .per_slot
         .iter()

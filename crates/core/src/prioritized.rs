@@ -47,33 +47,33 @@ impl SearchMethod {
 /// One candidate evaluation within a trial, in search order.
 pub(crate) struct SearchedCandidate {
     /// 1-based position in the search order.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Its score (None if it failed).
-    pub score: Option<Score>,
+    pub(crate) score: Option<Score>,
     /// Cumulative virtual time (ns) when this candidate finished.
-    pub end_time_ns: u64,
+    pub(crate) end_time_ns: u64,
 }
 
 /// Result of searching all candidates once.
 pub(crate) struct TrialResult {
     /// Candidates in the order they were searched.
-    pub searched: Vec<SearchedCandidate>,
+    pub(crate) searched: Vec<SearchedCandidate>,
     /// 1-based rank at which the global optimum was found.
-    pub optimal_rank: Option<usize>,
+    pub(crate) optimal_rank: Option<usize>,
 }
 
 /// Aggregated statistics over many trials (Fig. 10 / Table I).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrialStats {
     /// Method these stats describe.
-    pub method: SearchMethod,
+    pub(crate) method: SearchMethod,
     /// Number of trials aggregated.
     pub trials: usize,
     /// Per-rank aggregates (index 0 = first candidate searched).
     pub per_rank: Vec<RankStats>,
     /// Fraction of trials in which the optimum was found within the first
     /// `k+1` searches (index k).
-    pub optimal_found_cdf: Vec<f64>,
+    pub(crate) optimal_found_cdf: Vec<f64>,
     /// Nodes cut out of the plan statically by the provenance frontier,
     /// summed across all trials.
     pub skipped_by_frontier: usize,
@@ -87,7 +87,7 @@ pub struct RankStats {
     /// Mean score value.
     pub mean_score: f64,
     /// Score variance across trials.
-    pub var_score: f64,
+    pub(crate) var_score: f64,
 }
 
 impl TrialStats {

@@ -112,9 +112,9 @@ fn extend_counted(out: &mut Vec<u8>, parts: &[&[u8]], count: u64) {
 #[derive(Clone)]
 pub struct RegisteredLibrary {
     /// The runnable component.
-    pub handle: ComponentHandle,
+    pub(crate) handle: ComponentHandle,
     /// The library metafile (schemas, hyperparameters, entry point).
-    pub metafile: LibraryMetafile,
+    pub(crate) metafile: LibraryMetafile,
     /// Stored executable payload.
     pub executable: ObjectRef,
 }
@@ -394,16 +394,6 @@ impl ComponentRegistry {
         self.by_name.read().keys().cloned().collect()
     }
 
-    /// Total registered versions.
-    pub fn len(&self) -> usize {
-        self.by_key.read().len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The backing store.
     pub fn store(&self) -> &Arc<ChunkStore> {
         &self.store
@@ -429,7 +419,7 @@ mod tests {
         reg.register(c).unwrap();
         assert_eq!(reg.declared_schemas(&key).unwrap(), declared);
         assert_eq!(reg.versions_of("test_source"), vec![key.clone()]);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.by_key.read().len(), 1);
         let entry = reg.get(&key).unwrap();
         assert_eq!(entry.metafile.name, "test_source");
         assert!(!entry.executable.is_null());
@@ -457,7 +447,7 @@ mod tests {
         reg.register(c.clone()).unwrap();
         let physical = reg.store().physical_bytes();
         reg.register(c).unwrap();
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.by_key.read().len(), 1);
         assert_eq!(reg.store().physical_bytes(), physical);
     }
 

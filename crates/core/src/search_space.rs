@@ -31,7 +31,7 @@ impl SearchSpaces {
     /// or shared (`Arc`) alike: one pass over the metafiles gathers each
     /// slot's versions by reference, and each distinct version is cloned
     /// once.
-    pub fn build<M: Borrow<PipelineMetafile>>(
+    pub(crate) fn build<M: Borrow<PipelineMetafile>>(
         slot_names: &[String],
         head_path: &[M],
         merge_path: &[M],
@@ -70,15 +70,6 @@ impl SearchSpaces {
         self.per_slot.iter().map(|s| s.len().max(1)).product()
     }
 
-    /// Predecessor lists of a *chain* over these slots (`slot i-1 → slot
-    /// i`) — the shape of the paper's four pipelines, for callers without a
-    /// DAG at hand.
-    pub fn chain_predecessors(&self) -> Vec<Vec<usize>> {
-        (0..self.per_slot.len())
-            .map(|i| if i == 0 { Vec::new() } else { vec![i - 1] })
-            .collect()
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.per_slot.len()
@@ -107,7 +98,7 @@ impl CompatLut {
     /// ([`mlcask_pipeline::dag::PipelineDag::predecessors`]); for the
     /// paper's chain pipelines this is `[slot - 1]`, but diamond/fan-in
     /// DAGs check each real edge instead of assuming adjacency.
-    pub fn build(
+    pub(crate) fn build(
         registry: &ComponentRegistry,
         spaces: &SearchSpaces,
         preds: &[Vec<usize>],
@@ -140,20 +131,10 @@ impl CompatLut {
     }
 
     /// True if `consumer` can follow `producer`.
-    pub fn compatible(&self, producer: &ComponentKey, consumer: &ComponentKey) -> bool {
+    pub(crate) fn compatible(&self, producer: &ComponentKey, consumer: &ComponentKey) -> bool {
         self.consumers
             .get(producer)
             .is_some_and(|fits| fits.contains(consumer))
-    }
-
-    /// Number of compatible pairs recorded.
-    pub fn len(&self) -> usize {
-        self.consumers.values().map(HashSet::len).sum()
-    }
-
-    /// True if the LUT is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -277,7 +258,7 @@ mod tests {
                 vec![m00.key(), m02.key()],
             ],
         };
-        let lut = CompatLut::build(&reg, &spaces, &spaces.chain_predecessors()).unwrap();
+        let lut = CompatLut::build(&reg, &spaces, &[vec![], vec![0], vec![1]]).unwrap();
         // Source feeds both scalers (scaler 1.0 still *reads* dim 4).
         assert!(lut.compatible(&src.key(), &s00.key()));
         assert!(lut.compatible(&src.key(), &s10.key()));
@@ -287,7 +268,7 @@ mod tests {
         // Scaler 1.0 (dim 6 out) feeds model 0.2 but not model 0.0.
         assert!(lut.compatible(&s10.key(), &m02.key()));
         assert!(!lut.compatible(&s10.key(), &m00.key()));
-        assert_eq!(lut.len(), 4);
+        assert_eq!(lut.consumers.values().map(HashSet::len).sum::<usize>(), 4);
     }
 
     #[test]
@@ -301,6 +282,6 @@ mod tests {
                 vec![ComponentKey::new("b", SemVer::initial())],
             ],
         };
-        assert!(CompatLut::build(&reg, &spaces, &spaces.chain_predecessors()).is_err());
+        assert!(CompatLut::build(&reg, &spaces, &[vec![], vec![0]]).is_err());
     }
 }

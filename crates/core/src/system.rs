@@ -178,11 +178,6 @@ impl MlCask {
         self
     }
 
-    /// The pipeline's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The backing object store.
     pub fn store(&self) -> &Arc<ChunkStore> {
         self.registry.store()
@@ -198,11 +193,12 @@ impl MlCask {
     /// appear under their namespaced names. It is read-only: commits and
     /// branches are written through [`MlCask::commit_pipeline`],
     /// [`MlCask::branch`] and [`MlCask::merge`], which the workspace checks
-    /// against its access rule, and there is no other writer.
+    /// against its access rule, and there is no other writer. (The view's
+    /// `commit` reads a commit by id; a branch cannot be made through it.)
     ///
-    /// ```compile_fail
-    /// fn raw_write(sys: &mlcask_core::system::MlCask, payload: mlcask_storage::hash::Hash256) {
-    ///     let _ = sys.graph().commit("master", payload, "no public writer");
+    /// ```compile_fail,E0599
+    /// fn raw_write(sys: &mlcask_core::system::MlCask) {
+    ///     let _ = sys.graph().branch("master", "no-public-writer");
     /// }
     /// ```
     pub fn graph(&self) -> GraphView {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Source component producing a deterministic feature matrix. The version's
 /// `increment` perturbs the data slightly so dataset updates are visible.
-pub struct ToySource {
+pub(crate) struct ToySource {
     version: SemVer,
     dim: usize,
     rows: usize,
@@ -60,7 +60,7 @@ impl Component for ToySource {
 /// Pre-processor that scales features. `dim_out != dim_in` models an
 /// output-schema change (the `schema` part of the version should be bumped
 /// accordingly by the caller).
-pub struct ToyScaler {
+pub(crate) struct ToyScaler {
     version: SemVer,
     dim_in: usize,
     dim_out: usize,
@@ -125,7 +125,7 @@ impl Component for ToyScaler {
 
 /// Terminal "model": score depends on both its own `quality` and the input
 /// statistics, so upstream versions influence the pipeline metric.
-pub struct ToyModel {
+pub(crate) struct ToyModel {
     version: SemVer,
     dim_in: usize,
     quality: f64,

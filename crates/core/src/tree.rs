@@ -12,7 +12,7 @@
 //!
 //! PC is a function of the search spaces and the registered schemas, so
 //! pruning marks the tree itself. PR reads the history, so
-//! [`SearchTree::checkpoints`] reports the green nodes instead of marking
+//! `SearchTree::checkpoints` reports the green nodes instead of marking
 //! them: one pruned tree serves every history it is asked about.
 
 use crate::search_space::{CompatLut, SearchSpaces};
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeState {
     /// Output already exists in the history (green): no need to re-execute.
-    /// Counted from [`SearchTree::checkpoints`]; only the virtual root
+    /// Counted from `SearchTree::checkpoints`; only the virtual root
     /// carries it in the tree.
     Checkpointed,
     /// Must be executed (orange).
@@ -37,20 +37,18 @@ pub enum NodeState {
 /// One node of the search tree.
 #[derive(Debug, Clone)]
 pub struct TreeNode {
-    /// Arena index of this node.
-    pub id: usize,
     /// Parent arena index (`None` only for the virtual root).
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Slot level (0-based component index); root has no level.
-    pub level: Option<usize>,
+    pub(crate) level: Option<usize>,
     /// Component version at this node (`None` for the virtual root).
-    pub component: Option<ComponentKey>,
+    pub(crate) component: Option<ComponentKey>,
     /// Children arena indices.
-    pub children: Vec<usize>,
+    pub(crate) children: Vec<usize>,
     /// Classification after pruning.
-    pub state: NodeState,
+    pub(crate) state: NodeState,
     /// Prioritized-search score (§VII-E).
-    pub score: Option<f64>,
+    pub(crate) score: Option<f64>,
 }
 
 /// Arena-allocated pipeline search tree.
@@ -58,7 +56,7 @@ pub struct TreeNode {
 pub struct SearchTree {
     nodes: Vec<TreeNode>,
     /// Slot names, aligned with levels.
-    pub slot_names: Vec<String>,
+    pub(crate) slot_names: Vec<String>,
 }
 
 /// One step of the iterative tree walks below: enter a node (process it and
@@ -83,9 +81,8 @@ fn assert_topological(preds: &[Vec<usize>]) {
 
 impl SearchTree {
     /// Algorithm 1: full cartesian expansion of the search spaces.
-    pub fn build(spaces: &SearchSpaces) -> SearchTree {
+    pub(crate) fn build(spaces: &SearchSpaces) -> SearchTree {
         let mut nodes = vec![TreeNode {
-            id: 0,
             parent: None,
             level: None,
             component: None,
@@ -100,7 +97,6 @@ impl SearchTree {
                 for v in versions {
                     let id = nodes.len();
                     nodes.push(TreeNode {
-                        id,
                         parent: Some(parent),
                         level: Some(level),
                         component: Some(v.clone()),
@@ -121,32 +117,22 @@ impl SearchTree {
     }
 
     /// The virtual root's arena index.
-    pub fn root(&self) -> usize {
+    pub(crate) fn root(&self) -> usize {
         0
     }
 
     /// Node accessor.
-    pub fn node(&self, id: usize) -> &TreeNode {
+    pub(crate) fn node(&self, id: usize) -> &TreeNode {
         &self.nodes[id]
     }
 
     /// Mutable node accessor.
-    pub fn node_mut(&mut self, id: usize) -> &mut TreeNode {
+    pub(crate) fn node_mut(&mut self, id: usize) -> &mut TreeNode {
         &mut self.nodes[id]
     }
 
-    /// Total node count (including pruned nodes and the root).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the tree has only the root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
     /// Leaf nodes (level = last slot) that are not pruned, in DFS order.
-    pub fn live_leaves(&self) -> Vec<usize> {
+    pub(crate) fn live_leaves(&self) -> Vec<usize> {
         let last = self.slot_names.len().saturating_sub(1);
         let mut out = Vec::new();
         self.dfs_collect(0, last, &mut out);
@@ -168,7 +154,7 @@ impl SearchTree {
     }
 
     /// Path from the root (exclusive) to `node` (inclusive), top-down.
-    pub fn path(&self, node: usize) -> Vec<usize> {
+    pub(crate) fn path(&self, node: usize) -> Vec<usize> {
         let mut path = Vec::new();
         let mut cur = Some(node);
         while let Some(id) = cur {
@@ -184,7 +170,7 @@ impl SearchTree {
 
     /// The candidate pipeline (component keys in slot order) ending at a
     /// leaf.
-    pub fn candidate(&self, leaf: usize) -> Vec<ComponentKey> {
+    pub(crate) fn candidate(&self, leaf: usize) -> Vec<ComponentKey> {
         self.path(leaf)
             .into_iter()
             .map(|id| self.nodes[id].component.clone().expect("non-root"))
@@ -202,7 +188,7 @@ impl SearchTree {
     /// the path. Slot order must be topological (`preds[level]` may only
     /// reference earlier levels) — asserted here with a clear message.
     /// Returns the number of nodes newly marked (subtree roots only).
-    pub fn prune_incompatible(&mut self, lut: &CompatLut, preds: &[Vec<usize>]) -> usize {
+    pub(crate) fn prune_incompatible(&mut self, lut: &CompatLut, preds: &[Vec<usize>]) -> usize {
         assert_topological(preds);
         let mut pruned = 0;
         // DFS with explicit enter/exit steps so the per-level path state is
@@ -252,7 +238,7 @@ impl SearchTree {
     /// key lists their artifact ids in edge order); `preds` is as in
     /// [`SearchTree::prune_incompatible`]. The tree is left as it was, so
     /// one tree serves every history.
-    pub fn checkpoints(&self, history: &HistoryIndex, preds: &[Vec<usize>]) -> usize {
+    pub(crate) fn checkpoints(&self, history: &HistoryIndex, preds: &[Vec<usize>]) -> usize {
         assert_topological(preds);
         let mut checkpointed = 0;
         // DFS with explicit enter/exit steps; the per-level known outputs
@@ -312,7 +298,7 @@ impl SearchTree {
     }
 
     /// Counts nodes per state (the Fig. 4 summary).
-    pub fn state_counts(&self) -> StateCounts {
+    pub(crate) fn state_counts(&self) -> StateCounts {
         let mut counts = StateCounts::default();
         // Skip the virtual root.
         for n in &self.nodes[1..] {
@@ -332,9 +318,9 @@ pub struct StateCounts {
     /// Green nodes (reusable checkpoints).
     pub checkpointed: usize,
     /// Orange nodes (need execution).
-    pub feasible: usize,
+    pub(crate) feasible: usize,
     /// Red nodes (pruned).
-    pub incompatible: usize,
+    pub(crate) incompatible: usize,
 }
 
 #[cfg(test)]
@@ -364,7 +350,7 @@ mod tests {
         // Fig. 4 shape: 1 dataset × 2 cleansing × 2 extraction × 5 CNN.
         let tree = SearchTree::build(&spaces(&[1, 2, 2, 5]));
         // Nodes per level: 1 + 1 + 2 + 4 + 20, plus root.
-        assert_eq!(tree.len(), 1 + 1 + 2 + 4 + 20);
+        assert_eq!(tree.nodes.len(), 1 + 1 + 2 + 4 + 20);
         assert_eq!(tree.live_leaves().len(), 20);
     }
 
@@ -386,8 +372,7 @@ mod tests {
     #[test]
     fn empty_spaces_tree_is_root_only() {
         let tree = SearchTree::build(&spaces(&[]));
-        assert!(tree.is_empty());
-        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]
@@ -398,7 +383,7 @@ mod tests {
         // four level-1 nodes (2 parents × 2 versions) are pruned; level-0
         // nodes survive because the virtual root imposes no constraint.
         let lut = CompatLut::default();
-        let pruned_all = tree.prune_incompatible(&lut, &s.chain_predecessors());
+        let pruned_all = tree.prune_incompatible(&lut, &[vec![], vec![0]]);
         assert_eq!(pruned_all, 4);
         assert!(tree.live_leaves().is_empty());
         // (Schema-driven LUT behaviour is covered in search_space tests.)
@@ -409,8 +394,11 @@ mod tests {
         let s = spaces(&[2, 3]);
         let mut tree = SearchTree::build(&s);
         let lut = CompatLut::default();
-        tree.prune_incompatible(&lut, &s.chain_predecessors());
+        tree.prune_incompatible(&lut, &[vec![], vec![0]]);
         let c = tree.state_counts();
-        assert_eq!(c.checkpointed + c.feasible + c.incompatible, tree.len() - 1);
+        assert_eq!(
+            c.checkpointed + c.feasible + c.incompatible,
+            tree.nodes.len() - 1
+        );
     }
 }

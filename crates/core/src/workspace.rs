@@ -16,7 +16,7 @@
 //!   one auditable history while tenants stay isolated: a namespace is
 //!   writable only by its owner or by peers holding a [`ShareRight`] grant.
 //! * **Cross-tenant collaboration** — an owner grants peers `Read`/`Fork`/
-//!   `MergeInto` rights ([`Workspace::grant_share`], [`Tenant::grant_to`]);
+//!   `MergeInto` rights (`Workspace::grant_share`, [`Tenant::grant_to`]);
 //!   a granted peer forks the owner's branch into its own namespace
 //!   ([`Tenant::fork_from`] — references handed over, no bytes copied) and
 //!   later merges its work back with [`MlCask::merge`] onto a
@@ -386,7 +386,7 @@ impl Workspace {
     /// Grants `peer` the given [`ShareRight`] over `owner`'s namespace
     /// (replacing any earlier grant; rights imply the weaker ones). Both
     /// must be registered tenants.
-    pub fn grant_share(&self, owner: &str, peer: &str, right: ShareRight) -> Result<()> {
+    pub(crate) fn grant_share(&self, owner: &str, peer: &str, right: ShareRight) -> Result<()> {
         let mut state = self.state.write();
         for t in [owner, peer] {
             if !state.tenants.contains_key(t) {

@@ -9,20 +9,20 @@ use serde::{Deserialize, Serialize};
 /// An axis-aligned decision stump: predicts `left` when
 /// `x[feature] <= threshold`, else `right`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Stump {
+pub(crate) struct Stump {
     /// Feature index tested.
-    pub feature: usize,
+    pub(crate) feature: usize,
     /// Split threshold.
-    pub threshold: f32,
+    pub(crate) threshold: f32,
     /// Class predicted on the low side.
-    pub left: usize,
+    pub(crate) left: usize,
     /// Class predicted on the high side.
-    pub right: usize,
+    pub(crate) right: usize,
 }
 
 impl Stump {
     /// Predicts the class of one sample.
-    pub fn predict_one(&self, row: &[f32]) -> usize {
+    pub(crate) fn predict_one(&self, row: &[f32]) -> usize {
         if row[self.feature] <= self.threshold {
             self.left
         } else {
@@ -117,18 +117,8 @@ impl AdaBoost {
         }
     }
 
-    /// Number of stumps actually kept.
-    pub fn len(&self) -> usize {
-        self.stumps.len()
-    }
-
-    /// True if boosting found no useful stump.
-    pub fn is_empty(&self) -> bool {
-        self.stumps.is_empty()
-    }
-
     /// Predicts one sample by weighted vote.
-    pub fn predict_one(&self, row: &[f32]) -> usize {
+    pub(crate) fn predict_one(&self, row: &[f32]) -> usize {
         let mut votes = vec![0.0f64; self.n_classes];
         for (stump, alpha) in &self.stumps {
             votes[stump.predict_one(row)] += alpha;
@@ -142,7 +132,7 @@ impl AdaBoost {
     }
 
     /// Predicts a batch.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+    pub(crate) fn predict(&self, x: &Matrix) -> Vec<usize> {
         (0..x.rows()).map(|r| self.predict_one(x.row(r))).collect()
     }
 
@@ -258,7 +248,7 @@ mod tests {
         let y: Vec<usize> = (0..100).map(|r| r % 2).collect();
         let model = AdaBoost::fit(&x, &y, 2, AdaBoostConfig::default());
         assert_eq!(model.evaluate(&x, &y), 1.0, "exact sweep finds the split");
-        assert!(!model.is_empty());
+        assert!(!model.stumps.is_empty());
     }
 
     #[test]
@@ -311,7 +301,7 @@ mod tests {
             },
         );
         assert!(big.evaluate(&x, &y) >= small.evaluate(&x, &y) - 0.05);
-        assert!(big.len() >= small.len());
+        assert!(big.stumps.len() >= small.stumps.len());
     }
 
     #[test]
@@ -348,7 +338,7 @@ mod tests {
         let y = vec![1usize; 20];
         let model = AdaBoost::fit(&x, &y, 2, AdaBoostConfig::default());
         // A perfect stump exists immediately (everything is class 1).
-        assert!(model.len() <= 1);
+        assert!(model.stumps.len() <= 1);
         assert_eq!(model.predict_one(&[0.0, 0.0]), 1);
     }
 
@@ -357,7 +347,12 @@ mod tests {
         let (x, y) = synthetic_classification(150, 4, 2, 0.25, 15);
         let model = AdaBoost::fit(&x, &y, 2, AdaBoostConfig::default());
         // Errors stay below random guessing for every kept stump.
-        for (i, e) in model.error_history.iter().take(model.len()).enumerate() {
+        for (i, e) in model
+            .error_history
+            .iter()
+            .take(model.stumps.len())
+            .enumerate()
+        {
             assert!(*e < 0.5, "round {i} error {e}");
         }
     }

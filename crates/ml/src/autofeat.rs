@@ -48,7 +48,7 @@ impl GenFeature {
     /// Evaluates the feature on one row. Ratios are clamped to ±1e3 so a
     /// near-zero denominator cannot produce outliers that destabilise
     /// downstream learners.
-    pub fn eval(&self, row: &[f32]) -> f32 {
+    pub(crate) fn eval(&self, row: &[f32]) -> f32 {
         match *self {
             GenFeature::Product(i, j) => row[i] * row[j],
             GenFeature::Ratio(i, j) => {
@@ -76,9 +76,9 @@ impl SignumOrOne for f32 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AutoFeat {
     /// Selected generated features, highest-scoring first.
-    pub selected: Vec<GenFeature>,
+    pub(crate) selected: Vec<GenFeature>,
     /// |corr| score of each selected feature.
-    pub scores: Vec<f32>,
+    pub(crate) scores: Vec<f32>,
     config: AutoFeatConfig,
     base_dim: usize,
 }
@@ -135,11 +135,6 @@ impl AutoFeat {
             self.selected[c].eval(x.row(r))
         });
         x.hcat(&gen)
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.base_dim + self.selected.len()
     }
 
     /// Deterministic work estimate: candidate enumeration dominates.
@@ -231,7 +226,6 @@ mod tests {
             },
         );
         let t = af.transform(&x);
-        assert_eq!(t.cols(), af.out_dim());
         assert_eq!(t.cols(), 4 + af.selected.len());
         assert!(af.selected.len() <= 5);
         // Base features preserved.

@@ -20,11 +20,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpuCostModel {
     /// Nanoseconds per sample of forward+backward on one worker.
-    pub ns_per_sample: u64,
+    pub(crate) ns_per_sample: u64,
     /// Fixed all-reduce latency per step, nanoseconds.
-    pub allreduce_base_ns: u64,
+    pub(crate) allreduce_base_ns: u64,
     /// Extra all-reduce nanoseconds per additional worker (ring latency).
-    pub allreduce_per_worker_ns: u64,
+    pub(crate) allreduce_per_worker_ns: u64,
 }
 
 impl Default for GpuCostModel {
@@ -40,7 +40,7 @@ impl Default for GpuCostModel {
 impl GpuCostModel {
     /// Virtual duration of one synchronous step over `batch` samples split
     /// across `k` workers.
-    pub fn step_ns(&self, batch: usize, k: usize) -> u64 {
+    pub(crate) fn step_ns(&self, batch: usize, k: usize) -> u64 {
         let k = k.max(1);
         let shard = batch.div_ceil(k); // slowest worker holds the ceiling shard
         let compute = shard as u64 * self.ns_per_sample;
@@ -57,20 +57,20 @@ impl GpuCostModel {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LossPoint {
     /// Virtual elapsed seconds since training started.
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Training loss after this step's update.
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Steps completed.
-    pub step: usize,
+    pub(crate) step: usize,
 }
 
 /// Result of one simulated distributed run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DistributedRun {
     /// Worker count.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Loss trajectory over virtual time.
-    pub curve: Vec<LossPoint>,
+    pub(crate) curve: Vec<LossPoint>,
 }
 
 /// Simulates synchronous data-parallel SGD with `k` workers.

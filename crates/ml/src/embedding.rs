@@ -149,18 +149,13 @@ impl Embedding {
         }
     }
 
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab.len()
-    }
-
     /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.config.dim
     }
 
     /// Vector for a word, if in vocabulary.
-    pub fn vector(&self, word: &str) -> Option<&[f32]> {
+    pub(crate) fn vector(&self, word: &str) -> Option<&[f32]> {
         self.vocab.get(word).map(|&i| self.vectors.row(i))
     }
 
@@ -186,7 +181,8 @@ impl Embedding {
     }
 
     /// Cosine similarity between two words (None if either is OOV).
-    pub fn similarity(&self, a: &str, b: &str) -> Option<f32> {
+    #[cfg(test)]
+    fn similarity(&self, a: &str, b: &str) -> Option<f32> {
         let va = self.vector(a)?;
         let vb = self.vector(b)?;
         let dot: f32 = va.iter().zip(vb).map(|(x, y)| x * y).sum();
@@ -276,7 +272,7 @@ mod tests {
             "bad awful terrible movie",
         ]);
         let e = Embedding::train(&d, EmbeddingConfig::default());
-        assert!(e.vocab_size() >= 7);
+        assert!(e.vocab.len() >= 7);
         assert_eq!(e.dim(), 16);
         assert!(e.vector("movie").is_some());
         assert!(e.vector("unseen").is_none());
@@ -358,7 +354,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let e = Embedding::train(&[], EmbeddingConfig::default());
-        assert_eq!(e.vocab_size(), 0);
+        assert_eq!(e.vocab.len(), 0);
         assert!(e
             .embed_document(&tokenize("anything"))
             .iter()

@@ -15,15 +15,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Hmm {
     /// Initial state distribution, length `n_states`.
-    pub initial: Vec<f64>,
+    pub(crate) initial: Vec<f64>,
     /// Row-stochastic transition matrix, `n_states × n_states` (row-major).
-    pub transition: Vec<f64>,
+    pub(crate) transition: Vec<f64>,
     /// Row-stochastic emission matrix, `n_states × n_symbols` (row-major).
-    pub emission: Vec<f64>,
+    pub(crate) emission: Vec<f64>,
     /// Number of hidden states.
-    pub n_states: usize,
+    pub(crate) n_states: usize,
     /// Number of observable symbols.
-    pub n_symbols: usize,
+    pub(crate) n_symbols: usize,
 }
 
 fn normalise(v: &mut [f64]) {
@@ -84,7 +84,7 @@ impl Hmm {
 
     /// Scaled forward pass. Returns (alpha matrix `T × n_states`, per-step
     /// scaling factors, log-likelihood).
-    pub fn forward(&self, obs: &[usize]) -> (Vec<f64>, Vec<f64>, f64) {
+    pub(crate) fn forward(&self, obs: &[usize]) -> (Vec<f64>, Vec<f64>, f64) {
         let t_len = obs.len();
         let ns = self.n_states;
         let mut alpha = vec![0.0; t_len * ns];
@@ -114,7 +114,7 @@ impl Hmm {
     }
 
     /// Scaled backward pass using the forward pass's scaling factors.
-    pub fn backward(&self, obs: &[usize], scale: &[f64]) -> Vec<f64> {
+    pub(crate) fn backward(&self, obs: &[usize], scale: &[f64]) -> Vec<f64> {
         let t_len = obs.len();
         let ns = self.n_states;
         let mut beta = vec![0.0; t_len * ns];
@@ -247,7 +247,8 @@ impl Hmm {
     }
 
     /// Samples an observation sequence (for test data generation).
-    pub fn sample(&self, len: usize, rng: &mut StdRng) -> Vec<usize> {
+    #[cfg(test)]
+    fn sample(&self, len: usize, rng: &mut StdRng) -> Vec<usize> {
         let mut out = Vec::with_capacity(len);
         let mut state = sample_categorical(&self.initial, rng);
         for _ in 0..len {
@@ -275,6 +276,7 @@ impl Hmm {
     }
 }
 
+#[cfg(test)]
 fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
     let r: f64 = rng.gen();
     let mut acc = 0.0;

@@ -27,7 +27,6 @@
 //! the report").
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 // Numeric kernels intentionally use index loops that mirror the math
 // notation; the iterator rewrites clippy suggests obscure them.
 #![allow(clippy::needless_range_loop)]

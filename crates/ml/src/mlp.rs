@@ -87,7 +87,7 @@ impl Mlp {
     }
 
     /// Total trainable parameter count.
-    pub fn n_params(&self) -> usize {
+    pub(crate) fn n_params(&self) -> usize {
         self.weights
             .iter()
             .map(|w| w.rows() * w.cols())
@@ -115,7 +115,7 @@ impl Mlp {
     }
 
     /// Hard class predictions.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+    pub(crate) fn predict(&self, x: &Matrix) -> Vec<usize> {
         self.predict_proba(x).argmax_rows()
     }
 

@@ -66,13 +66,13 @@ impl Matrix {
 
     /// Row slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub(crate) fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable row slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -82,7 +82,7 @@ impl Matrix {
     }
 
     /// `self @ other` (matrix product).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
@@ -107,7 +107,7 @@ impl Matrix {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
@@ -118,15 +118,8 @@ impl Matrix {
         }
     }
 
-    /// Element-wise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let mut out = self.clone();
-        out.map_inplace(f);
-        out
-    }
-
     /// `self += alpha * other` (element-wise).
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += alpha * b;
@@ -134,7 +127,7 @@ impl Matrix {
     }
 
     /// Adds a row vector (bias broadcast) to every row.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
+    pub(crate) fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols);
         for r in 0..self.rows {
             for (v, b) in self.row_mut(r).iter_mut().zip(bias.iter()) {
@@ -144,7 +137,7 @@ impl Matrix {
     }
 
     /// Sum over rows → vector of length `cols`.
-    pub fn col_sums(&self) -> Vec<f32> {
+    pub(crate) fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
             for (o, v) in out.iter_mut().zip(self.row(r).iter()) {
@@ -155,7 +148,7 @@ impl Matrix {
     }
 
     /// Row-wise softmax (numerically stabilised).
-    pub fn softmax_rows(&self) -> Matrix {
+    pub(crate) fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         for r in 0..out.rows {
             let row = out.row_mut(r);
@@ -175,7 +168,7 @@ impl Matrix {
     }
 
     /// Index of the maximum entry in each row.
-    pub fn argmax_rows(&self) -> Vec<usize> {
+    pub(crate) fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)
             .map(|r| {
                 self.row(r)
@@ -209,7 +202,8 @@ impl Matrix {
     }
 
     /// Approximate element-wise equality (for tests).
-    pub fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {
+    #[cfg(test)]
+    fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
             && self
@@ -224,12 +218,6 @@ impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)
     }
-}
-
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -331,12 +319,6 @@ mod tests {
         let h = s.hcat(&Matrix::from_vec(2, 1, vec![9., 9.]));
         assert_eq!((h.rows(), h.cols()), (2, 3));
         assert_eq!(h.row(0), &[6., 7., 9.]);
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(dot(&[1., 2., 3.], &[4., 5., 6.]), 32.0);
-        assert_eq!(dot(&[], &[]), 0.0);
     }
 
     proptest! {

@@ -27,7 +27,7 @@ impl Image {
 
     /// Pixel accessor.
     #[inline]
-    pub fn get(&self, x: usize, y: usize) -> f32 {
+    pub(crate) fn get(&self, x: usize, y: usize) -> f32 {
         self.pixels[y * self.side + x]
     }
 }
@@ -39,7 +39,7 @@ fn factorial(n: u32) -> f64 {
 
 /// Zernike radial polynomial `R_{n}^{m}(rho)` (requires `n >= m`,
 /// `n - m` even).
-pub fn radial_polynomial(n: u32, m: u32, rho: f64) -> f64 {
+pub(crate) fn radial_polynomial(n: u32, m: u32, rho: f64) -> f64 {
     debug_assert!(n >= m && (n - m).is_multiple_of(2));
     let mut sum = 0.0;
     for s in 0..=((n - m) / 2) {
@@ -52,7 +52,7 @@ pub fn radial_polynomial(n: u32, m: u32, rho: f64) -> f64 {
 
 /// All (n, m) index pairs with `n <= max_order`, `|m| <= n`, `n - m` even,
 /// `m >= 0` (magnitudes are symmetric in the sign of m).
-pub fn moment_indices(max_order: u32) -> Vec<(u32, u32)> {
+pub(crate) fn moment_indices(max_order: u32) -> Vec<(u32, u32)> {
     let mut idx = Vec::new();
     for n in 0..=max_order {
         for m in (n % 2..=n).step_by(2) {

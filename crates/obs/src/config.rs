@@ -57,7 +57,7 @@ impl Config {
     /// empty name keeps its default and names outside the six are skipped;
     /// a value that cannot be read is an error naming the variable and the
     /// value, never a silent default.
-    pub fn parse(vars: impl Iterator<Item = (String, String)>) -> Result<Config, String> {
+    pub(crate) fn parse(vars: impl Iterator<Item = (String, String)>) -> Result<Config, String> {
         let mut cfg = Config::default();
         for (name, value) in vars {
             let v = value.trim();
@@ -97,7 +97,7 @@ impl Config {
         Ok(cfg)
     }
 
-    /// [`Config::parse`] over the process environment. (`vars_os`, because
+    /// `Config::parse` over the process environment. (`vars_os`, because
     /// `std::env::vars` panics on a bystander that is not Unicode.)
     pub fn from_env() -> Result<Config, String> {
         Self::parse(std::env::vars_os().filter_map(|(name, value)| {

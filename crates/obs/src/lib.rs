@@ -15,9 +15,9 @@
 //! and at any recorder capacity, so:
 //!
 //! * nothing here is ever serialized into a determinism observable;
-//! * wall-clock times are captured only at the recorder boundary
-//!   ([`FlightRecorder::record`](trace::FlightRecorder::record)), never
-//!   returned to instrumented code;
+//! * wall-clock times are captured only at the recorder boundary (when a
+//!   [`span!`] guard drops into the [`FlightRecorder`]), never returned to
+//!   instrumented code;
 //! * a [`span!`] guard's only effect on the instrumented path is one
 //!   `Instant::now()` pair and a handful of relaxed atomics.
 //!
@@ -51,7 +51,6 @@
 //! variables become a typed [`config::Config`], once, at its boundary.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod config;
 pub mod metrics;

@@ -144,12 +144,12 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
     }
 }

@@ -125,22 +125,12 @@ impl FlightRecorder {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Records one completed span. Reads the wall clock — the only place
-    /// in the tracing path that does.
-    pub fn record(
+    /// Records one completed span from a [`span!`](crate::span) call site,
+    /// whose histogram the site resolves once. Reads the wall clock — the
+    /// only place in the tracing path that does.
+    fn record(
         &self,
-        name: &'static str,
-        labels: Vec<(&'static str, String)>,
-        duration: Duration,
-    ) {
-        self.record_at(None, name, labels, duration);
-    }
-
-    /// [`FlightRecorder::record`] from a [`span!`](crate::span) call site,
-    /// whose histogram the site resolves once.
-    fn record_at(
-        &self,
-        site: Option<&SpanSite>,
+        site: &SpanSite,
         name: &'static str,
         labels: Vec<(&'static str, String)>,
         duration: Duration,
@@ -148,10 +138,7 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        match site {
-            Some(site) => site.observe(name, duration),
-            None => span_histogram(name).observe_duration(duration),
-        }
+        site.observe(name, duration);
         let threshold = self.slow_threshold_nanos.load(Ordering::Relaxed);
         let duration_nanos = duration.as_nanos().min(u64::MAX as u128) as u64;
         if threshold > 0 && duration_nanos >= threshold {
@@ -287,7 +274,7 @@ fn span_histogram(name: &'static str) -> Histogram {
 /// One [`span!`](crate::span) call site: the histogram of the first name it
 /// records, resolved then and read from here after, so a span's drop looks
 /// nothing up by name. A site whose name is a runtime value observes any
-/// other name through a lookup, as [`FlightRecorder::record`] does.
+/// other name through a lookup.
 #[derive(Debug)]
 pub struct SpanSite {
     histogram: OnceLock<(&'static str, Histogram)>,
@@ -360,7 +347,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(active) = self.active.take() {
             let elapsed = active.start.elapsed();
-            recorder().record_at(Some(active.site), active.name, active.labels, elapsed);
+            recorder().record(active.site, active.name, active.labels, elapsed);
         }
     }
 }
@@ -378,8 +365,10 @@ mod tests {
     #[test]
     fn ring_bounds_and_monotonic_seq() {
         let r = test_recorder(4);
+        let site = SpanSite::new();
         for i in 0..10u64 {
             r.record(
+                &site,
                 "t.span",
                 vec![("i", i.to_string())],
                 Duration::from_micros(i),
@@ -395,7 +384,8 @@ mod tests {
     #[test]
     fn capacity_zero_keeps_counting_but_retains_nothing() {
         let r = test_recorder(0);
-        r.record("t.zero", vec![], Duration::from_micros(5));
+        let site = SpanSite::new();
+        r.record(&site, "t.zero", vec![], Duration::from_micros(5));
         assert_eq!(r.recorded(), 1);
         assert!(r.recent(10).is_empty());
     }
@@ -403,8 +393,9 @@ mod tests {
     #[test]
     fn slowest_sorts_by_duration() {
         let r = test_recorder(16);
+        let site = SpanSite::new();
         for d in [3u64, 9, 1, 7] {
-            r.record("t.slowest", vec![], Duration::from_millis(d));
+            r.record(&site, "t.slowest", vec![], Duration::from_millis(d));
         }
         let top = r.slowest(2);
         assert_eq!(top.len(), 2);
@@ -443,15 +434,18 @@ mod tests {
     #[test]
     fn disabled_spans_record_nothing() {
         let r = test_recorder(8);
+        let site = SpanSite::new();
         r.configure(false, 8);
-        r.record("t.disabled", vec![], Duration::from_micros(1));
+        r.record(&site, "t.disabled", vec![], Duration::from_micros(1));
         assert_eq!(r.recorded(), 0);
     }
 
     #[test]
     fn chrome_trace_dump_is_valid_jsonl() {
         let r = test_recorder(8);
+        let site = SpanSite::new();
         r.record(
+            &site,
             "t.dump",
             vec![("tenant", "a\"b".to_string())],
             Duration::from_micros(250),

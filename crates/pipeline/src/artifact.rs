@@ -6,7 +6,7 @@
 //! the chunk store benefits from dedup when consecutive versions produce
 //! overlapping bytes.
 
-use crate::schema::{Schema, SchemaId};
+use crate::schema::SchemaId;
 use mlcask_ml::metrics::Score;
 use mlcask_ml::tensor::Matrix;
 use mlcask_ml::zernike::Image;
@@ -29,7 +29,7 @@ pub enum Cell {
 
 impl Cell {
     /// True if the cell is missing.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Cell::Null)
     }
 
@@ -64,13 +64,6 @@ impl Table {
     /// Index of a named column.
     pub fn col_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
-    }
-
-    /// The table's relational schema.
-    pub fn schema(&self) -> Schema {
-        Schema::Relational {
-            columns: self.columns.clone(),
-        }
     }
 
     /// Count of null cells (data-quality measure for cleansing stages).
@@ -236,7 +229,7 @@ impl Artifact {
     }
 
     /// Schema identity of the payload.
-    pub fn schema(&self) -> SchemaId {
+    pub(crate) fn schema(&self) -> SchemaId {
         self.schema
     }
 
@@ -319,12 +312,12 @@ pub(crate) mod codec_log {
     use parking_lot::Mutex;
     use std::collections::HashMap;
 
-    pub const ENCODED: usize = 0;
-    pub const DECODED: usize = 1;
+    pub(crate) const ENCODED: usize = 0;
+    pub(crate) const DECODED: usize = 1;
 
     static LOG: Mutex<Option<HashMap<Hash256, [u32; 2]>>> = Mutex::new(None);
 
-    pub fn record(id: Hash256, what: usize) {
+    pub(crate) fn record(id: Hash256, what: usize) {
         LOG.lock()
             .get_or_insert_with(HashMap::new)
             .entry(id)
@@ -332,7 +325,7 @@ pub(crate) mod codec_log {
     }
 
     /// `[encodes, decodes]` of the artifact with content id `id` so far.
-    pub fn counts(id: &Hash256) -> [u32; 2] {
+    pub(crate) fn counts(id: &Hash256) -> [u32; 2] {
         LOG.lock()
             .as_ref()
             .and_then(|log| log.get(id).copied())
@@ -343,6 +336,7 @@ pub(crate) mod codec_log {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
     use mlcask_ml::metrics::MetricKind;
     use mlcask_ml::tensor::Matrix;
 
@@ -362,7 +356,6 @@ mod tests {
         assert_eq!(t.col_index("dx"), Some(1));
         assert_eq!(t.col_index("missing"), None);
         assert_eq!(t.null_count(), 1);
-        assert_eq!(t.schema().id(), Schema::relational(&["age", "dx"]).id());
     }
 
     #[test]
@@ -383,7 +376,10 @@ mod tests {
     #[test]
     fn artifact_round_trip_and_id_stability() {
         let t = small_table();
-        let schema = t.schema().id();
+        let schema = Schema::Relational {
+            columns: t.columns.clone(),
+        }
+        .id();
         let a = Artifact::new(ArtifactData::Table(t), schema);
         let bytes = a.to_bytes();
         let back = Artifact::from_bytes(&bytes).unwrap();
@@ -397,7 +393,10 @@ mod tests {
         let t1 = small_table();
         let mut t2 = small_table();
         t2.rows[0][0] = Cell::F(62.0);
-        let s = t1.schema().id();
+        let s = Schema::Relational {
+            columns: t1.columns.clone(),
+        }
+        .id();
         let a = Artifact::new(ArtifactData::Table(t1), s);
         let b = Artifact::new(ArtifactData::Table(t2), s);
         assert_ne!(a.content_id(), b.content_id());
@@ -420,7 +419,10 @@ mod tests {
         // Non-model artifacts have no score.
         let t = Artifact::new(
             ArtifactData::Table(small_table()),
-            Schema::relational(&["age", "dx"]).id(),
+            Schema::Relational {
+                columns: vec!["age".into(), "dx".into()],
+            }
+            .id(),
         );
         assert!(t.score().is_none());
     }
@@ -453,7 +455,10 @@ mod tests {
                 vec![Cell::F(-0.0), Cell::I(7)],
             ],
         );
-        let table_schema = table.schema().id();
+        let table_schema = Schema::Relational {
+            columns: table.columns.clone(),
+        }
+        .id();
         let model_schema = Schema::Model {
             family: "mlp".into(),
         }
@@ -571,7 +576,10 @@ mod tests {
                 n_symbols: 904,
                 n_classes: 2,
             }),
-            Schema::relational(&["memo"]).id(),
+            Schema::Relational {
+                columns: vec!["memo".into()],
+            }
+            .id(),
         );
         let id = artifact.content_id();
         assert_eq!(codec_log::counts(&id), [1, 0], "the id needs an encoding");

@@ -55,7 +55,7 @@ pub struct ClockSnapshot {
 
 impl ClockSnapshot {
     /// Charges execution time to a stage category.
-    pub fn charge_exec(&mut self, stage: StageKind, d: Duration) {
+    pub(crate) fn charge_exec(&mut self, stage: StageKind, d: Duration) {
         let ns = d.as_nanos() as u64;
         match stage {
             StageKind::Ingest => self.ingest_ns += ns,

@@ -27,17 +27,6 @@ pub enum StageKind {
     ModelTraining,
 }
 
-impl StageKind {
-    /// Stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StageKind::Ingest => "ingest",
-            StageKind::PreProcess => "pre-processing",
-            StageKind::ModelTraining => "model-training",
-        }
-    }
-}
-
 /// Identity of a component version: `(name, semver)`. This is the key used
 /// by search spaces, compatibility LUTs, and history records.
 #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -156,7 +145,7 @@ pub(crate) mod test_support {
     use mlcask_ml::tensor::Matrix;
 
     /// Source component producing a fixed feature matrix.
-    pub struct TestSource {
+    pub(crate) struct TestSource {
         pub version: SemVer,
         pub dim: usize,
         pub rows: usize,
@@ -197,7 +186,7 @@ pub(crate) mod test_support {
 
     /// Pre-processing component that scales features; versions with
     /// different `dim_out` have different output schemas.
-    pub struct TestScaler {
+    pub(crate) struct TestScaler {
         pub version: SemVer,
         pub dim_in: usize,
         pub dim_out: usize,
@@ -262,7 +251,7 @@ pub(crate) mod test_support {
 
     /// Pre-processing branch with a configurable slot name, so non-chain
     /// DAG tests can bind several independent branches of one diamond.
-    pub struct TestBranch {
+    pub(crate) struct TestBranch {
         pub name: &'static str,
         pub version: SemVer,
         pub dim: usize,
@@ -324,7 +313,7 @@ pub(crate) mod test_support {
     /// Fan-in component averaging equal-schema branch outputs, for
     /// diamond/fan-in DAG tests. `dim_out != dim_in` models a schema
     /// change.
-    pub struct TestJoin {
+    pub(crate) struct TestJoin {
         pub version: SemVer,
         pub dim_in: usize,
         pub dim_out: usize,
@@ -392,7 +381,7 @@ pub(crate) mod test_support {
     }
 
     /// Terminal "model" that scores higher for larger scale factors.
-    pub struct TestModel {
+    pub(crate) struct TestModel {
         pub version: SemVer,
         pub dim_in: usize,
         pub quality: f64,
@@ -461,17 +450,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_labels() {
-        assert_eq!(StageKind::Ingest.label(), "ingest");
-        assert_eq!(StageKind::PreProcess.label(), "pre-processing");
-        assert_eq!(StageKind::ModelTraining.label(), "model-training");
-    }
-
-    #[test]
     fn component_key_display_matches_paper_notation() {
         let k = ComponentKey::new("feature_extract", SemVer::master(0, 1));
         assert_eq!(k.to_string(), "<feature_extract, 0.1>");
-        let k2 = ComponentKey::new("cnn", SemVer::on_branch("dev", 1, 0));
+        let k2 = ComponentKey::new(
+            "cnn",
+            SemVer {
+                branch: "dev".to_string(),
+                schema: 1,
+                increment: 0,
+            },
+        );
         assert_eq!(k2.to_string(), "<cnn, dev@1.0>");
     }
 

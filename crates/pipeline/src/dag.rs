@@ -7,11 +7,11 @@
 //!
 //! Non-chain shapes are first-class: [`PipelineDag::fan`] builds the
 //! diamond/fan-in pipelines the DAG-parallel executor exploits, and the
-//! scheduling helpers ([`PipelineDag::indegrees`],
-//! [`PipelineDag::adjacency`], [`PipelineDag::max_width`]) drive the
+//! scheduling helpers (`PipelineDag::indegrees`,
+//! `PipelineDag::adjacency`, [`PipelineDag::max_width`]) drive the
 //! wavefront scheduler in [`crate::executor`].
 
-use crate::component::{ComponentHandle, ComponentKey};
+use crate::component::ComponentHandle;
 use crate::errors::{IncompatibleSchemaDetail, PipelineError, Result};
 use crate::schema::SchemaId;
 use std::collections::HashMap;
@@ -165,7 +165,7 @@ impl PipelineDag {
     }
 
     /// Node index by name.
-    pub fn node_id(&self, name: &str) -> Result<usize> {
+    pub(crate) fn node_id(&self, name: &str) -> Result<usize> {
         self.index
             .get(name)
             .copied()
@@ -173,7 +173,7 @@ impl PipelineDag {
     }
 
     /// Node name by index.
-    pub fn node_name(&self, id: usize) -> &str {
+    pub(crate) fn node_name(&self, id: usize) -> &str {
         &self.nodes[id]
     }
 
@@ -193,7 +193,7 @@ impl PipelineDag {
     }
 
     /// Successors `suc(f)` of a node (Definition 2), in edge order.
-    pub fn suc(&self, node: usize) -> &[usize] {
+    pub(crate) fn suc(&self, node: usize) -> &[usize] {
         &self.plan().suc[node]
     }
 
@@ -229,12 +229,12 @@ impl PipelineDag {
     /// In-degree of every node — the ready-set seed of the wavefront
     /// scheduler (a node is runnable once its in-degree counter drains to
     /// zero).
-    pub fn indegrees(&self) -> &[usize] {
+    pub(crate) fn indegrees(&self) -> &[usize] {
         &self.plan().indeg
     }
 
     /// Successor adjacency list for every node, in edge order.
-    pub fn adjacency(&self) -> &[Vec<usize>] {
+    pub(crate) fn adjacency(&self) -> &[Vec<usize>] {
         &self.plan().suc
     }
 
@@ -254,7 +254,7 @@ impl PipelineDag {
     /// critical path first — finishing long dependency chains early shaves
     /// the tail on skewed DAGs, while FIFO order can strand the critical
     /// chain behind a burst of short independent branches.
-    pub fn critical_path_lengths(&self) -> &[u64] {
+    pub(crate) fn critical_path_lengths(&self) -> &[u64] {
         &self.plan().critical
     }
 
@@ -304,13 +304,13 @@ pub type DeclaredSchemas = (Option<SchemaId>, SchemaId);
 /// pipeline instance (one candidate in the merge search space).
 ///
 /// Binding also fixes each slot's [`DeclaredSchemas`]: the static checks
-/// ([`BoundPipeline::precheck_compatibility`],
-/// [`BoundPipeline::static_failure_node`]) compare those and never call the
+/// (`BoundPipeline::precheck_compatibility`,
+/// `BoundPipeline::static_failure_node`) compare those and never call the
 /// component, so the fields stay private to keep the two aligned.
 #[derive(Clone)]
 pub struct BoundPipeline {
     /// The pipeline shape.
-    pub dag: Arc<PipelineDag>,
+    pub(crate) dag: Arc<PipelineDag>,
     /// One component per slot, aligned with node indices.
     components: Vec<ComponentHandle>,
     /// What `components[i]` declares, aligned with node indices.
@@ -363,7 +363,7 @@ impl BoundPipeline {
     }
 
     /// One component per slot, aligned with node indices.
-    pub fn components(&self) -> &[ComponentHandle] {
+    pub(crate) fn components(&self) -> &[ComponentHandle] {
         &self.components
     }
 
@@ -378,7 +378,7 @@ impl BoundPipeline {
     /// Statically checks adjacent declared schemas along every edge; returns
     /// the first incompatibility (Definition 4). This is what lets MLCask
     /// refuse to run a doomed pipeline *before* spending any compute.
-    pub fn precheck_compatibility(&self) -> Result<()> {
+    pub(crate) fn precheck_compatibility(&self) -> Result<()> {
         let mismatch = self.dag.edges.iter().find_map(|&(from, to)| {
             self.edge_mismatch(from, to)
                 .map(|(expected, actual)| IncompatibleSchemaDetail {
@@ -405,23 +405,13 @@ impl BoundPipeline {
     /// are handled dynamically: the failing node's descendants are pruned
     /// and every independent node still executes, which again depends only
     /// on the DAG.
-    pub fn static_failure_node(&self) -> Result<Option<usize>> {
+    pub(crate) fn static_failure_node(&self) -> Result<Option<usize>> {
         Ok(self.dag.topo_order()?.iter().copied().find(|&node| {
             self.dag
                 .pre(node)
                 .iter()
                 .any(|&p| self.edge_mismatch(p, node).is_some())
         }))
-    }
-
-    /// Component keys in topological order (the paper's pipeline identity).
-    pub fn keys(&self) -> Result<Vec<ComponentKey>> {
-        Ok(self
-            .dag
-            .topo_order()?
-            .iter()
-            .map(|&i| self.components[i].key())
-            .collect())
     }
 }
 
@@ -555,17 +545,17 @@ mod tests {
     /// one a fresh walk of the edge list — kept as the oracle the plan's
     /// views are compared with.
     mod oracle {
-        pub fn pre(edges: &[(usize, usize)], node: usize) -> Vec<usize> {
+        pub(crate) fn pre(edges: &[(usize, usize)], node: usize) -> Vec<usize> {
             let into = edges.iter().filter(|(_, t)| *t == node);
             into.map(|(f, _)| *f).collect()
         }
 
-        pub fn suc(edges: &[(usize, usize)], node: usize) -> Vec<usize> {
+        pub(crate) fn suc(edges: &[(usize, usize)], node: usize) -> Vec<usize> {
             let out = edges.iter().filter(|(f, _)| *f == node);
             out.map(|(_, t)| *t).collect()
         }
 
-        pub fn indegrees(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+        pub(crate) fn indegrees(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
             let mut indeg = vec![0usize; n];
             for (_, t) in edges {
                 indeg[*t] += 1;
@@ -573,7 +563,7 @@ mod tests {
             indeg
         }
 
-        pub fn topo_order(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
+        pub(crate) fn topo_order(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
             let mut indeg = indegrees(n, edges);
             let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
             let mut out = Vec::with_capacity(n);
@@ -590,7 +580,7 @@ mod tests {
             (out.len() == n).then_some(out)
         }
 
-        pub fn critical_path_lengths(n: usize, edges: &[(usize, usize)]) -> Vec<u64> {
+        pub(crate) fn critical_path_lengths(n: usize, edges: &[(usize, usize)]) -> Vec<u64> {
             let Some(order) = topo_order(n, edges) else {
                 return vec![1; n];
             };
@@ -752,14 +742,5 @@ mod tests {
         }
         // One pair per slot, or no binding.
         assert!(BoundPipeline::with_schemas(dag, comps, Vec::new()).is_err());
-    }
-
-    #[test]
-    fn keys_in_topo_order() {
-        let (dag, comps) = chain3();
-        let bound = BoundPipeline::new(dag, comps).unwrap();
-        let keys = bound.keys().unwrap();
-        assert_eq!(keys[0].name, "test_source");
-        assert_eq!(keys[2].name, "test_model");
     }
 }

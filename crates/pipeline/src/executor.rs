@@ -646,6 +646,7 @@ mod tests {
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
+    use crate::provenance::Provenance;
     use crate::replay::{replay_run, CacheSnapshot};
     use crate::semver::SemVer;
     use std::collections::HashMap;
@@ -841,7 +842,7 @@ mod tests {
             rejected.outcome,
             RunOutcome::RejectedByPrecheck { .. }
         ));
-        let cut = FrontierCut::of(&p, &cache).unwrap();
+        let cut = FrontierCut::against(&p, &Provenance::of(&p).unwrap(), &cache).unwrap();
         let looked_up = cut.report(&p).expect("the cold run published every stage");
         for report in [rejected, looked_up] {
             assert_eq!(report.clock, ClockSnapshot::default());
@@ -1161,7 +1162,11 @@ mod tests {
         }
         let cache_arg = (cache != "none").then_some(&checkpoints);
         let cut_nodes = match cache_arg {
-            Some(history) if options.cut => FrontierCut::of(subject, history).unwrap().skipped,
+            Some(history) if options.cut => {
+                FrontierCut::against(subject, &Provenance::of(subject).unwrap(), history)
+                    .unwrap()
+                    .skipped
+            }
             _ => 0,
         };
         let report = match workers {

@@ -79,7 +79,7 @@ impl HistoryIndex {
     }
 
     /// The checkpoint filed under provenance fingerprint `fp`, if any.
-    pub fn by_fingerprint(&self, fp: &Hash256) -> Option<CachedOutput> {
+    pub(crate) fn by_fingerprint(&self, fp: &Hash256) -> Option<CachedOutput> {
         self.fingerprints.get(fp)
     }
 

@@ -34,7 +34,6 @@
 //! pruning) live in `mlcask-core`, which builds on this crate.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod artifact;
 mod artifact_cache;
@@ -67,7 +66,7 @@ pub mod prelude {
     };
     pub use crate::history::HistoryIndex;
     pub use crate::metafile::{DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot};
-    pub use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
+    pub use crate::parallel::ParallelismPolicy;
     pub use crate::provenance::{pipeline_fingerprints, FrontierCut, Provenance};
     pub use crate::replay::{CacheSnapshot, StageProfile};
     pub use crate::resume::{RecoveryReport, ResumeCtx, ResumeEntry, ResumeLog, ResumeSnapshot};

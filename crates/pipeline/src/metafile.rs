@@ -33,13 +33,6 @@ pub struct DatasetMetafile {
     pub description: String,
 }
 
-impl DatasetMetafile {
-    /// The compatibility-relevant schema id.
-    pub fn schema_id(&self) -> SchemaId {
-        self.schema.id()
-    }
-}
-
 /// Library repository entry (pre-processing method or model).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LibraryMetafile {
@@ -59,13 +52,6 @@ pub struct LibraryMetafile {
     pub hyperparams: BTreeMap<String, String>,
     /// Reference to the stored executable payload.
     pub executable: ObjectRef,
-}
-
-impl LibraryMetafile {
-    /// The identity key of this library version.
-    pub fn key(&self) -> ComponentKey {
-        ComponentKey::new(&self.name, self.version.clone())
-    }
 }
 
 /// One slot of a pipeline metafile: which component version filled it and
@@ -132,14 +118,15 @@ mod tests {
         let m = DatasetMetafile {
             name: "ehr".into(),
             version: SemVer::initial(),
-            schema: Schema::relational(&["age", "dx"]),
+            schema: Schema::Relational {
+                columns: vec!["age".into(), "dx".into()],
+            },
             data: obj(),
             description: "synthetic admissions".into(),
         };
         let json = serde_json::to_string_pretty(&m).unwrap();
         let back: DatasetMetafile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.schema_id(), m.schema.id());
     }
 
     #[test]
@@ -149,7 +136,12 @@ mod tests {
             version: SemVer::master(1, 0),
             stage: StageKind::PreProcess,
             entry_point: "extract.main".into(),
-            input_schema: Some(Schema::relational(&["age"]).id()),
+            input_schema: Some(
+                Schema::Relational {
+                    columns: vec!["age".into()],
+                }
+                .id(),
+            ),
             output_schema: Schema::FeatureMatrix {
                 dim: 8,
                 n_classes: 2,
@@ -158,7 +150,6 @@ mod tests {
             hyperparams: BTreeMap::from([("top_k".into(), "8".into())]),
             executable: obj(),
         };
-        assert_eq!(m.key().to_string(), "<feature_extract, 1.0>");
         let json = serde_json::to_string(&m).unwrap();
         let back: LibraryMetafile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);

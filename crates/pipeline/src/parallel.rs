@@ -7,12 +7,12 @@
 //!   fans that work out over scoped threads while keeping results in input
 //!   order so downstream accounting is deterministic.
 //! * **Within one pipeline** — independent DAG nodes of a *single* pipeline
-//!   run concurrently via [`run_dag`], a ready-set (wavefront) scheduler: a
+//!   run concurrently via `run_dag`, a ready-set (wavefront) scheduler: a
 //!   node is dispatched the moment its last predecessor completes.
 //!
 //! [`ParallelismPolicy`] is the user-facing knob, exposed on
 //! [`Policy`](crate::search::Policy), `MergeEngine`, and `MlCask`;
-//! [`ParallelismPolicy::split`] divides one budget between the two levels
+//! `ParallelismPolicy::split` divides one budget between the two levels
 //! without oversubscribing.
 //!
 //! Determinism contract: callers must make worker closures *pure up to
@@ -49,7 +49,7 @@ impl ParallelismPolicy {
     }
 
     /// The concrete worker count this policy resolves to.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         match self {
             ParallelismPolicy::Sequential => 1,
             ParallelismPolicy::Parallel(0) => std::thread::available_parallelism()
@@ -69,7 +69,7 @@ impl ParallelismPolicy {
     /// level and inner execution stays sequential; with few items (one
     /// trial, one commit) the spare workers flow into each pipeline's
     /// wavefront instead.
-    pub fn split(&self, outer_items: usize) -> (ParallelismPolicy, ParallelismPolicy) {
+    pub(crate) fn split(&self, outer_items: usize) -> (ParallelismPolicy, ParallelismPolicy) {
         let w = self.workers();
         if w <= 1 {
             return (ParallelismPolicy::Sequential, ParallelismPolicy::Sequential);
@@ -123,7 +123,7 @@ where
 
 /// Directs the [`run_dag`] scheduler after one node completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeVerdict {
+pub(crate) enum NodeVerdict {
     /// The node succeeded: release its successors into the ready set.
     Continue,
     /// The node hit an *expected* failure (e.g. a schema incompatibility):
@@ -180,12 +180,12 @@ impl<E> Drop for FlightGuard<'_, E> {
 /// moment its last predecessor completes (a ready-set wavefront scheduler).
 ///
 /// * `indeg[i]` — number of predecessors of node `i` (see
-///   [`crate::dag::PipelineDag::indegrees`]).
+///   `crate::dag::PipelineDag::indegrees`).
 /// * `adjacency[i]` — successors of node `i` (see
-///   [`crate::dag::PipelineDag::adjacency`]).
+///   `crate::dag::PipelineDag::adjacency`).
 /// * `priority[i]` — dispatch priority among simultaneously-ready nodes;
 ///   highest first, lowest index on ties. Callers pass
-///   [`crate::dag::PipelineDag::critical_path_lengths`] so the node heading
+///   `crate::dag::PipelineDag::critical_path_lengths` so the node heading
 ///   the longest remaining dependency chain is dispatched first
 ///   (cost-aware wavefront ordering — FIFO can strand the critical chain
 ///   behind a burst of short branches on skewed DAGs). An empty slice
@@ -207,7 +207,7 @@ impl<E> Drop for FlightGuard<'_, E> {
 ///
 /// The first `Err` from `f` halts dispatch and is returned; panics in
 /// workers propagate to the caller.
-pub fn run_dag<E, F>(
+pub(crate) fn run_dag<E, F>(
     policy: ParallelismPolicy,
     indeg: Vec<usize>,
     adjacency: &[Vec<usize>],
@@ -331,30 +331,30 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
     }
 
     /// True if the key is present.
-    pub fn contains(&self, key: &K) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.shards[self.shard_of(key)].read().contains_key(key)
     }
 
     /// Inserts (last writer wins).
-    pub fn insert(&self, key: K, value: V) {
+    pub(crate) fn insert(&self, key: K, value: V) {
         self.shards[self.shard_of(&key)].write().insert(key, value);
     }
 
     /// `f` applied to the value for `key`, if present, under the shard's
     /// read lock: reads part of a large value without cloning all of it.
-    pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+    pub(crate) fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         self.shards[self.shard_of(key)].read().get(key).map(f)
     }
 
     /// Number of entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Cloned value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         self.get_with(key, V::clone)
     }
 }
@@ -362,7 +362,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
 impl<K: Eq + Hash, V> ShardedMap<K, V> {
     /// Visits every value by reference (unspecified order, one shard read
     /// lock at a time) — no clones, for cheap sweeps over large values.
-    pub fn for_each_value(&self, mut f: impl FnMut(&V)) {
+    pub(crate) fn for_each_value(&self, mut f: impl FnMut(&V)) {
         for s in &self.shards {
             for v in s.read().values() {
                 f(v);
@@ -373,7 +373,7 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> ShardedMap<K, V> {
     /// Point-in-time copy of every entry as one `HashMap`.
-    pub fn to_hashmap(&self) -> HashMap<K, V> {
+    pub(crate) fn to_hashmap(&self) -> HashMap<K, V> {
         let mut out = HashMap::with_capacity(self.len());
         for s in &self.shards {
             for (k, v) in s.read().iter() {

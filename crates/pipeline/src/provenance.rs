@@ -24,10 +24,10 @@
 //!   full re-evaluation would), and schedules only the dirty region.
 //! * A pipeline's [`Provenance`] — its fingerprints and the nodes a run
 //!   dispatches — depends on no history, so a caller that evaluates the
-//!   same pipeline again keeps it and cuts with [`FrontierCut::against`],
+//!   same pipeline again keeps it and cuts with `FrontierCut::against`,
 //!   which only reads the history.
 //! * A cut that covers every node *is* the pipeline's run report
-//!   ([`FrontierCut::report`]): every stage reused at zero cost, nothing
+//!   (`FrontierCut::report`): every stage reused at zero cost, nothing
 //!   charged, nothing recorded — what tracing and replaying it would
 //!   produce. Commits, merge searches and prioritized trials answer such
 //!   a pipeline by lookup and hand only the rest to the executor.
@@ -53,7 +53,7 @@ use std::sync::OnceLock;
 
 /// Computes the provenance fingerprint of one node from its component key
 /// and its predecessors' fingerprints (in edge order).
-pub fn node_fingerprint(component: &ComponentKey, input_fps: &[Hash256]) -> Hash256 {
+pub(crate) fn node_fingerprint(component: &ComponentKey, input_fps: &[Hash256]) -> Hash256 {
     let key_repr = component.to_string();
     let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + input_fps.len());
     parts.push(b"mlcask-provenance-v1");
@@ -84,7 +84,7 @@ pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
 /// before its static failure frontier). A pure function of the bound
 /// pipeline — component keys, declared schemas and DAG edges — so a caller
 /// that evaluates the same pipeline again may keep it and cut against any
-/// later history with [`FrontierCut::against`].
+/// later history with `FrontierCut::against`.
 pub struct Provenance {
     /// Per-node fingerprints (index = node id).
     pub fingerprints: Vec<Hash256>,
@@ -94,7 +94,7 @@ pub struct Provenance {
 
 impl Provenance {
     /// Derives `pipeline`'s fingerprints and schedulable mask.
-    pub fn of(pipeline: &BoundPipeline) -> Result<Provenance> {
+    pub(crate) fn of(pipeline: &BoundPipeline) -> Result<Provenance> {
         let order = pipeline.dag.topo_order()?;
         Ok(Provenance {
             fingerprints: pipeline_fingerprints(pipeline)?,
@@ -111,25 +111,20 @@ impl Provenance {
 pub struct FrontierCut {
     /// Cached output for every frontier-skipped node; `None` for dirty
     /// nodes.
-    pub cached: Vec<Option<CachedOutput>>,
+    pub(crate) cached: Vec<Option<CachedOutput>>,
     /// Number of nodes skipped by the cut.
-    pub skipped: usize,
+    pub(crate) skipped: usize,
 }
 
 impl FrontierCut {
-    /// Computes the cut of `pipeline` against the fingerprints of the live
-    /// `history` ([`HistoryIndex::by_fingerprint`]), read before the
-    /// evaluation's phase 1 starts, over the nodes a run dispatches: those
-    /// before the pipeline's static failure frontier. Nodes at or beyond it
-    /// are never cached — a sequential run never reaches them, so skipping
-    /// them would change observables.
-    pub fn of(pipeline: &BoundPipeline, history: &HistoryIndex) -> Result<FrontierCut> {
-        Self::against(pipeline, &Provenance::of(pipeline)?, history)
-    }
-
-    /// [`FrontierCut::of`] with the pipeline's [`Provenance`] already at
-    /// hand: only the history is read.
-    pub fn against(
+    /// Computes the cut of `pipeline`, whose [`Provenance`] is at hand,
+    /// against the fingerprints of the live `history`
+    /// ([`HistoryIndex::by_fingerprint`]), read before the evaluation's
+    /// phase 1 starts, over the nodes a run dispatches: those before the
+    /// pipeline's static failure frontier. Nodes at or beyond it are never
+    /// cached — a sequential run never reaches them, so skipping them would
+    /// change observables.
+    pub(crate) fn against(
         pipeline: &BoundPipeline,
         provenance: &Provenance,
         history: &HistoryIndex,
@@ -176,7 +171,7 @@ impl FrontierCut {
     /// Nothing is charged to the store statistics or a tenant, and nothing
     /// is recorded in the history, so answering the pipeline with this
     /// report instead is unobservable.
-    pub fn report(&self, pipeline: &BoundPipeline) -> Option<RunReport> {
+    pub(crate) fn report(&self, pipeline: &BoundPipeline) -> Option<RunReport> {
         if self.skipped != self.cached.len() {
             return None;
         }
@@ -350,7 +345,7 @@ mod tests {
         assert_eq!(kept.fingerprints, pipeline_fingerprints(&p).unwrap());
         assert_eq!(kept.schedulable, vec![true; 3]);
         let skipped = |history: &HistoryIndex| {
-            let fresh = FrontierCut::of(&p, history).unwrap();
+            let fresh = FrontierCut::against(&p, &Provenance::of(&p).unwrap(), history).unwrap();
             let reused = FrontierCut::against(&p, &kept, history).unwrap();
             assert_eq!(fresh.cached, reused.cached);
             reused.skipped
@@ -401,7 +396,7 @@ mod tests {
             assert_eq!(cache.get(&key), Some(out.clone()));
             inputs = vec![out.artifact_id];
         }
-        let cut = FrontierCut::of(&p, &cache).unwrap();
+        let cut = FrontierCut::against(&p, &Provenance::of(&p).unwrap(), &cache).unwrap();
         assert_eq!(cut.skipped, 3, "a published pipeline cuts completely");
         // A new model: only the stage it executes is published.
         assert_eq!(run(&chain(SemVer::master(0, 1))), 1);
@@ -424,10 +419,15 @@ mod tests {
             ..Policy::MLCASK
         };
         let run = |p: &BoundPipeline| Executor::new(&store).run(p, Some(&cache), uncut).unwrap();
-        assert!(FrontierCut::of(&p, &cache).unwrap().report(&p).is_none());
+        assert!(
+            FrontierCut::against(&p, &Provenance::of(&p).unwrap(), &cache)
+                .unwrap()
+                .report(&p)
+                .is_none()
+        );
         let cold = run(&p);
         assert!(cold.clock.total_ns() > 0 && cold.executed_count() == 3);
-        let cut = FrontierCut::of(&p, &cache).unwrap();
+        let cut = FrontierCut::against(&p, &Provenance::of(&p).unwrap(), &cache).unwrap();
         let known = cut.report(&p).expect("every node is indexed");
         let warm = run(&p);
         assert_eq!(warm.clock.total_ns(), 0);
@@ -437,7 +437,7 @@ mod tests {
         );
         // A new model: its prefix is known, the model is not.
         let q = chain(SemVer::master(0, 1));
-        let cut = FrontierCut::of(&q, &cache).unwrap();
+        let cut = FrontierCut::against(&q, &Provenance::of(&q).unwrap(), &cache).unwrap();
         assert_eq!((cut.skipped, cut.report(&q).is_none()), (2, true));
         // A doomed model: nothing at or past the failure is ever cut.
         let doomed = {
@@ -449,7 +449,7 @@ mod tests {
             });
             BoundPipeline::new(Arc::clone(&p.dag), comps).unwrap()
         };
-        let cut = FrontierCut::of(&doomed, &cache).unwrap();
+        let cut = FrontierCut::against(&doomed, &Provenance::of(&doomed).unwrap(), &cache).unwrap();
         assert_eq!((cut.skipped, cut.report(&doomed).is_none()), (2, true));
     }
 }

@@ -131,7 +131,7 @@ impl KeyOwner<'_> {
     /// Records the execution's profile: the book keeps its write trace, so
     /// the replay settles its reservation or
     /// [`ProfileBook::release_reservations`] releases it.
-    pub fn record(self, profile: StageProfile) {
+    pub(crate) fn record(self, profile: StageProfile) {
         if let Some(w) = &profile.write {
             self.book.observe_write(w);
         }
@@ -139,7 +139,7 @@ impl KeyOwner<'_> {
     }
 
     /// Records that executing the key fails with a schema incompatibility.
-    pub fn fail(self) {
+    pub(crate) fn fail(self) {
         self.book.record_failure(self.key.clone());
     }
 }
@@ -153,7 +153,7 @@ impl Drop for KeyOwner<'_> {
 
 impl ProfileBook {
     /// Empty book.
-    pub fn new() -> ProfileBook {
+    pub(crate) fn new() -> ProfileBook {
         ProfileBook::default()
     }
 
@@ -162,7 +162,7 @@ impl ProfileBook {
     /// key, blocks until it settles or drops its claim; otherwise the
     /// caller owns the key. Components are deterministic, so which claimant
     /// executes is unobservable in the replayed accounting.
-    pub fn claim(&self, key: &CacheKey) -> Claim<'_> {
+    pub(crate) fn claim(&self, key: &CacheKey) -> Claim<'_> {
         let mut executing = self.executing.lock();
         loop {
             if let Some(cached) = self.profiles.get_with(key, |p| p.cached.clone()) {
@@ -186,24 +186,24 @@ impl ProfileBook {
 
     /// Records that phase 1 found `key`'s checkpoint instead of executing
     /// it: a lookup hit, or a node its frontier cut skipped.
-    pub fn record_found(&self, key: CacheKey, cached: CachedOutput) {
+    pub(crate) fn record_found(&self, key: CacheKey, cached: CachedOutput) {
         self.found.insert(key, cached);
     }
 
     /// The checkpoint `key` had before this evaluation: phase 1 found it,
     /// and no execution recorded in this book produced it.
-    pub fn pre_existing(&self, key: &CacheKey) -> Option<CachedOutput> {
+    pub(crate) fn pre_existing(&self, key: &CacheKey) -> Option<CachedOutput> {
         self.found.get(key).filter(|_| !self.profiles.contains(key))
     }
 
     /// Records that executing `key` fails with a schema incompatibility.
-    pub fn record_failure(&self, key: CacheKey) {
+    pub(crate) fn record_failure(&self, key: CacheKey) {
         self.failures.write().insert(key);
     }
 
     /// Folds a write trace's newly-persisted chunk hashes into the "new
     /// during this evaluation" set.
-    pub fn observe_write(&self, trace: &PutTrace) {
+    pub(crate) fn observe_write(&self, trace: &PutTrace) {
         let mut set = self.new_chunks.lock();
         for c in &trace.chunks {
             if c.was_new {
@@ -216,19 +216,19 @@ impl ProfileBook {
     }
 
     /// The profile recorded for `key`, if any.
-    pub fn profile(&self, key: &CacheKey) -> Option<StageProfile> {
+    pub(crate) fn profile(&self, key: &CacheKey) -> Option<StageProfile> {
         self.profiles.get(key)
     }
 
     /// True if phase 1 observed `key` failing.
-    pub fn is_failure(&self, key: &CacheKey) -> bool {
+    pub(crate) fn is_failure(&self, key: &CacheKey) -> bool {
         self.failures.read().contains(key)
     }
 
     /// Starts a replay cursor over this book's observations: the simulated
     /// set of chunks that the canonical sequential order has not yet
     /// persisted.
-    pub fn replay_cursor(&self) -> ReplayCursor {
+    pub(crate) fn replay_cursor(&self) -> ReplayCursor {
         ReplayCursor {
             unseen: self.new_chunks.lock().clone(),
         }
@@ -246,7 +246,7 @@ impl ProfileBook {
     /// component, a storage fault. So **no reservation outlives the
     /// evaluation that took it**: tenant accounts end exactly where they
     /// started.
-    pub fn release_reservations(&self, store: &ChunkStore) {
+    pub(crate) fn release_reservations(&self, store: &ChunkStore) {
         self.profiles.for_each_value(|profile| {
             if let Some(trace) = &profile.write {
                 store.release_trace(trace);
@@ -259,7 +259,7 @@ impl ProfileBook {
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayCursor {
     /// Chunks phase 1 persisted that the replay has not yet attributed.
-    pub unseen: HashSet<Hash256>,
+    pub(crate) unseen: HashSet<Hash256>,
 }
 
 /// Checkpoints by `CacheKey`: the replay's sequential cache simulation, and
@@ -274,10 +274,10 @@ struct ReplayNode {
 /// Where a replay publishes the stages it charged as executed.
 pub(crate) struct Publication<'a> {
     /// The caller's checkpoint history.
-    pub index: &'a HistoryIndex,
+    pub(crate) index: &'a HistoryIndex,
     /// The candidate's provenance fingerprints
     /// ([`crate::provenance::Provenance`]).
-    pub fingerprints: &'a [Hash256],
+    pub(crate) fingerprints: &'a [Hash256],
 }
 
 /// Replays one candidate's execution for accounting, then publishes it: the

@@ -85,7 +85,7 @@ impl ResumeLog {
     }
 
     /// Durably appends one completed operation.
-    pub fn record(&self, key: &CacheKey, profile: &StageProfile) -> Result<()> {
+    pub(crate) fn record(&self, key: &CacheKey, profile: &StageProfile) -> Result<()> {
         let entry = ResumeEntry {
             key: key.clone(),
             profile: profile.clone(),
@@ -120,7 +120,7 @@ pub struct RecoveryReport {
     /// survive (journaled before the async writers synced them).
     pub discarded_operations: usize,
     /// The post-validation orphan sweep that removed unjournaled leftovers.
-    pub swept: SweepReport,
+    pub(crate) swept: SweepReport,
 }
 
 /// Validated journal state a resumed execution consults: for each cache
@@ -178,25 +178,8 @@ impl ResumeSnapshot {
 
     /// The journaled profile for `key`, if its execution completed durably
     /// before the crash.
-    pub fn get(&self, key: &CacheKey) -> Option<&StageProfile> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<&StageProfile> {
         self.map.get(key)
-    }
-
-    /// Number of operations the resumed run will adopt.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing was recovered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Manifest hashes of the recovered operations' output blobs.
-    pub fn roots(&self) -> impl Iterator<Item = Hash256> + '_ {
-        self.map
-            .values()
-            .filter_map(|p| p.write.as_ref().map(|t| t.manifest.hash))
     }
 }
 
@@ -299,7 +282,6 @@ mod tests {
         // The kept operation's blob is intact.
         let obj = snap.get(&kept.key).unwrap().cached.object;
         assert_eq!(store.get_blob(&obj).unwrap().as_ref(), b"durable operation");
-        assert_eq!(snap.roots().count(), 1);
     }
 
     #[test]
@@ -309,7 +291,7 @@ mod tests {
             .put_blob(ObjectKind::Output, b"committed earlier")
             .unwrap();
         let (snap, _) = ResumeSnapshot::recover(&store, vec![], [precious.object.id]).unwrap();
-        assert!(snap.is_empty());
+        assert!(snap.map.is_empty());
         assert_eq!(
             store.get_blob(&precious.object).unwrap().as_ref(),
             b"committed earlier"

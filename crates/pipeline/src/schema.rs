@@ -112,13 +112,6 @@ impl Schema {
         };
         SchemaId(h)
     }
-
-    /// Convenience constructor for relational schemas.
-    pub fn relational(columns: &[&str]) -> Schema {
-        Schema::Relational {
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,22 +120,34 @@ mod tests {
 
     #[test]
     fn relational_hash_is_order_insensitive() {
-        let a = Schema::relational(&["age", "diagnosis", "lab_result"]);
-        let b = Schema::relational(&["lab_result", "age", "diagnosis"]);
+        let a = Schema::Relational {
+            columns: vec!["age".into(), "diagnosis".into(), "lab_result".into()],
+        };
+        let b = Schema::Relational {
+            columns: vec!["lab_result".into(), "age".into(), "diagnosis".into()],
+        };
         assert_eq!(a.id(), b.id());
     }
 
     #[test]
     fn relational_hash_standardizes_headers() {
-        let a = Schema::relational(&["  Age ", "Lab Result"]);
-        let b = Schema::relational(&["age", "lab_result"]);
+        let a = Schema::Relational {
+            columns: vec!["  Age ".into(), "Lab Result".into()],
+        };
+        let b = Schema::Relational {
+            columns: vec!["age".into(), "lab_result".into()],
+        };
         assert_eq!(a.id(), b.id());
     }
 
     #[test]
     fn different_columns_different_hash() {
-        let a = Schema::relational(&["age", "diagnosis"]);
-        let b = Schema::relational(&["age", "diagnosis", "procedure"]);
+        let a = Schema::Relational {
+            columns: vec!["age".into(), "diagnosis".into()],
+        };
+        let b = Schema::Relational {
+            columns: vec!["age".into(), "diagnosis".into(), "procedure".into()],
+        };
         assert_ne!(a.id(), b.id());
     }
 
@@ -150,8 +155,12 @@ mod tests {
     fn column_split_is_not_ambiguous() {
         // ["ab", "c"] vs ["a", "bc"] must hash differently (length-prefixed
         // parts, not plain concatenation).
-        let a = Schema::relational(&["ab", "c"]);
-        let b = Schema::relational(&["a", "bc"]);
+        let a = Schema::Relational {
+            columns: vec!["ab".into(), "c".into()],
+        };
+        let b = Schema::Relational {
+            columns: vec!["a".into(), "bc".into()],
+        };
         assert_ne!(a.id(), b.id());
     }
 
@@ -218,7 +227,10 @@ mod tests {
 
     #[test]
     fn display_is_short() {
-        let id = Schema::relational(&["a"]).id();
+        let id = Schema::Relational {
+            columns: vec!["a".into()],
+        }
+        .id();
         assert!(id.to_string().starts_with("schema:"));
         assert_eq!(id.to_string().len(), "schema:".len() + 8);
     }

@@ -94,7 +94,7 @@ impl Policy {
 /// cut and a publication need of it.
 pub struct Candidate {
     /// The keys bound over the DAG, with their declared schemas.
-    pub pipeline: BoundPipeline,
+    pub(crate) pipeline: BoundPipeline,
     /// Its fingerprints and the nodes a run dispatches.
     pub provenance: Provenance,
 }

@@ -67,53 +67,6 @@ impl SemVer {
             increment,
         }
     }
-
-    /// Constructs a version on an arbitrary branch.
-    pub fn on_branch(branch: &str, schema: u32, increment: u32) -> SemVer {
-        SemVer {
-            branch: branch.to_string(),
-            schema,
-            increment,
-        }
-    }
-
-    /// A schema-preserving update: bumps `increment` only.
-    pub fn bump_increment(&self) -> SemVer {
-        SemVer {
-            branch: self.branch.clone(),
-            schema: self.schema,
-            increment: self.increment + 1,
-        }
-    }
-
-    /// An output-schema-changing update: bumps `schema`, resets `increment`.
-    pub fn bump_schema(&self) -> SemVer {
-        SemVer {
-            branch: self.branch.clone(),
-            schema: self.schema + 1,
-            increment: 0,
-        }
-    }
-
-    /// The same version re-homed on another branch.
-    pub fn rebranch(&self, branch: &str) -> SemVer {
-        SemVer {
-            branch: branch.to_string(),
-            schema: self.schema,
-            increment: self.increment,
-        }
-    }
-
-    /// True if both versions share the output-schema generation (and hence
-    /// produce compatible output schemas per §IV-B).
-    pub fn same_schema(&self, other: &SemVer) -> bool {
-        self.schema == other.schema
-    }
-
-    /// `schema.increment` without the branch (the paper's master shorthand).
-    pub fn short(&self) -> String {
-        format!("{}.{}", self.schema, self.increment)
-    }
 }
 
 impl Default for SemVer {
@@ -185,7 +138,15 @@ mod tests {
     #[test]
     fn display_master_shorthand() {
         assert_eq!(SemVer::master(0, 1).to_string(), "0.1");
-        assert_eq!(SemVer::on_branch("dev", 1, 0).to_string(), "dev@1.0");
+        assert_eq!(
+            SemVer {
+                branch: "dev".to_string(),
+                schema: 1,
+                increment: 0
+            }
+            .to_string(),
+            "dev@1.0"
+        );
     }
 
     #[test]
@@ -193,7 +154,11 @@ mod tests {
         assert_eq!("0.1".parse::<SemVer>().unwrap(), SemVer::master(0, 1));
         assert_eq!(
             "jane-dev@2.3".parse::<SemVer>().unwrap(),
-            SemVer::on_branch("jane-dev", 2, 3)
+            SemVer {
+                branch: "jane-dev".to_string(),
+                schema: 2,
+                increment: 3
+            }
         );
     }
 
@@ -202,27 +167,6 @@ mod tests {
         for bad in ["", "1", "a.b", "@1.0", "x@y@1.0", "1.0.0@x", "-1.0"] {
             assert!(bad.parse::<SemVer>().is_err(), "accepted '{bad}'");
         }
-    }
-
-    #[test]
-    fn bumps() {
-        let v = SemVer::master(1, 2);
-        assert_eq!(v.bump_increment(), SemVer::master(1, 3));
-        assert_eq!(v.bump_schema(), SemVer::master(2, 0));
-        assert_eq!(v.bump_schema().bump_increment(), SemVer::master(2, 1));
-    }
-
-    #[test]
-    fn rebranch_keeps_numbers() {
-        let v = SemVer::master(1, 2).rebranch("dev");
-        assert_eq!(v, SemVer::on_branch("dev", 1, 2));
-        assert_eq!(v.short(), "1.2");
-    }
-
-    #[test]
-    fn same_schema_ignores_increment_and_branch() {
-        assert!(SemVer::master(1, 0).same_schema(&SemVer::on_branch("dev", 1, 9)));
-        assert!(!SemVer::master(1, 0).same_schema(&SemVer::master(2, 0)));
     }
 
     #[test]
@@ -235,7 +179,11 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let v = SemVer::on_branch("frank-dev", 3, 7);
+        let v = SemVer {
+            branch: "frank-dev".to_string(),
+            schema: 3,
+            increment: 7,
+        };
         let json = serde_json::to_string(&v).unwrap();
         assert_eq!(serde_json::from_str::<SemVer>(&json).unwrap(), v);
     }
@@ -244,7 +192,7 @@ mod tests {
         #[test]
         fn prop_display_parse_round_trip(schema in 0u32..1000, inc in 0u32..1000, use_branch: bool) {
             let v = if use_branch {
-                SemVer::on_branch("dev-x", schema, inc)
+                SemVer { branch: "dev-x".to_string(), schema, increment: inc }
             } else {
                 SemVer::master(schema, inc)
             };

@@ -7,10 +7,10 @@
 //!   untouched.
 //! * **in-flight cap** — server-wide backpressure: at most N operations
 //!   executing at once, the rest refused with
-//!   [`crate::protocol::OVERLOADED`] (clients retry).
+//!   `crate::protocol::OVERLOADED` (clients retry).
 //! * **per-tenant token bucket** — each tenant name refills at `per_sec`
 //!   tokens up to `burst`; an op costs one token. A hot writer exhausting
-//!   its bucket is throttled with [`crate::protocol::RATE_LIMITED`]
+//!   its bucket is throttled with `crate::protocol::RATE_LIMITED`
 //!   without slowing the read-heavy tail of other tenants.
 //!
 //! The limits layer sits *in front of* the storage-level
@@ -60,22 +60,22 @@ struct Bucket {
 
 /// Runtime state enforcing an [`AdmissionControl`] configuration.
 #[derive(Debug)]
-pub struct Limiter {
+pub(crate) struct Limiter {
     cfg: AdmissionControl,
     open_sessions: AtomicUsize,
     inflight: AtomicUsize,
     buckets: Mutex<HashMap<String, Bucket>>,
     /// Sessions refused by the session cap.
-    pub sessions_refused: AtomicU64,
+    pub(crate) sessions_refused: AtomicU64,
     /// Ops refused by the in-flight cap.
-    pub ops_shed: AtomicU64,
+    pub(crate) ops_shed: AtomicU64,
     /// Ops refused by a tenant's token bucket.
-    pub ops_throttled: AtomicU64,
+    pub(crate) ops_throttled: AtomicU64,
 }
 
 impl Limiter {
     /// A limiter enforcing `cfg`.
-    pub fn new(cfg: AdmissionControl) -> Limiter {
+    pub(crate) fn new(cfg: AdmissionControl) -> Limiter {
         Limiter {
             cfg,
             open_sessions: AtomicUsize::new(0),
@@ -88,12 +88,12 @@ impl Limiter {
     }
 
     /// Currently open sessions.
-    pub fn open_sessions(&self) -> usize {
+    pub(crate) fn open_sessions(&self) -> usize {
         self.open_sessions.load(Ordering::Relaxed)
     }
 
     /// Admits a new session or refuses with `ADMISSION_DENIED`.
-    pub fn open_session(&self) -> Result<(), Failure> {
+    pub(crate) fn open_session(&self) -> Result<(), Failure> {
         if let Some(cap) = self.cfg.max_sessions {
             // Optimistic increment with rollback keeps this lock-free.
             let prev = self.open_sessions.fetch_add(1, Ordering::AcqRel);
@@ -112,13 +112,13 @@ impl Limiter {
     }
 
     /// Releases a session slot.
-    pub fn close_session(&self) {
+    pub(crate) fn close_session(&self) {
         self.open_sessions.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Admits one operation for `tenant`, returning a guard that releases
     /// the in-flight slot on drop.
-    pub fn begin_op(&self, tenant: &str) -> Result<OpGuard<'_>, Failure> {
+    pub(crate) fn begin_op(&self, tenant: &str) -> Result<OpGuard<'_>, Failure> {
         if let Some(cap) = self.cfg.max_inflight {
             let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
             if prev >= cap {
@@ -166,7 +166,7 @@ impl Limiter {
 
 /// Releases one in-flight slot when dropped.
 #[derive(Debug)]
-pub struct OpGuard<'a> {
+pub(crate) struct OpGuard<'a> {
     limiter: &'a Limiter,
 }
 

@@ -7,10 +7,10 @@
 //! `{code, message}` with JSON-RPC style codes (negative integers; the
 //! `-3205x` range is the daemon's admission-control band).
 //!
-//! The served path builds no [`Value`] tree: [`read_request`] borrows the
-//! method and the params from the line, and [`write_ok`]/[`write_error`]
+//! The served path builds no [`Value`] tree: `read_request` borrows the
+//! method and the params from the line, and `write_ok`/`write_error`
 //! render a reply with [`Serialize::write_json`]. The tree forms —
-//! [`parse_request`], [`ok_response`], [`error_response`] — stay for
+//! [`parse_request`], `ok_response`, [`error_response`] — stay for
 //! in-process callers of `Router::handle`, and say byte for byte what the
 //! served path says.
 
@@ -31,9 +31,9 @@ pub const OP_FAILED: i64 = -32000;
 /// Admission control refused a new session (session cap reached).
 pub const ADMISSION_DENIED: i64 = -32050;
 /// Per-tenant rate limiter refused the operation.
-pub const RATE_LIMITED: i64 = -32051;
+pub(crate) const RATE_LIMITED: i64 = -32051;
 /// Too many operations in flight (server-wide backpressure).
-pub const OVERLOADED: i64 = -32052;
+pub(crate) const OVERLOADED: i64 = -32052;
 
 /// A parsed request, owning its fields.
 #[derive(Debug, Clone)]
@@ -49,13 +49,13 @@ pub struct Request {
 
 /// A request read off its line, borrowing from it: the method and the
 /// params' strings are slices of the line unless they hold an escape.
-pub struct LineRequest<'a> {
+pub(crate) struct LineRequest<'a> {
     /// Caller-chosen correlation id, echoed back verbatim.
-    pub id: Value,
+    pub(crate) id: Value,
     /// Method name.
-    pub method: Cow<'a, str>,
+    pub(crate) method: Cow<'a, str>,
     /// The params object, or what [`Params::of`] refuses a non-object with.
-    pub params: Result<Params<'a>, Failure>,
+    pub(crate) params: Result<Params<'a>, Failure>,
     /// The params' text (empty when the request had none).
     params_text: &'a str,
 }
@@ -71,7 +71,7 @@ pub struct Failure {
 
 impl Failure {
     /// Builds a failure from any displayable message.
-    pub fn new(code: i64, msg: impl std::fmt::Display) -> Failure {
+    pub(crate) fn new(code: i64, msg: impl std::fmt::Display) -> Failure {
         Failure {
             code,
             msg: msg.to_string(),
@@ -79,12 +79,12 @@ impl Failure {
     }
 
     /// Shorthand for a `-32602` parameter error.
-    pub fn params(msg: impl std::fmt::Display) -> Failure {
+    pub(crate) fn params(msg: impl std::fmt::Display) -> Failure {
         Failure::new(INVALID_PARAMS, msg)
     }
 
     /// Shorthand for a `-32000` operation error.
-    pub fn op(msg: impl std::fmt::Display) -> Failure {
+    pub(crate) fn op(msg: impl std::fmt::Display) -> Failure {
         Failure::new(OP_FAILED, msg)
     }
 }
@@ -111,7 +111,7 @@ pub fn s(x: impl Into<String>) -> Value {
 /// the first occurrence counts. A line `serde_json` would not parse fails
 /// with its message; the envelope is checked only once the whole line
 /// parsed.
-pub fn read_request(line: &str) -> Result<LineRequest<'_>, Failure> {
+pub(crate) fn read_request(line: &str) -> Result<LineRequest<'_>, Failure> {
     let mut r = Reader::new(line);
     if r.peek() != Some(b'{') {
         r.skip()?;
@@ -154,7 +154,7 @@ pub fn read_request(line: &str) -> Result<LineRequest<'_>, Failure> {
     })
 }
 
-/// Parses one request line into an owned [`Request`]: [`read_request`],
+/// Parses one request line into an owned [`Request`]: `read_request`,
 /// with the params kept as their text.
 pub fn parse_request(line: &str) -> Result<Request, Failure> {
     let req = read_request(line)?;
@@ -166,7 +166,7 @@ pub fn parse_request(line: &str) -> Result<Request, Failure> {
 }
 
 /// A success response value.
-pub fn ok_response(id: &Value, result: Value) -> Value {
+pub(crate) fn ok_response(id: &Value, result: Value) -> Value {
     obj(vec![("id", id.clone()), ("result", result)])
 }
 
@@ -186,7 +186,7 @@ pub fn error_response(id: &Value, failure: &Failure) -> Value {
 
 /// Appends a success response: the bytes [`ok_response`] renders to, with
 /// `result` written by [`Serialize::write_json`].
-pub fn write_ok(out: &mut String, id: &Value, result: &(impl Serialize + ?Sized)) {
+pub(crate) fn write_ok(out: &mut String, id: &Value, result: &(impl Serialize + ?Sized)) {
     out.push_str("{\"id\":");
     id.write_json(out);
     out.push_str(",\"result\":");
@@ -195,7 +195,7 @@ pub fn write_ok(out: &mut String, id: &Value, result: &(impl Serialize + ?Sized)
 }
 
 /// Appends an error response: the bytes [`error_response`] renders to.
-pub fn write_error(out: &mut String, id: &Value, failure: &Failure) {
+pub(crate) fn write_error(out: &mut String, id: &Value, failure: &Failure) {
     out.push_str("{\"id\":");
     id.write_json(out);
     out.push_str(",\"error\":{\"code\":");

@@ -67,11 +67,11 @@ impl Default for ServerOptions {
 
 /// One tenant's serving state: the tenant handle plus the pipeline system
 /// every session of that tenant shares.
-pub struct TenantEntry {
+pub(crate) struct TenantEntry {
     /// Tenant handle (accounting, shares, forks).
-    pub tenant: Tenant,
+    pub(crate) tenant: Tenant,
     /// The tenant's pipeline system over the shared workspace.
-    pub sys: MlCask,
+    pub(crate) sys: MlCask,
     /// The request telemetry recorded under this tenant's label.
     requests: RequestSeries,
 }
@@ -363,7 +363,7 @@ impl Router {
     }
 
     /// Total operations served (successful or not, past admission).
-    pub fn ops_served(&self) -> u64 {
+    pub(crate) fn ops_served(&self) -> u64 {
         self.ops_served.load(Ordering::Relaxed)
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// Serves requests from `input` to `output` until EOF. Returns the number
 /// of requests served.
-pub fn serve_lines(
+pub(crate) fn serve_lines(
     router: &Router,
     input: impl std::io::Read,
     mut output: impl Write,

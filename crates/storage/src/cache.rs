@@ -13,7 +13,7 @@
 //! come from, never *what* they are. The one observable hazard is presence:
 //! after [`ChunkStore::sweep_orphans`](crate::store::ChunkStore::sweep_orphans)
 //! removes a key, a stale entry would serve a blob the backend no longer
-//! holds, so the sweep invalidates each removed key ([`BlobCache::invalidate`]).
+//! holds, so the sweep invalidates each removed key (`BlobCache::invalidate`).
 //!
 //! # Replacement policy
 //!
@@ -93,7 +93,7 @@ pub struct Evicted {
     /// Entries evicted.
     pub entries: u64,
     /// Their combined weight.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// One byte-budgeted CLOCK ring over content-addressed values: entries in
@@ -163,7 +163,7 @@ impl<V: Clone> ClockRing<V> {
     }
 
     /// Drops `key` if present, returning its weight.
-    pub fn remove(&mut self, key: &Hash256) -> Option<u64> {
+    pub(crate) fn remove(&mut self, key: &Hash256) -> Option<u64> {
         let idx = *self.map.get(key)?;
         Some(self.remove_at(idx))
     }
@@ -298,7 +298,7 @@ impl BlobCache {
 
     /// Drops `key` if cached — called after a backend `remove` so a stale
     /// entry can never resurrect a deleted blob.
-    pub fn invalidate(&self, key: &Hash256) {
+    pub(crate) fn invalidate(&self, key: &Hash256) {
         let removed = self.ring(key).lock().remove(key);
         if let Some(len) = removed {
             self.invalidations.inc();
@@ -310,7 +310,7 @@ impl BlobCache {
     /// Point-in-time telemetry snapshot. Also refreshes the registry's
     /// hit-rate gauge, so callers that snapshot stats right before a
     /// `metrics.scrape` export a current rate.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let stats = CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),

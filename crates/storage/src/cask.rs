@@ -57,8 +57,8 @@
 //! execution, and [`CaskBackend::flush`] waits for the queues to drain.
 //! With `writer_threads == 0` ([`CaskOptions::synchronous`]) the caller
 //! lands its own group before `put_many` returns, so records land in call
-//! order. `blocking_syncs` counts the fsyncs a *caller* waited on, so only
-//! this mode pays any. The traced-execute/replay protocol already
+//! order. The `mlcask_cask_blocking_syncs_total` series counts the fsyncs a
+//! *caller* waited on, so only this mode pays any. The traced-execute/replay protocol already
 //! decouples accounting from write timing, so the engines need no changes.
 //!
 //! # Compaction
@@ -108,7 +108,7 @@ use std::time::Instant;
 /// Frame header size: payload length + CRC, both little-endian `u32`s.
 pub const FRAME_HEADER: usize = 8;
 /// Segment record payload overhead: flag byte + 32-byte key.
-pub const RECORD_OVERHEAD: usize = 33;
+pub(crate) const RECORD_OVERHEAD: usize = 33;
 
 const FLAG_PUT: u8 = 0;
 const FLAG_TOMBSTONE: u8 = 1;
@@ -154,7 +154,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
 
@@ -741,21 +741,10 @@ impl CaskBackend {
         Ok(CaskBackend { inner, workers })
     }
 
-    /// Number of shard segment files.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// Records (puts + tombstones) handed to a landing, including those of
     /// a failed one. The crash-matrix tests size their sweep with this.
     pub fn append_count(&self) -> u64 {
         self.inner.appends.get()
-    }
-
-    /// Fsyncs that blocked a caller's thread: one per landed group without
-    /// a writer pool, none with one (durability overlaps execution).
-    pub fn blocking_syncs(&self) -> u64 {
-        self.inner.blocking_syncs.get()
     }
 
     /// Every segment fsync performed for append durability: one per landed
@@ -764,11 +753,6 @@ impl CaskBackend {
     /// coalesces queued groups into one batch.
     pub fn sync_count(&self) -> u64 {
         self.inner.syncs_total.get()
-    }
-
-    /// Batches landed, each made durable with one group commit.
-    pub fn group_commit_batches(&self) -> u64 {
-        self.inner.group_commits.get()
     }
 
     /// Segment disk reads served by `get` (in-memory `Pending` hits don't
@@ -1511,7 +1495,7 @@ mod tests {
         // Reopen ignores the (different) requested shard count: the
         // manifest pins it.
         let be = CaskBackend::open_with(&root, CaskOptions::default().with_shards(9)).unwrap();
-        assert_eq!(be.shard_count(), 3);
+        assert_eq!(be.inner.shards.len(), 3);
         assert_eq!(be.get(a).unwrap().as_ref(), b"alpha");
         assert!(!be.contains(b), "tombstone survives reopen");
         assert_eq!(be.len(), 1);
@@ -1633,10 +1617,10 @@ mod tests {
         // One per landed put on the caller's thread against none: the pool
         // lands (and syncs) every group on its own threads.
         assert!(
-            pool.blocking_syncs() * 4 <= sync.blocking_syncs(),
+            pool.inner.blocking_syncs.get() * 4 <= sync.inner.blocking_syncs.get(),
             "pool {} vs sync {}",
-            pool.blocking_syncs(),
-            sync.blocking_syncs()
+            pool.inner.blocking_syncs.get(),
+            sync.inner.blocking_syncs.get()
         );
         drop(sync);
         drop(pool);
@@ -1665,7 +1649,7 @@ mod tests {
         }
         be.flush().unwrap();
         assert_eq!(be.append_count(), 256);
-        assert!(be.group_commit_batches() >= 1);
+        assert!(be.inner.group_commits.get() >= 1);
         assert!(
             be.sync_count() < be.append_count(),
             "batching coalesces fsyncs: {} syncs for {} appends",
@@ -1813,7 +1797,7 @@ mod tests {
             let total: u64 = blobs.iter().map(|b| record_file_len(b.len() as u64)).sum();
             assert_eq!(sizes[route], total, "threads {writer_threads}: {sizes:?}");
             assert_eq!(sizes.iter().sum::<u64>(), total);
-            assert_eq!(be.group_commit_batches(), 1, "one group, one commit");
+            assert_eq!(be.inner.group_commits.get(), 1, "one group, one commit");
             assert_eq!(be.sync_count(), 1);
             assert_eq!(be.append_count(), items.len() as u64);
             drop(be);
@@ -1894,7 +1878,7 @@ mod tests {
                             assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
                         }
                         drop(idx);
-                        assert_eq!(be.group_commit_batches(), n - 1, "{cell}");
+                        assert_eq!(be.inner.group_commits.get(), n - 1, "{cell}");
                     }
                     let be = CaskBackend::open(&root).unwrap();
                     for (k, d) in &flushed {

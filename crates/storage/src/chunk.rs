@@ -14,11 +14,11 @@ use crate::hash::{digest_many, Hash256};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkParams {
     /// No boundary is emitted before this many bytes.
-    pub min_size: usize,
+    pub(crate) min_size: usize,
     /// Expected (average) chunk size; must be a power of two.
-    pub avg_size: usize,
+    pub(crate) avg_size: usize,
     /// A boundary is forced at this many bytes.
-    pub max_size: usize,
+    pub(crate) max_size: usize,
 }
 
 impl ChunkParams {
@@ -36,24 +36,6 @@ impl ChunkParams {
         max_size: 1024,
     };
 
-    /// Creates validated parameters.
-    pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Self {
-        assert!(min_size >= 1, "min_size must be positive");
-        assert!(
-            avg_size.is_power_of_two(),
-            "avg_size must be a power of two"
-        );
-        assert!(
-            min_size <= avg_size && avg_size <= max_size,
-            "need min <= avg <= max"
-        );
-        ChunkParams {
-            min_size,
-            avg_size,
-            max_size,
-        }
-    }
-
     /// Boundary mask: matching `hash & mask == 0` happens with probability
     /// `1/avg_size` for a uniform hash.
     fn mask(&self) -> u64 {
@@ -69,13 +51,13 @@ impl Default for ChunkParams {
 
 /// One chunk of a blob: its content address plus the byte range it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkRef {
+pub(crate) struct ChunkRef {
     /// Content address of the chunk bytes.
-    pub hash: Hash256,
+    pub(crate) hash: Hash256,
     /// Offset of the chunk within the original blob.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Chunk length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
 /// Deterministic 256-entry Gear table derived from SHA-256 so the chunker
@@ -97,7 +79,7 @@ fn gear_table() -> &'static [u64; 256] {
 
 /// Splits `data` into content-defined chunk boundaries.
 ///
-/// Returns the byte ranges only; [`chunk_blob`] additionally hashes each
+/// Returns the byte ranges only; `chunk_blob` additionally hashes each
 /// chunk. Empty input yields no chunks.
 ///
 /// Only the last 64 bytes read can move a boundary: each step shifts the
@@ -139,7 +121,7 @@ pub fn boundaries(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
 
 /// Chunks a blob and content-addresses each piece, two chunks at a time
 /// (see [`digest_many`]).
-pub fn chunk_blob(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
+pub(crate) fn chunk_blob(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
     let ranges = boundaries(data, params);
     let chunks: Vec<&[u8]> = ranges.iter().map(|&(s, e)| &data[s..e]).collect();
     let mut hashes = Vec::with_capacity(chunks.len());
@@ -285,18 +267,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two_avg() {
-        ChunkParams::new(16, 100, 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "min <= avg <= max")]
-    fn rejects_unordered_bounds() {
-        ChunkParams::new(512, 256, 1024);
-    }
-
     proptest! {
         /// Starting the rolling hash 64 bytes before the first boundary
         /// test finds what rolling from the chunk start finds: under
@@ -313,7 +283,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let symbols = ((1u16 << alphabet_bits) - 1) as u8;
             let data: Vec<u8> = (0..len).map(|_| rng.gen::<u8>() & symbols).collect();
-            for params in [ChunkParams::SMALL, ChunkParams::DEFAULT, ChunkParams::new(100, 256, 1024)] {
+            for params in [ChunkParams::SMALL, ChunkParams::DEFAULT, ChunkParams { min_size: 100, avg_size: 256, max_size: 1024 }] {
                 prop_assert_eq!(
                     boundaries(&data, params),
                     boundaries_full_window(&data, params),

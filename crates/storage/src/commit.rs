@@ -301,7 +301,7 @@ impl GraphView {
 
     /// True if the view has no commits.
     pub fn is_empty(&self) -> bool {
-        self.snap.commits.is_empty()
+        self.snap.commits.len() == 0
     }
 
     /// Set of all ancestors of `id` (including `id` itself).

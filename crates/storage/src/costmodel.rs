@@ -14,14 +14,14 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StorageCostModel {
     /// Fixed per-blob latency in nanoseconds.
-    pub latency_ns: u64,
+    pub(crate) latency_ns: u64,
     /// Write bandwidth in bytes per second (applies to *physical* bytes).
-    pub write_bw: u64,
+    pub(crate) write_bw: u64,
     /// Read bandwidth in bytes per second.
-    pub read_bw: u64,
+    pub(crate) read_bw: u64,
     /// Hashing/chunking cost in nanoseconds per *logical* byte (zero for the
     /// folder-copy baselines, which never hash content).
-    pub hash_ns_per_byte: u64,
+    pub(crate) hash_ns_per_byte: u64,
 }
 
 impl StorageCostModel {
@@ -61,7 +61,7 @@ impl StorageCostModel {
     }
 
     /// Cost of reading a blob of `logical` bytes.
-    pub fn read_cost(&self, logical: u64) -> Duration {
+    pub(crate) fn read_cost(&self, logical: u64) -> Duration {
         let bw_ns = logical.saturating_mul(1_000_000_000) / self.read_bw.max(1);
         Duration::from_nanos(self.latency_ns + bw_ns)
     }

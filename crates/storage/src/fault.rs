@@ -115,14 +115,14 @@ impl FaultPlan {
     /// `frame_len` bytes: deterministic in `(seed, crash_at_append)`, and
     /// anywhere in `0..=frame_len` (including "nothing written" and "fully
     /// written but that is indistinguishable from AfterWrite").
-    pub fn torn_cut(&self, frame_len: usize) -> usize {
+    pub(crate) fn torn_cut(&self, frame_len: usize) -> usize {
         (splitmix64(self.seed ^ self.crash_at_append) % (frame_len as u64 + 1)) as usize
     }
 }
 
 /// SplitMix64 — the standard 64-bit seed scrambler; deterministic and
 /// dependency-free.
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

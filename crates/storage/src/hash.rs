@@ -46,14 +46,13 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
+/// SHA-256 hasher: [`Sha256::digest`] hashes one message; the crate also
+/// streams a message through it in pieces.
 ///
 /// ```
 /// use mlcask_storage::hash::Sha256;
-/// let mut h = Sha256::new();
-/// h.update(b"abc");
 /// assert_eq!(
-///     h.finalize().to_hex(),
+///     Sha256::digest(b"abc").to_hex(),
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
@@ -67,15 +66,9 @@ pub struct Sha256 {
     total_len: u64,
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sha256 {
     /// Creates a fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
@@ -85,7 +78,7 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -111,7 +104,7 @@ impl Sha256 {
     }
 
     /// Finishes the computation and returns the digest.
-    pub fn finalize(mut self) -> Hash256 {
+    pub(crate) fn finalize(mut self) -> Hash256 {
         // `update` leaves `buf_len < 64`.
         let (tail, len) = pad(&self.buf[..self.buf_len], self.total_len);
         compress_blocks(&mut self.state, &tail[..len]);
@@ -564,7 +557,7 @@ impl Hash256 {
     /// Parses a 64-char hex string (either case). Anything else — wrong
     /// length, a sign, a non-ASCII character — is `None`: this is reached
     /// from metafiles and journals read back from disk.
-    pub fn from_hex(s: &str) -> Option<Hash256> {
+    pub(crate) fn from_hex(s: &str) -> Option<Hash256> {
         let bytes = s.as_bytes();
         if bytes.len() != 64 {
             return None;
@@ -581,7 +574,7 @@ impl Hash256 {
     }
 
     /// True if this is the zero sentinel.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0 == [0u8; 32]
     }
 }

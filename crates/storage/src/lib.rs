@@ -43,7 +43,6 @@
 // The one exception is the SHA-NI kernel module in `hash`, which carries the
 // crate's only `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod backend;
 pub mod cache;

@@ -28,7 +28,7 @@ pub enum ObjectKind {
 
 impl ObjectKind {
     /// All kinds, for iterating accounting tables.
-    pub const ALL: [ObjectKind; 5] = [
+    pub(crate) const ALL: [ObjectKind; 5] = [
         ObjectKind::Dataset,
         ObjectKind::Library,
         ObjectKind::Pipeline,
@@ -38,7 +38,7 @@ impl ObjectKind {
 
     /// Dense index of this kind within [`ObjectKind::ALL`] (used by the
     /// lock-free per-kind statistics counters).
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             ObjectKind::Dataset => 0,
             ObjectKind::Library => 1,
@@ -47,24 +47,13 @@ impl ObjectKind {
             ObjectKind::Model => 4,
         }
     }
-
-    /// Stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ObjectKind::Dataset => "dataset",
-            ObjectKind::Library => "library",
-            ObjectKind::Pipeline => "pipeline",
-            ObjectKind::Output => "output",
-            ObjectKind::Model => "model",
-        }
-    }
 }
 
 /// Manifest describing a chunked blob: the ordered chunk list plus totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Logical (un-deduplicated) blob length.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Chunks in order.
     pub chunks: Vec<ManifestEntry>,
 }
@@ -75,12 +64,12 @@ pub struct ManifestEntry {
     /// Chunk content address.
     pub hash: Hash256,
     /// Chunk length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
 impl Manifest {
     /// Builds a manifest from chunker output.
-    pub fn from_chunks(chunks: &[ChunkRef]) -> Manifest {
+    pub(crate) fn from_chunks(chunks: &[ChunkRef]) -> Manifest {
         let len = chunks.iter().map(|c| c.len as u64).sum();
         Manifest {
             len,
@@ -96,7 +85,7 @@ impl Manifest {
 
     /// Canonical byte encoding (length-prefixed), used both for persistence
     /// and for computing the manifest's own content address.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.chunks.len() * 36);
         out.extend_from_slice(&self.len.to_le_bytes());
         out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
@@ -107,7 +96,7 @@ impl Manifest {
         out
     }
 
-    /// Inverse of [`Manifest::encode`].
+    /// Inverse of `Manifest::encode`.
     pub fn decode(bytes: &[u8]) -> Option<Manifest> {
         if bytes.len() < 12 {
             return None;
@@ -133,11 +122,6 @@ impl Manifest {
             return None;
         }
         Some(m)
-    }
-
-    /// Content address of the manifest itself (identifies the whole blob).
-    pub fn id(&self) -> Hash256 {
-        Hash256::of(&self.encode())
     }
 }
 
@@ -180,7 +164,6 @@ mod tests {
         assert_eq!(m.len, data.len() as u64);
         let enc = m.encode();
         assert_eq!(Manifest::decode(&enc), Some(m.clone()));
-        assert_eq!(m.id(), Hash256::of(&enc));
     }
 
     #[test]
@@ -212,13 +195,6 @@ mod tests {
         for (i, k) in ObjectKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i, "{k:?}");
         }
-    }
-
-    #[test]
-    fn object_kind_labels_unique() {
-        let labels: std::collections::HashSet<_> =
-            ObjectKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), ObjectKind::ALL.len());
     }
 
     #[test]

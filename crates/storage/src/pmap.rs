@@ -79,13 +79,8 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reference to the value for `key`, if present. Like `HashMap::get`,
@@ -120,7 +115,7 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
     }
 
     /// True if `key` (in any borrowed form, see [`PMap::get`]) has an entry.
-    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    pub(crate) fn contains_key<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -186,7 +181,7 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Visits every entry (unspecified order).
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         fn walk<K, V>(node: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
             match node {
                 Node::Leaf(_, entries) => {
@@ -205,13 +200,6 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
             walk(root, &mut f);
         }
     }
-
-    /// All keys (unspecified order).
-    pub fn keys(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|k, _| out.push(k.clone()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +210,7 @@ mod tests {
     #[test]
     fn insert_get_replace() {
         let m0: PMap<String, u32> = PMap::new();
-        assert!(m0.is_empty());
+        assert_eq!(m0.len(), 0);
         assert_eq!(m0.get("a"), None);
         let m1 = m0.insert("a".into(), 1);
         let m2 = m1.insert("b".into(), 2);
@@ -262,7 +250,6 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, model.len());
-        assert_eq!(m.keys().len(), model.len());
     }
 
     #[test]

@@ -14,15 +14,15 @@ use std::ops::AddAssign;
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KindStats {
     /// Number of blobs written (including logical duplicates).
-    pub blobs_written: u64,
+    pub(crate) blobs_written: u64,
     /// Bytes presented to the store.
     pub logical_bytes: u64,
     /// New chunk bytes actually persisted.
     pub physical_bytes: u64,
     /// Chunks presented.
-    pub chunks_seen: u64,
+    pub(crate) chunks_seen: u64,
     /// Chunks that were already present (dedup hits).
-    pub chunks_deduped: u64,
+    pub(crate) chunks_deduped: u64,
 }
 
 impl AddAssign for KindStats {
@@ -43,12 +43,12 @@ pub struct StorageStats {
 
 impl StorageStats {
     /// Empty statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one blob write.
-    pub fn record(&mut self, kind: ObjectKind, delta: KindStats) {
+    pub(crate) fn record(&mut self, kind: ObjectKind, delta: KindStats) {
         *self.per_kind.entry(kind).or_default() += delta;
     }
 
@@ -75,13 +75,6 @@ impl StorageStats {
             t.logical_bytes as f64 / t.physical_bytes as f64
         }
     }
-
-    /// Merges another stats table into this one.
-    pub fn merge(&mut self, other: &StorageStats) {
-        for (k, v) in &other.per_kind {
-            *self.per_kind.entry(*k).or_default() += *v;
-        }
-    }
 }
 
 /// Point-in-time snapshot of [`BlobCache`](crate::cache::BlobCache)
@@ -98,20 +91,20 @@ pub struct CacheStats {
     /// Lookups that fell through to the backend.
     pub misses: u64,
     /// Entries admitted.
-    pub insertions: u64,
+    pub(crate) insertions: u64,
     /// Entries evicted by the CLOCK hand to stay under budget.
     pub evictions: u64,
     /// Entries dropped because their key was removed from the backend.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
     /// Bytes currently resident.
-    pub resident_bytes: u64,
+    pub(crate) resident_bytes: u64,
     /// Configured byte budget.
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
 }
 
 impl CacheStats {
     /// Hits / (hits + misses); 0.0 when no lookups have happened.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -142,13 +135,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 impl AtomicStats {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one blob write (relaxed atomic adds; totals are exact, only
     /// cross-counter ordering is unsynchronized).
-    pub fn record(&self, kind: ObjectKind, delta: KindStats) {
+    pub(crate) fn record(&self, kind: ObjectKind, delta: KindStats) {
         let k = &self.per_kind[kind.index()];
         k.blobs_written
             .fetch_add(delta.blobs_written, Ordering::Relaxed);
@@ -163,7 +156,7 @@ impl AtomicStats {
     }
 
     /// Point-in-time copy as the serializable [`StorageStats`] table.
-    pub fn snapshot(&self) -> StorageStats {
+    pub(crate) fn snapshot(&self) -> StorageStats {
         let mut out = StorageStats::new();
         for kind in ObjectKind::ALL {
             let k = &self.per_kind[kind.index()];
@@ -232,23 +225,6 @@ mod tests {
             },
         );
         assert!((s.dedup_ratio() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = StorageStats::new();
-        let mut b = StorageStats::new();
-        let d = KindStats {
-            blobs_written: 1,
-            logical_bytes: 10,
-            physical_bytes: 10,
-            chunks_seen: 1,
-            chunks_deduped: 0,
-        };
-        a.record(ObjectKind::Model, d);
-        b.record(ObjectKind::Model, d);
-        a.merge(&b);
-        assert_eq!(a.kind(ObjectKind::Model).logical_bytes, 20);
     }
 
     #[test]

@@ -149,14 +149,14 @@ impl PutTrace {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// Distinct objects (manifests + chunks) reachable from the roots.
-    pub live_objects: usize,
+    pub(crate) live_objects: usize,
     /// Unreachable objects deleted from the backend.
     pub removed_objects: usize,
     /// Physical bytes reclaimed.
     pub removed_bytes: u64,
     /// Segment file bytes reclaimed by backend compaction after the sweep
     /// (0 for backends without log compaction).
-    pub compacted_file_bytes: u64,
+    pub(crate) compacted_file_bytes: u64,
 }
 
 /// Content-addressed, deduplicating blob store.
@@ -663,12 +663,6 @@ impl ChunkStore {
         self.backend.flush()
     }
 
-    /// Compacts the backend's storage without sweeping, returning the file
-    /// bytes reclaimed.
-    pub fn compact(&self) -> Result<u64> {
-        self.backend.compact()
-    }
-
     /// Direct access to the physical backend (recovery tooling needs to ask
     /// it about chunk presence and durability counters).
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
@@ -906,8 +900,13 @@ mod tests {
         // Physical quotas respect dedup: rewriting existing content needs
         // (almost) no new physical bytes, so it passes a tight physical cap.
         let p = root.for_tenant(TenantId(8));
-        root.tenant_accounts()
-            .register(TenantId(8), QuotaPolicy::physical(1_000));
+        root.tenant_accounts().register(
+            TenantId(8),
+            QuotaPolicy {
+                max_physical_bytes: Some(1_000),
+                ..QuotaPolicy::UNLIMITED
+            },
+        );
         p.put_blob(ObjectKind::Output, &small).unwrap();
         assert!(matches!(
             p.put_blob(ObjectKind::Output, &too_big),
@@ -1147,7 +1146,7 @@ mod tests {
             let quota = |used: TenantUsage| match limit {
                 0 => QuotaPolicy::UNLIMITED,
                 1 => QuotaPolicy::logical(used.logical_bytes + cap),
-                _ => QuotaPolicy::physical(used.physical_bytes + cap % 2),
+                _ => QuotaPolicy { max_physical_bytes: Some(used.physical_bytes + cap % 2), ..QuotaPolicy::UNLIMITED },
             };
             let stored = second_tenant_write(&data, split, quota, |b, first| {
                 b.put_stored(&first.object).map(|put| put.expect("stored"))

@@ -20,7 +20,7 @@
 //!    [`StorageError::QuotaExceeded`](crate::errors::StorageError) *before*
 //!    any chunk is persisted. Enforcement is a **reservation protocol**: a
 //!    write first atomically reserves its logical size plus a conservative
-//!    upper bound of its physical size ([`TenantAccounts::reserve`]), and
+//!    upper bound of its physical size (`TenantAccounts::reserve`), and
 //!    reserved bytes count against the cap for every concurrent check — so
 //!    one in-flight parallel evaluation cannot overshoot its quota by racing
 //!    many writes past a stale usage snapshot. A reservation is *settled*
@@ -77,14 +77,6 @@ impl QuotaPolicy {
             ..Self::UNLIMITED
         }
     }
-
-    /// Caps first-writer-pays physical bytes only.
-    pub fn physical(max: u64) -> QuotaPolicy {
-        QuotaPolicy {
-            max_physical_bytes: Some(max),
-            ..Self::UNLIMITED
-        }
-    }
 }
 
 /// Cumulative write accounting for one tenant (first-writer-pays).
@@ -112,16 +104,16 @@ pub struct SharedUsage {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReservedBytes {
     /// Reserved logical bytes.
-    pub logical: u64,
+    pub(crate) logical: u64,
     /// Reserved physical bytes (a conservative upper bound — concurrent
     /// writers of one new chunk may each reserve its size).
-    pub physical: u64,
+    pub(crate) physical: u64,
 }
 
-/// Handle to one open reservation made by [`TenantAccounts::reserve`].
+/// Handle to one open reservation made by `TenantAccounts::reserve`.
 ///
 /// Settling or releasing a reservation is idempotent: the first
-/// [`TenantAccounts::settle`]/[`TenantAccounts::release`] returns the
+/// `TenantAccounts::settle`/`TenantAccounts::release` returns the
 /// reserved bytes to the tenant's headroom, later calls are no-ops. Traced
 /// writes carry their id in
 /// [`PutTrace::reservation`](crate::store::PutTrace) so the deterministic
@@ -185,7 +177,7 @@ impl Default for TenantAccounts {
 
 impl TenantAccounts {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -210,7 +202,7 @@ impl TenantAccounts {
     }
 
     /// The quota in effect for a tenant (unlimited if never registered).
-    pub fn quota(&self, tenant: TenantId) -> QuotaPolicy {
+    pub(crate) fn quota(&self, tenant: TenantId) -> QuotaPolicy {
         self.state
             .read()
             .tenants
@@ -300,7 +292,12 @@ impl TenantAccounts {
     /// The returned id must eventually be [`settled`](TenantAccounts::settle)
     /// (write attributed) or [`released`](TenantAccounts::release) (write
     /// aborted); both are idempotent.
-    pub fn reserve(&self, tenant: TenantId, logical: u64, physical: u64) -> Result<ReservationId> {
+    pub(crate) fn reserve(
+        &self,
+        tenant: TenantId,
+        logical: u64,
+        physical: u64,
+    ) -> Result<ReservationId> {
         let mut st = self.state.write();
         if let Some(state) = st.tenants.get(&tenant) {
             Self::quota_check(state, tenant, logical, physical)?;
@@ -336,7 +333,7 @@ impl TenantAccounts {
 
     /// Releases a reservation without charging anything (the write's
     /// evaluation aborted). Idempotent.
-    pub fn release(&self, id: ReservationId) {
+    pub(crate) fn release(&self, id: ReservationId) {
         Self::release_locked(&mut self.state.write(), id);
     }
 
@@ -345,7 +342,7 @@ impl TenantAccounts {
     /// write several times — the no-reuse ablations replay a deduplicated
     /// execution once per candidate containing it — releases once and
     /// charges every time, exactly as executing it every time would.
-    pub fn settle(&self, id: ReservationId, tenant: TenantId, delta: TenantUsage) {
+    pub(crate) fn settle(&self, id: ReservationId, tenant: TenantId, delta: TenantUsage) {
         let mut st = self.state.write();
         Self::release_locked(&mut st, id);
         Self::charge_locked(&mut st, tenant, delta);
@@ -363,13 +360,13 @@ impl TenantAccounts {
     }
 
     /// Records a completed write against a tenant (no reservation involved).
-    pub fn charge(&self, tenant: TenantId, delta: TenantUsage) {
+    pub(crate) fn charge(&self, tenant: TenantId, delta: TenantUsage) {
         Self::charge_locked(&mut self.state.write(), tenant, delta);
     }
 
     /// Records that `tenant` references the chunk at `hash` (`len` bytes).
     /// Idempotent per (chunk, tenant) pair.
-    pub fn add_chunk_ref(&self, hash: Hash256, len: u64, tenant: TenantId) {
+    pub(crate) fn add_chunk_ref(&self, hash: Hash256, len: u64, tenant: TenantId) {
         let mut shard = self.chunks[self.shard_of(&hash)].write();
         let entry = shard.entry(hash).or_insert(ChunkOwners {
             len,
@@ -398,7 +395,7 @@ impl TenantAccounts {
     }
 
     /// Drops a chunk from the shared-refcount ledger (orphan GC).
-    pub fn drop_chunk(&self, hash: &Hash256) {
+    pub(crate) fn drop_chunk(&self, hash: &Hash256) {
         self.chunks[self.shard_of(hash)].write().remove(hash);
     }
 
@@ -483,7 +480,13 @@ mod tests {
                 physical_bytes: 10,
             },
         );
-        acc.register(A, QuotaPolicy::physical(50));
+        acc.register(
+            A,
+            QuotaPolicy {
+                max_physical_bytes: Some(50),
+                ..QuotaPolicy::UNLIMITED
+            },
+        );
         assert_eq!(acc.usage(A).logical_bytes, 10);
         assert_eq!(acc.quota(A).max_physical_bytes, Some(50));
     }
@@ -637,7 +640,13 @@ mod tests {
     #[test]
     fn parallel_reservations_never_overshoot_the_cap() {
         let acc = TenantAccounts::new();
-        acc.register(A, QuotaPolicy::physical(1_000));
+        acc.register(
+            A,
+            QuotaPolicy {
+                max_physical_bytes: Some(1_000),
+                ..QuotaPolicy::UNLIMITED
+            },
+        );
         let granted = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {

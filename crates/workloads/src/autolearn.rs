@@ -21,13 +21,13 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Images generated.
-pub const N_IMAGES: usize = 240;
+pub(crate) const N_IMAGES: usize = 240;
 /// Zernike moment order used by the extractor.
-pub const MOMENT_ORDER: u32 = 8;
+pub(crate) const MOMENT_ORDER: u32 = 8;
 /// Generated features kept by `0.x` Autolearn versions.
-pub const TOP_K_V0: usize = 8;
+pub(crate) const TOP_K_V0: usize = 8;
 /// Generated features kept by the schema-changing `1.0` version.
-pub const TOP_K_V1: usize = 14;
+pub(crate) const TOP_K_V1: usize = 14;
 
 fn image_schema() -> Schema {
     Schema::ImageSet {
@@ -37,12 +37,12 @@ fn image_schema() -> Schema {
 }
 
 /// Zernike feature dimension.
-pub fn zernike_dim() -> usize {
+pub(crate) fn zernike_dim() -> usize {
     feature_count(MOMENT_ORDER)
 }
 
 /// Output dimension of the Autolearn stage for a given `top_k`.
-pub fn autolearn_dim(top_k: usize) -> usize {
+pub(crate) fn autolearn_dim(top_k: usize) -> usize {
     zernike_dim() + top_k
 }
 

@@ -71,14 +71,15 @@ impl Workload {
     }
 
     /// Pre-processing slots (everything but the dataset and the model).
-    pub fn preproc_slots(&self) -> Vec<usize> {
+    pub(crate) fn preproc_slots(&self) -> Vec<usize> {
         (1..self.slots.len())
             .filter(|&i| i != self.model_slot)
             .collect()
     }
 
     /// Sanity checks the internal structure (used by tests).
-    pub fn validate(&self) {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) {
         assert_eq!(self.slots.len(), self.chains.len());
         assert_eq!(self.slots.len(), self.initial.len());
         for (slot, chain) in self.chains.iter().enumerate() {
@@ -115,7 +116,7 @@ impl Workload {
 /// is held out. Generators emit labels in cyclic patterns, so a plain
 /// every-`k`-th split can collapse the eval set onto a single class; the
 /// stratified variant keeps class proportions intact.
-pub fn stratified_holdout(labels: &[usize], every_k: usize) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn stratified_holdout(labels: &[usize], every_k: usize) -> (Vec<usize>, Vec<usize>) {
     let mut per_class_seen: std::collections::HashMap<usize, usize> = Default::default();
     let mut train = Vec::with_capacity(labels.len());
     let mut eval = Vec::with_capacity(labels.len() / every_k + 1);
@@ -139,7 +140,11 @@ pub fn stratified_holdout(labels: &[usize], every_k: usize) -> (Vec<usize>, Vec<
 /// metric-driven merge and prioritized search see real orderings rather
 /// than the ties a small-eval-set accuracy would produce. Multiclass tasks
 /// fall back to accuracy.
-pub fn train_eval_mlp(features: &Features, config: MlpConfig, family: &str) -> ModelArtifact {
+pub(crate) fn train_eval_mlp(
+    features: &Features,
+    config: MlpConfig,
+    family: &str,
+) -> ModelArtifact {
     let (train_idx, eval_idx) = stratified_holdout(&features.y, 4);
     let x_train = features.x.select_rows(&train_idx);
     let y_train: Vec<usize> = train_idx.iter().map(|&i| features.y[i]).collect();
@@ -165,7 +170,7 @@ pub fn train_eval_mlp(features: &Features, config: MlpConfig, family: &str) -> M
 
 /// MLP training work in abstract units for the given shape (mirrors
 /// `Mlp::training_work_units` without constructing the network).
-pub fn mlp_work_units(input_dim: usize, config: &MlpConfig, n_samples: usize) -> u64 {
+pub(crate) fn mlp_work_units(input_dim: usize, config: &MlpConfig, n_samples: usize) -> u64 {
     let mut dims = vec![input_dim];
     dims.extend_from_slice(&config.hidden);
     dims.push(2);

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Column layout of the visit table.
-pub fn columns() -> Vec<String> {
+pub(crate) fn columns() -> Vec<String> {
     vec![
         "patient_id".to_string(),
         "visit".to_string(),
@@ -23,7 +23,7 @@ pub fn columns() -> Vec<String> {
 }
 
 /// Generates `n_patients × visits` rows of longitudinal labs.
-pub fn generate(n_patients: usize, visits: usize, missing_rate: f64, seed: u64) -> Table {
+pub(crate) fn generate(n_patients: usize, visits: usize, missing_rate: f64, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows = Vec::with_capacity(n_patients * visits);
     for pid in 0..n_patients {

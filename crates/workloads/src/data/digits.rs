@@ -10,10 +10,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Image side length.
-pub const SIDE: usize = 16;
+pub(crate) const SIDE: usize = 16;
 
 /// Number of digit classes generated.
-pub const N_CLASSES: usize = 6;
+pub(crate) const N_CLASSES: usize = 6;
 
 fn render_template(class: usize, jitter: (i32, i32), rng: &mut StdRng, noise: f32) -> Image {
     let mut px = vec![0.0f32; SIDE * SIDE];
@@ -85,7 +85,7 @@ fn render_template(class: usize, jitter: (i32, i32), rng: &mut StdRng, noise: f3
 }
 
 /// Generates `n` labelled images with the given pixel-flip noise rate.
-pub fn generate(n: usize, noise: f32, seed: u64) -> ImageSet {
+pub(crate) fn generate(n: usize, noise: f32, seed: u64) -> ImageSet {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut images = Vec::with_capacity(n);
     let mut labels = Vec::with_capacity(n);

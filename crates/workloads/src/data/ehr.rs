@@ -9,13 +9,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Diagnosis code pool (ICD-10-ish).
-pub const DX_CODES: [&str; 8] = ["I10", "E11", "N18", "J44", "I50", "C34", "K70", "F32"];
+pub(crate) const DX_CODES: [&str; 8] = ["I10", "E11", "N18", "J44", "I50", "C34", "K70", "F32"];
 
 /// Number of lab columns generated.
-pub const N_LABS: usize = 6;
+pub(crate) const N_LABS: usize = 6;
 
 /// Column layout of the admissions table.
-pub fn columns() -> Vec<String> {
+pub(crate) fn columns() -> Vec<String> {
     let mut cols = vec![
         "patient_id".to_string(),
         "age".to_string(),
@@ -33,7 +33,7 @@ pub fn columns() -> Vec<String> {
 
 /// Generates `n` admission episodes. `missing_rate` controls the fraction
 /// of null diagnosis codes and lab values (the cleansing stage's work).
-pub fn generate(n: usize, missing_rate: f64, seed: u64) -> Table {
+pub(crate) fn generate(n: usize, missing_rate: f64, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows = Vec::with_capacity(n);
     for pid in 0..n {

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Positive sentiment vocabulary.
-pub const POSITIVE: [&str; 12] = [
+pub(crate) const POSITIVE: [&str; 12] = [
     "great",
     "excellent",
     "wonderful",
@@ -26,7 +26,7 @@ pub const POSITIVE: [&str; 12] = [
 ];
 
 /// Negative sentiment vocabulary.
-pub const NEGATIVE: [&str; 12] = [
+pub(crate) const NEGATIVE: [&str; 12] = [
     "terrible",
     "awful",
     "boring",
@@ -42,7 +42,7 @@ pub const NEGATIVE: [&str; 12] = [
 ];
 
 /// Neutral filler vocabulary.
-pub const NEUTRAL: [&str; 16] = [
+pub(crate) const NEUTRAL: [&str; 16] = [
     "movie",
     "film",
     "plot",
@@ -62,7 +62,7 @@ pub const NEUTRAL: [&str; 16] = [
 ];
 
 /// Generates `n` labelled reviews of roughly `len` tokens each.
-pub fn generate(n: usize, len: usize, seed: u64) -> Docs {
+pub(crate) fn generate(n: usize, len: usize, seed: u64) -> Docs {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut docs = Vec::with_capacity(n);
     let mut labels = Vec::with_capacity(n);

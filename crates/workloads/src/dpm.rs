@@ -20,19 +20,19 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Patients generated.
-pub const N_PATIENTS: usize = 100;
+pub(crate) const N_PATIENTS: usize = 100;
 /// Visits per patient.
-pub const N_VISITS: usize = 16;
+pub(crate) const N_VISITS: usize = 16;
 /// Observation symbols after discretisation.
-pub const N_SYMBOLS: usize = 6;
+pub(crate) const N_SYMBOLS: usize = 6;
 /// HMM states of the `0.x` de-bias versions.
-pub const STATES_V0: usize = 3;
+pub(crate) const STATES_V0: usize = 3;
 /// HMM states of the schema-changing `1.0` version.
-pub const STATES_V1: usize = 5;
+pub(crate) const STATES_V1: usize = 5;
 
 /// Feature dimension produced by an HMM with `s` states: average posterior
 /// (s) + final posterior (s) + 2 summary stats.
-pub fn hmm_feature_dim(states: usize) -> usize {
+pub(crate) fn hmm_feature_dim(states: usize) -> usize {
     2 * states + 2
 }
 

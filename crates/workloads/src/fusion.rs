@@ -38,19 +38,19 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Admission episodes generated by the source.
-pub const N_EPISODES: usize = 240;
+pub(crate) const N_EPISODES: usize = 240;
 
 /// Raw feature width: the first half is vitals, the second half labs.
-pub const RAW_DIM: usize = 12;
+pub(crate) const RAW_DIM: usize = 12;
 
 /// Output width of each branch (`0.x` versions).
-pub const BRANCH_DIM: usize = 6;
+pub(crate) const BRANCH_DIM: usize = 6;
 
 /// Output width of the schema-changing `vitals_branch 1.0`.
-pub const WIDE_BRANCH_DIM: usize = 8;
+pub(crate) const WIDE_BRANCH_DIM: usize = 8;
 
 /// Fused feature width consumed by the model.
-pub const FUSED_DIM: usize = 2 * BRANCH_DIM;
+pub(crate) const FUSED_DIM: usize = 2 * BRANCH_DIM;
 
 fn raw_schema() -> SchemaId {
     Schema::FeatureMatrix {

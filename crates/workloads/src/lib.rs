@@ -24,7 +24,6 @@
 //! branch histories for the merge scenario ([`scenario`]).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod autolearn;
 pub mod common;

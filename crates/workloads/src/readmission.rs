@@ -20,15 +20,15 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Number of admission episodes generated.
-pub const N_PATIENTS: usize = 400;
+pub(crate) const N_PATIENTS: usize = 400;
 
 /// Feature dimension of the `0.x` extractor (one-hot dx + demographics +
 /// labs).
-pub const DIM_V0: usize = ehr::DX_CODES.len() + 4 + ehr::N_LABS;
+pub(crate) const DIM_V0: usize = ehr::DX_CODES.len() + 4 + ehr::N_LABS;
 
 /// Feature dimension of the schema-changing `1.0` extractor (adds dx×age and
 /// dx×procedures interactions).
-pub const DIM_V1: usize = DIM_V0 + ehr::DX_CODES.len();
+pub(crate) const DIM_V1: usize = DIM_V0 + ehr::DX_CODES.len();
 
 fn ehr_schema() -> Schema {
     Schema::Relational {

@@ -19,13 +19,13 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Reviews generated.
-pub const N_REVIEWS: usize = 240;
+pub(crate) const N_REVIEWS: usize = 240;
 /// Tokens per review.
-pub const REVIEW_LEN: usize = 24;
+pub(crate) const REVIEW_LEN: usize = 24;
 /// Embedding dimension of the `0.x` featurizer versions.
-pub const DIM_V0: usize = 10;
+pub(crate) const DIM_V0: usize = 10;
 /// Embedding dimension of the schema-changing `1.0` version.
-pub const DIM_V1: usize = 16;
+pub(crate) const DIM_V1: usize = 16;
 
 fn corpus_schema() -> Schema {
     Schema::TextCorpus {
@@ -34,7 +34,7 @@ fn corpus_schema() -> Schema {
 }
 
 /// Feature dim = embedding dim + 2 summary statistics.
-pub fn feature_dim(embed_dim: usize) -> usize {
+pub(crate) fn feature_dim(embed_dim: usize) -> usize {
     embed_dim + 2
 }
 

@@ -39,12 +39,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct LinearScenario {
     /// Number of iterations (10 in the paper).
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Probability that an iteration updates a pre-processing component
     /// (0.4 in the paper; otherwise the model updates).
-    pub p_update_preproc: f64,
+    pub(crate) p_update_preproc: f64,
     /// RNG seed controlling the update schedule.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for LinearScenario {
@@ -286,10 +286,6 @@ pub fn build_multi_tenant(
 pub struct Collaboration {
     /// The shared workspace.
     pub ws: Arc<Workspace>,
-    /// The upstream team (owns `master`, grants the downstream team).
-    pub upstream: TenantSystem,
-    /// The downstream team (forks, evolves, contributes back).
-    pub downstream: TenantSystem,
     /// The downstream team's cross-tenant merge back into
     /// `upstream/master`.
     pub merge: MergeOutcome,
@@ -360,13 +356,7 @@ pub fn run_upstream_downstream(w: &Workload, policy: ParallelismPolicy) -> Resul
         MergeStrategy::Full,
         &clock,
     )?;
-    Ok(Collaboration {
-        ws,
-        upstream,
-        downstream,
-        merge,
-        clock,
-    })
+    Ok(Collaboration { ws, merge, clock })
 }
 
 /// Sets up the Fig. 3 non-linear history on a fresh system: the initial
@@ -580,7 +570,7 @@ mod tests {
             c.ws.store().physical_bytes()
         );
         assert_eq!(c.ws.store().tenant_accounts().open_reservations(), 0);
-        assert_eq!(c.downstream.tenant.branches(), vec!["feature"]);
+        assert_eq!(c.ws.graph().branches_in("downstream"), vec!["feature"]);
     }
 
     #[test]

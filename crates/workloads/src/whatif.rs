@@ -26,15 +26,15 @@ use mlcask_pipeline::semver::SemVer;
 use std::sync::Arc;
 
 /// Rows in the synthetic feature matrix.
-pub const ROWS: usize = 300;
+pub(crate) const ROWS: usize = 300;
 /// Feature dimensionality.
-pub const DIM: usize = 16;
+pub(crate) const DIM: usize = 16;
 /// Gradient epochs per heavy prefix stage (`clean`, `featurize`).
-pub const PREFIX_EPOCHS: usize = 6000;
+pub(crate) const PREFIX_EPOCHS: usize = 6000;
 /// Gradient epochs per light suffix stage (`select`).
-pub const SUFFIX_EPOCHS: usize = 2;
+pub(crate) const SUFFIX_EPOCHS: usize = 2;
 /// Number of what-if `select` variants beyond the committed base version.
-pub const VARIANTS: usize = 4;
+pub(crate) const VARIANTS: usize = 4;
 
 fn feature_schema() -> SchemaId {
     Schema::FeatureMatrix {
@@ -255,18 +255,18 @@ impl Component for WhatIfTrain {
 /// committed base pipeline, and the what-if swap candidates.
 pub struct WhatIf {
     /// Slot names in (topological) chain order.
-    pub slots: Vec<&'static str>,
+    pub(crate) slots: Vec<&'static str>,
     /// Every component version, for registration.
-    pub handles: Vec<ComponentHandle>,
+    pub(crate) handles: Vec<ComponentHandle>,
     /// The committed base pipeline (variant 0 in the swap slot).
     pub base: Vec<ComponentKey>,
     /// The swap-slot versions, base first then the what-if variants.
-    pub variants: Vec<ComponentKey>,
+    pub(crate) variants: Vec<ComponentKey>,
     /// An alternative ingest version producing *different data* — swapping
     /// it in must invalidate every downstream frontier fingerprint.
-    pub alt_ingest: ComponentKey,
+    pub(crate) alt_ingest: ComponentKey,
     /// Index of the swap slot (`select`).
-    pub swap_slot: usize,
+    pub(crate) swap_slot: usize,
 }
 
 impl WhatIf {
@@ -304,13 +304,6 @@ impl WhatIf {
         }
     }
 
-    /// The base pipeline with the swap slot replaced by `variant`.
-    pub fn swap(&self, variant: &ComponentKey) -> Vec<ComponentKey> {
-        let mut keys = self.base.clone();
-        keys[self.swap_slot] = variant.clone();
-        keys
-    }
-
     /// The base pipeline with the *ingest* slot replaced by the alternative
     /// data version.
     pub fn swap_ingest(&self) -> Vec<ComponentKey> {
@@ -321,7 +314,7 @@ impl WhatIf {
 }
 
 /// Builds the scenario: heavy 3-stage prefix, light 2-stage suffix, and
-/// [`VARIANTS`] what-if versions of the `select` stage.
+/// `VARIANTS` what-if versions of the `select` stage.
 pub fn build() -> WhatIf {
     let slots = vec!["ingest", "clean", "featurize", "select", "train"];
     let ingest = Arc::new(WhatIfIngest {
@@ -389,12 +382,6 @@ mod tests {
     #[test]
     fn swaps_change_exactly_one_slot() {
         let w = build();
-        for v in &w.variants[1..] {
-            let keys = w.swap(v);
-            let diffs = keys.iter().zip(&w.base).filter(|(a, b)| a != b).count();
-            assert_eq!(diffs, 1);
-            assert_eq!(&keys[w.swap_slot], v);
-        }
         let alt = w.swap_ingest();
         assert_eq!(alt[0], w.alt_ingest);
         assert_eq!(alt[1..], w.base[1..]);
