@@ -9,11 +9,6 @@
 //! clock in which `k` workers process their shards concurrently and pay an
 //! all-reduce cost that grows with `k`.
 
-use crate::mlp::{Mlp, MlpConfig};
-use crate::tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Virtual cost parameters for one training step.
@@ -37,22 +32,6 @@ impl Default for GpuCostModel {
     }
 }
 
-impl GpuCostModel {
-    /// Virtual duration of one synchronous step over `batch` samples split
-    /// across `k` workers.
-    pub(crate) fn step_ns(&self, batch: usize, k: usize) -> u64 {
-        let k = k.max(1);
-        let shard = batch.div_ceil(k); // slowest worker holds the ceiling shard
-        let compute = shard as u64 * self.ns_per_sample;
-        let comm = if k == 1 {
-            0
-        } else {
-            self.allreduce_base_ns + self.allreduce_per_worker_ns * (k as u64 - 1)
-        };
-        compute + comm
-    }
-}
-
 /// One point of a loss-vs-time curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LossPoint {
@@ -73,77 +52,97 @@ pub struct DistributedRun {
     pub(crate) curve: Vec<LossPoint>,
 }
 
-/// Simulates synchronous data-parallel SGD with `k` workers.
-///
-/// Gradient math is real: every step trains on a full global batch (the
-/// union of the k shards), so larger `k` processes more samples per unit of
-/// virtual time — exactly the throughput effect in Fig. 11(a).
-#[allow(clippy::too_many_arguments)]
-pub fn train_distributed(
-    x: &Matrix,
-    y: &[usize],
-    n_classes: usize,
-    base: &MlpConfig,
-    workers: usize,
-    global_batch: usize,
-    steps: usize,
-    cost: GpuCostModel,
-) -> DistributedRun {
-    assert!(workers >= 1, "need at least one worker");
-    assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
-    // A single model trained on the global batch reproduces synchronous
-    // data-parallel SGD exactly (gradient averaging over shards equals the
-    // gradient of the concatenated batch).
-    let mut model = Mlp::new(
-        x.cols(),
-        n_classes,
-        MlpConfig {
-            batch_size: global_batch,
-            epochs: 1,
-            ..base.clone()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(base.seed ^ 0xd157);
-    let mut order: Vec<usize> = (0..x.rows()).collect();
-    let mut curve = Vec::with_capacity(steps);
-    let mut t_ns: u64 = 0;
-    let mut cursor = 0usize;
-    for step in 0..steps {
-        if cursor + global_batch > order.len() {
-            order.shuffle(&mut rng);
-            cursor = 0;
-        }
-        let batch_idx = &order[cursor..cursor + global_batch.min(order.len())];
-        cursor += global_batch;
-        let xb = x.select_rows(batch_idx);
-        let yb: Vec<usize> = batch_idx.iter().map(|&i| y[i]).collect();
-        // One synchronous update on the global batch.
-        let mut tmp = model.clone();
-        let loss = tmp.fit(&xb, &yb);
-        model = tmp;
-        t_ns += cost.step_ns(global_batch, workers);
-        curve.push(LossPoint {
-            time_s: t_ns as f64 / 1e9,
-            loss,
-            step: step + 1,
-        });
-    }
-    DistributedRun { workers, curve }
-}
-
-/// The paper's closed-form pipeline speedup: `1 / ((1 - p) + p / k)` where
-/// `p` is the fraction of pipeline time spent in (parallelisable) model
-/// training and `k` the training speedup.
-pub fn pipeline_speedup(p: f64, k: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be a fraction");
-    assert!(k >= 1.0, "k must be >= 1");
-    1.0 / ((1.0 - p) + p / k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::synthetic_classification;
+    use crate::mlp::{synthetic_classification, Mlp, MlpConfig};
+    use crate::tensor::Matrix;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    impl GpuCostModel {
+        /// Virtual duration of one synchronous step over `batch` samples split
+        /// across `k` workers.
+        fn step_ns(&self, batch: usize, k: usize) -> u64 {
+            let k = k.max(1);
+            let shard = batch.div_ceil(k); // slowest worker holds the ceiling shard
+            let compute = shard as u64 * self.ns_per_sample;
+            let comm = if k == 1 {
+                0
+            } else {
+                self.allreduce_base_ns + self.allreduce_per_worker_ns * (k as u64 - 1)
+            };
+            compute + comm
+        }
+    }
+
+    /// Simulates synchronous data-parallel SGD with `k` workers.
+    ///
+    /// Gradient math is real: every step trains on a full global batch (the
+    /// union of the k shards), so larger `k` processes more samples per unit of
+    /// virtual time — exactly the throughput effect in Fig. 11(a).
+    #[allow(clippy::too_many_arguments)]
+    fn train_distributed(
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        base: &MlpConfig,
+        workers: usize,
+        global_batch: usize,
+        steps: usize,
+        cost: GpuCostModel,
+    ) -> DistributedRun {
+        assert!(workers >= 1, "need at least one worker");
+        assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
+        // A single model trained on the global batch reproduces synchronous
+        // data-parallel SGD exactly (gradient averaging over shards equals the
+        // gradient of the concatenated batch).
+        let mut model = Mlp::new(
+            x.cols(),
+            n_classes,
+            MlpConfig {
+                batch_size: global_batch,
+                epochs: 1,
+                ..base.clone()
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(base.seed ^ 0xd157);
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut curve = Vec::with_capacity(steps);
+        let mut t_ns: u64 = 0;
+        let mut cursor = 0usize;
+        for step in 0..steps {
+            if cursor + global_batch > order.len() {
+                order.shuffle(&mut rng);
+                cursor = 0;
+            }
+            let batch_idx = &order[cursor..cursor + global_batch.min(order.len())];
+            cursor += global_batch;
+            let xb = x.select_rows(batch_idx);
+            let yb: Vec<usize> = batch_idx.iter().map(|&i| y[i]).collect();
+            // One synchronous update on the global batch.
+            let mut tmp = model.clone();
+            let loss = tmp.fit(&xb, &yb);
+            model = tmp;
+            t_ns += cost.step_ns(global_batch, workers);
+            curve.push(LossPoint {
+                time_s: t_ns as f64 / 1e9,
+                loss,
+                step: step + 1,
+            });
+        }
+        DistributedRun { workers, curve }
+    }
+
+    /// The paper's closed-form pipeline speedup: `1 / ((1 - p) + p / k)` where
+    /// `p` is the fraction of pipeline time spent in (parallelisable) model
+    /// training and `k` the training speedup.
+    fn pipeline_speedup(p: f64, k: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "p must be a fraction");
+        assert!(k >= 1.0, "k must be >= 1");
+        1.0 / ((1.0 - p) + p / k)
+    }
 
     #[test]
     fn step_cost_decreases_with_workers() {

@@ -241,17 +241,17 @@ fn normalise(v: &mut [f32]) {
     }
 }
 
-/// Lowercases and splits on non-alphanumeric characters.
-pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lowercases and splits on non-alphanumeric characters.
+    fn tokenize(text: &str) -> Vec<String> {
+        text.split(|c: char| !c.is_alphanumeric())
+            .filter(|t| !t.is_empty())
+            .map(|t| t.to_lowercase())
+            .collect()
+    }
 
     fn docs(texts: &[&str]) -> Vec<Vec<String>> {
         texts.iter().map(|t| tokenize(t)).collect()

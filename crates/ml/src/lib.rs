@@ -11,7 +11,7 @@
 //! crate provides exactly those building blocks:
 //!
 //! * [`tensor`] — minimal dense matrix algebra.
-//! * [`metrics`] — accuracy / MSE / AUC / F1 and the paper's score wrapper.
+//! * [`metrics`] — accuracy / AUC / F1 and the paper's score wrapper.
 //! * [`mlp`] — feed-forward networks with SGD (the "CNN"/DL-model slot).
 //! * [`hmm`] — discrete HMM + Baum–Welch (DPM de-biasing stage).
 //! * [`adaboost`] — decision-stump boosting (Autolearn classifier).
@@ -45,12 +45,10 @@ pub mod zernike;
 pub mod prelude {
     pub use crate::adaboost::{AdaBoost, AdaBoostConfig};
     pub use crate::autofeat::{AutoFeat, AutoFeatConfig};
-    pub use crate::distributed::{
-        pipeline_speedup, train_distributed, DistributedRun, GpuCostModel,
-    };
-    pub use crate::embedding::{tokenize, Embedding, EmbeddingConfig};
+    pub use crate::distributed::{DistributedRun, GpuCostModel};
+    pub use crate::embedding::{Embedding, EmbeddingConfig};
     pub use crate::hmm::Hmm;
-    pub use crate::metrics::{accuracy, auc, f1, log_loss, mse, MetricKind, Score};
+    pub use crate::metrics::{accuracy, auc, f1, MetricKind, Score};
     pub use crate::mlp::{synthetic_classification, Mlp, MlpConfig};
     pub use crate::tensor::Matrix;
     pub use crate::zernike::{zernike_moments, Image};

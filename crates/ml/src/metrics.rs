@@ -17,41 +17,6 @@ pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
     hits as f64 / pred.len() as f64
 }
 
-/// Mean squared error.
-pub fn mse(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
-/// Binary cross-entropy (log-loss) with probability clamping.
-pub fn log_loss(prob_pos: &[f64], truth: &[usize]) -> f64 {
-    assert_eq!(prob_pos.len(), truth.len(), "length mismatch");
-    if prob_pos.is_empty() {
-        return 0.0;
-    }
-    let eps = 1e-12;
-    let total: f64 = prob_pos
-        .iter()
-        .zip(truth)
-        .map(|(p, &t)| {
-            let p = p.clamp(eps, 1.0 - eps);
-            if t == 1 {
-                -p.ln()
-            } else {
-                -(1.0 - p).ln()
-            }
-        })
-        .sum();
-    total / prob_pos.len() as f64
-}
-
 /// Area under the ROC curve via the rank-sum (Mann–Whitney) formulation.
 /// Returns 0.5 when either class is absent.
 pub fn auc(prob_pos: &[f64], truth: &[usize]) -> f64 {
@@ -171,20 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_basic() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
-        assert_eq!(mse(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn log_loss_perfect_and_bad() {
-        let good = log_loss(&[0.999, 0.001], &[1, 0]);
-        let bad = log_loss(&[0.001, 0.999], &[1, 0]);
-        assert!(good < 0.01);
-        assert!(bad > 5.0);
-    }
-
-    #[test]
     fn auc_perfect_separation() {
         let probs = [0.1, 0.2, 0.8, 0.9];
         let truth = [0, 0, 1, 1];
@@ -250,14 +201,6 @@ mod tests {
             let a = auc(&probs, &truth);
             let b = auc(&probs, &flipped);
             prop_assert!((a + b - 1.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn prop_mse_nonnegative(
-            pred in proptest::collection::vec(-100.0f64..100.0, 1..32),
-        ) {
-            let truth = vec![0.0; pred.len()];
-            prop_assert!(mse(&pred, &truth) >= 0.0);
         }
     }
 }

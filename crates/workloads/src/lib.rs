@@ -14,9 +14,7 @@
 //!
 //! Beyond the paper's four chains, [`fusion`] adds a *diamond* pipeline
 //! (two independent pre-processing branches fused before the model) that
-//! exercises the executor's DAG-internal parallelism, and [`whatif`] adds
-//! the what-if component-swap scenario (heavy shared prefix, cheap swapped
-//! suffix) that exercises provenance-keyed incremental re-evaluation.
+//! exercises the executor's DAG-internal parallelism.
 //!
 //! Every workload carries the version structure the experiments need: an
 //! increment-only chain per slot for the linear-versioning scenario, one
@@ -34,7 +32,6 @@ pub mod fusion;
 pub mod readmission;
 pub mod sa;
 pub mod scenario;
-pub mod whatif;
 
 use common::Workload;
 
@@ -70,7 +67,6 @@ pub mod prelude {
         build_multi_tenant, build_system, join_workspace, linear_update_sequence, setup_nonlinear,
         LinearScenario, TenantSystem,
     };
-    pub use crate::whatif::WhatIf;
     pub use crate::{all_workloads, by_name};
 }
 

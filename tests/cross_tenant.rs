@@ -1,147 +1,32 @@
-//! Cross-tenant collaboration semantics: permissioned fork/merge across
-//! tenant namespaces, reservation-based quota enforcement, dedup
-//! attribution of cross-tenant merges, and worker-count determinism of the
-//! whole upstream/downstream workflow.
+//! Cross-tenant collaboration the served requests do not reach (those are
+//! `tests/simulation.rs`'s): merging a peer's branch in, a grant revoked
+//! mid-search, dedup attribution of cross-tenant merges, and worker-count
+//! determinism of the whole upstream/downstream workflow.
 
+mod common;
+
+use common::{accounting_fingerprint, graph_fingerprint, toy_pipeline, toy_system};
+use common::{toy_system_with, Gate, Tripwire};
 use mlcask_core::errors::CoreError;
 use mlcask_core::merge::MergeStrategy;
-use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, MlCask};
-use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask_core::testkit::{toy_model, toy_slots};
 use mlcask_core::workspace::{Tenant, Workspace};
-use mlcask_pipeline::artifact::Artifact;
 use mlcask_pipeline::clock::ClockLedger;
-use mlcask_pipeline::component::{Component, ComponentHandle, ComponentKey, StageKind};
 use mlcask_pipeline::dag::PipelineDag;
-use mlcask_pipeline::errors::{PipelineError, Result as PipelineResult};
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::schema::SchemaId;
 use mlcask_pipeline::semver::SemVer;
-use mlcask_storage::errors::StorageError;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::readmission;
 use mlcask_workloads::scenario::{build_system, run_upstream_downstream, setup_nonlinear};
-use std::sync::{Arc, Mutex};
-
-/// Opens the toy chain pipeline for a tenant (registry over its store view).
-fn toy_system(t: &Tenant) -> MlCask {
-    toy_system_with(t, toy_model(SemVer::master(0, 2), 4, 0.7))
-}
-
-/// [`toy_system`] with `model_02` as its model 0.2.
-fn toy_system_with(t: &Tenant, model_02: ComponentHandle) -> MlCask {
-    let registry = Arc::new(ComponentRegistry::with_exe_size(
-        Arc::clone(t.store()),
-        4096,
-    ));
-    for c in [
-        toy_source(SemVer::master(0, 0), 4, 16),
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
-        toy_model(SemVer::master(0, 0), 4, 0.5),
-        toy_model(SemVer::master(0, 1), 4, 0.6),
-        model_02,
-    ] {
-        registry.register(c).unwrap();
-    }
-    let dag = PipelineDag::chain(&toy_slots()).unwrap();
-    t.open_pipeline("toy", dag, registry)
-}
-
-/// `inner`, except that once armed its next run first calls the hook.
-struct Tripwire {
-    inner: ComponentHandle,
-    hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-}
-
-impl Tripwire {
-    fn new(inner: ComponentHandle) -> Arc<Tripwire> {
-        Arc::new(Tripwire {
-            inner,
-            hook: Mutex::new(None),
-        })
-    }
-
-    fn arm(&self, hook: impl FnOnce() + Send + 'static) {
-        *self.hook.lock().unwrap() = Some(Box::new(hook));
-    }
-
-    fn fired(&self) -> bool {
-        self.hook.lock().unwrap().is_none()
-    }
-}
-
-impl Component for Tripwire {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn version(&self) -> SemVer {
-        self.inner.version()
-    }
-    fn stage(&self) -> StageKind {
-        self.inner.stage()
-    }
-    fn input_schema(&self) -> Option<SchemaId> {
-        self.inner.input_schema()
-    }
-    fn output_schema(&self) -> SchemaId {
-        self.inner.output_schema()
-    }
-    fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
-        let hook = self.hook.lock().unwrap().take();
-        if let Some(hook) = hook {
-            hook();
-        }
-        self.inner.run(inputs)
-    }
-    fn work_units(&self, inputs: &[Artifact]) -> u64 {
-        self.inner.work_units(inputs)
-    }
-    fn ns_per_unit(&self) -> u64 {
-        self.inner.ns_per_unit()
-    }
-}
-
-fn keys(sys: &MlCask, scaler_inc: usize, model_inc: usize) -> Vec<ComponentKey> {
-    let reg = sys.registry();
-    vec![
-        reg.versions_of("test_source")[0].clone(),
-        reg.versions_of("test_scaler")[scaler_inc].clone(),
-        reg.versions_of("test_model")[model_inc].clone(),
-    ]
-}
-
-/// Serialized snapshot of everything a denied operation must not touch:
-/// branch heads, commit count, per-tenant usages, fair-share view, and
-/// open reservations.
-fn accounting_fingerprint(ws: &Arc<Workspace>) -> String {
-    format!(
-        "{} usages={} shared={} reserved={}",
-        graph_fingerprint(ws),
-        serde_json::to_string(&ws.usages()).unwrap(),
-        serde_json::to_string(&ws.shared_view()).unwrap(),
-        ws.store().tenant_accounts().open_reservations(),
-    )
-}
-
-/// Every branch head and the commit count.
-fn graph_fingerprint(ws: &Arc<Workspace>) -> String {
-    let graph = ws.graph();
-    let heads: Vec<String> = graph
-        .branches()
-        .iter()
-        .map(|b| format!("{b}={}", graph.head(b).unwrap().id.short()))
-        .collect();
-    format!("commits={} heads={heads:?}", graph.len())
-}
+use std::sync::Arc;
 
 /// Two tenants whose histories diverge on both sides of one fork point:
 /// `up` owns `master` and `dev`, `down` owns `master` (forked from
-/// `up/master`) and `feature`, so any two of them merge by a real search.
-/// `up` ends up granting `down` exactly `grant`.
+/// `up/master`), so any two of them merge by a real search. `up` ends up
+/// granting `down` exactly `grant`.
 struct Peers {
     ws: Arc<Workspace>,
-    down: Tenant,
     sys_down: MlCask,
 }
 
@@ -151,8 +36,8 @@ fn peers(grant: Option<ShareRight>) -> Peers {
     let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
     let (sys_up, sys_down) = (toy_system(&up), toy_system(&down));
     let clock = ClockLedger::new();
-    let commit = |sys: &MlCask, branch: &str, scaler: usize, model: usize| {
-        let keys = keys(sys, scaler, model);
+    let commit = |sys: &MlCask, branch: &str, scaler: u32, model: u32| {
+        let keys = toy_pipeline(scaler, model);
         let done = sys.commit_pipeline(branch, &keys, branch, &clock).unwrap();
         assert!(done.commit.is_some());
     };
@@ -160,24 +45,24 @@ fn peers(grant: Option<ShareRight>) -> Peers {
     up.grant_to("down", ShareRight::Fork).unwrap();
     down.fork_from("up", "master", "master").unwrap();
     sys_up.branch("master", "dev").unwrap();
-    sys_down.branch("master", "feature").unwrap();
     commit(&sys_up, "master", 1, 0);
     commit(&sys_up, "dev", 0, 1);
     commit(&sys_down, "master", 0, 2);
-    commit(&sys_down, "feature", 1, 1);
     match grant {
         Some(right) => up.grant_to("down", right),
         None => up.revoke_from("down"),
     }
     .unwrap();
-    Peers { ws, down, sys_down }
+    Peers { ws, sys_down }
 }
 
-/// Every fork and merge `down` can ask of `up`'s namespace, under every
-/// grant: an admitted merge commits, and a refused one moves neither graph
-/// nor accounts by a single byte. (That the graph writes apply the very
-/// rule the precheck does is `mlcask_core`'s
-/// `workspace::tests::the_write_time_rule_is_the_precheck`.)
+/// The merges `down` can ask of `up`'s namespace that only the library
+/// reaches — a peer's branch on the merging side — under every grant: an
+/// admitted merge commits, and a refused one moves neither graph nor
+/// accounts by a single byte. The served forks and merges (own branches,
+/// `merge.into` a peer's, unknown peers) are `tests/simulation.rs`'s; that
+/// the graph writes apply the very rule the precheck does is
+/// `mlcask_core`'s `workspace::tests::the_write_time_rule_is_the_precheck`.
 #[test]
 fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
     const GRANTS: [Option<ShareRight>; 4] = [
@@ -186,30 +71,25 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
         Some(ShareRight::Fork),
         Some(ShareRight::MergeInto),
     ];
-    let (own_base, own_merging): (BranchRef, BranchRef) = ("master".into(), "feature".into());
-    let (peer_base, peer_merging) = (
-        BranchRef::peer("up", "master"),
-        BranchRef::peer("up", "dev"),
-    );
+    let peer_merging = BranchRef::peer("up", "dev");
     // A peer base is written to, a peer merging branch only read.
-    let rows: [(BranchRef, BranchRef, &[ShareRight]); 4] = [
-        (own_base, own_merging, &[]),
-        (own_base, peer_merging, &[ShareRight::Read]),
-        (peer_base, own_merging, &[ShareRight::MergeInto]),
+    let rows: [(BranchRef, &[ShareRight]); 2] = [
+        ("master".into(), &[ShareRight::Read]),
         (
-            peer_base,
-            peer_merging,
+            BranchRef::peer("up", "master"),
             &[ShareRight::MergeInto, ShareRight::Read],
         ),
     ];
     let clock = ClockLedger::new();
     for grant in GRANTS {
-        for (base, merging, needs) in rows {
-            let row = format!("grant {grant:?}: {base:?} <- {merging:?}");
+        for (base, needs) in rows {
+            let row = format!("grant {grant:?}: {base:?} <- {peer_merging:?}");
             let refused = needs.iter().copied().find(|&n| grant < Some(n));
             let p = peers(grant);
             let before = accounting_fingerprint(&p.ws);
-            let merged = p.sys_down.merge(base, merging, MergeStrategy::Full, &clock);
+            let merged = p
+                .sys_down
+                .merge(base, peer_merging, MergeStrategy::Full, &clock);
             let Some(needed) = refused else {
                 let merged = merged.unwrap_or_else(|e| panic!("{row}: {e}"));
                 assert!(merged.commit.is_some(), "{row}: admitted but not committed");
@@ -226,49 +106,10 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
             );
             assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
         }
-        // A fork goes through the same precheck with `Fork`.
-        let p = peers(grant);
-        let before = accounting_fingerprint(&p.ws);
-        let forked = p.down.fork_from("up", "master", "probe");
-        if grant >= Some(ShareRight::Fork) {
-            forked.unwrap();
-            assert!(p.down.branches().contains(&"probe".to_string()));
-            continue;
-        }
-        assert!(
-            matches!(
-                forked,
-                Err(CoreError::ShareDenied {
-                    needed: ShareRight::Fork,
-                    ..
-                })
-            ),
-            "fork under {grant:?}"
-        );
-        assert_eq!(
-            accounting_fingerprint(&p.ws),
-            before,
-            "fork under {grant:?}"
-        );
     }
 
-    // Unknown peers and solo systems are rejected up front.
+    // A solo system has no namespace to act from.
     let p = peers(Some(ShareRight::MergeInto));
-    let before = accounting_fingerprint(&p.ws);
-    assert!(matches!(
-        p.sys_down.merge(
-            BranchRef::peer("ghost", "master"),
-            "master",
-            MergeStrategy::Full,
-            &clock
-        ),
-        Err(CoreError::UnknownTenant(_))
-    ));
-    assert!(matches!(
-        p.down.fork_from("ghost", "master", "probe"),
-        Err(CoreError::UnknownTenant(_))
-    ));
-    assert_eq!(accounting_fingerprint(&p.ws), before);
     let solo = MlCask::new(
         "toy",
         PipelineDag::chain(&toy_slots()).unwrap(),
@@ -283,54 +124,6 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
         ),
         Err(CoreError::NotATenant(_))
     ));
-}
-
-/// There is no public graph writer (`MlCask::graph` and
-/// `Workspace::graph` hand out read-only views — a `compile_fail` doctest
-/// on `MlCask::graph` holds that), and every public API that takes a
-/// branch name resolves it inside the caller's own namespace: a name that
-/// spells a peer's branch is a branch of one's own.
-#[test]
-fn raw_string_apis_cannot_touch_foreign_namespaces() {
-    let ws = Workspace::in_memory_small();
-    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
-    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_up = toy_system(&up);
-    let sys_down = toy_system(&down);
-    let clock = ClockLedger::new();
-    sys_up
-        .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
-        .unwrap();
-    let up_head = ws.graph().head("up/master").unwrap();
-    let before = accounting_fingerprint(&ws);
-    // Branching off "up/master" looks for down's own `down/up/master`.
-    assert!(matches!(
-        sys_down.branch("up/master", "steal"),
-        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
-    ));
-    assert!(matches!(
-        sys_down.merge("up/master", "master", MergeStrategy::Full, &clock),
-        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
-    ));
-    assert_eq!(accounting_fingerprint(&ws), before);
-    // Committing to "up/master" roots a branch in down's namespace.
-    let squat = sys_down
-        .commit_pipeline("up/master", &keys(&sys_down, 0, 0), "squat", &clock)
-        .unwrap()
-        .commit
-        .unwrap();
-    assert_eq!(squat.branch, "down/up/master");
-    assert_eq!(ws.graph().head("up/master").unwrap(), up_head);
-    assert_eq!(down.branches(), vec!["up/master"]);
-    assert_eq!(up.branches(), vec!["master"]);
-    // Only a grant reaches up's namespace, and only what it grants.
-    assert!(matches!(
-        down.fork_from("up", "master", "fork"),
-        Err(CoreError::ShareDenied { .. })
-    ));
-    up.grant_to("down", ShareRight::Fork).unwrap();
-    down.fork_from("up", "master", "fork").unwrap();
-    assert_eq!(down.branches(), vec!["fork", "up/master"]);
 }
 
 /// Three teams in a chain: `up` grants `mid` Fork; `mid` forks `up/master`
@@ -352,8 +145,8 @@ fn chain() -> Chain {
     let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
     let (sys_up, sys_down) = (toy_system(&up), toy_system(&down));
     let clock = ClockLedger::new();
-    let commit = |sys: &MlCask, branch: &str, scaler: usize, model: usize| {
-        let keys = keys(sys, scaler, model);
+    let commit = |sys: &MlCask, branch: &str, scaler: u32, model: u32| {
+        let keys = toy_pipeline(scaler, model);
         let done = sys.commit_pipeline(branch, &keys, branch, &clock).unwrap();
         assert!(done.commit.is_some());
     };
@@ -452,23 +245,26 @@ fn a_grant_revoked_mid_search_refuses_the_merge_commit() {
         let ws = Workspace::in_memory_small();
         let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
         let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-        let wire = Tripwire::new(toy_model(SemVer::master(0, 2), 4, 0.7));
+        let gate = Gate::default();
+        let wire = Tripwire::wrap(toy_model(SemVer::master(0, 2), 4, 0.7), &gate);
         let sys_up = toy_system(&up);
-        let sys_down = toy_system_with(&down, Arc::clone(&wire) as ComponentHandle);
+        let sys_down = toy_system_with(&down, wire);
         let clock = ClockLedger::new();
         sys_up
-            .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
+            .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
             .unwrap();
         up.grant_to("down", grant).unwrap();
         down.fork_from("up", "master", "feature").unwrap();
         sys_up
-            .commit_pipeline("master", &keys(&sys_up, 1, 0), "up scaler", &clock)
+            .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
             .unwrap();
         sys_down
-            .commit_pipeline("feature", &keys(&sys_down, 0, 2), "down model", &clock)
+            .commit_pipeline("feature", &toy_pipeline(0, 2), "down model", &clock)
             .unwrap();
         let revoker = Arc::clone(&ws);
-        wire.arm(move || revoker.revoke_share("up", "down").unwrap());
+        *gate.lock().unwrap() = Some(Box::new(move || {
+            revoker.revoke_share("up", "down").unwrap()
+        }));
         let before = graph_fingerprint(&ws);
         let (peer, own) = (BranchRef::peer("up", "master"), BranchRef::from("feature"));
         let (base, merging, needed) = if into_peer {
@@ -477,7 +273,10 @@ fn a_grant_revoked_mid_search_refuses_the_merge_commit() {
             (own, peer, ShareRight::Read)
         };
         let merged = sys_down.merge(base, merging, MergeStrategy::Full, &clock);
-        assert!(wire.fired(), "the search never ran model 0.2");
+        assert!(
+            gate.lock().unwrap().is_none(),
+            "the search never ran model 0.2"
+        );
         assert!(
             matches!(
                 &merged,
@@ -565,83 +364,6 @@ fn cross_tenant_merge_deterministic_across_worker_counts() {
 }
 
 #[test]
-fn quota_breach_mid_cross_merge_releases_reservations_and_leaves_accounts() {
-    let ws = Workspace::in_memory_small();
-    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
-    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_up = toy_system(&up);
-    let sys_down = toy_system(&down);
-    let clock = ClockLedger::new();
-    sys_up
-        .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
-        .unwrap();
-    up.grant_to("down", ShareRight::MergeInto).unwrap();
-    down.fork_from("up", "master", "feature").unwrap();
-    // Diverge both sides so the merge needs a real search.
-    sys_up
-        .commit_pipeline("master", &keys(&sys_up, 1, 0), "up scaler", &clock)
-        .unwrap();
-    sys_down
-        .commit_pipeline("feature", &keys(&sys_down, 0, 1), "down model", &clock)
-        .unwrap();
-    sys_down
-        .commit_pipeline("feature", &keys(&sys_down, 0, 2), "down model 2", &clock)
-        .unwrap();
-
-    // Clamp downstream's quota to its current usage: the merge search's
-    // first attributed write must breach.
-    ws.store()
-        .tenant_accounts()
-        .register(down.id(), QuotaPolicy::logical(down.usage().logical_bytes));
-    let before = accounting_fingerprint(&ws);
-    for policy in [
-        ParallelismPolicy::Sequential,
-        ParallelismPolicy::Parallel(8),
-    ] {
-        // Re-open over the same registry: opening writes nothing, so the
-        // clamped quota stays exactly at current usage.
-        let dag = PipelineDag::chain(&toy_slots()).unwrap();
-        let sys = down
-            .open_pipeline("toy", dag, Arc::clone(sys_down.registry()))
-            .with_parallelism(policy);
-        let err = sys
-            .merge(
-                BranchRef::peer("up", "master"),
-                "feature",
-                MergeStrategy::Full,
-                &clock,
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CoreError::Pipeline(PipelineError::Storage(StorageError::QuotaExceeded { .. }))
-            ),
-            "unexpected error: {err}"
-        );
-        assert_eq!(
-            accounting_fingerprint(&ws),
-            before,
-            "aborted merge must release every reservation and charge nothing"
-        );
-    }
-    // Raising the quota unblocks the identical merge.
-    ws.store()
-        .tenant_accounts()
-        .register(down.id(), QuotaPolicy::UNLIMITED);
-    let merged = sys_down
-        .merge(
-            BranchRef::peer("up", "master"),
-            "feature",
-            MergeStrategy::Full,
-            &clock,
-        )
-        .unwrap();
-    assert!(merged.commit.is_some());
-    assert_eq!(ws.store().tenant_accounts().open_reservations(), 0);
-}
-
-#[test]
 fn merge_from_pulls_peer_work_into_own_namespace() {
     let ws = Workspace::in_memory_small();
     let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
@@ -650,15 +372,15 @@ fn merge_from_pulls_peer_work_into_own_namespace() {
     let sys_down = toy_system(&down);
     let clock = ClockLedger::new();
     sys_up
-        .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
         .unwrap();
     up.grant_to("down", ShareRight::Fork).unwrap();
     down.fork_from("up", "master", "main").unwrap();
     sys_up
-        .commit_pipeline("master", &keys(&sys_up, 1, 0), "up scaler", &clock)
+        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
         .unwrap();
     sys_down
-        .commit_pipeline("main", &keys(&sys_down, 0, 1), "down model", &clock)
+        .commit_pipeline("main", &toy_pipeline(0, 1), "down model", &clock)
         .unwrap();
     // Fork implies Read, so downstream can pull upstream's advance into its
     // own branch; the commit lands in *downstream's* namespace.
@@ -677,11 +399,11 @@ fn merge_from_pulls_peer_work_into_own_namespace() {
     let meta = sys_down.head_metafile("main").unwrap();
     assert_eq!(
         meta.component_version("test_scaler").unwrap(),
-        &keys(&sys_down, 1, 0)[1]
+        &toy_pipeline(1, 0)[1]
     );
     assert_eq!(
         meta.component_version("test_model").unwrap(),
-        &keys(&sys_down, 0, 1)[2]
+        &toy_pipeline(0, 1)[2]
     );
     // Upstream's branch is untouched by the pull.
     assert_eq!(ws.graph().head("up/master").unwrap().seq, 1);

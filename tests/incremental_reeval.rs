@@ -4,11 +4,15 @@
 //! and cross-tenant accounting cannot move by a byte when a peer's cached
 //! prefix is reused.
 
+mod common;
+
+use common::{toy_pipeline, toy_system};
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use mlcask_core::registry::ComponentRegistry;
-use mlcask_core::system::{BranchRef, MlCask};
+use mlcask_core::search_space::SearchSpaces;
+use mlcask_core::system::BranchRef;
 use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
-use mlcask_core::workspace::{Tenant, Workspace};
+use mlcask_core::workspace::Workspace;
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
@@ -25,16 +29,44 @@ use mlcask_storage::chunk::ChunkParams;
 use mlcask_storage::costmodel::StorageCostModel;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
-use mlcask_workloads::whatif::{self, WhatIf};
 use std::sync::Arc;
+
+/// The what-if scenario on the toy chain: the source and the scaler are
+/// the shared prefix, the model slot swaps its base version 0.0 for four
+/// variants, and source 0.1, with other rows, is a data change.
+fn key(slot: &str, increment: u32) -> ComponentKey {
+    ComponentKey::new(slot, SemVer::master(0, increment))
+}
+
+/// The committed pipeline, over source 0.`source`.
+fn base(source: u32) -> Vec<ComponentKey> {
+    let slots = ["test_source", "test_scaler", "test_model"];
+    slots
+        .into_iter()
+        .zip([source, 0, 0])
+        .map(|(s, i)| key(s, i))
+        .collect()
+}
+
+/// The what-if batch as a merge search space: the base everywhere but the
+/// model slot, which carries the base version and every variant.
+fn spaces() -> SearchSpaces {
+    let mut per_slot: Vec<_> = base(0).into_iter().map(|k| vec![k]).collect();
+    per_slot[2] = (0..5).map(|i| key("test_model", i)).collect();
+    let slot_names = toy_slots().into_iter().map(String::from).collect();
+    SearchSpaces {
+        slot_names,
+        per_slot,
+    }
+}
 
 /// A primed what-if system: the base pipeline run into the history, which
 /// publishes its checkpoints and their provenance fingerprints, exactly as
 /// `MlCask::commit_pipeline` leaves it.
 struct Primed {
-    w: WhatIf,
     reg: ComponentRegistry,
     history: HistoryIndex,
+    dag: Arc<PipelineDag>,
 }
 
 fn primed() -> Primed {
@@ -42,15 +74,21 @@ fn primed() -> Primed {
 }
 
 fn primed_on(store: Arc<ChunkStore>) -> Primed {
-    let w = whatif::build();
-    let reg = ComponentRegistry::new(store);
-    w.register_all(&reg).unwrap();
-    let history = HistoryIndex::new();
-    let bound = reg.bind(&Arc::new(w.dag()), &w.base).unwrap();
+    let reg = ComponentRegistry::with_exe_size(store, 4096);
+    let sources = [(0, 32), (1, 48)].map(|(i, rows)| toy_source(SemVer::master(0, i), 4, rows));
+    let scaler = toy_scaler(SemVer::master(0, 0), 4, 4, 1.5);
+    let models = (0..5).map(|i| toy_model(SemVer::master(0, i), 4, 0.5 + 0.1 * f64::from(i)));
+    let handles: Vec<_> = sources.into_iter().chain([scaler]).chain(models).collect();
+    reg.register_many(&handles).unwrap();
+    let (dag, history) = (
+        Arc::new(PipelineDag::chain(&toy_slots()).unwrap()),
+        HistoryIndex::new(),
+    );
+    let bound = reg.bind(&dag, &base(0)).unwrap();
     Executor::new(reg.store())
         .run(&bound, Some(&history), Policy::MLCASK)
         .unwrap();
-    Primed { w, reg, history }
+    Primed { reg, history, dag }
 }
 
 /// One what-if search on a *fresh* primed system — a search warms the
@@ -65,11 +103,11 @@ fn search_on(
     incremental: bool,
 ) -> MergeSearchReport {
     let p = primed_on(store);
-    let engine = MergeEngine::new(&p.reg, Arc::new(p.w.dag()))
+    let engine = MergeEngine::new(&p.reg, Arc::clone(&p.dag))
         .with_parallelism(policy)
         .with_incremental(incremental);
     engine
-        .search(&p.w.spaces(), &p.history, MergeStrategy::Full)
+        .search(&spaces(), &p.history, MergeStrategy::Full)
         .unwrap()
 }
 
@@ -164,7 +202,7 @@ fn incremental_search_deterministic_across_worker_counts() {
 #[test]
 fn data_artifact_change_invalidates_the_frontier() {
     let p = primed();
-    let dag = Arc::new(p.w.dag());
+    let dag = &p.dag;
     let executor = Executor::new(p.reg.store());
     // Cut and reuse, publishing nothing, so both runs cut the primed history.
     let policy = Policy {
@@ -173,7 +211,7 @@ fn data_artifact_change_invalidates_the_frontier() {
     };
     let run = |keys: &[ComponentKey]| {
         let resolve = |keys: &[ComponentKey]| {
-            let bound = p.reg.bind(&dag, keys).unwrap();
+            let bound = p.reg.bind(dag, keys).unwrap();
             Candidate::of(bound).map(Arc::new)
         };
         let mut picked = [vec![keys.to_vec()]];
@@ -188,44 +226,15 @@ fn data_artifact_change_invalidates_the_frontier() {
         evaluated.remove(0).remove(0)
     };
     // Re-evaluating the committed pipeline verbatim: everything is cut.
-    let cached = run(&p.w.base);
-    assert_eq!(cached.skipped, p.w.base.len());
-    // Swapping the ingest version produces *different data*, so every
+    let cached = run(&base(0));
+    assert_eq!(cached.skipped, base(0).len());
+    // Swapping the source version produces *different data*, so every
     // downstream fingerprint changes and nothing may be reused statically.
-    let invalidated = run(&p.w.swap_ingest());
+    let invalidated = run(&base(1));
     assert_eq!(
         invalidated.skipped, 0,
         "a data-artifact change must invalidate the whole frontier"
     );
-}
-
-/// Opens the toy chain pipeline for a tenant (registry over its store view).
-fn toy_system(t: &Tenant, incremental: bool) -> MlCask {
-    let registry = Arc::new(ComponentRegistry::with_exe_size(
-        Arc::clone(t.store()),
-        4096,
-    ));
-    for c in [
-        toy_source(SemVer::master(0, 0), 4, 16),
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
-        toy_model(SemVer::master(0, 0), 4, 0.5),
-        toy_model(SemVer::master(0, 1), 4, 0.6),
-    ] {
-        registry.register(c).unwrap();
-    }
-    let dag = PipelineDag::chain(&toy_slots()).unwrap();
-    t.open_pipeline("toy", dag, registry)
-        .with_incremental(incremental)
-}
-
-fn keys(sys: &MlCask, scaler_inc: usize, model_inc: usize) -> Vec<ComponentKey> {
-    let reg = sys.registry();
-    vec![
-        reg.versions_of("test_source")[0].clone(),
-        reg.versions_of("test_scaler")[scaler_inc].clone(),
-        reg.versions_of("test_model")[model_inc].clone(),
-    ]
 }
 
 /// Everything tenant accounting observes, plus the merge report with the
@@ -234,21 +243,21 @@ fn cross_tenant_fingerprint(incremental: bool) -> (String, usize) {
     let ws = Workspace::in_memory_small();
     let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
     let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_up = toy_system(&up, incremental);
-    let sys_down = toy_system(&down, incremental);
+    let sys_up = toy_system(&up).with_incremental(incremental);
+    let sys_down = toy_system(&down).with_incremental(incremental);
     let clock = ClockLedger::new();
     sys_up
-        .commit_pipeline("master", &keys(&sys_up, 0, 0), "up initial", &clock)
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
         .unwrap();
     up.grant_to("down", ShareRight::MergeInto).unwrap();
     down.fork_from("up", "master", "feature").unwrap();
     // Diverge both sides so the merge needs a real search; the shared
     // prefix (source + scaler 0) stays cached from upstream's commits.
     sys_up
-        .commit_pipeline("master", &keys(&sys_up, 1, 0), "up scaler", &clock)
+        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
         .unwrap();
     sys_down
-        .commit_pipeline("feature", &keys(&sys_down, 0, 1), "down model", &clock)
+        .commit_pipeline("feature", &toy_pipeline(0, 1), "down model", &clock)
         .unwrap();
     let merged = sys_down
         .merge(

@@ -11,19 +11,20 @@
 //! {1, 2, 8}. It also pins that the path fires: a warm commit, a warm merge
 //! and a warm trial schedule nothing.
 
+mod common;
+
+use common::{serve, toy_library, toy_pipeline, Client};
 use mlcask_core::merge::{MergeEngine, MergeStrategy};
 use mlcask_core::prioritized::SearchMethod;
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::system::{BranchRef, CommitResult, MergeOutcome, MlCask};
-use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask_core::testkit::toy_slots;
 use mlcask_obs::{trace, MetricsRegistry};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::history::HistoryIndex;
 use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_pipeline::semver::SemVer;
-use mlcask_server::service::{Router, ServerOptions};
 use mlcask_storage::hash::Hash256;
 use mlcask_storage::store::ChunkStore;
 use mlcask_storage::tenant::ShareRight;
@@ -255,26 +256,11 @@ fn autolearn_lookups_match_the_executor() {
 fn toy_system() -> MlCask {
     let store = Arc::new(ChunkStore::in_memory_small());
     let registry = ComponentRegistry::with_exe_size(store, 2048);
-    for c in [
-        toy_source(SemVer::master(0, 0), 4, 16),
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
-        toy_model(SemVer::master(0, 0), 4, 0.5),
-        toy_model(SemVer::master(0, 1), 4, 0.6),
-        toy_model(SemVer::master(0, 2), 4, 0.7),
-    ] {
+    for c in toy_library() {
         registry.register(c).unwrap();
     }
     let dag = PipelineDag::chain(&toy_slots()).unwrap();
     MlCask::new("toy", dag, Arc::new(registry))
-}
-
-fn toy(scaler: u32, model: u32) -> Vec<ComponentKey> {
-    vec![
-        ComponentKey::new("test_source", SemVer::master(0, 0)),
-        ComponentKey::new("test_scaler", SemVer::master(0, scaler)),
-        ComponentKey::new("test_model", SemVer::master(0, model)),
-    ]
 }
 
 /// `exec.wavefront` spans recorded while `f` runs (callers hold `GLOBALS`
@@ -318,8 +304,8 @@ fn a_warm_commit_and_a_warm_merge_schedule_nothing() {
     };
     let round = |dev: &str| {
         sys.branch("master", dev).unwrap();
-        commit(dev, toy(0, 1));
-        commit("master", toy(1, 0));
+        commit(dev, toy_pipeline(0, 1));
+        commit("master", toy_pipeline(1, 0));
         let (merged, counted) = frontier_counted(|| {
             sys.merge("master", dev, MergeStrategy::Full, &ledger)
                 .unwrap()
@@ -330,14 +316,14 @@ fn a_warm_commit_and_a_warm_merge_schedule_nothing() {
     };
 
     let cold = wavefronts(|| {
-        commit("master", toy(0, 0));
+        commit("master", toy_pipeline(0, 0));
         let report = round("dev0");
         assert!(report.executed_components > 0);
     });
     assert!(cold > 0, "a cold run schedules its nodes");
 
     let warm_commit = wavefronts(|| {
-        assert_eq!(commit("master", toy(0, 0)).reused_count(), 3);
+        assert_eq!(commit("master", toy_pipeline(0, 0)).reused_count(), 3);
     });
     assert_eq!(warm_commit, 0, "a warm commit is a lookup");
 
@@ -366,10 +352,10 @@ fn a_warm_trial_is_lookups_end_to_end() {
         let done = sys.commit_pipeline(branch, &keys, "step", &ledger).unwrap();
         assert!(done.commit.is_some());
     };
-    commit("master", toy(0, 0));
+    commit("master", toy_pipeline(0, 0));
     sys.branch("master", "dev").unwrap();
-    commit("dev", toy(0, 1));
-    commit("master", toy(1, 0));
+    commit("dev", toy_pipeline(0, 1));
+    commit("master", toy_pipeline(1, 0));
     let spaces = sys.merge_search_spaces("master", "dev").unwrap();
     // The merge's search checkpoints every candidate the trials pick.
     sys.merge("master", "dev", MergeStrategy::Full, &ledger)
@@ -400,95 +386,31 @@ fn a_warm_trial_is_lookups_end_to_end() {
     rec.configure(restore.0, restore.1);
 }
 
-/// Two tenants of the toy workload, a cold episode, then warm rounds of
+/// Two tenants of the served toy chain, a cold episode, then warm rounds of
 /// fork → re-commit → merge → reads, through the router.
 fn served_session(workers: usize) -> String {
     let _shared = GLOBALS.read().unwrap_or_else(|e| e.into_inner());
-    let source = toy_source(SemVer::master(0, 0), 4, 32);
-    let scalers = [
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(0, 1), 4, 4, 1.5),
-    ];
-    let models = [
-        toy_model(SemVer::master(0, 0), 4, 0.6),
-        toy_model(SemVer::master(0, 1), 4, 0.8),
-    ];
-    let pipeline = |s: usize, m: usize| vec![source.key(), scalers[s].key(), models[m].key()];
-    let workload = Workload {
-        name: "lookup_toy".to_string(),
-        slots: toy_slots().into_iter().map(String::from).collect(),
-        handles: [source.clone()]
-            .into_iter()
-            .chain(scalers.iter().cloned())
-            .chain(models.iter().cloned())
-            .collect(),
-        initial: pipeline(0, 0),
-        chains: vec![
-            vec![source.key()],
-            scalers.iter().map(|h| h.key()).collect(),
-            models.iter().map(|h| h.key()).collect(),
-        ],
-        model_slot: 2,
-        incompat_update: (1, scalers[1].key()),
-        head_updates: vec![pipeline(0, 1)],
-        dev_updates: vec![pipeline(1, 0)],
-        edges: vec![],
-    };
-    let router = Router::in_memory(
-        workload,
-        ServerOptions {
-            parallelism: policy(workers),
-            ..ServerOptions::default()
-        },
-    );
-    let spec = |keys: &[ComponentKey]| {
-        let items: Vec<String> = keys
-            .iter()
-            .map(|k| format!(r#""{}@{}""#, k.name, k.version))
-            .collect();
-        format!("[{}]", items.join(","))
-    };
-    let mut served = Vec::new();
-    let mut rpc = |method: &str, params: String| {
-        let reply = router.handle_text(&format!(
-            r#"{{"id":{},"method":"{method}","params":{params}}}"#,
-            served.len()
-        ));
-        assert!(!reply.contains(r#""error""#), "{method}: {reply}");
-        served.push(reply);
-    };
-    let commit = |session: u8, branch: &str, keys: &[ComponentKey]| {
-        format!(
-            r#"{{"session":{session},"branch":"{branch}","components":{},"message":"m"}}"#,
-            spec(keys)
-        )
-    };
-    rpc("session.open", r#"{"tenant":"up"}"#.into());
-    rpc("session.open", r#"{"tenant":"down"}"#.into());
-    rpc("commit", commit(1, "master", &pipeline(0, 0)));
-    rpc(
-        "grant",
-        r#"{"session":1,"peer":"down","right":"merge_into"}"#.into(),
-    );
+    let mut client = Client::new(serve(workers, None).0);
+    let mut script: Vec<String> = ["up open unlimited", "down open unlimited"]
+        .map(String::from)
+        .to_vec();
+    script.extend(["up commit master 0 0 0", "up grant down merge_into"].map(String::from));
     for round in 0..4 {
-        let branch = format!("f{round}");
-        rpc(
-            "fork",
-            format!(r#"{{"session":2,"peer":"up","branch":"master","new_branch":"{branch}"}}"#),
-        );
-        rpc("commit", commit(2, &branch, &pipeline(1, round % 2)));
-        rpc("commit", commit(1, "master", &pipeline(0, 1 - round % 2)));
-        rpc(
-            "merge.into",
-            format!(
-                r#"{{"session":2,"peer":"up","peer_branch":"master","merging":"{branch}","strategy":"full"}}"#
-            ),
-        );
-        rpc("log", r#"{"session":1,"branch":"master","limit":5}"#.into());
-        rpc("head", r#"{"session":1,"branch":"master"}"#.into());
-        rpc("usage", r#"{"session":2}"#.into());
+        let (down, up) = (round % 2, 1 - round % 2);
+        script.extend([
+            format!("down fork up master f{round}"),
+            format!("down commit f{round} 0 1 {down}"),
+            format!("up commit master 0 0 {up}"),
+            format!("down merge.into up master f{round}"),
+        ]);
+        script.extend(["up log master 5", "up head master", "down usage"].map(String::from));
     }
-    rpc("workspace.usage", "{}".into());
+    script.push("workspace.usage".into());
+    let served: Vec<String> = script.iter().map(|step| client.send(step)).collect();
+    assert!(
+        !served.iter().any(|r| r.contains(r#""error""#)),
+        "{served:?}"
+    );
     served.join("\n")
 }
 
@@ -497,7 +419,7 @@ fn served_session(workers: usize) -> String {
 /// switch for the lookups, so the reference is recorded: taken from the
 /// executor-only build, identical at workers {1, 2, 8}.
 const SERVED_BY_THE_EXECUTOR: &str =
-    "f39904a111137bce4c944d7a8342341c1596b5bf9c361a4b5f24d88312b29dc5";
+    "56020cf17be8cf1068e44b1e3adbbab01964c1dafa63ad0bc280a8603cc847af";
 
 #[test]
 fn a_warm_daemon_session_serves_what_the_executor_served() {

@@ -8,68 +8,12 @@
 //! (`metrics.scrape`, `obs.spans`, `obs.slow`) must expose the telemetry
 //! without perturbing a single served byte.
 
-use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
-use mlcask_core::workspace::Workspace;
+mod common;
+
+use common::{serve, Client};
 use mlcask_obs::{trace, MetricsRegistry};
-use mlcask_pipeline::parallel::ParallelismPolicy;
-use mlcask_server::limits::AdmissionControl;
-use mlcask_server::service::{Router, ServerOptions};
-use mlcask_storage::cache::CacheOptions;
-use mlcask_workloads::common::Workload;
+use mlcask_server::service::Router;
 use serde::Value;
-
-/// Three-stage toy workload (source → scaler → model) with one head and
-/// one dev update, so the cross-tenant merge runs a real search.
-fn toy_workload() -> Workload {
-    let source = toy_source(mlcask_pipeline::semver::SemVer::master(0, 0), 4, 32);
-    let scalers = vec![
-        toy_scaler(mlcask_pipeline::semver::SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(mlcask_pipeline::semver::SemVer::master(0, 1), 4, 4, 1.5),
-    ];
-    let models = vec![
-        toy_model(mlcask_pipeline::semver::SemVer::master(0, 0), 4, 0.6),
-        toy_model(mlcask_pipeline::semver::SemVer::master(0, 1), 4, 0.8),
-    ];
-    let initial = vec![source.key(), scalers[0].key(), models[0].key()];
-    let head_updates = vec![vec![source.key(), scalers[0].key(), models[1].key()]];
-    let dev_updates = vec![vec![source.key(), scalers[1].key(), models[0].key()]];
-    let chains = vec![
-        vec![source.key()],
-        scalers.iter().map(|h| h.key()).collect(),
-        models.iter().map(|h| h.key()).collect(),
-    ];
-    let incompat_update = (1, scalers[1].key());
-    let mut handles = vec![source];
-    handles.extend(scalers);
-    handles.extend(models);
-    Workload {
-        name: "obs_toy".to_string(),
-        slots: toy_slots().into_iter().map(String::from).collect(),
-        handles,
-        initial,
-        chains,
-        model_slot: 2,
-        incompat_update,
-        head_updates,
-        dev_updates,
-        edges: vec![],
-    }
-}
-
-fn router(workers: usize) -> Router {
-    Router::in_memory(
-        toy_workload(),
-        ServerOptions {
-            parallelism: if workers <= 1 {
-                ParallelismPolicy::Sequential
-            } else {
-                ParallelismPolicy::Parallel(workers)
-            },
-            coarse_lock: false,
-            admission: AdmissionControl::unlimited(),
-        },
-    )
-}
 
 fn rpc(router: &Router, method: &str, params: &str) -> String {
     let line = format!(r#"{{"id":0,"method":"{method}","params":{params}}}"#);
@@ -85,74 +29,33 @@ fn result_of(line: &str) -> Value {
         .expect("response has a result")
 }
 
-/// The full served script — sessions, commits, grant/fork, merge, log,
-/// usages — returning the concatenated response lines (the determinism
-/// observation).
+/// The full served script — sessions, commits, grant/fork, a cross-tenant
+/// merge that searches, log, usages — in the step language of
+/// [`Client`].
+const SCRIPT: [&str; 12] = [
+    "upstream open unlimited",
+    "downstream open unlimited",
+    "upstream commit master 0 0 0",
+    "upstream grant downstream merge_into",
+    "downstream fork upstream master feature",
+    "upstream commit master 0 0 1",
+    "downstream commit feature 0 1 0",
+    "downstream merge.into upstream master feature",
+    "upstream log master 50",
+    "upstream usage",
+    "downstream usage",
+    "workspace.usage",
+];
+
+/// [`SCRIPT`]'s response lines, concatenated (the determinism observation).
 fn served_script(workers: usize) -> String {
-    let r = router(workers);
-    let w = toy_workload();
-    let spec = |keys: &[mlcask_pipeline::component::ComponentKey]| -> String {
-        let items: Vec<String> = keys
-            .iter()
-            .map(|k| format!(r#""{}@{}""#, k.name, k.version))
-            .collect();
-        format!("[{}]", items.join(","))
-    };
-    let mut out = Vec::new();
-    out.push(rpc(&r, "session.open", r#"{"tenant":"upstream"}"#));
-    out.push(rpc(&r, "session.open", r#"{"tenant":"downstream"}"#));
-    out.push(rpc(
-        &r,
-        "commit",
-        &format!(
-            r#"{{"session":1,"branch":"master","components":{},"message":"initial"}}"#,
-            spec(&w.initial)
-        ),
-    ));
-    out.push(rpc(
-        &r,
-        "grant",
-        r#"{"session":1,"peer":"downstream","right":"merge_into"}"#,
-    ));
-    out.push(rpc(
-        &r,
-        "fork",
-        r#"{"session":2,"peer":"upstream","branch":"master","new_branch":"feature"}"#,
-    ));
-    for keys in &w.head_updates {
-        out.push(rpc(
-            &r,
-            "commit",
-            &format!(
-                r#"{{"session":1,"branch":"master","components":{},"message":"head"}}"#,
-                spec(keys)
-            ),
-        ));
-    }
-    for keys in &w.dev_updates {
-        out.push(rpc(
-            &r,
-            "commit",
-            &format!(
-                r#"{{"session":2,"branch":"feature","components":{},"message":"dev"}}"#,
-                spec(keys)
-            ),
-        ));
-    }
-    out.push(rpc(
-        &r,
-        "merge.into",
-        r#"{"session":2,"peer":"upstream","peer_branch":"master","merging":"feature","strategy":"full"}"#,
-    ));
-    out.push(rpc(
-        &r,
-        "log",
-        r#"{"session":1,"branch":"master","limit":50}"#,
-    ));
-    out.push(rpc(&r, "usage", r#"{"session":1}"#));
-    out.push(rpc(&r, "usage", r#"{"session":2}"#));
-    out.push(rpc(&r, "workspace.usage", "{}"));
-    out.join("\n")
+    let mut client = Client::new(serve(workers, None).0);
+    let served: Vec<String> = SCRIPT.iter().map(|step| client.send(step)).collect();
+    assert!(
+        served.iter().all(|reply| !reply.contains(r#""error""#)),
+        "{served:?}"
+    );
+    served.join("\n")
 }
 
 /// The tentpole's hard constraint, as one sweep: tracing {off, on} ×
@@ -197,7 +100,7 @@ fn served_bytes_identical_across_tracing_and_capacity() {
 
     // With spans retained from the last (enabled, 4096) cell, the obs RPCs
     // expose them — through the same daemon surface the sweep measured.
-    let r = router(1);
+    let r = serve(1, None).0;
     let spans = result_of(&rpc(&r, "obs.spans", r#"{"n":32}"#));
     let m = spans.as_map().expect("obs.spans returns an object");
     assert_eq!(serde::map_get(m, "enabled"), Some(&Value::Bool(true)));
@@ -237,8 +140,7 @@ fn metrics_scrape_exposes_request_series() {
     // storage layer's series.
     let dir = std::env::temp_dir().join(format!("mlcask-obs-scrape-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let ws = Workspace::durable_with(&dir, Some(CacheOptions::default())).unwrap();
-    let r = Router::over(ws, toy_workload(), ServerOptions::default());
+    let r = serve(1, Some(&dir)).0;
     rpc(&r, "session.open", r#"{"tenant":"scrape_tenant"}"#);
     // Find this router's session id (the registry is global; other tests
     // may have opened sessions first).
@@ -283,7 +185,7 @@ fn metrics_scrape_exposes_request_series() {
 /// and other tests run beside this one.)
 #[test]
 fn made_up_method_names_share_one_request_series() {
-    let r = router(1);
+    let r = serve(1, None).0;
     let opened = result_of(&rpc(&r, "session.open", r#"{"tenant":"made_up_methods"}"#));
     let session = match serde::map_get(opened.as_map().unwrap(), "session") {
         Some(Value::U64(id)) => *id,
@@ -332,7 +234,7 @@ fn made_up_method_names_share_one_request_series() {
 /// only "grew": the registry is global and other tests run beside this one.)
 #[test]
 fn artifact_cache_series_move_on_checkpoint_reuse() {
-    let scraper = router(1);
+    let scraper = serve(1, None).0;
     let scrape_sum = |family: &str| -> f64 {
         let text = match result_of(&rpc(&scraper, "metrics.scrape", "{}")) {
             Value::Str(s) => s,

@@ -11,6 +11,8 @@
 //! other; the engine is checked against an independent sequential walk by
 //! `mlcask_pipeline`'s executor unit tests.
 
+mod common;
+
 use mlcask_core::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use mlcask_core::prioritized::SearchMethod;
 use mlcask_core::registry::ComponentRegistry;
@@ -562,101 +564,11 @@ mod dag {
 
 mod second_writer {
     use super::*;
+    use common::{toy_library, toy_pipeline, Gate, Tripwire};
     use mlcask_core::system::MlCask;
-    use mlcask_pipeline::artifact::Artifact;
-    use mlcask_pipeline::component::{Component, ComponentHandle, StageKind};
-    use mlcask_pipeline::errors::Result as PipelineResult;
-    use mlcask_pipeline::schema::SchemaId;
     use mlcask_workloads::scenario::harness_store;
-    use std::sync::{Condvar, Mutex};
-    use std::thread::ScopedJoinHandle;
+    use std::sync::mpsc::channel;
     use std::time::Duration;
-
-    /// Holds a [`Gated`] component's second run until the test opens it.
-    #[derive(Default)]
-    struct Gate {
-        state: Mutex<GateState>,
-        changed: Condvar,
-    }
-
-    #[derive(Default)]
-    struct GateState {
-        runs: u32,
-        reached: bool,
-        open: bool,
-    }
-
-    impl Gate {
-        /// Waits until the second run is held at the gate; panics if
-        /// `merge` finishes without getting there.
-        fn await_reached<T>(&self, merge: &ScopedJoinHandle<'_, T>) {
-            let mut state = self.state.lock().unwrap();
-            while !state.reached {
-                assert!(!merge.is_finished(), "the merge never reached the gate");
-                state = self
-                    .changed
-                    .wait_timeout(state, Duration::from_millis(10))
-                    .unwrap()
-                    .0;
-            }
-        }
-
-        fn open(&self) {
-            self.state.lock().unwrap().open = true;
-            self.changed.notify_all();
-        }
-    }
-
-    /// `inner`, except that its second run waits at `gate`.
-    struct Gated {
-        inner: ComponentHandle,
-        gate: Arc<Gate>,
-    }
-
-    impl Component for Gated {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-        fn version(&self) -> SemVer {
-            self.inner.version()
-        }
-        fn stage(&self) -> StageKind {
-            self.inner.stage()
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            self.inner.input_schema()
-        }
-        fn output_schema(&self) -> SchemaId {
-            self.inner.output_schema()
-        }
-        fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            let mut state = self.gate.state.lock().unwrap();
-            state.runs += 1;
-            if state.runs == 2 {
-                state.reached = true;
-                self.gate.changed.notify_all();
-                while !state.open {
-                    state = self.gate.changed.wait(state).unwrap();
-                }
-            }
-            drop(state);
-            self.inner.run(inputs)
-        }
-        fn work_units(&self, inputs: &[Artifact]) -> u64 {
-            self.inner.work_units(inputs)
-        }
-        fn ns_per_unit(&self) -> u64 {
-            self.inner.ns_per_unit()
-        }
-    }
-
-    fn keys(scaler: u32, model: u32) -> Vec<ComponentKey> {
-        vec![
-            ComponentKey::new("test_source", SemVer::master(0, 0)),
-            ComponentKey::new("test_scaler", SemVer::master(0, scaler)),
-            ComponentKey::new("test_model", SemVer::master(0, model)),
-        ]
-    }
 
     /// Everything one scenario leaves behind.
     struct Observed {
@@ -669,29 +581,17 @@ mod second_writer {
     }
 
     /// The toy chain with scalers 0.0/0.1 and models 0.0–0.2, model 0.1
-    /// gated. `master` and `dev` diverge, and `other` commits
+    /// behind a gate. `master` and `dev` diverge, and `other` commits
     /// `[src, s0.1, m0.2]` — a candidate of their merge — either before the
     /// merge starts or, with `race`, while the merge executes its
-    /// `[src, s0.1, m0.1]` candidate (model 0.1's second run), after it cut
-    /// its candidates and before it traces `[src, s0.1, m0.2]`.
+    /// `[src, s0.1, m0.1]` candidate (model 0.1's first run in the merge),
+    /// after it cut its candidates and before it traces `[src, s0.1, m0.2]`.
     fn merge_beside_a_commit(workers: usize, race: bool) -> Observed {
-        let gate = Arc::new(Gate::default());
-        if !race {
-            gate.open();
-        }
+        let gate = Gate::default();
         let registry = ComponentRegistry::with_exe_size(harness_store("second_writer"), 2048);
-        let gated: ComponentHandle = Arc::new(Gated {
-            inner: toy_model(SemVer::master(0, 1), 4, 0.6),
-            gate: Arc::clone(&gate),
-        });
-        for c in [
-            toy_source(SemVer::master(0, 0), 4, 16),
-            toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-            toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
-            toy_model(SemVer::master(0, 0), 4, 0.5),
-            gated,
-            toy_model(SemVer::master(0, 2), 4, 0.7),
-        ] {
+        let mut library = toy_library();
+        library[4] = Tripwire::wrap(Arc::clone(&library[4]), &gate);
+        for c in library {
             registry.register(c).unwrap();
         }
         let policy = match workers {
@@ -702,7 +602,7 @@ mod second_writer {
         let sys = MlCask::new("toy", dag, Arc::new(registry)).with_parallelism(policy);
         let ledger = ClockLedger::new();
         let commit = |branch: &str, scaler: u32, model: u32| {
-            let done = sys.commit_pipeline(branch, &keys(scaler, model), "step", &ledger);
+            let done = sys.commit_pipeline(branch, &toy_pipeline(scaler, model), "step", &ledger);
             assert!(done.unwrap().commit.is_some(), "{branch} commits");
         };
         commit("master", 0, 0);
@@ -722,15 +622,23 @@ mod second_writer {
         };
 
         let mut beside = (0, 0);
+        let ((reached, at_gate), (open, opened)) = (channel(), channel());
+        if race {
+            *gate.lock().unwrap() = Some(Box::new(move || {
+                reached.send(()).unwrap();
+                opened.recv().unwrap()
+            }));
+        } else {
+            other();
+        }
         let merged = std::thread::scope(|scope| {
-            if !race {
-                other();
-            }
             let merge = scope.spawn(|| sys.merge("master", "dev", MergeStrategy::Full, &ledger));
             if race {
-                gate.await_reached(&merge);
+                while at_gate.recv_timeout(Duration::from_millis(10)).is_err() {
+                    assert!(!merge.is_finished(), "the merge never reached the gate");
+                }
                 beside = other();
-                gate.open();
+                open.send(()).unwrap();
             }
             merge.join().unwrap()
         });

@@ -2,12 +2,14 @@
 //! quota enforcement, batched-commit equivalence, orphan GC, and parallel
 //! determinism of a multi-tenant workload.
 
+mod common;
+
+use common::{toy_pipeline, toy_system};
 use mlcask_core::errors::CoreError;
 use mlcask_core::merge::{MergeEngine, MergeStrategy};
 use mlcask_core::registry::ComponentRegistry;
 use mlcask_core::search_space::SearchSpaces;
 use mlcask_core::system::MlCask;
-use mlcask_core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
@@ -30,35 +32,6 @@ use mlcask_workloads::{autolearn, dpm, fusion, readmission, sa};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Opens the toy chain pipeline for a tenant (registry over its store view).
-fn toy_system(t: &Tenant) -> MlCask {
-    let registry = Arc::new(ComponentRegistry::with_exe_size(
-        Arc::clone(t.store()),
-        4096,
-    ));
-    for c in [
-        toy_source(SemVer::master(0, 0), 4, 16),
-        toy_scaler(SemVer::master(0, 0), 4, 4, 1.0),
-        toy_scaler(SemVer::master(0, 1), 4, 4, 2.0),
-        toy_model(SemVer::master(0, 0), 4, 0.5),
-        toy_model(SemVer::master(0, 1), 4, 0.6),
-        toy_model(SemVer::master(0, 2), 4, 0.7),
-    ] {
-        registry.register(c).unwrap();
-    }
-    let dag = PipelineDag::chain(&toy_slots()).unwrap();
-    t.open_pipeline("toy", dag, registry)
-}
-
-fn keys(sys: &MlCask, scaler_inc: usize, model_inc: usize) -> Vec<ComponentKey> {
-    let reg = sys.registry();
-    vec![
-        reg.versions_of("test_source")[0].clone(),
-        reg.versions_of("test_scaler")[scaler_inc].clone(),
-        reg.versions_of("test_model")[model_inc].clone(),
-    ]
-}
-
 fn is_quota_error(err: &CoreError) -> bool {
     matches!(
         err,
@@ -77,11 +50,11 @@ fn dedup_attribution_across_two_tenants() {
     // Both tenants commit the identical pipeline: identical library
     // executables and identical component outputs.
     sys_a
-        .commit_pipeline("master", &keys(&sys_a, 0, 0), "a initial", &clock)
+        .commit_pipeline("master", &toy_pipeline(0, 0), "a initial", &clock)
         .unwrap();
     let physical_after_a = ws.store().physical_bytes();
     sys_b
-        .commit_pipeline("master", &keys(&sys_b, 0, 0), "b initial", &clock)
+        .commit_pipeline("master", &toy_pipeline(0, 0), "b initial", &clock)
         .unwrap();
     // The shared chunks are stored once: tenant B added almost nothing
     // physically (only its namespaced metafile differs).
@@ -146,64 +119,6 @@ fn shared_store_undercuts_isolated_stores_on_readmission() {
     );
 }
 
-#[test]
-fn quota_breach_aborts_commit_and_search_without_corrupting_graph() {
-    let ws = Workspace::in_memory_small();
-    let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-    let sys = toy_system(&t);
-    let clock = ClockLedger::new();
-    sys.commit_pipeline("master", &keys(&sys, 0, 0), "initial", &clock)
-        .unwrap();
-    sys.branch("master", "dev").unwrap();
-    sys.commit_pipeline("master", &keys(&sys, 1, 0), "head scaler", &clock)
-        .unwrap();
-    sys.commit_pipeline("dev", &keys(&sys, 0, 1), "dev model", &clock)
-        .unwrap();
-    let head_before = sys.graph().head("team/master").unwrap();
-    let commits_before = sys.graph().len();
-
-    // Clamp the quota to the bytes already used: the next attributed write
-    // breaches.
-    let used = t.usage().logical_bytes;
-    ws.store()
-        .tenant_accounts()
-        .register(t.id(), QuotaPolicy::logical(used));
-
-    // A fresh commit aborts mid-run...
-    let err = sys
-        .commit_pipeline("master", &keys(&sys, 1, 2), "over quota", &clock)
-        .unwrap_err();
-    assert!(is_quota_error(&err), "unexpected error: {err}");
-    // ...and so does the merge search, whose candidate evaluations write
-    // through the same tenant view.
-    let err = sys
-        .merge(
-            "master",
-            "dev",
-            mlcask_core::merge::MergeStrategy::Full,
-            &clock,
-        )
-        .unwrap_err();
-    assert!(is_quota_error(&err), "unexpected error: {err}");
-
-    // The graph is untouched: same head, same commit count, and the
-    // workspace still works once the quota is raised.
-    assert_eq!(sys.graph().head("team/master").unwrap().id, head_before.id);
-    assert_eq!(sys.graph().len(), commits_before);
-    ws.store()
-        .tenant_accounts()
-        .register(t.id(), QuotaPolicy::UNLIMITED);
-    let merged = sys
-        .merge(
-            "master",
-            "dev",
-            mlcask_core::merge::MergeStrategy::Full,
-            &clock,
-        )
-        .unwrap();
-    assert!(merged.commit.is_some(), "raised quota unblocks the merge");
-}
-
 /// Everything a commit aborted by a hard error must leave exactly where it
 /// found it: tenant accounts, open reservations, store statistics, the
 /// checkpoint history, the provenance index, and the commit graph.
@@ -235,7 +150,7 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
     type Open<'a> = &'a dyn Fn(&Tenant) -> (MlCask, Vec<ComponentKey>, Vec<ComponentKey>);
     let chain: Open = &|t| {
         let sys = toy_system(t);
-        let (first, second) = (keys(&sys, 0, 0), keys(&sys, 1, 2));
+        let (first, second) = (toy_pipeline(0, 0), toy_pipeline(1, 2));
         (sys, first, second)
     };
     let w = fusion::build();
@@ -324,11 +239,11 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
         let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
         let sys = toy_system(&t).with_parallelism(ParallelismPolicy::Parallel(workers));
         let clock = ClockLedger::new();
-        sys.commit_pipeline("master", &keys(&sys, 0, 0), "initial", &clock)
+        sys.commit_pipeline("master", &toy_pipeline(0, 0), "initial", &clock)
             .unwrap();
         sys.branch("master", "dev").unwrap();
         for (branch, scaler, model) in [("master", 1, 0), ("dev", 0, 1), ("dev", 0, 2)] {
-            sys.commit_pipeline(branch, &keys(&sys, scaler, model), "diverge", &clock)
+            sys.commit_pipeline(branch, &toy_pipeline(scaler, model), "diverge", &clock)
                 .unwrap();
         }
         (ws, t, sys)
@@ -398,30 +313,6 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
     }
 }
 
-#[test]
-fn quota_of_one_tenant_does_not_throttle_another() {
-    let ws = Workspace::in_memory_small();
-    let starved = ws.add_tenant("starved", QuotaPolicy::UNLIMITED).unwrap();
-    let healthy = ws.add_tenant("healthy", QuotaPolicy::UNLIMITED).unwrap();
-    let clock = ClockLedger::new();
-    let sys_starved = toy_system(&starved);
-    let sys_healthy = toy_system(&healthy);
-    // Starve the first tenant after registration: its next write breaches.
-    ws.store().tenant_accounts().register(
-        starved.id(),
-        QuotaPolicy::logical(starved.usage().logical_bytes),
-    );
-    let err = sys_starved
-        .commit_pipeline("master", &keys(&sys_starved, 0, 0), "nope", &clock)
-        .unwrap_err();
-    assert!(is_quota_error(&err), "{err}");
-    // The healthy tenant shares the store but not the quota.
-    sys_healthy
-        .commit_pipeline("master", &keys(&sys_healthy, 0, 0), "fine", &clock)
-        .unwrap();
-    assert_eq!(ws.graph().branches(), vec!["healthy/master"]);
-}
-
 /// Orphan GC: a schema-dishonest node failing mid-DAG leaves behind the
 /// blobs of independent siblings that the canonical accounting never
 /// charged; `Workspace::sweep_orphans` restores byte-level parity.
@@ -430,7 +321,7 @@ mod orphan_gc {
     use mlcask_ml::metrics::{MetricKind, Score};
     use mlcask_ml::tensor::Matrix;
     use mlcask_pipeline::artifact::{Artifact, ArtifactData, Features, ModelArtifact};
-    use mlcask_pipeline::component::{Component, ComponentHandle, StageKind};
+    use mlcask_pipeline::component::{Component, StageKind};
     use mlcask_pipeline::errors::{IncompatibleSchemaDetail, Result as PipelineResult};
     use mlcask_pipeline::schema::{Schema, SchemaId};
 
@@ -444,81 +335,17 @@ mod orphan_gc {
         .id()
     }
 
-    struct Src;
-
-    impl Component for Src {
-        fn name(&self) -> &str {
-            "src"
-        }
-        fn version(&self) -> SemVer {
-            SemVer::master(0, 0)
-        }
-        fn stage(&self) -> StageKind {
-            StageKind::Ingest
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            None
-        }
-        fn output_schema(&self) -> SchemaId {
-            feature_schema()
-        }
-        fn run(&self, _inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            let x = Matrix::from_fn(32, DIM, |r, c| ((r * 7 + c * 3) % 13) as f32 / 13.0);
-            let y = (0..32).map(|r| r % 2).collect();
-            Ok(Artifact::new(
-                ArtifactData::Features(Features { x, y, n_classes: 2 }),
-                self.output_schema(),
-            ))
-        }
-        fn work_units(&self, _inputs: &[Artifact]) -> u64 {
-            32 * DIM as u64
-        }
-    }
-
-    /// Declares compatible schemas but fails at run time — invisible to the
-    /// static failure frontier, so it exercises the dynamic-failure path.
-    struct Liar;
-
-    impl Component for Liar {
-        fn name(&self) -> &str {
-            "liar"
-        }
-        fn version(&self) -> SemVer {
-            SemVer::master(0, 0)
-        }
-        fn stage(&self) -> StageKind {
-            StageKind::PreProcess
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            Some(feature_schema())
-        }
-        fn output_schema(&self) -> SchemaId {
-            feature_schema()
-        }
-        fn run(&self, _inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            Err(mlcask_pipeline::errors::PipelineError::IncompatibleSchema(
-                Box::new(IncompatibleSchemaDetail {
-                    component: self.key(),
-                    input_index: 0,
-                    expected: feature_schema(),
-                    actual: Schema::Model {
-                        family: "surprise".into(),
-                    }
-                    .id(),
-                }),
-            ))
-        }
-        fn work_units(&self, _inputs: &[Artifact]) -> u64 {
-            1
-        }
-    }
-
-    struct Good {
+    /// A node of the diamond, by name: `src` makes features, `good_a` and
+    /// `good_b` scale their input by `factor`, `join` sums its inputs and
+    /// `model` scores them. `liar` declares compatible schemas but fails at
+    /// run time — invisible to the static failure frontier, so it exercises
+    /// the dynamic-failure path.
+    struct Node {
         name: &'static str,
         factor: f32,
     }
 
-    impl Component for Good {
+    impl Component for Node {
         fn name(&self) -> &str {
             self.name
         }
@@ -526,113 +353,68 @@ mod orphan_gc {
             SemVer::master(0, 0)
         }
         fn stage(&self) -> StageKind {
-            StageKind::PreProcess
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            Some(feature_schema())
-        }
-        fn output_schema(&self) -> SchemaId {
-            feature_schema()
-        }
-        fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            self.check_compatibility(inputs)?;
-            let ArtifactData::Features(f) = inputs[0].data() else {
-                unreachable!("schema-checked input");
-            };
-            let x = Matrix::from_fn(f.x.rows(), DIM, |r, c| f.x.get(r, c) * self.factor);
-            Ok(Artifact::new(
-                ArtifactData::Features(Features {
-                    x,
-                    y: f.y.clone(),
-                    n_classes: f.n_classes,
-                }),
-                self.output_schema(),
-            ))
-        }
-        fn work_units(&self, inputs: &[Artifact]) -> u64 {
-            inputs.first().map(|a| a.byte_len()).unwrap_or(1)
-        }
-    }
-
-    struct Join;
-
-    impl Component for Join {
-        fn name(&self) -> &str {
-            "join"
-        }
-        fn version(&self) -> SemVer {
-            SemVer::master(0, 0)
-        }
-        fn stage(&self) -> StageKind {
-            StageKind::PreProcess
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            Some(feature_schema())
-        }
-        fn output_schema(&self) -> SchemaId {
-            feature_schema()
-        }
-        fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            self.check_compatibility(inputs)?;
-            let feats: Vec<&Features> = inputs
-                .iter()
-                .map(|a| match a.data() {
-                    ArtifactData::Features(f) => f,
-                    _ => unreachable!("schema-checked input"),
-                })
-                .collect();
-            let first = feats[0];
-            let x = Matrix::from_fn(first.x.rows(), DIM, |r, c| {
-                feats.iter().map(|f| f.x.get(r, c)).sum::<f32>()
-            });
-            Ok(Artifact::new(
-                ArtifactData::Features(Features {
-                    x,
-                    y: first.y.clone(),
-                    n_classes: first.n_classes,
-                }),
-                self.output_schema(),
-            ))
-        }
-        fn work_units(&self, inputs: &[Artifact]) -> u64 {
-            inputs.iter().map(|a| a.byte_len()).sum::<u64>().max(1)
-        }
-    }
-
-    struct Model;
-
-    impl Component for Model {
-        fn name(&self) -> &str {
-            "model"
-        }
-        fn version(&self) -> SemVer {
-            SemVer::master(0, 0)
-        }
-        fn stage(&self) -> StageKind {
-            StageKind::ModelTraining
-        }
-        fn input_schema(&self) -> Option<SchemaId> {
-            Some(feature_schema())
-        }
-        fn output_schema(&self) -> SchemaId {
-            Schema::Model {
-                family: "gc-test".into(),
+            match self.name {
+                "src" => StageKind::Ingest,
+                "model" => StageKind::ModelTraining,
+                _ => StageKind::PreProcess,
             }
-            .id()
+        }
+        fn input_schema(&self) -> Option<SchemaId> {
+            (self.name != "src").then(feature_schema)
+        }
+        fn output_schema(&self) -> SchemaId {
+            match self.name {
+                "model" => Schema::Model {
+                    family: "gc-test".into(),
+                }
+                .id(),
+                _ => feature_schema(),
+            }
         }
         fn run(&self, inputs: &[Artifact]) -> PipelineResult<Artifact> {
-            self.check_compatibility(inputs)?;
-            Ok(Artifact::new(
-                ArtifactData::Model(ModelArtifact {
+            let data = match self.name {
+                "src" => ArtifactData::Features(Features {
+                    x: Matrix::from_fn(32, DIM, |r, c| ((r * 7 + c * 3) % 13) as f32 / 13.0),
+                    y: (0..32).map(|r| r % 2).collect(),
+                    n_classes: 2,
+                }),
+                "liar" => {
+                    let actual = Schema::Model {
+                        family: "surprise".into(),
+                    };
+                    let detail = IncompatibleSchemaDetail {
+                        component: self.key(),
+                        input_index: 0,
+                        expected: feature_schema(),
+                        actual: actual.id(),
+                    };
+                    return Err(PipelineError::IncompatibleSchema(Box::new(detail)));
+                }
+                "model" => ArtifactData::Model(ModelArtifact {
                     family: "gc-test".into(),
                     blob: vec![3u8; 24],
                     score: Score::new(MetricKind::Accuracy, 0.5),
                 }),
-                self.output_schema(),
-            ))
+                _ => {
+                    self.check_compatibility(inputs)?;
+                    let feats: Vec<&Features> = inputs
+                        .iter()
+                        .map(|a| match a.data() {
+                            ArtifactData::Features(f) => f,
+                            _ => unreachable!("schema-checked input"),
+                        })
+                        .collect();
+                    let x = Matrix::from_fn(feats[0].x.rows(), DIM, |r, c| {
+                        feats.iter().map(|f| f.x.get(r, c)).sum::<f32>() * self.factor
+                    });
+                    let (y, n_classes) = (feats[0].y.clone(), 2);
+                    ArtifactData::Features(Features { x, y, n_classes })
+                }
+            };
+            Ok(Artifact::new(data, self.output_schema()))
         }
         fn work_units(&self, inputs: &[Artifact]) -> u64 {
-            inputs.first().map(|a| a.byte_len()).unwrap_or(1)
+            inputs.iter().map(|a| a.byte_len()).sum::<u64>().max(1)
         }
     }
 
@@ -653,22 +435,18 @@ mod orphan_gc {
             Arc::clone(t.store()),
             2048,
         ));
-        let comps: Vec<ComponentHandle> = vec![
-            Arc::new(Src),
-            Arc::new(Liar),
-            Arc::new(Good {
-                name: "good_a",
-                factor: 2.0,
-            }),
-            Arc::new(Good {
-                name: "good_b",
-                factor: 3.0,
-            }),
-            Arc::new(Join),
-            Arc::new(Model),
-        ];
-        for c in &comps {
-            registry.register(Arc::clone(c)).unwrap();
+        for (name, factor) in [
+            ("src", 1.0),
+            ("liar", 1.0),
+            ("good_a", 2.0),
+            ("good_b", 3.0),
+        ] {
+            registry.register(Arc::new(Node { name, factor })).unwrap();
+        }
+        for name in ["join", "model"] {
+            registry
+                .register(Arc::new(Node { name, factor: 1.0 }))
+                .unwrap();
         }
         t.open_pipeline("gc", dag, registry)
             .with_parallelism(policy)
@@ -738,25 +516,6 @@ mod orphan_gc {
                 assert_eq!(again.removed_objects, 0);
             }
         }
-    }
-
-    #[test]
-    fn sweep_keeps_committed_state_intact() {
-        let ws = Workspace::in_memory_small();
-        let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
-        let sys = toy_system(&t);
-        let clock = ClockLedger::new();
-        sys.commit_pipeline("master", &keys(&sys, 0, 0), "initial", &clock)
-            .unwrap();
-        sys.commit_pipeline("master", &keys(&sys, 0, 1), "bump", &clock)
-            .unwrap();
-        let before = ws.store().physical_bytes();
-        let report = ws.sweep_orphans().unwrap();
-        assert_eq!(report.removed_objects, 0, "nothing live may be swept");
-        assert_eq!(ws.store().physical_bytes(), before);
-        // Every committed metafile still resolves (from the store).
-        let head = sys.graph().head("team/master").unwrap();
-        assert!(sys.metafile_of(&head).is_ok());
     }
 }
 
