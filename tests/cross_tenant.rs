@@ -1,7 +1,8 @@
-//! Cross-tenant collaboration the served requests do not reach (those are
-//! `tests/simulation.rs`'s): merging a peer's branch in, a grant revoked
-//! mid-search, dedup attribution of cross-tenant merges, and worker-count
-//! determinism of the whole upstream/downstream workflow.
+//! Cross-tenant collaboration through the library API (the served requests
+//! are `tests/simulation.rs`'s): merging a peer's branch in, branch names
+//! that spell a peer's branch, a grant revoked mid-search, a quota breach
+//! mid cross-tenant merge, dedup attribution of cross-tenant merges, and
+//! worker-count determinism of the whole upstream/downstream workflow.
 
 mod common;
 
@@ -14,8 +15,10 @@ use mlcask_core::testkit::{toy_model, toy_slots};
 use mlcask_core::workspace::{Tenant, Workspace};
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::dag::PipelineDag;
+use mlcask_pipeline::errors::PipelineError;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
+use mlcask_storage::errors::StorageError;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::readmission;
 use mlcask_workloads::scenario::{build_system, run_upstream_downstream, setup_nonlinear};
@@ -124,6 +127,53 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
         ),
         Err(CoreError::NotATenant(_))
     ));
+}
+
+/// A tenant cannot reach another namespace by spelling it: every public
+/// API that takes a branch name resolves it inside the caller's own
+/// namespace, so a name that spells a peer's branch is a branch of one's
+/// own.
+#[test]
+fn raw_string_apis_cannot_touch_foreign_namespaces() {
+    let ws = Workspace::in_memory_small();
+    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+    let sys_up = toy_system(&up);
+    let sys_down = toy_system(&down);
+    let clock = ClockLedger::new();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
+        .unwrap();
+    let up_head = ws.graph().head("up/master").unwrap();
+    let before = accounting_fingerprint(&ws);
+    // Branching off "up/master" looks for down's own `down/up/master`.
+    assert!(matches!(
+        sys_down.branch("up/master", "steal"),
+        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
+    ));
+    assert!(matches!(
+        sys_down.merge("up/master", "master", MergeStrategy::Full, &clock),
+        Err(CoreError::Storage(StorageError::UnknownBranch(b))) if b == "down/up/master"
+    ));
+    assert_eq!(accounting_fingerprint(&ws), before);
+    // Committing to "up/master" roots a branch in down's namespace.
+    let squat = sys_down
+        .commit_pipeline("up/master", &toy_pipeline(0, 0), "squat", &clock)
+        .unwrap()
+        .commit
+        .unwrap();
+    assert_eq!(squat.branch, "down/up/master");
+    assert_eq!(ws.graph().head("up/master").unwrap(), up_head);
+    assert_eq!(down.branches(), vec!["up/master"]);
+    assert_eq!(up.branches(), vec!["master"]);
+    // Only a grant reaches up's namespace, and only what it grants.
+    assert!(matches!(
+        down.fork_from("up", "master", "fork"),
+        Err(CoreError::ShareDenied { .. })
+    ));
+    up.grant_to("down", ShareRight::Fork).unwrap();
+    down.fork_from("up", "master", "fork").unwrap();
+    assert_eq!(down.branches(), vec!["fork", "up/master"]);
 }
 
 /// Three teams in a chain: `up` grants `mid` Fork; `mid` forks `up/master`
@@ -361,6 +411,86 @@ fn cross_tenant_merge_deterministic_across_worker_counts() {
             "cross-tenant merge with {workers} workers diverged"
         );
     }
+}
+
+/// A merge search that breaches the merging tenant's quota on its first
+/// attributed write releases every reservation and charges nothing, at one
+/// worker and at eight; raising the quota unblocks the identical merge.
+#[test]
+fn quota_breach_mid_cross_merge_releases_reservations_and_leaves_accounts() {
+    let ws = Workspace::in_memory_small();
+    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+    let sys_up = toy_system(&up);
+    let sys_down = toy_system(&down);
+    let clock = ClockLedger::new();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
+        .unwrap();
+    up.grant_to("down", ShareRight::MergeInto).unwrap();
+    down.fork_from("up", "master", "feature").unwrap();
+    // Diverge both sides so the merge needs a real search.
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
+        .unwrap();
+    sys_down
+        .commit_pipeline("feature", &toy_pipeline(0, 1), "down model", &clock)
+        .unwrap();
+    sys_down
+        .commit_pipeline("feature", &toy_pipeline(0, 2), "down model 2", &clock)
+        .unwrap();
+
+    // Clamp downstream's quota to its current usage: the merge search's
+    // first attributed write must breach.
+    ws.store()
+        .tenant_accounts()
+        .register(down.id(), QuotaPolicy::logical(down.usage().logical_bytes));
+    let before = accounting_fingerprint(&ws);
+    for policy in [
+        ParallelismPolicy::Sequential,
+        ParallelismPolicy::Parallel(8),
+    ] {
+        // Re-open over the same registry: opening writes nothing, so the
+        // clamped quota stays exactly at current usage.
+        let dag = PipelineDag::chain(&toy_slots()).unwrap();
+        let sys = down
+            .open_pipeline("toy", dag, Arc::clone(sys_down.registry()))
+            .with_parallelism(policy);
+        let err = sys
+            .merge(
+                BranchRef::peer("up", "master"),
+                "feature",
+                MergeStrategy::Full,
+                &clock,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Pipeline(PipelineError::Storage(StorageError::QuotaExceeded { .. }))
+            ),
+            "unexpected error: {err}"
+        );
+        assert_eq!(
+            accounting_fingerprint(&ws),
+            before,
+            "aborted merge must release every reservation and charge nothing"
+        );
+    }
+    // Raising the quota unblocks the identical merge.
+    ws.store()
+        .tenant_accounts()
+        .register(down.id(), QuotaPolicy::UNLIMITED);
+    let merged = sys_down
+        .merge(
+            BranchRef::peer("up", "master"),
+            "feature",
+            MergeStrategy::Full,
+            &clock,
+        )
+        .unwrap();
+    assert!(merged.commit.is_some());
+    assert_eq!(ws.store().tenant_accounts().open_reservations(), 0);
 }
 
 #[test]

@@ -119,6 +119,54 @@ fn shared_store_undercuts_isolated_stores_on_readmission() {
     );
 }
 
+#[test]
+fn quota_breach_aborts_commit_and_search_without_corrupting_graph() {
+    let ws = Workspace::in_memory_small();
+    let t = ws.add_tenant("team", QuotaPolicy::UNLIMITED).unwrap();
+    let sys = toy_system(&t);
+    let clock = ClockLedger::new();
+    sys.commit_pipeline("master", &toy_pipeline(0, 0), "initial", &clock)
+        .unwrap();
+    sys.branch("master", "dev").unwrap();
+    sys.commit_pipeline("master", &toy_pipeline(1, 0), "head scaler", &clock)
+        .unwrap();
+    sys.commit_pipeline("dev", &toy_pipeline(0, 1), "dev model", &clock)
+        .unwrap();
+    let head_before = sys.graph().head("team/master").unwrap();
+    let commits_before = sys.graph().len();
+
+    // Clamp the quota to the bytes already used: the next attributed write
+    // breaches.
+    let used = t.usage().logical_bytes;
+    ws.store()
+        .tenant_accounts()
+        .register(t.id(), QuotaPolicy::logical(used));
+
+    // A fresh commit aborts mid-run...
+    let err = sys
+        .commit_pipeline("master", &toy_pipeline(1, 2), "over quota", &clock)
+        .unwrap_err();
+    assert!(is_quota_error(&err), "unexpected error: {err}");
+    // ...and so does the merge search, whose candidate evaluations write
+    // through the same tenant view.
+    let err = sys
+        .merge("master", "dev", MergeStrategy::Full, &clock)
+        .unwrap_err();
+    assert!(is_quota_error(&err), "unexpected error: {err}");
+
+    // The graph is untouched: same head, same commit count, and the
+    // workspace still works once the quota is raised.
+    assert_eq!(sys.graph().head("team/master").unwrap().id, head_before.id);
+    assert_eq!(sys.graph().len(), commits_before);
+    ws.store()
+        .tenant_accounts()
+        .register(t.id(), QuotaPolicy::UNLIMITED);
+    let merged = sys
+        .merge("master", "dev", MergeStrategy::Full, &clock)
+        .unwrap();
+    assert!(merged.commit.is_some(), "raised quota unblocks the merge");
+}
+
 /// Everything a commit aborted by a hard error must leave exactly where it
 /// found it: tenant accounts, open reservations, store statistics, the
 /// checkpoint history, the provenance index, and the commit graph.
@@ -311,6 +359,30 @@ fn quota_breach_mid_commit_leaves_no_trace_at_any_worker_count() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+#[test]
+fn quota_of_one_tenant_does_not_throttle_another() {
+    let ws = Workspace::in_memory_small();
+    let starved = ws.add_tenant("starved", QuotaPolicy::UNLIMITED).unwrap();
+    let healthy = ws.add_tenant("healthy", QuotaPolicy::UNLIMITED).unwrap();
+    let clock = ClockLedger::new();
+    let sys_starved = toy_system(&starved);
+    let sys_healthy = toy_system(&healthy);
+    // Starve the first tenant after registration: its next write breaches.
+    ws.store().tenant_accounts().register(
+        starved.id(),
+        QuotaPolicy::logical(starved.usage().logical_bytes),
+    );
+    let err = sys_starved
+        .commit_pipeline("master", &toy_pipeline(0, 0), "nope", &clock)
+        .unwrap_err();
+    assert!(is_quota_error(&err), "{err}");
+    // The healthy tenant shares the store but not the quota.
+    sys_healthy
+        .commit_pipeline("master", &toy_pipeline(0, 0), "fine", &clock)
+        .unwrap();
+    assert_eq!(ws.graph().branches(), vec!["healthy/master"]);
 }
 
 /// Orphan GC: a schema-dishonest node failing mid-DAG leaves behind the
