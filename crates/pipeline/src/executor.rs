@@ -23,7 +23,7 @@ use crate::dag::BoundPipeline;
 use crate::errors::{PipelineError, Result};
 use crate::history::HistoryIndex;
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
-use crate::provenance::{schedulable, FrontierCut};
+use crate::provenance::{schedulable, FrontierCut, Provenance};
 use crate::replay::{Claim, ProfileBook, StageProfile};
 use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
@@ -259,7 +259,15 @@ impl<'s> Executor<'s> {
         policy: Policy,
     ) -> Result<RunReport> {
         let history = history.cloned().unwrap_or_default();
-        let candidate = Arc::new(Candidate::of(pipeline.clone())?);
+        // Only a cut and a publication read fingerprints.
+        let provenance = match policy.cut || policy.publish {
+            true => Provenance::of(pipeline)?,
+            false => Provenance::unfingerprinted(pipeline)?,
+        };
+        let candidate = Arc::new(Candidate {
+            pipeline: pipeline.clone(),
+            provenance,
+        });
         let keys = pipeline.components().iter().map(|c| c.key()).collect();
         let resolve = |_: &[ComponentKey]| Ok::<_, PipelineError>(Arc::clone(&candidate));
         let mut evaluated = search::evaluate(self, &history, policy, &mut [vec![keys]], resolve)?;
@@ -646,7 +654,7 @@ mod tests {
     use crate::component::test_support::{TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
-    use crate::provenance::Provenance;
+    use crate::provenance::DERIVATIONS;
     use crate::replay::{replay_run, CacheSnapshot};
     use crate::semver::SemVer;
     use std::collections::HashMap;
@@ -674,6 +682,22 @@ mod tests {
             }),
         ];
         BoundPipeline::new(dag, comps).unwrap()
+    }
+
+    /// ModelDB's run, with no history, derives no fingerprint: nothing
+    /// cuts or publishes. A run that cuts derives one set.
+    #[test]
+    fn a_run_that_neither_cuts_nor_publishes_derives_no_fingerprints() {
+        let store = ChunkStore::in_memory_small();
+        let exec = Executor::new(&store);
+        let p = pipeline(2.0, 3, 3);
+        let derived = |policy| {
+            let before = DERIVATIONS.with(|n| n.get());
+            exec.run(&p, None, policy).unwrap();
+            DERIVATIONS.with(|n| n.get()) - before
+        };
+        assert_eq!(derived(Policy::RERUN_ALL), 0);
+        assert_eq!(derived(Policy::MLCASK), 1);
     }
 
     #[test]

@@ -68,6 +68,8 @@ pub(crate) fn node_fingerprint(component: &ComponentKey, input_fps: &[Hash256]) 
 /// id. Purely static: derived from component keys and DAG edges, so two
 /// pipelines that share a prefix share the prefix's fingerprints.
 pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
+    #[cfg(test)]
+    DERIVATIONS.with(|n| n.set(n.get() + 1));
     let order = pipeline.dag.topo_order()?;
     let mut fps = vec![Hash256::ZERO; order.len()];
     let mut input_fps: Vec<Hash256> = Vec::new();
@@ -77,6 +79,12 @@ pub fn pipeline_fingerprints(pipeline: &BoundPipeline) -> Result<Vec<Hash256>> {
         fps[node] = node_fingerprint(&pipeline.components()[node].key(), &input_fps);
     }
     Ok(fps)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`pipeline_fingerprints`] calls on this thread so far.
+    pub(crate) static DERIVATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// What a frontier cut needs of a pipeline that no history can change: its
@@ -95,9 +103,17 @@ pub struct Provenance {
 impl Provenance {
     /// Derives `pipeline`'s fingerprints and schedulable mask.
     pub(crate) fn of(pipeline: &BoundPipeline) -> Result<Provenance> {
+        let mut provenance = Self::unfingerprinted(pipeline)?;
+        provenance.fingerprints = pipeline_fingerprints(pipeline)?;
+        Ok(provenance)
+    }
+
+    /// `pipeline`'s schedulable mask and no fingerprints: all that a run
+    /// which neither cuts nor publishes reads.
+    pub(crate) fn unfingerprinted(pipeline: &BoundPipeline) -> Result<Provenance> {
         let order = pipeline.dag.topo_order()?;
         Ok(Provenance {
-            fingerprints: pipeline_fingerprints(pipeline)?,
+            fingerprints: Vec::new(),
             schedulable: schedulable(order, pipeline.static_failure_node()?),
         })
     }

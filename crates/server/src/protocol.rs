@@ -28,6 +28,8 @@ pub const METHOD_NOT_FOUND: i64 = -32601;
 pub const INVALID_PARAMS: i64 = -32602;
 /// The operation itself failed (store/graph/quota errors).
 pub const OP_FAILED: i64 = -32000;
+/// A session asked for a quota other than the one its tenant joined with.
+pub(crate) const QUOTA_CONFLICT: i64 = -32001;
 /// Admission control refused a new session (session cap reached).
 pub const ADMISSION_DENIED: i64 = -32050;
 /// Per-tenant rate limiter refused the operation.

@@ -19,7 +19,7 @@
 use crate::limits::{AdmissionControl, Limiter};
 use crate::protocol::{
     self, obj, s, Failure, LineRequest, Params, Request, INVALID_PARAMS, METHOD_NOT_FOUND,
-    OP_FAILED,
+    OP_FAILED, QUOTA_CONFLICT,
 };
 use crate::reply::{CommitReply, CommitResultReply, MergeReply, SessionReply, UsageReply};
 use mlcask_core::merge::MergeStrategy;
@@ -74,6 +74,8 @@ pub(crate) struct TenantEntry {
     pub(crate) sys: MlCask,
     /// The request telemetry recorded under this tenant's label.
     requests: RequestSeries,
+    /// The quota the tenant joined with.
+    quota: QuotaPolicy,
 }
 
 /// A handler's outcome: its reply went to the [`ReplyTo`], or it has none
@@ -561,10 +563,19 @@ impl Router {
     }
 
     /// The tenant's serving entry, registering it with the workspace (and
-    /// the workload's components) on first use.
+    /// the workload's components) on first use. A joined tenant's quota is
+    /// the one it joined with: a request naming another is refused.
     fn tenant_entry(&self, name: &str, quota: QuotaPolicy) -> Result<Arc<TenantEntry>, Failure> {
         let mut tenants = self.tenants.lock();
         if let Some(entry) = tenants.get(name) {
+            if quota != QuotaPolicy::UNLIMITED && quota != entry.quota {
+                let msg = format!(
+                    "tenant '{name}' joined with quota {}; a session cannot ask for {}",
+                    describe_quota(entry.quota),
+                    describe_quota(quota)
+                );
+                return Err(Failure::new(QUOTA_CONFLICT, msg));
+            }
             return Ok(Arc::clone(entry));
         }
         let ts = join_workspace(&self.ws, &self.workload, name, quota)
@@ -573,6 +584,7 @@ impl Router {
             tenant: ts.tenant,
             sys: ts.sys.with_parallelism(self.opts.parallelism),
             requests: RequestSeries::new(name),
+            quota,
         });
         tenants.insert(name.to_string(), Arc::clone(&entry));
         Ok(entry)
@@ -690,6 +702,16 @@ fn parse_component(spec: &str) -> Result<ComponentKey, Failure> {
         .parse()
         .map_err(|e| Failure::new(INVALID_PARAMS, format!("component `{spec}`: {e}")))?;
     Ok(ComponentKey::new(name, version))
+}
+
+/// `quota`'s caps, as a refusal names them.
+fn describe_quota(quota: QuotaPolicy) -> String {
+    let cap = |max: Option<u64>| max.map_or("unlimited".to_string(), |b| format!("{b} B"));
+    format!(
+        "(logical {}, physical {})",
+        cap(quota.max_logical_bytes),
+        cap(quota.max_physical_bytes)
+    )
 }
 
 fn parse_right(name: &str) -> Result<ShareRight, Failure> {

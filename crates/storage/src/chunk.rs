@@ -51,13 +51,20 @@ impl Default for ChunkParams {
 
 /// One chunk of a blob: its content address plus the byte range it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ChunkRef {
+pub struct ChunkRef {
     /// Content address of the chunk bytes.
     pub(crate) hash: Hash256,
     /// Offset of the chunk within the original blob.
     pub(crate) offset: u64,
     /// Chunk length in bytes.
     pub(crate) len: u32,
+}
+
+impl ChunkRef {
+    /// The offset one past the chunk's last byte.
+    fn end(&self) -> u64 {
+        self.offset + self.len as u64
+    }
 }
 
 /// Deterministic 256-entry Gear table derived from SHA-256 so the chunker
@@ -121,20 +128,44 @@ pub fn boundaries(data: &[u8], params: ChunkParams) -> Vec<(usize, usize)> {
 
 /// Chunks a blob and content-addresses each piece, two chunks at a time
 /// (see [`digest_many`]).
-pub(crate) fn chunk_blob(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
-    let ranges = boundaries(data, params);
-    let chunks: Vec<&[u8]> = ranges.iter().map(|&(s, e)| &data[s..e]).collect();
-    let mut hashes = Vec::with_capacity(chunks.len());
-    digest_many(&chunks, &mut hashes);
-    ranges
-        .into_iter()
-        .zip(hashes)
-        .map(|((s, e), hash)| ChunkRef {
-            hash,
-            offset: s as u64,
-            len: (e - s) as u32,
-        })
-        .collect()
+///
+/// `prior`, if given, is what `data` is known to repeat: the chunks of a
+/// blob chunked before with the same `params`, and how many leading bytes
+/// the two blobs share. A cut depends only on the bytes from its chunk's
+/// start to the cut, so every prior chunk that ends within the shared
+/// prefix is one of `data`'s too and is taken as it is; only the rest of
+/// `data` is chunked and hashed. The prior's last chunk is never taken:
+/// end-of-data may have forced its cut. The result is the same with or
+/// without a prior.
+pub(crate) fn chunk_blob(
+    data: &[u8],
+    params: ChunkParams,
+    prior: Option<(&[ChunkRef], usize)>,
+) -> Vec<ChunkRef> {
+    let reused = prior.map_or(&[][..], |(chunks, shared)| {
+        let body = &chunks[..chunks.len().saturating_sub(1)];
+        let shared = shared.min(data.len()) as u64;
+        &body[..body.partition_point(|c| c.end() <= shared)]
+    });
+    let resume = reused.last().map_or(0, |c| c.end() as usize);
+    let tail = &data[resume..];
+    let ranges = boundaries(tail, params);
+    let pieces: Vec<&[u8]> = ranges.iter().map(|&(s, e)| &tail[s..e]).collect();
+    let mut hashes = Vec::with_capacity(pieces.len());
+    digest_many(&pieces, &mut hashes);
+    let mut chunks = Vec::with_capacity(reused.len() + ranges.len());
+    chunks.extend_from_slice(reused);
+    chunks.extend(
+        ranges
+            .into_iter()
+            .zip(hashes)
+            .map(|((s, e), hash)| ChunkRef {
+                hash,
+                offset: (resume + s) as u64,
+                len: (e - s) as u32,
+            }),
+    );
+    chunks
 }
 
 #[cfg(test)]
@@ -181,7 +212,7 @@ mod tests {
     #[test]
     fn empty_input_no_chunks() {
         assert!(boundaries(&[], ChunkParams::SMALL).is_empty());
-        assert!(chunk_blob(&[], ChunkParams::SMALL).is_empty());
+        assert!(chunk_blob(&[], ChunkParams::SMALL, None).is_empty());
     }
 
     #[test]
@@ -228,22 +259,23 @@ mod tests {
     fn deterministic() {
         let data = random_bytes(4, 100_000);
         assert_eq!(
-            chunk_blob(&data, ChunkParams::SMALL),
-            chunk_blob(&data, ChunkParams::SMALL)
+            chunk_blob(&data, ChunkParams::SMALL, None),
+            chunk_blob(&data, ChunkParams::SMALL, None)
         );
     }
 
     #[test]
     fn local_edit_preserves_most_chunks() {
         let mut data = random_bytes(5, 1 << 18);
-        let before: std::collections::HashSet<Hash256> = chunk_blob(&data, ChunkParams::SMALL)
-            .into_iter()
-            .map(|c| c.hash)
-            .collect();
+        let before: std::collections::HashSet<Hash256> =
+            chunk_blob(&data, ChunkParams::SMALL, None)
+                .into_iter()
+                .map(|c| c.hash)
+                .collect();
         // Flip a single byte in the middle.
         let mid = data.len() / 2;
         data[mid] ^= 0xff;
-        let after: Vec<ChunkRef> = chunk_blob(&data, ChunkParams::SMALL);
+        let after: Vec<ChunkRef> = chunk_blob(&data, ChunkParams::SMALL, None);
         let changed = after.iter().filter(|c| !before.contains(&c.hash)).count();
         // Only the chunk containing the edit (plus possibly a neighbour due to
         // boundary shift) should change.
@@ -257,10 +289,10 @@ mod tests {
     #[test]
     fn append_preserves_prefix_chunks() {
         let data = random_bytes(6, 1 << 17);
-        let before = chunk_blob(&data, ChunkParams::SMALL);
+        let before = chunk_blob(&data, ChunkParams::SMALL, None);
         let mut extended = data.clone();
         extended.extend_from_slice(&random_bytes(7, 4096));
-        let after = chunk_blob(&extended, ChunkParams::SMALL);
+        let after = chunk_blob(&extended, ChunkParams::SMALL, None);
         // All but the final chunk of the original must reappear verbatim.
         for (b, a) in before.iter().zip(after.iter()).take(before.len() - 1) {
             assert_eq!(b, a);
@@ -293,6 +325,47 @@ mod tests {
             }
         }
 
+        /// Chunking resumed from a prior finds `chunk_blob`'s chunks without
+        /// one. The blob repeats the prior's first `shared` bytes, where
+        /// `shared` is 0, anywhere (mostly mid-chunk), exactly on one of the
+        /// prior's cuts, or the whole prior — whose last chunk end-of-data
+        /// cut — and then goes on. All-zero data has no content-defined cut,
+        /// so there every cut is forced at `max_size`.
+        #[test]
+        fn prop_chunking_resumed_from_a_prior_equals_chunking_the_whole_blob(
+            seed in any::<u64>(),
+            prior_len in 0usize..100_000,
+            tail_len in 0usize..10_000,
+            shared_at in 0usize..4,
+            pick in any::<usize>(),
+            zeros in any::<bool>(),
+        ) {
+            let bytes = |seed, len| match zeros {
+                true => vec![0; len],
+                false => random_bytes(seed, len),
+            };
+            let before = bytes(seed, prior_len);
+            for params in [ChunkParams::SMALL, ChunkParams::DEFAULT] {
+                let prior = chunk_blob(&before, params, None);
+                let shared = match shared_at {
+                    0 => 0,
+                    1 => pick % (prior_len + 1),
+                    2 if !prior.is_empty() => prior[pick % prior.len()].end() as usize,
+                    _ => prior_len,
+                };
+                let mut data = before[..shared].to_vec();
+                data.extend(bytes(seed ^ 1, tail_len));
+                prop_assert_eq!(
+                    chunk_blob(&data, params, Some((&prior, shared))),
+                    chunk_blob(&data, params, None),
+                    "{:?}, {} of {} bytes shared",
+                    params,
+                    shared,
+                    prior_len
+                );
+            }
+        }
+
         #[test]
         fn prop_chunks_reassemble(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
             let bs = boundaries(&data, ChunkParams::SMALL);
@@ -305,7 +378,7 @@ mod tests {
 
         #[test]
         fn prop_chunk_lens_match_ranges(data in proptest::collection::vec(any::<u8>(), 1..8192)) {
-            let chunks = chunk_blob(&data, ChunkParams::SMALL);
+            let chunks = chunk_blob(&data, ChunkParams::SMALL, None);
             let total: u64 = chunks.iter().map(|c| c.len as u64).sum();
             prop_assert_eq!(total, data.len() as u64);
             for c in &chunks {

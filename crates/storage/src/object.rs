@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn manifest_round_trip() {
         let data: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 256) as u8).collect();
-        let m = Manifest::from_chunks(&chunk_blob(&data, ChunkParams::SMALL));
+        let m = Manifest::from_chunks(&chunk_blob(&data, ChunkParams::SMALL, None));
         assert_eq!(m.len, data.len() as u64);
         let enc = m.encode();
         assert_eq!(Manifest::decode(&enc), Some(m.clone()));
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn decode_rejects_len_mismatch() {
         let data = vec![1u8; 300];
-        let m = Manifest::from_chunks(&chunk_blob(&data, ChunkParams::SMALL));
+        let m = Manifest::from_chunks(&chunk_blob(&data, ChunkParams::SMALL, None));
         let mut enc = m.encode();
         // Corrupt the logical length field.
         enc[0] ^= 1;

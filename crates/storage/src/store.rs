@@ -14,7 +14,7 @@
 
 use crate::backend::{MemBackend, StorageBackend};
 use crate::cache::{BlobCache, CacheOptions};
-use crate::chunk::{chunk_blob, ChunkParams};
+use crate::chunk::{chunk_blob, ChunkParams, ChunkRef};
 use crate::costmodel::StorageCostModel;
 use crate::errors::{Result, StorageError};
 use crate::hash::Hash256;
@@ -268,9 +268,33 @@ impl ChunkStore {
 
     /// Writes a blob, deduplicating chunks, and returns its reference.
     pub fn put_blob(&self, kind: ObjectKind, data: &[u8]) -> Result<PutOutcome> {
-        let (outcome, trace) = self.write_blob(kind, data)?;
+        self.put_revision(kind, data, None)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// Writes a blob like [`ChunkStore::put_blob`], given what it is known
+    /// to repeat of a blob written before: `prior` holds that blob's
+    /// chunks and how many leading bytes the two share. A cut depends only
+    /// on the bytes from its chunk's start to the cut, so the prior's
+    /// chunks that end inside the shared prefix are this blob's too, all
+    /// but the prior's last, whose cut end-of-data may have forced. Only
+    /// what follows them is chunked and hashed; the chunks, the write and
+    /// its charges are `put_blob`'s. Returns the blob's chunks too, the
+    /// prior of its next revision.
+    pub fn put_revision(
+        &self,
+        kind: ObjectKind,
+        data: &[u8],
+        prior: Option<(&[ChunkRef], usize)>,
+    ) -> Result<(PutOutcome, Vec<ChunkRef>)> {
+        let chunks = chunk_blob(data, self.params, prior);
+        debug_assert!(
+            prior.is_none() || chunks == chunk_blob(data, self.params, None),
+            "chunking resumed from a prior differs from chunking the whole blob"
+        );
+        let (outcome, trace) = self.write_blob(kind, data, &chunks)?;
         self.record_live_write(&trace, outcome.physical_bytes);
-        Ok(outcome)
+        Ok((outcome, chunks))
     }
 
     /// Applies the stats delta of a completed (non-traced) write.
@@ -336,7 +360,7 @@ impl ChunkStore {
     /// deterministic replay can attribute cost and stats in a canonical
     /// order. Used by the parallel candidate-evaluation engines.
     pub fn put_blob_traced(&self, kind: ObjectKind, data: &[u8]) -> Result<(PutOutcome, PutTrace)> {
-        self.write_blob(kind, data)
+        self.write_blob(kind, data, &chunk_blob(data, self.params, None))
     }
 
     /// The replay half of the traced-write protocol: applies the stats delta
@@ -348,9 +372,14 @@ impl ChunkStore {
         self.attribute_tenant(trace, delta.physical_bytes);
     }
 
-    fn write_blob(&self, kind: ObjectKind, data: &[u8]) -> Result<(PutOutcome, PutTrace)> {
-        let chunks = chunk_blob(data, self.params);
-        let manifest = Manifest::from_chunks(&chunks);
+    /// Writes `data`, cut into `chunks`, as one backend call.
+    fn write_blob(
+        &self,
+        kind: ObjectKind,
+        data: &[u8],
+        chunks: &[ChunkRef],
+    ) -> Result<(PutOutcome, PutTrace)> {
+        let manifest = Manifest::from_chunks(chunks);
         let enc = manifest.encode();
         let id = Hash256::of(&enc);
         // Quota gate: tenant-attributed writes (live *and* traced)

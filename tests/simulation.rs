@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{accounting_fingerprint, serve, Client, Gate, MODELS};
+use common::{accounting_fingerprint, join_cost, serve, Client, Gate, MODELS};
 use mlcask_pipeline::metafile::PipelineMetafile;
 use mlcask_storage::object::{ObjectKind, ObjectRef};
 use rand::rngs::StdRng;
@@ -196,11 +196,14 @@ impl Model {
         let own = |b: &str| format!("{me}/{b}");
         match w[..] {
             [_, "open", quota] => {
-                if !self.tenants.contains_key(me) {
-                    if quota == "refused" {
-                        return Err(self.breach());
+                match self.tenants.get(me) {
+                    None if quota == "refused" => return Err(self.breach()),
+                    None => drop(self.tenants.insert(me.into(), quota == "starved")),
+                    // A reopen may name no quota, or the one it joined with.
+                    Some(&starved) if quota == "refused" || (quota == "starved" && !starved) => {
+                        return Err(format!("tenant '{me}' joined with quota"));
                     }
-                    self.tenants.insert(me.into(), quota == "starved");
+                    Some(_) => {}
                 }
                 let session = self.sessions.values().max().map_or(1, |s| s + 1);
                 self.sessions.insert(me.into(), session);
@@ -770,6 +773,45 @@ fn the_regression_list_holds() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session for a joined tenant that names a quota other than the one it
+/// joined with is refused with a `-32001` error naming the tenant and its
+/// joined quota, and moves nothing; one naming no quota, or the joined
+/// one, is served.
+#[test]
+fn a_reopen_naming_another_quota_is_refused() {
+    let script = [
+        "up open starved",
+        "down open unlimited",
+        "up open unlimited",
+        "up open starved",
+        "up open refused",
+        "down open starved",
+        "down open unlimited",
+    ];
+    let script: Vec<String> = script.map(String::from).to_vec();
+    let transcript = run(&script, 1, None, MODEL | REFUSED).unwrap();
+    let joined = [
+        (
+            4,
+            format!(
+                "'up' joined with quota (logical {} B, physical unlimited)",
+                join_cost()
+            ),
+        ),
+        (
+            5,
+            "'down' joined with quota (logical unlimited, physical unlimited)".into(),
+        ),
+    ];
+    for (step, quota) in joined {
+        let reply = &transcript[step];
+        assert!(
+            reply.contains("-32001") && reply.contains(&quota),
+            "{reply}"
+        );
+    }
 }
 
 /// Ten times the default case count, under every check at once.
