@@ -3,11 +3,12 @@
 //! Ties together the repositories (§III), version-control semantics (§IV),
 //! branching/merging (§V) and the optimized merge search (§VI) behind the
 //! API a deployment would script against: `commit` / `branch` / `merge`.
-//! A merge names its two sides with [`BranchRef`]s, so merging a peer
-//! tenant's branch — or into one — is the same operation as merging two of
-//! one's own. A system only reads the commit graph ([`MlCask::graph`] is a
-//! snapshot); its commits and branches are written by the [`Workspace`],
-//! which applies the one access rule at the write.
+//! A merge merges one of the caller's own branches into a base named by a
+//! [`BranchRef`], so contributing to a peer tenant's branch is the same
+//! operation as merging two of one's own; a peer's work is pulled by
+//! forking it first. A system only reads the commit graph
+//! ([`MlCask::graph`] is a snapshot); its commits and branches are written
+//! by the [`Workspace`], which applies the one access rule at the write.
 
 use crate::errors::{CoreError, Result};
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
@@ -51,8 +52,9 @@ pub struct MergeOutcome {
     pub report: Option<MergeSearchReport>,
 }
 
-/// A branch as a merge names it: one of the caller's own branches (what a
-/// plain `&str` converts to) or a peer tenant's ([`BranchRef::peer`]).
+/// A branch as a merge names its base: one of the caller's own branches
+/// (what a plain `&str` converts to) or a peer tenant's
+/// ([`BranchRef::peer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchRef<'a> {
     /// The owning tenant when it is not the caller.
@@ -84,12 +86,6 @@ impl<'a> BranchRef<'a> {
 impl<'a> From<&'a str> for BranchRef<'a> {
     fn from(branch: &'a str) -> Self {
         BranchRef { peer: None, branch }
-    }
-}
-
-impl<'a> From<&'a String> for BranchRef<'a> {
-    fn from(branch: &'a String) -> Self {
-        BranchRef::from(branch.as_str())
     }
 }
 
@@ -249,9 +245,10 @@ impl MlCask {
     /// history the checkpoints (and their fingerprints) of what it executed
     /// — and, if the run completes, store its metafile and append the
     /// commit carrying it to `branch`: an already-qualified (shared-graph)
-    /// name, since the cross-tenant merge path commits onto a *peer's*
-    /// branch, which has no caller-facing name in this system's namespace.
-    /// A run the precheck rejects (or that fails) commits nothing.
+    /// name, since `merge.into` commits onto a *peer's* branch, which has
+    /// no caller-facing name in this system's namespace. A merge passes the
+    /// base head it searched, the merging branch and its head. A run the
+    /// precheck rejects (or that fails) commits nothing.
     ///
     /// With incremental re-evaluation on, the pipeline is cut against the
     /// live history before it is prechecked: one its fingerprints resolve
@@ -263,7 +260,7 @@ impl MlCask {
         branch: String,
         keys: &[ComponentKey],
         message: &str,
-        merging: Option<(&str, Hash256)>,
+        merge: Option<(&Commit, &str, Hash256)>,
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
         let policy = Policy {
@@ -291,15 +288,15 @@ impl MlCask {
             });
         }
         // Next label: branch.seq (root = 0 when the branch does not exist).
-        let head = self.graph().head(&branch).ok();
-        let next_seq = head.as_ref().map(|h| h.seq + 1).unwrap_or(0);
+        let (next_seq, parents) = match merge {
+            Some((base, merging, head)) => (base.seq + 1, Parents::Merge(base.id, merging, head)),
+            None => match self.graph().head(&branch) {
+                Ok(head) => (head.seq + 1, Parents::Head),
+                Err(_) => (0, Parents::Root),
+            },
+        };
         let metafile = self.build_metafile(&branch, next_seq, keys, &report);
         let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
-        let parents = match (merging, head) {
-            (Some((merging, merge_head)), _) => Parents::Merge(merging, merge_head),
-            (None, Some(_)) => Parents::Head,
-            (None, None) => Parents::Root,
-        };
         let commit = self.workspace.commit(
             self.namespace.as_deref(),
             &branch,
@@ -380,14 +377,14 @@ impl MlCask {
         self.metafile_of(&head)
     }
 
-    /// Builds the merge search spaces for merging `merging` into `base`
-    /// (§V): versions developed since the common ancestor on either branch.
-    /// Either side may be a peer tenant's branch ([`BranchRef::peer`]);
-    /// reading a history needs no grant.
-    pub fn merge_search_spaces<'a, 'b>(
+    /// Builds the merge search spaces for merging this system's own branch
+    /// `merging` into `base` (§V): versions developed since the common
+    /// ancestor on either branch. The base may be a peer tenant's branch
+    /// ([`BranchRef::peer`]); reading a history needs no grant.
+    pub fn merge_search_spaces<'a>(
         &self,
         base: impl Into<BranchRef<'a>>,
-        merging: impl Into<BranchRef<'b>>,
+        merging: &str,
     ) -> Result<SearchSpaces> {
         let view = self.graph();
         let (base, merging) = (self.qualified_branch(base), self.qualified_branch(merging));
@@ -396,8 +393,8 @@ impl MlCask {
     }
 
     /// [`MlCask::merge_search_spaces`] over already-qualified (shared-graph)
-    /// branch names, so the two histories may belong to *different* tenants:
-    /// a cross-tenant merge assembles its space from the commits both teams
+    /// branch names, so the base may belong to a *different* tenant: a
+    /// cross-tenant merge assembles its space from the commits both teams
     /// made since the fork point, exactly like the single-tenant case —
     /// cross-namespace parentage makes the common ancestor well defined.
     ///
@@ -440,10 +437,10 @@ impl MlCask {
 
     /// Initial leaf scores for prioritized search: the already-trained
     /// pipelines on both heads with their recorded metrics (§VII-E).
-    pub fn initial_scores<'a, 'b>(
+    pub fn initial_scores<'a>(
         &self,
         base: impl Into<BranchRef<'a>>,
-        merging: impl Into<BranchRef<'b>>,
+        merging: &str,
     ) -> Result<Vec<(Vec<ComponentKey>, f64)>> {
         let mut out = Vec::new();
         for b in [base.into(), merging.into()] {
@@ -455,15 +452,15 @@ impl MlCask {
         Ok(out)
     }
 
-    /// Merges `merging` into `base` with the given strategy (§V–§VI).
-    /// Either side may name a peer tenant's branch ([`BranchRef::peer`]):
-    /// merging into a peer's branch is the downstream team contributing its
-    /// fork back upstream and needs [`ShareRight::MergeInto`] from the
-    /// peer; merging a peer's branch in is pulling upstream work and needs
-    /// [`ShareRight::Read`]. The workspace's access rule is applied before
-    /// any execution or graph access, so a denial leaves the graph and
-    /// every account untouched, and again when the merge commit is written,
-    /// so a grant revoked during the search still refuses it.
+    /// Merges this system's own branch `merging` into `base` with the given
+    /// strategy (§V–§VI). The base may name a peer tenant's branch
+    /// ([`BranchRef::peer`]): that is the downstream team contributing its
+    /// fork back upstream, and needs [`ShareRight::MergeInto`] from the
+    /// peer, checked before any work and again at the commit. (Upstream
+    /// work is pulled by forking it first.) The merge commits only onto the
+    /// base head it searched: a base another commit moved meanwhile is
+    /// `StorageError::BaseMoved`, the graph does not move, and merging again
+    /// searches the new head.
     ///
     /// Fast-forward merges duplicate the `MERGE_HEAD` pipeline onto the base
     /// branch without any search. Diverged branches trigger the
@@ -479,91 +476,85 @@ impl MlCask {
     /// merge makes: the search's (its report's `clock`) as soon as the
     /// search returns, then that of committing the winner (which the
     /// from-scratch strategies re-execute) or the fast-forward.
-    pub fn merge<'a, 'b>(
+    ///
+    /// The merging side is the caller's own branch, never a peer's:
+    ///
+    /// ```compile_fail,E0308
+    /// use mlcask_core::prelude::{BranchRef, ClockLedger, MergeStrategy, MlCask};
+    /// fn pull(sys: &MlCask, ledger: &ClockLedger) {
+    ///     let peer = BranchRef::peer("up", "master");
+    ///     let _ = sys.merge("master", peer, MergeStrategy::Full, ledger);
+    /// }
+    /// ```
+    pub fn merge<'a>(
         &self,
         base: impl Into<BranchRef<'a>>,
-        merging: impl Into<BranchRef<'b>>,
+        merging: &str,
         strategy: MergeStrategy,
         ledger: &ClockLedger,
     ) -> Result<MergeOutcome> {
-        let (base, merging) = (base.into(), merging.into());
-        for (side, needed) in [(base, ShareRight::MergeInto), (merging, ShareRight::Read)] {
-            if side.peer.is_some() {
-                let me = self
-                    .namespace
-                    .as_deref()
-                    .ok_or_else(|| CoreError::NotATenant(self.name.clone()))?;
-                self.workspace.authorize(side, Some(me), needed)?;
-            }
+        let base = base.into();
+        if base.peer.is_some() {
+            let me = self
+                .namespace
+                .as_deref()
+                .ok_or_else(|| CoreError::NotATenant(self.name.clone()))?;
+            self.workspace
+                .authorize(base, Some(me), ShareRight::MergeInto)?;
         }
         // Errors and commit messages name the branches as the caller does
-        // when both are its own, else by their shared-graph names.
-        let own = base.peer.is_none() && merging.peer.is_none();
+        // when the base is its own, else by their shared-graph names.
+        let own = base.peer.is_none();
         let (base_q, merging_q) = (self.qualified_branch(base), self.qualified_branch(merging));
         if base_q == merging_q {
             let name = if own { base.branch.to_string() } else { base_q };
             return Err(CoreError::SelfMerge(name));
         }
-        let merging_label = if own { merging.branch } else { &merging_q };
+        let merging_label = if own { merging } else { &merging_q };
         // One frozen view decides everything the merge reads off the graph:
         // both heads, the fast-forward test, the common ancestor and the
-        // paths up from it. (The commit at the end re-resolves the base
-        // head under the writer lock.)
+        // paths up from it. The commit at the end lands on this base head
+        // or not at all.
         let view = self.graph();
         let base_head = view.head(&base_q)?;
         let merge_head = view.head(&merging_q)?;
 
-        if view.is_fast_forward(base_head.id, merge_head.id)? {
+        let (keys, message, report) = if view.is_fast_forward(base_head.id, merge_head.id)? {
             // "MLCask duplicates the latest version in MERGE_HEAD, changes
             // its branch to HEAD, creates a new commit on HEAD, and finally
             // sets its parents to both MERGE_HEAD and HEAD."
             // Fully checkpointed: a lookup assembles the metafile.
             let keys = self.metafile_of(&merge_head)?.component_keys();
-            let done = self.run_and_commit(
-                base_q,
-                &keys,
-                &format!("fast-forward merge of {merging_label}"),
-                Some((&merging_q, merge_head.id)),
-                ledger,
+            (keys, format!("fast-forward merge of {merging_label}"), None)
+        } else {
+            let spaces = self.merge_search_spaces_qualified(
+                &view,
+                (&base_q, &base_head),
+                (&merging_q, &merge_head),
             )?;
-            return Ok(MergeOutcome {
-                commit: done.commit,
-                fast_forward: true,
-                report: None,
-            });
-        }
-
-        let spaces = self.merge_search_spaces_qualified(
-            &view,
-            (&base_q, &base_head),
-            (&merging_q, &merge_head),
-        )?;
-        let engine = MergeEngine::new(&self.registry, Arc::clone(&self.dag))
-            .with_parallelism(self.parallelism)
-            .with_incremental(self.incremental);
-        let report = engine.search(&spaces, self.history(), strategy)?;
-        ledger.merge(&report.clock);
-        let Some((best_keys, _)) = report.best.clone() else {
-            return Err(CoreError::NoViableCandidate);
+            let engine = MergeEngine::new(&self.registry, Arc::clone(&self.dag))
+                .with_parallelism(self.parallelism)
+                .with_incremental(self.incremental);
+            let report = engine.search(&spaces, self.history(), strategy)?;
+            ledger.merge(&report.clock);
+            let Some((best_keys, _)) = report.best.clone() else {
+                return Err(CoreError::NoViableCandidate);
+            };
+            let label = strategy.label();
+            let message = format!("metric-driven merge of {merging_label} ({label})");
+            (best_keys, message, Some(report))
         };
-        // Commit the winner with both parents. The search just evaluated
-        // it, so with incremental re-evaluation on and a history-backed
-        // strategy its report is a lookup.
-        let done = self.run_and_commit(
-            base_q,
-            &best_keys,
-            &format!(
-                "metric-driven merge of {merging_label} ({})",
-                strategy.label()
-            ),
-            Some((&merging_q, merge_head.id)),
-            ledger,
-        )?;
-        debug_assert!(matches!(done.report.outcome, RunOutcome::Completed { .. }));
+        // Commit with both parents. A search just evaluated its winner, so
+        // with incremental re-evaluation on and a history-backed strategy
+        // its report is a lookup, as a fast-forward's is.
+        let parents = (&base_head, merging_q.as_str(), merge_head.id);
+        let done = self.run_and_commit(base_q, &keys, &message, Some(parents), ledger)?;
+        let completed = matches!(done.report.outcome, RunOutcome::Completed { .. });
+        debug_assert!(completed || report.is_none(), "a search winner completes");
         Ok(MergeOutcome {
             commit: done.commit,
-            fast_forward: false,
-            report: Some(report),
+            fast_forward: report.is_none(),
+            report,
         })
     }
 }

@@ -15,20 +15,22 @@
 //!   lives in the shared commit graph as `team_a/master`, so the graph is
 //!   one auditable history while tenants stay isolated: a namespace is
 //!   writable only by its owner or by peers holding a [`ShareRight`] grant.
-//! * **Cross-tenant collaboration** — an owner grants peers `Read`/`Fork`/
-//!   `MergeInto` rights (`Workspace::grant_share`, [`Tenant::grant_to`]);
-//!   a granted peer forks the owner's branch into its own namespace
-//!   ([`Tenant::fork_from`] — references handed over, no bytes copied) and
-//!   later merges its work back with [`MlCask::merge`] onto a
-//!   [`BranchRef::peer`], paying only for newly materialized outputs.
+//! * **Cross-tenant collaboration** — an owner grants peers `Fork` or
+//!   `MergeInto` (`Workspace::grant_share`, [`Tenant::grant_to`]); reading
+//!   its history needs no grant. A granted peer forks the owner's branch
+//!   into its own namespace ([`Tenant::fork_from`] — references handed
+//!   over, no bytes copied) and later merges its work back with
+//!   [`MlCask::merge`] onto a [`BranchRef::peer`], paying only for newly
+//!   materialized outputs; a peer's work is pulled by forking it first.
 //! * **One access rule, kept here** — the workspace holds the tenant roster
 //!   and the grants under one lock, and one function decides who may act
 //!   on a branch. It is the graph's only writer: [`Workspace::graph`] hands
 //!   out a read-only [`GraphView`], and every commit and branch creation
 //!   passes through the workspace, which applies the rule at the write —
-//!   so a grant revoked while a merge searched still refuses its commit.
-//!   Forks and merges also apply it before any work, so a denial leaves
-//!   the graph and every account untouched.
+//!   `MergeInto` on the branch written, `Fork` on a fork's source — so a
+//!   grant revoked while a merge searched still refuses its commit. Forks
+//!   and merges also apply it before any work, so a denial leaves the
+//!   graph and every account untouched.
 //! * **Quotas** — each tenant's [`QuotaPolicy`] is enforced by the store on
 //!   every (traced or live) write; a breach surfaces as
 //!   [`StorageError::QuotaExceeded`](mlcask_storage::errors::StorageError)
@@ -116,8 +118,9 @@ pub(crate) enum Parents<'a> {
     Root,
     /// The branch's head.
     Head,
-    /// The branch's head and `.1`, the head of shared-graph branch `.0`.
-    Merge(&'a str, Hash256),
+    /// A merge: `.0`, the branch head the merge searched, which must still
+    /// be its head, and `.2`, the head of the actor's own branch `.1`.
+    Merge(Hash256, &'a str, Hash256),
 }
 
 /// Shared ownership of store, commit graph, and reusable-output history for
@@ -223,11 +226,12 @@ impl Workspace {
     }
 
     /// Commits `payload` onto shared-graph branch `branch` as `actor`: the
-    /// one way a commit enters the graph. The access rule is applied at the
-    /// write, under the lock grants change under — `MergeInto` on `branch`
-    /// and, for a merge, `Read` on the merging branch, whose history must
-    /// hold the merge head — so a grant revoked while the caller ran its
-    /// pipeline still refuses the commit.
+    /// one way a commit enters the graph. The access rule — `MergeInto` on
+    /// `branch` — is applied at the write, under the lock grants change
+    /// under, so a grant revoked while the caller ran its pipeline still
+    /// refuses the commit. A merge commits only onto the base head it
+    /// searched ([`StorageError::BaseMoved`] otherwise), with a second
+    /// parent from the merging branch's history.
     pub(crate) fn commit(
         &self,
         actor: Option<&str>,
@@ -241,16 +245,17 @@ impl Workspace {
         Ok(match parents {
             Parents::Root => self.graph.commit_root(branch, payload, message)?,
             Parents::Head => self.graph.commit(branch, payload, message)?,
-            Parents::Merge(merging, head) => {
-                state.authorize(merging.into(), actor, ShareRight::Read)?;
-                // The grant covers `merging`'s history only: its head, or
-                // an ancestor when it moved on since the caller looked.
+            Parents::Merge(base, merging, head) => {
+                // The second parent comes from `merging`'s history: its
+                // head, or an ancestor when it moved on since the caller
+                // looked.
                 let view = self.graph.view();
                 let tip = view.head(merging)?.id;
                 if head != tip && !view.is_ancestor(head, tip)? {
                     return Err(StorageError::MissingParent(head).into());
                 }
-                self.graph.commit_merge(branch, head, payload, message)?
+                self.graph
+                    .commit_merge(branch, base, head, payload, message)?
             }
         })
     }
@@ -776,13 +781,6 @@ mod tests {
         // Granted: the fork points at the peer's head and the forker now
         // references (but did not pay for) the head's bytes.
         up.grant_to("down", ShareRight::Fork).unwrap();
-        assert!(ws
-            .authorize(
-                BranchRef::peer("up", "master"),
-                Some("down"),
-                ShareRight::Read
-            )
-            .is_ok());
         let head = down.fork_from("up", "master", "feature").unwrap();
         assert_eq!(head.branch, "up/master");
         assert_eq!(down.branches(), vec!["feature"]);
@@ -860,25 +858,17 @@ mod tests {
             .commit(up, "up/master", Parents::Head, payload(5), "advance")
             .unwrap();
         let contribute = || {
-            let parents = Parents::Merge("down/fork", d1.id);
+            let parents = Parents::Merge(u1.id, "down/fork", d1.id);
             ws.commit(down, "up/master", parents, payload(6), "contribute")
         };
         assert!(denied(contribute(), "up", "down", ShareRight::MergeInto));
-        // MergeInto unlocks the contribution; the owner can read the peer's
-        // fork as a merge parent only with a Read grant back.
+        // MergeInto unlocks the contribution.
         ws.grant_share("up", "down", ShareRight::MergeInto).unwrap();
         assert_eq!(contribute().unwrap().parents, vec![u1.id, d1.id]);
-        let pull = || {
-            let parents = Parents::Merge("down/fork", d1.id);
-            ws.commit(up, "up/master", parents, payload(7), "pull")
-        };
-        assert!(denied(pull(), "down", "up", ShareRight::Read));
-        ws.grant_share("down", "up", ShareRight::Read).unwrap();
-        pull().unwrap();
-        assert_eq!(ws.graph().head("up/master").unwrap().seq, 3);
+        assert_eq!(ws.graph().head("up/master").unwrap().seq, 2);
         // A peer named by a caller must be a registered tenant.
         assert!(matches!(
-            ws.authorize(BranchRef::peer("ghost", "master"), down, ShareRight::Read),
+            ws.authorize(BranchRef::peer("ghost", "master"), down, ShareRight::Fork),
             Err(CoreError::UnknownTenant(t)) if t == "ghost"
         ));
     }
@@ -891,23 +881,24 @@ mod tests {
         let fork_head = ws
             .branch_at(down, "up/master", "down/fork", root.id)
             .unwrap();
-        ws.commit(down, "down/main", Parents::Root, payload(1), "own root")
+        let main = ws
+            .commit(down, "down/main", Parents::Root, payload(1), "own root")
             .unwrap();
         ws.revoke_share("up", "down").unwrap();
         // The fork is down's own branch: merging it needs no grant from
         // up, even though its head was committed on up/master.
+        let merge = |base, head| Parents::Merge(base, "down/fork", head);
         let merged = ws
             .commit(
                 down,
                 "down/main",
-                Parents::Merge("down/fork", fork_head.id),
+                merge(main.id, fork_head.id),
                 payload(2),
                 "pull own fork",
             )
             .unwrap();
         assert_eq!(merged.parents[1], fork_head.id);
-        // up's later commits are reachable only through up's branch, which
-        // needs the grant, and not by naming down's fork instead.
+        // up's later commits are not reachable by naming down's fork.
         let u1 = ws
             .commit(
                 Some("up"),
@@ -917,43 +908,23 @@ mod tests {
                 "advance",
             )
             .unwrap();
-        for (merging, refused) in [("up/master", true), ("down/fork", false)] {
-            let parents = Parents::Merge(merging, u1.id);
-            let r = ws.commit(down, "down/main", parents, payload(5), "steal");
-            if refused {
-                assert!(denied(r, "up", "down", ShareRight::Read));
-            } else {
-                assert!(matches!(
-                    r,
-                    Err(CoreError::Storage(StorageError::MissingParent(h))) if h == u1.id
-                ));
-            }
-        }
+        assert!(matches!(
+            ws.commit(down, "down/main", merge(merged.id, u1.id), payload(5), "steal"),
+            Err(CoreError::Storage(StorageError::MissingParent(h))) if h == u1.id
+        ));
         assert_eq!(ws.graph().head("down/main").unwrap().id, merged.id);
     }
 
     /// The graph writes apply exactly the rule the fork and merge prechecks
     /// apply — same verdict, same error — under every grant `up` can give
-    /// `down`, for a merge with either side down's own or up's, and a fork.
+    /// `down`, for a merge of down's own branch into down's or up's, and a
+    /// fork.
     #[test]
     fn the_write_time_rule_is_the_precheck() {
         let down = Some("down");
-        let (own_base, own_merging) = (BranchRef::from("master"), BranchRef::from("feature"));
-        let (peer_base, peer_merging) = (
-            BranchRef::peer("up", "master"),
-            BranchRef::peer("up", "dev"),
-        );
-        for grant in [
-            None,
-            Some(ShareRight::Read),
-            Some(ShareRight::Fork),
-            Some(ShareRight::MergeInto),
-        ] {
+        let merging = "down/feature";
+        for grant in [None, Some(ShareRight::Fork), Some(ShareRight::MergeInto)] {
             let (ws, root) = up_and_down();
-            let up = Some("up");
-            ws.branch_at(up, "up/master", "up/dev", root.id).unwrap();
-            ws.commit(up, "up/dev", Parents::Head, payload(1), "dev")
-                .unwrap();
             ws.grant_share("up", "down", ShareRight::Fork).unwrap();
             for b in ["down/master", "down/feature"] {
                 ws.branch_at(down, "up/master", b, root.id).unwrap();
@@ -965,20 +936,19 @@ mod tests {
             }
             .unwrap();
             let verdict = |r: Result<()>| r.err().map(|e| format!("{e:?}"));
-            for (base, merging) in [
-                (own_base, own_merging),
-                (own_base, peer_merging),
-                (peer_base, own_merging),
-                (peer_base, peer_merging),
-            ] {
-                let row = format!("grant {grant:?}: {base:?} <- {merging:?}");
-                let precheck = [(base, ShareRight::MergeInto), (merging, ShareRight::Read)]
-                    .into_iter()
-                    .filter(|(side, _)| side.peer.is_some())
-                    .try_for_each(|(side, needed)| ws.authorize(side, down, needed));
-                let (base, merging) = (base.qualified(down), merging.qualified(down));
-                let head = ws.graph().head(&merging).unwrap().id;
-                let parents = Parents::Merge(&merging, head);
+            for base in [BranchRef::from("master"), BranchRef::peer("up", "master")] {
+                let row = format!("grant {grant:?}: {base:?} <- {merging}");
+                let precheck = match base.peer {
+                    Some(_) => ws.authorize(base, down, ShareRight::MergeInto),
+                    None => Ok(()),
+                };
+                let base = base.qualified(down);
+                let view = ws.graph();
+                let parents = Parents::Merge(
+                    view.head(&base).unwrap().id,
+                    merging,
+                    view.head(merging).unwrap().id,
+                );
                 let written = ws.commit(down, &base, parents, payload(3), "probe");
                 let written = verdict(written.map(drop));
                 assert_eq!(verdict(precheck), written, "{row}");

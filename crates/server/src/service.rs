@@ -18,10 +18,11 @@
 
 use crate::limits::{AdmissionControl, Limiter};
 use crate::protocol::{
-    self, obj, s, Failure, LineRequest, Params, Request, INVALID_PARAMS, METHOD_NOT_FOUND,
-    OP_FAILED, QUOTA_CONFLICT,
+    self, obj, s, Failure, LineRequest, Params, Request, BASE_MOVED, INVALID_PARAMS,
+    METHOD_NOT_FOUND, OP_FAILED, QUOTA_CONFLICT,
 };
 use crate::reply::{CommitReply, CommitResultReply, MergeReply, SessionReply, UsageReply};
+use mlcask_core::errors::CoreError;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::workspace::{Tenant, Workspace};
@@ -31,6 +32,7 @@ use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::parallel::ParallelismPolicy;
 use mlcask_pipeline::semver::SemVer;
+use mlcask_storage::errors::StorageError;
 use mlcask_storage::tenant::{QuotaPolicy, ShareRight};
 use mlcask_workloads::common::Workload;
 use mlcask_workloads::scenario::{harness_store, join_workspace};
@@ -216,30 +218,11 @@ static ROUTES: [Route; 19] = [
         out.send(&CommitReply(&c))
     }),
     session("merge", Guard::Write, |_, entry, p, out| {
-        let base = p.str("base")?;
-        let merging = p.str("merging")?;
-        let strategy = parse_strategy(p.str_opt("strategy")?)?;
-        let outcome = entry
-            .sys
-            .merge(base, merging, strategy, &ClockLedger::new())
-            .map_err(Failure::op)?;
-        out.send(&MergeReply(&outcome))
+        merge(entry, p.str("base")?.into(), p, out)
     }),
     session("merge.into", Guard::Write, |_, entry, p, out| {
-        let peer = p.str("peer")?;
-        let peer_branch = p.str("peer_branch")?;
-        let merging = p.str("merging")?;
-        let strategy = parse_strategy(p.str_opt("strategy")?)?;
-        let outcome = entry
-            .sys
-            .merge(
-                BranchRef::peer(peer, peer_branch),
-                merging,
-                strategy,
-                &ClockLedger::new(),
-            )
-            .map_err(Failure::op)?;
-        out.send(&MergeReply(&outcome))
+        let base = BranchRef::peer(p.str("peer")?, p.str("peer_branch")?);
+        merge(entry, base, p, out)
     }),
 ];
 const UNKNOWN_METHOD: &str = "unknown";
@@ -714,13 +697,32 @@ fn describe_quota(quota: QuotaPolicy) -> String {
     )
 }
 
+/// `merge` and `merge.into`: the session's own branch `merging` into
+/// `base`.
+fn merge(entry: &TenantEntry, base: BranchRef, p: &Params, out: &mut ReplyTo) -> Served {
+    let merging = p.str("merging")?;
+    let strategy = parse_strategy(p.str_opt("strategy")?)?;
+    let outcome = entry
+        .sys
+        .merge(base, merging, strategy, &ClockLedger::new());
+    out.send(&MergeReply(&outcome.map_err(merge_failure)?))
+}
+
+/// A merge's error: `-32002` when its base moved while it searched, which
+/// a client answers by merging again, else `-32000`.
+fn merge_failure(e: CoreError) -> Failure {
+    match e {
+        CoreError::Storage(StorageError::BaseMoved { .. }) => Failure::new(BASE_MOVED, e),
+        e => Failure::op(e),
+    }
+}
+
 fn parse_right(name: &str) -> Result<ShareRight, Failure> {
     match name {
-        "read" => Ok(ShareRight::Read),
         "fork" => Ok(ShareRight::Fork),
         "merge_into" => Ok(ShareRight::MergeInto),
         other => Err(Failure::params(format!(
-            "unknown share right `{other}` (read|fork|merge_into)"
+            "unknown share right `{other}` (fork|merge_into)"
         ))),
     }
 }
@@ -762,6 +764,21 @@ fn workspace_usage_json(ws: &Workspace) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A merge whose base moved has its own code; its other errors do not.
+    #[test]
+    fn a_moved_base_has_its_own_code() {
+        let head = |b: &[u8]| mlcask_storage::hash::Hash256::of(b);
+        let moved = StorageError::BaseMoved {
+            branch: "up/master".into(),
+            searched: head(b"searched"),
+            head: head(b"landed"),
+        };
+        let failure = merge_failure(moved.into());
+        assert_eq!(failure.code, BASE_MOVED);
+        assert!(failure.msg.contains("'up/master' moved"), "{}", failure.msg);
+        assert_eq!(merge_failure(CoreError::NoViableCandidate).code, OP_FAILED);
+    }
 
     /// Every name in [`ROUTES`] is one the router serves: with a live
     /// session each gets past the method lookup (whatever it then says about

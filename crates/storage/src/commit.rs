@@ -555,11 +555,14 @@ impl CommitGraph {
         self.append(&cur, branch, c)
     }
 
-    /// Records a merge commit on `base_branch` with two parents: its head
-    /// and `merge_head`, which must be in the graph.
+    /// Records a merge commit on `base_branch` with two parents: its head,
+    /// which must still be `base_head`, the head the caller merged against
+    /// ([`StorageError::BaseMoved`] otherwise), and `merge_head`, which must
+    /// be in the graph.
     pub fn commit_merge(
         &self,
         base_branch: &str,
+        base_head: Hash256,
         merge_head: Hash256,
         payload: Hash256,
         message: &str,
@@ -567,6 +570,13 @@ impl CommitGraph {
         let _w = self.writer.lock();
         let cur = self.view();
         let head = cur.head(base_branch)?;
+        if head.id != base_head {
+            return Err(StorageError::BaseMoved {
+                branch: base_branch.to_string(),
+                searched: base_head,
+                head: head.id,
+            });
+        }
         if !cur.snap.commits.contains_key(&merge_head) {
             return Err(StorageError::MissingParent(merge_head));
         }
@@ -833,7 +843,7 @@ mod tests {
         let d = g.commit("dev", payload(1), "dev").unwrap();
         let m = g.commit("master", payload(2), "master").unwrap();
         let merged = g
-            .commit_merge("master", d.id, payload(3), "merge dev")
+            .commit_merge("master", m.id, d.id, payload(3), "merge dev")
             .unwrap();
         assert_eq!(merged.parents, vec![m.id, d.id]);
         assert_eq!(g.head("master").unwrap().id, merged.id);
@@ -845,11 +855,28 @@ mod tests {
     #[test]
     fn merge_with_unknown_parent_fails() {
         let g = CommitGraph::new();
-        g.commit_root("master", payload(0), "init").unwrap();
+        let root = g.commit_root("master", payload(0), "init").unwrap();
         assert!(matches!(
-            g.commit_merge("master", Hash256::of(b"ghost"), payload(1), "bad"),
+            g.commit_merge("master", root.id, Hash256::of(b"ghost"), payload(1), "bad"),
             Err(StorageError::MissingParent(_))
         ));
+    }
+
+    #[test]
+    fn merge_onto_a_moved_base_fails_and_writes_nothing() {
+        let g = CommitGraph::new();
+        let root = g.commit_root("master", payload(0), "init").unwrap();
+        g.branch("master", "dev").unwrap();
+        let d = g.commit("dev", payload(1), "dev").unwrap();
+        let moved = g.commit("master", payload(2), "lands meanwhile").unwrap();
+        let before = g.view().len();
+        assert!(matches!(
+            g.commit_merge("master", root.id, d.id, payload(3), "stale"),
+            Err(StorageError::BaseMoved { branch, searched, head })
+                if branch == "master" && searched == root.id && head == moved.id
+        ));
+        assert_eq!(g.head("master").unwrap().id, moved.id);
+        assert_eq!(g.view().len(), before);
     }
 
     #[test]
@@ -949,8 +976,9 @@ mod tests {
         let c = g.commit("team/b0500", payload(1), "move a head").unwrap();
         let after_commit = g.view();
         assert!(Arc::ptr_eq(&names(&before), &names(&after_commit)));
+        let base = before.head("master").unwrap().id;
         let m = g
-            .commit_merge("master", c.id, payload(2), "move another by merging")
+            .commit_merge("master", base, c.id, payload(2), "move another by merging")
             .unwrap();
         let after_merge = g.view();
         assert!(Arc::ptr_eq(&names(&before), &names(&after_merge)));

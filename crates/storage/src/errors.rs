@@ -15,6 +15,15 @@ pub enum StorageError {
     BranchExists(String),
     /// A commit referenced a parent that is not in the graph.
     MissingParent(Hash256),
+    /// A merge searched `branch` at `searched`, but it had moved to `head`.
+    BaseMoved {
+        /// The base branch.
+        branch: String,
+        /// The head the merge searched against.
+        searched: Hash256,
+        /// The branch's head when the merge came to commit.
+        head: Hash256,
+    },
     /// Stored bytes failed their content-address check.
     Corrupt {
         /// The address the bytes were stored under.
@@ -46,6 +55,16 @@ impl fmt::Display for StorageError {
             StorageError::UnknownBranch(b) => write!(f, "unknown branch '{b}'"),
             StorageError::BranchExists(b) => write!(f, "branch '{b}' already exists"),
             StorageError::MissingParent(h) => write!(f, "missing parent commit {}", h.short()),
+            StorageError::BaseMoved {
+                branch,
+                searched,
+                head,
+            } => write!(
+                f,
+                "branch '{branch}' moved from {} to {} while the merge searched; merge again",
+                searched.short(),
+                head.short()
+            ),
             StorageError::Corrupt { expected, actual } => write!(
                 f,
                 "corrupt object: expected {}, got {}",

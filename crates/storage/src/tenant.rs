@@ -429,29 +429,25 @@ impl TenantAccounts {
 }
 
 /// A right one tenant (the *owner*) can grant a peer over the owner's
-/// branch namespace. Rights are ordered — each implies the ones below it:
+/// branch namespace. Reading the owner's history and reusing its cached
+/// component outputs needs no grant. Rights are ordered — each implies the
+/// one below it:
 ///
-/// * [`ShareRight::Read`] — walk the owner's history and reuse its cached
-///   component outputs (e.g. pull the owner's branch into one's own via a
-///   cross-tenant merge).
-/// * [`ShareRight::Fork`] — additionally branch off the owner's commits
-///   into one's own namespace.
+/// * [`ShareRight::Fork`] — branch off the owner's commits into one's own
+///   namespace (how a peer's work is pulled: fork it, then merge the fork).
 /// * [`ShareRight::MergeInto`] — additionally commit merges *onto* the
 ///   owner's branches (the upstream accepting a downstream contribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ShareRight {
-    /// Read the owner's history and reuse its cached outputs.
-    Read,
-    /// Fork (branch from) the owner's commits. Implies `Read`.
+    /// Fork (branch from) the owner's commits.
     Fork,
-    /// Merge into the owner's branches. Implies `Fork` and `Read`.
+    /// Merge into the owner's branches. Implies `Fork`.
     MergeInto,
 }
 
 impl fmt::Display for ShareRight {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            ShareRight::Read => "read",
             ShareRight::Fork => "fork",
             ShareRight::MergeInto => "merge-into",
         })
@@ -677,7 +673,6 @@ mod tests {
     #[test]
     fn share_rights_are_ordered_and_imply_weaker() {
         assert!(ShareRight::MergeInto > ShareRight::Fork);
-        assert!(ShareRight::Fork > ShareRight::Read);
         assert_eq!(ShareRight::MergeInto.to_string(), "merge-into");
     }
 

@@ -300,7 +300,7 @@ pub struct Collaboration {
 /// 1. the upstream team commits the workload's initial pipeline and its
 ///    head-update sequence on `master`;
 /// 2. upstream grants downstream [`ShareRight::MergeInto`] (which implies
-///    `Fork` and `Read`);
+///    `Fork`);
 /// 3. downstream forks `upstream/master` into its own `feature` branch
 ///    right after the initial commit — cross-namespace parentage, no bytes
 ///    copied — and applies the workload's dev-update sequence there;

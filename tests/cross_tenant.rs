@@ -1,8 +1,9 @@
 //! Cross-tenant collaboration through the library API (the served requests
-//! are `tests/simulation.rs`'s): merging a peer's branch in, branch names
-//! that spell a peer's branch, a grant revoked mid-search, a quota breach
-//! mid cross-tenant merge, dedup attribution of cross-tenant merges, and
-//! worker-count determinism of the whole upstream/downstream workflow.
+//! are `tests/simulation.rs`'s): merging into a peer's branch under every
+//! grant, branch names that spell a peer's branch, a grant revoked
+//! mid-search, a quota breach mid cross-tenant merge, dedup attribution of
+//! cross-tenant merges, and worker-count determinism of the whole
+//! upstream/downstream workflow.
 
 mod common;
 
@@ -12,7 +13,7 @@ use mlcask_core::errors::CoreError;
 use mlcask_core::merge::MergeStrategy;
 use mlcask_core::system::{BranchRef, MlCask};
 use mlcask_core::testkit::{toy_model, toy_slots};
-use mlcask_core::workspace::{Tenant, Workspace};
+use mlcask_core::workspace::Workspace;
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::dag::PipelineDag;
 use mlcask_pipeline::errors::PipelineError;
@@ -25,9 +26,9 @@ use mlcask_workloads::scenario::{build_system, run_upstream_downstream, setup_no
 use std::sync::Arc;
 
 /// Two tenants whose histories diverge on both sides of one fork point:
-/// `up` owns `master` and `dev`, `down` owns `master` (forked from
-/// `up/master`), so any two of them merge by a real search. `up` ends up
-/// granting `down` exactly `grant`.
+/// `up` owns `master`, `down` owns `master` (forked from `up/master`), so
+/// they merge by a real search. `up` ends up granting `down` exactly
+/// `grant`.
 struct Peers {
     ws: Arc<Workspace>,
     sys_down: MlCask,
@@ -47,9 +48,7 @@ fn peers(grant: Option<ShareRight>) -> Peers {
     commit(&sys_up, "master", 0, 0);
     up.grant_to("down", ShareRight::Fork).unwrap();
     down.fork_from("up", "master", "master").unwrap();
-    sys_up.branch("master", "dev").unwrap();
     commit(&sys_up, "master", 1, 0);
-    commit(&sys_up, "dev", 0, 1);
     commit(&sys_down, "master", 0, 2);
     match grant {
         Some(right) => up.grant_to("down", right),
@@ -59,8 +58,7 @@ fn peers(grant: Option<ShareRight>) -> Peers {
     Peers { ws, sys_down }
 }
 
-/// The merges `down` can ask of `up`'s namespace that only the library
-/// reaches — a peer's branch on the merging side — under every grant: an
+/// `down` merges its own `master` into `up`'s under every grant: an
 /// admitted merge commits, and a refused one moves neither graph nor
 /// accounts by a single byte. The served forks and merges (own branches,
 /// `merge.into` a peer's, unknown peers) are `tests/simulation.rs`'s; that
@@ -68,47 +66,32 @@ fn peers(grant: Option<ShareRight>) -> Peers {
 /// `mlcask_core`'s `workspace::tests::the_write_time_rule_is_the_precheck`.
 #[test]
 fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
-    const GRANTS: [Option<ShareRight>; 4] = [
-        None,
-        Some(ShareRight::Read),
-        Some(ShareRight::Fork),
-        Some(ShareRight::MergeInto),
-    ];
-    let peer_merging = BranchRef::peer("up", "dev");
-    // A peer base is written to, a peer merging branch only read.
-    let rows: [(BranchRef, &[ShareRight]); 2] = [
-        ("master".into(), &[ShareRight::Read]),
-        (
-            BranchRef::peer("up", "master"),
-            &[ShareRight::MergeInto, ShareRight::Read],
-        ),
-    ];
     let clock = ClockLedger::new();
-    for grant in GRANTS {
-        for (base, needs) in rows {
-            let row = format!("grant {grant:?}: {base:?} <- {peer_merging:?}");
-            let refused = needs.iter().copied().find(|&n| grant < Some(n));
-            let p = peers(grant);
-            let before = accounting_fingerprint(&p.ws);
-            let merged = p
-                .sys_down
-                .merge(base, peer_merging, MergeStrategy::Full, &clock);
-            let Some(needed) = refused else {
-                let merged = merged.unwrap_or_else(|e| panic!("{row}: {e}"));
-                assert!(merged.commit.is_some(), "{row}: admitted but not committed");
-                continue;
-            };
+    for grant in [None, Some(ShareRight::Fork), Some(ShareRight::MergeInto)] {
+        let p = peers(grant);
+        let before = accounting_fingerprint(&p.ws);
+        let base = BranchRef::peer("up", "master");
+        let merged = p
+            .sys_down
+            .merge(base, "master", MergeStrategy::Full, &clock);
+        if grant == Some(ShareRight::MergeInto) {
+            let merged = merged.unwrap_or_else(|e| panic!("{grant:?}: {e}"));
             assert!(
-                matches!(
-                    &merged,
-                    Err(CoreError::ShareDenied { owner, peer, needed: n })
-                        if owner == "up" && peer == "down" && *n == needed
-                ),
-                "{row}: {:?}",
-                merged.map(|m| m.commit)
+                merged.commit.is_some(),
+                "{grant:?}: admitted but not committed"
             );
-            assert_eq!(accounting_fingerprint(&p.ws), before, "{row}");
+            continue;
         }
+        assert!(
+            matches!(
+                &merged,
+                Err(CoreError::ShareDenied { owner, peer, needed: ShareRight::MergeInto })
+                    if owner == "up" && peer == "down"
+            ),
+            "{grant:?}: {:?}",
+            merged.map(|m| m.commit)
+        );
+        assert_eq!(accounting_fingerprint(&p.ws), before, "{grant:?}");
     }
 
     // A solo system has no namespace to act from.
@@ -120,8 +103,8 @@ fn denied_fork_and_merge_leave_graph_and_accounts_bit_unchanged() {
     );
     assert!(matches!(
         solo.merge(
-            "master",
             BranchRef::peer("up", "master"),
+            "master",
             MergeStrategy::Full,
             &clock
         ),
@@ -176,168 +159,52 @@ fn raw_string_apis_cannot_touch_foreign_namespaces() {
     assert_eq!(down.branches(), vec!["fork", "up/master"]);
 }
 
-/// Three teams in a chain: `up` grants `mid` Fork; `mid` forks `up/master`
-/// twice, as `fork` at `up`'s first commit and as `fork2` at its second;
-/// `mid` grants `down` Fork; `down` forks `mid/fork2` as `main` and commits
-/// on it. `mid/fork` still tips a commit made on `up/master`.
-struct Chain {
-    ws: Arc<Workspace>,
-    mid: Tenant,
-    down: Tenant,
-    sys_down: MlCask,
-    clock: ClockLedger,
-}
-
-fn chain() -> Chain {
-    let ws = Workspace::in_memory_small();
-    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
-    let mid = ws.add_tenant("mid", QuotaPolicy::UNLIMITED).unwrap();
-    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let (sys_up, sys_down) = (toy_system(&up), toy_system(&down));
-    let clock = ClockLedger::new();
-    let commit = |sys: &MlCask, branch: &str, scaler: u32, model: u32| {
-        let keys = toy_pipeline(scaler, model);
-        let done = sys.commit_pipeline(branch, &keys, branch, &clock).unwrap();
-        assert!(done.commit.is_some());
-    };
-    commit(&sys_up, "master", 0, 0);
-    up.grant_to("mid", ShareRight::Fork).unwrap();
-    mid.fork_from("up", "master", "fork").unwrap();
-    commit(&sys_up, "master", 1, 0);
-    mid.fork_from("up", "master", "fork2").unwrap();
-    mid.grant_to("down", ShareRight::Fork).unwrap();
-    down.fork_from("mid", "fork2", "main").unwrap();
-    commit(&sys_down, "main", 1, 1);
-    Chain {
-        ws,
-        mid,
-        down,
-        sys_down,
-        clock,
-    }
-}
-
-/// What a merge into `down/main` left behind that both routes must share.
-fn merged_state(c: &Chain, out: &mlcask_core::system::MergeOutcome) -> String {
-    let meta = c.sys_down.head_metafile("main").unwrap();
-    format!(
-        "report={} keys={:?} score={:?} down={}",
-        serde_json::to_string(&out.report).unwrap(),
-        meta.component_keys(),
-        meta.score,
-        serde_json::to_string(&c.down.usage()).unwrap(),
-    )
-}
-
-/// Merging a peer's branch needs `Read` from that peer and nothing from
-/// whoever made the commits on it: `down` merges `mid/fork`, whose head was
-/// committed on `up/master`, on `mid`'s grant alone — with the result of
-/// forking it first and merging the fork — and without `mid`'s grant it is
-/// refused before anything is charged.
-#[test]
-fn a_peers_branch_is_merged_on_the_peers_grant_alone() {
-    let c = chain();
-    let out = c
-        .sys_down
-        .merge(
-            "main",
-            BranchRef::peer("mid", "fork"),
-            MergeStrategy::Full,
-            &c.clock,
-        )
-        .unwrap_or_else(|e| panic!("refused after its search: {e}"));
-    assert!(!out.fast_forward);
-    let commit = out.commit.as_ref().unwrap();
-    assert_eq!(commit.branch, "down/main");
-    let peer_route = merged_state(&c, &out);
-
-    let c = chain();
-    c.down.fork_from("mid", "fork", "pulled").unwrap();
-    let out = c
-        .sys_down
-        .merge("main", "pulled", MergeStrategy::Full, &c.clock)
-        .unwrap();
-    assert_eq!(merged_state(&c, &out), peer_route);
-
-    let c = chain();
-    c.mid.revoke_from("down").unwrap();
-    let before = accounting_fingerprint(&c.ws);
-    let refused = c.sys_down.merge(
-        "main",
-        BranchRef::peer("mid", "fork"),
-        MergeStrategy::Full,
-        &c.clock,
-    );
-    assert!(
-        matches!(
-            &refused,
-            Err(CoreError::ShareDenied { owner, peer, needed: ShareRight::Read })
-                if owner == "mid" && peer == "down"
-        ),
-        "{:?}",
-        refused.map(|m| m.commit)
-    );
-    assert_eq!(accounting_fingerprint(&c.ws), before);
-}
-
 /// The rule is applied again when the merge commit is written: a grant
 /// revoked while the search runs refuses the commit, and the graph does
 /// not move. A component `down` committed revokes the grant the first time
 /// the merge search runs it.
 #[test]
 fn a_grant_revoked_mid_search_refuses_the_merge_commit() {
-    let rows = [
-        // Contributing to up's branch, then pulling it into down's own.
-        (ShareRight::MergeInto, true),
-        (ShareRight::Fork, false),
-    ];
-    for (grant, into_peer) in rows {
-        let ws = Workspace::in_memory_small();
-        let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
-        let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-        let gate = Gate::default();
-        let wire = Tripwire::wrap(toy_model(SemVer::master(0, 2), 4, 0.7), &gate);
-        let sys_up = toy_system(&up);
-        let sys_down = toy_system_with(&down, wire);
-        let clock = ClockLedger::new();
-        sys_up
-            .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
-            .unwrap();
-        up.grant_to("down", grant).unwrap();
-        down.fork_from("up", "master", "feature").unwrap();
-        sys_up
-            .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
-            .unwrap();
-        sys_down
-            .commit_pipeline("feature", &toy_pipeline(0, 2), "down model", &clock)
-            .unwrap();
-        let revoker = Arc::clone(&ws);
-        *gate.lock().unwrap() = Some(Box::new(move || {
-            revoker.revoke_share("up", "down").unwrap()
-        }));
-        let before = graph_fingerprint(&ws);
-        let (peer, own) = (BranchRef::peer("up", "master"), BranchRef::from("feature"));
-        let (base, merging, needed) = if into_peer {
-            (peer, own, ShareRight::MergeInto)
-        } else {
-            (own, peer, ShareRight::Read)
-        };
-        let merged = sys_down.merge(base, merging, MergeStrategy::Full, &clock);
-        assert!(
-            gate.lock().unwrap().is_none(),
-            "the search never ran model 0.2"
-        );
-        assert!(
-            matches!(
-                &merged,
-                Err(CoreError::ShareDenied { owner, peer, needed: n })
-                    if owner == "up" && peer == "down" && *n == needed
-            ),
-            "{grant:?}: {:?}",
-            merged.map(|m| m.commit)
-        );
-        assert_eq!(graph_fingerprint(&ws), before, "{grant:?}");
-    }
+    let ws = Workspace::in_memory_small();
+    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+    let gate = Gate::default();
+    let wire = Tripwire::wrap(toy_model(SemVer::master(0, 2), 4, 0.7), &gate);
+    let sys_up = toy_system(&up);
+    let sys_down = toy_system_with(&down, wire);
+    let clock = ClockLedger::new();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
+        .unwrap();
+    up.grant_to("down", ShareRight::MergeInto).unwrap();
+    down.fork_from("up", "master", "feature").unwrap();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
+        .unwrap();
+    sys_down
+        .commit_pipeline("feature", &toy_pipeline(0, 2), "down model", &clock)
+        .unwrap();
+    let revoker = Arc::clone(&ws);
+    *gate.lock().unwrap() = Some(Box::new(move || {
+        revoker.revoke_share("up", "down").unwrap()
+    }));
+    let before = graph_fingerprint(&ws);
+    let base = BranchRef::peer("up", "master");
+    let merged = sys_down.merge(base, "feature", MergeStrategy::Full, &clock);
+    assert!(
+        gate.lock().unwrap().is_none(),
+        "the search never ran model 0.2"
+    );
+    assert!(
+        matches!(
+            &merged,
+            Err(CoreError::ShareDenied { owner, peer, needed: ShareRight::MergeInto })
+                if owner == "up" && peer == "down"
+        ),
+        "{:?}",
+        merged.map(|m| m.commit)
+    );
+    assert_eq!(graph_fingerprint(&ws), before);
 }
 
 #[test]
@@ -491,50 +358,4 @@ fn quota_breach_mid_cross_merge_releases_reservations_and_leaves_accounts() {
         .unwrap();
     assert!(merged.commit.is_some());
     assert_eq!(ws.store().tenant_accounts().open_reservations(), 0);
-}
-
-#[test]
-fn merge_from_pulls_peer_work_into_own_namespace() {
-    let ws = Workspace::in_memory_small();
-    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
-    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
-    let sys_up = toy_system(&up);
-    let sys_down = toy_system(&down);
-    let clock = ClockLedger::new();
-    sys_up
-        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
-        .unwrap();
-    up.grant_to("down", ShareRight::Fork).unwrap();
-    down.fork_from("up", "master", "main").unwrap();
-    sys_up
-        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
-        .unwrap();
-    sys_down
-        .commit_pipeline("main", &toy_pipeline(0, 1), "down model", &clock)
-        .unwrap();
-    // Fork implies Read, so downstream can pull upstream's advance into its
-    // own branch; the commit lands in *downstream's* namespace.
-    let out = sys_down
-        .merge(
-            "main",
-            BranchRef::peer("up", "master"),
-            MergeStrategy::Full,
-            &clock,
-        )
-        .unwrap();
-    let commit = out.commit.unwrap();
-    assert_eq!(commit.branch, "down/main");
-    assert_eq!(commit.parents.len(), 2);
-    // The merged pipeline combines both teams' best components.
-    let meta = sys_down.head_metafile("main").unwrap();
-    assert_eq!(
-        meta.component_version("test_scaler").unwrap(),
-        &toy_pipeline(1, 0)[1]
-    );
-    assert_eq!(
-        meta.component_version("test_model").unwrap(),
-        &toy_pipeline(0, 1)[2]
-    );
-    // Upstream's branch is untouched by the pull.
-    assert_eq!(ws.graph().head("up/master").unwrap().seq, 1);
 }

@@ -557,18 +557,69 @@ mod dag {
 }
 
 // ---------------------------------------------------------------------------
-// A second writer: a commit lands while a merge search is in phase 1. The
-// replay charges what the trace found, so the merge reuses the commit's
-// checkpoint exactly as if the commit had landed before the merge began.
+// A second writer: a commit lands while a merge (or another commit) runs.
+// On another branch, the merge reuses the commit's checkpoint exactly as if
+// the commit had landed before the merge began; on the merge's base, the
+// merge commits nothing (`BaseMoved`), since it never searched that commit.
 // ---------------------------------------------------------------------------
 
 mod second_writer {
     use super::*;
     use common::{toy_library, toy_pipeline, Gate, Tripwire};
+    use mlcask_core::errors::CoreError;
     use mlcask_core::system::MlCask;
+    use mlcask_storage::backend::{Bytes, MemBackend, StorageBackend};
+    use mlcask_storage::chunk::ChunkParams;
+    use mlcask_storage::costmodel::StorageCostModel;
+    use mlcask_storage::errors::{Result as StorageResult, StorageError};
+    use mlcask_storage::hash::Hash256;
     use mlcask_workloads::scenario::harness_store;
     use std::sync::mpsc::channel;
     use std::time::Duration;
+
+    /// The toy chain plus model 0.3 (quality 0.9) over `store`, with
+    /// library entry `gated` (model 0.1 is 4, model 0.2 is 5) behind `runs`.
+    fn toy_chain(store: Arc<ChunkStore>, gated: usize, runs: &Gate, workers: usize) -> MlCask {
+        let registry = ComponentRegistry::with_exe_size(store, 2048);
+        let mut library = toy_library();
+        library[gated] = Tripwire::wrap(Arc::clone(&library[gated]), runs);
+        library.push(toy_model(SemVer::master(0, 3), 4, 0.9));
+        for c in library {
+            registry.register(c).unwrap();
+        }
+        let policy = match workers {
+            1 => ParallelismPolicy::Sequential,
+            n => ParallelismPolicy::Parallel(n),
+        };
+        let dag = PipelineDag::chain(&toy_slots()).unwrap();
+        MlCask::new("toy", dag, Arc::new(registry)).with_parallelism(policy)
+    }
+
+    /// Runs `first` on a thread until it reaches `gate`, then `second` on
+    /// this one, then lets `first` go on.
+    fn held<A: Send, B>(
+        gate: &Gate,
+        first: impl FnOnce() -> A + Send,
+        second: impl FnOnce() -> B,
+    ) -> (A, B) {
+        let ((reached, at_gate), (open, opened)) = (channel(), channel());
+        *gate.lock().unwrap() = Some(Box::new(move || {
+            reached.send(()).unwrap();
+            opened.recv().unwrap()
+        }));
+        std::thread::scope(|scope| {
+            let first = scope.spawn(first);
+            while at_gate.recv_timeout(Duration::from_millis(10)).is_err() {
+                assert!(
+                    !first.is_finished(),
+                    "the first writer never reached the gate"
+                );
+            }
+            let second = second();
+            open.send(()).unwrap();
+            (first.join().unwrap(), second)
+        })
+    }
 
     /// Everything one scenario leaves behind.
     struct Observed {
@@ -580,26 +631,15 @@ mod second_writer {
         beside: (u64, u64),
     }
 
-    /// The toy chain with scalers 0.0/0.1 and models 0.0–0.2, model 0.1
-    /// behind a gate. `master` and `dev` diverge, and `other` commits
-    /// `[src, s0.1, m0.2]` — a candidate of their merge — either before the
-    /// merge starts or, with `race`, while the merge executes its
-    /// `[src, s0.1, m0.1]` candidate (model 0.1's first run in the merge),
-    /// after it cut its candidates and before it traces `[src, s0.1, m0.2]`.
+    /// The toy chain with model 0.1 behind a gate. `master` and `dev`
+    /// diverge, and `other` commits `[src, s0.1, m0.2]` — a candidate of
+    /// their merge — either before the merge starts or, with `race`, while
+    /// the merge executes its `[src, s0.1, m0.1]` candidate (model 0.1's
+    /// first run in the merge), after it cut its candidates and before it
+    /// traces `[src, s0.1, m0.2]`.
     fn merge_beside_a_commit(workers: usize, race: bool) -> Observed {
         let gate = Gate::default();
-        let registry = ComponentRegistry::with_exe_size(harness_store("second_writer"), 2048);
-        let mut library = toy_library();
-        library[4] = Tripwire::wrap(Arc::clone(&library[4]), &gate);
-        for c in library {
-            registry.register(c).unwrap();
-        }
-        let policy = match workers {
-            1 => ParallelismPolicy::Sequential,
-            n => ParallelismPolicy::Parallel(n),
-        };
-        let dag = PipelineDag::chain(&toy_slots()).unwrap();
-        let sys = MlCask::new("toy", dag, Arc::new(registry)).with_parallelism(policy);
+        let sys = toy_chain(harness_store("second_writer"), 4, &gate, workers);
         let ledger = ClockLedger::new();
         let commit = |branch: &str, scaler: u32, model: u32| {
             let done = sys.commit_pipeline(branch, &toy_pipeline(scaler, model), "step", &ledger);
@@ -620,28 +660,14 @@ mod second_writer {
                 after.physical_bytes - before.physical_bytes,
             )
         };
-
-        let mut beside = (0, 0);
-        let ((reached, at_gate), (open, opened)) = (channel(), channel());
-        if race {
-            *gate.lock().unwrap() = Some(Box::new(move || {
-                reached.send(()).unwrap();
-                opened.recv().unwrap()
-            }));
-        } else {
-            other();
-        }
-        let merged = std::thread::scope(|scope| {
-            let merge = scope.spawn(|| sys.merge("master", "dev", MergeStrategy::Full, &ledger));
-            if race {
-                while at_gate.recv_timeout(Duration::from_millis(10)).is_err() {
-                    assert!(!merge.is_finished(), "the merge never reached the gate");
-                }
-                beside = other();
-                open.send(()).unwrap();
+        let merge = || sys.merge("master", "dev", MergeStrategy::Full, &ledger);
+        let (merged, beside) = match race {
+            true => held(&gate, merge, other),
+            false => {
+                other();
+                (merge(), (0, 0))
             }
-            merge.join().unwrap()
-        });
+        };
         let merged = merged.unwrap_or_else(|e| panic!("merge beside a commit: {e}"));
         assert!(merged.commit.is_some());
         Observed {
@@ -689,5 +715,130 @@ mod second_writer {
 
         let raced = merge_beside_a_commit(2, true);
         assert_eq!(raced.report.best, twin.report.best, "same winner");
+    }
+
+    /// A memory backend whose next blob write first calls the hook its gate
+    /// is armed with: it holds an evaluation that runs no component, such
+    /// as a fast-forward, at its metafile write.
+    struct GatedWrites {
+        inner: MemBackend,
+        gate: Gate,
+    }
+
+    impl GatedWrites {
+        fn store(gate: &Gate) -> Arc<ChunkStore> {
+            let gate = Arc::clone(gate);
+            let backend = Arc::new(GatedWrites {
+                inner: MemBackend::new(),
+                gate,
+            });
+            let (params, cost) = (ChunkParams::SMALL, StorageCostModel::FORKBASE);
+            Arc::new(ChunkStore::with_cache(backend, params, cost, None))
+        }
+
+        fn fire(&self) {
+            let hook = self.gate.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+    }
+
+    impl StorageBackend for GatedWrites {
+        fn put(&self, key: Hash256, data: &[u8]) -> StorageResult<bool> {
+            self.fire();
+            self.inner.put(key, data)
+        }
+        fn put_many(&self, items: &[(Hash256, &[u8])]) -> StorageResult<Vec<bool>> {
+            self.fire();
+            self.inner.put_many(items)
+        }
+        fn get(&self, key: Hash256) -> StorageResult<Bytes> {
+            self.inner.get(key)
+        }
+        fn contains(&self, key: Hash256) -> bool {
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn physical_bytes(&self) -> u64 {
+            self.inner.physical_bytes()
+        }
+        fn keys(&self) -> Vec<Hash256> {
+            self.inner.keys()
+        }
+        fn remove(&self, key: Hash256) -> StorageResult<Option<u64>> {
+            self.inner.remove(key)
+        }
+    }
+
+    /// `master` holds (scaler 0.1, model 0.0) and `dev` (scaler 0.0, model
+    /// 0.2), so `merge master dev` searches; in the fast-forward row
+    /// `master` stays at its root, which `dev` descends from. While the
+    /// merge is held — inside model 0.2's run, or at the fast-forward's
+    /// metafile write — (scaler 0.1, model 0.3) lands on `master`. The merge
+    /// never searched model 0.3, so it commits nothing and says the base
+    /// moved; merging again searches the new head and commits onto it.
+    #[test]
+    fn a_commit_landing_on_the_base_mid_merge_refuses_the_merge() {
+        for fast_forward in [false, true] {
+            let (runs, writes) = (Gate::default(), Gate::default());
+            let sys = toy_chain(GatedWrites::store(&writes), 5, &runs, 1);
+            let ledger = ClockLedger::new();
+            let commit = |branch: &str, scaler: u32, model: u32| {
+                let done =
+                    sys.commit_pipeline(branch, &toy_pipeline(scaler, model), "step", &ledger);
+                done.unwrap().commit.expect("the pipeline commits")
+            };
+            commit("master", 0, 0);
+            sys.branch("master", "dev").unwrap();
+            if !fast_forward {
+                commit("master", 1, 0);
+            }
+            commit("dev", 0, 2);
+            let searched = sys.graph().head("master").unwrap();
+            let merge = || sys.merge("master", "dev", MergeStrategy::Full, &ledger);
+            let gate = if fast_forward { &writes } else { &runs };
+            let (merged, landed) = held(gate, merge, || commit("master", 1, 3));
+            let row = if fast_forward {
+                "fast-forward"
+            } else {
+                "search"
+            };
+            assert!(
+                matches!(
+                    &merged,
+                    Err(CoreError::Storage(StorageError::BaseMoved { branch, searched: s, head }))
+                        if branch == "master" && *s == searched.id && *head == landed.id
+                ),
+                "{row}: {:?}",
+                merged.map(|m| m.commit)
+            );
+            assert_eq!(sys.graph().head("master").unwrap(), landed, "{row}");
+            let again = merge().unwrap_or_else(|e| panic!("{row}, merging again: {e}"));
+            assert!(!again.fast_forward, "{row}");
+            assert_eq!(again.commit.unwrap().parents[0], landed.id, "{row}");
+        }
+    }
+
+    /// Two plain commits to one branch: one is held inside model 0.2's run
+    /// while the other lands. Each commit's metafile is labelled with its
+    /// own `seq`, and the held one chains onto the one that landed.
+    #[test]
+    fn two_commits_racing_on_one_branch_each_label_their_own_seq() {
+        let runs = Gate::default();
+        let sys = toy_chain(harness_store("racing_commits"), 5, &runs, 1);
+        let ledger = ClockLedger::new();
+        let commit = |model: u32| {
+            let done = sys.commit_pipeline("master", &toy_pipeline(0, model), "step", &ledger);
+            done.unwrap().commit.expect("the pipeline commits")
+        };
+        commit(0);
+        let (held_commit, landed) = held(&runs, || commit(2), || commit(1));
+        assert_eq!(held_commit.parents, vec![landed.id]);
+        for c in [&held_commit, &landed] {
+            assert_eq!(sys.metafile_of(c).unwrap().label, c.label());
+        }
     }
 }

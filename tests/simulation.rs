@@ -8,7 +8,7 @@
 //! Beside it runs [`Model`], DataHub's version graph made small: a commit
 //! has no parent (a root), one, or two (a merge); a branch names a head in
 //! its tenant's namespace; a fork is a branch at a peer's head; the share
-//! table ranks `read < fork < merge_into`. After every step the model
+//! table ranks `fork < merge_into`. After every step the model
 //! predicts the reply's class and commit fields, and the graph, the grants
 //! and the open reservations are compared with it. A failing script
 //! shrinks, one step at a time, to a minimal one; those are kept in
@@ -34,7 +34,7 @@ const TENANTS: [&str; 3] = ["up", "mid", "down"];
 /// Branch names: two spell a peer's branch, one no tenant's.
 const BRANCHES: [&str; 5] = ["master", "dev", "up/master", "down/dev", "a/b"];
 /// Share rights, weakest first.
-const RIGHTS: [&str; 3] = ["read", "fork", "merge_into"];
+const RIGHTS: [&str; 2] = ["fork", "merge_into"];
 /// Steps per seeded script, seeded scripts per property, gated readers.
 const LEN: usize = 60;
 const CASES: u64 = 10;

@@ -82,9 +82,9 @@ proptest! {
         for i in 0..dev_commits {
             graph.commit("dev", Hash256::of(&[2, i as u8]), "d").unwrap();
         }
-        let dev_head = graph.head("dev").unwrap();
+        let (head, dev_head) = (graph.head("master").unwrap(), graph.head("dev").unwrap());
         let merged = graph
-            .commit_merge("master", dev_head.id, Hash256::of(b"m"), "merge")
+            .commit_merge("master", head.id, dev_head.id, Hash256::of(b"m"), "merge")
             .unwrap();
         let ancestors = graph.view().ancestors(merged.id).unwrap();
         // init + head commits + dev commits + merge commit.
@@ -148,11 +148,12 @@ mod graph_model {
                     graph.branch(&on, &fresh).unwrap();
                     branches.push(fresh);
                 }
-                2..=4 => commits.push(
-                    graph
-                        .commit_merge(&on, commits[pick].id, payload(i + 1), "merge")
-                        .unwrap(),
-                ),
+                2..=4 => {
+                    let head = graph.head(&on).unwrap().id;
+                    let merge =
+                        graph.commit_merge(&on, head, commits[pick].id, payload(i + 1), "merge");
+                    commits.push(merge.unwrap());
+                }
                 _ => commits.push(graph.commit(&on, payload(i + 1), "step").unwrap()),
             }
         }
@@ -278,7 +279,8 @@ mod graph_model {
                     // Head moves: merge (4), append (5–7).
                     (4, Some(on)) => {
                         let second = commits[(w >> 17) % commits.len()];
-                        let c = graph.commit_merge(&on, second, payload(i), "merge").unwrap();
+                        let merge = graph.commit_merge(&on, model[&on], second, payload(i), "merge");
+                        let c = merge.unwrap();
                         commits.push(c.id);
                         model.insert(on, c.id);
                     }
