@@ -14,7 +14,7 @@ use crate::errors::{CoreError, Result};
 use crate::merge::{MergeEngine, MergeSearchReport, MergeStrategy};
 use crate::registry::ComponentRegistry;
 use crate::search_space::SearchSpaces;
-use crate::workspace::{Parents, Workspace};
+use crate::workspace::Workspace;
 use mlcask_pipeline::clock::ClockLedger;
 use mlcask_pipeline::component::ComponentKey;
 use mlcask_pipeline::dag::{BoundPipeline, PipelineDag};
@@ -247,8 +247,12 @@ impl MlCask {
     /// commit carrying it to `branch`: an already-qualified (shared-graph)
     /// name, since `merge.into` commits onto a *peer's* branch, which has
     /// no caller-facing name in this system's namespace. A merge passes the
-    /// base head it searched, the merging branch and its head. A run the
-    /// precheck rejects (or that fails) commits nothing.
+    /// base head it searched, the merging branch and its head; a plain
+    /// commit reads `branch`'s head (none for a new branch) once the run
+    /// completes. That one read decides both the metafile's label and the
+    /// head the commit must land on, so a commit that landed meanwhile
+    /// refuses this one (`StorageError::BaseMoved`). A run the precheck
+    /// rejects (or that fails) commits nothing.
     ///
     /// With incremental re-evaluation on, the pipeline is cut against the
     /// live history before it is prechecked: one its fingerprints resolve
@@ -260,7 +264,7 @@ impl MlCask {
         branch: String,
         keys: &[ComponentKey],
         message: &str,
-        merge: Option<(&Commit, &str, Hash256)>,
+        merge: Option<(&Commit, (&str, Hash256))>,
         ledger: &ClockLedger,
     ) -> Result<CommitResult> {
         let policy = Policy {
@@ -287,20 +291,21 @@ impl MlCask {
                 report,
             });
         }
-        // Next label: branch.seq (root = 0 when the branch does not exist).
-        let (next_seq, parents) = match merge {
-            Some((base, merging, head)) => (base.seq + 1, Parents::Merge(base.id, merging, head)),
-            None => match self.graph().head(&branch) {
-                Ok(head) => (head.seq + 1, Parents::Head),
-                Err(_) => (0, Parents::Root),
-            },
+        // The head the commit lands on, whose seq + 1 labels it (a root, 0,
+        // when the branch does not exist).
+        let view = self.graph();
+        let (base, merge) = match merge {
+            Some((base, merging)) => (Some(base), Some(merging)),
+            None => (view.head_commit(&branch).ok(), None),
         };
+        let next_seq = base.map_or(0, |b| b.seq + 1);
         let metafile = self.build_metafile(&branch, next_seq, keys, &report);
         let put = self.store().put_meta(ObjectKind::Pipeline, &metafile)?;
         let commit = self.workspace.commit(
             self.namespace.as_deref(),
             &branch,
-            parents,
+            base.map(|b| b.id),
+            merge,
             put.object.id,
             message,
         )?;
@@ -547,8 +552,8 @@ impl MlCask {
         // Commit with both parents. A search just evaluated its winner, so
         // with incremental re-evaluation on and a history-backed strategy
         // its report is a lookup, as a fast-forward's is.
-        let parents = (&base_head, merging_q.as_str(), merge_head.id);
-        let done = self.run_and_commit(base_q, &keys, &message, Some(parents), ledger)?;
+        let merge = (&base_head, (merging_q.as_str(), merge_head.id));
+        let done = self.run_and_commit(base_q, &keys, &message, Some(merge), ledger)?;
         let completed = matches!(done.report.outcome, RunOutcome::Completed { .. });
         debug_assert!(completed || report.is_none(), "a search winner completes");
         Ok(MergeOutcome {

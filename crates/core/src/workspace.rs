@@ -111,18 +111,6 @@ impl WorkspaceState {
     }
 }
 
-/// How a commit written through [`Workspace::commit`] attaches to its
-/// branch.
-pub(crate) enum Parents<'a> {
-    /// None: the root commit of a new branch.
-    Root,
-    /// The branch's head.
-    Head,
-    /// A merge: `.0`, the branch head the merge searched, which must still
-    /// be its head, and `.2`, the head of the actor's own branch `.1`.
-    Merge(Hash256, &'a str, Hash256),
-}
-
 /// Shared ownership of store, commit graph, and reusable-output history for
 /// many tenant pipeline systems. See the module docs for the full picture.
 pub struct Workspace {
@@ -229,35 +217,35 @@ impl Workspace {
     /// one way a commit enters the graph. The access rule — `MergeInto` on
     /// `branch` — is applied at the write, under the lock grants change
     /// under, so a grant revoked while the caller ran its pipeline still
-    /// refuses the commit. A merge commits only onto the base head it
-    /// searched ([`StorageError::BaseMoved`] otherwise), with a second
-    /// parent from the merging branch's history.
+    /// refuses the commit. The commit lands only on `base`, the head the
+    /// caller built it on, or as the root of a new branch when `base` is
+    /// absent ([`CommitGraph::commit_onto`]). A merge names its `merge`
+    /// side, the actor's own branch and the head it merged, which becomes
+    /// the second parent.
     pub(crate) fn commit(
         &self,
         actor: Option<&str>,
         branch: &str,
-        parents: Parents<'_>,
+        base: Option<Hash256>,
+        merge: Option<(&str, Hash256)>,
         payload: Hash256,
         message: &str,
     ) -> Result<Commit> {
         let state = self.state.read();
         state.authorize(branch.into(), actor, ShareRight::MergeInto)?;
-        Ok(match parents {
-            Parents::Root => self.graph.commit_root(branch, payload, message)?,
-            Parents::Head => self.graph.commit(branch, payload, message)?,
-            Parents::Merge(base, merging, head) => {
-                // The second parent comes from `merging`'s history: its
-                // head, or an ancestor when it moved on since the caller
-                // looked.
-                let view = self.graph.view();
-                let tip = view.head(merging)?.id;
-                if head != tip && !view.is_ancestor(head, tip)? {
-                    return Err(StorageError::MissingParent(head).into());
-                }
-                self.graph
-                    .commit_merge(branch, base, head, payload, message)?
+        if let Some((merging, head)) = merge {
+            // The second parent comes from `merging`'s history: its head,
+            // or an ancestor when it moved on since the caller looked.
+            let view = self.graph.view();
+            let tip = view.head(merging)?.id;
+            if head != tip && !view.is_ancestor(head, tip)? {
+                return Err(StorageError::MissingParent(head).into());
             }
-        })
+        }
+        let merge_head = merge.map(|(_, head)| head);
+        Ok(self
+            .graph
+            .commit_onto(branch, base, merge_head, payload, message)?)
     }
 
     /// Creates shared-graph branch `to` at `at` — `from`'s head or one of
@@ -492,12 +480,7 @@ impl Workspace {
         for id in view.live_commits()? {
             let commit = view.get(id)?;
             roots.insert(commit.payload);
-            let meta: PipelineMetafile = self.store.get_meta(&ObjectRef {
-                id: commit.payload,
-                kind: ObjectKind::Pipeline,
-                len: 0,
-            })?;
-            for slot in &meta.slots {
+            for slot in &self.metafile(commit.payload)?.slots {
                 if !slot.output.is_null() {
                     roots.insert(slot.output.id);
                 }
@@ -796,6 +779,11 @@ mod tests {
         Hash256::of(&[n])
     }
 
+    /// `branch`'s head in `ws`'s graph: the base of a commit onto it.
+    fn head(ws: &Workspace, branch: &str) -> Option<Hash256> {
+        Some(ws.graph().head(branch).unwrap().id)
+    }
+
     /// A workspace with tenants `up` and `down` and `up/master` rooted.
     fn up_and_down() -> (Arc<Workspace>, Commit) {
         let ws = Workspace::in_memory_small();
@@ -803,7 +791,7 @@ mod tests {
             ws.add_tenant(t, QuotaPolicy::UNLIMITED).unwrap();
         }
         let root = ws
-            .commit(Some("up"), "up/master", Parents::Root, payload(0), "init")
+            .commit(Some("up"), "up/master", None, None, payload(0), "init")
             .unwrap();
         (ws, root)
     }
@@ -820,21 +808,28 @@ mod tests {
         // A branch belongs to the registered tenant its prefix before the
         // first `/` names; every other branch is open (solo compatibility).
         for open in ["master", "ghost/master", "up", "upx/master"] {
-            ws.commit(down, open, Parents::Root, payload(1), "open")
+            ws.commit(down, open, None, None, payload(1), "open")
                 .unwrap();
         }
-        ws.commit(down, "master", Parents::Head, payload(2), "open")
-            .unwrap();
+        ws.commit(
+            down,
+            "master",
+            head(&ws, "master"),
+            None,
+            payload(2),
+            "open",
+        )
+        .unwrap();
         // A writer outside every namespace holds no grant.
         assert!(denied(
-            ws.commit(None, "up/evil", Parents::Root, payload(1), "raw"),
+            ws.commit(None, "up/evil", None, None, payload(1), "raw"),
             "up",
             "",
             ShareRight::MergeInto
         ));
         // A peer without a grant can neither append nor fork.
         assert!(denied(
-            ws.commit(down, "up/master", Parents::Head, payload(1), "hijack"),
+            ws.commit(down, "up/master", Some(root.id), None, payload(1), "hijack"),
             "up",
             "down",
             ShareRight::MergeInto
@@ -852,14 +847,28 @@ mod tests {
             .unwrap();
         assert_eq!(head.seq, 0);
         let d1 = ws
-            .commit(down, "down/fork", Parents::Head, payload(4), "diverge")
+            .commit(
+                down,
+                "down/fork",
+                Some(root.id),
+                None,
+                payload(4),
+                "diverge",
+            )
             .unwrap();
         let u1 = ws
-            .commit(up, "up/master", Parents::Head, payload(5), "advance")
+            .commit(up, "up/master", Some(root.id), None, payload(5), "advance")
             .unwrap();
         let contribute = || {
-            let parents = Parents::Merge(u1.id, "down/fork", d1.id);
-            ws.commit(down, "up/master", parents, payload(6), "contribute")
+            let merge = Some(("down/fork", d1.id));
+            ws.commit(
+                down,
+                "up/master",
+                Some(u1.id),
+                merge,
+                payload(6),
+                "contribute",
+            )
         };
         assert!(denied(contribute(), "up", "down", ShareRight::MergeInto));
         // MergeInto unlocks the contribution.
@@ -882,17 +891,18 @@ mod tests {
             .branch_at(down, "up/master", "down/fork", root.id)
             .unwrap();
         let main = ws
-            .commit(down, "down/main", Parents::Root, payload(1), "own root")
+            .commit(down, "down/main", None, None, payload(1), "own root")
             .unwrap();
         ws.revoke_share("up", "down").unwrap();
         // The fork is down's own branch: merging it needs no grant from
         // up, even though its head was committed on up/master.
-        let merge = |base, head| Parents::Merge(base, "down/fork", head);
+        let merge = |head| Some(("down/fork", head));
         let merged = ws
             .commit(
                 down,
                 "down/main",
-                merge(main.id, fork_head.id),
+                Some(main.id),
+                merge(fork_head.id),
                 payload(2),
                 "pull own fork",
             )
@@ -903,13 +913,14 @@ mod tests {
             .commit(
                 Some("up"),
                 "up/master",
-                Parents::Head,
+                Some(root.id),
+                None,
                 payload(3),
                 "advance",
             )
             .unwrap();
         assert!(matches!(
-            ws.commit(down, "down/main", merge(merged.id, u1.id), payload(5), "steal"),
+            ws.commit(down, "down/main", Some(merged.id), merge(u1.id), payload(5), "steal"),
             Err(CoreError::Storage(StorageError::MissingParent(h))) if h == u1.id
         ));
         assert_eq!(ws.graph().head("down/main").unwrap().id, merged.id);
@@ -928,7 +939,8 @@ mod tests {
             ws.grant_share("up", "down", ShareRight::Fork).unwrap();
             for b in ["down/master", "down/feature"] {
                 ws.branch_at(down, "up/master", b, root.id).unwrap();
-                ws.commit(down, b, Parents::Head, payload(2), b).unwrap();
+                ws.commit(down, b, Some(root.id), None, payload(2), b)
+                    .unwrap();
             }
             match grant {
                 Some(right) => ws.grant_share("up", "down", right),
@@ -943,13 +955,8 @@ mod tests {
                     None => Ok(()),
                 };
                 let base = base.qualified(down);
-                let view = ws.graph();
-                let parents = Parents::Merge(
-                    view.head(&base).unwrap().id,
-                    merging,
-                    view.head(merging).unwrap().id,
-                );
-                let written = ws.commit(down, &base, parents, payload(3), "probe");
+                let merge = Some((merging, head(&ws, merging).unwrap()));
+                let written = ws.commit(down, &base, head(&ws, &base), merge, payload(3), "probe");
                 let written = verdict(written.map(drop));
                 assert_eq!(verdict(precheck), written, "{row}");
             }

@@ -30,7 +30,7 @@ pub const INVALID_PARAMS: i64 = -32602;
 pub const OP_FAILED: i64 = -32000;
 /// A session asked for a quota other than the one its tenant joined with.
 pub(crate) const QUOTA_CONFLICT: i64 = -32001;
-/// A merge's base moved while it searched: nothing was committed.
+/// A commit or merge found its branch moved off its base: nothing written.
 pub(crate) const BASE_MOVED: i64 = -32002;
 /// Admission control refused a new session (session cap reached).
 pub const ADMISSION_DENIED: i64 = -32050;

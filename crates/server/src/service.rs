@@ -605,7 +605,7 @@ impl Router {
         let result = entry
             .sys
             .commit_pipeline(branch, &keys, message, &ClockLedger::new())
-            .map_err(Failure::op)?;
+            .map_err(write_failure)?;
         out.send(&CommitResultReply(&result))
     }
 
@@ -705,12 +705,13 @@ fn merge(entry: &TenantEntry, base: BranchRef, p: &Params, out: &mut ReplyTo) ->
     let outcome = entry
         .sys
         .merge(base, merging, strategy, &ClockLedger::new());
-    out.send(&MergeReply(&outcome.map_err(merge_failure)?))
+    out.send(&MergeReply(&outcome.map_err(write_failure)?))
 }
 
-/// A merge's error: `-32002` when its base moved while it searched, which
-/// a client answers by merging again, else `-32000`.
-fn merge_failure(e: CoreError) -> Failure {
+/// A commit's or a merge's error: `-32002` when its branch moved off the
+/// head it was built on, which a client answers by sending it again, else
+/// `-32000`.
+fn write_failure(e: CoreError) -> Failure {
     match e {
         CoreError::Storage(StorageError::BaseMoved { .. }) => Failure::new(BASE_MOVED, e),
         e => Failure::op(e),
@@ -764,20 +765,113 @@ fn workspace_usage_json(ws: &Workspace) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlcask_storage::backend::{Bytes, MemBackend, StorageBackend};
+    use mlcask_storage::chunk::ChunkParams;
+    use mlcask_storage::costmodel::StorageCostModel;
+    use mlcask_storage::errors::Result as StorageResult;
+    use mlcask_storage::hash::Hash256;
+    use mlcask_storage::store::ChunkStore;
 
-    /// A merge whose base moved has its own code; its other errors do not.
+    /// A memory backend whose next write first runs the hook it is armed
+    /// with: it holds a warm commit, which runs nothing, at its metafile
+    /// write, after the commit read its base.
+    struct GatedWrites {
+        inner: MemBackend,
+        hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl GatedWrites {
+        fn fire(&self) {
+            let hook = self.hook.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+    }
+
+    impl StorageBackend for GatedWrites {
+        fn put(&self, key: Hash256, data: &[u8]) -> StorageResult<bool> {
+            self.fire();
+            self.inner.put(key, data)
+        }
+        fn put_many(&self, items: &[(Hash256, &[u8])]) -> StorageResult<Vec<bool>> {
+            self.fire();
+            self.inner.put_many(items)
+        }
+        fn get(&self, key: Hash256) -> StorageResult<Bytes> {
+            self.inner.get(key)
+        }
+        fn contains(&self, key: Hash256) -> bool {
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn physical_bytes(&self) -> u64 {
+            self.inner.physical_bytes()
+        }
+        fn keys(&self) -> Vec<Hash256> {
+            self.inner.keys()
+        }
+        fn remove(&self, key: Hash256) -> StorageResult<Option<u64>> {
+            self.inner.remove(key)
+        }
+    }
+
+    /// A commit or merge whose branch moved has its own code; their other
+    /// errors do not. Served: a commit held at its metafile write while
+    /// another commit lands on its branch is answered with that code.
     #[test]
     fn a_moved_base_has_its_own_code() {
-        let head = |b: &[u8]| mlcask_storage::hash::Hash256::of(b);
         let moved = StorageError::BaseMoved {
             branch: "up/master".into(),
-            searched: head(b"searched"),
-            head: head(b"landed"),
+            searched: Hash256::of(b"searched"),
+            head: Hash256::of(b"landed"),
         };
-        let failure = merge_failure(moved.into());
+        let failure = write_failure(moved.into());
         assert_eq!(failure.code, BASE_MOVED);
         assert!(failure.msg.contains("'up/master' moved"), "{}", failure.msg);
-        assert_eq!(merge_failure(CoreError::NoViableCandidate).code, OP_FAILED);
+        assert_eq!(write_failure(CoreError::NoViableCandidate).code, OP_FAILED);
+
+        let backend = Arc::new(GatedWrites {
+            inner: MemBackend::new(),
+            hook: Mutex::new(None),
+        });
+        let (params, cost) = (ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        let store = ChunkStore::with_cache(Arc::clone(&backend) as _, params, cost, None);
+        let workload = mlcask_workloads::readmission::build();
+        let (warm, landing) = (workload.initial.clone(), workload.head_updates[0].clone());
+        let ws = Workspace::over(Arc::new(store));
+        let router = Arc::new(Router::over(ws, workload, ServerOptions::default()));
+        let code = |reply: &str| {
+            let reply: Value = serde_json::from_str(reply).unwrap();
+            let error = serde::map_get(reply.as_map().unwrap(), "error");
+            error.map(|e| serde::map_get(e.as_map().unwrap(), "code").unwrap().clone())
+        };
+        let open = r#"{"id":0,"method":"session.open","params":{"tenant":"t"}}"#;
+        assert_eq!(code(&router.handle_text(open)), None);
+        let commit = |keys: &[ComponentKey]| {
+            let specs: Vec<String> = keys
+                .iter()
+                .map(|k| format!(r#""{}@{}""#, k.name, k.version))
+                .collect();
+            let components = specs.join(",");
+            format!(
+                r#"{{"id":0,"method":"commit","params":{{"session":1,"branch":"master","components":[{components}]}}}}"#
+            )
+        };
+        assert_eq!(code(&router.handle_text(&commit(&warm))), None);
+        let (beside, line) = (Arc::clone(&router), commit(&landing));
+        *backend.hook.lock() = Some(Box::new(move || {
+            let landed = std::thread::spawn(move || beside.handle_text(&line));
+            assert_eq!(
+                code(&landed.join().unwrap()),
+                None,
+                "the other commit lands"
+            );
+        }));
+        let held = router.handle_text(&commit(&warm));
+        assert_eq!(code(&held), Some(Value::I64(BASE_MOVED)), "{held}");
     }
 
     /// Every name in [`ROUTES`] is one the router serves: with a live

@@ -18,10 +18,14 @@
 //! traverse a frozen, internally consistent graph: a branch head resolved
 //! from a view always points at a commit in that same view, however many
 //! merges land concurrently. Writers serialize on a private mutex, build the
-//! successor generation off the current one, and publish it atomically —
-//! which also means two racing `commit` calls can never lose an update. Logical ticks come from
-//! an atomic counter advanced inside the writer section, so commit ids and
-//! ordering stay deterministic for any serial schedule.
+//! successor generation off the current one, and publish it atomically, so
+//! no update is ever lost. Workspace writes land only on the head they
+//! read: [`CommitGraph::commit_onto`], their one way in, compares it with
+//! the head under the writer lock and refuses a moved branch. The raw
+//! [`CommitGraph::commit`] still chains onto whatever head it finds.
+//! Logical ticks come from an atomic counter advanced inside the writer
+//! section, so commit ids and ordering stay deterministic for any serial
+//! schedule.
 //!
 //! # Ticks order ancestry
 //!
@@ -487,35 +491,30 @@ impl CommitGraph {
         *self.published.write() = Arc::new(next);
     }
 
-    /// Publishes `cur` plus one commit `c` as `branch`'s new head — one
-    /// append operation. Caller must hold the writer lock.
-    fn append(&self, cur: &GraphView, branch: &str, c: Commit) -> Result<Commit> {
-        let commits = cur.snap.commits.insert(c.id, c.clone());
-        self.publish(cur.snap.advance(commits, branch, c.id));
-        self.appends.inc();
-        Ok(c)
-    }
-
-    /// Builds the next commit: draws its tick, checks the tick invariant
-    /// against `commits` (which must hold every parent) and computes the
-    /// id. Caller must hold the writer lock.
-    fn seal(
+    /// Publishes `cur` plus one commit on `branch` as its new head — one
+    /// append operation. Its parents are `head` (the branch's head, absent
+    /// for a root) then `merge_head`, both in `cur`; its seq is `head`'s plus
+    /// one, or 0. Draws the tick and checks the tick invariant. Caller must
+    /// hold the writer lock.
+    fn append(
         &self,
-        commits: &PMap<Hash256, Commit>,
-        parents: Vec<Hash256>,
+        cur: &GraphView,
         branch: &str,
-        seq: u32,
+        head: Option<&Commit>,
+        merge_head: Option<Hash256>,
         payload: Hash256,
         message: &str,
     ) -> Commit {
+        let parents: Vec<Hash256> = head.map(|h| h.id).into_iter().chain(merge_head).collect();
+        let seq = head.map_or(0, |h| h.seq + 1);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         debug_assert!(
             parents
                 .iter()
-                .all(|p| commits.get(p).is_some_and(|c| c.tick < tick)),
+                .all(|p| cur.snap.commits.get(p).is_some_and(|c| c.tick < tick)),
             "a commit's tick must exceed its parents' (the ancestry walks rely on it)"
         );
-        Commit {
+        let c = Commit {
             id: Commit::compute_id(&parents, branch, seq, payload, message, tick),
             parents,
             branch: branch.to_string(),
@@ -523,72 +522,62 @@ impl CommitGraph {
             payload,
             message: message.to_string(),
             tick,
-        }
+        };
+        let commits = cur.snap.commits.insert(c.id, c.clone());
+        self.publish(cur.snap.advance(commits, branch, c.id));
+        self.appends.inc();
+        c
     }
 
     /// Creates a root commit on a new branch.
     pub fn commit_root(&self, branch: &str, payload: Hash256, message: &str) -> Result<Commit> {
-        let _w = self.writer.lock();
-        let cur = self.view();
-        if cur.snap.branches.head(branch).is_some() {
-            return Err(StorageError::BranchExists(branch.to_string()));
-        }
-        let c = self.seal(&cur.snap.commits, vec![], branch, 0, payload, message);
-        self.append(&cur, branch, c)
+        self.commit_onto(branch, None, None, payload, message)
     }
 
-    /// Appends a commit to `branch`'s head. The head is re-resolved inside
-    /// the writer section, so two racing appends chain rather than losing
-    /// one.
+    /// Appends a commit to whatever `branch`'s head is once the writer lock
+    /// is held, so two racing appends chain rather than losing one. The
+    /// workspace never calls this: its commits go through
+    /// [`CommitGraph::commit_onto`].
     pub fn commit(&self, branch: &str, payload: Hash256, message: &str) -> Result<Commit> {
         let _w = self.writer.lock();
         let cur = self.view();
-        let head = cur.head(branch)?;
-        let c = self.seal(
-            &cur.snap.commits,
-            vec![head.id],
-            branch,
-            head.seq + 1,
-            payload,
-            message,
-        );
-        self.append(&cur, branch, c)
+        let head = cur.head_commit(branch)?;
+        Ok(self.append(&cur, branch, Some(head), None, payload, message))
     }
 
-    /// Records a merge commit on `base_branch` with two parents: its head,
-    /// which must still be `base_head`, the head the caller merged against
-    /// ([`StorageError::BaseMoved`] otherwise), and `merge_head`, which must
-    /// be in the graph.
-    pub fn commit_merge(
+    /// Appends a commit to `branch` only if its head is still `base`, the
+    /// head the caller built the commit on: with `base` absent the branch
+    /// must not exist ([`StorageError::BranchExists`]) and the commit is
+    /// its root; with `base` given, another head is
+    /// [`StorageError::BaseMoved`]. Either way a refusal writes nothing.
+    /// `merge_head`, which must be in the graph, becomes the second parent.
+    pub fn commit_onto(
         &self,
-        base_branch: &str,
-        base_head: Hash256,
-        merge_head: Hash256,
+        branch: &str,
+        base: Option<Hash256>,
+        merge_head: Option<Hash256>,
         payload: Hash256,
         message: &str,
     ) -> Result<Commit> {
         let _w = self.writer.lock();
         let cur = self.view();
-        let head = cur.head(base_branch)?;
-        if head.id != base_head {
-            return Err(StorageError::BaseMoved {
-                branch: base_branch.to_string(),
-                searched: base_head,
-                head: head.id,
-            });
+        let head = match (base, cur.snap.branches.head(branch)) {
+            (None, None) => None,
+            (None, Some(_)) => return Err(StorageError::BranchExists(branch.to_string())),
+            (Some(_), None) => return Err(StorageError::UnknownBranch(branch.to_string())),
+            (Some(searched), Some(head)) if searched != head => {
+                return Err(StorageError::BaseMoved {
+                    branch: branch.to_string(),
+                    searched,
+                    head,
+                })
+            }
+            (Some(_), Some(head)) => Some(cur.commit(head)?),
+        };
+        if let Some(m) = merge_head.filter(|m| !cur.snap.commits.contains_key(m)) {
+            return Err(StorageError::MissingParent(m));
         }
-        if !cur.snap.commits.contains_key(&merge_head) {
-            return Err(StorageError::MissingParent(merge_head));
-        }
-        let c = self.seal(
-            &cur.snap.commits,
-            vec![head.id, merge_head],
-            base_branch,
-            head.seq + 1,
-            payload,
-            message,
-        );
-        self.append(&cur, base_branch, c)
+        Ok(self.append(&cur, branch, head, merge_head, payload, message))
     }
 
     /// Creates `new_branch` pointing at `from`'s current head.
@@ -843,7 +832,7 @@ mod tests {
         let d = g.commit("dev", payload(1), "dev").unwrap();
         let m = g.commit("master", payload(2), "master").unwrap();
         let merged = g
-            .commit_merge("master", m.id, d.id, payload(3), "merge dev")
+            .commit_onto("master", Some(m.id), Some(d.id), payload(3), "merge dev")
             .unwrap();
         assert_eq!(merged.parents, vec![m.id, d.id]);
         assert_eq!(g.head("master").unwrap().id, merged.id);
@@ -857,7 +846,13 @@ mod tests {
         let g = CommitGraph::new();
         let root = g.commit_root("master", payload(0), "init").unwrap();
         assert!(matches!(
-            g.commit_merge("master", root.id, Hash256::of(b"ghost"), payload(1), "bad"),
+            g.commit_onto(
+                "master",
+                Some(root.id),
+                Some(Hash256::of(b"ghost")),
+                payload(1),
+                "bad"
+            ),
             Err(StorageError::MissingParent(_))
         ));
     }
@@ -871,12 +866,34 @@ mod tests {
         let moved = g.commit("master", payload(2), "lands meanwhile").unwrap();
         let before = g.view().len();
         assert!(matches!(
-            g.commit_merge("master", root.id, d.id, payload(3), "stale"),
+            g.commit_onto("master", Some(root.id), Some(d.id), payload(3), "stale"),
             Err(StorageError::BaseMoved { branch, searched, head })
                 if branch == "master" && searched == root.id && head == moved.id
         ));
         assert_eq!(g.head("master").unwrap().id, moved.id);
         assert_eq!(g.view().len(), before);
+    }
+
+    /// A plain commit built on a head another commit replaced is refused
+    /// and writes nothing; built on the new head it lands.
+    #[test]
+    fn a_plain_commit_onto_a_moved_base_fails_and_writes_nothing() {
+        let g = CommitGraph::new();
+        let read = g.commit_root("master", payload(0), "init").unwrap();
+        let moved = g.commit("master", payload(1), "lands meanwhile").unwrap();
+        let before = g.view().len();
+        assert!(matches!(
+            g.commit_onto("master", Some(read.id), None, payload(2), "stale"),
+            Err(StorageError::BaseMoved { branch, searched, head })
+                if branch == "master" && searched == read.id && head == moved.id
+        ));
+        assert_eq!(g.head("master").unwrap().id, moved.id);
+        assert_eq!(g.view().len(), before);
+        let c = g
+            .commit_onto("master", Some(moved.id), None, payload(2), "fresh")
+            .unwrap();
+        assert_eq!((c.parents, c.seq), (vec![moved.id], 2));
+        assert_eq!(g.view().len(), before + 1);
     }
 
     #[test]
@@ -978,7 +995,13 @@ mod tests {
         assert!(Arc::ptr_eq(&names(&before), &names(&after_commit)));
         let base = before.head("master").unwrap().id;
         let m = g
-            .commit_merge("master", base, c.id, payload(2), "move another by merging")
+            .commit_onto(
+                "master",
+                Some(base),
+                Some(c.id),
+                payload(2),
+                "move another by merging",
+            )
             .unwrap();
         let after_merge = g.view();
         assert!(Arc::ptr_eq(&names(&before), &names(&after_merge)));

@@ -15,13 +15,14 @@ pub enum StorageError {
     BranchExists(String),
     /// A commit referenced a parent that is not in the graph.
     MissingParent(Hash256),
-    /// A merge searched `branch` at `searched`, but it had moved to `head`.
+    /// A commit was built on `branch` at `searched` (a merge searched it),
+    /// but the branch had moved to `head`.
     BaseMoved {
-        /// The base branch.
+        /// The branch committed to.
         branch: String,
-        /// The head the merge searched against.
+        /// The head the commit was built on.
         searched: Hash256,
-        /// The branch's head when the merge came to commit.
+        /// The branch's head when the commit came to land.
         head: Hash256,
     },
     /// Stored bytes failed their content-address check.
@@ -61,7 +62,7 @@ impl fmt::Display for StorageError {
                 head,
             } => write!(
                 f,
-                "branch '{branch}' moved from {} to {} while the merge searched; merge again",
+                "branch '{branch}' moved from {} to {} before the commit landed; retry",
                 searched.short(),
                 head.short()
             ),

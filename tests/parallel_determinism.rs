@@ -822,9 +822,12 @@ mod second_writer {
         }
     }
 
-    /// Two plain commits to one branch: one is held inside model 0.2's run
-    /// while the other lands. Each commit's metafile is labelled with its
-    /// own `seq`, and the held one chains onto the one that landed.
+    /// Two plain commits to one branch: one is held while the other lands.
+    /// Held inside model 0.2's run, before it reads the head, the held
+    /// commit chains onto the one that landed. Held at its metafile write,
+    /// after it read the head, a warm commit is refused (`BaseMoved`) and
+    /// `master` stays where the other commit put it; committing again lands
+    /// it. Either way each commit's metafile is labelled with its own `seq`.
     #[test]
     fn two_commits_racing_on_one_branch_each_label_their_own_seq() {
         let runs = Gate::default();
@@ -838,6 +841,30 @@ mod second_writer {
         let (held_commit, landed) = held(&runs, || commit(2), || commit(1));
         assert_eq!(held_commit.parents, vec![landed.id]);
         for c in [&held_commit, &landed] {
+            assert_eq!(sys.metafile_of(c).unwrap().label, c.label());
+        }
+
+        let writes = Gate::default();
+        let sys = toy_chain(GatedWrites::store(&writes), 5, &Gate::default(), 1);
+        let commit = |model: u32| {
+            sys.commit_pipeline("master", &toy_pipeline(0, model), "step", &ledger)
+                .map(|done| done.commit.expect("the pipeline commits"))
+        };
+        let read = commit(0).unwrap();
+        let (refused, landed) = held(&writes, || commit(0), || commit(1).unwrap());
+        assert!(
+            matches!(
+                &refused,
+                Err(CoreError::Storage(StorageError::BaseMoved { branch, searched, head }))
+                    if branch == "master" && *searched == read.id && *head == landed.id
+            ),
+            "{:?}",
+            refused.map(|c| c.label())
+        );
+        assert_eq!(sys.graph().head("master").unwrap(), landed);
+        let again = commit(0).unwrap();
+        assert_eq!(again.parents, vec![landed.id]);
+        for c in [&again, &landed] {
             assert_eq!(sys.metafile_of(c).unwrap().label, c.label());
         }
     }

@@ -84,7 +84,7 @@ proptest! {
         }
         let (head, dev_head) = (graph.head("master").unwrap(), graph.head("dev").unwrap());
         let merged = graph
-            .commit_merge("master", head.id, dev_head.id, Hash256::of(b"m"), "merge")
+            .commit_onto("master", Some(head.id), Some(dev_head.id), Hash256::of(b"m"), "merge")
             .unwrap();
         let ancestors = graph.view().ancestors(merged.id).unwrap();
         // init + head commits + dev commits + merge commit.
@@ -149,9 +149,9 @@ mod graph_model {
                     branches.push(fresh);
                 }
                 2..=4 => {
-                    let head = graph.head(&on).unwrap().id;
+                    let (head, second) = (graph.head(&on).unwrap().id, commits[pick].id);
                     let merge =
-                        graph.commit_merge(&on, head, commits[pick].id, payload(i + 1), "merge");
+                        graph.commit_onto(&on, Some(head), Some(second), payload(i + 1), "merge");
                     commits.push(merge.unwrap());
                 }
                 _ => commits.push(graph.commit(&on, payload(i + 1), "step").unwrap()),
@@ -240,7 +240,9 @@ mod graph_model {
         /// The persistent branch table (heads in a hash trie, names in a
         /// shared ordered set) against a plain `BTreeMap`, after every
         /// write — and the view taken before each write against the model
-        /// as it was, since generations share structure.
+        /// as it was, since generations share structure. Some head moves
+        /// name a stale base or none: they are refused (`BaseMoved`,
+        /// `BranchExists`) and write nothing.
         #[test]
         fn prop_branch_table_matches_btreemap_model(
             ops in proptest::collection::vec(any::<u32>(), 1..64)
@@ -276,14 +278,34 @@ mod graph_model {
                             prop_assert!(model.contains_key(name));
                         }
                     },
-                    // Head moves: merge (4), append (5–7).
-                    (4, Some(on)) => {
-                        let second = commits[(w >> 17) % commits.len()];
-                        let merge = graph.commit_merge(&on, model[&on], second, payload(i), "merge");
-                        let c = merge.unwrap();
-                        commits.push(c.id);
-                        model.insert(on, c.id);
+                    // Head moves onto a base: merge (4), plain (5, 6). The
+                    // base is the head, an earlier commit or none.
+                    (k @ 4..=6, Some(on)) => {
+                        let second = (k == 4).then(|| commits[(w >> 17) % commits.len()]);
+                        let base = match (w >> 23) % 4 {
+                            0 => None,
+                            1 => Some(commits[(w >> 25) % commits.len()]),
+                            _ => Some(model[&on]),
+                        };
+                        match graph.commit_onto(&on, base, second, payload(i), "move") {
+                            Ok(c) => {
+                                prop_assert_eq!(base, Some(model[&on]));
+                                commits.push(c.id);
+                                model.insert(on, c.id);
+                            }
+                            Err(StorageError::BaseMoved { branch, searched, head }) => {
+                                prop_assert_eq!(&branch, &on);
+                                prop_assert_eq!(head, model[&on]);
+                                prop_assert!(base == Some(searched) && searched != head);
+                            }
+                            Err(e) => {
+                                prop_assert!(matches!(e, StorageError::BranchExists(b) if b == on));
+                                prop_assert_eq!(base, None);
+                            }
+                        }
+                        prop_assert_eq!(graph.view().len(), commits.len());
                     }
+                    // The raw append: onto whatever the head is (7).
                     (_, Some(on)) => {
                         let c = graph.commit(&on, payload(i), "step").unwrap();
                         commits.push(c.id);
