@@ -128,9 +128,9 @@ fn run_linear_mlcask(
     let mut iterations = Vec::with_capacity(sequence.len());
     for (it, keys) in sequence.iter().enumerate() {
         let before = clock.snapshot();
+        let handles: Vec<_> = keys.iter().map(handle_for).collect();
         let mut registration = ClockSnapshot::default();
-        for key in keys {
-            let (_, cost) = registry.register_timed(handle_for(key))?;
+        for (_, cost) in registry.register_many(&handles)? {
             registration.charge_storage(cost);
         }
         clock.merge(&registration);

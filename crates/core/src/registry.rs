@@ -257,30 +257,21 @@ impl ComponentRegistry {
     /// Registers a component version: archives its simulated executable and
     /// records its metafile. Idempotent for identical keys.
     pub fn register(&self, handle: ComponentHandle) -> Result<RegisteredLibrary> {
-        self.register_timed(handle).map(|(lib, _)| lib)
-    }
-
-    /// Like [`ComponentRegistry::register`], also returning the modeled
-    /// storage time of archiving the executable (zero for an already
-    /// registered version).
-    pub fn register_timed(
-        &self,
-        handle: ComponentHandle,
-    ) -> Result<(RegisteredLibrary, std::time::Duration)> {
         let mut one = self.register_many(std::slice::from_ref(&handle))?;
-        Ok(one.pop().expect("one handle registers one version"))
+        Ok(one.pop().expect("one handle registers one version").0)
     }
 
-    /// Registers component versions in order, as [`register_timed`]
-    /// would one at a time, returning each version's entry and archiving
-    /// time. The one path that archives executables: a run of consecutive
-    /// versions of one library synthesises its base region once, and a
-    /// version another registry over the same archive already stored is
-    /// charged from its manifest instead of written. Versions archived
-    /// before an error stay registered; the shared archive learns the
-    /// batch's blobs only when the whole batch succeeded.
+    /// Registers component versions in order, as [`register`] would one at
+    /// a time, returning each version's entry and the modeled storage time
+    /// of archiving its executable (zero for an already registered
+    /// version). The one path that archives executables: a run of
+    /// consecutive versions of one library synthesises its base region
+    /// once, and a version another registry over the same archive already
+    /// stored is charged from its manifest instead of written. Versions
+    /// archived before an error stay registered; the shared archive learns
+    /// the batch's blobs only when the whole batch succeeded.
     ///
-    /// [`register_timed`]: ComponentRegistry::register_timed
+    /// [`register`]: ComponentRegistry::register
     pub fn register_many(
         &self,
         handles: &[ComponentHandle],

@@ -7,59 +7,53 @@
 //! over `k` batch shards with gradient averaging (so the loss trajectory per
 //! step is genuinely that of synchronous SGD), paired with a virtual step
 //! clock in which `k` workers process their shards concurrently and pay an
-//! all-reduce cost that grows with `k`.
-
-use serde::{Deserialize, Serialize};
-
-/// Virtual cost parameters for one training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GpuCostModel {
-    /// Nanoseconds per sample of forward+backward on one worker.
-    pub(crate) ns_per_sample: u64,
-    /// Fixed all-reduce latency per step, nanoseconds.
-    pub(crate) allreduce_base_ns: u64,
-    /// Extra all-reduce nanoseconds per additional worker (ring latency).
-    pub(crate) allreduce_per_worker_ns: u64,
-}
-
-impl Default for GpuCostModel {
-    fn default() -> Self {
-        GpuCostModel {
-            ns_per_sample: 400_000,       // 0.4 ms / sample
-            allreduce_base_ns: 1_500_000, // 1.5 ms
-            allreduce_per_worker_ns: 500_000,
-        }
-    }
-}
-
-/// One point of a loss-vs-time curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LossPoint {
-    /// Virtual elapsed seconds since training started.
-    pub(crate) time_s: f64,
-    /// Training loss after this step's update.
-    pub(crate) loss: f64,
-    /// Steps completed.
-    pub(crate) step: usize,
-}
-
-/// Result of one simulated distributed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DistributedRun {
-    /// Worker count.
-    pub(crate) workers: usize,
-    /// Loss trajectory over virtual time.
-    pub(crate) curve: Vec<LossPoint>,
-}
+//! all-reduce cost that grows with `k`. Nothing outside Fig. 11's tests
+//! runs the simulator, so all of it lives in the test module.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::mlp::{synthetic_classification, Mlp, MlpConfig};
     use crate::tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+
+    /// Virtual cost parameters for one training step.
+    #[derive(Debug, Clone, Copy)]
+    struct GpuCostModel {
+        /// Nanoseconds per sample of forward+backward on one worker.
+        ns_per_sample: u64,
+        /// Fixed all-reduce latency per step, nanoseconds.
+        allreduce_base_ns: u64,
+        /// Extra all-reduce nanoseconds per additional worker (ring latency).
+        allreduce_per_worker_ns: u64,
+    }
+
+    impl Default for GpuCostModel {
+        fn default() -> Self {
+            GpuCostModel {
+                ns_per_sample: 400_000,       // 0.4 ms / sample
+                allreduce_base_ns: 1_500_000, // 1.5 ms
+                allreduce_per_worker_ns: 500_000,
+            }
+        }
+    }
+
+    /// One point of a loss-vs-time curve.
+    #[derive(Debug, Clone, Copy)]
+    struct LossPoint {
+        /// Virtual elapsed seconds since training started.
+        time_s: f64,
+        /// Training loss after this step's update.
+        loss: f64,
+    }
+
+    /// Result of one simulated distributed run.
+    #[derive(Debug, Clone)]
+    struct DistributedRun {
+        /// Loss trajectory over virtual time.
+        curve: Vec<LossPoint>,
+    }
 
     impl GpuCostModel {
         /// Virtual duration of one synchronous step over `batch` samples split
@@ -112,7 +106,7 @@ mod tests {
         let mut curve = Vec::with_capacity(steps);
         let mut t_ns: u64 = 0;
         let mut cursor = 0usize;
-        for step in 0..steps {
+        for _ in 0..steps {
             if cursor + global_batch > order.len() {
                 order.shuffle(&mut rng);
                 cursor = 0;
@@ -129,10 +123,9 @@ mod tests {
             curve.push(LossPoint {
                 time_s: t_ns as f64 / 1e9,
                 loss,
-                step: step + 1,
             });
         }
-        DistributedRun { workers, curve }
+        DistributedRun { curve }
     }
 
     /// The paper's closed-form pipeline speedup: `1 / ((1 - p) + p / k)` where

@@ -19,7 +19,7 @@
 //! * [`zernike`] — Zernike moment image features (Autolearn features).
 //! * [`autofeat`] — Autolearn-style feature generation/selection.
 //! * [`distributed`] — synchronous data-parallel training simulator
-//!   (Fig. 11).
+//!   (Fig. 11; test-only).
 //!
 //! Every training routine exposes a deterministic `work_units` estimate so
 //! the pipeline executor can charge virtual time proportional to real
@@ -45,7 +45,6 @@ pub mod zernike;
 pub mod prelude {
     pub use crate::adaboost::{AdaBoost, AdaBoostConfig};
     pub use crate::autofeat::{AutoFeat, AutoFeatConfig};
-    pub use crate::distributed::{DistributedRun, GpuCostModel};
     pub use crate::embedding::{Embedding, EmbeddingConfig};
     pub use crate::hmm::Hmm;
     pub use crate::metrics::{accuracy, auc, f1, MetricKind, Score};

@@ -25,7 +25,6 @@ use crate::history::HistoryIndex;
 use crate::parallel::{run_dag, NodeVerdict, ParallelismPolicy};
 use crate::provenance::{schedulable, FrontierCut, Provenance};
 use crate::replay::{Claim, ProfileBook, StageProfile};
-use crate::resume::ResumeCtx;
 use crate::schema::SchemaId;
 use crate::search::{self, Candidate, Policy};
 use mlcask_ml::metrics::Score;
@@ -38,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Key identifying "this component version applied to these exact inputs".
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Component version.
     pub component: ComponentKey,
@@ -47,7 +46,7 @@ pub struct CacheKey {
 }
 
 /// A checkpointed component output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedOutput {
     /// Where the artifact bytes live.
     pub object: ObjectRef,
@@ -185,12 +184,10 @@ pub(crate) fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
 
 /// Runs bound pipelines against a [`ChunkStore`], implementing checkpoint
 /// reuse, output archiving, virtual-time accounting, and wavefront
-/// execution of independent nodes. Stateless apart from the store reference
-/// and an optional crash-recovery context — cheap to construct per run and
-/// safe to share across threads.
+/// execution of independent nodes. Stateless apart from the store
+/// reference — cheap to construct per run and safe to share across threads.
 pub struct Executor<'s> {
     pub(crate) store: &'s ChunkStore,
-    resume: Option<&'s ResumeCtx<'s>>,
 }
 
 /// Result of one completed node.
@@ -215,25 +212,7 @@ struct WavefrontRun {
 impl<'s> Executor<'s> {
     /// Creates an executor over a store.
     pub fn new(store: &'s ChunkStore) -> Self {
-        Executor {
-            store,
-            resume: None,
-        }
-    }
-
-    /// Attaches a crash-recovery context: completed component executions
-    /// adopted from `resume.snapshot` skip re-execution (their journaled
-    /// profiles feed the accounting replay verbatim), and newly completed
-    /// executions are appended to `resume.journal`, so a later attempt
-    /// resumes from the last completed operation instead of re-running the
-    /// whole DAG. The replay charges adopted and re-executed nodes
-    /// identically, which is what makes a resumed run's report (its clock
-    /// included), store statistics, and tenant accounting byte-identical to
-    /// an uninterrupted run — see [`crate::resume`] for the recovery protocol
-    /// and `tests/crash_recovery.rs` for the kill-at-every-write matrix.
-    pub fn resuming(mut self, resume: &'s ResumeCtx<'s>) -> Self {
-        self.resume = Some(resume);
-        self
+        Executor { store }
     }
 
     /// Runs a bound pipeline under `policy`: the evaluation loop
@@ -367,8 +346,7 @@ impl<'s> Executor<'s> {
     /// * `lookup` — consulted (never written) before executing a node; a
     ///   hit skips execution. A miss claims the key in `book`
     ///   ([`ProfileBook::claim`]): a sibling's outcome is adopted, and the
-    ///   owner records a journaled profile when `resume` holds one and
-    ///   executes the component otherwise.
+    ///   owner executes the component.
     ///
     /// Every lookup hit and every frontier-cut node is recorded in `book` as
     /// found, which is all the replay's reuse simulation consults (see
@@ -396,7 +374,6 @@ impl<'s> Executor<'s> {
         policy: ParallelismPolicy,
         cut: Option<&FrontierCut>,
     ) -> Result<WavefrontRun> {
-        let resume = self.resume;
         let _wave_span = mlcask_obs::span!(
             "exec.wavefront",
             "nodes" => pipeline.components().len(),
@@ -527,20 +504,6 @@ impl<'s> Executor<'s> {
                     Claim::Owner(owner) => owner,
                 };
 
-                // Crash recovery: a journaled completed execution is adopted
-                // verbatim — its recorded profile (write trace included)
-                // feeds the accounting replay exactly as the pre-crash
-                // attempt recorded it, so the replay charges this node as
-                // *executed*, byte-identically to an uninterrupted run.
-                if let Some(prof) = resume.and_then(|res| res.snapshot.get(&key)) {
-                    *slots[node].lock() = Some(WaveSlot {
-                        cached: prof.cached.clone(),
-                        artifact: None,
-                    });
-                    owner.record(prof.clone());
-                    return Ok(NodeVerdict::Continue);
-                }
-
                 // Materialise checkpointed inputs (results only; the replay
                 // charges the read costs in canonical order). Each slot lock
                 // is held only to obtain the shared handle; the deep copy
@@ -593,17 +556,7 @@ impl<'s> Executor<'s> {
                             cached,
                             artifact: Some(artifact),
                         });
-                        // Recorded before it is journaled, so the book holds
-                        // the trace's reservation whatever the journal does.
-                        owner.record(profile.clone());
-                        // This run's completed operation: journal it so a
-                        // crashed attempt resumes from here. (Durability of
-                        // the blob may still be in flight on an async
-                        // backend; recovery validates the entry against what
-                        // actually survived.)
-                        if let Some(journal) = resume.and_then(|r| r.journal) {
-                            journal.record(&key, &profile)?;
-                        }
+                        owner.record(profile);
                         Ok(NodeVerdict::Continue)
                     }
                     Err(PipelineError::IncompatibleSchema(_)) => {

@@ -26,9 +26,11 @@
 //! evaluation loop composing the two phases, behind commits, merge
 //! searches, trials and the baselines' runs), [`provenance`]
 //! (static per-node fingerprints, frontier cuts, and the shared-prefix
-//! gate behind incremental re-evaluation), and [`resume`] (the durable
-//! journal + recovery protocol that resumes a crashed execution from its
-//! last completed operation).
+//! gate behind incremental re-evaluation).
+//!
+//! Crash recovery is the store's: a crashed execution's outputs are
+//! content-addressed blobs, so a rerun on the reopened store dedups what
+//! survived and writes what did not.
 //!
 //! The versioning semantics themselves (branching, merging, search-tree
 //! pruning) live in `mlcask-core`, which builds on this crate.
@@ -47,7 +49,6 @@ pub mod metafile;
 pub mod parallel;
 pub mod provenance;
 pub mod replay;
-pub mod resume;
 pub mod schema;
 pub mod search;
 pub mod semver;
@@ -69,7 +70,6 @@ pub mod prelude {
     pub use crate::parallel::ParallelismPolicy;
     pub use crate::provenance::{pipeline_fingerprints, FrontierCut, Provenance};
     pub use crate::replay::{CacheSnapshot, StageProfile};
-    pub use crate::resume::{RecoveryReport, ResumeCtx, ResumeEntry, ResumeLog, ResumeSnapshot};
     pub use crate::schema::{Schema, SchemaId};
     pub use crate::search::Policy;
     pub use crate::semver::SemVer;

@@ -74,12 +74,7 @@ use std::time::Duration;
 
 /// Everything the accounting replay needs to know about one component
 /// execution observed during phase 1.
-///
-/// Serializable so a [`ResumeLog`](crate::resume::ResumeLog) can journal
-/// completed executions durably; note a journaled profile's write trace
-/// round-trips with its quota reservation stripped (see
-/// [`PutTrace`]'s serialization).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StageProfile {
     /// The checkpoint the execution produced.
     pub cached: CachedOutput,

@@ -182,7 +182,7 @@ fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec — shared by segment files and the durable journal.
+// Frame codec — the segment files' record framing.
 // ---------------------------------------------------------------------------
 
 /// Frames `payload` as `[len][crc][payload]`.
@@ -1276,116 +1276,6 @@ impl Drop for CaskBackend {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Durable journal
-// ---------------------------------------------------------------------------
-
-/// A minimal durable append log of opaque payloads, CRC-framed like the
-/// segment files and fsynced per append. The pipeline's `ResumeLog` stores
-/// completed-operation records in one; the in-memory variant backs the
-/// crash tests' `MemBackend` matrix (where "the journal survives" is part
-/// of the simulated recovery).
-pub struct DurableLog {
-    medium: LogMedium,
-}
-
-enum LogMedium {
-    File {
-        file: PlMutex<FileLog>,
-        path: PathBuf,
-    },
-    Mem(PlMutex<Vec<Vec<u8>>>),
-}
-
-struct FileLog {
-    file: File,
-    tail: u64,
-}
-
-impl DurableLog {
-    /// Opens (creating if needed) a journal file, truncating any torn tail,
-    /// and returns it with the intact payloads recovered from it.
-    pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Vec<u8>>)> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut buf = Vec::new();
-        (&file).read_to_end(&mut buf)?;
-        let (frames, valid) = scan_frames(&buf);
-        let payloads: Vec<Vec<u8>> = frames
-            .iter()
-            .map(|&(off, len)| buf[off..off + len].to_vec())
-            .collect();
-        if (valid as u64) < file.metadata()?.len() {
-            file.set_len(valid as u64)?;
-            file.sync_data()?;
-        }
-        Ok((
-            DurableLog {
-                medium: LogMedium::File {
-                    file: PlMutex::new(FileLog {
-                        file,
-                        tail: valid as u64,
-                    }),
-                    path,
-                },
-            },
-            payloads,
-        ))
-    }
-
-    /// A journal that lives only in memory (for tests whose "process" never
-    /// actually dies).
-    pub fn in_memory() -> Self {
-        DurableLog {
-            medium: LogMedium::Mem(PlMutex::new(Vec::new())),
-        }
-    }
-
-    /// Appends one payload durably (framed, written, fsynced).
-    pub fn append(&self, payload: &[u8]) -> Result<()> {
-        match &self.medium {
-            LogMedium::File { file, .. } => {
-                let fr = frame(payload);
-                let mut log = file.lock();
-                let tail = log.tail;
-                log.file.write_all_at(&fr, tail)?;
-                log.file.sync_data()?;
-                log.tail += fr.len() as u64;
-                Ok(())
-            }
-            LogMedium::Mem(entries) => {
-                entries.lock().push(payload.to_vec());
-                Ok(())
-            }
-        }
-    }
-
-    /// All intact payloads currently in the journal.
-    pub fn entries(&self) -> Result<Vec<Vec<u8>>> {
-        match &self.medium {
-            LogMedium::File { path, .. } => {
-                let buf = fs::read(path)?;
-                let (frames, _) = scan_frames(&buf);
-                Ok(frames
-                    .iter()
-                    .map(|&(off, len)| buf[off..off + len].to_vec())
-                    .collect())
-            }
-            LogMedium::Mem(entries) => Ok(entries.lock().clone()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1722,29 +1612,6 @@ mod tests {
         be.get(key).unwrap();
         assert_eq!(be.read_ops(), 2, "every durable get hits the segment");
         drop(be);
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn durable_log_round_trips_and_truncates_torn_tail() {
-        let root = temp_root("journal");
-        fs::create_dir_all(&root).unwrap();
-        let path = root.join("resume.log");
-        {
-            let (log, recovered) = DurableLog::open(&path).unwrap();
-            assert!(recovered.is_empty());
-            log.append(b"first").unwrap();
-            log.append(b"second").unwrap();
-        }
-        // Torn tail: a partial frame appended by a dying writer.
-        let mut raw = fs::read(&path).unwrap();
-        raw.extend_from_slice(&frame(b"third")[..7]);
-        fs::write(&path, &raw).unwrap();
-        let (log, recovered) = DurableLog::open(&path).unwrap();
-        assert_eq!(recovered, vec![b"first".to_vec(), b"second".to_vec()]);
-        log.append(b"fourth").unwrap();
-        assert_eq!(log.entries().unwrap().len(), 3);
-        drop(log);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -43,7 +43,7 @@ pub enum StorageError {
         /// Which axis was breached ("logical bytes" / "physical bytes").
         resource: &'static str,
     },
-    /// Underlying I/O failure (durable backend, journals).
+    /// Underlying I/O failure (durable backend).
     Io(std::io::Error),
     /// (De)serialisation failure for manifests/commits.
     Codec(String),

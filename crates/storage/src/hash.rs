@@ -556,7 +556,7 @@ impl Hash256 {
 
     /// Parses a 64-char hex string (either case). Anything else — wrong
     /// length, a sign, a non-ASCII character — is `None`: this is reached
-    /// from metafiles and journals read back from disk.
+    /// from metafiles and commits read back from disk.
     pub(crate) fn from_hex(s: &str) -> Option<Hash256> {
         let bytes = s.as_bytes();
         if bytes.len() != 64 {

@@ -63,7 +63,7 @@ pub mod tenant;
 pub mod prelude {
     pub use crate::backend::{MemBackend, StorageBackend};
     pub use crate::cache::{BlobCache, CacheOptions};
-    pub use crate::cask::{CaskBackend, CaskOptions, DurableLog};
+    pub use crate::cask::{CaskBackend, CaskOptions};
     pub use crate::chunk::ChunkParams;
     pub use crate::commit::{Commit, CommitGraph, GraphView};
     pub use crate::costmodel::StorageCostModel;

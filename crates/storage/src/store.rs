@@ -38,7 +38,7 @@ pub struct PutOutcome {
 }
 
 /// One chunk-level observation from a traced write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteObs {
     /// Chunk content address.
     pub hash: Hash256,
@@ -70,46 +70,6 @@ pub struct PutTrace {
     /// The quota reservation this (tenant-attributed) write holds until it
     /// is settled at replay time or released on abort.
     pub reservation: Option<ReservationId>,
-}
-
-// Serialization is hand-written to *omit* the reservation: a reservation is
-// a live in-process quota hold, meaningless in another process. A journaled
-// trace deserializes with `reservation: None`, so replaying it charges the
-// tenant directly (`TenantAccounts::charge`) — the same usage a settle
-// would have produced.
-impl serde::Serialize for PutTrace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".into(), self.kind.to_value()),
-            ("logical".into(), self.logical.to_value()),
-            ("chunks".into(), self.chunks.to_value()),
-            ("manifest".into(), self.manifest.to_value()),
-        ])
-    }
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"kind\":");
-        self.kind.write_json(out);
-        out.push_str(",\"logical\":");
-        self.logical.write_json(out);
-        out.push_str(",\"chunks\":");
-        self.chunks.write_json(out);
-        out.push_str(",\"manifest\":");
-        self.manifest.write_json(out);
-        out.push('}');
-    }
-}
-
-impl serde::Deserialize for PutTrace {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let m = serde::expect_map(v, "PutTrace")?;
-        Ok(PutTrace {
-            kind: serde::field(m, "kind", "PutTrace")?,
-            logical: serde::field(m, "logical", "PutTrace")?,
-            chunks: serde::field(m, "chunks", "PutTrace")?,
-            manifest: serde::field(m, "manifest", "PutTrace")?,
-            reservation: None,
-        })
-    }
 }
 
 impl PutTrace {

@@ -20,18 +20,15 @@ use mlcask::pipeline::artifact::{
 };
 use mlcask::pipeline::clock::ClockSnapshot;
 use mlcask::pipeline::component::{ComponentKey, StageKind};
-use mlcask::pipeline::executor::{CacheKey, CachedOutput, RunOutcome, RunReport, StageReport};
+use mlcask::pipeline::executor::{RunOutcome, RunReport, StageReport};
 use mlcask::pipeline::metafile::{
     DatasetMetafile, LibraryMetafile, PipelineMetafile, PipelineSlot,
 };
-use mlcask::pipeline::replay::StageProfile;
-use mlcask::pipeline::resume::ResumeEntry;
 use mlcask::pipeline::schema::{Schema, SchemaId};
 use mlcask::pipeline::semver::SemVer;
 use mlcask::storage::commit::Commit;
 use mlcask::storage::hash::Hash256;
 use mlcask::storage::object::{ObjectKind, ObjectRef};
-use mlcask::storage::store::{PutTrace, WriteObs};
 use mlcask::storage::tenant::TenantUsage;
 use mlcask_server::reply::{CommitReply, CommitResultReply, MergeReply, SessionReply, UsageReply};
 use proptest::prelude::*;
@@ -311,24 +308,6 @@ impl Gen {
         }
     }
 
-    fn write_obs(&mut self) -> WriteObs {
-        WriteObs {
-            hash: self.hash(),
-            len: self.u64(),
-            was_new: self.0.gen(),
-        }
-    }
-
-    fn put_trace(&mut self) -> PutTrace {
-        PutTrace {
-            kind: self.object().kind,
-            logical: self.u64(),
-            chunks: self.vec(4, Gen::write_obs),
-            manifest: self.write_obs(),
-            reservation: None,
-        }
-    }
-
     fn commit(&mut self) -> Commit {
         Commit {
             id: self.hash(),
@@ -387,26 +366,6 @@ impl Gen {
             report: self.0.gen::<bool>().then_some(search),
         }
     }
-
-    fn resume_entry(&mut self) -> ResumeEntry {
-        ResumeEntry {
-            key: CacheKey {
-                component: self.component(),
-                inputs: self.vec(3, Gen::hash),
-            },
-            profile: StageProfile {
-                cached: CachedOutput {
-                    object: self.object(),
-                    artifact_id: self.hash(),
-                    schema: self.schema_id(),
-                    score: self.0.gen::<bool>().then(|| self.score()),
-                },
-                artifact_bytes: self.u64(),
-                exec_ns: self.u64(),
-                write: self.0.gen::<bool>().then(|| self.put_trace()),
-            },
-        }
-    }
 }
 
 proptest! {
@@ -435,15 +394,6 @@ proptest! {
         let mut tree = String::new();
         serde::write_value(&mut tree, &artifact.to_value(), None, 0);
         prop_assert_eq!(artifact.to_bytes(), tree.into_bytes());
-    }
-
-    /// The journal's records: a completed operation with its write trace
-    /// (the hand-written `PutTrace` impl omits the reservation).
-    #[test]
-    fn journal_records_write_the_bytes_of_their_tree(seed in any::<u64>()) {
-        let mut g = Gen(StdRng::seed_from_u64(seed));
-        assert_matches_tree(&g.put_trace());
-        assert_matches_tree(&g.resume_entry());
     }
 
     /// The daemon's typed replies: what a session-scoped method writes onto

@@ -1,20 +1,21 @@
 //! Crash-recovery matrix: kill the storage backend at every k-th write,
-//! reopen, recover, and assert the **resumed** run is byte-identical to an
-//! uninterrupted one-worker run — report (its clock included), store
-//! statistics, and physical bytes — at worker counts {1, 2, 8}, on both
-//! the durable [`CaskBackend`] (fault-injected torn/dropped writes, real
-//! reopen) and an in-memory store behind the trait-level [`FaultBackend`].
+//! reopen, and check what the store promises: every output manifest that
+//! survived reads back whole, and a from-scratch rerun on the reopened
+//! store completes with the uninterrupted run's outcome, score, artifact
+//! ids and output references, leaving exactly the uninterrupted run's
+//! blobs and physical bytes behind. Runs on both the durable
+//! [`CaskBackend`] (fault-injected torn/dropped writes, real reopen) and an
+//! in-memory store behind the trait-level [`FaultBackend`], with the rerun
+//! at worker counts {1, 2, 8}.
 //!
-//! Protocol under test (see `mlcask_pipeline::resume`): completed
-//! operations are journaled to a [`ResumeLog`]; recovery validates each
-//! journaled operation against the blobs that actually survived, sweeps
-//! unjournaled leftovers, and an [`Executor::resuming`] run adopts the
-//! validated operations without re-executing them. Crashed attempts run at
-//! one worker (nodes execute inline in canonical order), so the journal
-//! always holds a canonical prefix of the run; the *resumed* attempt is
-//! exercised at every worker count.
+//! Outputs are content-addressed blobs, so the rerun dedups whatever
+//! survived and writes the rest. Crashed attempts run at one worker (nodes
+//! execute inline in canonical order). The in-memory matrix also runs its
+//! crashed attempt through a quota'd tenant view and checks that the failed
+//! run left no trace in the tenant's accounts.
 
 use mlcask::core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
+use mlcask::pipeline::artifact::Artifact;
 use mlcask::prelude::*;
 use mlcask::storage::backend::MemBackend;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +48,8 @@ fn bound_toy() -> BoundPipeline {
     BoundPipeline::new(dag, comps).unwrap()
 }
 
-/// The diamond fusion workload — real DAG width, so the resumed attempt's
-/// parallel wavefront genuinely fans out.
+/// The diamond fusion workload — real DAG width, so the rerun's parallel
+/// wavefront genuinely fans out.
 fn bound_fusion() -> BoundPipeline {
     let w = mlcask::workloads::fusion::build();
     let comps = w
@@ -69,16 +70,12 @@ fn run_once(
     pipeline: &BoundPipeline,
     store: &ChunkStore,
     policy: ParallelismPolicy,
-    resume: &ResumeCtx<'_>,
 ) -> PipelineResult<RunReport> {
-    Executor::new(store).resuming(resume).run(
-        pipeline,
-        None,
-        Policy::RERUN_ALL.with_parallelism(policy),
-    )
+    Executor::new(store).run(pipeline, None, Policy::RERUN_ALL.with_parallelism(policy))
 }
 
-/// Every observable the determinism contract covers.
+/// Every observable of an uninterrupted run: its report (clock included),
+/// the store statistics, and the physical bytes.
 fn observe(report: &RunReport, store: &ChunkStore) -> String {
     format!(
         "report={} stats={} physical={}",
@@ -88,22 +85,85 @@ fn observe(report: &RunReport, store: &ChunkStore) -> String {
     )
 }
 
+/// What a rerun after a crash must reproduce: the outcome (score
+/// included), every stage's artifact id and output reference, and the
+/// backend's blobs and physical bytes. Clocks and store statistics are
+/// left out: a rerun dedups the blobs that survived the crash.
+fn outputs(report: &RunReport, store: &ChunkStore) -> String {
+    let stages: Vec<_> = report
+        .stages
+        .iter()
+        .map(|s| (s.artifact_id, s.output))
+        .collect();
+    let mut keys = store.backend().keys();
+    keys.sort();
+    format!(
+        "outcome={} stages={stages:?} physical={} keys={keys:?}",
+        serde_json::to_string(&report.outcome).unwrap(),
+        store.physical_bytes(),
+    )
+}
+
 /// Uninterrupted one-worker run on a fresh in-memory store — the reference
-/// every crashed-and-resumed run must reproduce byte-for-byte.
-fn reference(pipeline: &BoundPipeline, params: ChunkParams) -> String {
+/// every crashed-and-rerun store must reproduce.
+fn reference(pipeline: &BoundPipeline, params: ChunkParams) -> (RunReport, ChunkStore) {
     let store = ChunkStore::new(
         Arc::new(MemBackend::new()),
         params,
         StorageCostModel::FORKBASE,
     );
-    let empty = ResumeSnapshot::empty();
-    let ctx = ResumeCtx {
-        snapshot: &empty,
-        journal: None,
-    };
-    let report = run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+    let report = run_once(pipeline, &store, ParallelismPolicy::Sequential).unwrap();
     assert!(report.outcome.is_completed());
-    observe(&report, &store)
+    (report, store)
+}
+
+/// Checks every output manifest of `reference` that survived in `store`
+/// reads back whole: its bytes decode to the artifact the reference
+/// produced. Returns how many survived.
+fn check_survivors(store: &ChunkStore, reference: &RunReport, cell: &str) -> usize {
+    let mut survived = 0;
+    for s in &reference.stages {
+        if !store.contains(s.output.id) {
+            continue;
+        }
+        let bytes = store.get_blob(&s.output).unwrap_or_else(|e| {
+            panic!(
+                "{cell}: surviving manifest of {} unreadable: {e}",
+                s.component
+            )
+        });
+        let artifact = Artifact::from_bytes(&bytes).unwrap_or_else(|e| {
+            panic!(
+                "{cell}: surviving output of {} undecodable: {e}",
+                s.component
+            )
+        });
+        assert_eq!(
+            artifact.content_id(),
+            s.artifact_id,
+            "{cell}: surviving output of {} is not the artifact it named",
+            s.component
+        );
+        survived += 1;
+    }
+    survived
+}
+
+/// Reruns the pipeline from scratch on a reopened store and returns the
+/// rerun's [`outputs`].
+fn rerun(
+    pipeline: &BoundPipeline,
+    store: &ChunkStore,
+    policy: ParallelismPolicy,
+    cell: &str,
+) -> String {
+    let report = run_once(pipeline, store, policy)
+        .unwrap_or_else(|e| panic!("{cell}: rerun on the reopened store failed: {e}"));
+    assert!(
+        report.outcome.is_completed(),
+        "{cell}: rerun did not complete"
+    );
+    outputs(&report, store)
 }
 
 /// Runs the pipeline once against a clean synchronous cask to learn the
@@ -113,12 +173,7 @@ fn cask_total_appends(pipeline: &BoundPipeline, params: ChunkParams) -> u64 {
     let be =
         Arc::new(CaskBackend::open_with(base.join("store"), CaskOptions::synchronous()).unwrap());
     let store = ChunkStore::new(be.clone(), params, StorageCostModel::FORKBASE);
-    let empty = ResumeSnapshot::empty();
-    let ctx = ResumeCtx {
-        snapshot: &empty,
-        journal: None,
-    };
-    run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+    run_once(pipeline, &store, ParallelismPolicy::Sequential).unwrap();
     store.flush().unwrap();
     let n = be.append_count();
     drop(store);
@@ -135,58 +190,39 @@ fn fault_plan(k: u64, kind_sel: u64) -> FaultPlan {
 }
 
 /// One cask matrix cell: crash the k-th segment append during a one-worker
-/// attempt, reopen the directory (torn-tail truncation), recover from the
-/// journal, and finish the run under `policy`. Returns the resumed run's
-/// observables plus the recovery report and the journal size it validated.
-fn crash_then_resume_cask(
+/// attempt, reopen the directory (torn-tail truncation), check the
+/// survivors against `reference`, and rerun under `policy`. Returns the
+/// rerun's [`outputs`] and how many of the reference's output manifests
+/// survived the crash.
+fn crash_then_rerun_cask(
     pipeline: &BoundPipeline,
+    reference: &RunReport,
     params: ChunkParams,
     k: u64,
     kind_sel: u64,
     policy: ParallelismPolicy,
-) -> (String, RecoveryReport, usize) {
+) -> (String, usize) {
     let base = temp_base("cask");
     let root = base.join("store");
-    let journal = base.join("resume.log");
-
-    // Attempt 1: journaled one-worker run against the faulted backend.
+    let plan = fault_plan(k, kind_sel);
+    let cell = format!("crash at append {k} ({:?}), rerun {policy:?}", plan.kind);
     {
         let be = Arc::new(
-            CaskBackend::open_with(
-                &root,
-                CaskOptions::synchronous().with_fault(fault_plan(k, kind_sel)),
-            )
-            .unwrap(),
+            CaskBackend::open_with(&root, CaskOptions::synchronous().with_fault(plan)).unwrap(),
         );
         let store = ChunkStore::new(be, params, StorageCostModel::FORKBASE);
-        let (log, entries) = ResumeLog::open(&journal).unwrap();
-        assert!(entries.is_empty(), "fresh journal");
-        let empty = ResumeSnapshot::empty();
-        let ctx = ResumeCtx {
-            snapshot: &empty,
-            journal: Some(&log),
-        };
         // Crashes mid-run for every fault kind except `AfterWrite` on the
         // run's final append (the crash point then fires with nothing left
-        // to write) — in that case the "resume" below adopts every node.
-        let _ = run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx);
+        // to write).
+        let _ = run_once(pipeline, &store, ParallelismPolicy::Sequential);
     }
-
-    // Recovery: reopen both logs, validate, sweep, resume.
     let be = Arc::new(CaskBackend::open(&root).unwrap());
     let store = ChunkStore::new(be, params, StorageCostModel::FORKBASE);
-    let (log, entries) = ResumeLog::open(&journal).unwrap();
-    let journaled = entries.len();
-    let (snap, rec) = ResumeSnapshot::recover(&store, entries, []).unwrap();
-    let ctx = ResumeCtx {
-        snapshot: &snap,
-        journal: Some(&log),
-    };
-    let report = run_once(pipeline, &store, policy, &ctx).unwrap();
-    assert!(report.outcome.is_completed());
-    let obs = observe(&report, &store);
+    let survived = check_survivors(&store, reference, &cell);
+    let out = rerun(pipeline, &store, policy, &cell);
+    drop(store);
     let _ = std::fs::remove_dir_all(&base);
-    (obs, rec, journaled)
+    (out, survived)
 }
 
 const POLICIES: [ParallelismPolicy; 3] = [
@@ -195,41 +231,38 @@ const POLICIES: [ParallelismPolicy; 3] = [
     ParallelismPolicy::Parallel(8),
 ];
 
+/// Every segment append of the toy chain killed in turn, fault kind and
+/// rerun worker count rotating: the work resumes as a rerun on the
+/// reopened store and ends byte-identical in outputs and physical bytes.
 #[test]
 fn cask_crash_at_every_append_resumes_byte_identical() {
     let pipeline = bound_toy();
-    let expected = reference(&pipeline, ChunkParams::SMALL);
+    let (report, store) = reference(&pipeline, ChunkParams::SMALL);
+    let expected = outputs(&report, &store);
     let total = cask_total_appends(&pipeline, ChunkParams::SMALL);
     assert!(total > 8, "toy chain must issue enough writes to matter");
 
-    let (mut adopted_any, mut discarded_any) = (false, false);
+    let (mut survived_some, mut lost_some) = (false, false);
     for k in 1..=total {
-        // Rotate fault kind and resumed worker count so every append gets
+        // Rotate fault kind and rerun worker count so every append gets
         // killed under some combination while the matrix stays affordable.
         let policy = POLICIES[(k % 3) as usize];
-        let (obs, rec, journaled) =
-            crash_then_resume_cask(&pipeline, ChunkParams::SMALL, k, k / 3, policy);
+        let (out, survived) =
+            crash_then_rerun_cask(&pipeline, &report, ChunkParams::SMALL, k, k / 3, policy);
+        survived_some |= survived > 0;
+        lost_some |= survived < report.stages.len();
         assert_eq!(
-            rec.recovered_operations + rec.discarded_operations,
-            journaled,
-            "every journaled operation is either adopted or discarded (k={k})"
-        );
-        adopted_any |= rec.recovered_operations > 0;
-        discarded_any |= rec.discarded_operations > 0;
-        assert_eq!(
-            obs, expected,
-            "resumed run diverged after crash at append {k} ({policy:?})"
+            out, expected,
+            "rerun diverged after crash at append {k} ({policy:?})"
         );
     }
     assert!(
-        adopted_any,
-        "matrix never exercised adoption — journal validation is vacuous"
+        survived_some,
+        "no output ever survived a crash — the rerun never deduped a survivor"
     );
-    // Dropped page cache: an operation journaled while its blob sat unsynced
-    // must be discarded on recovery, not adopted.
     assert!(
-        discarded_any,
-        "matrix never lost a journaled operation's blob — the discard path is untested"
+        lost_some,
+        "every crash kept every output — nothing was rerun"
     );
 }
 
@@ -248,12 +281,7 @@ fn cask_fault_replays_byte_identical() {
             let opts = CaskOptions::synchronous().with_fault(plan);
             let be = Arc::new(CaskBackend::open_with(&root, opts).unwrap());
             let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
-            let empty = ResumeSnapshot::empty();
-            let ctx = ResumeCtx {
-                snapshot: &empty,
-                journal: None,
-            };
-            let run = run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx);
+            let run = run_once(&pipeline, &store, ParallelismPolicy::Sequential);
             assert!(run.is_err(), "{plan:?} fires");
         }
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&root)
@@ -290,95 +318,111 @@ fn cask_fault_replays_byte_identical() {
     }
 }
 
+/// The fusion diamond crashed at four appends, each rerun at every worker
+/// count.
 #[test]
 fn fusion_diamond_crash_resume_all_worker_counts() {
     let pipeline = bound_fusion();
-    let expected = reference(&pipeline, ChunkParams::DEFAULT);
+    let (report, store) = reference(&pipeline, ChunkParams::DEFAULT);
+    let expected = outputs(&report, &store);
     let total = cask_total_appends(&pipeline, ChunkParams::DEFAULT);
     assert!(total > 4);
 
     for (i, k) in [1, total / 3, 2 * total / 3, total].into_iter().enumerate() {
         let k = k.max(1);
         for policy in POLICIES {
-            let (obs, _, _) =
-                crash_then_resume_cask(&pipeline, ChunkParams::DEFAULT, k, i as u64, policy);
+            let (out, _) = crash_then_rerun_cask(
+                &pipeline,
+                &report,
+                ChunkParams::DEFAULT,
+                k,
+                i as u64,
+                policy,
+            );
             assert_eq!(
-                obs, expected,
-                "fusion resume diverged after crash at append {k} ({policy:?})"
+                out, expected,
+                "fusion rerun diverged after crash at append {k} ({policy:?})"
             );
         }
     }
 }
 
 /// One in-memory matrix cell: the trait-level [`FaultBackend`] fails the
-/// p-th put, the "process" survives (journal in memory), the backend heals
-/// (simulated reopen — `MemBackend` keeps every acknowledged put), and a
-/// fresh store view over the healed backend recovers and resumes.
-fn crash_then_resume_mem(
+/// p-th put of an attempt made through a quota'd tenant view, the backend
+/// heals (simulated reopen — `MemBackend` keeps every acknowledged put),
+/// and a fresh store view over the healed backend checks the survivors and
+/// reruns. The failed attempt must leave no trace in the tenant's
+/// accounts: no open reservation, and the usage it had before the run.
+fn crash_then_rerun_mem(
     pipeline: &BoundPipeline,
+    reference: &RunReport,
     p: u64,
     policy: ParallelismPolicy,
-) -> (String, RecoveryReport) {
+) -> (String, usize) {
+    let cell = format!("crash at put {p}, rerun {policy:?}");
     let fb = Arc::new(FaultBackend::new(Arc::new(MemBackend::new()), p));
     let store = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    let log = ResumeLog::in_memory();
-    let empty = ResumeSnapshot::empty();
-    let ctx = ResumeCtx {
-        snapshot: &empty,
-        journal: Some(&log),
-    };
-    let first = run_once(pipeline, &store, ParallelismPolicy::Sequential, &ctx);
-    assert!(first.is_err(), "armed backend must fail the run (p={p})");
+    let tenant = TenantId(7);
+    let accounts = store.tenant_accounts();
+    accounts.register(
+        tenant,
+        QuotaPolicy {
+            max_logical_bytes: Some(1 << 30),
+            max_physical_bytes: Some(1 << 30),
+        },
+    );
+    let before = accounts.usage(tenant);
+    let first = run_once(
+        pipeline,
+        &store.for_tenant(tenant),
+        ParallelismPolicy::Sequential,
+    );
+    assert!(first.is_err(), "{cell}: armed backend must fail the run");
     assert!(fb.crashed());
+    assert_eq!(
+        accounts.open_reservations(),
+        0,
+        "{cell}: the failed run left a reservation open"
+    );
+    assert_eq!(
+        accounts.usage(tenant),
+        before,
+        "{cell}: the failed run charged its tenant"
+    );
     fb.heal();
 
-    // Fresh store view: recovery accounting starts from zero, exactly as a
-    // reopened process's would.
-    let store = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    let entries = log.entries().unwrap();
-    let journaled = entries.len();
-    let (snap, rec) = ResumeSnapshot::recover(&store, entries, []).unwrap();
-    assert_eq!(
-        rec.recovered_operations + rec.discarded_operations,
-        journaled
-    );
-    let ctx = ResumeCtx {
-        snapshot: &snap,
-        journal: Some(&log),
-    };
-    let report = run_once(pipeline, &store, policy, &ctx).unwrap();
-    assert!(report.outcome.is_completed());
-    (observe(&report, &store), rec)
+    let store = ChunkStore::new(fb, ChunkParams::SMALL, StorageCostModel::FORKBASE);
+    let survived = check_survivors(&store, reference, &cell);
+    (rerun(pipeline, &store, policy, &cell), survived)
 }
 
+/// Every put of the toy chain failed in turn on the in-memory store, the
+/// crashed attempt running as a quota'd tenant (see
+/// [`crash_then_rerun_mem`]).
 #[test]
 fn mem_fault_crash_at_every_put_resumes_byte_identical() {
     let pipeline = bound_toy();
-    let expected = reference(&pipeline, ChunkParams::SMALL);
+    let (report, store) = reference(&pipeline, ChunkParams::SMALL);
+    let expected = outputs(&report, &store);
 
     // Learn the workload's put count with a far-away crash point.
     let fb = Arc::new(FaultBackend::new(Arc::new(MemBackend::new()), u64::MAX));
-    let store = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    let empty = ResumeSnapshot::empty();
-    let ctx = ResumeCtx {
-        snapshot: &empty,
-        journal: None,
-    };
-    run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+    let counting = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
+    run_once(&pipeline, &counting, ParallelismPolicy::Sequential).unwrap();
     let total = fb.puts();
     assert!(total > 8);
 
-    let mut adopted_any = false;
+    let mut survived_some = false;
     for p in 1..=total {
         let policy = POLICIES[(p % 3) as usize];
-        let (obs, rec) = crash_then_resume_mem(&pipeline, p, policy);
-        adopted_any |= rec.recovered_operations > 0;
+        let (out, survived) = crash_then_rerun_mem(&pipeline, &report, p, policy);
+        survived_some |= survived > 0;
         assert_eq!(
-            obs, expected,
-            "mem resume diverged after crash at put {p} ({policy:?})"
+            out, expected,
+            "mem rerun diverged after crash at put {p} ({policy:?})"
         );
     }
-    assert!(adopted_any, "mem matrix never exercised adoption");
+    assert!(survived_some, "no output ever survived a mem crash");
 }
 
 /// Group commit writes a whole batch as one contiguous segment write
@@ -476,19 +520,15 @@ fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
 #[test]
 fn cask_uninterrupted_matches_mem_and_survives_reopen() {
     let pipeline = bound_toy();
-    let expected = reference(&pipeline, ChunkParams::SMALL);
+    let (report, store) = reference(&pipeline, ChunkParams::SMALL);
+    let expected = observe(&report, &store);
 
     for opts in [CaskOptions::default(), CaskOptions::synchronous()] {
         let base = temp_base("parity");
         let root = base.join("store");
         let be = Arc::new(CaskBackend::open_with(&root, opts).unwrap());
         let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
-        let empty = ResumeSnapshot::empty();
-        let ctx = ResumeCtx {
-            snapshot: &empty,
-            journal: None,
-        };
-        let report = run_once(&pipeline, &store, ParallelismPolicy::Sequential, &ctx).unwrap();
+        let report = run_once(&pipeline, &store, ParallelismPolicy::Sequential).unwrap();
         assert_eq!(observe(&report, &store), expected);
         store.flush().unwrap();
         let outputs: Vec<_> = report.stages.iter().map(|s| s.output).collect();
