@@ -164,8 +164,8 @@ impl Workspace {
     /// at `root`, with default cask options and the default blob cache.
     /// Reopening the same directory recovers every previously synced blob;
     /// a torn final record from a crashed writer is truncated away. Call
-    /// [`Workspace::flush`] at commit points to wait until the asynchronous
-    /// writer pool has landed (and synced) every queued write.
+    /// [`Workspace::flush`] at commit points to wait until the cask's
+    /// writer thread has landed (and synced) every queued write.
     pub fn durable(root: impl AsRef<std::path::Path>) -> Result<Arc<Workspace>> {
         Self::durable_with(root, Some(mlcask_storage::cache::CacheOptions::default()))
     }

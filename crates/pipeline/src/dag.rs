@@ -12,7 +12,7 @@
 //! wavefront scheduler in [`crate::executor`].
 
 use crate::component::ComponentHandle;
-use crate::errors::{IncompatibleSchemaDetail, PipelineError, Result};
+use crate::errors::{PipelineError, Result};
 use crate::schema::SchemaId;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -303,10 +303,9 @@ pub type DeclaredSchemas = (Option<SchemaId>, SchemaId);
 /// A DAG with a concrete component version bound to every slot — a runnable
 /// pipeline instance (one candidate in the merge search space).
 ///
-/// Binding also fixes each slot's [`DeclaredSchemas`]: the static checks
-/// (`BoundPipeline::precheck_compatibility`,
-/// `BoundPipeline::static_failure_node`) compare those and never call the
-/// component, so the fields stay private to keep the two aligned.
+/// Binding also fixes each slot's [`DeclaredSchemas`]: the static check
+/// (`BoundPipeline::static_failure_node`) compares those and never calls
+/// the component, so the fields stay private to keep the two aligned.
 #[derive(Clone)]
 pub struct BoundPipeline {
     /// The pipeline shape.
@@ -367,31 +366,12 @@ impl BoundPipeline {
         &self.components
     }
 
-    /// The `(expected, actual)` schema ids if `consumer`'s declared input
-    /// schema rejects `producer`'s declared output schema (Definition 4).
-    fn edge_mismatch(&self, producer: usize, consumer: usize) -> Option<(SchemaId, SchemaId)> {
-        let expected = self.schemas[consumer].0?;
-        let actual = self.schemas[producer].1;
-        (actual != expected).then_some((expected, actual))
-    }
-
-    /// Statically checks adjacent declared schemas along every edge; returns
-    /// the first incompatibility (Definition 4). This is what lets MLCask
-    /// refuse to run a doomed pipeline *before* spending any compute.
-    pub(crate) fn precheck_compatibility(&self) -> Result<()> {
-        let mismatch = self.dag.edges.iter().find_map(|&(from, to)| {
-            self.edge_mismatch(from, to)
-                .map(|(expected, actual)| IncompatibleSchemaDetail {
-                    component: self.components[to].key(),
-                    input_index: 0,
-                    expected,
-                    actual,
-                })
-        });
-        match mismatch {
-            None => Ok(()),
-            Some(detail) => Err(PipelineError::IncompatibleSchema(Box::new(detail))),
-        }
+    /// Whether `consumer`'s declared input schema rejects `producer`'s
+    /// declared output schema (Definition 4).
+    fn rejects(&self, consumer: usize, producer: usize) -> bool {
+        self.schemas[consumer]
+            .0
+            .is_some_and(|expected| expected != self.schemas[producer].1)
     }
 
     /// First node in canonical topological order whose declared input schema
@@ -406,12 +386,12 @@ impl BoundPipeline {
     /// and every independent node still executes, which again depends only
     /// on the DAG.
     pub(crate) fn static_failure_node(&self) -> Result<Option<usize>> {
-        Ok(self.dag.topo_order()?.iter().copied().find(|&node| {
-            self.dag
-                .pre(node)
-                .iter()
-                .any(|&p| self.edge_mismatch(p, node).is_some())
-        }))
+        Ok(self
+            .dag
+            .topo_order()?
+            .iter()
+            .copied()
+            .find(|&node| self.dag.pre(node).iter().any(|&p| self.rejects(node, p))))
     }
 }
 
@@ -707,10 +687,7 @@ mod tests {
             }),
         ];
         let bound = BoundPipeline::new(dag, comps).unwrap();
-        assert!(matches!(
-            bound.precheck_compatibility(),
-            Err(PipelineError::IncompatibleSchema(_))
-        ));
+        assert_eq!(bound.static_failure_node().unwrap(), Some(2));
     }
 
     #[test]
@@ -722,7 +699,6 @@ mod tests {
             .collect();
         let bound =
             BoundPipeline::with_schemas(Arc::clone(&dag), comps.clone(), honest.clone()).unwrap();
-        assert!(bound.precheck_compatibility().is_ok());
         assert_eq!(bound.static_failure_node().unwrap(), None);
         // The same components under a registry record that says the scaler
         // emits something else: the checks follow the record.
@@ -733,13 +709,6 @@ mod tests {
         .id();
         let bound = BoundPipeline::with_schemas(Arc::clone(&dag), comps.clone(), recorded).unwrap();
         assert_eq!(bound.static_failure_node().unwrap(), Some(2));
-        match bound.precheck_compatibility() {
-            Err(PipelineError::IncompatibleSchema(detail)) => {
-                assert_eq!(detail.component, comps[2].key());
-                assert_eq!(Some(detail.expected), comps[2].input_schema());
-            }
-            other => panic!("expected a schema rejection, got {other:?}"),
-        }
         // One pair per slot, or no binding.
         assert!(BoundPipeline::with_schemas(dag, comps, Vec::new()).is_err());
     }

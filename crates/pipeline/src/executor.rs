@@ -167,16 +167,17 @@ impl RunReport {
 }
 
 /// MLCask's precheck: the report of a pipeline whose declared schemas
-/// cannot line up, rejected before anything executes (zero time charged),
-/// or `None` when it may run. Prechecking policies ask it before tracing.
+/// cannot line up, rejected before anything executes (zero time charged)
+/// at the node a run would fail at
+/// ([`BoundPipeline::static_failure_node`], the frontier the scheduler
+/// stops at), or `None` when it may run. Prechecking policies ask it
+/// before tracing.
 pub(crate) fn precheck(pipeline: &BoundPipeline) -> Option<RunReport> {
-    let Err(PipelineError::IncompatibleSchema(detail)) = pipeline.precheck_compatibility() else {
-        return None;
-    };
+    let node = pipeline.static_failure_node().ok()??;
     Some(RunReport {
         stages: Vec::new(),
         outcome: RunOutcome::RejectedByPrecheck {
-            at: detail.component,
+            at: pipeline.components()[node].key(),
         },
         clock: ClockSnapshot::default(),
     })
@@ -604,7 +605,7 @@ impl<'s> Executor<'s> {
 mod tests {
     use super::*;
     use crate::artifact::codec_log;
-    use crate::component::test_support::{TestModel, TestScaler, TestSource};
+    use crate::component::test_support::{TestBranch, TestJoin, TestModel, TestScaler, TestSource};
     use crate::component::ComponentHandle;
     use crate::dag::PipelineDag;
     use crate::provenance::DERIVATIONS;
@@ -735,6 +736,50 @@ mod tests {
         ));
         assert!(report.stages.is_empty());
         assert_eq!(report.clock, ClockSnapshot::default());
+    }
+
+    /// The precheck names the node a run fails at — the first in canonical
+    /// topological order whose input a predecessor's output is rejected
+    /// by — not the first mismatching edge in insertion order. Here
+    /// `test_join` rejects `b1` on the DAG's second edge, but `b2`, which
+    /// rejects the source, comes first in the order the scheduler walks.
+    #[test]
+    fn the_precheck_names_the_node_a_run_fails_at() {
+        let dag = Arc::new(PipelineDag::fan("test_source", &["b1", "b2"], "test_join").unwrap());
+        let branch = |name, dim| -> ComponentHandle {
+            Arc::new(TestBranch {
+                name,
+                version: SemVer::initial(),
+                dim,
+                factor: 1.0,
+                spin: 0,
+            })
+        };
+        let comps: Vec<ComponentHandle> = vec![
+            Arc::new(TestSource {
+                version: SemVer::initial(),
+                dim: 4,
+                rows: 8,
+            }),
+            branch("b1", 4),
+            branch("b2", 5),
+            Arc::new(TestJoin {
+                version: SemVer::initial(),
+                dim_in: 5,
+                dim_out: 5,
+            }),
+        ];
+        let doomed = BoundPipeline::new(dag, comps).unwrap();
+        let store = ChunkStore::in_memory_small();
+        let exec = Executor::new(&store);
+        let failed_at = |report: RunReport| match report.outcome {
+            RunOutcome::RejectedByPrecheck { at } | RunOutcome::Failed { at, .. } => at.name,
+            o => panic!("expected a failure, got {o:?}"),
+        };
+        for policy in [Policy::MLCASK, Policy::RERUN_ALL] {
+            let report = exec.run(&doomed, None, policy).unwrap();
+            assert_eq!(failed_at(report), "b2", "{policy:?}");
+        }
     }
 
     #[test]
@@ -920,17 +965,9 @@ mod tests {
         let mut clock = ClockSnapshot::default();
 
         if options.precheck {
-            if let Err(PipelineError::IncompatibleSchema(detail)) =
-                pipeline.precheck_compatibility()
-            {
-                // Rejected before any execution: zero time charged.
-                return Ok(RunReport {
-                    stages,
-                    outcome: RunOutcome::RejectedByPrecheck {
-                        at: detail.component,
-                    },
-                    clock,
-                });
+            // Rejected before any execution: zero time charged.
+            if let Some(rejected) = precheck(pipeline) {
+                return Ok(rejected);
             }
         }
 

@@ -3,88 +3,88 @@
 //!
 //! # Segment format
 //!
-//! Objects live in `shards` append-only segment files (`shard-NNN.log`).
-//! Every record is a CRC-framed block:
+//! Objects live in one append-only segment file (`segment.log`) beside a
+//! `cask.json` manifest that names the format version (2). Every record is
+//! a CRC-framed block:
 //!
 //! ```text
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
 //! payload = [flag: u8][key: 32 B][data]        flag 0 = put, 1 = tombstone
 //! ```
 //!
-//! The in-memory index (key → shard/offset/length) is rebuilt on
-//! [`CaskBackend::open`] by scanning every shard **concurrently** on a
-//! scoped thread pool (shards are independent files, so the scans share
-//! nothing); a torn tail — an incomplete or CRC-corrupt final record left
-//! by a crash — is truncated away per shard, which is idempotent
-//! (re-scanning a truncated file truncates nothing further). Tombstones
-//! keep removals durable across reopen.
+//! The in-memory index (key → offset/length) is rebuilt on
+//! [`CaskBackend::open`] by one sequential scan of the segment; a torn
+//! tail — an incomplete or CRC-corrupt final record left by a crash — is
+//! truncated away, which is idempotent (re-scanning a truncated file
+//! truncates nothing further). Tombstones keep removals durable across
+//! reopen. A directory in the sharded version-1 layout is refused with
+//! [`StorageError::UnsupportedLayout`] and left as it is: there is no
+//! migration.
 //!
-//! # Routing: a blob is one group in one segment
+//! # One append order: the prefix property
 //!
 //! [`StorageBackend::put_many`] is the write path: `ChunkStore` hands it a
 //! blob's chunks and then its manifest in one call. Dedup for the whole
-//! call is resolved under one index write lock, and every *new* record is
-//! appended to one segment — the shard of the call's last key
-//! (`key[0] % shards`), i.e. the blob's manifest — chunks first, manifest
-//! last. `put` is `put_many` of one key, so a lone record lands where
-//! hash-prefix sharding always put it. A tombstone goes to the segment
-//! holding the record it kills.
-//!
-//! Because a record's segment follows its blob, not its own hash, one key
-//! can end up live in two segments: a sweep's tombstone for K queued in one
-//! shard and lost in a crash, while K, re-put by another blob, became
-//! durable in another. Both records hold the same bytes (content
-//! addressing), so recovery keeps the lowest shard's record live and books
-//! the other as that shard's dead bytes; `len` and `physical_bytes` count
-//! K once and the next compaction drops the duplicate.
+//! call is resolved under one index write lock, and the call's *new*
+//! records become **one group**, chunks first, manifest last; `remove`
+//! makes its tombstone a group of one. Groups join one FIFO and land at the
+//! segment's tail in the order they were submitted. So whatever a crash
+//! leaves, a reopen finds exactly the records of a prefix of the submission
+//! order, with at most one torn group at its end: a record is durable only
+//! if every record submitted before it is, and a blob's manifest never
+//! outlives its new chunks.
 //!
 //! # One write discipline: a batch lands with one write and one fsync
 //!
 //! `put_many` inserts a `Pending` index entry per new key (holding the
-//! bytes, so reads and `contains` see the key immediately) and makes the
-//! call's new records **one group** on their shard; `remove` makes its
-//! tombstone a group of one. A record is its 41-byte header (CRC folded
-//! over flag, key and data in place) beside the very `Bytes` its `Pending`
-//! entry holds — the data is never copied again. Every group reaches the
-//! disk through one function, `land`: one vectored write of a batch of
-//! whole groups at the shard's tail, one `sync_data`, then each record's
-//! index entry swings to its offset. So a blob costs one write and one
-//! fsync, and its manifest is never durable without its new chunks.
+//! bytes, so reads and `contains` see the key immediately). A record is its
+//! 41-byte header (CRC folded over flag, key and data in place) beside the
+//! very `Bytes` its `Pending` entry holds — the data is never copied again.
+//! Every group reaches the disk through one function, `land`: one vectored
+//! write of a batch of whole groups at the tail, one `sync_data`, then each
+//! record's index entry swings to its offset. So a blob costs one write and
+//! one fsync.
 //!
-//! Only the thread differs. With `writer_threads > 0` (the default) a group
-//! is queued on its shard and a pool worker drains the queue in batches
-//! (whole groups up to 1 MiB, at least one); durability overlaps component
-//! execution, and [`CaskBackend::flush`] waits for the queues to drain.
-//! With `writer_threads == 0` ([`CaskOptions::synchronous`]) the caller
-//! lands its own group before `put_many` returns, so records land in call
-//! order. The `mlcask_cask_blocking_syncs_total` series counts the fsyncs a
-//! *caller* waited on, so only this mode pays any. The traced-execute/replay protocol already
-//! decouples accounting from write timing, so the engines need no changes.
+//! Only the thread differs. With a writer thread (the default) a group is
+//! queued and the writer drains the queue in batches (whole groups up to
+//! 1 MiB, at least one); durability overlaps component execution, and
+//! [`CaskBackend::flush`] waits for the queue to drain. Without one
+//! ([`CaskOptions::synchronous`]) the caller lands its own group before
+//! `put_many` returns. The `mlcask_cask_blocking_syncs_total` series counts
+//! the fsyncs a *caller* waited on, so only that mode pays any. The
+//! traced-execute/replay protocol already decouples accounting from write
+//! timing, so the engines need no changes.
+//!
+//! Appending and reading take different locks. A landing holds the tail
+//! lock, which decides who appends, across its write, its sync and its
+//! index swing; `get` reads a durable record through the file handle that
+//! readers and compaction share, so a read never waits for a landing's
+//! `sync_data`.
 //!
 //! # Compaction
 //!
-//! Removals and superseded records leave dead bytes in the segments;
-//! [`CaskBackend::compact`] rewrites every shard that has any, via a
-//! temp-file + rename, dropping tombstones and dead records. Shards compact
-//! **in parallel** on the same scoped pool the recovery scan uses, and each
-//! shard's rewrite holds only that shard's I/O lock — reads of every other
-//! shard (and index lookups, which are only briefly locked to snapshot and
-//! to swing offsets) proceed while it runs, so compaction overlaps the read
-//! path instead of stopping the world. The `Workspace::sweep_orphans`
-//! liveness walk drives it: sweep first (which tombstones orphans), then
-//! compact to reclaim the file bytes.
+//! Removals and superseded records leave dead bytes in the segment;
+//! [`CaskBackend::compact`] rewrites it via a temp file + rename, dropping
+//! tombstones and dead records. The rewrite holds the tail lock, so nothing
+//! lands meanwhile, and copies the live records through the shared file
+//! handle, so reads proceed; only the swap to the new file and the index
+//! swing exclude them. The `Workspace::sweep_orphans` liveness walk drives
+//! it: sweep first (which tombstones orphans), then compact to reclaim the
+//! file bytes.
 //!
 //! # Fault injection
 //!
 //! A [`FaultPlan`] (deterministic, seeded) fires inside `land` at the k-th
 //! record landed, whichever thread lands it: the batch is written up to a
-//! byte cut inside that record, or through its end, or every segment drops
+//! byte cut inside that record, or through its end, or the segment drops
 //! back to its length at the last flush, or the batch's write or
 //! `sync_data` fails ([`FaultKind`]). The backend then goes **down** — the
 //! one state an injected crash, [`CaskBackend::simulate_crash`] and a real
 //! failed write or sync all set — before any record of the batch is swung,
-//! and every operation fails until the directory is reopened. Without a
-//! pool the crash point is reproducible byte for byte.
+//! and every operation fails until the directory is reopened. Records land
+//! in submission order on either thread; without a writer thread the batch
+//! boundaries too are the caller's, so the crash point is reproducible byte
+//! for byte.
 
 use crate::backend::StorageBackend;
 use crate::errors::{Result, StorageError};
@@ -93,15 +93,14 @@ use crate::hash::Hash256;
 use bytes::Bytes;
 use mlcask_obs::metrics::{instance_label, LATENCY_SECONDS, SIZE_BYTES};
 use mlcask_obs::{Counter, Histogram, MetricsRegistry};
-use parking_lot::{Mutex as PlMutex, RwLock, RwLockWriteGuard};
-use std::collections::hash_map::Entry;
+use parking_lot::{Mutex as PlMutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -264,11 +263,9 @@ fn write_all_vectored_at(file: &File, off: u64, mut parts: &mut [IoSlice<'_>]) -
 /// Construction options for [`CaskBackend`].
 #[derive(Debug, Clone)]
 pub struct CaskOptions {
-    /// Number of shard segment files. Fixed at directory creation; reopening
-    /// uses the manifest's count and ignores this field.
-    pub shards: usize,
-    /// Writer-pool size. `0` lands every group on the caller's thread.
-    pub writer_threads: usize,
+    /// Whether one writer thread lands queued groups (the default), or each
+    /// caller lands its own group before its write returns.
+    pub writer_thread: bool,
     /// Deterministic fault injection (tests only).
     pub fault: Option<FaultPlan>,
 }
@@ -276,58 +273,57 @@ pub struct CaskOptions {
 impl Default for CaskOptions {
     fn default() -> Self {
         CaskOptions {
-            shards: 8,
-            writer_threads: 2,
+            writer_thread: true,
             fault: None,
         }
     }
 }
 
 impl CaskOptions {
-    /// No writer pool: `put_many` and `remove` land their group — one
+    /// No writer thread: `put_many` and `remove` land their group — one
     /// write, one `sync_data` — on the caller's thread and return only once
-    /// it is durable. The baseline the writer pool is compared against, and
-    /// the mode crash tests use: records land in call order, so a fault
-    /// plan's crash point is reproducible.
+    /// it is durable. The baseline the writer thread is compared against,
+    /// and the mode crash tests use: batch boundaries are the caller's, so
+    /// a fault plan's crash point is reproducible.
     pub fn synchronous() -> Self {
         CaskOptions {
-            writer_threads: 0,
+            writer_thread: false,
             ..Self::default()
         }
     }
 
-    /// Replaces the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Replaces the fault plan; the writer-pool size stays as set.
+    /// Replaces the fault plan; whether there is a writer thread stays as
+    /// set.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
         self
     }
 }
 
-/// Upper bound on the bytes a pool worker drains into one batch (at least
-/// one queued group, which is never split) — bounds commit latency.
+/// Upper bound on the bytes the writer drains into one batch (at least one
+/// queued group, which is never split) — bounds commit latency.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
+/// The layout this build reads and writes: one segment, no shard count.
+const FORMAT_VERSION: u32 = 2;
+
+/// `cask.json`. Version 1 counted its `shard-NNN.log` segments in
+/// `shards`; version 2 has one segment and writes `null` there.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CaskManifest {
     version: u32,
-    shards: u32,
+    shards: Option<u32>,
 }
 
 // ---------------------------------------------------------------------------
 // Backend state
 // ---------------------------------------------------------------------------
 
-/// One index entry: either already durable in a shard, or held in memory
-/// while a queued writer-pool job lands it.
+/// One index entry: either already durable in the segment, or held in
+/// memory while its group waits to land.
 #[derive(Clone)]
 enum Slot {
-    Durable { shard: u32, off: u64, len: u32 },
+    Durable { off: u64, len: u32 },
     Pending(Bytes),
 }
 
@@ -348,28 +344,19 @@ struct CaskIndex {
     live_bytes: u64,
 }
 
-struct ShardIo {
-    file: File,
+/// The segment's append end, under the lock that decides who appends.
+struct Tail {
     /// End of the landed region: every byte before it is written and synced.
-    tail: u64,
-    /// `tail` at the last flush or open — what a dropped page cache
+    end: u64,
+    /// `end` at the last flush or open — what a dropped page cache
     /// ([`FaultKind::DropUnsynced`]) rolls the segment back to.
     flushed: u64,
+    /// Records handed to a landing since open, in landing order — what a
+    /// fault plan's trigger counts.
+    records: u64,
 }
 
-struct Shard {
-    path: PathBuf,
-    io: RwLock<ShardIo>,
-    queue: PlMutex<VecDeque<Group>>,
-    /// Claimed by at most one pool worker at a time, so each shard's groups
-    /// land in FIFO order (a tombstone must never overtake the put it
-    /// supersedes).
-    busy: AtomicBool,
-    /// File bytes occupied by dead records (tombstones + what they killed).
-    dead_bytes: AtomicU64,
-}
-
-/// One record on its way to a segment.
+/// One record on its way to the segment.
 struct Job {
     /// `Some` for a put (converted to `Durable` once written), `None` for a
     /// tombstone (immediately dead bytes).
@@ -424,41 +411,50 @@ impl Group {
     }
 }
 
-struct PoolCtl {
-    /// Groups queued or being landed.
-    pending: usize,
-    shutdown: bool,
-}
-
-struct Pool {
-    state: Mutex<PoolCtl>,
+/// The FIFO of groups the writer thread drains.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
     /// Signalled on enqueue and shutdown.
     work: Condvar,
-    /// Signalled when `pending` reaches zero.
+    /// Signalled when the queue is empty and no batch is landing.
     drained: Condvar,
 }
 
-struct FaultState {
-    plan: FaultPlan,
-    /// Records counted toward the plan's trigger, in landing order.
-    records: AtomicU64,
+#[derive(Default)]
+struct QueueState {
+    groups: VecDeque<Group>,
+    /// The writer has taken a batch off the queue and not yet landed it.
+    landing: bool,
+    shutdown: bool,
 }
 
-impl FaultState {
-    /// Counts a batch of `n` records; the index within it of the record
-    /// the plan fires at, if the batch holds it.
-    fn hit(&self, n: usize) -> Option<usize> {
-        let before = self.records.fetch_add(n as u64, Ordering::Relaxed);
-        let k = self.plan.crash_at_append;
-        (k > before && k - before <= n as u64).then(|| (k - before - 1) as usize)
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait<'a>(cv: &Condvar, state: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
+        cv.wait(state).unwrap_or_else(|e| e.into_inner())
     }
 }
 
 struct Inner {
-    shards: Vec<Shard>,
+    path: PathBuf,
+    /// The segment file. Reads and compaction's copy share it; only the swap
+    /// to a compacted file takes it exclusively, together with the index.
+    file: RwLock<File>,
+    /// Decides who appends: a landing holds it across its write, sync and
+    /// index swing, and compaction across its whole rewrite. Reads never
+    /// take it.
+    tail: PlMutex<Tail>,
+    /// File bytes occupied by dead records (tombstones + what they killed).
+    dead_bytes: AtomicU64,
     index: RwLock<CaskIndex>,
-    pool: Option<Pool>,
-    fault: Option<FaultState>,
+    /// The writer thread's FIFO; `None` lands every group on its caller's
+    /// thread.
+    queue: Option<Queue>,
+    fault: Option<FaultPlan>,
     /// Why the backend is down — an injected crash, `simulate_crash`, or a
     /// failed write or sync. Set once; every later operation fails with it
     /// until the directory is reopened.
@@ -469,8 +465,8 @@ struct Inner {
     /// tests comparing two backends still see independent counts.
     appends: Counter,
     /// Fsyncs performed on a caller's thread (landings without a writer
-    /// pool) — the durability work that *blocks* execution. The writer
-    /// pool's whole point is driving this down
+    /// thread) — the durability work that *blocks* execution. The writer
+    /// thread's whole point is driving this down
     /// (`pool_mode_blocks_fewer_syncs_than_sync_mode` gates on it).
     blocking_syncs: Counter,
     /// Every segment fsync done for append durability, one per landed
@@ -484,79 +480,38 @@ struct Inner {
     /// counter cache-on vs cache-off.
     read_ops: Counter,
     /// `sync_data` latency of a landing (`kind` = `inline` on the caller's
-    /// thread, `group` on a pool worker).
+    /// thread, `group` on the writer thread).
     fsync: Histogram,
     /// Bytes made durable per landed batch.
     group_commit_bytes: Histogram,
 }
 
-/// Append-only log-segment storage backend with per-blob routing over
-/// sharded segments, CRC-framed records, an index rebuilt on open
-/// (truncating torn tails), write offloading to a small writer pool with
-/// group commit, and tombstone-based removal with compaction. See the
+/// Append-only log-segment storage backend: one segment of CRC-framed
+/// records landed in submission order, an index rebuilt on open (truncating
+/// a torn tail), write offloading to one writer thread with group commit,
+/// and tombstone-based removal with compaction. See the
 /// [module docs](self) for the format.
 pub struct CaskBackend {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
 }
 
 const INJECTED_CRASH: &str = "injected crash: backend is down";
 
-/// Runs `f(0)..f(count-1)` on a scoped thread pool (work-stealing by atomic
-/// index; at most one OS thread per hardware thread) and returns the
-/// results in task order. Used for the recovery scan and for parallel
-/// compaction, where each task owns one shard and shares nothing.
-fn scoped_sharded<T, F>(count: usize, f: F) -> Vec<Result<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(count);
-    if workers <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let slots: Vec<PlMutex<Option<Result<T>>>> = (0..count).map(|_| PlMutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                *slots[i].lock() = Some(f(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("every shard task ran"))
-        .collect()
-}
-
-/// One shard's recovery-scan result: the shard state plus the records live
-/// in its segment.
-struct ShardScan {
-    shard: Shard,
-    map: HashMap<Hash256, Slot>,
-}
-
-/// Opens and scans one shard segment, truncating its torn tail (idempotent:
-/// re-scanning a truncated file truncates nothing further).
-fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
-    let path = root.join(format!("shard-{s:03}.log"));
+/// Opens the segment at `path` and rebuilds its index, truncating a torn
+/// tail (idempotent: re-scanning a truncated file truncates nothing
+/// further). Returns the file, the index, the dead bytes and the valid
+/// length.
+fn recover(path: &Path) -> Result<(File, CaskIndex, u64, u64)> {
     let file = OpenOptions::new()
         .read(true)
         .write(true)
         .create(true)
         .truncate(false)
-        .open(&path)?;
+        .open(path)?;
     let mut buf = Vec::new();
     (&file).read_to_end(&mut buf)?;
-    let mut map: HashMap<Hash256, Slot> = HashMap::new();
+    let mut index = CaskIndex::default();
     let mut dead = 0u64;
     let (frames, mut valid) = scan_frames(&buf);
     for (off, len) in frames {
@@ -565,56 +520,40 @@ fn scan_shard(root: &Path, s: usize) -> Result<ShardScan> {
             valid = off - FRAME_HEADER;
             break;
         }
-        let flag = buf[off];
         let key = Hash256(
             buf[off + 1..off + RECORD_OVERHEAD]
                 .try_into()
                 .expect("32 key bytes"),
         );
         let data_len = (len - RECORD_OVERHEAD) as u64;
-        match flag {
-            FLAG_PUT => {
-                let slot = Slot::Durable {
-                    shard: s as u32,
+        // A put supersedes an earlier record of its key (a duplicate append
+        // of the same content address); a tombstone kills it and is dead
+        // itself.
+        let prev = match buf[off] {
+            FLAG_PUT => index.map.insert(
+                key,
+                Slot::Durable {
                     off: (off + RECORD_OVERHEAD) as u64,
                     len: data_len as u32,
-                };
-                if let Some(prev) = map.insert(key, slot) {
-                    // A duplicate append (same content address): the
-                    // earlier record is dead.
-                    dead += record_file_len(prev.len());
-                }
-            }
+                },
+            ),
             FLAG_TOMBSTONE => {
                 dead += record_file_len(data_len);
-                if let Some(prev) = map.remove(&key) {
-                    dead += record_file_len(prev.len());
-                }
+                index.map.remove(&key)
             }
             _ => {
                 valid = off - FRAME_HEADER;
                 break;
             }
-        }
+        };
+        dead += prev.map_or(0, |prev| record_file_len(prev.len()));
     }
-    if (valid as u64) < buf.len() as u64 || file.metadata()?.len() > buf.len() as u64 {
+    index.live_bytes = index.map.values().map(Slot::len).sum();
+    if valid < buf.len() || file.metadata()?.len() > buf.len() as u64 {
         file.set_len(valid as u64)?;
         file.sync_data()?;
     }
-    Ok(ShardScan {
-        shard: Shard {
-            path,
-            io: RwLock::new(ShardIo {
-                file,
-                tail: valid as u64,
-                flushed: valid as u64,
-            }),
-            queue: PlMutex::new(VecDeque::new()),
-            busy: AtomicBool::new(false),
-            dead_bytes: AtomicU64::new(dead),
-        },
-        map,
-    })
+    Ok((file, index, dead, valid as u64))
 }
 
 impl CaskBackend {
@@ -624,80 +563,54 @@ impl CaskBackend {
     }
 
     /// Opens (creating if needed) a cask directory, rebuilding the index by
-    /// scanning every shard and truncating torn tails. A pre-existing
-    /// directory's shard count comes from its manifest; `opts.shards` only
-    /// applies on creation.
+    /// scanning the segment and truncating a torn tail. A directory whose
+    /// `cask.json` names another format version is refused with
+    /// [`StorageError::UnsupportedLayout`] before any file in it is opened.
     pub fn open_with(root: impl AsRef<Path>, opts: CaskOptions) -> Result<Self> {
-        let root = root.as_ref().to_path_buf();
-        fs::create_dir_all(&root)?;
+        let root = root.as_ref();
+        fs::create_dir_all(root)?;
         let manifest_path = root.join("cask.json");
-        let shards = if manifest_path.exists() {
+        if manifest_path.exists() {
             let m: CaskManifest = serde_json::from_slice(&fs::read(&manifest_path)?)?;
-            m.shards as usize
+            if m.version != FORMAT_VERSION {
+                return Err(StorageError::UnsupportedLayout {
+                    version: m.version,
+                    shards: m.shards,
+                });
+            }
         } else {
-            let n = opts.shards.max(1);
             let m = CaskManifest {
-                version: 1,
-                shards: n as u32,
+                version: FORMAT_VERSION,
+                shards: None,
             };
             fs::write(&manifest_path, serde_json::to_vec(&m)?)?;
-            n
-        };
-
-        // Shards are independent files, so recovery scans them
-        // concurrently; each task truncates its own torn tail (idempotent
-        // per shard) and builds a local index to merge below.
-        let mut index = CaskIndex::default();
-        let mut shard_states = Vec::with_capacity(shards);
-        for scan in scoped_sharded(shards, |s| scan_shard(&root, s)) {
-            let scan = scan?;
-            for (key, slot) in scan.map {
-                match index.map.entry(key) {
-                    Entry::Vacant(e) => {
-                        index.live_bytes += slot.len();
-                        e.insert(slot);
-                    }
-                    // Live in two segments: records go where their blob's
-                    // manifest routes them, so a re-put can land in one
-                    // shard while the tombstone that killed the key's old
-                    // record in another was lost in a crash. Both hold the
-                    // same bytes (content addressing); the lowest shard's
-                    // record stays live and this one is dead.
-                    Entry::Occupied(_) => {
-                        scan.shard
-                            .dead_bytes
-                            .fetch_add(record_file_len(slot.len()), Ordering::Relaxed);
-                    }
-                }
-            }
-            shard_states.push(scan.shard);
         }
+        let path = root.join("segment.log");
+        let (file, index, dead, valid) = recover(&path)?;
 
-        let pool = (opts.writer_threads > 0).then(|| Pool {
-            state: Mutex::new(PoolCtl {
-                pending: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            drained: Condvar::new(),
-        });
+        let queue = opts.writer_thread.then(Queue::default);
         // Telemetry series. Counters carry a unique `instance` label so two
-        // backends in one process (pool vs sync, tests comparing modes) get
-        // independent series; the fsync/byte histograms aggregate across
-        // instances — latency distributions are a process-level concern.
+        // backends in one process (writer thread vs sync, tests comparing
+        // modes) get independent series; the fsync/byte histograms
+        // aggregate across instances — latency distributions are a
+        // process-level concern.
         let reg = MetricsRegistry::global();
         let instance = instance_label("cask");
         let ilabel = [("instance", instance.as_str())];
         let counter = |name: &str, help: &str| reg.counter(name, help, &ilabel);
-        let fsync_kind = if pool.is_some() { "group" } else { "inline" };
+        let fsync_kind = if queue.is_some() { "group" } else { "inline" };
         let inner = Arc::new(Inner {
-            shards: shard_states,
-            index: RwLock::new(index),
-            pool,
-            fault: opts.fault.map(|plan| FaultState {
-                plan,
-                records: AtomicU64::new(0),
+            path,
+            file: RwLock::new(file),
+            tail: PlMutex::new(Tail {
+                end: valid,
+                flushed: valid,
+                records: 0,
             }),
+            dead_bytes: AtomicU64::new(dead),
+            index: RwLock::new(index),
+            queue,
+            fault: opts.fault,
             down: OnceLock::new(),
             appends: counter(
                 "mlcask_cask_appends_total",
@@ -732,13 +645,11 @@ impl CaskBackend {
                 SIZE_BYTES,
             ),
         });
-        let workers = (0..opts.writer_threads)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || Inner::worker_loop(inner))
-            })
-            .collect();
-        Ok(CaskBackend { inner, workers })
+        let writer = inner.queue.is_some().then(|| {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || Inner::writer_loop(inner))
+        });
+        Ok(CaskBackend { inner, writer })
     }
 
     /// Records (puts + tombstones) handed to a landing, including those of
@@ -749,7 +660,7 @@ impl CaskBackend {
 
     /// Every segment fsync performed for append durability: one per landed
     /// batch. Divide by [`CaskBackend::append_count`] for fsyncs-per-append:
-    /// one per `put_many` in synchronous mode, lower still once the pool
+    /// one per `put_many` in synchronous mode, lower still once the writer
     /// coalesces queued groups into one batch.
     pub fn sync_count(&self) -> u64 {
         self.inner.syncs_total.get()
@@ -766,43 +677,33 @@ impl CaskBackend {
     /// Total segment file bytes (live + dead), the quantity compaction
     /// shrinks.
     pub fn file_bytes(&self) -> u64 {
-        self.inner.shards.iter().map(|s| s.io.read().tail).sum()
+        self.inner.tail.lock().end
     }
 
-    /// File bytes occupied by dead records across all shards.
+    /// File bytes occupied by dead records.
     pub fn dead_bytes(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.dead_bytes.load(Ordering::Relaxed))
-            .sum()
+        self.inner.dead_bytes.load(Ordering::Relaxed)
     }
 
     /// Simulates a process death: the backend goes down, queued groups are
     /// discarded, a landing in flight finishes, and whatever a failed
-    /// landing left past a segment's tail is truncated away. Reopen the
-    /// directory to recover — every landed group survives, nothing else.
+    /// landing left past the tail is truncated away. Reopen the directory
+    /// to recover — every landed group survives, nothing else.
     pub fn simulate_crash(&self) {
-        self.inner.go_down(INJECTED_CRASH.into());
-        // Discard queued groups (workers skip them once down, but the
-        // queue must drain so `pending` reaches zero for anyone flushing).
-        let mut discarded = 0usize;
-        for shard in &self.inner.shards {
-            discarded += shard.queue.lock().drain(..).count();
-        }
-        if let Some(pool) = &self.inner.pool {
-            let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-            ctl.pending -= discarded.min(ctl.pending);
-            // Wait out any in-flight batch so truncation does not race a write.
-            while ctl.pending > 0 {
-                ctl = pool.drained.wait(ctl).unwrap_or_else(|e| e.into_inner());
+        let inner = &*self.inner;
+        inner.go_down(INJECTED_CRASH.into());
+        if let Some(queue) = &inner.queue {
+            let mut state = queue.lock();
+            state.groups.clear();
+            // Wait out the batch in flight so truncation does not race its
+            // write.
+            while state.landing {
+                state = Queue::wait(&queue.drained, state);
             }
-            pool.drained.notify_all();
+            queue.drained.notify_all();
         }
-        for shard in &self.inner.shards {
-            let io = shard.io.write();
-            let _ = io.file.set_len(io.tail);
-        }
+        let tail = inner.tail.lock();
+        let _ = inner.file.read().set_len(tail.end);
     }
 }
 
@@ -822,53 +723,57 @@ impl Inner {
         err
     }
 
-    /// Hands a group to the writer pool, or lands it on the calling thread
-    /// when there is none.
-    fn submit(&self, sid: usize, group: Group) -> Result<()> {
-        let Some(pool) = &self.pool else {
-            return self.land(sid, &[group]);
+    /// Queues a group for the writer thread, or lands it on the calling
+    /// thread when there is none.
+    fn submit(&self, group: Group) -> Result<()> {
+        let Some(queue) = &self.queue else {
+            return self.land(&[group]);
         };
-        self.shards[sid].queue.lock().push_back(group);
-        let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-        ctl.pending += 1;
-        drop(ctl);
-        pool.work.notify_one();
+        queue.lock().groups.push_back(group);
+        queue.work.notify_one();
         Ok(())
     }
 
-    /// Lands `batch` — whole groups, oldest first — at the tail of shard
-    /// `sid`: one vectored write (each record's header beside its shared
-    /// data, no concatenation buffer), one `sync_data`, then every put's
-    /// index entry swings from `Pending` to its offset. The one write path:
-    /// pool workers call it on drained batches, the caller's thread on its
-    /// own group when there is no pool. A fault plan fires here, at the
+    /// Lands `batch` — whole groups, oldest first — at the segment's tail:
+    /// one vectored write (each record's header beside its shared data, no
+    /// concatenation buffer), one `sync_data`, then every put's index entry
+    /// swings from `Pending` to its offset. The one write path: the writer
+    /// thread calls it on drained batches, the caller's thread on its own
+    /// group when there is no writer. A fault plan fires here, at the
     /// record it counts to; it, or a failed write or sync, takes the backend
     /// down before any record of the batch is swung.
-    fn land(&self, sid: usize, batch: &[Group]) -> Result<()> {
+    fn land(&self, batch: &[Group]) -> Result<()> {
         self.check_up()?;
         let jobs: Vec<&Job> = batch.iter().flat_map(|g| &g.jobs).collect();
         let total: usize = batch.iter().map(|g| g.bytes).sum();
         self.appends.add(jobs.len() as u64);
-        let mut io = self.shards[sid].io.write();
-        if let Some(f) = &self.fault {
-            if let Some(at) = f.hit(jobs.len()) {
-                return Err(self.inject(io, &jobs, f.plan, at));
+        // Held through the index swing, so a rewrite never copies the
+        // segment while a landed record is still `Pending`.
+        let mut tail = self.tail.lock();
+        let before = tail.records;
+        tail.records += jobs.len() as u64;
+        if let Some(plan) = self.fault {
+            let k = plan.crash_at_append;
+            if k > before && k <= tail.records {
+                return Err(self.inject(&mut tail, &jobs, plan, (k - before - 1) as usize));
             }
         }
         let failed = |e: io::Error| self.go_down(format!("cask write failed: {e}"));
-        let start = io.tail;
-        let mut parts = Vec::with_capacity(2 * jobs.len());
-        jobs.iter().for_each(|job| job.push_slices(&mut parts));
-        write_all_vectored_at(&io.file, start, &mut parts).map_err(failed)?;
-        let t = Instant::now();
-        io.file.sync_data().map_err(failed)?;
-        self.fsync.observe_duration(t.elapsed());
-        io.tail += total as u64;
-        drop(io);
+        let start = tail.end;
+        {
+            let file = self.file.read();
+            let mut parts = Vec::with_capacity(2 * jobs.len());
+            jobs.iter().for_each(|job| job.push_slices(&mut parts));
+            write_all_vectored_at(&file, start, &mut parts).map_err(failed)?;
+            let t = Instant::now();
+            file.sync_data().map_err(failed)?;
+            self.fsync.observe_duration(t.elapsed());
+        }
+        tail.end += total as u64;
         self.syncs_total.inc();
         self.group_commits.inc();
         self.group_commit_bytes.observe(total as f64);
-        if self.pool.is_none() {
+        if self.queue.is_none() {
             self.blocking_syncs.inc();
         }
         let mut off = start;
@@ -878,7 +783,6 @@ impl Inner {
             match job.key.and_then(|key| idx.map.get_mut(&key)) {
                 Some(slot @ Slot::Pending(_)) => {
                     *slot = Slot::Durable {
-                        shard: sid as u32,
                         off: off + RECORD_HEADER as u64,
                         len: job.data.len() as u32,
                     };
@@ -886,9 +790,7 @@ impl Inner {
                 // A tombstone, or a put removed (or replaced) while
                 // queued: dead on arrival.
                 _ => {
-                    self.shards[sid]
-                        .dead_bytes
-                        .fetch_add(frame_len, Ordering::Relaxed);
+                    self.dead_bytes.fetch_add(frame_len, Ordering::Relaxed);
                 }
             }
             off += frame_len;
@@ -897,17 +799,12 @@ impl Inner {
     }
 
     /// Plays the fault `plan` fires at record `at` of a batch about to land
-    /// at `io`'s tail, then takes the backend down. Returns the error the
+    /// at the tail, then takes the backend down. Returns the error the
     /// landing surfaces.
-    fn inject(
-        &self,
-        io: RwLockWriteGuard<'_, ShardIo>,
-        jobs: &[&Job],
-        plan: FaultPlan,
-        at: usize,
-    ) -> StorageError {
+    fn inject(&self, tail: &mut Tail, jobs: &[&Job], plan: FaultPlan, at: usize) -> StorageError {
         let frames = |n: usize| -> Vec<u8> { jobs[..n].iter().flat_map(|j| j.frame()).collect() };
-        let start = io.tail;
+        let file = self.file.read();
+        let start = tail.end;
         let (why, played) = match plan.kind {
             // Record `at` is cut at a seeded byte behind the whole records
             // before it: the torn tail recovery truncates.
@@ -915,25 +812,19 @@ impl Inner {
                 let mut buf = frames(at);
                 let frame = jobs[at].frame();
                 buf.extend_from_slice(&frame[..plan.torn_cut(frame.len())]);
-                let torn = io.file.write_all_at(&buf, start);
-                (INJECTED_CRASH, torn.and_then(|()| io.file.sync_data()))
+                let torn = file.write_all_at(&buf, start);
+                (INJECTED_CRASH, torn.and_then(|()| file.sync_data()))
             }
             // Record `at` is durable, but its caller never hears back.
             FaultKind::AfterWrite => {
-                let written = io.file.write_all_at(&frames(at + 1), start);
-                (INJECTED_CRASH, written.and_then(|()| io.file.sync_data()))
+                let written = file.write_all_at(&frames(at + 1), start);
+                (INJECTED_CRASH, written.and_then(|()| file.sync_data()))
             }
-            // The machine dies with its page cache: every segment is back
-            // at its length at the last flush (or open).
+            // The machine dies with its page cache: the segment is back at
+            // its length at the last flush (or open).
             FaultKind::DropUnsynced => {
-                drop(io);
-                let rolled_back = self.shards.iter().try_for_each(|shard| {
-                    let mut io = shard.io.write();
-                    io.file.set_len(io.flushed)?;
-                    io.tail = io.flushed;
-                    Ok(())
-                });
-                (INJECTED_CRASH, rolled_back)
+                tail.end = tail.flushed;
+                (INJECTED_CRASH, file.set_len(tail.flushed))
             }
             // ENOSPC mid-write: a seeded prefix of the batch reaches the file.
             FaultKind::GroupCommitError if plan.seed.is_multiple_of(2) => {
@@ -941,179 +832,130 @@ impl Inner {
                 let cut = plan.torn_cut(buf.len());
                 (
                     "injected fault: write failed (no space left on device)",
-                    io.file.write_all_at(&buf[..cut], start),
+                    file.write_all_at(&buf[..cut], start),
                 )
             }
             // EIO from `sync_data`: the whole batch reached the file.
             FaultKind::GroupCommitError => (
                 "injected fault: sync_data failed (EIO)",
-                io.file.write_all_at(&frames(jobs.len()), start),
+                file.write_all_at(&frames(jobs.len()), start),
             ),
         };
         self.go_down(played.map_or_else(|e| e.to_string(), |()| why.into()))
     }
 
-    fn worker_loop(inner: Arc<Inner>) {
-        let pool = inner.pool.as_ref().expect("worker requires a pool");
+    /// The writer thread: drains the FIFO in batches, oldest group first,
+    /// until shutdown finds it empty.
+    fn writer_loop(inner: Arc<Inner>) {
+        let queue = inner.queue.as_ref().expect("a writer thread has a queue");
+        let mut state = queue.lock();
         loop {
-            let mut did_work = false;
-            for (sid, shard) in inner.shards.iter().enumerate() {
-                if shard.queue.lock().is_empty() {
-                    continue;
+            if state.groups.is_empty() {
+                if state.shutdown {
+                    return;
                 }
-                if shard.busy.swap(true, Ordering::Acquire) {
-                    continue;
-                }
-                loop {
-                    // Drain a bounded batch: whole groups, up to
-                    // `MAX_BATCH_BYTES` (always at least one group).
-                    let batch = {
-                        let mut q = shard.queue.lock();
-                        let mut batch = Vec::new();
-                        let mut bytes = 0usize;
-                        while let Some(group) = q.front() {
-                            if !batch.is_empty() && bytes + group.bytes > MAX_BATCH_BYTES {
-                                break;
-                            }
-                            bytes += group.bytes;
-                            batch.push(q.pop_front().expect("front exists"));
-                        }
-                        batch
-                    };
-                    if batch.is_empty() {
-                        break;
-                    }
-                    let n = batch.len();
-                    // A failure took the backend down; `flush` and the next
-                    // write report it.
-                    let _ = inner.land(sid, &batch);
-                    let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-                    ctl.pending -= n;
-                    if ctl.pending == 0 {
-                        pool.drained.notify_all();
-                    }
-                }
-                shard.busy.store(false, Ordering::Release);
-                did_work = true;
-            }
-            if did_work {
+                state = Queue::wait(&queue.work, state);
                 continue;
             }
-            let ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-            if ctl.shutdown && ctl.pending == 0 {
-                return;
+            // A bounded batch: whole groups, up to `MAX_BATCH_BYTES` (always
+            // at least one group).
+            let mut batch = Vec::new();
+            let mut bytes = 0usize;
+            while let Some(group) = state.groups.front() {
+                if !batch.is_empty() && bytes + group.bytes > MAX_BATCH_BYTES {
+                    break;
+                }
+                bytes += group.bytes;
+                batch.extend(state.groups.pop_front());
             }
-            if ctl.pending > 0 {
-                // Jobs exist but are claimed by (or racing with) other
-                // workers; a timed wait avoids a lost wakeup when a shard is
-                // unclaimed right after our scan.
-                let (guard, _) = pool
-                    .work
-                    .wait_timeout(ctl, std::time::Duration::from_millis(2))
-                    .unwrap_or_else(|e| e.into_inner());
-                drop(guard);
-            } else {
-                drop(pool.work.wait(ctl).unwrap_or_else(|e| e.into_inner()));
+            state.landing = true;
+            drop(state);
+            // A failure took the backend down; `flush` and the next write
+            // report it.
+            let _ = inner.land(&batch);
+            state = queue.lock();
+            state.landing = false;
+            if state.groups.is_empty() {
+                queue.drained.notify_all();
             }
         }
     }
 
     /// The commit barrier: waits until every queued group has landed (a
-    /// landing syncs its own bytes), surfaces a failure, and records each
-    /// segment's tail as flushed.
+    /// landing syncs its own bytes), surfaces a failure, and records the
+    /// tail as flushed.
     fn flush_all(&self) -> Result<()> {
         self.check_up()?;
-        if let Some(pool) = &self.pool {
-            let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-            while ctl.pending > 0 {
-                pool.work.notify_all();
-                let (c, _) = pool
-                    .drained
-                    .wait_timeout(ctl, std::time::Duration::from_millis(2))
-                    .unwrap_or_else(|e| e.into_inner());
-                ctl = c;
+        if let Some(queue) = &self.queue {
+            let mut state = queue.lock();
+            while state.landing || !state.groups.is_empty() {
+                state = Queue::wait(&queue.drained, state);
             }
         }
         self.check_up()?;
-        for shard in &self.shards {
-            let mut io = shard.io.write();
-            io.flushed = io.tail;
-        }
+        let mut tail = self.tail.lock();
+        tail.flushed = tail.end;
         Ok(())
     }
 
-    /// Rewrites one shard's segment, dropping dead records. Holds only this
-    /// shard's I/O lock for the duration (other shards keep serving reads
-    /// and writes) and touches the shared index just twice, briefly: a read
-    /// to snapshot the shard's live entries, and a write to swing offsets
-    /// after the rename. Entries that changed while the copy ran (the sweep
-    /// protocol is quiescent, but stay safe) are left untouched.
-    fn compact_shard(&self, sid: usize) -> Result<u64> {
-        let shard = &self.shards[sid];
-        if shard.dead_bytes.load(Ordering::Relaxed) == 0 {
-            return Ok(0);
-        }
-        let mut io = shard.io.write();
-        let mut entries: Vec<(Hash256, u64, u32)> = {
+    /// Rewrites the segment without its dead records and returns the bytes
+    /// reclaimed. Holds the tail lock throughout, so nothing lands
+    /// meanwhile; reads share the file handle while the live records are
+    /// copied, and wait only for the swap to the new file and the index
+    /// swing. A record removed while the copy ran (the sweep protocol is
+    /// quiescent, but stay safe) was counted dead by its removal, and its
+    /// copy stays dead.
+    fn rewrite(&self) -> Result<u64> {
+        let mut tail = self.tail.lock();
+        // `remove` counts dead bytes under the index lock, so the snapshot
+        // of the live records and of the dead bytes agree.
+        let (mut live, dead_before) = {
             let idx = self.index.read();
-            idx.map
+            let live: Vec<(Hash256, u64, u32)> = idx
+                .map
                 .iter()
                 .filter_map(|(k, slot)| match slot {
-                    Slot::Durable { shard, off, len } if *shard as usize == sid => {
-                        Some((*k, *off, *len))
-                    }
-                    _ => None,
+                    Slot::Durable { off, len } => Some((*k, *off, *len)),
+                    Slot::Pending(_) => None,
                 })
-                .collect()
+                .collect();
+            (live, self.dead_bytes.load(Ordering::Relaxed))
         };
-        entries.sort_by_key(|(_, off, _)| *off);
-        // The copy loop runs with no index lock held — concurrent readers
-        // of other keys (and writers of other shards) proceed untouched.
-        let mut out: Vec<u8> = Vec::new();
-        let mut moved: Vec<(Hash256, u64, u64, u32)> = Vec::with_capacity(entries.len());
-        for (key, off, len) in entries {
-            let mut data = vec![0u8; len as usize];
-            io.file.read_exact_at(&mut data, off)?;
-            let new_off = (out.len() + RECORD_HEADER) as u64;
-            out.extend_from_slice(&record_header(FLAG_PUT, &key, &data));
-            out.extend_from_slice(&data);
-            moved.push((key, off, new_off, len));
-        }
-        let tmp = shard.path.with_extension("log.compact");
+        live.sort_by_key(|&(_, off, _)| off);
+        let tmp = self.path.with_extension("log.compact");
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        let mut moved = Vec::with_capacity(live.len());
+        let mut end = 0u64;
         {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
+            let file = self.file.read();
+            for (key, off, len) in live {
+                let mut data = vec![0u8; len as usize];
+                file.read_exact_at(&mut data, off)?;
+                out.write_all(&record_header(FLAG_PUT, &key, &data))?;
+                out.write_all(&data)?;
+                moved.push((key, end + RECORD_HEADER as u64));
+                end += record_file_len(len as u64);
+            }
         }
-        fs::rename(&tmp, &shard.path)?;
-        let new_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&shard.path)?;
-        let reclaimed = io.tail.saturating_sub(out.len() as u64);
-        io.file = new_file;
-        io.tail = out.len() as u64;
-        io.flushed = out.len() as u64;
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+        fs::rename(&tmp, &self.path)?;
+        let rewritten = OpenOptions::new().read(true).write(true).open(&self.path)?;
         {
+            let mut file = self.file.write();
+            *file = rewritten;
             let mut idx = self.index.write();
-            for (key, old_off, new_off, len) in moved {
-                if let Some(slot) = idx.map.get_mut(&key) {
-                    let unchanged = matches!(
-                        slot,
-                        Slot::Durable { shard, off, .. }
-                            if *shard as usize == sid && *off == old_off
-                    );
-                    if unchanged {
-                        *slot = Slot::Durable {
-                            shard: sid as u32,
-                            off: new_off,
-                            len,
-                        };
-                    }
+            for (key, new_off) in moved {
+                // Nothing lands while the tail lock is held, so a durable
+                // slot is the record just copied.
+                if let Some(Slot::Durable { off, .. }) = idx.map.get_mut(&key) {
+                    *off = new_off;
                 }
             }
         }
-        shard.dead_bytes.store(0, Ordering::Relaxed);
+        self.dead_bytes.fetch_sub(dead_before, Ordering::Relaxed);
+        let reclaimed = tail.end - end;
+        tail.end = end;
+        tail.flushed = end;
         Ok(reclaimed)
     }
 }
@@ -1125,15 +967,10 @@ impl StorageBackend for CaskBackend {
 
     /// Resolves dedup for the whole call under one index write lock (new
     /// keys gain `Pending` slots, so reads see them at once), then submits
-    /// every new record as one group to one segment — the last key's shard,
-    /// which for a blob is its manifest's: one write, one `sync_data`.
+    /// every new record as one group: one write, one `sync_data`.
     fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
         let inner = &*self.inner;
         inner.check_up()?;
-        let Some(&(route, _)) = items.last() else {
-            return Ok(Vec::new());
-        };
-        let sid = (route.0[0] as usize) % inner.shards.len();
         let mut fresh = vec![false; items.len()];
         let mut new_records = Vec::new();
         {
@@ -1158,26 +995,25 @@ impl StorageBackend for CaskBackend {
                 .map(|(key, data)| Job::new(FLAG_PUT, key, data))
                 .collect(),
         );
-        inner.submit(sid, group)?;
+        inner.submit(group)?;
         Ok(fresh)
     }
 
     fn get(&self, key: Hash256) -> Result<Bytes> {
         let inner = &*self.inner;
         inner.check_up()?;
-        // Clone the slot out rather than holding the index lock across the
-        // shard I/O lock (the writer pool acquires them in the opposite
-        // order).
+        // The file handle before the index: compaction swaps the file and
+        // swings the offsets under the handle's write lock, so an offset is
+        // read from the file it belongs to.
+        let file = inner.file.read();
         let slot = inner.index.read().map.get(&key).cloned();
         match slot {
             None => Err(StorageError::NotFound(key)),
             Some(Slot::Pending(b)) => Ok(b),
-            Some(Slot::Durable { shard, off, len }) => {
+            Some(Slot::Durable { off, len }) => {
                 let mut out = vec![0u8; len as usize];
-                {
-                    let io = inner.shards[shard as usize].io.read();
-                    io.file.read_exact_at(&mut out, off)?;
-                }
+                file.read_exact_at(&mut out, off)?;
+                drop(file);
                 inner.read_ops.inc();
                 let actual = Hash256::of(&out);
                 if actual != key {
@@ -1211,11 +1047,11 @@ impl StorageBackend for CaskBackend {
         let inner = &*self.inner;
         inner.check_up()?;
         // A pending record must land before its tombstone or the log would
-        // replay them in the wrong order on reopen; drain the queues first.
+        // replay them in the wrong order on reopen; drain the queue first.
         while matches!(inner.index.read().map.get(&key), Some(Slot::Pending(_))) {
             inner.flush_all()?;
         }
-        let (sid, len) = {
+        let len = {
             let mut idx = inner.index.write();
             match idx.map.get(&key) {
                 None => return Ok(None),
@@ -1227,19 +1063,19 @@ impl StorageBackend for CaskBackend {
                         "remove raced a concurrent put of the same key",
                     )));
                 }
-                Some(Slot::Durable { shard, len, .. }) => {
-                    let (s, l) = (*shard as usize, *len as u64);
+                Some(&Slot::Durable { len, .. }) => {
+                    let len = len as u64;
                     idx.map.remove(&key);
-                    idx.live_bytes -= l;
-                    (s, l)
+                    idx.live_bytes -= len;
+                    inner
+                        .dead_bytes
+                        .fetch_add(record_file_len(len), Ordering::Relaxed);
+                    len
                 }
             }
         };
-        inner.shards[sid]
-            .dead_bytes
-            .fetch_add(record_file_len(len), Ordering::Relaxed);
         let tombstone = Job::new(FLAG_TOMBSTONE, key, Bytes::new());
-        inner.submit(sid, Group::new(vec![tombstone]))?;
+        inner.submit(Group::new(vec![tombstone]))?;
         Ok(Some(len))
     }
 
@@ -1250,28 +1086,21 @@ impl StorageBackend for CaskBackend {
     fn compact(&self) -> Result<u64> {
         let inner = &*self.inner;
         inner.flush_all()?;
-        // Shards compact independently and in parallel; each task holds
-        // only its own shard's I/O lock, so reads of other shards overlap
-        // the rewrites.
-        let mut reclaimed = 0u64;
-        for r in scoped_sharded(inner.shards.len(), |sid| inner.compact_shard(sid)) {
-            reclaimed += r?;
+        if inner.dead_bytes.load(Ordering::Relaxed) == 0 {
+            return Ok(0);
         }
-        Ok(reclaimed)
+        inner.rewrite()
     }
 }
 
 impl Drop for CaskBackend {
     fn drop(&mut self) {
-        if let Some(pool) = &self.inner.pool {
-            {
-                let mut ctl = pool.state.lock().unwrap_or_else(|e| e.into_inner());
-                ctl.shutdown = true;
-            }
-            pool.work.notify_all();
+        if let Some(queue) = &self.inner.queue {
+            queue.lock().shutdown = true;
+            queue.work.notify_all();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        if let Some(writer) = self.writer.take() {
+            let _ = writer.join();
         }
     }
 }
@@ -1356,15 +1185,7 @@ mod tests {
     #[test]
     fn cask_basics_pool_mode() {
         let root = temp_root("basics-pool");
-        let be = CaskBackend::open_with(
-            &root,
-            CaskOptions {
-                writer_threads: 3,
-                shards: 4,
-                ..CaskOptions::default()
-            },
-        )
-        .unwrap();
+        let be = CaskBackend::open_with(&root, CaskOptions::default()).unwrap();
         exercise(&be);
         drop(be);
         fs::remove_dir_all(&root).unwrap();
@@ -1376,16 +1197,13 @@ mod tests {
         let a = Hash256::of(b"alpha");
         let b = Hash256::of(b"beta");
         {
-            let be = CaskBackend::open_with(&root, CaskOptions::default().with_shards(3)).unwrap();
+            let be = CaskBackend::open(&root).unwrap();
             be.put(a, b"alpha").unwrap();
             be.put(b, b"beta").unwrap();
             be.remove(b).unwrap();
             be.flush().unwrap();
         }
-        // Reopen ignores the (different) requested shard count: the
-        // manifest pins it.
-        let be = CaskBackend::open_with(&root, CaskOptions::default().with_shards(9)).unwrap();
-        assert_eq!(be.inner.shards.len(), 3);
+        let be = CaskBackend::open(&root).unwrap();
         assert_eq!(be.get(a).unwrap().as_ref(), b"alpha");
         assert!(!be.contains(b), "tombstone survives reopen");
         assert_eq!(be.len(), 1);
@@ -1397,28 +1215,26 @@ mod tests {
     fn cask_truncates_torn_tail_idempotently() {
         let root = temp_root("torn");
         let key = Hash256::of(b"survivor");
-        let shard_path;
+        let segment = root.join("segment.log");
         {
-            let be =
-                CaskBackend::open_with(&root, CaskOptions::synchronous().with_shards(1)).unwrap();
+            let be = CaskBackend::open_with(&root, CaskOptions::synchronous()).unwrap();
             be.put(key, b"survivor").unwrap();
-            shard_path = root.join("shard-000.log");
         }
         // Append garbage (a torn record) behind the backend's back.
-        let mut raw = fs::read(&shard_path).unwrap();
+        let mut raw = fs::read(&segment).unwrap();
         let intact = raw.len();
         raw.extend_from_slice(&[0x55; 13]);
-        fs::write(&shard_path, &raw).unwrap();
+        fs::write(&segment, &raw).unwrap();
         {
             let be = CaskBackend::open(&root).unwrap();
             assert_eq!(be.get(key).unwrap().as_ref(), b"survivor");
         }
-        assert_eq!(fs::metadata(&shard_path).unwrap().len() as usize, intact);
+        assert_eq!(fs::metadata(&segment).unwrap().len() as usize, intact);
         // Second reopen changes nothing (idempotent truncation).
         {
             let _be = CaskBackend::open(&root).unwrap();
         }
-        assert_eq!(fs::metadata(&shard_path).unwrap().len() as usize, intact);
+        assert_eq!(fs::metadata(&segment).unwrap().len() as usize, intact);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1462,7 +1278,7 @@ mod tests {
     #[test]
     fn cask_compaction_reclaims_dead_bytes_and_preserves_liveness() {
         let root = temp_root("compact");
-        let be = CaskBackend::open_with(&root, CaskOptions::synchronous().with_shards(2)).unwrap();
+        let be = CaskBackend::open_with(&root, CaskOptions::synchronous()).unwrap();
         let blobs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i ^ 0xA5; 100]).collect();
         let hashes: Vec<Hash256> = blobs.iter().map(|b| Hash256::of(b)).collect();
         for (h, b) in hashes.iter().zip(&blobs) {
@@ -1504,8 +1320,8 @@ mod tests {
         }
         sync.flush().unwrap();
         pool.flush().unwrap();
-        // One per landed put on the caller's thread against none: the pool
-        // lands (and syncs) every group on its own threads.
+        // One per landed put on the caller's thread against none: the writer
+        // lands (and syncs) every group on its own thread.
         assert!(
             pool.inner.blocking_syncs.get() * 4 <= sync.inner.blocking_syncs.get(),
             "pool {} vs sync {}",
@@ -1521,15 +1337,7 @@ mod tests {
     #[test]
     fn group_commit_coalesces_fsyncs_below_one_per_append() {
         let root = temp_root("group-commit");
-        let be = CaskBackend::open_with(
-            &root,
-            CaskOptions {
-                writer_threads: 1,
-                shards: 1,
-                ..CaskOptions::default()
-            },
-        )
-        .unwrap();
+        let be = CaskBackend::open_with(&root, CaskOptions::default()).unwrap();
         // Enqueueing is a hashmap insert + memcpy; each group commit is a
         // write plus an fsync syscall. The queue therefore builds up and
         // batches must coalesce.
@@ -1559,15 +1367,7 @@ mod tests {
         let flushed: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 128]).collect();
         let racing: Vec<Vec<u8>> = (100..140u8).map(|i| vec![i; 128]).collect();
         {
-            let be = CaskBackend::open_with(
-                &root,
-                CaskOptions {
-                    writer_threads: 2,
-                    shards: 4,
-                    ..CaskOptions::default()
-                },
-            )
-            .unwrap();
+            let be = CaskBackend::open_with(&root, CaskOptions::default()).unwrap();
             for p in &flushed {
                 be.put(Hash256::of(p), p).unwrap();
             }
@@ -1631,43 +1431,35 @@ mod tests {
         }
     }
 
-    /// Every new record of one `put_many` lands in one segment — the last
-    /// key's shard — as one group commit, on the caller's thread or a pool
-    /// worker; a single-key call lands where `key[0] % shards` puts it.
+    /// Every new record of one `put_many` lands as one group commit at the
+    /// segment's tail, in call order, on the caller's thread or the writer
+    /// thread; a later call's record lands behind it.
     #[test]
-    fn put_many_lands_in_the_last_keys_shard() {
+    fn put_many_lands_as_one_group_at_the_tail() {
         let blobs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40 + i as usize]).collect();
         let items: Vec<(Hash256, &[u8])> = blobs.iter().map(|b| (Hash256::of(b), &b[..])).collect();
-        let route = (items.last().unwrap().0 .0[0] as usize) % 4;
-        let spread = items
-            .iter()
-            .map(|(k, _)| k.0[0] % 4)
-            .collect::<HashSet<_>>();
-        assert!(spread.len() > 1, "the keys alone would spread over shards");
-        for writer_threads in [0, 2] {
-            let root = temp_root("route");
-            let opts = CaskOptions {
-                shards: 4,
-                writer_threads,
-                ..CaskOptions::default()
-            };
+        let keys_on_disk = |root: &Path| -> Vec<Hash256> {
+            let buf = fs::read(root.join("segment.log")).unwrap();
+            let (frames, valid) = scan_frames(&buf);
+            assert_eq!(valid, buf.len());
+            frames
+                .into_iter()
+                .map(|(off, _)| Hash256(buf[off + 1..off + RECORD_OVERHEAD].try_into().unwrap()))
+                .collect()
+        };
+        for opts in [CaskOptions::default(), CaskOptions::synchronous()] {
+            let root = temp_root("tail");
             let be = CaskBackend::open_with(&root, opts).unwrap();
             assert_eq!(be.put_many(&items).unwrap(), vec![true; items.len()]);
             be.flush().unwrap();
-            let sizes: Vec<u64> = (0..4)
-                .map(|s| {
-                    fs::metadata(root.join(format!("shard-{s:03}.log")))
-                        .unwrap()
-                        .len()
-                })
-                .collect();
             let total: u64 = blobs.iter().map(|b| record_file_len(b.len() as u64)).sum();
-            assert_eq!(sizes[route], total, "threads {writer_threads}: {sizes:?}");
-            assert_eq!(sizes.iter().sum::<u64>(), total);
+            assert_eq!(be.file_bytes(), total);
             assert_eq!(be.inner.group_commits.get(), 1, "one group, one commit");
             assert_eq!(be.sync_count(), 1);
             assert_eq!(be.append_count(), items.len() as u64);
             drop(be);
+            let mut order: Vec<Hash256> = items.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys_on_disk(&root), order);
             let be = CaskBackend::open(&root).unwrap();
             for (k, d) in &items {
                 assert_eq!(be.get(*k).unwrap().as_ref(), *d);
@@ -1675,23 +1467,67 @@ mod tests {
             let (key, data) = (Hash256::of(b"alone"), b"alone");
             be.put(key, data).unwrap();
             be.flush().unwrap();
-            let alone = root.join(format!("shard-{:03}.log", key.0[0] % 4));
-            assert_eq!(
-                fs::metadata(alone).unwrap().len(),
-                sizes[(key.0[0] % 4) as usize] + record_file_len(data.len() as u64)
-            );
+            assert_eq!(be.file_bytes(), total + record_file_len(data.len() as u64));
             drop(be);
+            order.push(key);
+            assert_eq!(keys_on_disk(&root), order);
             fs::remove_dir_all(&root).unwrap();
         }
     }
 
+    /// A directory in the sharded version-1 layout is refused with the
+    /// typed error naming its version and shard count, and every file in it
+    /// stays byte for byte as it was: no torn tail truncated, no segment
+    /// created.
+    #[test]
+    fn a_version_1_directory_is_refused_untouched() {
+        let root = temp_root("v1");
+        fs::create_dir_all(&root).unwrap();
+        fs::write(root.join("cask.json"), br#"{"version":1,"shards":8}"#).unwrap();
+        for s in 0..8u8 {
+            let data = vec![s; 50];
+            let mut payload = vec![FLAG_PUT];
+            payload.extend_from_slice(&Hash256::of(&data).0);
+            payload.extend_from_slice(&data);
+            // A whole record, then a torn one that a recovery would cut.
+            let mut bytes = frame(&payload);
+            bytes.extend_from_slice(&[0x55; 13]);
+            fs::write(root.join(format!("shard-{s:03}.log")), bytes).unwrap();
+        }
+        let snapshot = || -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = fs::read_dir(&root)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = snapshot();
+        assert_eq!(before.len(), 9);
+        for opts in [CaskOptions::default(), CaskOptions::synchronous()] {
+            match CaskBackend::open_with(&root, opts) {
+                Err(StorageError::UnsupportedLayout { version, shards }) => {
+                    assert_eq!((version, shards), (1, Some(8)));
+                }
+                Err(e) => panic!("expected the layout refusal, got {e}"),
+                Ok(_) => panic!("a version-1 directory opened"),
+            }
+            assert!(snapshot() == before, "the refused directory was touched");
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
     /// A failed group commit — its write (even seed) or its `sync_data`
     /// (odd seed), in the batch holding the k-th record — takes the backend
-    /// down on the pool and on the caller's thread alike: the error surfaces
-    /// from `flush` (and, without a pool, from the `put_many` itself) and
-    /// from the next `put_many`, no record of the failed group is swung to
-    /// `Durable`, and a reopen serves every group flushed before it
-    /// byte-exact and no torn record.
+    /// down on the writer thread and on the caller's thread alike: the
+    /// error surfaces from `flush` (and, without a writer thread, from the
+    /// `put_many` itself) and from the next `put_many`, no record of the
+    /// failed group is swung to `Durable`, and a reopen serves every group
+    /// flushed before it byte-exact and no torn record.
     #[test]
     fn group_commit_fault_surfaces_and_keeps_flushed_groups() {
         let groups: Vec<Vec<Vec<u8>>> = (0..5u8)
@@ -1704,7 +1540,7 @@ mod tests {
         let keyed = |group: &[Vec<u8>]| -> Vec<(Hash256, Vec<u8>)> {
             group.iter().map(|b| (Hash256::of(b), b.clone())).collect()
         };
-        for writer_threads in [2, 0] {
+        for writer_thread in [true, false] {
             for seed in [0u64, 1, 6, 7] {
                 for n in 1..=4u64 {
                     let root = temp_root("group-fault");
@@ -1714,12 +1550,11 @@ mod tests {
                         kind: FaultKind::GroupCommitError,
                         seed,
                     };
-                    let cell = format!("threads {writer_threads} seed {seed} n {n}");
+                    let cell = format!("writer {writer_thread} seed {seed} n {n}");
                     let mut flushed = Vec::new();
                     {
                         let opts = CaskOptions {
-                            shards: 3,
-                            writer_threads,
+                            writer_thread,
                             fault: Some(plan),
                         };
                         let be = CaskBackend::open_with(&root, opts).unwrap();
@@ -1735,7 +1570,7 @@ mod tests {
                         let failed = keyed(&groups[n as usize - 1]);
                         let refs: Vec<(Hash256, &[u8])> =
                             failed.iter().map(|(k, d)| (*k, &d[..])).collect();
-                        assert_eq!(be.put_many(&refs).is_err(), writer_threads == 0, "{cell}");
+                        assert_eq!(be.put_many(&refs).is_err(), !writer_thread, "{cell}");
                         assert!(be.flush().is_err(), "{cell}: flush reports it");
                         let next = keyed(&groups[n as usize]);
                         assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
@@ -1767,23 +1602,23 @@ mod tests {
         }
     }
 
-    /// `cask.json` through `write_json` is what the tree renders.
+    /// `cask.json` through `write_json` is what the tree renders, and a
+    /// new directory's manifest is version 2 with no shard count.
     #[test]
     fn cask_manifest_writes_the_bytes_of_its_tree() {
-        for (version, shards) in [(1, 8), (0, 0), (u32::MAX, 3)] {
+        for (version, shards) in [(2, None), (1, Some(8)), (0, Some(0)), (u32::MAX, None)] {
             let m = CaskManifest { version, shards };
             let mut tree = String::new();
             serde::write_value(&mut tree, &serde::Serialize::to_value(&m), None, 0);
             assert_eq!(serde_json::to_string(&m).unwrap(), tree);
         }
-        let m = CaskManifest {
-            version: 1,
-            shards: 8,
-        };
+        let root = temp_root("manifest");
+        drop(CaskBackend::open(&root).unwrap());
         assert_eq!(
-            serde_json::to_vec(&m).unwrap(),
-            br#"{"version":1,"shards":8}"#
+            fs::read(root.join("cask.json")).unwrap(),
+            br#"{"version":2,"shards":null}"#
         );
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

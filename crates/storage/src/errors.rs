@@ -43,6 +43,15 @@ pub enum StorageError {
         /// Which axis was breached ("logical bytes" / "physical bytes").
         resource: &'static str,
     },
+    /// A cask directory in a layout this build does not open: its
+    /// `cask.json` names another format version (version 1 split the log
+    /// over `shards` segment files). Nothing in the directory is touched.
+    UnsupportedLayout {
+        /// The format version the directory's manifest names.
+        version: u32,
+        /// The shard count the manifest names, if any.
+        shards: Option<u32>,
+    },
     /// Underlying I/O failure (durable backend).
     Io(std::io::Error),
     /// (De)serialisation failure for manifests/commits.
@@ -81,6 +90,13 @@ impl fmt::Display for StorageError {
                 f,
                 "{tenant} quota exceeded: write needs {needed} {resource} (limit {limit})"
             ),
+            StorageError::UnsupportedLayout { version, shards } => {
+                write!(f, "cask directory has format version {version}")?;
+                if let Some(n) = shards {
+                    write!(f, " with {n} shard segments")?;
+                }
+                write!(f, "; this build opens version 2 only and migrates nothing")
+            }
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::Codec(m) => write!(f, "codec error: {m}"),
         }

@@ -39,9 +39,9 @@ pub enum FaultKind {
     /// Recovery must tolerate state that is *ahead* of what any caller
     /// observed.
     AfterWrite,
-    /// The machine dies with its page cache: every shard goes back to its
-    /// length at the last flush (or open), as a writer-pool crash leaves it
-    /// when nothing queued since then had landed.
+    /// The machine dies with its page cache: the segment goes back to its
+    /// length at the last flush (or open), as a writer-thread crash leaves
+    /// it when nothing queued since then had landed.
     DropUnsynced,
     /// The batch fails with an I/O error — its write (even `seed`: a seeded
     /// prefix of the batch reaches the file, as on ENOSPC) or its
@@ -53,9 +53,11 @@ pub enum FaultKind {
 
 /// A deterministic crash plan for [`CaskBackend`](crate::cask::CaskBackend).
 ///
-/// Records are counted in landing order on whichever thread lands them;
-/// with `writer_threads == 0` that is call order, so the crash point is
-/// reproducible byte for byte.
+/// Records are counted in landing order, which is submission order on
+/// whichever thread lands them; under
+/// [`CaskOptions::synchronous`](crate::cask::CaskOptions::synchronous) the
+/// batches are the caller's too, so the crash point is reproducible byte
+/// for byte.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Crash at the batch holding the record that brings the 1-based record

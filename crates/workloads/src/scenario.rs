@@ -169,7 +169,7 @@ fn store_for(config: &Config, tag: &str) -> Arc<ChunkStore> {
 
 /// A cask whose scratch directory goes when the last handle on the backend
 /// does. Fields drop in declaration order: the cask first (its drop drains
-/// and joins the writer pool), then the directory.
+/// and joins the writer thread), then the directory.
 struct ScratchCask {
     cask: CaskBackend,
     _dir: ScratchDir,

@@ -268,8 +268,8 @@ fn cask_crash_at_every_append_resumes_byte_identical() {
 
 /// `FaultPlan`'s promise — the same plan against the same write sequence
 /// tears the same record at the same byte — checked on the files: the toy
-/// chain run twice on a synchronous cask under one plan leaves every
-/// `shard-*.log` byte-identical, for every fault kind at several k.
+/// chain run twice on a synchronous cask under one plan leaves the segment
+/// file byte-identical, for every fault kind at several k.
 #[test]
 fn cask_fault_replays_byte_identical() {
     let pipeline = bound_toy();
@@ -287,7 +287,7 @@ fn cask_fault_replays_byte_identical() {
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&root)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| name.starts_with("shard-"))
+            .filter(|name| name.ends_with(".log"))
             .map(|name| {
                 let bytes = std::fs::read(root.join(&name)).unwrap();
                 (name, bytes)
@@ -311,7 +311,7 @@ fn cask_fault_replays_byte_identical() {
                     seed,
                 };
                 let first = segments(plan);
-                assert_eq!(first.len(), 8, "every shard file is there");
+                assert_eq!(first.len(), 1, "the segment file is there");
                 assert!(first == segments(plan), "{plan:?} replayed differently");
             }
         }
@@ -431,9 +431,9 @@ fn mem_fault_crash_at_every_put_resumes_byte_identical() {
 /// every fully-written frame of the batch and truncate the torn one — the
 /// per-append torn-tail protocol applied to a batched write.
 ///
-/// Killing a live writer pool mid-batch is inherently racy, so the batch is
-/// hand-crafted: three records framed exactly as the cask lays a batch out,
-/// appended to the shard file with the last frame cut short.
+/// Killing a live writer thread mid-batch is inherently racy, so the batch
+/// is hand-crafted: three records framed exactly as the cask lays a batch
+/// out, appended to the segment file with the last frame cut short.
 #[test]
 fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
     use mlcask::storage::backend::StorageBackend;
@@ -443,16 +443,15 @@ fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
     let base = temp_base("torn-batch");
     let root = base.join("store");
 
-    // A durable base object, flushed through a single-shard cask so the
-    // crafted batch lands in a known file.
+    // A durable base object, flushed so the crafted batch lands behind it.
     let base_blob = vec![7u8; 96];
     let base_key = Hash256::of(&base_blob);
     {
-        let be = CaskBackend::open_with(&root, CaskOptions::synchronous().with_shards(1)).unwrap();
+        let be = CaskBackend::open_with(&root, CaskOptions::synchronous()).unwrap();
         be.put(base_key, &base_blob).unwrap();
         be.flush().unwrap();
     }
-    let path = root.join("shard-000.log");
+    let path = root.join("segment.log");
     let base_len = std::fs::metadata(&path).unwrap().len();
 
     // One group-commit batch: record frames back to back, the third cut
@@ -514,7 +513,7 @@ fn group_commit_torn_mid_batch_truncates_to_last_full_frame() {
 }
 
 /// The durable backend is observationally identical to the in-memory one:
-/// the same run on a cask store (async writer pool *and* synchronous mode)
+/// the same run on a cask store (writer thread *and* synchronous mode)
 /// produces byte-identical observables, and every artifact survives a real
 /// close-and-reopen of the directory.
 #[test]
@@ -546,72 +545,13 @@ fn cask_uninterrupted_matches_mem_and_survives_reopen() {
     }
 }
 
-/// Per-blob routing makes one state reachable that hash-prefix routing
-/// never produced: a key live in two segments. A sweep's tombstone for K is
-/// queued in one shard and lost in a crash while K, re-put by another blob,
-/// became durable in another. Recovery counts K once — the lowest shard's
-/// record stays live, the other is that shard's dead bytes — and
-/// compaction reclaims exactly that one record.
-#[test]
-fn a_key_live_in_two_segments_is_counted_once_and_compacted_away() {
-    use mlcask::storage::backend::StorageBackend;
-    use mlcask::storage::cask::frame;
-
-    let base = temp_base("dup-key");
-    let root = base.join("store");
-    // An empty two-shard directory: the manifest pins the shard count.
-    drop(
-        CaskBackend::open_with(
-            &root,
-            CaskOptions {
-                shards: 2,
-                ..CaskOptions::synchronous()
-            },
-        )
-        .unwrap(),
-    );
-    let data = vec![42u8; 100];
-    let key = Hash256::of(&data);
-    let mut payload = vec![0u8]; // FLAG_PUT
-    payload.extend_from_slice(&key.0);
-    payload.extend_from_slice(&data);
-    let record = frame(&payload);
-    let shard = |s: usize| root.join(format!("shard-{s:03}.log"));
-    for s in 0..2 {
-        std::fs::write(shard(s), &record).unwrap();
-    }
-    let rec = record.len() as u64;
-
-    let be = CaskBackend::open(&root).unwrap();
-    assert_eq!(be.len(), 1);
-    assert_eq!(be.physical_bytes(), data.len() as u64, "live bytes once");
-    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
-    assert_eq!(be.dead_bytes(), rec, "the duplicate is dead");
-    assert_eq!(be.compact().unwrap(), rec, "compaction reclaims one record");
-    assert_eq!(
-        std::fs::metadata(shard(0)).unwrap().len(),
-        rec,
-        "lowest kept"
-    );
-    assert_eq!(std::fs::metadata(shard(1)).unwrap().len(), 0);
-    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
-    drop(be);
-
-    let be = CaskBackend::open(&root).unwrap();
-    assert_eq!((be.len(), be.physical_bytes()), (1, data.len() as u64));
-    assert_eq!(be.dead_bytes(), 0);
-    assert_eq!(be.get(key).unwrap().as_ref(), &data[..]);
-    drop(be);
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-/// A blob is one durability unit in writer-pool mode: its new chunks and
-/// its manifest are one group in one segment, landed by one write and one
-/// `sync_data`. Crash the pool (`simulate_crash`: queued groups dropped,
-/// unsynced bytes truncated) after every prefix of a run of blob writes;
-/// after reopen, every blob whose chunks were all new and whose manifest
-/// survived reads back byte-exact. With chunk and manifest in different
-/// segments under independent fsyncs, a manifest could outlive its chunks.
+/// A blob is one durability unit with a writer thread: its new chunks and
+/// its manifest are one group, landed by one write and one `sync_data`.
+/// Crash the writer (`simulate_crash`: queued groups dropped, unsynced
+/// bytes truncated) after every prefix of a run of blob writes; after
+/// reopen, every blob whose chunks were all new and whose manifest survived
+/// reads back byte-exact. With chunk and manifest under independent fsyncs,
+/// a manifest could outlive its chunks.
 #[test]
 fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
     use mlcask::storage::object::ObjectKind;
@@ -629,17 +569,7 @@ fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
         let root = base.join("store");
         let mut written = Vec::new();
         {
-            let be = Arc::new(
-                CaskBackend::open_with(
-                    &root,
-                    CaskOptions {
-                        shards: 8,
-                        writer_threads: 2,
-                        ..CaskOptions::default()
-                    },
-                )
-                .unwrap(),
-            );
+            let be = Arc::new(CaskBackend::open_with(&root, CaskOptions::default()).unwrap());
             let store = ChunkStore::new(be.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
             for (i, blob) in blobs[..crash_after].iter().enumerate() {
                 let (out, trace) = store.put_blob_traced(ObjectKind::Output, blob).unwrap();
@@ -648,7 +578,7 @@ fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
                 if i == 0 {
                     store.flush().unwrap(); // one blob always survives
                 }
-                // Let the pool land some of the rest before the crash.
+                // Let the writer land some of the rest before the crash.
                 std::thread::sleep(std::time::Duration::from_micros(300));
             }
             be.simulate_crash();

@@ -19,8 +19,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Run a pipeline against the append-only cask backend with its
-/// asynchronous writer pool, let the "process" exit, and reopen: `flush`
-/// drains the pool and fsyncs, and a fresh `CaskBackend::open` recovers
+/// asynchronous writer thread, let the "process" exit, and reopen: `flush`
+/// drains the queue, and a fresh `CaskBackend::open` recovers
 /// every artifact.
 #[test]
 fn pipeline_artifacts_survive_cask_reopen() {

@@ -359,8 +359,6 @@ mod cask_props {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    const SHARDS: usize = 4;
-
     type Backend = Arc<dyn StorageBackend>;
 
     /// Per-call-unique temp dir (pid alone collides across matrix cells).
@@ -435,62 +433,140 @@ mod cask_props {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A crash at a seeded point — every fault kind a landing plays,
+        /// and `simulate_crash` — on the writer thread and on the caller's
+        /// alike, leaves exactly the records of a prefix of the submission
+        /// order: with at most one torn group at its end, and none at all
+        /// when whole batches were dropped. A torn record and the records
+        /// after it are lost; a record written whole survives with every
+        /// record before it.
+        #[test]
+        fn prop_a_crash_leaves_a_prefix_of_the_submission_order(
+            sizes in proptest::collection::vec(1usize..4, 1..24),
+            writer_thread in any::<bool>(),
+            crash in 0usize..5,
+            at_sel in any::<u64>(),
+            flush_sel in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let groups: Vec<Vec<(Hash256, Vec<u8>)>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &n)| {
+                    (0..n)
+                        .map(|r| {
+                            let mut d = vec![g as u8, r as u8];
+                            d.extend(std::iter::repeat_n((g * 7 + r) as u8, 16 + 37 * r));
+                            (Hash256::of(&d), d)
+                        })
+                        .collect()
+                })
+                .collect();
+            let order: Vec<Hash256> = groups.iter().flatten().map(|(k, _)| *k).collect();
+            let group_ends: Vec<usize> = groups
+                .iter()
+                .scan(0, |end, g| {
+                    *end += g.len();
+                    Some(*end)
+                })
+                .collect();
+            let kinds = [
+                FaultKind::Torn,
+                FaultKind::AfterWrite,
+                FaultKind::DropUnsynced,
+                FaultKind::GroupCommitError,
+            ];
+            let at = at_sel % order.len() as u64 + 1;
+            let flush_after = flush_sel % groups.len();
+            let base = if writer_thread { CaskOptions::default() } else { CaskOptions::synchronous() };
+            let opts = match kinds.get(crash) {
+                Some(&kind) => base.with_fault(FaultPlan { crash_at_append: at, kind, seed }),
+                None => base,
+            };
+            let dir = temp_dir("prefix");
+            {
+                let be = CaskBackend::open_with(&dir, opts).unwrap();
+                for (g, group) in groups.iter().enumerate() {
+                    let items: Vec<(Hash256, &[u8])> = group.iter().map(|(k, d)| (*k, &d[..])).collect();
+                    if be.put_many(&items).is_err() {
+                        break;
+                    }
+                    if g == flush_after {
+                        let _ = be.flush();
+                    }
+                    if crash == kinds.len() && g as u64 == at_sel % groups.len() as u64 {
+                        be.simulate_crash();
+                        break;
+                    }
+                }
+                // Dropping the backend lets the writer land (or fail) what it holds.
+            }
+            let be = CaskBackend::open(&dir).unwrap();
+            let m = order.iter().take_while(|k| be.contains(**k)).count();
+            let case = format!(
+                "{} groups, writer {writer_thread}, crash {crash} at {at}, seed {seed}: {m} survive",
+                groups.len()
+            );
+            prop_assert_eq!(be.len(), m, "a record survived behind a lost one: {}", case);
+            for (k, d) in groups.iter().flatten().take(m) {
+                prop_assert_eq!(be.get(*k).unwrap().as_ref(), &d[..], "{}", case);
+            }
+            match kinds.get(crash) {
+                Some(FaultKind::Torn) => prop_assert_eq!(m as u64, at - 1, "{}", case),
+                Some(FaultKind::AfterWrite) => prop_assert_eq!(m as u64, at, "{}", case),
+                Some(FaultKind::GroupCommitError) => {}
+                // Whole batches are lost: no group is torn.
+                Some(FaultKind::DropUnsynced) | None => prop_assert!(
+                    m == 0 || group_ends.contains(&m),
+                    "a group was torn: {}",
+                    case
+                ),
+            }
+            drop(be);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Tearing the tail of one shard file loses at most that shard's
-        /// trailing records: every surviving key round-trips bit-exact,
-        /// keys hashed to other shards all survive, and a second reopen
-        /// changes nothing (truncation is idempotent on real files).
+        /// Tearing the tail of the segment loses at most the trailing
+        /// records: the survivors are a prefix of the put order and
+        /// round-trip bit-exact, and a second reopen changes nothing
+        /// (truncation is idempotent on real files).
         #[test]
-        fn prop_torn_shard_tail_recovery(
+        fn prop_torn_segment_tail_recovery(
             blobs in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 1..256), 1..8
             ),
-            shard_sel in any::<u8>(),
             cut in 1usize..96,
         ) {
             let dir = temp_dir("torn");
             {
-                let opts = CaskOptions::synchronous().with_shards(SHARDS);
-                let be = CaskBackend::open_with(&dir, opts).unwrap();
+                let be = CaskBackend::open_with(&dir, CaskOptions::synchronous()).unwrap();
                 for b in &blobs {
                     be.put(Hash256::of(b), b).unwrap();
                 }
                 be.flush().unwrap();
             }
-            let shard = (shard_sel as usize) % SHARDS;
-            let path = dir.join(format!("shard-{shard:03}.log"));
+            let path = dir.join("segment.log");
             let len = std::fs::metadata(&path).unwrap().len();
             let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(len.saturating_sub(cut as u64)).unwrap();
             f.sync_all().unwrap();
             drop(f);
 
-            let be = CaskBackend::open(&dir).unwrap();
-            let unique: HashMap<Hash256, &Vec<u8>> =
-                blobs.iter().map(|b| (Hash256::of(b), b)).collect();
-            let mut lost = 0usize;
-            for (k, v) in &unique {
-                if be.contains(*k) {
-                    prop_assert_eq!(be.get(*k).unwrap().as_ref(), &v[..]);
-                } else {
-                    prop_assert_eq!(
-                        (k.0[0] as usize) % SHARDS,
-                        shard,
-                        "a key outside the torn shard vanished"
-                    );
-                    lost += 1;
-                }
-            }
-            let survivors = unique.len() - lost;
-            prop_assert_eq!(be.len(), survivors);
-            drop(be);
-
-            let be = CaskBackend::open(&dir).unwrap();
-            prop_assert_eq!(be.len(), survivors);
-            for (k, v) in &unique {
-                if be.contains(*k) {
-                    prop_assert_eq!(be.get(*k).unwrap().as_ref(), &v[..]);
+            let mut seen = HashSet::new();
+            let order: Vec<&Vec<u8>> = blobs.iter().filter(|b| seen.insert(Hash256::of(b))).collect();
+            for _ in 0..2 {
+                let be = CaskBackend::open(&dir).unwrap();
+                let survivors = order.iter().take_while(|b| be.contains(Hash256::of(b))).count();
+                prop_assert!(survivors < order.len(), "a cut tail lost nothing");
+                prop_assert_eq!(be.len(), survivors, "a record survived behind a lost one");
+                for b in &order[..survivors] {
+                    prop_assert_eq!(be.get(Hash256::of(b)).unwrap().as_ref(), &b[..]);
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);
@@ -507,7 +583,7 @@ mod cask_props {
             kill_mask in proptest::collection::vec(any::<bool>(), 10),
         ) {
             let dir = temp_dir("compact");
-            let opts = CaskOptions::synchronous().with_shards(SHARDS);
+            let opts = CaskOptions::synchronous();
             let be = CaskBackend::open_with(&dir, opts).unwrap();
             let mut live: HashMap<Hash256, Vec<u8>> = HashMap::new();
             for b in &blobs {
@@ -548,7 +624,7 @@ mod cask_props {
         /// return the same `Vec<bool>` (a key repeated inside one call is new
         /// once, one already stored is not new) and show the same `len` and
         /// `physical_bytes` after every call — across removals, and on the
-        /// cask with and without a writer pool across a reopen.
+        /// cask with and without a writer thread across a reopen.
         #[test]
         fn prop_put_many_equals_the_per_key_loop(
             calls in proptest::collection::vec(
@@ -567,8 +643,8 @@ mod cask_props {
                 ),
             ];
             let modes = [
-                ("pool", CaskOptions { shards: SHARDS, ..CaskOptions::default() }),
-                ("sync", CaskOptions::synchronous().with_shards(SHARDS)),
+                ("pool", CaskOptions::default()),
+                ("sync", CaskOptions::synchronous()),
             ];
             let mut dirs = Vec::new();
             for (mode, opts) in &modes {
@@ -687,10 +763,7 @@ mod cask_props {
                 .collect()
         };
         let (da, db) = (temp_dir("group-a"), temp_dir("group-b"));
-        let opts = CaskOptions {
-            shards: SHARDS,
-            ..CaskOptions::default()
-        };
+        let opts = CaskOptions::default();
         let grouped = Arc::new(CaskBackend::open_with(&da, opts.clone()).unwrap());
         let per_key = Arc::new(CaskBackend::open_with(&db, opts).unwrap());
         let store_a = ChunkStore::new(
@@ -742,8 +815,6 @@ mod cache_props {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    const SHARDS: usize = 4;
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -764,8 +835,7 @@ mod cache_props {
     }
 
     fn cask_store(dir: &std::path::Path, cache: Option<CacheOptions>) -> ChunkStore {
-        let be =
-            Arc::new(Cask::open_with(dir, CaskOptions::synchronous().with_shards(SHARDS)).unwrap());
+        let be = Arc::new(Cask::open_with(dir, CaskOptions::synchronous()).unwrap());
         ChunkStore::with_cache(be, ChunkParams::SMALL, StorageCostModel::FORKBASE, cache)
     }
 
@@ -922,7 +992,7 @@ mod cache_props {
                 let be = Arc::new(
                     Cask::open_with(
                         &dir,
-                        CaskOptions::synchronous().with_shards(SHARDS).with_fault(FaultPlan::seeded(seed, 24)),
+                        CaskOptions::synchronous().with_fault(FaultPlan::seeded(seed, 24)),
                     )
                     .unwrap(),
                 );
@@ -988,9 +1058,7 @@ mod cache_props {
     fn reread_loop_hits_the_cache_and_halves_cask_disk_reads() {
         const ROUNDS: usize = 4;
         let dir = temp_dir("reread");
-        let be = Arc::new(
-            Cask::open_with(&dir, CaskOptions::synchronous().with_shards(SHARDS)).unwrap(),
-        );
+        let be = Arc::new(Cask::open_with(&dir, CaskOptions::synchronous()).unwrap());
         let store = |cache| {
             ChunkStore::with_cache(
                 be.clone(),
