@@ -9,7 +9,7 @@
 //! that shared state:
 //!
 //! * **Shared dedup** — every tenant's writes deduplicate against every
-//!   other tenant's chunks; attribution is first-writer-pays with a
+//!   other tenant's chunks; a chunk is charged to its first referent, with a
 //!   shared-refcount fair-share view (see [`mlcask_storage::tenant`]).
 //! * **Tenant-namespaced branches** — tenant `team_a`'s branch `master`
 //!   lives in the shared commit graph as `team_a/master`, so the graph is
@@ -548,7 +548,7 @@ impl Tenant {
         ))
     }
 
-    /// This tenant's first-writer-pays usage.
+    /// This tenant's usage: a chunk is charged to its first referent.
     pub fn usage(&self) -> TenantUsage {
         self.workspace.store.tenant_accounts().usage(self.id)
     }
@@ -581,8 +581,8 @@ impl Tenant {
     /// Forking hands over references, not bytes: the head's metafile and
     /// the component outputs it lists are recorded as referenced by this
     /// tenant in the shared-refcount ledger (the fair-share view a capacity
-    /// planner bills), while first-writer-pays attribution stays with the
-    /// peer. Nothing is copied — dedup makes the fork physically free.
+    /// planner bills), while the charge stays with the chunks' first
+    /// referent. Nothing is copied — dedup makes the fork physically free.
     pub fn fork_from(&self, peer: &str, branch: &str, new_branch: &str) -> Result<Commit> {
         let me = Some(self.name.as_str());
         let source = BranchRef::peer(peer, branch);
@@ -730,7 +730,7 @@ mod tests {
         assert_eq!(
             usage["team_a"].physical_bytes + usage["team_b"].physical_bytes,
             ws.store().physical_bytes(),
-            "first-writer-pays sums to the store total"
+            "first-referent charges sum to the store total"
         );
         let shared = ws.shared_view();
         assert!(shared["team_b"].referenced_bytes > 0);

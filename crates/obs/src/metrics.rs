@@ -104,7 +104,10 @@ struct HistogramCore {
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Histogram {
+    /// A histogram registered nowhere, with the given finite bucket bounds
+    /// (ascending; `+Inf` implicit) — for an instrument whose owner is not
+    /// to appear in any scrape.
+    pub fn new(bounds: &[f64]) -> Histogram {
         Histogram(Arc::new(HistogramCore {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),

@@ -874,6 +874,35 @@ mod tests {
         assert_eq!(code(&held), Some(Value::I64(BASE_MOVED)), "{held}");
     }
 
+    /// EIO on a read of the store's file answers the request that read —
+    /// a second tenant's join, which adopts the first's stored libraries —
+    /// with an error reply, not a panic, and the same request succeeds once
+    /// the file reads again.
+    #[test]
+    fn a_read_error_is_an_error_reply() {
+        use mlcask_storage::cask::{CaskBackend, CaskOptions};
+        use mlcask_storage::fault::{FaultKind, FaultPlan, SimFile};
+        let sim = SimFile::new();
+        let backend = CaskBackend::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap();
+        let (params, cost) = (ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        let store = ChunkStore::with_cache(Arc::new(backend), params, cost, None);
+        let ws = Workspace::over(Arc::new(store));
+        let workload = mlcask_workloads::readmission::build();
+        let router = Router::over(ws, workload, ServerOptions::default());
+        let open = |tenant: &str| {
+            let line =
+                format!(r#"{{"id":0,"method":"session.open","params":{{"tenant":"{tenant}"}}}}"#);
+            let reply: Value = serde_json::from_str(&router.handle_text(&line)).unwrap();
+            serde::map_get(reply.as_map().unwrap(), "error").cloned()
+        };
+        assert_eq!(open("a"), None);
+        sim.arm(FaultPlan::new(FaultKind::ReadError, 1, 0));
+        let refused = open("b").expect("the join's read failed");
+        let msg = serde::map_get(refused.as_map().unwrap(), "message");
+        assert!(format!("{msg:?}").contains("EIO"), "{msg:?}");
+        assert_eq!(open("b"), None, "the read error was that request's only");
+    }
+
     /// Every name in [`ROUTES`] is one the router serves: with a live
     /// session each gets past the method lookup (whatever it then says about
     /// its missing parameters), and a name outside the table does not.

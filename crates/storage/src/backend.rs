@@ -1,15 +1,16 @@
-//! Physical storage backends.
+//! The storage backend trait.
 //!
-//! The chunk store is generic over a [`StorageBackend`] so experiments can
-//! run entirely in memory (deterministic, fast) while the append-only
-//! [`CaskBackend`](crate::cask::CaskBackend) makes the same store durable.
+//! The chunk store is generic over a [`StorageBackend`]; this crate has one
+//! implementation, the append-only [`CaskBackend`], over a segment file in
+//! a directory or over an in-memory [`SimFile`](crate::fault::SimFile)
+//! ([`MemBackend`]). The trait stays the seam for decorators that time or
+//! gate a backend's calls.
 
-use crate::errors::{Result, StorageError};
+use crate::cask::CaskBackend;
+use crate::errors::Result;
 use crate::hash::Hash256;
 /// What [`StorageBackend::get`] returns, for implementors outside this crate.
 pub use bytes::Bytes;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// Key-value storage for content-addressed bytes.
 ///
@@ -47,8 +48,7 @@ pub trait StorageBackend: Send + Sync {
     /// Removes `key`, returning the freed byte count (`None` if absent).
     fn remove(&self, key: Hash256) -> Result<Option<u64>>;
     /// Makes every acknowledged write durable: drains any in-flight write
-    /// queue and fsyncs. A no-op for backends that are always consistent
-    /// (memory).
+    /// queue and fsyncs. A no-op for decorators that hold nothing back.
     fn flush(&self) -> Result<()> {
         Ok(())
     }
@@ -59,93 +59,17 @@ pub trait StorageBackend: Send + Sync {
     }
 }
 
-/// The map and its byte total live under one lock: `put` must update both
-/// atomically or `physical_bytes` can be observed out of sync with `len`
-/// under concurrency (the old design used two separate `RwLock`s).
-#[derive(Default)]
-struct MemState {
-    map: HashMap<Hash256, Bytes>,
-    bytes: u64,
-}
-
-/// In-memory backend used by tests and experiments.
-#[derive(Default)]
-pub struct MemBackend {
-    state: RwLock<MemState>,
-}
-
-impl MemBackend {
-    /// Creates an empty in-memory backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MemState {
-    fn put(&mut self, key: Hash256, data: &[u8]) -> bool {
-        if self.map.contains_key(&key) {
-            return false;
-        }
-        self.map.insert(key, Bytes::copy_from_slice(data));
-        self.bytes += data.len() as u64;
-        true
-    }
-}
-
-impl StorageBackend for MemBackend {
-    fn put(&self, key: Hash256, data: &[u8]) -> Result<bool> {
-        Ok(self.state.write().put(key, data))
-    }
-
-    /// One write lock for the whole call.
-    fn put_many(&self, items: &[(Hash256, &[u8])]) -> Result<Vec<bool>> {
-        let mut state = self.state.write();
-        Ok(items
-            .iter()
-            .map(|&(key, data)| state.put(key, data))
-            .collect())
-    }
-
-    fn get(&self, key: Hash256) -> Result<Bytes> {
-        self.state
-            .read()
-            .map
-            .get(&key)
-            .cloned()
-            .ok_or(StorageError::NotFound(key))
-    }
-
-    fn contains(&self, key: Hash256) -> bool {
-        self.state.read().map.contains_key(&key)
-    }
-
-    fn len(&self) -> usize {
-        self.state.read().map.len()
-    }
-
-    fn physical_bytes(&self) -> u64 {
-        self.state.read().bytes
-    }
-
-    fn keys(&self) -> Vec<Hash256> {
-        self.state.read().map.keys().copied().collect()
-    }
-
-    fn remove(&self, key: Hash256) -> Result<Option<u64>> {
-        let mut state = self.state.write();
-        match state.map.remove(&key) {
-            Some(data) => {
-                state.bytes -= data.len() as u64;
-                Ok(Some(data.len() as u64))
-            }
-            None => Ok(None),
-        }
-    }
-}
+/// The in-memory store: the cask over a fault-free [`SimFile`] that lands
+/// every write on its caller's thread, so in-memory and durable stores run
+/// one code path. [`MemBackend::new`] is [`CaskBackend::new`].
+///
+/// [`SimFile`]: crate::fault::SimFile
+pub type MemBackend = CaskBackend;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errors::StorageError;
 
     fn exercise(backend: &dyn StorageBackend) {
         assert!(backend.is_empty());

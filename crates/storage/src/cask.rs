@@ -1,94 +1,84 @@
-//! Durable append-only log-segment backend ("cask"-style) with crash
-//! recovery — the on-disk counterpart of [`MemBackend`](crate::backend::MemBackend).
+//! Append-only log-segment storage backend ("cask"-style) with crash
+//! recovery: the one [`StorageBackend`], durable over a directory or in
+//! memory over a [`SimFile`].
 //!
 //! # Segment format
 //!
-//! Objects live in one append-only segment file (`segment.log`) beside a
-//! `cask.json` manifest that names the format version (2). Every record is
-//! a CRC-framed block:
+//! Objects live in one append-only segment (`segment.log`, beside a
+//! `cask.json` naming format version 2) of CRC-framed records:
 //!
 //! ```text
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
 //! payload = [flag: u8][key: 32 B][data]        flag 0 = put, 1 = tombstone
 //! ```
 //!
-//! The in-memory index (key → offset/length) is rebuilt on
-//! [`CaskBackend::open`] by one sequential scan of the segment; a torn
-//! tail — an incomplete or CRC-corrupt final record left by a crash — is
-//! truncated away, which is idempotent (re-scanning a truncated file
-//! truncates nothing further). Tombstones keep removals durable across
-//! reopen. A directory in the sharded version-1 layout is refused with
-//! [`StorageError::UnsupportedLayout`] and left as it is: there is no
-//! migration.
+//! Opening rebuilds the in-memory index (key → offset/length) by one scan
+//! of the segment and truncates a torn tail — an incomplete or CRC-corrupt
+//! final record — which is idempotent. Tombstones keep removals durable. A
+//! first open writes `cask.json` through a synced temp file and a rename,
+//! so a crash leaves no manifest or a whole one; a directory whose manifest
+//! is unreadable or names another version (the sharded version 1) is
+//! refused with a typed [`StorageError`] and left untouched.
 //!
-//! # One append order: the prefix property
+//! # The segment is a file the cask does not own
 //!
-//! [`StorageBackend::put_many`] is the write path: `ChunkStore` hands it a
-//! blob's chunks and then its manifest in one call. Dedup for the whole
-//! call is resolved under one index write lock, and the call's *new*
-//! records become **one group**, chunks first, manifest last; `remove`
-//! makes its tombstone a group of one. Groups join one FIFO and land at the
-//! segment's tail in the order they were submitted. So whatever a crash
-//! leaves, a reopen finds exactly the records of a prefix of the submission
-//! order, with at most one torn group at its end: a record is durable only
-//! if every record submitted before it is, and a blob's manifest never
-//! outlives its new chunks.
+//! The cask reaches its segment through one crate-private trait,
+//! `SegmentFile`: a vectored write at an offset, `sync_data`, a read at an
+//! offset, the length, truncation, and compaction's rewrite-then-swap.
+//! [`CaskBackend::open_with`] puts it over a `std::fs::File`,
+//! [`CaskBackend::open_sim`] over a [`SimFile`]. [`MemBackend`] is the cask
+//! over a fault-free `SimFile` landing synchronously, so every store runs
+//! this one code path.
 //!
-//! # One write discipline: a batch lands with one write and one fsync
+//! # One append order, one write discipline
 //!
-//! `put_many` inserts a `Pending` index entry per new key (holding the
-//! bytes, so reads and `contains` see the key immediately). A record is its
-//! 41-byte header (CRC folded over flag, key and data in place) beside the
-//! very `Bytes` its `Pending` entry holds — the data is never copied again.
-//! Every group reaches the disk through one function, `land`: one vectored
-//! write of a batch of whole groups at the tail, one `sync_data`, then each
-//! record's index entry swings to its offset. So a blob costs one write and
-//! one fsync.
+//! `put_many` resolves dedup for the whole call under one index write
+//! lock, inserting a `Pending` slot (holding the bytes, so reads see the
+//! key at once) per new key; the call's new records become **one group**,
+//! chunks first, manifest last (a `remove` makes its tombstone a group of
+//! one). Groups land at the segment's tail in submission order through one
+//! function, `land`: one vectored write of whole groups (each record's
+//! 41-byte header beside the very `Bytes` its slot holds), one
+//! `sync_data`, then the slots swing to their offsets. So a crash leaves
+//! exactly the records of a prefix of the submission order, with at most
+//! one torn group at its end — a blob's manifest never outlives its new
+//! chunks.
 //!
-//! Only the thread differs. With a writer thread (the default) a group is
-//! queued and the writer drains the queue in batches (whole groups up to
-//! 1 MiB, at least one); durability overlaps component execution, and
-//! [`CaskBackend::flush`] waits for the queue to drain. Without one
-//! ([`CaskOptions::synchronous`]) the caller lands its own group before
-//! `put_many` returns. The `mlcask_cask_blocking_syncs_total` series counts
-//! the fsyncs a *caller* waited on, so only that mode pays any. The
-//! traced-execute/replay protocol already decouples accounting from write
-//! timing, so the engines need no changes.
-//!
-//! Appending and reading take different locks. A landing holds the tail
-//! lock, which decides who appends, across its write, its sync and its
-//! index swing; `get` reads a durable record through the file handle that
-//! readers and compaction share, so a read never waits for a landing's
-//! `sync_data`.
+//! With a writer thread (the default) groups queue in a FIFO the writer
+//! drains in batches of whole groups up to 1 MiB, and [`CaskBackend::flush`]
+//! waits for it to drain; the FIFO is bounded at `MAX_PENDING_BYTES`, and a
+//! `put_many` that would pass the bound waits for a landing. Without one
+//! ([`CaskOptions::synchronous`]) the caller lands its own group, and only
+//! then pays fsyncs (`mlcask_cask_blocking_syncs_total`). A landing holds
+//! the tail lock; `get` reads through the file handle readers and
+//! compaction share, so a read never waits for a landing's sync.
 //!
 //! # Compaction
 //!
-//! Removals and superseded records leave dead bytes in the segment;
-//! [`CaskBackend::compact`] rewrites it via a temp file + rename, dropping
-//! tombstones and dead records. The rewrite holds the tail lock, so nothing
-//! lands meanwhile, and copies the live records through the shared file
-//! handle, so reads proceed; only the swap to the new file and the index
-//! swing exclude them. The `Workspace::sweep_orphans` liveness walk drives
-//! it: sweep first (which tombstones orphans), then compact to reclaim the
-//! file bytes.
+//! [`CaskBackend::compact`] rewrites the segment without tombstones and
+//! dead records (on disk: a temp file, a sync and a rename), holding the
+//! tail lock; reads wait only for the swap and the index swing.
+//! `Workspace::sweep_orphans` drives it after tombstoning orphans.
 //!
-//! # Fault injection
+//! # Faults
 //!
-//! A [`FaultPlan`] (deterministic, seeded) fires inside `land` at the k-th
-//! record landed, whichever thread lands it: the batch is written up to a
-//! byte cut inside that record, or through its end, or the segment drops
-//! back to its length at the last flush, or the batch's write or
-//! `sync_data` fails ([`FaultKind`]). The backend then goes **down** — the
-//! one state an injected crash, [`CaskBackend::simulate_crash`] and a real
-//! failed write or sync all set — before any record of the batch is swung,
-//! and every operation fails until the directory is reopened. Records land
-//! in submission order on either thread; without a writer thread the batch
-//! boundaries too are the caller's, so the crash point is reproducible byte
-//! for byte.
+//! The cask plays no faults; its file fails, and it answers. A failed
+//! write or `sync_data` takes the backend **down** before any record of the
+//! batch is swung: every later write, `flush` and `get` fails until the
+//! segment is reopened. A failed read fails that `get` only, with
+//! [`StorageError::Io`]. A crash is the file's: [`SimFile::crash`] drops
+//! the unsynced suffix and kills the cask's handle, and [`SimFile::reopen`]
+//! hands the next cask what survived; a [`FaultPlan`] on the `SimFile`
+//! plays torn writes, crashes, EIO and a crash inside compaction. Without
+//! a writer thread the batch boundaries are the caller's, so a plan's crash
+//! point is reproducible byte for byte.
+//!
+//! [`MemBackend`]: crate::backend::MemBackend
+//! [`FaultPlan`]: crate::fault::FaultPlan
 
 use crate::backend::StorageBackend;
 use crate::errors::{Result, StorageError};
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::SimFile;
 use crate::hash::Hash256;
 use bytes::Bytes;
 use mlcask_obs::metrics::{instance_label, LATENCY_SECONDS, SIZE_BYTES};
@@ -96,7 +86,7 @@ use mlcask_obs::{Counter, Histogram, MetricsRegistry};
 use parking_lot::{Mutex as PlMutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, IoSlice, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,21 +229,89 @@ fn record_file_len(data_len: u64) -> u64 {
     RECORD_HEADER as u64 + data_len
 }
 
-/// Writes `parts` back to back at `off` — vectored, so a whole batch is
-/// one `writev` unless the kernel takes less. Empty parts are not allowed
-/// (a write of nothing would read as "no progress").
-fn write_all_vectored_at(file: &File, off: u64, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
-    let mut file = file;
-    file.seek(SeekFrom::Start(off))?;
-    while !parts.is_empty() {
-        match file.write_vectored(parts) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut parts, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+// ---------------------------------------------------------------------------
+// The segment file
+// ---------------------------------------------------------------------------
+
+/// The segment as the cask sees it, implemented on disk by `DiskFile` and
+/// in memory by [`SimFile`]: `write_at` writes `parts` (none empty) back to
+/// back at `off`; `sync_data`, `read_exact_at`, `len` and `set_len` are the
+/// file's; `rewrite` writes a new image through `fill`, makes it durable,
+/// swaps it in for this file and returns the handle on it.
+pub(crate) trait SegmentFile: Send + Sync {
+    fn write_at(&self, off: u64, parts: &mut [IoSlice<'_>]) -> io::Result<()>;
+    fn sync_data(&self) -> io::Result<()>;
+    fn read_exact_at(&self, buf: &mut [u8], off: u64) -> io::Result<()>;
+    fn len(&self) -> io::Result<u64>;
+    fn set_len(&self, len: u64) -> io::Result<()>;
+    fn rewrite(
+        &self,
+        fill: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<Box<dyn SegmentFile>>;
+}
+
+/// `segment.log` in a cask directory.
+struct DiskFile {
+    file: File,
+    path: PathBuf,
+}
+
+impl SegmentFile for DiskFile {
+    /// Vectored, so a whole batch is one `writev` unless the kernel takes
+    /// less.
+    fn write_at(&self, off: u64, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(off))?;
+        while !parts.is_empty() {
+            match file.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
+        Ok(())
     }
-    Ok(())
+
+    fn sync_data(&self) -> io::Result<()> {
+        self.file.sync_data()
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], off: u64) -> io::Result<()> {
+        FileExt::read_exact_at(&self.file, buf, off)
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.file.metadata()?.len())
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)
+    }
+
+    /// A temp file beside the segment, synced, then renamed over it — and
+    /// the directory synced, or a crash could lose the rename after later
+    /// appends went to the new file.
+    fn rewrite(
+        &self,
+        fill: &mut dyn FnMut(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<Box<dyn SegmentFile>> {
+        let tmp = self.path.with_extension("log.compact");
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        fill(&mut out)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+        fs::rename(&tmp, &self.path)?;
+        let dir = self
+            .path
+            .parent()
+            .expect("a segment lives in its cask's directory");
+        File::open(dir)?.sync_all()?;
+        let file = OpenOptions::new().read(true).write(true).open(&self.path)?;
+        Ok(Box::new(DiskFile {
+            file,
+            path: self.path.clone(),
+        }))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,15 +324,12 @@ pub struct CaskOptions {
     /// Whether one writer thread lands queued groups (the default), or each
     /// caller lands its own group before its write returns.
     pub writer_thread: bool,
-    /// Deterministic fault injection (tests only).
-    pub fault: Option<FaultPlan>,
 }
 
 impl Default for CaskOptions {
     fn default() -> Self {
         CaskOptions {
             writer_thread: true,
-            fault: None,
         }
     }
 }
@@ -288,21 +343,20 @@ impl CaskOptions {
     pub fn synchronous() -> Self {
         CaskOptions {
             writer_thread: false,
-            ..Self::default()
         }
-    }
-
-    /// Replaces the fault plan; whether there is a writer thread stays as
-    /// set.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
     }
 }
 
 /// Upper bound on the bytes the writer drains into one batch (at least one
 /// queued group, which is never split) — bounds commit latency.
 const MAX_BATCH_BYTES: usize = 1 << 20;
+
+/// Upper bound on the bytes queued for the writer or landing: a
+/// `put_many` that would pass it waits (a lone group larger than the bound
+/// is let in alone). It caps the memory a writer that outruns `sync_data`
+/// can hold. Caskbench's workloads reach at most 3.2 MiB (a batch is at
+/// most `MAX_BATCH_BYTES`); five times that keeps the bound off their path.
+pub(crate) const MAX_PENDING_BYTES: usize = 16 << 20;
 
 /// The layout this build reads and writes: one segment, no shard count.
 const FORMAT_VERSION: u32 = 2;
@@ -313,6 +367,35 @@ const FORMAT_VERSION: u32 = 2;
 struct CaskManifest {
     version: u32,
     shards: Option<u32>,
+}
+
+/// Reads `root`'s `cask.json` and refuses any but this build's layout, or
+/// writes a new one — through a synced temp file and a rename, then a sync
+/// of the directory, so a crash never leaves a torn manifest.
+fn check_or_write_manifest(root: &Path) -> Result<()> {
+    let path = root.join("cask.json");
+    if path.exists() {
+        let m: CaskManifest = serde_json::from_slice(&fs::read(&path)?)
+            .map_err(|e| StorageError::Codec(format!("unreadable cask.json: {e}")))?;
+        if m.version != FORMAT_VERSION {
+            return Err(StorageError::UnsupportedLayout {
+                version: m.version,
+                shards: m.shards,
+            });
+        }
+        return Ok(());
+    }
+    let m = CaskManifest {
+        version: FORMAT_VERSION,
+        shards: None,
+    };
+    let tmp = root.join("cask.json.tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(&serde_json::to_vec(&m)?)?;
+    f.sync_all()?;
+    fs::rename(&tmp, &path)?;
+    File::open(root)?.sync_all()?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -337,23 +420,11 @@ impl Slot {
 }
 
 /// Map and live-byte total under one lock, so `len`/`physical_bytes` are
-/// never observed out of sync (same invariant as `MemBackend`).
+/// never observed out of sync.
 #[derive(Default)]
 struct CaskIndex {
     map: HashMap<Hash256, Slot>,
     live_bytes: u64,
-}
-
-/// The segment's append end, under the lock that decides who appends.
-struct Tail {
-    /// End of the landed region: every byte before it is written and synced.
-    end: u64,
-    /// `end` at the last flush or open — what a dropped page cache
-    /// ([`FaultKind::DropUnsynced`]) rolls the segment back to.
-    flushed: u64,
-    /// Records handed to a landing since open, in landing order — what a
-    /// fault plan's trigger counts.
-    records: u64,
 }
 
 /// One record on its way to the segment.
@@ -388,11 +459,6 @@ impl Job {
             out.push(IoSlice::new(&self.data));
         }
     }
-
-    /// The frame in one buffer — only fault injection needs it, to cut it.
-    fn frame(&self) -> Vec<u8> {
-        [&self.header[..], &self.data].concat()
-    }
 }
 
 /// Records landed as one unit — a `put_many`'s new records, chunks first
@@ -417,13 +483,17 @@ struct Queue {
     state: Mutex<QueueState>,
     /// Signalled on enqueue and shutdown.
     work: Condvar,
-    /// Signalled when the queue is empty and no batch is landing.
-    drained: Condvar,
+    /// Signalled after every landing: `flush` waits on it for the queue to
+    /// drain, and a `put_many` for room under the bound.
+    landed: Condvar,
 }
 
 #[derive(Default)]
 struct QueueState {
     groups: VecDeque<Group>,
+    /// Frame bytes of the queued groups and of the batch landing — what
+    /// [`MAX_PENDING_BYTES`] bounds.
+    bytes: usize,
     /// The writer has taken a batch off the queue and not yet landed it.
     landing: bool,
     shutdown: bool,
@@ -439,51 +509,99 @@ impl Queue {
     }
 }
 
+/// The cask's telemetry: `mlcask_cask_*` series in the global
+/// [`MetricsRegistry`] for a cask in a directory, handles registered
+/// nowhere for one over a [`SimFile`] — a process builds many in-memory
+/// stores, and each would mint a fresh set of `instance` series. Either
+/// way each backend owns its counters, so two backends count apart.
+struct Telemetry {
+    appends: Counter,
+    /// Fsyncs on a caller's thread — durability work that blocks.
+    blocking_syncs: Counter,
+    /// Segment fsyncs for append durability, one per landed batch.
+    syncs_total: Counter,
+    group_commits: Counter,
+    /// Segment reads served by `get` (`Pending` hits don't count).
+    read_ops: Counter,
+    /// `sync_data` latency (`kind` = `inline` or `group`).
+    fsync: Histogram,
+    group_commit_bytes: Histogram,
+}
+
+impl Telemetry {
+    /// Counters carry a unique `instance` label so two registered backends
+    /// get independent series; the fsync/byte histograms aggregate across
+    /// instances — latency distributions are a process-level concern.
+    fn new(reg: Option<&MetricsRegistry>, writer_thread: bool) -> Telemetry {
+        let instance = reg.map(|_| instance_label("cask")).unwrap_or_default();
+        let ilabel = [("instance", instance.as_str())];
+        let counter = |name: &str, help: &str| {
+            reg.map_or_else(Counter::default, |r| r.counter(name, help, &ilabel))
+        };
+        let histogram = |name: &str, help: &str, labels: &[(&str, &str)], bounds: &[f64]| {
+            reg.map_or_else(
+                || Histogram::new(bounds),
+                |r| r.histogram(name, help, labels, bounds),
+            )
+        };
+        let fsync_kind = if writer_thread { "group" } else { "inline" };
+        Telemetry {
+            appends: counter(
+                "mlcask_cask_appends_total",
+                "Cask appends attempted (puts + tombstones)",
+            ),
+            blocking_syncs: counter(
+                "mlcask_cask_blocking_syncs_total",
+                "Fsyncs performed on a caller's thread",
+            ),
+            syncs_total: counter(
+                "mlcask_cask_syncs_total",
+                "Segment fsyncs performed for append durability",
+            ),
+            group_commits: counter(
+                "mlcask_cask_group_commit_batches_total",
+                "Batches made durable with one group commit each",
+            ),
+            read_ops: counter(
+                "mlcask_cask_read_ops_total",
+                "Segment disk reads served by get",
+            ),
+            fsync: histogram(
+                "mlcask_cask_fsync_seconds",
+                "Segment sync_data latency by call site",
+                &[("kind", fsync_kind)],
+                LATENCY_SECONDS,
+            ),
+            group_commit_bytes: histogram(
+                "mlcask_cask_group_commit_bytes",
+                "Bytes made durable per group-commit batch",
+                &[],
+                SIZE_BYTES,
+            ),
+        }
+    }
+}
+
 struct Inner {
-    path: PathBuf,
     /// The segment file. Reads and compaction's copy share it; only the swap
     /// to a compacted file takes it exclusively, together with the index.
-    file: RwLock<File>,
-    /// Decides who appends: a landing holds it across its write, sync and
-    /// index swing, and compaction across its whole rewrite. Reads never
-    /// take it.
-    tail: PlMutex<Tail>,
+    file: RwLock<Box<dyn SegmentFile>>,
+    /// The segment's append end, under the lock that decides who appends: a
+    /// landing holds it across its write, sync and index swing, and
+    /// compaction across its whole rewrite. Reads never take it. Every byte
+    /// before it is written and synced.
+    tail: PlMutex<u64>,
     /// File bytes occupied by dead records (tombstones + what they killed).
     dead_bytes: AtomicU64,
     index: RwLock<CaskIndex>,
     /// The writer thread's FIFO; `None` lands every group on its caller's
     /// thread.
     queue: Option<Queue>,
-    fault: Option<FaultPlan>,
-    /// Why the backend is down — an injected crash, `simulate_crash`, or a
-    /// failed write or sync. Set once; every later operation fails with it
-    /// until the directory is reopened.
+    /// Why the backend is down — a failed write or sync. Set once; every
+    /// later write, flush and read fails with it until the segment is
+    /// reopened.
     down: OnceLock<String>,
-    /// Registry-backed telemetry (`mlcask_cask_*{instance=...}` series in
-    /// the global [`MetricsRegistry`]). The counters keep their pre-registry
-    /// accessor semantics — each backend instance owns distinct series, so
-    /// tests comparing two backends still see independent counts.
-    appends: Counter,
-    /// Fsyncs performed on a caller's thread (landings without a writer
-    /// thread) — the durability work that *blocks* execution. The writer
-    /// thread's whole point is driving this down
-    /// (`pool_mode_blocks_fewer_syncs_than_sync_mode` gates on it).
-    blocking_syncs: Counter,
-    /// Every segment fsync done for append durability, one per landed
-    /// batch. `syncs_total / appends` is the fsyncs-per-append metric
-    /// `group_commit_coalesces_fsyncs_below_one_per_append` gates below 1.
-    syncs_total: Counter,
-    /// Batches landed, each with a single group commit.
-    group_commits: Counter,
-    /// Segment reads served by `get` (Pending hits don't count). The blob
-    /// cache sits above this backend, so the read-path bench compares this
-    /// counter cache-on vs cache-off.
-    read_ops: Counter,
-    /// `sync_data` latency of a landing (`kind` = `inline` on the caller's
-    /// thread, `group` on the writer thread).
-    fsync: Histogram,
-    /// Bytes made durable per landed batch.
-    group_commit_bytes: Histogram,
+    telemetry: Telemetry,
 }
 
 /// Append-only log-segment storage backend: one segment of CRC-framed
@@ -496,21 +614,12 @@ pub struct CaskBackend {
     writer: Option<JoinHandle<()>>,
 }
 
-const INJECTED_CRASH: &str = "injected crash: backend is down";
-
-/// Opens the segment at `path` and rebuilds its index, truncating a torn
-/// tail (idempotent: re-scanning a truncated file truncates nothing
-/// further). Returns the file, the index, the dead bytes and the valid
-/// length.
-fn recover(path: &Path) -> Result<(File, CaskIndex, u64, u64)> {
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let mut buf = Vec::new();
-    (&file).read_to_end(&mut buf)?;
+/// Rebuilds the index from the segment, truncating a torn tail
+/// (idempotent: re-scanning a truncated file truncates nothing further).
+/// Returns the index, the dead bytes and the valid length.
+fn recover(file: &dyn SegmentFile) -> Result<(CaskIndex, u64, u64)> {
+    let mut buf = vec![0u8; file.len()? as usize];
+    file.read_exact_at(&mut buf, 0)?;
     let mut index = CaskIndex::default();
     let mut dead = 0u64;
     let (frames, mut valid) = scan_frames(&buf);
@@ -549,14 +658,28 @@ fn recover(path: &Path) -> Result<(File, CaskIndex, u64, u64)> {
         dead += prev.map_or(0, |prev| record_file_len(prev.len()));
     }
     index.live_bytes = index.map.values().map(Slot::len).sum();
-    if valid < buf.len() || file.metadata()?.len() > buf.len() as u64 {
+    if valid < buf.len() {
         file.set_len(valid as u64)?;
         file.sync_data()?;
     }
-    Ok((file, index, dead, valid as u64))
+    Ok((index, dead, valid as u64))
+}
+
+impl Default for CaskBackend {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CaskBackend {
+    /// An empty in-memory cask: a fault-free [`SimFile`], landed
+    /// synchronously — what [`MemBackend::new`](crate::backend::MemBackend)
+    /// builds.
+    pub fn new() -> Self {
+        Self::open_sim(SimFile::new(), CaskOptions::synchronous())
+            .expect("an empty simulated file opens")
+    }
+
     /// Opens (creating if needed) a cask directory with default options.
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
         Self::open_with(root, CaskOptions::default())
@@ -564,86 +687,45 @@ impl CaskBackend {
 
     /// Opens (creating if needed) a cask directory, rebuilding the index by
     /// scanning the segment and truncating a torn tail. A directory whose
-    /// `cask.json` names another format version is refused with
-    /// [`StorageError::UnsupportedLayout`] before any file in it is opened.
+    /// `cask.json` is unreadable ([`StorageError::Codec`]) or names another
+    /// format version ([`StorageError::UnsupportedLayout`]) is refused
+    /// before any file in it is opened or written.
     pub fn open_with(root: impl AsRef<Path>, opts: CaskOptions) -> Result<Self> {
         let root = root.as_ref();
         fs::create_dir_all(root)?;
-        let manifest_path = root.join("cask.json");
-        if manifest_path.exists() {
-            let m: CaskManifest = serde_json::from_slice(&fs::read(&manifest_path)?)?;
-            if m.version != FORMAT_VERSION {
-                return Err(StorageError::UnsupportedLayout {
-                    version: m.version,
-                    shards: m.shards,
-                });
-            }
-        } else {
-            let m = CaskManifest {
-                version: FORMAT_VERSION,
-                shards: None,
-            };
-            fs::write(&manifest_path, serde_json::to_vec(&m)?)?;
-        }
+        check_or_write_manifest(root)?;
         let path = root.join("segment.log");
-        let (file, index, dead, valid) = recover(&path)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        let file = Box::new(DiskFile { file, path });
+        Self::over(file, opts, Some(MetricsRegistry::global()))
+    }
 
-        let queue = opts.writer_thread.then(Queue::default);
-        // Telemetry series. Counters carry a unique `instance` label so two
-        // backends in one process (writer thread vs sync, tests comparing
-        // modes) get independent series; the fsync/byte histograms
-        // aggregate across instances — latency distributions are a
-        // process-level concern.
-        let reg = MetricsRegistry::global();
-        let instance = instance_label("cask");
-        let ilabel = [("instance", instance.as_str())];
-        let counter = |name: &str, help: &str| reg.counter(name, help, &ilabel);
-        let fsync_kind = if queue.is_some() { "group" } else { "inline" };
+    /// Opens a cask over a simulated file, rebuilding the index from what
+    /// the file holds — after a [`SimFile::crash`], open the file's
+    /// [`SimFile::reopen`]. Its telemetry is registered nowhere.
+    pub fn open_sim(file: SimFile, opts: CaskOptions) -> Result<Self> {
+        Self::over(Box::new(file), opts, None)
+    }
+
+    fn over(
+        file: Box<dyn SegmentFile>,
+        opts: CaskOptions,
+        reg: Option<&MetricsRegistry>,
+    ) -> Result<Self> {
+        let (index, dead, valid) = recover(file.as_ref())?;
         let inner = Arc::new(Inner {
-            path,
             file: RwLock::new(file),
-            tail: PlMutex::new(Tail {
-                end: valid,
-                flushed: valid,
-                records: 0,
-            }),
+            tail: PlMutex::new(valid),
             dead_bytes: AtomicU64::new(dead),
             index: RwLock::new(index),
-            queue,
-            fault: opts.fault,
+            queue: opts.writer_thread.then(Queue::default),
             down: OnceLock::new(),
-            appends: counter(
-                "mlcask_cask_appends_total",
-                "Cask appends attempted (puts + tombstones)",
-            ),
-            blocking_syncs: counter(
-                "mlcask_cask_blocking_syncs_total",
-                "Fsyncs performed on a caller's thread",
-            ),
-            syncs_total: counter(
-                "mlcask_cask_syncs_total",
-                "Segment fsyncs performed for append durability",
-            ),
-            group_commits: counter(
-                "mlcask_cask_group_commit_batches_total",
-                "Batches made durable with one group commit each",
-            ),
-            read_ops: counter(
-                "mlcask_cask_read_ops_total",
-                "Segment disk reads served by get",
-            ),
-            fsync: reg.histogram(
-                "mlcask_cask_fsync_seconds",
-                "Segment sync_data latency by call site",
-                &[("kind", fsync_kind)],
-                LATENCY_SECONDS,
-            ),
-            group_commit_bytes: reg.histogram(
-                "mlcask_cask_group_commit_bytes",
-                "Bytes made durable per group-commit batch",
-                &[],
-                SIZE_BYTES,
-            ),
+            telemetry: Telemetry::new(reg, opts.writer_thread),
         });
         let writer = inner.queue.is_some().then(|| {
             let inner = Arc::clone(&inner);
@@ -653,9 +735,9 @@ impl CaskBackend {
     }
 
     /// Records (puts + tombstones) handed to a landing, including those of
-    /// a failed one. The crash-matrix tests size their sweep with this.
+    /// a failed one.
     pub fn append_count(&self) -> u64 {
-        self.inner.appends.get()
+        self.inner.telemetry.appends.get()
     }
 
     /// Every segment fsync performed for append durability: one per landed
@@ -663,21 +745,19 @@ impl CaskBackend {
     /// one per `put_many` in synchronous mode, lower still once the writer
     /// coalesces queued groups into one batch.
     pub fn sync_count(&self) -> u64 {
-        self.inner.syncs_total.get()
+        self.inner.telemetry.syncs_total.get()
     }
 
-    /// Segment disk reads served by `get` (in-memory `Pending` hits don't
-    /// count). The blob cache above this backend absorbs repeat reads, so
-    /// `tests/storage_properties.rs` compares this counter cache-on vs
-    /// cache-off.
+    /// Segment reads served by `get` (in-memory `Pending` hits don't
+    /// count) — what the blob cache above this backend saves.
     pub fn read_ops(&self) -> u64 {
-        self.inner.read_ops.get()
+        self.inner.telemetry.read_ops.get()
     }
 
     /// Total segment file bytes (live + dead), the quantity compaction
     /// shrinks.
     pub fn file_bytes(&self) -> u64 {
-        self.inner.tail.lock().end
+        *self.inner.tail.lock()
     }
 
     /// File bytes occupied by dead records.
@@ -685,25 +765,10 @@ impl CaskBackend {
         self.inner.dead_bytes.load(Ordering::Relaxed)
     }
 
-    /// Simulates a process death: the backend goes down, queued groups are
-    /// discarded, a landing in flight finishes, and whatever a failed
-    /// landing left past the tail is truncated away. Reopen the directory
-    /// to recover — every landed group survives, nothing else.
-    pub fn simulate_crash(&self) {
-        let inner = &*self.inner;
-        inner.go_down(INJECTED_CRASH.into());
-        if let Some(queue) = &inner.queue {
-            let mut state = queue.lock();
-            state.groups.clear();
-            // Wait out the batch in flight so truncation does not race its
-            // write.
-            while state.landing {
-                state = Queue::wait(&queue.drained, state);
-            }
-            queue.drained.notify_all();
-        }
-        let tail = inner.tail.lock();
-        let _ = inner.file.read().set_len(tail.end);
+    /// Frame bytes queued for the writer thread or landing — what the
+    /// queue's byte bound caps (always 0 without a writer thread).
+    pub fn pending_bytes(&self) -> usize {
+        self.inner.queue.as_ref().map_or(0, |q| q.lock().bytes)
     }
 }
 
@@ -723,13 +788,21 @@ impl Inner {
         err
     }
 
-    /// Queues a group for the writer thread, or lands it on the calling
+    /// Queues a group for the writer thread — waiting while it would take
+    /// the queue past [`MAX_PENDING_BYTES`] — or lands it on the calling
     /// thread when there is none.
     fn submit(&self, group: Group) -> Result<()> {
         let Some(queue) = &self.queue else {
             return self.land(&[group]);
         };
-        queue.lock().groups.push_back(group);
+        let mut state = queue.lock();
+        while state.bytes > 0 && state.bytes + group.bytes > MAX_PENDING_BYTES {
+            self.check_up()?;
+            state = Queue::wait(&queue.landed, state);
+        }
+        self.check_up()?;
+        state.bytes += group.bytes;
+        state.groups.push_back(group);
         queue.work.notify_one();
         Ok(())
     }
@@ -739,42 +812,34 @@ impl Inner {
     /// concatenation buffer), one `sync_data`, then every put's index entry
     /// swings from `Pending` to its offset. The one write path: the writer
     /// thread calls it on drained batches, the caller's thread on its own
-    /// group when there is no writer. A fault plan fires here, at the
-    /// record it counts to; it, or a failed write or sync, takes the backend
-    /// down before any record of the batch is swung.
+    /// group when there is no writer. A failed write or sync takes the
+    /// backend down before any record of the batch is swung.
     fn land(&self, batch: &[Group]) -> Result<()> {
         self.check_up()?;
         let jobs: Vec<&Job> = batch.iter().flat_map(|g| &g.jobs).collect();
         let total: usize = batch.iter().map(|g| g.bytes).sum();
-        self.appends.add(jobs.len() as u64);
+        let t = &self.telemetry;
+        t.appends.add(jobs.len() as u64);
         // Held through the index swing, so a rewrite never copies the
         // segment while a landed record is still `Pending`.
-        let mut tail = self.tail.lock();
-        let before = tail.records;
-        tail.records += jobs.len() as u64;
-        if let Some(plan) = self.fault {
-            let k = plan.crash_at_append;
-            if k > before && k <= tail.records {
-                return Err(self.inject(&mut tail, &jobs, plan, (k - before - 1) as usize));
-            }
-        }
+        let mut end = self.tail.lock();
         let failed = |e: io::Error| self.go_down(format!("cask write failed: {e}"));
-        let start = tail.end;
+        let start = *end;
         {
             let file = self.file.read();
             let mut parts = Vec::with_capacity(2 * jobs.len());
             jobs.iter().for_each(|job| job.push_slices(&mut parts));
-            write_all_vectored_at(&file, start, &mut parts).map_err(failed)?;
-            let t = Instant::now();
+            file.write_at(start, &mut parts).map_err(failed)?;
+            let synced = Instant::now();
             file.sync_data().map_err(failed)?;
-            self.fsync.observe_duration(t.elapsed());
+            t.fsync.observe_duration(synced.elapsed());
         }
-        tail.end += total as u64;
-        self.syncs_total.inc();
-        self.group_commits.inc();
-        self.group_commit_bytes.observe(total as f64);
+        *end += total as u64;
+        t.syncs_total.inc();
+        t.group_commits.inc();
+        t.group_commit_bytes.observe(total as f64);
         if self.queue.is_none() {
-            self.blocking_syncs.inc();
+            t.blocking_syncs.inc();
         }
         let mut off = start;
         let mut idx = self.index.write();
@@ -796,52 +861,6 @@ impl Inner {
             off += frame_len;
         }
         Ok(())
-    }
-
-    /// Plays the fault `plan` fires at record `at` of a batch about to land
-    /// at the tail, then takes the backend down. Returns the error the
-    /// landing surfaces.
-    fn inject(&self, tail: &mut Tail, jobs: &[&Job], plan: FaultPlan, at: usize) -> StorageError {
-        let frames = |n: usize| -> Vec<u8> { jobs[..n].iter().flat_map(|j| j.frame()).collect() };
-        let file = self.file.read();
-        let start = tail.end;
-        let (why, played) = match plan.kind {
-            // Record `at` is cut at a seeded byte behind the whole records
-            // before it: the torn tail recovery truncates.
-            FaultKind::Torn => {
-                let mut buf = frames(at);
-                let frame = jobs[at].frame();
-                buf.extend_from_slice(&frame[..plan.torn_cut(frame.len())]);
-                let torn = file.write_all_at(&buf, start);
-                (INJECTED_CRASH, torn.and_then(|()| file.sync_data()))
-            }
-            // Record `at` is durable, but its caller never hears back.
-            FaultKind::AfterWrite => {
-                let written = file.write_all_at(&frames(at + 1), start);
-                (INJECTED_CRASH, written.and_then(|()| file.sync_data()))
-            }
-            // The machine dies with its page cache: the segment is back at
-            // its length at the last flush (or open).
-            FaultKind::DropUnsynced => {
-                tail.end = tail.flushed;
-                (INJECTED_CRASH, file.set_len(tail.flushed))
-            }
-            // ENOSPC mid-write: a seeded prefix of the batch reaches the file.
-            FaultKind::GroupCommitError if plan.seed.is_multiple_of(2) => {
-                let buf = frames(jobs.len());
-                let cut = plan.torn_cut(buf.len());
-                (
-                    "injected fault: write failed (no space left on device)",
-                    file.write_all_at(&buf[..cut], start),
-                )
-            }
-            // EIO from `sync_data`: the whole batch reached the file.
-            FaultKind::GroupCommitError => (
-                "injected fault: sync_data failed (EIO)",
-                file.write_all_at(&frames(jobs.len()), start),
-            ),
-        };
-        self.go_down(played.map_or_else(|e| e.to_string(), |()| why.into()))
     }
 
     /// The writer thread: drains the FIFO in batches, oldest group first,
@@ -873,29 +892,25 @@ impl Inner {
             // A failure took the backend down; `flush` and the next write
             // report it.
             let _ = inner.land(&batch);
+            drop(batch);
             state = queue.lock();
             state.landing = false;
-            if state.groups.is_empty() {
-                queue.drained.notify_all();
-            }
+            state.bytes -= bytes;
+            queue.landed.notify_all();
         }
     }
 
     /// The commit barrier: waits until every queued group has landed (a
-    /// landing syncs its own bytes), surfaces a failure, and records the
-    /// tail as flushed.
+    /// landing syncs its own bytes) and surfaces a failure.
     fn flush_all(&self) -> Result<()> {
         self.check_up()?;
         if let Some(queue) = &self.queue {
             let mut state = queue.lock();
             while state.landing || !state.groups.is_empty() {
-                state = Queue::wait(&queue.drained, state);
+                state = Queue::wait(&queue.landed, state);
             }
         }
-        self.check_up()?;
-        let mut tail = self.tail.lock();
-        tail.flushed = tail.end;
-        Ok(())
+        self.check_up()
     }
 
     /// Rewrites the segment without its dead records and returns the bytes
@@ -906,7 +921,7 @@ impl Inner {
     /// quiescent, but stay safe) was counted dead by its removal, and its
     /// copy stays dead.
     fn rewrite(&self) -> Result<u64> {
-        let mut tail = self.tail.lock();
+        let mut end = self.tail.lock();
         // `remove` counts dead bytes under the index lock, so the snapshot
         // of the live records and of the dead bytes agree.
         let (mut live, dead_before) = {
@@ -922,24 +937,22 @@ impl Inner {
             (live, self.dead_bytes.load(Ordering::Relaxed))
         };
         live.sort_by_key(|&(_, off, _)| off);
-        let tmp = self.path.with_extension("log.compact");
-        let mut out = BufWriter::new(File::create(&tmp)?);
         let mut moved = Vec::with_capacity(live.len());
-        let mut end = 0u64;
-        {
+        let mut new_end = 0u64;
+        let rewritten = {
             let file = self.file.read();
-            for (key, off, len) in live {
-                let mut data = vec![0u8; len as usize];
-                file.read_exact_at(&mut data, off)?;
-                out.write_all(&record_header(FLAG_PUT, &key, &data))?;
-                out.write_all(&data)?;
-                moved.push((key, end + RECORD_HEADER as u64));
-                end += record_file_len(len as u64);
-            }
-        }
-        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
-        fs::rename(&tmp, &self.path)?;
-        let rewritten = OpenOptions::new().read(true).write(true).open(&self.path)?;
+            file.rewrite(&mut |out| {
+                for &(key, off, len) in &live {
+                    let mut data = vec![0u8; len as usize];
+                    file.read_exact_at(&mut data, off)?;
+                    out.write_all(&record_header(FLAG_PUT, &key, &data))?;
+                    out.write_all(&data)?;
+                    moved.push((key, new_end + RECORD_HEADER as u64));
+                    new_end += record_file_len(len as u64);
+                }
+                Ok(())
+            })?
+        };
         {
             let mut file = self.file.write();
             *file = rewritten;
@@ -953,9 +966,8 @@ impl Inner {
             }
         }
         self.dead_bytes.fetch_sub(dead_before, Ordering::Relaxed);
-        let reclaimed = tail.end - end;
-        tail.end = end;
-        tail.flushed = end;
+        let reclaimed = *end - new_end;
+        *end = new_end;
         Ok(reclaimed)
     }
 }
@@ -1014,7 +1026,7 @@ impl StorageBackend for CaskBackend {
                 let mut out = vec![0u8; len as usize];
                 file.read_exact_at(&mut out, off)?;
                 drop(file);
-                inner.read_ops.inc();
+                inner.telemetry.read_ops.inc();
                 let actual = Hash256::of(&out);
                 if actual != key {
                     return Err(StorageError::Corrupt {
@@ -1104,11 +1116,10 @@ impl Drop for CaskBackend {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultKind, FaultPlan};
     use std::collections::HashSet;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -1240,16 +1251,16 @@ mod tests {
 
     #[test]
     fn cask_injected_torn_crash_recovers_prior_writes() {
-        let root = temp_root("fault-torn");
         let keys: Vec<(Hash256, Vec<u8>)> = (0..6u8)
             .map(|i| {
                 let data = vec![i; 64 + i as usize];
                 (Hash256::of(&data), data)
             })
             .collect();
+        let sim = SimFile::new();
         {
-            let opts = CaskOptions::synchronous().with_fault(FaultPlan::torn(4, 42));
-            let be = CaskBackend::open_with(&root, opts).unwrap();
+            sim.arm(FaultPlan::new(FaultKind::Torn, 4, 42));
+            let be = CaskBackend::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap();
             let mut failed_at = None;
             for (i, (k, d)) in keys.iter().enumerate() {
                 if let Err(_e) = be.put(*k, d) {
@@ -1261,7 +1272,7 @@ mod tests {
             assert!(be.put(keys[4].0, &keys[4].1).is_err(), "dead after crash");
             assert!(be.get(keys[0].0).is_err(), "reads fail after crash too");
         }
-        let be = CaskBackend::open(&root).unwrap();
+        let be = CaskBackend::open_sim(sim.reopen(), CaskOptions::synchronous()).unwrap();
         for (k, d) in &keys[..3] {
             assert_eq!(
                 be.get(*k).unwrap().as_ref(),
@@ -1271,8 +1282,6 @@ mod tests {
         }
         assert!(!be.contains(keys[3].0), "torn record is truncated away");
         assert_eq!(be.len(), 3);
-        drop(be);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1323,10 +1332,11 @@ mod tests {
         // One per landed put on the caller's thread against none: the writer
         // lands (and syncs) every group on its own thread.
         assert!(
-            pool.inner.blocking_syncs.get() * 4 <= sync.inner.blocking_syncs.get(),
+            pool.inner.telemetry.blocking_syncs.get() * 4
+                <= sync.inner.telemetry.blocking_syncs.get(),
             "pool {} vs sync {}",
-            pool.inner.blocking_syncs.get(),
-            sync.inner.blocking_syncs.get()
+            pool.inner.telemetry.blocking_syncs.get(),
+            sync.inner.telemetry.blocking_syncs.get()
         );
         drop(sync);
         drop(pool);
@@ -1347,7 +1357,7 @@ mod tests {
         }
         be.flush().unwrap();
         assert_eq!(be.append_count(), 256);
-        assert!(be.inner.group_commits.get() >= 1);
+        assert!(be.inner.telemetry.group_commits.get() >= 1);
         assert!(
             be.sync_count() < be.append_count(),
             "batching coalesces fsyncs: {} syncs for {} appends",
@@ -1363,11 +1373,11 @@ mod tests {
 
     #[test]
     fn group_commit_crash_preserves_flushed_writes_and_serves_no_garbage() {
-        let root = temp_root("group-commit-crash");
+        let sim = SimFile::new();
         let flushed: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 128]).collect();
         let racing: Vec<Vec<u8>> = (100..140u8).map(|i| vec![i; 128]).collect();
         {
-            let be = CaskBackend::open_with(&root, CaskOptions::default()).unwrap();
+            let be = CaskBackend::open_sim(sim.clone(), CaskOptions::default()).unwrap();
             for p in &flushed {
                 be.put(Hash256::of(p), p).unwrap();
             }
@@ -1377,9 +1387,9 @@ mod tests {
             }
             // Crash mid-stream: whichever batches group-committed survive,
             // the rest vanish — never a torn or corrupt record.
-            be.simulate_crash();
+            sim.crash();
         }
-        let be = CaskBackend::open(&root).unwrap();
+        let be = CaskBackend::open_sim(sim.reopen(), CaskOptions::default()).unwrap();
         for p in &flushed {
             assert_eq!(
                 be.get(Hash256::of(p)).unwrap().as_ref(),
@@ -1397,8 +1407,6 @@ mod tests {
             // `get` verifies content hashes, so this proves byte integrity.
             be.get(key).unwrap();
         }
-        drop(be);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1426,7 +1434,7 @@ mod tests {
             payload.extend_from_slice(&key.0);
             payload.extend_from_slice(data);
             let job = Job::new(flag, key, Bytes::copy_from_slice(data));
-            assert_eq!(job.frame(), frame(&payload));
+            assert_eq!([&job.header[..], &job.data].concat(), frame(&payload));
             assert_eq!(job.len() as u64, record_file_len(data.len() as u64));
         }
     }
@@ -1454,7 +1462,11 @@ mod tests {
             be.flush().unwrap();
             let total: u64 = blobs.iter().map(|b| record_file_len(b.len() as u64)).sum();
             assert_eq!(be.file_bytes(), total);
-            assert_eq!(be.inner.group_commits.get(), 1, "one group, one commit");
+            assert_eq!(
+                be.inner.telemetry.group_commits.get(),
+                1,
+                "one group, one commit"
+            );
             assert_eq!(be.sync_count(), 1);
             assert_eq!(be.append_count(), items.len() as u64);
             drop(be);
@@ -1521,13 +1533,13 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    /// A failed group commit — its write (even seed) or its `sync_data`
-    /// (odd seed), in the batch holding the k-th record — takes the backend
-    /// down on the writer thread and on the caller's thread alike: the
-    /// error surfaces from `flush` (and, without a writer thread, from the
-    /// `put_many` itself) and from the next `put_many`, no record of the
-    /// failed group is swung to `Durable`, and a reopen serves every group
-    /// flushed before it byte-exact and no torn record.
+    /// A failed group commit — its write or its `sync_data`, in the batch
+    /// of group n — takes the backend down on the writer thread and on the
+    /// caller's thread alike: the error surfaces from `flush` (and, without
+    /// a writer thread, from the `put_many` itself) and from the next
+    /// `put_many`, no record of the failed group is swung to `Durable`, and
+    /// a reopen — after a crash, or of the file as the failure left it —
+    /// serves every group flushed before it byte-exact and no torn record.
     #[test]
     fn group_commit_fault_surfaces_and_keeps_flushed_groups() {
         let groups: Vec<Vec<Vec<u8>>> = (0..5u8)
@@ -1541,65 +1553,171 @@ mod tests {
             group.iter().map(|b| (Hash256::of(b), b.clone())).collect()
         };
         for writer_thread in [true, false] {
-            for seed in [0u64, 1, 6, 7] {
-                for n in 1..=4u64 {
-                    let root = temp_root("group-fault");
-                    // Group n holds records 3n-2..=3n; vary which one fires.
-                    let plan = FaultPlan {
-                        crash_at_append: 3 * (n - 1) + 1 + n % 3,
-                        kind: FaultKind::GroupCommitError,
-                        seed,
-                    };
-                    let cell = format!("writer {writer_thread} seed {seed} n {n}");
-                    let mut flushed = Vec::new();
-                    {
-                        let opts = CaskOptions {
-                            writer_thread,
-                            fault: Some(plan),
-                        };
-                        let be = CaskBackend::open_with(&root, opts).unwrap();
-                        // One flush per group makes batch k exactly group k.
-                        for group in &groups[..n as usize - 1] {
-                            let items = keyed(group);
+            for kind in [FaultKind::WriteError, FaultKind::SyncError] {
+                for (seed, crash) in [(0u64, false), (7, true)] {
+                    for n in 1..=4u64 {
+                        let sim = SimFile::new();
+                        // One flush per group makes batch k exactly group k:
+                        // write k, sync k.
+                        sim.arm(FaultPlan::new(kind, n, seed));
+                        let cell = format!("writer {writer_thread} {kind:?} seed {seed} n {n}");
+                        let mut flushed = Vec::new();
+                        {
+                            let opts = CaskOptions { writer_thread };
+                            let be = CaskBackend::open_sim(sim.clone(), opts).unwrap();
+                            for group in &groups[..n as usize - 1] {
+                                let items = keyed(group);
+                                let refs: Vec<(Hash256, &[u8])> =
+                                    items.iter().map(|(k, d)| (*k, &d[..])).collect();
+                                be.put_many(&refs).unwrap();
+                                be.flush().unwrap();
+                                flushed.extend(items);
+                            }
+                            let failed = keyed(&groups[n as usize - 1]);
                             let refs: Vec<(Hash256, &[u8])> =
-                                items.iter().map(|(k, d)| (*k, &d[..])).collect();
-                            be.put_many(&refs).unwrap();
-                            be.flush().unwrap();
-                            flushed.extend(items);
+                                failed.iter().map(|(k, d)| (*k, &d[..])).collect();
+                            assert_eq!(be.put_many(&refs).is_err(), !writer_thread, "{cell}");
+                            assert!(be.flush().is_err(), "{cell}: flush reports it");
+                            let next = keyed(&groups[n as usize]);
+                            assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
+                            assert!(be.flush().is_err(), "{cell}: and keeps reporting it");
+                            let idx = be.inner.index.read();
+                            for (k, _) in &failed {
+                                assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
+                            }
+                            drop(idx);
+                            assert_eq!(be.inner.telemetry.group_commits.get(), n - 1, "{cell}");
                         }
-                        let failed = keyed(&groups[n as usize - 1]);
-                        let refs: Vec<(Hash256, &[u8])> =
-                            failed.iter().map(|(k, d)| (*k, &d[..])).collect();
-                        assert_eq!(be.put_many(&refs).is_err(), !writer_thread, "{cell}");
-                        assert!(be.flush().is_err(), "{cell}: flush reports it");
-                        let next = keyed(&groups[n as usize]);
-                        assert!(be.put_many(&[(next[0].0, &next[0].1)]).is_err());
-                        assert!(be.flush().is_err(), "{cell}: and keeps reporting it");
-                        let idx = be.inner.index.read();
-                        for (k, _) in &failed {
-                            assert!(matches!(idx.map.get(k), Some(Slot::Pending(_))));
+                        if crash {
+                            sim.crash();
                         }
-                        drop(idx);
-                        assert_eq!(be.inner.group_commits.get(), n - 1, "{cell}");
+                        let be = CaskBackend::open_sim(sim.reopen(), CaskOptions::synchronous())
+                            .unwrap();
+                        for (k, d) in &flushed {
+                            assert_eq!(be.get(*k).unwrap().as_ref(), &d[..], "{cell}");
+                        }
+                        let known: HashSet<Hash256> = groups
+                            .iter()
+                            .flat_map(|g| keyed(g))
+                            .map(|(k, _)| k)
+                            .collect();
+                        for k in be.keys() {
+                            assert!(known.contains(&k));
+                            be.get(k).unwrap(); // hash-verified: nothing torn
+                        }
                     }
-                    let be = CaskBackend::open(&root).unwrap();
-                    for (k, d) in &flushed {
-                        assert_eq!(be.get(*k).unwrap().as_ref(), &d[..]);
-                    }
-                    let known: HashSet<Hash256> = groups
-                        .iter()
-                        .flat_map(|g| keyed(g))
-                        .map(|(k, _)| k)
-                        .collect();
-                    for k in be.keys() {
-                        assert!(known.contains(&k));
-                        be.get(k).unwrap(); // hash-verified: nothing torn
-                    }
-                    drop(be);
-                    fs::remove_dir_all(&root).unwrap();
                 }
             }
         }
+    }
+
+    /// EIO on a read fails that `get` with a typed I/O error and takes
+    /// nothing down: the next read of the same record succeeds.
+    #[test]
+    fn a_read_error_fails_that_get_only() {
+        let sim = SimFile::new();
+        let be = CaskBackend::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap();
+        let key = Hash256::of(b"read me");
+        be.put(key, b"read me").unwrap();
+        sim.arm(FaultPlan::new(FaultKind::ReadError, 1, 0));
+        assert!(matches!(be.get(key), Err(StorageError::Io(_))));
+        assert_eq!(be.get(key).unwrap().as_ref(), b"read me");
+        assert!(be.put(Hash256::of(b"more"), b"more").unwrap(), "still up");
+    }
+
+    /// A crash between compaction's rewrite and its swap loses only the
+    /// rewrite: a reopen reads back every live key and no swept one.
+    #[test]
+    fn a_crash_between_rewrite_and_swap_keeps_live_and_swept_keys_apart() {
+        let sim = SimFile::new();
+        let blobs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i ^ 0x3C; 80 + i as usize]).collect();
+        let keys: Vec<Hash256> = blobs.iter().map(|b| Hash256::of(b)).collect();
+        {
+            let be = CaskBackend::open_sim(sim.clone(), CaskOptions::default()).unwrap();
+            for (k, b) in keys.iter().zip(&blobs) {
+                be.put(*k, b).unwrap();
+            }
+            for k in &keys[..5] {
+                be.remove(*k).unwrap();
+            }
+            sim.arm(FaultPlan::new(FaultKind::CompactCrash, 1, 0));
+            assert!(be.compact().is_err());
+        }
+        let be = CaskBackend::open_sim(sim.reopen(), CaskOptions::synchronous()).unwrap();
+        assert_eq!(be.len(), 5);
+        for k in &keys[..5] {
+            assert!(!be.contains(*k), "a swept key came back");
+        }
+        for (k, b) in keys.iter().zip(&blobs).skip(5) {
+            assert_eq!(be.get(*k).unwrap().as_ref(), &b[..]);
+        }
+        // The reopened cask compacts for real.
+        assert!(be.compact().unwrap() > 0);
+        assert_eq!(be.len(), 5);
+    }
+
+    /// A garbled or empty `cask.json` is refused with a typed error before
+    /// anything in the directory is opened: every file stays byte for byte
+    /// as it was.
+    #[test]
+    fn an_unreadable_manifest_is_refused_untouched() {
+        for manifest in [&b""[..], b"{\"version\":2,", b"\x00garbage"] {
+            let root = temp_root("bad-manifest");
+            fs::create_dir_all(&root).unwrap();
+            fs::write(root.join("cask.json"), manifest).unwrap();
+            let mut payload = vec![FLAG_PUT];
+            payload.extend_from_slice(&Hash256::of(b"kept").0);
+            payload.extend_from_slice(b"kept");
+            let mut segment = frame(&payload);
+            segment.extend_from_slice(&[0x55; 9]);
+            fs::write(root.join("segment.log"), &segment).unwrap();
+            match CaskBackend::open(&root) {
+                Err(StorageError::Codec(msg)) => assert!(msg.contains("cask.json"), "{msg}"),
+                Err(e) => panic!("expected the manifest refusal, got {e}"),
+                Ok(_) => panic!("an unreadable manifest opened"),
+            }
+            assert_eq!(fs::read(root.join("cask.json")).unwrap(), manifest);
+            assert_eq!(fs::read(root.join("segment.log")).unwrap(), segment);
+            assert_eq!(fs::read_dir(&root).unwrap().count(), 2);
+            fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    /// The writer's FIFO holds at most `MAX_PENDING_BYTES`: with every
+    /// `sync_data` held at the file's gate, a producer that outruns the
+    /// writer fills the queue to the bound and then waits in `put_many`,
+    /// never failing, until the gate opens and landings make room. Three
+    /// threads: this one, the producer and the writer.
+    #[test]
+    fn the_writer_queue_never_holds_more_than_its_bound() {
+        const DATA: usize = 256 << 10;
+        let frame_len = RECORD_HEADER + DATA;
+        let groups = MAX_PENDING_BYTES / frame_len + 8;
+        let sim = SimFile::new();
+        let be = CaskBackend::open_sim(sim.clone(), CaskOptions::default()).unwrap();
+        let held = sim.hold_syncs();
+        std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                for i in 0..groups as u32 {
+                    let mut data = vec![i as u8; DATA];
+                    data[..4].copy_from_slice(&i.to_le_bytes());
+                    assert!(be.put(Hash256::of(&data), &data).unwrap());
+                }
+            });
+            // The writer is stuck in its first sync: the queue fills until
+            // the next group would pass the bound.
+            while be.pending_bytes() + frame_len <= MAX_PENDING_BYTES {
+                std::thread::yield_now();
+            }
+            let pending = be.pending_bytes();
+            assert!(pending <= MAX_PENDING_BYTES, "{pending} pending bytes");
+            assert!(!producer.is_finished(), "the producer waits for room");
+            drop(held);
+            producer.join().unwrap();
+        });
+        be.flush().unwrap();
+        assert_eq!(be.pending_bytes(), 0);
+        assert_eq!(be.len(), groups);
     }
 
     /// `cask.json` through `write_json` is what the tree renders, and a
@@ -1617,6 +1735,10 @@ mod tests {
         assert_eq!(
             fs::read(root.join("cask.json")).unwrap(),
             br#"{"version":2,"shards":null}"#
+        );
+        assert!(
+            !root.join("cask.json.tmp").exists(),
+            "the temp file was renamed"
         );
         fs::remove_dir_all(&root).unwrap();
     }

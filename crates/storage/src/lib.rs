@@ -23,7 +23,7 @@
 //!   It checks no rights: which tenant may write which namespaced branch
 //!   (the [`tenant::ShareRight`] levels) is the workspace layer's to decide.
 //! * **Multi-tenant accounting** — [`tenant::TenantAccounts`] attributes
-//!   dedup'd writes (first-writer-pays + fair-share views) and enforces
+//!   dedup'd writes (first-referent-pays + fair-share views) and enforces
 //!   [`tenant::QuotaPolicy`] caps through an atomic reserve/settle/release
 //!   protocol, so even parallel in-flight evaluations cannot overshoot.
 //! * **Deterministic storage-time model** — [`costmodel::StorageCostModel`]
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::commit::{Commit, CommitGraph, GraphView};
     pub use crate::costmodel::StorageCostModel;
     pub use crate::errors::{Result as StorageResult, StorageError};
-    pub use crate::fault::{FaultBackend, FaultKind, FaultPlan};
+    pub use crate::fault::{FaultKind, FaultPlan, SimFile};
     pub use crate::hash::{Hash256, Sha256};
     pub use crate::object::{Manifest, ObjectKind, ObjectRef};
     pub use crate::pmap::PMap;

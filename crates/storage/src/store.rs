@@ -9,7 +9,7 @@
 //! One physical store can serve many tenants: [`ChunkStore::for_tenant`]
 //! produces a view that shares the backend, statistics, and dedup state but
 //! attributes every write to one [`TenantId`] — charging quota checks and
-//! first-writer-pays byte accounting through the shared
+//! first-referent-pays byte accounting through the shared
 //! [`TenantAccounts`] (see [`crate::tenant`]).
 
 use crate::backend::{MemBackend, StorageBackend};
@@ -171,7 +171,7 @@ impl ChunkStore {
 
     /// A view of the same physical store that attributes every write to
     /// `tenant`: quota checks apply before any chunk is persisted, and
-    /// first-writer-pays usage plus chunk references accrue in the shared
+    /// first-referent-pays usage plus chunk references accrue in the shared
     /// [`TenantAccounts`]. Backend, dedup state, cost model, and statistics
     /// are shared with the parent — a blob written by one tenant
     /// deduplicates against every other tenant's chunks.
@@ -195,7 +195,8 @@ impl ChunkStore {
     /// Drops this view's tenant from the shared accounts — its quota,
     /// usage, open reservations and chunk references — as if it had never
     /// written: the undo of a tenant whose join was refused. The bytes its
-    /// writes persisted stay, unattributed, until an orphan sweep reclaims
+    /// writes persisted stay, unattributed, until another tenant's write
+    /// references them (and pays for them) or an orphan sweep reclaims
     /// them. A no-op on untenanted views.
     pub fn forget_tenant(&self) {
         if let Some(tenant) = self.tenant {
@@ -257,7 +258,8 @@ impl ChunkStore {
         Ok((outcome, chunks))
     }
 
-    /// Applies the stats delta of a completed (non-traced) write.
+    /// Applies the stats delta of a completed (non-traced) write, `physical`
+    /// being the bytes it persisted.
     fn record_live_write(&self, trace: &PutTrace, physical: u64) {
         let deduped = trace.chunks.iter().filter(|c| !c.was_new).count() as u64;
         self.stats.record(
@@ -270,25 +272,33 @@ impl ChunkStore {
                 chunks_deduped: deduped,
             },
         );
-        self.attribute_tenant(trace, physical);
+        self.attribute_tenant(trace);
     }
 
-    /// Charges this view's tenant (if any) for one blob write — settling
-    /// the reservation the write took out — and records its chunk
-    /// references in the shared ledger.
+    /// Records this view's tenant (if any) as a referent of every chunk of
+    /// one blob write and charges it — settling the reservation the write
+    /// took out — the write's logical bytes and the bytes of the chunks it
+    /// is the first referent of, stored before or not (see
+    /// [`crate::tenant`]).
     ///
     /// Tenant attribution deliberately mirrors the statistics protocol:
     /// live writes charge immediately, traced writes charge during the
     /// deterministic replay ([`ChunkStore::record_replayed_write`]) — so
     /// per-tenant usage, like every other observable, is byte-identical
     /// across worker counts.
-    fn attribute_tenant(&self, trace: &PutTrace, physical: u64) {
+    fn attribute_tenant(&self, trace: &PutTrace) {
         let Some(tenant) = self.tenant else {
             // An untenanted view replaying a tenant-reserved trace must
             // still return the headroom.
             self.release_trace(trace);
             return;
         };
+        let physical = trace
+            .chunks
+            .iter()
+            .chain([&trace.manifest])
+            .map(|c| self.tenants.add_chunk_ref(c.hash, c.len, tenant))
+            .sum();
         let usage = TenantUsage {
             blobs_written: 1,
             logical_bytes: trace.logical,
@@ -298,11 +308,29 @@ impl ChunkStore {
             Some(id) => self.tenants.settle(id, tenant, usage),
             None => self.tenants.charge(tenant, usage),
         }
-        for c in &trace.chunks {
-            self.tenants.add_chunk_ref(c.hash, c.len, tenant);
+    }
+
+    /// An upper bound of what a write of `chunks` and a manifest of
+    /// `manifest_len` bytes at `id` charges: the bytes of those no tenant
+    /// references yet (a chunk repeated within the blob counts once per
+    /// occurrence). Zero unless this view's tenant has a physical quota.
+    fn physical_estimate(
+        &self,
+        chunks: impl Iterator<Item = (Hash256, u64)>,
+        id: Hash256,
+        manifest_len: u64,
+    ) -> u64 {
+        let capped = self
+            .tenant
+            .is_some_and(|t| self.tenants.quota(t).max_physical_bytes.is_some());
+        if !capped {
+            return 0;
         }
-        self.tenants
-            .add_chunk_ref(trace.manifest.hash, trace.manifest.len, tenant);
+        chunks
+            .chain([(id, manifest_len)])
+            .filter(|(hash, _)| !self.tenants.is_referenced(hash))
+            .map(|(_, len)| len)
+            .sum()
     }
 
     /// Releases the quota reservation a traced write holds, without charging
@@ -324,12 +352,12 @@ impl ChunkStore {
     }
 
     /// The replay half of the traced-write protocol: applies the stats delta
-    /// *and* charges this view's tenant the canonical (replay-order) bytes,
-    /// so per-tenant accounting stays deterministic whatever the phase-1
-    /// schedule.
+    /// *and* attributes the write to this view's tenant in canonical
+    /// (replay) order, so per-tenant accounting stays deterministic whatever
+    /// the phase-1 schedule.
     pub fn record_replayed_write(&self, trace: &PutTrace, delta: KindStats) {
         self.stats.record(trace.kind, delta);
-        self.attribute_tenant(trace, delta.physical_bytes);
+        self.attribute_tenant(trace);
     }
 
     /// Writes `data`, cut into `chunks`, as one backend call.
@@ -346,33 +374,20 @@ impl ChunkStore {
         // atomically check-and-*reserve* their bytes before any chunk is
         // persisted, so a breaching write leaves no partial state and
         // concurrent writers of one evaluation cannot jointly overshoot the
-        // cap. The physical estimate is an upper bound (repeated chunks
-        // within one blob — or raced by a sibling writer — count once per
-        // occurrence). The reservation is settled when the write is
-        // *attributed* — immediately for live writes, at canonical replay
-        // time for traced ones — and released if the evaluation aborts (see
+        // cap. The reservation is settled when the write is *attributed* —
+        // immediately for live writes, at canonical replay time for traced
+        // ones — and released if the evaluation aborts (see
         // `TenantAccounts::reserve`).
-        let reservation = if let Some(tenant) = self.tenant {
-            let quota = self.tenants.quota(tenant);
-            let physical_estimate = if quota.max_physical_bytes.is_some() {
-                let mut est: u64 = chunks
-                    .iter()
-                    .filter(|c| !self.backend.contains(c.hash))
-                    .map(|c| c.len as u64)
-                    .sum();
-                if !self.backend.contains(id) {
-                    est += enc.len() as u64;
-                }
-                est
-            } else {
-                0
-            };
-            Some(
-                self.tenants
-                    .reserve(tenant, data.len() as u64, physical_estimate)?,
-            )
-        } else {
-            None
+        let reservation = match self.tenant {
+            Some(tenant) => {
+                let estimate = self.physical_estimate(
+                    chunks.iter().map(|c| (c.hash, c.len as u64)),
+                    id,
+                    enc.len() as u64,
+                );
+                Some(self.tenants.reserve(tenant, data.len() as u64, estimate)?)
+            }
+            None => None,
         };
         // The blob is one backend call: its chunks in order, then its
         // manifest, so a backend can land them as one unit.
@@ -434,8 +449,9 @@ impl ChunkStore {
     /// Charges this view for writing the bytes of the stored blob `object`
     /// again, without the bytes: exactly what a fully duplicate
     /// [`ChunkStore::put_blob`] of them charges — the same outcome, stats
-    /// delta, quota check, usage and chunk references — for one index
-    /// probe per chunk and no chunking, hashing or backend write.
+    /// delta, quota check, usage and chunk references (so the chunks no
+    /// tenant references are charged to this one) — for one index probe
+    /// per chunk and no chunking, hashing or backend write.
     ///
     /// The manifest is read from the backend, not through the blob cache,
     /// so a registration leaves the cache as a duplicate write would.
@@ -456,10 +472,15 @@ impl ChunkStore {
         {
             return Ok(None);
         }
-        // A duplicate's physical estimate: every chunk and the manifest
-        // are present, so nothing new.
         let reservation = match self.tenant {
-            Some(tenant) => Some(self.tenants.reserve(tenant, manifest.len, 0)?),
+            Some(tenant) => {
+                let estimate = self.physical_estimate(
+                    manifest.chunks.iter().map(|c| (c.hash, c.len as u64)),
+                    object.id,
+                    enc.len() as u64,
+                );
+                Some(self.tenants.reserve(tenant, manifest.len, estimate)?)
+            }
             None => None,
         };
         let obs = |hash, len| WriteObs {
@@ -554,9 +575,9 @@ impl ChunkStore {
     /// This is the accounting half of forking another tenant's committed
     /// state: the forker starts *depending on* the peer's bytes (they now
     /// appear in the forker's [`SharedUsage`](crate::tenant::SharedUsage)
-    /// fair-share view) while first-writer-pays attribution stays with
-    /// whoever materialized them. Returns the referenced bytes; a no-op on
-    /// untenanted views.
+    /// fair-share view) while the charge stays with their first referent —
+    /// the forker pays only for a chunk no tenant referenced yet. Returns
+    /// the referenced bytes; a no-op on untenanted views.
     pub fn adopt_blob(&self, id: Hash256) -> Result<u64> {
         let Some(tenant) = self.tenant else {
             return Ok(0);
@@ -564,13 +585,18 @@ impl ChunkStore {
         let manifest_bytes = self.fetch_object(id)?;
         let manifest = Manifest::decode(&manifest_bytes)
             .ok_or_else(|| StorageError::Codec("invalid manifest encoding".into()))?;
-        self.tenants
-            .add_chunk_ref(id, manifest_bytes.len() as u64, tenant);
-        let mut referenced = manifest_bytes.len() as u64;
-        for entry in &manifest.chunks {
-            self.tenants
-                .add_chunk_ref(entry.hash, entry.len as u64, tenant);
-            referenced += entry.len as u64;
+        let chunks = manifest.chunks.iter().map(|e| (e.hash, e.len as u64));
+        let (mut referenced, mut charged) = (0, 0);
+        for (hash, len) in chunks.chain([(id, manifest_bytes.len() as u64)]) {
+            charged += self.tenants.add_chunk_ref(hash, len, tenant);
+            referenced += len;
+        }
+        if charged > 0 {
+            let usage = TenantUsage {
+                physical_bytes: charged,
+                ..TenantUsage::default()
+            };
+            self.tenants.charge(tenant, usage);
         }
         Ok(referenced)
     }
@@ -1105,6 +1131,32 @@ mod tests {
         let again = store.put_stored(&put.object).unwrap().unwrap();
         assert_eq!(again.object, put.object);
         assert_eq!(store.cache_stats(), cache);
+    }
+
+    /// EIO on a read surfaces from `get_blob` as a typed I/O error — at
+    /// the manifest and at a chunk — and leaves nothing in the blob cache
+    /// for the key whose read failed: the next read of it goes to the file.
+    #[test]
+    fn a_read_error_surfaces_typed_and_caches_nothing() {
+        use crate::cask::{CaskBackend, CaskOptions};
+        use crate::fault::{FaultKind, FaultPlan, SimFile};
+        let sim = SimFile::new();
+        let be = CaskBackend::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap();
+        let store = ChunkStore::new(Arc::new(be), ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        let data = random_bytes(80, 20_000);
+        let put = store.put_blob(ObjectKind::Output, &data).unwrap();
+        let manifest = Manifest::decode(&store.backend().get(put.object.id).unwrap()).unwrap();
+        let cache = store.cache.as_ref().unwrap();
+        // Read 1 is the manifest's, read 2 its first chunk's.
+        for (at, key) in [(1, put.object.id), (2, manifest.chunks[0].hash)] {
+            sim.arm(FaultPlan::new(FaultKind::ReadError, at, 0));
+            assert!(matches!(
+                store.get_blob(&put.object),
+                Err(StorageError::Io(_))
+            ));
+            assert!(cache.get(&key).is_none(), "read {at} left its key cached");
+        }
+        assert_eq!(store.get_blob(&put.object).unwrap().as_ref(), &data[..]);
     }
 
     proptest! {

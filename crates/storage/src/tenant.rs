@@ -5,17 +5,23 @@
 //! tenants (teams, pipelines, CI jobs) write through one store, three
 //! questions arise that single-tenant accounting cannot answer:
 //!
-//! 1. **Who pays for a deduplicated chunk?** The *first-writer-pays* view
-//!    charges the tenant whose write actually persisted the chunk; later
-//!    writers of the same content are charged zero physical bytes. Summed
-//!    over tenants, first-writer-pays physical bytes equal the store's
-//!    total physical bytes — nothing is double-counted or lost.
+//! 1. **Who pays for a deduplicated chunk?** Its *first referent*: a
+//!    tenant whose write (or adoption) references a chunk that no tenant
+//!    references yet pays the chunk's bytes, whether or not the chunk was
+//!    already stored — an orphan left by a refused or aborted write is
+//!    adopted and paid for by whoever references it next. Later referents
+//!    pay nothing. When an orphan sweep drops a chunk its payer is
+//!    refunded, and when a tenant is forgotten the next referent of each
+//!    chunk it paid for takes the charge over. So charged physical bytes
+//!    always equal the bytes of live-referenced chunks
+//!    ([`TenantAccounts::check_charges`]), and after a sweep they equal the
+//!    store's total — nothing is double-counted or lost.
 //! 2. **How much does each tenant *depend on*?** The *shared-refcount* view
 //!    divides every chunk's size evenly among the tenants referencing it,
 //!    so a dataset shared by four teams costs each team a quarter. This is
 //!    the fair-share number a capacity planner bills against.
 //! 3. **How is a tenant stopped from filling the store?** A [`QuotaPolicy`]
-//!    caps a tenant's logical and/or first-writer-pays physical bytes;
+//!    caps a tenant's logical and/or first-referent-pays physical bytes;
 //!    breaching writes fail with
 //!    [`StorageError::QuotaExceeded`](crate::errors::StorageError) *before*
 //!    any chunk is persisted. Enforcement is a **reservation protocol**: a
@@ -59,7 +65,7 @@ impl fmt::Display for TenantId {
 pub struct QuotaPolicy {
     /// Cap on cumulative logical bytes presented to the store.
     pub max_logical_bytes: Option<u64>,
-    /// Cap on cumulative first-writer-pays physical bytes.
+    /// Cap on cumulative first-referent-pays physical bytes.
     pub max_physical_bytes: Option<u64>,
 }
 
@@ -79,14 +85,15 @@ impl QuotaPolicy {
     }
 }
 
-/// Cumulative write accounting for one tenant (first-writer-pays).
+/// Cumulative write accounting for one tenant (first-referent-pays).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantUsage {
     /// Blobs written by this tenant (including logical duplicates).
     pub blobs_written: u64,
     /// Bytes this tenant presented to the store.
     pub logical_bytes: u64,
-    /// New chunk bytes this tenant's writes actually persisted.
+    /// Bytes of the live-referenced chunks this tenant is the first
+    /// referent of.
     pub physical_bytes: u64,
 }
 
@@ -141,7 +148,8 @@ struct AccountsState {
     open: HashMap<u64, OpenReservation>,
 }
 
-/// Per-chunk reference record: size plus the distinct tenants that wrote it.
+/// Per-chunk reference record: size plus the distinct tenants that
+/// reference it, in the order they came to; the first is the one charged.
 struct ChunkOwners {
     len: u64,
     owners: Vec<TenantId>,
@@ -211,7 +219,7 @@ impl TenantAccounts {
             .unwrap_or(QuotaPolicy::UNLIMITED)
     }
 
-    /// Cumulative first-writer-pays usage of a tenant (settled writes only;
+    /// Cumulative first-referent-pays usage of a tenant (settled writes only;
     /// see [`TenantAccounts::reserved`] for in-flight bytes).
     pub fn usage(&self, tenant: TenantId) -> TenantUsage {
         self.state
@@ -365,38 +373,100 @@ impl TenantAccounts {
     }
 
     /// Records that `tenant` references the chunk at `hash` (`len` bytes).
-    /// Idempotent per (chunk, tenant) pair.
-    pub(crate) fn add_chunk_ref(&self, hash: Hash256, len: u64, tenant: TenantId) {
+    /// Idempotent per (chunk, tenant) pair. Returns the bytes `tenant` is
+    /// to be charged: `len` if no tenant referenced the chunk yet, else 0.
+    pub(crate) fn add_chunk_ref(&self, hash: Hash256, len: u64, tenant: TenantId) -> u64 {
         let mut shard = self.chunks[self.shard_of(&hash)].write();
         let entry = shard.entry(hash).or_insert(ChunkOwners {
             len,
             owners: Vec::new(),
         });
+        let first = entry.owners.is_empty();
         if !entry.owners.contains(&tenant) {
             entry.owners.push(tenant);
+        }
+        if first {
+            len
+        } else {
+            0
+        }
+    }
+
+    /// True if some tenant references the chunk at `hash`.
+    pub(crate) fn is_referenced(&self, hash: &Hash256) -> bool {
+        self.chunks[self.shard_of(hash)].read().contains_key(hash)
+    }
+
+    /// Adjusts `tenant`'s charged physical bytes by `+add - sub`.
+    fn recharge(&self, tenant: TenantId, add: u64, sub: u64) {
+        let mut st = self.state.write();
+        if let Some(state) = st.tenants.get_mut(&tenant) {
+            state.usage.physical_bytes = (state.usage.physical_bytes + add).saturating_sub(sub);
         }
     }
 
     /// Removes every trace of `tenant`: its quota and usage, its open
     /// reservations, and its name on every chunk it references (a chunk
-    /// left with no referencing tenant leaves the ledger).
+    /// left with no referencing tenant leaves the ledger). A chunk it was
+    /// charged for that another tenant still references is charged to the
+    /// next of them.
     pub(crate) fn forget(&self, tenant: TenantId) {
         {
             let mut st = self.state.write();
             st.tenants.remove(&tenant);
             st.open.retain(|_, r| r.tenant != tenant);
         }
+        let mut handed_over = Vec::new();
         for shard in &self.chunks {
             shard.write().retain(|_, entry| {
+                let paid = entry.owners.first() == Some(&tenant);
                 entry.owners.retain(|&t| t != tenant);
+                if let (true, Some(&next)) = (paid, entry.owners.first()) {
+                    handed_over.push((next, entry.len));
+                }
                 !entry.owners.is_empty()
             });
         }
+        for (next, len) in handed_over {
+            self.recharge(next, len, 0);
+        }
     }
 
-    /// Drops a chunk from the shared-refcount ledger (orphan GC).
+    /// Drops a chunk from the shared-refcount ledger (orphan GC) and
+    /// refunds the tenant charged for it.
     pub(crate) fn drop_chunk(&self, hash: &Hash256) {
-        self.chunks[self.shard_of(hash)].write().remove(hash);
+        let dropped = self.chunks[self.shard_of(hash)].write().remove(hash);
+        if let Some(ChunkOwners { len, owners }) = dropped {
+            if let Some(&payer) = owners.first() {
+                self.recharge(payer, 0, len);
+            }
+        }
+    }
+
+    /// The charging invariant: the physical bytes charged to all tenants
+    /// equal the bytes of the chunks some tenant references. Returns those
+    /// bytes, or both figures when they differ. Meaningful when no write
+    /// is being attributed.
+    pub fn check_charges(&self) -> std::result::Result<u64, String> {
+        let charged: u64 = self
+            .state
+            .read()
+            .tenants
+            .values()
+            .map(|s| s.usage.physical_bytes)
+            .sum();
+        let referenced: u64 = self
+            .chunks
+            .iter()
+            .map(|s| s.read().values().map(|e| e.len).sum::<u64>())
+            .sum();
+        if charged == referenced {
+            Ok(charged)
+        } else {
+            Err(format!(
+                "tenants are charged {charged} physical bytes, live-referenced chunks hold {referenced}"
+            ))
+        }
     }
 
     /// Number of distinct chunks the ledger attributes.

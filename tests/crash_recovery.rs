@@ -1,23 +1,28 @@
-//! Crash-recovery matrix: kill the storage backend at every k-th write,
+//! Crash-recovery matrix: kill the storage backend's file at every write,
 //! reopen, and check what the store promises: every output manifest that
 //! survived reads back whole, and a from-scratch rerun on the reopened
 //! store completes with the uninterrupted run's outcome, score, artifact
 //! ids and output references, leaving exactly the uninterrupted run's
-//! blobs and physical bytes behind. Runs on both the durable
-//! [`CaskBackend`] (fault-injected torn/dropped writes, real reopen) and an
-//! in-memory store behind the trait-level [`FaultBackend`], with the rerun
-//! at worker counts {1, 2, 8}.
+//! blobs and physical bytes behind.
+//!
+//! One matrix runs the cask over the in-memory [`SimFile`]: every write of
+//! the crashed attempt is failed in turn under every write-side
+//! [`FaultKind`], and the rerun runs at worker counts {1, 2, 8}. The crashed
+//! attempt runs through a quota'd tenant view and must leave no trace in
+//! the tenant's accounts. A second matrix keeps the `std::fs::File` path
+//! covered on a real directory: a clean run's segment, cut at every record
+//! boundary and inside every other record, is what a crash at each append
+//! leaves on disk.
 //!
 //! Outputs are content-addressed blobs, so the rerun dedups whatever
 //! survived and writes the rest. Crashed attempts run at one worker (nodes
-//! execute inline in canonical order). The in-memory matrix also runs its
-//! crashed attempt through a quota'd tenant view and checks that the failed
-//! run left no trace in the tenant's accounts.
+//! execute inline in canonical order).
 
 use mlcask::core::testkit::{toy_model, toy_scaler, toy_slots, toy_source};
 use mlcask::pipeline::artifact::Artifact;
 use mlcask::prelude::*;
 use mlcask::storage::backend::MemBackend;
+use mlcask::storage::cask::scan_frames;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -166,63 +171,39 @@ fn rerun(
     outputs(&report, store)
 }
 
-/// Runs the pipeline once against a clean synchronous cask to learn the
-/// total number of segment appends the workload issues.
-fn cask_total_appends(pipeline: &BoundPipeline, params: ChunkParams) -> u64 {
-    let base = temp_base("count");
-    let be =
-        Arc::new(CaskBackend::open_with(base.join("store"), CaskOptions::synchronous()).unwrap());
-    let store = ChunkStore::new(be.clone(), params, StorageCostModel::FORKBASE);
-    run_once(pipeline, &store, ParallelismPolicy::Sequential).unwrap();
-    store.flush().unwrap();
-    let n = be.append_count();
-    drop(store);
-    let _ = std::fs::remove_dir_all(&base);
-    n
+/// A synchronous cask over `sim` under a store with `params`.
+fn sim_store(sim: &SimFile, params: ChunkParams) -> ChunkStore {
+    let be = CaskBackend::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap();
+    ChunkStore::new(Arc::new(be), params, StorageCostModel::FORKBASE)
 }
 
-fn fault_plan(k: u64, kind_sel: u64) -> FaultPlan {
-    match kind_sel % 3 {
-        0 => FaultPlan::torn(k, 0xC0FFEE ^ k),
-        1 => FaultPlan::after_write(k),
-        _ => FaultPlan::drop_unsynced(k),
-    }
+/// Runs the pipeline once on a fault-free simulated file to learn how many
+/// segment writes the workload issues.
+fn total_writes(pipeline: &BoundPipeline, params: ChunkParams) -> u64 {
+    let sim = SimFile::new();
+    run_once(
+        pipeline,
+        &sim_store(&sim, params),
+        ParallelismPolicy::Sequential,
+    )
+    .unwrap();
+    sim.writes()
 }
 
-/// One cask matrix cell: crash the k-th segment append during a one-worker
-/// attempt, reopen the directory (torn-tail truncation), check the
-/// survivors against `reference`, and rerun under `policy`. Returns the
-/// rerun's [`outputs`] and how many of the reference's output manifests
-/// survived the crash.
-fn crash_then_rerun_cask(
-    pipeline: &BoundPipeline,
-    reference: &RunReport,
-    params: ChunkParams,
-    k: u64,
-    kind_sel: u64,
-    policy: ParallelismPolicy,
-) -> (String, usize) {
-    let base = temp_base("cask");
-    let root = base.join("store");
-    let plan = fault_plan(k, kind_sel);
-    let cell = format!("crash at append {k} ({:?}), rerun {policy:?}", plan.kind);
-    {
-        let be = Arc::new(
-            CaskBackend::open_with(&root, CaskOptions::synchronous().with_fault(plan)).unwrap(),
-        );
-        let store = ChunkStore::new(be, params, StorageCostModel::FORKBASE);
-        // Crashes mid-run for every fault kind except `AfterWrite` on the
-        // run's final append (the crash point then fires with nothing left
-        // to write).
-        let _ = run_once(pipeline, &store, ParallelismPolicy::Sequential);
+/// Every write-side plan at each of `writes` writes: a kind that cuts a
+/// write (torn, or failed part-way) at four seeded bytes, the others once.
+fn fault_plans(writes: impl IntoIterator<Item = u64>) -> Vec<FaultPlan> {
+    let mut plans = Vec::new();
+    for k in writes {
+        for kind in FaultPlan::WRITE_KINDS {
+            let cuts = match kind {
+                FaultKind::Torn | FaultKind::WriteError => 4,
+                _ => 1,
+            };
+            plans.extend((0..cuts).map(|c| FaultPlan::new(kind, k, 0xC0FFEE ^ (k << 8) ^ c)));
+        }
     }
-    let be = Arc::new(CaskBackend::open(&root).unwrap());
-    let store = ChunkStore::new(be, params, StorageCostModel::FORKBASE);
-    let survived = check_survivors(&store, reference, &cell);
-    let out = rerun(pipeline, &store, policy, &cell);
-    drop(store);
-    let _ = std::fs::remove_dir_all(&base);
-    (out, survived)
+    plans
 }
 
 const POLICIES: [ParallelismPolicy; 3] = [
@@ -231,30 +212,81 @@ const POLICIES: [ParallelismPolicy; 3] = [
     ParallelismPolicy::Parallel(8),
 ];
 
-/// Every segment append of the toy chain killed in turn, fault kind and
-/// rerun worker count rotating: the work resumes as a rerun on the
-/// reopened store and ends byte-identical in outputs and physical bytes.
+/// One matrix cell on the simulated file: `plan` fails a write of a
+/// one-worker attempt made through a quota'd tenant view; the file is
+/// reopened — after a crash, or as the failure left it — and a fresh store
+/// over it checks the survivors and reruns under `policy`. The failed
+/// attempt must leave no trace in the tenant's accounts: no open
+/// reservation, and the usage it had before the run. Returns the rerun's
+/// [`outputs`] and how many of the reference's output manifests survived.
+fn crash_then_rerun(
+    pipeline: &BoundPipeline,
+    reference: &RunReport,
+    params: ChunkParams,
+    plan: FaultPlan,
+    policy: ParallelismPolicy,
+) -> (String, usize) {
+    let cell = format!("{plan:?}, rerun {policy:?}");
+    let sim = SimFile::new();
+    sim.arm(plan);
+    {
+        let store = sim_store(&sim, params);
+        let tenant = TenantId(7);
+        let accounts = store.tenant_accounts();
+        accounts.register(
+            tenant,
+            QuotaPolicy {
+                max_logical_bytes: Some(1 << 30),
+                max_physical_bytes: Some(1 << 30),
+            },
+        );
+        let before = accounts.usage(tenant);
+        let first = run_once(
+            pipeline,
+            &store.for_tenant(tenant),
+            ParallelismPolicy::Sequential,
+        );
+        assert!(first.is_err(), "{cell}: the plan must fail the run");
+        assert_eq!(
+            accounts.open_reservations(),
+            0,
+            "{cell}: the failed run left a reservation open"
+        );
+        assert_eq!(
+            accounts.usage(tenant),
+            before,
+            "{cell}: the failed run charged its tenant"
+        );
+    }
+    if plan.at.is_multiple_of(2) {
+        sim.crash();
+    }
+    let store = sim_store(&sim.reopen(), params);
+    let survived = check_survivors(&store, reference, &cell);
+    (rerun(pipeline, &store, policy, &cell), survived)
+}
+
+/// Every write of the toy chain failed in turn on the simulated file under
+/// every write-side kind, a torn or failed write cut at several bytes, and
+/// the rerun worker count rotating (see [`crash_then_rerun`]): the work
+/// resumes as a rerun on the reopened store and ends byte-identical in
+/// outputs and physical bytes.
 #[test]
-fn cask_crash_at_every_append_resumes_byte_identical() {
+fn mem_fault_crash_at_every_put_resumes_byte_identical() {
     let pipeline = bound_toy();
     let (report, store) = reference(&pipeline, ChunkParams::SMALL);
     let expected = outputs(&report, &store);
-    let total = cask_total_appends(&pipeline, ChunkParams::SMALL);
-    assert!(total > 8, "toy chain must issue enough writes to matter");
+    let total = total_writes(&pipeline, ChunkParams::SMALL);
+    assert!(total >= 3, "one write per stage at least");
 
     let (mut survived_some, mut lost_some) = (false, false);
-    for k in 1..=total {
-        // Rotate fault kind and rerun worker count so every append gets
-        // killed under some combination while the matrix stays affordable.
-        let policy = POLICIES[(k % 3) as usize];
+    for (i, plan) in fault_plans(1..=total).into_iter().enumerate() {
+        let policy = POLICIES[i % 3];
         let (out, survived) =
-            crash_then_rerun_cask(&pipeline, &report, ChunkParams::SMALL, k, k / 3, policy);
+            crash_then_rerun(&pipeline, &report, ChunkParams::SMALL, plan, policy);
         survived_some |= survived > 0;
         lost_some |= survived < report.stages.len();
-        assert_eq!(
-            out, expected,
-            "rerun diverged after crash at append {k} ({policy:?})"
-        );
+        assert_eq!(out, expected, "rerun diverged after {plan:?} ({policy:?})");
     }
     assert!(
         survived_some,
@@ -266,163 +298,115 @@ fn cask_crash_at_every_append_resumes_byte_identical() {
     );
 }
 
+/// The `std::fs::File` path: a clean run's segment on a real directory, cut
+/// after every record (odd records) or at a seeded byte inside it (even
+/// records), is what a crash at that append leaves on disk. Each cut is
+/// reopened — the torn tail truncated to the last whole record — checked,
+/// and rerun, rerun worker count rotating.
+#[test]
+fn cask_crash_at_every_append_resumes_byte_identical() {
+    let pipeline = bound_toy();
+    let (report, store) = reference(&pipeline, ChunkParams::SMALL);
+    let expected = outputs(&report, &store);
+    let base = temp_base("cask");
+    let clean = base.join("clean");
+    {
+        let be = CaskBackend::open_with(&clean, CaskOptions::synchronous()).unwrap();
+        let store = ChunkStore::new(Arc::new(be), ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        run_once(&pipeline, &store, ParallelismPolicy::Sequential).unwrap();
+        store.flush().unwrap();
+    }
+    let image = std::fs::read(clean.join("segment.log")).unwrap();
+    let manifest = std::fs::read(clean.join("cask.json")).unwrap();
+    let (frames, valid) = scan_frames(&image);
+    assert_eq!(valid, image.len());
+    let ends: Vec<usize> = frames.iter().map(|&(off, len)| off + len).collect();
+    assert!(
+        ends.len() > 8,
+        "toy chain must issue enough writes to matter"
+    );
+
+    let (mut survived_some, mut lost_some) = (false, false);
+    for (k, &end) in ends.iter().enumerate() {
+        let start = if k == 0 { 0 } else { ends[k - 1] };
+        let cut = if k % 2 == 1 {
+            end
+        } else {
+            start + (k * 7919) % (end - start)
+        };
+        let policy = POLICIES[k % 3];
+        let cell = format!("segment cut at byte {cut} of record {k}, rerun {policy:?}");
+        let root = base.join(format!("cut-{k}"));
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join("cask.json"), &manifest).unwrap();
+        std::fs::write(root.join("segment.log"), &image[..cut]).unwrap();
+        let be = Arc::new(CaskBackend::open_with(&root, CaskOptions::default()).unwrap());
+        let whole = ends.iter().copied().take_while(|&e| e <= cut).last();
+        assert_eq!(be.file_bytes(), whole.unwrap_or(0) as u64, "{cell}");
+        let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
+        let survived = check_survivors(&store, &report, &cell);
+        survived_some |= survived > 0;
+        lost_some |= survived < report.stages.len();
+        assert_eq!(rerun(&pipeline, &store, policy, &cell), expected, "{cell}");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert!(survived_some && lost_some);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// `FaultPlan`'s promise — the same plan against the same write sequence
-/// tears the same record at the same byte — checked on the files: the toy
-/// chain run twice on a synchronous cask under one plan leaves the segment
-/// file byte-identical, for every fault kind at several k.
+/// leaves the same bytes — checked on the simulated file: the toy chain
+/// run twice under one plan leaves byte-identical contents, for every
+/// write-side kind at several writes.
 #[test]
 fn cask_fault_replays_byte_identical() {
     let pipeline = bound_toy();
-    let total = cask_total_appends(&pipeline, ChunkParams::SMALL);
-    let segments = |plan: FaultPlan| -> Vec<(String, Vec<u8>)> {
-        let base = temp_base("replay");
-        let root = base.join("store");
-        {
-            let opts = CaskOptions::synchronous().with_fault(plan);
-            let be = Arc::new(CaskBackend::open_with(&root, opts).unwrap());
-            let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
-            let run = run_once(&pipeline, &store, ParallelismPolicy::Sequential);
-            assert!(run.is_err(), "{plan:?} fires");
-        }
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&root)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| name.ends_with(".log"))
-            .map(|name| {
-                let bytes = std::fs::read(root.join(&name)).unwrap();
-                (name, bytes)
-            })
-            .collect();
-        files.sort();
-        let _ = std::fs::remove_dir_all(&base);
-        files
+    let total = total_writes(&pipeline, ChunkParams::SMALL);
+    let contents = |plan: FaultPlan| -> Vec<u8> {
+        let sim = SimFile::new();
+        sim.arm(plan);
+        let run = run_once(
+            &pipeline,
+            &sim_store(&sim, ChunkParams::SMALL),
+            ParallelismPolicy::Sequential,
+        );
+        assert!(run.is_err(), "{plan:?} fires");
+        sim.contents()
     };
     for k in [1, total / 2, total - 1, total] {
-        for kind in [
-            FaultKind::Torn,
-            FaultKind::AfterWrite,
-            FaultKind::DropUnsynced,
-            FaultKind::GroupCommitError,
-        ] {
+        for kind in FaultPlan::WRITE_KINDS {
             for seed in [6, 7] {
-                let plan = FaultPlan {
-                    crash_at_append: k,
-                    kind,
-                    seed,
-                };
-                let first = segments(plan);
-                assert_eq!(first.len(), 1, "the segment file is there");
-                assert!(first == segments(plan), "{plan:?} replayed differently");
+                let plan = FaultPlan::new(kind, k, seed);
+                assert!(
+                    contents(plan) == contents(plan),
+                    "{plan:?} replayed differently"
+                );
             }
         }
     }
 }
 
-/// The fusion diamond crashed at four appends, each rerun at every worker
-/// count.
+/// The fusion diamond crashed at four writes under every write-side kind,
+/// the rerun worker count rotating.
 #[test]
 fn fusion_diamond_crash_resume_all_worker_counts() {
     let pipeline = bound_fusion();
     let (report, store) = reference(&pipeline, ChunkParams::DEFAULT);
     let expected = outputs(&report, &store);
-    let total = cask_total_appends(&pipeline, ChunkParams::DEFAULT);
+    let total = total_writes(&pipeline, ChunkParams::DEFAULT);
     assert!(total > 4);
 
-    for (i, k) in [1, total / 3, 2 * total / 3, total].into_iter().enumerate() {
-        let k = k.max(1);
-        for policy in POLICIES {
-            let (out, _) = crash_then_rerun_cask(
-                &pipeline,
-                &report,
-                ChunkParams::DEFAULT,
-                k,
-                i as u64,
-                policy,
-            );
-            assert_eq!(
-                out, expected,
-                "fusion rerun diverged after crash at append {k} ({policy:?})"
-            );
-        }
-    }
-}
-
-/// One in-memory matrix cell: the trait-level [`FaultBackend`] fails the
-/// p-th put of an attempt made through a quota'd tenant view, the backend
-/// heals (simulated reopen — `MemBackend` keeps every acknowledged put),
-/// and a fresh store view over the healed backend checks the survivors and
-/// reruns. The failed attempt must leave no trace in the tenant's
-/// accounts: no open reservation, and the usage it had before the run.
-fn crash_then_rerun_mem(
-    pipeline: &BoundPipeline,
-    reference: &RunReport,
-    p: u64,
-    policy: ParallelismPolicy,
-) -> (String, usize) {
-    let cell = format!("crash at put {p}, rerun {policy:?}");
-    let fb = Arc::new(FaultBackend::new(Arc::new(MemBackend::new()), p));
-    let store = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    let tenant = TenantId(7);
-    let accounts = store.tenant_accounts();
-    accounts.register(
-        tenant,
-        QuotaPolicy {
-            max_logical_bytes: Some(1 << 30),
-            max_physical_bytes: Some(1 << 30),
-        },
-    );
-    let before = accounts.usage(tenant);
-    let first = run_once(
-        pipeline,
-        &store.for_tenant(tenant),
-        ParallelismPolicy::Sequential,
-    );
-    assert!(first.is_err(), "{cell}: armed backend must fail the run");
-    assert!(fb.crashed());
-    assert_eq!(
-        accounts.open_reservations(),
-        0,
-        "{cell}: the failed run left a reservation open"
-    );
-    assert_eq!(
-        accounts.usage(tenant),
-        before,
-        "{cell}: the failed run charged its tenant"
-    );
-    fb.heal();
-
-    let store = ChunkStore::new(fb, ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    let survived = check_survivors(&store, reference, &cell);
-    (rerun(pipeline, &store, policy, &cell), survived)
-}
-
-/// Every put of the toy chain failed in turn on the in-memory store, the
-/// crashed attempt running as a quota'd tenant (see
-/// [`crash_then_rerun_mem`]).
-#[test]
-fn mem_fault_crash_at_every_put_resumes_byte_identical() {
-    let pipeline = bound_toy();
-    let (report, store) = reference(&pipeline, ChunkParams::SMALL);
-    let expected = outputs(&report, &store);
-
-    // Learn the workload's put count with a far-away crash point.
-    let fb = Arc::new(FaultBackend::new(Arc::new(MemBackend::new()), u64::MAX));
-    let counting = ChunkStore::new(fb.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
-    run_once(&pipeline, &counting, ParallelismPolicy::Sequential).unwrap();
-    let total = fb.puts();
-    assert!(total > 8);
-
-    let mut survived_some = false;
-    for p in 1..=total {
-        let policy = POLICIES[(p % 3) as usize];
-        let (out, survived) = crash_then_rerun_mem(&pipeline, &report, p, policy);
-        survived_some |= survived > 0;
+    let writes = [1, total / 3, 2 * total / 3, total].map(|k| k.max(1));
+    for (i, plan) in fault_plans(writes).into_iter().enumerate() {
+        // Every worker count at every write, over the kinds.
+        let policy = POLICIES[(i + plan.at as usize) % 3];
+        let (out, _) = crash_then_rerun(&pipeline, &report, ChunkParams::DEFAULT, plan, policy);
         assert_eq!(
             out, expected,
-            "mem rerun diverged after crash at put {p} ({policy:?})"
+            "fusion rerun diverged after {plan:?} ({policy:?})"
         );
     }
-    assert!(survived_some, "no output ever survived a mem crash");
 }
 
 /// Group commit writes a whole batch as one contiguous segment write
@@ -547,8 +531,8 @@ fn cask_uninterrupted_matches_mem_and_survives_reopen() {
 
 /// A blob is one durability unit with a writer thread: its new chunks and
 /// its manifest are one group, landed by one write and one `sync_data`.
-/// Crash the writer (`simulate_crash`: queued groups dropped, unsynced
-/// bytes truncated) after every prefix of a run of blob writes; after
+/// Crash the machine (`SimFile::crash`: queued groups never land, unsynced
+/// bytes are dropped) after every prefix of a run of blob writes; after
 /// reopen, every blob whose chunks were all new and whose manifest survived
 /// reads back byte-exact. With chunk and manifest under independent fsyncs,
 /// a manifest could outlive its chunks.
@@ -565,11 +549,10 @@ fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
         .collect();
     let mut checked = 0;
     for crash_after in 0..=blobs.len() {
-        let base = temp_base("blob-unit");
-        let root = base.join("store");
+        let sim = SimFile::new();
         let mut written = Vec::new();
         {
-            let be = Arc::new(CaskBackend::open_with(&root, CaskOptions::default()).unwrap());
+            let be = Arc::new(CaskBackend::open_sim(sim.clone(), CaskOptions::default()).unwrap());
             let store = ChunkStore::new(be.clone(), ChunkParams::SMALL, StorageCostModel::FORKBASE);
             for (i, blob) in blobs[..crash_after].iter().enumerate() {
                 let (out, trace) = store.put_blob_traced(ObjectKind::Output, blob).unwrap();
@@ -581,9 +564,9 @@ fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
                 // Let the writer land some of the rest before the crash.
                 std::thread::sleep(std::time::Duration::from_micros(300));
             }
-            be.simulate_crash();
+            sim.crash();
         }
-        let be = Arc::new(CaskBackend::open(&root).unwrap());
+        let be = Arc::new(CaskBackend::open_sim(sim.reopen(), CaskOptions::default()).unwrap());
         let store = ChunkStore::new(be, ChunkParams::SMALL, StorageCostModel::FORKBASE);
         for (object, blob, all_new) in &written {
             if *all_new && store.contains(object.id) {
@@ -595,8 +578,6 @@ fn pool_crash_never_keeps_a_manifest_without_its_chunks() {
                 );
             }
         }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&base);
     }
     assert!(
         checked > 0,

@@ -207,6 +207,51 @@ fn a_grant_revoked_mid_search_refuses_the_merge_commit() {
     assert_eq!(graph_fingerprint(&ws), before);
 }
 
+/// The merge of `a_grant_revoked_mid_search_refuses_the_merge_commit`,
+/// between two sweeps: the refused merge stored and charged its metafile,
+/// which no commit names, so the second sweep reclaims it — and refunds its
+/// first referent. The tenants are then charged exactly the bytes the store
+/// holds, as they were before the merge.
+#[test]
+fn a_refused_merge_commit_keeps_byte_parity_after_a_sweep() {
+    let ws = Workspace::in_memory_small();
+    let up = ws.add_tenant("up", QuotaPolicy::UNLIMITED).unwrap();
+    let down = ws.add_tenant("down", QuotaPolicy::UNLIMITED).unwrap();
+    let gate = Gate::default();
+    let wire = Tripwire::wrap(toy_model(SemVer::master(0, 2), 4, 0.7), &gate);
+    let sys_up = toy_system(&up);
+    let sys_down = toy_system_with(&down, wire);
+    let clock = ClockLedger::new();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(0, 0), "up initial", &clock)
+        .unwrap();
+    up.grant_to("down", ShareRight::MergeInto).unwrap();
+    down.fork_from("up", "master", "feature").unwrap();
+    sys_up
+        .commit_pipeline("master", &toy_pipeline(1, 0), "up scaler", &clock)
+        .unwrap();
+    sys_down
+        .commit_pipeline("feature", &toy_pipeline(0, 2), "down model", &clock)
+        .unwrap();
+    let parity = || {
+        ws.sweep_orphans().unwrap();
+        let charged: u64 = ws.usages().values().map(|u| u.physical_bytes).sum();
+        assert_eq!(ws.store().tenant_accounts().check_charges(), Ok(charged));
+        (charged, ws.store().physical_bytes())
+    };
+    let (charged, held) = parity();
+    assert_eq!(charged, held, "parity before the merge");
+    let revoker = Arc::clone(&ws);
+    *gate.lock().unwrap() = Some(Box::new(move || {
+        revoker.revoke_share("up", "down").unwrap()
+    }));
+    let base = BranchRef::peer("up", "master");
+    let merged = sys_down.merge(base, "feature", MergeStrategy::Full, &clock);
+    assert!(matches!(merged, Err(CoreError::ShareDenied { .. })));
+    let (charged, held) = parity();
+    assert_eq!(charged, held, "the refused merge left its charge behind");
+}
+
 #[test]
 fn cross_tenant_merge_attribution_sums_to_store_totals() {
     let w = readmission::build();

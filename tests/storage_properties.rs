@@ -435,18 +435,18 @@ mod cask_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A crash at a seeded point — every fault kind a landing plays,
-        /// and `simulate_crash` — on the writer thread and on the caller's
-        /// alike, leaves exactly the records of a prefix of the submission
-        /// order: with at most one torn group at its end, and none at all
-        /// when whole batches were dropped. A torn record and the records
-        /// after it are lost; a record written whole survives with every
-        /// record before it.
+        /// A crash at a seeded point — every write-side fault the
+        /// simulated file plays, and a machine crash between groups — on
+        /// the writer thread and on the caller's alike, leaves exactly the
+        /// records of a prefix of the submission order: with at most one
+        /// torn group at its end, and none at all when whole batches were
+        /// dropped. A torn record and the records after it are lost; a
+        /// record written whole survives with every record before it.
         #[test]
         fn prop_a_crash_leaves_a_prefix_of_the_submission_order(
             sizes in proptest::collection::vec(1usize..4, 1..24),
             writer_thread in any::<bool>(),
-            crash in 0usize..5,
+            crash in 0usize..6,
             at_sel in any::<u64>(),
             flush_sel in any::<usize>(),
             seed in any::<u64>(),
@@ -472,22 +472,17 @@ mod cask_props {
                     Some(*end)
                 })
                 .collect();
-            let kinds = [
-                FaultKind::Torn,
-                FaultKind::AfterWrite,
-                FaultKind::DropUnsynced,
-                FaultKind::GroupCommitError,
-            ];
-            let at = at_sel % order.len() as u64 + 1;
+            let kinds = FaultPlan::WRITE_KINDS;
+            // Without a writer thread group g is write g + 1.
+            let at = at_sel % groups.len() as u64 + 1;
             let flush_after = flush_sel % groups.len();
-            let base = if writer_thread { CaskOptions::default() } else { CaskOptions::synchronous() };
-            let opts = match kinds.get(crash) {
-                Some(&kind) => base.with_fault(FaultPlan { crash_at_append: at, kind, seed }),
-                None => base,
-            };
-            let dir = temp_dir("prefix");
+            let opts = CaskOptions { writer_thread };
+            let sim = SimFile::new();
+            if let Some(&kind) = kinds.get(crash) {
+                sim.arm(FaultPlan::new(kind, at, seed));
+            }
             {
-                let be = CaskBackend::open_with(&dir, opts).unwrap();
+                let be = CaskBackend::open_sim(sim.clone(), opts.clone()).unwrap();
                 for (g, group) in groups.iter().enumerate() {
                     let items: Vec<(Hash256, &[u8])> = group.iter().map(|(k, d)| (*k, &d[..])).collect();
                     if be.put_many(&items).is_err() {
@@ -496,14 +491,14 @@ mod cask_props {
                     if g == flush_after {
                         let _ = be.flush();
                     }
-                    if crash == kinds.len() && g as u64 == at_sel % groups.len() as u64 {
-                        be.simulate_crash();
+                    if crash == kinds.len() && g as u64 + 1 == at {
+                        sim.crash();
                         break;
                     }
                 }
                 // Dropping the backend lets the writer land (or fail) what it holds.
             }
-            let be = CaskBackend::open(&dir).unwrap();
+            let be = CaskBackend::open_sim(sim.reopen(), opts).unwrap();
             let m = order.iter().take_while(|k| be.contains(**k)).count();
             let case = format!(
                 "{} groups, writer {writer_thread}, crash {crash} at {at}, seed {seed}: {m} survive",
@@ -513,19 +508,27 @@ mod cask_props {
             for (k, d) in groups.iter().flatten().take(m) {
                 prop_assert_eq!(be.get(*k).unwrap().as_ref(), &d[..], "{}", case);
             }
+            let (before, through) = (at as usize - 1, at as usize);
+            let ends_before = if before == 0 { 0 } else { group_ends[before - 1] };
             match kinds.get(crash) {
-                Some(FaultKind::Torn) => prop_assert_eq!(m as u64, at - 1, "{}", case),
-                Some(FaultKind::AfterWrite) => prop_assert_eq!(m as u64, at, "{}", case),
-                Some(FaultKind::GroupCommitError) => {}
-                // Whole batches are lost: no group is torn.
-                Some(FaultKind::DropUnsynced) | None => prop_assert!(
+                // One write is one group: the torn group keeps fewer
+                // records than it had, every group before it all of them.
+                Some(FaultKind::Torn) | Some(FaultKind::WriteError) if !writer_thread => prop_assert!(
+                    ends_before <= m && m < group_ends[before],
+                    "{}",
+                    case
+                ),
+                Some(FaultKind::AfterSync) if !writer_thread => {
+                    prop_assert_eq!(m, group_ends[through - 1], "{}", case)
+                }
+                Some(FaultKind::Torn) | Some(FaultKind::WriteError) => {}
+                // Whole batches are lost or kept: no group is torn.
+                _ => prop_assert!(
                     m == 0 || group_ends.contains(&m),
                     "a group was torn: {}",
                     case
                 ),
             }
-            drop(be);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -634,14 +637,7 @@ mod cask_props {
         ) {
             let blobs: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 1 + 37 * i as usize]).collect();
             let mem = || -> Backend { Arc::new(MemBackend::new()) };
-            let mut twins: Vec<(String, Backend, Backend)> = vec![
-                ("mem".into(), mem(), mem()),
-                (
-                    "fault".into(),
-                    Arc::new(FaultBackend::new(mem(), 0)),
-                    Arc::new(FaultBackend::new(mem(), 0)),
-                ),
-            ];
+            let mut twins: Vec<(String, Backend, Backend)> = vec![("mem".into(), mem(), mem())];
             let modes = [
                 ("pool", CaskOptions::default()),
                 ("sync", CaskOptions::synchronous()),
@@ -696,24 +692,6 @@ mod cask_props {
                 let _ = std::fs::remove_dir_all(&a);
                 let _ = std::fs::remove_dir_all(&b);
             }
-        }
-    }
-
-    /// A trait-level crash point fails `put_many` at the same put as the
-    /// loop, with the same prefix stored (the default `put_many` is the
-    /// loop, and `FaultBackend` counts puts exactly as before).
-    #[test]
-    fn fault_backend_put_many_fails_where_the_loop_does() {
-        let blobs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 10]).collect();
-        let items: Vec<(Hash256, &[u8])> = blobs.iter().map(|b| (Hash256::of(b), &b[..])).collect();
-        for crash_at in 1..=items.len() as u64 {
-            let (a, b) = (Arc::new(MemBackend::new()), Arc::new(MemBackend::new()));
-            let many = FaultBackend::new(a.clone(), crash_at);
-            let single = FaultBackend::new(b.clone(), crash_at);
-            assert!(many.put_many(&items).is_err());
-            assert!(items.iter().any(|&(k, d)| single.put(k, d).is_err()));
-            assert_eq!((many.puts(), a.len()), (single.puts(), b.len()));
-            assert_eq!(a.len() as u64, crash_at - 1);
         }
     }
 
@@ -975,7 +953,7 @@ mod cache_props {
             let _ = std::fs::remove_dir_all(&dir);
         }
 
-        /// A seeded mid-run crash under a warm cache, then a real reopen: a
+        /// A seeded mid-run fault under a warm cache, then a reopen: a
         /// freshly-cached store and an uncached store over the recovered
         /// backend agree on every object's survival and bytes — including
         /// the cache's hit path (second read).
@@ -986,16 +964,11 @@ mod cache_props {
             ),
             seed in any::<u64>(),
         ) {
-            let dir = temp_dir("crash");
+            let sim = SimFile::new();
+            sim.arm(FaultPlan::seeded(seed, 24));
             let mut written: Vec<(ObjectRef, Vec<u8>)> = Vec::new();
             {
-                let be = Arc::new(
-                    Cask::open_with(
-                        &dir,
-                        CaskOptions::synchronous().with_fault(FaultPlan::seeded(seed, 24)),
-                    )
-                    .unwrap(),
-                );
+                let be = Arc::new(Cask::open_sim(sim.clone(), CaskOptions::synchronous()).unwrap());
                 let store = ChunkStore::with_cache(
                     be,
                     ChunkParams::SMALL,
@@ -1012,9 +985,13 @@ mod cache_props {
                 }
             }
 
-            // Real reopen: torn-tail truncation runs. Two views over the
-            // same recovered backend, cache on and off.
-            let be = Arc::new(Cask::open(&dir).unwrap());
+            // Reopen — after a machine crash for half the seeds — and
+            // torn-tail truncation runs. Two views over the same recovered
+            // backend, cache on and off.
+            if seed.is_multiple_of(2) {
+                sim.crash();
+            }
+            let be = Arc::new(Cask::open_sim(sim.reopen(), CaskOptions::synchronous()).unwrap());
             let cached = ChunkStore::with_cache(
                 be.clone(),
                 ChunkParams::SMALL,
@@ -1047,7 +1024,6 @@ mod cache_props {
                     ),
                 }
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

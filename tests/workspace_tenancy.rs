@@ -784,3 +784,32 @@ fn a_refused_join_leaves_no_trace() {
     assert_eq!(ws.store().physical_bytes(), fresh.store().physical_bytes());
     assert_eq!(accounts.open_reservations(), 0);
 }
+
+/// A join refused part-way leaves its library chunks as unreferenced
+/// orphans. Another tenant joining before any sweep references them, and
+/// a byte is charged to its first referent, so it pays for them whether
+/// they were stored already or not: it is charged what a first join on a
+/// fresh store is, and after a sweep the tenants are charged exactly the
+/// bytes the store holds.
+#[test]
+fn a_refused_join_then_another_join_keeps_byte_parity() {
+    let w = readmission::build();
+    let ws = Workspace::over(Arc::new(ChunkStore::in_memory()));
+    join_workspace(&ws, &w, "a", QuotaPolicy::logical(1_000_000))
+        .err()
+        .expect("the second library breaches the quota");
+    let b = join_workspace(&ws, &w, "b", QuotaPolicy::UNLIMITED).unwrap();
+    let accounts = ws.store().tenant_accounts();
+    accounts.check_charges().unwrap();
+    let fresh = Workspace::over(Arc::new(ChunkStore::in_memory()));
+    let first = join_workspace(&fresh, &w, "b", QuotaPolicy::UNLIMITED).unwrap();
+    assert_eq!(b.tenant.usage(), first.tenant.usage());
+    ws.sweep_orphans().unwrap();
+    let charged: u64 = ws.usages().values().map(|u| u.physical_bytes).sum();
+    assert_eq!(
+        charged,
+        ws.store().physical_bytes(),
+        "charged bytes against the bytes the store holds after a sweep"
+    );
+    assert_eq!(accounts.check_charges(), Ok(charged));
+}
